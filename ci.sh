@@ -17,6 +17,13 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> cargo test --release"
+# The optimized run is where the sized tests run at full size: the
+# 20,000-simulations-in-one-process leak soak (tests/sim_lifetime.rs does a
+# tenth unoptimized) and the 50,000-process crash reap's time bound
+# (crates/xkernel/tests/engine.rs).
+cargo test --workspace --release -q
+
 echo "==> chaos soak (fixed seed set x all stacks)"
 # Already compiled by the workspace test run above; named separately so the
 # invariant suite visibly gates every PR even if the test layout changes.
@@ -33,6 +40,45 @@ for f in crates/xkernel/src/sim.rs crates/xkernel/src/vproc.rs; do
         exit 1
     fi
 done
+
+echo "==> engine-gate: no hash map, no lock on the charging path"
+# The scheduler keeps events and processes in slabs addressed by (id, slot)
+# and per-host clocks, fuel and counters in lock-free cells (DESIGN.md §11).
+# The threaded engine's structure coming back — a HashMap keyed by event seq
+# or process id, or a lock taken to charge a host or read a clock — would
+# pass every test and quietly double the engine's cost, so it is a gate.
+SIM_RS=crates/xkernel/src/sim.rs
+for fossil in 'HashMap<u64, EvKind>' 'HashMap<u64, LpState>'; do
+    if grep -qF "$fossil" "$SIM_RS"; then
+        echo "ci: engine-gate: $SIM_RS holds a $fossil again" >&2
+        exit 1
+    fi
+done
+# Every definition of a method in sim.rs, signature to closing brace.
+method_bodies() {
+    awk -v name="$1" '
+        $0 ~ "^    (pub |pub\\(crate\\) )?fn " name "[(<]" { on = 1 }
+        on { print }
+        on && /^    }$/ { on = 0 }' "$SIM_RS"
+}
+for f in charge_class now event_time note boot_epoch next_u64; do
+    body=$(method_bodies "$f")
+    if [ -z "$body" ]; then
+        echo "ci: engine-gate: no method $f in $SIM_RS (gate is stale)" >&2
+        exit 1
+    fi
+    if grep -qF '.lock()' <<<"$body"; then
+        echo "ci: engine-gate: $f takes a lock" >&2
+        exit 1
+    fi
+done
+# charge_class's clock half may take the lock only to reach the trace ledger,
+# i.e. only behind the trace_on flag.
+if [ -z "$(method_bodies charge_clock)" ] ||
+    method_bodies charge_clock | awk '/trace_on/ { guarded = 1 } /engine/ && !guarded { bad = 1 } END { exit !bad }'; then
+    echo "ci: engine-gate: charge_clock is missing or takes the lock with tracing off" >&2
+    exit 1
+fi
 
 echo "==> vproc-smoke: 100k-client closed loop on stackless machines"
 # One persistent machine per client plus a transient coroutine per
@@ -206,6 +252,13 @@ grep -q 'repro: xcheck://seed=' "$XCHECK_OUT" || {
     exit 1
 }
 rm -f "$XCHECK_OUT"
+
+echo "==> xkbench-check: the benchmark builds, lints, tests and smokes"
+# benchmark/ is its own workspace (path deps on crates/*), so nothing above
+# compiles it: a change here that breaks an item on its API pin list
+# (benchmark/README.md) would otherwise surface only when the driver runs
+# the benchmark. check.sh is run as it stands.
+bash benchmark/check.sh
 
 echo "==> xk-lint --xcheck: concurrency rules on the deadlock toy"
 cargo build --release -q --bin xk-lint

@@ -22,7 +22,7 @@
 
 pub mod fault;
 
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
@@ -104,7 +104,9 @@ pub struct LanStats {
 struct Attachment {
     host: HostId,
     eth: EthAddr,
-    nic: Arc<Nic>,
+    /// Weak: the kernel's protocol table owns the NIC, and the NIC owns
+    /// this network; a strong edge back would keep both alive for ever.
+    nic: Weak<Nic>,
 }
 
 /// One realized, *suppressible* fault (drop / duplicate / corrupt — not a
@@ -152,7 +154,6 @@ struct LanSnap {
 }
 
 struct NetInner {
-    sim: Sim,
     lans: Mutex<Vec<Lan>>,
 }
 
@@ -163,11 +164,12 @@ pub struct SimNet {
 }
 
 impl SimNet {
-    /// Creates an empty network on `sim`.
-    pub fn new(sim: &Sim) -> SimNet {
+    /// Creates an empty network for `sim`'s hosts. The network keeps no
+    /// handle on the simulator (whoever transmits brings its [`Ctx`]), so
+    /// the two can be dropped in either order.
+    pub fn new(_sim: &Sim) -> SimNet {
         SimNet {
             inner: Arc::new(NetInner {
-                sim: sim.clone(),
                 lans: Mutex::new(Vec::new()),
             }),
         }
@@ -301,9 +303,11 @@ impl SimNet {
             Ok(nic as ProtocolRef)
         })?;
         let nic = created.expect("constructor ran");
-        self.inner.lans.lock()[lan.0]
-            .attached
-            .push(Attachment { host, eth, nic });
+        self.inner.lans.lock()[lan.0].attached.push(Attachment {
+            host,
+            eth,
+            nic: Arc::downgrade(&nic),
+        });
         Ok(id)
     }
 
@@ -346,7 +350,6 @@ impl SimNet {
         let mut decision = if l.faults.is_none() {
             FaultDecision::Deliver
         } else {
-            let sim = self.inner.sim.clone();
             if l.faults.wants_frame_bytes() {
                 frame_bytes = Some(frame.to_vec());
             }
@@ -356,7 +359,7 @@ impl SimNet {
                 src,
                 dst,
                 frame_bytes.as_deref().unwrap_or(&[]),
-                move || sim.next_u64(),
+                || ctx.next_u64(),
             )
         };
 
@@ -387,28 +390,16 @@ impl SimNet {
         match decision {
             FaultDecision::Deliver => {}
             FaultDecision::Drop => {
-                self.inner
-                    .sim
-                    .journal_fault(lan.0 as u32, index, xkernel::journal::FAULT_DROP, 0);
+                ctx.journal_fault(lan.0 as u32, index, xkernel::journal::FAULT_DROP, 0);
             }
             FaultDecision::Duplicate => {
-                self.inner.sim.journal_fault(
-                    lan.0 as u32,
-                    index,
-                    xkernel::journal::FAULT_DUPLICATE,
-                    0,
-                );
+                ctx.journal_fault(lan.0 as u32, index, xkernel::journal::FAULT_DUPLICATE, 0);
             }
             FaultDecision::Corrupt => {
-                self.inner.sim.journal_fault(
-                    lan.0 as u32,
-                    index,
-                    xkernel::journal::FAULT_CORRUPT,
-                    14,
-                );
+                ctx.journal_fault(lan.0 as u32, index, xkernel::journal::FAULT_CORRUPT, 14);
             }
             FaultDecision::CorruptAt(at) => {
-                self.inner.sim.journal_fault(
+                ctx.journal_fault(
                     lan.0 as u32,
                     index,
                     xkernel::journal::FAULT_CORRUPT,
@@ -416,9 +407,7 @@ impl SimNet {
                 );
             }
             FaultDecision::Delay(d) => {
-                self.inner
-                    .sim
-                    .journal_fault(lan.0 as u32, index, xkernel::journal::FAULT_DELAY, d);
+                ctx.journal_fault(lan.0 as u32, index, xkernel::journal::FAULT_DELAY, d);
             }
         }
 
@@ -469,7 +458,7 @@ impl SimNet {
             .attached
             .iter()
             .filter(|a| a.eth != src && (dst.is_broadcast() || a.eth == dst))
-            .map(|a| (a.host, Arc::clone(&a.nic)))
+            .filter_map(|a| Some((a.host, a.nic.upgrade()?)))
             .collect();
         if !receivers.is_empty() {
             l.stats.delivered += copies as u64;

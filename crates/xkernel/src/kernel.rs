@@ -12,6 +12,7 @@
 //! low-level protocol, and vice versa".
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
@@ -22,12 +23,103 @@ use crate::msg::Message;
 use crate::proto::{ControlOp, ControlRes, ProtoId, ProtocolRef, SessionRef, TracedProtocol};
 use crate::sim::{Ctx, HostId, Sim};
 
+/// An append-only table read without a lock: slots are reserved in index
+/// order and each is filled at most once, so a reader needs only the
+/// acquire load a [`OnceLock`] performs. The simulator's host registry and
+/// each kernel's protocol registry are built at configuration time and read
+/// on every layer crossing; this is what keeps those reads off any lock.
+///
+/// Slots live in chunks that double in size (8, 16, 32, …) so the table
+/// grows without moving an element a reader may be looking at. Reserving is
+/// not synchronized against itself: callers serialize appends (both
+/// registries do, under a lock they already hold).
+pub(crate) struct AppendTable<T> {
+    chunks: [OnceLock<Box<[OnceLock<T>]>>; CHUNKS],
+    len: AtomicUsize,
+}
+
+/// Chunk `k` holds `8 << k` slots; 28 chunks hold 8 · (2²⁸ − 1).
+const CHUNKS: usize = 28;
+const FIRST_CHUNK_BITS: u32 = 3;
+
+/// The chunk holding index `i`, and `i`'s offset inside it.
+fn locate(i: usize) -> (usize, usize) {
+    let block = (i >> FIRST_CHUNK_BITS) + 1;
+    let chunk = (usize::BITS - 1 - block.leading_zeros()) as usize;
+    (chunk, i - (((1 << chunk) - 1) << FIRST_CHUNK_BITS))
+}
+
+impl<T> AppendTable<T> {
+    pub(crate) fn new() -> AppendTable<T> {
+        AppendTable {
+            chunks: [const { OnceLock::new() }; CHUNKS],
+            len: AtomicUsize::new(0),
+        }
+    }
+
+    /// Slots reserved so far.
+    pub(crate) fn len(&self) -> usize {
+        self.len.load(Ordering::Acquire)
+    }
+
+    /// Reserves the next slot, empty, and returns its index.
+    pub(crate) fn reserve(&self) -> usize {
+        let i = self.len.load(Ordering::Relaxed);
+        let (chunk, _) = locate(i);
+        self.chunks[chunk].get_or_init(|| {
+            let slots = 1usize << (chunk as u32 + FIRST_CHUNK_BITS);
+            (0..slots).map(|_| OnceLock::new()).collect()
+        });
+        self.len.store(i + 1, Ordering::Release);
+        i
+    }
+
+    /// Fills reserved slot `i`; hands `value` back if `i` was never
+    /// reserved or is already filled.
+    pub(crate) fn fill(&self, i: usize, value: T) -> Result<(), T> {
+        match self.slot(i) {
+            Some(slot) => slot.set(value),
+            None => Err(value),
+        }
+    }
+
+    /// Reserves and fills the next slot; returns its index.
+    pub(crate) fn push(&self, value: T) -> usize {
+        let i = self.reserve();
+        assert!(self.fill(i, value).is_ok(), "append raced another append");
+        i
+    }
+
+    /// The value in slot `i`, if that slot is reserved and filled.
+    pub(crate) fn get(&self, i: usize) -> Option<&T> {
+        self.slot(i)?.get()
+    }
+
+    fn slot(&self, i: usize) -> Option<&OnceLock<T>> {
+        if i >= self.len() {
+            return None;
+        }
+        let (chunk, offset) = locate(i);
+        self.chunks[chunk].get()?.get(offset)
+    }
+
+    /// Every reserved slot's value in index order, `None` for unfilled
+    /// slots.
+    pub(crate) fn slots(&self) -> impl Iterator<Item = Option<&T>> {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Every filled slot's value in index order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        self.slots().flatten()
+    }
+}
+
 /// A host's kernel: protocol registry plus identity.
 pub struct Kernel {
-    sim: Sim,
     name: String,
     host: OnceLock<HostId>,
-    protocols: RwLock<Vec<Option<ProtocolRef>>>,
+    protocols: AppendTable<ProtocolRef>,
     by_name: RwLock<HashMap<String, ProtoId>>,
 }
 
@@ -36,20 +128,14 @@ impl Kernel {
     /// host id.
     pub fn new(sim: &Sim, name: &str) -> Arc<Kernel> {
         let k = Arc::new(Kernel {
-            sim: sim.clone(),
             name: name.to_string(),
             host: OnceLock::new(),
-            protocols: RwLock::new(Vec::new()),
+            protocols: AppendTable::new(),
             by_name: RwLock::new(HashMap::new()),
         });
         let host = sim.add_kernel(&k);
         k.host.set(host).expect("host id set exactly once");
         k
-    }
-
-    /// The simulator this kernel belongs to.
-    pub fn sim(&self) -> &Sim {
-        &self.sim
     }
 
     /// This kernel's host id.
@@ -72,24 +158,20 @@ impl Kernel {
                 self.name
             )));
         }
-        let mut ps = self.protocols.write();
-        let id = ProtoId(ps.len());
-        ps.push(None);
+        // The name map's write lock serializes reservations.
+        let id = ProtoId(self.protocols.reserve());
         names.insert(name.to_string(), id);
         Ok(id)
     }
 
     /// Installs a constructed protocol into its reserved slot.
     pub fn install(&self, id: ProtoId, proto: ProtocolRef) -> XResult<()> {
-        let mut ps = self.protocols.write();
-        let slot = ps
-            .get_mut(id.0)
-            .ok_or_else(|| XError::Config(format!("install of unreserved id {id:?}")))?;
-        if slot.is_some() {
-            return Err(XError::Config(format!("double install of {id:?}")));
+        if id.0 >= self.protocols.len() {
+            return Err(XError::Config(format!("install of unreserved id {id:?}")));
         }
-        *slot = Some(proto);
-        Ok(())
+        self.protocols
+            .fill(id.0, proto)
+            .map_err(|_| XError::Config(format!("double install of {id:?}")))
     }
 
     /// Convenience: reserve + construct + install in one step.
@@ -125,9 +207,8 @@ impl Kernel {
     /// The protocol object behind an id.
     pub fn proto(&self, id: ProtoId) -> XResult<ProtocolRef> {
         self.protocols
-            .read()
             .get(id.0)
-            .and_then(|p| p.clone())
+            .cloned()
             .ok_or_else(|| XError::Config(format!("protocol id {id:?} not installed")))
     }
 
@@ -141,18 +222,14 @@ impl Kernel {
     /// Invoked by the simulator after [`Sim::restart`] brings the host
     /// back up.
     pub fn reboot_protocols(&self, ctx: &Ctx) -> XResult<()> {
-        let ps: Vec<ProtocolRef> = self.protocols.read().iter().flatten().cloned().collect();
-        for p in ps {
-            p.reboot(ctx)?;
-        }
-        Ok(())
+        self.protocols.iter().try_for_each(|p| p.reboot(ctx))
     }
 
     /// Every protocol slot in id order (with holes where ids were reserved
     /// but never installed). The snapshot machinery aligns per-protocol
     /// state blobs to these slots; see [`crate::sim::Sim::snapshot`].
     pub fn protocol_slots(&self) -> Vec<Option<ProtocolRef>> {
-        self.protocols.read().clone()
+        self.protocols.slots().map(|p| p.cloned()).collect()
     }
 
     /// Names of all configured protocols, in configuration order.

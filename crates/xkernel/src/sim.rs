@@ -27,12 +27,13 @@
 //!
 //! The same protocol code runs unmodified in both modes.
 
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::panic::panic_any;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard};
 
 pub use crate::cost::Nanos;
 pub use crate::vproc::{VProc, VStep};
@@ -41,7 +42,7 @@ use crate::check::{CheckCore, CheckReport, Violation};
 use crate::cost::CostModel;
 use crate::error::{XError, XResult};
 use crate::journal::{Journal, JournalRecord, JOURNAL_VERSION};
-use crate::kernel::Kernel;
+use crate::kernel::{AppendTable, Kernel};
 use crate::msg::{HeaderPolicy, Message, Popped};
 use crate::proto::{ProtoId, SnapBlob};
 use crate::trace::{
@@ -57,9 +58,14 @@ pub type Time = u64;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct HostId(pub usize);
 
-/// Identifies a logical (shepherd) process.
+/// Identifies a logical (shepherd) process: a never-reused id (allocated in
+/// event order, which determinism depends on) plus the process-table slot
+/// it occupies, so every lookup is a vector index checked against the id.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct LpId(u64);
+pub struct LpId {
+    id: u64,
+    slot: u32,
+}
 
 /// Execution mode; see the module docs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -79,13 +85,20 @@ pub enum WakeReason {
     Timeout,
 }
 
-/// Handle for cancelling a scheduled timer.
+/// Handle for cancelling a scheduled timer: the event's sequence number and
+/// the event-table slot it was filed in.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct TimerHandle(u64);
+pub struct TimerHandle {
+    seq: u64,
+    slot: u32,
+}
 
 impl TimerHandle {
     /// A handle that refers to nothing (inline mode, or already fired).
-    pub const NONE: TimerHandle = TimerHandle(u64::MAX);
+    pub const NONE: TimerHandle = TimerHandle {
+        seq: u64::MAX,
+        slot: u32::MAX,
+    };
 }
 
 /// Simulation construction parameters.
@@ -279,10 +292,17 @@ enum ProcBody {
     Machine(Box<dyn VProc>),
 }
 
+/// A machine and its remaining fuel (`u64::MAX` = unlimited; coroutines
+/// carry their budget inside the coroutine instead).
+struct Machine {
+    m: Box<dyn VProc>,
+    fuel: u64,
+}
+
 /// The suspended form of a blocked process.
 enum LpBody {
     Coro(vproc::Coro),
-    Machine(Box<dyn VProc>),
+    Machine(Machine),
 }
 
 enum EvKind {
@@ -303,27 +323,29 @@ enum RunState {
 }
 
 /// Panic payload used to unwind a shepherd coroutine whose host crashed.
-/// Not a failure: the coroutine wrapper filters it out of the panic record.
+/// Not a failure: [`drive_coro`] filters it out of the panic record.
 struct CrashKill;
 
 /// Panic payload used to unwind a shepherd coroutine whose fuel ran out.
 /// Filtered like [`CrashKill`], but tallied in [`RunReport::fuel_exhausted`].
 struct FuelKill;
 
+/// What the scheduler hands a coroutine when it resumes it (the value
+/// [`vproc::yield_now`] returns): why it woke, or that its host crashed.
+const RESUME_NORMAL: u64 = 0;
+const RESUME_TIMEOUT: u64 = 1;
+const RESUME_KILLED: u64 = 2;
+
 struct LpState {
     host: HostId,
     state: RunState,
-    wake_reason: WakeReason,
     /// The suspended continuation; `None` while the process is running (its
     /// body is on the driver's stack) or before its first step.
     body: Option<LpBody>,
-    /// The checker id of the semaphore a blocked *machine* is waiting on
-    /// (`None` for timer blocks and for coroutines, which run their own
-    /// wait-end hooks).
+    /// The checker id of the semaphore a blocked process is waiting on
+    /// (`None` for timer blocks); the scheduler closes the wait out when it
+    /// resumes the process.
     wait_sema: Option<u64>,
-    /// Remaining machine fuel (`u64::MAX` = unlimited); coroutines carry
-    /// their budget inside the coroutine instead.
-    fuel: u64,
 }
 
 struct Task {
@@ -332,19 +354,128 @@ struct Task {
     body: ProcBody,
 }
 
-struct Sched {
-    now: Time,
+/// A table whose entries are addressed by `(id, slot)`: `slot` indexes the
+/// vector and `id` — a sequence number that is never reused — is the
+/// generation, so an address that outlived its entry misses instead of
+/// aliasing the slot's next tenant. Freed slots are reused last-in
+/// first-out, which keeps the table as dense as its live population.
+struct Slab<T> {
+    slots: Vec<(u64, Option<T>)>,
+    free: Vec<u32>,
+    live: usize,
+}
+
+impl<T> Slab<T> {
+    fn new() -> Slab<T> {
+        Slab {
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.live
+    }
+
+    fn insert(&mut self, id: u64, value: T) -> u32 {
+        self.live += 1;
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = (id, Some(value));
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("slab outgrew u32 slots");
+                self.slots.push((id, Some(value)));
+                slot
+            }
+        }
+    }
+
+    fn get(&self, id: u64, slot: u32) -> Option<&T> {
+        match self.slots.get(slot as usize) {
+            Some((i, v)) if *i == id => v.as_ref(),
+            _ => None,
+        }
+    }
+
+    fn get_mut(&mut self, id: u64, slot: u32) -> Option<&mut T> {
+        match self.slots.get_mut(slot as usize) {
+            Some((i, v)) if *i == id => v.as_mut(),
+            _ => None,
+        }
+    }
+
+    fn remove(&mut self, id: u64, slot: u32) -> Option<T> {
+        match self.slots.get_mut(slot as usize) {
+            Some((i, v)) if *i == id && v.is_some() => {
+                self.live -= 1;
+                self.free.push(slot);
+                v.take()
+            }
+            _ => None,
+        }
+    }
+
+    /// Live entries as `(id, slot, value)`, in slot order.
+    fn iter(&self) -> impl Iterator<Item = (u64, u32, &T)> {
+        (0u32..)
+            .zip(&self.slots)
+            .filter_map(|(slot, (id, v))| v.as_ref().map(|v| (*id, slot, v)))
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = (u64, u32, &mut T)> {
+        (0u32..)
+            .zip(&mut self.slots)
+            .filter_map(|(slot, (id, v))| v.as_mut().map(|v| (*id, slot, v)))
+    }
+
+    /// Removes every entry `dead` selects.
+    fn remove_where(&mut self, mut dead: impl FnMut(&T) -> bool) {
+        for (slot, (_, v)) in (0u32..).zip(&mut self.slots) {
+            if v.as_ref().is_some_and(&mut dead) {
+                *v = None;
+                self.live -= 1;
+                self.free.push(slot);
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+        self.live = 0;
+    }
+}
+
+/// A queued event's position in the timeline: `(time, seq, slot)`. `seq`
+/// breaks time ties in insertion order; `slot` is where the event's body
+/// sits in [`Engine::events`].
+type HeapKey = Reverse<(Time, u64, u32)>;
+
+/// Everything the scheduler owns that is more than a scalar: the event
+/// queue, the process table, the run token. One thread drives a simulation
+/// at a time, so this sits behind the simulator's one lock
+/// ([`SimCore::engine`]): the run loop holds it across [`advance`] and
+/// releases it only while a process body runs; a process takes it once per
+/// scheduling operation (arm, cancel, wake, block).
+struct Engine {
     seq: u64,
-    heap: BinaryHeap<std::cmp::Reverse<(Time, u64)>>,
-    events: HashMap<u64, EvKind>,
-    lps: HashMap<u64, LpState>,
+    /// The timeline. Entries whose event is gone from `events` (cancelled,
+    /// or purged by a crash) are tombstones, skipped when they surface.
+    heap: BinaryHeap<HeapKey>,
+    /// Pending event bodies, addressed by `(seq, slot)`.
+    events: Slab<EvKind>,
+    /// Live processes, addressed by [`LpId`].
+    lps: Slab<LpState>,
     next_lp: u64,
     current: Option<LpId>,
     executed: u64,
     panics: Vec<String>,
     /// Processes killed by a crash while blocked, queued for deterministic
-    /// reaping (sorted by id) at the top of the run loop.
-    reap: Vec<u64>,
+    /// reaping (in id order) at the top of the run loop.
+    reap: Vec<LpId>,
     /// Processes killed by fuel exhaustion.
     fuel_exhausted: u64,
     /// High-water mark of `lps.len()`.
@@ -356,20 +487,130 @@ struct Sched {
     /// kind tag). Maintained unconditionally — three integer ops per
     /// event — so every run has a schedule fingerprint.
     sched_hash: u64,
+    /// Structured trace state; touched only when [`SimCore::trace_on`].
+    trace: TraceCore,
+    /// Concurrency-checker state; touched only when [`SimCore::check_on`].
+    check: CheckCore,
+    /// Recorded nondeterminism-relevant decisions; touched only while
+    /// [`SimCore::journal_on`].
+    journal: Vec<JournalRecord>,
 }
 
-/// Per-host clocks and counters, split out of [`Sched`] so the hot charging
-/// path ([`Ctx::charge`], [`Ctx::now`], [`Ctx::note`]) never contends with
-/// the event queue. Lock order where both are needed: `sched` before
-/// `hosts`.
-struct Hosts {
-    cpu: Vec<Time>,
-    down: Vec<bool>,
-    epoch: Vec<u32>,
-    stats: Vec<HostStats>,
-    /// Fuel charged per host: one unit per charged operation plus one per
-    /// machine resume ([`RunReport::fuel_used`] is the sum).
-    fuel: Vec<u64>,
+impl Engine {
+    /// Files `kind` at time `t`; the returned handle cancels it.
+    fn push_event(&mut self, t: Time, kind: EvKind) -> TimerHandle {
+        let seq = self.seq;
+        self.seq += 1;
+        let slot = self.events.insert(seq, kind);
+        self.heap.push(Reverse((t, seq, slot)));
+        TimerHandle { seq, slot }
+    }
+
+    fn lp_mut(&mut self, lp: LpId) -> Option<&mut LpState> {
+        self.lps.get_mut(lp.id, lp.slot)
+    }
+
+    /// Ids of the processes currently blocked, in table order.
+    fn blocked(&self) -> impl Iterator<Item = u64> + '_ {
+        self.lps
+            .iter()
+            .filter(|(_, _, st)| st.state == RunState::Blocked)
+            .map(|(id, _, _)| id)
+    }
+}
+
+/// One host's kernel, clock and counters. Every field but the kernel is a
+/// scalar cell read and written with relaxed atomic loads and stores (never
+/// a read-modify-write): only the thread driving the simulation touches
+/// them, and the engine lock it takes on entry to and exit from every run
+/// orders its writes before the next driver's reads. That keeps the
+/// charging path ([`Ctx::charge_class`], [`Ctx::now`], [`Ctx::note`]) free
+/// of locks while [`Sim`] stays `Send + Sync` in safe code.
+struct HostCell {
+    kernel: Arc<Kernel>,
+    cpu: AtomicU64,
+    /// Fuel charged on this host: one unit per charged operation plus one
+    /// per machine resume ([`RunReport::fuel_used`] is the sum).
+    fuel: AtomicU64,
+    down: AtomicBool,
+    epoch: AtomicU32,
+    retransmits: AtomicU64,
+    duplicates_suppressed: AtomicU64,
+    corrupt_rejected: AtomicU64,
+    timeouts_fired: AtomicU64,
+    crashes: AtomicU64,
+    restarts: AtomicU64,
+}
+
+/// `cell += by` for a cell only the driving thread writes.
+fn bump(cell: &AtomicU64, by: u64) -> u64 {
+    let v = cell.load(Relaxed) + by;
+    cell.store(v, Relaxed);
+    v
+}
+
+impl HostCell {
+    fn new(kernel: Arc<Kernel>) -> HostCell {
+        HostCell {
+            kernel,
+            cpu: AtomicU64::new(0),
+            fuel: AtomicU64::new(0),
+            down: AtomicBool::new(false),
+            epoch: AtomicU32::new(0),
+            retransmits: AtomicU64::new(0),
+            duplicates_suppressed: AtomicU64::new(0),
+            corrupt_rejected: AtomicU64::new(0),
+            timeouts_fired: AtomicU64::new(0),
+            crashes: AtomicU64::new(0),
+            restarts: AtomicU64::new(0),
+        }
+    }
+
+    /// An event at time `t` reaches this host: the clock jumps over the
+    /// idle gap (if `t` is ahead of it) and then pays `extra`. Returns the
+    /// idle time skipped and the new clock.
+    fn arrive(&self, t: Time, extra: Nanos) -> (Nanos, Time) {
+        let cpu = self.cpu.load(Relaxed);
+        let now = cpu.max(t) + extra;
+        self.cpu.store(now, Relaxed);
+        (t.saturating_sub(cpu), now)
+    }
+
+    fn stats(&self) -> HostStats {
+        HostStats {
+            retransmits: self.retransmits.load(Relaxed),
+            duplicates_suppressed: self.duplicates_suppressed.load(Relaxed),
+            corrupt_rejected: self.corrupt_rejected.load(Relaxed),
+            timeouts_fired: self.timeouts_fired.load(Relaxed),
+            crashes: self.crashes.load(Relaxed),
+            restarts: self.restarts.load(Relaxed),
+            cpu_ns: self.cpu.load(Relaxed),
+        }
+    }
+
+    fn snap(&self) -> SnapHost {
+        SnapHost {
+            down: self.down.load(Relaxed),
+            epoch: self.epoch.load(Relaxed),
+            fuel: self.fuel.load(Relaxed),
+            stats: self.stats(),
+        }
+    }
+
+    fn restore(&self, snap: &SnapHost) {
+        let s = &snap.stats;
+        self.cpu.store(s.cpu_ns, Relaxed);
+        self.fuel.store(snap.fuel, Relaxed);
+        self.down.store(snap.down, Relaxed);
+        self.epoch.store(snap.epoch, Relaxed);
+        self.retransmits.store(s.retransmits, Relaxed);
+        self.duplicates_suppressed
+            .store(s.duplicates_suppressed, Relaxed);
+        self.corrupt_rejected.store(s.corrupt_rejected, Relaxed);
+        self.timeouts_fired.store(s.timeouts_fired, Relaxed);
+        self.crashes.store(s.crashes, Relaxed);
+        self.restarts.store(s.restarts, Relaxed);
+    }
 }
 
 /// Shared simulator state.
@@ -377,34 +618,58 @@ pub struct SimCore {
     mode: Mode,
     cost: CostModel,
     policy: HeaderPolicy,
-    sched: Mutex<Sched>,
     /// Per-process fuel budget, from [`SimConfig::fuel`].
     fuel_limit: Option<u64>,
-    /// Pool of reusable coroutine stacks (bounded; see `STACK_POOL_CAP`).
-    stacks: Mutex<Vec<vproc::Stack>>,
-    hosts: Mutex<Hosts>,
-    kernels: RwLock<Vec<Arc<Kernel>>>,
-    rng: Mutex<u64>,
-    /// Plain flag checked before any trace work; when false the trace
-    /// mutex is never touched (the zero-overhead-when-disabled guarantee).
+    /// Global virtual time: the time of the last processed event. A scalar
+    /// cell like those of [`HostCell`].
+    now: AtomicU64,
+    /// The SplitMix64 state word of the simulation PRNG; a scalar cell too.
+    rng: AtomicU64,
+    /// Hosts in [`HostId`] order; appended to by [`Sim::add_kernel`] and
+    /// read without a lock.
+    hosts: AppendTable<HostCell>,
+    /// The scheduler's compound state — and the observers' — behind the
+    /// simulator's one lock.
+    engine: Mutex<Engine>,
+    /// Plain flag checked before any trace work; when false no hook takes
+    /// the lock for tracing's sake (the zero-overhead-when-disabled
+    /// guarantee).
     trace_on: bool,
-    /// Structured trace state; a leaf lock (never held while taking any
-    /// other simulator lock).
-    trace: Mutex<TraceCore>,
-    /// Plain flag checked before any checker work; when false the check
-    /// mutex is never touched (same guarantee as `trace_on`).
+    /// Plain flag checked before any checker work (same guarantee as
+    /// `trace_on`).
     check_on: bool,
-    /// Concurrency-checker state; a leaf lock like `trace`.
-    check: Mutex<CheckCore>,
     /// Whether journal recording is on. Toggleable at run time (unlike
     /// `trace_on`/`check_on`) so recording can be scoped to a window; a
     /// relaxed load guards every journal touch, so recording costs nothing
     /// when off.
     journal_on: AtomicBool,
-    /// Recorded nondeterminism-relevant decisions; a leaf lock like `trace`.
-    journal: Mutex<Vec<JournalRecord>>,
     /// The configured seed, kept for repro strings.
     seed: u64,
+}
+
+impl SimCore {
+    fn host(&self, host: HostId) -> &HostCell {
+        self.hosts
+            .get(host.0)
+            .expect("host id belongs to no registered kernel")
+    }
+
+    /// Next value from the simulation-wide deterministic PRNG (SplitMix64).
+    fn next_u64(&self) -> u64 {
+        let s = self.rng.load(Relaxed).wrapping_add(0x9e37_79b9_7f4a_7c15);
+        self.rng.store(s, Relaxed);
+        let mut z = s;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Appends `record()` to the journal in `g` if recording is on.
+    fn journal(&self, g: &mut Engine, record: impl FnOnce() -> JournalRecord) {
+        if self.journal_on.load(Relaxed) {
+            g.journal.push(record());
+        }
+    }
 }
 
 /// The simulator: owns hosts, time, and shepherd processes.
@@ -412,6 +677,13 @@ pub struct SimCore {
 pub struct Sim {
     core: Arc<SimCore>,
 }
+
+/// `Sim` handles cross threads (`xkernel::par` moves whole simulations onto
+/// workers): every shared field is an atomic cell or sits behind a mutex.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Sim>();
+};
 
 impl Sim {
     /// Creates a simulator.
@@ -426,12 +698,15 @@ impl Sim {
                 mode: cfg.mode,
                 cost: cfg.cost,
                 policy: cfg.policy,
-                sched: Mutex::new(Sched {
-                    now: 0,
+                fuel_limit: cfg.fuel,
+                now: AtomicU64::new(0),
+                rng: AtomicU64::new(cfg.seed | 1),
+                hosts: AppendTable::new(),
+                engine: Mutex::new(Engine {
                     seq: 0,
                     heap: BinaryHeap::new(),
-                    events: HashMap::new(),
-                    lps: HashMap::new(),
+                    events: Slab::new(),
+                    lps: Slab::new(),
                     next_lp: 0,
                     current: None,
                     executed: 0,
@@ -441,24 +716,13 @@ impl Sim {
                     peak_live: 0,
                     chooser: None,
                     sched_hash: FNV_OFFSET,
+                    trace: TraceCore::new(DEFAULT_RING_CAP),
+                    check: CheckCore::default(),
+                    journal: Vec::new(),
                 }),
-                fuel_limit: cfg.fuel,
-                stacks: Mutex::new(Vec::new()),
-                hosts: Mutex::new(Hosts {
-                    cpu: Vec::new(),
-                    down: Vec::new(),
-                    epoch: Vec::new(),
-                    stats: Vec::new(),
-                    fuel: Vec::new(),
-                }),
-                kernels: RwLock::new(Vec::new()),
-                rng: Mutex::new(cfg.seed | 1),
                 trace_on: cfg.trace,
-                trace: Mutex::new(TraceCore::new(DEFAULT_RING_CAP)),
                 check_on: cfg.check,
-                check: Mutex::new(CheckCore::default()),
                 journal_on: AtomicBool::new(false),
-                journal: Mutex::new(Vec::new()),
                 seed: cfg.seed,
             }),
         }
@@ -476,26 +740,26 @@ impl Sim {
 
     /// Registers a kernel, allocating its host id. Called by `Kernel::new`.
     pub(crate) fn add_kernel(&self, k: &Arc<Kernel>) -> HostId {
-        let mut ks = self.core.kernels.write();
-        let id = HostId(ks.len());
-        ks.push(Arc::clone(k));
-        let mut h = self.core.hosts.lock();
-        h.cpu.push(0);
-        h.down.push(false);
-        h.epoch.push(0);
-        h.stats.push(HostStats::default());
-        h.fuel.push(0);
-        id
+        // The engine lock serializes registrations; readers need none.
+        let _g = self.core.engine.lock();
+        HostId(self.core.hosts.push(HostCell::new(Arc::clone(k))))
     }
 
     /// The kernel running on `host`.
     pub fn kernel_of(&self, host: HostId) -> Arc<Kernel> {
-        Arc::clone(&self.core.kernels.read()[host.0])
+        Arc::clone(&self.core.host(host).kernel)
     }
 
     /// All registered kernels.
     pub fn kernels(&self) -> Vec<Arc<Kernel>> {
-        self.core.kernels.read().clone()
+        kernels_of(&self.core)
+    }
+
+    /// A handle that does not keep the simulation alive (see [`WeakSim`]).
+    pub fn downgrade(&self) -> WeakSim {
+        WeakSim {
+            core: Arc::downgrade(&self.core),
+        }
     }
 
     /// A context bound to `host` but to no logical process. Suitable for
@@ -516,14 +780,6 @@ impl Sim {
         self.ctx(host).spawn_on(host, f);
     }
 
-    fn push_event(&self, t: Time, kind: EvKind) {
-        let mut g = self.core.sched.lock();
-        let seq = g.seq;
-        g.seq += 1;
-        g.events.insert(seq, kind);
-        g.heap.push(std::cmp::Reverse((t, seq)));
-    }
-
     /// Schedules a crash of `host` at absolute virtual time `t`. At that
     /// instant every in-flight message addressed to the host, every timer
     /// armed on it, and every blocked process running on it is discarded;
@@ -535,7 +791,10 @@ impl Sim {
             "crash/restart require virtual time"
         );
         install_crash_hook();
-        self.push_event(t, EvKind::Crash { host });
+        self.core
+            .engine
+            .lock()
+            .push_event(t, EvKind::Crash { host });
     }
 
     /// Crashes `host` at the current virtual time (see [`Sim::crash_at`]).
@@ -555,7 +814,10 @@ impl Sim {
             Mode::Scheduled,
             "crash/restart require virtual time"
         );
-        self.push_event(t, EvKind::Restart { host });
+        self.core
+            .engine
+            .lock()
+            .push_event(t, EvKind::Restart { host });
     }
 
     /// Restarts `host` at the current virtual time (see [`Sim::restart_at`]).
@@ -566,17 +828,17 @@ impl Sim {
 
     /// Robustness counters for `host` (also in [`RunReport::hosts`]).
     pub fn host_stats(&self, host: HostId) -> HostStats {
-        self.core.hosts.lock().stats[host.0]
+        self.core.host(host).stats()
     }
 
     /// How many times `host` has restarted (0 until its first restart).
     pub fn boot_epoch(&self, host: HostId) -> u32 {
-        self.core.hosts.lock().epoch[host.0]
+        self.core.host(host).epoch.load(Relaxed)
     }
 
     /// Whether `host` is currently crashed.
     pub fn is_down(&self, host: HostId) -> bool {
-        self.core.hosts.lock().down[host.0]
+        self.core.host(host).down.load(Relaxed)
     }
 
     /// Runs queued events until none remain. Scheduled mode only.
@@ -603,65 +865,38 @@ impl Sim {
             "run_until_time is meaningful only in scheduled mode"
         );
         let core = &self.core;
-        let mut g = core.sched.lock();
+        // The context machines run under: built once per run, re-aimed at
+        // each machine for the duration of its step.
+        let mut mctx = self.ctx(HostId(0));
+        let mut g = core.engine.lock();
         loop {
-            // Reap crash-killed processes first, in sorted-id order, so
+            // Reap crash-killed processes first, in ascending id order, so
             // their unwinds land at a deterministic point of the schedule.
+            // Only `advance` queues processes here, so one sort covers the
+            // batch.
             if !g.reap.is_empty() {
-                g.reap.sort_unstable();
-                let id = g.reap.remove(0);
-                drop(g);
-                reap_lp(core, id);
-                g = core.sched.lock();
+                let mut batch = std::mem::take(&mut g.reap);
+                batch.sort_unstable_by_key(|lp| lp.id);
+                for lp in batch {
+                    g = reap_lp(core, g, lp);
+                }
                 continue;
             }
-            match advance(core, &mut g, stop) {
-                Next::Task(task) => {
-                    drop(g);
-                    run_task(core, task);
-                    g = core.sched.lock();
-                }
-                Next::Resume(lp) => {
-                    drop(g);
-                    resume_lp(core, lp);
-                    g = core.sched.lock();
-                }
-                Next::Drained => {
-                    if !g.reap.is_empty() {
-                        continue;
-                    }
-                    break;
-                }
-            }
+            g = match advance(core, &mut g, stop) {
+                Next::Task(task) => run_task(core, g, &mut mctx, task),
+                Next::Resume(woken) => resume_lp(core, g, &mut mctx, woken),
+                Next::Drained if g.reap.is_empty() => break,
+                Next::Drained => g,
+            };
         }
-        let blocked = g
-            .lps
-            .values()
-            .filter(|l| l.state == RunState::Blocked)
-            .count();
-        let (hosts, fuel_used) = {
-            let h = core.hosts.lock();
-            let fuel_used = h.fuel.iter().sum();
-            let hosts = h
-                .stats
-                .iter()
-                .zip(&h.cpu)
-                .map(|(s, &cpu)| {
-                    let mut s = *s;
-                    s.cpu_ns = cpu;
-                    s
-                })
-                .collect();
-            (hosts, fuel_used)
-        };
         let report = RunReport {
-            ended_at: g.now,
+            ended_at: core.now.load(Relaxed),
             events: g.executed,
-            blocked,
-            hosts,
-            breakdown: breakdown_of(core),
+            blocked: g.blocked().count(),
+            hosts: core.hosts.iter().map(HostCell::stats).collect(),
+            breakdown: breakdown_of(core, &g.trace),
             sched_hash: g.sched_hash,
-            fuel_used,
+            fuel_used: core.hosts.iter().map(|h| h.fuel.load(Relaxed)).sum(),
             fuel_exhausted: g.fuel_exhausted,
             peak_live: g.peak_live,
         };
@@ -683,22 +918,17 @@ impl Sim {
 
     /// Virtual CPU time of `host`.
     pub fn now_of(&self, host: HostId) -> Time {
-        self.core.hosts.lock().cpu[host.0]
+        self.core.host(host).cpu.load(Relaxed)
     }
 
     /// Global virtual time (time of the last processed event).
     pub fn virtual_now(&self) -> Time {
-        self.core.sched.lock().now
+        self.core.now.load(Relaxed)
     }
 
     /// Next value from the simulation-wide deterministic PRNG (SplitMix64).
     pub fn next_u64(&self) -> u64 {
-        let mut s = self.core.rng.lock();
-        *s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *s;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        self.core.next_u64()
     }
 
     /// Whether structured tracing is enabled for this simulation.
@@ -713,7 +943,7 @@ impl Sim {
         if !self.core.trace_on {
             return Vec::new();
         }
-        self.core.trace.lock().events()
+        self.core.engine.lock().trace.events()
     }
 
     /// The protocol-reported annotations among the trace events, with the
@@ -731,13 +961,13 @@ impl Sim {
     /// The per-layer cost ledger accumulated so far (empty unless tracing
     /// was enabled).
     pub fn cost_breakdown(&self) -> CostBreakdown {
-        breakdown_of(&self.core)
+        breakdown_of(&self.core, &self.core.engine.lock().trace)
     }
 
     /// Flamegraph-compatible folded-stack lines for the ledger accumulated
     /// so far, deterministically sorted.
     pub fn folded(&self) -> Vec<FoldedLine> {
-        folded_of(&self.core)
+        folded_of(&self.core, &self.core.engine.lock().trace)
     }
 
     /// Clears the event rings and the cost ledger (live span stacks
@@ -747,7 +977,7 @@ impl Sim {
         if !self.core.trace_on {
             return;
         }
-        self.core.trace.lock().clear();
+        self.core.engine.lock().trace.clear();
     }
 
     /// Whether the concurrency checker is enabled for this simulation.
@@ -763,14 +993,14 @@ impl Sim {
     /// The schedule fingerprint accumulated so far (see
     /// [`RunReport::sched_hash`]).
     pub fn sched_hash(&self) -> u64 {
-        self.core.sched.lock().sched_hash
+        self.core.engine.lock().sched_hash
     }
 
     /// Installs a scheduling oracle: every same-time event tie becomes a
     /// forced-choice point decided by `chooser`. Used by xcheck's bounded
     /// schedule exploration; replaces any previous chooser.
     pub fn set_chooser(&self, chooser: Box<dyn ScheduleChooser>) {
-        self.core.sched.lock().chooser = Some(chooser);
+        self.core.engine.lock().chooser = Some(chooser);
     }
 
     /// The checker's findings. Runs the wait-for-graph scan over processes
@@ -781,16 +1011,10 @@ impl Sim {
         if !self.core.check_on {
             return CheckReport::default();
         }
-        let mut blocked: Vec<u64> = {
-            let g = self.core.sched.lock();
-            g.lps
-                .iter()
-                .filter(|(_, s)| s.state == RunState::Blocked)
-                .map(|(&id, _)| id)
-                .collect()
-        };
+        let g = self.core.engine.lock();
+        let mut blocked: Vec<u64> = g.blocked().collect();
         blocked.sort_unstable();
-        self.core.check.lock().report(&blocked)
+        g.check.report(&blocked)
     }
 
     /// The replayable repro string for `v` under this run's seed and
@@ -803,43 +1027,27 @@ impl Sim {
     /// previously recorded decisions. Costs one relaxed atomic load per
     /// potential decision when off.
     pub fn journal_enable(&self) {
-        self.core.journal.lock().clear();
-        self.core.journal_on.store(true, Ordering::Relaxed);
+        self.core.engine.lock().journal.clear();
+        self.core.journal_on.store(true, Relaxed);
     }
 
     /// Whether journal recording is currently on.
     pub fn journal_enabled(&self) -> bool {
-        self.core.journal_on.load(Ordering::Relaxed)
+        self.core.journal_on.load(Relaxed)
     }
 
     /// Stops recording and returns the journal, stamped with this
     /// simulation's seed and the schedule fingerprint accumulated so far —
     /// the cross-check a replay must reproduce.
     pub fn journal_take(&self) -> Journal {
-        self.core.journal_on.store(false, Ordering::Relaxed);
-        let records = std::mem::take(&mut *self.core.journal.lock());
+        self.core.journal_on.store(false, Relaxed);
+        let mut g = self.core.engine.lock();
         Journal {
             version: JOURNAL_VERSION,
             seed: self.core.seed,
-            sched_hash: self.sched_hash(),
-            records,
+            sched_hash: g.sched_hash,
+            records: std::mem::take(&mut g.journal),
         }
-    }
-
-    /// Records a realized network fault (called by simnet's transmit path
-    /// after the fault schedule decides a packet's fate). No-op unless
-    /// journaling is on. `kind` is one of the `crate::journal::FAULT_*`
-    /// tags; `aux` carries the kind-specific detail.
-    pub fn journal_fault(&self, lan: u32, index: u64, kind: u8, aux: u64) {
-        if !self.core.journal_on.load(Ordering::Relaxed) {
-            return;
-        }
-        self.core.journal.lock().push(JournalRecord::Fault {
-            lan,
-            index,
-            kind,
-            aux,
-        });
     }
 
     /// Captures the complete mutable state of a *quiescent* simulation: the
@@ -862,95 +1070,72 @@ impl Sim {
         if self.core.mode != Mode::Scheduled {
             return Err(XError::Unsupported("snapshot in inline mode"));
         }
-        let (now, seq, next_lp, executed, sched_hash, fuel_exhausted, peak_live, wakes, machines) = {
-            let g = self.core.sched.lock();
-            self.require_quiescent(&g)?;
-            // Every pending event is a Wake (eligibility above); capture
-            // each with the time its heap entry carries, sorted by seq so
-            // restore rebuilds the identical queue. Stale wakes (their
-            // process already gone) are captured too: the scheduler still
-            // processes — and hashes — them.
-            let mut wakes: Vec<SnapWake> = g
-                .heap
-                .iter()
-                .filter_map(|&std::cmp::Reverse((t, seq))| match g.events.get(&seq) {
-                    Some(&EvKind::Wake { lp, reason }) => Some(SnapWake {
-                        t,
-                        seq,
-                        lp: lp.0,
-                        reason,
-                    }),
-                    _ => None,
-                })
-                .collect();
-            wakes.sort_unstable_by_key(|w| w.seq);
-            let mut machines: Vec<SnapMachine> = Vec::with_capacity(g.lps.len());
-            for (&id, st) in &g.lps {
-                let Some(LpBody::Machine(m)) = &st.body else {
+        let core = &self.core;
+        let g = core.engine.lock();
+        require_quiescent(&g)?;
+        // Every pending event is a Wake (eligibility above); capture each
+        // with the time its heap entry carries, sorted by seq so restore
+        // rebuilds the identical queue. Stale wakes (their process already
+        // gone) are captured too: the scheduler still processes — and
+        // hashes — them.
+        let mut wakes: Vec<SnapWake> = g
+            .heap
+            .iter()
+            .filter_map(|&Reverse((t, seq, slot))| match g.events.get(seq, slot) {
+                Some(&EvKind::Wake { lp, reason }) => Some(SnapWake {
+                    t,
+                    seq,
+                    lp: lp.id,
+                    reason,
+                }),
+                _ => None,
+            })
+            .collect();
+        wakes.sort_unstable_by_key(|w| w.seq);
+        let mut machines: Vec<SnapMachine> = g
+            .lps
+            .iter()
+            .map(|(id, _, st)| {
+                let Some(LpBody::Machine(c)) = &st.body else {
                     unreachable!("eligibility admits only machine continuations");
                 };
-                machines.push(SnapMachine {
+                SnapMachine {
                     lp: id,
                     host: st.host,
-                    fuel: st.fuel,
-                    m: m.fork().expect("eligibility admits only forkable machines"),
-                });
-            }
-            machines.sort_unstable_by_key(|sm| sm.lp);
-            (
-                g.now,
-                g.seq,
-                g.next_lp,
-                g.executed,
-                g.sched_hash,
-                g.fuel_exhausted,
-                g.peak_live,
-                wakes,
-                machines,
-            )
-        };
-        let (cpu, down, epoch, stats, fuel) = {
-            let h = self.core.hosts.lock();
-            (
-                h.cpu.clone(),
-                h.down.clone(),
-                h.epoch.clone(),
-                h.stats.clone(),
-                h.fuel.clone(),
-            )
-        };
-        let rng = *self.core.rng.lock();
-        let journal_len = self.core.journal.lock().len();
-        let kernels = self.core.kernels.read().clone();
-        let mut protos = Vec::with_capacity(kernels.len());
-        for k in &kernels {
-            let ctx = self.ctx(k.host());
-            let blobs: Vec<Option<SnapBlob>> = k
-                .protocol_slots()
-                .iter()
-                .map(|slot| slot.as_ref().and_then(|p| p.snap(&ctx)))
-                .collect();
-            protos.push(blobs);
-        }
-        Ok(SimSnapshot {
-            now,
-            seq,
-            next_lp,
-            executed,
-            sched_hash,
-            rng,
-            journal_len,
-            cpu,
-            down,
-            epoch,
-            stats,
-            fuel,
-            fuel_exhausted,
-            peak_live,
+                    fuel: c.fuel,
+                    m: c.m
+                        .fork()
+                        .expect("eligibility admits only forkable machines"),
+                }
+            })
+            .collect();
+        machines.sort_unstable_by_key(|sm| sm.lp);
+        let mut snap = SimSnapshot {
+            now: core.now.load(Relaxed),
+            seq: g.seq,
+            next_lp: g.next_lp,
+            executed: g.executed,
+            sched_hash: g.sched_hash,
+            rng: core.rng.load(Relaxed),
+            journal_len: g.journal.len(),
+            hosts: core.hosts.iter().map(HostCell::snap).collect(),
+            fuel_exhausted: g.fuel_exhausted,
+            peak_live: g.peak_live,
             wakes,
             machines,
-            protos,
-        })
+            protos: Vec::new(),
+        };
+        drop(g);
+        for k in kernels_of(core) {
+            let ctx = self.ctx(k.host());
+            snap.protos.push(
+                k.protocol_slots()
+                    .iter()
+                    .map(|slot| slot.as_ref().and_then(|p| p.snap(&ctx)))
+                    .collect(),
+            );
+        }
+        Ok(snap)
     }
 
     /// Rewinds this simulator to `snap` (which [`Sim::snapshot`] captured
@@ -963,10 +1148,18 @@ impl Sim {
         if self.core.mode != Mode::Scheduled {
             return Err(XError::Unsupported("restore in inline mode"));
         }
+        let core = &self.core;
+        if core.hosts.len() != snap.hosts.len() {
+            return Err(XError::Config(format!(
+                "snapshot holds {} hosts but the simulator has {}",
+                snap.hosts.len(),
+                core.hosts.len()
+            )));
+        }
         {
-            let mut g = self.core.sched.lock();
-            self.require_quiescent(&g)?;
-            g.now = snap.now;
+            let mut g = core.engine.lock();
+            require_quiescent(&g)?;
+            core.now.store(snap.now, Relaxed);
             g.seq = snap.seq;
             g.next_lp = snap.next_lp;
             g.executed = snap.executed;
@@ -983,51 +1176,44 @@ impl Sim {
             g.lps.clear();
             g.reap.clear();
             g.panics.clear();
-            for w in &snap.wakes {
-                g.events.insert(
-                    w.seq,
-                    EvKind::Wake {
-                        lp: LpId(w.lp),
-                        reason: w.reason,
-                    },
-                );
-                g.heap.push(std::cmp::Reverse((w.t, w.seq)));
-            }
+            // Machines first (sorted by id), so each wake can find the slot
+            // its process landed in.
+            let mut slots = Vec::with_capacity(snap.machines.len());
             for sm in &snap.machines {
                 let m = sm.m.fork().ok_or_else(|| {
                     XError::Config("snapshotted machine refused to fork on restore".into())
                 })?;
-                g.lps.insert(
+                let body = LpBody::Machine(Machine { m, fuel: sm.fuel });
+                slots.push(g.lps.insert(
                     sm.lp,
                     LpState {
                         host: sm.host,
                         state: RunState::Blocked,
-                        wake_reason: WakeReason::Normal,
-                        body: Some(LpBody::Machine(m)),
+                        body: Some(body),
                         wait_sema: None,
-                        fuel: sm.fuel,
                     },
-                );
+                ));
             }
-        }
-        {
-            let mut h = self.core.hosts.lock();
-            if h.cpu.len() != snap.cpu.len() {
-                return Err(XError::Config(format!(
-                    "snapshot holds {} hosts but the simulator has {}",
-                    snap.cpu.len(),
-                    h.cpu.len()
-                )));
+            for w in &snap.wakes {
+                // A stale wake's process is gone; any slot misses for it.
+                let slot = snap
+                    .machines
+                    .binary_search_by_key(&w.lp, |sm| sm.lp)
+                    .map_or(u32::MAX, |i| slots[i]);
+                let kind = EvKind::Wake {
+                    lp: LpId { id: w.lp, slot },
+                    reason: w.reason,
+                };
+                let ev_slot = g.events.insert(w.seq, kind);
+                g.heap.push(Reverse((w.t, w.seq, ev_slot)));
             }
-            h.cpu.clone_from(&snap.cpu);
-            h.down.clone_from(&snap.down);
-            h.epoch.clone_from(&snap.epoch);
-            h.stats.clone_from(&snap.stats);
-            h.fuel.clone_from(&snap.fuel);
+            g.journal.truncate(snap.journal_len);
         }
-        *self.core.rng.lock() = snap.rng;
-        self.core.journal.lock().truncate(snap.journal_len);
-        let kernels = self.core.kernels.read().clone();
+        for (h, sh) in core.hosts.iter().zip(&snap.hosts) {
+            h.restore(sh);
+        }
+        core.rng.store(snap.rng, Relaxed);
+        let kernels = kernels_of(core);
         if kernels.len() != snap.protos.len() {
             return Err(XError::Config(
                 "snapshot is from a different rig (kernel count mismatch)".into(),
@@ -1052,34 +1238,55 @@ impl Sim {
         }
         Ok(())
     }
+}
 
-    /// Errors unless the simulator is quiescent: fully drained, or paused
-    /// with only forkable machine continuations suspended on timers (every
-    /// pending event a Wake). Anything else — a running process, a
-    /// suspended *coroutine* (opaque stack), a machine parked on a
-    /// semaphore (waiter queues don't round-trip), an unforkable machine,
-    /// a pending Run/Crash/Restart — is not snapshot material.
-    fn require_quiescent(&self, g: &Sched) -> XResult<()> {
-        let eligible = g.current.is_none()
-            && g.reap.is_empty()
-            && g.events.values().all(|e| matches!(e, EvKind::Wake { .. }))
-            && g.lps.values().all(|st| {
-                st.state == RunState::Blocked
-                    && st.wait_sema.is_none()
-                    && matches!(&st.body, Some(LpBody::Machine(m)) if m.fork().is_some())
-            });
-        if eligible {
-            Ok(())
-        } else {
-            Err(XError::Config(format!(
-                "snapshot/restore require a quiescent simulator \
-                 ({} pending event(s), {} live process(es)); \
-                 run_until_idle first",
-                g.events.len(),
-                g.lps.len()
-            )))
-        }
+/// A [`Sim`] handle that does not keep the simulation alive: it upgrades
+/// only while some `Sim`, [`Ctx`] or suspended process still does.
+#[derive(Clone)]
+pub struct WeakSim {
+    core: std::sync::Weak<SimCore>,
+}
+
+impl WeakSim {
+    /// The simulation, if it is still alive.
+    pub fn upgrade(&self) -> Option<Sim> {
+        self.core.upgrade().map(|core| Sim { core })
     }
+}
+
+/// Errors unless the simulator is quiescent: fully drained, or paused with
+/// only forkable machine continuations suspended on timers (every pending
+/// event a Wake). Anything else — a running process, a suspended
+/// *coroutine* (opaque stack), a machine parked on a semaphore (waiter
+/// queues don't round-trip), an unforkable machine, a pending
+/// Run/Crash/Restart — is not snapshot material.
+fn require_quiescent(g: &Engine) -> XResult<()> {
+    let eligible = g.current.is_none()
+        && g.reap.is_empty()
+        && g.events
+            .iter()
+            .all(|(_, _, e)| matches!(e, EvKind::Wake { .. }))
+        && g.lps.iter().all(|(_, _, st)| {
+            st.state == RunState::Blocked
+                && st.wait_sema.is_none()
+                && matches!(&st.body, Some(LpBody::Machine(c)) if c.m.fork().is_some())
+        });
+    if eligible {
+        Ok(())
+    } else {
+        Err(XError::Config(format!(
+            "snapshot/restore require a quiescent simulator \
+             ({} pending event(s), {} live process(es)); \
+             run_until_idle first",
+            g.events.len(),
+            g.lps.len()
+        )))
+    }
+}
+
+/// Every registered kernel, in host order.
+fn kernels_of(core: &SimCore) -> Vec<Arc<Kernel>> {
+    core.hosts.iter().map(|h| Arc::clone(&h.kernel)).collect()
 }
 
 /// A pending wake event captured in a snapshot.
@@ -1099,6 +1306,14 @@ struct SnapMachine {
     m: Box<dyn VProc>,
 }
 
+/// One host's scalars captured in a snapshot (`stats.cpu_ns` is its clock).
+struct SnapHost {
+    down: bool,
+    epoch: u32,
+    fuel: u64,
+    stats: HostStats,
+}
+
 /// An opaque whole-sim snapshot; see [`Sim::snapshot`]. Holds the scheduler
 /// scalars, PRNG position, per-host state, any suspended machine
 /// continuations with their pending wakes, and one
@@ -1111,11 +1326,7 @@ pub struct SimSnapshot {
     sched_hash: u64,
     rng: u64,
     journal_len: usize,
-    cpu: Vec<Time>,
-    down: Vec<bool>,
-    epoch: Vec<u32>,
-    stats: Vec<HostStats>,
-    fuel: Vec<u64>,
+    hosts: Vec<SnapHost>,
     fuel_exhausted: u64,
     peak_live: usize,
     wakes: Vec<SnapWake>,
@@ -1137,12 +1348,11 @@ impl SimSnapshot {
 
 /// Builds the sorted per-layer breakdown from the trace ledger, resolving
 /// innermost-layer protocol ids to instance names via the hosts' kernels.
-fn breakdown_of(core: &SimCore) -> CostBreakdown {
+fn breakdown_of(core: &SimCore, tr: &TraceCore) -> CostBreakdown {
     if !core.trace_on {
         return CostBreakdown::default();
     }
-    let kernels = core.kernels.read();
-    let tr = core.trace.lock();
+    let kernels = kernels_of(core);
     let mut agg: HashMap<(usize, Option<ProtoId>, OpClass), Nanos> = HashMap::new();
     for (host, frames, class, ns) in tr.rows() {
         *agg.entry((host, frames.last().copied(), class))
@@ -1162,12 +1372,11 @@ fn breakdown_of(core: &SimCore) -> CostBreakdown {
 }
 
 /// Builds the sorted folded-stack lines from the trace ledger.
-fn folded_of(core: &SimCore) -> Vec<FoldedLine> {
+fn folded_of(core: &SimCore, tr: &TraceCore) -> Vec<FoldedLine> {
     if !core.trace_on {
         return Vec::new();
     }
-    let kernels = core.kernels.read();
-    let tr = core.trace.lock();
+    let kernels = kernels_of(core);
     let mut lines: Vec<FoldedLine> = tr
         .rows()
         .into_iter()
@@ -1205,14 +1414,26 @@ fn proto_frame_name(kernels: &[Arc<Kernel>], host: usize, proto: Option<ProtoId>
     }
 }
 
+/// A blocked process [`advance`] just woke, lifted out of the process table
+/// under the lock `advance` already held so the driver can resume it
+/// without another lookup.
+struct Woken {
+    lp: LpId,
+    host: HostId,
+    body: LpBody,
+    reason: WakeReason,
+    /// The semaphore wait this wake concludes, if any (checker id).
+    waited: Option<u64>,
+}
+
 /// What the event loop decided after [`advance`] processed events.
 enum Next {
     /// A fresh shepherd process must run; the run token (`current`) is
     /// already set to it. The driver executes its body.
     Task(Task),
     /// A blocked process was woken; the token is set to it. The driver
-    /// resumes its suspended continuation.
-    Resume(LpId),
+    /// resumes the continuation it is handed.
+    Resume(Woken),
     /// No live events remain at or before the stop time.
     Drained,
 }
@@ -1221,38 +1442,38 @@ enum Next {
 /// and processes them until a process claims the run token or the queue
 /// drains (or passes `stop`). Must be called with the token free
 /// (`current == None`).
-fn advance(core: &Arc<SimCore>, g: &mut parking_lot::MutexGuard<'_, Sched>, stop: Time) -> Next {
+fn advance(core: &Arc<SimCore>, g: &mut Engine, stop: Time) -> Next {
     loop {
         // Pop the next live event.
         let next = loop {
             match g.heap.pop() {
                 None => break None,
-                Some(std::cmp::Reverse((t, seq))) => {
-                    if !g.events.contains_key(&seq) {
-                        continue; // Cancelled; skip.
+                Some(Reverse((t, seq, slot))) => {
+                    if g.events.get(seq, slot).is_none() {
+                        continue; // Cancelled; skip the tombstone.
                     }
                     if t > stop {
                         // Beyond the pause point: put it back untouched
                         // (before any chooser tie-collection, so pausing
                         // never consumes exploration decisions).
-                        g.heap.push(std::cmp::Reverse((t, seq)));
+                        g.heap.push(Reverse((t, seq, slot)));
                         break None;
                     }
                     if g.chooser.is_none() {
-                        break Some((t, seq));
+                        break Some((t, seq, slot));
                     }
                     // A chooser is installed: same-time ties are forced-
                     // choice points. Collect every live event tied at `t`
                     // (they surface seq-ascending), let the chooser pick,
                     // and restore the rest.
-                    let mut ties = vec![(t, seq)];
-                    while let Some(&std::cmp::Reverse((t2, s2))) = g.heap.peek() {
+                    let mut ties = vec![(t, seq, slot)];
+                    while let Some(&Reverse((t2, s2, slot2))) = g.heap.peek() {
                         if t2 != t {
                             break;
                         }
                         g.heap.pop();
-                        if g.events.contains_key(&s2) {
-                            ties.push((t2, s2));
+                        if g.events.get(s2, slot2).is_some() {
+                            ties.push((t2, s2, slot2));
                         }
                     }
                     let pick = if ties.len() > 1 {
@@ -1263,30 +1484,28 @@ fn advance(core: &Arc<SimCore>, g: &mut parking_lot::MutexGuard<'_, Sched>, stop
                             .expect("chooser checked present")
                             .choose(n)
                             .min(n - 1);
-                        if core.journal_on.load(Ordering::Relaxed) {
-                            core.journal.lock().push(JournalRecord::TiePick {
-                                n: n as u32,
-                                pick: pick as u32,
-                            });
-                        }
+                        core.journal(g, || JournalRecord::TiePick {
+                            n: n as u32,
+                            pick: pick as u32,
+                        });
                         pick
                     } else {
                         0
                     };
                     let chosen = ties.remove(pick);
                     for &e in &ties {
-                        g.heap.push(std::cmp::Reverse(e));
+                        g.heap.push(Reverse(e));
                     }
                     break Some(chosen);
                 }
             }
         };
-        let Some((t, seq)) = next else {
+        let Some((t, seq, slot)) = next else {
             return Next::Drained;
         };
-        g.now = t;
+        core.now.store(t, Relaxed);
         g.executed += 1;
-        let kind = g.events.remove(&seq).expect("event checked present");
+        let kind = g.events.remove(seq, slot).expect("event checked present");
         g.sched_hash = fnv_fold(
             fnv_fold(fnv_fold(g.sched_hash, t), seq),
             match &kind {
@@ -1297,82 +1516,54 @@ fn advance(core: &Arc<SimCore>, g: &mut parking_lot::MutexGuard<'_, Sched>, stop
             },
         );
         if core.check_on {
-            core.check.lock().tick_event(g.executed, t);
+            let executed = g.executed;
+            g.check.tick_event(executed, t);
         }
         match kind {
             EvKind::Run { host, body } => {
-                let jumped = {
-                    let mut h = core.hosts.lock();
-                    if h.down[host.0] {
-                        continue; // Scheduled before the crash; dies with it.
-                    }
-                    let cpu = &mut h.cpu[host.0];
-                    let idle = t.saturating_sub(*cpu);
-                    *cpu = (*cpu).max(t);
-                    (idle, *cpu)
-                };
-                // The fresh process has no span stack yet; the host sat
-                // idle (wire latency, timer wait) until this event.
-                if core.trace_on && jumped.0 > 0 {
-                    core.trace.lock().attribute_stack(
-                        host.0,
-                        EMPTY_STACK,
-                        None,
-                        OpClass::Idle,
-                        jumped.0,
-                        jumped.1,
-                    );
+                let h = core.host(host);
+                if h.down.load(Relaxed) {
+                    continue; // Scheduled before the crash; dies with it.
                 }
-                let task = new_lp(g, host, body, core.fuel_limit.unwrap_or(u64::MAX));
-                if core.check_on {
-                    // The new process inherits its spawner's clock via the
-                    // deposit keyed by this event's seq (if one was made).
-                    core.check.lock().on_lp_start(task.lp.0, host.0, seq);
-                }
-                return Next::Task(task);
+                return Next::Task(start_lp(core, g, host, body, h.arrive(t, 0), seq));
             }
             EvKind::Crash { host } => {
-                {
-                    let mut h = core.hosts.lock();
-                    if h.down[host.0] {
-                        continue; // Already down.
-                    }
-                    h.down[host.0] = true;
-                    h.stats[host.0].crashes += 1;
+                let h = core.host(host);
+                if h.down.load(Relaxed) {
+                    continue; // Already down.
                 }
-                if core.journal_on.load(Ordering::Relaxed) {
-                    core.journal.lock().push(JournalRecord::Boot {
-                        host: host.0 as u32,
-                        kind: 0,
-                        t,
-                    });
-                }
+                h.down.store(true, Relaxed);
+                bump(&h.crashes, 1);
+                core.journal(g, || JournalRecord::Boot {
+                    host: host.0 as u32,
+                    kind: 0,
+                    t,
+                });
                 // In-flight deliveries, timers, and spawned runs on the
                 // host die with it, as do pending wakes for its
                 // processes. Crash/Restart events survive — a scheduled
                 // restart must not be purged by its own crash.
-                let Sched {
-                    events, lps, reap, ..
-                } = &mut **g;
-                let dead: Vec<u64> = events
-                    .iter()
-                    .filter(|(_, k)| match k {
-                        EvKind::Run { host: h, .. } => *h == host,
-                        EvKind::Wake { lp, .. } => lps.get(&lp.0).is_some_and(|s| s.host == host),
-                        _ => false,
-                    })
-                    .map(|(s, _)| *s)
-                    .collect();
-                for s in dead {
-                    events.remove(&s);
-                }
+                let Engine {
+                    events,
+                    lps,
+                    reap,
+                    check,
+                    ..
+                } = &mut *g;
+                events.remove_where(|k| match k {
+                    EvKind::Run { host: h, .. } => *h == host,
+                    EvKind::Wake { lp, .. } => {
+                        lps.get(lp.id, lp.slot).is_some_and(|s| s.host == host)
+                    }
+                    _ => false,
+                });
                 // Blocked processes on the host are killed: the run loop
                 // reaps them (unwinding coroutines via a filtered panic)
                 // at its next deterministic reap point.
-                for (&id, st) in lps.iter_mut() {
+                for (id, slot, st) in lps.iter_mut() {
                     if st.host == host && st.state == RunState::Blocked {
                         st.state = RunState::Killed;
-                        reap.push(id);
+                        reap.push(LpId { id, slot });
                     }
                 }
                 if core.check_on {
@@ -1381,47 +1572,29 @@ fn advance(core: &Arc<SimCore>, g: &mut parking_lot::MutexGuard<'_, Sched>, stop
                     // lost wakeups.
                     let mut doomed: Vec<u64> = lps
                         .iter()
-                        .filter(|(_, s)| s.host == host)
-                        .map(|(&id, _)| id)
+                        .filter(|(_, _, s)| s.host == host)
+                        .map(|(id, _, _)| id)
                         .collect();
                     doomed.sort_unstable();
-                    let mut chk = core.check.lock();
                     for lp in doomed {
-                        chk.on_lp_killed(lp);
+                        check.on_lp_killed(lp);
                     }
                 }
             }
             EvKind::Restart { host } => {
-                let jumped = {
-                    let mut h = core.hosts.lock();
-                    if !h.down[host.0] {
-                        continue; // Not down; nothing to restart.
-                    }
-                    h.down[host.0] = false;
-                    h.epoch[host.0] += 1;
-                    h.stats[host.0].restarts += 1;
-                    let cpu = &mut h.cpu[host.0];
-                    let idle = t.saturating_sub(*cpu);
-                    *cpu = (*cpu).max(t);
-                    (idle, *cpu)
-                };
-                if core.journal_on.load(Ordering::Relaxed) {
-                    core.journal.lock().push(JournalRecord::Boot {
-                        host: host.0 as u32,
-                        kind: 1,
-                        t,
-                    });
+                let h = core.host(host);
+                if !h.down.load(Relaxed) {
+                    continue; // Not down; nothing to restart.
                 }
-                if core.trace_on && jumped.0 > 0 {
-                    core.trace.lock().attribute_stack(
-                        host.0,
-                        EMPTY_STACK,
-                        None,
-                        OpClass::Idle,
-                        jumped.0,
-                        jumped.1,
-                    );
-                }
+                h.down.store(false, Relaxed);
+                h.epoch.store(h.epoch.load(Relaxed) + 1, Relaxed);
+                bump(&h.restarts, 1);
+                let jumped = h.arrive(t, 0);
+                core.journal(g, || JournalRecord::Boot {
+                    host: host.0 as u32,
+                    kind: 1,
+                    t,
+                });
                 // The kernel reboots as a fresh shepherd process, giving
                 // every protocol its reboot hook.
                 let f: Thunk = Box::new(move |ctx: &Ctx| {
@@ -1429,81 +1602,79 @@ fn advance(core: &Arc<SimCore>, g: &mut parking_lot::MutexGuard<'_, Sched>, stop
                         panic!("reboot failed on host {}: {e}", ctx.host().0);
                     }
                 });
-                let task = new_lp(
-                    g,
-                    host,
-                    ProcBody::Thunk(f),
-                    core.fuel_limit.unwrap_or(u64::MAX),
-                );
-                if core.check_on {
-                    core.check.lock().on_lp_start(task.lp.0, host.0, seq);
-                }
-                return Next::Task(task);
+                return Next::Task(start_lp(core, g, host, ProcBody::Thunk(f), jumped, seq));
             }
             EvKind::Wake { lp, reason } => {
-                let Some(st) = g.lps.get_mut(&lp.0) else {
-                    // Process already gone; stale wake.
+                let Some(st) = g.lp_mut(lp).filter(|st| st.state == RunState::Blocked) else {
+                    // Process already gone, or not blocked (cancellation
+                    // should prevent the latter): a stale wake.
                     if core.check_on {
-                        core.check.lock().on_stale_wake(lp.0);
+                        g.check.on_stale_wake(lp.id);
                     }
                     continue;
                 };
-                if st.state != RunState::Blocked {
-                    // Stale wake; cancellation should prevent this.
-                    if core.check_on {
-                        core.check.lock().on_stale_wake(lp.0);
-                    }
-                    continue;
-                }
                 let host = st.host;
                 st.state = RunState::Running;
-                st.wake_reason = reason;
+                let woken = Woken {
+                    lp,
+                    host,
+                    body: st.body.take().expect("blocked process has a continuation"),
+                    reason,
+                    waited: st.wait_sema.take(),
+                };
                 g.current = Some(lp);
                 let switch = core.cost.proc_switch;
-                let jumped = {
-                    let mut h = core.hosts.lock();
-                    let cpu = &mut h.cpu[host.0];
-                    let idle = t.saturating_sub(*cpu);
-                    *cpu = (*cpu).max(t) + switch;
-                    (idle, *cpu)
-                };
+                let (idle, now) = core.host(host).arrive(t, switch);
                 // Both the wait and the resume switch belong to the woken
                 // process's span stack (e.g. CHANNEL blocked for a reply).
                 if core.trace_on {
-                    let key = SpanKey::Lp(lp.0);
-                    let mut tr = core.trace.lock();
-                    tr.attribute(host.0, key, OpClass::Idle, jumped.0, jumped.1);
-                    tr.attribute(host.0, key, OpClass::Switch, switch, jumped.1);
+                    let key = SpanKey::Lp(lp.id);
+                    g.trace.attribute(host.0, key, OpClass::Idle, idle, now);
+                    g.trace.attribute(host.0, key, OpClass::Switch, switch, now);
                 }
-                return Next::Resume(lp);
+                return Next::Resume(woken);
             }
         }
     }
 }
 
-/// Registers a fresh logical process (ids allocated in event order, which
-/// determinism depends on) and claims the run token for it.
-fn new_lp(
-    g: &mut parking_lot::MutexGuard<'_, Sched>,
+/// Registers a fresh logical process on `host` (ids allocated in event
+/// order, which determinism depends on) and claims the run token for it.
+/// `jumped` is what [`HostCell::arrive`] reported for the event (`seq`)
+/// that starts it.
+fn start_lp(
+    core: &SimCore,
+    g: &mut Engine,
     host: HostId,
     body: ProcBody,
-    fuel: u64,
+    (idle, now): (Nanos, Time),
+    seq: u64,
 ) -> Task {
-    let lp = LpId(g.next_lp);
+    // The fresh process has no span stack yet; the host sat idle (wire
+    // latency, timer wait) until this event.
+    if core.trace_on && idle > 0 {
+        g.trace
+            .attribute_stack(host.0, EMPTY_STACK, None, OpClass::Idle, idle, now);
+    }
+    let id = g.next_lp;
     g.next_lp += 1;
-    g.lps.insert(
-        lp.0,
+    let slot = g.lps.insert(
+        id,
         LpState {
             host,
             state: RunState::Running,
-            wake_reason: WakeReason::Normal,
             body: None,
             wait_sema: None,
-            fuel,
         },
     );
     g.peak_live = g.peak_live.max(g.lps.len());
+    let lp = LpId { id, slot };
     g.current = Some(lp);
+    if core.check_on {
+        // The new process inherits its spawner's clock via the deposit
+        // keyed by the starting event's seq (if one was made).
+        g.check.on_lp_start(id, host.0, seq);
+    }
     Task { lp, host, body }
 }
 
@@ -1523,245 +1694,213 @@ fn install_crash_hook() {
     });
 }
 
-/// Upper bound on pooled coroutine stacks (512 KiB + guard page each).
-/// Beyond this, finished stacks are unmapped instead of recycled.
-const STACK_POOL_CAP: usize = 256;
+/// The scheduler lock as the run loop passes it around: every driver below
+/// takes the guard, releases it only while the process body runs, and hands
+/// it back re-acquired, so one process step costs one release/acquire pair.
+type EngineGuard<'a> = MutexGuard<'a, Engine>;
 
-/// Starts a fresh process's body. Thunks get a (pooled) stack and run as a
-/// coroutine until they block or finish; machines step on this stack.
-/// Called without the scheduler lock; the run token is already `task.lp`.
-fn run_task(core: &Arc<SimCore>, task: Task) {
-    match task.body {
+/// Starts a fresh process's body. Thunks run as a coroutine until they
+/// block or finish; machines step on this stack under
+/// `mctx`, the run loop's reusable machine context. The run token is
+/// already `task.lp`.
+fn run_task<'a>(
+    core: &'a Arc<SimCore>,
+    g: EngineGuard<'a>,
+    mctx: &mut Ctx,
+    task: Task,
+) -> EngineGuard<'a> {
+    let Task { lp, host, body } = task;
+    let fuel = core.fuel_limit.unwrap_or(u64::MAX);
+    match body {
         ProcBody::Thunk(f) => {
-            let stack = core
-                .stacks
-                .lock()
-                .pop()
-                .unwrap_or_else(|| vproc::Stack::new(vproc::STACK_SIZE));
-            let fuel = core.fuel_limit.unwrap_or(u64::MAX);
-            let wrapper_core = Arc::clone(core);
-            let lp = task.lp;
-            let host = task.host;
-            let body: Box<dyn FnOnce() + Send> = Box::new(move || {
-                let ctx = Ctx {
-                    core: Arc::clone(&wrapper_core),
-                    host,
-                    lp: Some(lp),
-                };
-                let result = catch_unwind(AssertUnwindSafe(move || f(&ctx)));
-                if let Err(p) = result {
-                    if p.is::<CrashKill>() {
-                        // Normal death of a process whose host crashed.
-                    } else if p.is::<FuelKill>() {
-                        wrapper_core.sched.lock().fuel_exhausted += 1;
-                        if wrapper_core.check_on {
-                            // Killed mid-protocol: late signals to it are
-                            // expected, not lost wakeups.
-                            wrapper_core.check.lock().on_lp_killed(lp.0);
-                        }
-                    } else {
-                        let text = p
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| p.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".into());
-                        wrapper_core.sched.lock().panics.push(text);
-                    }
-                }
-            });
-            let coro = vproc::Coro::new(stack, body, fuel);
-            drive_coro(core, task.lp, coro);
+            // A coroutine keeps its context on its own stack across yields.
+            let ctx = Ctx {
+                core: Arc::clone(core),
+                host,
+                lp: Some(lp),
+            };
+            drive_coro(core, g, lp, vproc::Coro::new(f, ctx, fuel), RESUME_NORMAL)
         }
         ProcBody::Machine(m) => {
-            step_machine(core, task.lp, task.host, m, WakeReason::Normal);
+            drop(g);
+            step_machine(
+                core,
+                mctx,
+                lp,
+                host,
+                Machine { m, fuel },
+                WakeReason::Normal,
+            )
         }
     }
 }
 
-/// Resumes a coroutine and parks or retires it afterwards. Called without
-/// the scheduler lock.
-fn drive_coro(core: &Arc<SimCore>, lp: LpId, mut coro: vproc::Coro) {
-    let finished = coro.resume();
+/// Resumes a coroutine, handing it `token`, and parks or retires it
+/// afterwards.
+fn drive_coro<'a>(
+    core: &'a Arc<SimCore>,
+    g: EngineGuard<'a>,
+    lp: LpId,
+    mut coro: vproc::Coro,
+    token: u64,
+) -> EngineGuard<'a> {
+    drop(g);
+    let finished = coro.resume(token);
+    let mut g = core.engine.lock();
     if finished {
-        {
-            let mut g = core.sched.lock();
-            if g.current == Some(lp) {
-                g.current = None;
+        if let Some(p) = coro.retire() {
+            if p.is::<CrashKill>() {
+                // Normal death of a process whose host crashed.
+            } else if p.is::<FuelKill>() {
+                g.fuel_exhausted += 1;
+                if core.check_on {
+                    // Killed mid-protocol: late signals to it are expected,
+                    // not lost wakeups.
+                    g.check.on_lp_killed(lp.id);
+                }
+            } else {
+                let text = p
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| p.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".into());
+                g.panics.push(text);
             }
-            g.lps.remove(&lp.0);
         }
-        if core.trace_on {
-            // The guards unwound with the process; discard its (empty)
-            // span stack so the table doesn't grow with process count.
-            core.trace.lock().drop_key(SpanKey::Lp(lp.0));
-        }
-        let stack = coro.into_stack();
-        let mut pool = core.stacks.lock();
-        if pool.len() < STACK_POOL_CAP {
-            pool.push(stack);
-        }
+        finalize_lp(core, &mut g, lp);
     } else {
-        // Blocked: `block_current` already marked it and released the run
+        // Blocked: `Ctx::block` already marked it and released the run
         // token; park the suspended stack with the process.
-        let mut g = core.sched.lock();
-        let st = g
-            .lps
-            .get_mut(&lp.0)
-            .expect("suspended process still registered");
-        st.body = Some(LpBody::Coro(coro));
+        g.lp_mut(lp)
+            .expect("suspended process still registered")
+            .body = Some(LpBody::Coro(coro));
     }
+    g
 }
 
-/// Resumes a blocked process the scheduler just woke. Called without the
-/// scheduler lock; the run token is already `lp`.
-fn resume_lp(core: &Arc<SimCore>, lp: LpId) {
-    let (body, host, reason, waited) = {
-        let mut g = core.sched.lock();
-        let st = g.lps.get_mut(&lp.0).expect("woken process registered");
-        (
-            st.body.take().expect("woken process has a continuation"),
-            st.host,
-            st.wake_reason,
-            st.wait_sema.take(),
-        )
-    };
+/// Resumes a blocked process the scheduler just woke. The run token is
+/// already `woken.lp`.
+fn resume_lp<'a>(
+    core: &'a Arc<SimCore>,
+    mut g: EngineGuard<'a>,
+    mctx: &mut Ctx,
+    woken: Woken,
+) -> EngineGuard<'a> {
+    let Woken {
+        lp,
+        host,
+        body,
+        reason,
+        waited,
+    } = woken;
+    if core.check_on {
+        if let Some(sema_id) = waited {
+            // The scheduler performed the wait; close it out as the
+            // process resumes.
+            g.check
+                .on_wait_end(lp.id, sema_id, reason == WakeReason::Normal);
+        }
+    }
     match body {
-        LpBody::Coro(coro) => drive_coro(core, lp, coro),
-        LpBody::Machine(m) => {
-            if core.check_on {
-                if let Some(sema_id) = waited {
-                    // The scheduler performed the machine's wait; close it
-                    // out exactly where `p`/`p_timeout` would have.
-                    core.check
-                        .lock()
-                        .on_wait_end(lp.0, sema_id, reason == WakeReason::Normal);
-                }
-            }
-            step_machine(core, lp, host, m, reason);
+        LpBody::Coro(coro) => {
+            let token = match reason {
+                WakeReason::Normal => RESUME_NORMAL,
+                WakeReason::Timeout => RESUME_TIMEOUT,
+            };
+            drive_coro(core, g, lp, coro, token)
+        }
+        LpBody::Machine(c) => {
+            drop(g);
+            step_machine(core, mctx, lp, host, c, reason)
         }
     }
 }
 
 /// Runs a machine from one blocking point to the next (or to completion),
 /// performing the returned [`VStep`]s on its behalf. Called without the
-/// scheduler lock; the run token is `lp`.
-fn step_machine(
-    core: &Arc<SimCore>,
+/// scheduler lock, with the run token `lp`; returns holding the lock. The
+/// machine borrows `ctx` (re-aimed at it here) only while it runs, so a
+/// parked machine holds no reference to the simulation.
+fn step_machine<'a>(
+    core: &'a Arc<SimCore>,
+    ctx: &mut Ctx,
     lp: LpId,
     host: HostId,
-    mut m: Box<dyn VProc>,
+    mut c: Machine,
     mut reason: WakeReason,
-) {
-    let ctx = Ctx {
-        core: Arc::clone(core),
-        host,
-        lp: Some(lp),
-    };
+) -> EngineGuard<'a> {
+    ctx.host = host;
+    ctx.lp = Some(lp);
+    let ctx = &*ctx;
+    let host = core.host(host);
     loop {
         // Machines pay one fuel unit per resume; exhaustion kills the
         // process at this deterministic point, like a coroutine's FuelKill.
-        {
-            let mut g = core.sched.lock();
-            let st = g.lps.get_mut(&lp.0).expect("machine process registered");
-            if st.fuel == 0 {
-                g.fuel_exhausted += 1;
-                finalize_lp(core, g, lp);
-                if core.check_on {
-                    core.check.lock().on_lp_killed(lp.0);
-                }
-                return;
+        if c.fuel == 0 {
+            let mut g = core.engine.lock();
+            g.fuel_exhausted += 1;
+            finalize_lp(core, &mut g, lp);
+            if core.check_on {
+                g.check.on_lp_killed(lp.id);
             }
-            if st.fuel != u64::MAX {
-                st.fuel -= 1;
-            }
+            return g;
         }
-        core.hosts.lock().fuel[host.0] += 1;
-        match m.resume(&ctx, reason) {
+        if c.fuel != u64::MAX {
+            c.fuel -= 1;
+        }
+        bump(&host.fuel, 1);
+        let how = match c.m.resume(ctx, reason) {
             VStep::Done => {
-                let g = core.sched.lock();
-                finalize_lp(core, g, lp);
-                return;
+                let mut g = core.engine.lock();
+                finalize_lp(core, &mut g, lp);
+                return g;
             }
-            VStep::Sleep(dt) => {
-                // Mirror `Ctx::sleep` exactly: the wake is stamped from the
-                // host clock *before* the switch charge lands.
-                let t = ctx.event_time() + dt;
-                {
-                    let mut g = core.sched.lock();
-                    let seq = g.seq;
-                    g.seq += 1;
-                    g.events.insert(
-                        seq,
-                        EvKind::Wake {
-                            lp,
-                            reason: WakeReason::Normal,
-                        },
-                    );
-                    g.heap.push(std::cmp::Reverse((t, seq)));
-                }
-                ctx.charge_class(OpClass::Switch, core.cost.proc_switch);
-                let mut g = core.sched.lock();
-                let st = g.lps.get_mut(&lp.0).expect("machine process registered");
-                st.state = RunState::Blocked;
-                st.wait_sema = None;
-                st.body = Some(LpBody::Machine(m));
-                g.current = None;
-                return;
-            }
+            VStep::Sleep(dt) => Block::Sleep(dt),
             VStep::Wait { sema, timeout } => {
-                if sema.register_wait(&ctx, lp, timeout) {
+                if sema.wait_begin(ctx, timeout) != Enqueued::Queued {
                     // Fast path: a unit was available; no block happened.
                     reason = WakeReason::Normal;
                     continue;
                 }
-                ctx.charge_class(OpClass::Switch, core.cost.proc_switch);
-                let mut g = core.sched.lock();
-                let st = g.lps.get_mut(&lp.0).expect("machine process registered");
-                st.state = RunState::Blocked;
-                st.wait_sema = Some(sema.check_id());
-                st.body = Some(LpBody::Machine(m));
-                g.current = None;
-                return;
+                Block::Sema(sema.0.id)
             }
-        }
+        };
+        let (mut g, _) = ctx.block(core, lp, how);
+        g.lp_mut(lp).expect("machine process registered").body = Some(LpBody::Machine(c));
+        return g;
     }
 }
 
 /// Retires a finished or killed process: releases the run token if it holds
 /// it, unregisters it, and discards its span stack.
-fn finalize_lp(core: &Arc<SimCore>, mut g: parking_lot::MutexGuard<'_, Sched>, lp: LpId) {
+fn finalize_lp(core: &SimCore, g: &mut Engine, lp: LpId) {
     if g.current == Some(lp) {
         g.current = None;
     }
-    g.lps.remove(&lp.0);
-    drop(g);
+    g.lps.remove(lp.id, lp.slot);
     if core.trace_on {
-        core.trace.lock().drop_key(SpanKey::Lp(lp.0));
+        // The guards unwound with the process; discard its (empty) span
+        // stack so the table doesn't grow with process count.
+        g.trace.drop_key(SpanKey::Lp(lp.id));
     }
 }
 
 /// Reaps one crash-killed process: a coroutine is resumed so it unwinds via
 /// [`CrashKill`] (running its drop guards), a machine is simply dropped.
-/// Called without the scheduler lock, with the run token free.
-fn reap_lp(core: &Arc<SimCore>, id: u64) {
-    let body = {
-        let mut g = core.sched.lock();
-        match g.lps.get_mut(&id) {
-            Some(st) if st.state == RunState::Killed => st.body.take(),
-            // Already gone (e.g. reaped via an earlier crash); nothing to do.
-            _ => return,
-        }
+/// Called with the run token free.
+fn reap_lp<'a>(core: &'a Arc<SimCore>, mut g: EngineGuard<'a>, lp: LpId) -> EngineGuard<'a> {
+    let body = match g.lp_mut(lp) {
+        Some(st) if st.state == RunState::Killed => st.body.take(),
+        // Already gone (e.g. reaped via an earlier crash); nothing to do.
+        _ => return g,
     };
     match body {
-        Some(LpBody::Coro(coro)) => {
-            // Resuming lets `block_current` observe Killed and unwind; the
-            // wrapper filters the CrashKill payload and the coroutine
-            // finishes, so drive_coro retires it and recycles the stack.
-            drive_coro(core, LpId(id), coro);
-        }
+        // The resumed `Ctx::block_current` sees the kill token and unwinds
+        // with CrashKill; the coroutine finishes, so drive_coro retires it.
+        Some(LpBody::Coro(coro)) => drive_coro(core, g, lp, coro, RESUME_KILLED),
         Some(LpBody::Machine(_)) | None => {
-            let g = core.sched.lock();
-            finalize_lp(core, g, LpId(id));
+            finalize_lp(core, &mut g, lp);
+            g
         }
     }
 }
@@ -1794,12 +1933,17 @@ impl Ctx {
 
     /// The kernel of the current host.
     pub fn kernel(&self) -> Arc<Kernel> {
-        Arc::clone(&self.core.kernels.read()[self.host.0])
+        Arc::clone(&self.cell().kernel)
     }
 
     /// The kernel of another host.
     pub fn kernel_of(&self, host: HostId) -> Arc<Kernel> {
-        Arc::clone(&self.core.kernels.read()[host.0])
+        Arc::clone(&self.core.host(host).kernel)
+    }
+
+    /// This context's host cell.
+    fn cell(&self) -> &HostCell {
+        self.core.host(self.host)
     }
 
     /// This context re-bound to another host (used by the inline network to
@@ -1817,12 +1961,12 @@ impl Ctx {
         if self.core.mode == Mode::Inline {
             return 0;
         }
-        self.core.hosts.lock().cpu[self.host.0]
+        self.cell().cpu.load(Relaxed)
     }
 
     /// Charges `ns` of virtual CPU time to this host as unclassified
-    /// protocol work. No-op in inline mode. Touches only the host-clock
-    /// lock, never the event queue.
+    /// protocol work. No-op in inline mode. Touches only the host's clock
+    /// and fuel cells: no lock, no event queue.
     pub fn charge(&self, ns: Nanos) {
         self.charge_class(OpClass::Compute, ns);
     }
@@ -1832,25 +1976,37 @@ impl Ctx {
     /// Every charge is also one fuel unit: the deterministic budget a
     /// [`SimConfig::with_fuel`] simulation kills runaway processes by.
     pub fn charge_class(&self, class: OpClass, ns: Nanos) {
-        if self.core.mode == Mode::Inline || ns == 0 {
-            return;
+        if self.charge_clock(class, ns) {
+            self.fuel_tick();
         }
-        let t = {
-            let mut h = self.core.hosts.lock();
-            h.fuel[self.host.0] += 1;
-            let cpu = &mut h.cpu[self.host.0];
-            *cpu += ns;
-            *cpu
-        };
+    }
+
+    /// The clock half of a charge: advances the host clock and the host's
+    /// fuel tally and attributes the time. Returns whether a charge was
+    /// made (and so whether the process owes a [`Ctx::fuel_tick`]).
+    fn charge_clock(&self, class: OpClass, ns: Nanos) -> bool {
+        if self.core.mode == Mode::Inline || ns == 0 {
+            return false;
+        }
+        let h = self.cell();
+        bump(&h.fuel, 1);
+        let t = bump(&h.cpu, ns);
         if self.core.trace_on {
             self.core
-                .trace
+                .engine
                 .lock()
+                .trace
                 .attribute(self.host.0, self.span_key(), class, ns, t);
         }
-        // The exhausting tick is raised only after the charge has landed
-        // and every lock is released, so the kill point is clean.
-        if vproc::fuel_tick() {
+        true
+    }
+
+    /// The fuel half of a charge: burns one unit of the running coroutine's
+    /// budget and kills the process on the tick that exhausts it. Raised
+    /// only after the charge has landed and with no lock held, so the kill
+    /// point is clean.
+    fn fuel_tick(&self) {
+        if self.core.fuel_limit.is_some() && vproc::fuel_tick() {
             panic_any(FuelKill);
         }
     }
@@ -1859,7 +2015,7 @@ impl Ctx {
     /// host's setup stack outside any process.
     fn span_key(&self) -> SpanKey {
         match self.lp {
-            Some(lp) => SpanKey::Lp(lp.0),
+            Some(lp) => SpanKey::Lp(lp.id),
             None => SpanKey::Host(self.host.0),
         }
     }
@@ -1867,16 +2023,16 @@ impl Ctx {
     /// Records a robustness event against this context's host. The per-host
     /// tallies surface in [`RunReport::hosts`].
     pub fn note(&self, ev: RobustEvent) {
-        let mut h = self.core.hosts.lock();
-        let Some(s) = h.stats.get_mut(self.host.0) else {
+        let Some(h) = self.core.hosts.get(self.host.0) else {
             return;
         };
-        match ev {
-            RobustEvent::Retransmit => s.retransmits += 1,
-            RobustEvent::DuplicateSuppressed => s.duplicates_suppressed += 1,
-            RobustEvent::CorruptRejected => s.corrupt_rejected += 1,
-            RobustEvent::TimeoutFired => s.timeouts_fired += 1,
-        }
+        let tally = match ev {
+            RobustEvent::Retransmit => &h.retransmits,
+            RobustEvent::DuplicateSuppressed => &h.duplicates_suppressed,
+            RobustEvent::CorruptRejected => &h.corrupt_rejected,
+            RobustEvent::TimeoutFired => &h.timeouts_fired,
+        };
+        bump(tally, 1);
     }
 
     /// This host's boot incarnation: 0 at first boot, bumped on every
@@ -1884,11 +2040,8 @@ impl Ctx {
     pub fn boot_epoch(&self) -> u32 {
         self.core
             .hosts
-            .lock()
-            .epoch
             .get(self.host.0)
-            .copied()
-            .unwrap_or(0)
+            .map_or(0, |h| h.epoch.load(Relaxed))
     }
 
     /// Charges the cost of crossing one protocol layer. The kernel's demux
@@ -1956,15 +2109,12 @@ impl Ctx {
     /// The timestamp outgoing actions of this context carry: the host CPU
     /// clock when inside a process, else the global event clock.
     pub fn event_time(&self) -> Time {
+        let cpu = self.cell().cpu.load(Relaxed);
         if self.lp.is_some() {
-            // Inside a process the host clock alone decides; skip the
-            // scheduler lock entirely (hot path for timers and sends).
-            self.core.hosts.lock().cpu[self.host.0]
+            // Inside a process the host clock alone decides.
+            cpu
         } else {
-            let g = self.core.sched.lock();
-            let now = g.now;
-            drop(g);
-            now.max(self.core.hosts.lock().cpu[self.host.0])
+            cpu.max(self.core.now.load(Relaxed))
         }
     }
 
@@ -1994,32 +2144,24 @@ impl Ctx {
             Mode::Scheduled,
             "absolute scheduling requires virtual time"
         );
-        let mut g = self.core.sched.lock();
         if self
             .core
             .hosts
-            .lock()
-            .down
             .get(host.0)
-            .copied()
-            .unwrap_or(false)
+            .is_some_and(|h| h.down.load(Relaxed))
         {
             // A crashed host arms no timers and accepts no deliveries; the
             // work is silently dropped, exactly as its in-flight state was.
             return TimerHandle::NONE;
         }
-        let seq = g.seq;
-        g.seq += 1;
-        g.events.insert(seq, EvKind::Run { host, body });
-        g.heap.push(std::cmp::Reverse((t, seq)));
-        if self.core.check_on {
-            if let Some(lp) = self.lp {
-                // Fork edge: deposit the spawner's clock under the new Run
-                // event's seq; the spawned process joins it at start.
-                self.core.check.lock().on_spawn(lp.0, seq);
-            }
+        let mut g = self.core.engine.lock();
+        let handle = g.push_event(t, EvKind::Run { host, body });
+        if let (true, Some(lp)) = (self.core.check_on, self.lp) {
+            // Fork edge: deposit the spawner's clock under the new Run
+            // event's seq; the spawned process joins it at start.
+            g.check.on_spawn(lp.id, handle.seq);
         }
-        TimerHandle(seq)
+        handle
     }
 
     /// Arms a timer: after `dt` of virtual time, `f` runs as a new shepherd
@@ -2041,7 +2183,7 @@ impl Ctx {
             return;
         }
         self.charge_class(OpClass::Timer, self.core.cost.timer_op);
-        self.core.sched.lock().events.remove(&h.0);
+        self.core.engine.lock().events.remove(h.seq, h.slot);
     }
 
     /// Blocks the current shepherd process until woken; returns why it woke.
@@ -2051,7 +2193,7 @@ impl Ctx {
     /// Panics in inline mode or outside a shepherd process: blocking there
     /// indicates either a lock-discipline violation or a workload that
     /// genuinely needs scheduled mode.
-    pub(crate) fn block_current(&self) -> WakeReason {
+    fn block_current(&self, how: Block) -> WakeReason {
         let lp = match (self.core.mode, self.lp) {
             (Mode::Scheduled, Some(lp)) => lp,
             (Mode::Inline, _) => panic!(
@@ -2060,41 +2202,73 @@ impl Ctx {
             ),
             (_, None) => panic!("blocking outside a shepherd process"),
         };
-        self.charge_class(OpClass::Switch, self.core.cost.proc_switch);
-        {
-            let mut g = self.core.sched.lock();
-            let st = g.lps.get_mut(&lp.0).expect("current process registered");
-            st.state = RunState::Blocked;
-            st.wait_sema = None; // Coroutines run their own wait-end hooks.
-            g.current = None;
+        let (g, charged) = self.block(&self.core, lp, how);
+        drop(g);
+        if charged {
+            // The switch charge's fuel tick, owed since `block` (a kill
+            // here leaves the process marked blocked, which retiring it
+            // ignores).
+            self.fuel_tick();
         }
         // Suspend this coroutine; the scheduler's run loop picks the next
-        // event. The next resume lands right here.
-        vproc::yield_now();
-        let g = self.core.sched.lock();
-        let st = g.lps.get(&lp.0).expect("blocked process cannot vanish");
-        match st.state {
-            RunState::Running => st.wake_reason,
-            RunState::Killed => {
-                // Host crashed while we were blocked: unwind this process.
-                // The coroutine wrapper recognises the payload.
-                drop(g);
-                panic_any(CrashKill);
-            }
-            RunState::Blocked => unreachable!("coroutine resumed while still blocked"),
+        // event. The next resume lands right here, with the scheduler's
+        // verdict.
+        match vproc::yield_now() {
+            RESUME_NORMAL => WakeReason::Normal,
+            RESUME_TIMEOUT => WakeReason::Timeout,
+            // Host crashed while we were blocked: unwind this process;
+            // `drive_coro` recognises the payload.
+            RESUME_KILLED => panic_any(CrashKill),
+            other => unreachable!("unknown resume token {other}"),
         }
     }
 
+    /// The one blocking point, shared by coroutines ([`Ctx::sleep`],
+    /// [`Sema::p`], [`SharedSema::p_timeout`]) and machines
+    /// ([`VStep::Sleep`], [`VStep::Wait`]): pays the process switch, files
+    /// the wake a sleep needs, marks `lp` blocked and releases the run
+    /// token — under one acquisition of the scheduler lock, which it
+    /// returns still held so the caller can park a machine's continuation
+    /// (a coroutine's caller drops it and yields), with whether the switch
+    /// was charged (and a coroutine so owes a [`Ctx::fuel_tick`]). `core`
+    /// is this context's simulation, passed apart so the guard outlives the
+    /// borrow of `self`.
+    fn block<'a>(&self, core: &'a SimCore, lp: LpId, how: Block) -> (EngineGuard<'a>, bool) {
+        // A sleep's wake is stamped from the host clock *before* the
+        // switch charge lands.
+        let (wake_at, wait_sema) = match how {
+            Block::Sleep(dt) => (Some(self.event_time() + dt), None),
+            Block::Sema(id) => (None, Some(id)),
+        };
+        let charged = self.charge_clock(OpClass::Switch, core.cost.proc_switch);
+        let mut g = core.engine.lock();
+        if let Some(t) = wake_at {
+            let reason = WakeReason::Normal;
+            g.push_event(t, EvKind::Wake { lp, reason });
+        }
+        let st = g.lp_mut(lp).expect("current process registered");
+        st.state = RunState::Blocked;
+        st.wait_sema = wait_sema;
+        g.current = None;
+        (g, charged)
+    }
+
     /// Schedules a wake for a blocked process at this context's current
-    /// time. Used by [`Sema`]; stale wakes are prevented by timer
-    /// cancellation, and ignored defensively by the scheduler.
-    pub(crate) fn wake(&self, lp: LpId, reason: WakeReason) {
+    /// time, first cancelling (and paying for) the timeout timer `cancel`
+    /// that would otherwise wake it. Used by [`Sema`]; stale wakes are
+    /// prevented by that cancellation, and ignored defensively by the
+    /// scheduler.
+    fn wake(&self, lp: LpId, reason: WakeReason, cancel: Option<TimerHandle>) {
+        let cancel = cancel.filter(|h| *h != TimerHandle::NONE);
+        if cancel.is_some() {
+            self.charge_class(OpClass::Timer, self.core.cost.timer_op);
+        }
         let t = self.event_time();
-        let mut g = self.core.sched.lock();
-        let seq = g.seq;
-        g.seq += 1;
-        g.events.insert(seq, EvKind::Wake { lp, reason });
-        g.heap.push(std::cmp::Reverse((t, seq)));
+        let mut g = self.core.engine.lock();
+        if let Some(h) = cancel {
+            g.events.remove(h.seq, h.slot);
+        }
+        g.push_event(t, EvKind::Wake { lp, reason });
     }
 
     /// Suspends the current process for `dt` of virtual time. No-op in
@@ -2103,34 +2277,29 @@ impl Ctx {
         if self.core.mode == Mode::Inline {
             return;
         }
-        let lp = self.lp.expect("sleep outside a shepherd process");
-        let t = self.event_time() + dt;
-        let mut g = self.core.sched.lock();
-        let seq = g.seq;
-        g.seq += 1;
-        g.events.insert(
-            seq,
-            EvKind::Wake {
-                lp,
-                reason: WakeReason::Normal,
-            },
-        );
-        g.heap.push(std::cmp::Reverse((t, seq)));
-        drop(g);
-        self.block_current();
-    }
-
-    /// The current logical process, if any.
-    pub(crate) fn lp(&self) -> Option<LpId> {
-        self.lp
+        assert!(self.lp.is_some(), "sleep outside a shepherd process");
+        self.block_current(Block::Sleep(dt));
     }
 
     /// Next value from the simulation PRNG.
     pub fn next_u64(&self) -> u64 {
-        Sim {
-            core: Arc::clone(&self.core),
+        self.core.next_u64()
+    }
+
+    /// Records a realized network fault (called by simnet's transmit path
+    /// after the fault schedule decides a packet's fate). No-op unless
+    /// journaling is on. `kind` is one of the `crate::journal::FAULT_*`
+    /// tags; `aux` carries the kind-specific detail.
+    pub fn journal_fault(&self, lan: u32, index: u64, kind: u8, aux: u64) {
+        if !self.core.journal_on.load(Relaxed) {
+            return;
         }
-        .next_u64()
+        self.core.engine.lock().journal.push(JournalRecord::Fault {
+            lan,
+            index,
+            kind,
+            aux,
+        });
     }
 
     /// Whether structured tracing is enabled.
@@ -2151,8 +2320,9 @@ impl Ctx {
         if !self.core.trace_on {
             return;
         }
-        let t = self.now_for_trace();
-        let mut tr = self.core.trace.lock();
+        let t = self.now();
+        let mut g = self.core.engine.lock();
+        let tr = &mut g.trace;
         let proto = tr.top(self.span_key());
         tr.record(Event {
             host: self.host,
@@ -2172,9 +2342,10 @@ impl Ctx {
         if !self.core.trace_on {
             return LayerSpan { inner: None };
         }
-        let t = self.now_for_trace();
+        let t = self.now();
         let key = self.span_key();
-        let mut tr = self.core.trace.lock();
+        let mut g = self.core.engine.lock();
+        let tr = &mut g.trace;
         tr.span_push(key, proto);
         tr.record(Event {
             host: self.host,
@@ -2193,7 +2364,7 @@ impl Ctx {
     /// is enabled). Callable mid-run from inside a shepherd process, which
     /// is race-free in scheduled mode (one process runs at a time).
     pub fn cost_breakdown(&self) -> CostBreakdown {
-        breakdown_of(&self.core)
+        breakdown_of(&self.core, &self.core.engine.lock().trace)
     }
 
     /// Clears the event rings and cost ledger; see [`Sim::trace_clear`].
@@ -2201,15 +2372,7 @@ impl Ctx {
         if !self.core.trace_on {
             return;
         }
-        self.core.trace.lock().clear();
-    }
-
-    fn now_for_trace(&self) -> Time {
-        if self.core.mode == Mode::Inline {
-            0
-        } else {
-            self.core.hosts.lock().cpu[self.host.0]
-        }
+        self.core.engine.lock().trace.clear();
     }
 }
 
@@ -2224,9 +2387,28 @@ pub struct LayerSpan {
 impl Drop for LayerSpan {
     fn drop(&mut self) {
         if let Some((core, key)) = self.inner.take() {
-            core.trace.lock().span_pop(key);
+            core.engine.lock().trace.span_pop(key);
         }
     }
+}
+
+/// How a process blocks (see [`Ctx::block`]): for a stretch of virtual
+/// time, or on the semaphore with the given checker id.
+#[derive(Clone, Copy)]
+enum Block {
+    Sleep(Nanos),
+    Sema(u64),
+}
+
+/// What the front half of a P found (see [`Sema::enqueue`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Enqueued {
+    /// A unit was free and is now held; no wait.
+    Acquired,
+    /// No unit is free and inline mode cannot wait for one.
+    Inline,
+    /// The process is queued as a waiter and must block.
+    Queued,
 }
 
 struct Waiter {
@@ -2273,7 +2455,7 @@ impl Sema {
                 waiters: VecDeque::new(),
                 next_seq: 0,
             }),
-            id: NEXT_SEMA_ID.fetch_add(1, Ordering::Relaxed),
+            id: NEXT_SEMA_ID.fetch_add(1, Relaxed),
             label,
         }
     }
@@ -2304,52 +2486,73 @@ impl Sema {
         st.next_seq = next_seq;
     }
 
-    /// P: acquire one unit, blocking until available.
-    pub fn p(&self, ctx: &Ctx) {
+    /// The front half of every P — [`Sema::p`], [`SharedSema::p_timeout`]
+    /// and a machine's [`VStep::Wait`] alike: pays the semaphore operation,
+    /// takes a unit if one is free, and otherwise queues the process as a
+    /// waiter. With `timeout`, a queued waiter also gets the timer that
+    /// gives up for it: `timeout` carries the shared handle the timer's
+    /// process needs to find this semaphore again.
+    fn enqueue(&self, ctx: &Ctx, timeout: Option<(&Arc<Sema>, Nanos)>) -> Enqueued {
         ctx.charge_class(OpClass::Sema, ctx.cost().sema_op);
-        let waiter_lp;
-        {
-            let mut st = self.st.lock();
-            if st.count > 0 {
-                st.count -= 1;
-                if ctx.core.check_on {
-                    if let Some(lp) = ctx.lp {
-                        drop(st);
-                        ctx.core
-                            .check
-                            .lock()
-                            .on_acquire(lp.0, self.id, self.label, ctx.host.0);
-                    }
-                }
-                return;
-            }
-            if ctx.mode() == Mode::Inline {
-                panic!("Sema::p would block in inline mode");
-            }
-            let lp = ctx.lp().expect("P outside a shepherd process");
-            waiter_lp = lp;
-            let seq = st.next_seq;
-            st.next_seq += 1;
-            st.waiters.push_back(Waiter {
-                lp,
-                timer: None,
-                seq,
-            });
-            if ctx.core.check_on {
-                drop(st);
+        let mut st = self.st.lock();
+        if st.count > 0 {
+            st.count -= 1;
+            drop(st);
+            if let (true, Some(lp)) = (ctx.core.check_on, ctx.lp) {
                 ctx.core
-                    .check
+                    .engine
                     .lock()
-                    .on_wait_begin(lp.0, self.id, self.label, ctx.host.0);
+                    .check
+                    .on_acquire(lp.id, self.id, self.label, ctx.host.0);
             }
+            return Enqueued::Acquired;
         }
-        let reason = ctx.block_current();
-        debug_assert_eq!(reason, WakeReason::Normal, "untimed P woke by timeout");
+        if ctx.mode() == Mode::Inline {
+            return Enqueued::Inline;
+        }
+        let lp = ctx.lp.expect("P outside a shepherd process");
+        let seq = st.next_seq;
+        st.next_seq += 1;
+        st.waiters.push_back(Waiter {
+            lp,
+            timer: None,
+            seq,
+        });
+        drop(st);
         if ctx.core.check_on {
             ctx.core
-                .check
+                .engine
                 .lock()
-                .on_wait_end(waiter_lp.0, self.id, true);
+                .check
+                .on_wait_begin(lp.id, self.id, self.label, ctx.host.0);
+        }
+        if let Some((me, dt)) = timeout {
+            let me = Arc::clone(me);
+            let timer = ctx.schedule_after(dt, move |tctx| {
+                let mut st = me.st.lock();
+                if let Some(pos) = st.waiters.iter().position(|w| w.seq == seq) {
+                    st.waiters.remove(pos);
+                    drop(st);
+                    tctx.wake(lp, WakeReason::Timeout, None);
+                }
+            });
+            let mut st = self.st.lock();
+            if let Some(w) = st.waiters.iter_mut().find(|w| w.seq == seq) {
+                w.timer = Some(timer);
+            }
+        }
+        Enqueued::Queued
+    }
+
+    /// P: acquire one unit, blocking until available.
+    pub fn p(&self, ctx: &Ctx) {
+        match self.enqueue(ctx, None) {
+            Enqueued::Acquired => {}
+            Enqueued::Inline => panic!("Sema::p would block in inline mode"),
+            Enqueued::Queued => {
+                let reason = ctx.block_current(Block::Sema(self.id));
+                debug_assert_eq!(reason, WakeReason::Normal, "untimed P woke by timeout");
+            }
         }
     }
 
@@ -2358,28 +2561,23 @@ impl Sema {
         ctx.charge_class(OpClass::Sema, ctx.cost().sema_op);
         let woken = {
             let mut st = self.st.lock();
-            match st.waiters.pop_front() {
-                Some(w) => Some(w),
-                None => {
-                    st.count += 1;
-                    None
-                }
+            let woken = st.waiters.pop_front();
+            if woken.is_none() {
+                st.count += 1;
             }
+            woken
         };
         if ctx.core.check_on {
-            ctx.core.check.lock().on_release(
-                ctx.lp.map(|l| l.0),
+            ctx.core.engine.lock().check.on_release(
+                ctx.lp.map(|l| l.id),
                 self.id,
                 self.label,
                 ctx.host.0,
-                woken.as_ref().map(|w| w.lp.0),
+                woken.as_ref().map(|w| w.lp.id),
             );
         }
         if let Some(w) = woken {
-            if let Some(t) = w.timer {
-                ctx.cancel_timer(t);
-            }
-            ctx.wake(w.lp, WakeReason::Normal);
+            ctx.wake(w.lp, WakeReason::Normal, w.timer);
         }
     }
 }
@@ -2428,125 +2626,22 @@ impl SharedSema {
 
     /// P with timeout; `true` if acquired.
     pub fn p_timeout(&self, ctx: &Ctx, dt: Nanos) -> bool {
-        let sema = &self.0;
-        ctx.charge_class(OpClass::Sema, ctx.cost().sema_op);
-        let my_seq;
-        {
-            let mut st = sema.st.lock();
-            if st.count > 0 {
-                st.count -= 1;
-                if ctx.core.check_on {
-                    if let Some(lp) = ctx.lp {
-                        drop(st);
-                        ctx.core
-                            .check
-                            .lock()
-                            .on_acquire(lp.0, sema.id, sema.label, ctx.host.0);
-                    }
-                }
-                return true;
-            }
-            if ctx.mode() == Mode::Inline {
-                return false;
-            }
-            let lp = ctx.lp().expect("P outside a shepherd process");
-            my_seq = st.next_seq;
-            st.next_seq += 1;
-            st.waiters.push_back(Waiter {
-                lp,
-                timer: None,
-                seq: my_seq,
-            });
-            if ctx.core.check_on {
-                drop(st);
-                ctx.core
-                    .check
-                    .lock()
-                    .on_wait_begin(lp.0, sema.id, sema.label, ctx.host.0);
+        match self.wait_begin(ctx, Some(dt)) {
+            Enqueued::Acquired => true,
+            Enqueued::Inline => false,
+            Enqueued::Queued => {
+                matches!(
+                    ctx.block_current(Block::Sema(self.0.id)),
+                    WakeReason::Normal
+                )
             }
         }
-        let me = Arc::clone(sema);
-        let lp = ctx.lp().expect("checked above");
-        let timer = ctx.schedule_after(dt, move |tctx| {
-            let mut st = me.st.lock();
-            if let Some(pos) = st.waiters.iter().position(|w| w.seq == my_seq) {
-                st.waiters.remove(pos);
-                drop(st);
-                tctx.wake(lp, WakeReason::Timeout);
-            }
-        });
-        {
-            let mut st = sema.st.lock();
-            if let Some(w) = st.waiters.iter_mut().find(|w| w.seq == my_seq) {
-                w.timer = Some(timer);
-            }
-        }
-        let acquired = matches!(ctx.block_current(), WakeReason::Normal);
-        if ctx.core.check_on {
-            ctx.core.check.lock().on_wait_end(lp.0, sema.id, acquired);
-        }
-        acquired
     }
 
-    /// The checker identity of this semaphore (for [`LpState::wait_sema`]).
-    pub(crate) fn check_id(&self) -> u64 {
-        self.0.id
-    }
-
-    /// Registers a *machine* wait on behalf of the scheduler: the
-    /// charge/fast-path/waiter/timer sequence of [`Sema::p`] and
-    /// [`SharedSema::p_timeout`] without the block itself. Returns `true`
-    /// when a unit was acquired immediately (no block needed); otherwise
-    /// the waiter (and optional timeout timer) is registered and the
-    /// caller parks the machine. The matching `on_wait_end` hook runs when
-    /// the scheduler resumes the machine.
-    pub(crate) fn register_wait(&self, ctx: &Ctx, lp: LpId, timeout: Option<Nanos>) -> bool {
-        let sema = &self.0;
-        ctx.charge_class(OpClass::Sema, ctx.cost().sema_op);
-        let my_seq;
-        {
-            let mut st = sema.st.lock();
-            if st.count > 0 {
-                st.count -= 1;
-                if ctx.core.check_on {
-                    drop(st);
-                    ctx.core
-                        .check
-                        .lock()
-                        .on_acquire(lp.0, sema.id, sema.label, ctx.host.0);
-                }
-                return true;
-            }
-            my_seq = st.next_seq;
-            st.next_seq += 1;
-            st.waiters.push_back(Waiter {
-                lp,
-                timer: None,
-                seq: my_seq,
-            });
-            if ctx.core.check_on {
-                drop(st);
-                ctx.core
-                    .check
-                    .lock()
-                    .on_wait_begin(lp.0, sema.id, sema.label, ctx.host.0);
-            }
-        }
-        if let Some(dt) = timeout {
-            let me = Arc::clone(sema);
-            let timer = ctx.schedule_after(dt, move |tctx| {
-                let mut st = me.st.lock();
-                if let Some(pos) = st.waiters.iter().position(|w| w.seq == my_seq) {
-                    st.waiters.remove(pos);
-                    drop(st);
-                    tctx.wake(lp, WakeReason::Timeout);
-                }
-            });
-            let mut st = sema.st.lock();
-            if let Some(w) = st.waiters.iter_mut().find(|w| w.seq == my_seq) {
-                w.timer = Some(timer);
-            }
-        }
-        false
+    /// Everything of a (possibly timed) P short of the block itself; see
+    /// [`Sema::enqueue`]. The scheduler closes the wait out (the checker's
+    /// wait-end hook) when it resumes the process.
+    fn wait_begin(&self, ctx: &Ctx, timeout: Option<Nanos>) -> Enqueued {
+        self.0.enqueue(ctx, timeout.map(|dt| (&self.0, dt)))
     }
 }

@@ -273,9 +273,8 @@ impl Interner {
 /// The id of the empty span stack.
 pub(crate) const EMPTY_STACK: u32 = 0;
 
-/// Shared trace state, held behind the simulator core's trace mutex. The
-/// trace lock is a leaf: it is only ever taken with no other simulator lock
-/// acquired afterwards.
+/// Shared trace state: part of the simulator's `Engine`, behind its one
+/// lock, and only ever touched when `trace_on` is set.
 pub(crate) struct TraceCore {
     ring_cap: usize,
     rings: Vec<VecDeque<Event>>,

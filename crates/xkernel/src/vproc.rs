@@ -2,18 +2,20 @@
 //!
 //! The x-kernel maps every shepherd onto a light-weight kernel process; until
 //! this module existed, the reproduction faked that with one OS thread per
-//! simulated process (512 KiB kernel stacks, condvar handoffs). `vproc`
-//! replaces the fake with the real thing: shepherd processes are *virtual*
-//! processes multiplexed cooperatively on the scheduler's own thread, in two
-//! flavors:
+//! simulated process (512 KiB kernel stacks, a thread handoff per switch).
+//! `vproc` replaces the fake with the real thing: shepherd processes are
+//! *virtual* processes multiplexed cooperatively on the scheduler's own
+//! thread, in two flavors:
 //!
 //! * [`Coro`] — a stackful coroutine. Existing protocol code blocks deep
 //!   inside arbitrary call chains (`Sema::p` under five protocol layers), so
 //!   the only transparent encoding of "suspend here, resume later" is a real
 //!   stack plus a context switch. The switch is ~12 instructions of inline
-//!   assembly saving exactly the callee-saved registers; stacks are pooled
-//!   `mmap` regions with a `PROT_NONE` guard page, 512 KiB usable — the same
-//!   budget the old OS threads had, minus the kernel scheduler.
+//!   assembly saving exactly the callee-saved registers; stacks are `mmap`
+//!   regions with a `PROT_NONE` guard page, 512 KiB usable — the same
+//!   budget the old OS threads had, minus the kernel scheduler — and a
+//!   finished coroutine's stack and bookkeeping are kept, per thread, for
+//!   the next spawn.
 //! * [`VProc`] — a stackless state machine. New code that wants snapshots or
 //!   million-process populations implements `resume` as an explicit
 //!   continuation: each call runs to the next declared blocking point and
@@ -31,13 +33,16 @@
 //!
 //! Nothing here spawns a thread. The unsafe surface (the context switch and
 //! the stack mapping) is confined to this module; the scheduler in
-//! [`crate::sim`] drives it through three safe entry points: [`Coro::new`],
-//! [`Coro::resume`], and [`yield_now`].
+//! [`crate::sim`] drives it through four safe entry points: [`Coro::new`],
+//! [`Coro::resume`], [`Coro::retire`], and [`yield_now`].
 
-use std::cell::Cell;
+use std::any::Any;
+use std::cell::{Cell, RefCell};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
 use crate::cost::Nanos;
+use crate::sim::{Ctx, Thunk};
 
 // ---------------------------------------------------------------------------
 // Raw stack mapping.
@@ -85,12 +90,10 @@ fn page_size() -> usize {
 
 /// An `mmap`-backed coroutine stack: a `PROT_NONE` guard page at the low
 /// end, then `usable` read-write bytes. Overflow faults deterministically on
-/// the guard instead of corrupting a neighbor. Stacks are pooled by the
-/// simulator and reused across processes.
-pub struct Stack {
+/// the guard instead of corrupting a neighbor.
+struct Stack {
     base: *mut u8,
     len: usize,
-    usable: usize,
 }
 
 // SAFETY: the mapping is plain anonymous memory; whichever thread holds the
@@ -106,7 +109,7 @@ impl Stack {
     /// Panics if the kernel refuses the mapping — address space or the
     /// `vm.max_map_count` budget is exhausted, which for this engine is a
     /// misconfigured experiment, not a recoverable condition.
-    pub fn new(usable: usize) -> Stack {
+    fn new(usable: usize) -> Stack {
         let page = page_size();
         let usable = usable.div_ceil(page) * page;
         let len = usable + page;
@@ -132,13 +135,7 @@ impl Stack {
         Stack {
             base: base.cast(),
             len,
-            usable,
         }
-    }
-
-    /// Usable bytes (excluding the guard page).
-    pub fn usable(&self) -> usize {
-        self.usable
     }
 
     /// The high end of the mapping — the initial stack pointer (stacks grow
@@ -277,30 +274,45 @@ struct CoroInner {
     parent_sp: *mut u8,
     /// Set by the entry shim when the body has returned.
     finished: bool,
-    /// The body; taken by the entry shim on first resume.
-    body: Option<Box<dyn FnOnce() + Send>>,
+    /// The body and the context it runs under; taken by the entry shim on
+    /// first resume.
+    start: Option<(Thunk, Ctx)>,
+    /// The payload of the panic that ended the body, if one did.
+    panic: Option<Box<dyn Any + Send>>,
     /// Remaining fuel (charged operations); `u64::MAX` means unlimited.
     fuel_left: u64,
+    /// What the latest [`Coro::resume`] handed in, for [`yield_now`] to
+    /// hand out.
+    token: u64,
     /// The stack this coroutine runs on.
     stack: Stack,
 }
+
+/// Upper bound on a thread's idle coroutines (each a 512 KiB stack plus
+/// guard page). Beyond this, retired coroutines are unmapped, not kept.
+const IDLE_CAP: usize = 256;
 
 thread_local! {
     /// The coroutine currently executing on this thread (null on the
     /// scheduler's own stack). Set for the duration of every resume.
     static CURRENT: Cell<*mut CoroInner> = const { Cell::new(std::ptr::null_mut()) };
+
+    /// This thread's retired coroutines, kept for reuse. A simulation runs
+    /// on one thread at a time, so a spawn takes no lock, and a fresh
+    /// simulation on a warmed thread maps and allocates nothing.
+    static IDLE: RefCell<Vec<Coro>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The Rust side of the entry shim: runs the body, marks the coroutine
-/// finished, and switches back to the resumer. Must not unwind — the body
-/// is required to catch its own panics (the simulator's wrapper does).
+/// The Rust side of the entry shim: runs the body, catching a panic so no
+/// unwind ever reaches the crafted frame below it, marks the coroutine
+/// finished, and switches back to the resumer.
 #[no_mangle]
 extern "C" fn xk_vproc_entry_rust(inner: *mut CoroInner) -> ! {
     // SAFETY: `inner` is the pinned CoroInner this stack was crafted with;
     // the resumer is suspended, so we hold exclusive access.
     let inner = unsafe { &mut *inner };
-    let body = inner.body.take().expect("coroutine entered twice");
-    body();
+    let (body, ctx) = inner.start.take().expect("coroutine entered twice");
+    inner.panic = catch_unwind(AssertUnwindSafe(move || body(&ctx))).err();
     inner.finished = true;
     // SAFETY: parent_sp was saved by the resume that ran us.
     unsafe {
@@ -322,24 +334,35 @@ pub struct Coro {
 unsafe impl Send for Coro {}
 
 impl Coro {
-    /// Crafts a coroutine that will run `body` on `stack` with `fuel`
-    /// charged-operation budget (`u64::MAX` = unlimited).
-    pub fn new(stack: Stack, body: Box<dyn FnOnce() + Send>, fuel: u64) -> Coro {
-        let mut inner = Box::new(CoroInner {
-            coro_sp: std::ptr::null_mut(),
-            parent_sp: std::ptr::null_mut(),
-            finished: false,
-            body: Some(body),
-            fuel_left: fuel,
-            stack,
-        });
+    /// Crafts a coroutine that will run `body(&ctx)` with `fuel`
+    /// charged-operation budget (`u64::MAX` = unlimited), on a
+    /// [`STACK_SIZE`] stack — one of this thread's idle coroutines if it
+    /// has any, else freshly mapped.
+    pub fn new(body: Thunk, ctx: Ctx, fuel: u64) -> Coro {
+        let mut inner = match IDLE.with(|idle| idle.borrow_mut().pop()) {
+            Some(idle) => idle.inner,
+            None => Box::new(CoroInner {
+                coro_sp: std::ptr::null_mut(),
+                parent_sp: std::ptr::null_mut(),
+                finished: false,
+                start: None,
+                panic: None,
+                fuel_left: 0,
+                token: 0,
+                stack: Stack::new(STACK_SIZE),
+            }),
+        };
+        inner.finished = false;
+        inner.start = Some((body, ctx));
+        inner.fuel_left = fuel;
         let arg = std::ptr::addr_of_mut!(*inner) as u64;
         let top = inner.stack.top();
         // Craft the initial frame the switch will "return" through; see the
         // assembly above for the layout contract.
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: all stores land inside the freshly mapped usable region
-        // just below `top`.
+        // SAFETY: all stores land inside the mapped usable region just
+        // below `top`, which holds no live frame: the stack is fresh, or
+        // its previous coroutine finished.
         unsafe {
             let f = |slots_down: usize, v: u64| {
                 let p = top.sub(8 * slots_down) as *mut u64;
@@ -367,9 +390,12 @@ impl Coro {
     }
 
     /// Runs the coroutine until it yields or finishes; returns `true` when
-    /// finished. Must not be called on a finished coroutine.
-    pub fn resume(&mut self) -> bool {
+    /// finished. `token` is what the [`yield_now`] this resume returns from
+    /// hands the coroutine (the first resume's token goes unseen). Must not
+    /// be called on a finished coroutine.
+    pub fn resume(&mut self, token: u64) -> bool {
         assert!(!self.inner.finished, "resume of a finished coroutine");
+        self.inner.token = token;
         let inner: *mut CoroInner = std::ptr::addr_of_mut!(*self.inner);
         let prev = CURRENT.with(|c| c.replace(inner));
         // SAFETY: coro_sp points at a validly crafted or previously saved
@@ -381,35 +407,40 @@ impl Coro {
         self.inner.finished
     }
 
-    /// Whether the body has run to completion.
-    pub fn finished(&self) -> bool {
-        self.inner.finished
-    }
-
-    /// Reclaims the stack of a finished coroutine for the pool.
+    /// Retires a finished coroutine: returns the payload of the panic that
+    /// ended its body, if one did, and keeps its stack and bookkeeping for
+    /// this thread's next [`Coro::new`] (or unmaps them if the thread
+    /// already holds [`IDLE_CAP`], or is shutting down).
     ///
     /// # Panics
     ///
     /// Panics if the coroutine has not finished — its stack still holds
     /// live frames.
-    pub fn into_stack(self) -> Stack {
-        assert!(
-            self.inner.finished,
-            "reclaiming the stack of a suspended coroutine"
-        );
-        self.inner.stack
+    pub fn retire(mut self) -> Option<Box<dyn Any + Send>> {
+        assert!(self.inner.finished, "retiring a suspended coroutine");
+        let panic = self.inner.panic.take();
+        // On `Err` the thread's idle list is already destroyed; `self` is
+        // dropped with the unrun closure.
+        let _ = IDLE.try_with(|idle| {
+            let mut idle = idle.borrow_mut();
+            if idle.len() < IDLE_CAP {
+                idle.push(self);
+            }
+        });
+        panic
     }
 }
 
 /// Suspends the currently running coroutine, returning control to whoever
-/// called [`Coro::resume`]. The next `resume` continues right here.
+/// called [`Coro::resume`]. The next `resume` continues right here, and its
+/// token is this call's result.
 ///
 /// # Panics
 ///
 /// Panics when no coroutine is running on this thread: a blocking primitive
 /// was reached from the scheduler's own stack (e.g. a [`VProc`] machine
 /// called a synchronous blocking API instead of returning a [`VStep`]).
-pub fn yield_now() {
+pub fn yield_now() -> u64 {
     let inner = CURRENT.with(|c| c.get());
     assert!(
         !inner.is_null(),
@@ -417,9 +448,12 @@ pub fn yield_now() {
          instead of calling blocking primitives)"
     );
     // SAFETY: we are executing on this coroutine's stack; parent_sp was
-    // saved by the resume that is currently suspended beneath us.
+    // saved by the resume that is currently suspended beneath us. When the
+    // switch returns a later resume is suspended there instead, so this
+    // coroutine again has exclusive access to its state.
     unsafe {
         xk_vproc_switch(&mut (*inner).coro_sp, (*inner).parent_sp);
+        (*inner).token
     }
 }
 
@@ -505,56 +539,66 @@ pub trait VProc: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::{HostId, Sim, SimConfig};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
+
+    /// A coroutine running `f` under a context nothing here looks at.
+    fn coro(f: impl FnOnce() + Send + 'static, fuel: u64) -> Coro {
+        let ctx = Sim::new(SimConfig::inline_mode()).ctx(HostId(0));
+        Coro::new(Box::new(move |_| f()), ctx, fuel)
+    }
+
+    /// Retires `c`, failing the test if its body panicked (an assertion
+    /// inside a body surfaces here).
+    fn retire_clean(c: Coro) {
+        assert!(c.retire().is_none(), "coroutine body panicked");
+    }
 
     #[test]
     fn coroutine_runs_yields_and_resumes() {
         let log = Arc::new(AtomicU64::new(0));
         let l2 = Arc::clone(&log);
-        let mut c = Coro::new(
-            Stack::new(64 * 1024),
-            Box::new(move || {
+        let mut c = coro(
+            move || {
                 l2.store(1, Ordering::SeqCst);
-                yield_now();
+                assert_eq!(yield_now(), 7, "a yield returns its resume's token");
                 l2.store(2, Ordering::SeqCst);
-                yield_now();
+                assert_eq!(yield_now(), 9);
                 l2.store(3, Ordering::SeqCst);
-            }),
+            },
             u64::MAX,
         );
-        assert!(!c.resume());
+        assert!(!c.resume(0));
         assert_eq!(log.load(Ordering::SeqCst), 1);
-        assert!(!c.resume());
+        assert!(!c.resume(7));
         assert_eq!(log.load(Ordering::SeqCst), 2);
-        assert!(c.resume());
+        assert!(c.resume(9));
         assert_eq!(log.load(Ordering::SeqCst), 3);
-        assert!(c.finished());
-        let stack = c.into_stack();
-        assert!(stack.usable() >= 64 * 1024);
+        retire_clean(c);
     }
 
     #[test]
     fn nested_coroutines_interleave_correctly() {
         // A coroutine that resumes another coroutine: parent links nest.
-        let mut inner_coro = Coro::new(
-            Stack::new(64 * 1024),
-            Box::new(|| {
+        let mut inner_coro = coro(
+            || {
                 yield_now();
-            }),
+            },
             u64::MAX,
         );
-        let mut outer = Coro::new(
-            Stack::new(64 * 1024),
-            Box::new(move || {
-                assert!(!inner_coro.resume());
+        let mut outer = coro(
+            move || {
+                assert!(!inner_coro.resume(0));
                 yield_now();
-                assert!(inner_coro.resume());
-            }),
+                assert!(inner_coro.resume(0));
+                retire_clean(inner_coro);
+            },
             u64::MAX,
         );
-        assert!(!outer.resume());
-        assert!(outer.resume());
+        assert!(!outer.resume(0));
+        assert!(outer.resume(0));
+        retire_clean(outer);
     }
 
     #[test]
@@ -567,14 +611,9 @@ mod tests {
                 burn(n - 1) + std::hint::black_box(local[15] - local[0])
             }
         }
-        let mut c = Coro::new(
-            Stack::new(STACK_SIZE),
-            Box::new(|| {
-                assert_eq!(std::hint::black_box(burn(500)), 0);
-            }),
-            u64::MAX,
-        );
-        assert!(c.resume());
+        let mut c = coro(|| assert_eq!(std::hint::black_box(burn(500)), 0), u64::MAX);
+        assert!(c.resume(0));
+        retire_clean(c);
     }
 
     #[test]
@@ -582,19 +621,34 @@ mod tests {
         assert!(!fuel_tick(), "no coroutine running: no tick");
         let hits = Arc::new(AtomicU64::new(0));
         let h2 = Arc::clone(&hits);
-        let mut c = Coro::new(
-            Stack::new(64 * 1024),
-            Box::new(move || {
+        let mut c = coro(
+            move || {
                 for _ in 0..5 {
                     if fuel_tick() {
                         h2.fetch_add(1, Ordering::SeqCst);
                     }
                 }
-            }),
+            },
             3,
         );
-        assert!(c.resume());
+        assert!(c.resume(0));
         assert_eq!(hits.load(Ordering::SeqCst), 1, "exhaustion fires once");
+    }
+
+    #[test]
+    fn a_panicking_body_is_caught_and_a_retired_coroutine_is_reused() {
+        let mut c = coro(|| std::panic::panic_any(42u8), u64::MAX);
+        assert!(c.resume(0), "the panic ends the body; no unwind escapes");
+        let payload = c.retire().expect("the payload is handed over");
+        assert_eq!(payload.downcast_ref::<u8>(), Some(&42));
+        // The next coroutine on this thread runs on the retired one's stack.
+        let before = IDLE.with(|idle| idle.borrow().len());
+        assert!(before >= 1);
+        let mut c = coro(|| {}, u64::MAX);
+        assert_eq!(IDLE.with(|idle| idle.borrow().len()), before - 1);
+        assert!(c.resume(0));
+        retire_clean(c);
+        assert_eq!(IDLE.with(|idle| idle.borrow().len()), before);
     }
 
     #[test]

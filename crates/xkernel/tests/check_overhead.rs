@@ -13,7 +13,7 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -22,18 +22,33 @@ use xkernel::sim::{Sim, SimConfig};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by *this* thread. The harness runs sibling tests on
+    /// other threads at the same time, and a simulation runs wholly on the
+    /// thread that drives it, so a per-thread count is exactly the
+    /// measured loop's.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // A thread being torn down has no counter left; nothing measures then.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+fn allocs_so_far() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -57,12 +72,12 @@ fn allocs_for_sema_loop(cfg: SimConfig) -> (u64, Sim) {
             s.v(ctx);
             s.p(ctx);
         }
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = allocs_so_far();
         for _ in 0..1_000 {
             s.v(ctx);
             s.p(ctx);
         }
-        let after = ALLOCS.load(Ordering::Relaxed);
+        let after = allocs_so_far();
         *o2.lock() = Some(after - before);
     });
     let r = sim.run_until_idle();
@@ -83,6 +98,46 @@ fn disabled_checking_allocates_nothing_on_the_sema_hot_path() {
     assert!(!report.enabled);
     assert_eq!(report.hb_edges, 0, "no edges with checking off");
     assert!(report.violations.is_empty());
+}
+
+/// The slow path is free too: with every observer off, a semaphore
+/// hand-off — V finds a waiter and wakes it, P finds no unit and blocks —
+/// allocates nothing on either side once the waiter queue and the
+/// scheduler's tables are warm.
+#[test]
+fn a_blocking_hand_off_allocates_nothing() {
+    const ROUNDS: u64 = 1_000;
+    let sim = Sim::new(SimConfig::scheduled());
+    let host = Kernel::new(&sim, "host-a").host();
+    let (ping, pong) = (SharedSema::new(0), SharedSema::new(0));
+    let out: Arc<Mutex<Option<u64>>> = Arc::new(Mutex::new(None));
+    let (o2, ping2, pong2) = (Arc::clone(&out), ping.clone(), pong.clone());
+    // Four rounds warm the waiter queues and the scheduler's tables; the
+    // last round is left out too, because in it the peer process retires.
+    const TOTAL: u64 = 4 + ROUNDS + 1;
+    sim.spawn(host, move |ctx| {
+        let mut before = 0;
+        for round in 0..TOTAL {
+            if round == 4 {
+                before = allocs_so_far();
+            }
+            if round == 4 + ROUNDS {
+                *o2.lock() = Some(allocs_so_far() - before);
+            }
+            ping2.v(ctx);
+            pong2.p(ctx);
+        }
+    });
+    sim.spawn(host, move |ctx| {
+        for _ in 0..TOTAL {
+            ping.p(ctx);
+            pong.v(ctx);
+        }
+    });
+    let r = sim.run_until_idle();
+    assert_eq!(r.blocked, 0);
+    assert!(r.events >= 2 * ROUNDS, "each round blocks and wakes twice");
+    assert_eq!(out.lock().take(), Some(0), "2,000 hand-offs, no allocation");
 }
 
 #[test]

@@ -10,7 +10,7 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -19,18 +19,33 @@ use xkernel::sim::{Sim, SimConfig};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by *this* thread. The harness runs sibling tests on
+    /// other threads at the same time, and a simulation runs wholly on the
+    /// thread that drives it, so a per-thread count is exactly the
+    /// measured loop's.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // A thread being torn down has no counter left; nothing measures then.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+fn allocs_so_far() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -54,13 +69,13 @@ fn allocs_for_hot_loop(cfg: SimConfig) -> (u64, Sim) {
             ctx.trace_note("warm");
             let _g = ctx.enter_layer(ProtoId(0), EventKind::Push, 0);
         }
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = allocs_so_far();
         for _ in 0..1_000 {
             ctx.charge_class(OpClass::Compute, 3);
             ctx.trace_note("hot");
             let _g = ctx.enter_layer(ProtoId(0), EventKind::Push, 64);
         }
-        let after = ALLOCS.load(Ordering::Relaxed);
+        let after = allocs_so_far();
         *o2.lock() = Some(after - before);
     });
     let r = sim.run_until_idle();
@@ -82,6 +97,33 @@ fn disabled_tracing_allocates_nothing_on_the_hot_path() {
         sim.cost_breakdown().is_empty(),
         "no ledger with tracing off"
     );
+}
+
+/// The blocking path is as free as the charging path: with every observer
+/// off, a `Ctx::sleep` — block, timer wake, resume — touches the heap not
+/// once. The event is filed in a reused table slot, the timeline's buffer
+/// is warm, and the process is woken by moving its continuation, not by
+/// looking it up.
+#[test]
+fn a_sleep_and_its_wake_up_allocate_nothing() {
+    let sim = Sim::new(SimConfig::scheduled());
+    let host = Kernel::new(&sim, "host-a").host();
+    let out: Arc<Mutex<Option<u64>>> = Arc::new(Mutex::new(None));
+    let o2 = Arc::clone(&out);
+    sim.spawn(host, move |ctx| {
+        for _ in 0..4 {
+            ctx.sleep(10);
+        }
+        let before = allocs_so_far();
+        for _ in 0..1_000 {
+            ctx.sleep(10);
+        }
+        *o2.lock() = Some(allocs_so_far() - before);
+    });
+    let r = sim.run_until_idle();
+    assert_eq!(r.blocked, 0);
+    assert_eq!(r.events, 1 + 1_004, "one spawn, one wake per sleep");
+    assert_eq!(out.lock().take(), Some(0), "1,000 sleeps, no allocation");
 }
 
 #[test]
