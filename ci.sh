@@ -80,6 +80,27 @@ if [ -z "$(method_bodies charge_clock)" ] ||
     exit 1
 fi
 
+echo "==> crossing-gate: no hand-rolled demux table, no clone per layer crossing"
+# Every protocol's demux tables are xkernel::map's (lock-free enable side,
+# one-acquisition session side; DESIGN.md §12), and a crossing reaches its
+# kernel through the borrowing `Ctx::kernel_ref()`. A `Mutex<HashMap<..>>`
+# trio copied into one more protocol, or the cloning `ctx.kernel().open(..)`
+# spelling, would pass every test and quietly put the locks, the SipHash and
+# the `Arc` traffic back on the path, so their absence is a gate.
+TABLE_DIRS="crates/core/src crates/inet/src crates/sunrpc/src crates/psync/src crates/simnet/src
+            crates/xkernel/src/kernel.rs crates/xkernel/src/shim.rs"
+# shellcheck disable=SC2086
+if hits=$(grep -rnE 'Mutex<HashMap|RwLock<HashMap|Mutex<BTreeMap' $TABLE_DIRS); then
+    echo "ci: crossing-gate: a hand-rolled locked table is back (use xkernel::map):" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+if hits=$(grep -rnE '\.kernel\(\)\.(demux_to|open|open_enable|control|open_done)\(' crates/*/src); then
+    echo "ci: crossing-gate: a crossing clones its kernel (use ctx.kernel_ref()):" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+
 echo "==> vproc-smoke: 100k-client closed loop on stackless machines"
 # One persistent machine per client plus a transient coroutine per
 # in-flight call. The binary asserts every call completes, nothing is left

@@ -20,12 +20,12 @@
 //! fragmentation layer is not in the middle of transmitting the message".
 
 use std::any::Any;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::Mutex;
 
+use xkernel::map::EnableSnapshot;
 use xkernel::prelude::*;
 use xkernel::sim::Nanos;
 
@@ -282,7 +282,11 @@ impl Session for ChanClientSession {
     }
 }
 
+#[derive(Clone)]
 struct ServerState {
+    // The lower session replies travel down on; refreshed on each request
+    // so replies follow the path the latest request arrived by.
+    lls: SessionRef,
     last_boot: u32,
     last_seq: u32,
     in_progress: Option<u32>,
@@ -294,9 +298,6 @@ pub struct ChanServerSession {
     parent: Arc<Channel>,
     chan: u16,
     proto_num: u32,
-    // The lower session replies travel down on; refreshed on each request
-    // so replies follow the path the latest request arrived by.
-    lls: Mutex<SessionRef>,
     st: Mutex<ServerState>,
 }
 
@@ -307,12 +308,12 @@ impl Session for ChanServerSession {
 
     /// The high-level protocol pushes the *reply* into the server channel.
     fn push(&self, ctx: &Ctx, msg: Message) -> XResult<Option<Message>> {
-        let seq = {
-            let mut st = self.st.lock();
-            st.in_progress.take().ok_or_else(|| {
-                XError::Config(format!("channel {}: reply without request", self.chan))
-            })?
-        };
+        // One acquisition for the whole reply: building the header only
+        // charges, and the lock is gone before the push below crosses.
+        let mut st = self.st.lock();
+        let seq = st.in_progress.take().ok_or_else(|| {
+            XError::Config(format!("channel {}: reply without request", self.chan))
+        })?;
         let hdr = ChannelHdr {
             flags: flags::REPLY,
             channel: self.chan,
@@ -323,14 +324,12 @@ impl Session for ChanServerSession {
         };
         let mut wire = msg;
         ctx.push_header(&mut wire, &hdr.encode());
-        {
-            let mut st = self.st.lock();
-            st.last_seq = seq;
-            // Retain the encoded reply until implicitly acknowledged by the
-            // next request on this channel.
-            st.saved_reply = Some((seq, wire.clone()));
-        }
-        let lls = Arc::clone(&self.lls.lock());
+        st.last_seq = seq;
+        // Retain the encoded reply until implicitly acknowledged by the
+        // next request on this channel.
+        st.saved_reply = Some((seq, wire.clone()));
+        let lls = Arc::clone(&st.lls);
+        drop(st);
         ctx.charge_layer_call();
         lls.push(ctx, wire)?;
         Ok(None)
@@ -348,7 +347,7 @@ impl Session for ChanServerSession {
                 Ok(ControlRes::Done)
             }
             other => {
-                let lls = Arc::clone(&self.lls.lock());
+                let lls = Arc::clone(&self.st.lock().lls);
                 lls.control(ctx, other)
             }
         }
@@ -367,13 +366,18 @@ pub struct Channel {
     cfg: ChanConfig,
     tunables: Tunables,
     lower_name: OnceLock<&'static str>,
-    boot: Mutex<u32>,
-    next_chan: Mutex<u16>,
+    boot: AtomicU32,
+    next_chan: AtomicU16,
     estimator: Mutex<RtoEstimator>,
-    enables: Mutex<HashMap<u32, ProtoId>>,
-    clients: Mutex<HashMap<(u16, u32), Arc<ChanClientSession>>>,
-    servers: Mutex<HashMap<(PeerKey, u16, u32), Arc<ChanServerSession>>>,
+    enables: EnableMap<u32>,
+    clients: SessionMap<ClientKey, Arc<ChanClientSession>>,
+    servers: SessionMap<ServerKey, Arc<ChanServerSession>>,
 }
+
+/// Client channels are keyed `(channel, protocol number)`.
+type ClientKey = (u16, u32);
+/// Server channels are keyed `(peer, channel, protocol number)`.
+type ServerKey = (PeerKey, u16, u32);
 
 impl Channel {
     /// Creates CHANNEL above `lower` (FRAGMENT, a virtual protocol, IP, or
@@ -391,16 +395,16 @@ impl Channel {
             },
             cfg,
             lower_name: OnceLock::new(),
-            boot: Mutex::new(0),
-            next_chan: Mutex::new(0),
+            boot: AtomicU32::new(0),
+            next_chan: AtomicU16::new(0),
             estimator: Mutex::new(RtoEstimator::new(
                 cfg.base_timeout_ns,
                 cfg.min_rto_ns,
                 cfg.max_rto_ns,
             )),
-            enables: Mutex::new(HashMap::new()),
-            clients: Mutex::new(HashMap::new()),
-            servers: Mutex::new(HashMap::new()),
+            enables: EnableMap::new(),
+            clients: SessionMap::new(),
+            servers: SessionMap::new(),
         })
     }
 
@@ -410,12 +414,12 @@ impl Channel {
 
     /// This kernel's boot incarnation id.
     pub fn boot_id(&self) -> u32 {
-        *self.boot.lock()
+        self.boot.load(Ordering::Relaxed)
     }
 
     /// Overrides the boot id (tests simulate reboot/reincarnation).
     pub fn set_boot_id(&self, id: u32) {
-        *self.boot.lock() = id;
+        self.boot.store(id, Ordering::Relaxed);
     }
 
     /// Allocates a fresh, kernel-unique channel number. Skips numbers that
@@ -425,11 +429,10 @@ impl Channel {
     /// never issued — fresh counters start above it, so a post-wrap 0 would
     /// be an id no other allocation path can produce.
     pub fn alloc_channel(&self) -> u16 {
-        let mut c = self.next_chan.lock();
         let clients = self.clients.lock();
         for _ in 0..=u16::MAX as u32 {
-            *c = c.wrapping_add(1);
-            let cand = *c;
+            let cand = self.next_chan.load(Ordering::Relaxed).wrapping_add(1);
+            self.next_chan.store(cand, Ordering::Relaxed);
             if cand == 0 {
                 continue;
             }
@@ -483,43 +486,38 @@ impl Channel {
     ) -> XResult<()> {
         let pk = peer_key(ctx, lls)?;
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
-        let sess = {
-            let mut servers = self.servers.lock();
-            match servers.get(&(pk, hdr.channel, hdr.protocol_num)) {
-                Some(s) => {
-                    *s.lls.lock() = Arc::clone(lls);
-                    Arc::clone(s)
-                }
-                None => {
+        let mut created = false;
+        let sess =
+            self.servers
+                .resolve_or_insert_with((pk, hdr.channel, hdr.protocol_num), || {
+                    created = true;
                     ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-                    let s = Arc::new(ChanServerSession {
+                    Ok(Arc::new(ChanServerSession {
                         parent: self.self_arc(),
                         chan: hdr.channel,
                         proto_num: hdr.protocol_num,
-                        lls: Mutex::new(Arc::clone(lls)),
                         st: Mutex::new(ServerState {
+                            lls: Arc::clone(lls),
                             last_boot: hdr.boot_id,
                             last_seq: 0,
                             in_progress: None,
                             saved_reply: None,
                         }),
-                    });
-                    servers.insert((pk, hdr.channel, hdr.protocol_num), Arc::clone(&s));
-                    drop(servers);
-                    // The open-done upcall: tell the high-level protocol a
-                    // session was passively created on its behalf,
-                    // completing its earlier open_enable.
-                    if let Some(upper) = self.enables.lock().get(&hdr.protocol_num).copied() {
-                        let parts = ParticipantSet::local(
-                            Participant::proto(hdr.protocol_num).with_port(hdr.channel),
-                        );
-                        let sref: SessionRef = Arc::clone(&s) as SessionRef;
-                        ctx.kernel().open_done(ctx, upper, self.me, &sref, &parts)?;
-                    }
-                    s
-                }
+                    }))
+                })?;
+        if created {
+            // The open-done upcall: tell the high-level protocol a session
+            // was passively created on its behalf, completing its earlier
+            // open_enable.
+            if let Some(&upper) = self.enables.resolve(&hdr.protocol_num) {
+                let parts = ParticipantSet::local(
+                    Participant::proto(hdr.protocol_num).with_port(hdr.channel),
+                );
+                let sref: SessionRef = Arc::clone(&sess) as SessionRef;
+                ctx.kernel_ref()
+                    .open_done(ctx, upper, self.me, &sref, &parts)?;
             }
-        };
+        }
 
         enum Action {
             Deliver,
@@ -529,6 +527,9 @@ impl Channel {
         }
         let action = {
             let mut st = sess.st.lock();
+            if !Arc::ptr_eq(&st.lls, lls) {
+                st.lls = Arc::clone(lls);
+            }
             if hdr.boot_id != st.last_boot {
                 // Client reincarnated: reset at-most-once state.
                 st.last_boot = hdr.boot_id;
@@ -583,11 +584,10 @@ impl Channel {
                 Ok(())
             }
             Action::Deliver => {
-                let upper = self.enables.lock().get(&hdr.protocol_num).copied();
-                match upper {
-                    Some(upper) => {
+                match self.enables.resolve(&hdr.protocol_num) {
+                    Some(&upper) => {
                         let sref: SessionRef = sess;
-                        ctx.kernel().demux_to(ctx, upper, &sref, msg)
+                        ctx.kernel_ref().demux_to(ctx, upper, &sref, msg)
                     }
                     None => {
                         // No such service: answer with an error reply so the
@@ -614,19 +614,19 @@ impl Channel {
 
     fn reply_or_ack_in(&self, ctx: &Ctx, hdr: ChannelHdr, msg: Message) -> XResult<()> {
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
-        let client = self
-            .clients
-            .lock()
-            .get(&(hdr.channel, hdr.protocol_num))
-            .cloned();
-        let Some(client) = client else {
+        let Some(client) = self.clients.resolve(&(hdr.channel, hdr.protocol_num)) else {
             ctx.trace_note("reply for unknown channel");
             return Ok(());
         };
         // Peer reincarnation check, *before* taking this client's state
         // lock (the reset below locks the map and then each session; no
         // path may hold a session lock while acquiring the map's).
-        let prev = self.tunables.peer_boot.swap(hdr.boot_id, Ordering::Relaxed);
+        let prev = self.tunables.peer_boot.load(Ordering::Relaxed);
+        if prev != hdr.boot_id {
+            self.tunables
+                .peer_boot
+                .store(hdr.boot_id, Ordering::Relaxed);
+        }
         if prev != 0 && prev != hdr.boot_id {
             ctx.trace_note("peer rebooted");
             // Sequence numbers and RTT history from the old incarnation
@@ -681,12 +681,12 @@ impl Protocol for Channel {
     }
 
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
-        let kernel = ctx.kernel();
-        let lower = kernel.proto(self.lower)?;
+        let kernel = ctx.kernel_ref();
+        let lower = kernel.proto_ref(self.lower)?;
         self.lower_name
             .set(lower.name())
             .map_err(|_| XError::Config("channel double boot".into()))?;
-        *self.boot.lock() = (ctx.next_u64() & 0xffff_ffff) as u32 | 1;
+        self.set_boot_id((ctx.next_u64() & 0xffff_ffff) as u32 | 1);
         let parts =
             ParticipantSet::local(Participant::proto(rel_proto_num(lower.name(), "channel")?));
         kernel.open_enable(ctx, self.lower, self.me, &parts)
@@ -695,9 +695,9 @@ impl Protocol for Channel {
     fn reboot(&self, ctx: &Ctx) -> XResult<()> {
         // Fresh incarnation: a new boot id and no surviving channels; the
         // graph wiring (enables, lower binding) persists from build time.
-        *self.boot.lock() = (ctx.next_u64() & 0xffff_ffff) as u32 | 1;
-        self.clients.lock().clear();
-        self.servers.lock().clear();
+        self.set_boot_id((ctx.next_u64() & 0xffff_ffff) as u32 | 1);
+        self.clients.clear();
+        self.servers.clear();
         self.tunables.peer_boot.store(0, Ordering::Relaxed);
         self.tunables
             .base_timeout_ns
@@ -728,31 +728,27 @@ impl Protocol for Channel {
             Some(c) => c,
             None => self.alloc_channel(),
         };
-        if let Some(s) = self.clients.lock().get(&(chan, proto_num)) {
-            return Ok(Arc::clone(s) as SessionRef);
-        }
-        ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-        let lname = self.lower_name.get().expect("channel booted");
-        let lparts = ParticipantSet::pair(
-            Participant::proto(rel_proto_num(lname, "channel")?),
-            Participant::host(peer),
-        );
-        let lower = ctx.kernel().open(ctx, self.lower, self.me, &lparts)?;
-        let s = Arc::new(ChanClientSession {
-            parent: self.self_arc(),
-            chan,
-            proto_num,
-            peer,
-            lower,
-            st: Mutex::new(ClientState {
-                seq: 0,
-                outstanding: None,
-            }),
-        });
-        self.clients
-            .lock()
-            .insert((chan, proto_num), Arc::clone(&s));
-        Ok(s)
+        let session = self.clients.resolve_or_open((chan, proto_num), || {
+            ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
+            let lname = self.lower_name.get().expect("channel booted");
+            let lparts = ParticipantSet::pair(
+                Participant::proto(rel_proto_num(lname, "channel")?),
+                Participant::host(peer),
+            );
+            let lower = ctx.kernel_ref().open(ctx, self.lower, self.me, &lparts)?;
+            Ok(Arc::new(ChanClientSession {
+                parent: self.self_arc(),
+                chan,
+                proto_num,
+                peer,
+                lower,
+                st: Mutex::new(ClientState {
+                    seq: 0,
+                    outstanding: None,
+                }),
+            }))
+        })?;
+        Ok(session)
     }
 
     fn open_enable(&self, _ctx: &Ctx, upper: ProtoId, parts: &ParticipantSet) -> XResult<()> {
@@ -760,7 +756,7 @@ impl Protocol for Channel {
             .local_part()
             .and_then(|p| p.proto_num)
             .ok_or_else(|| XError::Config("channel enable needs a protocol number".into()))?;
-        self.enables.lock().insert(proto_num, upper);
+        self.enables.bind(proto_num, upper);
         Ok(())
     }
 
@@ -784,12 +780,12 @@ impl Protocol for Channel {
             ControlOp::GetMyBootId => Ok(ControlRes::U32(self.boot_id())),
             ControlOp::GetRtt => Ok(ControlRes::U64(self.rtt_estimate())),
             ControlOp::GetFragCount(n) => {
-                ctx.kernel()
+                ctx.kernel_ref()
                     .control(ctx, self.lower, &ControlOp::GetFragCount(*n))
             }
             ControlOp::GetMaxPacket => {
                 let r = ctx
-                    .kernel()
+                    .kernel_ref()
                     .control(ctx, self.lower, &ControlOp::GetMaxPacket)?;
                 Ok(ControlRes::Size(r.size()?.saturating_sub(CHANNEL_HDR_LEN)))
             }
@@ -821,34 +817,24 @@ impl Protocol for Channel {
                     st.outstanding.is_none(),
                     "channel snapshot with an outstanding request (not quiescent)"
                 );
-                (*k, (Arc::clone(c), st.seq))
+                (*k, Arc::clone(c), st.seq)
             })
             .collect();
         let servers = self
             .servers
             .lock()
             .iter()
-            .map(|(k, srv)| {
-                let st = srv.st.lock();
-                let snap = ServerSnap {
-                    lls: Arc::clone(&srv.lls.lock()),
-                    last_boot: st.last_boot,
-                    last_seq: st.last_seq,
-                    in_progress: st.in_progress,
-                    saved_reply: st.saved_reply.clone(),
-                };
-                (*k, (Arc::clone(srv), snap))
-            })
+            .map(|(k, srv)| (*k, Arc::clone(srv), srv.st.lock().clone()))
             .collect();
         Some(Arc::new(ChanSnap {
             boot: self.boot_id(),
-            next_chan: *self.next_chan.lock(),
+            next_chan: self.next_chan.load(Ordering::Relaxed),
             estimator: self.estimator.lock().clone(),
             base_timeout_ns: self.tunables.base_timeout_ns.load(Ordering::Relaxed),
             peer_boot: self.tunables.peer_boot.load(Ordering::Relaxed),
             adaptive: self.tunables.adaptive.load(Ordering::Relaxed),
             max_backoff: self.tunables.max_backoff.load(Ordering::Relaxed),
-            enables: self.enables.lock().clone(),
+            enables: self.enables.snapshot(),
             clients,
             servers,
         }))
@@ -856,8 +842,8 @@ impl Protocol for Channel {
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<ChanSnap>(blob, "channel")?;
-        *self.boot.lock() = s.boot;
-        *self.next_chan.lock() = s.next_chan;
+        self.set_boot_id(s.boot);
+        self.next_chan.store(s.next_chan, Ordering::Relaxed);
         *self.estimator.lock() = s.estimator.clone();
         self.tunables
             .base_timeout_ns
@@ -869,29 +855,22 @@ impl Protocol for Channel {
         self.tunables
             .max_backoff
             .store(s.max_backoff, Ordering::Relaxed);
-        *self.enables.lock() = s.enables.clone();
+        self.enables.restore(&s.enables);
         {
             let mut clients = self.clients.lock();
             clients.clear();
-            for (k, (sess, seq)) in &s.clients {
+            for (k, sess, seq) in &s.clients {
                 let mut st = sess.st.lock();
                 st.seq = *seq;
                 st.outstanding = None;
                 clients.insert(*k, Arc::clone(sess));
             }
         }
-        {
-            let mut servers = self.servers.lock();
-            servers.clear();
-            for (k, (sess, snap)) in &s.servers {
-                *sess.lls.lock() = Arc::clone(&snap.lls);
-                let mut st = sess.st.lock();
-                st.last_boot = snap.last_boot;
-                st.last_seq = snap.last_seq;
-                st.in_progress = snap.in_progress;
-                st.saved_reply = snap.saved_reply.clone();
-                servers.insert(*k, Arc::clone(sess));
-            }
+        let mut servers = self.servers.lock();
+        servers.clear();
+        for (k, sess, st) in &s.servers {
+            *sess.st.lock() = st.clone();
+            servers.insert(*k, Arc::clone(sess));
         }
         Ok(())
     }
@@ -899,14 +878,6 @@ impl Protocol for Channel {
     fn as_any(&self) -> &dyn Any {
         self
     }
-}
-
-struct ServerSnap {
-    lls: SessionRef,
-    last_boot: u32,
-    last_seq: u32,
-    in_progress: Option<u32>,
-    saved_reply: Option<(u32, Message)>,
 }
 
 struct ChanSnap {
@@ -917,7 +888,7 @@ struct ChanSnap {
     peer_boot: u32,
     adaptive: bool,
     max_backoff: u32,
-    enables: HashMap<u32, ProtoId>,
-    clients: HashMap<(u16, u32), (Arc<ChanClientSession>, u32)>,
-    servers: HashMap<(PeerKey, u16, u32), (Arc<ChanServerSession>, ServerSnap)>,
+    enables: EnableSnapshot,
+    clients: Vec<(ClientKey, Arc<ChanClientSession>, u32)>,
+    servers: Vec<(ServerKey, Arc<ChanServerSession>, ServerState)>,
 }

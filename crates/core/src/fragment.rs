@@ -18,12 +18,12 @@
 //!   arriving later is a *new* FRAGMENT message with a new sequence number.
 
 use std::any::Any;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::Mutex;
 
+use xkernel::map::{EnableSnapshot, MixMap, SessionSnapshot};
 use xkernel::prelude::*;
 use xkernel::sim::Nanos;
 
@@ -114,13 +114,13 @@ pub struct Fragment {
     my_ip: OnceLock<IpAddr>,
     lower_name: OnceLock<&'static str>,
     base_frag_size: OnceLock<usize>,
-    next_seq: Mutex<u32>,
-    enables: Mutex<HashMap<u32, ProtoId>>,
+    next_seq: AtomicU32,
+    enables: EnableMap<u32>,
     // Retained sent messages, insertion-ordered for LRU eviction.
     send_cache: Mutex<Vec<(u32, Saved)>>,
-    rasm: Mutex<HashMap<(u32, u32), Rasm>>,
-    passive: Mutex<HashMap<(u32, u32), SessionRef>>,
-    lowers: Mutex<HashMap<u32, (SessionRef, usize)>>,
+    rasm: Mutex<MixMap<(u32, u32), Rasm>>,
+    passive: SessionMap<(u32, u32)>,
+    lowers: SessionMap<u32, (SessionRef, usize)>,
     counters: Counters,
 }
 
@@ -136,12 +136,12 @@ impl Fragment {
             my_ip: OnceLock::new(),
             lower_name: OnceLock::new(),
             base_frag_size: OnceLock::new(),
-            next_seq: Mutex::new(0),
-            enables: Mutex::new(HashMap::new()),
+            next_seq: AtomicU32::new(0),
+            enables: EnableMap::new(),
             send_cache: Mutex::new(Vec::new()),
-            rasm: Mutex::new(HashMap::new()),
-            passive: Mutex::new(HashMap::new()),
-            lowers: Mutex::new(HashMap::new()),
+            rasm: Mutex::new(MixMap::default()),
+            passive: SessionMap::new(),
+            lowers: SessionMap::new(),
             counters: Counters::default(),
         })
     }
@@ -160,23 +160,18 @@ impl Fragment {
 
     /// The lower session (and its fragment payload size) towards `peer`.
     fn lower_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<(SessionRef, usize)> {
-        if let Some(hit) = self.lowers.lock().get(&peer.0) {
-            return Ok(hit.clone());
-        }
-        let parts = ParticipantSet::pair(
-            Participant::proto(self.my_rel_num()?),
-            Participant::host(peer),
-        );
-        let sess = ctx.kernel().open(ctx, self.lower, self.me, &parts)?;
-        let opt = sess
-            .control(ctx, &ControlOp::GetOptPacket)
-            .and_then(|r| r.size())
-            .unwrap_or(1500);
-        let frag_size = opt - FRAGMENT_HDR_LEN;
-        self.lowers
-            .lock()
-            .insert(peer.0, (Arc::clone(&sess), frag_size));
-        Ok((sess, frag_size))
+        self.lowers.resolve_or_open(peer.0, || {
+            let parts = ParticipantSet::pair(
+                Participant::proto(self.my_rel_num()?),
+                Participant::host(peer),
+            );
+            let sess = ctx.kernel_ref().open(ctx, self.lower, self.me, &parts)?;
+            let opt = sess
+                .control(ctx, &ControlOp::GetOptPacket)
+                .and_then(|r| r.size())
+                .unwrap_or(1500);
+            Ok((sess, opt - FRAGMENT_HDR_LEN))
+        })
     }
 
     /// Splits `msg` (zero-copy) into its fragments under `frag_size`.
@@ -246,11 +241,10 @@ impl Fragment {
                 max: (u16::MAX as usize).min(MAX_FRAGS * frag_size),
             });
         }
-        let seq = {
-            let mut s = self.next_seq.lock();
-            *s = s.wrapping_add(1);
-            *s
-        };
+        let seq = self
+            .next_seq
+            .fetch_add(1, Ordering::Relaxed)
+            .wrapping_add(1);
         self.counters.messages_sent.fetch_add(1, Ordering::Relaxed);
         // Sequence allocation + retained-copy bookkeeping.
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
@@ -290,29 +284,21 @@ impl Fragment {
             .messages_delivered
             .fetch_add(1, Ordering::Relaxed);
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
-        let upper = self
+        let upper = *self
             .enables
-            .lock()
-            .get(&proto_num)
-            .copied()
+            .resolve(&proto_num)
             .ok_or_else(|| XError::NoEnable(format!("fragment proto {proto_num}")))?;
-        let sess = {
-            let mut cache = self.passive.lock();
-            match cache.get(&(from.0, proto_num)) {
-                Some(s) => Arc::clone(s),
-                None => {
-                    ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-                    let s: SessionRef = Arc::new(FragSession {
-                        parent: self.self_arc(),
-                        peer: from,
-                        proto_num,
-                    });
-                    cache.insert((from.0, proto_num), Arc::clone(&s));
-                    s
-                }
-            }
-        };
-        ctx.kernel().demux_to(ctx, upper, &sess, msg)
+        let sess = self
+            .passive
+            .resolve_or_insert_with((from.0, proto_num), || {
+                ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
+                Ok(Arc::new(FragSession {
+                    parent: self.self_arc(),
+                    peer: from,
+                    proto_num,
+                }) as SessionRef)
+            })?;
+        ctx.kernel_ref().demux_to(ctx, upper, &sess, msg)
     }
 
     fn arm_gap_timer(&self, ctx: &Ctx, key: (u32, u32)) {
@@ -557,8 +543,8 @@ impl Protocol for Fragment {
     }
 
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
-        let kernel = ctx.kernel();
-        let lower = kernel.proto(self.lower)?;
+        let kernel = ctx.kernel_ref();
+        let lower = kernel.proto_ref(self.lower)?;
         self.lower_name
             .set(lower.name())
             .map_err(|_| XError::Config("fragment double boot".into()))?;
@@ -583,8 +569,8 @@ impl Protocol for Fragment {
         // message ids could collide with stale partials on peers.
         self.send_cache.lock().clear();
         self.rasm.lock().clear();
-        self.passive.lock().clear();
-        self.lowers.lock().clear();
+        self.passive.clear();
+        self.lowers.clear();
         Ok(())
     }
 
@@ -610,7 +596,7 @@ impl Protocol for Fragment {
             .local_part()
             .and_then(|p| p.proto_num)
             .ok_or_else(|| XError::Config("fragment enable needs a protocol number".into()))?;
-        self.enables.lock().insert(proto_num, upper);
+        self.enables.bind(proto_num, upper);
         Ok(())
     }
 
@@ -657,10 +643,10 @@ impl Protocol for Fragment {
             "fragment snapshot with retained/partial messages (not quiescent)"
         );
         Some(Arc::new(FragSnap {
-            next_seq: *self.next_seq.lock(),
-            enables: self.enables.lock().clone(),
-            passive: self.passive.lock().clone(),
-            lowers: self.lowers.lock().clone(),
+            next_seq: self.next_seq.load(Ordering::Relaxed),
+            enables: self.enables.snapshot(),
+            passive: self.passive.snapshot(),
+            lowers: self.lowers.snapshot(),
             stats: self.stats(),
         }))
     }
@@ -669,10 +655,10 @@ impl Protocol for Fragment {
         let s = snap_downcast::<FragSnap>(blob, "fragment")?;
         self.send_cache.lock().clear();
         self.rasm.lock().clear();
-        *self.next_seq.lock() = s.next_seq;
-        *self.enables.lock() = s.enables.clone();
-        *self.passive.lock() = s.passive.clone();
-        *self.lowers.lock() = s.lowers.clone();
+        self.next_seq.store(s.next_seq, Ordering::Relaxed);
+        self.enables.restore(&s.enables);
+        self.passive.restore(&s.passive);
+        self.lowers.restore(&s.lowers);
         self.counters
             .messages_sent
             .store(s.stats.messages_sent, Ordering::Relaxed);
@@ -699,9 +685,9 @@ impl Protocol for Fragment {
 #[derive(Clone)]
 struct FragSnap {
     next_seq: u32,
-    enables: HashMap<u32, ProtoId>,
-    passive: HashMap<(u32, u32), SessionRef>,
-    lowers: HashMap<u32, (SessionRef, usize)>,
+    enables: EnableSnapshot,
+    passive: SessionSnapshot<(u32, u32), SessionRef>,
+    lowers: SessionSnapshot<u32, (SessionRef, usize)>,
     stats: FragStats,
 }
 

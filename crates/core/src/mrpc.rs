@@ -17,11 +17,12 @@
 //! client retransmit only the fragments the server is missing.
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::sync::atomic::{AtomicU16, AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
+use xkernel::map::SessionSnapshot;
 use xkernel::prelude::*;
 use xkernel::shepherd::{Overload, ShepherdConfig, ShepherdStats, Shepherds, Submitted};
 use xkernel::sim::Nanos;
@@ -108,6 +109,18 @@ struct Pool {
     free: Mutex<Vec<Arc<MChan>>>,
 }
 
+/// The lower session towards a peer with the fragment payload it allows.
+type LowerPath = (SessionRef, usize);
+
+/// Everything kept per peer host, in one table so a call resolves it with
+/// one acquisition: the lower session (both roles use it) and, once this
+/// host has called the peer, the fixed client channel pool.
+#[derive(Clone)]
+struct Peer {
+    lower: LowerPath,
+    pool: Option<Arc<Pool>>,
+}
+
 #[derive(Clone)]
 struct ServerState {
     last_boot: u32,
@@ -121,6 +134,10 @@ struct ServerState {
     req_parts: Vec<Option<Message>>,
     saved_reply_seq: u32,
     saved_reply: Vec<Message>,
+    // The path replies take, cached from the peer table on first use so a
+    // warm request costs the server one table lookup, not two. Lives in the
+    // restorable state: it rewinds (and dies at reboot) with the table.
+    reply_path: Option<LowerPath>,
 }
 
 struct MServer {
@@ -141,14 +158,13 @@ pub struct Mrpc {
     cfg: MrpcConfig,
     lower_name: OnceLock<&'static str>,
     my_ip: OnceLock<IpAddr>,
-    boot: Mutex<u32>,
-    next_chan: Mutex<u16>,
-    handlers: RwLock<HashMap<u16, Handler>>,
-    pools: Mutex<HashMap<u32, Arc<Pool>>>,
-    chans: Mutex<HashMap<u16, Arc<MChan>>>,
-    servers: Mutex<HashMap<(u32, u16), Arc<MServer>>>,
-    sessions: Mutex<HashMap<(u32, u16), SessionRef>>,
-    lowers: Mutex<HashMap<u32, (SessionRef, usize)>>,
+    boot: AtomicU32,
+    next_chan: AtomicU16,
+    handlers: EnableMap<u16, Handler>,
+    peers: SessionMap<u32, Peer>,
+    chans: SessionMap<u16, Arc<MChan>>,
+    servers: SessionMap<(u32, u16), Arc<MServer>>,
+    sessions: SessionMap<(u32, u16)>,
     shepherds: Arc<Shepherds>,
 }
 
@@ -164,14 +180,13 @@ impl Mrpc {
             cfg,
             lower_name: OnceLock::new(),
             my_ip: OnceLock::new(),
-            boot: Mutex::new(0),
-            next_chan: Mutex::new(0),
-            handlers: RwLock::new(HashMap::new()),
-            pools: Mutex::new(HashMap::new()),
-            chans: Mutex::new(HashMap::new()),
-            servers: Mutex::new(HashMap::new()),
-            sessions: Mutex::new(HashMap::new()),
-            lowers: Mutex::new(HashMap::new()),
+            boot: AtomicU32::new(0),
+            next_chan: AtomicU16::new(0),
+            handlers: EnableMap::new(),
+            peers: SessionMap::new(),
+            chans: SessionMap::new(),
+            servers: SessionMap::new(),
+            sessions: SessionMap::new(),
             shepherds: Shepherds::new(cfg.shepherds),
         })
     }
@@ -191,12 +206,12 @@ impl Mrpc {
 
     /// This kernel's boot incarnation.
     pub fn boot_id(&self) -> u32 {
-        *self.boot.lock()
+        self.boot.load(Ordering::Relaxed)
     }
 
     /// Overrides the boot id (tests simulate reincarnation).
     pub fn set_boot_id(&self, id: u32) {
-        *self.boot.lock() = id;
+        self.boot.store(id, Ordering::Relaxed);
     }
 
     /// Registers the procedure for `command`.
@@ -204,57 +219,58 @@ impl Mrpc {
     where
         F: Fn(&Ctx, Message) -> XResult<Message> + Send + Sync + 'static,
     {
-        self.handlers.write().insert(command, Box::new(f));
+        self.handlers.replace(command, Box::new(f));
     }
 
-    fn lower_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<(SessionRef, usize)> {
-        if let Some(hit) = self.lowers.lock().get(&peer.0) {
-            return Ok(hit.clone());
-        }
-        let lname = self.lower_name.get().expect("mrpc booted");
-        let mut remote = Participant::host(peer);
-        if *lname == "eth" {
-            // Raw Ethernet below: map the peer's internet address to its
-            // hardware address, exactly as VIP does.
-            let arp = self.arp.ok_or_else(|| {
-                XError::Config("sprite over raw eth needs an arp capability".into())
-            })?;
-            let hw = ctx
-                .kernel()
-                .control(ctx, arp, &ControlOp::Resolve(peer))?
-                .eth()?;
-            remote = remote.with_eth(hw);
-        }
-        let parts =
-            ParticipantSet::pair(Participant::proto(rel_proto_num(lname, "sprite")?), remote);
-        let sess = ctx.kernel().open(ctx, self.lower, self.me, &parts)?;
-        let opt = sess
-            .control(ctx, &ControlOp::GetOptPacket)
-            .and_then(|r| r.size())
-            .unwrap_or(1500);
-        let frag_size = opt - SPRITE_HDR_LEN;
-        self.lowers
-            .lock()
-            .insert(peer.0, (Arc::clone(&sess), frag_size));
-        Ok((sess, frag_size))
+    /// The table entry for `peer`, opening its lower session on first use.
+    fn peer_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<Peer> {
+        self.peers.resolve_or_open(peer.0, || {
+            let lname = self.lower_name.get().expect("mrpc booted");
+            let mut remote = Participant::host(peer);
+            if *lname == "eth" {
+                // Raw Ethernet below: map the peer's internet address to
+                // its hardware address, exactly as VIP does.
+                let arp = self.arp.ok_or_else(|| {
+                    XError::Config("sprite over raw eth needs an arp capability".into())
+                })?;
+                let hw = ctx
+                    .kernel_ref()
+                    .control(ctx, arp, &ControlOp::Resolve(peer))?
+                    .eth()?;
+                remote = remote.with_eth(hw);
+            }
+            let parts =
+                ParticipantSet::pair(Participant::proto(rel_proto_num(lname, "sprite")?), remote);
+            let sess = ctx.kernel_ref().open(ctx, self.lower, self.me, &parts)?;
+            let opt = sess
+                .control(ctx, &ControlOp::GetOptPacket)
+                .and_then(|r| r.size())
+                .unwrap_or(1500);
+            Ok(Peer {
+                lower: (sess, opt - SPRITE_HDR_LEN),
+                pool: None,
+            })
+        })
     }
 
-    fn pool_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<Arc<Pool>> {
-        if let Some(p) = self.pools.lock().get(&peer.0) {
-            return Ok(Arc::clone(p));
-        }
+    fn lower_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<LowerPath> {
+        Ok(self.peer_for(ctx, peer)?.lower)
+    }
+
+    /// Builds the fixed client channel set towards `peer` and records it in
+    /// the peer's entry, which [`Mrpc::peer_for`] has just bound.
+    fn make_pool(&self, ctx: &Ctx, peer: IpAddr) -> Arc<Pool> {
         let mut chans = Vec::with_capacity(self.cfg.channels_per_peer);
         for _ in 0..self.cfg.channels_per_peer {
-            let chan = {
-                let mut c = self.next_chan.lock();
-                *c = c.wrapping_add(1);
-                *c
-            };
+            let chan = self
+                .next_chan
+                .fetch_add(1, Ordering::Relaxed)
+                .wrapping_add(1);
             let mc = Arc::new(MChan {
                 chan,
                 st: Mutex::new(MChanState { seq: 0, out: None }),
             });
-            self.chans.lock().insert(chan, Arc::clone(&mc));
+            self.chans.bind(chan, Arc::clone(&mc));
             chans.push(mc);
             ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
         }
@@ -262,7 +278,9 @@ impl Mrpc {
             sema: SharedSema::new(self.cfg.channels_per_peer as i64),
             free: Mutex::new(chans),
         });
-        Ok(Arc::clone(self.pools.lock().entry(peer.0).or_insert(pool)))
+        let mut peers = self.peers.lock();
+        let entry = peers.get_mut(&peer.0).expect("peer entry bound");
+        Arc::clone(entry.pool.get_or_insert(pool))
     }
 
     /// Sends the fragments of `msg` selected by `mask`.
@@ -298,7 +316,8 @@ impl Mrpc {
 
     /// The full client call path.
     fn call(&self, ctx: &Ctx, peer: IpAddr, command: u16, args: Message) -> XResult<Message> {
-        let (lower, frag_size) = self.lower_for(ctx, peer)?;
+        let entry = self.peer_for(ctx, peer)?;
+        let (lower, frag_size) = entry.lower;
         let num_frags = args.len().max(1).div_ceil(frag_size);
         if num_frags > MAX_FRAGS {
             return Err(XError::TooBig {
@@ -306,7 +325,10 @@ impl Mrpc {
                 max: MAX_FRAGS * frag_size,
             });
         }
-        let pool = self.pool_for(ctx, peer)?;
+        let pool = match entry.pool {
+            Some(pool) => pool,
+            None => self.make_pool(ctx, peer),
+        };
         pool.sema.p(ctx); // Blocks when all channels are in use.
         let chan = pool.free.lock().pop().expect("semaphore-guarded pool");
 
@@ -423,10 +445,8 @@ impl Mrpc {
     }
 
     fn server_for(&self, hdr: &SpriteHdr) -> Arc<MServer> {
-        let key = (hdr.clnt_host.0, hdr.channel);
-        let mut servers = self.servers.lock();
-        Arc::clone(servers.entry(key).or_insert_with(|| {
-            Arc::new(MServer {
+        let fresh = || {
+            Ok(Arc::new(MServer {
                 clnt: hdr.clnt_host,
                 chan: hdr.channel,
                 st: Mutex::new(ServerState {
@@ -439,9 +459,13 @@ impl Mrpc {
                     req_parts: Vec::new(),
                     saved_reply_seq: 0,
                     saved_reply: Vec::new(),
+                    reply_path: None,
                 }),
-            })
-        }))
+            }))
+        };
+        self.servers
+            .resolve_or_insert_with((hdr.clnt_host.0, hdr.channel), fresh)
+            .expect("constructor is infallible")
     }
 
     fn request_in(&self, ctx: &Ctx, hdr: SpriteHdr, msg: Message) -> XResult<()> {
@@ -452,7 +476,7 @@ impl Mrpc {
             None,
             Ack(u16),
             ResendReply(Vec<Message>),
-            Dispatch(Message),
+            Dispatch(Message, Option<LowerPath>),
         }
         let action = {
             let mut st = server.st.lock();
@@ -505,7 +529,10 @@ impl Mrpc {
                 if st.req_mask == full_mask(st.req_num) {
                     let parts = std::mem::take(&mut st.req_parts);
                     st.dispatched = true;
-                    Action::Dispatch(Message::concat(parts.into_iter().flatten()))
+                    Action::Dispatch(
+                        Message::concat(parts.into_iter().flatten()),
+                        st.reply_path.clone(),
+                    )
                 } else if dup || hdr.flags & flags::PLEASE_ACK != 0 {
                     // Retransmission while incomplete: tell the client what
                     // we have so it can resend just the missing fragments.
@@ -546,17 +573,17 @@ impl Mrpc {
                 }
                 Ok(())
             }
-            Action::Dispatch(body) => {
+            Action::Dispatch(body, path) => {
                 if self.shepherds.config().workers == 0 || ctx.mode() == Mode::Inline {
                     // Synchronous dispatch: the historical (and default) path.
-                    return self.dispatch(ctx, &server, hdr, body);
+                    return self.dispatch(ctx, &server, hdr, body, path);
                 }
                 let me = self.self_arc();
                 let job_server = Arc::clone(&server);
                 let submitted = self.shepherds.submit(
                     ctx,
                     Box::new(move |jctx| {
-                        if me.dispatch(jctx, &job_server, hdr, body).is_err() {
+                        if me.dispatch(jctx, &job_server, hdr, body, path).is_err() {
                             jctx.trace_note("shepherd dispatch failed");
                         }
                     }),
@@ -608,24 +635,33 @@ impl Mrpc {
         Ok(())
     }
 
-    /// Runs the procedure and sends (and saves) the fragmented reply.
+    /// Runs the procedure and sends (and saves) the fragmented reply down
+    /// `path`, the server channel's cached reply path (looked up in the peer
+    /// table, and cached, when the channel has none yet).
     fn dispatch(
         &self,
         ctx: &Ctx,
         server: &Arc<MServer>,
         hdr: SpriteHdr,
         body: Message,
+        path: Option<LowerPath>,
     ) -> XResult<()> {
-        ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup); // Procedure table.
-        let result = {
-            let handlers = self.handlers.read();
-            match handlers.get(&hdr.command) {
-                Some(h) => h(ctx, body),
-                None => Err(XError::Remote(format!("no procedure {}", hdr.command))),
-            }
+        // Procedure table. The handler runs through a plain borrow of it:
+        // nothing is locked while it executes.
+        ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
+        let result = match self.handlers.resolve(&hdr.command) {
+            Some(h) => h(ctx, body),
+            None => Err(XError::Remote(format!("no procedure {}", hdr.command))),
         };
         let reply_body = result.unwrap_or_else(|_| ctx.empty_msg());
-        let (lower, frag_size) = self.lower_for(ctx, server.clnt)?;
+        let (lower, frag_size) = match path {
+            Some(path) => path,
+            None => {
+                let path = self.lower_for(ctx, server.clnt)?;
+                server.st.lock().reply_path = Some(path.clone());
+                path
+            }
+        };
         let num = reply_body.len().max(1).div_ceil(frag_size) as u16;
         let rhdr = SpriteHdr {
             flags: flags::REPLY,
@@ -666,8 +702,7 @@ impl Mrpc {
 
     fn reply_in(&self, ctx: &Ctx, hdr: SpriteHdr, msg: Message) -> XResult<()> {
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
-        let chan = self.chans.lock().get(&hdr.channel).cloned();
-        let Some(chan) = chan else {
+        let Some(chan) = self.chans.resolve(&hdr.channel) else {
             return Ok(());
         };
         let mut st = chan.st.lock();
@@ -762,12 +797,12 @@ impl Protocol for Mrpc {
     }
 
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
-        let kernel = ctx.kernel();
-        let lower = kernel.proto(self.lower)?;
+        let kernel = ctx.kernel_ref();
+        let lower = kernel.proto_ref(self.lower)?;
         self.lower_name
             .set(lower.name())
             .map_err(|_| XError::Config("mrpc double boot".into()))?;
-        *self.boot.lock() = (ctx.next_u64() & 0xffff_ffff) as u32 | 1;
+        self.set_boot_id((ctx.next_u64() & 0xffff_ffff) as u32 | 1);
         // Our host identity: from the lower protocol if it speaks internet
         // addresses, else from ARP (the raw-Ethernet configuration).
         let my_ip = lower
@@ -788,12 +823,11 @@ impl Protocol for Mrpc {
     fn reboot(&self, ctx: &Ctx) -> XResult<()> {
         // Fresh incarnation: new boot id, all channel/session state gone.
         // Registered procedures and graph wiring survive.
-        *self.boot.lock() = (ctx.next_u64() & 0xffff_ffff) as u32 | 1;
-        self.pools.lock().clear();
-        self.chans.lock().clear();
-        self.servers.lock().clear();
-        self.sessions.lock().clear();
-        self.lowers.lock().clear();
+        self.set_boot_id((ctx.next_u64() & 0xffff_ffff) as u32 | 1);
+        self.peers.clear();
+        self.chans.clear();
+        self.servers.clear();
+        self.sessions.clear();
         Ok(())
     }
 
@@ -807,19 +841,14 @@ impl Protocol for Mrpc {
             .and_then(|p| p.proto_num)
             .ok_or_else(|| XError::Config("sprite open needs a command".into()))?
             as u16;
-        if let Some(s) = self.sessions.lock().get(&(peer.0, command)) {
-            return Ok(Arc::clone(s));
-        }
-        ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-        let s: SessionRef = Arc::new(MrpcSession {
-            parent: self.self_arc(),
-            peer,
-            command,
-        });
-        self.sessions
-            .lock()
-            .insert((peer.0, command), Arc::clone(&s));
-        Ok(s)
+        self.sessions.resolve_or_insert_with((peer.0, command), || {
+            ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
+            Ok(Arc::new(MrpcSession {
+                parent: self.self_arc(),
+                peer,
+                command,
+            }) as SessionRef)
+        })
     }
 
     fn open_enable(&self, _ctx: &Ctx, _upper: ProtoId, _parts: &ParticipantSet) -> XResult<()> {
@@ -862,19 +891,14 @@ impl Protocol for Mrpc {
     // request reassemblies, which (unlike FRAGMENT's) have no reclaim timer
     // — so the whole ServerState is cloned.
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
-        let pools = self
-            .pools
-            .lock()
-            .iter()
-            .map(|(k, p)| {
-                (
-                    *k,
-                    MPoolSnap {
-                        pool: Arc::clone(p),
-                        sema: p.sema.snap_state(),
-                        free: p.free.lock().clone(),
-                    },
-                )
+        let peers = self.peers.snapshot();
+        let pools = peers
+            .values()
+            .filter_map(|p| p.pool.as_ref())
+            .map(|p| MPoolSnap {
+                pool: Arc::clone(p),
+                sema: p.sema.snap_state(),
+                free: p.free.lock().clone(),
             })
             .collect();
         let chans = self
@@ -887,44 +911,40 @@ impl Protocol for Mrpc {
                     st.out.is_none(),
                     "mrpc snapshot with an outstanding call (not quiescent)"
                 );
-                (*k, (Arc::clone(c), st.seq))
+                (*k, Arc::clone(c), st.seq)
             })
             .collect();
         let servers = self
             .servers
             .lock()
             .iter()
-            .map(|(k, srv)| (*k, (Arc::clone(srv), srv.st.lock().clone())))
+            .map(|(k, srv)| (*k, Arc::clone(srv), srv.st.lock().clone()))
             .collect();
         Some(Arc::new(MrpcSnap {
             boot: self.boot_id(),
-            next_chan: *self.next_chan.lock(),
+            next_chan: self.next_chan.load(Ordering::Relaxed),
+            peers,
             pools,
             chans,
             servers,
-            sessions: self.sessions.lock().clone(),
-            lowers: self.lowers.lock().clone(),
+            sessions: self.sessions.snapshot(),
             shepherds: self.shepherds.stats(),
         }))
     }
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<MrpcSnap>(blob, "sprite")?;
-        *self.boot.lock() = s.boot;
-        *self.next_chan.lock() = s.next_chan;
-        {
-            let mut pools = self.pools.lock();
-            pools.clear();
-            for (k, ps) in &s.pools {
-                ps.pool.sema.restore_state(ps.sema);
-                *ps.pool.free.lock() = ps.free.clone();
-                pools.insert(*k, Arc::clone(&ps.pool));
-            }
+        self.set_boot_id(s.boot);
+        self.next_chan.store(s.next_chan, Ordering::Relaxed);
+        self.peers.restore(&s.peers);
+        for ps in &s.pools {
+            ps.pool.sema.restore_state(ps.sema);
+            *ps.pool.free.lock() = ps.free.clone();
         }
         {
             let mut chans = self.chans.lock();
             chans.clear();
-            for (k, (mc, seq)) in &s.chans {
+            for (k, mc, seq) in &s.chans {
                 let mut st = mc.st.lock();
                 st.seq = *seq;
                 st.out = None;
@@ -934,13 +954,12 @@ impl Protocol for Mrpc {
         {
             let mut servers = self.servers.lock();
             servers.clear();
-            for (k, (srv, st)) in &s.servers {
+            for (k, srv, st) in &s.servers {
                 *srv.st.lock() = st.clone();
                 servers.insert(*k, Arc::clone(srv));
             }
         }
-        *self.sessions.lock() = s.sessions.clone();
-        *self.lowers.lock() = s.lowers.clone();
+        self.sessions.restore(&s.sessions);
         self.shepherds.restore_stats(s.shepherds);
         Ok(())
     }
@@ -959,10 +978,10 @@ struct MPoolSnap {
 struct MrpcSnap {
     boot: u32,
     next_chan: u16,
-    pools: HashMap<u32, MPoolSnap>,
-    chans: HashMap<u16, (Arc<MChan>, u32)>,
-    servers: HashMap<(u32, u16), (Arc<MServer>, ServerState)>,
-    sessions: HashMap<(u32, u16), SessionRef>,
-    lowers: HashMap<u32, (SessionRef, usize)>,
+    peers: SessionSnapshot<u32, Peer>,
+    pools: Vec<MPoolSnap>,
+    chans: Vec<(u16, Arc<MChan>, u32)>,
+    servers: Vec<((u32, u16), Arc<MServer>, ServerState)>,
+    sessions: SessionSnapshot<(u32, u16), SessionRef>,
     shepherds: ShepherdStats,
 }

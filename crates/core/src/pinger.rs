@@ -14,11 +14,11 @@
 //! reply from `push`) or when the echo is demultiplexed back up.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
+use xkernel::map::SessionSnapshot;
 use xkernel::prelude::*;
 
 use crate::protnum::rel_proto_num;
@@ -32,9 +32,16 @@ pub struct Pinger {
     lower: ProtoId,
     echo: bool,
     lower_name: OnceLock<&'static str>,
-    sessions: Mutex<HashMap<u32, SessionRef>>,
-    waiting: Mutex<Option<EchoWaiter>>,
-    series: Mutex<Option<Series>>,
+    sessions: SessionMap<u32>,
+    inflight: Mutex<Inflight>,
+}
+
+/// What the client side has in flight, under one lock so an echo's demux
+/// takes it once: at most one parked round trip or one series.
+#[derive(Default)]
+struct Inflight {
+    waiting: Option<EchoWaiter>,
+    series: Option<Series>,
 }
 
 /// A parked single round trip: wake signal plus the echoed-bytes slot.
@@ -56,24 +63,20 @@ impl Pinger {
             lower,
             echo,
             lower_name: OnceLock::new(),
-            sessions: Mutex::new(HashMap::new()),
-            waiting: Mutex::new(None),
-            series: Mutex::new(None),
+            sessions: SessionMap::new(),
+            inflight: Mutex::new(Inflight::default()),
         })
     }
 
     fn session_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<SessionRef> {
-        if let Some(s) = self.sessions.lock().get(&peer.0) {
-            return Ok(Arc::clone(s));
-        }
-        let lname = self.lower_name.get().expect("pinger booted");
-        let parts = ParticipantSet::pair(
-            Participant::proto(rel_proto_num(lname, "pinger")?),
-            Participant::host(peer),
-        );
-        let s = ctx.kernel().open(ctx, self.lower, self.me, &parts)?;
-        self.sessions.lock().insert(peer.0, Arc::clone(&s));
-        Ok(s)
+        self.sessions.resolve_or_open(peer.0, || {
+            let lname = self.lower_name.get().expect("pinger booted");
+            let parts = ParticipantSet::pair(
+                Participant::proto(rel_proto_num(lname, "pinger")?),
+                Participant::host(peer),
+            );
+            ctx.kernel_ref().open(ctx, self.lower, self.me, &parts)
+        })
     }
 
     /// Runs `n` back-to-back round trips of a `payload_len`-byte message and
@@ -99,19 +102,16 @@ impl Pinger {
         let payload = vec![0x5Au8; payload_len];
         let t0 = ctx.now();
         let done = SharedSema::new(0);
-        {
-            let mut series = self.series.lock();
-            *series = Some(Series {
-                remaining: n,
-                payload: payload.clone(),
-                sess: Arc::clone(&sess),
-                done: done.clone(),
-            });
-        }
+        self.inflight.lock().series = Some(Series {
+            remaining: n,
+            payload: payload.clone(),
+            sess: Arc::clone(&sess),
+            done: done.clone(),
+        });
         if let Some(_reply) = sess.push(ctx, ctx.msg(payload.clone()))? {
             // Synchronous-reply lower (CHANNEL): a plain loop, blocking per
             // call exactly as a real RPC client would.
-            *self.series.lock() = None;
+            self.inflight.lock().series = None;
             for _ in 1..n {
                 sess.push(ctx, ctx.msg(payload.clone()))?;
             }
@@ -120,7 +120,7 @@ impl Pinger {
         // Datagram lower: the demux of each echo launches the next send;
         // block only once, at the end of the whole series.
         if !done.p_timeout(ctx, PING_TIMEOUT_NS.saturating_mul(n as u64)) {
-            *self.series.lock() = None;
+            self.inflight.lock().series = None;
             return Err(XError::Timeout(format!("pinger series to {peer}")));
         }
         Ok(ctx.now() - t0)
@@ -132,15 +132,15 @@ impl Pinger {
         let sess = self.session_for(ctx, peer)?;
         let sema = SharedSema::new(0);
         let slot: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
-        *self.waiting.lock() = Some((sema.clone(), Arc::clone(&slot)));
+        self.inflight.lock().waiting = Some((sema.clone(), Arc::clone(&slot)));
         let pushed = sess.push(ctx, ctx.msg(payload))?;
         if let Some(reply) = pushed {
             // Request/reply lower (CHANNEL): the echo came back in-band.
-            *self.waiting.lock() = None;
+            self.inflight.lock().waiting = None;
             return Ok(reply.to_vec());
         }
         let ok = sema.p_timeout(ctx, PING_TIMEOUT_NS) || slot.lock().is_some();
-        *self.waiting.lock() = None;
+        self.inflight.lock().waiting = None;
         if !ok {
             return Err(XError::Timeout(format!("pinger echo from {peer}")));
         }
@@ -163,8 +163,8 @@ impl Protocol for Pinger {
     }
 
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
-        let kernel = ctx.kernel();
-        let lower = kernel.proto(self.lower)?;
+        let kernel = ctx.kernel_ref();
+        let lower = kernel.proto_ref(self.lower)?;
         self.lower_name
             .set(lower.name())
             .map_err(|_| XError::Config("pinger double boot".into()))?;
@@ -187,40 +187,42 @@ impl Protocol for Pinger {
             lls.push(ctx, msg)?;
             return Ok(());
         }
-        // Callback-driven series: fire the next send from this shepherd.
+        enum Next {
+            Send(SessionRef, Vec<u8>),
+            SeriesDone(SharedSema),
+            Echo(EchoWaiter),
+            Nothing,
+        }
         let next = {
-            let mut series = self.series.lock();
-            match series.as_mut() {
+            let mut inflight = self.inflight.lock();
+            // Callback-driven series: fire the next send from this shepherd.
+            match inflight.series.as_mut() {
                 Some(st) => {
                     st.remaining -= 1;
                     if st.remaining == 0 {
-                        let st = series.take().expect("present");
-                        Some((None, st.done))
+                        let st = inflight.series.take().expect("present");
+                        Next::SeriesDone(st.done)
                     } else {
-                        Some((
-                            Some((Arc::clone(&st.sess), st.payload.clone())),
-                            st.done.clone(),
-                        ))
+                        Next::Send(Arc::clone(&st.sess), st.payload.clone())
                     }
                 }
-                None => None,
+                None => match &inflight.waiting {
+                    Some(waiter) => Next::Echo(waiter.clone()),
+                    None => Next::Nothing,
+                },
             }
         };
         match next {
-            Some((Some((sess, payload)), _done)) => {
+            Next::Send(sess, payload) => {
                 ctx.charge_layer_call();
                 sess.push(ctx, ctx.msg(payload))?;
-                return Ok(());
             }
-            Some((None, done)) => {
-                done.v(ctx);
-                return Ok(());
+            Next::SeriesDone(done) => done.v(ctx),
+            Next::Echo((sema, slot)) => {
+                *slot.lock() = Some(msg.to_vec());
+                sema.v(ctx);
             }
-            None => {}
-        }
-        if let Some((sema, slot)) = self.waiting.lock().as_ref() {
-            *slot.lock() = Some(msg.to_vec());
-            sema.v(ctx);
+            Next::Nothing => {}
         }
         Ok(())
     }
@@ -236,19 +238,21 @@ impl Protocol for Pinger {
 
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         debug_assert!(
-            self.waiting.lock().is_none() && self.series.lock().is_none(),
+            {
+                let inflight = self.inflight.lock();
+                inflight.waiting.is_none() && inflight.series.is_none()
+            },
             "pinger snapshot with a round trip in flight (not quiescent)"
         );
         Some(Arc::new(PingerSnap {
-            sessions: self.sessions.lock().clone(),
+            sessions: self.sessions.snapshot(),
         }))
     }
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<PingerSnap>(blob, "pinger")?;
-        *self.waiting.lock() = None;
-        *self.series.lock() = None;
-        *self.sessions.lock() = s.sessions.clone();
+        *self.inflight.lock() = Inflight::default();
+        self.sessions.restore(&s.sessions);
         Ok(())
     }
 
@@ -258,5 +262,5 @@ impl Protocol for Pinger {
 }
 
 struct PingerSnap {
-    sessions: HashMap<u32, SessionRef>,
+    sessions: SessionSnapshot<u32, SessionRef>,
 }

@@ -16,12 +16,12 @@
 //!   of CHANNEL.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
+use xkernel::map::{EnableSnapshot, SessionSnapshot};
 use xkernel::prelude::*;
 use xkernel::shepherd::{Overload, ShepherdConfig, ShepherdStats, Shepherds, Submitted};
 
@@ -79,10 +79,10 @@ pub struct Select {
     me: ProtoId,
     channel: ProtoId,
     cfg: SelectConfig,
-    handlers: RwLock<HashMap<u16, Handler>>,
-    forward: Mutex<HashMap<u16, IpAddr>>,
-    pools: Mutex<HashMap<u32, Arc<ChanPool>>>,
-    sessions: Mutex<HashMap<(u32, u16), SessionRef>>,
+    handlers: EnableMap<u16, Handler>,
+    forward: EnableMap<u16, IpAddr>,
+    pools: SessionMap<u32, Arc<ChanPool>>,
+    sessions: SessionMap<(u32, u16)>,
     passive_opens: AtomicU64,
     shepherds: Arc<Shepherds>,
 }
@@ -95,10 +95,10 @@ impl Select {
             me,
             channel,
             cfg,
-            handlers: RwLock::new(HashMap::new()),
-            forward: Mutex::new(HashMap::new()),
-            pools: Mutex::new(HashMap::new()),
-            sessions: Mutex::new(HashMap::new()),
+            handlers: EnableMap::new(),
+            forward: EnableMap::new(),
+            pools: SessionMap::new(),
+            sessions: SessionMap::new(),
             passive_opens: AtomicU64::new(0),
             shepherds: Shepherds::new(cfg.shepherds),
         })
@@ -123,19 +123,19 @@ impl Select {
     where
         F: Fn(&Ctx, Message) -> XResult<Message> + Send + Sync + 'static,
     {
-        self.handlers.write().insert(command, Box::new(f));
+        self.handlers.replace(command, Box::new(f));
     }
 
     /// Redirects `command` to `host` — the alternative *forwarding*
     /// selection policy.
     pub fn set_forward(&self, command: u16, host: IpAddr) {
-        self.forward.lock().insert(command, host);
+        self.forward.bind(command, host);
     }
 
     /// Number of currently free channels towards `peer` (tests; None until
     /// the pool exists).
     pub fn free_channels(&self, peer: IpAddr) -> Option<usize> {
-        self.pools.lock().get(&peer.0).map(|p| p.free.lock().len())
+        self.pools.resolve(&peer.0).map(|p| p.free.lock().len())
     }
 
     /// How many server channels CHANNEL has passively created on our
@@ -145,15 +145,15 @@ impl Select {
     }
 
     fn pool_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<Arc<ChanPool>> {
-        if let Some(p) = self.pools.lock().get(&peer.0) {
-            return Ok(Arc::clone(p));
+        if let Some(p) = self.pools.resolve(&peer.0) {
+            return Ok(p);
         }
         // Open the fixed channel set outside the pools lock.
         let my_num = rel_proto_num("channel", "select")?;
         let mut sessions = Vec::with_capacity(self.cfg.channels_per_peer);
         for _ in 0..self.cfg.channels_per_peer {
             let parts = ParticipantSet::pair(Participant::proto(my_num), Participant::host(peer));
-            sessions.push(ctx.kernel().open(ctx, self.channel, self.me, &parts)?);
+            sessions.push(ctx.kernel_ref().open(ctx, self.channel, self.me, &parts)?);
         }
         let pool = Arc::new(ChanPool {
             sema: SharedSema::new(self.cfg.channels_per_peer as i64),
@@ -221,8 +221,7 @@ impl Select {
         msg: Message,
     ) -> XResult<()> {
         // Forwarding policy first: redirect the command to another host.
-        let fwd = self.forward.lock().get(&command).copied();
-        if let Some(backend) = fwd {
+        if let Some(&backend) = self.forward.resolve(&command) {
             let result = self.call(ctx, backend, command, msg);
             return match result {
                 Ok(body) => self.reply_via(ctx, lls, command, status::OK, body),
@@ -231,25 +230,20 @@ impl Select {
                 }
             };
         }
-        ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup); // Procedure table lookup.
-        let handlers = self.handlers.read();
-        match handlers.get(&command) {
-            None => {
-                drop(handlers);
-                self.reply_via(ctx, lls, command, status::NO_SUCH_PROC, Message::empty())
-            }
-            Some(h) => {
-                let result = h(ctx, msg);
-                drop(handlers);
-                match result {
-                    Ok(body) => self.reply_via(ctx, lls, command, status::OK, body),
-                    Err(e) => {
-                        let _ = &e;
-                        ctx.trace_note("procedure failed");
-                        self.reply_via(ctx, lls, command, status::PROC_ERROR, ctx.empty_msg())
-                    }
+        // Procedure table lookup. The handler runs through a plain borrow of
+        // the table: nothing is locked while it executes (it may itself call
+        // out through SELECT).
+        ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
+        match self.handlers.resolve(&command) {
+            None => self.reply_via(ctx, lls, command, status::NO_SUCH_PROC, Message::empty()),
+            Some(h) => match h(ctx, msg) {
+                Ok(body) => self.reply_via(ctx, lls, command, status::OK, body),
+                Err(e) => {
+                    let _ = &e;
+                    ctx.trace_note("procedure failed");
+                    self.reply_via(ctx, lls, command, status::PROC_ERROR, ctx.empty_msg())
                 }
-            }
+            },
         }
     }
 
@@ -326,15 +320,16 @@ impl Protocol for Select {
 
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
         let parts = ParticipantSet::local(Participant::proto(rel_proto_num("channel", "select")?));
-        ctx.kernel().open_enable(ctx, self.channel, self.me, &parts)
+        ctx.kernel_ref()
+            .open_enable(ctx, self.channel, self.me, &parts)
     }
 
     fn reboot(&self, _ctx: &Ctx) -> XResult<()> {
         // Channel pools and cached sessions referenced the old CHANNEL
         // incarnation; drop them so fresh ones are opened on demand.
         // Registered procedures and forwarding policy survive.
-        self.pools.lock().clear();
-        self.sessions.lock().clear();
+        self.pools.clear();
+        self.sessions.clear();
         Ok(())
     }
 
@@ -348,19 +343,14 @@ impl Protocol for Select {
             .and_then(|p| p.proto_num)
             .ok_or_else(|| XError::Config("select open needs a command".into()))?
             as u16;
-        if let Some(s) = self.sessions.lock().get(&(peer.0, command)) {
-            return Ok(Arc::clone(s));
-        }
-        ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-        let s: SessionRef = Arc::new(SelectSession {
-            parent: self.self_arc(),
-            peer,
-            command,
-        });
-        self.sessions
-            .lock()
-            .insert((peer.0, command), Arc::clone(&s));
-        Ok(s)
+        self.sessions.resolve_or_insert_with((peer.0, command), || {
+            ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
+            Ok(Arc::new(SelectSession {
+                parent: self.self_arc(),
+                peer,
+                command,
+            }) as SessionRef)
+        })
     }
 
     fn open_enable(&self, _ctx: &Ctx, _upper: ProtoId, _parts: &ParticipantSet) -> XResult<()> {
@@ -444,27 +434,25 @@ impl Protocol for Select {
             .pools
             .lock()
             .iter()
-            .map(|(k, p)| {
+            .map(|(peer, p)| {
                 let free = p.free.lock().clone();
                 debug_assert_eq!(
                     free.len(),
                     self.cfg.channels_per_peer,
                     "select snapshot with channels checked out (not quiescent)"
                 );
-                (
-                    *k,
-                    PoolSnap {
-                        pool: Arc::clone(p),
-                        sema: p.sema.snap_state(),
-                        free,
-                    },
-                )
+                PoolSnap {
+                    peer: *peer,
+                    pool: Arc::clone(p),
+                    sema: p.sema.snap_state(),
+                    free,
+                }
             })
             .collect();
         Some(Arc::new(SelectSnap {
-            forward: self.forward.lock().clone(),
+            forward: self.forward.snapshot(),
             pools,
-            sessions: self.sessions.lock().clone(),
+            sessions: self.sessions.snapshot(),
             passive_opens: self.passive_opens.load(Ordering::Relaxed),
             shepherds: self.shepherds.stats(),
         }))
@@ -472,17 +460,17 @@ impl Protocol for Select {
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<SelectSnap>(blob, "select")?;
-        *self.forward.lock() = s.forward.clone();
+        self.forward.restore(&s.forward);
         {
             let mut pools = self.pools.lock();
             pools.clear();
-            for (k, ps) in &s.pools {
+            for ps in &s.pools {
                 ps.pool.sema.restore_state(ps.sema);
                 *ps.pool.free.lock() = ps.free.clone();
-                pools.insert(*k, Arc::clone(&ps.pool));
+                pools.insert(ps.peer, Arc::clone(&ps.pool));
             }
         }
-        *self.sessions.lock() = s.sessions.clone();
+        self.sessions.restore(&s.sessions);
         self.passive_opens.store(s.passive_opens, Ordering::Relaxed);
         self.shepherds.restore_stats(s.shepherds);
         Ok(())
@@ -494,15 +482,16 @@ impl Protocol for Select {
 }
 
 struct PoolSnap {
+    peer: u32,
     pool: Arc<ChanPool>,
     sema: (i64, u64),
     free: Vec<SessionRef>,
 }
 
 struct SelectSnap {
-    forward: HashMap<u16, IpAddr>,
-    pools: HashMap<u32, PoolSnap>,
-    sessions: HashMap<(u32, u16), SessionRef>,
+    forward: EnableSnapshot,
+    pools: Vec<PoolSnap>,
+    sessions: SessionSnapshot<(u32, u16), SessionRef>,
     passive_opens: u64,
     shepherds: ShepherdStats,
 }
@@ -517,8 +506,8 @@ pub struct Rdgram {
     weak_self: Weak<Rdgram>,
     me: ProtoId,
     channel: ProtoId,
-    upper: Mutex<Option<ProtoId>>,
-    sessions: Mutex<HashMap<u32, SessionRef>>,
+    upper: UpperCell,
+    sessions: SessionMap<u32>,
 }
 
 impl Rdgram {
@@ -528,8 +517,8 @@ impl Rdgram {
             weak_self: weak_self.clone(),
             me,
             channel,
-            upper: Mutex::new(None),
-            sessions: Mutex::new(HashMap::new()),
+            upper: UpperCell::new(),
+            sessions: SessionMap::new(),
         })
     }
 
@@ -584,11 +573,12 @@ impl Protocol for Rdgram {
 
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
         let parts = ParticipantSet::local(Participant::proto(rel_proto_num("channel", "rdgram")?));
-        ctx.kernel().open_enable(ctx, self.channel, self.me, &parts)
+        ctx.kernel_ref()
+            .open_enable(ctx, self.channel, self.me, &parts)
     }
 
     fn reboot(&self, _ctx: &Ctx) -> XResult<()> {
-        self.sessions.lock().clear();
+        self.sessions.clear();
         Ok(())
     }
 
@@ -597,35 +587,34 @@ impl Protocol for Rdgram {
             .remote_part()
             .and_then(|p| p.host)
             .ok_or_else(|| XError::Config("rdgram open needs a peer host".into()))?;
-        if let Some(s) = self.sessions.lock().get(&peer.0) {
-            return Ok(Arc::clone(s));
-        }
-        ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-        let cparts = ParticipantSet::pair(
-            Participant::proto(rel_proto_num("channel", "rdgram")?),
-            Participant::host(peer),
-        );
-        let chan = ctx.kernel().open(ctx, self.channel, self.me, &cparts)?;
-        let s: SessionRef = Arc::new(RdgramSession {
-            parent: self.self_arc(),
-            peer,
-            chan,
-        });
-        self.sessions.lock().insert(peer.0, Arc::clone(&s));
-        Ok(s)
+        self.sessions.resolve_or_open(peer.0, || {
+            ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
+            let cparts = ParticipantSet::pair(
+                Participant::proto(rel_proto_num("channel", "rdgram")?),
+                Participant::host(peer),
+            );
+            let chan = ctx.kernel_ref().open(ctx, self.channel, self.me, &cparts)?;
+            Ok(Arc::new(RdgramSession {
+                parent: self.self_arc(),
+                peer,
+                chan,
+            }) as SessionRef)
+        })
     }
 
     fn open_enable(&self, _ctx: &Ctx, upper: ProtoId, _parts: &ParticipantSet) -> XResult<()> {
-        *self.upper.lock() = Some(upper);
+        self.upper.set(Some(upper));
         Ok(())
     }
 
     /// Server side: deliver the datagram up, then confirm with an empty
     /// reply so the sender's CHANNEL push completes.
     fn demux(&self, ctx: &Ctx, lls: &SessionRef, msg: Message) -> XResult<()> {
-        let upper =
-            (*self.upper.lock()).ok_or_else(|| XError::NoEnable("rdgram has no upper".into()))?;
-        ctx.kernel().demux_to(ctx, upper, lls, msg)?;
+        let upper = self
+            .upper
+            .get()
+            .ok_or_else(|| XError::NoEnable("rdgram has no upper".into()))?;
+        ctx.kernel_ref().demux_to(ctx, upper, lls, msg)?;
         ctx.charge_layer_call();
         lls.push(ctx, ctx.empty_msg())?;
         Ok(())
@@ -633,15 +622,15 @@ impl Protocol for Rdgram {
 
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         Some(Arc::new(RdgramSnap {
-            upper: *self.upper.lock(),
-            sessions: self.sessions.lock().clone(),
+            upper: self.upper.get(),
+            sessions: self.sessions.snapshot(),
         }))
     }
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<RdgramSnap>(blob, "rdgram")?;
-        *self.upper.lock() = s.upper;
-        *self.sessions.lock() = s.sessions.clone();
+        self.upper.set(s.upper);
+        self.sessions.restore(&s.sessions);
         Ok(())
     }
 
@@ -652,5 +641,5 @@ impl Protocol for Rdgram {
 
 struct RdgramSnap {
     upper: Option<ProtoId>,
-    sessions: HashMap<u32, SessionRef>,
+    sessions: SessionSnapshot<u32, SessionRef>,
 }

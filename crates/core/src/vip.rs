@@ -62,7 +62,7 @@ fn peer_of(parts: &ParticipantSet, who: &str) -> XResult<IpAddr> {
 /// Asks ARP whether `dst` answers on the local wire and returns its
 /// hardware address if so.
 fn resolve_local(ctx: &Ctx, arp: ProtoId, dst: IpAddr) -> XResult<Option<EthAddr>> {
-    match ctx.kernel().control(ctx, arp, &ControlOp::Resolve(dst)) {
+    match ctx.kernel_ref().control(ctx, arp, &ControlOp::Resolve(dst)) {
         Ok(r) => Ok(Some(r.eth()?)),
         Err(XError::Unreachable(_)) => Ok(None),
         Err(e) => Err(e),
@@ -75,13 +75,13 @@ fn open_eth(ctx: &Ctx, eth: ProtoId, me: ProtoId, p: u32, hw: EthAddr) -> XResul
         Participant::proto(eth_type_for(p)?),
         Participant::default().with_eth(hw),
     );
-    ctx.kernel().open(ctx, eth, me, &parts)
+    ctx.kernel_ref().open(ctx, eth, me, &parts)
 }
 
 /// Opens an IP session for protocol `p` towards `dst`.
 fn open_ip(ctx: &Ctx, ip: ProtoId, me: ProtoId, p: u32, dst: IpAddr) -> XResult<SessionRef> {
     let parts = ParticipantSet::pair(Participant::proto(p), Participant::host(dst));
-    ctx.kernel().open(ctx, ip, me, &parts)
+    ctx.kernel_ref().open(ctx, ip, me, &parts)
 }
 
 // ---------------------------------------------------------------------------
@@ -177,14 +177,14 @@ impl Protocol for Vip {
         let dst = peer_of(parts, "vip open")?;
         // Ask the invoking protocol how big its messages can get.
         let max_msg = ctx
-            .kernel()
+            .kernel_ref()
             .control(ctx, upper, &ControlOp::GetMaxMsgSize)
             .and_then(|r| r.size())
             .unwrap_or(usize::MAX);
         // Ask ARP whether the destination is on our Ethernet.
         let local = resolve_local(ctx, self.arp, dst)?;
         let my_ip = ctx
-            .kernel()
+            .kernel_ref()
             .control(ctx, self.ip, &ControlOp::GetMyHost)?
             .ip()?;
 
@@ -220,7 +220,7 @@ impl Protocol for Vip {
     /// both lower layers, so received messages never touch VIP at all.
     fn open_enable(&self, ctx: &Ctx, upper: ProtoId, parts: &ParticipantSet) -> XResult<()> {
         let p = proto_of(parts, "vip enable")?;
-        let kernel = ctx.kernel();
+        let kernel = ctx.kernel_ref();
         kernel.open_enable(
             ctx,
             self.eth,
@@ -243,10 +243,10 @@ impl Protocol for Vip {
 
     fn control(&self, ctx: &Ctx, op: &ControlOp) -> XResult<ControlRes> {
         match op {
-            ControlOp::GetMyHost => ctx.kernel().control(ctx, self.ip, op),
+            ControlOp::GetMyHost => ctx.kernel_ref().control(ctx, self.ip, op),
             // Conservative: a session might use the IP path.
             ControlOp::GetOptPacket => Ok(ControlRes::Size((ETH_MTU - IP_HDR_LEN) & !7)),
-            ControlOp::GetMaxPacket => ctx.kernel().control(ctx, self.ip, op),
+            ControlOp::GetMaxPacket => ctx.kernel_ref().control(ctx, self.ip, op),
             _ => Err(XError::Unsupported("vip control")),
         }
     }
@@ -306,7 +306,7 @@ impl Protocol for VipAddr {
 
     fn open_enable(&self, ctx: &Ctx, upper: ProtoId, parts: &ParticipantSet) -> XResult<()> {
         let p = proto_of(parts, "vipaddr enable")?;
-        let kernel = ctx.kernel();
+        let kernel = ctx.kernel_ref();
         kernel.open_enable(
             ctx,
             self.eth,
@@ -327,9 +327,9 @@ impl Protocol for VipAddr {
 
     fn control(&self, ctx: &Ctx, op: &ControlOp) -> XResult<ControlRes> {
         match op {
-            ControlOp::GetMyHost => ctx.kernel().control(ctx, self.ip, op),
+            ControlOp::GetMyHost => ctx.kernel_ref().control(ctx, self.ip, op),
             ControlOp::GetOptPacket => Ok(ControlRes::Size((ETH_MTU - IP_HDR_LEN) & !7)),
-            ControlOp::GetMaxPacket => ctx.kernel().control(ctx, self.ip, op),
+            ControlOp::GetMaxPacket => ctx.kernel_ref().control(ctx, self.ip, op),
             _ => Err(XError::Unsupported("vipaddr control")),
         }
     }
@@ -425,8 +425,10 @@ impl Protocol for VipSize {
         let p = proto_of(parts, "vipsize open")?;
         let dst = peer_of(parts, "vipsize open")?;
         let fparts = ParticipantSet::pair(Participant::proto(p), Participant::host(dst));
-        let frag = ctx.kernel().open(ctx, self.fragment, self.me, &fparts)?;
-        let direct = ctx.kernel().open(ctx, self.direct, self.me, &fparts)?;
+        let frag = ctx
+            .kernel_ref()
+            .open(ctx, self.fragment, self.me, &fparts)?;
+        let direct = ctx.kernel_ref().open(ctx, self.direct, self.me, &fparts)?;
         let threshold = direct
             .control(ctx, &ControlOp::GetOptPacket)
             .and_then(|r| r.size())
@@ -444,7 +446,7 @@ impl Protocol for VipSize {
 
     fn open_enable(&self, ctx: &Ctx, upper: ProtoId, parts: &ParticipantSet) -> XResult<()> {
         let p = proto_of(parts, "vipsize enable")?;
-        let kernel = ctx.kernel();
+        let kernel = ctx.kernel_ref();
         // Large messages arrive assembled from FRAGMENT; small ones arrive
         // straight off the direct path. Both bypass VIPSIZE.
         kernel.open_enable(
@@ -467,9 +469,9 @@ impl Protocol for VipSize {
 
     fn control(&self, ctx: &Ctx, op: &ControlOp) -> XResult<ControlRes> {
         match op {
-            ControlOp::GetMyHost => ctx.kernel().control(ctx, self.direct, op),
-            ControlOp::GetOptPacket => ctx.kernel().control(ctx, self.direct, op),
-            ControlOp::GetMaxPacket => ctx.kernel().control(ctx, self.fragment, op),
+            ControlOp::GetMyHost => ctx.kernel_ref().control(ctx, self.direct, op),
+            ControlOp::GetOptPacket => ctx.kernel_ref().control(ctx, self.direct, op),
+            ControlOp::GetMaxPacket => ctx.kernel_ref().control(ctx, self.fragment, op),
             _ => Err(XError::Unsupported("vipsize control")),
         }
     }

@@ -706,3 +706,42 @@ fn client_reincarnation_resets_server_state() {
     });
     assert_eq!(*counter.lock(), 3);
 }
+
+// ---------------------------------------------------------------------------
+// Whole simulations on two OS threads: the demux tables are `Send + Sync`
+// in practice, not only by assertion.
+// ---------------------------------------------------------------------------
+
+/// Builds a fresh scheduled rig for `stack`, runs 25 echo calls of growing
+/// size on it, and returns everything observable: the run report, the wire
+/// counters and the replies.
+fn whole_run(stack: &StackDef) -> (xkernel::sim::RunReport, simnet::LanStats, Vec<Vec<u8>>) {
+    let tb = rpc_rig(stack, Mode::Scheduled);
+    let server_ip = tb.server_ip;
+    let entry = stack.entry;
+    let replies: Arc<Mutex<Vec<Vec<u8>>>> = Arc::new(Mutex::new(Vec::new()));
+    let r2 = Arc::clone(&replies);
+    tb.sim.spawn(tb.client.host(), move |ctx| {
+        let k = ctx.kernel();
+        for i in 0..25 {
+            let reply = xrpc::call(ctx, &k, entry, server_ip, ECHO_PROC, pattern(i * 97));
+            r2.lock().push(reply.expect("echo call"));
+        }
+    });
+    let report = tb.sim.run_until_idle();
+    let replies = std::mem::take(&mut *replies.lock());
+    (report, tb.net.stats(tb.lan), replies)
+}
+
+#[test]
+fn two_simulations_on_two_threads_equal_the_sequential_run() {
+    let stacks: Vec<&StackDef> = vec![&L_RPC_VIP, &M_RPC_VIP];
+    let sequential = xkernel::par::run_indexed(stacks.clone(), 1, |s| whole_run(s));
+    let parallel = xkernel::par::run_indexed(stacks, 2, |s| whole_run(s));
+    assert_eq!(parallel, sequential);
+    for (report, _, replies) in &parallel {
+        assert_eq!(report.blocked, 0);
+        assert_eq!(replies.len(), 25);
+        assert_eq!(replies[3], pattern(3 * 97));
+    }
+}

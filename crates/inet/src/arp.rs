@@ -14,11 +14,11 @@
 //! VIP-speaking hosts) so remote peers do not pay the probe on every open.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
+use xkernel::map::MixMap;
 use xkernel::prelude::*;
 
 use crate::eth::eth_type;
@@ -55,7 +55,7 @@ pub const ARP_DEFAULT_CACHE: usize = 512;
 /// rewinds nothing) break towards the numerically smallest address.
 #[derive(Clone)]
 struct ArpCache {
-    map: HashMap<IpAddr, (Entry, u64)>,
+    map: MixMap<IpAddr, (Entry, u64)>,
     capacity: usize,
     tick: u64,
     evictions: u64,
@@ -64,7 +64,7 @@ struct ArpCache {
 impl ArpCache {
     fn new(capacity: usize) -> ArpCache {
         ArpCache {
-            map: HashMap::new(),
+            map: MixMap::default(),
             capacity: capacity.max(1),
             tick: 0,
             evictions: 0,
@@ -118,7 +118,7 @@ pub struct Arp {
     my_eth: OnceLock<EthAddr>,
     bcast: OnceLock<SessionRef>,
     cache: Mutex<ArpCache>,
-    waiters: Mutex<HashMap<IpAddr, Vec<SharedSema>>>,
+    waiters: Mutex<MixMap<IpAddr, Vec<SharedSema>>>,
 }
 
 impl Arp {
@@ -132,7 +132,7 @@ impl Arp {
             my_eth: OnceLock::new(),
             bcast: OnceLock::new(),
             cache: Mutex::new(ArpCache::new(capacity)),
-            waiters: Mutex::new(HashMap::new()),
+            waiters: Mutex::new(MixMap::default()),
         })
     }
 
@@ -159,10 +159,11 @@ impl Arp {
 
     fn install(&self, ip: IpAddr, eth: EthAddr, ctx: &Ctx) {
         self.cache.lock().insert(ip, Entry::Known(eth));
-        if let Some(ws) = self.waiters.lock().remove(&ip) {
-            for w in ws {
-                w.v(ctx);
-            }
+        // Bound first: an `if let` on the call would keep the guard across
+        // the wake-ups.
+        let ws = self.waiters.lock().remove(&ip);
+        for w in ws.into_iter().flatten() {
+            w.v(ctx);
         }
     }
 
@@ -226,7 +227,7 @@ impl Protocol for Arp {
     }
 
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
-        let kernel = ctx.kernel();
+        let kernel = ctx.kernel_ref();
         let parts = ParticipantSet::local(Participant::proto(u32::from(eth_type::ARP)));
         kernel.open_enable(ctx, self.eth, self.me, &parts)?;
         let bparts = ParticipantSet::pair(
@@ -273,7 +274,7 @@ impl Protocol for Arp {
                 Participant::proto(u32::from(eth_type::ARP)),
                 Participant::default().with_eth(seth),
             );
-            let sess = ctx.kernel().open(ctx, self.eth, self.me, &parts)?;
+            let sess = ctx.kernel_ref().open(ctx, self.eth, self.me, &parts)?;
             sess.push(ctx, ctx.msg(reply))?;
         }
         Ok(())

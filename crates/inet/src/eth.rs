@@ -8,11 +8,9 @@
 //! own.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
-
+use xkernel::map::{EnableSnapshot, SessionSnapshot};
 use xkernel::prelude::*;
 
 /// Ethernet header length.
@@ -38,10 +36,10 @@ pub struct Eth {
     nic: ProtoId,
     my_eth: OnceLock<EthAddr>,
     nic_sess: OnceLock<SessionRef>,
-    enables: Mutex<HashMap<u16, ProtoId>>,
+    enables: EnableMap<u16>,
     // Cached sessions for the upward path, keyed (peer, type): the paper's
     // "cache open sessions" efficiency rule.
-    passive: Mutex<HashMap<(EthAddr, u16), SessionRef>>,
+    passive: SessionMap<(EthAddr, u16)>,
 }
 
 impl Eth {
@@ -52,8 +50,8 @@ impl Eth {
             nic,
             my_eth: OnceLock::new(),
             nic_sess: OnceLock::new(),
-            enables: Mutex::new(HashMap::new()),
-            passive: Mutex::new(HashMap::new()),
+            enables: EnableMap::new(),
+            passive: SessionMap::new(),
         })
     }
 
@@ -146,7 +144,7 @@ impl Protocol for Eth {
     }
 
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
-        let kernel = ctx.kernel();
+        let kernel = ctx.kernel_ref();
         let sess = kernel.open(ctx, self.nic, self.me, &ParticipantSet::new())?;
         let my = sess.control(ctx, &ControlOp::GetMyEth)?.eth()?;
         self.my_eth
@@ -171,16 +169,13 @@ impl Protocol for Eth {
 
     fn open_enable(&self, _ctx: &Ctx, upper: ProtoId, parts: &ParticipantSet) -> XResult<()> {
         let ty = Self::type_of(parts)?;
-        self.enables.lock().insert(ty, upper);
+        self.enables.bind(ty, upper);
         Ok(())
     }
 
     fn open_disable(&self, _ctx: &Ctx, upper: ProtoId, parts: &ParticipantSet) -> XResult<()> {
         let ty = Self::type_of(parts)?;
-        let mut e = self.enables.lock();
-        if e.get(&ty) == Some(&upper) {
-            e.remove(&ty);
-        }
+        self.enables.unbind_if(&ty, |bound| *bound == upper);
         Ok(())
     }
 
@@ -192,25 +187,15 @@ impl Protocol for Eth {
         let ty = r.u16()?;
         drop(hdr);
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
-        let upper = self
+        let upper = *self
             .enables
-            .lock()
-            .get(&ty)
-            .copied()
+            .resolve(&ty)
             .ok_or_else(|| XError::NoEnable(format!("eth type {ty:#06x}")))?;
-        let sess = {
-            let mut cache = self.passive.lock();
-            match cache.get(&(src, ty)) {
-                Some(s) => Arc::clone(s),
-                None => {
-                    ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-                    let s = self.make_session(src, ty)?;
-                    cache.insert((src, ty), Arc::clone(&s));
-                    s
-                }
-            }
-        };
-        ctx.kernel().demux_to(ctx, upper, &sess, msg)
+        let sess = self.passive.resolve_or_insert_with((src, ty), || {
+            ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
+            self.make_session(src, ty)
+        })?;
+        ctx.kernel_ref().demux_to(ctx, upper, &sess, msg)
     }
 
     fn control(&self, ctx: &Ctx, op: &ControlOp) -> XResult<ControlRes> {
@@ -228,15 +213,15 @@ impl Protocol for Eth {
     // SessionCreate charge, so restore must rewind it for bit-identity.
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         Some(Arc::new(EthSnap {
-            enables: self.enables.lock().clone(),
-            passive: self.passive.lock().clone(),
+            enables: self.enables.snapshot(),
+            passive: self.passive.snapshot(),
         }))
     }
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<EthSnap>(blob, "eth")?;
-        *self.enables.lock() = s.enables.clone();
-        *self.passive.lock() = s.passive.clone();
+        self.enables.restore(&s.enables);
+        self.passive.restore(&s.passive);
         Ok(())
     }
 
@@ -247,8 +232,8 @@ impl Protocol for Eth {
 
 #[derive(Clone)]
 struct EthSnap {
-    enables: HashMap<u16, ProtoId>,
-    passive: HashMap<(EthAddr, u16), SessionRef>,
+    enables: EnableSnapshot,
+    passive: SessionSnapshot<(EthAddr, u16), SessionRef>,
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! only depends on the *semantics* of IP).
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::sync::atomic::{AtomicU16, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -28,13 +28,13 @@ type EchoWaiter = (SharedSema, Arc<Mutex<Option<Vec<u8>>>>);
 pub struct Icmp {
     me: ProtoId,
     lower: ProtoId,
-    next_seq: Mutex<u16>,
+    next_seq: AtomicU16,
     /// Parked pingers keyed by `(peer, id, seq)`. The id must be part of
     /// the key: two concurrent pingers that happen to reuse a sequence
     /// number toward the same peer are distinct conversations, and keying
     /// by `(peer, seq)` alone let one pinger steal (or drop) the other's
     /// reply.
-    waiting: Mutex<HashMap<(u32, u16, u16), EchoWaiter>>,
+    waiting: SessionMap<(u32, u16, u16), EchoWaiter>,
 }
 
 impl Icmp {
@@ -43,8 +43,8 @@ impl Icmp {
         Arc::new(Icmp {
             me,
             lower,
-            next_seq: Mutex::new(0),
-            waiting: Mutex::new(HashMap::new()),
+            next_seq: AtomicU16::new(0),
+            waiting: SessionMap::new(),
         })
     }
 
@@ -59,11 +59,10 @@ impl Icmp {
 
     /// Pings `dst` with `len` payload bytes; returns the echoed payload.
     pub fn ping(&self, ctx: &Ctx, dst: IpAddr, len: usize) -> XResult<Vec<u8>> {
-        let seq = {
-            let mut s = self.next_seq.lock();
-            *s = s.wrapping_add(1);
-            *s
-        };
+        let seq = self
+            .next_seq
+            .fetch_add(1, Ordering::Relaxed)
+            .wrapping_add(1);
         self.ping_with(ctx, dst, len, 1, seq)
     }
 
@@ -82,18 +81,17 @@ impl Icmp {
         let sema = SharedSema::new(0);
         let slot: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
         self.waiting
-            .lock()
-            .insert((dst.0, id, seq), (sema.clone(), Arc::clone(&slot)));
+            .bind((dst.0, id, seq), (sema.clone(), Arc::clone(&slot)));
 
         let parts = ParticipantSet::pair(
             Participant::proto(u32::from(ip_proto::ICMP)),
             Participant::host(dst),
         );
-        let sess = ctx.kernel().open(ctx, self.lower, self.me, &parts)?;
+        let sess = ctx.kernel_ref().open(ctx, self.lower, self.me, &parts)?;
         let pkt = Self::encode(TYPE_ECHO_REQUEST, id, seq, &payload);
         sess.push(ctx, ctx.msg(pkt))?;
         let got = sema.p_timeout(ctx, PING_TIMEOUT_NS) || slot.lock().is_some();
-        self.waiting.lock().remove(&(dst.0, id, seq));
+        self.waiting.unbind(&(dst.0, id, seq));
         if !got {
             return Err(XError::Timeout(format!("ping {dst} seq {seq}")));
         }
@@ -117,7 +115,8 @@ impl Protocol for Icmp {
 
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
         let parts = ParticipantSet::local(Participant::proto(u32::from(ip_proto::ICMP)));
-        ctx.kernel().open_enable(ctx, self.lower, self.me, &parts)
+        ctx.kernel_ref()
+            .open_enable(ctx, self.lower, self.me, &parts)
     }
 
     fn open(&self, _ctx: &Ctx, _u: ProtoId, _p: &ParticipantSet) -> XResult<SessionRef> {
@@ -159,7 +158,7 @@ impl Protocol for Icmp {
             }
             TYPE_ECHO_REPLY => {
                 let peer = lls.control(ctx, &ControlOp::GetPeerHost)?.ip()?;
-                if let Some((sema, slot)) = self.waiting.lock().get(&(peer.0, id, seq)) {
+                if let Some((sema, slot)) = self.waiting.resolve(&(peer.0, id, seq)) {
                     *slot.lock() = Some(msg.to_vec());
                     sema.v(ctx);
                 }
@@ -171,16 +170,16 @@ impl Protocol for Icmp {
 
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         debug_assert!(
-            self.waiting.lock().is_empty(),
+            self.waiting.is_empty(),
             "icmp snapshot with parked pingers (not quiescent)"
         );
-        Some(Arc::new(*self.next_seq.lock()))
+        Some(Arc::new(self.next_seq.load(Ordering::Relaxed)))
     }
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<u16>(blob, "icmp")?;
-        self.waiting.lock().clear();
-        *self.next_seq.lock() = *s;
+        self.waiting.clear();
+        self.next_seq.store(*s, Ordering::Relaxed);
         Ok(())
     }
 

@@ -8,12 +8,13 @@
 //! 0.37 msec per round trip on the paper's hardware — motivates VIP.
 
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
+use xkernel::map::{EnableSnapshot, MixMap, SessionSnapshot};
 use xkernel::prelude::*;
 
 use crate::eth::eth_type;
@@ -152,7 +153,7 @@ impl Iface {
 }
 
 /// A static route.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Route {
     /// Destination network (already masked).
     pub net: u32,
@@ -176,12 +177,14 @@ pub struct Ip {
     me: ProtoId,
     ifaces: Vec<Iface>,
     forward: bool,
-    routes: Mutex<Vec<Route>>,
-    next_id: Mutex<u16>,
-    enables: Mutex<HashMap<u8, ProtoId>>,
-    passive: Mutex<HashMap<(IpAddr, u8), SessionRef>>,
-    eth_cache: Mutex<HashMap<(usize, EthAddr), SessionRef>>,
-    reasm: Mutex<HashMap<(u32, u16, u8), Reassembly>>,
+    /// Static routes keyed `(net, mask)`: configuration, read lock-free on
+    /// every send.
+    routes: EnableMap<(u32, u32), Route>,
+    next_id: AtomicU16,
+    enables: EnableMap<u8>,
+    passive: SessionMap<(IpAddr, u8)>,
+    eth_cache: SessionMap<(usize, EthAddr)>,
+    reasm: Mutex<MixMap<(u32, u16, u8), Reassembly>>,
     stats: IpStatsInner,
 }
 
@@ -213,29 +216,28 @@ impl Ip {
     /// Creates an IP protocol with the given interfaces; `forward` makes
     /// this host a router. Connected routes are installed automatically.
     pub fn new(me: ProtoId, ifaces: Vec<Iface>, forward: bool) -> Arc<Ip> {
-        let routes = ifaces
-            .iter()
-            .enumerate()
-            .map(|(i, f)| Route {
-                net: f.ip.network(f.mask),
-                mask: f.mask,
-                via: None,
-                iface: i,
-            })
-            .collect();
-        Arc::new_cyclic(|weak_self| Ip {
+        let ip = Arc::new_cyclic(|weak_self| Ip {
             weak_self: weak_self.clone(),
             me,
             ifaces,
             forward,
-            routes: Mutex::new(routes),
-            next_id: Mutex::new(1),
-            enables: Mutex::new(HashMap::new()),
-            passive: Mutex::new(HashMap::new()),
-            eth_cache: Mutex::new(HashMap::new()),
-            reasm: Mutex::new(HashMap::new()),
+            routes: EnableMap::new(),
+            next_id: AtomicU16::new(1),
+            enables: EnableMap::new(),
+            passive: SessionMap::new(),
+            eth_cache: SessionMap::new(),
+            reasm: Mutex::new(MixMap::default()),
             stats: IpStatsInner::default(),
-        })
+        });
+        for (i, f) in ip.ifaces.iter().enumerate() {
+            ip.add_route(Route {
+                net: f.ip.network(f.mask),
+                mask: f.mask,
+                via: None,
+                iface: i,
+            });
+        }
+        ip
     }
 
     /// Counter snapshot (forwarding, fragmentation, reassembly).
@@ -251,7 +253,7 @@ impl Ip {
 
     /// Adds a static route (e.g. a default route through a gateway).
     pub fn add_route(&self, route: Route) {
-        self.routes.lock().push(route);
+        self.routes.bind((route.net, route.mask), route);
     }
 
     /// Our address on the first interface (the host's primary identity).
@@ -266,9 +268,9 @@ impl Ip {
     /// Longest-prefix route lookup.
     fn route_for(&self, ctx: &Ctx, dst: IpAddr) -> XResult<Route> {
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup); // Route table lookup.
-        let routes = self.routes.lock();
-        routes
+        self.routes
             .iter()
+            .map(|(_, r)| r)
             .filter(|r| dst.network(r.mask) == r.net)
             .max_by_key(|r| r.mask)
             .copied()
@@ -279,20 +281,15 @@ impl Ip {
     fn eth_session(&self, ctx: &Ctx, iface: usize, next_hop: IpAddr) -> XResult<SessionRef> {
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup); // Session cache lookup.
         let f = &self.ifaces[iface];
-        let arp = ctx.kernel().proto(f.arp)?;
+        let arp = ctx.kernel_ref().proto_ref(f.arp)?;
         let hw = arp.control(ctx, &ControlOp::Resolve(next_hop))?.eth()?;
-        let cache = self.eth_cache.lock();
-        if let Some(s) = cache.get(&(iface, hw)) {
-            return Ok(Arc::clone(s));
-        }
-        drop(cache);
-        let parts = ParticipantSet::pair(
-            Participant::proto(u32::from(eth_type::IP)),
-            Participant::default().with_eth(hw),
-        );
-        let s = ctx.kernel().open(ctx, f.eth, self.me, &parts)?;
-        self.eth_cache.lock().insert((iface, hw), Arc::clone(&s));
-        Ok(s)
+        self.eth_cache.resolve_or_open((iface, hw), || {
+            let parts = ParticipantSet::pair(
+                Participant::proto(u32::from(eth_type::IP)),
+                Participant::default().with_eth(hw),
+            );
+            ctx.kernel_ref().open(ctx, f.eth, self.me, &parts)
+        })
     }
 
     /// Sends `msg` as one or more fragments with the given header template.
@@ -348,30 +345,22 @@ impl Ip {
 
     fn deliver_up(&self, ctx: &Ctx, hdr: &IpHeader, msg: Message) -> XResult<()> {
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
-        let upper = self
+        let upper = *self
             .enables
-            .lock()
-            .get(&hdr.proto)
-            .copied()
+            .resolve(&hdr.proto)
             .ok_or_else(|| XError::NoEnable(format!("ip proto {}", hdr.proto)))?;
-        let sess = {
-            let mut cache = self.passive.lock();
-            match cache.get(&(hdr.src, hdr.proto)) {
-                Some(s) => Arc::clone(s),
-                None => {
-                    ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-                    let s: SessionRef = Arc::new(IpSession {
-                        proto_id: self.me,
-                        parent: self.self_arc(),
-                        dst: hdr.src,
-                        proto: hdr.proto,
-                    });
-                    cache.insert((hdr.src, hdr.proto), Arc::clone(&s));
-                    s
-                }
-            }
-        };
-        ctx.kernel().demux_to(ctx, upper, &sess, msg)
+        let sess = self
+            .passive
+            .resolve_or_insert_with((hdr.src, hdr.proto), || {
+                ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
+                Ok(Arc::new(IpSession {
+                    proto_id: self.me,
+                    parent: self.self_arc(),
+                    dst: hdr.src,
+                    proto: hdr.proto,
+                }) as SessionRef)
+            })?;
+        ctx.kernel_ref().demux_to(ctx, upper, &sess, msg)
     }
 
     fn self_arc(&self) -> Arc<Ip> {
@@ -448,11 +437,11 @@ impl Session for IpSession {
     }
 
     fn push(&self, ctx: &Ctx, msg: Message) -> XResult<Option<Message>> {
-        let id = {
-            let mut n = self.parent.next_id.lock();
-            *n = n.wrapping_add(1);
-            *n
-        };
+        let id = self
+            .parent
+            .next_id
+            .fetch_add(1, Ordering::Relaxed)
+            .wrapping_add(1);
         let hdr = IpHeader {
             total_len: 0,
             id,
@@ -502,7 +491,7 @@ impl Protocol for Ip {
     }
 
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
-        let kernel = ctx.kernel();
+        let kernel = ctx.kernel_ref();
         for f in &self.ifaces {
             let parts = ParticipantSet::local(Participant::proto(u32::from(eth_type::IP)));
             kernel.open_enable(ctx, f.eth, self.me, &parts)?;
@@ -514,8 +503,8 @@ impl Protocol for Ip {
         // Partial reassemblies and cached sessions do not survive a crash;
         // interfaces, routes, and enables are configuration.
         self.reasm.lock().clear();
-        self.passive.lock().clear();
-        self.eth_cache.lock().clear();
+        self.passive.clear();
+        self.eth_cache.clear();
         Ok(())
     }
 
@@ -544,7 +533,7 @@ impl Protocol for Ip {
             .and_then(|p| p.proto_num)
             .ok_or_else(|| XError::Config("ip enable needs a protocol number".into()))?
             as u8;
-        self.enables.lock().insert(proto, upper);
+        self.enables.bind(proto, upper);
         Ok(())
     }
 
@@ -613,11 +602,11 @@ impl Protocol for Ip {
             "ip snapshot with partial reassemblies (not quiescent)"
         );
         Some(Arc::new(IpSnap {
-            routes: self.routes.lock().clone(),
-            next_id: *self.next_id.lock(),
-            enables: self.enables.lock().clone(),
-            passive: self.passive.lock().clone(),
-            eth_cache: self.eth_cache.lock().clone(),
+            routes: self.routes.snapshot(),
+            next_id: self.next_id.load(Ordering::Relaxed),
+            enables: self.enables.snapshot(),
+            passive: self.passive.snapshot(),
+            eth_cache: self.eth_cache.snapshot(),
             stats: self.stats(),
         }))
     }
@@ -625,11 +614,11 @@ impl Protocol for Ip {
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<IpSnap>(blob, "ip")?;
         self.reasm.lock().clear();
-        *self.routes.lock() = s.routes.clone();
-        *self.next_id.lock() = s.next_id;
-        *self.enables.lock() = s.enables.clone();
-        *self.passive.lock() = s.passive.clone();
-        *self.eth_cache.lock() = s.eth_cache.clone();
+        self.routes.restore(&s.routes);
+        self.next_id.store(s.next_id, Ordering::Relaxed);
+        self.enables.restore(&s.enables);
+        self.passive.restore(&s.passive);
+        self.eth_cache.restore(&s.eth_cache);
         self.stats
             .forwarded
             .store(s.stats.forwarded, Ordering::Relaxed);
@@ -655,10 +644,10 @@ impl Protocol for Ip {
 
 #[derive(Clone)]
 struct IpSnap {
-    routes: Vec<Route>,
+    routes: EnableSnapshot,
     next_id: u16,
-    enables: HashMap<u8, ProtoId>,
-    passive: HashMap<(IpAddr, u8), SessionRef>,
-    eth_cache: HashMap<(usize, EthAddr), SessionRef>,
+    enables: EnableSnapshot,
+    passive: SessionSnapshot<(IpAddr, u8), SessionRef>,
+    eth_cache: SessionSnapshot<(usize, EthAddr), SessionRef>,
     stats: IpStats,
 }

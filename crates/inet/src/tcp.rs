@@ -22,6 +22,7 @@
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU16, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
@@ -351,9 +352,9 @@ pub struct Tcp {
     weak_self: Weak<Tcp>,
     me: ProtoId,
     lower: ProtoId,
-    conns: Mutex<HashMap<(Port, u32, Port), Arc<TcpConn>>>,
-    listeners: Mutex<HashMap<Port, AcceptQueue>>,
-    next_port: Mutex<Port>,
+    conns: SessionMap<(Port, u32, Port), Arc<TcpConn>>,
+    listeners: SessionMap<Port, AcceptQueue>,
+    next_port: AtomicU16,
 }
 
 impl Tcp {
@@ -364,9 +365,9 @@ impl Tcp {
             weak_self: weak_self.clone(),
             me,
             lower,
-            conns: Mutex::new(HashMap::new()),
-            listeners: Mutex::new(HashMap::new()),
-            next_port: Mutex::new(40_000),
+            conns: SessionMap::new(),
+            listeners: SessionMap::new(),
+            next_port: AtomicU16::new(40_000),
         })
     }
 
@@ -407,22 +408,18 @@ impl Tcp {
             established: SharedSema::new(0),
             readable: SharedSema::new(0),
         });
-        self.conns.lock().insert(conn.key(), Arc::clone(&conn));
+        self.conns.bind(conn.key(), Arc::clone(&conn));
         conn
     }
 
     /// Actively opens a connection; blocks until established or timeout.
     pub fn connect(&self, ctx: &Ctx, peer: IpAddr, peer_port: Port) -> XResult<Arc<TcpConn>> {
-        let local_port = {
-            let mut p = self.next_port.lock();
-            *p += 1;
-            *p
-        };
+        let local_port = self.next_port.fetch_add(1, Ordering::Relaxed) + 1;
         let lparts = ParticipantSet::pair(
             Participant::proto(u32::from(ip_proto::TCP)),
             Participant::host(peer),
         );
-        let lower = ctx.kernel().open(ctx, self.lower, self.me, &lparts)?;
+        let lower = ctx.kernel_ref().open(ctx, self.lower, self.me, &lparts)?;
         let iss = (ctx.next_u64() & 0xffff) as u32;
         let conn = self.make_conn(ctx, local_port, peer, peer_port, lower, State::SynSent, iss);
         {
@@ -437,7 +434,7 @@ impl Tcp {
                 return Ok(conn);
             }
         }
-        self.conns.lock().remove(&conn.key());
+        self.conns.unbind(&conn.key());
         Err(XError::Timeout(format!("tcp connect {peer}:{peer_port}")))
     }
 
@@ -446,8 +443,7 @@ impl Tcp {
         let sema = SharedSema::new(0);
         let queue: Arc<Mutex<VecDeque<Arc<TcpConn>>>> = Arc::new(Mutex::new(VecDeque::new()));
         self.listeners
-            .lock()
-            .insert(port, (sema.clone(), Arc::clone(&queue)));
+            .bind(port, (sema.clone(), Arc::clone(&queue)));
         Ok(TcpListener { sema, queue })
     }
 
@@ -473,12 +469,12 @@ impl Tcp {
         let payload = msg.to_vec();
 
         let key = (hdr.dst_port, src.0, hdr.src_port);
-        let existing = self.conns.lock().get(&key).cloned();
+        let existing = self.conns.resolve(&key);
         match existing {
             Some(conn) => self.established_in(ctx, &conn, hdr, payload),
             None if hdr.flags & FLAG_SYN != 0 && hdr.flags & FLAG_ACK == 0 => {
                 // New passive connection.
-                let listener = self.listeners.lock().get(&hdr.dst_port).cloned();
+                let listener = self.listeners.resolve(&hdr.dst_port);
                 let Some((sema, queue)) = listener else {
                     ctx.trace_note("no listener");
                     return Ok(());
@@ -610,7 +606,8 @@ impl Protocol for Tcp {
 
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
         let parts = ParticipantSet::local(Participant::proto(u32::from(ip_proto::TCP)));
-        ctx.kernel().open_enable(ctx, self.lower, self.me, &parts)
+        ctx.kernel_ref()
+            .open_enable(ctx, self.lower, self.me, &parts)
     }
 
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {

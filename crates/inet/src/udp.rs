@@ -13,11 +13,10 @@
 //!   sunrpc/psync crates compose it normally.
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::sync::atomic::{AtomicU16, Ordering};
 use std::sync::{Arc, Weak};
 
-use parking_lot::Mutex;
-
+use xkernel::map::{EnableSnapshot, SessionSnapshot};
 use xkernel::prelude::*;
 
 use crate::ip::ip_proto;
@@ -32,11 +31,11 @@ pub struct Udp {
     weak_self: Weak<Udp>,
     me: ProtoId,
     lower: ProtoId,
-    enables: Mutex<HashMap<Port, ProtoId>>,
+    enables: EnableMap<Port>,
     // Active sessions keyed (local port, peer ip, peer port); passive
     // sessions created by demux are cached here too.
-    sessions: Mutex<HashMap<(Port, u32, Port), SessionRef>>,
-    next_ephemeral: Mutex<Port>,
+    sessions: SessionMap<(Port, u32, Port)>,
+    next_ephemeral: AtomicU16,
 }
 
 impl Udp {
@@ -47,9 +46,9 @@ impl Udp {
             weak_self: weak_self.clone(),
             me,
             lower,
-            enables: Mutex::new(HashMap::new()),
-            sessions: Mutex::new(HashMap::new()),
-            next_ephemeral: Mutex::new(49_152),
+            enables: EnableMap::new(),
+            sessions: SessionMap::new(),
+            next_ephemeral: AtomicU16::new(49_152),
         })
     }
 
@@ -81,14 +80,13 @@ impl Udp {
     /// traffic outstanding would steer the old conversation's datagrams
     /// into the new session.
     pub fn ephemeral_port(&self) -> Port {
-        let mut p = self.next_ephemeral.lock();
         let sessions = self.sessions.lock();
-        let enables = self.enables.lock();
         for _ in 0..16_384u32 {
-            let cand = *p;
-            *p = p.checked_add(1).unwrap_or(49_152);
-            let live =
-                sessions.keys().any(|&(local, _, _)| local == cand) || enables.contains_key(&cand);
+            let cand = self.next_ephemeral.load(Ordering::Relaxed);
+            self.next_ephemeral
+                .store(cand.checked_add(1).unwrap_or(49_152), Ordering::Relaxed);
+            let live = sessions.keys().any(|&(local, _, _)| local == cand)
+                || self.enables.resolve(&cand).is_some();
             if !live {
                 return cand;
             }
@@ -101,7 +99,7 @@ impl Udp {
     /// Number of live (open) UDP sessions — diagnostic accessor for churn
     /// audits: closed sessions must leave no residue in the demux map.
     pub fn session_count(&self) -> usize {
-        self.sessions.lock().len()
+        self.sessions.len()
     }
 }
 
@@ -192,8 +190,7 @@ impl Session for UdpSession {
     fn close(&self, _ctx: &Ctx) -> XResult<()> {
         self.parent
             .sessions
-            .lock()
-            .remove(&(self.local_port, self.peer.0, self.peer_port));
+            .unbind(&(self.local_port, self.peer.0, self.peer_port));
         Ok(())
     }
 
@@ -217,32 +214,28 @@ impl Protocol for Udp {
 
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
         let parts = ParticipantSet::local(Participant::proto(u32::from(ip_proto::UDP)));
-        ctx.kernel().open_enable(ctx, self.lower, self.me, &parts)
+        ctx.kernel_ref()
+            .open_enable(ctx, self.lower, self.me, &parts)
     }
 
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
         let (local, rip, rport) = self.ports_of(parts)?;
-        if let Some(s) = self.sessions.lock().get(&(local, rip.0, rport)) {
-            return Ok(Arc::clone(s));
-        }
-        ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-        let lparts = ParticipantSet::pair(
-            Participant::proto(u32::from(ip_proto::UDP)),
-            Participant::host(rip),
-        );
-        let lower = ctx.kernel().open(ctx, self.lower, self.me, &lparts)?;
-        let s: SessionRef = Arc::new(UdpSession {
-            proto_id: self.me,
-            parent: self.self_arc(),
-            local_port: local,
-            peer: rip,
-            peer_port: rport,
-            lower,
-        });
-        self.sessions
-            .lock()
-            .insert((local, rip.0, rport), Arc::clone(&s));
-        Ok(s)
+        self.sessions.resolve_or_open((local, rip.0, rport), || {
+            ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
+            let lparts = ParticipantSet::pair(
+                Participant::proto(u32::from(ip_proto::UDP)),
+                Participant::host(rip),
+            );
+            let lower = ctx.kernel_ref().open(ctx, self.lower, self.me, &lparts)?;
+            Ok(Arc::new(UdpSession {
+                proto_id: self.me,
+                parent: self.self_arc(),
+                local_port: local,
+                peer: rip,
+                peer_port: rport,
+                lower,
+            }) as SessionRef)
+        })
     }
 
     fn open_enable(&self, _ctx: &Ctx, upper: ProtoId, parts: &ParticipantSet) -> XResult<()> {
@@ -250,7 +243,7 @@ impl Protocol for Udp {
             .local_part()
             .and_then(|p| p.port)
             .ok_or_else(|| XError::Config("udp enable needs a local port".into()))?;
-        self.enables.lock().insert(port, upper);
+        self.enables.bind(port, upper);
         Ok(())
     }
 
@@ -300,11 +293,9 @@ impl Protocol for Udp {
         }
 
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
-        let upper = self
+        let upper = *self
             .enables
-            .lock()
-            .get(&dst_port)
-            .copied()
+            .resolve(&dst_port)
             .ok_or_else(|| XError::NoEnable(format!("udp port {dst_port}")))?;
         // Over VIP's raw-Ethernet path the lower session has no internet
         // address for the peer; key the session on the unspecified address
@@ -313,26 +304,20 @@ impl Protocol for Udp {
             .control(ctx, &ControlOp::GetPeerHost)
             .and_then(|r| r.ip())
             .unwrap_or(IpAddr::ANY);
-        let sess = {
-            let mut cache = self.sessions.lock();
-            match cache.get(&(dst_port, peer.0, src_port)) {
-                Some(s) => Arc::clone(s),
-                None => {
-                    ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-                    let s: SessionRef = Arc::new(UdpSession {
-                        proto_id: self.me,
-                        parent: self.self_arc(),
-                        local_port: dst_port,
-                        peer,
-                        peer_port: src_port,
-                        lower: Arc::clone(lls),
-                    });
-                    cache.insert((dst_port, peer.0, src_port), Arc::clone(&s));
-                    s
-                }
-            }
-        };
-        ctx.kernel().demux_to(ctx, upper, &sess, msg)
+        let sess = self
+            .sessions
+            .resolve_or_insert_with((dst_port, peer.0, src_port), || {
+                ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
+                Ok(Arc::new(UdpSession {
+                    proto_id: self.me,
+                    parent: self.self_arc(),
+                    local_port: dst_port,
+                    peer,
+                    peer_port: src_port,
+                    lower: Arc::clone(lls),
+                }) as SessionRef)
+            })?;
+        ctx.kernel_ref().demux_to(ctx, upper, &sess, msg)
     }
 
     fn control(&self, ctx: &Ctx, op: &ControlOp) -> XResult<ControlRes> {
@@ -350,17 +335,18 @@ impl Protocol for Udp {
 
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         Some(Arc::new(UdpSnap {
-            enables: self.enables.lock().clone(),
-            sessions: self.sessions.lock().clone(),
-            next_ephemeral: *self.next_ephemeral.lock(),
+            enables: self.enables.snapshot(),
+            sessions: self.sessions.snapshot(),
+            next_ephemeral: self.next_ephemeral.load(Ordering::Relaxed),
         }))
     }
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<UdpSnap>(blob, "udp")?;
-        *self.enables.lock() = s.enables.clone();
-        *self.sessions.lock() = s.sessions.clone();
-        *self.next_ephemeral.lock() = s.next_ephemeral;
+        self.enables.restore(&s.enables);
+        self.sessions.restore(&s.sessions);
+        self.next_ephemeral
+            .store(s.next_ephemeral, Ordering::Relaxed);
         Ok(())
     }
 
@@ -371,8 +357,8 @@ impl Protocol for Udp {
 
 #[derive(Clone)]
 struct UdpSnap {
-    enables: HashMap<Port, ProtoId>,
-    sessions: HashMap<(Port, u32, Port), SessionRef>,
+    enables: EnableSnapshot,
+    sessions: SessionSnapshot<(Port, u32, Port), SessionRef>,
     next_ephemeral: Port,
 }
 

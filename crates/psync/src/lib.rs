@@ -25,12 +25,13 @@
 #![warn(missing_docs)]
 
 use std::any::Any;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::Mutex;
 
 use xkernel::graph::{GraphArgs, ProtocolRegistry};
+use xkernel::map::SessionSnapshot;
 use xkernel::prelude::*;
 use xrpc::protnum::rel_proto_num;
 
@@ -172,8 +173,8 @@ pub struct Psync {
     lower: ProtoId,
     lower_name: OnceLock<&'static str>,
     my_ip: OnceLock<IpAddr>,
-    convs: Mutex<HashMap<u32, Arc<Conversation>>>,
-    lowers: Mutex<HashMap<u32, SessionRef>>,
+    convs: SessionMap<u32, Arc<Conversation>>,
+    lowers: SessionMap<u32>,
 }
 
 impl Psync {
@@ -185,8 +186,8 @@ impl Psync {
             lower,
             lower_name: OnceLock::new(),
             my_ip: OnceLock::new(),
-            convs: Mutex::new(HashMap::new()),
-            lowers: Mutex::new(HashMap::new()),
+            convs: SessionMap::new(),
+            lowers: SessionMap::new(),
         })
     }
 
@@ -199,25 +200,21 @@ impl Psync {
     }
 
     fn lower_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<SessionRef> {
-        if let Some(s) = self.lowers.lock().get(&peer.0) {
-            return Ok(Arc::clone(s));
-        }
-        let lname = self.lower_name.get().expect("psync booted");
-        let parts = ParticipantSet::pair(
-            Participant::proto(rel_proto_num(lname, "psync")?),
-            Participant::host(peer),
-        );
-        let s = ctx.kernel().open(ctx, self.lower, self.me, &parts)?;
-        self.lowers.lock().insert(peer.0, Arc::clone(&s));
-        Ok(s)
+        self.lowers.resolve_or_open(peer.0, || {
+            let lname = self.lower_name.get().expect("psync booted");
+            let parts = ParticipantSet::pair(
+                Participant::proto(rel_proto_num(lname, "psync")?),
+                Participant::host(peer),
+            );
+            ctx.kernel_ref().open(ctx, self.lower, self.me, &parts)
+        })
     }
 
     /// Opens (or joins) conversation `id` with the given other
     /// participants. Every participant must open the same id.
     pub fn open_conv(&self, _ctx: &Ctx, id: u32, peers: Vec<IpAddr>) -> Arc<Conversation> {
-        let mut convs = self.convs.lock();
-        Arc::clone(convs.entry(id).or_insert_with(|| {
-            Arc::new(Conversation {
+        let fresh = || {
+            Ok(Arc::new(Conversation {
                 parent: self.self_arc(),
                 id,
                 peers,
@@ -229,8 +226,11 @@ impl Psync {
                     inbox: VecDeque::new(),
                 }),
                 avail: SharedSema::new(0),
-            })
-        }))
+            }))
+        };
+        self.convs
+            .resolve_or_insert_with(id, fresh)
+            .expect("constructor is infallible")
     }
 }
 
@@ -248,8 +248,8 @@ impl Protocol for Psync {
     }
 
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
-        let kernel = ctx.kernel();
-        let lower = kernel.proto(self.lower)?;
+        let kernel = ctx.kernel_ref();
+        let lower = kernel.proto_ref(self.lower)?;
         self.lower_name
             .set(lower.name())
             .map_err(|_| XError::Config("psync double boot".into()))?;
@@ -286,8 +286,7 @@ impl Protocol for Psync {
         }
         drop(deps_bytes);
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
-        let conversation = self.convs.lock().get(&conv).cloned();
-        match conversation {
+        match self.convs.resolve(&conv) {
             Some(c) => {
                 c.message_in(
                     ctx,
@@ -325,20 +324,16 @@ impl Protocol for Psync {
             .convs
             .lock()
             .iter()
-            .map(|(k, c)| {
-                (
-                    *k,
-                    ConvSnap {
-                        conv: Arc::clone(c),
-                        st: c.st.lock().clone(),
-                        avail: c.avail.snap_state(),
-                    },
-                )
+            .map(|(id, c)| ConvSnap {
+                id: *id,
+                conv: Arc::clone(c),
+                st: c.st.lock().clone(),
+                avail: c.avail.snap_state(),
             })
             .collect();
         Some(Arc::new(PsyncSnap {
             convs,
-            lowers: self.lowers.lock().clone(),
+            lowers: self.lowers.snapshot(),
         }))
     }
 
@@ -347,13 +342,13 @@ impl Protocol for Psync {
         {
             let mut convs = self.convs.lock();
             convs.clear();
-            for (k, cs) in &s.convs {
+            for cs in &s.convs {
                 *cs.conv.st.lock() = cs.st.clone();
                 cs.conv.avail.restore_state(cs.avail);
-                convs.insert(*k, Arc::clone(&cs.conv));
+                convs.insert(cs.id, Arc::clone(&cs.conv));
             }
         }
-        *self.lowers.lock() = s.lowers.clone();
+        self.lowers.restore(&s.lowers);
         Ok(())
     }
 
@@ -363,14 +358,15 @@ impl Protocol for Psync {
 }
 
 struct ConvSnap {
+    id: u32,
     conv: Arc<Conversation>,
     st: ConvState,
     avail: (i64, u64),
 }
 
 struct PsyncSnap {
-    convs: HashMap<u32, ConvSnap>,
-    lowers: HashMap<u32, SessionRef>,
+    convs: Vec<ConvSnap>,
+    lowers: SessionSnapshot<u32, SessionRef>,
 }
 
 /// Lint contract for Psync: conversation IPC over an internet-like

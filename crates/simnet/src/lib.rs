@@ -293,11 +293,17 @@ impl SimNet {
         let id = kernel.register(name, |me| {
             let nic = Arc::new(Nic {
                 me,
+                sess: Arc::new(NicSession {
+                    proto: me,
+                    net: net.clone(),
+                    lan,
+                    eth,
+                }),
                 net,
                 lan,
                 host,
                 eth,
-                upper: Mutex::new(None),
+                upper: UpperCell::new(),
             });
             created = Some(Arc::clone(&nic));
             Ok(nic as ProtocolRef)
@@ -531,7 +537,11 @@ pub struct Nic {
     lan: LanId,
     host: HostId,
     eth: EthAddr,
-    upper: Mutex<Option<ProtoId>>,
+    /// The NIC's one session, built with it: what `open` hands out and what
+    /// every frame is delivered up on.
+    sess: SessionRef,
+    /// The NIC's one user (the ETH protocol above), bound by its open.
+    upper: UpperCell,
 }
 
 impl Nic {
@@ -546,16 +556,10 @@ impl Nic {
     }
 
     fn deliver_up(&self, ctx: &Ctx, msg: Message) -> XResult<()> {
-        let upper = (*self.upper.lock()).ok_or_else(|| {
+        let upper = self.upper.get().ok_or_else(|| {
             XError::NoEnable(format!("nic on host {:?} has no upper protocol", self.host))
         })?;
-        let sess: SessionRef = Arc::new(NicSession {
-            proto: self.me,
-            net: self.net.clone(),
-            lan: self.lan,
-            eth: self.eth,
-        });
-        ctx.kernel().demux_to(ctx, upper, &sess, msg)
+        ctx.kernel_ref().demux_to(ctx, upper, &self.sess, msg)
     }
 }
 
@@ -609,17 +613,12 @@ impl Protocol for Nic {
 
     fn open(&self, _ctx: &Ctx, upper: ProtoId, _parts: &ParticipantSet) -> XResult<SessionRef> {
         // A NIC has exactly one user (the ETH protocol); opening binds it.
-        *self.upper.lock() = Some(upper);
-        Ok(Arc::new(NicSession {
-            proto: self.me,
-            net: self.net.clone(),
-            lan: self.lan,
-            eth: self.eth,
-        }))
+        self.upper.set(Some(upper));
+        Ok(Arc::clone(&self.sess))
     }
 
     fn open_enable(&self, _ctx: &Ctx, upper: ProtoId, _parts: &ParticipantSet) -> XResult<()> {
-        *self.upper.lock() = Some(upper);
+        self.upper.set(Some(upper));
         Ok(())
     }
 

@@ -14,9 +14,7 @@
 
 use std::any::Any;
 use std::collections::HashSet;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, OnceLock};
 
 use xkernel::prelude::*;
 
@@ -133,9 +131,10 @@ pub struct AuthLayer {
     me: ProtoId,
     lower: ProtoId,
     scheme: Arc<dyn CredScheme>,
-    lower_name: Mutex<Option<&'static str>>,
-    upper: Mutex<Option<ProtoId>>,
-    sessions: Mutex<Vec<(usize, SessionRef)>>,
+    lower_name: OnceLock<&'static str>,
+    upper: UpperCell,
+    // Server-side wrappers keyed by the identity of the session they wrap.
+    sessions: SessionMap<usize>,
 }
 
 impl AuthLayer {
@@ -145,9 +144,9 @@ impl AuthLayer {
             me,
             lower,
             scheme,
-            lower_name: Mutex::new(None),
-            upper: Mutex::new(None),
-            sessions: Mutex::new(Vec::new()),
+            lower_name: OnceLock::new(),
+            upper: UpperCell::new(),
+            sessions: SessionMap::new(),
         })
     }
 
@@ -242,8 +241,10 @@ impl Protocol for AuthLayer {
     }
 
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
-        let lower = ctx.kernel().proto(self.lower)?;
-        *self.lower_name.lock() = Some(lower.name());
+        let lower = ctx.kernel_ref().proto_ref(self.lower)?;
+        // The lower protocol is fixed at configuration: a repeated boot
+        // finds the same name.
+        let _ = self.lower_name.set(lower.name());
         Ok(())
     }
 
@@ -254,14 +255,14 @@ impl Protocol for AuthLayer {
             .ok_or_else(|| XError::Config("auth open needs a peer host".into()))?;
         let lname = self
             .lower_name
-            .lock()
+            .get()
             .ok_or_else(|| XError::Config("auth layer used before boot".into()))?;
         let lparts = ParticipantSet::pair(
             Participant::proto(rel_proto_num(lname, self.scheme.name())?),
             Participant::host(peer),
         );
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-        let lower = ctx.kernel().open(ctx, self.lower, self.me, &lparts)?;
+        let lower = ctx.kernel_ref().open(ctx, self.lower, self.me, &lparts)?;
         Ok(Arc::new(AuthClientSession {
             proto: self.me,
             scheme: Arc::clone(&self.scheme),
@@ -270,16 +271,17 @@ impl Protocol for AuthLayer {
     }
 
     fn open_enable(&self, ctx: &Ctx, upper: ProtoId, _parts: &ParticipantSet) -> XResult<()> {
-        *self.upper.lock() = Some(upper);
+        self.upper.set(Some(upper));
         let lname = self
             .lower_name
-            .lock()
+            .get()
             .ok_or_else(|| XError::Config("auth layer used before boot".into()))?;
         let parts = ParticipantSet::local(Participant::proto(rel_proto_num(
             lname,
             self.scheme.name(),
         )?));
-        ctx.kernel().open_enable(ctx, self.lower, self.me, &parts)
+        ctx.kernel_ref()
+            .open_enable(ctx, self.lower, self.me, &parts)
     }
 
     fn demux(&self, ctx: &Ctx, lls: &SessionRef, mut msg: Message) -> XResult<()> {
@@ -295,14 +297,16 @@ impl Protocol for AuthLayer {
             return Ok(());
         }
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
-        let upper = (*self.upper.lock())
+        let upper = self
+            .upper
+            .get()
             .ok_or_else(|| XError::NoEnable("auth layer has no upper".into()))?;
         // Wrap the reply path so the verifier is added (cached per lls).
         let key = Arc::as_ptr(lls) as *const () as usize;
         let sess = {
             let mut cache = self.sessions.lock();
-            match cache.iter().find(|(k, _)| *k == key) {
-                Some((_, s)) => Arc::clone(s),
+            match cache.get(&key) {
+                Some(s) => Arc::clone(s),
                 None => {
                     let s: SessionRef = Arc::new(AuthServerSession {
                         proto: self.me,
@@ -314,18 +318,18 @@ impl Protocol for AuthLayer {
                     if cache.len() > 64 {
                         cache.clear();
                     }
-                    cache.push((key, Arc::clone(&s)));
+                    cache.insert(key, Arc::clone(&s));
                     s
                 }
             }
         };
-        ctx.kernel().demux_to(ctx, upper, &sess, msg)
+        ctx.kernel_ref().demux_to(ctx, upper, &sess, msg)
     }
 
     fn control(&self, ctx: &Ctx, op: &ControlOp) -> XResult<ControlRes> {
         match op {
             ControlOp::GetMaxMsgSize => Ok(ControlRes::Size(1500)),
-            other => ctx.kernel().control(ctx, self.lower, other),
+            other => ctx.kernel_ref().control(ctx, self.lower, other),
         }
     }
 

@@ -14,12 +14,12 @@
 //! Header (XDR): xid, message type (0 = call, 1 = reply), protocol number.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::Mutex;
 
+use xkernel::map::{EnableSnapshot, MixMap, SessionSnapshot};
 use xkernel::prelude::*;
 use xkernel::shepherd::{ShepherdConfig, ShepherdStats, Shepherds, Submitted};
 use xkernel::sim::Nanos;
@@ -100,12 +100,12 @@ pub struct RequestReply {
     cfg: RrConfig,
     tunables: Tunables,
     lower_name: OnceLock<&'static str>,
-    next_xid: Mutex<u32>,
+    next_xid: AtomicU32,
     estimator: Mutex<RtoEstimator>,
-    enables: Mutex<HashMap<u32, ProtoId>>,
-    outstanding: Mutex<HashMap<u32, Out>>,
-    sessions: Mutex<HashMap<(u32, u32), SessionRef>>,
-    lowers: Mutex<HashMap<u32, SessionRef>>,
+    enables: EnableMap<u32>,
+    outstanding: Mutex<MixMap<u32, Out>>,
+    sessions: SessionMap<(u32, u32)>,
+    lowers: SessionMap<u32>,
     shepherds: Arc<Shepherds>,
 }
 
@@ -123,16 +123,16 @@ impl RequestReply {
             },
             cfg,
             lower_name: OnceLock::new(),
-            next_xid: Mutex::new(0),
+            next_xid: AtomicU32::new(0),
             estimator: Mutex::new(RtoEstimator::new(
                 cfg.timeout_ns,
                 cfg.min_rto_ns,
                 cfg.max_rto_ns,
             )),
-            enables: Mutex::new(HashMap::new()),
-            outstanding: Mutex::new(HashMap::new()),
-            sessions: Mutex::new(HashMap::new()),
-            lowers: Mutex::new(HashMap::new()),
+            enables: EnableMap::new(),
+            outstanding: Mutex::new(MixMap::default()),
+            sessions: SessionMap::new(),
+            lowers: SessionMap::new(),
             shepherds: Shepherds::new(cfg.shepherds),
         })
     }
@@ -190,24 +190,20 @@ impl RequestReply {
     }
 
     fn lower_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<SessionRef> {
-        if let Some(s) = self.lowers.lock().get(&peer.0) {
-            return Ok(Arc::clone(s));
-        }
-        let parts = self.lower_parts(Some(peer))?;
-        let s = ctx.kernel().open(ctx, self.lower, self.me, &parts)?;
-        self.lowers.lock().insert(peer.0, Arc::clone(&s));
-        Ok(s)
+        self.lowers.resolve_or_open(peer.0, || {
+            let parts = self.lower_parts(Some(peer))?;
+            ctx.kernel_ref().open(ctx, self.lower, self.me, &parts)
+        })
     }
 
     /// One transaction: send, await the first matching reply, retransmit on
     /// timeout. Zero-or-more: no duplicate suppression anywhere.
     fn transact(&self, ctx: &Ctx, peer: IpAddr, proto_num: u32, msg: Message) -> XResult<Message> {
         let lower = self.lower_for(ctx, peer)?;
-        let xid = {
-            let mut x = self.next_xid.lock();
-            *x = x.wrapping_add(1);
-            *x
-        };
+        let xid = self
+            .next_xid
+            .fetch_add(1, Ordering::Relaxed)
+            .wrapping_add(1);
         let sema = SharedSema::new(0);
         self.outstanding.lock().insert(
             xid,
@@ -376,8 +372,8 @@ impl Protocol for RequestReply {
     }
 
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
-        let kernel = ctx.kernel();
-        let lower = kernel.proto(self.lower)?;
+        let kernel = ctx.kernel_ref();
+        let lower = kernel.proto_ref(self.lower)?;
         self.lower_name
             .set(lower.name())
             .map_err(|_| XError::Config("request_reply double boot".into()))?;
@@ -389,8 +385,8 @@ impl Protocol for RequestReply {
         // Stateless semantics make this easy: forget in-flight transactions
         // and cached sessions; xid counter and enables survive.
         self.outstanding.lock().clear();
-        self.sessions.lock().clear();
-        self.lowers.lock().clear();
+        self.sessions.clear();
+        self.lowers.clear();
         self.tunables
             .timeout_ns
             .store(self.cfg.timeout_ns, Ordering::Relaxed);
@@ -416,19 +412,15 @@ impl Protocol for RequestReply {
             .remote_part()
             .and_then(|p| p.host)
             .ok_or_else(|| XError::Config("request_reply open needs a peer host".into()))?;
-        if let Some(s) = self.sessions.lock().get(&(peer.0, proto_num)) {
-            return Ok(Arc::clone(s));
-        }
-        ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-        let s: SessionRef = Arc::new(RrClientSession {
-            parent: self.self_arc(),
-            peer,
-            proto_num,
-        });
         self.sessions
-            .lock()
-            .insert((peer.0, proto_num), Arc::clone(&s));
-        Ok(s)
+            .resolve_or_insert_with((peer.0, proto_num), || {
+                ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
+                Ok(Arc::new(RrClientSession {
+                    parent: self.self_arc(),
+                    peer,
+                    proto_num,
+                }) as SessionRef)
+            })
     }
 
     fn open_enable(&self, _ctx: &Ctx, upper: ProtoId, parts: &ParticipantSet) -> XResult<()> {
@@ -436,7 +428,7 @@ impl Protocol for RequestReply {
             .local_part()
             .and_then(|p| p.proto_num)
             .ok_or_else(|| XError::Config("request_reply enable needs a protocol number".into()))?;
-        self.enables.lock().insert(proto_num, upper);
+        self.enables.bind(proto_num, upper);
         Ok(())
     }
 
@@ -450,11 +442,9 @@ impl Protocol for RequestReply {
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         match mtype {
             MSG_CALL => {
-                let upper = self
+                let upper = *self
                     .enables
-                    .lock()
-                    .get(&proto_num)
-                    .copied()
+                    .resolve(&proto_num)
                     .ok_or_else(|| XError::NoEnable(format!("request_reply proto {proto_num}")))?;
                 ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
                 let sess: SessionRef = Arc::new(RrServerSession {
@@ -465,12 +455,12 @@ impl Protocol for RequestReply {
                 });
                 if self.shepherds.config().workers == 0 || ctx.mode() == Mode::Inline {
                     // Synchronous dispatch: the historical (and default) path.
-                    return ctx.kernel().demux_to(ctx, upper, &sess, msg);
+                    return ctx.kernel_ref().demux_to(ctx, upper, &sess, msg);
                 }
                 let submitted = self.shepherds.submit(
                     ctx,
                     Box::new(move |jctx| {
-                        if jctx.kernel().demux_to(jctx, upper, &sess, msg).is_err() {
+                        if jctx.kernel_ref().demux_to(jctx, upper, &sess, msg).is_err() {
                             jctx.trace_note("shepherd dispatch failed");
                         }
                     }),
@@ -509,7 +499,7 @@ impl Protocol for RequestReply {
             ControlOp::GetMaxMsgSize => Ok(ControlRes::Size(1500)),
             ControlOp::GetMaxPacket => {
                 let r = ctx
-                    .kernel()
+                    .kernel_ref()
                     .control(ctx, self.lower, &ControlOp::GetMaxPacket)?;
                 Ok(ControlRes::Size(r.size()?.saturating_sub(RR_HDR_LEN)))
             }
@@ -533,21 +523,21 @@ impl Protocol for RequestReply {
             "request_reply snapshot with an outstanding transaction (not quiescent)"
         );
         Some(Arc::new(RrSnap {
-            next_xid: *self.next_xid.lock(),
+            next_xid: self.next_xid.load(Ordering::Relaxed),
             estimator: self.estimator.lock().clone(),
             timeout_ns: self.tunables.timeout_ns.load(Ordering::Relaxed),
             adaptive: self.tunables.adaptive.load(Ordering::Relaxed),
             max_backoff: self.tunables.max_backoff.load(Ordering::Relaxed),
-            enables: self.enables.lock().clone(),
-            sessions: self.sessions.lock().clone(),
-            lowers: self.lowers.lock().clone(),
+            enables: self.enables.snapshot(),
+            sessions: self.sessions.snapshot(),
+            lowers: self.lowers.snapshot(),
             shepherds: self.shepherds.stats(),
         }))
     }
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<RrSnap>(blob, "request_reply")?;
-        *self.next_xid.lock() = s.next_xid;
+        self.next_xid.store(s.next_xid, Ordering::Relaxed);
         *self.estimator.lock() = s.estimator.clone();
         self.tunables
             .timeout_ns
@@ -557,9 +547,9 @@ impl Protocol for RequestReply {
             .max_backoff
             .store(s.max_backoff, Ordering::Relaxed);
         self.outstanding.lock().clear();
-        *self.enables.lock() = s.enables.clone();
-        *self.sessions.lock() = s.sessions.clone();
-        *self.lowers.lock() = s.lowers.clone();
+        self.enables.restore(&s.enables);
+        self.sessions.restore(&s.sessions);
+        self.lowers.restore(&s.lowers);
         self.shepherds.restore_stats(s.shepherds);
         Ok(())
     }
@@ -575,8 +565,8 @@ struct RrSnap {
     timeout_ns: u64,
     adaptive: bool,
     max_backoff: u32,
-    enables: HashMap<u32, ProtoId>,
-    sessions: HashMap<(u32, u32), SessionRef>,
-    lowers: HashMap<u32, SessionRef>,
+    enables: EnableSnapshot,
+    sessions: SessionSnapshot<(u32, u32), SessionRef>,
+    lowers: SessionSnapshot<u32, SessionRef>,
     shepherds: ShepherdStats,
 }

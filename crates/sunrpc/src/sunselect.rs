@@ -7,11 +7,9 @@
 //! layers in between. This is the paper's "mix and match RPCs".
 
 use std::any::Any;
-use std::collections::HashMap;
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 
-use parking_lot::{Mutex, RwLock};
-
+use xkernel::map::SessionSnapshot;
 use xkernel::prelude::*;
 
 use crate::xdr::{XdrReader, XdrWriter};
@@ -44,9 +42,9 @@ pub struct SunSelect {
     weak_self: Weak<SunSelect>,
     me: ProtoId,
     lower: ProtoId,
-    lower_name: Mutex<Option<&'static str>>,
-    handlers: RwLock<HashMap<(u32, u32, u32), Handler>>,
-    lowers: Mutex<HashMap<u32, SessionRef>>,
+    lower_name: OnceLock<&'static str>,
+    handlers: EnableMap<(u32, u32, u32), Handler>,
+    lowers: SessionMap<u32>,
 }
 
 impl SunSelect {
@@ -57,9 +55,9 @@ impl SunSelect {
             weak_self: weak_self.clone(),
             me,
             lower,
-            lower_name: Mutex::new(None),
-            handlers: RwLock::new(HashMap::new()),
-            lowers: Mutex::new(HashMap::new()),
+            lower_name: OnceLock::new(),
+            handlers: EnableMap::new(),
+            lowers: SessionMap::new(),
         })
     }
 
@@ -72,26 +70,21 @@ impl SunSelect {
     where
         F: Fn(&Ctx, Message) -> XResult<Message> + Send + Sync + 'static,
     {
-        self.handlers
-            .write()
-            .insert((prog, vers, proc), Box::new(f));
+        self.handlers.replace((prog, vers, proc), Box::new(f));
     }
 
     fn lower_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<SessionRef> {
-        if let Some(s) = self.lowers.lock().get(&peer.0) {
-            return Ok(Arc::clone(s));
-        }
-        let lname = self
-            .lower_name
-            .lock()
-            .ok_or_else(|| XError::Config("sunselect used before boot".into()))?;
-        let parts = ParticipantSet::pair(
-            Participant::proto(rel_proto_num(lname, "sunselect")?),
-            Participant::host(peer),
-        );
-        let s = ctx.kernel().open(ctx, self.lower, self.me, &parts)?;
-        self.lowers.lock().insert(peer.0, Arc::clone(&s));
-        Ok(s)
+        self.lowers.resolve_or_open(peer.0, || {
+            let lname = self
+                .lower_name
+                .get()
+                .ok_or_else(|| XError::Config("sunselect used before boot".into()))?;
+            let parts = ParticipantSet::pair(
+                Participant::proto(rel_proto_num(lname, "sunselect")?),
+                Participant::host(peer),
+            );
+            ctx.kernel_ref().open(ctx, self.lower, self.me, &parts)
+        })
     }
 
     /// Invokes (prog, vers, proc) on `peer` with `args`.
@@ -183,9 +176,11 @@ impl Protocol for SunSelect {
     }
 
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
-        let kernel = ctx.kernel();
-        let lower = kernel.proto(self.lower)?;
-        *self.lower_name.lock() = Some(lower.name());
+        let kernel = ctx.kernel_ref();
+        let lower = kernel.proto_ref(self.lower)?;
+        // The lower protocol is fixed at configuration: a repeated boot
+        // finds the same name.
+        let _ = self.lower_name.set(lower.name());
         let parts = ParticipantSet::local(Participant::proto(rel_proto_num(
             lower.name(),
             "sunselect",
@@ -196,7 +191,7 @@ impl Protocol for SunSelect {
     fn reboot(&self, _ctx: &Ctx) -> XResult<()> {
         // Cached lower sessions referenced the previous incarnation's
         // transaction layer; registered programs survive.
-        self.lowers.lock().clear();
+        self.lowers.clear();
         Ok(())
     }
 
@@ -236,22 +231,21 @@ impl Protocol for SunSelect {
         let _st = r.u32()?;
         drop(bytes);
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
-        let (st, body) = {
-            let handlers = self.handlers.read();
-            match handlers.get(&(prog, vers, proc)) {
-                Some(h) => match h(ctx, msg) {
-                    Ok(body) => (status::OK, body),
-                    Err(e) => {
-                        let _ = e;
-                        ctx.trace_note("handler failed");
-                        (status::PROC_ERROR, ctx.empty_msg())
-                    }
-                },
-                None if handlers.keys().any(|(p, _, _)| *p == prog) => {
-                    (status::PROC_UNAVAIL, ctx.empty_msg())
+        // The handler runs through a plain borrow of the table: nothing is
+        // locked while it executes.
+        let (st, body) = match self.handlers.resolve(&(prog, vers, proc)) {
+            Some(h) => match h(ctx, msg) {
+                Ok(body) => (status::OK, body),
+                Err(e) => {
+                    let _ = e;
+                    ctx.trace_note("handler failed");
+                    (status::PROC_ERROR, ctx.empty_msg())
                 }
-                None => (status::PROG_UNAVAIL, ctx.empty_msg()),
+            },
+            None if self.handlers.iter().any(|((p, _, _), _)| *p == prog) => {
+                (status::PROC_UNAVAIL, ctx.empty_msg())
             }
+            None => (status::PROG_UNAVAIL, ctx.empty_msg()),
         };
         let mut wire = body;
         ctx.push_header(&mut wire, &encode_hdr(prog, vers, proc, st));
@@ -271,13 +265,13 @@ impl Protocol for SunSelect {
     // for replay (a warm cache skips SessionCreate charges below).
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         Some(Arc::new(SunSelectSnap {
-            lowers: self.lowers.lock().clone(),
+            lowers: self.lowers.snapshot(),
         }))
     }
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<SunSelectSnap>(blob, "sunselect")?;
-        *self.lowers.lock() = s.lowers.clone();
+        self.lowers.restore(&s.lowers);
         Ok(())
     }
 
@@ -287,7 +281,7 @@ impl Protocol for SunSelect {
 }
 
 struct SunSelectSnap {
-    lowers: HashMap<u32, SessionRef>,
+    lowers: SessionSnapshot<u32, SessionRef>,
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use crate::addr::{EthAddr, IpAddr, ParticipantSet, Port};
 use crate::error::{XError, XResult};
 use crate::msg::Message;
-use crate::sim::Ctx;
+use crate::sim::{Ctx, LayerSpan};
 use crate::trace::EventKind;
 
 /// Identifies a protocol object within one kernel's configuration.
@@ -291,14 +291,27 @@ pub trait TracedSession {
     fn pop(&self, ctx: &Ctx, msg: Message) -> XResult<()>;
 }
 
+/// Enters `id()`'s span around one crossing carrying `msg` — if tracing is
+/// on. When it is off (every end-to-end run) neither the protocol id (a
+/// virtual call) nor the message length (a walk over the rope) is computed.
+fn span(
+    ctx: &Ctx,
+    kind: EventKind,
+    id: impl FnOnce() -> ProtoId,
+    msg: &Message,
+) -> Option<LayerSpan> {
+    ctx.trace_enabled()
+        .then(|| ctx.enter_layer(id(), kind, msg.len() as u64))
+}
+
 impl TracedSession for SessionRef {
     fn push(&self, ctx: &Ctx, msg: Message) -> XResult<Option<Message>> {
-        let _span = ctx.enter_layer(self.protocol_id(), EventKind::Push, msg.len() as u64);
+        let _span = span(ctx, EventKind::Push, || self.protocol_id(), &msg);
         Session::push(&**self, ctx, msg)
     }
 
     fn pop(&self, ctx: &Ctx, msg: Message) -> XResult<()> {
-        let _span = ctx.enter_layer(self.protocol_id(), EventKind::Demux, msg.len() as u64);
+        let _span = span(ctx, EventKind::Demux, || self.protocol_id(), &msg);
         Session::pop(&**self, ctx, msg)
     }
 }
@@ -312,7 +325,7 @@ pub trait TracedProtocol {
 
 impl TracedProtocol for ProtocolRef {
     fn demux(&self, ctx: &Ctx, lls: &SessionRef, msg: Message) -> XResult<()> {
-        let _span = ctx.enter_layer(self.id(), EventKind::Demux, msg.len() as u64);
+        let _span = span(ctx, EventKind::Demux, || self.id(), &msg);
         Protocol::demux(&**self, ctx, lls, msg)
     }
 }

@@ -11,14 +11,12 @@
 //!   no bytes.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use crate::addr::ParticipantSet;
 use crate::cost::Handicap;
 use crate::error::{XError, XResult};
+use crate::map::{EnableMap, SessionMap, UpperCell};
 use crate::msg::Message;
 use crate::proto::{ControlOp, ControlRes, ProtoId, Protocol, Session, SessionRef, TracedSession};
 use crate::sim::Ctx;
@@ -32,8 +30,8 @@ pub struct NullLayer {
     me: ProtoId,
     name: &'static str,
     down: ProtoId,
-    enables: Mutex<HashMap<u16, ProtoId>>,
-    passive: Mutex<HashMap<u16, SessionRef>>,
+    enables: EnableMap<u16>,
+    passive: SessionMap<u16>,
 }
 
 impl NullLayer {
@@ -43,8 +41,8 @@ impl NullLayer {
             me,
             name: "null",
             down,
-            enables: Mutex::new(HashMap::new()),
-            passive: Mutex::new(HashMap::new()),
+            enables: EnableMap::new(),
+            passive: SessionMap::new(),
         })
     }
 
@@ -115,7 +113,7 @@ impl Protocol for NullLayer {
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
         let num = Self::num_of(parts)?;
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-        let lower = ctx.kernel().open(ctx, self.down, self.me, parts)?;
+        let lower = ctx.kernel_ref().open(ctx, self.down, self.me, parts)?;
         Ok(Arc::new(NullSession {
             proto: self.me,
             num,
@@ -125,10 +123,10 @@ impl Protocol for NullLayer {
 
     fn open_enable(&self, ctx: &Ctx, upper: ProtoId, parts: &ParticipantSet) -> XResult<()> {
         let num = Self::num_of(parts)?;
-        self.enables.lock().insert(num, upper);
+        self.enables.bind(num, upper);
         // Propagate the enable downward under the same number so messages
         // reach us in the first place.
-        ctx.kernel().open_enable(ctx, self.down, self.me, parts)
+        ctx.kernel_ref().open_enable(ctx, self.down, self.me, parts)
     }
 
     fn demux(&self, ctx: &Ctx, lls: &SessionRef, mut msg: Message) -> XResult<()> {
@@ -136,40 +134,31 @@ impl Protocol for NullLayer {
         let num = u16::from_be_bytes([hdr[0], hdr[1]]);
         drop(hdr);
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
-        let upper = self
+        let upper = *self
             .enables
-            .lock()
-            .get(&num)
-            .copied()
+            .resolve(&num)
             .ok_or_else(|| XError::NoEnable(format!("null layer num {num}")))?;
         // Reuse (or passively create) the session replies travel down on —
         // the paper's "cache open sessions at all levels" rule.
-        let sess = {
-            let mut cache = self.passive.lock();
-            match cache.get(&num) {
-                Some(s) => Arc::clone(s),
-                None => {
-                    let s: SessionRef = Arc::new(NullSession {
-                        proto: self.me,
-                        num,
-                        lower: Arc::clone(lls),
-                    });
-                    ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-                    cache.insert(num, Arc::clone(&s));
-                    s
-                }
-            }
-        };
-        ctx.kernel().demux_to(ctx, upper, &sess, msg)
+        let sess = self.passive.resolve_or_insert_with(num, || {
+            let s: SessionRef = Arc::new(NullSession {
+                proto: self.me,
+                num,
+                lower: Arc::clone(lls),
+            });
+            ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
+            Ok(s)
+        })?;
+        ctx.kernel_ref().demux_to(ctx, upper, &sess, msg)
     }
 
     fn control(&self, ctx: &Ctx, op: &ControlOp) -> XResult<ControlRes> {
         match op {
             ControlOp::GetMaxPacket | ControlOp::GetOptPacket => {
-                let r = ctx.kernel().control(ctx, self.down, op)?;
+                let r = ctx.kernel_ref().control(ctx, self.down, op)?;
                 Ok(ControlRes::Size(r.size()?.saturating_sub(NULL_HDR_LEN)))
             }
-            other => ctx.kernel().control(ctx, self.down, other),
+            other => ctx.kernel_ref().control(ctx, self.down, other),
         }
     }
 
@@ -188,10 +177,10 @@ pub struct HandicapLayer {
     /// the lower protocol's name).
     name: &'static str,
     handicap: Handicap,
-    upper: Mutex<Option<ProtoId>>,
+    upper: UpperCell,
     // Wrapped lower sessions for the upward path, keyed by the identity of
     // the underlying session, so server-side reply pushes are charged too.
-    wrapped: Mutex<Vec<(usize, SessionRef)>>,
+    wrapped: SessionMap<usize>,
 }
 
 // Charged once per message *sent* (each host pays for the messages it
@@ -225,8 +214,8 @@ impl HandicapLayer {
             down,
             name,
             handicap,
-            upper: Mutex::new(None),
-            wrapped: Mutex::new(Vec::new()),
+            upper: UpperCell::new(),
+            wrapped: SessionMap::new(),
         })
     }
 }
@@ -271,8 +260,8 @@ impl Protocol for HandicapLayer {
     }
 
     fn open(&self, ctx: &Ctx, upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
-        *self.upper.lock() = Some(upper);
-        let lower = ctx.kernel().open(ctx, self.down, self.me, parts)?;
+        self.upper.set(Some(upper));
+        let lower = ctx.kernel_ref().open(ctx, self.down, self.me, parts)?;
         Ok(Arc::new(HandicapSession {
             proto: self.me,
             handicap: self.handicap,
@@ -281,34 +270,28 @@ impl Protocol for HandicapLayer {
     }
 
     fn open_enable(&self, ctx: &Ctx, upper: ProtoId, parts: &ParticipantSet) -> XResult<()> {
-        *self.upper.lock() = Some(upper);
-        ctx.kernel().open_enable(ctx, self.down, self.me, parts)
+        self.upper.set(Some(upper));
+        ctx.kernel_ref().open_enable(ctx, self.down, self.me, parts)
     }
 
     fn demux(&self, ctx: &Ctx, lls: &SessionRef, msg: Message) -> XResult<()> {
-        let upper = (*self.upper.lock())
+        let upper = self
+            .upper
+            .get()
             .ok_or_else(|| XError::NoEnable("handicap layer has no upper".into()))?;
         let key = Arc::as_ptr(lls) as *const () as usize;
-        let sess = {
-            let mut cache = self.wrapped.lock();
-            match cache.iter().find(|(k, _)| *k == key) {
-                Some((_, s)) => Arc::clone(s),
-                None => {
-                    let s: SessionRef = Arc::new(HandicapSession {
-                        proto: self.me,
-                        handicap: self.handicap,
-                        lower: Arc::clone(lls),
-                    });
-                    cache.push((key, Arc::clone(&s)));
-                    s
-                }
-            }
-        };
-        ctx.kernel().demux_to(ctx, upper, &sess, msg)
+        let sess = self.wrapped.resolve_or_insert_with(key, || {
+            Ok(Arc::new(HandicapSession {
+                proto: self.me,
+                handicap: self.handicap,
+                lower: Arc::clone(lls),
+            }) as SessionRef)
+        })?;
+        ctx.kernel_ref().demux_to(ctx, upper, &sess, msg)
     }
 
     fn control(&self, ctx: &Ctx, op: &ControlOp) -> XResult<ControlRes> {
-        ctx.kernel().control(ctx, self.down, op)
+        ctx.kernel_ref().control(ctx, self.down, op)
     }
 
     fn as_any(&self) -> &dyn Any {

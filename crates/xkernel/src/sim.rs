@@ -42,7 +42,8 @@ use crate::check::{CheckCore, CheckReport, Violation};
 use crate::cost::CostModel;
 use crate::error::{XError, XResult};
 use crate::journal::{Journal, JournalRecord, JOURNAL_VERSION};
-use crate::kernel::{AppendTable, Kernel};
+use crate::kernel::Kernel;
+use crate::map::AppendTable;
 use crate::msg::{HeaderPolicy, Message, Popped};
 use crate::proto::{ProtoId, SnapBlob};
 use crate::trace::{
@@ -1598,7 +1599,7 @@ fn advance(core: &Arc<SimCore>, g: &mut Engine, stop: Time) -> Next {
                 // The kernel reboots as a fresh shepherd process, giving
                 // every protocol its reboot hook.
                 let f: Thunk = Box::new(move |ctx: &Ctx| {
-                    if let Err(e) = ctx.kernel().reboot_protocols(ctx) {
+                    if let Err(e) = ctx.kernel_ref().reboot_protocols(ctx) {
                         panic!("reboot failed on host {}: {e}", ctx.host().0);
                     }
                 });
@@ -1931,9 +1932,17 @@ impl Ctx {
         &self.core.cost
     }
 
-    /// The kernel of the current host.
+    /// A shared handle to the kernel of the current host, for set-up code
+    /// that keeps it. Protocols crossing a layer use [`Ctx::kernel_ref`].
     pub fn kernel(&self) -> Arc<Kernel> {
         Arc::clone(&self.cell().kernel)
+    }
+
+    /// The kernel of the current host, borrowed: what every layer crossing
+    /// (`ctx.kernel_ref().demux_to(..)`, `.open(..)`, `.control(..)`) goes
+    /// through, touching no reference count.
+    pub fn kernel_ref(&self) -> &Kernel {
+        &self.cell().kernel
     }
 
     /// The kernel of another host.

@@ -2,8 +2,8 @@
 //!
 //! This workspace builds in hermetic environments with no crates.io access,
 //! so the external `parking_lot` crate is path-replaced with this shim. Only
-//! the surface the workspace actually uses is provided: [`Mutex`],
-//! [`RwLock`], and [`Condvar`] with non-poisoning guards.
+//! the surface the workspace actually uses is provided: [`Mutex`] and
+//! [`RwLock`] with non-poisoning guards.
 //!
 //! Semantic differences from the real crate are intentional and benign here:
 //! poisoning is ignored (a panicking shepherd process already aborts the
@@ -12,7 +12,6 @@
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::{self, PoisonError};
-use std::time::Duration;
 
 /// A mutual-exclusion primitive (non-poisoning `std::sync::Mutex` wrapper).
 #[derive(Default)]
@@ -22,8 +21,7 @@ pub struct Mutex<T: ?Sized> {
 
 /// RAII guard returned by [`Mutex::lock`].
 pub struct MutexGuard<'a, T: ?Sized> {
-    // `Option` so `Condvar::wait` can temporarily take the std guard out.
-    inner: Option<sync::MutexGuard<'a, T>>,
+    inner: sync::MutexGuard<'a, T>,
 }
 
 impl<T> Mutex<T> {
@@ -46,16 +44,16 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquires the mutex, blocking until it is available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
-            inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
+            inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
         }
     }
 
     /// Attempts to acquire the mutex without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
+            Ok(g) => Some(MutexGuard { inner: g }),
             Err(sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                inner: Some(p.into_inner()),
+                inner: p.into_inner(),
             }),
             Err(sync::TryLockError::WouldBlock) => None,
         }
@@ -71,13 +69,13 @@ impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
 
     fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard holds the lock")
+        &self.inner
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard holds the lock")
+        &mut self.inner
     }
 }
 
@@ -169,59 +167,9 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
     }
 }
 
-/// A condition variable for use with [`Mutex`]/[`MutexGuard`].
-///
-/// Unlike `std`, `wait` takes the guard by `&mut` (parking_lot style) rather
-/// than by value.
-#[derive(Default)]
-pub struct Condvar {
-    inner: sync::Condvar,
-}
-
-impl Condvar {
-    /// Creates a condition variable.
-    pub const fn new() -> Condvar {
-        Condvar {
-            inner: sync::Condvar::new(),
-        }
-    }
-
-    /// Blocks until notified, releasing the guarded mutex while waiting.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let g = guard.inner.take().expect("guard holds the lock");
-        let g = self.inner.wait(g).unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(g);
-    }
-
-    /// Blocks until notified or `timeout` elapses; `true` if it timed out.
-    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Duration) -> bool {
-        let g = guard.inner.take().expect("guard holds the lock");
-        let (g, res) = self
-            .inner
-            .wait_timeout(g, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(g);
-        res.timed_out()
-    }
-
-    /// Wakes one waiter.
-    pub fn notify_one(&self) -> bool {
-        self.inner.notify_one();
-        // parking_lot reports whether a thread was woken; std cannot know.
-        true
-    }
-
-    /// Wakes all waiters.
-    pub fn notify_all(&self) -> usize {
-        self.inner.notify_all();
-        0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn mutex_roundtrip() {
@@ -238,32 +186,5 @@ mod tests {
         assert_eq!(l.read().len(), 2);
         l.write().push(3);
         assert_eq!(*l.read(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn condvar_wakes_waiter() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = Arc::clone(&pair);
-        let t = std::thread::spawn(move || {
-            let (m, cv) = &*p2;
-            let mut g = m.lock();
-            while !*g {
-                cv.wait(&mut g);
-            }
-        });
-        {
-            let (m, cv) = &*pair;
-            *m.lock() = true;
-            cv.notify_one();
-        }
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn condvar_wait_for_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        assert!(cv.wait_for(&mut g, Duration::from_millis(10)));
     }
 }
