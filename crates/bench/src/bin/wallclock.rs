@@ -26,6 +26,11 @@ use xkernel::sim::Mode;
 use xrpc::procs::NULL_PROC;
 use xrpc::stacks::{StackDef, ALL_RPC_STACKS};
 
+/// Sequential-vs-parallel soak samples taken, and the least time the
+/// sequential side of each runs for.
+const SOAK_SAMPLES: usize = 5;
+const SOAK_SAMPLE_SECS: f64 = 0.5;
+
 struct Opts {
     quick: bool,
     threads: usize,
@@ -129,6 +134,8 @@ const REQUIRED_FIELDS: &[&str] = &[
     "\"events_per_sec\"",
     "\"soak\"",
     "\"scenarios\"",
+    "\"samples\"",
+    "\"sample_secs\"",
     "\"sequential_wall_secs\"",
     "\"parallel_wall_secs\"",
     "\"per_stack_wall_secs\"",
@@ -225,7 +232,6 @@ fn main() {
     // the per-stack split costs nothing extra.
     let mut per_stack: Vec<(&'static str, f64)> = Vec::new();
     let mut seq_reports = Vec::with_capacity(scenarios.len());
-    let t_seq = Instant::now();
     for sc in &scenarios {
         let t0 = Instant::now();
         seq_reports.push(sc.run_checked());
@@ -236,20 +242,51 @@ fn main() {
             None => per_stack.push((name, dt)),
         }
     }
-    let seq_wall = t_seq.elapsed().as_secs_f64();
-    let t_par = Instant::now();
     let par_reports = run_matrix(scenarios.clone(), opts.threads, true);
-    let par_wall = t_par.elapsed().as_secs_f64();
     let identical = seq_reports == par_reports;
-    let speedup = seq_wall / par_wall;
+
+    // One pass of the matrix is milliseconds — shorter than this host's
+    // speed holds still, and shorter than a worker thread takes to start
+    // and map its coroutine stacks — so a single sequential-vs-parallel pair
+    // says nothing. Each sample repeats the matrix until the sequential side
+    // has run for SOAK_SAMPLE_SECS, then fans the same number of passes out
+    // as one batch, so the threads start once per sample as they do in a
+    // soak of that length; the figures reported are per pass, medians over
+    // the samples.
+    let mut samples: Vec<(f64, f64)> = (0..SOAK_SAMPLES)
+        .map(|_| {
+            let t_seq = Instant::now();
+            let mut passes = 0usize;
+            while t_seq.elapsed().as_secs_f64() < SOAK_SAMPLE_SECS {
+                run_matrix(scenarios.clone(), 1, true);
+                passes += 1;
+            }
+            let seq = t_seq.elapsed().as_secs_f64();
+            let batch = scenarios.repeat(passes);
+            let t_par = Instant::now();
+            run_matrix(batch, opts.threads, true);
+            let par = t_par.elapsed().as_secs_f64();
+            (seq / passes as f64, par / passes as f64)
+        })
+        .collect();
+    let mut median_by = |key: fn(&(f64, f64)) -> f64| {
+        samples.sort_by(|a, b| key(a).total_cmp(&key(b)));
+        key(&samples[samples.len() / 2])
+    };
+    let seq_wall = median_by(|s| s.0);
+    let par_wall = median_by(|s| s.1);
+    let speedup = median_by(|s| s.0 / s.1);
     eprintln!(
-        "  sequential {seq_wall:.3}s, parallel {par_wall:.3}s, speedup {speedup:.2}x, \
+        "  per pass, median of {SOAK_SAMPLES} samples of {SOAK_SAMPLE_SECS}s: sequential \
+         {seq_wall:.4}s, parallel {par_wall:.4}s, speedup {speedup:.2}x, \
          bit-identical: {identical}"
     );
 
     json.push_str("  \"soak\": {\n");
     let _ = writeln!(json, "    \"scenarios\": {},", scenarios.len());
     let _ = writeln!(json, "    \"calls_per_scenario\": {soak_calls},");
+    let _ = writeln!(json, "    \"samples\": {SOAK_SAMPLES},");
+    let _ = writeln!(json, "    \"sample_secs\": {SOAK_SAMPLE_SECS},");
     let _ = writeln!(json, "    \"sequential_wall_secs\": {seq_wall:.6},");
     let _ = writeln!(json, "    \"parallel_wall_secs\": {par_wall:.6},");
     let _ = writeln!(json, "    \"parallel_threads\": {},", opts.threads);

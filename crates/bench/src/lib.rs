@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use inet::testbed::{base_registry, two_hosts, TwoHosts};
+use inet::testbed::{two_hosts, TwoHosts};
 use inet::with_concrete;
 use xkernel::graph::ProtocolRegistry;
 use xkernel::prelude::*;
@@ -39,10 +39,8 @@ pub const THROUGHPUT_ITERS: usize = 60;
 
 /// The registry with every constructor in the workspace.
 pub fn registry() -> ProtocolRegistry {
-    let mut reg = base_registry();
-    xrpc::register_ctors(&mut reg);
+    let mut reg = sunrpc::registry();
     xkernel::shim::register_ctors(&mut reg);
-    sunrpc::register_ctors(&mut reg);
     psync::register_ctors(&mut reg);
     reg
 }

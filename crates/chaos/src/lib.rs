@@ -29,17 +29,18 @@
 //! *independent* of the simulation's own PRNG: the schedule a seed denotes
 //! never changes when a protocol consumes more or fewer random draws.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
 use inet::arp::Arp;
-use inet::testbed::{base_registry, lan_hosts, two_hosts, TwoHosts};
+use inet::testbed::{lan_hosts, two_hosts, TwoHosts};
 use inet::with_concrete;
 use simnet::fault::{FaultPlan, FaultSchedule};
 use simnet::{FaultEvent, LanStats};
 use sunrpc::sunselect::SunSelect;
 use xkernel::check::CheckReport;
+use xkernel::graph::ProtocolRegistry;
 use xkernel::journal::Journal;
 use xkernel::prelude::*;
 use xkernel::sim::{RunReport, ScheduleChooser, SimConfig};
@@ -70,6 +71,22 @@ const SUN_PROG: u32 = 100_099;
 const SUN_VERS: u32 = 1;
 const SUN_PROC: u32 = 7;
 const RPC_PROC: u16 = 7;
+
+/// Every constructor a scenario can name: the RPC stacks plus Psync.
+fn full_registry() -> ProtocolRegistry {
+    let mut reg = sunrpc::registry();
+    psync::register_ctors(&mut reg);
+    reg
+}
+
+/// The registry every scenario in the process is configured from. A soak
+/// builds the same sixteen host graphs thousands of times over; sharing the
+/// registry is what lets it prove each once (the registry memoises lint
+/// verdicts) instead of once per scenario.
+fn registry() -> &'static ProtocolRegistry {
+    static REGISTRY: OnceLock<ProtocolRegistry> = OnceLock::new();
+    REGISTRY.get_or_init(full_registry)
+}
 
 /// Resolves `peer` from `host` on the still-quiet wire, before a fault
 /// schedule is installed. ARP's bootstrap budget (3 × 50 ms) is smaller
@@ -360,7 +377,7 @@ pub struct ChaosReport {
 /// oracle (installed only after the warm-up phase, so exploration covers
 /// the measured workload).
 #[derive(Default)]
-struct RunOpts {
+struct RunOpts<'r> {
     trace: bool,
     check: bool,
     chooser: Option<Box<dyn ScheduleChooser>>,
@@ -373,6 +390,8 @@ struct RunOpts {
     /// Suppress recorded-class faults whose packet index is >= this cutoff
     /// (see [`simnet::SimNet::suppress_faults_from`]).
     suppress_from: Option<u64>,
+    /// Configure from this registry instead of the shared one.
+    registry: Option<&'r ProtocolRegistry>,
 }
 
 /// What a scenario run produced beyond the report: the simulator (for
@@ -428,6 +447,14 @@ impl Scenario {
     /// [`Scenario::run_checked`] to also assert the invariants.
     pub fn run(&self) -> ChaosReport {
         self.run_inner(RunOpts::default()).report
+    }
+
+    /// [`Scenario::run`], handing back the simulation the report came from
+    /// while it is still alive, for a caller that goes on to look inside it:
+    /// its kernels and their protocols, its counters.
+    pub fn run_with_sim(&self) -> (ChaosReport, Sim) {
+        let out = self.run_inner(RunOpts::default());
+        (out.report, out.sim)
     }
 
     /// Runs the scenario with the scheduler journal recording every
@@ -517,7 +544,7 @@ impl Scenario {
         .report
     }
 
-    fn run_inner(&self, opts: RunOpts) -> RunOutput {
+    fn run_inner(&self, opts: RunOpts<'_>) -> RunOutput {
         match self.stack {
             StackKind::Paper(def) => self.run_rpc(RpcFlavor::Paper(def), opts),
             StackKind::SunRpcUdp => self.run_rpc(RpcFlavor::SunRpc(SUNRPC_UDP_GRAPH), opts),
@@ -589,10 +616,9 @@ impl Scenario {
         f
     }
 
-    fn two_host_rig(&self, extra_graph: &str, opts: &RunOpts) -> TwoHosts {
-        let mut reg = base_registry();
-        xrpc::register_ctors(&mut reg);
-        sunrpc::register_ctors(&mut reg);
+    /// The simulator configuration and registry a scenario's rig is built
+    /// from.
+    fn rig_config<'r>(&self, opts: &RunOpts<'r>) -> (SimConfig, &'r ProtocolRegistry) {
         let mut cfg = SimConfig::scheduled().with_seed(self.seed);
         if opts.trace {
             cfg = cfg.with_trace();
@@ -600,7 +626,7 @@ impl Scenario {
         if opts.check {
             cfg = cfg.with_check();
         }
-        two_hosts(cfg, &reg, extra_graph).expect("chaos testbed builds")
+        (cfg, opts.registry.unwrap_or_else(|| registry()))
     }
 
     fn install_schedule(&self, tb: &TwoHosts) {
@@ -617,12 +643,13 @@ impl Scenario {
     /// handler, warms ARP on the quiet wire, installs the fault schedule,
     /// and arms journaling / fault recording / suppression per `opts` —
     /// everything up to (but not including) spawning client processes.
-    fn rpc_setup(&self, flavor: RpcFlavor, opts: &RunOpts) -> (TwoHosts, Arc<Mutex<Tally>>) {
+    fn rpc_setup(&self, flavor: RpcFlavor, opts: &RunOpts<'_>) -> (TwoHosts, Arc<Mutex<Tally>>) {
         let graph = match flavor {
             RpcFlavor::Paper(def) => def.graph,
             RpcFlavor::SunRpc(g) => g,
         };
-        let tb = self.two_host_rig(graph, opts);
+        let (cfg, reg) = self.rig_config(opts);
+        let tb = two_hosts(cfg, reg, graph).expect("chaos testbed builds");
         let tally = Arc::new(Mutex::new(Tally::default()));
 
         // Server: a side-effecting procedure that verifies the request's
@@ -721,7 +748,7 @@ impl Scenario {
         }
     }
 
-    fn run_rpc(&self, flavor: RpcFlavor, mut opts: RunOpts) -> RunOutput {
+    fn run_rpc(&self, flavor: RpcFlavor, mut opts: RunOpts<'_>) -> RunOutput {
         let chooser = opts.chooser.take();
         let (tb, tally) = self.rpc_setup(flavor, &opts);
         if let Some(ch) = chooser {
@@ -817,7 +844,7 @@ impl Scenario {
 
     /// Builds the two-party Psync rig: conversations opened on both sides,
     /// ARP warmed, fault schedule installed, journaling/recording armed.
-    fn psync_setup(&self, opts: &RunOpts) -> PsyncRig {
+    fn psync_setup(&self, opts: &RunOpts<'_>) -> PsyncRig {
         assert!(
             self.profile.is_lossless(),
             "{}: psync has no retransmission; only lossless profiles apply",
@@ -828,17 +855,8 @@ impl Scenario {
             "{}: psync conversations are two-party; populations do not apply",
             self.label()
         );
-        let mut reg = base_registry();
-        xrpc::register_ctors(&mut reg);
-        psync::register_ctors(&mut reg);
-        let mut cfg = SimConfig::scheduled().with_seed(self.seed);
-        if opts.trace {
-            cfg = cfg.with_trace();
-        }
-        if opts.check {
-            cfg = cfg.with_check();
-        }
-        let rig = lan_hosts(cfg, &reg, "vip -> ip eth arp\npsync -> vip\n", 2)
+        let (cfg, reg) = self.rig_config(opts);
+        let rig = lan_hosts(cfg, reg, "vip -> ip eth arp\npsync -> vip\n", 2)
             .expect("psync testbed builds");
         let (a_ip, b_ip) = (rig.ip_of(0), rig.ip_of(1));
         let open = |host: usize, peer: IpAddr| {
@@ -926,7 +944,7 @@ impl Scenario {
         });
     }
 
-    fn run_psync(&self, mut opts: RunOpts) -> RunOutput {
+    fn run_psync(&self, mut opts: RunOpts<'_>) -> RunOutput {
         let chooser = opts.chooser.take();
         let pr = self.psync_setup(&opts);
         if let Some(ch) = chooser {
@@ -1168,6 +1186,27 @@ mod tests {
         let without = Profile::Chaotic.schedule(9, a, b, false);
         assert!(with.base.corrupt_per_mille > 0);
         assert_eq!(without.base.corrupt_per_mille, 0);
+    }
+
+    /// Sharing one registry (and with it the lint verdicts and whatever
+    /// else a registry may come to keep) changes nothing a scenario can
+    /// observe: every stack's report equals the one from a registry built
+    /// for that run alone.
+    #[test]
+    fn shared_registry_reports_equal_fresh_registry_reports() {
+        let mut seen = Vec::new();
+        for sc in full_matrix(3, 1, 4) {
+            let fresh = full_registry();
+            let out = sc.run_inner(RunOpts {
+                registry: Some(&fresh),
+                ..RunOpts::default()
+            });
+            assert_eq!(sc.run(), out.report);
+            if !seen.contains(&sc.stack.name()) {
+                seen.push(sc.stack.name());
+            }
+        }
+        assert_eq!(seen.len(), 8, "{seen:?}");
     }
 
     #[test]

@@ -696,8 +696,7 @@ impl Protocol for Channel {
         // Fresh incarnation: a new boot id and no surviving channels; the
         // graph wiring (enables, lower binding) persists from build time.
         self.set_boot_id((ctx.next_u64() & 0xffff_ffff) as u32 | 1);
-        self.clients.clear();
-        self.servers.clear();
+        self.drop_sessions();
         self.tunables.peer_boot.store(0, Ordering::Relaxed);
         self.tunables
             .base_timeout_ns
@@ -713,6 +712,11 @@ impl Protocol for Channel {
             .store(self.cfg.adaptive, Ordering::Relaxed);
         self.estimator.lock().reset(self.cfg.base_timeout_ns);
         Ok(())
+    }
+
+    fn drop_sessions(&self) {
+        self.clients.clear();
+        self.servers.clear();
     }
 
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {

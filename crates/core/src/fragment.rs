@@ -563,15 +563,20 @@ impl Protocol for Fragment {
     }
 
     fn reboot(&self, _ctx: &Ctx) -> XResult<()> {
-        // Drop volatile state: the send cache (peers must not NACK-recover
+        // `next_seq` is deliberately kept — reusing message ids could
+        // collide with stale partials on peers.
+        self.drop_sessions();
+        Ok(())
+    }
+
+    fn drop_sessions(&self) {
+        // All volatile state: the send cache (peers must not NACK-recover
         // messages from the previous incarnation), partial reassemblies,
-        // and cached sessions. `next_seq` is deliberately kept — reusing
-        // message ids could collide with stale partials on peers.
+        // and cached sessions.
         self.send_cache.lock().clear();
         self.rasm.lock().clear();
         self.passive.clear();
         self.lowers.clear();
-        Ok(())
     }
 
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {

@@ -824,11 +824,15 @@ impl Protocol for Mrpc {
         // Fresh incarnation: new boot id, all channel/session state gone.
         // Registered procedures and graph wiring survive.
         self.set_boot_id((ctx.next_u64() & 0xffff_ffff) as u32 | 1);
+        self.drop_sessions();
+        Ok(())
+    }
+
+    fn drop_sessions(&self) {
         self.peers.clear();
         self.chans.clear();
         self.servers.clear();
         self.sessions.clear();
-        Ok(())
     }
 
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {

@@ -173,6 +173,10 @@ impl Protocol for Pinger {
         kernel.open_enable(ctx, self.lower, self.me, &parts)
     }
 
+    fn drop_sessions(&self) {
+        self.sessions.clear();
+    }
+
     fn open(&self, _ctx: &Ctx, _u: ProtoId, _p: &ParticipantSet) -> XResult<SessionRef> {
         Err(XError::Unsupported("pinger: use rtt()"))
     }

@@ -328,9 +328,13 @@ impl Protocol for Select {
         // Channel pools and cached sessions referenced the old CHANNEL
         // incarnation; drop them so fresh ones are opened on demand.
         // Registered procedures and forwarding policy survive.
+        self.drop_sessions();
+        Ok(())
+    }
+
+    fn drop_sessions(&self) {
         self.pools.clear();
         self.sessions.clear();
-        Ok(())
     }
 
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
@@ -578,8 +582,12 @@ impl Protocol for Rdgram {
     }
 
     fn reboot(&self, _ctx: &Ctx) -> XResult<()> {
-        self.sessions.clear();
+        self.drop_sessions();
         Ok(())
+    }
+
+    fn drop_sessions(&self) {
+        self.sessions.clear();
     }
 
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {

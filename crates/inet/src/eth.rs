@@ -157,6 +157,10 @@ impl Protocol for Eth {
         Ok(())
     }
 
+    fn drop_sessions(&self) {
+        self.passive.clear();
+    }
+
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
         let ty = Self::type_of(parts)?;
         let dst = parts

@@ -502,10 +502,14 @@ impl Protocol for Ip {
     fn reboot(&self, _ctx: &Ctx) -> XResult<()> {
         // Partial reassemblies and cached sessions do not survive a crash;
         // interfaces, routes, and enables are configuration.
+        self.drop_sessions();
+        Ok(())
+    }
+
+    fn drop_sessions(&self) {
         self.reasm.lock().clear();
         self.passive.clear();
         self.eth_cache.clear();
-        Ok(())
     }
 
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {

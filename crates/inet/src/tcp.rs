@@ -610,6 +610,11 @@ impl Protocol for Tcp {
             .open_enable(ctx, self.lower, self.me, &parts)
     }
 
+    fn drop_sessions(&self) {
+        self.conns.clear();
+        self.listeners.clear();
+    }
+
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
         // The uniform-interface view: open == connect; the returned session's
         // push sends bytes on the stream.

@@ -218,6 +218,10 @@ impl Protocol for Udp {
             .open_enable(ctx, self.lower, self.me, &parts)
     }
 
+    fn drop_sessions(&self) {
+        self.sessions.clear();
+    }
+
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
         let (local, rip, rport) = self.ports_of(parts)?;
         self.sessions.resolve_or_open((local, rip.0, rport), || {

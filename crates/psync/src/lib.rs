@@ -262,6 +262,11 @@ impl Protocol for Psync {
         kernel.open_enable(ctx, self.lower, self.me, &parts)
     }
 
+    fn drop_sessions(&self) {
+        self.convs.clear();
+        self.lowers.clear();
+    }
+
     fn open(&self, _ctx: &Ctx, _u: ProtoId, _p: &ParticipantSet) -> XResult<SessionRef> {
         Err(XError::Unsupported("psync: use open_conv()"))
     }

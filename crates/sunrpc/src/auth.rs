@@ -248,6 +248,10 @@ impl Protocol for AuthLayer {
         Ok(())
     }
 
+    fn drop_sessions(&self) {
+        self.sessions.clear();
+    }
+
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
         let peer = parts
             .remote_part()

@@ -40,6 +40,16 @@ use std::sync::Arc;
 use xkernel::graph::{GraphArgs, ProtocolRegistry};
 use xkernel::prelude::*;
 
+/// A registry holding the inet, Sprite RPC and Sun RPC vocabularies — every
+/// stack the paper measures. The one place the three are put together:
+/// harnesses that need more (Psync, the shim layers) add to this one.
+pub fn registry() -> ProtocolRegistry {
+    let mut reg = inet::testbed::base_registry();
+    xrpc::register_ctors(&mut reg);
+    register_ctors(&mut reg);
+    reg
+}
+
 /// Registers the Sun RPC constructors:
 ///
 /// * `request_reply -> <udp|ip|vip|fragment>`

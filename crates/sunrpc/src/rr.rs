@@ -384,9 +384,7 @@ impl Protocol for RequestReply {
     fn reboot(&self, _ctx: &Ctx) -> XResult<()> {
         // Stateless semantics make this easy: forget in-flight transactions
         // and cached sessions; xid counter and enables survive.
-        self.outstanding.lock().clear();
-        self.sessions.clear();
-        self.lowers.clear();
+        self.drop_sessions();
         self.tunables
             .timeout_ns
             .store(self.cfg.timeout_ns, Ordering::Relaxed);
@@ -401,6 +399,12 @@ impl Protocol for RequestReply {
             .store(self.cfg.adaptive, Ordering::Relaxed);
         self.estimator.lock().reset(self.cfg.timeout_ns);
         Ok(())
+    }
+
+    fn drop_sessions(&self) {
+        self.outstanding.lock().clear();
+        self.sessions.clear();
+        self.lowers.clear();
     }
 
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {

@@ -191,8 +191,12 @@ impl Protocol for SunSelect {
     fn reboot(&self, _ctx: &Ctx) -> XResult<()> {
         // Cached lower sessions referenced the previous incarnation's
         // transaction layer; registered programs survive.
-        self.lowers.clear();
+        self.drop_sessions();
         Ok(())
+    }
+
+    fn drop_sessions(&self) {
+        self.lowers.clear();
     }
 
     /// Uniform-interface open: the (prog, vers, proc) triple is packed into

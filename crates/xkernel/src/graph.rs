@@ -35,13 +35,21 @@
 //! specs that are deliberately ill-formed (e.g. reproducing the paper's
 //! TCP-over-VIP failure at run time), and [`ProtocolRegistry::set_lint_mode`]
 //! downgrades enforcement registry-wide.
+//!
+//! A verdict is a pure function of the registry's vocabulary, the spec text
+//! and what the kernel already holds, so a registry proves each
+//! configuration once and answers later builds of it from a memo
+//! ([`ProtocolRegistry::lint_for_kernel`]): configuration work is paid when
+//! a configuration is first seen, not per simulation.
 
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::error::{XError, XResult};
 use crate::kernel::Kernel;
 use crate::lint::{self, Diagnostic, LintOptions, ProtoContract};
+use crate::map::EnableMap;
 use crate::proto::{ProtoId, ProtocolRef};
 use crate::sim::Sim;
 
@@ -110,6 +118,22 @@ impl GraphArgs<'_> {
 /// A protocol constructor: builds one instance from [`GraphArgs`].
 pub type Ctor = Box<dyn Fn(&GraphArgs<'_>) -> XResult<ProtocolRef> + Send + Sync>;
 
+/// Everything a lint verdict depends on besides the registry's own
+/// constructors and contracts: the spec text and the instances the kernel
+/// already holds, with their contracts. Compared in full — two specs are one
+/// configuration only if they are equal, not if they hash alike.
+#[derive(PartialEq, Eq)]
+struct LintKey {
+    spec: String,
+    externals: HashMap<String, ProtoContract>,
+}
+
+/// Verdicts one registry keeps. A family of rigs is a handful of
+/// configurations (a stack's graph once per host address); past the bound a
+/// verdict is recomputed on every build, so a caller that generates specs
+/// without end pays time for it, never memory.
+const LINT_MEMO_CAP: usize = 1024;
+
 /// Maps constructor names to constructors; shared by all kernels in a test
 /// or benchmark so every host is configured from the same vocabulary.
 #[derive(Default)]
@@ -117,6 +141,10 @@ pub struct ProtocolRegistry {
     ctors: HashMap<String, Ctor>,
     contracts: HashMap<String, ProtoContract>,
     lint_mode: LintMode,
+    /// Verdicts already proved against `ctors` and `contracts`; emptied by
+    /// whatever changes either. Read with no lock, so kernels configured on
+    /// different threads share one registry without queueing on it.
+    lint_memo: EnableMap<LintKey, Vec<Diagnostic>>,
 }
 
 impl ProtocolRegistry {
@@ -133,6 +161,7 @@ impl ProtocolRegistry {
     {
         let prev = self.ctors.insert(name.to_string(), Box::new(ctor));
         assert!(prev.is_none(), "duplicate constructor '{name}'");
+        self.lint_memo = EnableMap::new();
         self
     }
 
@@ -140,6 +169,7 @@ impl ProtocolRegistry {
     /// Constructors without a contract are treated as opaque (unchecked).
     pub fn add_contract(&mut self, contract: ProtoContract) -> &mut Self {
         self.contracts.insert(contract.name.clone(), contract);
+        self.lint_memo = EnableMap::new();
         self
     }
 
@@ -163,21 +193,39 @@ impl ProtocolRegistry {
         externals: &HashMap<String, ProtoContract>,
         opts: &LintOptions,
     ) -> Vec<Diagnostic> {
-        let ctors: HashSet<String> = self.ctors.keys().cloned().collect();
-        lint::lint_spec(spec, &ctors, &self.contracts, externals, opts)
+        let known = |ctor: &str| self.ctors.contains_key(ctor);
+        lint::lint_spec(spec, known, &self.contracts, externals, opts)
     }
 
     /// Lints `spec` in the context of `kernel` — every protocol already
     /// registered there (NICs, earlier builds) counts as an external whose
     /// contract comes from [`crate::proto::Protocol::contract`].
-    pub fn lint_for_kernel(&self, kernel: &Arc<Kernel>, spec: &str) -> Vec<Diagnostic> {
+    ///
+    /// The pass runs once per configuration: the verdict, clean or not, is
+    /// kept under the spec text and the externals and handed back, borrowed,
+    /// to every later call that matches both in full.
+    pub fn lint_for_kernel(&self, kernel: &Arc<Kernel>, spec: &str) -> Cow<'_, [Diagnostic]> {
         let mut externals = HashMap::new();
         for name in kernel.protocol_names() {
             if let Ok(p) = kernel.get(&name) {
                 externals.insert(name, p.contract());
             }
         }
-        self.lint(spec, &externals, &LintOptions::default())
+        if let Some(kept) = self
+            .lint_memo
+            .find(|k| k.spec == spec && k.externals == externals)
+        {
+            return Cow::Borrowed(kept);
+        }
+        let diags = self.lint(spec, &externals, &LintOptions::default());
+        if self.lint_memo.iter().count() >= LINT_MEMO_CAP {
+            return Cow::Owned(diags);
+        }
+        let key = LintKey {
+            spec: spec.to_string(),
+            externals,
+        };
+        Cow::Borrowed(self.lint_memo.resolve_or_bind(key, diags))
     }
 
     /// Builds the protocols described by `spec` into `kernel`, bottom-up,
@@ -192,13 +240,13 @@ impl ProtocolRegistry {
             LintMode::Off => {}
             mode => {
                 let diags = self.lint_for_kernel(kernel, spec);
-                if !diags.is_empty() && mode == LintMode::WarnOnly {
-                    for d in &diags {
+                if mode == LintMode::WarnOnly {
+                    for d in diags.iter() {
                         eprintln!("xk-lint: {d}");
                     }
                 }
                 if mode == LintMode::Enforce && lint::has_errors(&diags) {
-                    return Err(XError::Lint(diags));
+                    return Err(XError::Lint(diags.into_owned()));
                 }
             }
         }
@@ -247,7 +295,7 @@ impl ProtocolRegistry {
         }
         let ctx = sim.ctx(kernel.host());
         for id in &built {
-            kernel.proto(*id)?.boot(&ctx)?;
+            kernel.proto_ref(*id)?.boot(&ctx)?;
         }
         Ok(built)
     }

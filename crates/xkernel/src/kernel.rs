@@ -227,6 +227,17 @@ impl Kernel {
     }
 }
 
+/// A discarded kernel frees its protocol graph. Protocols and their cached
+/// sessions hold each other (see [`crate::proto::Protocol::drop_sessions`]),
+/// so without this every rig a process ever built would stay resident.
+impl Drop for Kernel {
+    fn drop(&mut self) {
+        for proto in self.protocols.iter().filter_map(|slot| slot.proto.get()) {
+            proto.drop_sessions();
+        }
+    }
+}
+
 impl std::fmt::Debug for Kernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Kernel")

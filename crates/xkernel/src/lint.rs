@@ -472,15 +472,15 @@ struct Node {
 
 /// Lints `spec` against `contracts` (keyed by constructor name).
 ///
-/// * `ctors`: the known constructor vocabulary; names outside it raise
-///   XK002. Constructors without a contract are treated as
+/// * `known_ctor`: whether a name is in the constructor vocabulary; names
+///   outside it raise XK002. Constructors without a contract are treated as
 ///   [`ProtoContract::opaque`].
 /// * `externals`: instances that exist before the spec is built (device
 ///   protocols such as `nic0`, or instances from an earlier `build` call on
 ///   the same kernel), with the contract describing what they produce.
 pub fn lint_spec(
     spec: &str,
-    ctors: &HashSet<String>,
+    known_ctor: impl Fn(&str) -> bool,
     contracts: &HashMap<String, ProtoContract>,
     externals: &HashMap<String, ProtoContract>,
     opts: &LintOptions,
@@ -526,7 +526,7 @@ pub fn lint_spec(
                 continue;
             }
         };
-        if !ctors.contains(&ctor) {
+        if !known_ctor(&ctor) {
             diags.push(Diagnostic {
                 rule: rules::UNKNOWN_CTOR,
                 severity: Severity::Error,
@@ -1231,8 +1231,8 @@ fn check_one_path(
 mod tests {
     use super::*;
 
-    fn ctors(contracts: &HashMap<String, ProtoContract>) -> HashSet<String> {
-        contracts.keys().cloned().collect()
+    fn ctors(contracts: &HashMap<String, ProtoContract>) -> impl Fn(&str) -> bool + '_ {
+        |ctor| contracts.contains_key(ctor)
     }
 
     /// A miniature vocabulary mirroring the real stack's shape.
@@ -1315,7 +1315,8 @@ mod tests {
 
     fn run(spec: &str) -> Vec<Diagnostic> {
         let v = vocab();
-        lint_spec(spec, &ctors(&v), &v, &ext(), &LintOptions::default())
+        let known = ctors(&v);
+        lint_spec(spec, known, &v, &ext(), &LintOptions::default())
     }
 
     #[test]
@@ -1441,11 +1442,11 @@ mod tests {
     fn suppression_via_directive_and_options() {
         let spec = "# xk-lint: allow=XK006\npass -> nic0\nnet -> pass\n";
         let v = vocab();
-        let d = lint_spec(spec, &ctors(&v), &v, &ext(), &LintOptions::default());
+        let d = lint_spec(spec, ctors(&v), &v, &ext(), &LintOptions::default());
         assert!(d.is_empty(), "{d:?}");
         let mut opts = LintOptions::default();
         opts.allow.insert(rules::ADDR_KIND.to_string());
-        let d = lint_spec("pass -> nic0\nnet -> pass\n", &ctors(&v), &v, &ext(), &opts);
+        let d = lint_spec("pass -> nic0\nnet -> pass\n", ctors(&v), &v, &ext(), &opts);
         assert!(d.is_empty(), "{d:?}");
     }
 
@@ -1459,7 +1460,7 @@ mod tests {
         v.insert("leaky".into(), leaky);
         let d = lint_spec(
             "wire -> nic0\nnet -> wire\nleaky -> net\n",
-            &ctors(&v),
+            ctors(&v),
             &v,
             &ext(),
             &LintOptions::default(),
@@ -1501,7 +1502,7 @@ mod tests {
         v.insert("undeclared".into(), undeclared);
         let d = lint_spec(
             "wire -> nic0\nnet -> wire\nundeclared -> net\n",
-            &ctors(&v),
+            ctors(&v),
             &v,
             &ext(),
             &LintOptions::default(),
@@ -1525,7 +1526,7 @@ mod tests {
         v.insert("wired".into(), wired);
         let d = lint_spec(
             "wire -> nic0\nwired -> wire\n",
-            &ctors(&v),
+            ctors(&v),
             &v,
             &ext(),
             &LintOptions::default(),

@@ -180,8 +180,15 @@ impl<K: Eq, V> EnableMap<K, V> {
 
     /// The value bound to `key`. No lock, no reference count.
     pub fn resolve(&self, key: &K) -> Option<&V> {
+        self.find(|k| k == key)
+    }
+
+    /// The value bound to the key `is_key` accepts: [`EnableMap::resolve`]
+    /// for a caller that holds the parts of a key and would have to clone
+    /// them to build one.
+    pub fn find(&self, mut is_key: impl FnMut(&K) -> bool) -> Option<&V> {
         self.live_entries()
-            .find(|e| e.key == *key)
+            .find(|e| is_key(&e.key))
             .map(|e| &e.value)
     }
 
@@ -203,10 +210,22 @@ impl<K: Eq, V> EnableMap<K, V> {
         self.append_locked(key, value);
     }
 
+    /// The value bound to `key`, which is `value` if there was none: a
+    /// compute-once cache. Of two threads that both missed and computed,
+    /// the second finds the first's entry and drops its own, so the table
+    /// holds one entry per key however the misses race.
+    pub fn resolve_or_bind(&self, key: K, value: V) -> &V {
+        let _w = self.writer.lock();
+        match self.resolve(&key) {
+            Some(bound) => bound,
+            None => self.append_locked(key, value),
+        }
+    }
+
     /// Appends a live entry, then retires the older live entries for its
     /// key — in that order, so a concurrent reader never finds the key
-    /// unbound in between.
-    fn append_locked(&self, key: K, value: V) {
+    /// unbound in between. Returns the value where it now lives.
+    fn append_locked(&self, key: K, value: V) -> &V {
         let tail = self.entries().last().map_or(&self.head, |e| &e.next);
         let new = tail.get_or_init(|| {
             Box::new(Enable {
@@ -221,6 +240,7 @@ impl<K: Eq, V> EnableMap<K, V> {
                 e.live.store(false, Ordering::Release);
             }
         }
+        &new.value
     }
 
     /// Unbinds `key` if it is bound to a value `pred` accepts; whether it
@@ -266,7 +286,8 @@ impl<K: Eq, V: PartialEq> EnableMap<K, V> {
         let _w = self.writer.lock();
         let same = self.entries().find(|e| e.key == key && e.value == value);
         let Some(revived) = same else {
-            return self.append_locked(key, value);
+            self.append_locked(key, value);
+            return;
         };
         // Revive first, retire second: the key is never unbound in between.
         revived.live.store(true, Ordering::Release);
@@ -548,6 +569,21 @@ mod tests {
         assert_eq!(m.iter().count(), 1);
         // The documented cost: a retired entry stays in the chain.
         assert_eq!(m.entries().count(), 2);
+    }
+
+    #[test]
+    fn enable_resolve_or_bind_computes_once_and_find_reads_by_parts() {
+        let m: EnableMap<(String, u8), Vec<u32>> = EnableMap::new();
+        let first = m.resolve_or_bind(("a".into(), 1), vec![10]) as *const Vec<u32>;
+        // A later value for a bound key is dropped; the first stays put.
+        let again = m.resolve_or_bind(("a".into(), 1), vec![99]);
+        assert_eq!(again, &vec![10]);
+        assert_eq!(again as *const Vec<u32>, first);
+        m.resolve_or_bind(("a".into(), 2), vec![20]);
+        assert_eq!(m.entries().count(), 2);
+        // Looked up from a borrowed `&str`, no key built.
+        assert_eq!(m.find(|(s, n)| s == "a" && *n == 2), Some(&vec![20]));
+        assert!(m.find(|(s, _)| s == "b").is_none());
     }
 
     #[test]

@@ -240,6 +240,20 @@ pub trait Protocol: Send + Sync {
         Ok(())
     }
 
+    /// Lets go of every session and every piece of per-peer state this
+    /// protocol caches. A cached session holds its protocol (its `parent`,
+    /// strongly: upgrading a `Weak` on every push would be an atomic
+    /// read-modify-write on the path a call takes), so table and session keep
+    /// each other alive until the table is emptied. A [`Kernel`]'s `Drop`
+    /// runs this on every protocol — it is what frees a discarded rig — and
+    /// a protocol's [`Protocol::reboot`] calls it too, so the list of tables
+    /// is written once. No `Ctx`: when a kernel drops there is no simulator
+    /// left to charge. Must not block or cross a layer. The default — do
+    /// nothing — suits protocols that cache no session.
+    ///
+    /// [`Kernel`]: crate::kernel::Kernel
+    fn drop_sessions(&self) {}
+
     /// Captures this protocol's mutable state for a whole-sim snapshot
     /// (see [`crate::sim::Sim::snapshot`]). Called only at a quiescent
     /// instant — no shepherd process exists, no timer is armed — so

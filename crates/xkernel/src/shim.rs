@@ -110,6 +110,10 @@ impl Protocol for NullLayer {
         null_contract()
     }
 
+    fn drop_sessions(&self) {
+        self.passive.clear();
+    }
+
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
         let num = Self::num_of(parts)?;
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
@@ -257,6 +261,10 @@ impl Protocol for HandicapLayer {
 
     fn id(&self) -> ProtoId {
         self.me
+    }
+
+    fn drop_sessions(&self) {
+        self.wrapped.clear();
     }
 
     fn open(&self, ctx: &Ctx, upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {

@@ -7,13 +7,14 @@
 //! IP routing, and (when the segments' MTUs differ) router-side
 //! refragmentation.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use simnet::{LanConfig, SimNet};
+use xkernel::graph::ProtocolRegistry;
 use xkernel::prelude::*;
 use xkernel::sim::{Sim, SimConfig};
 
-use inet::testbed::{base_registry, lan_hosts, routed_lans};
+use inet::testbed::{lan_hosts, routed_lans};
 use xrpc::stacks::{StackDef, ALL_RPC_STACKS};
 
 /// Sun RPC program number used by the load engine.
@@ -174,6 +175,14 @@ pub fn with_params(graph: &str, instance: &str, params: &str) -> String {
     out
 }
 
+/// The registry every load rig in the process is built from. A registry
+/// keeps the lint verdict of each configuration it has proved, so a sweep
+/// that builds the same host graphs point after point lints each once.
+fn registry() -> &'static ProtocolRegistry {
+    static REGISTRY: OnceLock<ProtocolRegistry> = OnceLock::new();
+    REGISTRY.get_or_init(sunrpc::registry)
+}
+
 /// Builds the rig for `topo` with `stack`'s graph (plus `pool_params`
 /// spliced into its pool-owning line) on every host. `seed` seeds the
 /// simulation PRNG; `trace` enables the structured cost ledger.
@@ -184,9 +193,7 @@ pub fn build_rig(
     seed: u64,
     trace: bool,
 ) -> XResult<LoadRig> {
-    let mut reg = base_registry();
-    xrpc::register_ctors(&mut reg);
-    sunrpc::register_ctors(&mut reg);
+    let reg = registry();
     let mut cfg = SimConfig::scheduled().with_seed(seed);
     if trace {
         cfg = cfg.with_trace();
@@ -194,7 +201,7 @@ pub fn build_rig(
     let graph = with_params(stack.graph(), stack.pool_instance(), pool_params);
     match topo {
         Topology::Segment { hosts } => {
-            let mut lan = lan_hosts(cfg, &reg, &graph, hosts + 1)?;
+            let mut lan = lan_hosts(cfg, reg, &graph, hosts + 1)?;
             let server_ip = lan.ip_of(hosts);
             let server = lan.kernels.pop().expect("server kernel");
             Ok(LoadRig {
@@ -211,7 +218,7 @@ pub fn build_rig(
                 cfg,
                 LanConfig::default(),
                 LanConfig::default(),
-                &reg,
+                reg,
                 &graph,
                 hosts,
                 1,

@@ -16,9 +16,7 @@ use xkernel::lint::{AddrKind, ProtoContract};
 /// Sun RPC decomposition (request_reply/auth_*/sunselect), psync, the shim
 /// layers (null/handicap), and xcheck's deadlock-toy pair (dl_ab/dl_ba).
 pub fn full_registry() -> ProtocolRegistry {
-    let mut reg = inet::testbed::base_registry();
-    xrpc::register_ctors(&mut reg);
-    sunrpc::register_ctors(&mut reg);
+    let mut reg = sunrpc::registry();
     psync::register_ctors(&mut reg);
     xkernel::shim::register_ctors(&mut reg);
     xcheck::toys::register_ctors(&mut reg);
