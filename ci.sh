@@ -115,6 +115,55 @@ if hits=$(grep -rnE '\.kernel\(\)\.(demux_to|open|open_enable|control|open_done)
     exit 1
 fi
 
+echo "==> txn-gate: one retransmit loop, one RTO policy, one boot-id draw"
+# CHANNEL, M_RPC and REQUEST_REPLY recover from loss through xrpc::txn
+# (DESIGN.md §14): the wait-and-retransmit loop, the RTO knob bundle and the
+# incarnation draw are written there once. A fix that is applied to a private
+# copy in one of the three — the way the poisoned-slot leak had to be fixed
+# three times — would pass every test, so a copy coming back is a gate.
+TXN_RS=crates/core/src/txn.rs
+RTO_RS=crates/core/src/rto.rs
+TXN_DIRS="crates/core/src crates/sunrpc/src"
+BOOT_DRAW='& 0xffff_ffff) as u32 | 1'
+for pat in 'RobustEvent::Retransmit' 'RobustEvent::TimeoutFired' 'backoff_rto(' \
+           'p_timeout(' 'const DEFAULT_MAX_BACKOFF' "$BOOT_DRAW"; do
+    if ! grep -qF "$pat" "$TXN_RS"; then
+        echo "ci: txn-gate: $TXN_RS no longer holds '$pat' (gate is stale)" >&2
+        exit 1
+    fi
+done
+# shellcheck disable=SC2086
+if hits=$(grep -rnE 'RobustEvent::(Retransmit|TimeoutFired)' $TXN_DIRS | grep -v "^$TXN_RS:"); then
+    echo "ci: txn-gate: a retransmission is counted outside txn::transact:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+# shellcheck disable=SC2086
+if hits=$(grep -rnF 'backoff_rto(' $TXN_DIRS | grep -v -e "^$TXN_RS:" -e "^$RTO_RS:"); then
+    echo "ci: txn-gate: a timeout is computed outside txn::RtoPolicy:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+if hits=$(grep -nF 'p_timeout(' crates/core/src/channel.rs crates/core/src/mrpc.rs crates/sunrpc/src/rr.rs); then
+    echo "ci: txn-gate: a transaction layer waits for its reply outside txn::transact:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+# shellcheck disable=SC2086
+if hits=$(grep -rnF 'struct Tunables' $TXN_DIRS); then
+    echo "ci: txn-gate: a per-protocol RTO knob bundle is back (use txn::RtoPolicy):" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+for once in 'const DEFAULT_MAX_BACKOFF' "$BOOT_DRAW"; do
+    # shellcheck disable=SC2086
+    n=$(grep -rhF "$once" $TXN_DIRS | wc -l)
+    if [ "$n" -ne 1 ]; then
+        echo "ci: txn-gate: '$once' occurs $n times under $TXN_DIRS, want 1" >&2
+        exit 1
+    fi
+done
+
 echo "==> vproc-smoke: 100k-client closed loop on stackless machines"
 # One persistent machine per client plus a transient coroutine per
 # in-flight call. The binary asserts every call completes, nothing is left

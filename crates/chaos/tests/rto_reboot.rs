@@ -37,7 +37,7 @@ fn channel_rto_state_re_cold_seeds_on_reboot() {
         }
     });
     assert_eq!(tb.sim.run_until_idle().blocked, 0);
-    let warm_rtt = with_concrete::<Channel, _>(&tb.client, "channel", |c| c.rtt_estimate())
+    let warm_rtt = with_concrete::<Channel, _>(&tb.client, "channel", |c| c.rto().rtt_estimate())
         .expect("channel registered");
     assert!(warm_rtt > 0, "replies trained the estimator");
 
@@ -46,14 +46,14 @@ fn channel_rto_state_re_cold_seeds_on_reboot() {
         with_concrete::<Channel, _>(&ctx.kernel(), "channel", |c| {
             c.control(ctx, &ControlOp::SetTimeout(1_000_000)).unwrap();
             c.control(ctx, &ControlOp::SetBackoff(0)).unwrap();
-            c.set_adaptive(false);
+            c.rto().set_adaptive(false);
         })
         .expect("channel registered");
     });
     assert_eq!(tb.sim.run_until_idle().blocked, 0);
     with_concrete::<Channel, _>(&tb.client, "channel", |c| {
-        assert_eq!(c.max_backoff(), 0, "override in effect");
-        assert!(!c.adaptive(), "override in effect");
+        assert_eq!(c.rto().max_backoff(), 0, "override in effect");
+        assert!(!c.rto().adaptive(), "override in effect");
     })
     .expect("channel registered");
 
@@ -67,9 +67,12 @@ fn channel_rto_state_re_cold_seeds_on_reboot() {
 
     // Everything is factory-fresh again.
     with_concrete::<Channel, _>(&tb.client, "channel", |c| {
-        assert_eq!(c.rtt_estimate(), 0, "Karn state re-cold-seeded");
-        assert_eq!(c.max_backoff(), 6, "backoff cap back to default");
-        assert!(c.adaptive(), "adaptive switch back to configured value");
+        assert_eq!(c.rto().rtt_estimate(), 0, "Karn state re-cold-seeded");
+        assert_eq!(c.rto().max_backoff(), 6, "backoff cap back to default");
+        assert!(
+            c.rto().adaptive(),
+            "adaptive switch back to configured value"
+        );
     })
     .expect("channel registered");
 
@@ -109,7 +112,7 @@ fn request_reply_rto_state_re_cold_seeds_on_reboot() {
     });
     assert_eq!(tb.sim.run_until_idle().blocked, 0);
     let warm_rtt =
-        with_concrete::<RequestReply, _>(&tb.client, "request_reply", |r| r.rtt_estimate())
+        with_concrete::<RequestReply, _>(&tb.client, "request_reply", |r| r.rto().rtt_estimate())
             .expect("request_reply registered");
     assert!(warm_rtt > 0, "replies trained the estimator");
 
@@ -117,7 +120,7 @@ fn request_reply_rto_state_re_cold_seeds_on_reboot() {
         with_concrete::<RequestReply, _>(&ctx.kernel(), "request_reply", |r| {
             r.control(ctx, &ControlOp::SetTimeout(1_000_000)).unwrap();
             r.control(ctx, &ControlOp::SetBackoff(0)).unwrap();
-            r.set_adaptive(false);
+            r.rto().set_adaptive(false);
         })
         .expect("request_reply registered");
     });
@@ -131,9 +134,12 @@ fn request_reply_rto_state_re_cold_seeds_on_reboot() {
     assert_eq!(tb.sim.boot_epoch(host), 1, "the client really rebooted");
 
     with_concrete::<RequestReply, _>(&tb.client, "request_reply", |r| {
-        assert_eq!(r.rtt_estimate(), 0, "Karn state re-cold-seeded");
-        assert_eq!(r.max_backoff(), 6, "backoff cap back to default");
-        assert!(r.adaptive(), "adaptive switch back to configured value");
+        assert_eq!(r.rto().rtt_estimate(), 0, "Karn state re-cold-seeded");
+        assert_eq!(r.rto().max_backoff(), 6, "backoff cap back to default");
+        assert!(
+            r.rto().adaptive(),
+            "adaptive switch back to configured value"
+        );
     })
     .expect("request_reply registered");
 

@@ -20,68 +20,23 @@
 //! fragmentation layer is not in the middle of transmitting the message".
 
 use std::any::Any;
-use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::Mutex;
 
 use xkernel::map::EnableSnapshot;
 use xkernel::prelude::*;
-use xkernel::sim::Nanos;
 
 use crate::hdr::{flags, ChannelHdr, CHANNEL_HDR_LEN};
 use crate::protnum::{peer_key, rel_proto_num, PeerKey};
-use crate::rto::{backoff_rto, RtoEstimator};
-
-/// Tuning knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct ChanConfig {
-    /// Timeout for single-fragment requests.
-    pub base_timeout_ns: Nanos,
-    /// Extra wait per additional fragment the layer below must move.
-    pub per_frag_ns: Nanos,
-    /// Retransmissions before giving up.
-    pub max_retries: u32,
-    /// Adaptive SRTT/RTTVAR retransmission timeout (see [`crate::rto`]).
-    /// When false, the paper's fixed step function times every attempt.
-    pub adaptive: bool,
-    /// Floor for the adaptive RTO.
-    pub min_rto_ns: Nanos,
-    /// Ceiling for the adaptive RTO (also caps exponential backoff).
-    pub max_rto_ns: Nanos,
-}
-
-impl Default for ChanConfig {
-    fn default() -> ChanConfig {
-        ChanConfig {
-            base_timeout_ns: 100_000_000,
-            per_frag_ns: 25_000_000,
-            max_retries: 8,
-            adaptive: true,
-            min_rto_ns: 1_000_000,
-            max_rto_ns: 10_000_000_000,
-        }
-    }
-}
+use crate::txn::{self, Arrival, AtMostOnce, Incarnation, Poll, RtoPolicy, RtoSnap};
 
 struct Outstanding {
     seq: u32,
     sema: SharedSema,
     reply: Option<Result<Message, u16>>,
     acked: bool,
-    sent_at: u64,
-}
-
-/// Default cap on consecutive exponential-backoff doublings; the
-/// `SetBackoff` control op overrides it until the next reboot.
-const DEFAULT_MAX_BACKOFF: u32 = 6;
-
-/// Run-time-tunable knobs (the `SetTimeout` / `SetBackoff` control ops).
-struct Tunables {
-    base_timeout_ns: AtomicU64,
-    peer_boot: AtomicU32,
-    adaptive: AtomicBool,
-    max_backoff: AtomicU32,
 }
 
 struct ClientState {
@@ -99,28 +54,13 @@ pub struct ChanClientSession {
     st: Mutex<ClientState>,
 }
 
-impl ChanClientSession {
-    /// The size-dependent component of the paper's step function: extra
-    /// wait for each additional fragment the layer below must move. RTT
-    /// samples are taken on whatever traffic runs first, so the adaptive
-    /// RTO keeps this allowance too — a warm estimate from small exchanges
-    /// must not time a multi-fragment transfer.
-    fn frag_allowance(&self, ctx: &Ctx, wire_len: usize) -> Nanos {
-        let frags = self
-            .lower
-            .control(ctx, &ControlOp::GetFragCount(wire_len))
-            .and_then(|r| r.size())
-            .unwrap_or(1);
-        self.parent.cfg.per_frag_ns * (frags.saturating_sub(1) as u64)
-    }
-}
-
 impl Session for ChanClientSession {
     fn protocol_id(&self) -> ProtoId {
         self.parent.me
     }
 
     fn push(&self, ctx: &Ctx, msg: Message) -> XResult<Option<Message>> {
+        let sent_at = ctx.now();
         let (seq, sema) = {
             let mut st = self.st.lock();
             if st.outstanding.is_some() {
@@ -136,144 +76,85 @@ impl Session for ChanClientSession {
                 sema: sema.clone(),
                 reply: None,
                 acked: false,
-                sent_at: ctx.now(),
             });
             (st.seq, sema)
         };
 
-        let boot_id = self.parent.boot_id();
         let mut hdr = ChannelHdr {
             flags: flags::REQUEST,
             channel: self.chan,
             protocol_num: self.proto_num,
             sequence_num: seq,
             error: 0,
-            boot_id,
+            boot_id: self.parent.boot_id(),
         };
-        let extra = self.frag_allowance(ctx, msg.len() + CHANNEL_HDR_LEN);
-        let step = self.parent.tunables.base_timeout_ns.load(Ordering::Relaxed) + extra;
-        let adaptive = self.parent.tunables.adaptive.load(Ordering::Relaxed);
-        let max_backoff = self.parent.tunables.max_backoff.load(Ordering::Relaxed);
-        let mut attempts = 0u32;
-        loop {
-            let timeout = if adaptive {
-                // The step function seeds the estimator's cold state, so
-                // attempt 0 of a fresh conversation waits exactly as long
-                // as the paper's fixed scheme; once samples arrive the RTO
-                // tracks measured RTT (plus the per-fragment allowance).
-                // Retries back off exponentially with jitter (drawn only
-                // here, keeping fault-free runs on the same PRNG stream as
-                // the fixed scheme).
-                let base = {
-                    let e = self.parent.estimator.lock();
-                    if e.is_cold() {
-                        step
-                    } else {
-                        e.rto() + extra
-                    }
-                };
-                let jitter = if attempts > 0 { ctx.next_u64() } else { 0 };
-                backoff_rto(
-                    base,
-                    attempts,
-                    max_backoff,
-                    self.parent.cfg.max_rto_ns,
-                    jitter,
-                )
-            } else {
-                step
-            };
-            let mut wire = msg.clone();
-            ctx.push_header(&mut wire, &hdr.encode());
-            ctx.charge_layer_call();
-            if let Err(e) = self.lower.push(ctx, wire) {
-                // A synchronous lower-layer failure (e.g. ARP could not
-                // resolve the peer) must not leave the channel poisoned
-                // with a forever-outstanding request.
-                self.st.lock().outstanding = None;
-                return Err(e);
-            }
-
-            // Wait for the reply; an explicit ACK re-arms the wait without
-            // counting as a retransmission round.
-            let outcome = loop {
-                let _signalled = sema.p_timeout(ctx, timeout);
+        // The size-dependent half of the paper's step function: ask the
+        // layer below how many fragments this message becomes.
+        let frags = self
+            .lower
+            .control(ctx, &ControlOp::GetFragCount(msg.len() + CHANNEL_HDR_LEN))
+            .and_then(|r| r.size())
+            .unwrap_or(1);
+        let rto = self.parent.rto.for_call(txn::frag_allowance(frags));
+        let (reply, attempts) = txn::transact(
+            ctx,
+            &sema,
+            txn::MAX_RETRIES,
+            format_args!("channel {} request {seq} to {}", self.chan, self.peer),
+            |attempt| rto.timeout(ctx, attempt),
+            |attempt| {
+                if attempt > 0 {
+                    // Retransmission: ask for an explicit ack so a busy
+                    // server can quiet us down.
+                    hdr.flags = flags::REQUEST | flags::PLEASE_ACK;
+                }
+                let mut wire = msg.clone();
+                ctx.push_header(&mut wire, &hdr.encode());
+                ctx.charge_layer_call();
+                self.lower.push(ctx, wire).map(drop)
+            },
+            || {
                 let mut st = self.st.lock();
                 let out = st
                     .outstanding
                     .as_mut()
                     .expect("outstanding present until we clear it");
-                if let Some(r) = out.reply.take() {
-                    let sent_at = out.sent_at;
+                if let Some(reply) = out.reply.take() {
                     st.outstanding = None;
-                    break Some((r, sent_at));
+                    Poll::Done(reply)
+                } else if std::mem::take(&mut out.acked) {
+                    Poll::Rearm
+                } else {
+                    Poll::Timeout
                 }
-                if out.acked {
-                    out.acked = false;
-                    if ctx.mode() == Mode::Inline {
-                        // Inline mode cannot wait again; treat as timeout.
-                        break None;
-                    }
-                    continue; // Server is alive and working: wait again.
-                }
-                break None;
-            };
-            match outcome {
-                Some((Ok(reply), sent_at)) => {
-                    // Karn's rule: a reply that followed a retransmission
-                    // cannot be attributed to a particular send, so only
-                    // clean exchanges feed the estimator.
-                    if attempts == 0 {
-                        self.parent.observe_rtt(ctx.now().saturating_sub(sent_at));
-                    }
-                    return Ok(Some(reply));
-                }
-                Some((Err(code), _)) => {
-                    return Err(XError::Remote(format!(
-                        "channel {} request {seq}: server error {code}",
-                        self.chan
-                    )))
-                }
-                None => ctx.note(RobustEvent::TimeoutFired),
+            },
+            || self.st.lock().outstanding = None,
+        )?;
+        match reply {
+            Ok(reply) => {
+                self.parent
+                    .rto
+                    .observe(attempts, ctx.now().saturating_sub(sent_at));
+                Ok(Some(reply))
             }
-            attempts += 1;
-            if attempts > self.parent.cfg.max_retries || ctx.mode() == Mode::Inline {
-                self.st.lock().outstanding = None;
-                return Err(XError::Timeout(format!(
-                    "channel {} request {seq} to {} after {attempts} attempts",
-                    self.chan, self.peer
-                )));
-            }
-            // Retransmission: ask for an explicit ack so a busy server can
-            // quiet us down.
-            ctx.note(RobustEvent::Retransmit);
-            hdr.flags = flags::REQUEST | flags::PLEASE_ACK;
+            Err(code) => Err(XError::Remote(format!(
+                "channel {} request {seq}: server error {code}",
+                self.chan
+            ))),
         }
     }
 
     fn control(&self, ctx: &Ctx, op: &ControlOp) -> XResult<ControlRes> {
         match op {
             ControlOp::GetPeerHost => Ok(ControlRes::Ip(self.peer)),
-            ControlOp::GetRtt => Ok(ControlRes::U64(self.parent.rtt_estimate())),
             ControlOp::GetMyBootId => Ok(ControlRes::U32(self.parent.boot_id())),
             ControlOp::GetPeerBootId => Ok(ControlRes::U32(
-                self.parent.tunables.peer_boot.load(Ordering::Relaxed),
+                self.parent.peer_boot.load(Ordering::Relaxed),
             )),
-            ControlOp::SetTimeout(ns) => {
-                self.parent
-                    .tunables
-                    .base_timeout_ns
-                    .store(*ns, Ordering::Relaxed);
-                Ok(ControlRes::Done)
-            }
-            ControlOp::SetBackoff(n) => {
-                self.parent
-                    .tunables
-                    .max_backoff
-                    .store(*n, Ordering::Relaxed);
-                Ok(ControlRes::Done)
-            }
-            other => self.lower.control(ctx, other),
+            other => match self.parent.rto.control(other) {
+                Some(res) => Ok(res),
+                None => self.lower.control(ctx, other),
+            },
         }
     }
 
@@ -287,10 +168,10 @@ struct ServerState {
     // The lower session replies travel down on; refreshed on each request
     // so replies follow the path the latest request arrived by.
     lls: SessionRef,
-    last_boot: u32,
-    last_seq: u32,
-    in_progress: Option<u32>,
-    saved_reply: Option<(u32, Message)>,
+    record: AtMostOnce,
+    // The encoded reply to `record`'s answered request, kept until the next
+    // request on this channel implicitly acknowledges it.
+    saved_reply: Option<Message>,
 }
 
 /// A server channel: tracks at-most-once state for one (peer, channel).
@@ -311,7 +192,7 @@ impl Session for ChanServerSession {
         // One acquisition for the whole reply: building the header only
         // charges, and the lock is gone before the push below crosses.
         let mut st = self.st.lock();
-        let seq = st.in_progress.take().ok_or_else(|| {
+        let seq = st.record.in_progress().ok_or_else(|| {
             XError::Config(format!("channel {}: reply without request", self.chan))
         })?;
         let hdr = ChannelHdr {
@@ -324,10 +205,8 @@ impl Session for ChanServerSession {
         };
         let mut wire = msg;
         ctx.push_header(&mut wire, &hdr.encode());
-        st.last_seq = seq;
-        // Retain the encoded reply until implicitly acknowledged by the
-        // next request on this channel.
-        st.saved_reply = Some((seq, wire.clone()));
+        st.record.answer(seq);
+        st.saved_reply = Some(wire.clone());
         let lls = Arc::clone(&st.lls);
         drop(st);
         ctx.charge_layer_call();
@@ -343,7 +222,7 @@ impl Session for ChanServerSession {
             // in-progress slot so the client's retransmission is delivered
             // again instead of being acknowledged as still-working.
             ControlOp::Custom("chan_abort", _) => {
-                self.st.lock().in_progress = None;
+                self.st.lock().record.abort();
                 Ok(ControlRes::Done)
             }
             other => {
@@ -363,12 +242,11 @@ pub struct Channel {
     weak_self: Weak<Channel>,
     me: ProtoId,
     lower: ProtoId,
-    cfg: ChanConfig,
-    tunables: Tunables,
     lower_name: OnceLock<&'static str>,
-    boot: AtomicU32,
-    next_chan: AtomicU16,
-    estimator: Mutex<RtoEstimator>,
+    ids: Incarnation,
+    rto: RtoPolicy,
+    // The server incarnation last seen in a reply (0 = none yet).
+    peer_boot: AtomicU32,
     enables: EnableMap<u32>,
     clients: SessionMap<ClientKey, Arc<ChanClientSession>>,
     servers: SessionMap<ServerKey, Arc<ChanServerSession>>,
@@ -381,27 +259,18 @@ type ServerKey = (PeerKey, u16, u32);
 
 impl Channel {
     /// Creates CHANNEL above `lower` (FRAGMENT, a virtual protocol, IP, or
-    /// raw ETH — anything that can move one packet unreliably).
-    pub fn new(me: ProtoId, lower: ProtoId, cfg: ChanConfig) -> Arc<Channel> {
+    /// raw ETH — anything that can move one packet unreliably). `adaptive`
+    /// picks the SRTT/RTTVAR retransmission timeout ([`crate::rto`]) over
+    /// the paper's fixed step function, which then only seeds it.
+    pub fn new(me: ProtoId, lower: ProtoId, adaptive: bool) -> Arc<Channel> {
         Arc::new_cyclic(|weak_self| Channel {
             weak_self: weak_self.clone(),
             me,
             lower,
-            tunables: Tunables {
-                base_timeout_ns: AtomicU64::new(cfg.base_timeout_ns),
-                peer_boot: AtomicU32::new(0),
-                adaptive: AtomicBool::new(cfg.adaptive),
-                max_backoff: AtomicU32::new(DEFAULT_MAX_BACKOFF),
-            },
-            cfg,
             lower_name: OnceLock::new(),
-            boot: AtomicU32::new(0),
-            next_chan: AtomicU16::new(0),
-            estimator: Mutex::new(RtoEstimator::new(
-                cfg.base_timeout_ns,
-                cfg.min_rto_ns,
-                cfg.max_rto_ns,
-            )),
+            ids: Incarnation::default(),
+            rto: RtoPolicy::new(txn::BASE_TIMEOUT_NS, adaptive),
+            peer_boot: AtomicU32::new(0),
             enables: EnableMap::new(),
             clients: SessionMap::new(),
             servers: SessionMap::new(),
@@ -414,67 +283,27 @@ impl Channel {
 
     /// This kernel's boot incarnation id.
     pub fn boot_id(&self) -> u32 {
-        self.boot.load(Ordering::Relaxed)
+        self.ids.boot_id()
     }
 
     /// Overrides the boot id (tests simulate reboot/reincarnation).
     pub fn set_boot_id(&self, id: u32) {
-        self.boot.store(id, Ordering::Relaxed);
+        self.ids.set_boot_id(id);
     }
 
-    /// Allocates a fresh, kernel-unique channel number. Skips numbers that
-    /// still name a live client session: after 2^16 allocations the counter
-    /// wraps, and handing out a channel with an exchange outstanding would
-    /// alias two conversations onto one at-most-once state machine. Id 0 is
-    /// never issued — fresh counters start above it, so a post-wrap 0 would
-    /// be an id no other allocation path can produce.
+    /// Allocates a fresh, kernel-unique channel number: never 0, never one
+    /// that still names a live client session
+    /// ([`Incarnation::alloc_channel`]).
     pub fn alloc_channel(&self) -> u16 {
         let clients = self.clients.lock();
-        for _ in 0..=u16::MAX as u32 {
-            let cand = self.next_chan.load(Ordering::Relaxed).wrapping_add(1);
-            self.next_chan.store(cand, Ordering::Relaxed);
-            if cand == 0 {
-                continue;
-            }
-            if !clients.keys().any(|&(chan, _)| chan == cand) {
-                return cand;
-            }
-        }
-        // All 2^16 channel numbers live at once: structurally impossible
-        // for bounded pools, but never hand out an aliased id silently.
-        panic!("channel namespace exhausted");
+        self.ids
+            .alloc_channel(|cand| clients.keys().any(|&(chan, _)| chan == cand))
     }
 
-    fn observe_rtt(&self, sample: u64) {
-        self.estimator.lock().observe(sample);
-    }
-
-    /// Smoothed round-trip estimate (virtual ns; 0 until the first reply).
-    pub fn rtt_estimate(&self) -> u64 {
-        let e = self.estimator.lock();
-        if e.is_cold() {
-            0
-        } else {
-            e.srtt()
-        }
-    }
-
-    /// Switches between the adaptive RTO and the paper's fixed step
-    /// function at run time (chaos experiments compare the two).
-    pub fn set_adaptive(&self, on: bool) {
-        self.tunables.adaptive.store(on, Ordering::Relaxed);
-    }
-
-    /// Current backoff-doubling cap, as `SetBackoff` last left it (resets
-    /// to the default on reboot).
-    pub fn max_backoff(&self) -> u32 {
-        self.tunables.max_backoff.load(Ordering::Relaxed)
-    }
-
-    /// Whether the adaptive RTO is currently in effect (resets to the
-    /// configured value on reboot).
-    pub fn adaptive(&self) -> bool {
-        self.tunables.adaptive.load(Ordering::Relaxed)
+    /// The retransmission-timeout policy: its run-time knobs and its RTT
+    /// estimate (all re-seeded on reboot).
+    pub fn rto(&self) -> &RtoPolicy {
+        &self.rto
     }
 
     fn request_in(
@@ -498,9 +327,7 @@ impl Channel {
                         proto_num: hdr.protocol_num,
                         st: Mutex::new(ServerState {
                             lls: Arc::clone(lls),
-                            last_boot: hdr.boot_id,
-                            last_seq: 0,
-                            in_progress: None,
+                            record: AtMostOnce::new(hdr.boot_id),
                             saved_reply: None,
                         }),
                     }))
@@ -530,29 +357,16 @@ impl Channel {
             if !Arc::ptr_eq(&st.lls, lls) {
                 st.lls = Arc::clone(lls);
             }
-            if hdr.boot_id != st.last_boot {
-                // Client reincarnated: reset at-most-once state.
-                st.last_boot = hdr.boot_id;
-                st.last_seq = 0;
-                st.in_progress = None;
-                st.saved_reply = None;
-            }
-            if st.in_progress == Some(hdr.sequence_num) {
-                Action::Ack
-            } else if st
-                .saved_reply
-                .as_ref()
-                .is_some_and(|(s, _)| *s == hdr.sequence_num)
-            {
-                let (_, saved) = st.saved_reply.as_ref().expect("checked");
-                Action::ResendReply(saved.clone())
-            } else if hdr.sequence_num <= st.last_seq && st.last_seq != 0 {
-                Action::Drop
-            } else {
-                // New request: implicitly acknowledges the previous reply.
-                st.saved_reply = None;
-                st.in_progress = Some(hdr.sequence_num);
-                Action::Deliver
+            match st.record.arrive(hdr.boot_id, hdr.sequence_num) {
+                Arrival::InProgress => Action::Ack,
+                Arrival::Answered => {
+                    Action::ResendReply(st.saved_reply.clone().expect("saved with the answer"))
+                }
+                Arrival::Old => Action::Drop,
+                Arrival::New => {
+                    st.saved_reply = None;
+                    Action::Deliver
+                }
             }
         };
 
@@ -592,7 +406,7 @@ impl Channel {
                     None => {
                         // No such service: answer with an error reply so the
                         // client fails fast instead of retransmitting.
-                        sess.st.lock().in_progress = None;
+                        sess.st.lock().record.abort();
                         let err = ChannelHdr {
                             flags: flags::REPLY,
                             channel: hdr.channel,
@@ -621,11 +435,9 @@ impl Channel {
         // Peer reincarnation check, *before* taking this client's state
         // lock (the reset below locks the map and then each session; no
         // path may hold a session lock while acquiring the map's).
-        let prev = self.tunables.peer_boot.load(Ordering::Relaxed);
+        let prev = self.peer_boot.load(Ordering::Relaxed);
         if prev != hdr.boot_id {
-            self.tunables
-                .peer_boot
-                .store(hdr.boot_id, Ordering::Relaxed);
+            self.peer_boot.store(hdr.boot_id, Ordering::Relaxed);
         }
         if prev != 0 && prev != hdr.boot_id {
             ctx.trace_note("peer rebooted");
@@ -637,7 +449,7 @@ impl Channel {
                     cst.seq = 0;
                 }
             }
-            self.estimator.lock().reset(self.cfg.base_timeout_ns);
+            self.rto.forget_rtt();
         }
         let mut st = client.st.lock();
         let Some(out) = st.outstanding.as_mut() else {
@@ -686,7 +498,7 @@ impl Protocol for Channel {
         self.lower_name
             .set(lower.name())
             .map_err(|_| XError::Config("channel double boot".into()))?;
-        self.set_boot_id((ctx.next_u64() & 0xffff_ffff) as u32 | 1);
+        self.ids.renew(ctx);
         let parts =
             ParticipantSet::local(Participant::proto(rel_proto_num(lower.name(), "channel")?));
         kernel.open_enable(ctx, self.lower, self.me, &parts)
@@ -695,22 +507,10 @@ impl Protocol for Channel {
     fn reboot(&self, ctx: &Ctx) -> XResult<()> {
         // Fresh incarnation: a new boot id and no surviving channels; the
         // graph wiring (enables, lower binding) persists from build time.
-        self.set_boot_id((ctx.next_u64() & 0xffff_ffff) as u32 | 1);
+        self.ids.renew(ctx);
         self.drop_sessions();
-        self.tunables.peer_boot.store(0, Ordering::Relaxed);
-        self.tunables
-            .base_timeout_ns
-            .store(self.cfg.base_timeout_ns, Ordering::Relaxed);
-        // Every RTO knob re-cold-seeds, including the run-time overrides
-        // (`SetBackoff` / `set_adaptive`): a fresh incarnation must not
-        // inherit policy its config never specified.
-        self.tunables
-            .max_backoff
-            .store(DEFAULT_MAX_BACKOFF, Ordering::Relaxed);
-        self.tunables
-            .adaptive
-            .store(self.cfg.adaptive, Ordering::Relaxed);
-        self.estimator.lock().reset(self.cfg.base_timeout_ns);
+        self.peer_boot.store(0, Ordering::Relaxed);
+        self.rto.reseed();
         Ok(())
     }
 
@@ -782,7 +582,6 @@ impl Protocol for Channel {
             // when FRAGMENT is not below.
             ControlOp::GetMaxMsgSize => Ok(ControlRes::Size(1500)),
             ControlOp::GetMyBootId => Ok(ControlRes::U32(self.boot_id())),
-            ControlOp::GetRtt => Ok(ControlRes::U64(self.rtt_estimate())),
             ControlOp::GetFragCount(n) => {
                 ctx.kernel_ref()
                     .control(ctx, self.lower, &ControlOp::GetFragCount(*n))
@@ -793,17 +592,10 @@ impl Protocol for Channel {
                     .control(ctx, self.lower, &ControlOp::GetMaxPacket)?;
                 Ok(ControlRes::Size(r.size()?.saturating_sub(CHANNEL_HDR_LEN)))
             }
-            // The RTO knobs are protocol-wide (sessions store into the same
-            // tunables), so policy sweeps can set them without a session.
-            ControlOp::SetTimeout(ns) => {
-                self.tunables.base_timeout_ns.store(*ns, Ordering::Relaxed);
-                Ok(ControlRes::Done)
-            }
-            ControlOp::SetBackoff(n) => {
-                self.tunables.max_backoff.store(*n, Ordering::Relaxed);
-                Ok(ControlRes::Done)
-            }
-            _ => Err(XError::Unsupported("channel control")),
+            other => self
+                .rto
+                .control(other)
+                .ok_or(XError::Unsupported("channel control")),
         }
     }
 
@@ -831,13 +623,9 @@ impl Protocol for Channel {
             .map(|(k, srv)| (*k, Arc::clone(srv), srv.st.lock().clone()))
             .collect();
         Some(Arc::new(ChanSnap {
-            boot: self.boot_id(),
-            next_chan: self.next_chan.load(Ordering::Relaxed),
-            estimator: self.estimator.lock().clone(),
-            base_timeout_ns: self.tunables.base_timeout_ns.load(Ordering::Relaxed),
-            peer_boot: self.tunables.peer_boot.load(Ordering::Relaxed),
-            adaptive: self.tunables.adaptive.load(Ordering::Relaxed),
-            max_backoff: self.tunables.max_backoff.load(Ordering::Relaxed),
+            ids: self.ids.snap(),
+            rto: self.rto.snap(),
+            peer_boot: self.peer_boot.load(Ordering::Relaxed),
             enables: self.enables.snapshot(),
             clients,
             servers,
@@ -846,19 +634,9 @@ impl Protocol for Channel {
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<ChanSnap>(blob, "channel")?;
-        self.set_boot_id(s.boot);
-        self.next_chan.store(s.next_chan, Ordering::Relaxed);
-        *self.estimator.lock() = s.estimator.clone();
-        self.tunables
-            .base_timeout_ns
-            .store(s.base_timeout_ns, Ordering::Relaxed);
-        self.tunables
-            .peer_boot
-            .store(s.peer_boot, Ordering::Relaxed);
-        self.tunables.adaptive.store(s.adaptive, Ordering::Relaxed);
-        self.tunables
-            .max_backoff
-            .store(s.max_backoff, Ordering::Relaxed);
+        self.ids.restore(s.ids);
+        self.rto.restore(&s.rto);
+        self.peer_boot.store(s.peer_boot, Ordering::Relaxed);
         self.enables.restore(&s.enables);
         {
             let mut clients = self.clients.lock();
@@ -885,13 +663,9 @@ impl Protocol for Channel {
 }
 
 struct ChanSnap {
-    boot: u32,
-    next_chan: u16,
-    estimator: RtoEstimator,
-    base_timeout_ns: u64,
+    ids: (u32, u16),
+    rto: RtoSnap,
     peer_boot: u32,
-    adaptive: bool,
-    max_backoff: u32,
     enables: EnableSnapshot,
     clients: Vec<(ClientKey, Arc<ChanClientSession>, u32)>,
     servers: Vec<(ServerKey, Arc<ChanServerSession>, ServerState)>,

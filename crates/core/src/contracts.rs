@@ -5,12 +5,7 @@
 use xkernel::lint::{AddrKind, BlockPoint, ProtoContract, SemaContract};
 
 use crate::hdr::{CHANNEL_HDR_LEN, FRAGMENT_HDR_LEN, SELECT_HDR_LEN, SPRITE_HDR_LEN};
-
-const REPLY_WAITER: SemaContract = SemaContract {
-    acquires_pool: true,
-    awaits_reply: true,
-    wakes_from_demux: true,
-};
+use crate::txn::awaits_reply;
 
 /// The lock-acquisition order every blocking layer observes inside the
 /// kernel: the scheduler lock strictly before the per-host state lock
@@ -21,10 +16,10 @@ const KERNEL_LOCKS: [&str; 2] = ["sched", "hosts"];
 
 /// Monolithic Sprite RPC: delivery over internet or raw-hardware
 /// addressing (ARP as an optional trailing resolver capability);
-/// fragments internally; blocks shepherds on per-channel reply semaphores
-/// signaled from demux.
+/// fragments internally; takes a channel from its pool, then blocks
+/// shepherds on the channel's reply semaphore, signaled from demux.
 pub fn sprite() -> ProtoContract {
-    ProtoContract::new("sprite", AddrKind::Rpc)
+    let c = ProtoContract::new("sprite", AddrKind::Rpc)
         .lower(&[AddrKind::Internet, AddrKind::Hardware])
         .optional_lower(&[AddrKind::Resolver])
         .header(SPRITE_HDR_LEN)
@@ -33,11 +28,9 @@ pub fn sprite() -> ProtoContract {
         .param("channels", false, true)
         .param("shepherds", false, true)
         .param("pending", false, true)
-        .param("policy", false, false)
-        .sema(REPLY_WAITER)
-        .blocks(&[BlockPoint::Sema, BlockPoint::Timer])
+        .param("policy", false, false);
+    awaits_reply(c, true)
         .locks(&KERNEL_LOCKS)
-        .clears_slot_on_error()
         .crashable()
         .reboots()
 }
@@ -55,22 +48,15 @@ pub fn fragment() -> ProtoContract {
 }
 
 /// CHANNEL: at-most-once request/reply; the layer that owns the blocking
-/// reply wait in the layered stack. `clears_slot_on_error` records the PR 2
-/// audit: timeout and push-failure paths both release the channel slot.
+/// reply wait in the layered stack.
 pub fn channel() -> ProtoContract {
-    ProtoContract::new("channel", AddrKind::Rpc)
+    let c = ProtoContract::new("channel", AddrKind::Rpc)
         .lower(&[AddrKind::Internet])
         .header(CHANNEL_HDR_LEN)
         .demux_key_bits(32)
-        .param("adaptive", false, true)
-        .sema(SemaContract {
-            acquires_pool: false,
-            awaits_reply: true,
-            wakes_from_demux: true,
-        })
-        .blocks(&[BlockPoint::Sema, BlockPoint::Timer])
+        .param("adaptive", false, true);
+    awaits_reply(c, false)
         .locks(&KERNEL_LOCKS)
-        .clears_slot_on_error()
         .crashable()
         .reboots()
 }

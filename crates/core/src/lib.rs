@@ -83,12 +83,14 @@ pub mod protnum;
 pub mod rto;
 pub mod select;
 pub mod stacks;
+pub mod txn;
 pub mod vip;
 
 use std::sync::Arc;
 
 use xkernel::graph::{GraphArgs, ProtocolRegistry};
 use xkernel::prelude::*;
+use xkernel::shepherd::ShepherdConfig;
 
 /// Registers this crate's protocol constructors into the graph vocabulary.
 ///
@@ -115,12 +117,7 @@ pub fn register_ctors(reg: &mut ProtocolRegistry) {
     reg.add("sprite", |a: &GraphArgs<'_>| {
         let cfg = mrpc::MrpcConfig {
             channels_per_peer: a.param_u64("channels", 8)? as usize,
-            shepherds: xkernel::shepherd::ShepherdConfig::from_params(
-                a.param_u64("shepherds", 0)?,
-                a.param_u64("pending", 16)?,
-                a.params.get("policy").map(String::as_str),
-            ),
-            ..mrpc::MrpcConfig::default()
+            shepherds: ShepherdConfig::from_args(a)?,
         };
         // A second lower capability, when present, is ARP (required over
         // raw ETH).
@@ -133,20 +130,13 @@ pub fn register_ctors(reg: &mut ProtocolRegistry) {
         )
     });
     reg.add("channel", |a: &GraphArgs<'_>| {
-        let cfg = channel::ChanConfig {
-            adaptive: a.param_u64("adaptive", 1)? != 0,
-            ..channel::ChanConfig::default()
-        };
-        Ok(channel::Channel::new(a.me, a.down(0)?, cfg) as ProtocolRef)
+        let adaptive = a.param_u64("adaptive", 1)? != 0;
+        Ok(channel::Channel::new(a.me, a.down(0)?, adaptive) as ProtocolRef)
     });
     reg.add("select", |a: &GraphArgs<'_>| {
         let cfg = select::SelectConfig {
             channels_per_peer: a.param_u64("channels", 8)? as usize,
-            shepherds: xkernel::shepherd::ShepherdConfig::from_params(
-                a.param_u64("shepherds", 0)?,
-                a.param_u64("pending", 16)?,
-                a.params.get("policy").map(String::as_str),
-            ),
+            shepherds: ShepherdConfig::from_args(a)?,
         };
         Ok(select::Select::new(a.me, a.down(0)?, cfg) as ProtocolRef)
     });

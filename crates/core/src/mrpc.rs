@@ -17,34 +17,30 @@
 //! client retransmit only the fragments the server is missing.
 
 use std::any::Any;
-use std::sync::atomic::{AtomicU16, AtomicU32, Ordering};
+use std::cell::Cell;
 use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::Mutex;
 
-use xkernel::map::SessionSnapshot;
+use xkernel::map::{MixMap, SessionSnapshot};
 use xkernel::prelude::*;
 use xkernel::shepherd::{Overload, ShepherdConfig, ShepherdStats, Shepherds, Submitted};
-use xkernel::sim::Nanos;
 
 use crate::hdr::{flags, SpriteHdr, SPRITE_HDR_LEN};
 use crate::protnum::rel_proto_num;
 use crate::select::Handler;
+use crate::txn::{self, Arrival, AtMostOnce, Incarnation, Poll, PoolSnap};
 
 /// Maximum fragments per message (16-bit mask).
 pub const MAX_FRAGS: usize = 16;
 
-/// Tuning knobs.
+/// Configuration. The retransmission timer is the paper's step function,
+/// fixed: [`txn::BASE_TIMEOUT_NS`], [`txn::PER_FRAG_NS`],
+/// [`txn::MAX_RETRIES`].
 #[derive(Clone, Copy, Debug)]
 pub struct MrpcConfig {
     /// Fixed client channel set per server host.
     pub channels_per_peer: usize,
-    /// Timeout for single-fragment requests.
-    pub base_timeout_ns: Nanos,
-    /// Extra wait per additional fragment in flight.
-    pub per_frag_ns: Nanos,
-    /// Retransmission rounds before giving up.
-    pub max_retries: u32,
     /// Server-side shepherd pool (workers == 0 keeps dispatch synchronous).
     pub shepherds: ShepherdConfig,
 }
@@ -53,9 +49,6 @@ impl Default for MrpcConfig {
     fn default() -> MrpcConfig {
         MrpcConfig {
             channels_per_peer: 8,
-            base_timeout_ns: 100_000_000,
-            per_frag_ns: 25_000_000,
-            max_retries: 8,
             shepherds: ShepherdConfig::default(),
         }
     }
@@ -104,10 +97,7 @@ struct MChan {
     st: Mutex<MChanState>,
 }
 
-struct Pool {
-    sema: SharedSema,
-    free: Mutex<Vec<Arc<MChan>>>,
-}
+type Pool = txn::Pool<Arc<MChan>>;
 
 /// The lower session towards a peer with the fragment payload it allows.
 type LowerPath = (SessionRef, usize);
@@ -123,16 +113,14 @@ struct Peer {
 
 #[derive(Clone)]
 struct ServerState {
-    last_boot: u32,
-    last_seq: u32,
-    in_progress: Option<u32>,
+    record: AtMostOnce,
     // The in-progress request was handed to a shepherd (its fragments have
     // been consumed); retransmissions must be ACKed, not re-assembled.
     dispatched: bool,
     req_num: u16,
     req_mask: u16,
     req_parts: Vec<Option<Message>>,
-    saved_reply_seq: u32,
+    // The wire fragments of the reply to `record`'s answered request.
     saved_reply: Vec<Message>,
     // The path replies take, cached from the peer table on first use so a
     // warm request costs the server one table lookup, not two. Lives in the
@@ -158,8 +146,7 @@ pub struct Mrpc {
     cfg: MrpcConfig,
     lower_name: OnceLock<&'static str>,
     my_ip: OnceLock<IpAddr>,
-    boot: AtomicU32,
-    next_chan: AtomicU16,
+    ids: Incarnation,
     handlers: EnableMap<u16, Handler>,
     peers: SessionMap<u32, Peer>,
     chans: SessionMap<u16, Arc<MChan>>,
@@ -180,8 +167,7 @@ impl Mrpc {
             cfg,
             lower_name: OnceLock::new(),
             my_ip: OnceLock::new(),
-            boot: AtomicU32::new(0),
-            next_chan: AtomicU16::new(0),
+            ids: Incarnation::default(),
             handlers: EnableMap::new(),
             peers: SessionMap::new(),
             chans: SessionMap::new(),
@@ -206,12 +192,22 @@ impl Mrpc {
 
     /// This kernel's boot incarnation.
     pub fn boot_id(&self) -> u32 {
-        self.boot.load(Ordering::Relaxed)
+        self.ids.boot_id()
     }
 
     /// Overrides the boot id (tests simulate reincarnation).
     pub fn set_boot_id(&self, id: u32) {
-        self.boot.store(id, Ordering::Relaxed);
+        self.ids.set_boot_id(id);
+    }
+
+    /// Allocates a client channel number: never 0, never one a live
+    /// channel carries ([`Incarnation::alloc_channel`]).
+    pub fn alloc_channel(&self) -> u16 {
+        Self::alloc_in(&self.ids, &self.chans.lock())
+    }
+
+    fn alloc_in(ids: &Incarnation, chans: &MixMap<u16, Arc<MChan>>) -> u16 {
+        ids.alloc_channel(|cand| chans.contains_key(&cand))
     }
 
     /// Registers the procedure for `command`.
@@ -261,23 +257,21 @@ impl Mrpc {
     /// the peer's entry, which [`Mrpc::peer_for`] has just bound.
     fn make_pool(&self, ctx: &Ctx, peer: IpAddr) -> Arc<Pool> {
         let mut chans = Vec::with_capacity(self.cfg.channels_per_peer);
-        for _ in 0..self.cfg.channels_per_peer {
-            let chan = self
-                .next_chan
-                .fetch_add(1, Ordering::Relaxed)
-                .wrapping_add(1);
-            let mc = Arc::new(MChan {
-                chan,
-                st: Mutex::new(MChanState { seq: 0, out: None }),
-            });
-            self.chans.bind(chan, Arc::clone(&mc));
-            chans.push(mc);
-            ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
+        {
+            // One acquisition numbers and binds the whole set, so no number
+            // can be issued twice between the liveness test and the bind.
+            let mut table = self.chans.lock();
+            for _ in 0..self.cfg.channels_per_peer {
+                let mc = Arc::new(MChan {
+                    chan: Self::alloc_in(&self.ids, &table),
+                    st: Mutex::new(MChanState { seq: 0, out: None }),
+                });
+                table.insert(mc.chan, Arc::clone(&mc));
+                chans.push(mc);
+                ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
+            }
         }
-        let pool = Arc::new(Pool {
-            sema: SharedSema::new(self.cfg.channels_per_peer as i64),
-            free: Mutex::new(chans),
-        });
+        let pool = Pool::new(chans);
         let mut peers = self.peers.lock();
         let entry = peers.get_mut(&peer.0).expect("peer entry bound");
         Arc::clone(entry.pool.get_or_insert(pool))
@@ -329,23 +323,19 @@ impl Mrpc {
             Some(pool) => pool,
             None => self.make_pool(ctx, peer),
         };
-        pool.sema.p(ctx); // Blocks when all channels are in use.
-        let chan = pool.free.lock().pop().expect("semaphore-guarded pool");
-
-        let result = self.call_on_channel(
-            ctx,
-            &chan,
-            &lower,
-            frag_size,
-            peer,
-            command,
-            args,
-            num_frags as u16,
-        );
-
-        pool.free.lock().push(chan);
-        pool.sema.v(ctx);
-        result
+        // Blocks when all channels are in use.
+        pool.with(ctx, |chan| {
+            self.call_on_channel(
+                ctx,
+                chan,
+                &lower,
+                frag_size,
+                peer,
+                command,
+                args,
+                num_frags as u16,
+            )
+        })
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -394,54 +384,40 @@ impl Mrpc {
             data1_offset: 0,
             data2_offset: 0,
         };
-        let timeout = self.cfg.base_timeout_ns
-            + self.cfg.per_frag_ns * u64::from(num_frags.saturating_sub(1));
-
-        let mut attempts = 0u32;
-        let mut send_mask = full_mask(num_frags);
-        loop {
-            if let Err(e) = self.send_frags(ctx, lower, frag_size, &hdr, &args, send_mask) {
-                // A synchronous send failure must clear the outstanding
-                // slot: the channel goes back to the pool on return, and
-                // the next caller asserts it is clean.
-                chan.st.lock().out = None;
-                return Err(e);
-            }
-            let outcome = loop {
-                let _ = sema.p_timeout(ctx, timeout);
+        let timeout = txn::BASE_TIMEOUT_NS + txn::frag_allowance(usize::from(num_frags));
+        // Narrowed by an explicit ACK to the fragments the server lacks.
+        let send_mask = Cell::new(full_mask(num_frags));
+        txn::transact(
+            ctx,
+            &sema,
+            txn::MAX_RETRIES,
+            format_args!("sprite rpc {command} seq {seq} to {peer}"),
+            |_| timeout,
+            |attempt| {
+                if attempt > 0 {
+                    hdr.flags = flags::REQUEST | flags::PLEASE_ACK;
+                }
+                self.send_frags(ctx, lower, frag_size, &hdr, &args, send_mask.get())
+            },
+            || {
                 let mut st = chan.st.lock();
                 let out = st.out.as_mut().expect("outstanding until cleared");
                 if let Some(reply) = out.done.take() {
                     st.out = None;
-                    break Some(reply);
+                    Poll::Done(reply)
+                } else if std::mem::take(&mut out.acked) {
+                    send_mask.set(full_mask(num_frags) & !out.server_has);
+                    Poll::Rearm
+                } else {
+                    // Timed out, or a NACK woke us to retry at once.
+                    Poll::Timeout
                 }
-                if out.acked {
-                    out.acked = false;
-                    let has = out.server_has;
-                    if ctx.mode() == Mode::Inline {
-                        break None;
-                    }
-                    // The server told us which fragments it has; narrow the
-                    // retransmission set and wait again.
-                    send_mask = full_mask(num_frags) & !has;
-                    continue;
-                }
-                break None;
-            };
-            if let Some(reply) = outcome {
-                return Ok(reply);
-            }
-            ctx.note(RobustEvent::TimeoutFired);
-            attempts += 1;
-            if attempts > self.cfg.max_retries || ctx.mode() == Mode::Inline {
-                chan.st.lock().out = None;
-                return Err(XError::Timeout(format!(
-                    "sprite rpc {command} seq {seq} to {peer} after {attempts} attempts"
-                )));
-            }
-            ctx.note(RobustEvent::Retransmit);
-            hdr.flags = flags::REQUEST | flags::PLEASE_ACK;
-        }
+            },
+            // The channel goes back to the pool on return, and the next
+            // caller asserts it is clean.
+            || chan.st.lock().out = None,
+        )
+        .map(|(reply, _)| reply)
     }
 
     fn server_for(&self, hdr: &SpriteHdr) -> Arc<MServer> {
@@ -450,14 +426,11 @@ impl Mrpc {
                 clnt: hdr.clnt_host,
                 chan: hdr.channel,
                 st: Mutex::new(ServerState {
-                    last_boot: hdr.boot_id,
-                    last_seq: 0,
-                    in_progress: None,
+                    record: AtMostOnce::new(hdr.boot_id),
                     dispatched: false,
                     req_num: 0,
                     req_mask: 0,
                     req_parts: Vec::new(),
-                    saved_reply_seq: 0,
                     saved_reply: Vec::new(),
                     reply_path: None,
                 }),
@@ -480,15 +453,8 @@ impl Mrpc {
         }
         let action = {
             let mut st = server.st.lock();
-            if hdr.boot_id != st.last_boot {
-                st.last_boot = hdr.boot_id;
-                st.last_seq = 0;
-                st.in_progress = None;
-                st.dispatched = false;
-                st.saved_reply.clear();
-                st.saved_reply_seq = 0;
-            }
-            if st.saved_reply_seq == hdr.sequence_num && !st.saved_reply.is_empty() {
+            let arrival = st.record.arrive(hdr.boot_id, hdr.sequence_num);
+            if arrival == Arrival::Answered {
                 // Client retransmission of an already-answered request.
                 // Resend the saved reply — but only for the *first* fragment
                 // of the retransmitted request, else every late duplicate
@@ -500,22 +466,21 @@ impl Mrpc {
                 } else {
                     Action::None
                 }
-            } else if hdr.sequence_num <= st.last_seq && st.last_seq != 0 {
+            } else if arrival == Arrival::Old {
                 ctx.note(RobustEvent::DuplicateSuppressed);
                 Action::None // Ancient duplicate.
-            } else if st.in_progress == Some(hdr.sequence_num) && st.dispatched {
+            } else if arrival == Arrival::InProgress && st.dispatched {
                 // Retransmission while a shepherd is (or is queued to be)
                 // executing this request: the fragments are consumed, so
                 // just tell the client we have them all.
                 ctx.note(RobustEvent::DuplicateSuppressed);
                 Action::Ack(full_mask(st.req_num))
             } else {
-                if st.in_progress != Some(hdr.sequence_num) {
-                    // New request: implicitly acknowledges the saved reply.
-                    st.in_progress = Some(hdr.sequence_num);
+                if arrival == Arrival::New {
+                    // Implicitly acknowledges the saved reply; start a
+                    // fresh reassembly.
                     st.dispatched = false;
                     st.saved_reply.clear();
-                    st.saved_reply_seq = 0;
                     st.req_num = hdr.num_frags;
                     st.req_mask = 0;
                     st.req_parts = (0..hdr.num_frags).map(|_| None).collect();
@@ -574,7 +539,7 @@ impl Mrpc {
                 Ok(())
             }
             Action::Dispatch(body, path) => {
-                if self.shepherds.config().workers == 0 || ctx.mode() == Mode::Inline {
+                if !self.shepherds.pooled(ctx) {
                     // Synchronous dispatch: the historical (and default) path.
                     return self.dispatch(ctx, &server, hdr, body, path);
                 }
@@ -589,13 +554,13 @@ impl Mrpc {
                     }),
                 );
                 match submitted {
-                    Submitted::Ran | Submitted::Accepted => Ok(()),
+                    Submitted::Accepted => Ok(()),
                     Submitted::Overloaded(policy) => {
                         // Roll the channel back so the client's retransmission
                         // is treated as a fresh request.
                         {
                             let mut st = server.st.lock();
-                            st.in_progress = None;
+                            st.record.abort();
                             st.dispatched = false;
                             st.req_num = 0;
                             st.req_mask = 0;
@@ -688,9 +653,7 @@ impl Mrpc {
         }
         {
             let mut st = server.st.lock();
-            st.in_progress = None;
-            st.last_seq = hdr.sequence_num;
-            st.saved_reply_seq = hdr.sequence_num;
+            st.record.answer(hdr.sequence_num);
             st.saved_reply = wire_frags.clone();
         }
         for f in wire_frags {
@@ -802,7 +765,7 @@ impl Protocol for Mrpc {
         self.lower_name
             .set(lower.name())
             .map_err(|_| XError::Config("mrpc double boot".into()))?;
-        self.set_boot_id((ctx.next_u64() & 0xffff_ffff) as u32 | 1);
+        self.ids.renew(ctx);
         // Our host identity: from the lower protocol if it speaks internet
         // addresses, else from ARP (the raw-Ethernet configuration).
         let my_ip = lower
@@ -823,7 +786,7 @@ impl Protocol for Mrpc {
     fn reboot(&self, ctx: &Ctx) -> XResult<()> {
         // Fresh incarnation: new boot id, all channel/session state gone.
         // Registered procedures and graph wiring survive.
-        self.set_boot_id((ctx.next_u64() & 0xffff_ffff) as u32 | 1);
+        self.ids.renew(ctx);
         self.drop_sessions();
         Ok(())
     }
@@ -899,11 +862,7 @@ impl Protocol for Mrpc {
         let pools = peers
             .values()
             .filter_map(|p| p.pool.as_ref())
-            .map(|p| MPoolSnap {
-                pool: Arc::clone(p),
-                sema: p.sema.snap_state(),
-                free: p.free.lock().clone(),
-            })
+            .map(Pool::snap)
             .collect();
         let chans = self
             .chans
@@ -925,8 +884,7 @@ impl Protocol for Mrpc {
             .map(|(k, srv)| (*k, Arc::clone(srv), srv.st.lock().clone()))
             .collect();
         Some(Arc::new(MrpcSnap {
-            boot: self.boot_id(),
-            next_chan: self.next_chan.load(Ordering::Relaxed),
+            ids: self.ids.snap(),
             peers,
             pools,
             chans,
@@ -938,12 +896,11 @@ impl Protocol for Mrpc {
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<MrpcSnap>(blob, "sprite")?;
-        self.set_boot_id(s.boot);
-        self.next_chan.store(s.next_chan, Ordering::Relaxed);
+        self.ids.restore(s.ids);
+        // The pools themselves are reached through the peer entries.
         self.peers.restore(&s.peers);
         for ps in &s.pools {
-            ps.pool.sema.restore_state(ps.sema);
-            *ps.pool.free.lock() = ps.free.clone();
+            ps.restore();
         }
         {
             let mut chans = self.chans.lock();
@@ -973,17 +930,10 @@ impl Protocol for Mrpc {
     }
 }
 
-struct MPoolSnap {
-    pool: Arc<Pool>,
-    sema: (i64, u64),
-    free: Vec<Arc<MChan>>,
-}
-
 struct MrpcSnap {
-    boot: u32,
-    next_chan: u16,
+    ids: (u32, u16),
     peers: SessionSnapshot<u32, Peer>,
-    pools: Vec<MPoolSnap>,
+    pools: Vec<PoolSnap<Arc<MChan>>>,
     chans: Vec<(u16, Arc<MChan>, u32)>,
     servers: Vec<((u32, u16), Arc<MServer>, ServerState)>,
     sessions: SessionSnapshot<(u32, u16), SessionRef>,

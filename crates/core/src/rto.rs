@@ -7,15 +7,16 @@
 //! the same fixed cadence.
 //!
 //! [`RtoEstimator`] layers the classic Jacobson/Karels SRTT/RTTVAR
-//! estimator on top, seeded from the step function so the *first* exchange
-//! behaves exactly like the paper's (fault-free latency numbers are
-//! unchanged):
+//! estimator on top. Until the first sample it has no opinion, and its
+//! holder ([`crate::txn::RtoPolicy`]) waits the step function instead, so
+//! the *first* exchange behaves exactly like the paper's (fault-free
+//! latency numbers are unchanged):
 //!
 //! - smoothed RTT: `srtt ← 7/8·srtt + 1/8·sample`
 //! - deviation:    `rttvar ← 3/4·rttvar + 1/4·|srtt − sample|`
 //! - timeout:      `rto = srtt + 4·rttvar`, clamped to `[min_rto, max_rto]`
 //!
-//! Karn's rule is enforced by the callers: a sample is only fed for
+//! Karn's rule is enforced by the holder: a sample is only fed for
 //! exchanges that completed without a retransmission, since a reply after a
 //! retransmission cannot be attributed to a particular send.
 //!
@@ -26,19 +27,18 @@
 //! attempts, so a fault-free run consumes exactly the same PRNG stream as
 //! before this estimator existed.
 
-/// Jacobson/Karels RTT estimator with paper-step-function seeding.
+/// Jacobson/Karels RTT estimator.
 ///
 /// All times are nanoseconds of virtual time. Interior mutability is the
-/// caller's problem (CHANNEL wraps one per session behind its existing
-/// state lock; Sun RPC RR keeps one per protocol).
+/// holder's problem: there is one per protocol object (CHANNEL,
+/// REQUEST_REPLY), inside its [`crate::txn::RtoPolicy`], behind that
+/// policy's own lock.
 #[derive(Clone, Debug)]
 pub struct RtoEstimator {
     /// Smoothed RTT; `None` until the first valid sample.
     srtt: Option<u64>,
     /// Mean deviation of the RTT.
     rttvar: u64,
-    /// Initial RTO before any sample arrives (the paper's step function).
-    initial: u64,
     /// Floor for the computed RTO.
     min_rto: u64,
     /// Ceiling for the computed RTO (also caps backoff).
@@ -46,21 +46,15 @@ pub struct RtoEstimator {
 }
 
 impl RtoEstimator {
-    /// A fresh estimator whose pre-sample RTO is `initial` (the paper's
-    /// step-function value for the exchange at hand).
-    pub fn new(initial: u64, min_rto: u64, max_rto: u64) -> RtoEstimator {
+    /// A cold estimator whose RTO, once it has one, stays within
+    /// `[min_rto, max_rto]`.
+    pub fn new(min_rto: u64, max_rto: u64) -> RtoEstimator {
         RtoEstimator {
             srtt: None,
             rttvar: 0,
-            initial: initial.clamp(min_rto, max_rto),
             min_rto,
             max_rto,
         }
-    }
-
-    /// True until the first RTT sample arrives.
-    pub fn is_cold(&self) -> bool {
-        self.srtt.is_none()
     }
 
     /// Feeds one RTT measurement. Callers must respect Karn's rule: only
@@ -80,26 +74,24 @@ impl RtoEstimator {
         }
     }
 
-    /// The current base RTO (before any backoff).
-    pub fn rto(&self) -> u64 {
-        match self.srtt {
-            None => self.initial,
-            Some(srtt) => (srtt + 4 * self.rttvar).clamp(self.min_rto, self.max_rto),
-        }
+    /// The current base RTO (before any backoff); `None` while cold.
+    pub fn rto(&self) -> Option<u64> {
+        self.srtt
+            .map(|srtt| (srtt + 4 * self.rttvar).clamp(self.min_rto, self.max_rto))
     }
 
-    /// Smoothed RTT estimate, or the seed value while cold. Surfaced via
+    /// Smoothed RTT estimate; `None` while cold. Surfaced via
     /// `ControlOp::GetRtt`.
-    pub fn srtt(&self) -> u64 {
-        self.srtt.unwrap_or(self.initial)
+    pub fn srtt(&self) -> Option<u64> {
+        self.srtt
     }
 
-    /// Forgets all samples and re-seeds with a new initial RTO (host
-    /// reboot, or `ControlOp::SetTimeout`).
-    pub fn reset(&mut self, initial: u64) {
+    /// Forgets all samples: this host rebooted, or a reply showed that the
+    /// peer did. (`ControlOp::SetTimeout` changes the fixed timeout and
+    /// leaves the samples alone.)
+    pub fn reset(&mut self) {
         self.srtt = None;
         self.rttvar = 0;
-        self.initial = initial.clamp(self.min_rto, self.max_rto);
     }
 }
 
@@ -129,69 +121,68 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cold_estimator_returns_seed() {
-        let e = RtoEstimator::new(100_000_000, 1_000_000, 10_000_000_000);
-        assert!(e.is_cold());
-        assert_eq!(e.rto(), 100_000_000);
-        assert_eq!(e.srtt(), 100_000_000);
+    fn cold_estimator_has_no_estimate() {
+        let e = RtoEstimator::new(1_000_000, 10_000_000_000);
+        assert_eq!(e.rto(), None);
+        assert_eq!(e.srtt(), None);
     }
 
     #[test]
     fn first_sample_initialises_srtt_and_var() {
-        let mut e = RtoEstimator::new(100_000_000, 1_000_000, 10_000_000_000);
+        let mut e = RtoEstimator::new(1_000_000, 10_000_000_000);
         e.observe(8_000_000);
-        assert_eq!(e.srtt(), 8_000_000);
+        assert_eq!(e.srtt(), Some(8_000_000));
         // rto = srtt + 4·(srtt/2) = 3·srtt
-        assert_eq!(e.rto(), 24_000_000);
+        assert_eq!(e.rto(), Some(24_000_000));
     }
 
     #[test]
     fn steady_samples_tighten_the_estimate() {
-        let mut e = RtoEstimator::new(100_000_000, 1_000_000, 10_000_000_000);
+        let mut e = RtoEstimator::new(1_000_000, 10_000_000_000);
         for _ in 0..50 {
             e.observe(10_000_000);
         }
-        assert_eq!(e.srtt(), 10_000_000);
+        assert_eq!(e.srtt(), Some(10_000_000));
         // rttvar decays towards zero on a constant series; rto approaches
         // srtt (clamped to min).
-        assert!(e.rto() < 12_000_000, "rto {} should tighten", e.rto());
-        assert!(e.rto() >= 10_000_000);
+        let rto = e.rto().expect("warm");
+        assert!(rto < 12_000_000, "rto {rto} should tighten");
+        assert!(rto >= 10_000_000);
     }
 
     #[test]
     fn jittery_samples_widen_the_estimate() {
-        let mut steady = RtoEstimator::new(50_000_000, 1_000_000, 10_000_000_000);
+        let mut steady = RtoEstimator::new(1_000_000, 10_000_000_000);
         let mut jittery = steady.clone();
         for i in 0..50u64 {
             steady.observe(10_000_000);
             jittery.observe(if i % 2 == 0 { 5_000_000 } else { 15_000_000 });
         }
+        let (jittery, steady) = (jittery.rto().expect("warm"), steady.rto().expect("warm"));
         assert!(
-            jittery.rto() > steady.rto(),
-            "variance must widen rto: {} vs {}",
-            jittery.rto(),
-            steady.rto()
+            jittery > steady,
+            "variance must widen rto: {jittery} vs {steady}"
         );
     }
 
     #[test]
     fn rto_respects_floor_and_ceiling() {
-        let mut e = RtoEstimator::new(5_000_000, 4_000_000, 6_000_000);
+        let mut e = RtoEstimator::new(4_000_000, 6_000_000);
         e.observe(10); // Tiny RTT → clamped up.
-        assert_eq!(e.rto(), 4_000_000);
-        let mut e = RtoEstimator::new(5_000_000, 4_000_000, 6_000_000);
+        assert_eq!(e.rto(), Some(4_000_000));
+        let mut e = RtoEstimator::new(4_000_000, 6_000_000);
         e.observe(1_000_000_000); // Huge RTT → clamped down.
-        assert_eq!(e.rto(), 6_000_000);
+        assert_eq!(e.rto(), Some(6_000_000));
     }
 
     #[test]
     fn reset_forgets_history() {
-        let mut e = RtoEstimator::new(100, 1, 1_000_000_000);
+        let mut e = RtoEstimator::new(1, 1_000_000_000);
         e.observe(500);
-        assert!(!e.is_cold());
-        e.reset(200);
-        assert!(e.is_cold());
-        assert_eq!(e.rto(), 200);
+        assert_eq!(e.srtt(), Some(500));
+        e.reset();
+        assert_eq!(e.srtt(), None);
+        assert_eq!(e.rto(), None);
     }
 
     #[test]

@@ -19,14 +19,13 @@ use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-use parking_lot::Mutex;
-
 use xkernel::map::{EnableSnapshot, SessionSnapshot};
 use xkernel::prelude::*;
 use xkernel::shepherd::{Overload, ShepherdConfig, ShepherdStats, Shepherds, Submitted};
 
 use crate::hdr::{SelectHdr, SELECT_HDR_LEN};
 use crate::protnum::rel_proto_num;
+use crate::txn::{Pool, PoolSnap};
 
 /// A server procedure: takes the request body, returns the reply body.
 pub type Handler = Box<dyn Fn(&Ctx, Message) -> XResult<Message> + Send + Sync>;
@@ -68,10 +67,7 @@ impl Default for SelectConfig {
 }
 
 /// A fixed pool of client channels towards one server.
-struct ChanPool {
-    sema: SharedSema,
-    free: Mutex<Vec<SessionRef>>,
-}
+type ChanPool = Pool<SessionRef>;
 
 /// The SELECT protocol object.
 pub struct Select {
@@ -135,7 +131,7 @@ impl Select {
     /// Number of currently free channels towards `peer` (tests; None until
     /// the pool exists).
     pub fn free_channels(&self, peer: IpAddr) -> Option<usize> {
-        self.pools.resolve(&peer.0).map(|p| p.free.lock().len())
+        self.pools.resolve(&peer.0).map(|p| p.free_len())
     }
 
     /// How many server channels CHANNEL has passively created on our
@@ -155,10 +151,7 @@ impl Select {
             let parts = ParticipantSet::pair(Participant::proto(my_num), Participant::host(peer));
             sessions.push(ctx.kernel_ref().open(ctx, self.channel, self.me, &parts)?);
         }
-        let pool = Arc::new(ChanPool {
-            sema: SharedSema::new(self.cfg.channels_per_peer as i64),
-            free: Mutex::new(sessions),
-        });
+        let pool = Pool::new(sessions);
         Ok(Arc::clone(self.pools.lock().entry(peer.0).or_insert(pool)))
     }
 
@@ -167,14 +160,8 @@ impl Select {
     fn call(&self, ctx: &Ctx, peer: IpAddr, command: u16, args: Message) -> XResult<Message> {
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup); // Channel-pool lookup.
         let pool = self.pool_for(ctx, peer)?;
-        pool.sema.p(ctx); // Blocks when all channels are busy.
-        let chan = pool
-            .free
-            .lock()
-            .pop()
-            .expect("semaphore guarantees a free channel");
-
-        let result = (|| {
+        // Blocks when all channels are busy.
+        pool.with(ctx, |chan| {
             let hdr = SelectHdr {
                 typ: TYP_REQUEST,
                 command,
@@ -202,11 +189,7 @@ impl Select {
                     "procedure {command} on {peer} failed with status {code}"
                 ))),
             }
-        })();
-
-        pool.free.lock().push(chan);
-        pool.sema.v(ctx);
-        result
+        })
     }
 
     /// Runs one request to completion: forwarding policy, procedure table
@@ -389,7 +372,7 @@ impl Protocol for Select {
             ctx.trace_note("unexpected type");
             return Ok(());
         }
-        if self.shepherds.config().workers == 0 || ctx.mode() == Mode::Inline {
+        if !self.shepherds.pooled(ctx) {
             // Synchronous dispatch: the historical (and default) path.
             return self.execute_request(ctx, lls, hdr.command, msg);
         }
@@ -405,7 +388,7 @@ impl Protocol for Select {
             }),
         );
         match submitted {
-            Submitted::Ran | Submitted::Accepted => Ok(()),
+            Submitted::Accepted => Ok(()),
             Submitted::Overloaded(Overload::Reject) => {
                 // Tell the client explicitly so it can back off.
                 self.reply_via(ctx, lls, command, status::BUSY, ctx.empty_msg())
@@ -438,20 +421,7 @@ impl Protocol for Select {
             .pools
             .lock()
             .iter()
-            .map(|(peer, p)| {
-                let free = p.free.lock().clone();
-                debug_assert_eq!(
-                    free.len(),
-                    self.cfg.channels_per_peer,
-                    "select snapshot with channels checked out (not quiescent)"
-                );
-                PoolSnap {
-                    peer: *peer,
-                    pool: Arc::clone(p),
-                    sema: p.sema.snap_state(),
-                    free,
-                }
-            })
+            .map(|(peer, p)| (*peer, p.snap()))
             .collect();
         Some(Arc::new(SelectSnap {
             forward: self.forward.snapshot(),
@@ -468,10 +438,8 @@ impl Protocol for Select {
         {
             let mut pools = self.pools.lock();
             pools.clear();
-            for ps in &s.pools {
-                ps.pool.sema.restore_state(ps.sema);
-                *ps.pool.free.lock() = ps.free.clone();
-                pools.insert(ps.peer, Arc::clone(&ps.pool));
+            for (peer, ps) in &s.pools {
+                pools.insert(*peer, ps.restore());
             }
         }
         self.sessions.restore(&s.sessions);
@@ -485,16 +453,9 @@ impl Protocol for Select {
     }
 }
 
-struct PoolSnap {
-    peer: u32,
-    pool: Arc<ChanPool>,
-    sema: (i64, u64),
-    free: Vec<SessionRef>,
-}
-
 struct SelectSnap {
     forward: EnableSnapshot,
-    pools: Vec<PoolSnap>,
+    pools: Vec<(u32, PoolSnap<SessionRef>)>,
     sessions: SessionSnapshot<(u32, u16), SessionRef>,
     passive_opens: u64,
     shepherds: ShepherdStats,

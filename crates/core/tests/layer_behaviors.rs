@@ -53,7 +53,8 @@ fn channel_rtt_estimator_converges() {
         }
     });
     tb.sim.run_until_idle();
-    let rtt = with_concrete::<Channel, _>(&tb.client, "channel", |c| c.rtt_estimate()).unwrap();
+    let rtt =
+        with_concrete::<Channel, _>(&tb.client, "channel", |c| c.rto().rtt_estimate()).unwrap();
     // The warm null RPC round-trips in ~1.9 virtual ms; the EWMA must sit
     // in that neighbourhood.
     assert!(
@@ -71,7 +72,7 @@ fn slow_server_elicits_explicit_ack_not_reexecution() {
     let tb = rig(L_RPC_VIP.graph);
     let hits = Arc::new(Mutex::new(0u32));
     let h2 = Arc::clone(&hits);
-    let base = xrpc::channel::ChanConfig::default().base_timeout_ns;
+    let base = xrpc::txn::BASE_TIMEOUT_NS;
     xrpc::serve(&tb.server, "select", 5, move |ctx, _| {
         *h2.lock() += 1;
         ctx.sleep(base * 3); // Three timeout periods of "work".

@@ -302,7 +302,7 @@ fn fragment_nack_recovers_dropped_fragment() {
     .unwrap();
     let elapsed = *elapsed.lock();
     assert!(
-        elapsed < xrpc::channel::ChanConfig::default().base_timeout_ns,
+        elapsed < xrpc::txn::BASE_TIMEOUT_NS,
         "FRAGMENT recovered below CHANNEL's timeout ({elapsed} ns)"
     );
 }

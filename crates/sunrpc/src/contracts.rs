@@ -1,28 +1,22 @@
 //! Lint contracts for the Sun RPC decomposition.
 
-use xkernel::lint::{AddrKind, BlockPoint, ProtoContract, SemaContract};
+use xkernel::lint::{AddrKind, ProtoContract};
+use xrpc::txn::awaits_reply;
 
 use crate::rr::RR_HDR_LEN;
 use crate::sunselect::SUNSEL_HDR_LEN;
 
 /// REQUEST_REPLY: the transaction layer; owns the blocking reply wait.
 pub fn request_reply() -> ProtoContract {
-    ProtoContract::new("request_reply", AddrKind::Rpc)
+    let c = ProtoContract::new("request_reply", AddrKind::Rpc)
         .lower(&[AddrKind::Transport, AddrKind::Internet])
         .header(RR_HDR_LEN)
         .demux_key_bits(32) // xid
         .param("shepherds", false, true)
         .param("pending", false, true)
-        .param("policy", false, false)
-        .sema(SemaContract {
-            acquires_pool: false,
-            awaits_reply: true,
-            wakes_from_demux: true,
-        })
-        .blocks(&[BlockPoint::Sema, BlockPoint::Timer])
+        .param("policy", false, false);
+    awaits_reply(c, false)
         .locks(&["sched", "hosts"])
-        .clears_slot_on_error() // sync-push failure and retry exhaustion both
-        // drop the outstanding-call entry (rr.rs)
         .crashable()
         .reboots()
 }

@@ -62,15 +62,8 @@ pub fn register_ctors(reg: &mut ProtocolRegistry) {
     reg.add_contract(contracts::auth("auth_unix"));
     reg.add_contract(contracts::sunselect());
     reg.add("request_reply", |a: &GraphArgs<'_>| {
-        let cfg = rr::RrConfig {
-            shepherds: xkernel::shepherd::ShepherdConfig::from_params(
-                a.param_u64("shepherds", 0)?,
-                a.param_u64("pending", 16)?,
-                a.params.get("policy").map(String::as_str),
-            ),
-            ..rr::RrConfig::default()
-        };
-        Ok(rr::RequestReply::new(a.me, a.down(0)?, cfg) as ProtocolRef)
+        let shepherds = xkernel::shepherd::ShepherdConfig::from_args(a)?;
+        Ok(rr::RequestReply::new(a.me, a.down(0)?, shepherds) as ProtocolRef)
     });
     reg.add("auth_none", |a: &GraphArgs<'_>| {
         Ok(auth::AuthLayer::new(a.me, a.down(0)?, Arc::new(auth::AuthNone)) as ProtocolRef)

@@ -14,7 +14,7 @@
 //! Header (XDR): xid, message type (0 = call, 1 = reply), protocol number.
 
 use std::any::Any;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::Mutex;
@@ -26,7 +26,7 @@ use xkernel::sim::Nanos;
 
 use crate::xdr::{XdrReader, XdrWriter};
 use xrpc::protnum::rel_proto_num;
-use xrpc::rto::{backoff_rto, RtoEstimator};
+use xrpc::txn::{self, Poll, RtoPolicy, RtoSnap};
 
 /// Encoded header length.
 pub const RR_HDR_LEN: usize = 12;
@@ -37,38 +37,11 @@ const MSG_REPLY: u32 = 1;
 /// The well-known UDP port used when REQUEST_REPLY is composed over UDP.
 pub const RR_UDP_PORT: Port = 111;
 
-/// Tuning knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct RrConfig {
-    /// Retransmission timeout (and the adaptive estimator's cold seed).
-    pub timeout_ns: Nanos,
-    /// Retransmissions before giving up.
-    pub max_retries: u32,
-    /// Adaptive SRTT/RTTVAR retransmission timeout (see [`xrpc::rto`]).
-    /// When false, `timeout_ns` times every attempt, as in the paper.
-    pub adaptive: bool,
-    /// Floor for the adaptive RTO.
-    pub min_rto_ns: Nanos,
-    /// Ceiling for the adaptive RTO (also caps exponential backoff).
-    pub max_rto_ns: Nanos,
-    /// Server-side shepherd pool (workers == 0 keeps dispatch synchronous).
-    /// REQUEST_REPLY is zero-or-more, so both overload policies behave as
-    /// a drop: the client's retransmission machinery recovers.
-    pub shepherds: ShepherdConfig,
-}
-
-impl Default for RrConfig {
-    fn default() -> RrConfig {
-        RrConfig {
-            timeout_ns: 150_000_000,
-            max_retries: 6,
-            adaptive: true,
-            min_rto_ns: 1_000_000,
-            max_rto_ns: 10_000_000_000,
-            shepherds: ShepherdConfig::default(),
-        }
-    }
-}
+/// Retransmission timeout, and the cold seed of the adaptive RTO
+/// ([`xrpc::rto`]) that takes over once replies have been timed.
+pub const TIMEOUT_NS: Nanos = 150_000_000;
+/// Retransmissions before a call gives up.
+pub const MAX_RETRIES: u32 = 6;
 
 fn encode_hdr(xid: u32, mtype: u32, proto_num: u32) -> Vec<u8> {
     let mut w = XdrWriter::new();
@@ -81,27 +54,14 @@ struct Out {
     reply: Option<Message>,
 }
 
-/// Default cap on consecutive exponential-backoff doublings; the
-/// `SetBackoff` control op overrides it until the next reboot.
-const DEFAULT_MAX_BACKOFF: u32 = 6;
-
-/// Run-time-tunable knobs (`SetTimeout` / `SetBackoff` control ops).
-struct Tunables {
-    timeout_ns: AtomicU64,
-    adaptive: AtomicBool,
-    max_backoff: AtomicU32,
-}
-
 /// The REQUEST_REPLY protocol object.
 pub struct RequestReply {
     weak_self: Weak<RequestReply>,
     me: ProtoId,
     lower: ProtoId,
-    cfg: RrConfig,
-    tunables: Tunables,
     lower_name: OnceLock<&'static str>,
     next_xid: AtomicU32,
-    estimator: Mutex<RtoEstimator>,
+    rto: RtoPolicy,
     enables: EnableMap<u32>,
     outstanding: Mutex<MixMap<u32, Out>>,
     sessions: SessionMap<(u32, u32)>,
@@ -110,30 +70,24 @@ pub struct RequestReply {
 }
 
 impl RequestReply {
-    /// Creates REQUEST_REPLY above `lower` (UDP, IP, VIP, or FRAGMENT).
-    pub fn new(me: ProtoId, lower: ProtoId, cfg: RrConfig) -> Arc<RequestReply> {
+    /// Creates REQUEST_REPLY above `lower` (UDP, IP, VIP, or FRAGMENT) with
+    /// the server-side shepherd pool `shepherds` (workers == 0 keeps
+    /// dispatch synchronous). REQUEST_REPLY is zero-or-more, so both
+    /// overload policies behave as a drop: the client's retransmission
+    /// machinery recovers.
+    pub fn new(me: ProtoId, lower: ProtoId, shepherds: ShepherdConfig) -> Arc<RequestReply> {
         Arc::new_cyclic(|weak_self| RequestReply {
             weak_self: weak_self.clone(),
             me,
             lower,
-            tunables: Tunables {
-                timeout_ns: AtomicU64::new(cfg.timeout_ns),
-                adaptive: AtomicBool::new(cfg.adaptive),
-                max_backoff: AtomicU32::new(DEFAULT_MAX_BACKOFF),
-            },
-            cfg,
             lower_name: OnceLock::new(),
             next_xid: AtomicU32::new(0),
-            estimator: Mutex::new(RtoEstimator::new(
-                cfg.timeout_ns,
-                cfg.min_rto_ns,
-                cfg.max_rto_ns,
-            )),
+            rto: RtoPolicy::new(TIMEOUT_NS, true),
             enables: EnableMap::new(),
             outstanding: Mutex::new(MixMap::default()),
             sessions: SessionMap::new(),
             lowers: SessionMap::new(),
-            shepherds: Shepherds::new(cfg.shepherds),
+            shepherds: Shepherds::new(shepherds),
         })
     }
 
@@ -146,31 +100,10 @@ impl RequestReply {
         self.shepherds.stats()
     }
 
-    /// Switches between the adaptive RTO and the fixed timeout at run time.
-    pub fn set_adaptive(&self, on: bool) {
-        self.tunables.adaptive.store(on, Ordering::Relaxed);
-    }
-
-    /// Current backoff-doubling cap, as `SetBackoff` last left it (resets
-    /// to the default on reboot).
-    pub fn max_backoff(&self) -> u32 {
-        self.tunables.max_backoff.load(Ordering::Relaxed)
-    }
-
-    /// Whether the adaptive RTO is currently in effect (resets to the
-    /// configured value on reboot).
-    pub fn adaptive(&self) -> bool {
-        self.tunables.adaptive.load(Ordering::Relaxed)
-    }
-
-    /// Smoothed round-trip estimate (virtual ns; 0 until the first reply).
-    pub fn rtt_estimate(&self) -> u64 {
-        let e = self.estimator.lock();
-        if e.is_cold() {
-            0
-        } else {
-            e.srtt()
-        }
+    /// The retransmission-timeout policy: its run-time knobs and its RTT
+    /// estimate (all re-seeded on reboot).
+    pub fn rto(&self) -> &RtoPolicy {
+        &self.rto
     }
 
     fn lower_parts(&self, peer: Option<IpAddr>) -> XResult<ParticipantSet> {
@@ -213,67 +146,36 @@ impl RequestReply {
             },
         );
         let hdr = encode_hdr(xid, MSG_CALL, proto_num);
-        let fixed = self.tunables.timeout_ns.load(Ordering::Relaxed);
-        let adaptive = self.tunables.adaptive.load(Ordering::Relaxed);
-        let max_backoff = self.tunables.max_backoff.load(Ordering::Relaxed);
+        let rto = self.rto.for_call(0);
         let sent_at = ctx.now();
-        let mut attempts = 0u32;
-        loop {
-            // Cold estimator → the configured fixed timeout, so fault-free
-            // behaviour matches the paper's; warm → measured RTO. Retries
-            // back off exponentially with jitter (drawn only on
-            // retransmissions, preserving the fault-free PRNG stream).
-            let timeout = if adaptive {
-                let base = {
-                    let e = self.estimator.lock();
-                    if e.is_cold() {
-                        fixed
-                    } else {
-                        e.rto()
-                    }
-                };
-                let jitter = if attempts > 0 { ctx.next_u64() } else { 0 };
-                backoff_rto(base, attempts, max_backoff, self.cfg.max_rto_ns, jitter)
-            } else {
-                fixed
-            };
-            let mut wire = msg.clone();
-            ctx.push_header(&mut wire, &hdr);
-            ctx.charge_layer_call();
-            if let Err(e) = lower.push(ctx, wire) {
-                // Drop the transaction record on a synchronous send
-                // failure; a late reply for this xid must find nothing.
-                self.outstanding.lock().remove(&xid);
-                return Err(e);
-            }
-            let _ = sema.p_timeout(ctx, timeout);
-            {
+        let (reply, attempts) = txn::transact(
+            ctx,
+            &sema,
+            MAX_RETRIES,
+            format_args!("request_reply xid {xid} to {peer}"),
+            |attempt| rto.timeout(ctx, attempt),
+            |_| {
+                let mut wire = msg.clone();
+                ctx.push_header(&mut wire, &hdr);
+                ctx.charge_layer_call();
+                lower.push(ctx, wire).map(drop)
+            },
+            || {
                 let mut out = self.outstanding.lock();
-                if let Some(o) = out.get_mut(&xid) {
-                    if let Some(reply) = o.reply.take() {
+                match out.get_mut(&xid).and_then(|o| o.reply.take()) {
+                    Some(reply) => {
                         out.remove(&xid);
-                        drop(out);
-                        // Karn's rule: only unretransmitted transactions
-                        // yield an attributable RTT sample.
-                        if attempts == 0 {
-                            self.estimator
-                                .lock()
-                                .observe(ctx.now().saturating_sub(sent_at));
-                        }
-                        return Ok(reply);
+                        Poll::Done(reply)
                     }
+                    None => Poll::Timeout,
                 }
-            }
-            ctx.note(RobustEvent::TimeoutFired);
-            attempts += 1;
-            if attempts > self.cfg.max_retries || ctx.mode() == Mode::Inline {
-                self.outstanding.lock().remove(&xid);
-                return Err(XError::Timeout(format!(
-                    "request_reply xid {xid} to {peer} after {attempts} attempts"
-                )));
-            }
-            ctx.note(RobustEvent::Retransmit);
-        }
+            },
+            // A late reply for this xid must find nothing.
+            || drop(self.outstanding.lock().remove(&xid)),
+        )?;
+        self.rto
+            .observe(attempts, ctx.now().saturating_sub(sent_at));
+        Ok(reply)
     }
 }
 
@@ -299,25 +201,13 @@ impl Session for RrClientSession {
     fn control(&self, ctx: &Ctx, op: &ControlOp) -> XResult<ControlRes> {
         match op {
             ControlOp::GetPeerHost => Ok(ControlRes::Ip(self.peer)),
-            ControlOp::GetRtt => Ok(ControlRes::U64(self.parent.rtt_estimate())),
-            ControlOp::SetTimeout(ns) => {
-                self.parent
-                    .tunables
-                    .timeout_ns
-                    .store(*ns, Ordering::Relaxed);
-                Ok(ControlRes::Done)
-            }
-            ControlOp::SetBackoff(n) => {
-                self.parent
-                    .tunables
-                    .max_backoff
-                    .store(*n, Ordering::Relaxed);
-                Ok(ControlRes::Done)
-            }
-            other => {
-                let lower = self.parent.lower_for(ctx, self.peer)?;
-                lower.control(ctx, other)
-            }
+            other => match self.parent.rto.control(other) {
+                Some(res) => Ok(res),
+                None => {
+                    let lower = self.parent.lower_for(ctx, self.peer)?;
+                    lower.control(ctx, other)
+                }
+            },
         }
     }
 
@@ -385,19 +275,7 @@ impl Protocol for RequestReply {
         // Stateless semantics make this easy: forget in-flight transactions
         // and cached sessions; xid counter and enables survive.
         self.drop_sessions();
-        self.tunables
-            .timeout_ns
-            .store(self.cfg.timeout_ns, Ordering::Relaxed);
-        // Every RTO knob re-cold-seeds, including the run-time overrides
-        // (`SetBackoff` / `set_adaptive`): a fresh incarnation must not
-        // inherit policy its config never specified.
-        self.tunables
-            .max_backoff
-            .store(DEFAULT_MAX_BACKOFF, Ordering::Relaxed);
-        self.tunables
-            .adaptive
-            .store(self.cfg.adaptive, Ordering::Relaxed);
-        self.estimator.lock().reset(self.cfg.timeout_ns);
+        self.rto.reseed();
         Ok(())
     }
 
@@ -457,7 +335,7 @@ impl Protocol for RequestReply {
                     proto_num,
                     lls: Arc::clone(lls),
                 });
-                if self.shepherds.config().workers == 0 || ctx.mode() == Mode::Inline {
+                if !self.shepherds.pooled(ctx) {
                     // Synchronous dispatch: the historical (and default) path.
                     return ctx.kernel_ref().demux_to(ctx, upper, &sess, msg);
                 }
@@ -470,7 +348,7 @@ impl Protocol for RequestReply {
                     }),
                 );
                 match submitted {
-                    Submitted::Ran | Submitted::Accepted => Ok(()),
+                    Submitted::Accepted => Ok(()),
                     // Zero-or-more semantics: an overloaded call is simply
                     // not executed; the client retransmits under the same
                     // xid, so at-most-once is the caller's concern, not ours.
@@ -507,17 +385,10 @@ impl Protocol for RequestReply {
                     .control(ctx, self.lower, &ControlOp::GetMaxPacket)?;
                 Ok(ControlRes::Size(r.size()?.saturating_sub(RR_HDR_LEN)))
             }
-            // The RTO knobs are protocol-wide (sessions store into the same
-            // tunables), so policy sweeps can set them without a session.
-            ControlOp::SetTimeout(ns) => {
-                self.tunables.timeout_ns.store(*ns, Ordering::Relaxed);
-                Ok(ControlRes::Done)
-            }
-            ControlOp::SetBackoff(n) => {
-                self.tunables.max_backoff.store(*n, Ordering::Relaxed);
-                Ok(ControlRes::Done)
-            }
-            _ => Err(XError::Unsupported("request_reply control")),
+            other => self
+                .rto
+                .control(other)
+                .ok_or(XError::Unsupported("request_reply control")),
         }
     }
 
@@ -528,10 +399,7 @@ impl Protocol for RequestReply {
         );
         Some(Arc::new(RrSnap {
             next_xid: self.next_xid.load(Ordering::Relaxed),
-            estimator: self.estimator.lock().clone(),
-            timeout_ns: self.tunables.timeout_ns.load(Ordering::Relaxed),
-            adaptive: self.tunables.adaptive.load(Ordering::Relaxed),
-            max_backoff: self.tunables.max_backoff.load(Ordering::Relaxed),
+            rto: self.rto.snap(),
             enables: self.enables.snapshot(),
             sessions: self.sessions.snapshot(),
             lowers: self.lowers.snapshot(),
@@ -542,14 +410,7 @@ impl Protocol for RequestReply {
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<RrSnap>(blob, "request_reply")?;
         self.next_xid.store(s.next_xid, Ordering::Relaxed);
-        *self.estimator.lock() = s.estimator.clone();
-        self.tunables
-            .timeout_ns
-            .store(s.timeout_ns, Ordering::Relaxed);
-        self.tunables.adaptive.store(s.adaptive, Ordering::Relaxed);
-        self.tunables
-            .max_backoff
-            .store(s.max_backoff, Ordering::Relaxed);
+        self.rto.restore(&s.rto);
         self.outstanding.lock().clear();
         self.enables.restore(&s.enables);
         self.sessions.restore(&s.sessions);
@@ -565,10 +426,7 @@ impl Protocol for RequestReply {
 
 struct RrSnap {
     next_xid: u32,
-    estimator: RtoEstimator,
-    timeout_ns: u64,
-    adaptive: bool,
-    max_backoff: u32,
+    rto: RtoSnap,
     enables: EnableSnapshot,
     sessions: SessionSnapshot<(u32, u32), SessionRef>,
     lowers: SessionSnapshot<u32, SessionRef>,

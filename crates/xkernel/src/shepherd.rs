@@ -9,9 +9,11 @@
 //! `pending` more wait in a bounded FIFO, and beyond that an explicit
 //! overload policy applies ([`Overload::Drop`] or [`Overload::Reject`]).
 //!
-//! With `workers == 0` (the default) `submit` runs the job synchronously in
-//! the caller's process — bit-identical to the historical behaviour, so
-//! existing latency goldens are unperturbed. Pools never park processes on
+//! With `workers == 0` (the default), and in inline mode, which has no
+//! scheduler, [`Shepherds::pooled`] is false and the protocol runs the
+//! request in the delivering process without coming here — bit-identical to
+//! the historical behaviour, so existing latency goldens are unperturbed
+//! and the counters stay zero. Pools never park processes on
 //! semaphores: a worker is spawned per burst and exits when the queue
 //! drains, which keeps `run_until_idle().blocked == 0` invariants intact.
 
@@ -21,6 +23,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::error::XResult;
+use crate::graph::GraphArgs;
 use crate::sim::{Ctx, Mode};
 use crate::trace::OpClass;
 
@@ -58,17 +62,18 @@ impl Default for ShepherdConfig {
 }
 
 impl ShepherdConfig {
-    /// Builds a config from graph-DSL style parameters; `workers == 0`
-    /// keeps the protocol synchronous.
-    pub fn from_params(workers: u64, pending: u64, policy: Option<&str>) -> ShepherdConfig {
-        ShepherdConfig {
-            workers: workers as usize,
-            pending: pending as usize,
-            policy: match policy {
+    /// Reads the pool's three graph parameters off a spec line —
+    /// `shepherds=N` (default 0: synchronous), `pending=N` (16),
+    /// `policy=drop|reject` (drop) — the same for every server protocol.
+    pub fn from_args(a: &GraphArgs<'_>) -> XResult<ShepherdConfig> {
+        Ok(ShepherdConfig {
+            workers: a.param_u64("shepherds", 0)? as usize,
+            pending: a.param_u64("pending", 16)? as usize,
+            policy: match a.params.get("policy").map(String::as_str) {
                 Some("reject") => Overload::Reject,
                 _ => Overload::Drop,
             },
-        }
+        })
     }
 }
 
@@ -77,7 +82,7 @@ impl ShepherdConfig {
 pub struct ShepherdStats {
     /// Jobs offered to the pool.
     pub submitted: u64,
-    /// Jobs actually executed (inline or by a worker).
+    /// Jobs actually executed by a worker.
     pub executed: u64,
     /// Jobs discarded by [`Overload::Drop`].
     pub dropped: u64,
@@ -92,8 +97,6 @@ pub struct ShepherdStats {
 /// Outcome of [`Shepherds::submit`].
 #[derive(Debug)]
 pub enum Submitted {
-    /// The job ran synchronously in the caller's process.
-    Ran,
     /// The job was handed to (or queued for) a worker process.
     Accepted,
     /// Pool and queue were full; the caller must apply this policy.
@@ -135,11 +138,6 @@ impl Shepherds {
         })
     }
 
-    /// The configured shape.
-    pub fn config(&self) -> ShepherdConfig {
-        self.cfg
-    }
-
     /// Current pending-queue depth.
     pub fn queue_depth(&self) -> usize {
         self.st.lock().queue.len()
@@ -179,18 +177,24 @@ impl Shepherds {
         self.peak_workers.store(s.peak_workers, Ordering::Relaxed);
     }
 
-    /// Offers `job` to the pool. Synchronous configurations (and inline
-    /// mode, which has no scheduler) run it immediately; otherwise it is
-    /// dispatched to a worker, queued, or refused per the overload policy.
-    /// On [`Submitted::Overloaded`] the caller owns the protocol response
-    /// (the job has already been counted dropped/rejected).
+    /// Whether requests go through the pool at all. False for a
+    /// synchronous configuration (`workers == 0`) and in inline mode, which
+    /// has no scheduler to run a worker: the protocol then executes the
+    /// request in the delivering process, unboxed and with its error
+    /// returned, and never calls [`Shepherds::submit`] — the one place that
+    /// decision is made.
+    pub fn pooled(&self, ctx: &Ctx) -> bool {
+        self.cfg.workers != 0 && ctx.mode() != Mode::Inline
+    }
+
+    /// Offers `job` to the pool (callers check [`Shepherds::pooled`]
+    /// first): it is dispatched to a worker, queued, or refused per the
+    /// overload policy. On [`Submitted::Overloaded`] the caller owns the
+    /// protocol response (the job has already been counted
+    /// dropped/rejected).
     pub fn submit(self: &Arc<Shepherds>, ctx: &Ctx, job: Job) -> Submitted {
+        debug_assert!(self.pooled(ctx), "submit on a disabled shepherd pool");
         self.submitted.fetch_add(1, Ordering::Relaxed);
-        if self.cfg.workers == 0 || ctx.mode() == Mode::Inline {
-            self.executed.fetch_add(1, Ordering::Relaxed);
-            job(ctx);
-            return Submitted::Ran;
-        }
         let mut st = self.st.lock();
         if st.active < self.cfg.workers {
             st.active += 1;
