@@ -97,20 +97,46 @@ fi
 echo "==> crossing-gate: no hand-rolled demux table, no clone per layer crossing"
 # Every protocol's demux tables are xkernel::map's (lock-free enable side,
 # one-acquisition session side; DESIGN.md §12), and a crossing reaches its
-# kernel through the borrowing `Ctx::kernel_ref()`. A `Mutex<HashMap<..>>`
+# kernel through the borrowing `Ctx::kernel_ref()`. An `OwnerCell<HashMap<..>>`
 # trio copied into one more protocol, or the cloning `ctx.kernel().open(..)`
-# spelling, would pass every test and quietly put the locks, the SipHash and
-# the `Arc` traffic back on the path, so their absence is a gate.
+# spelling, would pass every test and quietly put the extra cell entries, the
+# SipHash and the `Arc` traffic back on the path, so their absence is a gate.
 TABLE_DIRS="crates/core/src crates/inet/src crates/sunrpc/src crates/psync/src crates/simnet/src
             crates/xkernel/src/kernel.rs crates/xkernel/src/shim.rs"
 # shellcheck disable=SC2086
-if hits=$(grep -rnE 'Mutex<HashMap|RwLock<HashMap|Mutex<BTreeMap' $TABLE_DIRS); then
+if hits=$(grep -rnE '(Mutex|RwLock|OwnerCell)<(HashMap|BTreeMap)' $TABLE_DIRS); then
     echo "ci: crossing-gate: a hand-rolled locked table is back (use xkernel::map):" >&2
     echo "$hits" >&2
     exit 1
 fi
 if hits=$(grep -rnE '\.kernel\(\)\.(demux_to|open|open_enable|control|open_done)\(' crates/*/src); then
     echo "ci: crossing-gate: a crossing clones its kernel (use ctx.kernel_ref()):" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+
+echo "==> owner-gate: one guard type in a simulation, unsafe in two files, a real mutex in two"
+# In-simulation state sits in xkernel::cell::OwnerCell (DESIGN.md §11): one
+# thread drives a simulation, so its guards cost a load and two stores. A
+# mutex coming back into a protocol crate would pass every test and put two
+# atomic read-modify-writes per acquisition back on the path; a third guard
+# flavour, or `unsafe` outside the two audited files, is what the cell was
+# written to make unnecessary. A real mutex stays only where two OS threads
+# meet: EnableMap's writer lock (map.rs) and par's result slots (par.rs).
+CELL_RS=crates/xkernel/src/cell.rs
+if ! grep -q 'unsafe impl' "$CELL_RS"; then
+    echo "ci: owner-gate: $CELL_RS no longer holds an 'unsafe impl' (gate is stale)" >&2
+    exit 1
+fi
+if hits=$(grep -rnw 'unsafe' crates/*/src | grep -v -e '^crates/xkernel/src/vproc.rs:' -e "^$CELL_RS:"); then
+    echo "ci: owner-gate: unsafe outside vproc.rs and cell.rs:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+if hits=$(grep -rnwE 'parking_lot|Mutex|RwLock' crates/core/src crates/inet/src crates/sunrpc/src \
+    crates/psync/src crates/simnet/src crates/xkernel/src |
+    grep -v -e '^crates/xkernel/src/map.rs:' -e '^crates/xkernel/src/par.rs:'); then
+    echo "ci: owner-gate: a mutex in in-simulation code (use xkernel::cell::OwnerCell):" >&2
     echo "$hits" >&2
     exit 1
 fi

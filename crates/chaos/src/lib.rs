@@ -31,7 +31,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
+use xkernel::cell::OwnerCell;
 
 use inet::arp::Arp;
 use inet::testbed::{lan_hosts, two_hosts, TwoHosts};
@@ -643,14 +643,18 @@ impl Scenario {
     /// handler, warms ARP on the quiet wire, installs the fault schedule,
     /// and arms journaling / fault recording / suppression per `opts` —
     /// everything up to (but not including) spawning client processes.
-    fn rpc_setup(&self, flavor: RpcFlavor, opts: &RunOpts<'_>) -> (TwoHosts, Arc<Mutex<Tally>>) {
+    fn rpc_setup(
+        &self,
+        flavor: RpcFlavor,
+        opts: &RunOpts<'_>,
+    ) -> (TwoHosts, Arc<OwnerCell<Tally>>) {
         let graph = match flavor {
             RpcFlavor::Paper(def) => def.graph,
             RpcFlavor::SunRpc(g) => g,
         };
         let (cfg, reg) = self.rig_config(opts);
         let tb = two_hosts(cfg, reg, graph).expect("chaos testbed builds");
-        let tally = Arc::new(Mutex::new(Tally::default()));
+        let tally = Arc::new(OwnerCell::new(Tally::default()));
 
         // Server: a side-effecting procedure that verifies the request's
         // integrity and replies with its transform.
@@ -704,7 +708,7 @@ impl Scenario {
     fn spawn_rpc_clients(
         &self,
         tb: &TwoHosts,
-        tally: &Arc<Mutex<Tally>>,
+        tally: &Arc<OwnerCell<Tally>>,
         flavor: RpcFlavor,
         lo: u32,
         hi: u32,
@@ -890,7 +894,7 @@ impl Scenario {
             rig,
             conv_a,
             conv_b,
-            tally: Arc::new(Mutex::new(Tally::default())),
+            tally: Arc::new(OwnerCell::new(Tally::default())),
         }
     }
 
@@ -1017,7 +1021,7 @@ impl Scenario {
         &self,
         run: RunReport,
         lan: LanStats,
-        tally: &Mutex<Tally>,
+        tally: &OwnerCell<Tally>,
         attempted: u32,
     ) -> ChaosReport {
         let t = tally.lock();
@@ -1047,7 +1051,7 @@ struct PsyncRig {
     rig: inet::testbed::Lan,
     conv_a: Arc<psync::Conversation>,
     conv_b: Arc<psync::Conversation>,
-    tally: Arc<Mutex<Tally>>,
+    tally: Arc<OwnerCell<Tally>>,
 }
 
 /// Outcome of [`Scenario::run_snapshotted`]: the uninterrupted run and

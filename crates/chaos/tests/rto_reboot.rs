@@ -152,3 +152,92 @@ fn request_reply_rto_state_re_cold_seeds_on_reboot() {
     });
     assert_eq!(tb.sim.run_until_idle().blocked, 0);
 }
+
+/// What the processes of the kill test did, in order.
+type Log = std::sync::Arc<parking_lot::Mutex<Vec<&'static str>>>;
+
+/// Logs when dropped: a killed process's frames unwind through it.
+struct Frame(Log, &'static str);
+
+impl Drop for Frame {
+    fn drop(&mut self) {
+        self.0.lock().push(self.1);
+    }
+}
+
+/// A crash kills whatever its host is running by unwinding the coroutine —
+/// the client's through SELECT, CHANNEL and the transaction wait, the
+/// server's through every `demux` frame from the NIC up to the handler. A
+/// cell guard on one of those frames is released by the unwind and there is
+/// no poison to clear, so the restarted host's protocols can be entered
+/// again: the next call completes instead of panicking on a held cell.
+#[test]
+fn a_process_killed_mid_call_leaves_every_cell_free() {
+    let mut reg = base_registry();
+    xrpc::register_ctors(&mut reg);
+    let tb = two_hosts(
+        SimConfig::scheduled().with_seed(0xce11),
+        &reg,
+        L_RPC_VIP.graph,
+    )
+    .expect("testbed builds");
+    let log = Log::default();
+    // Procedure 7 answers at once; procedure 8 parks its shepherd beneath
+    // the server's demux frames for 50 ms first.
+    xrpc::serve(&tb.server, "select", 7, |_ctx, msg| Ok(msg)).expect("serve");
+    let l = log.clone();
+    xrpc::serve(&tb.server, "select", 8, move |ctx, msg| {
+        let _frame = Frame(l.clone(), "handler dropped");
+        ctx.sleep(50_000_000);
+        l.lock().push("handler returned");
+        Ok(msg)
+    })
+    .expect("serve");
+
+    let server_ip = tb.server_ip;
+    let call = move |ctx: &Ctx, command: u16| {
+        xrpc::call(
+            ctx,
+            &ctx.kernel(),
+            "select",
+            server_ip,
+            command,
+            vec![7; 16],
+        )
+    };
+    tb.sim.spawn(tb.client.host(), move |ctx| {
+        call(ctx, 7).expect("warm call");
+    });
+    assert_eq!(tb.sim.run_until_idle().blocked, 0);
+
+    for (victim, killed) in [
+        (tb.client.host(), "caller dropped"),
+        (tb.server.host(), "handler dropped"),
+    ] {
+        log.lock().clear();
+        let l = log.clone();
+        tb.sim.spawn(tb.client.host(), move |ctx| {
+            let _frame = Frame(l.clone(), "caller dropped");
+            // Whatever a server crash makes of the call, the caller gets it.
+            let _ = call(ctx, 8);
+            l.lock().push("caller returned");
+        });
+        // 10 ms in, the request has arrived and the handler is asleep.
+        let t = tb.sim.ctx(victim).event_time();
+        tb.sim.crash_at(t + 10_000_000, victim);
+        tb.sim.restart_at(t + 20_000_000, victim);
+        assert_eq!(tb.sim.run_until_idle().blocked, 0);
+        let seen = std::mem::take(&mut *log.lock());
+        // A frame that returns logs that first; the first thing logged is
+        // a bare drop, so the crash unwound it in mid-call.
+        assert_eq!(seen.first(), Some(&killed), "{seen:?}");
+
+        let l = log.clone();
+        tb.sim.spawn(tb.client.host(), move |ctx| {
+            assert_eq!(call(ctx, 7).expect("post-reboot call"), vec![7; 16]);
+            l.lock().push("next call done");
+        });
+        assert_eq!(tb.sim.run_until_idle().blocked, 0);
+        assert_eq!(*log.lock(), ["next call done"], "a cell stayed held");
+    }
+}

@@ -23,7 +23,7 @@ use std::any::Any;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
-use parking_lot::Mutex;
+use xkernel::cell::OwnerCell;
 
 use xkernel::map::EnableSnapshot;
 use xkernel::prelude::*;
@@ -51,7 +51,7 @@ pub struct ChanClientSession {
     proto_num: u32,
     peer: IpAddr,
     lower: SessionRef,
-    st: Mutex<ClientState>,
+    st: OwnerCell<ClientState>,
 }
 
 impl Session for ChanClientSession {
@@ -179,7 +179,7 @@ pub struct ChanServerSession {
     parent: Arc<Channel>,
     chan: u16,
     proto_num: u32,
-    st: Mutex<ServerState>,
+    st: OwnerCell<ServerState>,
 }
 
 impl Session for ChanServerSession {
@@ -325,7 +325,7 @@ impl Channel {
                         parent: self.self_arc(),
                         chan: hdr.channel,
                         proto_num: hdr.protocol_num,
-                        st: Mutex::new(ServerState {
+                        st: OwnerCell::new(ServerState {
                             lls: Arc::clone(lls),
                             record: AtMostOnce::new(hdr.boot_id),
                             saved_reply: None,
@@ -546,7 +546,7 @@ impl Protocol for Channel {
                 proto_num,
                 peer,
                 lower,
-                st: Mutex::new(ClientState {
+                st: OwnerCell::new(ClientState {
                     seq: 0,
                     outstanding: None,
                 }),

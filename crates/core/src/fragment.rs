@@ -21,7 +21,7 @@ use std::any::Any;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
-use parking_lot::Mutex;
+use xkernel::cell::OwnerCell;
 
 use xkernel::map::{EnableSnapshot, MixMap, SessionSnapshot};
 use xkernel::prelude::*;
@@ -117,8 +117,8 @@ pub struct Fragment {
     next_seq: AtomicU32,
     enables: EnableMap<u32>,
     // Retained sent messages, insertion-ordered for LRU eviction.
-    send_cache: Mutex<Vec<(u32, Saved)>>,
-    rasm: Mutex<MixMap<(u32, u32), Rasm>>,
+    send_cache: OwnerCell<Vec<(u32, Saved)>>,
+    rasm: OwnerCell<MixMap<(u32, u32), Rasm>>,
     passive: SessionMap<(u32, u32)>,
     lowers: SessionMap<u32, (SessionRef, usize)>,
     counters: Counters,
@@ -138,8 +138,8 @@ impl Fragment {
             base_frag_size: OnceLock::new(),
             next_seq: AtomicU32::new(0),
             enables: EnableMap::new(),
-            send_cache: Mutex::new(Vec::new()),
-            rasm: Mutex::new(MixMap::default()),
+            send_cache: OwnerCell::new(Vec::new()),
+            rasm: OwnerCell::new(MixMap::default()),
             passive: SessionMap::new(),
             lowers: SessionMap::new(),
             counters: Counters::default(),

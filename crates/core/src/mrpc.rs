@@ -20,7 +20,7 @@ use std::any::Any;
 use std::cell::Cell;
 use std::sync::{Arc, OnceLock, Weak};
 
-use parking_lot::Mutex;
+use xkernel::cell::OwnerCell;
 
 use xkernel::map::{MixMap, SessionSnapshot};
 use xkernel::prelude::*;
@@ -94,7 +94,7 @@ struct MChanState {
 /// One client channel.
 struct MChan {
     chan: u16,
-    st: Mutex<MChanState>,
+    st: OwnerCell<MChanState>,
 }
 
 type Pool = txn::Pool<Arc<MChan>>;
@@ -131,7 +131,7 @@ struct ServerState {
 struct MServer {
     clnt: IpAddr,
     chan: u16,
-    st: Mutex<ServerState>,
+    st: OwnerCell<ServerState>,
 }
 
 /// The monolithic Sprite RPC protocol object.
@@ -264,7 +264,7 @@ impl Mrpc {
             for _ in 0..self.cfg.channels_per_peer {
                 let mc = Arc::new(MChan {
                     chan: Self::alloc_in(&self.ids, &table),
-                    st: Mutex::new(MChanState { seq: 0, out: None }),
+                    st: OwnerCell::new(MChanState { seq: 0, out: None }),
                 });
                 table.insert(mc.chan, Arc::clone(&mc));
                 chans.push(mc);
@@ -425,7 +425,7 @@ impl Mrpc {
             Ok(Arc::new(MServer {
                 clnt: hdr.clnt_host,
                 chan: hdr.channel,
-                st: Mutex::new(ServerState {
+                st: OwnerCell::new(ServerState {
                     record: AtMostOnce::new(hdr.boot_id),
                     dispatched: false,
                     req_num: 0,

@@ -16,7 +16,7 @@
 use std::any::Any;
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
+use xkernel::cell::OwnerCell;
 
 use xkernel::map::SessionSnapshot;
 use xkernel::prelude::*;
@@ -33,7 +33,7 @@ pub struct Pinger {
     echo: bool,
     lower_name: OnceLock<&'static str>,
     sessions: SessionMap<u32>,
-    inflight: Mutex<Inflight>,
+    inflight: OwnerCell<Inflight>,
 }
 
 /// What the client side has in flight, under one lock so an echo's demux
@@ -45,7 +45,7 @@ struct Inflight {
 }
 
 /// A parked single round trip: wake signal plus the echoed-bytes slot.
-type EchoWaiter = (SharedSema, Arc<Mutex<Option<Vec<u8>>>>);
+type EchoWaiter = (SharedSema, Arc<OwnerCell<Option<Vec<u8>>>>);
 
 /// In-flight callback-driven ping-pong series (see [`Pinger::run_series`]).
 struct Series {
@@ -64,7 +64,7 @@ impl Pinger {
             echo,
             lower_name: OnceLock::new(),
             sessions: SessionMap::new(),
-            inflight: Mutex::new(Inflight::default()),
+            inflight: OwnerCell::new(Inflight::default()),
         })
     }
 
@@ -131,7 +131,7 @@ impl Pinger {
     pub fn rtt(&self, ctx: &Ctx, peer: IpAddr, payload: Vec<u8>) -> XResult<Vec<u8>> {
         let sess = self.session_for(ctx, peer)?;
         let sema = SharedSema::new(0);
-        let slot: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
+        let slot: Arc<OwnerCell<Option<Vec<u8>>>> = Arc::new(OwnerCell::new(None));
         self.inflight.lock().waiting = Some((sema.clone(), Arc::clone(&slot)));
         let pushed = sess.push(ctx, ctx.msg(payload))?;
         if let Some(reply) = pushed {

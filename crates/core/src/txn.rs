@@ -22,7 +22,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use xkernel::cell::OwnerCell;
 
 use xkernel::lint::{BlockPoint, ProtoContract, SemaContract};
 use xkernel::prelude::*;
@@ -157,7 +157,7 @@ pub struct RtoPolicy {
     base_ns: AtomicU64,
     adaptive: AtomicBool,
     max_backoff: AtomicU32,
-    estimator: Mutex<RtoEstimator>,
+    estimator: OwnerCell<RtoEstimator>,
 }
 
 /// The knobs as one call saw them when it began; a `SetTimeout` that lands
@@ -189,7 +189,7 @@ impl RtoPolicy {
             base_ns: AtomicU64::new(seed_ns),
             adaptive: AtomicBool::new(adaptive),
             max_backoff: AtomicU32::new(DEFAULT_MAX_BACKOFF),
-            estimator: Mutex::new(RtoEstimator::new(MIN_RTO_NS, MAX_RTO_NS)),
+            estimator: OwnerCell::new(RtoEstimator::new(MIN_RTO_NS, MAX_RTO_NS)),
         }
     }
 
@@ -410,7 +410,7 @@ impl AtMostOnce {
 pub struct Pool<T> {
     size: usize,
     sema: SharedSema,
-    free: Mutex<Vec<T>>,
+    free: OwnerCell<Vec<T>>,
 }
 
 /// A [`Pool`]'s restorable state: the semaphore and the free list, whose
@@ -427,7 +427,7 @@ impl<T: Clone> Pool<T> {
         Arc::new(Pool {
             size: items.len(),
             sema: SharedSema::new(items.len() as i64),
-            free: Mutex::new(items),
+            free: OwnerCell::new(items),
         })
     }
 

@@ -16,7 +16,7 @@
 use std::any::Any;
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
+use xkernel::cell::OwnerCell;
 
 use xkernel::map::MixMap;
 use xkernel::prelude::*;
@@ -117,8 +117,8 @@ pub struct Arp {
     my_ip: IpAddr,
     my_eth: OnceLock<EthAddr>,
     bcast: OnceLock<SessionRef>,
-    cache: Mutex<ArpCache>,
-    waiters: Mutex<MixMap<IpAddr, Vec<SharedSema>>>,
+    cache: OwnerCell<ArpCache>,
+    waiters: OwnerCell<MixMap<IpAddr, Vec<SharedSema>>>,
 }
 
 impl Arp {
@@ -131,8 +131,8 @@ impl Arp {
             my_ip,
             my_eth: OnceLock::new(),
             bcast: OnceLock::new(),
-            cache: Mutex::new(ArpCache::new(capacity)),
-            waiters: Mutex::new(MixMap::default()),
+            cache: OwnerCell::new(ArpCache::new(capacity)),
+            waiters: OwnerCell::new(MixMap::default()),
         })
     }
 

@@ -6,7 +6,7 @@ use std::any::Any;
 use std::sync::atomic::{AtomicU16, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use xkernel::cell::OwnerCell;
 
 use xkernel::prelude::*;
 
@@ -22,7 +22,7 @@ const TYPE_ECHO_REQUEST: u8 = 8;
 pub const PING_TIMEOUT_NS: u64 = 1_000_000_000;
 
 /// A parked ping: wake signal plus the slot the echoed payload lands in.
-type EchoWaiter = (SharedSema, Arc<Mutex<Option<Vec<u8>>>>);
+type EchoWaiter = (SharedSema, Arc<OwnerCell<Option<Vec<u8>>>>);
 
 /// The ICMP protocol object.
 pub struct Icmp {
@@ -79,7 +79,7 @@ impl Icmp {
     ) -> XResult<Vec<u8>> {
         let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
         let sema = SharedSema::new(0);
-        let slot: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
+        let slot: Arc<OwnerCell<Option<Vec<u8>>>> = Arc::new(OwnerCell::new(None));
         self.waiting
             .bind((dst.0, id, seq), (sema.clone(), Arc::clone(&slot)));
 

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-use parking_lot::Mutex;
+use xkernel::cell::OwnerCell;
 
 use xkernel::map::{EnableSnapshot, MixMap, SessionSnapshot};
 use xkernel::prelude::*;
@@ -184,7 +184,7 @@ pub struct Ip {
     enables: EnableMap<u8>,
     passive: SessionMap<(IpAddr, u8)>,
     eth_cache: SessionMap<(usize, EthAddr)>,
-    reasm: Mutex<MixMap<(u32, u16, u8), Reassembly>>,
+    reasm: OwnerCell<MixMap<(u32, u16, u8), Reassembly>>,
     stats: IpStatsInner,
 }
 
@@ -226,7 +226,7 @@ impl Ip {
             enables: EnableMap::new(),
             passive: SessionMap::new(),
             eth_cache: SessionMap::new(),
-            reasm: Mutex::new(MixMap::default()),
+            reasm: OwnerCell::new(MixMap::default()),
             stats: IpStatsInner::default(),
         });
         for (i, f) in ip.ifaces.iter().enumerate() {

@@ -25,7 +25,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU16, Ordering};
 use std::sync::{Arc, Weak};
 
-use parking_lot::Mutex;
+use xkernel::cell::OwnerCell;
 
 use xkernel::prelude::*;
 
@@ -45,7 +45,7 @@ pub const TCP_MAX_RETRIES: u32 = 8;
 pub const TCP_CONNECT_TIMEOUT_NS: u64 = 2_000_000_000;
 
 /// A listener's pending-connection queue and its wake signal.
-type AcceptQueue = (SharedSema, Arc<Mutex<VecDeque<Arc<TcpConn>>>>);
+type AcceptQueue = (SharedSema, Arc<OwnerCell<VecDeque<Arc<TcpConn>>>>);
 
 const FLAG_FIN: u8 = 0x01;
 const FLAG_SYN: u8 = 0x02;
@@ -150,7 +150,7 @@ pub struct TcpConn {
     peer: IpAddr,
     peer_port: Port,
     lower: SessionRef,
-    st: Mutex<ConnState>,
+    st: OwnerCell<ConnState>,
     established: SharedSema,
     readable: SharedSema,
 }
@@ -393,7 +393,7 @@ impl Tcp {
             peer,
             peer_port,
             lower,
-            st: Mutex::new(ConnState {
+            st: OwnerCell::new(ConnState {
                 state,
                 snd_nxt: iss,
                 snd_una: iss,
@@ -441,7 +441,8 @@ impl Tcp {
     /// Passively opens `port`; returned handle accepts connections.
     pub fn listen(&self, port: Port) -> XResult<TcpListener> {
         let sema = SharedSema::new(0);
-        let queue: Arc<Mutex<VecDeque<Arc<TcpConn>>>> = Arc::new(Mutex::new(VecDeque::new()));
+        let queue: Arc<OwnerCell<VecDeque<Arc<TcpConn>>>> =
+            Arc::new(OwnerCell::new(VecDeque::new()));
         self.listeners
             .bind(port, (sema.clone(), Arc::clone(&queue)));
         Ok(TcpListener { sema, queue })
@@ -572,7 +573,7 @@ impl Tcp {
 /// Accept handle returned by [`Tcp::listen`].
 pub struct TcpListener {
     sema: SharedSema,
-    queue: Arc<Mutex<VecDeque<Arc<TcpConn>>>>,
+    queue: Arc<OwnerCell<VecDeque<Arc<TcpConn>>>>,
 }
 
 impl TcpListener {

@@ -28,7 +28,7 @@ use std::any::Any;
 use std::collections::{HashSet, VecDeque};
 use std::sync::{Arc, OnceLock, Weak};
 
-use parking_lot::Mutex;
+use xkernel::cell::OwnerCell;
 
 use xkernel::graph::{GraphArgs, ProtocolRegistry};
 use xkernel::map::SessionSnapshot;
@@ -66,7 +66,7 @@ pub struct Conversation {
     parent: Arc<Psync>,
     id: u32,
     peers: Vec<IpAddr>,
-    st: Mutex<ConvState>,
+    st: OwnerCell<ConvState>,
     avail: SharedSema,
 }
 
@@ -218,7 +218,7 @@ impl Psync {
                 parent: self.self_arc(),
                 id,
                 peers,
-                st: Mutex::new(ConvState {
+                st: OwnerCell::new(ConvState {
                     next_local: 0,
                     delivered: HashSet::new(),
                     leaves: Vec::new(),

@@ -24,7 +24,7 @@ pub mod fault;
 
 use std::sync::{Arc, Weak};
 
-use parking_lot::Mutex;
+use xkernel::cell::OwnerCell;
 
 use fault::{FaultDecision, FaultPlan, FaultSchedule};
 use xkernel::prelude::*;
@@ -154,7 +154,7 @@ struct LanSnap {
 }
 
 struct NetInner {
-    lans: Mutex<Vec<Lan>>,
+    lans: OwnerCell<Vec<Lan>>,
 }
 
 /// The simulated network: LAN segments plus host attachments.
@@ -170,7 +170,7 @@ impl SimNet {
     pub fn new(_sim: &Sim) -> SimNet {
         SimNet {
             inner: Arc::new(NetInner {
-                lans: Mutex::new(Vec::new()),
+                lans: OwnerCell::new(Vec::new()),
             }),
         }
     }
@@ -321,9 +321,8 @@ impl SimNet {
     /// frame are the destination hardware address (standard Ethernet
     /// framing), which the LAN uses for delivery filtering.
     fn transmit(&self, ctx: &Ctx, lan: LanId, src: EthAddr, frame: Message) -> XResult<()> {
-        let dst_bytes = frame.peek(6)?;
         let mut dst = [0u8; 6];
-        dst.copy_from_slice(&dst_bytes);
+        frame.peek_into(&mut dst)?;
         let dst = EthAddr(dst);
 
         ctx.charge_class(OpClass::Device, ctx.cost().device_op);
@@ -651,7 +650,7 @@ mod tests {
     /// Records frames delivered to it.
     struct Recorder {
         me: ProtoId,
-        got: Mutex<Vec<Vec<u8>>>,
+        got: OwnerCell<Vec<Vec<u8>>>,
     }
 
     impl Protocol for Recorder {
@@ -703,7 +702,7 @@ mod tests {
                 .register("rec", |me| {
                     Ok(Arc::new(Recorder {
                         me,
-                        got: Mutex::new(Vec::new()),
+                        got: OwnerCell::new(Vec::new()),
                     }) as ProtocolRef)
                 })
                 .unwrap();
@@ -916,7 +915,7 @@ mod tests {
                 .register("rec", |me| {
                     Ok(Arc::new(Recorder {
                         me,
-                        got: Mutex::new(Vec::new()),
+                        got: OwnerCell::new(Vec::new()),
                     }) as ProtocolRef)
                 })
                 .unwrap();

@@ -17,7 +17,7 @@ use std::any::Any;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
-use parking_lot::Mutex;
+use xkernel::cell::OwnerCell;
 
 use xkernel::map::{EnableSnapshot, MixMap, SessionSnapshot};
 use xkernel::prelude::*;
@@ -63,7 +63,7 @@ pub struct RequestReply {
     next_xid: AtomicU32,
     rto: RtoPolicy,
     enables: EnableMap<u32>,
-    outstanding: Mutex<MixMap<u32, Out>>,
+    outstanding: OwnerCell<MixMap<u32, Out>>,
     sessions: SessionMap<(u32, u32)>,
     lowers: SessionMap<u32>,
     shepherds: Arc<Shepherds>,
@@ -84,7 +84,7 @@ impl RequestReply {
             next_xid: AtomicU32::new(0),
             rto: RtoPolicy::new(TIMEOUT_NS, true),
             enables: EnableMap::new(),
-            outstanding: Mutex::new(MixMap::default()),
+            outstanding: OwnerCell::new(MixMap::default()),
             sessions: SessionMap::new(),
             lowers: SessionMap::new(),
             shepherds: Shepherds::new(shepherds),

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use xkernel::cell::OwnerCell;
 use xkernel::sim::ScheduleChooser;
 
 /// What one run's chooser saw and did: the branch taken and the branch
@@ -31,12 +31,12 @@ pub struct Recording {
 pub struct ReplayChooser {
     prefix: Vec<usize>,
     depth: usize,
-    rec: Arc<Mutex<Recording>>,
+    rec: Arc<OwnerCell<Recording>>,
 }
 
 impl ReplayChooser {
     /// A chooser replaying `prefix`, recording into `rec`.
-    pub fn new(prefix: Vec<usize>, rec: Arc<Mutex<Recording>>) -> ReplayChooser {
+    pub fn new(prefix: Vec<usize>, rec: Arc<OwnerCell<Recording>>) -> ReplayChooser {
         ReplayChooser {
             prefix,
             depth: 0,
@@ -82,7 +82,7 @@ pub fn explore<T>(limit: usize, mut run: impl FnMut(Box<ReplayChooser>) -> T) ->
     let mut prefix: Vec<usize> = Vec::new();
     let mut outcomes = Vec::new();
     loop {
-        let rec = Arc::new(Mutex::new(Recording::default()));
+        let rec = Arc::new(OwnerCell::new(Recording::default()));
         let chooser = Box::new(ReplayChooser::new(prefix.clone(), Arc::clone(&rec)));
         outcomes.push(run(chooser));
         let r = rec.lock();

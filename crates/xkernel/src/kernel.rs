@@ -13,7 +13,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
+use crate::cell::OwnerCell;
 
 use crate::addr::ParticipantSet;
 use crate::error::{XError, XResult};
@@ -31,7 +31,7 @@ pub struct Kernel {
     /// resolution read it without a lock.
     protocols: AppendTable<Slot>,
     /// Serializes reservations.
-    reserving: Mutex<()>,
+    reserving: OwnerCell<()>,
 }
 
 struct Slot {
@@ -47,7 +47,7 @@ impl Kernel {
             name: name.to_string(),
             host: OnceLock::new(),
             protocols: AppendTable::new(),
-            reserving: Mutex::new(()),
+            reserving: OwnerCell::new(()),
         });
         let host = sim.add_kernel(&k);
         k.host.set(host).expect("host id set exactly once");

@@ -42,6 +42,8 @@
 #![warn(missing_docs)]
 
 pub mod addr;
+#[allow(unsafe_code)]
+pub mod cell;
 pub mod check;
 pub mod cost;
 pub mod error;

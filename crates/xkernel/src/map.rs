@@ -10,20 +10,20 @@
 //!   reference count.
 //! * The **session side** ([`SessionMap`]) — cached passive sessions, lower
 //!   sessions per peer, client and server channels, anything keyed by what
-//!   arrived — changes as traffic flows. One mutex guards it, a resolve is one
-//!   acquisition, and the keys (small integers and tuples of them) go through
+//!   arrived — changes as traffic flows. One [`OwnerCell`] guards it, a resolve
+//!   is one entry, and the keys (small integers and tuples of them) go through
 //!   an integer-mix hasher instead of SipHash.
 //!
 //! Both own their `snapshot`/`restore`, so a protocol's `snap` no longer
 //! clones maps by hand. A layer with a single user keeps its one upper in an
 //! [`UpperCell`] instead of a table.
 //!
-//! **The one rule:** a table lock is never held across a layer crossing — a
+//! **The one rule:** a table guard is never held across a layer crossing — a
 //! `push`, a `demux_to`, an `open`. In inline mode the whole round trip runs
 //! on one stack and re-enters the same protocol (the reply's demux runs
-//! beneath the request's push), so a guard alive across a crossing is a
-//! self-deadlock, not a slowdown. [`SessionMap::resolve`] and friends return
-//! clones and release before returning; closures given to
+//! beneath the request's push), so a guard alive across a crossing meets
+//! itself: the cell's re-entry assertion panics. [`SessionMap::resolve`] and
+//! friends return clones and release before returning; closures given to
 //! [`SessionMap::resolve_or_insert_with`] and scopes holding a
 //! [`SessionMap::lock`] guard may build a session and charge for it, but must
 //! not cross.
@@ -31,10 +31,9 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-use parking_lot::{Mutex, MutexGuard};
-
+use crate::cell::{OwnerCell, OwnerGuard};
 use crate::error::XResult;
 use crate::proto::{ProtoId, SessionRef};
 
@@ -141,7 +140,9 @@ type Link<K, V> = OnceLock<Box<Enable<K, V>>>;
 /// a handler can be *called* through that borrow with nothing locked. A
 /// lookup walks the chain; the tables this is for hold a handful of entries,
 /// and an empty one is three words. Writers (`bind`, `replace`, `unbind_if`, `restore`)
-/// serialize on an internal mutex that readers never touch.
+/// serialize on an internal mutex that readers never touch — a real one,
+/// not an [`OwnerCell`]: the process-wide registry's lint memo is an
+/// `EnableMap` that [`crate::par`] workers write from several OS threads.
 pub struct EnableMap<K, V = ProtoId> {
     head: Link<K, V>,
     writer: Mutex<()>,
@@ -167,6 +168,12 @@ impl<K: Eq, V> EnableMap<K, V> {
     /// An empty table.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Serializes writers. The unit inside cannot be left half-updated, so
+    /// a poisoned lock (a writer's key comparison panicked) is still good.
+    fn write_lock(&self) -> MutexGuard<'_, ()> {
+        self.writer.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Every entry, live or dead, oldest first.
@@ -206,7 +213,7 @@ impl<K: Eq, V> EnableMap<K, V> {
     /// chain that every lookup walks. Registering procedures while a graph
     /// is set up is what this is for; calling it per message leaks.
     pub fn replace(&self, key: K, value: V) {
-        let _w = self.writer.lock();
+        let _w = self.write_lock();
         self.append_locked(key, value);
     }
 
@@ -215,7 +222,7 @@ impl<K: Eq, V> EnableMap<K, V> {
     /// the second finds the first's entry and drops its own, so the table
     /// holds one entry per key however the misses race.
     pub fn resolve_or_bind(&self, key: K, value: V) -> &V {
-        let _w = self.writer.lock();
+        let _w = self.write_lock();
         match self.resolve(&key) {
             Some(bound) => bound,
             None => self.append_locked(key, value),
@@ -246,7 +253,7 @@ impl<K: Eq, V> EnableMap<K, V> {
     /// Unbinds `key` if it is bound to a value `pred` accepts; whether it
     /// did. (`open_disable` revokes only the caller's own enable.)
     pub fn unbind_if(&self, key: &K, pred: impl FnOnce(&V) -> bool) -> bool {
-        let _w = self.writer.lock();
+        let _w = self.write_lock();
         match self.live_entries().find(|e| e.key == *key) {
             Some(e) if pred(&e.value) => {
                 e.live.store(false, Ordering::Release);
@@ -258,7 +265,7 @@ impl<K: Eq, V> EnableMap<K, V> {
 
     /// Records which entries are live now.
     pub fn snapshot(&self) -> EnableSnapshot {
-        let _w = self.writer.lock();
+        let _w = self.write_lock();
         EnableSnapshot {
             live: self
                 .entries()
@@ -270,7 +277,7 @@ impl<K: Eq, V> EnableMap<K, V> {
     /// Makes exactly the entries live that were when `snap` was taken (of
     /// this same map): later bindings die, later unbindings are undone.
     pub fn restore(&self, snap: &EnableSnapshot) {
-        let _w = self.writer.lock();
+        let _w = self.write_lock();
         for (i, e) in self.entries().enumerate() {
             let live = snap.live.get(i).copied().unwrap_or(false);
             e.live.store(live, Ordering::Release);
@@ -283,7 +290,7 @@ impl<K: Eq, V: PartialEq> EnableMap<K, V> {
     /// is revived rather than duplicated, so re-enabling the same pair —
     /// every boot, every open of a one-user layer — never grows the table.
     pub fn bind(&self, key: K, value: V) {
-        let _w = self.writer.lock();
+        let _w = self.write_lock();
         let same = self.entries().find(|e| e.key == key && e.value == value);
         let Some(revived) = same else {
             self.append_locked(key, value);
@@ -374,21 +381,21 @@ impl Hasher for MixHasher {
 /// the table type for keyed state that is not a demux cache.
 pub type MixMap<K, V> = HashMap<K, V, BuildHasherDefault<MixHasher>>;
 
-/// A traffic-time `key → value` table behind one mutex, resolved on every
+/// A traffic-time `key → value` table in one [`OwnerCell`], resolved on every
 /// demux or push by what arrived: cached sessions, channels, connections.
 /// The default value type is a [`SessionRef`]. Per-key bookkeeping that is
 /// only ever updated in place (reassembly buffers, outstanding transactions,
-/// parked resolvers) is a plain `Mutex<MixMap<..>>`: it needs none of the
+/// parked resolvers) is a plain `OwnerCell<MixMap<..>>`: it needs none of the
 /// whole-operation methods and no snapshot.
 ///
 /// The whole-operation methods ([`SessionMap::resolve`],
 /// [`SessionMap::resolve_or_insert_with`], [`SessionMap::bind`],
-/// [`SessionMap::unbind`]) take the lock once and release it before
+/// [`SessionMap::unbind`]) enter the cell once and leave it before
 /// returning. [`SessionMap::lock`] hands out the underlying map for
-/// multi-step updates under that same single acquisition. See the module
+/// multi-step updates under that same single entry. See the module
 /// docs for the rule about crossings.
 pub struct SessionMap<K, V = SessionRef> {
-    inner: Mutex<MixMap<K, V>>,
+    inner: OwnerCell<MixMap<K, V>>,
 }
 
 /// The contents of a [`SessionMap`] when [`SessionMap::snapshot`] ran.
@@ -399,7 +406,7 @@ pub type SessionSnapshot<K, V> = MixMap<K, V>;
 impl<K, V> Default for SessionMap<K, V> {
     fn default() -> Self {
         SessionMap {
-            inner: Mutex::new(MixMap::default()),
+            inner: OwnerCell::new(MixMap::default()),
         }
     }
 }
@@ -412,7 +419,7 @@ impl<K: Hash + Eq, V> SessionMap<K, V> {
 
     /// Locks the table for a multi-step read or update under one
     /// acquisition. Do not cross a layer while the guard lives.
-    pub fn lock(&self) -> MutexGuard<'_, MixMap<K, V>> {
+    pub fn lock(&self) -> OwnerGuard<'_, MixMap<K, V>> {
         self.inner.lock()
     }
 

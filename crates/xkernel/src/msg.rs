@@ -317,9 +317,6 @@ impl Message {
         if self.front.len() >= n {
             let s = self.front.start;
             self.front.start += n;
-            if self.front.len() == 0 && n < self.front.buf.len() {
-                // Keep buf for potential reuse; bytes remain addressable.
-            }
             return Ok(Popped::Borrowed(&self.front.buf[s..s + n]));
         }
         if self.front.len() == 0 {
@@ -372,25 +369,43 @@ impl Message {
 
     /// Copies the first `n` bytes without consuming them.
     pub fn peek(&self, n: usize) -> XResult<Vec<u8>> {
+        // Checked before allocating: `n` may have come off the wire.
+        self.check_peek(n)?;
+        let mut out = vec![0; n];
+        self.copy_front(&mut out);
+        Ok(out)
+    }
+
+    /// Copies the first `out.len()` bytes into `out` without consuming
+    /// them: [`Message::peek`] for a caller with somewhere to put them.
+    pub fn peek_into(&self, out: &mut [u8]) -> XResult<()> {
+        self.check_peek(out.len())?;
+        self.copy_front(out);
+        Ok(())
+    }
+
+    fn check_peek(&self, n: usize) -> XResult<()> {
         if n > self.len() {
             return Err(XError::Malformed(format!(
                 "peek of {n} bytes from a {}-byte message",
                 self.len()
             )));
         }
-        let mut out = Vec::with_capacity(n);
-        let take_front = self.front.len().min(n);
-        out.extend_from_slice(&self.front.bytes()[..take_front]);
-        let mut need = n - take_front;
-        for seg in &self.rope {
-            if need == 0 {
+        Ok(())
+    }
+
+    /// Fills `out` from the front of the message, which holds that much.
+    fn copy_front(&self, out: &mut [u8]) {
+        let mut filled = 0;
+        for bytes in std::iter::once(self.front.bytes()).chain(self.rope.iter().map(Segment::bytes))
+        {
+            if filled == out.len() {
                 break;
             }
-            let take = seg.len().min(need);
-            out.extend_from_slice(&seg.bytes()[..take]);
-            need -= take;
+            let take = bytes.len().min(out.len() - filled);
+            out[filled..filled + take].copy_from_slice(&bytes[..take]);
+            filled += take;
         }
-        Ok(out)
     }
 
     /// Freezes the owned front buffer into a shared segment so the message

@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use crate::cell::OwnerCell;
 
 use crate::error::XResult;
 use crate::graph::GraphArgs;
@@ -111,7 +111,7 @@ struct PoolState {
 /// A per-protocol shepherd pool.
 pub struct Shepherds {
     cfg: ShepherdConfig,
-    st: Mutex<PoolState>,
+    st: OwnerCell<PoolState>,
     submitted: AtomicU64,
     executed: AtomicU64,
     dropped: AtomicU64,
@@ -125,7 +125,7 @@ impl Shepherds {
     pub fn new(cfg: ShepherdConfig) -> Arc<Shepherds> {
         Arc::new(Shepherds {
             cfg,
-            st: Mutex::new(PoolState {
+            st: OwnerCell::new(PoolState {
                 active: 0,
                 queue: VecDeque::new(),
             }),

@@ -22,8 +22,9 @@
 //!   invokes the destination kernel's demux on the *same* thread, so an
 //!   entire RPC round trip is one call chain with no blocking and no
 //!   scheduling. Criterion uses this mode to measure the real CPU cost of
-//!   each protocol path on today's hardware. It doubles as a lock-discipline
-//!   check: holding a session lock across a lower `push` deadlocks here.
+//!   each protocol path on today's hardware. It doubles as a guard-discipline
+//!   check: a session guard held across a lower `push` meets itself on the
+//!   way back up, and the cell's re-entry assertion panics.
 //!
 //! The same protocol code runs unmodified in both modes.
 
@@ -33,7 +34,7 @@ use std::panic::panic_any;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, MutexGuard};
+use crate::cell::{OwnerCell, OwnerGuard};
 
 pub use crate::cost::Nanos;
 pub use crate::vproc::{VProc, VStep};
@@ -523,10 +524,11 @@ impl Engine {
 /// One host's kernel, clock and counters. Every field but the kernel is a
 /// scalar cell read and written with relaxed atomic loads and stores (never
 /// a read-modify-write): only the thread driving the simulation touches
-/// them, and the engine lock it takes on entry to and exit from every run
-/// orders its writes before the next driver's reads. That keeps the
+/// them, and a simulation changes threads only through a real
+/// synchronisation point, which orders one driver's writes before the
+/// next's reads (the contract [`crate::cell`] states). That keeps the
 /// charging path ([`Ctx::charge_class`], [`Ctx::now`], [`Ctx::note`]) free
-/// of locks while [`Sim`] stays `Send + Sync` in safe code.
+/// of any guard while [`Sim`] stays `Send + Sync`.
 struct HostCell {
     kernel: Arc<Kernel>,
     cpu: AtomicU64,
@@ -629,9 +631,9 @@ pub struct SimCore {
     /// Hosts in [`HostId`] order; appended to by [`Sim::add_kernel`] and
     /// read without a lock.
     hosts: AppendTable<HostCell>,
-    /// The scheduler's compound state — and the observers' — behind the
-    /// simulator's one lock.
-    engine: Mutex<Engine>,
+    /// The scheduler's compound state — and the observers' — in the
+    /// simulator's one cell.
+    engine: OwnerCell<Engine>,
     /// Plain flag checked before any trace work; when false no hook takes
     /// the lock for tracing's sake (the zero-overhead-when-disabled
     /// guarantee).
@@ -679,8 +681,10 @@ pub struct Sim {
     core: Arc<SimCore>,
 }
 
-/// `Sim` handles cross threads (`xkernel::par` moves whole simulations onto
-/// workers): every shared field is an atomic cell or sits behind a mutex.
+/// `Sim` handles cross threads — `xkernel::par` workers hand finished
+/// simulations back, a quiescent rig can be moved whole: every shared field
+/// is an atomic cell or sits in an [`OwnerCell`], under the one-driver
+/// contract [`crate::cell`] states.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Sim>();
@@ -703,7 +707,7 @@ impl Sim {
                 now: AtomicU64::new(0),
                 rng: AtomicU64::new(cfg.seed | 1),
                 hosts: AppendTable::new(),
-                engine: Mutex::new(Engine {
+                engine: OwnerCell::new(Engine {
                     seq: 0,
                     heap: BinaryHeap::new(),
                     events: Slab::new(),
@@ -1698,7 +1702,7 @@ fn install_crash_hook() {
 /// The scheduler lock as the run loop passes it around: every driver below
 /// takes the guard, releases it only while the process body runs, and hands
 /// it back re-acquired, so one process step costs one release/acquire pair.
-type EngineGuard<'a> = MutexGuard<'a, Engine>;
+type EngineGuard<'a> = OwnerGuard<'a, Engine>;
 
 /// Starts a fresh process's body. Thunks run as a coroutine until they
 /// block or finish; machines step on this stack under
@@ -2438,7 +2442,7 @@ struct SemaState {
 /// [`SharedSema::p_timeout`] (the awaited event can never arrive inline, so the
 /// timeout outcome is the truthful one).
 pub struct Sema {
-    st: Mutex<SemaState>,
+    st: OwnerCell<SemaState>,
     /// Globally unique identity for the checker's holding/wait-for maps.
     id: u64,
     /// Human-readable label for violation reports.
@@ -2459,7 +2463,7 @@ impl Sema {
     /// violation reports (deadlock cycles, double waits) will carry.
     pub fn labeled(initial: i64, label: &'static str) -> Sema {
         Sema {
-            st: Mutex::new(SemaState {
+            st: OwnerCell::new(SemaState {
                 count: initial,
                 waiters: VecDeque::new(),
                 next_seq: 0,

@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use xkernel::cell::OwnerCell;
 
 use inet::with_concrete;
 use sunrpc::sunselect::SunSelect;
@@ -194,11 +194,16 @@ impl LoadSpec {
     }
 
     /// Closed loop: one process per client, measuring its own window.
-    fn spawn_closed(&self, rig: &LoadRig, clients: u32, think_ns: u64) -> Vec<Arc<Mutex<Shard>>> {
+    fn spawn_closed(
+        &self,
+        rig: &LoadRig,
+        clients: u32,
+        think_ns: u64,
+    ) -> Vec<Arc<OwnerCell<Shard>>> {
         let n_hosts = rig.clients.len();
         let mut shards = Vec::with_capacity(clients as usize);
         for j in 0..clients as usize {
-            let shard = Arc::new(Mutex::new(Shard::default()));
+            let shard = Arc::new(OwnerCell::new(Shard::default()));
             shards.push(Arc::clone(&shard));
             let host = rig.clients[j % n_hosts].host();
             let stack = self.stack;
@@ -233,11 +238,11 @@ impl LoadSpec {
     /// against the shared host clock would quietly turn the loop closed).
     /// A call process only exists from its arrival until its reply, so
     /// in-flight calls, not total arrivals, bound the engine's footprint.
-    fn spawn_open(&self, rig: &LoadRig, rate_cps: u64) -> Vec<Arc<Mutex<Shard>>> {
+    fn spawn_open(&self, rig: &LoadRig, rate_cps: u64) -> Vec<Arc<OwnerCell<Shard>>> {
         let n_hosts = rig.clients.len();
         let offsets = poisson_offsets(self.seed, rate_cps, self.duration_ns);
-        let shards: Vec<Arc<Mutex<Shard>>> = (0..n_hosts)
-            .map(|_| Arc::new(Mutex::new(Shard::default())))
+        let shards: Vec<Arc<OwnerCell<Shard>>> = (0..n_hosts)
+            .map(|_| Arc::new(OwnerCell::new(Shard::default())))
             .collect();
         // One common window start: no host may sit in its past.
         let base = rig

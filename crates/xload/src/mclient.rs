@@ -36,7 +36,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use xkernel::cell::OwnerCell;
 
 use xkernel::prelude::*;
 use xkernel::sim::{RunReport, SharedSema, VProc, VStep, WakeReason};
@@ -116,8 +116,8 @@ impl MClientSpec {
         warm(&rig, &self.stack);
 
         let n_hosts = rig.clients.len();
-        let shards: Vec<Arc<Mutex<Shard>>> = (0..n_hosts)
-            .map(|_| Arc::new(Mutex::new(Shard::default())))
+        let shards: Vec<Arc<OwnerCell<Shard>>> = (0..n_hosts)
+            .map(|_| Arc::new(OwnerCell::new(Shard::default())))
             .collect();
         // Spawning the population is itself work: every machine's first
         // suspension charges a process switch to its host's CPU clock, so
@@ -228,7 +228,7 @@ struct Client {
     stack: LoadStack,
     server_ip: IpAddr,
     payload: usize,
-    shard: Arc<Mutex<Shard>>,
+    shard: Arc<OwnerCell<Shard>>,
     done: SharedSema,
 }
 

@@ -2,8 +2,10 @@
 //!
 //! This workspace builds in hermetic environments with no crates.io access,
 //! so the external `parking_lot` crate is path-replaced with this shim. Only
-//! the surface the workspace actually uses is provided: [`Mutex`] and
-//! [`RwLock`] with non-poisoning guards.
+//! the surface the workspace actually uses is provided: [`Mutex`] with a
+//! non-poisoning guard. Its users are tests, examples and `xbench`, which
+//! collect results out of a simulation in it; the simulator and the protocol
+//! crates guard their state with `xkernel::cell::OwnerCell` instead.
 //!
 //! Semantic differences from the real crate are intentional and benign here:
 //! poisoning is ignored (a panicking shepherd process already aborts the
@@ -91,82 +93,6 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
     }
 }
 
-/// A reader-writer lock (non-poisoning `std::sync::RwLock` wrapper).
-#[derive(Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: sync::RwLock<T>,
-}
-
-/// Shared-access RAII guard returned by [`RwLock::read`].
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: sync::RwLockReadGuard<'a, T>,
-}
-
-/// Exclusive-access RAII guard returned by [`RwLock::write`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a lock protecting `value`.
-    pub const fn new(value: T) -> RwLock<T> {
-        RwLock {
-            inner: sync::RwLock::new(value),
-        }
-    }
-
-    /// Consumes the lock, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access, blocking until available.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard {
-            inner: self.inner.read().unwrap_or_else(PoisonError::into_inner),
-        }
-    }
-
-    /// Acquires exclusive write access, blocking until available.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard {
-            inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
-        }
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RwLock").finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,13 +104,5 @@ mod tests {
         assert_eq!(*m.lock(), 2);
         assert!(m.try_lock().is_some());
         assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn rwlock_roundtrip() {
-        let l = RwLock::new(vec![1, 2]);
-        assert_eq!(l.read().len(), 2);
-        l.write().push(3);
-        assert_eq!(*l.read(), vec![1, 2, 3]);
     }
 }

@@ -20,10 +20,10 @@ use std::sync::{Arc, Weak};
 
 use chaos::{full_matrix, Scenario};
 use common::live_bytes;
-use inet::testbed::{base_registry, two_hosts};
+use inet::testbed::{base_registry, two_hosts, TwoHosts};
 use xkernel::graph::ProtocolRegistry;
 use xkernel::prelude::Protocol;
-use xkernel::sim::SimConfig;
+use xkernel::sim::{RunReport, SimConfig};
 use xrpc::procs::NULL_PROC;
 use xrpc::stacks::L_RPC_VIP;
 
@@ -64,6 +64,56 @@ fn dropping_every_handle_frees_the_simulation() {
         weak.upgrade().is_none(),
         "a strong cycle kept the simulation alive after its rig was dropped"
     );
+}
+
+/// Spawns a client making `calls` null calls on `tb` and runs it to idle.
+fn null_calls(tb: &TwoHosts, calls: u64) -> RunReport {
+    let server = tb.server_ip;
+    tb.sim.spawn(tb.client.host(), move |ctx| {
+        let k = ctx.kernel();
+        for _ in 0..calls {
+            let reply = xrpc::call(ctx, &k, L_RPC_VIP.entry, server, NULL_PROC, Vec::new());
+            assert_eq!(reply.unwrap(), Vec::<u8>::new());
+        }
+    });
+    tb.sim.run_until_idle()
+}
+
+/// `Sim: Send`, exercised: a rig is built and warmed here, moved whole into
+/// a scoped thread while quiescent, driven there, handed back through the
+/// join and dropped here. One thread drives it at a time and each hand-off
+/// is a real synchronisation point — the contract its owner cells state
+/// (`xkernel::cell`) — so the run is the one it would have been in place,
+/// event for event, and no cell trips its entry assertion on the way.
+#[test]
+fn a_quiescent_rig_moved_to_another_thread_runs_as_it_would_in_place() {
+    let reg = registry();
+    let warmed = || {
+        let cfg = SimConfig::scheduled().with_seed(0x5e4d);
+        let tb = two_hosts(cfg, &reg, L_RPC_VIP.graph).expect("testbed builds");
+        xrpc::procs::register_standard(&tb.server, L_RPC_VIP.entry).unwrap();
+        assert_eq!(null_calls(&tb, 2).blocked, 0);
+        tb
+    };
+
+    let in_place = null_calls(&warmed(), 5);
+
+    let tb = warmed();
+    let (tb, moved) = std::thread::scope(|s| {
+        s.spawn(move || {
+            let report = null_calls(&tb, 5);
+            (tb, report)
+        })
+        .join()
+        .expect("the moved simulation ran")
+    });
+    let weak = tb.sim.downgrade();
+    drop(tb);
+    assert!(weak.upgrade().is_none(), "freed on the spawning thread");
+
+    assert_eq!(in_place.blocked, 0);
+    assert_eq!(moved.sched_hash, in_place.sched_hash);
+    assert_eq!(moved, in_place);
 }
 
 /// One process, many simulations: each is freed before the next is built,
