@@ -190,73 +190,38 @@ for once in 'const DEFAULT_MAX_BACKOFF' "$BOOT_DRAW"; do
     fi
 done
 
-echo "==> vproc-smoke: 100k-client closed loop on stackless machines"
-# One persistent machine per client plus a transient coroutine per
-# in-flight call. The binary asserts every call completes, nothing is left
-# blocked, and peak_live >= clients (the engine's own proof the whole
-# population was concurrently resident); the grep re-checks required
-# fields from the outside. The full million-client run is the checked-in
-# BENCH_mclient.json.
-MCLIENT_SMOKE=$(mktemp /tmp/BENCH_mclient.XXXXXX.json)
-cargo run --release -q -p xbench --bin mclient -- --quick --out "$MCLIENT_SMOKE"
-for field in schema clients calls_per_client attempted completed failed \
-             peak_live events fuel_used wall_secs events_per_sec latency_ns; do
-    if ! grep -q "\"$field\"" "$MCLIENT_SMOKE"; then
-        echo "ci: BENCH_mclient.json missing field \"$field\"" >&2
-        exit 1
-    fi
-done
-grep -q '"failed": 0' "$MCLIENT_SMOKE" || {
-    echo "ci: mclient smoke had failed calls" >&2
+echo "==> harness-gate: host time is measured in one place"
+# xbench reports virtual time only; benchmark/ is the only code that reads the
+# host's clock (long alternating runs, a probe-scaled clock), and wall-clock is
+# reported there, not asserted here. A stopwatch, a criterion target, a
+# checked-in BENCH_*.json or an environment knob coming back under crates/
+# would be a second harness whose numbers nothing judges, so each is a gate.
+PROBE_RS=benchmark/src/probe.rs
+if ! grep -qw 'Instant' "$PROBE_RS"; then
+    echo "ci: harness-gate: $PROBE_RS no longer names Instant (gate is stale)" >&2
     exit 1
-}
-rm -f "$MCLIENT_SMOKE"
-
-echo "==> bench-smoke: xbench wallclock --quick"
-# Exercises the wall-clock harness end to end: inline calls/sec, scheduled
-# events/sec, and the parallel-vs-sequential soak (the binary itself asserts
-# the parallel reports are bit-identical and self-validates the JSON before
-# writing). The grep below re-checks required fields from the outside so a
-# validator regression can't pass silently.
-BENCH_SMOKE=$(mktemp /tmp/BENCH_wallclock.XXXXXX.json)
-cargo run --release -q -p xbench --bin wallclock -- --quick --out "$BENCH_SMOKE"
-for field in schema cores threads null_rpc calls_per_sec scheduled \
-             events_per_sec soak scenarios samples sample_secs sequential_wall_secs \
-             parallel_wall_secs per_stack_wall_secs speedup \
-             reports_bit_identical; do
-    if ! grep -q "\"$field\"" "$BENCH_SMOKE"; then
-        echo "ci: BENCH_wallclock.json missing field \"$field\"" >&2
-        exit 1
-    fi
-done
-grep -q '"reports_bit_identical": true' "$BENCH_SMOKE" || {
-    echo "ci: parallel soak reports not bit-identical" >&2
-    exit 1
-}
-# bench-gate: on a multi-core host the parallel soak must actually be
-# faster than the sequential one. One pass of the quick matrix is ≈ 4 ms:
-# too short to judge once on a sandbox whose cores change speed by a fifth
-# from second to second, and a worker thread that lives for one pass spends
-# a third of it starting up (timed that way the gate read <= 1.0 six times
-# out of six on 2 cores). So the harness takes 5 samples of >= 0.5 s of
-# sequential passes against as many passes fanned out as one batch and
-# reports the median ratio; that is what is asserted.
-# Gated on the *detected* core count the harness itself recorded (the old
-# harness claimed cores: 1 inside cgroup-pinned containers, which is exactly
-# the bug detect_cores fixes), so a single-core box skips the assertion
-# instead of failing it.
-CORES=$(sed -n 's/^ *"cores": \([0-9]*\),$/\1/p' "$BENCH_SMOKE")
-SPEEDUP=$(sed -n 's/^ *"speedup": \([0-9.]*\),$/\1/p' "$BENCH_SMOKE")
-if [ "${CORES:-1}" -gt 1 ]; then
-    awk -v s="$SPEEDUP" 'BEGIN { exit !(s > 1.0) }' || {
-        echo "ci: bench-gate: $CORES cores but parallel speedup $SPEEDUP <= 1.0" >&2
-        exit 1
-    }
-    echo "    bench-gate: $CORES cores, speedup ${SPEEDUP}x"
-else
-    echo "    bench-gate: single core detected, speedup assertion skipped"
 fi
-rm -f "$BENCH_SMOKE"
+hits=$(grep -rnw 'Instant' crates/*/src crates/bench shims | sort -u) || true
+if [ -n "$hits" ]; then
+    echo "ci: harness-gate: the host's clock is read outside benchmark/:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+if hits=$(grep -n 'criterion' Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml benchmark/Cargo.toml); then
+    echo "ci: harness-gate: a manifest names criterion (host time belongs to benchmark/):" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+if hits=$(ls BENCH_*.json 2>/dev/null); then
+    echo "ci: harness-gate: a BENCH_*.json sits at the repo root (reports are run outputs; write them elsewhere):" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+if hits=$(grep -rn 'XK_THREADS' crates); then
+    echo "ci: harness-gate: XK_THREADS is back (pass --threads, or take par::detect_cores()):" >&2
+    echo "$hits" >&2
+    exit 1
+fi
 
 echo "==> load-smoke: xbench xload --quick"
 # Rate sweep over all six stacks (open loop), a closed-loop point, and the

@@ -36,7 +36,7 @@ fn main() {
         .iter()
         .flat_map(|&size| stacks.iter().map(move |&stack| (size, stack)))
         .collect();
-    let results = par::run_indexed(cells, par::default_threads(), |&(size, stack)| {
+    let results = par::run_indexed(cells, par::detect_cores(), |&(size, stack)| {
         rpc_rtt_for_size(stack, size, THROUGHPUT_ITERS / 2)
     });
     let table: Vec<Vec<u64>> = results.chunks(stacks.len()).map(<[u64]>::to_vec).collect();

@@ -22,7 +22,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use xbench::{rpc_latency, rpc_latency_traced, TracedLatency, LATENCY_ITERS};
+use xbench::{js, rpc_latency, rpc_latency_traced, validate, TracedLatency, LATENCY_ITERS};
 use xrpc::stacks::ALL_RPC_STACKS;
 
 struct Opts {
@@ -52,54 +52,19 @@ fn parse_opts() -> Opts {
     opts
 }
 
-/// Escapes a string for JSON.
-fn js(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Required fields of the `xbench.xprof/1` schema; `ci.sh` greps for the
 /// same list, so neither side can silently drop one.
 const REQUIRED_FIELDS: &[&str] = &[
-    "\"schema\"",
-    "\"quick\"",
-    "\"iters\"",
-    "\"stacks\"",
-    "\"latency_ns\"",
-    "\"window_ns\"",
-    "\"client_sum_ns\"",
-    "\"conserved\"",
-    "\"layers\"",
+    "schema",
+    "quick",
+    "iters",
+    "stacks",
+    "latency_ns",
+    "window_ns",
+    "client_sum_ns",
+    "conserved",
+    "layers",
 ];
-
-fn validate(json: &str) -> Result<(), String> {
-    for f in REQUIRED_FIELDS {
-        if !json.contains(f) {
-            return Err(format!("missing required field {f}"));
-        }
-    }
-    let opens = json.matches(['{', '[']).count();
-    let closes = json.matches(['}', ']']).count();
-    if opens != closes {
-        return Err(format!("unbalanced brackets: {opens} open, {closes} close"));
-    }
-    if !json.contains("\"schema\": \"xbench.xprof/1\"") {
-        return Err("schema tag is not xbench.xprof/1".to_string());
-    }
-    Ok(())
-}
 
 fn main() {
     let opts = parse_opts();
@@ -213,7 +178,7 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    if let Err(e) = validate(&json) {
+    if let Err(e) = validate(&json, "xbench.xprof/1", REQUIRED_FIELDS) {
         eprintln!("BENCH_xprof.json failed schema validation: {e}");
         std::process::exit(1);
     }

@@ -2,8 +2,9 @@
 //!
 //! Regenerates every table and figure in the paper's evaluation section.
 //! Each `src/bin/*` binary prints one table, with the paper's values beside
-//! ours; `benches/paper.rs` measures the same configurations as real CPU
-//! time (criterion, inline-synchronous network).
+//! ours. Everything here reports **virtual** time; how fast the simulator
+//! itself runs on the host is `benchmark/`'s job, and nothing in this crate
+//! reads the host's clock.
 //!
 //! Methodology mirrors §4: the latency test is "the round trip delay for
 //! invoking a null procedure with null request and reply messages"; the
@@ -16,6 +17,7 @@
 
 #![warn(missing_docs)]
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -270,4 +272,44 @@ pub fn print_row(cells: &[String]) {
         line.push_str(&format!("{c:>24}"));
     }
     println!("{line}");
+}
+
+/// Escapes a string for JSON (the report binaries emit stack, layer and
+/// generator names).
+pub fn js(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// Self-check a report binary runs before writing its JSON: every name in
+/// `fields` occurs as a key, brackets balance, and the schema tag is
+/// `schema`. `ci.sh` greps the written file for the same field lists, so a
+/// field can't silently vanish from either side.
+pub fn validate(json: &str, schema: &str, fields: &[&str]) -> Result<(), String> {
+    for f in fields {
+        if !json.contains(&format!("\"{f}\"")) {
+            return Err(format!("missing required field \"{f}\""));
+        }
+    }
+    let opens = json.matches(['{', '[']).count();
+    let closes = json.matches(['}', ']']).count();
+    if opens != closes {
+        return Err(format!("unbalanced brackets: {opens} open, {closes} close"));
+    }
+    if !json.contains(&format!("\"schema\": \"{schema}\"")) {
+        return Err(format!("schema tag is not {schema}"));
+    }
+    Ok(())
 }

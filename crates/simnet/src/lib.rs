@@ -16,7 +16,7 @@
 //!
 //! In inline mode ([`xkernel::sim::Mode::Inline`]) frames are delivered by
 //! direct procedure call on the sender's thread — zero latency, no events —
-//! which is what the criterion benchmarks measure.
+//! which is what `benchmark/`'s `null_inline` workload measures.
 
 #![warn(missing_docs)]
 

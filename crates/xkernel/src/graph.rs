@@ -61,8 +61,6 @@ pub enum LintMode {
     Enforce,
     /// Diagnostics are printed to stderr but never reject the build.
     WarnOnly,
-    /// The linter does not run.
-    Off,
 }
 
 /// Everything a protocol constructor receives from the graph builder.
@@ -236,16 +234,15 @@ impl ProtocolRegistry {
     /// otherwise. Use [`ProtocolRegistry::build_unchecked`] to bypass the
     /// linter for a single deliberately ill-formed spec.
     pub fn build(&self, sim: &Sim, kernel: &Arc<Kernel>, spec: &str) -> XResult<Vec<ProtoId>> {
+        let diags = self.lint_for_kernel(kernel, spec);
         match self.lint_mode {
-            LintMode::Off => {}
-            mode => {
-                let diags = self.lint_for_kernel(kernel, spec);
-                if mode == LintMode::WarnOnly {
-                    for d in diags.iter() {
-                        eprintln!("xk-lint: {d}");
-                    }
+            LintMode::WarnOnly => {
+                for d in diags.iter() {
+                    eprintln!("xk-lint: {d}");
                 }
-                if mode == LintMode::Enforce && lint::has_errors(&diags) {
+            }
+            LintMode::Enforce => {
+                if lint::has_errors(&diags) {
                     return Err(XError::Lint(diags.into_owned()));
                 }
             }

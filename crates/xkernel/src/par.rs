@@ -20,8 +20,9 @@ use std::sync::Mutex;
 /// Honest physical core count. `available_parallelism` respects cgroup CPU
 /// quotas and affinity masks, which container CI frequently pins to 1 even
 /// on large hosts — so cross-check it against `/proc/cpuinfo` and take the
-/// larger answer. The wallclock benchmark records this so a "parallel"
-/// soak on a multi-core box is never silently run at `threads = 1`.
+/// larger answer, so a fan-out on a multi-core box is never silently run
+/// at `threads = 1`. It is the default worker-thread bound wherever a
+/// caller does not name one.
 pub fn detect_cores() -> usize {
     let avail = std::thread::available_parallelism()
         .map(NonZeroUsize::get)
@@ -30,18 +31,6 @@ pub fn detect_cores() -> usize {
         .map(|s| s.lines().filter(|l| l.starts_with("processor")).count())
         .unwrap_or(0);
     avail.max(cpuinfo).max(1)
-}
-
-/// Default worker-thread bound: the machine's detected core count,
-/// overridable with the `XK_THREADS` environment variable (useful for
-/// pinning CI or measuring scaling curves).
-pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("XK_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    detect_cores()
 }
 
 /// Runs `f` over every item of `items` on at most `threads` OS threads and

@@ -21,7 +21,7 @@
 //! * [`Mode::Inline`] — a synchronous zero-latency network: pushing a packet
 //!   invokes the destination kernel's demux on the *same* thread, so an
 //!   entire RPC round trip is one call chain with no blocking and no
-//!   scheduling. Criterion uses this mode to measure the real CPU cost of
+//!   scheduling. `benchmark/` uses this mode to measure the real CPU cost of
 //!   each protocol path on today's hardware. It doubles as a guard-discipline
 //!   check: a session guard held across a lower `push` meets itself on the
 //!   way back up, and the cell's re-entry assertion panics.
@@ -142,7 +142,7 @@ impl SimConfig {
         }
     }
 
-    /// Inline mode (criterion measurement / fast tests).
+    /// Inline mode (host-time measurement / fast tests).
     pub fn inline_mode() -> SimConfig {
         SimConfig {
             mode: Mode::Inline,

@@ -10,7 +10,7 @@ use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
-use xkernel::graph::{GraphArgs, LintMode, ProtocolRegistry};
+use xkernel::graph::{GraphArgs, ProtocolRegistry};
 use xkernel::prelude::*;
 use xkernel::sim::{Sim, SimConfig};
 
@@ -124,7 +124,6 @@ fn rig(cfg: SimConfig) -> Rig {
     let probes: Arc<Mutex<Vec<Arc<Probe>>>> = Arc::default();
     let made = Arc::clone(&probes);
     let mut reg = ProtocolRegistry::new();
-    reg.set_lint_mode(LintMode::Off);
     reg.add("probe", move |a: &GraphArgs<'_>| {
         let probe = Arc::new_cyclic(|this| Probe {
             this: this.clone(),
@@ -137,7 +136,9 @@ fn rig(cfg: SimConfig) -> Rig {
         made.lock().push(Arc::clone(&probe));
         Ok(probe as ProtocolRef)
     });
-    let ids = reg.build(&sim, &kernel, SPEC).expect("graph builds");
+    let ids = reg
+        .build_unchecked(&sim, &kernel, SPEC)
+        .expect("graph builds");
     drop(reg); // The constructor closure held a handle on `probes`.
     let probes = std::mem::take(&mut *probes.lock());
     Rig {

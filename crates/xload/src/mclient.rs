@@ -300,31 +300,60 @@ mod tests {
         spec
     }
 
+    /// The acceptance pair's population: the 100,000 clients on 32 hosts
+    /// that CI's optimized run (`cargo test --release`) holds resident, a
+    /// few hundred on 4 hosts unoptimized.
+    fn sized_for_build(debug_clients: u32) -> MClientSpec {
+        if cfg!(debug_assertions) {
+            small_spec(debug_clients)
+        } else {
+            MClientSpec::sized(100_000)
+        }
+    }
+
+    /// Runs `spec` and holds it to what a machine-client soak is accepted
+    /// on: every client calls, every call completes, nothing is left
+    /// blocked, and the whole population was alive at once.
+    fn run_accepted(spec: MClientSpec) -> MClientReport {
+        let r = spec.run();
+        let expect = u64::from(spec.clients) * u64::from(spec.calls_per_client);
+        assert_eq!(r.attempted, expect, "every client must call");
+        assert_eq!(r.completed, expect, "every call must complete");
+        assert_eq!(r.failed, 0, "no call may fail on the quiet segment");
+        assert_eq!(r.run.blocked, 0, "the run must drain");
+        // Every machine is spawned at the window base and lives until its
+        // (staggered) call completes, so the engine must have seen the
+        // whole population alive at once.
+        assert!(
+            r.run.peak_live >= spec.clients as usize,
+            "peak_live {} < clients {} — the population was not concurrent",
+            r.run.peak_live,
+            spec.clients
+        );
+        r
+    }
+
     #[test]
     fn every_client_completes_every_call() {
-        let mut spec = small_spec(200);
+        let mut spec = sized_for_build(200);
         spec.calls_per_client = 2;
-        let r = spec.run();
-        assert_eq!(r.attempted, 400);
-        assert_eq!(r.completed, 400);
-        assert_eq!(r.failed, 0);
-        assert_eq!(r.latency.count, 400);
-        assert_eq!(r.run.blocked, 0);
+        let r = run_accepted(spec);
+        assert_eq!(r.latency.count, 2 * u64::from(spec.clients));
         assert!(r.latency.min_ns > 0);
     }
 
     #[test]
     fn whole_population_is_concurrently_resident() {
-        let spec = small_spec(300);
-        let r = spec.run();
-        // Every machine is spawned at the window base and lives until its
-        // (staggered) call completes, so the engine must have seen the
-        // whole population alive at once.
-        assert!(
-            r.run.peak_live >= 300,
-            "peak_live {} < clients 300",
-            r.run.peak_live
-        );
+        run_accepted(sized_for_build(300));
+    }
+
+    /// The full-size soak, run by hand:
+    /// `cargo test --release -p xload -- --ignored --nocapture million`.
+    #[test]
+    #[ignore = "a million clients: seconds of host time and ~350 MB"]
+    fn a_million_clients_are_concurrently_resident() {
+        let r = run_accepted(MClientSpec::sized(1_000_000));
+        println!("{}: peak_live {}", r.label, r.run.peak_live);
     }
 
     #[test]
