@@ -190,6 +190,35 @@ for once in 'const DEFAULT_MAX_BACKOFF' "$BOOT_DRAW"; do
     fi
 done
 
+echo "==> codec-gate: fixed-size headers are arrays, and the leaf codec is inlinable"
+# A fixed-size header is built in a HdrBuf on the stack and read through a
+# HdrReader (xkernel::wire; DESIGN.md, "What crosses a crate"); WireWriter and
+# XdrWriter are for what has no fixed size. A header going back to a heap
+# writer, or the codec losing its #[inline] hints, would pass every test and
+# put an allocation per header and a call per field back on every frame
+# (tests/alloc_per_call.rs sees the first; only a profile sees the second).
+WIRE_RS=crates/xkernel/src/wire.rs
+if ! grep -q '#\[inline\]' "$WIRE_RS" || ! grep -q 'pub struct HdrBuf' "$WIRE_RS"; then
+    echo "ci: codec-gate: $WIRE_RS no longer names #[inline] and HdrBuf (gate is stale)" >&2
+    exit 1
+fi
+if hits=$(grep -rnE 'WireWriter::with_capacity\([A-Z_]+_LEN\b' crates/*/src); then
+    echo "ci: codec-gate: a fixed-size header is built on the heap (use HdrBuf):" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+if hits=$(grep -n 'XdrWriter' crates/sunrpc/src/rr.rs crates/sunrpc/src/sunselect.rs); then
+    echo "ci: codec-gate: a Sun RPC fixed-field header goes through XdrWriter (use HdrBuf):" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+if hits=$(grep -nE 'fn encode\(.*-> Vec<u8>' crates/core/src/hdr.rs crates/inet/src/*.rs \
+    crates/sunrpc/src/rr.rs crates/sunrpc/src/sunselect.rs); then
+    echo "ci: codec-gate: a fixed-size header's encode returns Vec<u8> (return [u8; LEN]):" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+
 echo "==> harness-gate: host time is measured in one place"
 # xbench reports virtual time only; benchmark/ is the only code that reads the
 # host's clock (long alternating runs, a probe-scaled clock), and wall-clock is
@@ -341,6 +370,29 @@ echo "==> xkbench-check: the benchmark builds, lints, tests and smokes"
 # (benchmark/README.md) would otherwise surface only when the driver runs
 # the benchmark. check.sh is run as it stands.
 bash benchmark/check.sh
+
+echo "==> hostprof-smoke: the sampler builds and reports on a quick null_inline"
+# tools/hostprof is how a flat host-time profile is taken here (no PMU, no
+# perf): an LD_PRELOAD SIGPROF sampler and a symboliser. It is what found the
+# crate boundary (EXPERIMENTS.md, PR 19); this keeps it building and its
+# report non-empty wherever a C compiler and python3 exist.
+if command -v gcc >/dev/null && command -v python3 >/dev/null; then
+    HOSTPROF_DIR=$(mktemp -d /tmp/hostprof.XXXXXX)
+    XKBENCH="${CARGO_TARGET_DIR:-benchmark/target}/release/xkbench"
+    gcc -O2 -shared -fPIC -Wall -Wextra -o "$HOSTPROF_DIR/hostprof.so" tools/hostprof/hostprof.c
+    HOSTPROF_OUT="$HOSTPROF_DIR/run.prof" LD_PRELOAD="$HOSTPROF_DIR/hostprof.so" \
+        "$XKBENCH" --workload null_inline --quick >/dev/null
+    python3 tools/hostprof/report.py "$HOSTPROF_DIR/run.prof" "$XKBENCH" --workload-only \
+        >"$HOSTPROF_DIR/report.txt"
+    grep -qE '^ *[0-9.]+% +[0-9]+ +.*(xkernel|xrpc|inet|simnet)::' "$HOSTPROF_DIR/report.txt" || {
+        echo "ci: hostprof-smoke: the report names no workload symbol:" >&2
+        cat "$HOSTPROF_DIR/report.txt" >&2
+        exit 1
+    }
+    rm -rf "$HOSTPROF_DIR"
+else
+    echo "hostprof-smoke: skipped (needs gcc and python3)"
+fi
 
 echo "==> xk-lint --xcheck: concurrency rules on the deadlock toy"
 cargo build --release -q --bin xk-lint

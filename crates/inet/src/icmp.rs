@@ -37,6 +37,57 @@ pub struct Icmp {
     waiting: SessionMap<(u32, u16, u16), EchoWaiter>,
 }
 
+/// The ICMP echo header.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct IcmpHdr {
+    /// Echo request (8) or reply (0).
+    pub ty: u8,
+    /// Identifier: which pinger on the host.
+    pub id: u16,
+    /// Sequence number within the identifier.
+    pub seq: u16,
+}
+
+impl IcmpHdr {
+    /// Encodes to network byte order, with the checksum over the header and
+    /// `payload` in place.
+    pub fn encode(&self, payload: &[u8]) -> [u8; ICMP_HDR_LEN] {
+        let mut v = HdrBuf::new()
+            .u8(self.ty)
+            .u8(0) // Code.
+            .u16(0) // Checksum placeholder.
+            .u16(self.id)
+            .u16(self.seq)
+            .finish();
+        let ck = internet_checksum(&[&v, payload]);
+        v[2..4].copy_from_slice(&ck.to_be_bytes());
+        v
+    }
+
+    /// Decodes from network byte order. The checksum covers the whole
+    /// packet, so the caller verifies it before the header is popped.
+    pub fn decode(bytes: &[u8]) -> XResult<IcmpHdr> {
+        let mut r = HdrReader::<ICMP_HDR_LEN>::new(bytes, "icmp")?;
+        let ty = r.u8();
+        let _code = r.u8();
+        let _ck = r.u16();
+        Ok(IcmpHdr {
+            ty,
+            id: r.u16(),
+            seq: r.u16(),
+        })
+    }
+
+    /// An echo packet: `payload` with this header in front of it. The push
+    /// is the message's own — ICMP's send side charges nothing per header.
+    fn packet(&self, ctx: &Ctx, payload: Vec<u8>) -> Message {
+        let hdr = self.encode(&payload);
+        let mut msg = ctx.msg(payload);
+        msg.push_header(&hdr);
+        msg
+    }
+}
+
 impl Icmp {
     /// Creates ICMP above `lower`.
     pub fn new(me: ProtoId, lower: ProtoId) -> Arc<Icmp> {
@@ -46,15 +97,6 @@ impl Icmp {
             next_seq: AtomicU16::new(0),
             waiting: SessionMap::new(),
         })
-    }
-
-    fn encode(ty: u8, id: u16, seq: u16, payload: &[u8]) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(ICMP_HDR_LEN + payload.len());
-        w.u8(ty).u8(0).u16(0).u16(id).u16(seq).bytes(payload);
-        let mut v = w.finish();
-        let ck = internet_checksum(&[&v]);
-        v[2..4].copy_from_slice(&ck.to_be_bytes());
-        v
     }
 
     /// Pings `dst` with `len` payload bytes; returns the echoed payload.
@@ -88,8 +130,12 @@ impl Icmp {
             Participant::host(dst),
         );
         let sess = ctx.kernel_ref().open(ctx, self.lower, self.me, &parts)?;
-        let pkt = Self::encode(TYPE_ECHO_REQUEST, id, seq, &payload);
-        sess.push(ctx, ctx.msg(pkt))?;
+        let hdr = IcmpHdr {
+            ty: TYPE_ECHO_REQUEST,
+            id,
+            seq,
+        };
+        sess.push(ctx, hdr.packet(ctx, payload))?;
         let got = sema.p_timeout(ctx, PING_TIMEOUT_NS) || slot.lock().is_some();
         self.waiting.unbind(&(dst.0, id, seq));
         if !got {
@@ -141,19 +187,15 @@ impl Protocol for Icmp {
             return Ok(());
         }
         ctx.charge_class(OpClass::Checksum, total as u64 * ctx.cost().checksum_byte);
-        let hdr = ctx.pop_header(&mut msg, ICMP_HDR_LEN)?;
-        let mut r = WireReader::new(&hdr, "icmp");
-        let ty = r.u8()?;
-        let _code = r.u8()?;
-        let _ck = r.u16()?;
-        let id = r.u16()?;
-        let seq = r.u16()?;
-        drop(hdr);
+        let IcmpHdr { ty, id, seq } = IcmpHdr::decode(&ctx.pop_header(&mut msg, ICMP_HDR_LEN)?)?;
         match ty {
             TYPE_ECHO_REQUEST => {
-                let payload = msg.to_vec();
-                let reply = Self::encode(TYPE_ECHO_REPLY, id, seq, &payload);
-                lls.push(ctx, ctx.msg(reply))?;
+                let hdr = IcmpHdr {
+                    ty: TYPE_ECHO_REPLY,
+                    id,
+                    seq,
+                };
+                lls.push(ctx, hdr.packet(ctx, msg.to_vec()))?;
                 Ok(())
             }
             TYPE_ECHO_REPLY => {
@@ -194,8 +236,12 @@ mod tests {
 
     #[test]
     fn echo_packet_checksums() {
-        let v = Icmp::encode(TYPE_ECHO_REQUEST, 7, 9, b"abc");
-        assert_eq!(v.len(), ICMP_HDR_LEN + 3);
+        let hdr = IcmpHdr {
+            ty: TYPE_ECHO_REQUEST,
+            id: 7,
+            seq: 9,
+        };
+        let v = [&hdr.encode(b"abc")[..], b"abc"].concat();
         assert_eq!(internet_checksum(&[&v]), 0);
         assert_eq!(v[0], TYPE_ECHO_REQUEST);
     }

@@ -73,10 +73,10 @@ pub struct IpHeader {
 
 impl IpHeader {
     /// Encodes to 20 bytes with a correct checksum.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(IP_HDR_LEN);
+    pub fn encode(&self) -> [u8; IP_HDR_LEN] {
         let flags_frag = (u16::from(self.more_frags) << 13) | (self.frag_off & 0x1fff);
-        w.u8(0x45)
+        let mut bytes = HdrBuf::new()
+            .u8(0x45)
             .u8(0)
             .u16(self.total_len)
             .u16(self.id)
@@ -85,8 +85,8 @@ impl IpHeader {
             .u8(self.proto)
             .u16(0) // Checksum placeholder.
             .ip(self.src)
-            .ip(self.dst);
-        let mut bytes = w.finish();
+            .ip(self.dst)
+            .finish();
         let ck = internet_checksum(&[&bytes]);
         bytes[10..12].copy_from_slice(&ck.to_be_bytes());
         bytes
@@ -94,23 +94,23 @@ impl IpHeader {
 
     /// Decodes and verifies 20 header bytes.
     pub fn decode(bytes: &[u8]) -> XResult<IpHeader> {
-        if internet_checksum(&[&bytes[..IP_HDR_LEN.min(bytes.len())]]) != 0 {
+        let mut r = HdrReader::<IP_HDR_LEN>::new(bytes, "ip")?;
+        if internet_checksum(&[r.array()]) != 0 {
             return Err(XError::Malformed("ip header checksum".into()));
         }
-        let mut r = WireReader::new(bytes, "ip");
-        let vihl = r.u8()?;
+        let vihl = r.u8();
         if vihl != 0x45 {
             return Err(XError::Malformed(format!("ip version/ihl {vihl:#04x}")));
         }
-        let _tos = r.u8()?;
-        let total_len = r.u16()?;
-        let id = r.u16()?;
-        let ff = r.u16()?;
-        let ttl = r.u8()?;
-        let proto = r.u8()?;
-        let _ck = r.u16()?;
-        let src = r.ip()?;
-        let dst = r.ip()?;
+        let _tos = r.u8();
+        let total_len = r.u16();
+        let id = r.u16();
+        let ff = r.u16();
+        let ttl = r.u8();
+        let proto = r.u8();
+        let _ck = r.u16();
+        let src = r.ip();
+        let dst = r.ip();
         Ok(IpHeader {
             total_len,
             id,

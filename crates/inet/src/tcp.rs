@@ -51,20 +51,32 @@ const FLAG_FIN: u8 = 0x01;
 const FLAG_SYN: u8 = 0x02;
 const FLAG_ACK: u8 = 0x10;
 
+/// The fixed TCP header (no options).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct TcpHeader {
-    src_port: Port,
-    dst_port: Port,
-    seq: u32,
-    ack: u32,
-    flags: u8,
-    window: u16,
+pub struct TcpHeader {
+    /// Sender's port.
+    pub src_port: Port,
+    /// Receiver's port.
+    pub dst_port: Port,
+    /// Sequence number of the first payload byte.
+    pub seq: u32,
+    /// Next sequence number the sender expects.
+    pub ack: u32,
+    /// FIN / SYN / ACK bits.
+    pub flags: u8,
+    /// Receive window.
+    pub window: u16,
 }
 
+/// Length of the pseudo-header the TCP checksum covers.
+const TCP_PSEUDO_LEN: usize = 12;
+
 impl TcpHeader {
-    fn encode(&self, pseudo: &[u8], payload: &[u8]) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(TCP_HDR_LEN);
-        w.u16(self.src_port)
+    /// Encodes to network byte order, with the checksum over `pseudo`, the
+    /// header and `payload` in place.
+    pub fn encode(&self, pseudo: &[u8; TCP_PSEUDO_LEN], payload: &[u8]) -> [u8; TCP_HDR_LEN] {
+        let mut v = HdrBuf::new()
+            .u16(self.src_port)
             .u16(self.dst_port)
             .u32(self.seq)
             .u32(self.ack)
@@ -72,24 +84,24 @@ impl TcpHeader {
             .u8(self.flags)
             .u16(self.window)
             .u16(0) // Checksum placeholder.
-            .u16(0); // Urgent pointer.
-        let mut v = w.finish();
+            .u16(0) // Urgent pointer.
+            .finish();
         let ck = internet_checksum(&[pseudo, &v, payload]);
         v[16..18].copy_from_slice(&ck.to_be_bytes());
         v
     }
 
-    fn decode(bytes: &[u8]) -> XResult<TcpHeader> {
-        let mut r = WireReader::new(bytes, "tcp");
-        let src_port = r.u16()?;
-        let dst_port = r.u16()?;
-        let seq = r.u32()?;
-        let ack = r.u32()?;
-        let _off = r.u8()?;
-        let flags = r.u8()?;
-        let window = r.u16()?;
-        let _ck = r.u16()?;
-        let _urg = r.u16()?;
+    /// Decodes from network byte order. The checksum covers the whole
+    /// segment, so the caller verifies it before the header is popped.
+    pub fn decode(bytes: &[u8]) -> XResult<TcpHeader> {
+        let mut r = HdrReader::<TCP_HDR_LEN>::new(bytes, "tcp")?;
+        let src_port = r.u16();
+        let dst_port = r.u16();
+        let seq = r.u32();
+        let ack = r.u32();
+        let _off = r.u8();
+        let flags = r.u8();
+        let window = r.u16();
         Ok(TcpHeader {
             src_port,
             dst_port,
@@ -101,14 +113,15 @@ impl TcpHeader {
     }
 }
 
-fn pseudo_header(src: IpAddr, dst: IpAddr, tcp_len: usize) -> Vec<u8> {
-    let mut w = WireWriter::with_capacity(12);
-    w.ip(src)
+/// The pseudo-header for a `tcp_len`-byte segment from `src` to `dst`.
+fn pseudo_header(src: IpAddr, dst: IpAddr, tcp_len: usize) -> [u8; TCP_PSEUDO_LEN] {
+    HdrBuf::new()
+        .ip(src)
         .ip(dst)
         .u8(0)
         .u8(ip_proto::TCP)
-        .u16(tcp_len as u16);
-    w.finish()
+        .u16(tcp_len as u16)
+        .finish()
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -714,7 +727,6 @@ mod tests {
             TCP_HDR_LEN,
         );
         let bytes = h.encode(&pseudo, &[]);
-        assert_eq!(bytes.len(), TCP_HDR_LEN);
         assert_eq!(internet_checksum(&[&pseudo, &bytes]), 0);
         let d = TcpHeader::decode(&bytes).unwrap();
         assert_eq!(d, h);
@@ -737,7 +749,7 @@ mod tests {
             IpAddr::new(2, 2, 2, 2),
             TCP_HDR_LEN,
         );
-        let mut bytes = h.encode(&pseudo, &[]);
+        let mut bytes = h.encode(&pseudo, &[]).to_vec();
         bytes.extend_from_slice(&[0xAA; 10]); // Ethernet pad.
         let pseudo2 = pseudo_header(
             IpAddr::new(1, 1, 1, 1),

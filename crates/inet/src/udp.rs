@@ -103,6 +103,42 @@ impl Udp {
     }
 }
 
+/// The UDP header.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct UdpHdr {
+    /// Sender's port.
+    pub src_port: Port,
+    /// Receiver's port.
+    pub dst_port: Port,
+    /// Header plus payload length.
+    pub length: u16,
+    /// Checksum over pseudo-header, header and payload; 0 = not computed.
+    pub checksum: u16,
+}
+
+impl UdpHdr {
+    /// Encodes to network byte order.
+    pub fn encode(&self) -> [u8; UDP_HDR_LEN] {
+        HdrBuf::new()
+            .u16(self.src_port)
+            .u16(self.dst_port)
+            .u16(self.length)
+            .u16(self.checksum)
+            .finish()
+    }
+
+    /// Decodes from network byte order.
+    pub fn decode(bytes: &[u8]) -> XResult<UdpHdr> {
+        let mut r = HdrReader::<UDP_HDR_LEN>::new(bytes, "udp")?;
+        Ok(UdpHdr {
+            src_port: r.u16(),
+            dst_port: r.u16(),
+            length: r.u16(),
+            checksum: r.u16(),
+        })
+    }
+}
+
 /// A UDP session for one (local port, peer host, peer port) triple.
 pub struct UdpSession {
     proto_id: ProtoId,
@@ -132,16 +168,14 @@ pub fn udp_checksum(src: IpAddr, dst: IpAddr, length: u16, hdr: &[u8], body: &Me
 }
 
 impl UdpSession {
-    fn checksum(&self, ctx: &Ctx, src: IpAddr, payload: &Message, hdr: &mut [u8]) -> XResult<()> {
-        let length = (payload.len() + UDP_HDR_LEN) as u16;
+    /// Fills in `hdr.checksum` for `payload` sent from `src`.
+    fn checksum(&self, ctx: &Ctx, src: IpAddr, payload: &Message, hdr: &mut UdpHdr) {
         ctx.charge_class(
             OpClass::Checksum,
-            (12 + hdr.len() + payload.len()) as u64 * ctx.cost().checksum_byte,
+            (12 + UDP_HDR_LEN + payload.len()) as u64 * ctx.cost().checksum_byte,
         );
-        let ck = udp_checksum(src, self.peer, length, hdr, payload);
-        let ck = if ck == 0 { 0xffff } else { ck };
-        hdr[6..8].copy_from_slice(&ck.to_be_bytes());
-        Ok(())
+        let ck = udp_checksum(src, self.peer, hdr.length, &hdr.encode(), payload);
+        hdr.checksum = if ck == 0 { 0xffff } else { ck };
     }
 }
 
@@ -157,12 +191,12 @@ impl Session for UdpSession {
                 max: UDP_MAX_PAYLOAD,
             });
         }
-        let mut w = WireWriter::with_capacity(UDP_HDR_LEN);
-        w.u16(self.local_port)
-            .u16(self.peer_port)
-            .u16((msg.len() + UDP_HDR_LEN) as u16)
-            .u16(0);
-        let mut hdr = w.finish();
+        let mut hdr = UdpHdr {
+            src_port: self.local_port,
+            dst_port: self.peer_port,
+            length: (msg.len() + UDP_HDR_LEN) as u16,
+            checksum: 0,
+        };
         // The UDP checksum is *optional* (checksum field 0 = not computed),
         // and it needs the IP pseudo-header. Over a lower layer that has no
         // host addresses — VIP's raw-Ethernet path — we send without it,
@@ -170,9 +204,9 @@ impl Session for UdpSession {
         // (Figure 2) where TCP, whose checksum is mandatory, cannot.
         if let Ok(r) = self.lower.control(ctx, &ControlOp::GetMyHost) {
             let src = r.ip()?;
-            self.checksum(ctx, src, &msg, &mut hdr)?;
+            self.checksum(ctx, src, &msg, &mut hdr);
         }
-        ctx.push_header(&mut msg, &hdr);
+        ctx.push_header(&mut msg, &hdr.encode());
         ctx.charge_layer_call();
         self.lower.push(ctx, msg)
     }
@@ -252,14 +286,13 @@ impl Protocol for Udp {
     }
 
     fn demux(&self, ctx: &Ctx, lls: &SessionRef, mut msg: Message) -> XResult<()> {
-        let hdr = ctx.pop_header(&mut msg, UDP_HDR_LEN)?;
-        let mut r = WireReader::new(&hdr, "udp");
-        let src_port = r.u16()?;
-        let dst_port = r.u16()?;
-        let length = r.u16()?;
-        let ck = r.u16()?;
-        let hdr_bytes: [u8; UDP_HDR_LEN] = hdr[..UDP_HDR_LEN].try_into().expect("popped 8 bytes");
-        drop(hdr);
+        let hdr = UdpHdr::decode(&ctx.pop_header(&mut msg, UDP_HDR_LEN)?)?;
+        let UdpHdr {
+            src_port,
+            dst_port,
+            length,
+            checksum: ck,
+        } = hdr;
         let payload_len = usize::from(length).saturating_sub(UDP_HDR_LEN);
         if msg.len() < payload_len {
             ctx.note(RobustEvent::CorruptRejected);
@@ -287,7 +320,9 @@ impl Protocol for Udp {
                     Ok((src, dst))
                 });
             if let Ok((src, dst)) = ends {
-                let sum = udp_checksum(src, dst, length, &hdr_bytes, &msg);
+                // Every bit of a UDP header is a field: re-encoding gives
+                // back the bytes that arrived.
+                let sum = udp_checksum(src, dst, length, &hdr.encode(), &msg);
                 if sum != 0 && sum != 0xffff {
                     ctx.note(RobustEvent::CorruptRejected);
                     ctx.trace_note("checksum mismatch: dropped");
@@ -364,16 +399,4 @@ struct UdpSnap {
     enables: EnableSnapshot,
     sessions: SessionSnapshot<(Port, u32, Port), SessionRef>,
     next_ephemeral: Port,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn header_is_8_bytes() {
-        let mut w = WireWriter::with_capacity(UDP_HDR_LEN);
-        w.u16(1).u16(2).u16(8).u16(0);
-        assert_eq!(w.finish().len(), UDP_HDR_LEN);
-    }
 }

@@ -24,7 +24,6 @@ use xkernel::prelude::*;
 use xkernel::shepherd::{ShepherdConfig, ShepherdStats, Shepherds, Submitted};
 use xkernel::sim::Nanos;
 
-use crate::xdr::{XdrReader, XdrWriter};
 use xrpc::protnum::rel_proto_num;
 use xrpc::txn::{self, Poll, RtoPolicy, RtoSnap};
 
@@ -43,10 +42,36 @@ pub const TIMEOUT_NS: Nanos = 150_000_000;
 /// Retransmissions before a call gives up.
 pub const MAX_RETRIES: u32 = 6;
 
-fn encode_hdr(xid: u32, mtype: u32, proto_num: u32) -> Vec<u8> {
-    let mut w = XdrWriter::new();
-    w.u32(xid).u32(mtype).u32(proto_num);
-    w.finish()
+/// The REQUEST_REPLY header: three XDR unsigned integers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RrHdr {
+    /// Transaction id, echoed by the reply.
+    pub xid: u32,
+    /// Call (0) or reply (1).
+    pub mtype: u32,
+    /// The protocol above that the message belongs to.
+    pub proto_num: u32,
+}
+
+impl RrHdr {
+    /// Encodes as XDR (big-endian words).
+    pub fn encode(&self) -> [u8; RR_HDR_LEN] {
+        HdrBuf::new()
+            .u32(self.xid)
+            .u32(self.mtype)
+            .u32(self.proto_num)
+            .finish()
+    }
+
+    /// Decodes from XDR.
+    pub fn decode(bytes: &[u8]) -> XResult<RrHdr> {
+        let mut r = HdrReader::<RR_HDR_LEN>::new(bytes, "request_reply")?;
+        Ok(RrHdr {
+            xid: r.u32(),
+            mtype: r.u32(),
+            proto_num: r.u32(),
+        })
+    }
 }
 
 struct Out {
@@ -145,7 +170,12 @@ impl RequestReply {
                 reply: None,
             },
         );
-        let hdr = encode_hdr(xid, MSG_CALL, proto_num);
+        let hdr = RrHdr {
+            xid,
+            mtype: MSG_CALL,
+            proto_num,
+        }
+        .encode();
         let rto = self.rto.for_call(0);
         let sent_at = ctx.now();
         let (reply, attempts) = txn::transact(
@@ -231,9 +261,13 @@ impl Session for RrServerSession {
     }
 
     fn push(&self, ctx: &Ctx, msg: Message) -> XResult<Option<Message>> {
-        let hdr = encode_hdr(self.xid, MSG_REPLY, self.proto_num);
+        let hdr = RrHdr {
+            xid: self.xid,
+            mtype: MSG_REPLY,
+            proto_num: self.proto_num,
+        };
         let mut wire = msg;
-        ctx.push_header(&mut wire, &hdr);
+        ctx.push_header(&mut wire, &hdr.encode());
         ctx.charge_layer_call();
         self.lls.push(ctx, wire)?;
         Ok(None)
@@ -315,12 +349,11 @@ impl Protocol for RequestReply {
     }
 
     fn demux(&self, ctx: &Ctx, lls: &SessionRef, mut msg: Message) -> XResult<()> {
-        let bytes = ctx.pop_header(&mut msg, RR_HDR_LEN)?;
-        let mut r = XdrReader::new(&bytes);
-        let xid = r.u32()?;
-        let mtype = r.u32()?;
-        let proto_num = r.u32()?;
-        drop(bytes);
+        let RrHdr {
+            xid,
+            mtype,
+            proto_num,
+        } = RrHdr::decode(&ctx.pop_header(&mut msg, RR_HDR_LEN)?)?;
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         match mtype {
             MSG_CALL => {

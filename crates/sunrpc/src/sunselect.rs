@@ -12,7 +12,6 @@ use std::sync::{Arc, OnceLock, Weak};
 use xkernel::map::SessionSnapshot;
 use xkernel::prelude::*;
 
-use crate::xdr::{XdrReader, XdrWriter};
 use xrpc::protnum::rel_proto_num;
 use xrpc::select::Handler;
 
@@ -31,10 +30,40 @@ pub mod status {
     pub const PROC_ERROR: u32 = 3;
 }
 
-fn encode_hdr(prog: u32, vers: u32, proc: u32, st: u32) -> Vec<u8> {
-    let mut w = XdrWriter::new();
-    w.u32(prog).u32(vers).u32(proc).u32(st);
-    w.finish()
+/// The SUN_SELECT header: four XDR unsigned integers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SunSelHdr {
+    /// Program number.
+    pub prog: u32,
+    /// Program version.
+    pub vers: u32,
+    /// Procedure within the program.
+    pub proc: u32,
+    /// Reply status (see [`status`]); [`status::OK`] in a call.
+    pub status: u32,
+}
+
+impl SunSelHdr {
+    /// Encodes as XDR (big-endian words).
+    pub fn encode(&self) -> [u8; SUNSEL_HDR_LEN] {
+        HdrBuf::new()
+            .u32(self.prog)
+            .u32(self.vers)
+            .u32(self.proc)
+            .u32(self.status)
+            .finish()
+    }
+
+    /// Decodes from XDR.
+    pub fn decode(bytes: &[u8]) -> XResult<SunSelHdr> {
+        let mut r = HdrReader::<SUNSEL_HDR_LEN>::new(bytes, "sun_select")?;
+        Ok(SunSelHdr {
+            prog: r.u32(),
+            vers: r.u32(),
+            proc: r.u32(),
+            status: r.u32(),
+        })
+    }
 }
 
 /// The SUN_SELECT protocol object.
@@ -100,17 +129,19 @@ impl SunSelect {
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let lower = self.lower_for(ctx, peer)?;
         let mut wire = ctx.msg(args);
-        ctx.push_header(&mut wire, &encode_hdr(prog, vers, proc, status::OK));
+        let hdr = SunSelHdr {
+            prog,
+            vers,
+            proc,
+            status: status::OK,
+        };
+        ctx.push_header(&mut wire, &hdr.encode());
         ctx.charge_layer_call();
         let mut reply = lower
             .push(ctx, wire)?
             .ok_or_else(|| XError::Config("transaction layer returned no reply".into()))?;
-        let bytes = ctx.pop_header(&mut reply, SUNSEL_HDR_LEN)?;
-        let mut r = XdrReader::new(&bytes);
-        let (_p, _v, _c) = (r.u32()?, r.u32()?, r.u32()?);
-        let st = r.u32()?;
-        drop(bytes);
-        match st {
+        let hdr = SunSelHdr::decode(&ctx.pop_header(&mut reply, SUNSEL_HDR_LEN)?)?;
+        match hdr.status {
             status::OK => Ok(reply.to_vec()),
             status::PROG_UNAVAIL => Err(XError::Remote(format!("program {prog} unavailable"))),
             status::PROC_UNAVAIL => Err(XError::Remote(format!(
@@ -227,13 +258,9 @@ impl Protocol for SunSelect {
     }
 
     fn demux(&self, ctx: &Ctx, lls: &SessionRef, mut msg: Message) -> XResult<()> {
-        let bytes = ctx.pop_header(&mut msg, SUNSEL_HDR_LEN)?;
-        let mut r = XdrReader::new(&bytes);
-        let prog = r.u32()?;
-        let vers = r.u32()?;
-        let proc = r.u32()?;
-        let _st = r.u32()?;
-        drop(bytes);
+        let SunSelHdr {
+            prog, vers, proc, ..
+        } = SunSelHdr::decode(&ctx.pop_header(&mut msg, SUNSEL_HDR_LEN)?)?;
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         // The handler runs through a plain borrow of the table: nothing is
         // locked while it executes.
@@ -252,7 +279,13 @@ impl Protocol for SunSelect {
             None => (status::PROG_UNAVAIL, ctx.empty_msg()),
         };
         let mut wire = body;
-        ctx.push_header(&mut wire, &encode_hdr(prog, vers, proc, st));
+        let hdr = SunSelHdr {
+            prog,
+            vers,
+            proc,
+            status: st,
+        };
+        ctx.push_header(&mut wire, &hdr.encode());
         ctx.charge_layer_call();
         lls.push(ctx, wire)?;
         Ok(())
@@ -286,20 +319,4 @@ impl Protocol for SunSelect {
 
 struct SunSelectSnap {
     lowers: SessionSnapshot<u32, SessionRef>,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn header_is_xdr_and_16_bytes() {
-        let h = encode_hdr(100003, 2, 1, status::OK);
-        assert_eq!(h.len(), SUNSEL_HDR_LEN);
-        let mut r = XdrReader::new(&h);
-        assert_eq!(r.u32().unwrap(), 100003);
-        assert_eq!(r.u32().unwrap(), 2);
-        assert_eq!(r.u32().unwrap(), 1);
-        assert_eq!(r.u32().unwrap(), status::OK);
-    }
 }

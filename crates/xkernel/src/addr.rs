@@ -8,6 +8,7 @@
 //! participant.
 
 use core::fmt;
+use core::hash::{Hash, Hasher};
 
 /// A 32-bit internet address, e.g. `10.0.0.1`.
 ///
@@ -63,8 +64,19 @@ impl fmt::Display for IpAddr {
 }
 
 /// A 48-bit Ethernet (MAC) address.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct EthAddr(pub [u8; 6]);
+
+/// The six bytes as one word: a demux table keyed by hardware address hashes
+/// it on every frame, and the derived impl would feed a length prefix and
+/// then the bytes through the hasher's byte-slice path.
+impl Hash for EthAddr {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let [a, b, c, d, e, f] = self.0;
+        state.write_u64(u64::from_be_bytes([0, 0, a, b, c, d, e, f]));
+    }
+}
 
 impl EthAddr {
     /// The broadcast address `ff:ff:ff:ff:ff:ff`.

@@ -55,6 +55,7 @@ impl Kernel {
     }
 
     /// This kernel's host id.
+    #[inline]
     pub fn host(&self) -> HostId {
         *self.host.get().expect("host id assigned at construction")
     }
@@ -121,11 +122,12 @@ impl Kernel {
     /// The protocol object behind an id, borrowed out of the table: what
     /// every layer crossing resolves its target through, with no reference
     /// count touched.
+    #[inline]
     pub fn proto_ref(&self, id: ProtoId) -> XResult<&ProtocolRef> {
-        self.protocols
-            .get(id.0)
-            .and_then(|slot| slot.proto.get())
-            .ok_or_else(|| XError::Config(format!("protocol id {id:?} not installed")))
+        match self.protocols.get(id.0).and_then(|slot| slot.proto.get()) {
+            Some(proto) => Ok(proto),
+            None => Err(not_installed(id)),
+        }
     }
 
     /// A shared handle to the protocol object behind an id, for set-up
@@ -170,6 +172,7 @@ impl Kernel {
 
     /// Passes a message up to protocol `upper` — the one-procedure-call
     /// layer crossing. `lls` is the lower session the message arrived on.
+    #[inline]
     pub fn demux_to(
         &self,
         ctx: &Ctx,
@@ -183,6 +186,7 @@ impl Kernel {
 
     /// Opens lower protocol `lower` on behalf of `upper` — the downward
     /// layer crossing at session-creation time.
+    #[inline]
     pub fn open(
         &self,
         ctx: &Ctx,
@@ -207,6 +211,7 @@ impl Kernel {
     }
 
     /// Invokes a protocol's control operation by id.
+    #[inline]
     pub fn control(&self, ctx: &Ctx, id: ProtoId, op: &ControlOp) -> XResult<ControlRes> {
         ctx.charge_layer_call();
         self.proto_ref(id)?.control(ctx, op)
@@ -225,6 +230,12 @@ impl Kernel {
         ctx.charge_layer_call();
         self.proto_ref(upper)?.open_done(ctx, lower, lls, parts)
     }
+}
+
+#[cold]
+#[inline(never)]
+fn not_installed(id: ProtoId) -> XError {
+    XError::Config(format!("protocol id {id:?} not installed"))
 }
 
 /// A discarded kernel frees its protocol graph. Protocols and their cached
@@ -261,5 +272,7 @@ pub mod prelude {
     };
     pub use crate::sim::{Ctx, HostId, HostStats, Mode, RobustEvent, SharedSema, Sim, TimerHandle};
     pub use crate::trace::{CostBreakdown, CostEntry, Event, EventKind, FoldedLine, OpClass};
-    pub use crate::wire::{internet_checksum, ChecksumAcc, WireReader, WireWriter};
+    pub use crate::wire::{
+        internet_checksum, ChecksumAcc, HdrBuf, HdrReader, WireReader, WireWriter,
+    };
 }

@@ -57,6 +57,7 @@ const CHUNKS: usize = 28;
 const FIRST_CHUNK_BITS: u32 = 3;
 
 /// The chunk holding index `i`, and `i`'s offset inside it.
+#[inline]
 fn locate(i: usize) -> (usize, usize) {
     let block = (i >> FIRST_CHUNK_BITS) + 1;
     let chunk = (usize::BITS - 1 - block.leading_zeros()) as usize;
@@ -72,6 +73,7 @@ impl<T> AppendTable<T> {
     }
 
     /// Slots appended so far.
+    #[inline]
     pub(crate) fn len(&self) -> usize {
         self.len.load(Ordering::Acquire)
     }
@@ -94,6 +96,7 @@ impl<T> AppendTable<T> {
     }
 
     /// The value in slot `i`.
+    #[inline]
     pub(crate) fn get(&self, i: usize) -> Option<&T> {
         if i >= self.len() {
             return None;
@@ -186,6 +189,7 @@ impl<K: Eq, V> EnableMap<K, V> {
     }
 
     /// The value bound to `key`. No lock, no reference count.
+    #[inline]
     pub fn resolve(&self, key: &K) -> Option<&V> {
         self.find(|k| k == key)
     }
@@ -319,6 +323,7 @@ impl UpperCell {
     }
 
     /// The protocol above, if one has enabled or opened this layer.
+    #[inline]
     pub fn get(&self) -> Option<ProtoId> {
         // Stored off by one so that zero means none.
         self.0.load(Ordering::Acquire).checked_sub(1).map(ProtoId)
@@ -347,19 +352,22 @@ const MIX: u64 = 0x517c_c1b7_2722_0a95;
 /// Integer writes mix the value as one word instead of going byte-wise.
 macro_rules! mix_whole {
     ($($write:ident $int:ty),*) => {
-        $(fn $write(&mut self, v: $int) {
+        $(#[inline]
+        fn $write(&mut self, v: $int) {
             self.mix(v as u64);
         })*
     };
 }
 
 impl MixHasher {
+    #[inline]
     fn mix(&mut self, word: u64) {
         self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(MIX);
     }
 }
 
 impl Hasher for MixHasher {
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
         for chunk in bytes.chunks(8) {
             let mut word = [0u8; 8];
@@ -370,6 +378,7 @@ impl Hasher for MixHasher {
 
     mix_whole! { write_u8 u8, write_u16 u16, write_u32 u32, write_u64 u64, write_usize usize }
 
+    #[inline]
     fn finish(&self) -> u64 {
         // The multiply leaves the low bits weakest and the table indexes by
         // them; bring the strong high bits down.
@@ -419,6 +428,7 @@ impl<K: Hash + Eq, V> SessionMap<K, V> {
 
     /// Locks the table for a multi-step read or update under one
     /// acquisition. Do not cross a layer while the guard lives.
+    #[inline]
     pub fn lock(&self) -> OwnerGuard<'_, MixMap<K, V>> {
         self.inner.lock()
     }
@@ -439,6 +449,7 @@ impl<K: Hash + Eq, V> SessionMap<K, V> {
     }
 
     /// Number of entries.
+    #[inline]
     pub fn len(&self) -> usize {
         self.lock().len()
     }
@@ -451,6 +462,7 @@ impl<K: Hash + Eq, V> SessionMap<K, V> {
 
 impl<K: Hash + Eq, V: Clone> SessionMap<K, V> {
     /// The value bound to `key`, cloned out; one acquisition.
+    #[inline]
     pub fn resolve(&self, key: &K) -> Option<V> {
         self.lock().get(key).cloned()
     }
@@ -680,6 +692,11 @@ mod tests {
         }
         // 128 sequential keys land in most of 128 low-bit buckets.
         assert!(low7.len() > 64, "only {} distinct buckets", low7.len());
+        // So do ETH's (hardware address, type) keys, one word per address.
+        let eth: std::collections::HashSet<u64> = (0..128u16)
+            .map(|i| build.hash_one((crate::addr::EthAddr::from_index(i), 0x0800u16)) & 0x7f)
+            .collect();
+        assert!(eth.len() > 64, "only {} distinct buckets", eth.len());
         // Byte-slice keys (hardware addresses) hash by content.
         assert_eq!(
             build.hash_one([1u8, 2, 3, 4, 5, 6]),

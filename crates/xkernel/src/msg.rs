@@ -69,10 +69,12 @@ impl Segment {
         }
     }
 
+    #[inline]
     fn len(&self) -> usize {
         self.end - self.start
     }
 
+    #[inline]
     fn bytes(&self) -> &[u8] {
         &self.data[self.start..self.end]
     }
@@ -86,10 +88,12 @@ struct FrontBuf {
 }
 
 impl FrontBuf {
+    #[inline]
     fn len(&self) -> usize {
         self.buf.len() - self.start
     }
 
+    #[inline]
     fn bytes(&self) -> &[u8] {
         &self.buf[self.start..]
     }
@@ -125,6 +129,7 @@ pub enum Popped<'a> {
 impl Deref for Popped<'_> {
     type Target = [u8];
 
+    #[inline]
     fn deref(&self) -> &[u8] {
         match self {
             Popped::Borrowed(s) => s,
@@ -135,6 +140,7 @@ impl Deref for Popped<'_> {
 
 impl Popped<'_> {
     /// Cost-relevant facts about the pop that produced this value.
+    #[inline]
     pub fn stats(&self) -> PopStats {
         match self {
             Popped::Borrowed(_) => PopStats { copied: 0 },
@@ -199,16 +205,19 @@ impl Message {
     }
 
     /// The allocation policy this message was created with.
+    #[inline]
     pub fn policy(&self) -> HeaderPolicy {
         self.policy
     }
 
     /// Total length in bytes (headers already pushed + payload).
+    #[inline]
     pub fn len(&self) -> usize {
         self.front.len() + self.rope.iter().map(Segment::len).sum::<usize>()
     }
 
     /// True if the message carries no bytes.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -258,48 +267,47 @@ impl Message {
     /// into reserved space plus a pointer adjustment; under
     /// [`HeaderPolicy::AllocPerHeader`] it allocates a fresh buffer every
     /// time, deliberately reproducing the slow legacy scheme.
+    #[inline]
     pub fn push_header(&mut self, header: &[u8]) -> PushStats {
-        match self.policy {
+        let reserved = matches!(self.policy, HeaderPolicy::Headroom { .. });
+        if reserved && self.front.start >= header.len() {
+            // Fast path: space is already reserved.
+            let new_start = self.front.start - header.len();
+            self.front.buf[new_start..self.front.start].copy_from_slice(header);
+            self.front.start = new_start;
+            return PushStats {
+                allocated: false,
+                copied: header.len(),
+            };
+        }
+        self.push_header_alloc(header)
+    }
+
+    /// The allocating half of [`Message::push_header`]: the headroom is
+    /// spent, or the policy is the legacy one.
+    #[inline(never)]
+    fn push_header_alloc(&mut self, header: &[u8]) -> PushStats {
+        // Any existing front bytes are demoted into the rope first.
+        let demoted = self.front.len();
+        self.demote_front();
+        self.front = match self.policy {
             HeaderPolicy::Headroom { headroom } => {
-                if self.front.start >= header.len() {
-                    // Fast path: space is already reserved.
-                    let new_start = self.front.start - header.len();
-                    self.front.buf[new_start..self.front.start].copy_from_slice(header);
-                    self.front.start = new_start;
-                    PushStats {
-                        allocated: false,
-                        copied: header.len(),
-                    }
-                } else {
-                    // Reserve a fresh front buffer with headroom; demote any
-                    // existing front bytes into the rope first.
-                    let demoted = self.front.len();
-                    self.demote_front();
-                    let room = headroom.max(header.len());
-                    let mut buf = vec![0u8; room];
-                    let start = room - header.len();
-                    buf[start..].copy_from_slice(header);
-                    self.front = FrontBuf { buf, start };
-                    PushStats {
-                        allocated: true,
-                        copied: header.len() + demoted,
-                    }
-                }
+                // Reserve a fresh front buffer with headroom.
+                let room = headroom.max(header.len());
+                let mut buf = vec![0u8; room];
+                let start = room - header.len();
+                buf[start..].copy_from_slice(header);
+                FrontBuf { buf, start }
             }
-            HeaderPolicy::AllocPerHeader => {
-                // Legacy scheme: one allocation per header, previous front
-                // demoted behind it.
-                let demoted = self.front.len();
-                self.demote_front();
-                self.front = FrontBuf {
-                    buf: header.to_vec(),
-                    start: 0,
-                };
-                PushStats {
-                    allocated: true,
-                    copied: header.len() + demoted,
-                }
-            }
+            // Legacy scheme: one allocation per header.
+            HeaderPolicy::AllocPerHeader => FrontBuf {
+                buf: header.to_vec(),
+                start: 0,
+            },
+        };
+        PushStats {
+            allocated: true,
+            copied: header.len() + demoted,
         }
     }
 
@@ -307,18 +315,22 @@ impl Message {
     ///
     /// Contiguous headers are returned as a borrow (pointer adjustment, no
     /// copy); headers spanning segments are copied out.
+    #[inline]
     pub fn pop_header(&mut self, n: usize) -> XResult<Popped<'_>> {
-        if n > self.len() {
-            return Err(XError::Malformed(format!(
-                "pop of {n} bytes from a {}-byte message",
-                self.len()
-            )));
-        }
+        // A header that sits in the front buffer — any header this host
+        // pushed — pops without a look at the rope.
         if self.front.len() >= n {
             let s = self.front.start;
             self.front.start += n;
             return Ok(Popped::Borrowed(&self.front.buf[s..s + n]));
         }
+        self.pop_header_rope(n)
+    }
+
+    /// The half of [`Message::pop_header`] that reads the rope: what came
+    /// off the wire, or a header spanning segments.
+    #[inline(never)]
+    fn pop_header_rope(&mut self, n: usize) -> XResult<Popped<'_>> {
         if self.front.len() == 0 {
             // Drop empty leading segments.
             while self.rope.first().is_some_and(|s| s.len() == 0) {
@@ -345,7 +357,12 @@ impl Message {
                 }
             }
         }
-        // Slow path: spans front + one or more segments.
+        // Slow path: spans front + one or more segments, if there are that
+        // many bytes at all — the one case that needs the total.
+        let len = self.len();
+        if n > len {
+            return Err(too_short("pop", n, len));
+        }
         let mut out = Vec::with_capacity(n);
         let take_front = self.front.len().min(n);
         out.extend_from_slice(&self.front.bytes()[..take_front]);
@@ -385,11 +402,12 @@ impl Message {
     }
 
     fn check_peek(&self, n: usize) -> XResult<()> {
-        if n > self.len() {
-            return Err(XError::Malformed(format!(
-                "peek of {n} bytes from a {}-byte message",
-                self.len()
-            )));
+        // The front alone may settle it, without a walk over the rope.
+        if n > self.front.len() {
+            let len = self.len();
+            if n > len {
+                return Err(too_short("peek", n, len));
+            }
         }
         Ok(())
     }
@@ -503,6 +521,12 @@ impl Message {
             Cow::Owned(self.to_vec())
         }
     }
+}
+
+#[cold]
+#[inline(never)]
+fn too_short(op: &str, n: usize, len: usize) -> XError {
+    XError::Malformed(format!("{op} of {n} bytes from a {len}-byte message"))
 }
 
 impl Default for Message {

@@ -308,6 +308,7 @@ pub trait TracedSession {
 /// Enters `id()`'s span around one crossing carrying `msg` — if tracing is
 /// on. When it is off (every end-to-end run) neither the protocol id (a
 /// virtual call) nor the message length (a walk over the rope) is computed.
+#[inline]
 fn span(
     ctx: &Ctx,
     kind: EventKind,
@@ -319,11 +320,13 @@ fn span(
 }
 
 impl TracedSession for SessionRef {
+    #[inline]
     fn push(&self, ctx: &Ctx, msg: Message) -> XResult<Option<Message>> {
         let _span = span(ctx, EventKind::Push, || self.protocol_id(), &msg);
         Session::push(&**self, ctx, msg)
     }
 
+    #[inline]
     fn pop(&self, ctx: &Ctx, msg: Message) -> XResult<()> {
         let _span = span(ctx, EventKind::Demux, || self.protocol_id(), &msg);
         Session::pop(&**self, ctx, msg)
@@ -338,6 +341,7 @@ pub trait TracedProtocol {
 }
 
 impl TracedProtocol for ProtocolRef {
+    #[inline]
     fn demux(&self, ctx: &Ctx, lls: &SessionRef, msg: Message) -> XResult<()> {
         let _span = span(ctx, EventKind::Demux, || self.id(), &msg);
         Protocol::demux(&**self, ctx, lls, msg)

@@ -546,6 +546,7 @@ struct HostCell {
 }
 
 /// `cell += by` for a cell only the driving thread writes.
+#[inline]
 fn bump(cell: &AtomicU64, by: u64) -> u64 {
     let v = cell.load(Relaxed) + by;
     cell.store(v, Relaxed);
@@ -651,6 +652,7 @@ pub struct SimCore {
 }
 
 impl SimCore {
+    #[inline]
     fn host(&self, host: HostId) -> &HostCell {
         self.hosts
             .get(host.0)
@@ -1922,16 +1924,19 @@ pub struct Ctx {
 
 impl Ctx {
     /// The host this context executes on.
+    #[inline]
     pub fn host(&self) -> HostId {
         self.host
     }
 
     /// Execution mode.
+    #[inline]
     pub fn mode(&self) -> Mode {
         self.core.mode
     }
 
     /// The cost model in effect.
+    #[inline]
     pub fn cost(&self) -> &CostModel {
         &self.core.cost
     }
@@ -1945,6 +1950,7 @@ impl Ctx {
     /// The kernel of the current host, borrowed: what every layer crossing
     /// (`ctx.kernel_ref().demux_to(..)`, `.open(..)`, `.control(..)`) goes
     /// through, touching no reference count.
+    #[inline]
     pub fn kernel_ref(&self) -> &Kernel {
         &self.cell().kernel
     }
@@ -1955,6 +1961,7 @@ impl Ctx {
     }
 
     /// This context's host cell.
+    #[inline]
     fn cell(&self) -> &HostCell {
         self.core.host(self.host)
     }
@@ -1970,6 +1977,7 @@ impl Ctx {
     }
 
     /// Current virtual time of this host's CPU (0 in inline mode).
+    #[inline]
     pub fn now(&self) -> Time {
         if self.core.mode == Mode::Inline {
             return 0;
@@ -1980,6 +1988,7 @@ impl Ctx {
     /// Charges `ns` of virtual CPU time to this host as unclassified
     /// protocol work. No-op in inline mode. Touches only the host's clock
     /// and fuel cells: no lock, no event queue.
+    #[inline]
     pub fn charge(&self, ns: Nanos) {
         self.charge_class(OpClass::Compute, ns);
     }
@@ -1988,36 +1997,59 @@ impl Ctx {
     /// tracing is on) to the active layer under the given operation class.
     /// Every charge is also one fuel unit: the deterministic budget a
     /// [`SimConfig::with_fuel`] simulation kills runaway processes by.
+    #[inline]
     pub fn charge_class(&self, class: OpClass, ns: Nanos) {
-        if self.charge_clock(class, ns) {
-            self.fuel_tick();
+        if self.charges(ns) {
+            self.charge_landed(class, ns);
         }
     }
 
-    /// The clock half of a charge: advances the host clock and the host's
-    /// fuel tally and attributes the time. Returns whether a charge was
-    /// made (and so whether the process owes a [`Ctx::fuel_tick`]).
-    fn charge_clock(&self, class: OpClass, ns: Nanos) -> bool {
-        if self.core.mode == Mode::Inline || ns == 0 {
-            return false;
-        }
+    /// Whether a charge of `ns` lands: inline mode keeps no clock, and a
+    /// zero charge is no charge. This guard is all a caller in another
+    /// crate pays when the answer is no.
+    #[inline]
+    fn charges(&self, ns: Nanos) -> bool {
+        self.core.mode == Mode::Scheduled && ns != 0
+    }
+
+    /// A charge that lands: clock, then fuel. Out of line, so that the
+    /// guard in front of it is what gets inlined.
+    #[inline(never)]
+    fn charge_landed(&self, class: OpClass, ns: Nanos) {
+        self.charge_clock(class, ns);
+        self.fuel_tick();
+    }
+
+    /// The clock half of a charge that lands: advances the host clock and
+    /// the host's fuel tally and attributes the time. The process then owes
+    /// a [`Ctx::fuel_tick`].
+    #[inline]
+    fn charge_clock(&self, class: OpClass, ns: Nanos) {
         let h = self.cell();
         bump(&h.fuel, 1);
         let t = bump(&h.cpu, ns);
         if self.core.trace_on {
-            self.core
-                .engine
-                .lock()
-                .trace
-                .attribute(self.host.0, self.span_key(), class, ns, t);
+            self.attribute(class, ns, t);
         }
-        true
+    }
+
+    /// The traced half of a charge: `ns` of `class`, ending at host time
+    /// `t`, goes to the active layer's ledger entry.
+    #[cold]
+    #[inline(never)]
+    fn attribute(&self, class: OpClass, ns: Nanos, t: Time) {
+        self.core
+            .engine
+            .lock()
+            .trace
+            .attribute(self.host.0, self.span_key(), class, ns, t);
     }
 
     /// The fuel half of a charge: burns one unit of the running coroutine's
     /// budget and kills the process on the tick that exhausts it. Raised
     /// only after the charge has landed and with no lock held, so the kill
     /// point is clean.
+    #[inline]
     fn fuel_tick(&self) {
         if self.core.fuel_limit.is_some() && vproc::fuel_tick() {
             panic_any(FuelKill);
@@ -2026,6 +2058,7 @@ impl Ctx {
 
     /// The span-stack key of this context: its shepherd process, or the
     /// host's setup stack outside any process.
+    #[inline]
     fn span_key(&self) -> SpanKey {
         match self.lp {
             Some(lp) => SpanKey::Lp(lp.id),
@@ -2059,6 +2092,7 @@ impl Ctx {
 
     /// Charges the cost of crossing one protocol layer. The kernel's demux
     /// choke point calls this; protocols call it for their downward calls.
+    #[inline]
     pub fn charge_layer_call(&self) {
         self.charge_class(OpClass::LayerCall, self.core.cost.layer_call);
     }
@@ -2066,17 +2100,20 @@ impl Ctx {
     /// Creates a message holding `payload` under the simulation's
     /// header-buffer policy. Protocols create every outgoing message this
     /// way so the policy ablation governs the whole system.
+    #[inline]
     pub fn msg(&self, payload: Vec<u8>) -> Message {
         Message::from_user_with(self.core.policy, payload)
     }
 
     /// Creates an empty message under the simulation's header policy.
+    #[inline]
     pub fn empty_msg(&self) -> Message {
         Message::empty_with(self.core.policy)
     }
 
     /// Pushes a header onto `msg`, charging for the bytes touched and for
     /// any allocation the message's [`crate::msg::HeaderPolicy`] incurred.
+    #[inline]
     pub fn push_header(&self, msg: &mut Message, header: &[u8]) {
         let stats = msg.push_header(header);
         if self.core.mode == Mode::Scheduled {
@@ -2091,6 +2128,7 @@ impl Ctx {
     }
 
     /// Pops an `n`-byte header from `msg`, charging for the bytes touched.
+    #[inline]
     pub fn pop_header<'m>(&self, msg: &'m mut Message, n: usize) -> XResult<Popped<'m>> {
         if self.core.mode == Mode::Scheduled {
             let c = &self.core.cost;
@@ -2121,6 +2159,7 @@ impl Ctx {
 
     /// The timestamp outgoing actions of this context carry: the host CPU
     /// clock when inside a process, else the global event clock.
+    #[inline]
     pub fn event_time(&self) -> Time {
         let cpu = self.cell().cpu.load(Relaxed);
         if self.lp.is_some() {
@@ -2253,7 +2292,10 @@ impl Ctx {
             Block::Sleep(dt) => (Some(self.event_time() + dt), None),
             Block::Sema(id) => (None, Some(id)),
         };
-        let charged = self.charge_clock(OpClass::Switch, core.cost.proc_switch);
+        let charged = self.charges(core.cost.proc_switch);
+        if charged {
+            self.charge_clock(OpClass::Switch, core.cost.proc_switch);
+        }
         let mut g = core.engine.lock();
         if let Some(t) = wake_at {
             let reason = WakeReason::Normal;
@@ -2316,6 +2358,7 @@ impl Ctx {
     }
 
     /// Whether structured tracing is enabled.
+    #[inline]
     pub fn trace_enabled(&self) -> bool {
         self.core.trace_on
     }
@@ -2324,15 +2367,23 @@ impl Ctx {
     /// event, attributed to the active layer. Free when tracing is off;
     /// notes are static strings so no formatting ever happens on the hot
     /// path.
+    #[inline]
     pub fn trace_note(&self, note: &'static str) {
         self.trace_event(EventKind::Note(note), 0);
     }
 
     /// Records a structured trace event against the active layer.
+    #[inline]
     fn trace_event(&self, kind: EventKind, len: u64) {
-        if !self.core.trace_on {
-            return;
+        if self.core.trace_on {
+            self.record_event(kind, len);
         }
+    }
+
+    /// The traced half of [`Ctx::trace_event`].
+    #[cold]
+    #[inline(never)]
+    fn record_event(&self, kind: EventKind, len: u64) {
         let t = self.now();
         let mut g = self.core.engine.lock();
         let tr = &mut g.trace;

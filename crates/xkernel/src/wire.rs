@@ -1,15 +1,176 @@
 //! Big-endian wire codec helpers used by every header implementation.
 //!
 //! Headers in this suite are laid out field-for-field after the C structs in
-//! the paper's appendix, in network byte order. [`WireWriter`] appends to a
-//! buffer; [`WireReader`] consumes from a byte slice and reports truncation
-//! as [`XError::Malformed`] instead of panicking.
+//! the paper's appendix, in network byte order. A fixed-size header is built
+//! in a [`HdrBuf`] — an array on the stack, the host's counterpart of the
+//! paper's "simply adjusts a pointer for each new header" — and read back
+//! through a [`HdrReader`], which checks the length once. [`WireWriter`] and
+//! [`WireReader`] are for what has no fixed size (PSYNC's dependency list):
+//! the writer appends to a heap buffer, the reader consumes a byte slice and
+//! reports truncation as [`XError::Malformed`] instead of panicking.
+//!
+//! Every method here is a leaf that another crate calls once per header
+//! field, so each carries `#[inline]` and builds its error out of line (see
+//! DESIGN.md, "What crosses a crate").
 
 use crate::addr::{EthAddr, IpAddr};
 use crate::error::{XError, XResult};
 use crate::msg::Message;
 
-/// Serializes header fields in network byte order.
+/// Builds an `N`-byte header on the stack in network byte order: the array,
+/// a cursor, and [`WireWriter`]'s methods. Writing past `N` bytes panics, as
+/// does finishing short of them — either is a bug in the codec, not in what
+/// arrived.
+#[derive(Debug)]
+pub struct HdrBuf<const N: usize> {
+    buf: [u8; N],
+    pos: usize,
+}
+
+impl<const N: usize> Default for HdrBuf<N> {
+    #[inline]
+    fn default() -> Self {
+        HdrBuf {
+            buf: [0; N],
+            pos: 0,
+        }
+    }
+}
+
+impl<const N: usize> HdrBuf<N> {
+    /// An empty `N`-byte header.
+    #[inline]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    #[inline]
+    fn put<const K: usize>(&mut self, v: [u8; K]) -> &mut Self {
+        self.buf[self.pos..self.pos + K].copy_from_slice(&v);
+        self.pos += K;
+        self
+    }
+
+    /// Appends a `u8`.
+    #[inline]
+    pub fn u8(&mut self, v: u8) -> &mut Self {
+        self.put([v])
+    }
+
+    /// Appends a `u16` in network byte order.
+    #[inline]
+    pub fn u16(&mut self, v: u16) -> &mut Self {
+        self.put(v.to_be_bytes())
+    }
+
+    /// Appends a `u32` in network byte order.
+    #[inline]
+    pub fn u32(&mut self, v: u32) -> &mut Self {
+        self.put(v.to_be_bytes())
+    }
+
+    /// Appends an internet address (4 bytes).
+    #[inline]
+    pub fn ip(&mut self, v: IpAddr) -> &mut Self {
+        self.put(v.octets())
+    }
+
+    /// Appends an Ethernet address (6 bytes).
+    #[inline]
+    pub fn eth(&mut self, v: EthAddr) -> &mut Self {
+        self.put(v.0)
+    }
+
+    /// Appends raw bytes.
+    #[inline]
+    pub fn bytes(&mut self, v: &[u8]) -> &mut Self {
+        self.buf[self.pos..self.pos + v.len()].copy_from_slice(v);
+        self.pos += v.len();
+        self
+    }
+
+    /// The encoded header, which must be complete.
+    #[inline]
+    pub fn finish(&self) -> [u8; N] {
+        assert_eq!(self.pos, N, "fixed-size header left short");
+        self.buf
+    }
+}
+
+/// Reads an `N`-byte header in network byte order: [`HdrReader::new`] checks
+/// once that `N` bytes are there (anything after them is ignored), and the
+/// field reads that follow cannot fail. Reading past `N` bytes panics — a bug
+/// in the codec, which no input can reach.
+#[derive(Debug)]
+pub struct HdrReader<'a, const N: usize> {
+    buf: &'a [u8; N],
+    pos: usize,
+}
+
+impl<'a, const N: usize> HdrReader<'a, N> {
+    /// A reader over the first `N` bytes of `bytes`, or
+    /// [`XError::Malformed`] if there are fewer; `what` names the header for
+    /// the error text.
+    #[inline]
+    pub fn new(bytes: &'a [u8], what: &'static str) -> XResult<Self> {
+        match bytes.first_chunk::<N>() {
+            Some(buf) => Ok(HdrReader { buf, pos: 0 }),
+            None => Err(short_header(what, bytes.len(), N)),
+        }
+    }
+
+    /// The whole header, whatever has been read from it (for a checksum).
+    #[inline]
+    pub fn array(&self) -> &'a [u8; N] {
+        self.buf
+    }
+
+    #[inline]
+    fn take<const K: usize>(&mut self) -> [u8; K] {
+        let mut out = [0; K];
+        out.copy_from_slice(&self.buf[self.pos..self.pos + K]);
+        self.pos += K;
+        out
+    }
+
+    /// Reads a `u8`.
+    #[inline]
+    pub fn u8(&mut self) -> u8 {
+        self.take::<1>()[0]
+    }
+
+    /// Reads a big-endian `u16`.
+    #[inline]
+    pub fn u16(&mut self) -> u16 {
+        u16::from_be_bytes(self.take())
+    }
+
+    /// Reads a big-endian `u32`.
+    #[inline]
+    pub fn u32(&mut self) -> u32 {
+        u32::from_be_bytes(self.take())
+    }
+
+    /// Reads an internet address.
+    #[inline]
+    pub fn ip(&mut self) -> IpAddr {
+        IpAddr(self.u32())
+    }
+
+    /// Reads an Ethernet address.
+    #[inline]
+    pub fn eth(&mut self) -> EthAddr {
+        EthAddr(self.take())
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn short_header(what: &'static str, have: usize, need: usize) -> XError {
+    XError::Malformed(format!("{what}: {have} bytes of a {need}-byte header"))
+}
+
+/// Serializes variable-length data in network byte order.
 #[derive(Debug, Default)]
 pub struct WireWriter {
     buf: Vec<u8>,
@@ -17,6 +178,7 @@ pub struct WireWriter {
 
 impl WireWriter {
     /// Creates a writer with capacity for `cap` bytes.
+    #[inline]
     pub fn with_capacity(cap: usize) -> WireWriter {
         WireWriter {
             buf: Vec::with_capacity(cap),
@@ -24,58 +186,67 @@ impl WireWriter {
     }
 
     /// Appends a `u8`.
+    #[inline]
     pub fn u8(&mut self, v: u8) -> &mut Self {
         self.buf.push(v);
         self
     }
 
     /// Appends a `u16` in network byte order.
+    #[inline]
     pub fn u16(&mut self, v: u16) -> &mut Self {
         self.buf.extend_from_slice(&v.to_be_bytes());
         self
     }
 
     /// Appends a `u32` in network byte order.
+    #[inline]
     pub fn u32(&mut self, v: u32) -> &mut Self {
         self.buf.extend_from_slice(&v.to_be_bytes());
         self
     }
 
     /// Appends an internet address (4 bytes).
+    #[inline]
     pub fn ip(&mut self, v: IpAddr) -> &mut Self {
         self.buf.extend_from_slice(&v.octets());
         self
     }
 
     /// Appends an Ethernet address (6 bytes).
+    #[inline]
     pub fn eth(&mut self, v: EthAddr) -> &mut Self {
         self.buf.extend_from_slice(&v.0);
         self
     }
 
     /// Appends raw bytes.
+    #[inline]
     pub fn bytes(&mut self, v: &[u8]) -> &mut Self {
         self.buf.extend_from_slice(v);
         self
     }
 
     /// Finishes and returns the encoded bytes.
+    #[inline]
     pub fn finish(self) -> Vec<u8> {
         self.buf
     }
 
     /// Bytes written so far.
+    #[inline]
     pub fn len(&self) -> usize {
         self.buf.len()
     }
 
     /// True if nothing has been written.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 }
 
-/// Deserializes header fields in network byte order.
+/// Deserializes variable-length data in network byte order.
 #[derive(Debug)]
 pub struct WireReader<'a> {
     buf: &'a [u8],
@@ -85,21 +256,29 @@ pub struct WireReader<'a> {
 
 impl<'a> WireReader<'a> {
     /// Creates a reader over `buf`; `what` names the header for error text.
+    #[inline]
     pub fn new(buf: &'a [u8], what: &'static str) -> WireReader<'a> {
         WireReader { buf, pos: 0, what }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> XResult<&'a [u8]> {
-        let end = self.pos.checked_add(n).ok_or_else(|| self.err())?;
-        if end > self.buf.len() {
-            return Err(self.err());
+        match self
+            .pos
+            .checked_add(n)
+            .and_then(|end| self.buf.get(self.pos..end))
+        {
+            Some(s) => {
+                self.pos += n;
+                Ok(s)
+            }
+            None => Err(self.truncated()),
         }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
     }
 
-    fn err(&self) -> XError {
+    #[cold]
+    #[inline(never)]
+    fn truncated(&self) -> XError {
         XError::Malformed(format!(
             "{}: truncated at offset {} of {}",
             self.what,
@@ -109,28 +288,33 @@ impl<'a> WireReader<'a> {
     }
 
     /// Reads a `u8`.
+    #[inline]
     pub fn u8(&mut self) -> XResult<u8> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a big-endian `u16`.
+    #[inline]
     pub fn u16(&mut self) -> XResult<u16> {
         let s = self.take(2)?;
         Ok(u16::from_be_bytes([s[0], s[1]]))
     }
 
     /// Reads a big-endian `u32`.
+    #[inline]
     pub fn u32(&mut self) -> XResult<u32> {
         let s = self.take(4)?;
         Ok(u32::from_be_bytes([s[0], s[1], s[2], s[3]]))
     }
 
     /// Reads an internet address.
+    #[inline]
     pub fn ip(&mut self) -> XResult<IpAddr> {
         Ok(IpAddr(self.u32()?))
     }
 
     /// Reads an Ethernet address.
+    #[inline]
     pub fn eth(&mut self) -> XResult<EthAddr> {
         let s = self.take(6)?;
         let mut a = [0u8; 6];
@@ -139,16 +323,19 @@ impl<'a> WireReader<'a> {
     }
 
     /// Reads `n` raw bytes.
+    #[inline]
     pub fn bytes(&mut self, n: usize) -> XResult<&'a [u8]> {
         self.take(n)
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Current offset from the start of the buffer.
+    #[inline]
     pub fn offset(&self) -> usize {
         self.pos
     }
@@ -269,6 +456,47 @@ mod tests {
         assert_eq!(r.eth().unwrap(), EthAddr::from_index(5));
         assert_eq!(r.bytes(3).unwrap(), &[9, 9, 9]);
         assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn fixed_size_header_roundtrips_on_the_stack() {
+        let hdr: [u8; 20] = HdrBuf::new()
+            .u8(7)
+            .u16(0xbeef)
+            .u32(0xdead_beef)
+            .ip(IpAddr::new(1, 2, 3, 4))
+            .eth(EthAddr::from_index(5))
+            .bytes(&[9, 9, 9])
+            .finish();
+        assert_eq!(hdr[..3], [7, 0xbe, 0xef]);
+
+        // Bytes after the header are not its reader's business.
+        let mut wire = hdr.to_vec();
+        wire.push(0xaa);
+        let mut r = HdrReader::<20>::new(&wire, "test").unwrap();
+        assert_eq!(r.array(), &hdr);
+        assert_eq!(r.u8(), 7);
+        assert_eq!(r.u16(), 0xbeef);
+        assert_eq!(r.u32(), 0xdead_beef);
+        assert_eq!(r.ip(), IpAddr::new(1, 2, 3, 4));
+        assert_eq!(r.eth(), EthAddr::from_index(5));
+        assert_eq!(r.take::<3>(), [9, 9, 9]);
+    }
+
+    #[test]
+    fn fixed_size_reader_rejects_every_short_input() {
+        for k in 0..20 {
+            match HdrReader::<20>::new(&[0u8; 20][..k], "short") {
+                Err(XError::Malformed(s)) => assert!(s.contains("short"), "{s}"),
+                other => panic!("{k} bytes: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "left short")]
+    fn unfinished_fixed_size_header_is_a_bug() {
+        let _ = HdrBuf::<4>::new().u16(1).finish();
     }
 
     #[test]

@@ -9,56 +9,15 @@
 //! builds carry no counter.
 #![cfg(debug_assertions)]
 
-use inet::testbed::{base_registry, two_hosts};
-use inet::with_concrete;
-use sunrpc::sunselect::SunSelect;
+mod common;
+
+use common::null_call::{paper_null_call, sun_rpc_null_call, PAPER_STACKS};
 use xkernel::cell::entries;
-use xkernel::graph::ProtocolRegistry;
-use xkernel::sim::SimConfig;
-use xrpc::procs::NULL_PROC;
-use xrpc::stacks::{L_RPC_VIP, L_RPC_VIPSIZE, M_RPC_ETH, M_RPC_IP, M_RPC_VIP};
-
-fn registry() -> ProtocolRegistry {
-    let mut reg = base_registry();
-    xrpc::register_ctors(&mut reg);
-    sunrpc::register_ctors(&mut reg);
-    reg
-}
-
-/// Entries made by the third of three identical calls: the first resolves
-/// addresses and opens sessions, the second proves the path is warm.
-fn third_call_entries(mut call: impl FnMut()) -> u64 {
-    call();
-    call();
-    let before = entries();
-    call();
-    entries() - before
-}
 
 #[test]
 fn a_warm_inline_null_call_enters_no_more_cells_than_pinned() {
-    let reg = registry();
-    for (stack, pinned) in [
-        (M_RPC_ETH, 19),
-        (M_RPC_IP, 25),
-        (M_RPC_VIP, 19),
-        (L_RPC_VIP, 28),
-        (L_RPC_VIPSIZE, 21),
-    ] {
-        let tb = two_hosts(SimConfig::inline_mode(), &reg, stack.graph).expect("testbed builds");
-        xrpc::procs::register_standard(&tb.server, stack.entry).expect("procedures register");
-        let ctx = tb.sim.ctx(tb.client.host());
-        let n = third_call_entries(|| {
-            let reply = xrpc::call(
-                &ctx,
-                &tb.client,
-                stack.entry,
-                tb.server_ip,
-                NULL_PROC,
-                Vec::new(),
-            );
-            assert_eq!(reply.expect("null call completes"), Vec::<u8>::new());
-        });
+    for (stack, pinned) in PAPER_STACKS.into_iter().zip([19, 25, 19, 28, 21]) {
+        let n = paper_null_call(stack, entries);
         assert!(
             (1..=pinned).contains(&n),
             "{}: {n} cell entries per warm null call, pinned at {pinned}",
@@ -69,27 +28,7 @@ fn a_warm_inline_null_call_enters_no_more_cells_than_pinned() {
 
 #[test]
 fn a_warm_inline_sun_rpc_null_call_enters_no_more_cells_than_pinned() {
-    const PROG: u32 = 100_003;
-    const VERS: u32 = 2;
-    const PROC: u32 = 1;
-    let tb = two_hosts(
-        SimConfig::inline_mode(),
-        &registry(),
-        chaos::SUNRPC_UDP_GRAPH,
-    )
-    .expect("testbed builds");
-    with_concrete::<SunSelect, _>(&tb.server, "sunselect", |s| {
-        s.serve(PROG, VERS, PROC, |ctx, _msg| Ok(ctx.empty_msg()));
-    })
-    .expect("sunselect registered");
-    let ctx = tb.sim.ctx(tb.client.host());
-    let n = third_call_entries(|| {
-        let reply = with_concrete::<SunSelect, _>(&tb.client, "sunselect", |s| {
-            s.call(&ctx, tb.server_ip, PROG, VERS, PROC, Vec::new())
-        })
-        .expect("sunselect registered");
-        assert_eq!(reply.expect("null call completes"), Vec::<u8>::new());
-    });
+    let n = sun_rpc_null_call(entries);
     assert!(
         (1..=22).contains(&n),
         "SUNRPC-UDP: {n} cell entries per warm null call, pinned at 22"

@@ -1,6 +1,7 @@
 //! A counting global allocator for the integration tests that measure the
-//! heap: allocations made (`tests/lint_memo.rs`) and bytes still live
-//! (`tests/sim_lifetime.rs`). A test binary opts in with `mod common;`.
+//! heap: allocations made (`tests/lint_memo.rs`, `tests/alloc_per_call.rs`)
+//! and bytes still live (`tests/sim_lifetime.rs`). A test binary opts in
+//! with `mod common;`.
 
 // A `GlobalAlloc` is the only way to observe the heap, and the trait is
 // unsafe by definition; this is test-only code delegating straight to
@@ -9,6 +10,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+
+pub mod null_call;
 
 struct Counting;
 

@@ -151,6 +151,29 @@ proptest! {
         prop_assert_eq!(xrpc::hdr::FragmentHdr::decode(&fr.encode()).unwrap(), fr);
     }
 
+    /// Headers whose every bit is a field: any `LEN` bytes are some header,
+    /// and encoding that header gives the bytes back — so decode → encode →
+    /// decode is a fixed point after one step. (IP, TCP and ICMP carry
+    /// version, reserved or checksum bits that a decode drops or rejects.)
+    #[test]
+    fn fixed_size_headers_reencode_to_the_bytes_decoded(
+        bytes in proptest::collection::vec(any::<u8>(), 36..37),
+    ) {
+        macro_rules! fixed_point {
+            ($($hdr:path),*) => {$({
+                let h = <$hdr>::decode(&bytes).unwrap();
+                let again = h.encode();
+                prop_assert_eq!(&again[..], &bytes[..again.len()], stringify!($hdr));
+                prop_assert_eq!(<$hdr>::decode(&again).unwrap(), h);
+            })*};
+        }
+        fixed_point!(
+            xrpc::hdr::SpriteHdr, xrpc::hdr::SelectHdr, xrpc::hdr::ChannelHdr,
+            xrpc::hdr::FragmentHdr, inet::eth::EthHdr, inet::udp::UdpHdr,
+            inet::arp::ArpPkt, sunrpc::rr::RrHdr, sunrpc::sunselect::SunSelHdr
+        );
+    }
+
     #[test]
     fn ip_header_roundtrips_and_checksums(
         total in 20u16..4000, id in any::<u16>(), mf in any::<bool>(),
@@ -165,7 +188,7 @@ proptest! {
         prop_assert_eq!(internet_checksum(&[&bytes]), 0, "self-verifying");
         prop_assert_eq!(inet::ip::IpHeader::decode(&bytes).unwrap(), h);
         // Any single-bit flip must be caught by the checksum.
-        let mut corrupted = bytes.clone();
+        let mut corrupted = bytes;
         corrupted[(id as usize) % 20] ^= 1 << (ttl % 8);
         prop_assert!(inet::ip::IpHeader::decode(&corrupted).is_err());
     }
