@@ -48,12 +48,16 @@ echo "==> vproc-gate: no OS threads in the per-process engine"
 # (stackful coroutine or stackless machine) on the scheduler's own thread.
 # A thread::spawn creeping back into the engine would silently reintroduce
 # OS-scheduler nondeterminism, so its absence is a named gate.
-for f in crates/xkernel/src/sim.rs crates/xkernel/src/vproc.rs; do
-    if grep -q 'thread::spawn' "$f"; then
-        echo "ci: $f spawns an OS thread — the vproc engine must not" >&2
-        exit 1
-    fi
-done
+SIM_DIR=crates/xkernel/src/sim
+if [ ! -f "$SIM_DIR/engine.rs" ]; then
+    echo "ci: vproc-gate: no $SIM_DIR/engine.rs (gate is stale)" >&2
+    exit 1
+fi
+if hits=$(grep -n 'thread::spawn' "$SIM_DIR"/*.rs crates/xkernel/src/vproc.rs); then
+    echo "ci: vproc-gate: the vproc engine spawns an OS thread — it must not:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
 
 echo "==> engine-gate: no hash map, no lock on the charging path"
 # The scheduler keeps events and processes in slabs addressed by (id, slot)
@@ -61,24 +65,27 @@ echo "==> engine-gate: no hash map, no lock on the charging path"
 # The threaded engine's structure coming back — a HashMap keyed by event seq
 # or process id, or a lock taken to charge a host or read a clock — would
 # pass every test and quietly double the engine's cost, so it is a gate.
-SIM_RS=crates/xkernel/src/sim.rs
 for fossil in 'HashMap<u64, EvKind>' 'HashMap<u64, LpState>'; do
-    if grep -qF "$fossil" "$SIM_RS"; then
-        echo "ci: engine-gate: $SIM_RS holds a $fossil again" >&2
+    if hits=$(grep -nF "$fossil" "$SIM_DIR"/*.rs); then
+        echo "ci: engine-gate: $SIM_DIR holds a $fossil again:" >&2
+        echo "$hits" >&2
         exit 1
     fi
 done
-# Every definition of a method in sim.rs, signature to closing brace.
+# The charging path's methods live on Ctx, Sim and SimCore: every definition
+# of a method in those two files, signature to closing brace.
+CHARGE_RS="$SIM_DIR/ctx.rs $SIM_DIR/handle.rs"
 method_bodies() {
+    # shellcheck disable=SC2086
     awk -v name="$1" '
-        $0 ~ "^    (pub |pub\\(crate\\) )?fn " name "[(<]" { on = 1 }
+        $0 ~ "^    (pub |pub\\((crate|super)\\) )?fn " name "[(<]" { on = 1 }
         on { print }
-        on && /^    }$/ { on = 0 }' "$SIM_RS"
+        on && /^    }$/ { on = 0 }' $CHARGE_RS
 }
 for f in charge_class now event_time note boot_epoch next_u64; do
     body=$(method_bodies "$f")
     if [ -z "$body" ]; then
-        echo "ci: engine-gate: no method $f in $SIM_RS (gate is stale)" >&2
+        echo "ci: engine-gate: no method $f in $CHARGE_RS (gate is stale)" >&2
         exit 1
     fi
     if grep -qF '.lock()' <<<"$body"; then
@@ -249,6 +256,42 @@ fi
 if hits=$(grep -rn 'XK_THREADS' crates); then
     echo "ci: harness-gate: XK_THREADS is back (pass --threads, or take par::detect_cores()):" >&2
     echo "$hits" >&2
+    exit 1
+fi
+
+echo "==> runner-gate: one way to run a scenario, one PRNG step, no sim.rs"
+# chaos::Scenario runs through run_with(RunOpts) over one phased rig, and
+# `run` is its default (DESIGN.md, "One runner"). An eleventh entry point that
+# sets one option, a per-stack runner beside the shared one, a private copy of
+# the splitmix64 step, or the simulator growing back into one file would each
+# pass every test, so each is a gate.
+CHAOS_RS=crates/chaos/src/lib.rs
+if ! grep -q 'pub fn run_with(' "$CHAOS_RS"; then
+    echo "ci: runner-gate: $CHAOS_RS no longer defines run_with (gate is stale)" >&2
+    exit 1
+fi
+if hits=$(grep -nE 'pub fn run_' "$CHAOS_RS" | grep -vE 'pub fn run_(with|matrix)\('); then
+    echo "ci: runner-gate: a run_* entry point beside run_with (add a RunOpts field):" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+if hits=$(grep -nE 'fn run_(rpc|psync)' "$CHAOS_RS"); then
+    echo "ci: runner-gate: a per-stack runner is back (the rig's spawn_phase is the only per-stack part):" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+n=$(grep -c 'match self\.stack' "$CHAOS_RS" || true)
+if [ "$n" -ne 1 ]; then
+    echo "ci: runner-gate: 'match self.stack' occurs $n times in $CHAOS_RS, want 1 (the rig dispatch)" >&2
+    exit 1
+fi
+n=$(grep -rhF '0xbf58_476d_1ce4_e5b9' crates/*/src | wc -l)
+if [ "$n" -ne 1 ]; then
+    echo "ci: runner-gate: the splitmix64 multiplier occurs $n times under crates/*/src, want 1 (xkernel::rng)" >&2
+    exit 1
+fi
+if [ -e crates/xkernel/src/sim.rs ]; then
+    echo "ci: runner-gate: crates/xkernel/src/sim.rs exists again (the simulator is crates/xkernel/src/sim/)" >&2
     exit 1
 fi
 

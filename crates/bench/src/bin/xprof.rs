@@ -22,7 +22,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use xbench::{js, rpc_latency, rpc_latency_traced, validate, TracedLatency, LATENCY_ITERS};
+use xbench::{js, rpc_latency_iters, rpc_latency_traced, validate, TracedLatency, LATENCY_ITERS};
 use xrpc::stacks::ALL_RPC_STACKS;
 
 struct Opts {
@@ -195,37 +195,4 @@ fn main() {
         md_path.display(),
         json_path.display()
     );
-}
-
-/// Untraced latency at an arbitrary iteration count (the library's
-/// [`rpc_latency`] is fixed at [`LATENCY_ITERS`]; quick mode uses fewer).
-fn rpc_latency_iters(stack: &xrpc::stacks::StackDef, iters: usize) -> u64 {
-    if iters == LATENCY_ITERS {
-        return rpc_latency(stack);
-    }
-    use parking_lot::Mutex;
-    use std::sync::Arc;
-    use xbench::{rpc_rig, WARMUP_ITERS};
-    use xkernel::sim::Mode;
-    use xrpc::procs::NULL_PROC;
-    let tb = rpc_rig(stack, Mode::Scheduled);
-    let server_ip = tb.server_ip;
-    let entry = stack.entry;
-    let out = Arc::new(Mutex::new(0u64));
-    let o2 = Arc::clone(&out);
-    tb.sim.spawn(tb.client.host(), move |ctx| {
-        let k = ctx.kernel();
-        for _ in 0..WARMUP_ITERS {
-            xrpc::call(ctx, &k, entry, server_ip, NULL_PROC, Vec::new()).unwrap();
-        }
-        let t0 = ctx.now();
-        for _ in 0..iters {
-            xrpc::call(ctx, &k, entry, server_ip, NULL_PROC, Vec::new()).unwrap();
-        }
-        *o2.lock() = (ctx.now() - t0) / iters as u64;
-    });
-    let r = tb.sim.run_until_idle();
-    assert_eq!(r.blocked, 0, "latency run must drain");
-    let v = *out.lock();
-    v
 }

@@ -22,11 +22,11 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use inet::testbed::{two_hosts, TwoHosts};
+use inet::testbed::two_hosts;
 use inet::with_concrete;
 use xkernel::graph::ProtocolRegistry;
 use xkernel::prelude::*;
-use xkernel::sim::{Mode, Sim, SimConfig};
+use xkernel::sim::{Sim, SimConfig};
 use xrpc::pinger::Pinger;
 use xrpc::procs::{NULL_PROC, SINK_PROC};
 use xrpc::stacks::StackDef;
@@ -47,48 +47,12 @@ pub fn registry() -> ProtocolRegistry {
     reg
 }
 
-/// Builds the standard two-host rig for a stack in the given mode, with the
-/// standard procedures registered on the server.
-pub fn rpc_rig(stack: &StackDef, mode: Mode) -> TwoHosts {
-    let cfg = match mode {
-        Mode::Inline => SimConfig::inline_mode(),
-        Mode::Scheduled => SimConfig::scheduled(),
-    };
-    let tb = two_hosts(cfg, &registry(), stack.graph).expect("testbed builds");
-    xrpc::procs::register_standard(&tb.server, stack.entry).expect("procedures register");
-    tb
-}
-
-/// Round-trip latency (virtual ns) of a null RPC on `stack`.
-pub fn rpc_latency(stack: &StackDef) -> u64 {
-    let tb = rpc_rig(stack, Mode::Scheduled);
-    let server_ip = tb.server_ip;
-    let entry = stack.entry;
-    let out = Arc::new(Mutex::new(0u64));
-    let o2 = Arc::clone(&out);
-    tb.sim.spawn(tb.client.host(), move |ctx| {
-        let k = ctx.kernel();
-        for _ in 0..WARMUP_ITERS {
-            xrpc::call(ctx, &k, entry, server_ip, NULL_PROC, Vec::new()).unwrap();
-        }
-        let t0 = ctx.now();
-        for _ in 0..LATENCY_ITERS {
-            xrpc::call(ctx, &k, entry, server_ip, NULL_PROC, Vec::new()).unwrap();
-        }
-        *o2.lock() = (ctx.now() - t0) / LATENCY_ITERS as u64;
-    });
-    let r = tb.sim.run_until_idle();
-    assert_eq!(r.blocked, 0, "latency run must drain");
-    let v = *out.lock();
-    v
-}
-
-/// Results of one traced latency run: the headline window plus the
-/// per-layer cost ledger scoped to exactly that window.
+/// Results of one measured window — `iters` back-to-back calls on the
+/// client's clock — plus, when the run was traced, the per-layer cost
+/// ledger scoped to exactly that window.
 #[derive(Clone, Debug)]
 pub struct TracedLatency {
-    /// Average null-RPC round trip, ns (same definition as
-    /// [`rpc_latency`]).
+    /// Average round trip, ns (same definition as [`rpc_latency`]).
     pub latency_ns: u64,
     /// The whole measured window (`iters` calls), ns.
     pub window_ns: u64,
@@ -98,11 +62,77 @@ pub struct TracedLatency {
     pub client: HostId,
     /// Server host.
     pub server: HostId,
-    /// Per-layer cost ledger for the window. By the conservation
-    /// invariant, `breakdown.host_total(client) == window_ns` exactly.
+    /// Per-layer cost ledger for the window (empty untraced). By the
+    /// conservation invariant, `breakdown.host_total(client) == window_ns`
+    /// exactly.
     pub breakdown: CostBreakdown,
     /// Flamegraph-compatible folded stacks for the same window.
     pub folded: Vec<FoldedLine>,
+}
+
+/// The one measurement every experiment here is: build the standard two-host
+/// rig with the standard procedures on the server, warm it up (ARP, session
+/// creation, caches), then time `iters` calls of `proc` with `size`-byte
+/// requests. With `trace`, the ledger is scoped to exactly the timed window.
+fn measure_window(
+    stack: &StackDef,
+    proc: u16,
+    size: usize,
+    iters: usize,
+    trace: bool,
+) -> TracedLatency {
+    let mut cfg = SimConfig::scheduled();
+    if trace {
+        cfg = cfg.with_trace();
+    }
+    let tb = two_hosts(cfg, &registry(), stack.graph).expect("testbed builds");
+    xrpc::procs::register_standard(&tb.server, stack.entry).expect("procedures register");
+    let server_ip = tb.server_ip;
+    let entry = stack.entry;
+    let sim2 = tb.sim.clone();
+    let out = Arc::new(Mutex::new(None));
+    let o2 = Arc::clone(&out);
+    tb.sim.spawn(tb.client.host(), move |ctx| {
+        let k = ctx.kernel();
+        let payload: Vec<u8> = vec![0xA5; size];
+        for _ in 0..WARMUP_ITERS {
+            xrpc::call(ctx, &k, entry, server_ip, proc, payload.clone()).unwrap();
+        }
+        // Scope the ledger to the measured window: everything before this
+        // point (boot, ARP, warmup) is discarded.
+        ctx.trace_clear();
+        let t0 = ctx.now();
+        for _ in 0..iters {
+            xrpc::call(ctx, &k, entry, server_ip, proc, payload.clone()).unwrap();
+        }
+        let window = ctx.now() - t0;
+        // Capture the ledger *here*, before process teardown and the final
+        // scheduler drain can attribute anything past the window's end.
+        *o2.lock() = Some((window, ctx.cost_breakdown(), sim2.folded()));
+    });
+    let r = tb.sim.run_until_idle();
+    assert_eq!(r.blocked, 0, "measured run must drain");
+    let (window_ns, breakdown, folded) = out.lock().take().expect("client captured the window");
+    TracedLatency {
+        latency_ns: window_ns / iters as u64,
+        window_ns,
+        iters,
+        client: tb.client.host(),
+        server: tb.server.host(),
+        breakdown,
+        folded,
+    }
+}
+
+/// Round-trip latency (virtual ns) of a null RPC on `stack`.
+pub fn rpc_latency(stack: &StackDef) -> u64 {
+    rpc_latency_iters(stack, LATENCY_ITERS)
+}
+
+/// [`rpc_latency`] at an arbitrary iteration count (`xprof --quick` uses
+/// fewer than [`LATENCY_ITERS`]).
+pub fn rpc_latency_iters(stack: &StackDef, iters: usize) -> u64 {
+    measure_window(stack, NULL_PROC, 0, iters, false).latency_ns
 }
 
 /// Runs the null-RPC latency experiment with structured tracing enabled
@@ -111,76 +141,13 @@ pub struct TracedLatency {
 /// Tracing observes charges but never adds any, so `window_ns / iters`
 /// is bit-identical to [`rpc_latency`] — the goldens pin both.
 pub fn rpc_latency_traced(stack: &StackDef, iters: usize) -> TracedLatency {
-    let tb = two_hosts(
-        SimConfig::scheduled().with_trace(),
-        &registry(),
-        stack.graph,
-    )
-    .expect("testbed builds");
-    xrpc::procs::register_standard(&tb.server, stack.entry).expect("procedures register");
-    let server_ip = tb.server_ip;
-    let entry = stack.entry;
-    let client = tb.client.host();
-    let server = tb.server.host();
-    let sim2 = tb.sim.clone();
-    type Captured = (u64, CostBreakdown, Vec<FoldedLine>);
-    let out: Arc<Mutex<Option<Captured>>> = Arc::new(Mutex::new(None));
-    let o2 = Arc::clone(&out);
-    tb.sim.spawn(client, move |ctx| {
-        let k = ctx.kernel();
-        for _ in 0..WARMUP_ITERS {
-            xrpc::call(ctx, &k, entry, server_ip, NULL_PROC, Vec::new()).unwrap();
-        }
-        // Scope the ledger to the measured window: everything before this
-        // point (boot, ARP, warmup) is discarded.
-        ctx.trace_clear();
-        let t0 = ctx.now();
-        for _ in 0..iters {
-            xrpc::call(ctx, &k, entry, server_ip, NULL_PROC, Vec::new()).unwrap();
-        }
-        let window = ctx.now() - t0;
-        // Capture the ledger *here*, before process teardown and the final
-        // scheduler drain can attribute anything past the window's end.
-        *o2.lock() = Some((window, ctx.cost_breakdown(), sim2.folded()));
-    });
-    let r = tb.sim.run_until_idle();
-    assert_eq!(r.blocked, 0, "traced latency run must drain");
-    let (window_ns, breakdown, folded) = out.lock().take().expect("client captured the window");
-    TracedLatency {
-        latency_ns: window_ns / iters as u64,
-        window_ns,
-        iters,
-        client,
-        server,
-        breakdown,
-        folded,
-    }
+    measure_window(stack, NULL_PROC, 0, iters, true)
 }
 
 /// One throughput measurement: round trips of `size`-byte requests with
 /// null replies. Returns average ns per call.
 pub fn rpc_rtt_for_size(stack: &StackDef, size: usize, iters: usize) -> u64 {
-    let tb = rpc_rig(stack, Mode::Scheduled);
-    let server_ip = tb.server_ip;
-    let entry = stack.entry;
-    let out = Arc::new(Mutex::new(0u64));
-    let o2 = Arc::clone(&out);
-    tb.sim.spawn(tb.client.host(), move |ctx| {
-        let k = ctx.kernel();
-        let payload: Vec<u8> = vec![0xA5; size];
-        for _ in 0..WARMUP_ITERS {
-            xrpc::call(ctx, &k, entry, server_ip, SINK_PROC, payload.clone()).unwrap();
-        }
-        let t0 = ctx.now();
-        for _ in 0..iters {
-            xrpc::call(ctx, &k, entry, server_ip, SINK_PROC, payload.clone()).unwrap();
-        }
-        *o2.lock() = (ctx.now() - t0) / iters as u64;
-    });
-    let r = tb.sim.run_until_idle();
-    assert_eq!(r.blocked, 0, "throughput run must drain");
-    let v = *out.lock();
-    v
+    measure_window(stack, SINK_PROC, size, iters, false).latency_ns
 }
 
 /// Results of the full §4 measurement battery for one configuration.

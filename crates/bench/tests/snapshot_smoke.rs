@@ -8,7 +8,7 @@
 //! * a journaled run's decision stream replays to the identical report
 //!   and schedule fingerprint after a wire-encoding round trip.
 
-use chaos::{Profile, Scenario, StackKind};
+use chaos::{Profile, RunOpts, Scenario, StackKind};
 use xkernel::journal::Journal;
 
 #[test]
@@ -27,7 +27,13 @@ fn midpoint_snapshot_report_is_bit_identical() {
             calls: 6,
             population: 1,
         };
-        let out = sc.run_snapshotted(3);
+        let out = sc
+            .run_with(RunOpts {
+                snapshot_at: Some(3),
+                ..RunOpts::default()
+            })
+            .replayed
+            .expect("snapshot_at was set");
         out.assert_identical();
         assert_eq!(
             out.first.run.sched_hash, out.replayed.run.sched_hash,
@@ -46,9 +52,19 @@ fn journal_survives_the_wire_and_replays() {
         calls: 6,
         population: 2,
     };
-    let (report, journal) = sc.run_journaled();
+    let out = sc.run_with(RunOpts {
+        journal: true,
+        ..RunOpts::default()
+    });
+    let (report, journal) = (out.report, out.journal.expect("journaling was on"));
     let decoded = Journal::decode(&journal.encode()).expect("journal decodes");
     assert_eq!(journal, decoded, "wire round trip is lossless");
-    let (replayed, _) = sc.run_replayed(&decoded);
+    let replayed = sc
+        .run_with(RunOpts {
+            journal: true,
+            chooser: Some(Box::new(decoded.chooser())),
+            ..RunOpts::default()
+        })
+        .report;
     assert_eq!(report, replayed, "decoded journal replays the run");
 }

@@ -24,7 +24,7 @@
 
 use simnet::FaultEvent;
 
-use crate::Scenario;
+use crate::{ChaosReport, FaultRecording, RunOpts, Scenario};
 
 /// A minimized failure: the single fault event whose suppression flips
 /// the scenario from failing to passing.
@@ -84,6 +84,16 @@ fn cutoff_keeping(events: &[FaultEvent], k: usize) -> u64 {
     }
 }
 
+/// One probe: `sc` with fault recording on and every recorded-class fault
+/// at packet index >= `suppress_from` suppressed.
+fn probe(sc: &Scenario, suppress_from: Option<u64>) -> (ChaosReport, Vec<FaultEvent>) {
+    let out = sc.run_with(RunOpts {
+        record_faults: FaultRecording::On { suppress_from },
+        ..RunOpts::default()
+    });
+    (out.report, out.faults)
+}
+
 /// Bisects `sc`'s injected-fault timeline down to the first fault event
 /// whose suppression makes every invariant pass.
 ///
@@ -91,7 +101,7 @@ fn cutoff_keeping(events: &[FaultEvent], k: usize) -> u64 {
 /// sound: the same seed and cutoff always reproduce the same run), so
 /// the cost is `O(log n)` runs for `n` recorded faults.
 pub fn bisect(sc: &Scenario) -> Result<BisectOutcome, BisectError> {
-    let (full, events) = sc.run_recorded(None);
+    let (full, events) = probe(sc, None);
     if sc.invariant_failures(&full).is_empty() {
         return Err(BisectError::NoFailure);
     }
@@ -102,7 +112,7 @@ pub fn bisect(sc: &Scenario) -> Result<BisectOutcome, BisectError> {
     let mut probes = 0u32;
     let mut fails_keeping = |k: usize| -> (bool, Vec<String>) {
         probes += 1;
-        let (r, _) = sc.run_recorded(Some(cutoff_keeping(&events, k)));
+        let (r, _) = probe(sc, Some(cutoff_keeping(&events, k)));
         let f = sc.invariant_failures(&r);
         (!f.is_empty(), f)
     };

@@ -37,12 +37,12 @@ use inet::arp::Arp;
 use inet::testbed::{lan_hosts, two_hosts, TwoHosts};
 use inet::with_concrete;
 use simnet::fault::{FaultPlan, FaultSchedule};
-use simnet::{FaultEvent, LanStats};
+use simnet::{FaultEvent, LanId, LanStats, SimNet};
 use sunrpc::sunselect::SunSelect;
-use xkernel::check::CheckReport;
 use xkernel::graph::ProtocolRegistry;
 use xkernel::journal::Journal;
 use xkernel::prelude::*;
+pub use xkernel::rng::splitmix64;
 use xkernel::sim::{RunReport, ScheduleChooser, SimConfig};
 use xrpc::stacks::{StackDef, ALL_RPC_STACKS};
 
@@ -107,16 +107,6 @@ pub fn warm_arp(sim: &Sim, host: HostId, peer: IpAddr) {
         0,
         "warm-up left a blocked process"
     );
-}
-
-/// The splitmix64 step — the harness's local PRNG for deriving fault
-/// profiles and payloads from a scenario seed.
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Reconstructs the self-describing payload body for `tag` at `len` bytes:
@@ -372,50 +362,77 @@ pub struct ChaosReport {
     pub duplicate_execs: u32,
 }
 
-/// Internal knobs threaded through the scenario runners: structured
-/// tracing, the xcheck concurrency checker, and an optional scheduling
-/// oracle (installed only after the warm-up phase, so exploration covers
-/// the measured workload).
+/// How to run a scenario: which observers to attach and whether to split
+/// the run at a snapshot. The default is the plain run; the observers
+/// (`trace`, `check`, `journal`, `record_faults` with no cutoff) compose
+/// freely and leave the virtual-time outcome bit-identical.
 #[derive(Default)]
-struct RunOpts<'r> {
-    trace: bool,
-    check: bool,
-    chooser: Option<Box<dyn ScheduleChooser>>,
-    /// Record every nondeterminism-relevant decision into the scheduler
-    /// journal (see [`xkernel::journal`]).
-    journal: bool,
-    /// Record the pre-suppression fault timeline on the scenario's LAN
-    /// (the bisection search space).
-    record_faults: bool,
-    /// Suppress recorded-class faults whose packet index is >= this cutoff
-    /// (see [`simnet::SimNet::suppress_faults_from`]).
-    suppress_from: Option<u64>,
-    /// Configure from this registry instead of the shared one.
-    registry: Option<&'r ProtocolRegistry>,
+pub struct RunOpts {
+    /// Structured tracing: the report's [`RunReport::breakdown`] carries
+    /// the per-layer cost ledger and each host's final CPU clock lands in
+    /// [`xkernel::sim::HostStats::cpu_ns`]. Tracing observes charges but
+    /// never adds any.
+    pub trace: bool,
+    /// The xcheck concurrency checker: vector-clock happens-before
+    /// tracking and deadlock / lost-wakeup detection, read back through
+    /// [`Sim::check_report`] on the outcome's `sim`. The checker only
+    /// observes.
+    pub check: bool,
+    /// Record every nondeterminism-relevant decision (same-time tie
+    /// picks, realized wire faults, crash/restart boots) into the
+    /// scheduler journal (see [`xkernel::journal`]); the outcome's
+    /// `journal` is stamped with the seed and final `sched_hash`.
+    pub journal: bool,
+    /// A scheduling oracle steering every same-time event tie — a
+    /// journal's [`Journal::chooser`] to replay it, or one schedule out of
+    /// xcheck's bounded exploration. Installed after warm-up, so its
+    /// decisions cover only the measured workload.
+    pub chooser: Option<Box<dyn ScheduleChooser>>,
+    /// Record the scenario LAN's fault timeline (the bisection search
+    /// space), optionally suppressing part of it.
+    pub record_faults: FaultRecording,
+    /// Run in two phases split at this call, snapshotting the whole
+    /// quiescent system (scheduler, PRNG, hosts, every protocol's private
+    /// state, and the wire) between them; then restore the snapshot and
+    /// re-run phase two on the same rig. The outcome's `replayed` holds
+    /// both reports. [`Sim::snapshot`] captures no observer state, so this
+    /// composes with no other option: the runner panics naming the clash.
+    pub snapshot_at: Option<u32>,
 }
 
-/// What a scenario run produced beyond the report: the simulator (for
-/// checker queries), the recorded fault timeline, and the journal.
-struct RunOutput {
-    report: ChaosReport,
-    sim: Sim,
-    faults: Vec<FaultEvent>,
-    journal: Option<Journal>,
+/// Whether a run records the fault timeline on its LAN.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub enum FaultRecording {
+    /// No recording.
+    #[default]
+    Off,
+    /// Record every pre-suppression fault decision. With `suppress_from`,
+    /// recorded-class faults at packet index >= the cutoff become clean
+    /// deliveries (see [`simnet::SimNet::suppress_faults_from`]); the PRNG
+    /// draw sequence is unchanged, so everything before the cutoff replays
+    /// exactly. The bisection probe.
+    On {
+        /// The suppression cutoff, if any.
+        suppress_from: Option<u64>,
+    },
 }
 
-/// A scenario run with the concurrency checker enabled: the ordinary
-/// report plus everything xcheck observed about this schedule.
-pub struct Verified {
-    /// The scenario outcome (bit-identical to [`Scenario::run`] when no
-    /// chooser steered the schedule — the checker only observes).
+/// What [`Scenario::run_with`] produced.
+pub struct RunOutcome {
+    /// The scenario outcome — bit-identical to [`Scenario::run`] unless a
+    /// chooser steered the schedule or a cutoff suppressed faults.
     pub report: ChaosReport,
-    /// The checker's findings (happens-before violations, deadlock scan).
-    pub check: CheckReport,
-    /// One replayable repro string per violation, in the same order.
-    pub repros: Vec<String>,
-    /// Chaos invariants that failed on this schedule (empty on a clean
-    /// run); the non-panicking form of [`Scenario::check`].
-    pub invariant_failures: Vec<String>,
+    /// The simulation the report came from, still alive, for a caller that
+    /// goes on to look inside it: its kernels and their protocols, its
+    /// counters, the checker's findings ([`Sim::check_report`],
+    /// [`Sim::repro`]).
+    pub sim: Sim,
+    /// The recorded fault timeline (empty unless `record_faults` was on).
+    pub faults: Vec<FaultEvent>,
+    /// The scheduler journal, when `journal` was set.
+    pub journal: Option<Journal>,
+    /// The restore-and-replay comparison, when `snapshot_at` was set.
+    pub replayed: Option<SnapshotRun>,
 }
 
 /// Mutable counters shared between the client/server closures and the
@@ -443,121 +460,132 @@ impl Scenario {
         )
     }
 
-    /// Runs the scenario to completion and returns the report. Use
-    /// [`Scenario::run_checked`] to also assert the invariants.
+    /// Runs the scenario to completion and returns the report;
+    /// [`Scenario::check`] asserts the invariants on it.
     pub fn run(&self) -> ChaosReport {
-        self.run_inner(RunOpts::default()).report
+        self.run_with(RunOpts::default()).report
     }
 
-    /// [`Scenario::run`], handing back the simulation the report came from
-    /// while it is still alive, for a caller that goes on to look inside it:
-    /// its kernels and their protocols, its counters.
-    pub fn run_with_sim(&self) -> (ChaosReport, Sim) {
-        let out = self.run_inner(RunOpts::default());
-        (out.report, out.sim)
+    /// Runs the scenario as `opts` says — the one way to run it with
+    /// observers attached, a steered schedule, suppressed faults or a
+    /// mid-run snapshot.
+    pub fn run_with(&self, opts: RunOpts) -> RunOutcome {
+        self.run_on(registry(), opts)
     }
 
-    /// Runs the scenario with the scheduler journal recording every
-    /// nondeterminism-relevant decision (same-time tie picks, realized
-    /// wire faults, crash/restart boots). The journal is stamped with the
-    /// seed and final `sched_hash`; [`Scenario::run_replayed`] replays it.
-    pub fn run_journaled(&self) -> (ChaosReport, Journal) {
-        let out = self.run_inner(RunOpts {
-            journal: true,
-            ..RunOpts::default()
+    /// [`Scenario::run_with`], configured from `reg`. One rig shape serves
+    /// every stack, so everything after the `match` is written once: arm
+    /// the wire and the observers, run the phases, assemble the outcome.
+    fn run_on(&self, reg: &ProtocolRegistry, opts: RunOpts) -> RunOutcome {
+        if let Some(mid) = opts.snapshot_at {
+            assert!(
+                mid > 0 && mid < self.calls,
+                "{}: midpoint {mid} must split {} calls",
+                self.label(),
+                self.calls
+            );
+            for (name, set) in [
+                ("trace", opts.trace),
+                ("check", opts.check),
+                ("journal", opts.journal),
+                ("chooser", opts.chooser.is_some()),
+                ("record_faults", opts.record_faults != FaultRecording::Off),
+            ] {
+                assert!(
+                    !set,
+                    "{}: snapshot_at does not compose with {name}: a \
+                     snapshot captures no {name} state to rewind",
+                    self.label()
+                );
+            }
+        }
+        let mut cfg = SimConfig::scheduled().with_seed(self.seed);
+        if opts.trace {
+            cfg = cfg.with_trace();
+        }
+        if opts.check {
+            cfg = cfg.with_check();
+        }
+        let rig = match self.stack {
+            StackKind::Paper(def) => self.rpc_setup(RpcFlavor::Paper(def), cfg, reg),
+            StackKind::SunRpcUdp => self.rpc_setup(RpcFlavor::SunRpc(SUNRPC_UDP_GRAPH), cfg, reg),
+            StackKind::SunRpcChannel => {
+                self.rpc_setup(RpcFlavor::SunRpc(SUNRPC_CHANNEL_GRAPH), cfg, reg)
+            }
+            StackKind::Psync => self.psync_setup(cfg, reg),
+        };
+
+        let sched = self.profile.schedule(
+            self.seed,
+            EthAddr::from_index(1),
+            EthAddr::from_index(2),
+            self.stack.checksummed(),
+        );
+        rig.net.set_fault_schedule(rig.lan, sched);
+        if opts.journal {
+            rig.sim.journal_enable();
+        }
+        if let FaultRecording::On { suppress_from } = opts.record_faults {
+            rig.net.record_faults(rig.lan);
+            rig.net.suppress_faults_from(rig.lan, suppress_from);
+        }
+        if let Some(ch) = opts.chooser {
+            rig.sim.set_chooser(ch);
+        }
+
+        // Phase one of a snapshotted run warms the system: sessions opened,
+        // channels allocated, RTO estimators trained, fault-schedule
+        // positions advanced.
+        let snap = opts.snapshot_at.map(|mid| {
+            (rig.spawn_phase)(0, mid);
+            assert_eq!(
+                rig.sim.run_until_idle().blocked,
+                0,
+                "{}: phase one left a blocked process",
+                self.label()
+            );
+            let sim_snap = rig.sim.snapshot().expect("quiescent after run_until_idle");
+            (sim_snap, rig.net.snapshot(), rig.tally.lock().clone())
         });
-        (out.report, out.journal.expect("journaling was on"))
-    }
-
-    /// Replays a journaled run: the journal's tie picks drive every
-    /// forced-choice point, and a fresh journal is recorded for
-    /// cross-checking (`replayed_journal.matches(original.sched_hash)`
-    /// must hold, as must report equality).
-    pub fn run_replayed(&self, journal: &Journal) -> (ChaosReport, Journal) {
-        let out = self.run_inner(RunOpts {
-            journal: true,
-            chooser: Some(Box::new(journal.chooser())),
-            ..RunOpts::default()
+        // The last phase — the whole run when nothing split it.
+        let last_phase = || {
+            (rig.spawn_phase)(opts.snapshot_at.unwrap_or(0), self.calls);
+            let run = rig.sim.run_until_idle();
+            let lan = rig.net.stats(rig.lan);
+            let t = rig.tally.lock();
+            ChaosReport {
+                label: self.label(),
+                run,
+                lan,
+                attempted: rig.attempted,
+                completed: t.completed,
+                mismatched: t.mismatched,
+                failed: t.failed,
+                executed: t.executed,
+                garbage: t.garbage,
+                duplicate_execs: t.duplicate_execs,
+            }
+        };
+        let report = last_phase();
+        // Rewind everything and replay the last phase on the same rig.
+        let replayed = snap.map(|(sim_snap, net_snap, tally_snap)| {
+            rig.sim.restore(&sim_snap).expect("restore on the same rig");
+            rig.net.restore(&net_snap);
+            *rig.tally.lock() = tally_snap;
+            SnapshotRun {
+                first: report.clone(),
+                replayed: last_phase(),
+                snapshot_at: sim_snap.now(),
+            }
         });
-        (out.report, out.journal.expect("journaling was on"))
-    }
 
-    /// Runs the scenario while recording the pre-suppression fault
-    /// timeline on its LAN, optionally suppressing every recorded-class
-    /// fault at packet index >= `suppress_from` (faults become clean
-    /// deliveries; the PRNG draw sequence is unchanged, so everything
-    /// before the cutoff replays exactly). The bisection probe.
-    pub fn run_recorded(&self, suppress_from: Option<u64>) -> (ChaosReport, Vec<FaultEvent>) {
-        let out = self.run_inner(RunOpts {
-            record_faults: true,
-            suppress_from,
-            ..RunOpts::default()
-        });
-        (out.report, out.faults)
-    }
-
-    /// Runs the scenario with the xcheck concurrency checker enabled:
-    /// vector-clock happens-before tracking, deadlock/lost-wakeup
-    /// detection, and per-violation repro strings. The checker only
-    /// observes, so the report is bit-identical to [`Scenario::run`].
-    pub fn run_verified(&self) -> Verified {
-        self.run_verified_inner(None)
-    }
-
-    /// [`Scenario::run_verified`] with a scheduling oracle steering every
-    /// same-time event tie — one schedule out of xcheck's bounded
-    /// exploration. The chooser is installed after warm-up, so its
-    /// decisions cover only the measured workload.
-    pub fn run_verified_with(&self, chooser: Box<dyn ScheduleChooser>) -> Verified {
-        self.run_verified_inner(Some(chooser))
-    }
-
-    fn run_verified_inner(&self, chooser: Option<Box<dyn ScheduleChooser>>) -> Verified {
-        let out = self.run_inner(RunOpts {
-            check: true,
-            chooser,
-            ..RunOpts::default()
-        });
-        let (report, sim) = (out.report, out.sim);
-        let check = sim.check_report();
-        let repros = check.violations.iter().map(|v| sim.repro(v)).collect();
-        let invariant_failures = self.invariant_failures(&report);
-        Verified {
+        RunOutcome {
             report,
-            check,
-            repros,
-            invariant_failures,
+            faults: rig.net.recorded_faults(rig.lan),
+            journal: opts.journal.then(|| rig.sim.journal_take()),
+            sim: rig.sim,
+            replayed,
         }
-    }
-
-    /// Runs the scenario with structured tracing enabled, so the returned
-    /// report's [`RunReport::breakdown`] carries the per-layer cost ledger
-    /// (and each host's final CPU clock in
-    /// [`xkernel::sim::HostStats::cpu_ns`]). Tracing observes charges but
-    /// never adds any, so the virtual-time outcome is bit-identical to
-    /// [`Scenario::run`].
-    pub fn run_traced(&self) -> ChaosReport {
-        self.run_inner(RunOpts {
-            trace: true,
-            ..RunOpts::default()
-        })
-        .report
-    }
-
-    fn run_inner(&self, opts: RunOpts<'_>) -> RunOutput {
-        match self.stack {
-            StackKind::Paper(def) => self.run_rpc(RpcFlavor::Paper(def), opts),
-            StackKind::SunRpcUdp => self.run_rpc(RpcFlavor::SunRpc(SUNRPC_UDP_GRAPH), opts),
-            StackKind::SunRpcChannel => self.run_rpc(RpcFlavor::SunRpc(SUNRPC_CHANNEL_GRAPH), opts),
-            StackKind::Psync => self.run_psync(opts),
-        }
-    }
-
-    /// Runs the scenario and asserts every invariant that applies to it.
-    pub fn run_checked(&self) -> ChaosReport {
-        let r = self.run();
-        self.check(&r);
-        r
     }
 
     /// Asserts the harness invariants against a report from this scenario.
@@ -616,43 +644,14 @@ impl Scenario {
         f
     }
 
-    /// The simulator configuration and registry a scenario's rig is built
-    /// from.
-    fn rig_config<'r>(&self, opts: &RunOpts<'r>) -> (SimConfig, &'r ProtocolRegistry) {
-        let mut cfg = SimConfig::scheduled().with_seed(self.seed);
-        if opts.trace {
-            cfg = cfg.with_trace();
-        }
-        if opts.check {
-            cfg = cfg.with_check();
-        }
-        (cfg, opts.registry.unwrap_or_else(|| registry()))
-    }
-
-    fn install_schedule(&self, tb: &TwoHosts) {
-        let sched = self.profile.schedule(
-            self.seed,
-            EthAddr::from_index(1),
-            EthAddr::from_index(2),
-            self.stack.checksummed(),
-        );
-        tb.net.set_fault_schedule(tb.lan, sched);
-    }
-
     /// Builds the two-host rig for an RPC flavor: registers the serving
-    /// handler, warms ARP on the quiet wire, installs the fault schedule,
-    /// and arms journaling / fault recording / suppression per `opts` —
-    /// everything up to (but not including) spawning client processes.
-    fn rpc_setup(
-        &self,
-        flavor: RpcFlavor,
-        opts: &RunOpts<'_>,
-    ) -> (TwoHosts, Arc<OwnerCell<Tally>>) {
+    /// handler and warms ARP on the quiet wire — everything up to (but not
+    /// including) arming the wire and spawning client processes.
+    fn rpc_setup(&self, flavor: RpcFlavor, cfg: SimConfig, reg: &ProtocolRegistry) -> Rig {
         let graph = match flavor {
             RpcFlavor::Paper(def) => def.graph,
             RpcFlavor::SunRpc(g) => g,
         };
-        let (cfg, reg) = self.rig_config(opts);
         let tb = two_hosts(cfg, reg, graph).expect("chaos testbed builds");
         let tally = Arc::new(OwnerCell::new(Tally::default()));
 
@@ -687,17 +686,15 @@ impl Scenario {
         }
 
         warm_arp(&tb.sim, tb.client.host(), tb.server_ip);
-        self.install_schedule(&tb);
-        if opts.journal {
-            tb.sim.journal_enable();
+        let sc = *self;
+        Rig {
+            sim: tb.sim.clone(),
+            net: tb.net.clone(),
+            lan: tb.lan,
+            tally: Arc::clone(&tally),
+            attempted: self.calls * self.population.max(1),
+            spawn_phase: Box::new(move |lo, hi| sc.spawn_rpc_clients(&tb, &tally, flavor, lo, hi)),
         }
-        if opts.record_faults {
-            tb.net.record_faults(tb.lan);
-        }
-        if let Some(cutoff) = opts.suppress_from {
-            tb.net.suppress_faults_from(tb.lan, Some(cutoff));
-        }
-        (tb, tally)
     }
 
     /// Spawns the closed-loop client population, each process issuing
@@ -752,103 +749,9 @@ impl Scenario {
         }
     }
 
-    fn run_rpc(&self, flavor: RpcFlavor, mut opts: RunOpts<'_>) -> RunOutput {
-        let chooser = opts.chooser.take();
-        let (tb, tally) = self.rpc_setup(flavor, &opts);
-        if let Some(ch) = chooser {
-            tb.sim.set_chooser(ch);
-        }
-        self.spawn_rpc_clients(&tb, &tally, flavor, 0, self.calls);
-        let run = tb.sim.run_until_idle();
-        let attempted = self.calls * self.population.max(1);
-        let report = self.report(run, tb.net.stats(tb.lan), &tally, attempted);
-        RunOutput {
-            report,
-            sim: tb.sim.clone(),
-            faults: if opts.record_faults {
-                tb.net.recorded_faults(tb.lan)
-            } else {
-                Vec::new()
-            },
-            journal: opts.journal.then(|| tb.sim.journal_take()),
-        }
-    }
-
-    /// Runs the scenario in two phases split at call `mid`, snapshotting
-    /// the whole quiescent system (scheduler, PRNG, hosts, every
-    /// protocol's private state, and the wire) between them; then restores
-    /// the snapshot and re-runs phase two on the same rig. The two reports
-    /// must be `Eq`-identical — the snapshot/restore bit-identity
-    /// guarantee — which [`SnapshotRun::assert_identical`] checks.
-    pub fn run_snapshotted(&self, mid: u32) -> SnapshotRun {
-        assert!(
-            mid > 0 && mid < self.calls,
-            "{}: midpoint {mid} must split {} calls",
-            self.label(),
-            self.calls
-        );
-        match self.stack {
-            StackKind::Paper(def) => self.run_rpc_snapshotted(RpcFlavor::Paper(def), mid),
-            StackKind::SunRpcUdp => {
-                self.run_rpc_snapshotted(RpcFlavor::SunRpc(SUNRPC_UDP_GRAPH), mid)
-            }
-            StackKind::SunRpcChannel => {
-                self.run_rpc_snapshotted(RpcFlavor::SunRpc(SUNRPC_CHANNEL_GRAPH), mid)
-            }
-            StackKind::Psync => self.run_psync_snapshotted(mid),
-        }
-    }
-
-    fn run_rpc_snapshotted(&self, flavor: RpcFlavor, mid: u32) -> SnapshotRun {
-        let opts = RunOpts::default();
-        let (tb, tally) = self.rpc_setup(flavor, &opts);
-        let attempted = self.calls * self.population.max(1);
-
-        // Phase one warms the system: sessions opened, channels allocated,
-        // RTO estimators trained, fault-schedule positions advanced.
-        self.spawn_rpc_clients(&tb, &tally, flavor, 0, mid);
-        assert_eq!(
-            tb.sim.run_until_idle().blocked,
-            0,
-            "{}: phase one left a blocked process",
-            self.label()
-        );
-
-        let sim_snap = tb.sim.snapshot().expect("quiescent after run_until_idle");
-        let net_snap = tb.net.snapshot();
-        let tally_snap = tally.lock().clone();
-
-        // Continue uninterrupted: the reference run.
-        self.spawn_rpc_clients(&tb, &tally, flavor, mid, self.calls);
-        let first = self.report(
-            tb.sim.run_until_idle(),
-            tb.net.stats(tb.lan),
-            &tally,
-            attempted,
-        );
-
-        // Rewind everything and replay phase two on the same rig.
-        tb.sim.restore(&sim_snap).expect("restore on the same rig");
-        tb.net.restore(&net_snap);
-        *tally.lock() = tally_snap;
-        self.spawn_rpc_clients(&tb, &tally, flavor, mid, self.calls);
-        let replayed = self.report(
-            tb.sim.run_until_idle(),
-            tb.net.stats(tb.lan),
-            &tally,
-            attempted,
-        );
-
-        SnapshotRun {
-            first,
-            replayed,
-            snapshot_at: sim_snap.now(),
-        }
-    }
-
-    /// Builds the two-party Psync rig: conversations opened on both sides,
-    /// ARP warmed, fault schedule installed, journaling/recording armed.
-    fn psync_setup(&self, opts: &RunOpts<'_>) -> PsyncRig {
+    /// Builds the two-party Psync rig: conversations opened on both sides
+    /// and ARP warmed.
+    fn psync_setup(&self, cfg: SimConfig, reg: &ProtocolRegistry) -> Rig {
         assert!(
             self.profile.is_lossless(),
             "{}: psync has no retransmission; only lossless profiles apply",
@@ -859,7 +762,6 @@ impl Scenario {
             "{}: psync conversations are two-party; populations do not apply",
             self.label()
         );
-        let (cfg, reg) = self.rig_config(opts);
         let rig = lan_hosts(cfg, reg, "vip -> ip eth arp\npsync -> vip\n", 2)
             .expect("psync testbed builds");
         let (a_ip, b_ip) = (rig.ip_of(0), rig.ip_of(1));
@@ -874,40 +776,37 @@ impl Scenario {
         let conv_b = open(1, a_ip);
 
         warm_arp(&rig.sim, rig.kernels[0].host(), b_ip);
-        let sched = self.profile.schedule(
-            self.seed,
-            EthAddr::from_index(1),
-            EthAddr::from_index(2),
-            false,
-        );
-        rig.net.set_fault_schedule(rig.lan, sched);
-        if opts.journal {
-            rig.sim.journal_enable();
-        }
-        if opts.record_faults {
-            rig.net.record_faults(rig.lan);
-        }
-        if let Some(cutoff) = opts.suppress_from {
-            rig.net.suppress_faults_from(rig.lan, Some(cutoff));
-        }
-        PsyncRig {
-            rig,
-            conv_a,
-            conv_b,
-            tally: Arc::new(OwnerCell::new(Tally::default())),
+        let tally = Arc::new(OwnerCell::new(Tally::default()));
+        let sc = *self;
+        Rig {
+            sim: rig.sim.clone(),
+            net: rig.net.clone(),
+            lan: rig.lan,
+            tally: Arc::clone(&tally),
+            attempted: self.calls,
+            spawn_phase: Box::new(move |lo, hi| {
+                sc.spawn_psync_phase(&rig, (&conv_a, &conv_b), &tally, lo, hi)
+            }),
         }
     }
 
     /// Spawns one conversation phase: side A sends rounds `lo..hi` and
     /// awaits each transform; side B serves `hi - lo` rounds.
-    fn spawn_psync_phase(&self, pr: &PsyncRig, lo: u32, hi: u32) {
+    fn spawn_psync_phase(
+        &self,
+        rig: &inet::testbed::Lan,
+        (conv_a, conv_b): (&Arc<psync::Conversation>, &Arc<psync::Conversation>),
+        tally: &Arc<OwnerCell<Tally>>,
+        lo: u32,
+        hi: u32,
+    ) {
         let seed = self.seed;
 
         // Side A: send a round, await its transform.
-        let conv_a = Arc::clone(&pr.conv_a);
-        let ta = Arc::clone(&pr.tally);
-        let ha = pr.rig.kernels[0].host();
-        pr.rig.sim.spawn(ha, move |ctx| {
+        let conv_a = Arc::clone(conv_a);
+        let ta = Arc::clone(tally);
+        let ha = rig.kernels[0].host();
+        rig.sim.spawn(ha, move |ctx| {
             for i in lo..hi {
                 let req = chaos_payload(seed, u64::from(i));
                 let want = expected_reply(&req);
@@ -928,10 +827,10 @@ impl Scenario {
         });
 
         // Side B: receive each round, verify, reply in its context.
-        let conv_b = Arc::clone(&pr.conv_b);
-        let tb2 = Arc::clone(&pr.tally);
-        let hb = pr.rig.kernels[1].host();
-        pr.rig.sim.spawn(hb, move |ctx| {
+        let conv_b = Arc::clone(conv_b);
+        let tb2 = Arc::clone(tally);
+        let hb = rig.kernels[1].host();
+        rig.sim.spawn(hb, move |ctx| {
             for _ in lo..hi {
                 let m = match conv_b.receive(ctx, PSYNC_RECV_TIMEOUT_NS) {
                     Ok(m) => m,
@@ -947,97 +846,6 @@ impl Scenario {
             }
         });
     }
-
-    fn run_psync(&self, mut opts: RunOpts<'_>) -> RunOutput {
-        let chooser = opts.chooser.take();
-        let pr = self.psync_setup(&opts);
-        if let Some(ch) = chooser {
-            pr.rig.sim.set_chooser(ch);
-        }
-        self.spawn_psync_phase(&pr, 0, self.calls);
-        let run = pr.rig.sim.run_until_idle();
-        let report = self.report(run, pr.rig.net.stats(pr.rig.lan), &pr.tally, self.calls);
-        RunOutput {
-            report,
-            sim: pr.rig.sim.clone(),
-            faults: if opts.record_faults {
-                pr.rig.net.recorded_faults(pr.rig.lan)
-            } else {
-                Vec::new()
-            },
-            journal: opts.journal.then(|| pr.rig.sim.journal_take()),
-        }
-    }
-
-    fn run_psync_snapshotted(&self, mid: u32) -> SnapshotRun {
-        let pr = self.psync_setup(&RunOpts::default());
-
-        self.spawn_psync_phase(&pr, 0, mid);
-        assert_eq!(
-            pr.rig.sim.run_until_idle().blocked,
-            0,
-            "{}: phase one left a blocked process",
-            self.label()
-        );
-
-        let sim_snap = pr
-            .rig
-            .sim
-            .snapshot()
-            .expect("quiescent after run_until_idle");
-        let net_snap = pr.rig.net.snapshot();
-        let tally_snap = pr.tally.lock().clone();
-
-        self.spawn_psync_phase(&pr, mid, self.calls);
-        let first = self.report(
-            pr.rig.sim.run_until_idle(),
-            pr.rig.net.stats(pr.rig.lan),
-            &pr.tally,
-            self.calls,
-        );
-
-        pr.rig
-            .sim
-            .restore(&sim_snap)
-            .expect("restore on the same rig");
-        pr.rig.net.restore(&net_snap);
-        *pr.tally.lock() = tally_snap;
-        self.spawn_psync_phase(&pr, mid, self.calls);
-        let replayed = self.report(
-            pr.rig.sim.run_until_idle(),
-            pr.rig.net.stats(pr.rig.lan),
-            &pr.tally,
-            self.calls,
-        );
-
-        SnapshotRun {
-            first,
-            replayed,
-            snapshot_at: sim_snap.now(),
-        }
-    }
-
-    fn report(
-        &self,
-        run: RunReport,
-        lan: LanStats,
-        tally: &OwnerCell<Tally>,
-        attempted: u32,
-    ) -> ChaosReport {
-        let t = tally.lock();
-        ChaosReport {
-            label: self.label(),
-            run,
-            lan,
-            attempted,
-            completed: t.completed,
-            mismatched: t.mismatched,
-            failed: t.failed,
-            executed: t.executed,
-            garbage: t.garbage,
-            duplicate_execs: t.duplicate_execs,
-        }
-    }
 }
 
 #[derive(Clone, Copy)]
@@ -1046,20 +854,26 @@ enum RpcFlavor {
     SunRpc(&'static str),
 }
 
-/// The Psync two-party rig plus the handles a phased run needs.
-struct PsyncRig {
-    rig: inet::testbed::Lan,
-    conv_a: Arc<psync::Conversation>,
-    conv_b: Arc<psync::Conversation>,
+/// The one shape every stack's rig takes once it is built: what the runner
+/// arms, drives and reads, whichever testbed is behind it.
+struct Rig {
+    sim: Sim,
+    net: SimNet,
+    lan: LanId,
     tally: Arc<OwnerCell<Tally>>,
+    /// Calls the whole run issues, over every client.
+    attempted: u32,
+    /// Spawns the processes that issue calls (Psync: rounds) `lo..hi`. Owns
+    /// the testbed, so the kernels live as long as the rig.
+    spawn_phase: Box<dyn Fn(u32, u32)>,
 }
 
-/// Outcome of [`Scenario::run_snapshotted`]: the uninterrupted run and
-/// the restore-and-replay run, which must be bit-identical.
+/// Outcome of a run split by [`RunOpts::snapshot_at`]: the uninterrupted
+/// run and the restore-and-replay run, which must be bit-identical.
 #[derive(Clone, Debug)]
 pub struct SnapshotRun {
     /// Phase one + phase two, run straight through (the snapshot was
-    /// taken between the phases but never used).
+    /// taken between the phases but never used): the outcome's `report`.
     pub first: ChaosReport,
     /// The same phase two re-run after restoring the snapshot.
     pub replayed: ChaosReport,
@@ -1121,11 +935,11 @@ pub fn full_matrix(seed_base: u64, seeds_per_cell: u64, calls: u32) -> Vec<Scena
 /// (a violation panics the batch).
 pub fn run_matrix(scenarios: Vec<Scenario>, threads: usize, checked: bool) -> Vec<ChaosReport> {
     xkernel::par::run_indexed(scenarios, threads, |sc| {
+        let r = sc.run();
         if checked {
-            sc.run_checked()
-        } else {
-            sc.run()
+            sc.check(&r);
         }
+        r
     })
 }
 
@@ -1201,10 +1015,7 @@ mod tests {
         let mut seen = Vec::new();
         for sc in full_matrix(3, 1, 4) {
             let fresh = full_registry();
-            let out = sc.run_inner(RunOpts {
-                registry: Some(&fresh),
-                ..RunOpts::default()
-            });
+            let out = sc.run_on(&fresh, RunOpts::default());
             assert_eq!(sc.run(), out.report);
             if !seen.contains(&sc.stack.name()) {
                 seen.push(sc.stack.name());
@@ -1222,7 +1033,8 @@ mod tests {
             calls: 3,
             population: 1,
         };
-        let r = sc.run_checked();
+        let r = sc.run();
+        sc.check(&r);
         assert_eq!(r.completed, 3);
         assert_eq!(r.executed, 3);
         let client = r.run.hosts[0];

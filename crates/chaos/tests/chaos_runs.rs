@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use chaos::{warm_arp, Profile, Scenario, StackKind};
+use chaos::{warm_arp, ChaosReport, Profile, Scenario, StackKind};
 use inet::testbed::{base_registry, two_hosts, TwoHosts};
 use simnet::fault::{FaultPlan, FaultSchedule};
 use xkernel::sim::SimConfig;
@@ -19,6 +19,13 @@ use xrpc::stacks::L_RPC_VIP;
 /// ≥ 20 seeds per paper stack; profiles cycle so every stack sees every
 /// shape it supports.
 const SOAK_SEEDS: u64 = 20;
+
+/// Runs `sc` and asserts every invariant that applies to it.
+fn checked(sc: &Scenario) -> ChaosReport {
+    let r = sc.run();
+    sc.check(&r);
+    r
+}
 
 // ---------------------------------------------------------------------------
 // Soak: every paper stack, 20 seeds, profiles cycling.
@@ -30,14 +37,13 @@ fn soak_every_paper_stack_twenty_seeds() {
         let profiles = stack.profiles();
         for seed in 0..SOAK_SEEDS {
             let profile = profiles[(seed as usize) % profiles.len()];
-            Scenario {
+            checked(&Scenario {
                 stack,
                 profile,
                 seed: 0x1000 + seed,
                 calls: 10,
                 population: 1,
-            }
-            .run_checked();
+            });
         }
     }
 }
@@ -48,14 +54,13 @@ fn soak_sun_rpc_both_transaction_layers() {
         let profiles = stack.profiles();
         for seed in 0..8 {
             let profile = profiles[(seed as usize) % profiles.len()];
-            Scenario {
+            checked(&Scenario {
                 stack,
                 profile,
                 seed: 0x2000 + seed,
                 calls: 8,
                 population: 1,
-            }
-            .run_checked();
+            });
         }
     }
 }
@@ -68,14 +73,13 @@ fn soak_psync_conversations() {
         } else {
             Profile::Jittery
         };
-        Scenario {
+        checked(&Scenario {
             stack: StackKind::Psync,
             profile,
             seed: 0x3000 + seed,
             calls: 6,
             population: 1,
-        }
-        .run_checked();
+        });
     }
 }
 
@@ -92,8 +96,8 @@ fn identical_seeds_reproduce_bit_identical_reports() {
         calls: 12,
         population: 1,
     };
-    let a = sc.run_checked();
-    let b = sc.run_checked();
+    let a = checked(&sc);
+    let b = checked(&sc);
     assert_eq!(
         a, b,
         "same scenario + same seed must reproduce the run bit-for-bit \
@@ -106,11 +110,10 @@ fn identical_seeds_reproduce_bit_identical_reports() {
         a.lan
     );
 
-    let c = Scenario {
+    let c = checked(&Scenario {
         seed: 0xc4a06,
         ..sc
-    }
-    .run_checked();
+    });
     assert_ne!(a, c, "a different seed must drive a different run");
 }
 

@@ -4,7 +4,8 @@
 //! representative stacks under fault-free and faulty profiles, and the
 //! checker finds no violations on any of them.
 
-use chaos::{Profile, Scenario, StackKind};
+use chaos::{Profile, RunOpts, RunOutcome, Scenario, StackKind};
+use xkernel::check::CheckReport;
 
 fn scenario(stack: StackKind, profile: Profile) -> Scenario {
     Scenario {
@@ -14,6 +15,18 @@ fn scenario(stack: StackKind, profile: Profile) -> Scenario {
         calls: 4,
         population: 1,
     }
+}
+
+/// `sc` under the checker: the outcome, what the checker found, and one
+/// replayable repro string per violation.
+fn under_checker(sc: &Scenario) -> (RunOutcome, CheckReport, Vec<String>) {
+    let out = sc.run_with(RunOpts {
+        check: true,
+        ..RunOpts::default()
+    });
+    let check = out.sim.check_report();
+    let repros = check.violations.iter().map(|v| out.sim.repro(v)).collect();
+    (out, check, repros)
 }
 
 #[test]
@@ -29,25 +42,19 @@ fn checked_runs_are_bit_identical_to_plain_runs() {
     ] {
         let sc = scenario(stack, profile);
         let plain = sc.run();
-        let verified = sc.run_verified();
+        let (verified, check, repros) = under_checker(&sc);
         assert_eq!(
             plain, verified.report,
             "{stack:?}/{profile:?}: checking must be a pure observer"
         );
+        assert!(check.enabled && check.lps > 0, "checker actually ran");
         assert!(
-            verified.check.enabled && verified.check.lps > 0,
-            "checker actually ran"
-        );
-        assert!(
-            verified.check.violations.is_empty(),
+            check.violations.is_empty(),
             "{stack:?}/{profile:?}: {:?}",
-            verified.repros
+            repros
         );
-        assert!(
-            verified.invariant_failures.is_empty(),
-            "{:?}",
-            verified.invariant_failures
-        );
+        let invariant_failures = sc.invariant_failures(&verified.report);
+        assert!(invariant_failures.is_empty(), "{:?}", invariant_failures);
     }
 }
 
@@ -63,11 +70,11 @@ fn repeated_calls_do_not_false_positive_on_reply_semaphores() {
         calls: 8,
         population: 2,
     };
-    let v = sc.run_verified();
+    let (_, check, repros) = under_checker(&sc);
     assert!(
-        v.check.violations.is_empty(),
+        check.violations.is_empty(),
         "reply semaphores are P'd repeatedly by design: {:?}",
-        v.repros
+        repros
     );
-    assert!(v.check.hb_edges > 0, "cross-process joins observed");
+    assert!(check.hb_edges > 0, "cross-process joins observed");
 }

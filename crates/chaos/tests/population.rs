@@ -3,12 +3,19 @@
 //! and at-most-once must hold *per call* — no payload may execute twice,
 //! no matter how the population's retransmissions interleave.
 
-use chaos::{Profile, Scenario, StackKind};
+use chaos::{ChaosReport, Profile, Scenario, StackKind};
 use xrpc::stacks::{L_RPC_VIP, M_RPC_ETH};
 
 /// A population larger than the CHANNEL pool (8 channels per peer), so
 /// clients queue on channel allocation while partitions heal.
 const POPULATION: u32 = 12;
+
+/// Runs `sc` and asserts every invariant that applies to it.
+fn checked(sc: &Scenario) -> ChaosReport {
+    let r = sc.run();
+    sc.check(&r);
+    r
+}
 
 #[test]
 fn population_survives_partitions_on_the_layered_stack() {
@@ -19,7 +26,7 @@ fn population_survives_partitions_on_the_layered_stack() {
         calls: 4,
         population: POPULATION,
     };
-    let r = sc.run_checked();
+    let r = checked(&sc);
     assert_eq!(r.attempted, 4 * POPULATION);
     assert_eq!(r.completed, r.attempted);
     assert_eq!(r.duplicate_execs, 0);
@@ -37,7 +44,7 @@ fn population_survives_chaos_on_the_monolithic_stack() {
         calls: 3,
         population: POPULATION,
     };
-    let r = sc.run_checked();
+    let r = checked(&sc);
     assert_eq!(r.attempted, 3 * POPULATION);
     assert_eq!(
         r.executed, r.attempted,
@@ -57,8 +64,8 @@ fn population_of_one_matches_the_classic_scenario() {
         calls: 5,
         population: 1,
     };
-    let a = sc.run_checked();
-    let b = sc.run_checked();
+    let a = checked(&sc);
+    let b = checked(&sc);
     assert_eq!(a, b);
     assert_eq!(a.attempted, 5);
 }
@@ -72,5 +79,5 @@ fn populations_are_deterministic() {
         calls: 3,
         population: 6,
     };
-    assert_eq!(sc.run_checked(), sc.run_checked());
+    assert_eq!(checked(&sc), checked(&sc));
 }

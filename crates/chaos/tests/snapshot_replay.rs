@@ -13,7 +13,8 @@
 //!   culprit fault event with a replayable repro.
 
 use chaos::bisect::{bisect, BisectError};
-use chaos::{Profile, Scenario, StackKind};
+use chaos::{ChaosReport, FaultRecording, Profile, RunOpts, Scenario, SnapshotRun, StackKind};
+use simnet::FaultEvent;
 use xkernel::journal::Journal;
 
 fn scenario(stack: StackKind, profile: Profile, seed: u64, calls: u32) -> Scenario {
@@ -26,6 +27,37 @@ fn scenario(stack: StackKind, profile: Profile, seed: u64, calls: u32) -> Scenar
     }
 }
 
+/// `sc` split at call `mid`: the uninterrupted run beside the
+/// restore-and-replay of its second phase.
+fn snapshotted(sc: &Scenario, mid: u32) -> SnapshotRun {
+    sc.run_with(RunOpts {
+        snapshot_at: Some(mid),
+        ..RunOpts::default()
+    })
+    .replayed
+    .expect("snapshot_at was set")
+}
+
+/// `sc` with its journal recording, replaying `replay`'s tie picks if given.
+fn journaled(sc: &Scenario, replay: Option<&Journal>) -> (ChaosReport, Journal) {
+    let out = sc.run_with(RunOpts {
+        journal: true,
+        chooser: replay.map(|j| Box::new(j.chooser()) as _),
+        ..RunOpts::default()
+    });
+    (out.report, out.journal.expect("journaling was on"))
+}
+
+/// The bisection probe: `sc` with fault recording on and every
+/// recorded-class fault at packet index >= `suppress_from` suppressed.
+fn recorded(sc: &Scenario, suppress_from: Option<u64>) -> (ChaosReport, Vec<FaultEvent>) {
+    let out = sc.run_with(RunOpts {
+        record_faults: FaultRecording::On { suppress_from },
+        ..RunOpts::default()
+    });
+    (out.report, out.faults)
+}
+
 #[test]
 fn snapshot_restore_is_bit_identical_on_every_stack() {
     let mut stacks = StackKind::all_paper();
@@ -33,7 +65,7 @@ fn snapshot_restore_is_bit_identical_on_every_stack() {
     stacks.push(StackKind::SunRpcChannel);
     for stack in stacks {
         let sc = scenario(stack, Profile::FaultFree, 11, 6);
-        let out = sc.run_snapshotted(3);
+        let out = snapshotted(&sc, 3);
         out.assert_identical();
         assert!(
             out.snapshot_at > 0,
@@ -56,7 +88,7 @@ fn snapshot_restore_is_bit_identical_under_faults() {
         (StackKind::SunRpcChannel, Profile::Bursty),
     ] {
         let sc = scenario(stack, profile, 7, 8);
-        let out = sc.run_snapshotted(4);
+        let out = snapshotted(&sc, 4);
         out.assert_identical();
         sc.check(&out.first);
     }
@@ -65,7 +97,7 @@ fn snapshot_restore_is_bit_identical_under_faults() {
 #[test]
 fn snapshot_restore_is_bit_identical_on_psync() {
     let sc = scenario(StackKind::Psync, Profile::Jittery, 5, 6);
-    let out = sc.run_snapshotted(3);
+    let out = snapshotted(&sc, 3);
     out.assert_identical();
     sc.check(&out.first);
 }
@@ -79,7 +111,7 @@ fn phased_report_matches_scenario_invariants_with_population() {
         calls: 6,
         population: 3,
     };
-    let out = sc.run_snapshotted(2);
+    let out = snapshotted(&sc, 2);
     out.assert_identical();
     sc.check(&out.first);
 }
@@ -92,12 +124,12 @@ fn journaled_run_replays_to_identical_schedule() {
         9,
         6,
     );
-    let (report, journal) = sc.run_journaled();
+    let (report, journal) = journaled(&sc, None);
     assert!(
         journal.matches(report.run.sched_hash),
         "journal fingerprint matches the run it recorded"
     );
-    let (replayed, rejournal) = sc.run_replayed(&journal);
+    let (replayed, rejournal) = journaled(&sc, Some(&journal));
     assert_eq!(report, replayed, "replayed run is bit-identical");
     assert!(
         rejournal.matches(report.run.sched_hash),
@@ -112,7 +144,7 @@ fn journaled_run_replays_to_identical_schedule() {
 #[test]
 fn journal_round_trips_through_wire_encoding() {
     let sc = scenario(StackKind::SunRpcUdp, Profile::Lossy, 4, 5);
-    let (_, journal) = sc.run_journaled();
+    let (_, journal) = journaled(&sc, None);
     assert!(
         !journal.faults().is_empty(),
         "a lossy run journals realized faults"
@@ -130,9 +162,9 @@ fn suppressing_all_faults_recovers_the_clean_run() {
         9,
         6,
     );
-    let (faulty, events) = sc.run_recorded(None);
+    let (faulty, events) = recorded(&sc, None);
     assert!(!events.is_empty(), "lossy profile records fault events");
-    let (clean, replay_events) = sc.run_recorded(Some(0));
+    let (clean, replay_events) = recorded(&sc, Some(0));
     // Draw parity holds up to the first suppressed fault: both runs are
     // identical until that packet, so the first would-be fault coincides.
     // After it the workloads legitimately diverge (no retransmissions in
@@ -161,7 +193,7 @@ fn fault_draw_accounting_is_prefix_stable_at_every_cutoff() {
         (StackKind::SunRpcUdp, Profile::Chaotic),
     ] {
         let sc = scenario(stack, profile, 9, 8);
-        let (_, events) = sc.run_recorded(None);
+        let (_, events) = recorded(&sc, None);
         assert!(
             events.len() >= 2,
             "{}/{:?}: need a multi-fault timeline",
@@ -170,7 +202,7 @@ fn fault_draw_accounting_is_prefix_stable_at_every_cutoff() {
         );
         for k in 0..events.len() {
             let cutoff = if k == 0 { 0 } else { events[k - 1].index + 1 };
-            let (_, probe) = sc.run_recorded(Some(cutoff));
+            let (_, probe) = recorded(&sc, Some(cutoff));
             assert!(
                 probe.len() >= k,
                 "{}/{:?} keep({k}): probe realized only {} events",
@@ -194,7 +226,7 @@ fn bisect_minimizes_to_a_single_culprit() {
     // No retransmission budget rides out Blackout's ~2 s bidirectional
     // outage — a deterministic, multi-fault, fault-induced failure.
     let sc = scenario(StackKind::SunRpcUdp, Profile::Blackout, 2, 8);
-    let (full, events) = sc.run_recorded(None);
+    let (full, events) = recorded(&sc, None);
     assert!(
         !sc.invariant_failures(&full).is_empty(),
         "blackout must defeat the retry budget"
@@ -211,10 +243,10 @@ fn bisect_minimizes_to_a_single_culprit() {
     );
     // The verdict is replayable from the repro's two cutoffs: keeping the
     // culprit fails, cutting just below it passes.
-    let (failing, _) = sc.run_recorded(Some(out.culprit.index + 1));
+    let (failing, _) = recorded(&sc, Some(out.culprit.index + 1));
     assert!(!sc.invariant_failures(&failing).is_empty());
     let below = events[..out.kept - 1].last().map_or(0, |e| e.index + 1);
-    let (passing, _) = sc.run_recorded(Some(below));
+    let (passing, _) = recorded(&sc, Some(below));
     assert!(sc.invariant_failures(&passing).is_empty());
 }
 

@@ -11,11 +11,20 @@
 //!   `Eq`-identical reports, breakdown included, and tracing never changes
 //!   the virtual-time outcome of the untraced run.
 
-use chaos::{Profile, Scenario, StackKind};
+use chaos::{ChaosReport, Profile, RunOpts, Scenario, StackKind};
 use xkernel::prelude::HostId;
 use xrpc::stacks::{L_RPC_VIP, M_RPC_IP};
 
-fn assert_conserved(r: &chaos::ChaosReport) {
+/// `sc` with structured tracing on: the report carries the cost ledger.
+fn traced(sc: &Scenario) -> ChaosReport {
+    sc.run_with(RunOpts {
+        trace: true,
+        ..RunOpts::default()
+    })
+    .report
+}
+
+fn assert_conserved(r: &ChaosReport) {
     assert!(
         !r.run.breakdown.is_empty(),
         "{}: traced run produced no ledger",
@@ -65,7 +74,7 @@ fn ledger_conserves_under_loss_and_chaos() {
         },
     ];
     for sc in &scenarios {
-        let r = sc.run_traced();
+        let r = traced(sc);
         sc.check(&r);
         assert_conserved(&r);
     }
@@ -80,13 +89,14 @@ fn traced_runs_are_deterministic_and_do_not_perturb_time() {
         calls: 3,
         population: 1,
     };
-    let a = sc.run_traced();
-    let b = sc.run_traced();
+    let a = traced(&sc);
+    let b = traced(&sc);
     assert_eq!(a, b, "same scenario, same seed: bit-identical reports");
 
     // Tracing observes, never charges: the untraced run reaches the same
     // virtual end time with the same event count and robustness counters.
-    let plain = sc.run_checked();
+    let plain = sc.run();
+    sc.check(&plain);
     assert_eq!(a.run.ended_at, plain.run.ended_at);
     assert_eq!(a.run.events, plain.run.events);
     assert_eq!(a.lan, plain.lan);

@@ -9,7 +9,7 @@ use crate::txn::awaits_reply;
 
 /// The lock-acquisition order every blocking layer observes inside the
 /// kernel: the scheduler lock strictly before the per-host state lock
-/// (`sim.rs` documents sched -> hosts -> trace; trace is a leaf no
+/// (the simulator documents sched -> hosts -> trace; trace is a leaf no
 /// protocol touches directly). XK015 rejects any contract set that merges
 /// into a cycle with this.
 const KERNEL_LOCKS: [&str; 2] = ["sched", "hosts"];

@@ -780,7 +780,7 @@ mod tests {
             })
             .unwrap();
         let ctx = sim.ctx(kernel.host());
-        let frag = kernel.proto(frag_id).unwrap();
+        let frag = kernel.proto_ref(frag_id).unwrap();
         frag.boot(&ctx).unwrap();
 
         let parts = ParticipantSet::pair(

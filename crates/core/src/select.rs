@@ -105,11 +105,6 @@ impl Select {
         self.shepherds.stats()
     }
 
-    /// Current depth of the shepherd pending queue.
-    pub fn shepherd_queue_depth(&self) -> usize {
-        self.shepherds.queue_depth()
-    }
-
     fn self_arc(&self) -> Arc<Select> {
         self.weak_self.upgrade().expect("select alive")
     }

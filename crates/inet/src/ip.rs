@@ -145,11 +145,6 @@ impl Iface {
     pub fn frag_payload(&self) -> usize {
         (self.mtu - IP_HDR_LEN) & !7
     }
-
-    /// True if `ip` is on this interface's network.
-    pub fn on_link(&self, ip: IpAddr) -> bool {
-        ip.network(self.mask) == self.ip.network(self.mask)
-    }
 }
 
 /// A static route.

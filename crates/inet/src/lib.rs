@@ -129,7 +129,7 @@ pub fn register_ctors(reg: &mut ProtocolRegistry) {
         let mut ifaces = Vec::new();
         for (i, pair) in a.down.chunks(2).enumerate() {
             let (eth_id, arp_id) = (pair[0], pair[1]);
-            let arp_proto = a.kernel.proto(arp_id)?;
+            let arp_proto = a.kernel.proto_ref(arp_id)?;
             let arp_ref = arp_proto
                 .as_any()
                 .downcast_ref::<arp::Arp>()

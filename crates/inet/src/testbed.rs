@@ -208,11 +208,6 @@ pub struct RoutedLans {
 }
 
 impl RoutedLans {
-    /// The address of segment-A host `i` (0-based).
-    pub fn left_ip(&self, i: usize) -> IpAddr {
-        IpAddr::new(10, 0, 0, i as u8 + 1)
-    }
-
     /// The address of segment-B host `i` (0-based).
     pub fn right_ip(&self, i: usize) -> IpAddr {
         IpAddr::new(10, 0, 1, i as u8 + 1)

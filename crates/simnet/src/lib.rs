@@ -544,11 +544,6 @@ pub struct Nic {
 }
 
 impl Nic {
-    /// This NIC's hardware address.
-    pub fn eth_addr(&self) -> EthAddr {
-        self.eth
-    }
-
     /// The LAN this NIC is attached to.
     pub fn lan(&self) -> LanId {
         self.lan

@@ -14,6 +14,7 @@
 use std::sync::Arc;
 
 use xkernel::cell::OwnerCell;
+use xkernel::rng::splitmix64;
 use xkernel::sim::ScheduleChooser;
 
 /// What one run's chooser saw and did: the branch taken and the branch
@@ -128,12 +129,7 @@ impl WalkChooser {
 
 impl ScheduleChooser for WalkChooser {
     fn choose(&mut self, n: usize) -> usize {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        (z % n as u64) as usize
+        (splitmix64(&mut self.state) % n as u64) as usize
     }
 }
 

@@ -19,7 +19,7 @@ pub mod explore;
 pub mod summary;
 pub mod toys;
 
-use chaos::Scenario;
+use chaos::{RunOpts, Scenario};
 use explore::WalkChooser;
 
 /// Outcome of one random-walk chaos run under the checker.
@@ -46,13 +46,18 @@ pub fn walk_chaos(scenario: &Scenario, walks: usize, seed: u64) -> Vec<ChaosWalk
             let walk_seed = seed
                 .wrapping_add(w as u64)
                 .wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            let v = scenario.run_verified_with(Box::new(WalkChooser::new(walk_seed)));
+            let out = scenario.run_with(RunOpts {
+                check: true,
+                chooser: Some(Box::new(WalkChooser::new(walk_seed))),
+                ..RunOpts::default()
+            });
+            let violations = out.sim.check_report().violations;
             ChaosWalkOutcome {
                 walk_seed,
-                sched_hash: v.report.run.sched_hash,
-                violations: v.check.violations.len(),
-                repros: v.repros,
-                invariant_failures: v.invariant_failures,
+                sched_hash: out.report.run.sched_hash,
+                violations: violations.len(),
+                repros: violations.iter().map(|v| out.sim.repro(v)).collect(),
+                invariant_failures: scenario.invariant_failures(&out.report),
             }
         })
         .collect()

@@ -176,7 +176,7 @@ pub fn register_ctors(reg: &mut ProtocolRegistry) {
     });
     reg.add_contract(dl_ab_contract());
     reg.add("dl_ba", |g: &GraphArgs<'_>| {
-        let below = g.kernel.proto(g.down(0)?)?;
+        let below = g.kernel.proto_ref(g.down(0)?)?;
         let ab = below
             .as_any()
             .downcast_ref::<DlAb>()

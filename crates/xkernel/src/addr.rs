@@ -209,12 +209,6 @@ impl ParticipantSet {
         }
     }
 
-    /// Appends a peer.
-    pub fn with_peer(mut self, p: Participant) -> ParticipantSet {
-        self.parts.push(p);
-        self
-    }
-
     /// The local participant (first element), if present.
     pub fn local_part(&self) -> Option<&Participant> {
         self.parts.first()

@@ -1,7 +1,7 @@
 //! xcheck's dynamic half: vector-clock happens-before tracking and
 //! violation detection for the shepherd-process machinery.
 //!
-//! [`CheckCore`] mirrors the synchronization events `sim.rs` performs —
+//! [`CheckCore`] mirrors the synchronization events the simulator performs —
 //! process spawns, semaphore P/V, wakes, crashes — into per-process vector
 //! clocks and a resource-holding table, entirely behind the simulator's
 //! `check_on` flag (the same zero-overhead-when-disabled discipline as

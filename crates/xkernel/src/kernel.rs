@@ -130,15 +130,10 @@ impl Kernel {
         }
     }
 
-    /// A shared handle to the protocol object behind an id, for set-up
+    /// A shared handle to the protocol object behind a name, for set-up
     /// code that keeps it; crossings use [`Kernel::proto_ref`].
-    pub fn proto(&self, id: ProtoId) -> XResult<ProtocolRef> {
-        self.proto_ref(id).cloned()
-    }
-
-    /// The protocol object behind a name.
     pub fn get(&self, name: &str) -> XResult<ProtocolRef> {
-        self.proto(self.lookup(name)?)
+        self.proto_ref(self.lookup(name)?).cloned()
     }
 
     /// Runs every installed protocol's [`crate::proto::Protocol::reboot`]

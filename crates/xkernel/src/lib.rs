@@ -55,6 +55,7 @@ pub mod map;
 pub mod msg;
 pub mod par;
 pub mod proto;
+pub mod rng;
 pub mod shepherd;
 pub mod shim;
 pub mod sim;

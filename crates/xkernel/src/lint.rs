@@ -170,7 +170,7 @@ pub struct ParamSpec {
 /// declaration is checkable against what the simulator actually observes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum BlockPoint {
-    /// Blocks on a semaphore (`Sema::p`, a reply wait or a pool acquire).
+    /// Blocks on a semaphore (`SharedSema::p`, a reply wait or a pool acquire).
     Sema,
     /// Blocks with a timer armed (`p_timeout`, retransmission machinery).
     Timer,
@@ -201,7 +201,7 @@ impl fmt::Display for BlockPoint {
 
 /// The wait/signal pairs a protocol's sessions perform on shepherd
 /// semaphores, declared statically so XK010 can reason about deadlocks
-/// without executing `sim.rs`.
+/// without executing the simulator.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SemaContract {
     /// `push` P's a bounded resource pool (e.g. SELECT's channel pool).
@@ -958,7 +958,7 @@ fn check_signal_path(
 /// XK015: merges every contract's declared lock-acquisition order into one
 /// relation and rejects cycles. Two protocols in one kernel that take the
 /// same locks in opposite orders deadlock under the right interleaving —
-/// exactly the Sched-before-Hosts discipline `sim.rs` documents, enforced
+/// exactly the Sched-before-Hosts discipline the simulator documents, enforced
 /// declaratively.
 fn check_lock_order(nodes: &[(String, Node)], diags: &mut Vec<Diagnostic>) {
     // edge (a -> b): a is acquired before b, attributed to the declaring

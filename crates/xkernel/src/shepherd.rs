@@ -138,11 +138,6 @@ impl Shepherds {
         })
     }
 
-    /// Current pending-queue depth.
-    pub fn queue_depth(&self) -> usize {
-        self.st.lock().queue.len()
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> ShepherdStats {
         ShepherdStats {

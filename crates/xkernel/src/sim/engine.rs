@@ -1,0 +1,842 @@
+//! The event engine: the process and event tables, the per-event loop and
+//! the coroutine / state-machine drivers. Everything that runs once per
+//! event lives here, in one module.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::Arc;
+
+use crate::cell::OwnerGuard;
+use crate::check::CheckCore;
+use crate::journal::JournalRecord;
+use crate::trace::{OpClass, SpanKey, TraceCore, EMPTY_STACK};
+use crate::vproc;
+
+use super::ctx::Block;
+use super::report::{breakdown_of, bump, HostCell};
+use super::sema::Enqueued;
+use super::*;
+
+/// FNV-1a offset basis / prime, folding one u64 at a time.
+pub(super) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv_fold(h: u64, x: u64) -> u64 {
+    (h ^ x).wrapping_mul(FNV_PRIME)
+}
+
+/// The body a fresh process starts from: a thunk (run as a stackful
+/// coroutine, so it may block anywhere) or a stackless [`VProc`] machine
+/// (runs on the scheduler's stack, blocks by returning [`VStep`]s).
+pub(super) enum ProcBody {
+    Thunk(Thunk),
+    Machine(Box<dyn VProc>),
+}
+
+/// A machine and its remaining fuel (`u64::MAX` = unlimited; coroutines
+/// carry their budget inside the coroutine instead).
+pub(super) struct Machine {
+    pub(super) m: Box<dyn VProc>,
+    pub(super) fuel: u64,
+}
+
+/// The suspended form of a blocked process.
+pub(super) enum LpBody {
+    Coro(vproc::Coro),
+    Machine(Machine),
+}
+
+pub(super) enum EvKind {
+    Run { host: HostId, body: ProcBody },
+    Wake { lp: LpId, reason: WakeReason },
+    Crash { host: HostId },
+    Restart { host: HostId },
+}
+
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(super) enum RunState {
+    Running,
+    Blocked,
+    /// The host crashed while this process was blocked; the scheduler reaps
+    /// it (unwinding its coroutine via [`CrashKill`]) at the next
+    /// deterministic reap point.
+    Killed,
+}
+
+/// Panic payload used to unwind a shepherd coroutine whose host crashed.
+/// Not a failure: [`drive_coro`] filters it out of the panic record.
+pub(super) struct CrashKill;
+
+/// Panic payload used to unwind a shepherd coroutine whose fuel ran out.
+/// Filtered like [`CrashKill`], but tallied in [`RunReport::fuel_exhausted`].
+pub(super) struct FuelKill;
+
+/// What the scheduler hands a coroutine when it resumes it (the value
+/// [`vproc::yield_now`] returns): why it woke, or that its host crashed.
+pub(super) const RESUME_NORMAL: u64 = 0;
+pub(super) const RESUME_TIMEOUT: u64 = 1;
+pub(super) const RESUME_KILLED: u64 = 2;
+
+pub(super) struct LpState {
+    pub(super) host: HostId,
+    pub(super) state: RunState,
+    /// The suspended continuation; `None` while the process is running (its
+    /// body is on the driver's stack) or before its first step.
+    pub(super) body: Option<LpBody>,
+    /// The checker id of the semaphore a blocked process is waiting on
+    /// (`None` for timer blocks); the scheduler closes the wait out when it
+    /// resumes the process.
+    pub(super) wait_sema: Option<u64>,
+}
+
+struct Task {
+    lp: LpId,
+    host: HostId,
+    body: ProcBody,
+}
+
+/// A table whose entries are addressed by `(id, slot)`: `slot` indexes the
+/// vector and `id` — a sequence number that is never reused — is the
+/// generation, so an address that outlived its entry misses instead of
+/// aliasing the slot's next tenant. Freed slots are reused last-in
+/// first-out, which keeps the table as dense as its live population.
+pub(super) struct Slab<T> {
+    slots: Vec<(u64, Option<T>)>,
+    free: Vec<u32>,
+    live: usize,
+}
+
+impl<T> Slab<T> {
+    pub(super) fn new() -> Slab<T> {
+        Slab {
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+        }
+    }
+
+    pub(super) fn len(&self) -> usize {
+        self.live
+    }
+
+    pub(super) fn insert(&mut self, id: u64, value: T) -> u32 {
+        self.live += 1;
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = (id, Some(value));
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("slab outgrew u32 slots");
+                self.slots.push((id, Some(value)));
+                slot
+            }
+        }
+    }
+
+    pub(super) fn get(&self, id: u64, slot: u32) -> Option<&T> {
+        match self.slots.get(slot as usize) {
+            Some((i, v)) if *i == id => v.as_ref(),
+            _ => None,
+        }
+    }
+
+    fn get_mut(&mut self, id: u64, slot: u32) -> Option<&mut T> {
+        match self.slots.get_mut(slot as usize) {
+            Some((i, v)) if *i == id => v.as_mut(),
+            _ => None,
+        }
+    }
+
+    pub(super) fn remove(&mut self, id: u64, slot: u32) -> Option<T> {
+        match self.slots.get_mut(slot as usize) {
+            Some((i, v)) if *i == id && v.is_some() => {
+                self.live -= 1;
+                self.free.push(slot);
+                v.take()
+            }
+            _ => None,
+        }
+    }
+
+    /// Live entries as `(id, slot, value)`, in slot order.
+    pub(super) fn iter(&self) -> impl Iterator<Item = (u64, u32, &T)> {
+        (0u32..)
+            .zip(&self.slots)
+            .filter_map(|(slot, (id, v))| v.as_ref().map(|v| (*id, slot, v)))
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = (u64, u32, &mut T)> {
+        (0u32..)
+            .zip(&mut self.slots)
+            .filter_map(|(slot, (id, v))| v.as_mut().map(|v| (*id, slot, v)))
+    }
+
+    /// Removes every entry `dead` selects.
+    fn remove_where(&mut self, mut dead: impl FnMut(&T) -> bool) {
+        for (slot, (_, v)) in (0u32..).zip(&mut self.slots) {
+            if v.as_ref().is_some_and(&mut dead) {
+                *v = None;
+                self.live -= 1;
+                self.free.push(slot);
+            }
+        }
+    }
+
+    pub(super) fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+        self.live = 0;
+    }
+}
+
+/// A queued event's position in the timeline: `(time, seq, slot)`. `seq`
+/// breaks time ties in insertion order; `slot` is where the event's body
+/// sits in [`Engine::events`].
+type HeapKey = Reverse<(Time, u64, u32)>;
+
+/// Everything the scheduler owns that is more than a scalar: the event
+/// queue, the process table, the run token. One thread drives a simulation
+/// at a time, so this sits behind the simulator's one lock
+/// ([`SimCore::engine`]): the run loop holds it across [`advance`] and
+/// releases it only while a process body runs; a process takes it once per
+/// scheduling operation (arm, cancel, wake, block).
+pub(super) struct Engine {
+    pub(super) seq: u64,
+    /// The timeline. Entries whose event is gone from `events` (cancelled,
+    /// or purged by a crash) are tombstones, skipped when they surface.
+    pub(super) heap: BinaryHeap<HeapKey>,
+    /// Pending event bodies, addressed by `(seq, slot)`.
+    pub(super) events: Slab<EvKind>,
+    /// Live processes, addressed by [`LpId`].
+    pub(super) lps: Slab<LpState>,
+    pub(super) next_lp: u64,
+    pub(super) current: Option<LpId>,
+    pub(super) executed: u64,
+    pub(super) panics: Vec<String>,
+    /// Processes killed by a crash while blocked, queued for deterministic
+    /// reaping (in id order) at the top of the run loop.
+    pub(super) reap: Vec<LpId>,
+    /// Processes killed by fuel exhaustion.
+    pub(super) fuel_exhausted: u64,
+    /// High-water mark of `lps.len()`.
+    pub(super) peak_live: usize,
+    /// Schedule-exploration oracle; `None` (the default) keeps the plain
+    /// deterministic insertion-order tie-break.
+    pub(super) chooser: Option<Box<dyn ScheduleChooser>>,
+    /// Running FNV-1a fold over every live event processed (time, seq,
+    /// kind tag). Maintained unconditionally — three integer ops per
+    /// event — so every run has a schedule fingerprint.
+    pub(super) sched_hash: u64,
+    /// Structured trace state; touched only when [`SimCore::trace_on`].
+    pub(super) trace: TraceCore,
+    /// Concurrency-checker state; touched only when [`SimCore::check_on`].
+    pub(super) check: CheckCore,
+    /// Recorded nondeterminism-relevant decisions; touched only while
+    /// [`SimCore::journal_on`].
+    pub(super) journal: Vec<JournalRecord>,
+}
+
+impl Engine {
+    /// Files `kind` at time `t`; the returned handle cancels it.
+    pub(super) fn push_event(&mut self, t: Time, kind: EvKind) -> TimerHandle {
+        let seq = self.seq;
+        self.seq += 1;
+        let slot = self.events.insert(seq, kind);
+        self.heap.push(Reverse((t, seq, slot)));
+        TimerHandle { seq, slot }
+    }
+
+    pub(super) fn lp_mut(&mut self, lp: LpId) -> Option<&mut LpState> {
+        self.lps.get_mut(lp.id, lp.slot)
+    }
+
+    /// Ids of the processes currently blocked, in table order.
+    pub(super) fn blocked(&self) -> impl Iterator<Item = u64> + '_ {
+        self.lps
+            .iter()
+            .filter(|(_, _, st)| st.state == RunState::Blocked)
+            .map(|(id, _, _)| id)
+    }
+}
+
+/// The simulator: owns hosts, time, and shepherd processes.
+///
+/// Defined here rather than beside [`SimCore`]: a method is compiled into
+/// the codegen unit of the module that defines its self type, so this is
+/// what puts [`Sim::run_until_time`] in one unit with the `advance` and
+/// `resume_lp` it calls once per event (DESIGN.md §16).
+#[derive(Clone)]
+pub struct Sim {
+    pub(super) core: Arc<SimCore>,
+}
+
+/// `Sim` handles cross threads — `xkernel::par` workers hand finished
+/// simulations back, a quiescent rig can be moved whole: every shared field
+/// is an atomic cell or sits in an `OwnerCell`, under the one-driver
+/// contract [`crate::cell`] states.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Sim>();
+};
+
+impl Sim {
+    /// Runs queued events until none remain. Scheduled mode only.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises (as a panic) the first panic that occurred inside any
+    /// shepherd process, so test failures surface cleanly.
+    pub fn run_until_idle(&self) -> RunReport {
+        self.run_until_time(Time::MAX)
+    }
+
+    /// Runs queued events whose time is `<= stop`, then pauses. Later
+    /// events stay queued and blocked processes stay suspended, so the run
+    /// continues with another `run_until_time`/[`Sim::run_until_idle`]
+    /// call; the returned report describes the state at the pause. When
+    /// every process suspended at the pause is a forkable [`VProc`]
+    /// machine parked on a timer, the paused instant is
+    /// [`Sim::snapshot`]-eligible. Scheduled mode only.
+    pub fn run_until_time(&self, stop: Time) -> RunReport {
+        assert_eq!(
+            self.core.mode,
+            Mode::Scheduled,
+            "run_until_time is meaningful only in scheduled mode"
+        );
+        let core = &self.core;
+        // The context machines run under: built once per run, re-aimed at
+        // each machine for the duration of its step.
+        let mut mctx = self.ctx(HostId(0));
+        let mut g = core.engine.lock();
+        loop {
+            // Reap crash-killed processes first, in ascending id order, so
+            // their unwinds land at a deterministic point of the schedule.
+            // Only `advance` queues processes here, so one sort covers the
+            // batch.
+            if !g.reap.is_empty() {
+                let mut batch = std::mem::take(&mut g.reap);
+                batch.sort_unstable_by_key(|lp| lp.id);
+                for lp in batch {
+                    g = reap_lp(core, g, lp);
+                }
+                continue;
+            }
+            g = match advance(core, &mut g, stop) {
+                Next::Task(task) => run_task(core, g, &mut mctx, task),
+                Next::Resume(woken) => resume_lp(core, g, &mut mctx, woken),
+                Next::Drained if g.reap.is_empty() => break,
+                Next::Drained => g,
+            };
+        }
+        let report = RunReport {
+            ended_at: core.now.load(Relaxed),
+            events: g.executed,
+            blocked: g.blocked().count(),
+            hosts: core.hosts.iter().map(HostCell::stats).collect(),
+            breakdown: breakdown_of(core, &g.trace),
+            sched_hash: g.sched_hash,
+            fuel_used: core.hosts.iter().map(|h| h.fuel.load(Relaxed)).sum(),
+            fuel_exhausted: g.fuel_exhausted,
+            peak_live: g.peak_live,
+        };
+        let panic = g.panics.first().cloned();
+        drop(g);
+        if let Some(p) = panic {
+            panic!("shepherd process panicked: {p}");
+        }
+        report
+    }
+}
+
+/// A blocked process [`advance`] just woke, lifted out of the process table
+/// under the lock `advance` already held so the driver can resume it
+/// without another lookup.
+struct Woken {
+    lp: LpId,
+    host: HostId,
+    body: LpBody,
+    reason: WakeReason,
+    /// The semaphore wait this wake concludes, if any (checker id).
+    waited: Option<u64>,
+}
+
+/// What the event loop decided after [`advance`] processed events.
+enum Next {
+    /// A fresh shepherd process must run; the run token (`current`) is
+    /// already set to it. The driver executes its body.
+    Task(Task),
+    /// A blocked process was woken; the token is set to it. The driver
+    /// resumes the continuation it is handed.
+    Resume(Woken),
+    /// No live events remain at or before the stop time.
+    Drained,
+}
+
+/// Drives the event loop forward: pops live events in deterministic order
+/// and processes them until a process claims the run token or the queue
+/// drains (or passes `stop`). Must be called with the token free
+/// (`current == None`).
+fn advance(core: &Arc<SimCore>, g: &mut Engine, stop: Time) -> Next {
+    loop {
+        // Pop the next live event.
+        let next = loop {
+            match g.heap.pop() {
+                None => break None,
+                Some(Reverse((t, seq, slot))) => {
+                    if g.events.get(seq, slot).is_none() {
+                        continue; // Cancelled; skip the tombstone.
+                    }
+                    if t > stop {
+                        // Beyond the pause point: put it back untouched
+                        // (before any chooser tie-collection, so pausing
+                        // never consumes exploration decisions).
+                        g.heap.push(Reverse((t, seq, slot)));
+                        break None;
+                    }
+                    if g.chooser.is_none() {
+                        break Some((t, seq, slot));
+                    }
+                    // A chooser is installed: same-time ties are forced-
+                    // choice points. Collect every live event tied at `t`
+                    // (they surface seq-ascending), let the chooser pick,
+                    // and restore the rest.
+                    let mut ties = vec![(t, seq, slot)];
+                    while let Some(&Reverse((t2, s2, slot2))) = g.heap.peek() {
+                        if t2 != t {
+                            break;
+                        }
+                        g.heap.pop();
+                        if g.events.get(s2, slot2).is_some() {
+                            ties.push((t2, s2, slot2));
+                        }
+                    }
+                    let pick = if ties.len() > 1 {
+                        let n = ties.len();
+                        let pick = g
+                            .chooser
+                            .as_mut()
+                            .expect("chooser checked present")
+                            .choose(n)
+                            .min(n - 1);
+                        core.journal(g, || JournalRecord::TiePick {
+                            n: n as u32,
+                            pick: pick as u32,
+                        });
+                        pick
+                    } else {
+                        0
+                    };
+                    let chosen = ties.remove(pick);
+                    for &e in &ties {
+                        g.heap.push(Reverse(e));
+                    }
+                    break Some(chosen);
+                }
+            }
+        };
+        let Some((t, seq, slot)) = next else {
+            return Next::Drained;
+        };
+        core.now.store(t, Relaxed);
+        g.executed += 1;
+        let kind = g.events.remove(seq, slot).expect("event checked present");
+        g.sched_hash = fnv_fold(
+            fnv_fold(fnv_fold(g.sched_hash, t), seq),
+            match &kind {
+                EvKind::Run { .. } => 1,
+                EvKind::Wake { .. } => 2,
+                EvKind::Crash { .. } => 3,
+                EvKind::Restart { .. } => 4,
+            },
+        );
+        if core.check_on {
+            let executed = g.executed;
+            g.check.tick_event(executed, t);
+        }
+        match kind {
+            EvKind::Run { host, body } => {
+                let h = core.host(host);
+                if h.down.load(Relaxed) {
+                    continue; // Scheduled before the crash; dies with it.
+                }
+                return Next::Task(start_lp(core, g, host, body, h.arrive(t, 0), seq));
+            }
+            EvKind::Crash { host } => {
+                let h = core.host(host);
+                if h.down.load(Relaxed) {
+                    continue; // Already down.
+                }
+                h.down.store(true, Relaxed);
+                bump(&h.crashes, 1);
+                core.journal(g, || JournalRecord::Boot {
+                    host: host.0 as u32,
+                    kind: 0,
+                    t,
+                });
+                // In-flight deliveries, timers, and spawned runs on the
+                // host die with it, as do pending wakes for its
+                // processes. Crash/Restart events survive — a scheduled
+                // restart must not be purged by its own crash.
+                let Engine {
+                    events,
+                    lps,
+                    reap,
+                    check,
+                    ..
+                } = &mut *g;
+                events.remove_where(|k| match k {
+                    EvKind::Run { host: h, .. } => *h == host,
+                    EvKind::Wake { lp, .. } => {
+                        lps.get(lp.id, lp.slot).is_some_and(|s| s.host == host)
+                    }
+                    _ => false,
+                });
+                // Blocked processes on the host are killed: the run loop
+                // reaps them (unwinding coroutines via a filtered panic)
+                // at its next deterministic reap point.
+                for (id, slot, st) in lps.iter_mut() {
+                    if st.host == host && st.state == RunState::Blocked {
+                        st.state = RunState::Killed;
+                        reap.push(LpId { id, slot });
+                    }
+                }
+                if core.check_on {
+                    // Every process of the crashed host had its pending
+                    // wakes purged; late signals to them are expected, not
+                    // lost wakeups.
+                    let mut doomed: Vec<u64> = lps
+                        .iter()
+                        .filter(|(_, _, s)| s.host == host)
+                        .map(|(id, _, _)| id)
+                        .collect();
+                    doomed.sort_unstable();
+                    for lp in doomed {
+                        check.on_lp_killed(lp);
+                    }
+                }
+            }
+            EvKind::Restart { host } => {
+                let h = core.host(host);
+                if !h.down.load(Relaxed) {
+                    continue; // Not down; nothing to restart.
+                }
+                h.down.store(false, Relaxed);
+                h.epoch.store(h.epoch.load(Relaxed) + 1, Relaxed);
+                bump(&h.restarts, 1);
+                let jumped = h.arrive(t, 0);
+                core.journal(g, || JournalRecord::Boot {
+                    host: host.0 as u32,
+                    kind: 1,
+                    t,
+                });
+                // The kernel reboots as a fresh shepherd process, giving
+                // every protocol its reboot hook.
+                let f: Thunk = Box::new(move |ctx: &Ctx| {
+                    if let Err(e) = ctx.kernel_ref().reboot_protocols(ctx) {
+                        panic!("reboot failed on host {}: {e}", ctx.host().0);
+                    }
+                });
+                return Next::Task(start_lp(core, g, host, ProcBody::Thunk(f), jumped, seq));
+            }
+            EvKind::Wake { lp, reason } => {
+                let Some(st) = g.lp_mut(lp).filter(|st| st.state == RunState::Blocked) else {
+                    // Process already gone, or not blocked (cancellation
+                    // should prevent the latter): a stale wake.
+                    if core.check_on {
+                        g.check.on_stale_wake(lp.id);
+                    }
+                    continue;
+                };
+                let host = st.host;
+                st.state = RunState::Running;
+                let woken = Woken {
+                    lp,
+                    host,
+                    body: st.body.take().expect("blocked process has a continuation"),
+                    reason,
+                    waited: st.wait_sema.take(),
+                };
+                g.current = Some(lp);
+                let switch = core.cost.proc_switch;
+                let (idle, now) = core.host(host).arrive(t, switch);
+                // Both the wait and the resume switch belong to the woken
+                // process's span stack (e.g. CHANNEL blocked for a reply).
+                if core.trace_on {
+                    let key = SpanKey::Lp(lp.id);
+                    g.trace.attribute(host.0, key, OpClass::Idle, idle, now);
+                    g.trace.attribute(host.0, key, OpClass::Switch, switch, now);
+                }
+                return Next::Resume(woken);
+            }
+        }
+    }
+}
+
+/// Registers a fresh logical process on `host` (ids allocated in event
+/// order, which determinism depends on) and claims the run token for it.
+/// `jumped` is what [`HostCell::arrive`] reported for the event (`seq`)
+/// that starts it.
+fn start_lp(
+    core: &SimCore,
+    g: &mut Engine,
+    host: HostId,
+    body: ProcBody,
+    (idle, now): (Nanos, Time),
+    seq: u64,
+) -> Task {
+    // The fresh process has no span stack yet; the host sat idle (wire
+    // latency, timer wait) until this event.
+    if core.trace_on && idle > 0 {
+        g.trace
+            .attribute_stack(host.0, EMPTY_STACK, None, OpClass::Idle, idle, now);
+    }
+    let id = g.next_lp;
+    g.next_lp += 1;
+    let slot = g.lps.insert(
+        id,
+        LpState {
+            host,
+            state: RunState::Running,
+            body: None,
+            wait_sema: None,
+        },
+    );
+    g.peak_live = g.peak_live.max(g.lps.len());
+    let lp = LpId { id, slot };
+    g.current = Some(lp);
+    if core.check_on {
+        // The new process inherits its spawner's clock via the deposit
+        // keyed by the starting event's seq (if one was made).
+        g.check.on_lp_start(id, host.0, seq);
+    }
+    Task { lp, host, body }
+}
+
+/// Installs (once, process-wide) a panic hook that silences the
+/// [`CrashKill`]/[`FuelKill`] unwinds used to reap killed processes;
+/// everything else is forwarded to the previous hook.
+pub(super) fn install_crash_hook() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if info.payload().is::<CrashKill>() || info.payload().is::<FuelKill>() {
+                return;
+            }
+            prev(info);
+        }));
+    });
+}
+
+/// The scheduler lock as the run loop passes it around: every driver below
+/// takes the guard, releases it only while the process body runs, and hands
+/// it back re-acquired, so one process step costs one release/acquire pair.
+pub(super) type EngineGuard<'a> = OwnerGuard<'a, Engine>;
+
+/// Starts a fresh process's body. Thunks run as a coroutine until they
+/// block or finish; machines step on this stack under
+/// `mctx`, the run loop's reusable machine context. The run token is
+/// already `task.lp`.
+fn run_task<'a>(
+    core: &'a Arc<SimCore>,
+    g: EngineGuard<'a>,
+    mctx: &mut Ctx,
+    task: Task,
+) -> EngineGuard<'a> {
+    let Task { lp, host, body } = task;
+    let fuel = core.fuel_limit.unwrap_or(u64::MAX);
+    match body {
+        ProcBody::Thunk(f) => {
+            // A coroutine keeps its context on its own stack across yields.
+            let ctx = Ctx {
+                core: Arc::clone(core),
+                host,
+                lp: Some(lp),
+            };
+            drive_coro(core, g, lp, vproc::Coro::new(f, ctx, fuel), RESUME_NORMAL)
+        }
+        ProcBody::Machine(m) => {
+            drop(g);
+            step_machine(
+                core,
+                mctx,
+                lp,
+                host,
+                Machine { m, fuel },
+                WakeReason::Normal,
+            )
+        }
+    }
+}
+
+/// Resumes a coroutine, handing it `token`, and parks or retires it
+/// afterwards.
+fn drive_coro<'a>(
+    core: &'a Arc<SimCore>,
+    g: EngineGuard<'a>,
+    lp: LpId,
+    mut coro: vproc::Coro,
+    token: u64,
+) -> EngineGuard<'a> {
+    drop(g);
+    let finished = coro.resume(token);
+    let mut g = core.engine.lock();
+    if finished {
+        if let Some(p) = coro.retire() {
+            if p.is::<CrashKill>() {
+                // Normal death of a process whose host crashed.
+            } else if p.is::<FuelKill>() {
+                g.fuel_exhausted += 1;
+                if core.check_on {
+                    // Killed mid-protocol: late signals to it are expected,
+                    // not lost wakeups.
+                    g.check.on_lp_killed(lp.id);
+                }
+            } else {
+                let text = p
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| p.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".into());
+                g.panics.push(text);
+            }
+        }
+        finalize_lp(core, &mut g, lp);
+    } else {
+        // Blocked: `Ctx::block` already marked it and released the run
+        // token; park the suspended stack with the process.
+        g.lp_mut(lp)
+            .expect("suspended process still registered")
+            .body = Some(LpBody::Coro(coro));
+    }
+    g
+}
+
+/// Resumes a blocked process the scheduler just woke. The run token is
+/// already `woken.lp`.
+fn resume_lp<'a>(
+    core: &'a Arc<SimCore>,
+    mut g: EngineGuard<'a>,
+    mctx: &mut Ctx,
+    woken: Woken,
+) -> EngineGuard<'a> {
+    let Woken {
+        lp,
+        host,
+        body,
+        reason,
+        waited,
+    } = woken;
+    if core.check_on {
+        if let Some(sema_id) = waited {
+            // The scheduler performed the wait; close it out as the
+            // process resumes.
+            g.check
+                .on_wait_end(lp.id, sema_id, reason == WakeReason::Normal);
+        }
+    }
+    match body {
+        LpBody::Coro(coro) => {
+            let token = match reason {
+                WakeReason::Normal => RESUME_NORMAL,
+                WakeReason::Timeout => RESUME_TIMEOUT,
+            };
+            drive_coro(core, g, lp, coro, token)
+        }
+        LpBody::Machine(c) => {
+            drop(g);
+            step_machine(core, mctx, lp, host, c, reason)
+        }
+    }
+}
+
+/// Runs a machine from one blocking point to the next (or to completion),
+/// performing the returned [`VStep`]s on its behalf. Called without the
+/// scheduler lock, with the run token `lp`; returns holding the lock. The
+/// machine borrows `ctx` (re-aimed at it here) only while it runs, so a
+/// parked machine holds no reference to the simulation.
+fn step_machine<'a>(
+    core: &'a Arc<SimCore>,
+    ctx: &mut Ctx,
+    lp: LpId,
+    host: HostId,
+    mut c: Machine,
+    mut reason: WakeReason,
+) -> EngineGuard<'a> {
+    ctx.host = host;
+    ctx.lp = Some(lp);
+    let ctx = &*ctx;
+    let host = core.host(host);
+    loop {
+        // Machines pay one fuel unit per resume; exhaustion kills the
+        // process at this deterministic point, like a coroutine's FuelKill.
+        if c.fuel == 0 {
+            let mut g = core.engine.lock();
+            g.fuel_exhausted += 1;
+            finalize_lp(core, &mut g, lp);
+            if core.check_on {
+                g.check.on_lp_killed(lp.id);
+            }
+            return g;
+        }
+        if c.fuel != u64::MAX {
+            c.fuel -= 1;
+        }
+        bump(&host.fuel, 1);
+        let how = match c.m.resume(ctx, reason) {
+            VStep::Done => {
+                let mut g = core.engine.lock();
+                finalize_lp(core, &mut g, lp);
+                return g;
+            }
+            VStep::Sleep(dt) => Block::Sleep(dt),
+            VStep::Wait { sema, timeout } => {
+                if sema.wait_begin(ctx, timeout) != Enqueued::Queued {
+                    // Fast path: a unit was available; no block happened.
+                    reason = WakeReason::Normal;
+                    continue;
+                }
+                Block::Sema(sema.id())
+            }
+        };
+        let (mut g, _) = ctx.block(core, lp, how);
+        g.lp_mut(lp).expect("machine process registered").body = Some(LpBody::Machine(c));
+        return g;
+    }
+}
+
+/// Retires a finished or killed process: releases the run token if it holds
+/// it, unregisters it, and discards its span stack.
+fn finalize_lp(core: &SimCore, g: &mut Engine, lp: LpId) {
+    if g.current == Some(lp) {
+        g.current = None;
+    }
+    g.lps.remove(lp.id, lp.slot);
+    if core.trace_on {
+        // The guards unwound with the process; discard its (empty) span
+        // stack so the table doesn't grow with process count.
+        g.trace.drop_key(SpanKey::Lp(lp.id));
+    }
+}
+
+/// Reaps one crash-killed process: a coroutine is resumed so it unwinds via
+/// [`CrashKill`] (running its drop guards), a machine is simply dropped.
+/// Called with the run token free.
+fn reap_lp<'a>(core: &'a Arc<SimCore>, mut g: EngineGuard<'a>, lp: LpId) -> EngineGuard<'a> {
+    let body = match g.lp_mut(lp) {
+        Some(st) if st.state == RunState::Killed => st.body.take(),
+        // Already gone (e.g. reaped via an earlier crash); nothing to do.
+        _ => return g,
+    };
+    match body {
+        // The resumed `Ctx::block_current` sees the kill token and unwinds
+        // with CrashKill; the coroutine finishes, so drive_coro retires it.
+        Some(LpBody::Coro(coro)) => drive_coro(core, g, lp, coro, RESUME_KILLED),
+        Some(LpBody::Machine(_)) | None => {
+            finalize_lp(core, &mut g, lp);
+            g
+        }
+    }
+}

@@ -1,0 +1,392 @@
+//! The simulator handles: [`SimCore`] (the shared state), what set-up code
+//! does through the owning [`Sim`] handle (the type itself sits beside the
+//! event loop in `engine.rs`) and [`WeakSim`].
+
+use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
+
+use crate::cell::OwnerCell;
+use crate::check::{CheckCore, CheckReport, Violation};
+use crate::cost::CostModel;
+use crate::journal::{Journal, JournalRecord, JOURNAL_VERSION};
+use crate::kernel::Kernel;
+use crate::map::AppendTable;
+use crate::msg::HeaderPolicy;
+use crate::rng::splitmix64;
+use crate::trace::{CostBreakdown, Event, EventKind, FoldedLine, TraceCore, DEFAULT_RING_CAP};
+
+use super::engine::{install_crash_hook, Engine, EvKind, Slab, FNV_OFFSET};
+use super::report::{breakdown_of, folded_of, HostCell};
+use super::*;
+
+/// Shared simulator state.
+pub struct SimCore {
+    pub(super) mode: Mode,
+    pub(super) cost: CostModel,
+    pub(super) policy: HeaderPolicy,
+    /// Per-process fuel budget, from [`SimConfig::fuel`].
+    pub(super) fuel_limit: Option<u64>,
+    /// Global virtual time: the time of the last processed event. A scalar
+    /// cell like those of [`HostCell`].
+    pub(super) now: AtomicU64,
+    /// The SplitMix64 state word of the simulation PRNG; a scalar cell too.
+    pub(super) rng: AtomicU64,
+    /// Hosts in [`HostId`] order; appended to by [`Sim::add_kernel`] and
+    /// read without a lock.
+    pub(super) hosts: AppendTable<HostCell>,
+    /// The scheduler's compound state — and the observers' — in the
+    /// simulator's one cell.
+    pub(super) engine: OwnerCell<Engine>,
+    /// Plain flag checked before any trace work; when false no hook takes
+    /// the lock for tracing's sake (the zero-overhead-when-disabled
+    /// guarantee).
+    pub(super) trace_on: bool,
+    /// Plain flag checked before any checker work (same guarantee as
+    /// `trace_on`).
+    pub(super) check_on: bool,
+    /// Whether journal recording is on. Toggleable at run time (unlike
+    /// `trace_on`/`check_on`) so recording can be scoped to a window; a
+    /// relaxed load guards every journal touch, so recording costs nothing
+    /// when off.
+    pub(super) journal_on: AtomicBool,
+    /// The configured seed, kept for repro strings.
+    seed: u64,
+}
+
+impl SimCore {
+    #[inline]
+    pub(super) fn host(&self, host: HostId) -> &HostCell {
+        self.hosts
+            .get(host.0)
+            .expect("host id belongs to no registered kernel")
+    }
+
+    /// Next value from the simulation-wide deterministic PRNG (SplitMix64).
+    pub(super) fn next_u64(&self) -> u64 {
+        let mut s = self.rng.load(Relaxed);
+        let z = splitmix64(&mut s);
+        self.rng.store(s, Relaxed);
+        z
+    }
+
+    /// Appends `record()` to the journal in `g` if recording is on.
+    pub(super) fn journal(&self, g: &mut Engine, record: impl FnOnce() -> JournalRecord) {
+        if self.journal_on.load(Relaxed) {
+            g.journal.push(record());
+        }
+    }
+}
+
+impl Sim {
+    /// Creates a simulator.
+    pub fn new(cfg: SimConfig) -> Sim {
+        if cfg.fuel.is_some() {
+            // Fuel kills unwind coroutines with a filtered panic payload;
+            // install the hook up front so the first kill prints nothing.
+            install_crash_hook();
+        }
+        Sim {
+            core: Arc::new(SimCore {
+                mode: cfg.mode,
+                cost: cfg.cost,
+                policy: cfg.policy,
+                fuel_limit: cfg.fuel,
+                now: AtomicU64::new(0),
+                rng: AtomicU64::new(cfg.seed | 1),
+                hosts: AppendTable::new(),
+                engine: OwnerCell::new(Engine {
+                    seq: 0,
+                    heap: BinaryHeap::new(),
+                    events: Slab::new(),
+                    lps: Slab::new(),
+                    next_lp: 0,
+                    current: None,
+                    executed: 0,
+                    panics: Vec::new(),
+                    reap: Vec::new(),
+                    fuel_exhausted: 0,
+                    peak_live: 0,
+                    chooser: None,
+                    sched_hash: FNV_OFFSET,
+                    trace: TraceCore::new(DEFAULT_RING_CAP),
+                    check: CheckCore::default(),
+                    journal: Vec::new(),
+                }),
+                trace_on: cfg.trace,
+                check_on: cfg.check,
+                journal_on: AtomicBool::new(false),
+                seed: cfg.seed,
+            }),
+        }
+    }
+
+    /// Execution mode.
+    pub fn mode(&self) -> Mode {
+        self.core.mode
+    }
+
+    /// The cost model in effect.
+    pub fn cost(&self) -> &CostModel {
+        &self.core.cost
+    }
+
+    /// Registers a kernel, allocating its host id. Called by `Kernel::new`.
+    pub(crate) fn add_kernel(&self, k: &Arc<Kernel>) -> HostId {
+        // The engine lock serializes registrations; readers need none.
+        let _g = self.core.engine.lock();
+        HostId(self.core.hosts.push(HostCell::new(Arc::clone(k))))
+    }
+
+    /// The kernel running on `host`.
+    pub fn kernel_of(&self, host: HostId) -> Arc<Kernel> {
+        Arc::clone(&self.core.host(host).kernel)
+    }
+
+    /// All registered kernels.
+    pub fn kernels(&self) -> Vec<Arc<Kernel>> {
+        kernels_of(&self.core)
+    }
+
+    /// A handle that does not keep the simulation alive (see [`WeakSim`]).
+    pub fn downgrade(&self) -> WeakSim {
+        WeakSim {
+            core: Arc::downgrade(&self.core),
+        }
+    }
+
+    /// A context bound to `host` but to no logical process. Suitable for
+    /// setup (graph building, enables) and for everything in inline mode;
+    /// blocking from it panics.
+    pub fn ctx(&self, host: HostId) -> Ctx {
+        Ctx {
+            core: Arc::clone(&self.core),
+            host,
+            lp: None,
+        }
+    }
+
+    /// Spawns a shepherd process on `host`. In scheduled mode it is queued
+    /// at the current virtual time and run by [`Sim::run_until_idle`]; in
+    /// inline mode it executes immediately on the calling thread.
+    pub fn spawn(&self, host: HostId, f: impl FnOnce(&Ctx) + Send + 'static) {
+        self.ctx(host).spawn_on(host, f);
+    }
+
+    /// Schedules a crash of `host` at absolute virtual time `t`. At that
+    /// instant every in-flight message addressed to the host, every timer
+    /// armed on it, and every blocked process running on it is discarded;
+    /// further deliveries are dropped until a restart. Scheduled mode only.
+    pub fn crash_at(&self, t: Time, host: HostId) {
+        assert_eq!(
+            self.core.mode,
+            Mode::Scheduled,
+            "crash/restart require virtual time"
+        );
+        install_crash_hook();
+        self.core
+            .engine
+            .lock()
+            .push_event(t, EvKind::Crash { host });
+    }
+
+    /// Crashes `host` at the current virtual time (see [`Sim::crash_at`]).
+    pub fn crash(&self, host: HostId) {
+        let t = self.virtual_now();
+        self.crash_at(t, host);
+    }
+
+    /// Schedules a restart of a crashed `host` at absolute virtual time `t`:
+    /// the host's boot epoch is bumped and every protocol's
+    /// [`crate::proto::Protocol::reboot`] hook runs as a fresh shepherd
+    /// process (protocols shed per-connection state and draw new boot
+    /// incarnation ids there). Scheduled mode only.
+    pub fn restart_at(&self, t: Time, host: HostId) {
+        assert_eq!(
+            self.core.mode,
+            Mode::Scheduled,
+            "crash/restart require virtual time"
+        );
+        self.core
+            .engine
+            .lock()
+            .push_event(t, EvKind::Restart { host });
+    }
+
+    /// Restarts `host` at the current virtual time (see [`Sim::restart_at`]).
+    pub fn restart(&self, host: HostId) {
+        let t = self.virtual_now();
+        self.restart_at(t, host);
+    }
+
+    /// Robustness counters for `host` (also in [`RunReport::hosts`]).
+    pub fn host_stats(&self, host: HostId) -> HostStats {
+        self.core.host(host).stats()
+    }
+
+    /// How many times `host` has restarted (0 until its first restart).
+    pub fn boot_epoch(&self, host: HostId) -> u32 {
+        self.core.host(host).epoch.load(Relaxed)
+    }
+
+    /// Whether `host` is currently crashed.
+    pub fn is_down(&self, host: HostId) -> bool {
+        self.core.host(host).down.load(Relaxed)
+    }
+
+    /// Spawns a stackless [`VProc`] machine as a shepherd process on
+    /// `host`, queued at the current virtual time. Scheduled mode only —
+    /// machines have no meaning without a scheduler to perform their
+    /// blocking points.
+    pub fn spawn_vproc(&self, host: HostId, m: Box<dyn VProc>) {
+        self.ctx(host).spawn_vproc_on(host, m);
+    }
+
+    /// Virtual CPU time of `host`.
+    pub fn now_of(&self, host: HostId) -> Time {
+        self.core.host(host).cpu.load(Relaxed)
+    }
+
+    /// Global virtual time (time of the last processed event).
+    pub fn virtual_now(&self) -> Time {
+        self.core.now.load(Relaxed)
+    }
+
+    /// Next value from the simulation-wide deterministic PRNG (SplitMix64).
+    pub fn next_u64(&self) -> u64 {
+        self.core.next_u64()
+    }
+
+    /// Whether structured tracing is enabled for this simulation.
+    pub fn trace_enabled(&self) -> bool {
+        self.core.trace_on
+    }
+
+    /// All recorded trace events, host-major in arrival order (empty
+    /// unless tracing was enabled). Rings are bounded; old events are
+    /// dropped first.
+    pub fn trace_events(&self) -> Vec<Event> {
+        if !self.core.trace_on {
+            return Vec::new();
+        }
+        self.core.engine.lock().trace.events()
+    }
+
+    /// The protocol-reported annotations among the trace events, with the
+    /// host each was noted on (replaces the old string trace lines).
+    pub fn trace_notes(&self) -> Vec<(HostId, &'static str)> {
+        self.trace_events()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Note(n) => Some((e.host, n)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The per-layer cost ledger accumulated so far (empty unless tracing
+    /// was enabled).
+    pub fn cost_breakdown(&self) -> CostBreakdown {
+        breakdown_of(&self.core, &self.core.engine.lock().trace)
+    }
+
+    /// Flamegraph-compatible folded-stack lines for the ledger accumulated
+    /// so far, deterministically sorted.
+    pub fn folded(&self) -> Vec<FoldedLine> {
+        folded_of(&self.core, &self.core.engine.lock().trace)
+    }
+
+    /// Clears the event rings and the cost ledger (live span stacks
+    /// survive, so in-flight call chains stay attributed). Benchmarks call
+    /// this after warmup to scope the ledger to the measured window.
+    pub fn trace_clear(&self) {
+        if !self.core.trace_on {
+            return;
+        }
+        self.core.engine.lock().trace.clear();
+    }
+
+    /// Whether the concurrency checker is enabled for this simulation.
+    pub fn check_enabled(&self) -> bool {
+        self.core.check_on
+    }
+
+    /// The configured PRNG seed (embedded in repro strings).
+    pub fn seed(&self) -> u64 {
+        self.core.seed
+    }
+
+    /// The schedule fingerprint accumulated so far (see
+    /// [`RunReport::sched_hash`]).
+    pub fn sched_hash(&self) -> u64 {
+        self.core.engine.lock().sched_hash
+    }
+
+    /// Installs a scheduling oracle: every same-time event tie becomes a
+    /// forced-choice point decided by `chooser`. Used by xcheck's bounded
+    /// schedule exploration; replaces any previous chooser.
+    pub fn set_chooser(&self, chooser: Box<dyn ScheduleChooser>) {
+        self.core.engine.lock().chooser = Some(chooser);
+    }
+
+    /// The checker's findings. Runs the wait-for-graph scan over processes
+    /// still blocked right now, so call it after [`Sim::run_until_idle`]
+    /// (a blocked process mid-run is not yet a deadlock). Returns a
+    /// default (disabled) report when checking is off.
+    pub fn check_report(&self) -> CheckReport {
+        if !self.core.check_on {
+            return CheckReport::default();
+        }
+        let g = self.core.engine.lock();
+        let mut blocked: Vec<u64> = g.blocked().collect();
+        blocked.sort_unstable();
+        g.check.report(&blocked)
+    }
+
+    /// The replayable repro string for `v` under this run's seed and
+    /// schedule fingerprint (see [`crate::check::parse_repro`]).
+    pub fn repro(&self, v: &Violation) -> String {
+        v.repro(self.core.seed, self.sched_hash())
+    }
+
+    /// Starts journal recording (see [`crate::journal`]), discarding any
+    /// previously recorded decisions. Costs one relaxed atomic load per
+    /// potential decision when off.
+    pub fn journal_enable(&self) {
+        self.core.engine.lock().journal.clear();
+        self.core.journal_on.store(true, Relaxed);
+    }
+
+    /// Stops recording and returns the journal, stamped with this
+    /// simulation's seed and the schedule fingerprint accumulated so far —
+    /// the cross-check a replay must reproduce.
+    pub fn journal_take(&self) -> Journal {
+        self.core.journal_on.store(false, Relaxed);
+        let mut g = self.core.engine.lock();
+        Journal {
+            version: JOURNAL_VERSION,
+            seed: self.core.seed,
+            sched_hash: g.sched_hash,
+            records: std::mem::take(&mut g.journal),
+        }
+    }
+}
+
+/// A [`Sim`] handle that does not keep the simulation alive: it upgrades
+/// only while some `Sim`, [`Ctx`] or suspended process still does.
+#[derive(Clone)]
+pub struct WeakSim {
+    core: std::sync::Weak<SimCore>,
+}
+
+impl WeakSim {
+    /// The simulation, if it is still alive.
+    pub fn upgrade(&self) -> Option<Sim> {
+        self.core.upgrade().map(|core| Sim { core })
+    }
+}
+
+/// Every registered kernel, in host order.
+pub(super) fn kernels_of(core: &SimCore) -> Vec<Arc<Kernel>> {
+    core.hosts.iter().map(|h| Arc::clone(&h.kernel)).collect()
+}

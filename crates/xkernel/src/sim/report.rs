@@ -1,0 +1,222 @@
+//! What a run reports: [`RunReport`], the per-host counters behind
+//! [`HostStats`], and the trace ledger's breakdown and folded-stack views.
+
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
+
+use crate::kernel::Kernel;
+use crate::proto::ProtoId;
+use crate::trace::{CostBreakdown, CostEntry, FoldedLine, OpClass, TraceCore};
+
+use super::handle::kernels_of;
+use super::*;
+
+/// Outcome of [`Sim::run_until_idle`]. Derives `Eq` so chaos tests can
+/// assert bit-identical runs for identical seeds.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RunReport {
+    /// Virtual time of the last processed event.
+    pub ended_at: Time,
+    /// Number of events executed.
+    pub events: u64,
+    /// Processes still blocked when the event queue drained (deadlock if
+    /// non-zero and the workload expected to finish).
+    pub blocked: usize,
+    /// Per-host robustness counters, indexed by [`HostId`].
+    pub hosts: Vec<HostStats>,
+    /// Per-layer cost attribution (empty unless tracing was enabled; see
+    /// [`crate::trace`]).
+    pub breakdown: CostBreakdown,
+    /// FNV-1a fold of every live event the scheduler processed, in order:
+    /// the run's schedule fingerprint. Two runs with equal hashes executed
+    /// the same interleaving; xcheck repro strings embed it.
+    pub sched_hash: u64,
+    /// Total fuel charged across all hosts: one unit per charged operation
+    /// plus one per machine resume. A pure function of the schedule, so
+    /// replay-stable.
+    pub fuel_used: u64,
+    /// Processes killed by fuel exhaustion (always 0 without
+    /// [`SimConfig::with_fuel`]).
+    pub fuel_exhausted: u64,
+    /// High-water mark of simultaneously live processes — the number the
+    /// million-client experiments exist to push.
+    pub peak_live: usize,
+}
+
+/// Per-host robustness counters accumulated during a run. Protocols report
+/// the first four via [`Ctx::note`]; the crash/restart machinery maintains
+/// the rest.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HostStats {
+    /// Request retransmissions sent by this host's protocols.
+    pub retransmits: u64,
+    /// Duplicate requests this host suppressed (ack/resend/drop instead of
+    /// re-executing).
+    pub duplicates_suppressed: u64,
+    /// Corrupt frames a checksum on this host rejected.
+    pub corrupt_rejected: u64,
+    /// Retransmission timeouts that fired on this host.
+    pub timeouts_fired: u64,
+    /// Times this host crashed.
+    pub crashes: u64,
+    /// Times this host restarted.
+    pub restarts: u64,
+    /// The host's final virtual CPU clock, in nanoseconds. With tracing on,
+    /// the conservation invariant holds: the host's
+    /// [`RunReport::breakdown`] entries sum to exactly this value.
+    pub cpu_ns: u64,
+}
+
+/// A robustness event a protocol reports via [`Ctx::note`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum RobustEvent {
+    /// A request was retransmitted.
+    Retransmit,
+    /// A duplicate request was suppressed instead of re-executed.
+    DuplicateSuppressed,
+    /// A corrupt frame was rejected by a checksum.
+    CorruptRejected,
+    /// A retransmission timeout fired.
+    TimeoutFired,
+}
+
+/// One host's kernel, clock and counters. Every field but the kernel is a
+/// scalar cell read and written with relaxed atomic loads and stores (never
+/// a read-modify-write): only the thread driving the simulation touches
+/// them, and a simulation changes threads only through a real
+/// synchronisation point, which orders one driver's writes before the
+/// next's reads (the contract [`crate::cell`] states). That keeps the
+/// charging path ([`Ctx::charge_class`], [`Ctx::now`], [`Ctx::note`]) free
+/// of any guard while [`Sim`] stays `Send + Sync`.
+pub(super) struct HostCell {
+    pub(super) kernel: Arc<Kernel>,
+    pub(super) cpu: AtomicU64,
+    /// Fuel charged on this host: one unit per charged operation plus one
+    /// per machine resume ([`RunReport::fuel_used`] is the sum).
+    pub(super) fuel: AtomicU64,
+    pub(super) down: AtomicBool,
+    pub(super) epoch: AtomicU32,
+    pub(super) retransmits: AtomicU64,
+    pub(super) duplicates_suppressed: AtomicU64,
+    pub(super) corrupt_rejected: AtomicU64,
+    pub(super) timeouts_fired: AtomicU64,
+    pub(super) crashes: AtomicU64,
+    pub(super) restarts: AtomicU64,
+}
+
+/// `cell += by` for a cell only the driving thread writes.
+#[inline]
+pub(super) fn bump(cell: &AtomicU64, by: u64) -> u64 {
+    let v = cell.load(Relaxed) + by;
+    cell.store(v, Relaxed);
+    v
+}
+
+impl HostCell {
+    pub(super) fn new(kernel: Arc<Kernel>) -> HostCell {
+        HostCell {
+            kernel,
+            cpu: AtomicU64::new(0),
+            fuel: AtomicU64::new(0),
+            down: AtomicBool::new(false),
+            epoch: AtomicU32::new(0),
+            retransmits: AtomicU64::new(0),
+            duplicates_suppressed: AtomicU64::new(0),
+            corrupt_rejected: AtomicU64::new(0),
+            timeouts_fired: AtomicU64::new(0),
+            crashes: AtomicU64::new(0),
+            restarts: AtomicU64::new(0),
+        }
+    }
+
+    /// An event at time `t` reaches this host: the clock jumps over the
+    /// idle gap (if `t` is ahead of it) and then pays `extra`. Returns the
+    /// idle time skipped and the new clock.
+    pub(super) fn arrive(&self, t: Time, extra: Nanos) -> (Nanos, Time) {
+        let cpu = self.cpu.load(Relaxed);
+        let now = cpu.max(t) + extra;
+        self.cpu.store(now, Relaxed);
+        (t.saturating_sub(cpu), now)
+    }
+
+    pub(super) fn stats(&self) -> HostStats {
+        HostStats {
+            retransmits: self.retransmits.load(Relaxed),
+            duplicates_suppressed: self.duplicates_suppressed.load(Relaxed),
+            corrupt_rejected: self.corrupt_rejected.load(Relaxed),
+            timeouts_fired: self.timeouts_fired.load(Relaxed),
+            crashes: self.crashes.load(Relaxed),
+            restarts: self.restarts.load(Relaxed),
+            cpu_ns: self.cpu.load(Relaxed),
+        }
+    }
+}
+
+/// Builds the sorted per-layer breakdown from the trace ledger, resolving
+/// innermost-layer protocol ids to instance names via the hosts' kernels.
+pub(super) fn breakdown_of(core: &SimCore, tr: &TraceCore) -> CostBreakdown {
+    if !core.trace_on {
+        return CostBreakdown::default();
+    }
+    let kernels = kernels_of(core);
+    let mut agg: HashMap<(usize, Option<ProtoId>, OpClass), Nanos> = HashMap::new();
+    for (host, frames, class, ns) in tr.rows() {
+        *agg.entry((host, frames.last().copied(), class))
+            .or_insert(0) += ns;
+    }
+    let mut entries: Vec<CostEntry> = agg
+        .into_iter()
+        .map(|((host, top, class), ns)| CostEntry {
+            host: HostId(host),
+            proto: proto_frame_name(&kernels, host, top),
+            class,
+            ns,
+        })
+        .collect();
+    entries.sort();
+    CostBreakdown { entries }
+}
+
+/// Builds the sorted folded-stack lines from the trace ledger.
+pub(super) fn folded_of(core: &SimCore, tr: &TraceCore) -> Vec<FoldedLine> {
+    if !core.trace_on {
+        return Vec::new();
+    }
+    let kernels = kernels_of(core);
+    let mut lines: Vec<FoldedLine> = tr
+        .rows()
+        .into_iter()
+        .map(|(host, frames, class, ns)| {
+            let host_name = kernels
+                .get(host)
+                .map(|k| k.name().to_string())
+                .unwrap_or_else(|| format!("host{host}"));
+            let mut out = Vec::with_capacity(frames.len() + 2);
+            out.push(host_name);
+            for p in frames {
+                out.push(proto_frame_name(&kernels, host, Some(*p)));
+            }
+            out.push(class.as_str().to_string());
+            FoldedLine {
+                host: HostId(host),
+                frames: out,
+                ns,
+            }
+        })
+        .collect();
+    lines.sort();
+    lines
+}
+
+/// The display name for a span frame: the protocol's configured instance
+/// name, or `"(host)"` for the empty stack.
+fn proto_frame_name(kernels: &[Arc<Kernel>], host: usize, proto: Option<ProtoId>) -> String {
+    match proto {
+        None => "(host)".to_string(),
+        Some(p) => kernels
+            .get(host)
+            .and_then(|k| k.name_of(p))
+            .unwrap_or_else(|| format!("p{}", p.0)),
+    }
+}

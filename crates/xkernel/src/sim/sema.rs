@@ -1,0 +1,218 @@
+//! [`SharedSema`], the counting semaphore shepherd processes block on.
+
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
+
+use crate::cell::OwnerCell;
+use crate::trace::OpClass;
+
+use super::ctx::Block;
+use super::*;
+
+/// What the front half of a P found (see [`SharedSema::wait_begin`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(super) enum Enqueued {
+    /// A unit was free and is now held; no wait.
+    Acquired,
+    /// No unit is free and inline mode cannot wait for one.
+    Inline,
+    /// The process is queued as a waiter and must block.
+    Queued,
+}
+
+struct Waiter {
+    lp: LpId,
+    timer: Option<TimerHandle>,
+    seq: u64,
+}
+
+struct SemaState {
+    count: i64,
+    waiters: VecDeque<Waiter>,
+    next_seq: u64,
+}
+
+/// What a [`SharedSema`]'s clones share.
+struct Sema {
+    st: OwnerCell<SemaState>,
+    /// Globally unique identity for the checker's holding/wait-for maps.
+    id: u64,
+    /// Human-readable label for violation reports.
+    label: &'static str,
+}
+
+/// Source of [`Sema::id`] values; process-wide so distinct simulations
+/// never alias.
+static NEXT_SEMA_ID: AtomicU64 = AtomicU64::new(0);
+
+/// A counting semaphore integrated with the simulator: P blocks the shepherd
+/// process in scheduled mode; in inline mode P on a zero count is a
+/// programming error for plain [`SharedSema::p`] and a clean `false` for
+/// [`SharedSema::p_timeout`] (the awaited event can never arrive inline, so the
+/// timeout outcome is the truthful one). Clones share the one semaphore,
+/// which is how a timed wait hands it to its timeout closure.
+#[derive(Clone)]
+pub struct SharedSema(Arc<Sema>);
+
+impl SharedSema {
+    /// A semaphore with the given initial count.
+    pub fn new(initial: i64) -> SharedSema {
+        SharedSema::labeled(initial, "sema")
+    }
+
+    /// A semaphore with the given initial count and a label that xcheck
+    /// violation reports (deadlock cycles, double waits) will carry.
+    pub fn labeled(initial: i64, label: &'static str) -> SharedSema {
+        SharedSema(Arc::new(Sema {
+            st: OwnerCell::new(SemaState {
+                count: initial,
+                waiters: VecDeque::new(),
+                next_seq: 0,
+            }),
+            id: NEXT_SEMA_ID.fetch_add(1, Relaxed),
+            label,
+        }))
+    }
+
+    /// The identity [`Block::Sema`] and the checker know this semaphore by.
+    pub(super) fn id(&self) -> u64 {
+        self.0.id
+    }
+
+    /// Current count (tests/introspection).
+    pub fn count(&self) -> i64 {
+        self.0.st.lock().count
+    }
+
+    /// Captures `(count, next_seq)` for a whole-sim snapshot. Legal only at
+    /// a quiescent instant — no process can be parked on the semaphore
+    /// then, so losing the (empty) waiter queue is sound.
+    pub fn snap_state(&self) -> (i64, u64) {
+        let st = self.0.st.lock();
+        debug_assert!(
+            st.waiters.is_empty(),
+            "sema snapshot with waiters parked (not quiescent)"
+        );
+        (st.count, st.next_seq)
+    }
+
+    /// Restores state captured by [`SharedSema::snap_state`]. Same
+    /// quiescence requirement; any stray waiters are dropped.
+    pub fn restore_state(&self, (count, next_seq): (i64, u64)) {
+        let mut st = self.0.st.lock();
+        st.waiters.clear();
+        st.count = count;
+        st.next_seq = next_seq;
+    }
+
+    /// The front half of every P — [`SharedSema::p`],
+    /// [`SharedSema::p_timeout`] and a machine's [`VStep::Wait`] alike:
+    /// pays the semaphore operation, takes a unit if one is free, and
+    /// otherwise queues the process as a waiter. With `timeout`, a queued
+    /// waiter also gets the timer that gives up for it. Everything of a P
+    /// short of the block itself: the scheduler closes the wait out (the
+    /// checker's wait-end hook) when it resumes the process.
+    pub(super) fn wait_begin(&self, ctx: &Ctx, timeout: Option<Nanos>) -> Enqueued {
+        ctx.charge_class(OpClass::Sema, ctx.cost().sema_op);
+        let mut st = self.0.st.lock();
+        if st.count > 0 {
+            st.count -= 1;
+            drop(st);
+            if let (true, Some(lp)) = (ctx.core.check_on, ctx.lp) {
+                ctx.core
+                    .engine
+                    .lock()
+                    .check
+                    .on_acquire(lp.id, self.0.id, self.0.label, ctx.host.0);
+            }
+            return Enqueued::Acquired;
+        }
+        if ctx.mode() == Mode::Inline {
+            return Enqueued::Inline;
+        }
+        let lp = ctx.lp.expect("P outside a shepherd process");
+        let seq = st.next_seq;
+        st.next_seq += 1;
+        st.waiters.push_back(Waiter {
+            lp,
+            timer: None,
+            seq,
+        });
+        drop(st);
+        if ctx.core.check_on {
+            ctx.core
+                .engine
+                .lock()
+                .check
+                .on_wait_begin(lp.id, self.0.id, self.0.label, ctx.host.0);
+        }
+        if let Some(dt) = timeout {
+            let me = self.clone();
+            let timer = ctx.schedule_after(dt, move |tctx| {
+                let mut st = me.0.st.lock();
+                if let Some(pos) = st.waiters.iter().position(|w| w.seq == seq) {
+                    st.waiters.remove(pos);
+                    drop(st);
+                    tctx.wake(lp, WakeReason::Timeout, None);
+                }
+            });
+            let mut st = self.0.st.lock();
+            if let Some(w) = st.waiters.iter_mut().find(|w| w.seq == seq) {
+                w.timer = Some(timer);
+            }
+        }
+        Enqueued::Queued
+    }
+
+    /// P: acquire one unit, blocking until available.
+    pub fn p(&self, ctx: &Ctx) {
+        match self.wait_begin(ctx, None) {
+            Enqueued::Acquired => {}
+            Enqueued::Inline => panic!("SharedSema::p would block in inline mode"),
+            Enqueued::Queued => {
+                let reason = ctx.block_current(Block::Sema(self.0.id));
+                debug_assert_eq!(reason, WakeReason::Normal, "untimed P woke by timeout");
+            }
+        }
+    }
+
+    /// V: release one unit, waking the longest-waiting process if any.
+    pub fn v(&self, ctx: &Ctx) {
+        ctx.charge_class(OpClass::Sema, ctx.cost().sema_op);
+        let woken = {
+            let mut st = self.0.st.lock();
+            let woken = st.waiters.pop_front();
+            if woken.is_none() {
+                st.count += 1;
+            }
+            woken
+        };
+        if ctx.core.check_on {
+            ctx.core.engine.lock().check.on_release(
+                ctx.lp.map(|l| l.id),
+                self.0.id,
+                self.0.label,
+                ctx.host.0,
+                woken.as_ref().map(|w| w.lp.id),
+            );
+        }
+        if let Some(w) = woken {
+            ctx.wake(w.lp, WakeReason::Normal, w.timer);
+        }
+    }
+
+    /// P with timeout; `true` if acquired.
+    pub fn p_timeout(&self, ctx: &Ctx, dt: Nanos) -> bool {
+        match self.wait_begin(ctx, Some(dt)) {
+            Enqueued::Acquired => true,
+            Enqueued::Inline => false,
+            Enqueued::Queued => {
+                matches!(
+                    ctx.block_current(Block::Sema(self.0.id)),
+                    WakeReason::Normal
+                )
+            }
+        }
+    }
+}

@@ -1,0 +1,316 @@
+//! Snapshot and restore of a quiescent simulation.
+
+use std::cmp::Reverse;
+use std::sync::atomic::Ordering::Relaxed;
+
+use crate::error::{XError, XResult};
+use crate::proto::SnapBlob;
+
+use super::engine::{Engine, EvKind, LpBody, LpState, Machine, RunState};
+use super::handle::kernels_of;
+use super::report::HostCell;
+use super::*;
+
+impl Sim {
+    /// Captures the complete mutable state of a *quiescent* simulation: the
+    /// scheduler scalars (virtual clock, event/process id counters, the
+    /// `sched_hash` fingerprint), the PRNG position, per-host clocks,
+    /// crash/boot state and robustness counters, and every protocol's
+    /// private state via [`crate::proto::Protocol::snap`]. Quiescent means
+    /// either [`Sim::run_until_idle`] has drained — no pending events, no
+    /// live processes — or the run is paused (see [`Sim::run_until_time`])
+    /// with every live process a *forkable* [`VProc`] machine suspended at
+    /// a timer blocking point: such continuations are pure data, captured
+    /// via [`VProc::fork`] together with their pending wake events (stale
+    /// ones included — the `sched_hash` identity folds them too).
+    ///
+    /// [`Sim::restore`] rewinds the *same* simulator (same kernels, same
+    /// protocol graph) to this state; a restored run is bit-identical to
+    /// one that never snapshotted. Deliberately not captured: trace rings,
+    /// the cost ledger, and checker state — observability, not behavior.
+    pub fn snapshot(&self) -> XResult<SimSnapshot> {
+        if self.core.mode != Mode::Scheduled {
+            return Err(XError::Unsupported("snapshot in inline mode"));
+        }
+        let core = &self.core;
+        let g = core.engine.lock();
+        require_quiescent(&g)?;
+        // Every pending event is a Wake (eligibility above); capture each
+        // with the time its heap entry carries, sorted by seq so restore
+        // rebuilds the identical queue. Stale wakes (their process already
+        // gone) are captured too: the scheduler still processes — and
+        // hashes — them.
+        let mut wakes: Vec<SnapWake> = g
+            .heap
+            .iter()
+            .filter_map(|&Reverse((t, seq, slot))| match g.events.get(seq, slot) {
+                Some(&EvKind::Wake { lp, reason }) => Some(SnapWake {
+                    t,
+                    seq,
+                    lp: lp.id,
+                    reason,
+                }),
+                _ => None,
+            })
+            .collect();
+        wakes.sort_unstable_by_key(|w| w.seq);
+        let mut machines: Vec<SnapMachine> = g
+            .lps
+            .iter()
+            .map(|(id, _, st)| {
+                let Some(LpBody::Machine(c)) = &st.body else {
+                    unreachable!("eligibility admits only machine continuations");
+                };
+                SnapMachine {
+                    lp: id,
+                    host: st.host,
+                    fuel: c.fuel,
+                    m: c.m
+                        .fork()
+                        .expect("eligibility admits only forkable machines"),
+                }
+            })
+            .collect();
+        machines.sort_unstable_by_key(|sm| sm.lp);
+        let mut snap = SimSnapshot {
+            now: core.now.load(Relaxed),
+            seq: g.seq,
+            next_lp: g.next_lp,
+            executed: g.executed,
+            sched_hash: g.sched_hash,
+            rng: core.rng.load(Relaxed),
+            journal_len: g.journal.len(),
+            hosts: core.hosts.iter().map(HostCell::snap).collect(),
+            fuel_exhausted: g.fuel_exhausted,
+            peak_live: g.peak_live,
+            wakes,
+            machines,
+            protos: Vec::new(),
+        };
+        drop(g);
+        for k in kernels_of(core) {
+            let ctx = self.ctx(k.host());
+            snap.protos.push(
+                k.protocol_slots()
+                    .iter()
+                    .map(|slot| slot.as_ref().and_then(|p| p.snap(&ctx)))
+                    .collect(),
+            );
+        }
+        Ok(snap)
+    }
+
+    /// Rewinds this simulator to `snap` (which [`Sim::snapshot`] captured
+    /// from the *same* simulator). Requires quiescence, exactly like
+    /// snapshotting. Scheduler scalars, PRNG, host clocks, and every
+    /// protocol's private state are overwritten in place; the journal is
+    /// truncated to its capture-time length so a resumed recording matches
+    /// an uninterrupted one.
+    pub fn restore(&self, snap: &SimSnapshot) -> XResult<()> {
+        if self.core.mode != Mode::Scheduled {
+            return Err(XError::Unsupported("restore in inline mode"));
+        }
+        let core = &self.core;
+        if core.hosts.len() != snap.hosts.len() {
+            return Err(XError::Config(format!(
+                "snapshot holds {} hosts but the simulator has {}",
+                snap.hosts.len(),
+                core.hosts.len()
+            )));
+        }
+        {
+            let mut g = core.engine.lock();
+            require_quiescent(&g)?;
+            core.now.store(snap.now, Relaxed);
+            g.seq = snap.seq;
+            g.next_lp = snap.next_lp;
+            g.executed = snap.executed;
+            g.sched_hash = snap.sched_hash;
+            g.fuel_exhausted = snap.fuel_exhausted;
+            g.peak_live = snap.peak_live;
+            // The heap may hold entries for cancelled or already-drained
+            // events; with `seq` rewound they would alias freshly allocated
+            // sequence numbers, so they must go — as must any machine
+            // continuations of the pre-restore present, which the
+            // snapshot's copies replace wholesale.
+            g.heap.clear();
+            g.events.clear();
+            g.lps.clear();
+            g.reap.clear();
+            g.panics.clear();
+            // Machines first (sorted by id), so each wake can find the slot
+            // its process landed in.
+            let mut slots = Vec::with_capacity(snap.machines.len());
+            for sm in &snap.machines {
+                let m = sm.m.fork().ok_or_else(|| {
+                    XError::Config("snapshotted machine refused to fork on restore".into())
+                })?;
+                let body = LpBody::Machine(Machine { m, fuel: sm.fuel });
+                slots.push(g.lps.insert(
+                    sm.lp,
+                    LpState {
+                        host: sm.host,
+                        state: RunState::Blocked,
+                        body: Some(body),
+                        wait_sema: None,
+                    },
+                ));
+            }
+            for w in &snap.wakes {
+                // A stale wake's process is gone; any slot misses for it.
+                let slot = snap
+                    .machines
+                    .binary_search_by_key(&w.lp, |sm| sm.lp)
+                    .map_or(u32::MAX, |i| slots[i]);
+                let kind = EvKind::Wake {
+                    lp: LpId { id: w.lp, slot },
+                    reason: w.reason,
+                };
+                let ev_slot = g.events.insert(w.seq, kind);
+                g.heap.push(Reverse((w.t, w.seq, ev_slot)));
+            }
+            g.journal.truncate(snap.journal_len);
+        }
+        for (h, sh) in core.hosts.iter().zip(&snap.hosts) {
+            h.restore(sh);
+        }
+        core.rng.store(snap.rng, Relaxed);
+        let kernels = kernels_of(core);
+        if kernels.len() != snap.protos.len() {
+            return Err(XError::Config(
+                "snapshot is from a different rig (kernel count mismatch)".into(),
+            ));
+        }
+        for (k, blobs) in kernels.iter().zip(&snap.protos) {
+            let ctx = self.ctx(k.host());
+            let slots = k.protocol_slots();
+            if slots.len() != blobs.len() {
+                return Err(XError::Config(format!(
+                    "snapshot is from a different rig ({} protocol slots vs {} on {})",
+                    blobs.len(),
+                    slots.len(),
+                    k.name()
+                )));
+            }
+            for (slot, blob) in slots.iter().zip(blobs) {
+                if let (Some(p), Some(b)) = (slot, blob) {
+                    p.restore_snap(&ctx, b)?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Errors unless the simulator is quiescent: fully drained, or paused with
+/// only forkable machine continuations suspended on timers (every pending
+/// event a Wake). Anything else — a running process, a suspended
+/// *coroutine* (opaque stack), a machine parked on a semaphore (waiter
+/// queues don't round-trip), an unforkable machine, a pending
+/// Run/Crash/Restart — is not snapshot material.
+fn require_quiescent(g: &Engine) -> XResult<()> {
+    let eligible = g.current.is_none()
+        && g.reap.is_empty()
+        && g.events
+            .iter()
+            .all(|(_, _, e)| matches!(e, EvKind::Wake { .. }))
+        && g.lps.iter().all(|(_, _, st)| {
+            st.state == RunState::Blocked
+                && st.wait_sema.is_none()
+                && matches!(&st.body, Some(LpBody::Machine(c)) if c.m.fork().is_some())
+        });
+    if eligible {
+        Ok(())
+    } else {
+        Err(XError::Config(format!(
+            "snapshot/restore require a quiescent simulator \
+             ({} pending event(s), {} live process(es)); \
+             run_until_idle first",
+            g.events.len(),
+            g.lps.len()
+        )))
+    }
+}
+
+/// A pending wake event captured in a snapshot.
+struct SnapWake {
+    t: Time,
+    seq: u64,
+    lp: u64,
+    reason: WakeReason,
+}
+
+/// A suspended machine continuation captured in a snapshot (via
+/// [`VProc::fork`]); restore re-forks it so the snapshot stays reusable.
+struct SnapMachine {
+    lp: u64,
+    host: HostId,
+    fuel: u64,
+    m: Box<dyn VProc>,
+}
+
+/// One host's scalars captured in a snapshot (`stats.cpu_ns` is its clock).
+struct SnapHost {
+    down: bool,
+    epoch: u32,
+    fuel: u64,
+    stats: HostStats,
+}
+
+impl HostCell {
+    fn snap(&self) -> SnapHost {
+        SnapHost {
+            down: self.down.load(Relaxed),
+            epoch: self.epoch.load(Relaxed),
+            fuel: self.fuel.load(Relaxed),
+            stats: self.stats(),
+        }
+    }
+
+    fn restore(&self, snap: &SnapHost) {
+        let s = &snap.stats;
+        self.cpu.store(s.cpu_ns, Relaxed);
+        self.fuel.store(snap.fuel, Relaxed);
+        self.down.store(snap.down, Relaxed);
+        self.epoch.store(snap.epoch, Relaxed);
+        self.retransmits.store(s.retransmits, Relaxed);
+        self.duplicates_suppressed
+            .store(s.duplicates_suppressed, Relaxed);
+        self.corrupt_rejected.store(s.corrupt_rejected, Relaxed);
+        self.timeouts_fired.store(s.timeouts_fired, Relaxed);
+        self.crashes.store(s.crashes, Relaxed);
+        self.restarts.store(s.restarts, Relaxed);
+    }
+}
+
+/// An opaque whole-sim snapshot; see [`Sim::snapshot`]. Holds the scheduler
+/// scalars, PRNG position, per-host state, any suspended machine
+/// continuations with their pending wakes, and one
+/// [`crate::proto::SnapBlob`] per protocol slot per host.
+pub struct SimSnapshot {
+    now: Time,
+    seq: u64,
+    next_lp: u64,
+    executed: u64,
+    sched_hash: u64,
+    rng: u64,
+    journal_len: usize,
+    hosts: Vec<SnapHost>,
+    fuel_exhausted: u64,
+    peak_live: usize,
+    wakes: Vec<SnapWake>,
+    machines: Vec<SnapMachine>,
+    protos: Vec<Vec<Option<SnapBlob>>>,
+}
+
+impl SimSnapshot {
+    /// The schedule fingerprint at capture time.
+    pub fn sched_hash(&self) -> u64 {
+        self.sched_hash
+    }
+
+    /// Global virtual time at capture.
+    pub fn now(&self) -> Time {
+        self.now
+    }
+}

@@ -8,7 +8,7 @@
 //! thread, in two flavors:
 //!
 //! * [`Coro`] — a stackful coroutine. Existing protocol code blocks deep
-//!   inside arbitrary call chains (`Sema::p` under five protocol layers), so
+//!   inside arbitrary call chains (`SharedSema::p` under five protocol layers), so
 //!   the only transparent encoding of "suspend here, resume later" is a real
 //!   stack plus a context switch. The switch is ~12 instructions of inline
 //!   assembly saving exactly the callee-saved registers; stacks are `mmap`
@@ -510,7 +510,7 @@ pub enum VStep {
 ///
 /// Machines may use every non-blocking [`crate::sim::Ctx`] facility
 /// (charging, timers, spawning coroutines or machines, tracing) but must
-/// *return* their blocking points rather than calling `Sema::p`/`Ctx::sleep`
+/// *return* their blocking points rather than calling `SharedSema::p`/`Ctx::sleep`
 /// (which require a stack to park; doing so panics).
 ///
 /// [`VProc::fork`] makes a machine snapshot-capable: a machine suspended at

@@ -189,7 +189,7 @@ fn crossings_hold_no_clone(cfg: SimConfig) {
     // objects the borrowing ones do.
     assert!(Arc::ptr_eq(&ctx.kernel(), &rig.kernel));
     assert!(std::ptr::eq(ctx.kernel_ref(), &*rig.kernel));
-    let cloned = rig.kernel.proto(top).expect("installed");
+    let cloned = rig.kernel.get("top").expect("installed");
     assert!(Arc::ptr_eq(
         &cloned,
         rig.kernel.proto_ref(top).expect("installed")

@@ -45,7 +45,8 @@ impl Session for LoopSession {
     fn push(&self, ctx: &Ctx, mut msg: Message) -> XResult<Option<Message>> {
         // Tag with our 4-byte "wire header" carrying the protocol number.
         ctx.push_header(&mut msg, &self.num.to_be_bytes());
-        let proto = ctx.kernel().proto(self.proto)?;
+        let kernel = ctx.kernel();
+        let proto = kernel.proto_ref(self.proto)?;
         let me: SessionRef = Arc::new(LoopSession {
             proto: self.proto,
             num: self.num,
@@ -491,7 +492,7 @@ fn kernel_registry_error_paths() {
     let id = k.reserve("loop").unwrap();
     assert!(k.reserve("loop").is_err(), "duplicate names rejected");
     assert!(
-        k.proto(id).is_err(),
+        k.proto_ref(id).is_err(),
         "reserved-but-uninstalled ids are not usable"
     );
     k.install(id, Loopback::new(id) as ProtocolRef).unwrap();
@@ -499,7 +500,7 @@ fn kernel_registry_error_paths() {
         k.install(id, Loopback::new(id) as ProtocolRef).is_err(),
         "double install rejected"
     );
-    assert!(k.proto(id).is_ok());
+    assert!(k.proto_ref(id).is_ok());
     assert!(k.lookup("nosuch").is_err());
     assert!(
         k.install(ProtoId(99), Loopback::new(ProtoId(99)) as ProtocolRef)

@@ -22,6 +22,7 @@ use xkernel::cell::OwnerCell;
 use inet::with_concrete;
 use sunrpc::sunselect::SunSelect;
 use xkernel::prelude::*;
+use xkernel::rng::splitmix64;
 use xkernel::shepherd::ShepherdStats;
 use xkernel::sim::RunReport;
 use xrpc::procs::ECHO_PROC;
@@ -405,18 +406,11 @@ pub fn poisson_offsets(seed: u64, rate_cps: u64, duration_ns: u64) -> Vec<u64> {
     assert!(rate_cps > 0, "open loop needs a positive rate");
     let mean_ns = 1_000_000_000.0 / rate_cps as f64;
     let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
-    let mut step = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
     let mut out = Vec::new();
     let mut t = 0u64;
     loop {
         // Uniform in (0, 1]: never 0, so ln() is finite.
-        let u = ((step() >> 11) + 1) as f64 / (1u64 << 53) as f64;
+        let u = ((splitmix64(&mut state) >> 11) + 1) as f64 / (1u64 << 53) as f64;
         let dt = (-u.ln() * mean_ns) as u64;
         t = t.saturating_add(dt.max(1));
         if t >= duration_ns {

@@ -155,7 +155,7 @@ fn one_faulted_scenario_per_stack() -> Vec<Scenario> {
 #[test]
 fn a_dropped_scenario_frees_every_protocol_on_both_kernels() {
     for sc in one_faulted_scenario_per_stack() {
-        let (report, sim) = sc.run_with_sim();
+        let chaos::RunOutcome { report, sim, .. } = sc.run_with(chaos::RunOpts::default());
         assert_eq!(report.run.blocked, 0, "{}", report.label);
         let kernels = sim.kernels();
         assert_eq!(kernels.len(), 2);
