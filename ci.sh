@@ -72,6 +72,14 @@ for fossil in 'HashMap<u64, EvKind>' 'HashMap<u64, LpState>'; do
         exit 1
     fi
 done
+# The timeline is one mechanism (sim/timeline.rs, a radix heap whose only
+# binary heap is the small `due` inside it): a second queue kept beside it, or
+# the whole timeline back in a BinaryHeap, is the structure PR 21 removed.
+if hits=$(grep -n 'BinaryHeap' "$SIM_DIR"/*.rs | grep -v "^$SIM_DIR/timeline.rs:"); then
+    echo "ci: engine-gate: a BinaryHeap outside $SIM_DIR/timeline.rs:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
 # The charging path's methods live on Ctx, Sim and SimCore: every definition
 # of a method in those two files, signature to closing brace.
 CHARGE_RS="$SIM_DIR/ctx.rs $SIM_DIR/handle.rs"
@@ -426,9 +434,16 @@ if command -v gcc >/dev/null && command -v python3 >/dev/null; then
     HOSTPROF_OUT="$HOSTPROF_DIR/run.prof" LD_PRELOAD="$HOSTPROF_DIR/hostprof.so" \
         "$XKBENCH" --workload null_inline --quick >/dev/null
     python3 tools/hostprof/report.py "$HOSTPROF_DIR/run.prof" "$XKBENCH" --workload-only \
-        >"$HOSTPROF_DIR/report.txt"
+        --split-libc >"$HOSTPROF_DIR/report.txt"
     grep -qE '^ *[0-9.]+% +[0-9]+ +.*(xkernel|xrpc|inet|simnet)::' "$HOSTPROF_DIR/report.txt" || {
         echo "ci: hostprof-smoke: the report names no workload symbol:" >&2
+        cat "$HOSTPROF_DIR/report.txt" >&2
+        exit 1
+    }
+    # --split-libc: the allocator line must name malloc or free, or the split
+    # has stopped finding libc's exports.
+    grep -qE '^ *[0-9.]+% +[0-9]+ +allocator: .*\b(malloc|free)\b' "$HOSTPROF_DIR/report.txt" || {
+        echo "ci: hostprof-smoke: --split-libc names no allocator symbol:" >&2
         cat "$HOSTPROF_DIR/report.txt" >&2
         exit 1
     }

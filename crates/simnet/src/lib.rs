@@ -109,6 +109,40 @@ struct Attachment {
     nic: Weak<Nic>,
 }
 
+/// Who is on a LAN.
+#[derive(Default)]
+struct Attached {
+    /// In attach order, which is the order a broadcast is delivered in.
+    list: Vec<Attachment>,
+    /// `(address, index into list)`, sorted: a unicast frame finds its
+    /// receiver by binary search. An address attached twice has two
+    /// entries, in attach order.
+    by_addr: Vec<(EthAddr, u32)>,
+}
+
+impl Attached {
+    fn push(&mut self, a: Attachment) {
+        let key = (a.eth, self.list.len() as u32);
+        self.by_addr
+            .insert(self.by_addr.partition_point(|e| *e < key), key);
+        self.list.push(a);
+    }
+
+    /// Everyone but the sender whose address filter matches `dst`.
+    fn receivers(&self, src: EthAddr, dst: EthAddr) -> impl Iterator<Item = &Attachment> {
+        let (all, from) = if dst.is_broadcast() {
+            (&self.list[..], self.by_addr.len())
+        } else {
+            (&[][..], self.by_addr.partition_point(|e| e.0 < dst))
+        };
+        let unicast = self.by_addr[from..]
+            .iter()
+            .take_while(move |e| e.0 == dst)
+            .map(|e| &self.list[e.1 as usize]);
+        all.iter().chain(unicast).filter(move |a| a.eth != src)
+    }
+}
+
 /// One realized, *suppressible* fault (drop / duplicate / corrupt — not a
 /// delay) on a LAN, recorded in transmission order while
 /// [`SimNet::record_faults`] is active. This is the injected-fault timeline
@@ -129,7 +163,7 @@ struct Lan {
     wire_free: Time,
     packet_index: u64,
     stats: LanStats,
-    attached: Vec<Attachment>,
+    attached: Attached,
     /// Recording buffer for realized suppressible faults (`Some` while
     /// [`SimNet::record_faults`] is active).
     record: Option<Vec<FaultEvent>>,
@@ -185,7 +219,7 @@ impl SimNet {
             wire_free: 0,
             packet_index: 0,
             stats: LanStats::default(),
-            attached: Vec::new(),
+            attached: Attached::default(),
             record: None,
             suppress_from: None,
         });
@@ -458,14 +492,18 @@ impl SimNet {
         let prop = l.cfg.propagation_ns;
         l.stats.busy_ns += tx * copies as u64;
 
-        // Receivers: everyone but the sender whose address filter matches.
-        let receivers: Vec<(HostId, Arc<Nic>)> = l
+        // Receivers. A unicast frame has at most one, found without a scan
+        // and held without a list; only a broadcast (or an address attached
+        // twice) collects the others, for the deliveries below, which run
+        // after the network is let go.
+        let mut listening = l
             .attached
-            .iter()
-            .filter(|a| a.eth != src && (dst.is_broadcast() || a.eth == dst))
-            .filter_map(|a| Some((a.host, a.nic.upgrade()?)))
-            .collect();
-        if !receivers.is_empty() {
+            .receivers(src, dst)
+            .filter_map(|a| Some((a.host, a.nic.upgrade()?)));
+        let first = listening.next();
+        let others: Vec<(HostId, Arc<Nic>)> = listening.collect();
+        let receivers = || first.iter().chain(&others);
+        if first.is_some() {
             l.stats.delivered += copies as u64;
         }
 
@@ -475,7 +513,7 @@ impl SimNet {
         // instead of copying header bytes. The single-delivery common case
         // skips the freeze and *moves* the message — zero copies either way.
         let mut pending = Some(payload);
-        let total = copies * receivers.len();
+        let total = copies * (first.iter().len() + others.len());
         if total > 1 {
             pending.as_mut().expect("payload present").share();
         }
@@ -493,7 +531,7 @@ impl SimNet {
             Mode::Inline => {
                 drop(lans);
                 for _ in 0..copies {
-                    for (host, nic) in &receivers {
+                    for (host, nic) in receivers() {
                         let rctx = ctx.with_host(*host);
                         nic.deliver_up(&rctx, next_copy())?;
                     }
@@ -508,7 +546,7 @@ impl SimNet {
                 drop(lans);
                 for copy in 0..copies {
                     let at = arrival + copy as u64 * tx;
-                    for (host, nic) in &receivers {
+                    for (host, nic) in receivers() {
                         let nic = Arc::clone(nic);
                         let m = next_copy();
                         ctx.schedule_run_at(
@@ -646,6 +684,37 @@ mod tests {
     struct Recorder {
         me: ProtoId,
         got: OwnerCell<Vec<Vec<u8>>>,
+    }
+
+    /// Hosts in the order frames reached them, segment-wide.
+    type Arrivals = Arc<OwnerCell<Vec<HostId>>>;
+
+    /// Signs a segment-wide arrival log with its host.
+    struct Signer {
+        me: ProtoId,
+        log: Arrivals,
+    }
+
+    impl Protocol for Signer {
+        fn name(&self) -> &'static str {
+            "signer"
+        }
+        fn id(&self) -> ProtoId {
+            self.me
+        }
+        fn open(&self, _c: &Ctx, _u: ProtoId, _p: &ParticipantSet) -> XResult<SessionRef> {
+            Err(XError::Unsupported("signer"))
+        }
+        fn open_enable(&self, _c: &Ctx, _u: ProtoId, _p: &ParticipantSet) -> XResult<()> {
+            Ok(())
+        }
+        fn demux(&self, ctx: &Ctx, _lls: &SessionRef, _msg: Message) -> XResult<()> {
+            self.log.lock().push(ctx.host());
+            Ok(())
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
     }
 
     impl Protocol for Recorder {
@@ -1032,5 +1101,83 @@ mod tests {
         let s = r.net.stats(r.lan);
         assert!(s.busy_ns > 0);
         assert!(s.busy_ns <= report.ended_at);
+    }
+
+    /// A 32-host segment, addresses handed out against attach order, one
+    /// address attached twice and one NIC gone: every frame reaches exactly
+    /// the hosts the attachment scan reached, in attach order, copy by copy.
+    #[test]
+    fn a_segment_of_thirty_two_delivers_in_attach_order() {
+        const HOSTS: usize = 32;
+        let sim = Sim::new(SimConfig::scheduled().with_cost(CostModel::zero()));
+        let net = SimNet::new(&sim);
+        let lan = net.add_lan(LanConfig::default());
+        let log: Arrivals = Arc::new(OwnerCell::new(Vec::new()));
+        // Host 20 answers to host 9's address too.
+        let eth_of = |i: usize| EthAddr::from_index(if i == 20 { 91 } else { 100 - i as u16 });
+        let mut nics = Vec::new();
+        for i in 0..HOSTS {
+            let k = Kernel::new(&sim, &format!("h{i}"));
+            let nic_id = net.attach(&k, lan, "nic0", eth_of(i)).unwrap();
+            let log = Arc::clone(&log);
+            let up = k
+                .register("signer", |me| {
+                    Ok(Arc::new(Signer { me, log }) as ProtocolRef)
+                })
+                .unwrap();
+            let ctx = sim.ctx(k.host());
+            nics.push(k.open(&ctx, nic_id, up, &ParticipantSet::new()).unwrap());
+        }
+        // A NIC whose kernel is gone: its address still resolves, to nobody.
+        let gone = EthAddr::from_index(7);
+        net.inner.lans.lock()[lan.0].attached.push(Attachment {
+            host: HostId(HOSTS),
+            eth: gone,
+            nic: Weak::new(),
+        });
+
+        let send = |from: usize, dst: EthAddr| {
+            log.lock().clear();
+            let nic = nics[from].clone();
+            sim.spawn(HostId(from), move |ctx| {
+                nic.push(ctx, frame_to(dst, b"x")).unwrap();
+            });
+            sim.run_until_idle();
+            let got: Vec<usize> = log.lock().iter().map(|h| h.0).collect();
+            got
+        };
+        let everyone_but = |from: usize| (0..HOSTS).filter(|&i| i != from).collect::<Vec<_>>();
+
+        assert_eq!(send(0, eth_of(17)), [17]);
+        assert_eq!(send(17, eth_of(0)), [0]);
+        assert_eq!(send(3, eth_of(3)), [], "a sender does not hear itself");
+        assert_eq!(send(3, EthAddr::from_index(500)), [], "nobody has it");
+        assert_eq!(send(3, gone), [], "its NIC is gone");
+        assert_eq!(send(0, eth_of(9)), [9, 20], "both holders, in attach order");
+        assert_eq!(
+            send(9, eth_of(9)),
+            [],
+            "the address filter is on the address"
+        );
+        assert_eq!(send(5, EthAddr::BROADCAST), everyone_but(5));
+        let s = net.stats(lan);
+        assert_eq!((s.sent, s.delivered), (8, 4));
+
+        net.set_faults(
+            lan,
+            FaultPlan {
+                custom: Some(Arc::new(|_, _| FaultDecision::Duplicate)),
+                ..FaultPlan::default()
+            },
+        );
+        assert_eq!(send(0, eth_of(17)), [17, 17]);
+        assert_eq!(send(0, eth_of(9)), [9, 20, 9, 20]);
+        assert_eq!(send(3, gone), []);
+        assert_eq!(
+            send(31, EthAddr::BROADCAST),
+            [everyone_but(31), everyone_but(31)].concat()
+        );
+        let s = net.stats(lan);
+        assert_eq!((s.sent, s.duplicated, s.delivered), (12, 4, 10));
     }
 }

@@ -346,7 +346,7 @@ impl Ctx {
             return;
         }
         self.charge_class(OpClass::Timer, self.core.cost.timer_op);
-        self.core.engine.lock().events.remove(h.seq, h.slot);
+        self.core.engine.lock().cancel(h);
     }
 
     /// Blocks the current shepherd process until woken; returns why it woke.
@@ -437,7 +437,7 @@ impl Ctx {
         let t = self.event_time();
         let mut g = self.core.engine.lock();
         if let Some(h) = cancel {
-            g.events.remove(h.seq, h.slot);
+            g.cancel(h);
         }
         g.push_event(t, EvKind::Wake { lp, reason });
     }

@@ -2,8 +2,6 @@
 //! the coroutine / state-machine drivers. Everything that runs once per
 //! event lives here, in one module.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
@@ -16,6 +14,7 @@ use crate::vproc;
 use super::ctx::Block;
 use super::report::{breakdown_of, bump, HostCell};
 use super::sema::Enqueued;
+use super::timeline::{Key, Timeline};
 use super::*;
 
 /// FNV-1a offset basis / prime, folding one u64 at a time.
@@ -173,8 +172,9 @@ impl<T> Slab<T> {
             .filter_map(|(slot, (id, v))| v.as_mut().map(|v| (*id, slot, v)))
     }
 
-    /// Removes every entry `dead` selects.
-    fn remove_where(&mut self, mut dead: impl FnMut(&T) -> bool) {
+    /// Removes every entry `dead` selects; returns how many that was.
+    fn remove_where(&mut self, mut dead: impl FnMut(&T) -> bool) -> usize {
+        let before = self.live;
         for (slot, (_, v)) in (0u32..).zip(&mut self.slots) {
             if v.as_ref().is_some_and(&mut dead) {
                 *v = None;
@@ -182,6 +182,7 @@ impl<T> Slab<T> {
                 self.free.push(slot);
             }
         }
+        before - self.live
     }
 
     pub(super) fn clear(&mut self) {
@@ -191,11 +192,6 @@ impl<T> Slab<T> {
     }
 }
 
-/// A queued event's position in the timeline: `(time, seq, slot)`. `seq`
-/// breaks time ties in insertion order; `slot` is where the event's body
-/// sits in [`Engine::events`].
-type HeapKey = Reverse<(Time, u64, u32)>;
-
 /// Everything the scheduler owns that is more than a scalar: the event
 /// queue, the process table, the run token. One thread drives a simulation
 /// at a time, so this sits behind the simulator's one lock
@@ -204,9 +200,10 @@ type HeapKey = Reverse<(Time, u64, u32)>;
 /// scheduling operation (arm, cancel, wake, block).
 pub(super) struct Engine {
     pub(super) seq: u64,
-    /// The timeline. Entries whose event is gone from `events` (cancelled,
-    /// or purged by a crash) are tombstones, skipped when they surface.
-    pub(super) heap: BinaryHeap<HeapKey>,
+    /// When each pending event is due. An event leaves `events` by being
+    /// popped here first, or through [`Engine::cancel`] and the crash purge,
+    /// which tell the timeline that a key of its died.
+    pub(super) timeline: Timeline,
     /// Pending event bodies, addressed by `(seq, slot)`.
     pub(super) events: Slab<EvKind>,
     /// Live processes, addressed by [`LpId`].
@@ -244,8 +241,15 @@ impl Engine {
         let seq = self.seq;
         self.seq += 1;
         let slot = self.events.insert(seq, kind);
-        self.heap.push(Reverse((t, seq, slot)));
+        self.timeline.push((t, seq, slot));
         TimerHandle { seq, slot }
+    }
+
+    /// Cancels the event `h` was returned for, if it is still pending.
+    pub(super) fn cancel(&mut self, h: TimerHandle) {
+        if self.events.remove(h.seq, h.slot).is_some() {
+            self.timeline.note_dead(1, &self.events);
+        }
     }
 
     pub(super) fn lp_mut(&mut self, lp: LpId) -> Option<&mut LpState> {
@@ -380,64 +384,15 @@ enum Next {
 /// (`current == None`).
 fn advance(core: &Arc<SimCore>, g: &mut Engine, stop: Time) -> Next {
     loop {
-        // Pop the next live event.
-        let next = loop {
-            match g.heap.pop() {
-                None => break None,
-                Some(Reverse((t, seq, slot))) => {
-                    if g.events.get(seq, slot).is_none() {
-                        continue; // Cancelled; skip the tombstone.
-                    }
-                    if t > stop {
-                        // Beyond the pause point: put it back untouched
-                        // (before any chooser tie-collection, so pausing
-                        // never consumes exploration decisions).
-                        g.heap.push(Reverse((t, seq, slot)));
-                        break None;
-                    }
-                    if g.chooser.is_none() {
-                        break Some((t, seq, slot));
-                    }
-                    // A chooser is installed: same-time ties are forced-
-                    // choice points. Collect every live event tied at `t`
-                    // (they surface seq-ascending), let the chooser pick,
-                    // and restore the rest.
-                    let mut ties = vec![(t, seq, slot)];
-                    while let Some(&Reverse((t2, s2, slot2))) = g.heap.peek() {
-                        if t2 != t {
-                            break;
-                        }
-                        g.heap.pop();
-                        if g.events.get(s2, slot2).is_some() {
-                            ties.push((t2, s2, slot2));
-                        }
-                    }
-                    let pick = if ties.len() > 1 {
-                        let n = ties.len();
-                        let pick = g
-                            .chooser
-                            .as_mut()
-                            .expect("chooser checked present")
-                            .choose(n)
-                            .min(n - 1);
-                        core.journal(g, || JournalRecord::TiePick {
-                            n: n as u32,
-                            pick: pick as u32,
-                        });
-                        pick
-                    } else {
-                        0
-                    };
-                    let chosen = ties.remove(pick);
-                    for &e in &ties {
-                        g.heap.push(Reverse(e));
-                    }
-                    break Some(chosen);
-                }
-            }
-        };
-        let Some((t, seq, slot)) = next else {
+        // The next live event at or before the pause point. Nothing is taken
+        // past it, so pausing never consumes exploration decisions.
+        let Some(first) = g.timeline.pop_through(stop, &g.events) else {
             return Next::Drained;
+        };
+        let (t, seq, slot) = if g.chooser.is_none() {
+            first
+        } else {
+            pick_tie(core, g, first)
         };
         core.now.store(t, Relaxed);
         g.executed += 1;
@@ -480,19 +435,21 @@ fn advance(core: &Arc<SimCore>, g: &mut Engine, stop: Time) -> Next {
                 // processes. Crash/Restart events survive — a scheduled
                 // restart must not be purged by its own crash.
                 let Engine {
+                    timeline,
                     events,
                     lps,
                     reap,
                     check,
                     ..
                 } = &mut *g;
-                events.remove_where(|k| match k {
+                let purged = events.remove_where(|k| match k {
                     EvKind::Run { host: h, .. } => *h == host,
                     EvKind::Wake { lp, .. } => {
                         lps.get(lp.id, lp.slot).is_some_and(|s| s.host == host)
                     }
                     _ => false,
                 });
+                timeline.note_dead(purged, events);
                 // Blocked processes on the host are killed: the run loop
                 // reaps them (unwinding coroutines via a filtered panic)
                 // at its next deterministic reap point.
@@ -572,6 +529,37 @@ fn advance(core: &Arc<SimCore>, g: &mut Engine, stop: Time) -> Next {
             }
         }
     }
+}
+
+/// A chooser is installed, so same-time ties are forced-choice points: takes
+/// every live event tied with `first` (they surface seq-ascending), lets the
+/// chooser pick, and puts the rest back.
+fn pick_tie(core: &SimCore, g: &mut Engine, first: Key) -> Key {
+    let mut ties = vec![first];
+    // `first` was the earliest key, so whatever is due through its time is
+    // tied with it.
+    while let Some(tied) = g.timeline.pop_through(first.0, &g.events) {
+        ties.push(tied);
+    }
+    let n = ties.len();
+    if n == 1 {
+        return first;
+    }
+    let pick = g
+        .chooser
+        .as_mut()
+        .expect("chooser checked present")
+        .choose(n)
+        .min(n - 1);
+    core.journal(g, || JournalRecord::TiePick {
+        n: n as u32,
+        pick: pick as u32,
+    });
+    let chosen = ties.remove(pick);
+    for key in ties {
+        g.timeline.push(key);
+    }
+    chosen
 }
 
 /// Registers a fresh logical process on `host` (ids allocated in event

@@ -2,7 +2,6 @@
 //! does through the owning [`Sim`] handle (the type itself sits beside the
 //! event loop in `engine.rs`) and [`WeakSim`].
 
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -18,6 +17,7 @@ use crate::trace::{CostBreakdown, Event, EventKind, FoldedLine, TraceCore, DEFAU
 
 use super::engine::{install_crash_hook, Engine, EvKind, Slab, FNV_OFFSET};
 use super::report::{breakdown_of, folded_of, HostCell};
+use super::timeline::Timeline;
 use super::*;
 
 /// Shared simulator state.
@@ -97,7 +97,7 @@ impl Sim {
                 hosts: AppendTable::new(),
                 engine: OwnerCell::new(Engine {
                     seq: 0,
-                    heap: BinaryHeap::new(),
+                    timeline: Timeline::new(),
                     events: Slab::new(),
                     lps: Slab::new(),
                     next_lp: 0,
@@ -320,6 +320,15 @@ impl Sim {
     /// [`RunReport::sched_hash`]).
     pub fn sched_hash(&self) -> u64 {
         self.core.engine.lock().sched_hash
+    }
+
+    /// Keys the timeline holds and events pending, for the test that the
+    /// first stays within twice the second plus a constant however many
+    /// timers are cancelled.
+    #[doc(hidden)]
+    pub fn timeline_load(&self) -> (usize, usize) {
+        let g = self.core.engine.lock();
+        (g.timeline.len(), g.events.len())
     }
 
     /// Installs a scheduling oracle: every same-time event tie becomes a

@@ -34,6 +34,7 @@ mod handle;
 mod report;
 mod sema;
 mod snapshot;
+mod timeline;
 
 pub use crate::cost::Nanos;
 pub use crate::vproc::{VProc, VStep};

@@ -1,6 +1,5 @@
 //! Snapshot and restore of a quiescent simulation.
 
-use std::cmp::Reverse;
 use std::sync::atomic::Ordering::Relaxed;
 
 use crate::error::{XError, XResult};
@@ -36,14 +35,14 @@ impl Sim {
         let g = core.engine.lock();
         require_quiescent(&g)?;
         // Every pending event is a Wake (eligibility above); capture each
-        // with the time its heap entry carries, sorted by seq so restore
+        // with the time its timeline key carries, sorted by seq so restore
         // rebuilds the identical queue. Stale wakes (their process already
         // gone) are captured too: the scheduler still processes — and
         // hashes — them.
         let mut wakes: Vec<SnapWake> = g
-            .heap
+            .timeline
             .iter()
-            .filter_map(|&Reverse((t, seq, slot))| match g.events.get(seq, slot) {
+            .filter_map(|&(t, seq, slot)| match g.events.get(seq, slot) {
                 Some(&EvKind::Wake { lp, reason }) => Some(SnapWake {
                     t,
                     seq,
@@ -128,12 +127,12 @@ impl Sim {
             g.sched_hash = snap.sched_hash;
             g.fuel_exhausted = snap.fuel_exhausted;
             g.peak_live = snap.peak_live;
-            // The heap may hold entries for cancelled or already-drained
+            // The timeline may hold keys for cancelled or already-drained
             // events; with `seq` rewound they would alias freshly allocated
             // sequence numbers, so they must go — as must any machine
             // continuations of the pre-restore present, which the
             // snapshot's copies replace wholesale.
-            g.heap.clear();
+            g.timeline.clear();
             g.events.clear();
             g.lps.clear();
             g.reap.clear();
@@ -167,7 +166,7 @@ impl Sim {
                     reason: w.reason,
                 };
                 let ev_slot = g.events.insert(w.seq, kind);
-                g.heap.push(Reverse((w.t, w.seq, ev_slot)));
+                g.timeline.push((w.t, w.seq, ev_slot));
             }
             g.journal.truncate(snap.journal_len);
         }

@@ -345,3 +345,155 @@ fn crash_reaping_keeps_the_schedule_fingerprint() {
     assert_eq!(report.events, 101);
     assert_eq!(report.sched_hash, 7_048_025_647_367_759_786);
 }
+
+// ---------------------------------------------------------------------------
+// The timeline: paused runs, cancelled timers, large populations.
+// ---------------------------------------------------------------------------
+
+/// Sleeps `period` a few times. Pure data, so a paused population of these
+/// is snapshot material.
+#[derive(Clone)]
+struct Napper {
+    left: u32,
+    period: u64,
+}
+
+impl VProc for Napper {
+    fn resume(&mut self, _ctx: &Ctx, _why: WakeReason) -> VStep {
+        if self.left == 0 {
+            return VStep::Done;
+        }
+        self.left -= 1;
+        VStep::Sleep(self.period)
+    }
+
+    fn fork(&self) -> Option<Box<dyn VProc>> {
+        Some(Box::new(self.clone()))
+    }
+}
+
+/// The horizons one run mixes: a wire time, a retransmit timer, a resident
+/// client's think time.
+const HORIZONS: [u64; 3] = [1_000, 40_000_000, 250_000_000_000];
+
+/// `n` nappers over two hosts, machine `i` on horizon `i % 3` with a period
+/// of its own.
+fn nappers(n: u64, naps: u32) -> Sim {
+    let sim = Sim::new(SimConfig::scheduled().with_seed(21));
+    let hosts = [Kernel::new(&sim, "a").host(), Kernel::new(&sim, "b").host()];
+    for i in 0..n {
+        let period = HORIZONS[(i % 3) as usize] + 7_919 * i;
+        sim.spawn_vproc(
+            hosts[(i % 2) as usize],
+            Box::new(Napper { left: naps, period }),
+        );
+    }
+    sim
+}
+
+/// Runs `sim` dry through `stops` pauses at odd instants.
+fn run_sliced(sim: &Sim, stops: u64, horizon: u64) -> RunReport {
+    for k in 1..=stops {
+        sim.run_until_time(horizon / stops * k + 2 * k + 1);
+    }
+    sim.run_until_idle()
+}
+
+/// A pause leaves the timeline where `run_until_idle` would have had it:
+/// the first key beyond the stop is not taken, keys filed after the pause
+/// but before the instant the timeline had already advanced to come out in
+/// their place, and a thousand pauses later the run is the one that never
+/// paused.
+#[test]
+fn a_run_paused_a_thousand_times_is_the_same_run() {
+    let whole = nappers(50_000, 3).run_until_idle();
+    assert_eq!(whole.blocked, 0);
+    assert_eq!(whole.events, 50_000 * 4);
+    let sliced = run_sliced(&nappers(50_000, 3), 1_000, whole.ended_at);
+    assert_eq!(sliced, whole);
+}
+
+/// Picks among tied events by a fixed pseudo-random walk.
+struct Walk(u64);
+
+impl xkernel::sim::ScheduleChooser for Walk {
+    fn choose(&mut self, n: usize) -> usize {
+        xkernel::rng::splitmix64(&mut self.0) as usize % n
+    }
+}
+
+/// The same with a schedule chooser installed: unpicked ties go back into
+/// the timeline at the instant it stands at, and a pause consumes no
+/// decision.
+#[test]
+fn a_paused_run_under_a_chooser_is_the_same_run() {
+    let run = |stops: Option<u64>| {
+        let sim = nappers(1_500, 3);
+        sim.set_chooser(Box::new(Walk(5)));
+        match stops {
+            None => sim.run_until_idle(),
+            Some(n) => run_sliced(&sim, n, 3 * (HORIZONS[2] + 7_919 * 1_500)),
+        }
+    };
+    let whole = run(None);
+    assert_eq!(whole.events, 1_500 * 4);
+    assert_ne!(
+        whole.sched_hash,
+        nappers(1_500, 3).run_until_idle().sched_hash,
+        "the chooser reorders the 1,500-way tie at time zero"
+    );
+    assert_eq!(run(Some(1_000)), whole);
+}
+
+/// A retransmit timer is armed and cancelled on every call, and nothing
+/// says its horizon is near: here a 1,000 s timer per microsecond, a
+/// million times over. Dead keys are dropped when a refill meets them, which
+/// for these it never does, so the timeline compacts itself: it never holds
+/// more than twice the live events plus a constant. The schedule is the
+/// one the tombstone-skipping binary heap produced.
+#[test]
+fn a_million_cancelled_far_timers_leave_the_timeline_bounded() {
+    const ROUNDS: u64 = 1_000_000;
+    let sim = Sim::new(SimConfig::scheduled().with_seed(21));
+    let host = Kernel::new(&sim, "a").host();
+    let worst = Arc::new(AtomicU64::new(0));
+    let (weak, w) = (sim.downgrade(), Arc::clone(&worst));
+    sim.spawn(host, move |ctx| {
+        let sim = weak.upgrade().expect("the simulation is running this");
+        for _ in 0..ROUNDS {
+            let h = ctx.schedule_after(1_000_000_000_000, |_| panic!("cancelled"));
+            ctx.cancel_timer(h);
+            ctx.sleep(1_000);
+            let (held, live) = sim.timeline_load();
+            assert!(held <= 2 * live + 64, "{held} keys for {live} events");
+            w.fetch_max(held as u64, Ordering::Relaxed);
+        }
+    });
+    let report = sim.run_until_idle();
+    assert_eq!(report.blocked, 0);
+    assert_eq!(report.events, ROUNDS + 1);
+    assert_eq!(sim.timeline_load(), (0, 0));
+    assert!(worst.load(Ordering::Relaxed) >= 64, "compaction is lazy");
+    assert_eq!(report.sched_hash, 17_518_434_058_027_017_092);
+}
+
+/// 200,000 machines on three horizons: what `resident_200k` holds, without
+/// the protocol stack. The schedule is the binary heap's, and the paused
+/// population snapshots and restores bit for bit.
+#[test]
+fn two_hundred_thousand_nappers_on_three_horizons() {
+    const N: u64 = 200_000;
+    let sim = nappers(N, 2);
+    let paused = sim.run_until_time(HORIZONS[2]);
+    assert!(paused.blocked > 0 && paused.events > N);
+    let snap = sim
+        .snapshot()
+        .expect("parked machines are snapshot material");
+    let whole = sim.run_until_idle();
+    assert_eq!(whole.blocked, 0);
+    assert_eq!(whole.peak_live, N as usize);
+    assert_eq!(whole.events, 3 * N);
+    assert_eq!(whole.sched_hash, 2_556_990_629_625_724_824);
+    sim.restore(&snap).expect("a drained simulation restores");
+    assert_eq!(sim.run_until_idle(), whole);
+}

@@ -1,12 +1,17 @@
-//! The warm inline null call, per stack, for the tests that pin what one
-//! costs: cell entries (`tests/cell_entries.rs`) and allocations
-//! (`tests/alloc_per_call.rs`).
+//! The warm null call, per stack, for the tests that pin what one costs:
+//! inline, cell entries (`tests/cell_entries.rs`) and allocations
+//! (`tests/alloc_per_call.rs`); under the scheduler, events, fuel and live
+//! processes (`tests/events_per_call.rs`).
 
-use inet::testbed::{base_registry, two_hosts};
+use std::sync::Arc;
+
+use inet::testbed::{base_registry, two_hosts, TwoHosts};
 use inet::with_concrete;
 use sunrpc::sunselect::SunSelect;
+use xkernel::addr::IpAddr;
 use xkernel::graph::ProtocolRegistry;
-use xkernel::sim::SimConfig;
+use xkernel::kernel::Kernel;
+use xkernel::sim::{Ctx, SimConfig};
 use xrpc::procs::NULL_PROC;
 use xrpc::stacks::{StackDef, L_RPC_VIP, L_RPC_VIPSIZE, M_RPC_ETH, M_RPC_IP, M_RPC_VIP};
 
@@ -18,6 +23,42 @@ fn registry() -> ProtocolRegistry {
     xrpc::register_ctors(&mut reg);
     sunrpc::register_ctors(&mut reg);
     reg
+}
+
+/// A two-host testbed for `stack` with the standard procedures served.
+fn paper_testbed(cfg: SimConfig, stack: StackDef) -> TwoHosts {
+    let tb = two_hosts(cfg, &registry(), stack.graph).expect("testbed builds");
+    xrpc::procs::register_standard(&tb.server, stack.entry).expect("procedures register");
+    tb
+}
+
+/// One null call from `client` on `stack`.
+fn paper_call(ctx: &Ctx, client: &Arc<Kernel>, stack: StackDef, server: IpAddr) {
+    let reply = xrpc::call(ctx, client, stack.entry, server, NULL_PROC, Vec::new());
+    assert_eq!(reply.expect("null call completes"), Vec::<u8>::new());
+}
+
+const PROG: u32 = 100_003;
+const VERS: u32 = 2;
+const PROC: u32 = 1;
+
+/// A two-host SUNRPC-UDP testbed with the null procedure served.
+fn sun_testbed(cfg: SimConfig) -> TwoHosts {
+    let tb = two_hosts(cfg, &registry(), chaos::SUNRPC_UDP_GRAPH).expect("testbed builds");
+    with_concrete::<SunSelect, _>(&tb.server, "sunselect", |s| {
+        s.serve(PROG, VERS, PROC, |ctx, _msg| Ok(ctx.empty_msg()));
+    })
+    .expect("sunselect registered");
+    tb
+}
+
+/// One null call from `client` on SUNRPC-UDP.
+fn sun_call(ctx: &Ctx, client: &Arc<Kernel>, server: IpAddr) {
+    let reply = with_concrete::<SunSelect, _>(client, "sunselect", |s| {
+        s.call(ctx, server, PROG, VERS, PROC, Vec::new())
+    })
+    .expect("sunselect registered");
+    assert_eq!(reply.expect("null call completes"), Vec::<u8>::new());
 }
 
 /// How far `counter` moves over the third of three identical calls: the
@@ -33,43 +74,64 @@ fn third_call(counter: fn() -> u64, mut call: impl FnMut()) -> u64 {
 
 /// `counter`'s movement over one warm inline null call on `stack`.
 pub fn paper_null_call(stack: StackDef, counter: fn() -> u64) -> u64 {
-    let tb = two_hosts(SimConfig::inline_mode(), &registry(), stack.graph).expect("testbed builds");
-    xrpc::procs::register_standard(&tb.server, stack.entry).expect("procedures register");
+    let tb = paper_testbed(SimConfig::inline_mode(), stack);
     let ctx = tb.sim.ctx(tb.client.host());
     third_call(counter, || {
-        let reply = xrpc::call(
-            &ctx,
-            &tb.client,
-            stack.entry,
-            tb.server_ip,
-            NULL_PROC,
-            Vec::new(),
-        );
-        assert_eq!(reply.expect("null call completes"), Vec::<u8>::new());
+        paper_call(&ctx, &tb.client, stack, tb.server_ip)
     })
 }
 
 /// `counter`'s movement over one warm inline null call on SUNRPC-UDP.
 pub fn sun_rpc_null_call(counter: fn() -> u64) -> u64 {
-    const PROG: u32 = 100_003;
-    const VERS: u32 = 2;
-    const PROC: u32 = 1;
-    let tb = two_hosts(
-        SimConfig::inline_mode(),
-        &registry(),
-        chaos::SUNRPC_UDP_GRAPH,
-    )
-    .expect("testbed builds");
-    with_concrete::<SunSelect, _>(&tb.server, "sunselect", |s| {
-        s.serve(PROG, VERS, PROC, |ctx, _msg| Ok(ctx.empty_msg()));
-    })
-    .expect("sunselect registered");
+    let tb = sun_testbed(SimConfig::inline_mode());
     let ctx = tb.sim.ctx(tb.client.host());
-    third_call(counter, || {
-        let reply = with_concrete::<SunSelect, _>(&tb.client, "sunselect", |s| {
-            s.call(&ctx, tb.server_ip, PROG, VERS, PROC, Vec::new())
-        })
-        .expect("sunselect registered");
-        assert_eq!(reply.expect("null call completes"), Vec::<u8>::new());
+    third_call(counter, || sun_call(&ctx, &tb.client, tb.server_ip))
+}
+
+/// What the scheduler did for one warm null call: events processed, fuel
+/// burnt, and the most processes that were alive at once.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Scheduled {
+    pub events: u64,
+    pub fuel: u64,
+    pub peak_live: usize,
+}
+
+/// Runs `call` three times, each as a shepherd process run to quiescence,
+/// and reports what the third added to the run.
+fn third_scheduled_call(
+    tb: &TwoHosts,
+    call: impl Fn(&Ctx, &Arc<Kernel>, IpAddr) + Clone + Send + 'static,
+) -> Scheduled {
+    let server = tb.server_ip;
+    let run = || {
+        let call = call.clone();
+        tb.sim.spawn(tb.client.host(), move |ctx| {
+            call(ctx, &ctx.kernel(), server)
+        });
+        let report = tb.sim.run_until_idle();
+        assert_eq!(report.blocked, 0);
+        report
+    };
+    run();
+    let before = run();
+    let after = run();
+    Scheduled {
+        events: after.events - before.events,
+        fuel: after.fuel_used - before.fuel_used,
+        peak_live: after.peak_live,
+    }
+}
+
+/// One warm null call on `stack` under the event scheduler.
+pub fn paper_scheduled_null_call(stack: StackDef) -> Scheduled {
+    let tb = paper_testbed(SimConfig::scheduled(), stack);
+    third_scheduled_call(&tb, move |ctx, client, server| {
+        paper_call(ctx, client, stack, server)
     })
+}
+
+/// One warm null call on SUNRPC-UDP under the event scheduler.
+pub fn sun_rpc_scheduled_null_call() -> Scheduled {
+    third_scheduled_call(&sun_testbed(SimConfig::scheduled()), sun_call)
 }

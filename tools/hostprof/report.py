@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Symbolise a hostprof profile: percent of samples by symbol.
 
-    report.py <profile> <binary> [--top N] [--workload-only]
+    report.py <profile> <binary> [--top N] [--workload-only] [--split-libc]
 
 Addresses are mapped back through the profile's /proc/self/maps lines to the
 binary's own (`nm -C -n --defined-only`) symbols; samples in other mappings
@@ -9,16 +9,72 @@ are counted under the mapping's name. --workload-only drops the benchmark's
 speed probe, about 30 % of any xkbench run and none of the workload:
 `xkbench::probe::run` and the `HashMap::insert` it calls 800,000 times a
 probe (nm prints every instantiation under one name; the workloads' tables
-insert once per session, not per call).
+insert once per session, not per call). It cannot drop the `libc` samples the
+probe causes: a flat profile does not say who called `malloc`.
+
+--split-libc breaks the `[libc.so.6]` line down by the nearest symbol libc
+exports (`nm -D`; its own symbol table is stripped) into the allocator —
+`malloc` ... `malloc_info`, and `__default_morecore`, the last export before
+the allocator's unexported `_int_malloc`, `_int_free`, `malloc_consolidate` —
+the `mem*` routines, and the rest. The `mem*` routines are reached through
+IFUNCs whose targets are not exported either; this process runs the same libc
+on the same CPU, so it asks its own copy where each one resolved to.
 """
 import argparse
 import bisect
 import collections
+import ctypes
 import os
 import re
 import subprocess
 
 PROBE = re.compile(r"xkbench::probe::|^hashbrown::map::HashMap<K,V,S,A>::insert$")
+ALLOCATOR = re.compile(
+    r"^(__default_morecore|(__libc_)?(malloc|free|realloc|calloc|memalign)|cfree|aligned_alloc"
+    r"|p?valloc|posix_memalign|malloc_(trim|usable_size|stats|info)|mallinfo2?|mallopt)$")
+MEM = re.compile(r"^(__)?(w?mem|bcopy|bzero|bcmp)")
+
+
+def libc_symbols(path):
+    """(offset, name) of what libc exports, IFUNCs replaced by their targets."""
+    nm = subprocess.run(["nm", "-D", "-n", "--defined-only", path],
+                        check=True, capture_output=True, text=True).stdout
+    rows = [l.split(" ", 2) for l in nm.splitlines() if l.count(" ") >= 2]
+    syms = {int(a, 16): n.split("@")[0] for a, kind, n in rows if kind in "tTwW"}
+    with open("/proc/self/maps") as f:
+        mine = [l.split() for l in f if l.rstrip().endswith(path)]
+    if mine:  # the profiled program's libc is the one loaded here
+        base = min(int(m[0].split("-")[0], 16) for m in mine)
+        lib = ctypes.CDLL(path)
+        for name in sorted({n.split("@")[0] for _, kind, n in rows if kind == "i"}):
+            try:
+                target = ctypes.cast(getattr(lib, name), ctypes.c_void_p).value
+            except AttributeError:
+                continue
+            syms.setdefault(target - base, name)
+    return sorted(syms.items())
+
+
+def kind_of(name):
+    return "allocator" if ALLOCATOR.match(name) else "mem*" if MEM.match(name) else "other"
+
+
+def split_libc(offsets, path, total, top):
+    syms = libc_symbols(path)
+    addrs = [a for a, _ in syms]
+    near = collections.Counter(
+        syms[max(bisect.bisect_right(addrs, off) - 1, 0)][1] for off in offsets)
+    print(f"\n[libc.so.6] by nearest exported symbol ({len(offsets)} samples):")
+    for kind in ("allocator", "mem*", "other"):
+        names = [(s, n) for s, n in near.most_common() if kind_of(s) == kind]
+        n = sum(n for _, n in names)
+        print(f"{100 * n / total:6.2f}%  {n:6d}  {kind}: "
+              + ", ".join(f"{s} {n}" for s, n in names[:top]))
+    print("A flat profile cannot tell the probe's allocator and memcpy time from the\n"
+          "workload's: --workload-only drops the xkbench::probe::* symbols, not the libc\n"
+          "samples they cause, so these shares are upper bounds on the workload's.\n"
+          "A sample in the unexported code just before __default_morecore lands on\n"
+          "whatever libc exports before it (here timer_settime): likely allocator too.")
 
 
 def main():
@@ -27,6 +83,7 @@ def main():
     ap.add_argument("binary")
     ap.add_argument("--top", type=int, default=30)
     ap.add_argument("--workload-only", action="store_true")
+    ap.add_argument("--split-libc", action="store_true")
     args = ap.parse_args()
 
     maps, samples = [], []
@@ -51,8 +108,11 @@ def main():
     addrs = [a for a, _ in syms]
 
     counts = collections.Counter()
+    libc = collections.defaultdict(list)  # path -> offsets of the samples in it
     for pc in samples:
         path = next((p for lo, hi, p in maps if lo <= pc < hi), "[unmapped]")
+        if os.path.basename(path).startswith("libc.so"):
+            libc[path].append(pc - min(lo for lo, _, p in maps if p == path))
         if path == binary:
             i = bisect.bisect_right(addrs, pc - base) - 1
             counts[syms[i][1] if i >= 0 else "[before first symbol]"] += 1
@@ -65,6 +125,9 @@ def main():
     print(f"{total} samples ({len(samples)} taken), {len(counts)} symbols")
     for sym, n in counts.most_common(args.top):
         print(f"{100 * n / total:6.2f}%  {n:6d}  {sym}")
+    if args.split_libc:
+        for path, offsets in libc.items():
+            split_libc(offsets, path, total, top=6)
 
 
 if __name__ == "__main__":
