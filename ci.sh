@@ -39,6 +39,7 @@ echo "==> lifetime-gate: a dropped rig frees everything"
 # ≈ 38 MB when FRAGMENT, CHANNEL and SELECT outlived their rigs; ≈ 4 MB now).
 cargo test --release -q --test sim_lifetime -- \
     a_dropped_scenario_frees_every_protocol_on_both_kernels \
+    a_scenario_cut_off_with_a_parked_client_is_freed_once_it_is_killed \
     live_bytes_plateau_across_thousands_of_scenarios
 cargo test --release -q --test sim_lifetime -- --ignored --exact \
     five_thousand_scenarios_stay_under_the_rss_ceiling
@@ -380,6 +381,16 @@ echo "==> snapshot-smoke: mid-soak save/restore bit-identity + journal replay"
 # identical report after a wire-encoding round trip. The exhaustive
 # matrix runs in the chaos suite above; this is the fast named cut.
 cargo test -q -p xbench --test snapshot_smoke
+
+echo "==> template-smoke: a pooled, forked scenario is the from-scratch scenario"
+# Every run forks its stack's warmed rig (simnet::Template: rewind + reseed).
+# 5,375 scenarios pooled == built for that run alone, both orders and twice
+# on one rig, folding to the digest the pre-template runner produced;
+# populations; one thread == two; 1,000 scenarios build 8 rigs; a boot-time
+# PRNG draw without a reseed hook fails the first fork by count. "One restore
+# loop" needs no grep: SimNet::{snapshot, restore} are pub(crate) behind
+# Template.
+cargo test --release -q -p chaos --test template_identity
 
 echo "==> bisect-smoke: minimize a seeded multi-fault failure to one culprit"
 # Records the Blackout profile's injected-fault timeline (the one profile

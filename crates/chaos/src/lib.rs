@@ -20,7 +20,8 @@
 //!   checksum (and retransmitted around), never delivered as payload;
 //! * **bounded completion** — under the bounded loss each profile injects,
 //!   every call completes within the retransmission budget and no process
-//!   is left blocked;
+//!   is left blocked (a REQUEST_REPLY call may instead spend the whole
+//!   budget and return `Timeout`, counted in [`ChaosReport::timed_out`]);
 //! * **determinism** — the same scenario and seed reproduce a bit-identical
 //!   [`RunReport`] and [`LanStats`], so any failure is replayable from two
 //!   integers.
@@ -29,15 +30,16 @@
 //! *independent* of the simulation's own PRNG: the schedule a seed denotes
 //! never changes when a protocol consumes more or fewer random draws.
 
+use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 
 use xkernel::cell::OwnerCell;
 
 use inet::arp::Arp;
-use inet::testbed::{lan_hosts, two_hosts, TwoHosts};
+use inet::testbed::{lan_hosts, two_hosts, Lan, TwoHosts};
 use inet::with_concrete;
 use simnet::fault::{FaultPlan, FaultSchedule};
-use simnet::{FaultEvent, LanId, LanStats, SimNet};
+use simnet::{FaultEvent, LanId, LanStats, Template};
 use sunrpc::sunselect::SunSelect;
 use xkernel::graph::ProtocolRegistry;
 use xkernel::journal::Journal;
@@ -349,8 +351,12 @@ pub struct ChaosReport {
     pub completed: u32,
     /// Calls that returned a wrong-byte reply (must stay 0).
     pub mismatched: u32,
-    /// Calls that errored (timeout etc.; must stay 0 under these profiles).
+    /// Calls that errored. Must stay 0 on an at-most-once stack; on a
+    /// zero-or-more one every failure must be a [`ChaosReport::timed_out`].
     pub failed: u32,
+    /// The failed calls that returned `Timeout`: the transaction layer spent
+    /// its whole retry budget and gave the call back.
+    pub timed_out: u32,
     /// Times the server-side procedure actually executed.
     pub executed: u32,
     /// Requests the server saw whose payload failed self-verification —
@@ -442,12 +448,27 @@ struct Tally {
     completed: u32,
     mismatched: u32,
     failed: u32,
+    timed_out: u32,
     executed: u32,
     garbage: u32,
     /// Tags of intact request payloads the procedure has executed, for
     /// per-call duplicate detection.
     seen: std::collections::HashSet<u64>,
     duplicate_execs: u32,
+}
+
+impl Tally {
+    /// Files one client call's outcome against the reply it wanted.
+    fn call_returned(&mut self, got: XResult<Vec<u8>>, want: &[u8]) {
+        match got {
+            Ok(r) if r == want => self.completed += 1,
+            Ok(_) => self.mismatched += 1,
+            Err(e) => {
+                self.failed += 1;
+                self.timed_out += u32::from(matches!(e, XError::Timeout(_)));
+            }
+        }
+    }
 }
 
 impl Scenario {
@@ -461,22 +482,67 @@ impl Scenario {
     }
 
     /// Runs the scenario to completion and returns the report;
-    /// [`Scenario::check`] asserts the invariants on it.
+    /// [`Scenario::check`] asserts the invariants on it. The rig comes from
+    /// this thread's pool and goes back to it.
     pub fn run(&self) -> ChaosReport {
-        self.run_with(RunOpts::default()).report
+        let rig = self.check_out();
+        let report = self.drive(&rig, RunOpts::default()).report;
+        check_in(self.stack.name(), rig, &report);
+        report
     }
 
     /// Runs the scenario as `opts` says — the one way to run it with
     /// observers attached, a steered schedule, suppressed faults or a
-    /// mid-run snapshot.
+    /// mid-run snapshot. The rig leaves the pool for good: the outcome's
+    /// `sim` is the only handle left on it.
     pub fn run_with(&self, opts: RunOpts) -> RunOutcome {
-        self.run_on(registry(), opts)
+        let rig = if opts.trace || opts.check {
+            // Tracing and checking are fixed when a simulation is made and
+            // observe its set-up too: such a run gets a rig of its own.
+            self.build(opts.trace, opts.check, registry())
+        } else {
+            self.check_out()
+        };
+        POOL.with_borrow_mut(|p| p.stats.given_away += 1);
+        self.drive(&rig, opts)
     }
 
-    /// [`Scenario::run_with`], configured from `reg`. One rig shape serves
-    /// every stack, so everything after the `match` is written once: arm
-    /// the wire and the observers, run the phases, assemble the outcome.
-    fn run_on(&self, reg: &ProtocolRegistry, opts: RunOpts) -> RunOutcome {
+    /// This thread's pooled rig for the scenario's stack, or a new one.
+    fn check_out(&self) -> Rig {
+        let name = self.stack.name();
+        let pooled = POOL.with_borrow_mut(|p| {
+            let at = p.rigs.iter().position(|(n, _)| *n == name)?;
+            Some(p.rigs.swap_remove(at).1)
+        });
+        pooled.unwrap_or_else(|| self.build(false, false, registry()))
+    }
+
+    /// Builds the stack's rig from `reg` and warms it — everything a run
+    /// needs that does not depend on the scenario's seed, profile or call
+    /// count — and captures it as the template every run forks from.
+    fn build(&self, trace: bool, check: bool, reg: &ProtocolRegistry) -> Rig {
+        POOL.with_borrow_mut(|p| p.stats.built += 1);
+        let mut cfg = SimConfig::scheduled().with_seed(self.seed);
+        if trace {
+            cfg = cfg.with_trace();
+        }
+        if check {
+            cfg = cfg.with_check();
+        }
+        match self.stack {
+            StackKind::Paper(def) => rpc_setup(RpcFlavor::Paper(def), cfg, reg),
+            StackKind::SunRpcUdp => rpc_setup(RpcFlavor::SunRpc(SUNRPC_UDP_GRAPH), cfg, reg),
+            StackKind::SunRpcChannel => {
+                rpc_setup(RpcFlavor::SunRpc(SUNRPC_CHANNEL_GRAPH), cfg, reg)
+            }
+            StackKind::Psync => psync_setup(cfg, reg),
+        }
+    }
+
+    /// One rig shape serves every stack, so a run is written once: fork the
+    /// template under the scenario's seed, arm the wire and the observers,
+    /// run the phases, assemble the outcome.
+    fn drive(&self, rig: &Rig, opts: RunOpts) -> RunOutcome {
         if let Some(mid) = opts.snapshot_at {
             assert!(
                 mid > 0 && mid < self.calls,
@@ -499,21 +565,23 @@ impl Scenario {
                 );
             }
         }
-        let mut cfg = SimConfig::scheduled().with_seed(self.seed);
-        if opts.trace {
-            cfg = cfg.with_trace();
+        if matches!(self.stack, StackKind::Psync) {
+            assert!(
+                self.profile.is_lossless(),
+                "{}: psync has no retransmission; only lossless profiles apply",
+                self.label()
+            );
+            assert!(
+                self.population <= 1,
+                "{}: psync conversations are two-party; populations do not apply",
+                self.label()
+            );
         }
-        if opts.check {
-            cfg = cfg.with_check();
-        }
-        let rig = match self.stack {
-            StackKind::Paper(def) => self.rpc_setup(RpcFlavor::Paper(def), cfg, reg),
-            StackKind::SunRpcUdp => self.rpc_setup(RpcFlavor::SunRpc(SUNRPC_UDP_GRAPH), cfg, reg),
-            StackKind::SunRpcChannel => {
-                self.rpc_setup(RpcFlavor::SunRpc(SUNRPC_CHANNEL_GRAPH), cfg, reg)
-            }
-            StackKind::Psync => self.psync_setup(cfg, reg),
-        };
+        let (sim, net) = (rig.warm.sim(), rig.warm.net());
+
+        rig.warm.fork(self.seed);
+        POOL.with_borrow_mut(|p| p.stats.forked += 1);
+        *rig.tally.lock() = Tally::default();
 
         let sched = self.profile.schedule(
             self.seed,
@@ -521,46 +589,46 @@ impl Scenario {
             EthAddr::from_index(2),
             self.stack.checksummed(),
         );
-        rig.net.set_fault_schedule(rig.lan, sched);
+        net.set_fault_schedule(rig.lan, sched);
         if opts.journal {
-            rig.sim.journal_enable();
+            sim.journal_enable();
         }
         if let FaultRecording::On { suppress_from } = opts.record_faults {
-            rig.net.record_faults(rig.lan);
-            rig.net.suppress_faults_from(rig.lan, suppress_from);
+            net.record_faults(rig.lan);
+            net.suppress_faults_from(rig.lan, suppress_from);
         }
         if let Some(ch) = opts.chooser {
-            rig.sim.set_chooser(ch);
+            sim.set_chooser(ch);
         }
 
         // Phase one of a snapshotted run warms the system: sessions opened,
         // channels allocated, RTO estimators trained, fault-schedule
         // positions advanced.
-        let snap = opts.snapshot_at.map(|mid| {
-            (rig.spawn_phase)(0, mid);
+        let mid = opts.snapshot_at.map(|mid| {
+            (rig.spawn_phase)(self, 0, mid);
             assert_eq!(
-                rig.sim.run_until_idle().blocked,
+                sim.run_until_idle().blocked,
                 0,
                 "{}: phase one left a blocked process",
                 self.label()
             );
-            let sim_snap = rig.sim.snapshot().expect("quiescent after run_until_idle");
-            (sim_snap, rig.net.snapshot(), rig.tally.lock().clone())
+            (Template::capture(sim, net), rig.tally.lock().clone())
         });
         // The last phase — the whole run when nothing split it.
         let last_phase = || {
-            (rig.spawn_phase)(opts.snapshot_at.unwrap_or(0), self.calls);
-            let run = rig.sim.run_until_idle();
-            let lan = rig.net.stats(rig.lan);
+            (rig.spawn_phase)(self, opts.snapshot_at.unwrap_or(0), self.calls);
+            let run = sim.run_until_idle();
+            let lan = net.stats(rig.lan);
             let t = rig.tally.lock();
             ChaosReport {
                 label: self.label(),
                 run,
                 lan,
-                attempted: rig.attempted,
+                attempted: self.calls * self.population.max(1),
                 completed: t.completed,
                 mismatched: t.mismatched,
                 failed: t.failed,
+                timed_out: t.timed_out,
                 executed: t.executed,
                 garbage: t.garbage,
                 duplicate_execs: t.duplicate_execs,
@@ -568,22 +636,21 @@ impl Scenario {
         };
         let report = last_phase();
         // Rewind everything and replay the last phase on the same rig.
-        let replayed = snap.map(|(sim_snap, net_snap, tally_snap)| {
-            rig.sim.restore(&sim_snap).expect("restore on the same rig");
-            rig.net.restore(&net_snap);
-            *rig.tally.lock() = tally_snap;
+        let replayed = mid.map(|(mid, tally)| {
+            mid.rewind();
+            *rig.tally.lock() = tally;
             SnapshotRun {
                 first: report.clone(),
                 replayed: last_phase(),
-                snapshot_at: sim_snap.now(),
+                snapshot_at: mid.captured_at(),
             }
         });
 
         RunOutcome {
             report,
-            faults: rig.net.recorded_faults(rig.lan),
-            journal: opts.journal.then(|| rig.sim.journal_take()),
-            sim: rig.sim,
+            faults: net.recorded_faults(rig.lan),
+            journal: opts.journal.then(|| sim.journal_take()),
+            sim: sim.clone(),
             replayed,
         }
     }
@@ -616,10 +683,32 @@ impl Scenario {
         if r.mismatched != 0 {
             f.push(format!("{}: reply did not match request", r.label));
         }
-        if r.failed != 0 || r.completed != r.attempted {
+        // What "bounded" means depends on the transaction layer. CHANNEL and
+        // M_RPC ride out every profile they are held to. REQUEST_REPLY makes
+        // seven attempts and then gives the call back — about once in 4,000
+        // lossy scenarios all seven are lost — so a zero-or-more stack is
+        // held to: every call completes *or* returns `Timeout`, having fired
+        // its whole budget first. (Its slot is released either way: a leaked
+        // one leaves a later call blocked or answered by a stale reply,
+        // which the checks above catch.)
+        let timed_out = if self.stack.at_most_once() {
+            0
+        } else {
+            r.timed_out
+        };
+        if r.failed != timed_out || r.completed + timed_out != r.attempted {
             f.push(format!(
-                "{}: bounded completion violated ({} of {} calls, {} failed)",
-                r.label, r.completed, r.attempted, r.failed
+                "{}: bounded completion violated ({} of {} calls, {} failed, {} timed out)",
+                r.label, r.completed, r.attempted, r.failed, r.timed_out
+            ));
+        }
+        let budget = u64::from(sunrpc::rr::MAX_RETRIES + 1) * u64::from(timed_out);
+        let fired = r.run.hosts.first().map_or(0, |h| h.timeouts_fired);
+        if fired < budget {
+            f.push(format!(
+                "{}: {timed_out} call(s) timed out after only {fired} timeouts \
+                 (the retry budget is {budget})",
+                r.label
             ));
         }
         if self.stack.at_most_once() {
@@ -642,59 +731,6 @@ impl Scenario {
             ));
         }
         f
-    }
-
-    /// Builds the two-host rig for an RPC flavor: registers the serving
-    /// handler and warms ARP on the quiet wire — everything up to (but not
-    /// including) arming the wire and spawning client processes.
-    fn rpc_setup(&self, flavor: RpcFlavor, cfg: SimConfig, reg: &ProtocolRegistry) -> Rig {
-        let graph = match flavor {
-            RpcFlavor::Paper(def) => def.graph,
-            RpcFlavor::SunRpc(g) => g,
-        };
-        let tb = two_hosts(cfg, reg, graph).expect("chaos testbed builds");
-        let tally = Arc::new(OwnerCell::new(Tally::default()));
-
-        // Server: a side-effecting procedure that verifies the request's
-        // integrity and replies with its transform.
-        let t2 = Arc::clone(&tally);
-        let handler = move |_ctx: &Ctx, msg: Message| {
-            let req = msg.to_vec();
-            let mut t = t2.lock();
-            t.executed += 1;
-            if !payload_is_intact(&req) {
-                t.garbage += 1;
-            } else {
-                let tag = u64::from_be_bytes(req[..8].try_into().expect("8 bytes"));
-                if !t.seen.insert(tag) {
-                    t.duplicate_execs += 1;
-                }
-            }
-            drop(t);
-            Ok(Message::from_user(expected_reply(&req)))
-        };
-        match flavor {
-            RpcFlavor::Paper(def) => {
-                xrpc::serve(&tb.server, def.entry, RPC_PROC, handler).expect("serve")
-            }
-            RpcFlavor::SunRpc(_) => {
-                with_concrete::<SunSelect, _>(&tb.server, "sunselect", move |s| {
-                    s.serve(SUN_PROG, SUN_VERS, SUN_PROC, handler)
-                })
-                .expect("sunselect registered")
-            }
-        }
-
-        warm_arp(&tb.sim, tb.client.host(), tb.server_ip);
-        let sc = *self;
-        Rig {
-            sim: tb.sim.clone(),
-            net: tb.net.clone(),
-            lan: tb.lan,
-            tally: Arc::clone(&tally),
-            attempted: self.calls * self.population.max(1),
-            spawn_phase: Box::new(move |lo, hi| sc.spawn_rpc_clients(&tb, &tally, flavor, lo, hi)),
-        }
     }
 
     /// Spawns the closed-loop client population, each process issuing
@@ -736,57 +772,10 @@ impl Scenario {
                             .expect("sunselect registered")
                         }
                     };
-                    let mut t = t3.lock();
-                    match got {
-                        Ok(r) if r == want => t.completed += 1,
-                        Ok(_) => t.mismatched += 1,
-                        Err(_) => t.failed += 1,
-                    }
-                    drop(t);
+                    t3.lock().call_returned(got, &want);
                     ctx.sleep(CALL_GAP_NS);
                 }
             });
-        }
-    }
-
-    /// Builds the two-party Psync rig: conversations opened on both sides
-    /// and ARP warmed.
-    fn psync_setup(&self, cfg: SimConfig, reg: &ProtocolRegistry) -> Rig {
-        assert!(
-            self.profile.is_lossless(),
-            "{}: psync has no retransmission; only lossless profiles apply",
-            self.label()
-        );
-        assert!(
-            self.population <= 1,
-            "{}: psync conversations are two-party; populations do not apply",
-            self.label()
-        );
-        let rig = lan_hosts(cfg, reg, "vip -> ip eth arp\npsync -> vip\n", 2)
-            .expect("psync testbed builds");
-        let (a_ip, b_ip) = (rig.ip_of(0), rig.ip_of(1));
-        let open = |host: usize, peer: IpAddr| {
-            let ctx = rig.sim.ctx(rig.kernels[host].host());
-            with_concrete::<psync::Psync, _>(&rig.kernels[host], "psync", |p| {
-                p.open_conv(&ctx, 1, vec![peer])
-            })
-            .expect("psync conversation opens")
-        };
-        let conv_a = open(0, b_ip);
-        let conv_b = open(1, a_ip);
-
-        warm_arp(&rig.sim, rig.kernels[0].host(), b_ip);
-        let tally = Arc::new(OwnerCell::new(Tally::default()));
-        let sc = *self;
-        Rig {
-            sim: rig.sim.clone(),
-            net: rig.net.clone(),
-            lan: rig.lan,
-            tally: Arc::clone(&tally),
-            attempted: self.calls,
-            spawn_phase: Box::new(move |lo, hi| {
-                sc.spawn_psync_phase(&rig, (&conv_a, &conv_b), &tally, lo, hi)
-            }),
         }
     }
 
@@ -794,7 +783,7 @@ impl Scenario {
     /// awaits each transform; side B serves `hi - lo` rounds.
     fn spawn_psync_phase(
         &self,
-        rig: &inet::testbed::Lan,
+        rig: &Lan,
         (conv_a, conv_b): (&Arc<psync::Conversation>, &Arc<psync::Conversation>),
         tally: &Arc<OwnerCell<Tally>>,
         lo: u32,
@@ -817,12 +806,7 @@ impl Scenario {
                 // Receive *before* taking the tally lock: receive blocks in
                 // the scheduler, and side B needs the lock to make progress.
                 let got = conv_a.receive(ctx, PSYNC_RECV_TIMEOUT_NS);
-                let mut t = ta.lock();
-                match got {
-                    Ok(m) if m.data == want => t.completed += 1,
-                    Ok(_) => t.mismatched += 1,
-                    Err(_) => t.failed += 1,
-                }
+                ta.lock().call_returned(got.map(|m| m.data), &want);
             }
         });
 
@@ -855,17 +839,149 @@ enum RpcFlavor {
 }
 
 /// The one shape every stack's rig takes once it is built: what the runner
-/// arms, drives and reads, whichever testbed is behind it.
+/// forks, arms, drives and reads, whichever testbed is behind it. Nothing in
+/// it depends on a scenario's seed, profile or call count, so one rig serves
+/// every scenario of its stack.
 struct Rig {
-    sim: Sim,
-    net: SimNet,
+    /// The warmed, quiescent instant every run starts from (and the handles
+    /// on the simulation and its network).
+    warm: Template,
     lan: LanId,
     tally: Arc<OwnerCell<Tally>>,
-    /// Calls the whole run issues, over every client.
-    attempted: u32,
-    /// Spawns the processes that issue calls (Psync: rounds) `lo..hi`. Owns
-    /// the testbed, so the kernels live as long as the rig.
-    spawn_phase: Box<dyn Fn(u32, u32)>,
+    /// Owns the testbed, so the kernels live as long as the rig.
+    spawn_phase: Box<SpawnPhase>,
+}
+
+/// Spawns the processes that issue a scenario's calls (Psync: rounds)
+/// `lo..hi`.
+type SpawnPhase = dyn Fn(&Scenario, u32, u32);
+
+/// Builds the two-host rig for an RPC flavor: registers the serving handler
+/// and warms ARP on the quiet wire — everything up to (but not including)
+/// arming the wire and spawning client processes.
+fn rpc_setup(flavor: RpcFlavor, cfg: SimConfig, reg: &ProtocolRegistry) -> Rig {
+    let graph = match flavor {
+        RpcFlavor::Paper(def) => def.graph,
+        RpcFlavor::SunRpc(g) => g,
+    };
+    let tb = two_hosts(cfg, reg, graph).expect("chaos testbed builds");
+    let tally = Arc::new(OwnerCell::new(Tally::default()));
+
+    // Server: a side-effecting procedure that verifies the request's
+    // integrity and replies with its transform.
+    let t2 = Arc::clone(&tally);
+    let handler = move |_ctx: &Ctx, msg: Message| {
+        let req = msg.to_vec();
+        let mut t = t2.lock();
+        t.executed += 1;
+        if !payload_is_intact(&req) {
+            t.garbage += 1;
+        } else {
+            let tag = u64::from_be_bytes(req[..8].try_into().expect("8 bytes"));
+            if !t.seen.insert(tag) {
+                t.duplicate_execs += 1;
+            }
+        }
+        drop(t);
+        Ok(Message::from_user(expected_reply(&req)))
+    };
+    match flavor {
+        RpcFlavor::Paper(def) => {
+            xrpc::serve(&tb.server, def.entry, RPC_PROC, handler).expect("serve")
+        }
+        RpcFlavor::SunRpc(_) => with_concrete::<SunSelect, _>(&tb.server, "sunselect", move |s| {
+            s.serve(SUN_PROG, SUN_VERS, SUN_PROC, handler)
+        })
+        .expect("sunselect registered"),
+    }
+
+    warm_arp(&tb.sim, tb.client.host(), tb.server_ip);
+    Rig {
+        warm: Template::capture(&tb.sim, &tb.net),
+        lan: tb.lan,
+        tally: Arc::clone(&tally),
+        spawn_phase: Box::new(move |sc, lo, hi| sc.spawn_rpc_clients(&tb, &tally, flavor, lo, hi)),
+    }
+}
+
+/// Builds the two-party Psync rig: conversations opened on both sides and
+/// ARP warmed.
+fn psync_setup(cfg: SimConfig, reg: &ProtocolRegistry) -> Rig {
+    let rig =
+        lan_hosts(cfg, reg, "vip -> ip eth arp\npsync -> vip\n", 2).expect("psync testbed builds");
+    let (a_ip, b_ip) = (rig.ip_of(0), rig.ip_of(1));
+    let open = |host: usize, peer: IpAddr| {
+        let ctx = rig.sim.ctx(rig.kernels[host].host());
+        with_concrete::<psync::Psync, _>(&rig.kernels[host], "psync", |p| {
+            p.open_conv(&ctx, 1, vec![peer])
+        })
+        .expect("psync conversation opens")
+    };
+    let conv_a = open(0, b_ip);
+    let conv_b = open(1, a_ip);
+
+    warm_arp(&rig.sim, rig.kernels[0].host(), b_ip);
+    let tally = Arc::new(OwnerCell::new(Tally::default()));
+    Rig {
+        warm: Template::capture(&rig.sim, &rig.net),
+        lan: rig.lan,
+        tally: Arc::clone(&tally),
+        spawn_phase: Box::new(move |sc, lo, hi| {
+            sc.spawn_psync_phase(&rig, (&conv_a, &conv_b), &tally, lo, hi)
+        }),
+    }
+}
+
+/// What this thread's rig pool has done so far (see [`pool_stats`]).
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub struct PoolStats {
+    /// Rigs built: a stack's first run on this thread, a run after its rig
+    /// was given away or discarded, and every `trace`/`check` run.
+    pub built: u64,
+    /// Runs started — each one a [`Template::fork`].
+    pub forked: u64,
+    /// Rigs that left with a [`RunOutcome`] ([`Scenario::run_with`]).
+    pub given_away: u64,
+    /// Rigs a [`Scenario::run`] did not put back: the run ended with a
+    /// process blocked or the simulation otherwise not quiescent, so they
+    /// were killed off and dropped and the next run rebuilds.
+    pub discarded: u64,
+}
+
+/// The rigs waiting for their stack's next [`Scenario::run`] on this thread,
+/// at most one a stack, and the counters. A rig is in here or owned by
+/// exactly one run or outcome, never both.
+#[derive(Default)]
+struct Pool {
+    rigs: Vec<(&'static str, Rig)>,
+    stats: PoolStats,
+}
+
+thread_local! {
+    static POOL: RefCell<Pool> = RefCell::default();
+}
+
+/// This thread's pool counters: whether something rebuilds a rig for every
+/// scenario is read here, not off a profiler.
+pub fn pool_stats() -> PoolStats {
+    POOL.with_borrow(|p| p.stats)
+}
+
+/// Puts `rig` back for `stack`'s next run — if the run it just served left
+/// it as a template can rewind it. A dirty rig never re-enters the pool: its
+/// suspended processes are killed (a coroutine's stack holds the simulation
+/// alive otherwise) and it is dropped.
+fn check_in(stack: &'static str, rig: Rig, report: &ChaosReport) {
+    let sim = rig.warm.sim();
+    if report.run.blocked == 0 && sim.is_quiescent() {
+        // At rest a rig needs no scheduler scratch space; eight of them
+        // holding 24 KiB each was half of what the pool added to the heap.
+        sim.park();
+        POOL.with_borrow_mut(|p| p.rigs.push((stack, rig)));
+    } else {
+        sim.kill_suspended();
+        POOL.with_borrow_mut(|p| p.stats.discarded += 1);
+    }
 }
 
 /// Outcome of a run split by [`RunOpts::snapshot_at`]: the uninterrupted
@@ -1015,13 +1131,79 @@ mod tests {
         let mut seen = Vec::new();
         for sc in full_matrix(3, 1, 4) {
             let fresh = full_registry();
-            let out = sc.run_on(&fresh, RunOpts::default());
-            assert_eq!(sc.run(), out.report);
+            let rig = sc.build(false, false, &fresh);
+            assert_eq!(sc.run(), sc.drive(&rig, RunOpts::default()).report);
             if !seen.contains(&sc.stack.name()) {
                 seen.push(sc.stack.name());
             }
         }
         assert_eq!(seen.len(), 8, "{seen:?}");
+    }
+
+    /// One scenario per stack of the matrix, in matrix order.
+    fn one_scenario_per_stack() -> Vec<Scenario> {
+        let mut per_stack: Vec<Scenario> = Vec::new();
+        for sc in full_matrix(11, 1, 8) {
+            if per_stack.last().map(|l| l.stack.name()) != Some(sc.stack.name()) {
+                per_stack.push(sc);
+            }
+        }
+        assert_eq!(per_stack.len(), 8);
+        per_stack
+    }
+
+    /// What a fork has to redo, per rig: one boot-incarnation draw a host
+    /// where the graph holds CHANNEL or M_RPC, nothing elsewhere — and the
+    /// warm-up draws nothing on any of them (`Sim::reseed` would panic).
+    #[test]
+    fn a_two_host_rig_makes_one_boot_draw_per_transaction_layer() {
+        for sc in one_scenario_per_stack() {
+            let rig = sc.build(false, false, registry());
+            let draws = match sc.stack {
+                StackKind::SunRpcUdp | StackKind::Psync => 0,
+                StackKind::Paper(_) | StackKind::SunRpcChannel => 2,
+            };
+            assert_eq!(rig.warm.sim().reseed(77), draws, "{}", sc.stack.name());
+            assert_eq!(rig.warm.sim().seed(), 77);
+        }
+    }
+
+    /// A run that ends with a process blocked never reaches the pool: the
+    /// rig is killed off and freed — a parked coroutine's stack would hold
+    /// the simulation alive otherwise — and the stack's next runs, on a rig
+    /// built for them, are the from-scratch runs.
+    #[test]
+    fn a_rig_left_with_a_parked_client_is_discarded_and_freed() {
+        let sc = full_matrix(21, 1, 8)[0];
+        let clean = sc.run();
+        let rig = sc.check_out();
+        let mut report = sc.drive(&rig, RunOpts::default()).report;
+        assert_eq!(report, clean);
+        // Cut the next one off: a client parks on a semaphore nothing signals.
+        let sim = rig.warm.sim().clone();
+        sim.spawn(HostId(0), |ctx| SharedSema::new(0).p(ctx));
+        report.run = sim.run_until_idle();
+        assert_eq!(report.run.blocked, 1);
+        assert!(!sc.invariant_failures(&report).is_empty());
+        let weak = sim.downgrade();
+        drop(sim);
+
+        let before = pool_stats();
+        check_in(sc.stack.name(), rig, &report);
+        assert!(weak.upgrade().is_none(), "the discarded rig is freed");
+        assert_eq!(
+            pool_stats(),
+            PoolStats {
+                discarded: 1,
+                ..before
+            }
+        );
+        for seed in 0..100 {
+            let sc = Scenario { seed, ..sc };
+            let scratch = sc.build(false, false, registry());
+            assert_eq!(sc.run(), sc.drive(&scratch, RunOpts::default()).report);
+        }
+        assert_eq!(pool_stats().built, before.built + 101);
     }
 
     #[test]

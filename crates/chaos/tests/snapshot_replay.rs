@@ -225,7 +225,7 @@ fn fault_draw_accounting_is_prefix_stable_at_every_cutoff() {
 fn bisect_minimizes_to_a_single_culprit() {
     // No retransmission budget rides out Blackout's ~2 s bidirectional
     // outage — a deterministic, multi-fault, fault-induced failure.
-    let sc = scenario(StackKind::SunRpcUdp, Profile::Blackout, 2, 8);
+    let sc = scenario(StackKind::SunRpcChannel, Profile::Blackout, 2, 8);
     let (full, events) = recorded(&sc, None);
     assert!(
         !sc.invariant_failures(&full).is_empty(),
@@ -237,7 +237,7 @@ fn bisect_minimizes_to_a_single_culprit() {
     assert!(out.kept >= 1 && out.kept <= out.total);
     assert!(!out.failures.is_empty(), "minimal run names its failure");
     assert!(
-        out.repro.contains("SUNRPC-UDP") && out.repro.contains("seed=2"),
+        out.repro.contains("SUNRPC-CHANNEL") && out.repro.contains("seed=2"),
         "repro is self-describing: {}",
         out.repro
     );

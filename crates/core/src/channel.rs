@@ -504,6 +504,10 @@ impl Protocol for Channel {
         kernel.open_enable(ctx, self.lower, self.me, &parts)
     }
 
+    fn reseed(&self, ctx: &Ctx) {
+        self.ids.renew(ctx);
+    }
+
     fn reboot(&self, ctx: &Ctx) -> XResult<()> {
         // Fresh incarnation: a new boot id and no surviving channels; the
         // graph wiring (enables, lower binding) persists from build time.

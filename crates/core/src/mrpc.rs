@@ -783,6 +783,10 @@ impl Protocol for Mrpc {
         kernel.open_enable(ctx, self.lower, self.me, &parts)
     }
 
+    fn reseed(&self, ctx: &Ctx) {
+        self.ids.renew(ctx);
+    }
+
     fn reboot(&self, ctx: &Ctx) -> XResult<()> {
         // Fresh incarnation: new boot id, all channel/session state gone.
         // Registered procedures and graph wiring survive.

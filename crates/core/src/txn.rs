@@ -498,7 +498,8 @@ impl Incarnation {
         self.boot.store(id, Ordering::Relaxed);
     }
 
-    /// Draws a fresh, non-zero boot id: `boot` and `reboot` both call this.
+    /// Draws a fresh, non-zero boot id: `boot`, `reboot` and `reseed` all
+    /// call this.
     pub fn renew(&self, ctx: &Ctx) {
         self.set_boot_id((ctx.next_u64() & 0xffff_ffff) as u32 | 1);
     }

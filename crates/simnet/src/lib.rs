@@ -21,6 +21,9 @@
 #![warn(missing_docs)]
 
 pub mod fault;
+mod template;
+
+pub use template::Template;
 
 use std::sync::{Arc, Weak};
 
@@ -174,12 +177,10 @@ struct Lan {
 }
 
 /// Captured wire state of every LAN; see [`SimNet::snapshot`].
-#[derive(Clone)]
-pub struct NetSnapshot {
+pub(crate) struct NetSnapshot {
     lans: Vec<LanSnap>,
 }
 
-#[derive(Clone)]
 struct LanSnap {
     wire_free: Time,
     packet_index: u64,
@@ -272,8 +273,8 @@ impl SimNet {
 
     /// Captures every LAN's wire position, packet index, traffic counters,
     /// and installed fault schedule. Pairs with [`xkernel::sim::Sim::snapshot`]
-    /// — take both at the same quiescent instant.
-    pub fn snapshot(&self) -> NetSnapshot {
+    /// at the same quiescent instant, which is why only [`Template`] calls it.
+    pub(crate) fn snapshot(&self) -> NetSnapshot {
         let lans = self.inner.lans.lock();
         NetSnapshot {
             lans: lans
@@ -291,7 +292,7 @@ impl SimNet {
     /// Restores state captured by [`SimNet::snapshot`]. Attachments are
     /// wiring, not state, and are untouched; recording/suppression controls
     /// are harness knobs and are also left alone.
-    pub fn restore(&self, snap: &NetSnapshot) {
+    pub(crate) fn restore(&self, snap: &NetSnapshot) {
         let mut lans = self.inner.lans.lock();
         assert_eq!(
             lans.len(),

@@ -131,6 +131,13 @@ impl RequestReply {
         &self.rto
     }
 
+    /// Transactions holding a slot in the table right now: calls in flight.
+    /// At idle it is 0 — a call that gave up released its slot on the way
+    /// out ([`txn::transact`]'s `release`).
+    pub fn outstanding(&self) -> usize {
+        self.outstanding.lock().len()
+    }
+
     fn lower_parts(&self, peer: Option<IpAddr>) -> XResult<ParticipantSet> {
         let lname = self.lower_name.get().expect("request_reply booted");
         if *lname == "udp" {

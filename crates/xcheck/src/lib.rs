@@ -52,13 +52,17 @@ pub fn walk_chaos(scenario: &Scenario, walks: usize, seed: u64) -> Vec<ChaosWalk
                 ..RunOpts::default()
             });
             let violations = out.sim.check_report().violations;
-            ChaosWalkOutcome {
+            let outcome = ChaosWalkOutcome {
                 walk_seed,
                 sched_hash: out.report.run.sched_hash,
                 violations: violations.len(),
                 repros: violations.iter().map(|v| out.sim.repro(v)).collect(),
                 invariant_failures: scenario.invariant_failures(&out.report),
-            }
+            };
+            // A walk that ended in a deadlock leaves its processes suspended,
+            // and a suspended coroutine holds the simulation alive.
+            out.sim.kill_suspended();
+            outcome
         })
         .collect()
 }

@@ -141,10 +141,13 @@ impl Kernel {
     /// Invoked by the simulator after [`Sim::restart`] brings the host
     /// back up.
     pub fn reboot_protocols(&self, ctx: &Ctx) -> XResult<()> {
-        self.protocols
-            .iter()
-            .filter_map(|slot| slot.proto.get())
-            .try_for_each(|p| p.reboot(ctx))
+        self.protocols().try_for_each(|p| p.reboot(ctx))
+    }
+
+    /// Every installed protocol in id order — the bottom-up order `boot`,
+    /// `reboot` and `reseed` all run in.
+    pub(crate) fn protocols(&self) -> impl Iterator<Item = &ProtocolRef> {
+        self.protocols.iter().filter_map(|slot| slot.proto.get())
     }
 
     /// Every protocol slot in id order (with holes where ids were reserved
@@ -238,9 +241,7 @@ fn not_installed(id: ProtoId) -> XError {
 /// so without this every rig a process ever built would stay resident.
 impl Drop for Kernel {
     fn drop(&mut self) {
-        for proto in self.protocols.iter().filter_map(|slot| slot.proto.get()) {
-            proto.drop_sessions();
-        }
+        self.protocols().for_each(|p| p.drop_sessions());
     }
 }
 

@@ -229,6 +229,20 @@ pub trait Protocol: Send + Sync {
         Ok(())
     }
 
+    /// Redo exactly the PRNG draws [`Protocol::boot`] made, nothing else.
+    /// [`crate::sim::Sim::reseed`] restarts the simulation's PRNG under a
+    /// new seed and calls this on every protocol in the order `boot` ran
+    /// (kernels in host order, protocols in id order), so a rig built under
+    /// one seed becomes the rig another seed would have built: a protocol
+    /// that draws its boot incarnation from [`Ctx::next_u64`] draws it again
+    /// here, from the new stream. State `boot` derived without the PRNG
+    /// (enables, lower bindings, addresses) is left alone. `reseed` counts
+    /// the draws and panics if they are not as many as set-up made — so a
+    /// protocol that draws in `boot` must override this. Must not block,
+    /// charge, or schedule. The default — draw nothing — suits every
+    /// protocol whose `boot` draws nothing.
+    fn reseed(&self, _ctx: &Ctx) {}
+
     /// Re-initialization after a host crash ([`crate::sim::Sim::restart`]):
     /// the protocol discards volatile state (open sessions, partial
     /// reassemblies, in-flight exchanges) and picks a fresh boot

@@ -352,6 +352,38 @@ impl Sim {
         }
         report
     }
+
+    /// Kills every process still suspended — parked on a semaphore nothing
+    /// will signal, or on a timer past a pause — the way a crash of its
+    /// host would, without the crash: coroutines unwind through the filtered
+    /// [`CrashKill`] payload, in id order, running their drop guards;
+    /// machines are dropped. Returns how many that was.
+    ///
+    /// A suspended coroutine's stack holds its [`Ctx`], and with it the
+    /// simulation, so dropping every [`Sim`] handle frees nothing while one
+    /// exists. Whoever discards a simulation that did not run to completion
+    /// calls this first.
+    pub fn kill_suspended(&self) -> usize {
+        install_crash_hook();
+        let core = &self.core;
+        let mut g = core.engine.lock();
+        assert!(g.current.is_none(), "kill_suspended from inside a process");
+        let mut doomed: Vec<LpId> = Vec::new();
+        for (id, slot, st) in g.lps.iter_mut() {
+            if st.state == RunState::Blocked {
+                st.state = RunState::Killed;
+                doomed.push(LpId { id, slot });
+            }
+        }
+        doomed.sort_unstable_by_key(|lp| lp.id);
+        for &lp in &doomed {
+            if core.check_on {
+                g.check.on_lp_killed(lp.id);
+            }
+            g = reap_lp(core, g, lp);
+        }
+        doomed.len()
+    }
 }
 
 /// A blocked process [`advance`] just woke, lifted out of the process table

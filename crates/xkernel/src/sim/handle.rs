@@ -12,7 +12,7 @@ use crate::journal::{Journal, JournalRecord, JOURNAL_VERSION};
 use crate::kernel::Kernel;
 use crate::map::AppendTable;
 use crate::msg::HeaderPolicy;
-use crate::rng::splitmix64;
+use crate::rng::{draws_between, splitmix64};
 use crate::trace::{CostBreakdown, Event, EventKind, FoldedLine, TraceCore, DEFAULT_RING_CAP};
 
 use super::engine::{install_crash_hook, Engine, EvKind, Slab, FNV_OFFSET};
@@ -50,8 +50,9 @@ pub struct SimCore {
     /// relaxed load guards every journal touch, so recording costs nothing
     /// when off.
     pub(super) journal_on: AtomicBool,
-    /// The configured seed, kept for repro strings.
-    seed: u64,
+    /// The seed the PRNG stream started from — the configured one, or the
+    /// last [`Sim::reseed`]'s — kept for repro strings. A scalar cell too.
+    pub(super) seed: AtomicU64,
 }
 
 impl SimCore {
@@ -116,7 +117,7 @@ impl Sim {
                 trace_on: cfg.trace,
                 check_on: cfg.check,
                 journal_on: AtomicBool::new(false),
-                seed: cfg.seed,
+                seed: AtomicU64::new(cfg.seed),
             }),
         }
     }
@@ -311,9 +312,46 @@ impl Sim {
         self.core.check_on
     }
 
-    /// The configured PRNG seed (embedded in repro strings).
+    /// The seed the PRNG stream started from (embedded in repro strings).
     pub fn seed(&self) -> u64 {
-        self.core.seed
+        self.core.seed.load(Relaxed)
+    }
+
+    /// Turns a rig built under one seed into the rig `seed` would have
+    /// built: restarts the PRNG word at `seed | 1` (where [`Sim::new`]
+    /// starts it), makes `seed` what [`Sim::seed`] reports, and has every
+    /// protocol redo its boot-time draws from the new stream
+    /// ([`crate::proto::Protocol::reseed`], kernels in host order, protocols
+    /// in id order — the order `boot` ran). Returns how many draws that was.
+    ///
+    /// Meant for a simulation whose only draws so far are `boot`'s — a
+    /// template just restored (DESIGN.md §13). The PRNG word is a counter,
+    /// so that is checked rather than assumed.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the hooks drew exactly as often as the simulation had
+    /// drawn before the call: a protocol that draws in `boot` without
+    /// overriding `reseed`, or set-up that drew after `boot`, would
+    /// otherwise show up only as a run that differs from the one built
+    /// under `seed`.
+    pub fn reseed(&self, seed: u64) -> u64 {
+        let core = &self.core;
+        let made = draws_between(core.seed.load(Relaxed) | 1, core.rng.load(Relaxed));
+        core.seed.store(seed, Relaxed);
+        core.rng.store(seed | 1, Relaxed);
+        for h in core.hosts.iter() {
+            let ctx = self.ctx(h.kernel.host());
+            h.kernel.protocols().for_each(|p| p.reseed(&ctx));
+        }
+        let redone = draws_between(seed | 1, core.rng.load(Relaxed));
+        assert!(
+            redone == made,
+            "Sim::reseed: this simulation had made {made} PRNG draw(s) but its \
+             protocols' reseed hooks redid {redone}; every draw before a reseed \
+             must be one a Protocol::boot makes and its reseed repeats"
+        );
+        redone
     }
 
     /// The schedule fingerprint accumulated so far (see
@@ -355,7 +393,7 @@ impl Sim {
     /// The replayable repro string for `v` under this run's seed and
     /// schedule fingerprint (see [`crate::check::parse_repro`]).
     pub fn repro(&self, v: &Violation) -> String {
-        v.repro(self.core.seed, self.sched_hash())
+        v.repro(self.seed(), self.sched_hash())
     }
 
     /// Starts journal recording (see [`crate::journal`]), discarding any
@@ -374,7 +412,7 @@ impl Sim {
         let mut g = self.core.engine.lock();
         Journal {
             version: JOURNAL_VERSION,
-            seed: self.core.seed,
+            seed: self.seed(),
             sched_hash: g.sched_hash,
             records: std::mem::take(&mut g.journal),
         }

@@ -13,7 +13,7 @@ use super::*;
 impl Sim {
     /// Captures the complete mutable state of a *quiescent* simulation: the
     /// scheduler scalars (virtual clock, event/process id counters, the
-    /// `sched_hash` fingerprint), the PRNG position, per-host clocks,
+    /// `sched_hash` fingerprint), the PRNG position and seed, per-host clocks,
     /// crash/boot state and robustness counters, and every protocol's
     /// private state via [`crate::proto::Protocol::snap`]. Quiescent means
     /// either [`Sim::run_until_idle`] has drained — no pending events, no
@@ -78,6 +78,7 @@ impl Sim {
             executed: g.executed,
             sched_hash: g.sched_hash,
             rng: core.rng.load(Relaxed),
+            seed: self.seed(),
             journal_len: g.journal.len(),
             hosts: core.hosts.iter().map(HostCell::snap).collect(),
             fuel_exhausted: g.fuel_exhausted,
@@ -97,6 +98,20 @@ impl Sim {
             );
         }
         Ok(snap)
+    }
+
+    /// Whether [`Sim::snapshot`] and [`Sim::restore`] would accept the
+    /// simulation as it stands (a scheduled one; inline mode never is).
+    pub fn is_quiescent(&self) -> bool {
+        self.core.mode == Mode::Scheduled && require_quiescent(&self.core.engine.lock()).is_ok()
+    }
+
+    /// Lets a drained simulation lend the scheduler's scratch space (the
+    /// timeline's bucket set, 24 KiB) to the thread's next simulation until
+    /// its own next event is filed — for rigs kept at rest in numbers, a
+    /// pool of templates. Does nothing while an event is pending.
+    pub fn park(&self) {
+        self.core.engine.lock().timeline.park();
     }
 
     /// Rewinds this simulator to `snap` (which [`Sim::snapshot`] captured
@@ -174,6 +189,7 @@ impl Sim {
             h.restore(sh);
         }
         core.rng.store(snap.rng, Relaxed);
+        core.seed.store(snap.seed, Relaxed);
         let kernels = kernels_of(core);
         if kernels.len() != snap.protos.len() {
             return Err(XError::Config(
@@ -293,6 +309,8 @@ pub struct SimSnapshot {
     executed: u64,
     sched_hash: u64,
     rng: u64,
+    /// The seed `rng` has been counting from (a [`Sim::reseed`] moves both).
+    seed: u64,
     journal_len: usize,
     hosts: Vec<SnapHost>,
     fuel_exhausted: u64,

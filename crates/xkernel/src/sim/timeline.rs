@@ -84,14 +84,9 @@ pub(super) struct Timeline {
 
 impl Timeline {
     pub(super) fn new() -> Timeline {
-        let spare = SPARE.try_with(|s| s.borrow_mut().pop()).ok().flatten();
         Timeline {
             due: BinaryHeap::new(),
-            buckets: spare.unwrap_or_else(|| {
-                (0..BUCKETS)
-                    .map(|_| Vec::with_capacity(BUCKET_KEEP))
-                    .collect()
-            }),
+            buckets: bucket_set(),
             occupied: 0,
             last: 0,
             len: 0,
@@ -117,9 +112,31 @@ impl Timeline {
             self.due.push(Reverse(key));
         } else {
             let i = (key.0 ^ self.last).ilog2() as usize;
-            self.buckets[i].push(key);
+            // The bounds check doubles as the parked check: a set has a
+            // bucket for every `i` there is.
+            match self.buckets.get_mut(i) {
+                Some(bucket) => bucket.push(key),
+                None => self.unpark(i).push(key),
+            }
             self.occupied |= 1 << i;
         }
+    }
+
+    /// Lends an empty timeline's bucket set to the thread's spare list, for
+    /// a simulation kept at rest; the first key filed past `last` takes one
+    /// back. Does nothing while a key is held.
+    pub(super) fn park(&mut self) {
+        if self.len == 0 {
+            spare_bucket_set(std::mem::take(&mut self.buckets));
+        }
+    }
+
+    /// Ends a [`Timeline::park`]; returns bucket `i`.
+    #[cold]
+    fn unpark(&mut self, i: usize) -> &mut Vec<Key> {
+        debug_assert!(self.buckets.is_empty(), "a whole set has bucket {i}");
+        self.buckets = bucket_set();
+        &mut self.buckets[i]
     }
 
     /// Pops the earliest live key if its time is at or before `stop`; dead
@@ -271,19 +288,37 @@ impl Timeline {
 
 impl Drop for Timeline {
     fn drop(&mut self) {
-        let mut set = std::mem::take(&mut self.buckets);
-        // On `Err` the thread's spare list is already destroyed.
-        let _ = SPARE.try_with(|s| {
-            let mut s = s.borrow_mut();
-            if s.len() < SPARE_SETS {
-                for b in &mut set {
-                    b.clear();
-                    b.shrink_to(BUCKET_KEEP);
-                }
-                s.push(set);
-            }
-        });
+        spare_bucket_set(std::mem::take(&mut self.buckets));
     }
+}
+
+/// A bucket set off the thread's spare list, or a new one.
+fn bucket_set() -> Vec<Vec<Key>> {
+    let spare = SPARE.try_with(|s| s.borrow_mut().pop()).ok().flatten();
+    spare.unwrap_or_else(|| {
+        (0..BUCKETS)
+            .map(|_| Vec::with_capacity(BUCKET_KEEP))
+            .collect()
+    })
+}
+
+/// Keeps `set` for the thread's next timeline, if there is room (and `set`
+/// is one: a parked timeline has none to give).
+fn spare_bucket_set(mut set: Vec<Vec<Key>>) {
+    if set.is_empty() {
+        return;
+    }
+    // On `Err` the thread's spare list is already destroyed.
+    let _ = SPARE.try_with(|s| {
+        let mut s = s.borrow_mut();
+        if s.len() < SPARE_SETS {
+            for b in &mut set {
+                b.clear();
+                b.shrink_to(BUCKET_KEEP);
+            }
+            s.push(set);
+        }
+    });
 }
 
 #[cfg(test)]

@@ -497,3 +497,63 @@ fn two_hundred_thousand_nappers_on_three_horizons() {
     sim.restore(&snap).expect("a drained simulation restores");
     assert_eq!(sim.run_until_idle(), whole);
 }
+
+// ---------------------------------------------------------------------------
+// Discarding and reseeding a simulation.
+// ---------------------------------------------------------------------------
+
+/// A coroutine parked where nothing will wake it keeps the simulation alive
+/// through the `Ctx` on its stack; `kill_suspended` unwinds it — drop guards
+/// run, in id order — and the last handle's drop then frees everything.
+#[test]
+fn killing_the_suspended_frees_a_simulation_that_did_not_finish() {
+    struct Unwound(u64, Arc<Mutex<Vec<u64>>>);
+    impl Drop for Unwound {
+        fn drop(&mut self) {
+            self.1.lock().push(self.0);
+        }
+    }
+    let sim = Sim::new(SimConfig::scheduled());
+    let host = Kernel::new(&sim, "h0").host();
+    let order = Arc::new(Mutex::new(Vec::new()));
+    for id in 0..3 {
+        let guard = Unwound(id, Arc::clone(&order));
+        sim.spawn(host, move |ctx| {
+            let _guard = guard;
+            SharedSema::new(0).p(ctx);
+            unreachable!("nothing signals the semaphore");
+        });
+    }
+    assert_eq!(sim.run_until_idle().blocked, 3);
+    assert!(!sim.is_quiescent());
+    let weak = sim.downgrade();
+    drop(sim);
+    let sim = weak.upgrade().expect("the parked stacks hold it");
+    assert_eq!(sim.kill_suspended(), 3);
+    assert_eq!(*order.lock(), [0, 1, 2]);
+    assert!(sim.is_quiescent());
+    assert_eq!(sim.kill_suspended(), 0);
+    drop(sim);
+    assert!(weak.upgrade().is_none());
+}
+
+#[test]
+fn a_reseeded_simulation_draws_what_one_built_under_that_seed_draws() {
+    let sim = Sim::new(SimConfig::scheduled().with_seed(4));
+    assert_eq!(sim.reseed(9), 0, "no protocol, no boot-time draw");
+    assert_eq!(sim.seed(), 9);
+    let fresh = Sim::new(SimConfig::scheduled().with_seed(9));
+    assert_eq!(sim.next_u64(), fresh.next_u64());
+}
+
+/// A draw no `reseed` hook repeats — one made after boot, here — cannot be
+/// replayed under another seed, and `reseed` says how many there were.
+#[test]
+#[should_panic(expected = "had made 3 PRNG draw(s) but its protocols' reseed hooks redid 0")]
+fn reseed_refuses_a_simulation_whose_draws_it_cannot_redo() {
+    let sim = Sim::new(SimConfig::scheduled().with_seed(4));
+    for _ in 0..3 {
+        sim.next_u64();
+    }
+    sim.reseed(9);
+}

@@ -7,9 +7,8 @@
 //! warm-up detail differs. The fork sweep instead:
 //!
 //! 1. builds and warms the rig **once** ([`crate::LoadSpec::build_warm`]),
-//! 2. takes a whole-sim snapshot of the warmed, quiescent state
-//!    ([`xkernel::sim::Sim::snapshot`] + [`simnet::SimNet::snapshot`]),
-//! 3. per policy point: restores the snapshot, applies the point's
+//! 2. captures the warmed, quiescent rig as a [`simnet::Template`],
+//! 3. per policy point: rewinds the template, applies the point's
 //!    `SetTimeout` / `SetBackoff` control ops on every client, and runs
 //!    the measured window ([`crate::LoadSpec::measure`]).
 //!
@@ -21,6 +20,7 @@
 //! an optimization, not a different experiment.)
 
 use inet::with_concrete;
+use simnet::Template;
 use xkernel::prelude::*;
 
 use crate::gen::{LoadReport, LoadSpec};
@@ -131,32 +131,31 @@ fn apply_policy(rig: &LoadRig, stack: &LoadStack, point: &PolicyPoint) {
     );
 }
 
-/// Warms `spec`'s rig once, snapshots it, and measures one branch per
-/// policy point from the restored snapshot.
+/// Warms `spec`'s rig once, captures it, and measures one branch per policy
+/// point from the rewound template (the seed stays the spec's: warm-up may
+/// have drawn from the PRNG, and every branch continues that stream).
 ///
 /// # Panics
 ///
 /// Panics if the rig fails to build or warm, if the warmed state cannot be
-/// snapshotted or restored (harness bugs), or if a point sets a knob on a
+/// captured or rewound (harness bugs), or if a point sets a knob on a
 /// stack without a run-time RTO knob (see [`PolicyPoint`]).
 pub fn fork_sweep(spec: &LoadSpec, points: &[PolicyPoint]) -> ForkReport {
     let rig = spec.build_warm();
-    let sim_snap = rig.sim.snapshot().expect("warmed rig snapshots");
-    let net_snap = rig.net.snapshot();
-    let mut branches = Vec::with_capacity(points.len());
-    for point in points {
-        rig.sim
-            .restore(&sim_snap)
-            .expect("warmed snapshot restores");
-        rig.net.restore(&net_snap);
-        apply_policy(&rig, &spec.stack, point);
-        branches.push(Branch {
-            policy: point.label(),
-            report: spec.measure(&rig),
-        });
-    }
+    let warmed = Template::capture(&rig.sim, &rig.net);
+    let branches = points
+        .iter()
+        .map(|point| {
+            warmed.rewind();
+            apply_policy(&rig, &spec.stack, point);
+            Branch {
+                policy: point.label(),
+                report: spec.measure(&rig),
+            }
+        })
+        .collect();
     ForkReport {
-        warmed_at: sim_snap.now(),
+        warmed_at: warmed.captured_at(),
         branches,
     }
 }

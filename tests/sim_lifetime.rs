@@ -18,12 +18,12 @@ mod common;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-use chaos::{full_matrix, Scenario};
+use chaos::{full_matrix, pool_stats, RunOpts, Scenario};
 use common::live_bytes;
 use inet::testbed::{base_registry, two_hosts, TwoHosts};
 use xkernel::graph::ProtocolRegistry;
 use xkernel::prelude::Protocol;
-use xkernel::sim::{RunReport, SimConfig};
+use xkernel::sim::{HostId, RunReport, SharedSema, SimConfig};
 use xrpc::procs::NULL_PROC;
 use xrpc::stacks::L_RPC_VIP;
 
@@ -188,10 +188,42 @@ fn a_dropped_scenario_frees_every_protocol_on_both_kernels() {
     }
 }
 
+/// A scenario cut off with a client parked on a semaphore nothing will
+/// signal. Its coroutine's stack holds a `Ctx`, and the `Ctx` the
+/// simulation, so dropping every handle frees nothing (open since PR 12);
+/// `Sim::kill_suspended` — what the rig pool's discard path and xcheck's
+/// walks call — unwinds it, and then the drop does. The rig had left the
+/// pool with its outcome, so the stack's next `run` is on a rig built for
+/// it and returns the from-scratch report.
+#[test]
+fn a_scenario_cut_off_with_a_parked_client_is_freed_once_it_is_killed() {
+    for sc in one_faulted_scenario_per_stack() {
+        let sim = sc.run_with(RunOpts::default()).sim;
+        sim.spawn(HostId(0), |ctx| SharedSema::new(0).p(ctx));
+        assert_eq!(sim.run_until_idle().blocked, 1, "{}", sc.stack.name());
+        let weak = sim.downgrade();
+        drop(sim);
+        let sim = weak.upgrade().expect("held by its own parked process");
+        assert_eq!(sim.kill_suspended(), 1);
+        drop(sim);
+        assert!(weak.upgrade().is_none(), "{}: still alive", sc.stack.name());
+
+        let scratch = sc.run_with(RunOpts {
+            check: true,
+            ..RunOpts::default()
+        });
+        assert_eq!(sc.run(), scratch.report, "{}", sc.stack.name());
+    }
+    let stats = pool_stats();
+    assert_eq!((stats.given_away, stats.discarded), (16, 0));
+    assert_eq!(stats.built, 24, "8 given away, 8 checked, 8 pooled");
+}
+
 /// The soak's memory is flat in the number of scenarios run: whatever the
 /// first batch left behind (the shared registry, its lint verdicts, pooled
-/// coroutine stacks), a second batch as long adds nothing to. The leak this
-/// guards against was ≈ 6.4 kB a scenario — 12.7 MB over the second batch.
+/// coroutine stacks, the eight pooled rigs), a second batch as long adds
+/// nothing to — and builds nothing. The leak this guards against was
+/// ≈ 6.4 kB a scenario — 12.7 MB over the second batch.
 #[test]
 fn live_bytes_plateau_across_thousands_of_scenarios() {
     const SLACK: i64 = 64 * 1024;
@@ -206,7 +238,10 @@ fn live_bytes_plateau_across_thousands_of_scenarios() {
         live_bytes()
     };
     let after_one = run_batch(0);
+    let built = pool_stats().built;
+    assert_eq!(built, 8, "one rig a stack");
     let after_two = run_batch(1);
+    assert_eq!(pool_stats().built, built, "the second batch rebuilt a rig");
     assert!(
         after_two <= after_one + SLACK,
         "{batch} more scenarios left {} more bytes live ({after_one} -> {after_two})",
