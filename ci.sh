@@ -24,10 +24,25 @@ echo "==> cargo test --release"
 # (crates/xkernel/tests/engine.rs).
 cargo test --workspace --release -q
 
-echo "==> chaos soak (fixed seed set x all stacks)"
+echo "==> chaos-soak: fixed seed set x all stacks, each run again under a fuel watchdog"
 # Already compiled by the workspace test run above; named separately so the
 # invariant suite visibly gates every PR even if the test layout changes.
+# chaos_runs.rs runs every soak scenario twice: pooled and unfuelled, then on
+# a rig of its own under 1 << 20 charges a process (RunOpts.fuel), requiring
+# fuel_exhausted == 0 and a report Eq to the first — a protocol that spins is
+# a named failure at a fixed event, not a hung gate.
 cargo test -p chaos -q
+
+echo "==> count-gate: what a call costs in counts no host can move"
+# ROADMAP 5(b): wall-clock stays reported, not gated; these are exact on every
+# host and build, so one that rises fails here by name. Per stack: context
+# switches and coroutines started per run of warm calls (2n + 4 and 2 — a
+# delivered frame starts nothing), events, fuel and live processes per
+# scheduled null call, allocations per inline null call — in release, as the
+# benchmark builds — and cell entries per inline null call in debug (release
+# builds carry no entry counter). The switch table is printed.
+cargo test --release -q --test events_per_call --test alloc_per_call -- --test-threads=1 --nocapture
+cargo test -q --test cell_entries
 
 echo "==> lifetime-gate: a dropped rig frees everything"
 # Protocols and the sessions they cache hold each other; a dropped kernel

@@ -384,6 +384,12 @@ pub struct RunOpts {
     /// [`Sim::check_report`] on the outcome's `sim`. The checker only
     /// observes.
     pub check: bool,
+    /// A watchdog: this many charged operations a process
+    /// ([`SimConfig::with_fuel`]), so a protocol that spins is a report
+    /// with `fuel_exhausted > 0` — which [`Scenario::invariant_failures`]
+    /// names — at the same event every time, not a hung run. A budget no
+    /// process reaches leaves the report bit-identical.
+    pub fuel: Option<u64>,
     /// Record every nondeterminism-relevant decision (same-time tie
     /// picks, realized wire faults, crash/restart boots) into the
     /// scheduler journal (see [`xkernel::journal`]); the outcome's
@@ -496,10 +502,11 @@ impl Scenario {
     /// mid-run snapshot. The rig leaves the pool for good: the outcome's
     /// `sim` is the only handle left on it.
     pub fn run_with(&self, opts: RunOpts) -> RunOutcome {
-        let rig = if opts.trace || opts.check {
-            // Tracing and checking are fixed when a simulation is made and
-            // observe its set-up too: such a run gets a rig of its own.
-            self.build(opts.trace, opts.check, registry())
+        let rig = if opts.trace || opts.check || opts.fuel.is_some() {
+            // Tracing, checking and a fuel budget are fixed when a
+            // simulation is made and cover its set-up too: such a run gets a
+            // rig of its own.
+            self.build(&opts, registry())
         } else {
             self.check_out()
         };
@@ -514,21 +521,22 @@ impl Scenario {
             let at = p.rigs.iter().position(|(n, _)| *n == name)?;
             Some(p.rigs.swap_remove(at).1)
         });
-        pooled.unwrap_or_else(|| self.build(false, false, registry()))
+        pooled.unwrap_or_else(|| self.build(&RunOpts::default(), registry()))
     }
 
     /// Builds the stack's rig from `reg` and warms it — everything a run
     /// needs that does not depend on the scenario's seed, profile or call
     /// count — and captures it as the template every run forks from.
-    fn build(&self, trace: bool, check: bool, reg: &ProtocolRegistry) -> Rig {
+    fn build(&self, opts: &RunOpts, reg: &ProtocolRegistry) -> Rig {
         POOL.with_borrow_mut(|p| p.stats.built += 1);
         let mut cfg = SimConfig::scheduled().with_seed(self.seed);
-        if trace {
+        if opts.trace {
             cfg = cfg.with_trace();
         }
-        if check {
+        if opts.check {
             cfg = cfg.with_check();
         }
+        cfg.fuel = opts.fuel;
         match self.stack {
             StackKind::Paper(def) => rpc_setup(RpcFlavor::Paper(def), cfg, reg),
             StackKind::SunRpcUdp => rpc_setup(RpcFlavor::SunRpc(SUNRPC_UDP_GRAPH), cfg, reg),
@@ -671,6 +679,12 @@ impl Scenario {
     /// schedule and keep exploring past a failure.
     pub fn invariant_failures(&self, r: &ChaosReport) -> Vec<String> {
         let mut f = Vec::new();
+        if r.run.fuel_exhausted != 0 {
+            f.push(format!(
+                "{}: {} process(es) ran out of fuel",
+                r.label, r.run.fuel_exhausted
+            ));
+        }
         if r.run.blocked != 0 {
             f.push(format!(
                 "{}: {} processes left blocked",
@@ -936,7 +950,7 @@ fn psync_setup(cfg: SimConfig, reg: &ProtocolRegistry) -> Rig {
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct PoolStats {
     /// Rigs built: a stack's first run on this thread, a run after its rig
-    /// was given away or discarded, and every `trace`/`check` run.
+    /// was given away or discarded, and every `trace`/`check`/`fuel` run.
     pub built: u64,
     /// Runs started — each one a [`Template::fork`].
     pub forked: u64,
@@ -1131,7 +1145,7 @@ mod tests {
         let mut seen = Vec::new();
         for sc in full_matrix(3, 1, 4) {
             let fresh = full_registry();
-            let rig = sc.build(false, false, &fresh);
+            let rig = sc.build(&RunOpts::default(), &fresh);
             assert_eq!(sc.run(), sc.drive(&rig, RunOpts::default()).report);
             if !seen.contains(&sc.stack.name()) {
                 seen.push(sc.stack.name());
@@ -1158,7 +1172,7 @@ mod tests {
     #[test]
     fn a_two_host_rig_makes_one_boot_draw_per_transaction_layer() {
         for sc in one_scenario_per_stack() {
-            let rig = sc.build(false, false, registry());
+            let rig = sc.build(&RunOpts::default(), registry());
             let draws = match sc.stack {
                 StackKind::SunRpcUdp | StackKind::Psync => 0,
                 StackKind::Paper(_) | StackKind::SunRpcChannel => 2,
@@ -1200,7 +1214,7 @@ mod tests {
         );
         for seed in 0..100 {
             let sc = Scenario { seed, ..sc };
-            let scratch = sc.build(false, false, registry());
+            let scratch = sc.build(&RunOpts::default(), registry());
             assert_eq!(sc.run(), sc.drive(&scratch, RunOpts::default()).report);
         }
         assert_eq!(pool_stats().built, before.built + 101);

@@ -21,10 +21,25 @@ use xrpc::stacks::L_RPC_VIP;
 /// shape it supports.
 const SOAK_SEEDS: u64 = 20;
 
-/// Runs `sc` and asserts every invariant that applies to it.
+/// The soak's watchdog: charged operations a process may make. A chaotic
+/// ten-call client makes a few thousand; a protocol that spins would make
+/// this many in a moment and be a `fuel_exhausted` in the report, not a
+/// hung soak.
+const WATCHDOG: u64 = 1 << 20;
+
+/// Runs `sc` and asserts every invariant that applies to it, then runs it
+/// again under the watchdog: no process may reach the budget, and a budget
+/// nothing reaches must leave the report as it was.
 fn checked(sc: &Scenario) -> ChaosReport {
     let r = sc.run();
     sc.check(&r);
+    let opts = RunOpts {
+        fuel: Some(WATCHDOG),
+        ..RunOpts::default()
+    };
+    let fuelled = sc.run_with(opts).report;
+    assert_eq!(fuelled.run.fuel_exhausted, 0, "{}", r.label);
+    assert_eq!(fuelled, r, "{}: the watchdog changed the run", r.label);
     r
 }
 
@@ -325,4 +340,38 @@ fn client_survives_server_crash_and_restart_mid_conversation() {
         notes.iter().any(|(_, n)| *n == "peer rebooted"),
         "client must detect the server's new boot id: {notes:?}"
     );
+}
+
+// ---------------------------------------------------------------------------
+// The watchdog itself.
+// ---------------------------------------------------------------------------
+
+/// A budget that covers set-up but not a twenty-call client: the client is
+/// killed mid-conversation, at the same event on every run, and the
+/// invariants say why the calls are missing.
+#[test]
+fn a_client_that_outruns_its_budget_is_named_by_the_invariants() {
+    let sc = Scenario {
+        stack: StackKind::Paper(L_RPC_VIP),
+        profile: Profile::FaultFree,
+        seed: 0x4000,
+        calls: 20,
+        population: 1,
+    };
+    let run = || {
+        let opts = RunOpts {
+            fuel: Some(200),
+            ..RunOpts::default()
+        };
+        sc.run_with(opts).report
+    };
+    let r = run();
+    assert_eq!(r.run.fuel_exhausted, 1, "{r:?}");
+    assert!(r.completed > 0 && r.completed < r.attempted, "{r:?}");
+    let said = sc.invariant_failures(&r);
+    assert!(
+        said.iter().any(|m| m.contains("ran out of fuel")),
+        "{said:?}"
+    );
+    assert_eq!(run(), r);
 }

@@ -365,7 +365,7 @@ impl Ctx {
             ),
             (_, None) => panic!("blocking outside a shepherd process"),
         };
-        let (g, charged) = self.block(&self.core, lp, how);
+        let (g, charged) = self.block(&self.core, lp, RunState::Running, how);
         drop(g);
         if charged {
             // The switch charge's fuel tick, owed since `block` (a kill
@@ -373,9 +373,10 @@ impl Ctx {
             // ignores).
             self.fuel_tick();
         }
-        // Suspend this coroutine; the scheduler's run loop picks the next
-        // event. The next resume lands right here, with the scheduler's
-        // verdict.
+        // Suspend this stack; a driver's run loop picks the next event — the
+        // one that called this body's thunk, or, if this is that driver's
+        // stack, another that `Sim::run_until_time` starts. The next resume
+        // lands right here, with the scheduler's verdict.
         match vproc::yield_now() {
             RESUME_NORMAL => WakeReason::Normal,
             RESUME_TIMEOUT => WakeReason::Timeout,
@@ -395,11 +396,20 @@ impl Ctx {
     /// (a coroutine's caller drops it and yields), with whether the switch
     /// was charged (and a coroutine so owes a [`Ctx::fuel_tick`]). `core`
     /// is this context's simulation, passed apart so the guard outlives the
-    /// borrow of `self`.
+    /// borrow of `self`; `from` is the state the caller takes the process
+    /// to be in.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a machine's step reaches a blocking primitive (`from`
+    /// says [`RunState::Running`], the process table
+    /// [`RunState::Stepping`]): the stack under it is the driver's, and
+    /// suspending that would park the run loop as if it were the machine.
     pub(super) fn block<'a>(
         &self,
         core: &'a SimCore,
         lp: LpId,
+        from: RunState,
         how: Block,
     ) -> (EngineGuard<'a>, bool) {
         // A sleep's wake is stamped from the host clock *before* the
@@ -418,6 +428,12 @@ impl Ctx {
             g.push_event(t, EvKind::Wake { lp, reason });
         }
         let st = g.lp_mut(lp).expect("current process registered");
+        assert!(
+            st.state == from,
+            "a VProc machine called a blocking primitive (Ctx::sleep, \
+             SharedSema::p, SharedSema::p_timeout): a machine has no stack to \
+             park and blocks by returning a VStep"
+        );
         st.state = RunState::Blocked;
         st.wait_sema = wait_sema;
         g.current = None;

@@ -2,6 +2,8 @@
 //! the coroutine / state-machine drivers. Everything that runs once per
 //! event lives here, in one module.
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
@@ -25,9 +27,10 @@ fn fnv_fold(h: u64, x: u64) -> u64 {
     (h ^ x).wrapping_mul(FNV_PRIME)
 }
 
-/// The body a fresh process starts from: a thunk (run as a stackful
-/// coroutine, so it may block anywhere) or a stackless [`VProc`] machine
-/// (runs on the scheduler's stack, blocks by returning [`VStep`]s).
+/// The body a fresh process starts from: a thunk (called on the driver's
+/// stack, which it keeps if it blocks — so it may block anywhere) or a
+/// stackless [`VProc`] machine (stepped on the driver's stack, blocks by
+/// returning [`VStep`]s).
 pub(super) enum ProcBody {
     Thunk(Thunk),
     Machine(Box<dyn VProc>),
@@ -55,7 +58,11 @@ pub(super) enum EvKind {
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(super) enum RunState {
+    /// A thunk's body, on a stack it can keep: it may block anywhere.
     Running,
+    /// A machine's step, on a stack that is not its own: it blocks by
+    /// returning, and a blocking primitive called from it is refused.
+    Stepping,
     Blocked,
     /// The host crashed while this process was blocked; the scheduler reaps
     /// it (unwinding its coroutine via [`CrashKill`]) at the next
@@ -64,7 +71,7 @@ pub(super) enum RunState {
 }
 
 /// Panic payload used to unwind a shepherd coroutine whose host crashed.
-/// Not a failure: [`drive_coro`] filters it out of the panic record.
+/// Not a failure: [`note_death`] filters it out of the panic record.
 pub(super) struct CrashKill;
 
 /// Panic payload used to unwind a shepherd coroutine whose fuel ran out.
@@ -80,8 +87,8 @@ pub(super) const RESUME_KILLED: u64 = 2;
 pub(super) struct LpState {
     pub(super) host: HostId,
     pub(super) state: RunState,
-    /// The suspended continuation; `None` while the process is running (its
-    /// body is on the driver's stack) or before its first step.
+    /// The suspended continuation; `None` while the process is running or
+    /// before its first step.
     pub(super) body: Option<LpBody>,
     /// The checker id of the semaphore a blocked process is waiting on
     /// (`None` for timer blocks); the scheduler closes the wait out when it
@@ -210,6 +217,15 @@ pub(super) struct Engine {
     pub(super) lps: Slab<LpState>,
     pub(super) next_lp: u64,
     pub(super) current: Option<LpId>,
+    /// The process whose thunk is a call on the running driver's stack, for
+    /// as long as that is where it is: [`Sim::run_until_time`] takes it
+    /// when the body blocks and the stack becomes the process's own, so a
+    /// [`call_thunk`] that finds something else here when its call returns
+    /// knows it is no longer the driver.
+    pub(super) on_driver: Option<LpId>,
+    /// Where the run in progress pauses ([`Sim::run_until_time`] records
+    /// it; every driver of that run reads it).
+    pub(super) stop: Time,
     pub(super) executed: u64,
     pub(super) panics: Vec<String>,
     /// Processes killed by a crash while blocked, queued for deterministic
@@ -310,30 +326,39 @@ impl Sim {
             "run_until_time is meaningful only in scheduled mode"
         );
         let core = &self.core;
-        // The context machines run under: built once per run, re-aimed at
-        // each machine for the duration of its step.
-        let mut mctx = self.ctx(HostId(0));
-        let mut g = core.engine.lock();
-        loop {
-            // Reap crash-killed processes first, in ascending id order, so
-            // their unwinds land at a deterministic point of the schedule.
-            // Only `advance` queues processes here, so one sort covers the
-            // batch.
-            if !g.reap.is_empty() {
-                let mut batch = std::mem::take(&mut g.reap);
-                batch.sort_unstable_by_key(|lp| lp.id);
-                for lp in batch {
-                    g = reap_lp(core, g, lp);
-                }
-                continue;
-            }
-            g = match advance(core, &mut g, stop) {
-                Next::Task(task) => run_task(core, g, &mut mctx, task),
-                Next::Resume(woken) => resume_lp(core, g, &mut mctx, woken),
-                Next::Drained if g.reap.is_empty() => break,
-                Next::Drained => g,
-            };
+        {
+            let mut g = core.engine.lock();
+            assert!(
+                g.current.is_none(),
+                "Sim::run_until_time called from inside a process of the \
+                 simulation it would run"
+            );
+            g.stop = stop;
         }
+        // The loop runs as a coroutine's body (see [`drive`]). A driver
+        // comes back here finished — the run is over — or suspended: a body
+        // it called has blocked, so that stack is the process's from now on
+        // and the loop goes on from the top on another.
+        let g = loop {
+            let mut driver = vproc::Coro::new(Box::new(drive), self.ctx(HostId(0)));
+            let finished = driver.resume(RESUME_NORMAL);
+            let mut g = core.engine.lock();
+            if finished {
+                if let Some(bug) = driver.retire() {
+                    // Not a process's panic (those are caught and filed):
+                    // the loop's own, or a machine's.
+                    drop(g);
+                    resume_unwind(bug);
+                }
+                break g;
+            }
+            let lp = g
+                .on_driver
+                .take()
+                .expect("a driver yields only under a body it called");
+            g.lp_mut(lp).expect("blocked process still registered").body =
+                Some(LpBody::Coro(driver));
+        };
         let report = RunReport {
             ended_at: core.now.load(Relaxed),
             events: g.executed,
@@ -539,11 +564,15 @@ fn advance(core: &Arc<SimCore>, g: &mut Engine, stop: Time) -> Next {
                     continue;
                 };
                 let host = st.host;
-                st.state = RunState::Running;
+                let body = st.body.take().expect("blocked process has a continuation");
+                st.state = match body {
+                    LpBody::Coro(_) => RunState::Running,
+                    LpBody::Machine(_) => RunState::Stepping,
+                };
                 let woken = Woken {
                     lp,
                     host,
-                    body: st.body.take().expect("blocked process has a continuation"),
+                    body,
                     reason,
                     waited: st.wait_sema.take(),
                 };
@@ -618,7 +647,10 @@ fn start_lp(
         id,
         LpState {
             host,
-            state: RunState::Running,
+            state: match body {
+                ProcBody::Thunk(_) => RunState::Running,
+                ProcBody::Machine(_) => RunState::Stepping,
+            },
             body: None,
             wait_sema: None,
         },
@@ -655,44 +687,125 @@ pub(super) fn install_crash_hook() {
 /// it back re-acquired, so one process step costs one release/acquire pair.
 pub(super) type EngineGuard<'a> = OwnerGuard<'a, Engine>;
 
-/// Starts a fresh process's body. Thunks run as a coroutine until they
-/// block or finish; machines step on this stack under
-/// `mctx`, the run loop's reusable machine context. The run token is
-/// already `task.lp`.
-fn run_task<'a>(
-    core: &'a Arc<SimCore>,
-    g: EngineGuard<'a>,
-    mctx: &mut Ctx,
-    task: Task,
-) -> EngineGuard<'a> {
-    let Task { lp, host, body } = task;
-    let fuel = core.fuel_limit.unwrap_or(u64::MAX);
-    match body {
-        ProcBody::Thunk(f) => {
-            // A coroutine keeps its context on its own stack across yields.
-            let ctx = Ctx {
-                core: Arc::clone(core),
-                host,
-                lp: Some(lp),
-            };
-            drive_coro(core, g, lp, vproc::Coro::new(f, ctx, fuel), RESUME_NORMAL)
+/// The run loop, and the body of every coroutine the simulator starts:
+/// reaps, advances, and runs what [`advance`] hands it until nothing is due
+/// through [`Engine::stop`]. A fresh thunk is a plain call on this stack
+/// ([`call_thunk`]) and a machine a step on it; a process that already owns
+/// a stack is resumed on that one, nested ([`drive_coro`]). Returns — so the
+/// coroutine finishes — when the queue has drained, or when this stack has
+/// become a process's own and that process's body has ended.
+///
+/// `ctx` is the context whatever runs on this stack runs under — thunks and
+/// machine steps, one at a time — re-aimed at each.
+fn drive(mut ctx: Ctx) {
+    let core = &Arc::clone(&ctx.core);
+    let mut g = core.engine.lock();
+    let stop = g.stop;
+    loop {
+        // Reap crash-killed processes first, in ascending id order, so
+        // their unwinds land at a deterministic point of the schedule.
+        // Only `advance` queues processes here, so one sort covers the
+        // batch.
+        if !g.reap.is_empty() {
+            let mut batch = std::mem::take(&mut g.reap);
+            batch.sort_unstable_by_key(|lp| lp.id);
+            for lp in batch {
+                g = reap_lp(core, g, lp);
+            }
+            continue;
         }
-        ProcBody::Machine(m) => {
-            drop(g);
-            step_machine(
-                core,
-                mctx,
-                lp,
-                host,
-                Machine { m, fuel },
-                WakeReason::Normal,
-            )
-        }
+        g = match advance(core, &mut g, stop) {
+            Next::Task(Task { lp, host, body }) => match body {
+                ProcBody::Thunk(f) => match call_thunk(core, g, &mut ctx, lp, host, f) {
+                    Some(g) => g,
+                    None => return,
+                },
+                ProcBody::Machine(m) => {
+                    drop(g);
+                    let fuel = core.fuel_limit.unwrap_or(u64::MAX);
+                    let c = Machine { m, fuel };
+                    step_machine(core, &mut ctx, lp, host, c, WakeReason::Normal)
+                }
+            },
+            Next::Resume(woken) => resume_lp(core, g, &mut ctx, woken),
+            Next::Drained if g.reap.is_empty() => return,
+            Next::Drained => g,
+        };
     }
 }
 
-/// Resumes a coroutine, handing it `token`, and parks or retires it
-/// afterwards.
+/// Runs a fresh process's thunk as a plain call on this — the driver's —
+/// stack, under the driver's context (re-aimed at it here, as
+/// [`step_machine`] does) and the per-process fuel budget. The run token is
+/// already `lp`. If the body blocks, [`Ctx::block_current`]
+/// suspends this very stack and [`Sim::run_until_time`] makes it the
+/// process's; the call then returns on a stack some later driver has
+/// resumed, and `None` tells [`drive`] to get out of the way (a panic is
+/// re-raised) so the coroutine finishes and that driver's [`drive_coro`]
+/// retires the process as it would any other. Otherwise the process ends
+/// here, and the lock comes back re-acquired.
+fn call_thunk<'a>(
+    core: &'a Arc<SimCore>,
+    mut g: EngineGuard<'a>,
+    ctx: &mut Ctx,
+    lp: LpId,
+    host: HostId,
+    f: Thunk,
+) -> Option<EngineGuard<'a>> {
+    g.on_driver = Some(lp);
+    drop(g);
+    ctx.host = host;
+    ctx.lp = Some(lp);
+    let ctx = &*ctx;
+    if let Some(fuel) = core.fuel_limit {
+        vproc::set_fuel(fuel);
+    }
+    let died = catch_unwind(AssertUnwindSafe(|| f(ctx))).err();
+    let mut g = core.engine.lock();
+    if g.on_driver != Some(lp) {
+        drop(g);
+        if let Some(p) = died {
+            resume_unwind(p);
+        }
+        return None;
+    }
+    g.on_driver = None;
+    if core.fuel_limit.is_some() {
+        // What is left of the budget was this process's; a machine's
+        // charges tick the same counter and must find it unlimited.
+        vproc::set_fuel(u64::MAX);
+    }
+    if let Some(p) = died {
+        note_death(core, &mut g, lp, p);
+    }
+    finalize_lp(core, &mut g, lp);
+    Some(g)
+}
+
+/// Files how a thunk ended when it did not return: a crash's or a fuel
+/// budget's kill is a normal death, anything else a panic to report.
+fn note_death(core: &SimCore, g: &mut Engine, lp: LpId, p: Box<dyn Any + Send>) {
+    if p.is::<CrashKill>() {
+        // Normal death of a process whose host crashed.
+    } else if p.is::<FuelKill>() {
+        g.fuel_exhausted += 1;
+        if core.check_on {
+            // Killed mid-protocol: late signals to it are expected, not
+            // lost wakeups.
+            g.check.on_lp_killed(lp.id);
+        }
+    } else {
+        let text = p
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| p.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".into());
+        g.panics.push(text);
+    }
+}
+
+/// Resumes a process on the stack it owns, handing it `token`, and parks or
+/// retires it afterwards.
 fn drive_coro<'a>(
     core: &'a Arc<SimCore>,
     g: EngineGuard<'a>,
@@ -705,23 +818,7 @@ fn drive_coro<'a>(
     let mut g = core.engine.lock();
     if finished {
         if let Some(p) = coro.retire() {
-            if p.is::<CrashKill>() {
-                // Normal death of a process whose host crashed.
-            } else if p.is::<FuelKill>() {
-                g.fuel_exhausted += 1;
-                if core.check_on {
-                    // Killed mid-protocol: late signals to it are expected,
-                    // not lost wakeups.
-                    g.check.on_lp_killed(lp.id);
-                }
-            } else {
-                let text = p
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| p.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".into());
-                g.panics.push(text);
-            }
+            note_death(core, &mut g, lp, p);
         }
         finalize_lp(core, &mut g, lp);
     } else {
@@ -739,7 +836,7 @@ fn drive_coro<'a>(
 fn resume_lp<'a>(
     core: &'a Arc<SimCore>,
     mut g: EngineGuard<'a>,
-    mctx: &mut Ctx,
+    ctx: &mut Ctx,
     woken: Woken,
 ) -> EngineGuard<'a> {
     let Woken {
@@ -767,7 +864,7 @@ fn resume_lp<'a>(
         }
         LpBody::Machine(c) => {
             drop(g);
-            step_machine(core, mctx, lp, host, c, reason)
+            step_machine(core, ctx, lp, host, c, reason)
         }
     }
 }
@@ -821,7 +918,7 @@ fn step_machine<'a>(
                 Block::Sema(sema.id())
             }
         };
-        let (mut g, _) = ctx.block(core, lp, how);
+        let (mut g, _) = ctx.block(core, lp, RunState::Stepping, how);
         g.lp_mut(lp).expect("machine process registered").body = Some(LpBody::Machine(c));
         return g;
     }

@@ -103,6 +103,8 @@ impl Sim {
                     lps: Slab::new(),
                     next_lp: 0,
                     current: None,
+                    on_driver: None,
+                    stop: 0,
                     executed: 0,
                     panics: Vec::new(),
                     reap: Vec::new(),

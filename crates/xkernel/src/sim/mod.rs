@@ -7,12 +7,13 @@
 //!
 //! * [`Mode::Scheduled`] — a discrete-event simulation. Shepherd processes
 //!   are *virtual processes* (see [`crate::vproc`]) multiplexed cooperatively
-//!   on the scheduler's own thread: stackful coroutines for thunk bodies,
-//!   stackless [`crate::vproc::VProc`] state machines for snapshot-capable
-//!   or massive populations. Exactly one runs at a time and blocking happens
-//!   only at the declared points (semaphore wait, timer expiry, wire
-//!   delivery), so execution is fully deterministic (heap ties broken by
-//!   insertion order). Virtual CPU time is charged per primitive operation
+//!   on the scheduler's own thread: thunk bodies, which start as a call on
+//!   the stack the run loop is on and keep that stack — a coroutine — from
+//!   their first block, and stackless [`crate::vproc::VProc`] state machines
+//!   for snapshot-capable or massive populations. Exactly one runs at a
+//!   time and blocking happens only at the declared points (semaphore wait,
+//!   timer expiry, wire delivery), so execution is fully deterministic
+//!   (heap ties broken by insertion order). Virtual CPU time is charged per primitive operation
 //!   (see [`CostModel`]) onto a per-host CPU timeline; the network schedules
 //!   packet deliveries as timestamped events. This mode regenerates the
 //!   paper's millisecond-scale tables. An optional *fuel* budget

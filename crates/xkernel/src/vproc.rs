@@ -31,10 +31,18 @@
 //! killed reproducibly, which turns "the test hangs" into "the report says
 //! `fuel_exhausted: 1` at the same event on every run".
 //!
+//! A coroutine is a stack, not a process. The scheduler's run loop is itself
+//! the body of one (a *driver*; DESIGN.md §11, "Who runs the loop"): a fresh
+//! thunk is a plain call on the driver's stack, and only a body that blocks
+//! keeps the stack it is on — the loop moves to another driver. So a
+//! coroutine is started per *run* and per *process that blocks*, never per
+//! event, and its fuel budget is whatever the driver last set for the body
+//! it is running (`set_fuel`).
+//!
 //! Nothing here spawns a thread. The unsafe surface (the context switch and
 //! the stack mapping) is confined to this module; the scheduler in
-//! [`crate::sim`] drives it through four safe entry points: [`Coro::new`],
-//! [`Coro::resume`], [`Coro::retire`], and [`yield_now`].
+//! [`crate::sim`] drives it through five safe entry points: [`Coro::new`],
+//! [`Coro::resume`], [`Coro::retire`], [`yield_now`] and `set_fuel`.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -42,7 +50,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
 use crate::cost::Nanos;
-use crate::sim::{Ctx, Thunk};
+use crate::sim::Ctx;
 
 // ---------------------------------------------------------------------------
 // Raw stack mapping.
@@ -132,6 +140,7 @@ impl Stack {
         // page makes overflow fault instead of scribble.
         let rc = unsafe { sys::mprotect(base, page, sys::PROT_NONE) };
         assert_eq!(rc, 0, "vproc: guard-page mprotect failed");
+        MAPPED.with(|n| n.set(n.get() + 1));
         Stack {
             base: base.cast(),
             len,
@@ -153,6 +162,8 @@ impl Drop for Stack {
         unsafe {
             sys::munmap(self.base.cast(), self.len);
         }
+        // A thread being torn down has no counter left.
+        let _ = MAPPED.try_with(|n| n.set(n.get().saturating_sub(1)));
     }
 }
 
@@ -274,12 +285,13 @@ struct CoroInner {
     parent_sp: *mut u8,
     /// Set by the entry shim when the body has returned.
     finished: bool,
-    /// The body and the context it runs under; taken by the entry shim on
+    /// The body and the context it is handed; taken by the entry shim on
     /// first resume.
-    start: Option<(Thunk, Ctx)>,
+    start: Option<(Body, Ctx)>,
     /// The payload of the panic that ended the body, if one did.
     panic: Option<Box<dyn Any + Send>>,
-    /// Remaining fuel (charged operations); `u64::MAX` means unlimited.
+    /// Remaining fuel (charged operations) of the body running on this
+    /// stack; `u64::MAX` means unlimited. See `set_fuel`.
     fuel_left: u64,
     /// What the latest [`Coro::resume`] handed in, for [`yield_now`] to
     /// hand out.
@@ -288,19 +300,55 @@ struct CoroInner {
     stack: Stack,
 }
 
+/// What a coroutine runs: the scheduler's run loop, or a test's closure.
+/// The context comes beside the body, not captured in it, so that a body
+/// with nothing to capture — the run loop is a plain function — is a box of
+/// no bytes and starting a coroutine allocates nothing.
+pub type Body = Box<dyn FnOnce(Ctx) + Send + 'static>;
+
 /// Upper bound on a thread's idle coroutines (each a 512 KiB stack plus
 /// guard page). Beyond this, retired coroutines are unmapped, not kept.
-const IDLE_CAP: usize = 256;
+pub const IDLE_CAP: usize = 256;
 
 thread_local! {
     /// The coroutine currently executing on this thread (null on the
-    /// scheduler's own stack). Set for the duration of every resume.
+    /// thread's own stack, outside any run). Set for the duration of every
+    /// resume.
     static CURRENT: Cell<*mut CoroInner> = const { Cell::new(std::ptr::null_mut()) };
 
     /// This thread's retired coroutines, kept for reuse. A simulation runs
     /// on one thread at a time, so a spawn takes no lock, and a fresh
     /// simulation on a warmed thread maps and allocates nothing.
     static IDLE: RefCell<Vec<Coro>> = const { RefCell::new(Vec::new()) };
+
+    /// Context switches made and coroutines started on this thread; see
+    /// `counts`.
+    static SWITCHES: Cell<u64> = const { Cell::new(0) };
+    static STARTS: Cell<u64> = const { Cell::new(0) };
+    /// Stacks this thread has mapped and nobody has unmapped yet; see
+    /// `stacks`.
+    static MAPPED: Cell<usize> = const { Cell::new(0) };
+}
+
+/// `(switches, starts)`: the context switches this thread has made and the
+/// coroutines it has started, ever. Exact for a given schedule on every
+/// host and build, which is what lets `tests/events_per_call.rs` hold the
+/// engine to them where host time cannot judge.
+#[doc(hidden)]
+pub fn counts() -> (u64, u64) {
+    (SWITCHES.with(Cell::get), STARTS.with(Cell::get))
+}
+
+/// `(idle, mapped)`: the retired coroutines this thread keeps for reuse
+/// (at most [`IDLE_CAP`]) and the stacks it has mapped that are still
+/// mapped, idle ones included. For the tests that a population of blocked
+/// processes gives its stacks back.
+#[doc(hidden)]
+pub fn stacks() -> (usize, usize) {
+    (
+        IDLE.with(|idle| idle.borrow().len()),
+        MAPPED.with(Cell::get),
+    )
 }
 
 /// The Rust side of the entry shim: runs the body, catching a panic so no
@@ -312,7 +360,7 @@ extern "C" fn xk_vproc_entry_rust(inner: *mut CoroInner) -> ! {
     // the resumer is suspended, so we hold exclusive access.
     let inner = unsafe { &mut *inner };
     let (body, ctx) = inner.start.take().expect("coroutine entered twice");
-    inner.panic = catch_unwind(AssertUnwindSafe(move || body(&ctx))).err();
+    inner.panic = catch_unwind(AssertUnwindSafe(move || body(ctx))).err();
     inner.finished = true;
     // SAFETY: parent_sp was saved by the resume that ran us.
     unsafe {
@@ -334,11 +382,11 @@ pub struct Coro {
 unsafe impl Send for Coro {}
 
 impl Coro {
-    /// Crafts a coroutine that will run `body(&ctx)` with `fuel`
-    /// charged-operation budget (`u64::MAX` = unlimited), on a
-    /// [`STACK_SIZE`] stack — one of this thread's idle coroutines if it
-    /// has any, else freshly mapped.
-    pub fn new(body: Thunk, ctx: Ctx, fuel: u64) -> Coro {
+    /// Crafts a coroutine that will run `body(ctx)` with an unlimited fuel
+    /// budget (see `set_fuel`), on a [`STACK_SIZE`] stack — one of this
+    /// thread's idle coroutines if it has any, else freshly mapped.
+    pub fn new(body: Body, ctx: Ctx) -> Coro {
+        STARTS.with(|n| n.set(n.get() + 1));
         let mut inner = match IDLE.with(|idle| idle.borrow_mut().pop()) {
             Some(idle) => idle.inner,
             None => Box::new(CoroInner {
@@ -354,7 +402,7 @@ impl Coro {
         };
         inner.finished = false;
         inner.start = Some((body, ctx));
-        inner.fuel_left = fuel;
+        inner.fuel_left = u64::MAX;
         let arg = std::ptr::addr_of_mut!(*inner) as u64;
         let top = inner.stack.top();
         // Craft the initial frame the switch will "return" through; see the
@@ -396,6 +444,8 @@ impl Coro {
     pub fn resume(&mut self, token: u64) -> bool {
         assert!(!self.inner.finished, "resume of a finished coroutine");
         self.inner.token = token;
+        // In now, and back out when the coroutine yields or finishes.
+        SWITCHES.with(|n| n.set(n.get() + 2));
         let inner: *mut CoroInner = std::ptr::addr_of_mut!(*self.inner);
         let prev = CURRENT.with(|c| c.replace(inner));
         // SAFETY: coro_sp points at a validly crafted or previously saved
@@ -438,15 +488,12 @@ impl Coro {
 /// # Panics
 ///
 /// Panics when no coroutine is running on this thread: a blocking primitive
-/// was reached from the scheduler's own stack (e.g. a [`VProc`] machine
-/// called a synchronous blocking API instead of returning a [`VStep`]).
+/// was reached from outside any run. (A [`VProc`] machine that calls one
+/// *is* on a coroutine, the driver's; [`crate::sim::Ctx`] refuses it by
+/// name before it gets here.)
 pub fn yield_now() -> u64 {
     let inner = CURRENT.with(|c| c.get());
-    assert!(
-        !inner.is_null(),
-        "vproc: blocking outside a coroutine (machines must return VStep \
-         instead of calling blocking primitives)"
-    );
+    assert!(!inner.is_null(), "vproc: blocking outside a coroutine");
     // SAFETY: we are executing on this coroutine's stack; parent_sp was
     // saved by the resume that is currently suspended beneath us. When the
     // switch returns a later resume is suspended there instead, so this
@@ -454,6 +501,22 @@ pub fn yield_now() -> u64 {
     unsafe {
         xk_vproc_switch(&mut (*inner).coro_sp, (*inner).parent_sp);
         (*inner).token
+    }
+}
+
+/// Sets the fuel budget of the coroutine running on this thread
+/// (`u64::MAX` = unlimited). The budget belongs to the *stack*: the
+/// scheduler sets it when it starts a process's body on the driver's stack
+/// and back to unlimited when the body ends there; if the body blocks
+/// instead, the stack — and what is left of the budget — goes with the
+/// process, and the next driver starts unlimited. A no-op off any
+/// coroutine.
+pub(crate) fn set_fuel(fuel: u64) {
+    let p = CURRENT.with(Cell::get);
+    if !p.is_null() {
+        // SAFETY: as in `fuel_tick` — CURRENT is only set while that
+        // coroutine is running on this thread, so the access is exclusive.
+        unsafe { (*p).fuel_left = fuel };
     }
 }
 
@@ -543,10 +606,15 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    /// A coroutine running `f` under a context nothing here looks at.
+    /// A coroutine running `f`, which first sets itself a budget of `fuel`,
+    /// under a context nothing here looks at.
     fn coro(f: impl FnOnce() + Send + 'static, fuel: u64) -> Coro {
         let ctx = Sim::new(SimConfig::inline_mode()).ctx(HostId(0));
-        Coro::new(Box::new(move |_| f()), ctx, fuel)
+        let body = move |_| {
+            set_fuel(fuel);
+            f()
+        };
+        Coro::new(Box::new(body), ctx)
     }
 
     /// Retires `c`, failing the test if its body panicked (an assertion

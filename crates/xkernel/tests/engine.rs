@@ -557,3 +557,252 @@ fn reseed_refuses_a_simulation_whose_draws_it_cannot_redo() {
     }
     sim.reseed(9);
 }
+
+// ---------------------------------------------------------------------------
+// handover: the run loop is a coroutine's body, a fresh thunk a call on its
+// stack, and a process takes the stack over when it first blocks. Reports
+// and fingerprints below were captured before any of that, when every thunk
+// was started on a coroutine of its own.
+// ---------------------------------------------------------------------------
+
+/// What `f` cost this thread in `(context switches, coroutines started)`.
+fn switched(f: impl FnOnce()) -> (u64, u64) {
+    let before = xkernel::vproc::counts();
+    f();
+    let after = xkernel::vproc::counts();
+    (after.0 - before.0, after.1 - before.1)
+}
+
+/// Bodies that never block, block once and block fifty times, interleaved on
+/// two hosts and signalling each other: every way a thunk can leave the
+/// driver's stack, in one schedule.
+fn handover_mix() -> (Sim, Arc<AtomicU64>) {
+    let sim = Sim::new(SimConfig::scheduled().with_seed(23));
+    let hosts = [Kernel::new(&sim, "a").host(), Kernel::new(&sim, "b").host()];
+    let done = Arc::new(AtomicU64::new(0));
+    let gate = SharedSema::labeled(0, "gate");
+    for i in 0..30u64 {
+        let (done, gate) = (Arc::clone(&done), gate.clone());
+        sim.spawn(hosts[(i % 2) as usize], move |ctx| {
+            match i % 3 {
+                0 => ctx.charge(100 + i),
+                1 => ctx.sleep(1_000 + 37 * i),
+                _ => {
+                    for k in 0..50 {
+                        ctx.sleep(500 + 11 * i + k);
+                    }
+                }
+            }
+            if i % 2 == 0 {
+                // Host a's processes queue behind one another too.
+                if i % 4 == 0 {
+                    gate.v(ctx);
+                } else {
+                    gate.p(ctx);
+                }
+            }
+            done.fetch_add(1, Ordering::Relaxed);
+        });
+    }
+    (sim, done)
+}
+
+#[test]
+fn handover_bodies_that_block_never_once_and_fifty_times_make_the_same_run() {
+    let (sim, done) = handover_mix();
+    let report = sim.run_until_idle();
+    assert_eq!(done.load(Ordering::Relaxed), 30);
+    assert_eq!(
+        (report.blocked, report.events, report.ended_at),
+        (0, 540, 131_141_395)
+    );
+    assert_eq!((report.peak_live, report.fuel_used), (20, 535));
+    let clocks: Vec<u64> = report.hosts.iter().map(|h| h.cpu_ns).collect();
+    assert_eq!(clocks, [132_750_560, 132_600_575]);
+    assert_eq!(report.sched_hash, 15_788_559_345_166_168_192);
+    // Paused at every microsecond it is the same run.
+    let (sim, _) = handover_mix();
+    assert_eq!(run_sliced(&sim, 30, report.ended_at), report);
+}
+
+/// A process that blocks `k` times costs what it always did — the coroutine
+/// it ends up owning, a switch in and out at its start and at each wake —
+/// and one that never blocks costs nothing, where it used to cost a
+/// coroutine and two switches. Both over the run's own driver (one start,
+/// in and out once).
+#[test]
+fn handover_a_process_pays_for_a_stack_only_if_it_blocks() {
+    let run = |blocks: u64| {
+        let sim = Sim::new(SimConfig::scheduled());
+        let host = Kernel::new(&sim, "a").host();
+        sim.spawn(host, move |ctx| {
+            for _ in 0..blocks {
+                ctx.sleep(10);
+            }
+        });
+        switched(|| assert_eq!(sim.run_until_idle().blocked, 0))
+    };
+    assert_eq!(run(0), (2, 1), "the run's driver and nothing else");
+    for k in [1, 3, 50] {
+        assert_eq!(run(k), (2 + 2 * k + 2, 1 + 1), "{k} blocks");
+    }
+}
+
+/// A thousand processes blocked at once hold a thousand stacks; when they
+/// exit, all but `IDLE_CAP` of those are unmapped and none stays in use.
+#[test]
+fn handover_a_thousand_blocked_processes_give_their_stacks_back() {
+    use xkernel::vproc::{stacks, IDLE_CAP};
+    let (idle, mapped) = stacks();
+    assert_eq!((idle, mapped), (0, 0), "a test thread starts with no stack");
+    let sim = Sim::new(SimConfig::scheduled());
+    let host = Kernel::new(&sim, "a").host();
+    let most = Arc::new(AtomicU64::new(0));
+    for i in 0..1_000 {
+        let most = Arc::clone(&most);
+        sim.spawn(host, move |ctx| {
+            ctx.sleep(1_000_000 + i);
+            most.fetch_max(stacks().1 as u64, Ordering::Relaxed);
+        });
+    }
+    let (switches, starts) = switched(|| {
+        let report = sim.run_until_idle();
+        assert_eq!((report.blocked, report.peak_live), (0, 1_000));
+    });
+    // Each process took a driver over; the last driver ended the run.
+    assert_eq!((switches, starts), (2 * 1_001 + 2 * 1_000, 1_001));
+    assert_eq!(most.load(Ordering::Relaxed), 1_001);
+    let (idle, mapped) = stacks();
+    assert_eq!(idle, IDLE_CAP);
+    assert_eq!(mapped, idle, "every stack still mapped is an idle one");
+}
+
+fn panics_with(blocks: u32, text: &'static str) -> Sim {
+    let sim = Sim::new(SimConfig::scheduled());
+    let host = Kernel::new(&sim, "a").host();
+    sim.spawn(host, move |ctx| {
+        for _ in 0..blocks {
+            ctx.sleep(10);
+        }
+        panic!("{text}");
+    });
+    // A bystander on either side of it is unharmed.
+    sim.spawn(host, |ctx| ctx.sleep(1_000));
+    sim
+}
+
+/// A body's panic is the process's, wherever the body was running when it
+/// struck: filed once, with its text, and raised by the run.
+#[test]
+fn handover_a_panic_is_reported_once_with_its_text_before_or_after_blocking() {
+    for (blocks, text) in [(0, "struck on the driver"), (3, "struck on its own stack")] {
+        let sim = panics_with(blocks, text);
+        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.run_until_idle();
+        }))
+        .expect_err("the run re-raises a process's panic");
+        let said = raised.downcast_ref::<String>().expect("a formatted panic");
+        assert_eq!(said, &format!("shepherd process panicked: {text}"));
+        assert_eq!(said.matches(text).count(), 1);
+        // The loop itself finished: the bystander ran out its sleep and
+        // nothing is left over.
+        assert_eq!(sim.timeline_load(), (0, 0));
+        assert!(sim.is_quiescent());
+    }
+}
+
+/// Processes parked on stacks they took over are reaped by a crash like any
+/// other coroutine: unwound, drop guards run, in id order.
+#[test]
+fn handover_a_crash_reaps_five_hundred_processes_on_stacks_they_took_over() {
+    struct Unwound(u64, Arc<Mutex<Vec<u64>>>);
+    impl Drop for Unwound {
+        fn drop(&mut self) {
+            self.1.lock().push(self.0);
+        }
+    }
+    let sim = Sim::new(SimConfig::scheduled());
+    let host = Kernel::new(&sim, "doomed").host();
+    let order = Arc::new(Mutex::new(Vec::new()));
+    for id in 0..500 {
+        let guard = Unwound(id, Arc::clone(&order));
+        sim.spawn(host, move |ctx| {
+            let _guard = guard;
+            ctx.sleep(10 + id);
+            ctx.sleep(1_000_000_000);
+            unreachable!("the host crashes first");
+        });
+    }
+    sim.crash_at(500_000_000, host);
+    let report = sim.run_until_idle();
+    assert_eq!((report.blocked, report.peak_live), (0, 500));
+    assert_eq!(report.hosts[0].crashes, 1);
+    // Every process had blocked twice by then: once on the driver's stack,
+    // once on what had become its own.
+    assert_eq!((report.events, report.fuel_used), (500 + 500 + 1, 1_000));
+    assert_eq!(report.hosts[0].cpu_ns, 390_000_000);
+    assert!(
+        order.lock().iter().copied().eq(0..500),
+        "reaped out of order"
+    );
+    assert_eq!(report.sched_hash, 15_875_656_191_405_600_598);
+    assert_eq!(xkernel::vproc::stacks().1, xkernel::vproc::stacks().0);
+}
+
+/// A process cut off on a stack it took over — the driver's frames and
+/// context are under its own — is unwound through them by
+/// `kill_suspended`, and nothing keeps the simulation alive afterwards.
+#[test]
+fn handover_killing_processes_on_taken_over_stacks_frees_the_simulation() {
+    let sim = Sim::new(SimConfig::scheduled());
+    let host = Kernel::new(&sim, "h0").host();
+    for i in 0..4 {
+        sim.spawn(host, move |ctx| {
+            for _ in 0..i {
+                ctx.sleep(10);
+            }
+            SharedSema::new(0).p(ctx);
+        });
+    }
+    assert_eq!(sim.run_until_idle().blocked, 4);
+    let weak = sim.downgrade();
+    drop(sim);
+    let sim = weak.upgrade().expect("the parked stacks hold it");
+    assert_eq!(sim.kill_suspended(), 4);
+    assert!(sim.is_quiescent());
+    drop(sim);
+    assert!(weak.upgrade().is_none());
+}
+
+/// A machine's step runs on the driver's stack, so `Ctx::sleep` from one
+/// would suspend the run loop itself; it is refused where it is made, by a
+/// message that says what a machine does instead.
+#[test]
+#[should_panic(expected = "blocks by returning a VStep")]
+fn handover_a_machine_that_calls_a_blocking_primitive_is_told_to_return_a_vstep() {
+    struct Sleepy;
+    impl VProc for Sleepy {
+        fn resume(&mut self, ctx: &Ctx, _why: WakeReason) -> VStep {
+            ctx.sleep(10);
+            VStep::Done
+        }
+    }
+    let sim = Sim::new(SimConfig::scheduled());
+    let host = Kernel::new(&sim, "a").host();
+    sim.spawn_vproc(host, Box::new(Sleepy));
+    sim.run_until_idle();
+}
+
+/// The run loop does not nest: a process that asks for its own simulation
+/// to be run is told so.
+#[test]
+#[should_panic(expected = "Sim::run_until_time called from inside a process")]
+fn handover_run_until_time_from_inside_a_process_panics_by_name() {
+    let sim = Sim::new(SimConfig::scheduled());
+    let host = Kernel::new(&sim, "a").host();
+    let weak = sim.downgrade();
+    sim.spawn(host, move |_ctx| {
+        weak.upgrade().expect("running").run_until_time(5);
+    });
+    sim.run_until_idle();
+}

@@ -126,6 +126,50 @@ fn a_sleep_and_its_wake_up_allocate_nothing() {
     assert_eq!(out.lock().take(), Some(0), "1,000 sleeps, no allocation");
 }
 
+/// A frame the wire delivers is a `schedule_run_at` body, and the run loop
+/// calls it on the stack it is itself on: 2,000 of them in one run start no
+/// coroutine and switch nowhere. What a run does cost is its own driver —
+/// one coroutine from the idle list, in and out once, and not one
+/// allocation: the loop is a plain function, so the box it is started from
+/// has no bytes — however many bodies it runs.
+#[test]
+fn a_delivery_starts_nothing() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    let sim = Sim::new(SimConfig::scheduled());
+    let host = Kernel::new(&sim, "host-a").host();
+    let ran = Arc::new(AtomicU64::new(0));
+    // One run of `bodies` deliveries: (switches, starts, allocations).
+    let run = |bodies: u64| {
+        let ctx = sim.ctx(host);
+        for _ in 0..bodies {
+            let ran = Arc::clone(&ran);
+            // All due at once: popping them moves no key between the
+            // timeline's buckets, which is where a spread-out run allocates.
+            ctx.schedule_run_at(
+                sim.virtual_now(),
+                host,
+                Box::new(move |ctx: &Ctx| {
+                    ctx.charge(3);
+                    ran.fetch_add(1, Ordering::Relaxed);
+                }),
+            );
+        }
+        let (before, allocs) = (xkernel::vproc::counts(), allocs_so_far());
+        let r = sim.run_until_idle();
+        let (after, allocs) = (xkernel::vproc::counts(), allocs_so_far() - allocs);
+        assert_eq!(r.blocked, 0);
+        (after.0 - before.0, after.1 - before.1, allocs)
+    };
+    // The first run grows the process table. After it an empty run
+    // allocates the report's per-host vector and nothing else, and one that
+    // delivers 2,000 frames one block more, exactly as before the loop had
+    // a driver: the timeline's heap of due keys regrowing.
+    run(2_000);
+    assert_eq!(run(0), (2, 1, 1));
+    assert_eq!(run(2_000), (2, 1, 2));
+    assert_eq!(ran.load(Ordering::Relaxed), 4_000);
+}
+
 #[test]
 fn enabled_tracing_records_events_and_attributes_cost() {
     let (_allocs, sim) = allocs_for_hot_loop(SimConfig::scheduled().with_trace());

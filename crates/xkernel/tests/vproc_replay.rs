@@ -192,3 +192,103 @@ fn starvation_budget_kills_deterministically() {
         "killing processes must change the schedule fingerprint"
     );
 }
+
+/// A coroutine's budget belongs to the stack its body is on. A body starts
+/// on the driver's stack and keeps that stack when it first blocks, so the
+/// budget must go with it: this one blocks twice and then runs away, and
+/// dies on the charge — and in the run — it died in when every thunk was
+/// given a coroutine, and a budget, of its own at birth.
+#[test]
+fn a_budget_follows_its_process_onto_the_stack_it_takes_over() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    let sim = Sim::new(SimConfig::scheduled().with_seed(7).with_fuel(10));
+    let a = Kernel::new(&sim, "a").host();
+    let landed = Arc::new(AtomicU64::new(0));
+    let l = Arc::clone(&landed);
+    sim.spawn(a, move |ctx| {
+        let charge = || {
+            l.fetch_add(1, Ordering::Relaxed);
+            ctx.charge(5);
+        };
+        charge();
+        charge();
+        ctx.sleep(100);
+        charge();
+        ctx.sleep(100);
+        loop {
+            charge();
+        }
+    });
+    // Same budget, spent otherwise: it blocks eight times and goes home.
+    sim.spawn(a, |ctx| {
+        for _ in 0..8 {
+            ctx.sleep(70);
+        }
+    });
+    let r = sim.run_until_idle();
+    // Two sleeps cost a switch charge each; the eighth explicit charge is
+    // the tenth unit.
+    assert_eq!(landed.load(Ordering::Relaxed), 8);
+    assert_eq!((r.blocked, r.fuel_exhausted, r.fuel_used), (0, 1, 18));
+    assert_eq!((r.events, r.ended_at), (12, 4_680_110));
+    assert_eq!(r.sched_hash, 5_903_694_410_513_619_989);
+}
+
+/// Charges `n` times a resume, twice, then is done.
+struct Charger {
+    n: u32,
+    resumes: Arc<Mutex<u32>>,
+}
+
+impl VProc for Charger {
+    fn resume(&mut self, ctx: &Ctx, _why: WakeReason) -> VStep {
+        for _ in 0..self.n {
+            ctx.charge(5);
+        }
+        let mut resumes = self.resumes.lock();
+        *resumes += 1;
+        if *resumes == 2 {
+            VStep::Done
+        } else {
+            VStep::Sleep(50)
+        }
+    }
+}
+
+/// A thunk that never blocks spends its budget on the driver's stack, where
+/// the next process starts a moment later. What it leaves behind — nothing,
+/// or a unit it had no use for — is not theirs: a machine pays a unit per
+/// *resume*, whatever it charges inside one, and the next thunk starts on a
+/// full budget.
+#[test]
+fn a_spent_budget_is_not_the_next_process_s_on_the_same_driver() {
+    let sim = Sim::new(SimConfig::scheduled().with_seed(7).with_fuel(3));
+    let a = Kernel::new(&sim, "a").host();
+    let finished = Arc::new(Mutex::new(0));
+    let modest = |sim: &Sim| {
+        let f = Arc::clone(&finished);
+        sim.spawn(a, move |ctx| {
+            ctx.charge(5);
+            ctx.charge(5);
+            *f.lock() += 1;
+        });
+    };
+    sim.spawn(a, |ctx| loop {
+        ctx.charge(5);
+    });
+    // Leaves one unit unspent, right before the machine's twenty charges.
+    modest(&sim);
+    let resumes = Arc::new(Mutex::new(0));
+    let machine = Charger {
+        n: 10,
+        resumes: Arc::clone(&resumes),
+    };
+    sim.spawn_vproc(a, Box::new(machine));
+    modest(&sim);
+    let r = sim.run_until_idle();
+    assert_eq!(*resumes.lock(), 2, "twenty charges, two units");
+    assert_eq!(*finished.lock(), 2);
+    assert_eq!((r.blocked, r.fuel_exhausted), (0, 1));
+    assert_eq!(r.fuel_used, 3 + 2 + (20 + 2 + 1) + 2);
+    assert_eq!(r.sched_hash, 5_338_088_315_399_216_686);
+}

@@ -1,7 +1,8 @@
 //! The warm null call, per stack, for the tests that pin what one costs:
 //! inline, cell entries (`tests/cell_entries.rs`) and allocations
-//! (`tests/alloc_per_call.rs`); under the scheduler, events, fuel and live
-//! processes (`tests/events_per_call.rs`).
+//! (`tests/alloc_per_call.rs`); under the scheduler, events, fuel, live
+//! processes, context switches and coroutines started
+//! (`tests/events_per_call.rs`).
 
 use std::sync::Arc;
 
@@ -12,7 +13,7 @@ use xkernel::addr::IpAddr;
 use xkernel::graph::ProtocolRegistry;
 use xkernel::kernel::Kernel;
 use xkernel::sim::{Ctx, SimConfig};
-use xrpc::procs::NULL_PROC;
+use xrpc::procs::{NULL_PROC, SINK_PROC};
 use xrpc::stacks::{StackDef, L_RPC_VIP, L_RPC_VIPSIZE, M_RPC_ETH, M_RPC_IP, M_RPC_VIP};
 
 /// The five stacks of the paper's Tables I and II.
@@ -134,4 +135,57 @@ pub fn paper_scheduled_null_call(stack: StackDef) -> Scheduled {
 /// One warm null call on SUNRPC-UDP under the event scheduler.
 pub fn sun_rpc_scheduled_null_call() -> Scheduled {
     third_scheduled_call(&sun_testbed(SimConfig::scheduled()), sun_call)
+}
+
+/// Context switches made and coroutines started (`xkernel::vproc::counts`).
+#[derive(Debug, PartialEq, Eq)]
+pub struct Switched {
+    pub switches: u64,
+    pub starts: u64,
+}
+
+/// Warms `tb` with two calls, each a run of its own, then has one client
+/// process make `n` calls in a single run and reports what that run cost
+/// in switches and coroutines.
+fn calls_in_one_run(
+    tb: &TwoHosts,
+    n: u64,
+    call: impl Fn(&Ctx, &Arc<Kernel>, IpAddr) + Clone + Send + 'static,
+) -> Switched {
+    let server = tb.server_ip;
+    let run = |calls: u64| {
+        let call = call.clone();
+        tb.sim.spawn(tb.client.host(), move |ctx| {
+            for _ in 0..calls {
+                call(ctx, &ctx.kernel(), server);
+            }
+        });
+        let before = xkernel::vproc::counts();
+        assert_eq!(tb.sim.run_until_idle().blocked, 0);
+        let after = xkernel::vproc::counts();
+        Switched {
+            switches: after.0 - before.0,
+            starts: after.1 - before.1,
+        }
+    };
+    run(1);
+    run(1);
+    run(n)
+}
+
+/// `n` warm calls of `size` bytes (none: the null call; else to the sink
+/// procedure) from one client process on `stack`, in one scheduled run.
+pub fn paper_scheduled_calls(stack: StackDef, n: u64, size: usize) -> Switched {
+    let tb = paper_testbed(SimConfig::scheduled(), stack);
+    let proc = if size == 0 { NULL_PROC } else { SINK_PROC };
+    calls_in_one_run(&tb, n, move |ctx, client, server| {
+        let reply = xrpc::call(ctx, client, stack.entry, server, proc, vec![7; size]);
+        assert_eq!(reply.expect("call completes"), Vec::<u8>::new());
+    })
+}
+
+/// `n` warm null calls from one client process on SUNRPC-UDP, in one
+/// scheduled run.
+pub fn sun_rpc_scheduled_calls(n: u64) -> Switched {
+    calls_in_one_run(&sun_testbed(SimConfig::scheduled()), n, sun_call)
 }
