@@ -10,16 +10,15 @@
 //!    creation at every level) versus the steady state the paper's
 //!    "cache open sessions" efficiency rule buys.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use inet::testbed::two_hosts;
-use xbench::{ms, print_row, print_table_header, registry, LATENCY_ITERS, WARMUP_ITERS};
 use xkernel::msg::HeaderPolicy;
 use xkernel::prelude::*;
 use xkernel::sim::SimConfig;
 use xrpc::procs::NULL_PROC;
+
+use crate::{ms, print_row, print_table_header, registry, LATENCY_ITERS, WARMUP_ITERS};
 
 /// Latency of a null RPC through L_RPC-VIP with `extra` null layers wedged
 /// between SELECT and CHANNEL, and the given message header policy.
@@ -57,15 +56,16 @@ fn latency_with(extra_layers: usize, policy: HeaderPolicy) -> u64 {
         for _ in 0..LATENCY_ITERS {
             call(ctx);
         }
-        *o2.lock() = (ctx.now() - t0) / LATENCY_ITERS as u64;
+        *o2.lock().unwrap() = (ctx.now() - t0) / LATENCY_ITERS as u64;
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
-    let v = *out.lock();
+    let v = *out.lock().unwrap();
     v
 }
 
-fn main() {
+/// Prints the three §5 ablation tables.
+pub fn run() {
     // 1. Buffer management.
     print_table_header(
         "Ablation 1: header buffer management (paper: 0.11 vs 0.50 msec/layer floor)",
@@ -137,11 +137,11 @@ fn main() {
         for _ in 0..4 {
             let t0 = ctx.now();
             xrpc::call(ctx, &k, "select", server_ip, NULL_PROC, Vec::new()).unwrap();
-            s2.lock().push(ctx.now() - t0);
+            s2.lock().unwrap().push(ctx.now() - t0);
         }
     });
     tb.sim.run_until_idle();
-    let got = samples.lock();
+    let got = samples.lock().unwrap();
     print_row(&["first (cold: opens + ARP)".into(), ms(got[0])]);
     print_row(&["second".into(), ms(got[1])]);
     print_row(&["steady state".into(), ms(got[3])]);

@@ -2,18 +2,17 @@
 //! versus SunOS 4.0 sockets (5.36 msec), and the §3.1 figure that the IP
 //! layer costs 0.37 msec per RPC round trip.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use inet::testbed::two_hosts;
 use inet::with_concrete;
-use xbench::{
-    ms, print_row, print_table_header, registry, rpc_latency, LATENCY_ITERS, WARMUP_ITERS,
-};
 use xkernel::prelude::*;
 use xkernel::sim::SimConfig;
 use xrpc::stacks::{M_RPC_ETH, M_RPC_IP};
+
+use crate::{
+    ms, print_row, print_table_header, registry, rpc_latency, LATENCY_ITERS, WARMUP_ITERS,
+};
 
 /// UDP echo round trip using a pinger-style responder above UDP.
 fn udp_latency(handicapped: bool) -> u64 {
@@ -135,16 +134,17 @@ fn udp_latency(handicapped: bool) -> u64 {
             sess.push(ctx, ping()).unwrap();
             assert!(sema.p_timeout(ctx, 1_000_000_000));
         }
-        *o2.lock() = (ctx.now() - t0) / LATENCY_ITERS as u64;
+        *o2.lock().unwrap() = (ctx.now() - t0) / LATENCY_ITERS as u64;
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
     let _ = with_concrete::<inet::udp::Udp, ()>(&tb.client, "udp", |_| ());
-    let v = *out.lock();
+    let v = *out.lock().unwrap();
     v
 }
 
-fn main() {
+/// Prints the §1 / §3.1 motivating numbers.
+pub fn run() {
     print_table_header(
         "Sec 1 / 3.1: motivating numbers (paper in parentheses)",
         &["Measurement", "msec"],

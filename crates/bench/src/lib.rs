@@ -1,10 +1,11 @@
 //! # xbench — the experiment harness
 //!
 //! Regenerates every table and figure in the paper's evaluation section.
-//! Each `src/bin/*` binary prints one table, with the paper's values beside
-//! ours. Everything here reports **virtual** time; how fast the simulator
-//! itself runs on the host is `benchmark/`'s job, and nothing in this crate
-//! reads the host's clock.
+//! One binary, `xbench <subcommand>` ([`cli`]): each of [`tables`], [`intro`]
+//! and [`ablations`] prints a table with the paper's values beside ours, and
+//! [`load`] and [`prof`] write the load and profile reports. Everything here
+//! reports **virtual** time; how fast the simulator itself runs on the host
+//! is `benchmark/`'s job, and nothing in this crate reads the host's clock.
 //!
 //! Methodology mirrors §4: the latency test is "the round trip delay for
 //! invoking a null procedure with null request and reply messages"; the
@@ -16,11 +17,16 @@
 //! [`xkernel::cost::CostModel::sun3_75`] and is shared by every experiment.
 
 #![warn(missing_docs)]
+#![warn(clippy::disallowed_types)]
 
-use std::fmt::Write as _;
-use std::sync::Arc;
+pub mod ablations;
+pub mod cli;
+pub mod intro;
+pub mod load;
+pub mod prof;
+pub mod tables;
 
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use inet::testbed::two_hosts;
 use inet::with_concrete;
@@ -108,11 +114,15 @@ fn measure_window(
         let window = ctx.now() - t0;
         // Capture the ledger *here*, before process teardown and the final
         // scheduler drain can attribute anything past the window's end.
-        *o2.lock() = Some((window, ctx.cost_breakdown(), sim2.folded()));
+        *o2.lock().unwrap() = Some((window, ctx.cost_breakdown(), sim2.folded()));
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0, "measured run must drain");
-    let (window_ns, breakdown, folded) = out.lock().take().expect("client captured the window");
+    let (window_ns, breakdown, folded) = out
+        .lock()
+        .unwrap()
+        .take()
+        .expect("client captured the window");
     TracedLatency {
         latency_ns: window_ns / iters as u64,
         window_ns,
@@ -205,13 +215,13 @@ pub fn pinger_latency(graph: &str, lower: &str) -> u64 {
         with_concrete::<Pinger, _>(&ctx.kernel(), "pinger", |p| {
             p.run_series(ctx, server_ip, WARMUP_ITERS, 0).unwrap();
             let total = p.run_series(ctx, server_ip, LATENCY_ITERS, 0).unwrap();
-            *o2.lock() = total / LATENCY_ITERS as u64;
+            *o2.lock().unwrap() = total / LATENCY_ITERS as u64;
         })
         .unwrap();
     });
     let r = sim.run_until_idle();
     assert_eq!(r.blocked, 0, "pinger run must drain");
-    let v = *out.lock();
+    let v = *out.lock().unwrap();
     v
 }
 
@@ -239,44 +249,4 @@ pub fn print_row(cells: &[String]) {
         line.push_str(&format!("{c:>24}"));
     }
     println!("{line}");
-}
-
-/// Escapes a string for JSON (the report binaries emit stack, layer and
-/// generator names).
-pub fn js(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Self-check a report binary runs before writing its JSON: every name in
-/// `fields` occurs as a key, brackets balance, and the schema tag is
-/// `schema`. `ci.sh` greps the written file for the same field lists, so a
-/// field can't silently vanish from either side.
-pub fn validate(json: &str, schema: &str, fields: &[&str]) -> Result<(), String> {
-    for f in fields {
-        if !json.contains(&format!("\"{f}\"")) {
-            return Err(format!("missing required field \"{f}\""));
-        }
-    }
-    let opens = json.matches(['{', '[']).count();
-    let closes = json.matches(['}', ']']).count();
-    if opens != closes {
-        return Err(format!("unbalanced brackets: {opens} open, {closes} close"));
-    }
-    if !json.contains(&format!("\"schema\": \"{schema}\"")) {
-        return Err(format!("schema tag is not {schema}"));
-    }
-    Ok(())
 }

@@ -30,6 +30,8 @@
 //! *independent* of the simulation's own PRNG: the schedule a seed denotes
 //! never changes when a protocol consumes more or fewer random draws.
 
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 

@@ -2,12 +2,15 @@
 //! invariant, the adaptive-vs-fixed retransmission comparison, and server
 //! crash/restart survival.
 //!
+//! Every soak scenario runs twice (`checked`): pooled and unfuelled, then on
+//! a rig of its own under a fuel watchdog, which no process may reach and
+//! which must leave the report `Eq` to the first — a protocol that spins is a
+//! named failure at a fixed event, not a hung `cargo test`.
+//!
 //! Any failure here is reproducible from its assertion message: the
 //! scenario label carries the stack, profile, and seed.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use chaos::{warm_arp, ChaosReport, Profile, RunOpts, Scenario, StackKind};
 use inet::testbed::{base_registry, two_hosts, TwoHosts};
@@ -214,7 +217,7 @@ fn measure(graph: &str, seed: u64, sched: FaultSchedule, calls: u32) -> (u32, u6
             ) {
                 Ok(r) => {
                     assert_eq!(r, body, "echo integrity");
-                    *d2.lock() += 1;
+                    *d2.lock().unwrap() += 1;
                 }
                 Err(e) => eprintln!("call {i} failed: {e}"),
             }
@@ -223,7 +226,7 @@ fn measure(graph: &str, seed: u64, sched: FaultSchedule, calls: u32) -> (u32, u6
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
     let client = r.hosts[0];
-    let completed = *done.lock();
+    let completed = *done.lock().unwrap();
     (
         completed,
         client.retransmits,
@@ -288,7 +291,7 @@ fn client_survives_server_crash_and_restart_mid_conversation() {
     let executed = Arc::new(Mutex::new(0u32));
     let e2 = Arc::clone(&executed);
     xrpc::serve(&tb.server, "select", 7, move |_ctx, msg| {
-        *e2.lock() += 1;
+        *e2.lock().unwrap() += 1;
         Ok(msg)
     })
     .expect("serve");
@@ -309,7 +312,7 @@ fn client_survives_server_crash_and_restart_mid_conversation() {
         for (i, gap) in [(1u8, 50_000_000u64), (2, 10_000_000), (3, 0)] {
             let body = vec![i; 32];
             let r = xrpc::call(ctx, &k, "select", server_ip, 7, body).expect("call survives");
-            r2.lock().push(r);
+            r2.lock().unwrap().push(r);
             ctx.sleep(gap);
         }
     });
@@ -318,12 +321,16 @@ fn client_survives_server_crash_and_restart_mid_conversation() {
 
     // All three calls completed with correct replies; the crashed call
     // executed exactly once on the restarted server.
-    let got = replies.lock();
+    let got = replies.lock().unwrap();
     assert_eq!(got.len(), 3);
     for (i, r) in got.iter().enumerate() {
         assert_eq!(*r, vec![i as u8 + 1; 32]);
     }
-    assert_eq!(*executed.lock(), 3, "at-most-once across the reboot");
+    assert_eq!(
+        *executed.lock().unwrap(),
+        3,
+        "at-most-once across the reboot"
+    );
 
     // The kernel really rebooted, and the client really retransmitted.
     assert_eq!(tb.sim.boot_epoch(server_host), 1);

@@ -6,9 +6,7 @@
 //! reply (no corrupt surfaces), and the IP counters must show the
 //! machinery actually engaged on every hop.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use chaos::{body_from_tag, Profile};
 use inet::ip::{Ip, IpStats};
@@ -85,13 +83,13 @@ fn run(seed: u64) -> (u64, [IpStats; 3], RunReport) {
             let r = xrpc::call(ctx, &k, "mrpc", server_ip, ECHO_PROC, body.clone())
                 .expect("call rides out the loss on retransmission");
             assert_eq!(r, body, "reply must be byte-identical (call {i})");
-            *c2.lock() += 1;
+            *c2.lock().unwrap() += 1;
             ctx.sleep(12_000_000);
         }
     });
     let report = tb.sim.run_until_idle();
     assert_eq!(report.blocked, 0);
-    let done = *completed.lock();
+    let done = *completed.lock().unwrap();
     let stats = [ip_stats(&client), ip_stats(&tb.router), ip_stats(&server)];
     (done, stats, report)
 }

@@ -154,14 +154,14 @@ fn request_reply_rto_state_re_cold_seeds_on_reboot() {
 }
 
 /// What the processes of the kill test did, in order.
-type Log = std::sync::Arc<parking_lot::Mutex<Vec<&'static str>>>;
+type Log = std::sync::Arc<std::sync::Mutex<Vec<&'static str>>>;
 
 /// Logs when dropped: a killed process's frames unwind through it.
 struct Frame(Log, &'static str);
 
 impl Drop for Frame {
     fn drop(&mut self) {
-        self.0.lock().push(self.1);
+        self.0.lock().unwrap().push(self.1);
     }
 }
 
@@ -189,7 +189,7 @@ fn a_process_killed_mid_call_leaves_every_cell_free() {
     xrpc::serve(&tb.server, "select", 8, move |ctx, msg| {
         let _frame = Frame(l.clone(), "handler dropped");
         ctx.sleep(50_000_000);
-        l.lock().push("handler returned");
+        l.lock().unwrap().push("handler returned");
         Ok(msg)
     })
     .expect("serve");
@@ -214,20 +214,20 @@ fn a_process_killed_mid_call_leaves_every_cell_free() {
         (tb.client.host(), "caller dropped"),
         (tb.server.host(), "handler dropped"),
     ] {
-        log.lock().clear();
+        log.lock().unwrap().clear();
         let l = log.clone();
         tb.sim.spawn(tb.client.host(), move |ctx| {
             let _frame = Frame(l.clone(), "caller dropped");
             // Whatever a server crash makes of the call, the caller gets it.
             let _ = call(ctx, 8);
-            l.lock().push("caller returned");
+            l.lock().unwrap().push("caller returned");
         });
         // 10 ms in, the request has arrived and the handler is asleep.
         let t = tb.sim.ctx(victim).event_time();
         tb.sim.crash_at(t + 10_000_000, victim);
         tb.sim.restart_at(t + 20_000_000, victim);
         assert_eq!(tb.sim.run_until_idle().blocked, 0);
-        let seen = std::mem::take(&mut *log.lock());
+        let seen = std::mem::take(&mut *log.lock().unwrap());
         // A frame that returns logs that first; the first thing logged is
         // a bare drop, so the crash unwound it in mid-call.
         assert_eq!(seen.first(), Some(&killed), "{seen:?}");
@@ -235,9 +235,13 @@ fn a_process_killed_mid_call_leaves_every_cell_free() {
         let l = log.clone();
         tb.sim.spawn(tb.client.host(), move |ctx| {
             assert_eq!(call(ctx, 7).expect("post-reboot call"), vec![7; 16]);
-            l.lock().push("next call done");
+            l.lock().unwrap().push("next call done");
         });
         assert_eq!(tb.sim.run_until_idle().blocked, 0);
-        assert_eq!(*log.lock(), ["next call done"], "a cell stayed held");
+        assert_eq!(
+            *log.lock().unwrap(),
+            ["next call done"],
+            "a cell stayed held"
+        );
     }
 }

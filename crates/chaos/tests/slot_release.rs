@@ -9,9 +9,7 @@
 //! exclusivity assertion (M_RPC), or match a late reply to a dead
 //! transaction (REQUEST_REPLY).
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use inet::testbed::{two_hosts, TwoHosts};
 use inet::with_concrete;
@@ -86,14 +84,15 @@ fn on_client<T: Send + 'static>(
 ) -> (T, HostStats) {
     let out = Arc::new(Mutex::new(None));
     let o2 = Arc::clone(&out);
-    tb.sim
-        .spawn(tb.client.host(), move |ctx| *o2.lock() = Some(f(ctx)));
+    tb.sim.spawn(tb.client.host(), move |ctx| {
+        *o2.lock().unwrap() = Some(f(ctx))
+    });
     assert_eq!(
         tb.sim.run_until_idle().blocked,
         0,
         "a process stayed blocked"
     );
-    let v = out.lock().take().expect("client process ran");
+    let v = out.lock().unwrap().take().expect("client process ran");
     (v, tb.sim.host_stats(tb.client.host()))
 }
 

@@ -260,7 +260,7 @@ type ServerKey = (PeerKey, u16, u32);
 impl Channel {
     /// Creates CHANNEL above `lower` (FRAGMENT, a virtual protocol, IP, or
     /// raw ETH — anything that can move one packet unreliably). `adaptive`
-    /// picks the SRTT/RTTVAR retransmission timeout ([`crate::rto`]) over
+    /// picks the SRTT/RTTVAR retransmission timeout ([`txn::RtoPolicy`]) over
     /// the paper's fixed step function, which then only seeds it.
     pub fn new(me: ProtoId, lower: ProtoId, adaptive: bool) -> Arc<Channel> {
         Arc::new_cyclic(|weak_self| Channel {

@@ -72,6 +72,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
 
 pub mod channel;
 pub mod contracts;

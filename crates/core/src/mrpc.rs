@@ -35,7 +35,7 @@ use crate::txn::{self, Arrival, AtMostOnce, Incarnation, Poll, PoolSnap};
 pub const MAX_FRAGS: usize = 16;
 
 /// Configuration. The retransmission timer is the paper's step function,
-/// fixed: [`txn::BASE_TIMEOUT_NS`], [`txn::PER_FRAG_NS`],
+/// fixed: [`txn::BASE_TIMEOUT_NS`] plus [`txn::frag_allowance`], and
 /// [`txn::MAX_RETRIES`].
 #[derive(Clone, Copy, Debug)]
 pub struct MrpcConfig {

@@ -117,6 +117,7 @@ pub fn backoff_rto(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // `backoff_rto`'s own unit tests call it
 mod tests {
     use super::*;
 

@@ -3,9 +3,7 @@
 //! protocol with large messages (both sessions open), and the step-function
 //! timeout plumbing.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use inet::testbed::{base_registry, two_hosts, TwoHosts};
 use inet::with_concrete;
@@ -74,7 +72,7 @@ fn slow_server_elicits_explicit_ack_not_reexecution() {
     let h2 = Arc::clone(&hits);
     let base = xrpc::txn::BASE_TIMEOUT_NS;
     xrpc::serve(&tb.server, "select", 5, move |ctx, _| {
-        *h2.lock() += 1;
+        *h2.lock().unwrap() += 1;
         ctx.sleep(base * 3); // Three timeout periods of "work".
         Ok(ctx.empty_msg())
     })
@@ -91,15 +89,15 @@ fn slow_server_elicits_explicit_ack_not_reexecution() {
         let k = ctx.kernel();
         let t0 = ctx.now();
         xrpc::call(ctx, &k, "select", server_ip, 5, Vec::new()).unwrap();
-        *e2.lock() = ctx.now() - t0;
-        *d2.lock() = true;
+        *e2.lock().unwrap() = ctx.now() - t0;
+        *d2.lock().unwrap() = true;
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
-    assert!(*done.lock(), "the slow call completed");
-    assert_eq!(*hits.lock(), 1, "the ACK suppressed re-execution");
+    assert!(*done.lock().unwrap(), "the slow call completed");
+    assert_eq!(*hits.lock().unwrap(), 1, "the ACK suppressed re-execution");
     assert!(
-        *elapsed.lock() >= base * 3,
+        *elapsed.lock().unwrap() >= base * 3,
         "the client genuinely waited through the service time"
     );
 }
@@ -141,7 +139,7 @@ fn mrpc_recovers_multifragment_request_exactly_once() {
     let hits = Arc::new(Mutex::new(0u32));
     let h2 = Arc::clone(&hits);
     xrpc::serve(&tb.server, "mrpc", 5, move |_ctx, msg| {
-        *h2.lock() += 1;
+        *h2.lock().unwrap() += 1;
         Ok(msg)
     })
     .unwrap();
@@ -159,16 +157,16 @@ fn mrpc_recovers_multifragment_request_exactly_once() {
         let k = ctx.kernel();
         let body: Vec<u8> = (0..8000).map(|i| (i % 251) as u8).collect();
         let echoed = xrpc::call(ctx, &k, "mrpc", server_ip, 5, body.clone()).unwrap();
-        *o2.lock() = Some(echoed);
+        *o2.lock().unwrap() = Some(echoed);
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
     assert_eq!(
-        out.lock().take().unwrap().len(),
+        out.lock().unwrap().take().unwrap().len(),
         8000,
         "full echo despite the dropped fragment"
     );
-    assert_eq!(*hits.lock(), 1, "executed exactly once");
+    assert_eq!(*hits.lock().unwrap(), 1, "executed exactly once");
     // Recovery budget: 6 request frags (1 lost) + full retransmit round
     // bounded by 6 + ACK traffic + 6 reply frags. Anything wildly above
     // means the partial-retransmission machinery regressed.
@@ -187,7 +185,7 @@ fn mrpc_duplicate_reply_suppressed_after_reply_loss() {
     let hits = Arc::new(Mutex::new(0u32));
     let h2 = Arc::clone(&hits);
     xrpc::serve(&tb.server, "mrpc", 5, move |ctx, _| {
-        *h2.lock() += 1;
+        *h2.lock().unwrap() += 1;
         Ok(ctx.msg(b"result".to_vec()))
     })
     .unwrap();
@@ -204,11 +202,15 @@ fn mrpc_duplicate_reply_suppressed_after_reply_loss() {
     tb.sim.spawn(tb.client.host(), move |ctx| {
         let k = ctx.kernel();
         let got = xrpc::call(ctx, &k, "mrpc", server_ip, 5, Vec::new()).unwrap();
-        *o2.lock() = Some(got);
+        *o2.lock().unwrap() = Some(got);
     });
     tb.sim.run_until_idle();
-    assert_eq!(out.lock().take().unwrap(), b"result");
-    assert_eq!(*hits.lock(), 1, "saved reply resent; no re-execution");
+    assert_eq!(out.lock().unwrap().take().unwrap(), b"result");
+    assert_eq!(
+        *hits.lock().unwrap(),
+        1,
+        "saved reply resent; no re-execution"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -239,7 +241,7 @@ fn vip_opens_both_sessions_for_udp_and_routes_by_size() {
             Ok(())
         }
         fn demux(&self, _ctx: &Ctx, _lls: &SessionRef, msg: Message) -> XResult<()> {
-            self.got.lock().push(msg.len());
+            self.got.lock().unwrap().push(msg.len());
             Ok(())
         }
         fn as_any(&self) -> &dyn std::any::Any {
@@ -277,9 +279,10 @@ fn vip_opens_both_sessions_for_udp_and_routes_by_size() {
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
-    let got =
-        inet::with_concrete::<Recorder, _>(&tb.server, "recorder", |rc| rc.got.lock().clone())
-            .unwrap();
+    let got = inet::with_concrete::<Recorder, _>(&tb.server, "recorder", |rc| {
+        rc.got.lock().unwrap().clone()
+    })
+    .unwrap();
     assert_eq!(got, vec![100, 6000], "both sizes delivered intact");
     let notes = tb.sim.trace_notes();
     assert!(
@@ -307,14 +310,14 @@ fn forwarding_to_dead_backend_reports_remote_error() {
     let e2 = Arc::clone(&err);
     tb.sim.spawn(tb.client.host(), move |ctx| {
         let k = ctx.kernel();
-        *e2.lock() = xrpc::call(ctx, &k, "select", server_ip, 9, Vec::new()).err();
+        *e2.lock().unwrap() = xrpc::call(ctx, &k, "select", server_ip, 9, Vec::new()).err();
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
     assert!(
-        matches!(*err.lock(), Some(XError::Remote(_))),
+        matches!(*err.lock().unwrap(), Some(XError::Remote(_))),
         "forward failure surfaces as a remote status, got {:?}",
-        err.lock()
+        err.lock().unwrap()
     );
 }
 
@@ -333,13 +336,14 @@ fn messages_beyond_sixteen_fragments_are_rejected_cleanly() {
     tb.sim.spawn(tb.client.host(), move |ctx| {
         let k = ctx.kernel();
         // Far beyond 16 fragments of ~1.4k.
-        *e2.lock() = xrpc::call(ctx, &k, "select", server_ip, ECHO_PROC, vec![0u8; 64_000]).err();
+        *e2.lock().unwrap() =
+            xrpc::call(ctx, &k, "select", server_ip, ECHO_PROC, vec![0u8; 64_000]).err();
     });
     tb.sim.run_until_idle();
     assert!(
-        matches!(*err.lock(), Some(XError::TooBig { .. })),
+        matches!(*err.lock().unwrap(), Some(XError::TooBig { .. })),
         "got {:?}",
-        err.lock()
+        err.lock().unwrap()
     );
 }
 
@@ -398,11 +402,11 @@ fn set_timeout_and_peer_boot_id_controls() {
             .u32()
             .unwrap();
         assert_eq!(observed, server_boot, "peer boot id learned from replies");
-        *d2.lock() = true;
+        *d2.lock().unwrap() = true;
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
-    assert!(*done.lock());
+    assert!(*done.lock().unwrap());
 }
 
 // ---------------------------------------------------------------------------
@@ -415,7 +419,7 @@ fn channel_resends_saved_reply_without_reexecution() {
     let hits = Arc::new(Mutex::new(0u32));
     let h2 = Arc::clone(&hits);
     xrpc::serve(&tb.server, "select", 5, move |ctx, _| {
-        *h2.lock() += 1;
+        *h2.lock().unwrap() += 1;
         Ok(ctx.msg(b"layered result".to_vec()))
     })
     .unwrap();
@@ -432,11 +436,11 @@ fn channel_resends_saved_reply_without_reexecution() {
     tb.sim.spawn(tb.client.host(), move |ctx| {
         let k = ctx.kernel();
         let got = xrpc::call(ctx, &k, "select", server_ip, 5, Vec::new()).unwrap();
-        *o2.lock() = Some(got);
+        *o2.lock().unwrap() = Some(got);
     });
     tb.sim.run_until_idle();
-    assert_eq!(out.lock().take().unwrap(), b"layered result");
-    assert_eq!(*hits.lock(), 1, "CHANNEL resent its saved reply");
+    assert_eq!(out.lock().unwrap().take().unwrap(), b"layered result");
+    assert_eq!(*hits.lock().unwrap(), 1, "CHANNEL resent its saved reply");
     // The resend is visible in the robustness counters: the client's timer
     // fired and retransmitted; the server recognised the old sequence
     // number and answered from the saved reply instead of re-executing.
@@ -459,7 +463,7 @@ fn channel_suppresses_duplicate_faulted_requests() {
     let hits = Arc::new(Mutex::new(0u32));
     let h2 = Arc::clone(&hits);
     xrpc::serve(&tb.server, "select", 5, move |_ctx, msg| {
-        *h2.lock() += 1;
+        *h2.lock().unwrap() += 1;
         Ok(msg)
     })
     .unwrap();
@@ -486,7 +490,7 @@ fn channel_suppresses_duplicate_faulted_requests() {
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
     assert_eq!(
-        *hits.lock(),
+        *hits.lock().unwrap(),
         calls,
         "at-most-once despite duplicated requests"
     );
@@ -571,11 +575,11 @@ fn jittered_wire_is_still_deterministic() {
             for _ in 0..6 {
                 xrpc::call(ctx, &k, "select", server_ip, ECHO_PROC, vec![7u8; 3000]).unwrap();
             }
-            *d2.lock() = 6;
+            *d2.lock().unwrap() = 6;
         });
         let r = tb.sim.run_until_idle();
         assert_eq!(r.blocked, 0);
-        let count = *done.lock();
+        let count = *done.lock().unwrap();
         (r.ended_at, count)
     }
     assert_eq!(run(1234), run(1234), "same seed, same jittered schedule");

@@ -5,9 +5,7 @@
 //! blocking, forwarding SELECT, reliable datagrams, and the virtual
 //! protocols' routing decisions.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use inet::testbed::{base_registry, lan_hosts, routed_pair, two_hosts, TwoHosts};
 use inet::with_concrete;
@@ -69,11 +67,11 @@ fn null_and_echo(stack: &'static StackDef, mode: Mode) {
     run_client(&tb, move |ctx| {
         let k = ctx.kernel();
         let null = xrpc::call(ctx, &k, entry, server_ip, NULL_PROC, Vec::new()).unwrap();
-        r2.lock().push(null);
+        r2.lock().unwrap().push(null);
         let echoed = xrpc::call(ctx, &k, entry, server_ip, ECHO_PROC, pattern(300)).unwrap();
-        r2.lock().push(echoed);
+        r2.lock().unwrap().push(echoed);
     });
-    let got = results.lock();
+    let got = results.lock().unwrap();
     assert_eq!(got[0], Vec::<u8>::new(), "{}: null reply", stack.name);
     assert_eq!(got[1], pattern(300), "{}: echo reply", stack.name);
 }
@@ -105,10 +103,10 @@ fn large_echo(stack: &'static StackDef, size: usize, mode: Mode) {
     run_client(&tb, move |ctx| {
         let k = ctx.kernel();
         let echoed = xrpc::call(ctx, &k, entry, server_ip, ECHO_PROC, pattern(size)).unwrap();
-        *o2.lock() = Some(echoed);
+        *o2.lock().unwrap() = Some(echoed);
     });
     assert_eq!(
-        out.lock().take().unwrap(),
+        out.lock().unwrap().take().unwrap(),
         pattern(size),
         "{}: {size}-byte echo",
         stack.name
@@ -158,7 +156,7 @@ fn at_most_once(stack: &'static StackDef, faults: FaultPlan, calls: usize) {
     let counter = Arc::new(Mutex::new(0u32));
     let c2 = Arc::clone(&counter);
     xrpc::serve(&tb.server, entry, 7, move |_ctx, _msg| {
-        let mut c = c2.lock();
+        let mut c = c2.lock().unwrap();
         *c += 1;
         Ok(Message::from_user(c.to_be_bytes().to_vec()))
     })
@@ -171,16 +169,18 @@ fn at_most_once(stack: &'static StackDef, faults: FaultPlan, calls: usize) {
         let k = ctx.kernel();
         for _ in 0..calls {
             let r = xrpc::call(ctx, &k, entry, server_ip, 7, vec![1, 2, 3]).unwrap();
-            s2.lock().push(u32::from_be_bytes([r[0], r[1], r[2], r[3]]));
+            s2.lock()
+                .unwrap()
+                .push(u32::from_be_bytes([r[0], r[1], r[2], r[3]]));
         }
     });
     assert_eq!(
-        *counter.lock(),
+        *counter.lock().unwrap(),
         calls as u32,
         "{}: each request executed exactly once despite retransmissions",
         stack.name
     );
-    let replies = seen.lock();
+    let replies = seen.lock().unwrap();
     assert_eq!(
         *replies,
         (1..=calls as u32).collect::<Vec<_>>(),
@@ -232,12 +232,12 @@ fn unreachable_server_times_out_cleanly() {
         let k = ctx.kernel();
         xrpc::call(ctx, &k, "select", server_ip, NULL_PROC, Vec::new()).unwrap();
         net.set_faults(lan, FaultPlan::lossy(1000));
-        *e2.lock() = xrpc::call(ctx, &k, "select", server_ip, NULL_PROC, Vec::new()).err();
+        *e2.lock().unwrap() = xrpc::call(ctx, &k, "select", server_ip, NULL_PROC, Vec::new()).err();
     });
     assert!(
-        matches!(*err.lock(), Some(XError::Timeout(_))),
+        matches!(*err.lock().unwrap(), Some(XError::Timeout(_))),
         "black-holed RPC must time out, got {:?}",
-        err.lock()
+        err.lock().unwrap()
     );
 }
 
@@ -249,9 +249,9 @@ fn unknown_procedure_is_a_fast_remote_error() {
     let e2 = Arc::clone(&err);
     run_client(&tb, move |ctx| {
         let k = ctx.kernel();
-        *e2.lock() = xrpc::call(ctx, &k, "select", server_ip, 999, Vec::new()).err();
+        *e2.lock().unwrap() = xrpc::call(ctx, &k, "select", server_ip, 999, Vec::new()).err();
     });
-    assert!(matches!(*err.lock(), Some(XError::Remote(_))));
+    assert!(matches!(*err.lock().unwrap(), Some(XError::Remote(_))));
 }
 
 // ---------------------------------------------------------------------------
@@ -279,10 +279,10 @@ fn fragment_nack_recovers_dropped_fragment() {
         let k = ctx.kernel();
         let t0 = ctx.now();
         let r = xrpc::call(ctx, &k, "select", server_ip, ECHO_PROC, pattern(8000)).unwrap();
-        *e2.lock() = ctx.now() - t0;
-        *o2.lock() = Some(r);
+        *e2.lock().unwrap() = ctx.now() - t0;
+        *o2.lock().unwrap() = Some(r);
     });
-    assert_eq!(out.lock().take().unwrap(), pattern(8000));
+    assert_eq!(out.lock().unwrap().take().unwrap(), pattern(8000));
     // Persistence, not retransmit-everything: the recovery must be a NACK
     // plus one re-sent fragment, not a full 6-fragment resend. Budget:
     // 6 request frags + nack + 1 resend + 6 echo-reply frags + slack.
@@ -300,7 +300,7 @@ fn fragment_nack_recovers_dropped_fragment() {
         assert_eq!(f.stats().nacks_received, 1);
     })
     .unwrap();
-    let elapsed = *elapsed.lock();
+    let elapsed = *elapsed.lock().unwrap();
     assert!(
         elapsed < xrpc::txn::BASE_TIMEOUT_NS,
         "FRAGMENT recovered below CHANNEL's timeout ({elapsed} ns)"
@@ -403,11 +403,11 @@ fn select_blocks_when_all_channels_busy() {
         tb.sim.spawn(tb.client.host(), move |ctx| {
             let k = ctx.kernel();
             xrpc::call(ctx, &k, "select", server_ip, 5, Vec::new()).unwrap();
-            *d.lock() += 1;
+            *d.lock().unwrap() += 1;
         });
     }
     let r = tb.sim.run_until_idle();
-    assert_eq!(*done.lock(), 5, "all callers eventually complete");
+    assert_eq!(*done.lock().unwrap(), 5, "all callers eventually complete");
     assert_eq!(r.blocked, 0);
     with_concrete::<Select, _>(&tb.client, "select", |s| {
         assert_eq!(
@@ -448,11 +448,11 @@ fn forwarding_select_redirects_to_backend() {
     rig.sim.spawn(h0, move |ctx| {
         let k = ctx.kernel();
         let r = xrpc::call(ctx, &k, "select", frontend_ip, 9, b"hi".to_vec()).unwrap();
-        *o2.lock() = Some(r);
+        *o2.lock().unwrap() = Some(r);
     });
     let r = rig.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
-    assert_eq!(out.lock().take().unwrap(), b"hi!".to_vec());
+    assert_eq!(out.lock().unwrap().take().unwrap(), b"hi!".to_vec());
     // Traffic crossed both hops of the single LAN: client→frontend→backend.
     assert!(rig.net.stats(rig.lan).sent >= 4);
 }
@@ -481,7 +481,7 @@ impl Protocol for Recorder {
         Ok(())
     }
     fn demux(&self, _ctx: &Ctx, _lls: &SessionRef, msg: Message) -> XResult<()> {
-        self.got.lock().push(msg.to_vec());
+        self.got.lock().unwrap().push(msg.to_vec());
         Ok(())
     }
     fn as_any(&self) -> &dyn std::any::Any {
@@ -525,7 +525,8 @@ fn rdgram_delivers_exactly_once_in_order_under_loss() {
         }
     });
     let got =
-        with_concrete::<Recorder, _>(&tb.server, "recorder", |r| r.got.lock().clone()).unwrap();
+        with_concrete::<Recorder, _>(&tb.server, "recorder", |r| r.got.lock().unwrap().clone())
+            .unwrap();
     let expect: Vec<Vec<u8>> = (0..20u8).map(|i| vec![i; 40]).collect();
     assert_eq!(got, expect, "reliable, ordered, exactly-once datagrams");
 }
@@ -566,11 +567,11 @@ fn vip_chooses_ip_for_remote_peer_through_router() {
     rp.sim.spawn(rp.client.host(), move |ctx| {
         let k = ctx.kernel();
         let r = xrpc::call(ctx, &k, "mrpc", server_ip, ECHO_PROC, pattern(64)).unwrap();
-        *o2.lock() = Some(r);
+        *o2.lock().unwrap() = Some(r);
     });
     let r = rp.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
-    assert_eq!(out.lock().take().unwrap(), pattern(64));
+    assert_eq!(out.lock().unwrap().take().unwrap(), pattern(64));
     let notes = rp.sim.trace_notes();
     assert!(
         notes.iter().any(|(_, n)| *n == "open: eth=false ip=true"),
@@ -665,13 +666,13 @@ fn table3_partial_stacks_echo() {
         sim.spawn(client.host(), move |ctx| {
             with_concrete::<Pinger, _>(&ctx.kernel(), "pinger", |p| {
                 let echoed = p.rtt(ctx, server_ip, pattern(32)).unwrap();
-                *o2.lock() = Some(echoed);
+                *o2.lock().unwrap() = Some(echoed);
             })
             .unwrap();
         });
         let r = sim.run_until_idle();
         assert_eq!(r.blocked, 0, "{name}");
-        assert_eq!(out.lock().take().unwrap(), pattern(32), "{name}");
+        assert_eq!(out.lock().unwrap().take().unwrap(), pattern(32), "{name}");
     }
 }
 
@@ -686,7 +687,7 @@ fn client_reincarnation_resets_server_state() {
     let counter = Arc::new(Mutex::new(0u32));
     let c2 = Arc::clone(&counter);
     xrpc::serve(&tb.server, "select", 7, move |_ctx, _msg| {
-        *c2.lock() += 1;
+        *c2.lock().unwrap() += 1;
         Ok(Message::empty())
     })
     .unwrap();
@@ -704,7 +705,7 @@ fn client_reincarnation_resets_server_state() {
         xrpc::call(ctx, &k, "select", server_ip, 7, Vec::new()).unwrap();
         xrpc::call(ctx, &k, "select", server_ip, 7, Vec::new()).unwrap();
     });
-    assert_eq!(*counter.lock(), 3);
+    assert_eq!(*counter.lock().unwrap(), 3);
 }
 
 // ---------------------------------------------------------------------------
@@ -725,11 +726,11 @@ fn whole_run(stack: &StackDef) -> (xkernel::sim::RunReport, simnet::LanStats, Ve
         let k = ctx.kernel();
         for i in 0..25 {
             let reply = xrpc::call(ctx, &k, entry, server_ip, ECHO_PROC, pattern(i * 97));
-            r2.lock().push(reply.expect("echo call"));
+            r2.lock().unwrap().push(reply.expect("echo call"));
         }
     });
     let report = tb.sim.run_until_idle();
-    let replies = std::mem::take(&mut *replies.lock());
+    let replies = std::mem::take(&mut *replies.lock().unwrap());
     (report, tb.net.stats(tb.lan), replies)
 }
 

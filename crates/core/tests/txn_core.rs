@@ -3,9 +3,7 @@
 //! allocator, with no protocol on top.
 
 use std::cell::{Cell, RefCell};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use xkernel::prelude::*;
 use xkernel::sim::{Sim, SimConfig};
@@ -64,7 +62,7 @@ fn exchange(
             },
             || releases.set(releases.get() + 1),
         );
-        *s2.lock() = Seen {
+        *s2.lock().unwrap() = Seen {
             sends: sends.into_inner(),
             polls: polls.get(),
             releases: releases.get(),
@@ -80,7 +78,7 @@ fn exchange(
             assert_eq!(sim.run_until_idle().blocked, 0);
         }
     }
-    let seen = std::mem::take(&mut *seen.lock());
+    let seen = std::mem::take(&mut *seen.lock().unwrap());
     (seen, sim.host_stats(kernel.host()))
 }
 

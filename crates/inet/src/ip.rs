@@ -362,6 +362,9 @@ impl Ip {
         self.weak_self.upgrade().expect("ip protocol alive")
     }
 
+    // clippy.toml bans a std map in protocol code (demux tables are
+    // xkernel::map's); `parts` is one datagram's fragments by offset.
+    #[allow(clippy::disallowed_methods)]
     fn reassemble(&self, ctx: &Ctx, hdr: IpHeader, msg: Message) -> XResult<()> {
         let key = (hdr.src.0, hdr.id, hdr.proto);
         self.stats

@@ -18,6 +18,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
 
 pub mod arp;
 pub mod contracts;

@@ -388,7 +388,9 @@ impl Tcp {
         self.weak_self.upgrade().expect("tcp alive")
     }
 
-    #[allow(clippy::too_many_arguments)]
+    // clippy.toml bans a std map in protocol code (demux tables are
+    // xkernel::map's); `ooo` is one connection's out-of-order segments.
+    #[allow(clippy::too_many_arguments, clippy::disallowed_methods)]
     fn make_conn(
         &self,
         ctx: &Ctx,

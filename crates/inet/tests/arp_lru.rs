@@ -3,9 +3,7 @@
 //! past capacity, and keep answering correctly for evicted peers (at the
 //! price of a fresh wire exchange).
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use inet::arp::Arp;
 use inet::testbed::base_registry;
@@ -79,7 +77,7 @@ fn sweep(seed: u64) -> (Vec<EthAddr>, u64, usize, RunReport) {
             let e = with_concrete::<Arp, _>(&obs, "arp", |a| a.resolve(ctx, peer_ip(i)))
                 .expect("arp downcast")
                 .expect("peer resolves");
-            g2.lock().push(e);
+            g2.lock().unwrap().push(e);
         }
     });
     let run = rig.sim.run_until_idle();
@@ -88,7 +86,10 @@ fn sweep(seed: u64) -> (Vec<EthAddr>, u64, usize, RunReport) {
         (a.cache_evictions(), a.cache_len())
     })
     .expect("arp downcast");
-    let addrs = Arc::try_unwrap(got).expect("sole owner").into_inner();
+    let addrs = Arc::try_unwrap(got)
+        .expect("sole owner")
+        .into_inner()
+        .unwrap();
     (addrs, evictions, len, run)
 }
 

@@ -3,9 +3,7 @@
 //! TCP stream transport.
 
 use std::any::Any;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use inet::arp::Arp;
 use inet::icmp::Icmp;
@@ -45,7 +43,7 @@ impl Protocol for Recorder {
         Ok(())
     }
     fn demux(&self, _ctx: &Ctx, _lls: &SessionRef, msg: Message) -> XResult<()> {
-        self.got.lock().push(msg.to_vec());
+        self.got.lock().unwrap().push(msg.to_vec());
         Ok(())
     }
     fn as_any(&self) -> &dyn Any {
@@ -68,7 +66,7 @@ fn rig(mode: Mode) -> TwoHosts {
 }
 
 fn recorded(k: &Arc<Kernel>) -> Vec<Vec<u8>> {
-    with_concrete::<Recorder, _>(k, "recorder", |r| r.got.lock().clone()).unwrap()
+    with_concrete::<Recorder, _>(k, "recorder", |r| r.got.lock().unwrap().clone()).unwrap()
 }
 
 /// Client sends one UDP datagram to the server's port 9; returns recorded.
@@ -210,13 +208,13 @@ fn arp_resolves_local_host_and_caches() {
         let got = with_concrete::<Arp, _>(&ctx.kernel(), "arp", |a| {
             let e1 = a.resolve(ctx, server_ip).unwrap();
             let e2 = a.resolve(ctx, server_ip).unwrap(); // Cache hit.
-            r2.lock().push(e1);
-            r2.lock().push(e2);
+            r2.lock().unwrap().push(e1);
+            r2.lock().unwrap().push(e2);
         });
         got.unwrap();
     });
     tb.sim.run_until_idle();
-    let r = resolved.lock();
+    let r = resolved.lock().unwrap();
     assert_eq!(r[0], EthAddr::from_index(2));
     assert_eq!(r[0], r[1]);
     // One request + one reply on the wire despite two resolves.
@@ -232,14 +230,17 @@ fn arp_unknown_host_times_out_with_retries() {
     let r2 = Arc::clone(&result);
     tb.sim.spawn(tb.client.host(), move |ctx| {
         with_concrete::<Arp, _>(&ctx.kernel(), "arp", |a| {
-            *r2.lock() = a.resolve(ctx, ghost).err();
+            *r2.lock().unwrap() = a.resolve(ctx, ghost).err();
             // Second attempt hits the negative cache (no extra traffic).
             assert!(a.resolve(ctx, ghost).is_err());
         })
         .unwrap();
     });
     tb.sim.run_until_idle();
-    assert!(matches!(*result.lock(), Some(XError::Unreachable(_))));
+    assert!(matches!(
+        *result.lock().unwrap(),
+        Some(XError::Unreachable(_))
+    ));
     assert_eq!(
         tb.net.stats(tb.lan).sent - stats0,
         u64::from(inet::arp::ARP_RETRIES),
@@ -256,12 +257,12 @@ fn icmp_ping_on_shared_lan() {
     tb.sim.spawn(tb.client.host(), move |ctx| {
         with_concrete::<Icmp, _>(&ctx.kernel(), "icmp", |i| {
             let echoed = i.ping(ctx, server_ip, 56).unwrap();
-            *ok2.lock() = Some(echoed.len());
+            *ok2.lock().unwrap() = Some(echoed.len());
         })
         .unwrap();
     });
     let r = tb.sim.run_until_idle();
-    assert_eq!(*ok.lock(), Some(56));
+    assert_eq!(*ok.lock().unwrap(), Some(56));
     assert_eq!(r.blocked, 0);
 }
 
@@ -274,12 +275,12 @@ fn icmp_ping_through_router() {
     rp.sim.spawn(rp.client.host(), move |ctx| {
         with_concrete::<Icmp, _>(&ctx.kernel(), "icmp", |i| {
             let echoed = i.ping(ctx, server_ip, 32).unwrap();
-            *ok2.lock() = Some(echoed.len());
+            *ok2.lock().unwrap() = Some(echoed.len());
         })
         .unwrap();
     });
     rp.sim.run_until_idle();
-    assert_eq!(*ok.lock(), Some(32));
+    assert_eq!(*ok.lock().unwrap(), Some(32));
     // Traffic must have crossed both LANs.
     assert!(rp.net.stats(rp.lan_a).sent >= 2);
     assert!(rp.net.stats(rp.lan_b).sent >= 2);
@@ -298,20 +299,20 @@ fn concurrent_pingers_with_distinct_ids_do_not_collide() {
     let (a2, b2) = (Arc::clone(&got_a), Arc::clone(&got_b));
     tb.sim.spawn(tb.client.host(), move |ctx| {
         with_concrete::<Icmp, _>(&ctx.kernel(), "icmp", |i| {
-            *a2.lock() = Some(i.ping_with(ctx, server_ip, 24, 1, 7).unwrap());
+            *a2.lock().unwrap() = Some(i.ping_with(ctx, server_ip, 24, 1, 7).unwrap());
         })
         .unwrap();
     });
     tb.sim.spawn(tb.client.host(), move |ctx| {
         with_concrete::<Icmp, _>(&ctx.kernel(), "icmp", |i| {
-            *b2.lock() = Some(i.ping_with(ctx, server_ip, 48, 2, 7).unwrap());
+            *b2.lock().unwrap() = Some(i.ping_with(ctx, server_ip, 48, 2, 7).unwrap());
         })
         .unwrap();
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0, "neither pinger may lose its reply");
-    let a = got_a.lock().take().unwrap();
-    let b = got_b.lock().take().unwrap();
+    let a = got_a.lock().unwrap().take().unwrap();
+    let b = got_b.lock().unwrap().take().unwrap();
     assert_eq!(a.len(), 24, "pinger id=1 got its own 24-byte echo");
     assert_eq!(b.len(), 48, "pinger id=2 got its own 48-byte echo");
 }
@@ -339,16 +340,16 @@ fn icmp_checksum_rejection_is_accounted() {
                     ..FaultPlan::default()
                 },
             );
-            *e2.lock() = i.ping(ctx, server_ip, 16).err();
+            *e2.lock().unwrap() = i.ping(ctx, server_ip, 16).err();
         })
         .unwrap();
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
     assert!(
-        matches!(*errs.lock(), Some(XError::Timeout(_))),
+        matches!(*errs.lock().unwrap(), Some(XError::Timeout(_))),
         "the corrupted echo must vanish, got {:?}",
-        errs.lock()
+        errs.lock().unwrap()
     );
     let server = tb.sim.host_stats(tb.server.host());
     assert!(
@@ -364,13 +365,13 @@ fn ping_fails_cleanly_when_host_absent() {
     let e2 = Arc::clone(&err);
     tb.sim.spawn(tb.client.host(), move |ctx| {
         with_concrete::<Icmp, _>(&ctx.kernel(), "icmp", |i| {
-            *e2.lock() = i.ping(ctx, IpAddr::new(10, 0, 0, 99), 8).err();
+            *e2.lock().unwrap() = i.ping(ctx, IpAddr::new(10, 0, 0, 99), 8).err();
         })
         .unwrap();
     });
     tb.sim.run_until_idle();
     // ARP cannot resolve the ghost → Unreachable surfaces from the open.
-    assert!(err.lock().is_some());
+    assert!(err.lock().unwrap().is_some());
 }
 
 // ---------------------------------------------------------------------------
@@ -405,7 +406,7 @@ fn tcp_connect_send_recv() {
                     break;
                 }
             }
-            *r2.lock() = all;
+            *r2.lock().unwrap() = all;
         })
         .unwrap();
     });
@@ -422,7 +423,7 @@ fn tcp_connect_send_recv() {
 
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
-    let got = received.lock();
+    let got = received.lock().unwrap();
     assert_eq!(got.len(), 5000);
     assert_eq!(
         *got,
@@ -451,7 +452,7 @@ fn tcp_survives_segment_loss() {
                     Err(_) => break,
                 }
             }
-            *r2.lock() = all;
+            *r2.lock().unwrap() = all;
         })
         .unwrap();
     });
@@ -466,7 +467,7 @@ fn tcp_survives_segment_loss() {
     });
 
     tb.sim.run_until_idle();
-    let got = received.lock();
+    let got = received.lock().unwrap();
     assert_eq!(got.len(), 20_000, "all bytes delivered despite loss");
     assert_eq!(
         *got,
@@ -549,16 +550,16 @@ fn corruption_is_caught_by_ip_checksum() {
                     ..FaultPlan::default()
                 },
             );
-            *e2.lock() = i.ping(ctx, server_ip, 16).err();
+            *e2.lock().unwrap() = i.ping(ctx, server_ip, 16).err();
         })
         .unwrap();
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
     assert!(
-        matches!(*errs.lock(), Some(XError::Timeout(_))),
+        matches!(*errs.lock().unwrap(), Some(XError::Timeout(_))),
         "corrupted packets must be dropped by the checksum, got {:?}",
-        errs.lock()
+        errs.lock().unwrap()
     );
     // The rejection is accounted: some host's IP layer noted it.
     let rejected: u64 = r.hosts.iter().map(|h| h.corrupt_rejected).sum();

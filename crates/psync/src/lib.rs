@@ -23,6 +23,7 @@
 //! RPC paper uses none of them).
 
 #![warn(missing_docs)]
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use std::any::Any;
 use std::collections::{HashSet, VecDeque};

@@ -2,9 +2,7 @@
 //! suppression, and — the paper's point — reuse of FRAGMENT for large
 //! conversation messages.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use inet::testbed::{base_registry, lan_hosts, Lan};
 use inet::with_concrete;
@@ -115,14 +113,14 @@ fn partial_order_survives_reordering() {
     rig.sim.spawn(rig.kernels[2].host(), move |ctx| {
         let first = cc.receive(ctx, RECV_TIMEOUT).unwrap();
         let second = cc.receive(ctx, RECV_TIMEOUT).unwrap();
-        d2.lock().push(first.data);
-        d2.lock().push(second.data);
+        d2.lock().unwrap().push(first.data);
+        d2.lock().unwrap().push(second.data);
         assert_eq!(second.deps, vec![first.id], "context chain intact");
     });
     let r = rig.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
     assert_eq!(
-        *delivered.lock(),
+        *delivered.lock().unwrap(),
         vec![b"m1".to_vec(), b"m2".to_vec()],
         "m1 delivered before the message sent in its context"
     );
@@ -208,10 +206,10 @@ fn large_messages_reuse_fragment() {
     let g2 = Arc::clone(&got);
     let cb = Arc::clone(&conv_b);
     rig.sim.spawn(rig.kernels[1].host(), move |ctx| {
-        *g2.lock() = cb.receive(ctx, RECV_TIMEOUT).unwrap().data;
+        *g2.lock().unwrap() = cb.receive(ctx, RECV_TIMEOUT).unwrap().data;
     });
     rig.sim.run_until_idle();
-    assert_eq!(*got.lock(), big);
+    assert_eq!(*got.lock().unwrap(), big);
     // The sender's FRAGMENT layer really carried it.
     with_concrete::<xrpc::fragment::Fragment, _>(&rig.kernels[0], "fragment", |f| {
         let st = f.stats();
@@ -238,10 +236,10 @@ fn oversized_message_without_fragment_is_rejected() {
     let e2 = Arc::clone(&err);
     let ca = Arc::clone(&conv_a);
     rig.sim.spawn(rig.kernels[0].host(), move |ctx| {
-        *e2.lock() = ca.send(ctx, vec![0u8; 12_000]).err();
+        *e2.lock().unwrap() = ca.send(ctx, vec![0u8; 12_000]).err();
     });
     rig.sim.run_until_idle();
-    assert!(matches!(*err.lock(), Some(XError::TooBig { .. })));
+    assert!(matches!(*err.lock().unwrap(), Some(XError::TooBig { .. })));
 }
 
 #[test]
@@ -275,6 +273,7 @@ fn duplicates_are_suppressed() {
     rig.sim.spawn(rig.kernels[1].host(), move |ctx| {
         for _ in 0..5 {
             s2.lock()
+                .unwrap()
                 .push(cb.receive(ctx, RECV_TIMEOUT).unwrap().data[0]);
         }
         // No sixth message may ever be delivered.
@@ -282,5 +281,5 @@ fn duplicates_are_suppressed() {
     });
     let r = rig.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
-    assert_eq!(*seen.lock(), vec![0, 1, 2, 3, 4]);
+    assert_eq!(*seen.lock().unwrap(), vec![0, 1, 2, 3, 4]);
 }

@@ -19,6 +19,7 @@
 //! which is what `benchmark/`'s `null_inline` workload measures.
 
 #![warn(missing_docs)]
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
 
 pub mod fault;
 mod template;

@@ -28,6 +28,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
 
 pub mod auth;
 pub mod contracts;

@@ -37,7 +37,7 @@ const MSG_REPLY: u32 = 1;
 pub const RR_UDP_PORT: Port = 111;
 
 /// Retransmission timeout, and the cold seed of the adaptive RTO
-/// ([`xrpc::rto`]) that takes over once replies have been timed.
+/// ([`xrpc::txn::RtoPolicy`]) that takes over once replies have been timed.
 pub const TIMEOUT_NS: Nanos = 150_000_000;
 /// Retransmissions before a call gives up.
 pub const MAX_RETRIES: u32 = 6;

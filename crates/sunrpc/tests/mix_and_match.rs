@@ -8,9 +8,7 @@
 //! * REQUEST_REPLY (zero-or-more) swaps for CHANNEL (at-most-once) — and
 //!   the semantic difference is observable under duplication faults.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use inet::testbed::{base_registry, two_hosts, TwoHosts};
 use inet::with_concrete;
@@ -39,7 +37,7 @@ fn rig(graph: &str) -> (TwoHosts, Arc<Mutex<u32>>) {
     with_concrete::<SunSelect, _>(&tb.server, "sunselect", |s| {
         s.serve(PROG, VERS, PROC_ECHO, |_ctx, msg| Ok(msg));
         s.serve(PROG, VERS, PROC_COUNT, move |ctx, _msg| {
-            *c2.lock() += 1;
+            *c2.lock().unwrap() += 1;
             Ok(ctx.empty_msg())
         });
     })
@@ -56,10 +54,10 @@ fn call(tb: &TwoHosts, proc: u32, args: Vec<u8>) -> XResult<Vec<u8>> {
             s.call(ctx, server_ip, PROG, VERS, proc, args)
         })
         .unwrap();
-        *o2.lock() = Some(r);
+        *o2.lock().unwrap() = Some(r);
     });
     tb.sim.run_until_idle();
-    let got = out.lock().take().expect("client ran");
+    let got = out.lock().unwrap().take().expect("client ran");
     got
 }
 
@@ -103,7 +101,7 @@ fn auth_unix_identifies_and_allowlists() {
         matches!(err, XError::Timeout(_)),
         "denied → timeout, got {err:?}"
     );
-    assert_eq!(*counter.lock(), 0, "the procedure never executed");
+    assert_eq!(*counter.lock().unwrap(), 0, "the procedure never executed");
 }
 
 #[test]
@@ -143,7 +141,7 @@ fn zero_or_more_versus_at_most_once_under_duplication() {
     for _ in 0..calls {
         call(&tb, PROC_COUNT, Vec::new()).unwrap();
     }
-    let rr_count = *counter.lock();
+    let rr_count = *counter.lock().unwrap();
     assert!(
         rr_count > calls,
         "zero-or-more: duplicated requests re-execute (got {rr_count} for {calls} calls)"
@@ -159,7 +157,7 @@ fn zero_or_more_versus_at_most_once_under_duplication() {
         call(&tb, PROC_COUNT, Vec::new()).unwrap();
     }
     assert_eq!(
-        *counter.lock(),
+        *counter.lock().unwrap(),
         calls,
         "at-most-once: duplicates suppressed"
     );
@@ -176,7 +174,7 @@ fn request_reply_retransmits_through_loss() {
     }
     // Every call completed; with zero-or-more semantics the server-side
     // count is at *least* the number of calls.
-    assert!(*counter.lock() >= 15);
+    assert!(*counter.lock().unwrap() >= 15);
 }
 
 #[test]
@@ -191,13 +189,13 @@ fn unknown_program_and_procedure_report_remote_errors() {
             let e2 = s
                 .call(ctx, server_ip, PROG, VERS, 77, Vec::new())
                 .unwrap_err();
-            o2.lock().push(e1);
-            o2.lock().push(e2);
+            o2.lock().unwrap().push(e1);
+            o2.lock().unwrap().push(e2);
         })
         .unwrap();
     });
     tb.sim.run_until_idle();
-    let errs = out.lock();
+    let errs = out.lock().unwrap();
     assert!(errs[0].to_string().contains("program 999 unavailable"));
     assert!(errs[1].to_string().contains("unavailable"));
 }
@@ -261,13 +259,13 @@ fn sun_rpc_reaches_across_a_router() {
             let r = s
                 .call(ctx, server_ip, PROG, VERS, PROC_ECHO, b"far away".to_vec())
                 .unwrap();
-            *o2.lock() = Some(r);
+            *o2.lock().unwrap() = Some(r);
         })
         .unwrap();
     });
     let r = rp.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
-    assert_eq!(out.lock().take().unwrap(), b"far away");
+    assert_eq!(out.lock().unwrap().take().unwrap(), b"far away");
     assert!(
         rp.net.stats(rp.lan_b).sent >= 2,
         "traffic crossed the router"

@@ -15,6 +15,8 @@
 //! `xcheck://seed=…/sched=…/ev=…` repro strings, and the `sched_hash`
 //! fingerprint lets a rerun assert it walked the identical schedule.
 
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
+
 pub mod explore;
 pub mod summary;
 pub mod toys;

@@ -8,7 +8,7 @@ use std::collections::HashSet;
 
 use chaos::{Profile, Scenario, StackKind};
 use xcheck::explore::{explore, WalkChooser};
-use xcheck::summary::{validate_summary, Summary};
+use xcheck::summary::Summary;
 use xcheck::toys;
 use xkernel::check::{parse_repro, ViolationKind};
 
@@ -59,7 +59,8 @@ fn handshake_explores_every_interleaving_and_all_pass() {
         "each interleaving has a distinct schedule fingerprint"
     );
 
-    // The machine-readable summary for this exploration validates.
+    // The machine-readable summary for this exploration carries the verdict
+    // ci.sh xcheck-smoke matches (`xcheck::summary` pins the whole line).
     let summary = Summary {
         scenario: "handshake".into(),
         mode: "exhaustive".into(),
@@ -69,7 +70,14 @@ fn handshake_explores_every_interleaving_and_all_pass() {
         violations: 0,
         invariant_failures: 0,
     };
-    validate_summary(&summary.to_json()).unwrap();
+    let json = summary.to_json();
+    assert!(
+        json.contains(
+            "\"scenario\":\"handshake\",\"mode\":\"exhaustive\",\"schedules\":6,\
+             \"complete\":true,\"distinct_hashes\":6,\"violations\":0"
+        ),
+        "{json}"
+    );
 }
 
 /// Regression: the AB/BA toy deadlocks, the checker names the exact

@@ -40,6 +40,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::disallowed_types)]
 
 pub mod addr;
 #[allow(unsafe_code)]
@@ -49,18 +50,25 @@ pub mod cost;
 pub mod error;
 pub mod graph;
 pub mod journal;
+pub mod json;
 pub mod kernel;
 pub mod lint;
 pub mod map;
 pub mod msg;
+// Where OS threads meet: result slots behind a real mutex, scoped workers.
+#[allow(clippy::disallowed_types)]
 pub mod par;
 pub mod proto;
 pub mod rng;
 pub mod shepherd;
 pub mod shim;
+// clippy.toml's thread and std-collection constructor bans: the engine runs
+// every process on its own thread and keeps its state in slabs.
+#[warn(clippy::disallowed_methods)]
 pub mod sim;
 pub mod trace;
 #[allow(unsafe_code)]
+#[warn(clippy::disallowed_methods)]
 pub mod vproc;
 pub mod wire;
 

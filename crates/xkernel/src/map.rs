@@ -31,7 +31,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{MutexGuard, OnceLock, PoisonError};
 
 use crate::cell::{OwnerCell, OwnerGuard};
 use crate::error::XResult;
@@ -148,8 +148,13 @@ type Link<K, V> = OnceLock<Box<Enable<K, V>>>;
 /// `EnableMap` that [`crate::par`] workers write from several OS threads.
 pub struct EnableMap<K, V = ProtoId> {
     head: Link<K, V>,
-    writer: Mutex<()>,
+    writer: WriterLock,
 }
+
+/// The one real mutex in an in-simulation module (see [`EnableMap`]).
+// clippy.toml bans the type; this is where two OS threads meet.
+#[allow(clippy::disallowed_types)]
+type WriterLock = std::sync::Mutex<()>;
 
 /// Which entries of an [`EnableMap`] were live when
 /// [`EnableMap::snapshot`] ran. Valid only for the map it came from.
@@ -162,7 +167,7 @@ impl<K, V> Default for EnableMap<K, V> {
     fn default() -> Self {
         EnableMap {
             head: OnceLock::new(),
-            writer: Mutex::new(()),
+            writer: WriterLock::new(()),
         }
     }
 }

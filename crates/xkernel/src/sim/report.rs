@@ -155,6 +155,9 @@ impl HostCell {
 
 /// Builds the sorted per-layer breakdown from the trace ledger, resolving
 /// innermost-layer protocol ids to instance names via the hosts' kernels.
+// clippy.toml bans a std map in the engine; this one aggregates the trace
+// ledger once, after a traced run, and holds no engine state.
+#[allow(clippy::disallowed_methods)]
 pub(super) fn breakdown_of(core: &SimCore, tr: &TraceCore) -> CostBreakdown {
     if !core.trace_on {
         return CostBreakdown::default();

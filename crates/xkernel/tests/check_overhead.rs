@@ -14,9 +14,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use xkernel::prelude::*;
 use xkernel::sim::{Sim, SimConfig};
 
@@ -78,11 +77,11 @@ fn allocs_for_sema_loop(cfg: SimConfig) -> (u64, Sim) {
             s.p(ctx);
         }
         let after = allocs_so_far();
-        *o2.lock() = Some(after - before);
+        *o2.lock().unwrap() = Some(after - before);
     });
     let r = sim.run_until_idle();
     assert_eq!(r.blocked, 0);
-    let n = out.lock().take().expect("loop ran");
+    let n = out.lock().unwrap().take().expect("loop ran");
     (n, sim)
 }
 
@@ -122,7 +121,7 @@ fn a_blocking_hand_off_allocates_nothing() {
                 before = allocs_so_far();
             }
             if round == 4 + ROUNDS {
-                *o2.lock() = Some(allocs_so_far() - before);
+                *o2.lock().unwrap() = Some(allocs_so_far() - before);
             }
             ping2.v(ctx);
             pong2.p(ctx);
@@ -137,7 +136,11 @@ fn a_blocking_hand_off_allocates_nothing() {
     let r = sim.run_until_idle();
     assert_eq!(r.blocked, 0);
     assert!(r.events >= 2 * ROUNDS, "each round blocks and wakes twice");
-    assert_eq!(out.lock().take(), Some(0), "2,000 hand-offs, no allocation");
+    assert_eq!(
+        out.lock().unwrap().take(),
+        Some(0),
+        "2,000 hand-offs, no allocation"
+    );
 }
 
 #[test]

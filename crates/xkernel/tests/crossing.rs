@@ -6,9 +6,7 @@
 //! either. The same file pins the lock-free by-name table.
 
 use std::any::Any;
-use std::sync::{Arc, Weak};
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, Weak};
 
 use xkernel::graph::{GraphArgs, ProtocolRegistry};
 use xkernel::prelude::*;
@@ -30,11 +28,11 @@ struct Probe {
 impl Probe {
     fn record(&self) {
         let reading = (self.kernel.strong_count(), self.this.strong_count());
-        self.seen.lock().push(reading);
+        self.seen.lock().unwrap().push(reading);
     }
 
     fn take(&self) -> Vec<Reading> {
-        std::mem::take(&mut self.seen.lock())
+        std::mem::take(&mut self.seen.lock().unwrap())
     }
 }
 
@@ -133,14 +131,14 @@ fn rig(cfg: SimConfig) -> Rig {
             up: UpperCell::new(),
             seen: Mutex::new(Vec::new()),
         });
-        made.lock().push(Arc::clone(&probe));
+        made.lock().unwrap().push(Arc::clone(&probe));
         Ok(probe as ProtocolRef)
     });
     let ids = reg
         .build_unchecked(&sim, &kernel, SPEC)
         .expect("graph builds");
     drop(reg); // The constructor closure held a handle on `probes`.
-    let probes = std::mem::take(&mut *probes.lock());
+    let probes = std::mem::take(&mut *probes.lock().unwrap());
     Rig {
         sim,
         kernel,

@@ -3,10 +3,9 @@
 //! order in time linear in their number.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use xkernel::prelude::*;
 use xkernel::sim::{RunReport, Sim, SimConfig, VProc, VStep, WakeReason};
 
@@ -77,7 +76,7 @@ fn spawn_coroutines(sim: &Sim, a: HostId, b: HostId, sh: &Arc<Shared>) {
     sim.spawn(b, move |ctx| {
         let timed_out = s.never.p_timeout(ctx, PATIENCE);
         let granted = s.soon.p_timeout(ctx, PATIENCE);
-        s.outcomes.lock().extend([timed_out, granted]);
+        s.outcomes.lock().unwrap().extend([timed_out, granted]);
     });
     let s = Arc::clone(sh);
     sim.spawn(b, move |ctx| {
@@ -148,7 +147,11 @@ impl VProc for TimedWaiter {
     fn resume(&mut self, _ctx: &Ctx, why: WakeReason) -> VStep {
         self.sh.resumes.fetch_add(1, Ordering::Relaxed);
         if self.step > 0 {
-            self.sh.outcomes.lock().push(why == WakeReason::Normal);
+            self.sh
+                .outcomes
+                .lock()
+                .unwrap()
+                .push(why == WakeReason::Normal);
         }
         self.step += 1;
         let sema = match self.step {
@@ -227,7 +230,7 @@ fn run(cfg: SimConfig, spawn: fn(&Sim, HostId, HostId, &Arc<Shared>)) -> Outcome
     assert_eq!(report.fuel_exhausted, 0);
     let check = sim.check_report();
     assert_eq!(check.violations.first(), None);
-    let outcomes = sh.outcomes.lock().clone();
+    let outcomes = sh.outcomes.lock().unwrap().clone();
     Outcome {
         report,
         outcomes,
@@ -293,7 +296,7 @@ impl VProc for Parked {
 
 impl Drop for Parked {
     fn drop(&mut self) {
-        self.reaped.lock().push(self.id);
+        self.reaped.lock().unwrap().push(self.id);
     }
 }
 
@@ -309,7 +312,7 @@ fn crash_with_parked(n: u64) -> (RunReport, Vec<u64>) {
     }
     sim.crash_at(1_000_000, host);
     let report = sim.run_until_idle();
-    let order = reaped.lock().clone();
+    let order = reaped.lock().unwrap().clone();
     (report, order)
 }
 
@@ -510,7 +513,7 @@ fn killing_the_suspended_frees_a_simulation_that_did_not_finish() {
     struct Unwound(u64, Arc<Mutex<Vec<u64>>>);
     impl Drop for Unwound {
         fn drop(&mut self) {
-            self.1.lock().push(self.0);
+            self.1.lock().unwrap().push(self.0);
         }
     }
     let sim = Sim::new(SimConfig::scheduled());
@@ -530,7 +533,7 @@ fn killing_the_suspended_frees_a_simulation_that_did_not_finish() {
     drop(sim);
     let sim = weak.upgrade().expect("the parked stacks hold it");
     assert_eq!(sim.kill_suspended(), 3);
-    assert_eq!(*order.lock(), [0, 1, 2]);
+    assert_eq!(*order.lock().unwrap(), [0, 1, 2]);
     assert!(sim.is_quiescent());
     assert_eq!(sim.kill_suspended(), 0);
     drop(sim);
@@ -718,7 +721,7 @@ fn handover_a_crash_reaps_five_hundred_processes_on_stacks_they_took_over() {
     struct Unwound(u64, Arc<Mutex<Vec<u64>>>);
     impl Drop for Unwound {
         fn drop(&mut self) {
-            self.1.lock().push(self.0);
+            self.1.lock().unwrap().push(self.0);
         }
     }
     let sim = Sim::new(SimConfig::scheduled());
@@ -742,7 +745,7 @@ fn handover_a_crash_reaps_five_hundred_processes_on_stacks_they_took_over() {
     assert_eq!((report.events, report.fuel_used), (500 + 500 + 1, 1_000));
     assert_eq!(report.hosts[0].cpu_ns, 390_000_000);
     assert!(
-        order.lock().iter().copied().eq(0..500),
+        order.lock().unwrap().iter().copied().eq(0..500),
         "reaped out of order"
     );
     assert_eq!(report.sched_hash, 15_875_656_191_405_600_598);

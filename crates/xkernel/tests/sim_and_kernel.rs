@@ -2,9 +2,7 @@
 //! and shim layers.
 
 use std::any::Any;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use xkernel::cost::CostModel;
 use xkernel::graph::ProtocolRegistry;
@@ -92,7 +90,7 @@ impl Protocol for Loopback {
             .local_part()
             .and_then(|p| p.proto_num)
             .ok_or_else(|| XError::Config("loopback enable needs proto num".into()))?;
-        self.enables.lock().push((num, upper));
+        self.enables.lock().unwrap().push((num, upper));
         Ok(())
     }
 
@@ -103,6 +101,7 @@ impl Protocol for Loopback {
         let upper = self
             .enables
             .lock()
+            .unwrap()
             .iter()
             .find(|(n, _)| *n == num)
             .map(|(_, u)| *u)
@@ -150,7 +149,7 @@ impl Protocol for Sink {
     }
 
     fn demux(&self, ctx: &Ctx, _lls: &SessionRef, msg: Message) -> XResult<()> {
-        self.got.lock().push(msg.to_vec());
+        self.got.lock().unwrap().push(msg.to_vec());
         self.sema.v(ctx);
         Ok(())
     }
@@ -171,10 +170,10 @@ fn scheduled_spawn_runs_and_reports() {
     let hit = Arc::new(Mutex::new(0));
     let hit2 = Arc::clone(&hit);
     sim.spawn(HostId(0), move |_ctx| {
-        *hit2.lock() += 1;
+        *hit2.lock().unwrap() += 1;
     });
     let report = sim.run_until_idle();
-    assert_eq!(*hit.lock(), 1);
+    assert_eq!(*hit.lock().unwrap(), 1);
     assert_eq!(report.blocked, 0);
     assert_eq!(report.events, 1);
 }
@@ -211,13 +210,13 @@ fn timers_fire_in_order_and_cancel() {
     let order: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
     let (o1, o2, o3) = (order.clone(), order.clone(), order.clone());
     sim.spawn(HostId(0), move |ctx| {
-        ctx.schedule_after(300, move |_| o2.lock().push(2));
-        ctx.schedule_after(100, move |_| o1.lock().push(1));
-        let h = ctx.schedule_after(200, move |_| o3.lock().push(99));
+        ctx.schedule_after(300, move |_| o2.lock().unwrap().push(2));
+        ctx.schedule_after(100, move |_| o1.lock().unwrap().push(1));
+        let h = ctx.schedule_after(200, move |_| o3.lock().unwrap().push(99));
         ctx.cancel_timer(h);
     });
     sim.run_until_idle();
-    assert_eq!(*order.lock(), vec![1, 2]);
+    assert_eq!(*order.lock().unwrap(), vec![1, 2]);
 }
 
 #[test]
@@ -230,14 +229,14 @@ fn semaphore_rendezvous_between_processes() {
     let d = done.clone();
     sim.spawn(HostId(0), move |ctx| {
         s1.p(ctx); // Blocks until the other process Vs.
-        *d.lock() = true;
+        *d.lock().unwrap() = true;
     });
     sim.spawn(HostId(0), move |ctx| {
         ctx.charge(10_000);
         s2.v(ctx);
     });
     let r = sim.run_until_idle();
-    assert!(*done.lock());
+    assert!(*done.lock().unwrap());
     assert_eq!(r.blocked, 0);
 }
 
@@ -250,10 +249,10 @@ fn p_timeout_times_out_and_reports_false() {
     let g = got.clone();
     sim.spawn(HostId(0), move |ctx| {
         let ok = sema.p_timeout(ctx, 50_000);
-        *g.lock() = Some(ok);
+        *g.lock().unwrap() = Some(ok);
     });
     let r = sim.run_until_idle();
-    assert_eq!(*got.lock(), Some(false));
+    assert_eq!(*got.lock().unwrap(), Some(false));
     assert_eq!(r.blocked, 0);
 }
 
@@ -267,14 +266,14 @@ fn p_timeout_acquires_when_v_arrives_first() {
     let (s1, s2) = (sema.clone(), sema.clone());
     sim.spawn(HostId(0), move |ctx| {
         let ok = s1.p_timeout(ctx, 1_000_000);
-        *g.lock() = Some(ok);
+        *g.lock().unwrap() = Some(ok);
     });
     sim.spawn(HostId(0), move |ctx| {
         ctx.sleep(10); // Let the waiter block first.
         s2.v(ctx);
     });
     let r = sim.run_until_idle();
-    assert_eq!(*got.lock(), Some(true));
+    assert_eq!(*got.lock().unwrap(), Some(true));
     assert_eq!(r.blocked, 0);
     // The cancelled timeout must not fire later or double-wake anything.
 }
@@ -311,11 +310,14 @@ fn determinism_same_seed_same_trace() {
             sim.spawn(HostId(0), move |ctx| {
                 ctx.charge(i * 17 + 1);
                 ctx.sleep(i * 3);
-                s.lock().push(ctx.now());
+                s.lock().unwrap().push(ctx.now());
             });
         }
         let r = sim.run_until_idle();
-        (r.ended_at, Arc::try_unwrap(samples).unwrap().into_inner())
+        (
+            r.ended_at,
+            Arc::try_unwrap(samples).unwrap().into_inner().unwrap(),
+        )
     }
     assert_eq!(run(), run());
 }
@@ -342,8 +344,11 @@ fn inline_spawn_runs_immediately() {
     let _k = Kernel::new(&sim, "h");
     let hit = Arc::new(Mutex::new(false));
     let h = hit.clone();
-    sim.spawn(HostId(0), move |_| *h.lock() = true);
-    assert!(*hit.lock(), "inline spawn must run on the calling thread");
+    sim.spawn(HostId(0), move |_| *h.lock().unwrap() = true);
+    assert!(
+        *hit.lock().unwrap(),
+        "inline spawn must run on the calling thread"
+    );
 }
 
 #[test]
@@ -412,7 +417,7 @@ fn run_stack(mode: Mode) -> Vec<Vec<u8>> {
 
     let sink = sim.kernel_of(HostId(0)).get("sink").unwrap();
     let sink = sink.as_any().downcast_ref::<Sink>().unwrap();
-    let got = sink.got.lock().clone();
+    let got = sink.got.lock().unwrap().clone();
     got
 }
 
@@ -539,7 +544,7 @@ fn semaphore_wakes_waiters_in_fifo_order() {
         sim.spawn(HostId(0), move |ctx| {
             ctx.sleep(u64::from(i)); // Establish arrival order 0,1,2,3.
             s.p(ctx);
-            o.lock().push(i);
+            o.lock().unwrap().push(i);
         });
     }
     let sema2 = sema.clone();
@@ -551,7 +556,11 @@ fn semaphore_wakes_waiters_in_fifo_order() {
     });
     let r = sim.run_until_idle();
     assert_eq!(r.blocked, 0);
-    assert_eq!(*order.lock(), vec![0, 1, 2, 3], "longest waiter first");
+    assert_eq!(
+        *order.lock().unwrap(),
+        vec![0, 1, 2, 3],
+        "longest waiter first"
+    );
 }
 
 #[test]
@@ -601,7 +610,7 @@ impl Protocol for RebootProbe {
     }
 
     fn reboot(&self, _ctx: &Ctx) -> XResult<()> {
-        *self.reboots.lock() += 1;
+        *self.reboots.lock().unwrap() += 1;
         Ok(())
     }
 
@@ -618,13 +627,13 @@ fn crash_kills_blocked_processes_and_pending_timers() {
     let fired = Arc::new(Mutex::new(false));
     let f = fired.clone();
     sim.spawn(HostId(0), move |ctx| {
-        ctx.schedule_after(1_000_000, move |_| *f.lock() = true);
+        ctx.schedule_after(1_000_000, move |_| *f.lock().unwrap() = true);
         sema.p(ctx); // Nobody will V; the crash reaps us.
     });
     sim.crash_at(500_000, HostId(0));
     let r = sim.run_until_idle();
     assert_eq!(r.blocked, 0, "a killed process is not 'blocked'");
-    assert!(!*fired.lock(), "timers die with their host");
+    assert!(!*fired.lock().unwrap(), "timers die with their host");
     assert!(sim.is_down(HostId(0)));
     assert_eq!(sim.host_stats(HostId(0)).crashes, 1);
     assert_eq!(r.hosts[0].crashes, 1);
@@ -645,14 +654,14 @@ fn restart_bumps_epoch_and_runs_reboot_hooks() {
     sim.run_until_idle();
     assert!(!sim.is_down(HostId(0)));
     assert_eq!(sim.boot_epoch(HostId(0)), 1);
-    assert_eq!(*probe.reboots.lock(), 1);
+    assert_eq!(*probe.reboots.lock().unwrap(), 1);
     assert_eq!(sim.host_stats(HostId(0)).restarts, 1);
     // The host accepts fresh work after coming back up.
     let hit = Arc::new(Mutex::new(false));
     let h = hit.clone();
-    sim.spawn(HostId(0), move |_| *h.lock() = true);
+    sim.spawn(HostId(0), move |_| *h.lock().unwrap() = true);
     sim.run_until_idle();
-    assert!(*hit.lock());
+    assert!(*hit.lock().unwrap());
 }
 
 #[test]
@@ -663,9 +672,12 @@ fn down_host_silently_drops_scheduled_work() {
     sim.run_until_idle();
     let hit = Arc::new(Mutex::new(false));
     let h = hit.clone();
-    sim.spawn(HostId(0), move |_| *h.lock() = true);
+    sim.spawn(HostId(0), move |_| *h.lock().unwrap() = true);
     sim.run_until_idle();
-    assert!(!*hit.lock(), "work aimed at a down host is dropped");
+    assert!(
+        !*hit.lock().unwrap(),
+        "work aimed at a down host is dropped"
+    );
 }
 
 #[test]

@@ -11,9 +11,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use xkernel::prelude::*;
 use xkernel::sim::{Sim, SimConfig};
 
@@ -76,11 +75,11 @@ fn allocs_for_hot_loop(cfg: SimConfig) -> (u64, Sim) {
             let _g = ctx.enter_layer(ProtoId(0), EventKind::Push, 64);
         }
         let after = allocs_so_far();
-        *o2.lock() = Some(after - before);
+        *o2.lock().unwrap() = Some(after - before);
     });
     let r = sim.run_until_idle();
     assert_eq!(r.blocked, 0);
-    let n = out.lock().take().expect("loop ran");
+    let n = out.lock().unwrap().take().expect("loop ran");
     (n, sim)
 }
 
@@ -118,12 +117,16 @@ fn a_sleep_and_its_wake_up_allocate_nothing() {
         for _ in 0..1_000 {
             ctx.sleep(10);
         }
-        *o2.lock() = Some(allocs_so_far() - before);
+        *o2.lock().unwrap() = Some(allocs_so_far() - before);
     });
     let r = sim.run_until_idle();
     assert_eq!(r.blocked, 0);
     assert_eq!(r.events, 1 + 1_004, "one spawn, one wake per sleep");
-    assert_eq!(out.lock().take(), Some(0), "1,000 sleeps, no allocation");
+    assert_eq!(
+        out.lock().unwrap().take(),
+        Some(0),
+        "1,000 sleeps, no allocation"
+    );
 }
 
 /// A frame the wire delivers is a `schedule_run_at` body, and the run loop

@@ -6,9 +6,8 @@
 //! sleeps, semaphore waits with and without timeouts, and fuel-exhaustion
 //! kills all go through the generator.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 
 use xkernel::cost::CostModel;
@@ -52,7 +51,7 @@ impl VProc for Poller {
     fn resume(&mut self, ctx: &Ctx, why: WakeReason) -> VStep {
         let _ = ctx;
         if matches!(why, WakeReason::Timeout) {
-            *self.timeouts.lock() += 1;
+            *self.timeouts.lock().unwrap() += 1;
         }
         if self.left == 0 {
             return VStep::Done;
@@ -137,7 +136,7 @@ fn run(w: &Workload, fuel: Option<u64>) -> (RunReport, u32) {
         }),
     );
     let report = sim.run_until_idle();
-    let t = *timeouts.lock();
+    let t = *timeouts.lock().unwrap();
     (report, t)
 }
 
@@ -245,7 +244,7 @@ impl VProc for Charger {
         for _ in 0..self.n {
             ctx.charge(5);
         }
-        let mut resumes = self.resumes.lock();
+        let mut resumes = self.resumes.lock().unwrap();
         *resumes += 1;
         if *resumes == 2 {
             VStep::Done
@@ -270,7 +269,7 @@ fn a_spent_budget_is_not_the_next_process_s_on_the_same_driver() {
         sim.spawn(a, move |ctx| {
             ctx.charge(5);
             ctx.charge(5);
-            *f.lock() += 1;
+            *f.lock().unwrap() += 1;
         });
     };
     sim.spawn(a, |ctx| loop {
@@ -286,8 +285,8 @@ fn a_spent_budget_is_not_the_next_process_s_on_the_same_driver() {
     sim.spawn_vproc(a, Box::new(machine));
     modest(&sim);
     let r = sim.run_until_idle();
-    assert_eq!(*resumes.lock(), 2, "twenty charges, two units");
-    assert_eq!(*finished.lock(), 2);
+    assert_eq!(*resumes.lock().unwrap(), 2, "twenty charges, two units");
+    assert_eq!(*finished.lock().unwrap(), 2);
     assert_eq!((r.blocked, r.fuel_exhausted), (0, 1));
     assert_eq!(r.fuel_used, 3 + 2 + (20 + 2 + 1) + 2);
     assert_eq!(r.sched_hash, 5_338_088_315_399_216_686);

@@ -4,9 +4,7 @@
 //! uninterrupted run — the continuation state of a [`VProc`] round-trips
 //! through the snapshot as pure data.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use xkernel::cost::CostModel;
 use xkernel::prelude::*;
@@ -27,7 +25,7 @@ impl VProc for Ticker {
         if self.left == 0 {
             return VStep::Done;
         }
-        self.log.lock().push((self.id, ctx.now()));
+        self.log.lock().unwrap().push((self.id, ctx.now()));
         self.left -= 1;
         VStep::Sleep(self.period)
     }
@@ -72,7 +70,7 @@ fn restored_tail_is_bit_identical_to_the_uninterrupted_run() {
     let ref_log = Arc::new(Mutex::new(Vec::new()));
     let ref_report = build(&ref_log).run_until_idle();
     assert_eq!(ref_report.blocked, 0);
-    let ref_ticks = ref_log.lock().clone();
+    let ref_ticks = ref_log.lock().unwrap().clone();
     assert_eq!(ref_ticks.len(), 5 + 3 + 4);
 
     // Same workload, paused mid-sleep: every machine is suspended at a
@@ -84,13 +82,13 @@ fn restored_tail_is_bit_identical_to_the_uninterrupted_run() {
     let snap = sim
         .snapshot()
         .expect("paused machines are snapshot-eligible");
-    let ticks_at_pause = log.lock().len();
+    let ticks_at_pause = log.lock().unwrap().len();
     assert!(ticks_at_pause > 0 && ticks_at_pause < ref_ticks.len());
 
     // Finish the paused run: cumulative report equals the reference.
     let finished = sim.run_until_idle();
     assert_eq!(finished, ref_report, "pausing must not perturb the run");
-    assert_eq!(*log.lock(), ref_ticks);
+    assert_eq!(*log.lock().unwrap(), ref_ticks);
 
     // Rewind and replay the tail: the final report — events, ended_at,
     // sched_hash, fuel_used — must land on the same bits again.
@@ -100,7 +98,7 @@ fn restored_tail_is_bit_identical_to_the_uninterrupted_run() {
 
     // The log now holds the full run plus the replayed tail, and the
     // replayed tail is tick-for-tick the suffix of the reference.
-    let all = log.lock().clone();
+    let all = log.lock().unwrap().clone();
     assert_eq!(all[..ref_ticks.len()], ref_ticks[..]);
     assert_eq!(all[ref_ticks.len()..], ref_ticks[ticks_at_pause..]);
 }

@@ -46,6 +46,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
 
 pub mod fork;
 pub mod gen;

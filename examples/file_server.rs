@@ -13,9 +13,7 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use simnet::fault::FaultPlan;
 use xkernel::prelude::*;
@@ -80,9 +78,9 @@ fn main() -> XResult<()> {
     });
     let s = Arc::clone(&store);
     xrpc::serve(&server, "select", OPEN, move |ctx, _name| {
-        let mut fd = s.next_fd.lock();
+        let mut fd = s.next_fd.lock().unwrap();
         *fd += 1;
-        s.files.lock().insert(*fd, Vec::new());
+        s.files.lock().unwrap().insert(*fd, Vec::new());
         Ok(ctx.msg(fd.to_be_bytes().to_vec()))
     })?;
     let s = Arc::clone(&store);
@@ -90,7 +88,7 @@ fn main() -> XResult<()> {
         // Args: fd(4) ++ data.
         let v = msg.to_vec();
         let fd = be32(&v);
-        match s.files.lock().get_mut(&fd) {
+        match s.files.lock().unwrap().get_mut(&fd) {
             Some(f) => {
                 f.extend_from_slice(&v[4..]);
                 Ok(ctx.msg((v.len() as u32 - 4).to_be_bytes().to_vec()))
@@ -103,7 +101,7 @@ fn main() -> XResult<()> {
         // Args: fd(4) ++ offset(4) ++ len(4). Returns the bytes.
         let v = msg.to_vec();
         let (fd, off, len) = (be32(&v), be32(&v[4..]) as usize, be32(&v[8..]) as usize);
-        match s.files.lock().get(&fd) {
+        match s.files.lock().unwrap().get(&fd) {
             Some(f) => {
                 let end = (off + len).min(f.len());
                 let start = off.min(end);
@@ -115,7 +113,7 @@ fn main() -> XResult<()> {
     let s = Arc::clone(&store);
     xrpc::serve(&server, "select", CLOSE, move |ctx, msg| {
         let fd = be32(&msg.to_vec());
-        let size = s.files.lock().get(&fd).map(Vec::len).unwrap_or(0);
+        let size = s.files.lock().unwrap().get(&fd).map(Vec::len).unwrap_or(0);
         Ok(ctx.msg((size as u32).to_be_bytes().to_vec()))
     })?;
 
@@ -152,7 +150,7 @@ fn main() -> XResult<()> {
         assert_eq!(size as usize, file.len());
         assert_eq!(read_back, file, "bytes survived the lossy wire intact");
         let elapsed_ms = (ctx.now() - t0) as f64 / 1e6;
-        *out.lock() = Some(format!(
+        *out.lock().unwrap() = Some(format!(
             "copied 100000 bytes out and back in {elapsed_ms:.1} virtual ms \
              ({:.0} kbytes/sec effective)",
             200_000.0 / (elapsed_ms / 1e3) / 1024.0
@@ -161,7 +159,7 @@ fn main() -> XResult<()> {
     let report = sim.run_until_idle();
     assert_eq!(report.blocked, 0);
 
-    println!("{}", outcome.lock().take().unwrap());
+    println!("{}", outcome.lock().unwrap().take().unwrap());
     let stats = net.stats(lan);
     println!(
         "wire: {} frames sent, {} dropped by the fault injector, {} duplicated",

@@ -11,9 +11,7 @@
 //! cargo run --example internetwork
 //! ```
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use xkernel::prelude::*;
 use xkernel::sim::{Sim, SimConfig};
@@ -90,7 +88,7 @@ fn main() -> XResult<()> {
             let _ = xrpc::call(ctx, &k, "mrpc", ip, 1, Vec::new()).unwrap();
             let warm_ns = ctx.now() - t0_warm;
             let _ = t0;
-            r2.lock().push((
+            r2.lock().unwrap().push((
                 label.to_string(),
                 String::from_utf8_lossy(&who).into_owned(),
                 warm_ns,
@@ -100,7 +98,7 @@ fn main() -> XResult<()> {
     let report = sim.run_until_idle();
     assert_eq!(report.blocked, 0);
 
-    for (label, who, ns) in results.lock().iter() {
+    for (label, who, ns) in results.lock().unwrap().iter() {
         println!(
             "{label:>20}: answered by {who:<14} round trip {:.2} ms",
             *ns as f64 / 1e6

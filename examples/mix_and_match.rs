@@ -13,9 +13,7 @@
 //! cargo run --example mix_and_match
 //! ```
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use inet::with_concrete;
 use simnet::fault::FaultPlan;
@@ -61,7 +59,7 @@ fn run_stack(title: &str, graph: &str, payload_len: usize, duplicate_everything:
     let e2 = Arc::clone(&executions);
     with_concrete::<SunSelect, _>(&kernels[1], "sunselect", |s| {
         s.serve(PROG, VERS, PROC_STORE, move |ctx, msg| {
-            *e2.lock() += 1;
+            *e2.lock().unwrap() += 1;
             Ok(ctx.msg((msg.len() as u32).to_be_bytes().to_vec()))
         });
     })
@@ -95,7 +93,7 @@ fn run_stack(title: &str, graph: &str, payload_len: usize, duplicate_everything:
         "{title}\n    {} calls of {} bytes -> server executed {} time(s); {} frames on the wire",
         calls,
         payload_len,
-        *executions.lock(),
+        *executions.lock().unwrap(),
         net.stats(lan).sent
     );
 }

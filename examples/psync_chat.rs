@@ -8,9 +8,7 @@
 //! cargo run --example psync_chat
 //! ```
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use inet::with_concrete;
 use psync::Psync;
@@ -83,10 +81,11 @@ fn main() -> XResult<()> {
     sim.spawn(kernels[1].host(), move |ctx| {
         let m = c.receive(ctx, 5_000_000_000).unwrap();
         t.lock()
+            .unwrap()
             .push(format!("bob heard {} bytes from {}", m.data.len(), m.from));
         c.send(ctx, b"yes - the x-kernel one".to_vec()).unwrap();
         let follow = c.receive(ctx, 5_000_000_000).unwrap();
-        t.lock().push(format!(
+        t.lock().unwrap().push(format!(
             "bob heard: {}",
             String::from_utf8_lossy(&follow.data)
         ));
@@ -101,7 +100,7 @@ fn main() -> XResult<()> {
             m2.deps.contains(&m1.id),
             "bob's reply is in alice's context"
         );
-        t.lock().push(format!(
+        t.lock().unwrap().push(format!(
             "carol saw the {}-byte opener, then: {}",
             m1.data.len(),
             String::from_utf8_lossy(&m2.data)
@@ -111,7 +110,7 @@ fn main() -> XResult<()> {
 
     let report = sim.run_until_idle();
     assert_eq!(report.blocked, 0);
-    for line in transcript.lock().iter() {
+    for line in transcript.lock().unwrap().iter() {
         println!("{line}");
     }
     println!(

@@ -24,7 +24,7 @@
 use std::process::ExitCode;
 
 use xcheck::explore::{explore, WalkChooser};
-use xcheck::summary::{validate_summary, Summary};
+use xcheck::summary::Summary;
 use xcheck::toys::{self, ToyOutcome};
 use xkernel::sim::ScheduleChooser;
 
@@ -150,13 +150,7 @@ fn main() -> ExitCode {
         }
     };
     for name in &opts.toys {
-        let summary = explore_toy(name, &opts);
-        let json = summary.to_json();
-        if let Err(e) = validate_summary(&json) {
-            eprintln!("xcheck: internal error: summary failed validation: {e}");
-            return ExitCode::from(2);
-        }
-        println!("{json}");
+        println!("{}", explore_toy(name, &opts).to_json());
     }
     ExitCode::SUCCESS
 }

@@ -11,8 +11,13 @@
 
 mod common;
 
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
+
 use common::null_call::{paper_null_call, sun_rpc_null_call, PAPER_STACKS};
 use xkernel::cell::entries;
+use xkernel::prelude::*;
+use xkernel::sim::SimConfig;
 
 #[test]
 fn a_warm_inline_null_call_enters_no_more_cells_than_pinned() {
@@ -33,4 +38,38 @@ fn a_warm_inline_sun_rpc_null_call_enters_no_more_cells_than_pinned() {
         (1..=22).contains(&n),
         "SUNRPC-UDP: {n} cell entries per warm null call, pinned at 22"
     );
+}
+
+/// The charging path — what every layer crossing calls — reads and bumps
+/// per-host lock-free cells (DESIGN.md §11): with tracing off, charging a
+/// host, reading a clock, noting a robustness event, reading the boot epoch
+/// and drawing from the PRNG enter no cell at all, the engine's least of all.
+/// A lock taken there would pass every behavioural test and double the
+/// engine's cost.
+#[test]
+fn the_charging_path_enters_no_cell_with_tracing_off() {
+    fn charging_path(ctx: &Ctx) -> u64 {
+        let before = entries();
+        for _ in 0..1_000 {
+            ctx.charge(7);
+            ctx.charge_class(OpClass::Demux, 3);
+            std::hint::black_box((ctx.now(), ctx.event_time(), ctx.boot_epoch()));
+            ctx.note(RobustEvent::DuplicateSuppressed);
+            std::hint::black_box(ctx.next_u64());
+        }
+        entries() - before
+    }
+    let sim = Sim::new(SimConfig::scheduled());
+    let host = Kernel::new(&sim, "h").host();
+    assert_eq!(
+        charging_path(&sim.ctx(host)),
+        0,
+        "from a host's setup context"
+    );
+    let in_process = Arc::new(AtomicU64::new(u64::MAX));
+    let seen = Arc::clone(&in_process);
+    sim.spawn(host, move |ctx| seen.store(charging_path(ctx), Relaxed));
+    assert_eq!(sim.run_until_idle().blocked, 0);
+    assert_eq!(in_process.load(Relaxed), 0, "from inside a process");
+    assert!(sim.now_of(host) >= 2 * 1_000 * 10, "every charge landed");
 }

@@ -5,9 +5,7 @@
 //! protocol pieces can be reused", through real demultiplexing on
 //! FRAGMENT's protocol-number field, under a lossy wire.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use inet::testbed::{base_registry, two_hosts};
 use inet::with_concrete;
@@ -78,7 +76,7 @@ fn every_stack_coexists_and_shares_fragment() {
         )
         .unwrap();
         assert_eq!(echoed, body);
-        r.lock().push("l_rpc".into());
+        r.lock().unwrap().push("l_rpc".into());
     });
     // Client 2: monolithic RPC, several small calls.
     let r = Arc::clone(&results);
@@ -96,7 +94,7 @@ fn every_stack_coexists_and_shares_fragment() {
             .unwrap();
             assert_eq!(echoed, vec![i; 100]);
         }
-        r.lock().push("m_rpc".into());
+        r.lock().unwrap().push("m_rpc".into());
     });
     // Client 3: Sun RPC over the *same* FRAGMENT instance.
     let r = Arc::clone(&results);
@@ -107,7 +105,7 @@ fn every_stack_coexists_and_shares_fragment() {
             assert_eq!(echoed, body);
         })
         .unwrap();
-        r.lock().push("sun_rpc".into());
+        r.lock().unwrap().push("sun_rpc".into());
     });
     // Client 4: a Psync exchange, also over the shared FRAGMENT.
     let r = Arc::clone(&results);
@@ -116,7 +114,7 @@ fn every_stack_coexists_and_shares_fragment() {
         cc.send(ctx, vec![0xEE; 5_000]).unwrap();
         let reply = cc.receive(ctx, 10_000_000_000).unwrap();
         assert_eq!(reply.data, b"ack".to_vec());
-        r.lock().push("psync".into());
+        r.lock().unwrap().push("psync".into());
     });
     let cs = Arc::clone(&conv_server);
     tb.sim.spawn(tb.server.host(), move |ctx| {
@@ -127,7 +125,7 @@ fn every_stack_coexists_and_shares_fragment() {
 
     let report = tb.sim.run_until_idle();
     assert_eq!(report.blocked, 0);
-    let mut done = results.lock().clone();
+    let mut done = results.lock().unwrap().clone();
     done.sort();
     assert_eq!(done, vec!["l_rpc", "m_rpc", "psync", "sun_rpc"]);
 
@@ -157,7 +155,7 @@ fn concurrent_clients_share_channel_pools_under_loss() {
     let hits = Arc::new(Mutex::new(0u32));
     let h2 = Arc::clone(&hits);
     xrpc::serve(&tb.server, "select", 9, move |ctx, msg| {
-        *h2.lock() += 1;
+        *h2.lock().unwrap() += 1;
         ctx.sleep(2_000_000); // A little service time to force pool pressure.
         Ok(msg)
     })
@@ -187,15 +185,19 @@ fn concurrent_clients_share_channel_pools_under_loss() {
             let body = vec![i as u8; 200];
             let echoed = xrpc::call(ctx, &k, "select", server_ip, 9, body.clone()).unwrap();
             assert_eq!(echoed, body);
-            *c.lock() += 1;
+            *c.lock().unwrap() += 1;
         });
     }
     let report = tb.sim.run_until_idle();
     assert_eq!(report.blocked, 0);
     assert_eq!(
-        *completed.lock(),
+        *completed.lock().unwrap(),
         10,
         "10 concurrent callers over 3 channels"
     );
-    assert_eq!(*hits.lock(), 10, "at-most-once held under pool contention");
+    assert_eq!(
+        *hits.lock().unwrap(),
+        10,
+        "at-most-once held under pool contention"
+    );
 }

@@ -330,10 +330,10 @@ fn run_at_most_once(seed: u64, loss_per_mille: u32, calls: u32) -> (u32, u32) {
     let tb = inet::testbed::two_hosts(cfg, &rpc_registry(), xrpc::stacks::L_RPC_VIP.graph)
         .expect("testbed");
     xrpc::procs::register_standard(&tb.server, "select").unwrap();
-    let counter = Arc::new(parking_lot::Mutex::new(0u32));
+    let counter = Arc::new(std::sync::Mutex::new(0u32));
     let c2 = Arc::clone(&counter);
     xrpc::serve(&tb.server, "select", 7, move |ctx, _| {
-        *c2.lock() += 1;
+        *c2.lock().unwrap() += 1;
         Ok(ctx.empty_msg())
     })
     .unwrap();
@@ -356,18 +356,18 @@ fn run_at_most_once(seed: u64, loss_per_mille: u32, calls: u32) -> (u32, u32) {
     assert_eq!(warm.blocked, 0);
     tb.net
         .set_faults(tb.lan, simnet::fault::FaultPlan::lossy(loss_per_mille));
-    let done = Arc::new(parking_lot::Mutex::new(0u32));
+    let done = Arc::new(std::sync::Mutex::new(0u32));
     let d2 = Arc::clone(&done);
     tb.sim.spawn(tb.client.host(), move |ctx| {
         let k = ctx.kernel();
         for _ in 0..calls {
             xrpc::call(ctx, &k, "select", server_ip, 7, vec![9]).unwrap();
-            *d2.lock() += 1;
+            *d2.lock().unwrap() += 1;
         }
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
-    let result = (*counter.lock(), *done.lock());
+    let result = (*counter.lock().unwrap(), *done.lock().unwrap());
     result
 }
 

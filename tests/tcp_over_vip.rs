@@ -11,9 +11,7 @@
 //! padded wire is harmless to every protocol designed with its own length
 //! field (FRAGMENT's `len`, Sprite's `data1_sz`, UDP's `length`).
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use inet::tcp::Tcp;
 use inet::with_concrete;
@@ -101,12 +99,12 @@ fn tcp_works_over_ip_despite_frame_padding() {
         with_concrete::<Tcp, _>(&ctx.kernel(), "tcp", |t| {
             let conn = t.connect(ctx, server_ip, 80).unwrap();
             conn.send(ctx, b"over ip").unwrap();
-            *o2.lock() = true;
+            *o2.lock().unwrap() = true;
         })
         .unwrap();
     });
     let r = sim.run_until_idle();
-    assert!(*ok.lock());
+    assert!(*ok.lock().unwrap());
     assert_eq!(r.blocked, 0);
 }
 
@@ -130,15 +128,15 @@ fn tcp_cannot_establish_over_vip_raw_ethernet() {
     });
     sim.spawn(kernels[0].host(), move |ctx| {
         with_concrete::<Tcp, _>(&ctx.kernel(), "tcp", |t| {
-            *o2.lock() = t.connect(ctx, server_ip, 80).err();
+            *o2.lock().unwrap() = t.connect(ctx, server_ip, 80).err();
         })
         .unwrap();
     });
     let r = sim.run_until_idle();
     assert!(
-        matches!(*outcome.lock(), Some(XError::Timeout(_))),
+        matches!(*outcome.lock().unwrap(), Some(XError::Timeout(_))),
         "connect must fail: {:?}",
-        outcome.lock()
+        outcome.lock().unwrap()
     );
     assert_eq!(r.blocked, 0);
 }
@@ -164,11 +162,11 @@ fn sprite_rpc_is_immune_to_frame_padding() {
             b"tiny".to_vec(),
         )
         .unwrap();
-        *o2.lock() = Some(r);
+        *o2.lock().unwrap() = Some(r);
     });
     let r = sim.run_until_idle();
     assert_eq!(
-        out.lock().take().unwrap(),
+        out.lock().unwrap().take().unwrap(),
         b"tiny",
         "padded frames trimmed via data1_sz"
     );
