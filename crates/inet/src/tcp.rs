@@ -15,10 +15,10 @@
 //! built from the lower session's host addresses and treats *all* the bytes
 //! the lower layer delivers as segment payload (it has no length field of
 //! its own). Over IP that is correct — IP's `total_len` trims link padding.
-//! Over VIP's raw-Ethernet path with minimum-frame padding enabled
-//! ([`simnet::LanConfig::min_frame`] padding, see `pad_frames`), delivered
-//! segments carry trailing pad bytes, the checksum fails, and the connection
-//! cannot be established — reproducing the paper's negative result.
+//! Over VIP's raw-Ethernet path no lower session can name the pseudo-header's
+//! addresses and, with minimum-frame padding ([`simnet::LanConfig::min_frame`],
+//! `pad_frames`), segments carry pad bytes: the checksum rejects (and counts)
+//! every one, and the connection is never established — the negative result.
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -464,8 +464,17 @@ impl Tcp {
     }
 
     fn segment_in(&self, ctx: &Ctx, lls: &SessionRef, mut msg: Message) -> XResult<()> {
-        let src = lls.control(ctx, &ControlOp::GetPeerHost)?.ip()?;
-        let dst = lls.control(ctx, &ControlOp::GetMyHost)?.ip()?;
+        let reject = |why| {
+            ctx.note(RobustEvent::CorruptRejected);
+            ctx.trace_note(why);
+            Ok(())
+        };
+        // The checksum covers a pseudo-header of both IP addresses, so below a
+        // layer with no IP header to name them (VIP's raw-Ethernet path) none passes.
+        let ip = |op| lls.control(ctx, op).and_then(|r| r.ip());
+        let (Ok(src), Ok(dst)) = (ip(&ControlOp::GetPeerHost), ip(&ControlOp::GetMyHost)) else {
+            return reject("no ip pseudo-header");
+        };
         // No TCP length field: the segment is exactly what the lower layer
         // delivered (IP's total_len already trimmed link padding; a lower
         // layer without a length field leaves pad bytes in and the checksum
@@ -476,8 +485,7 @@ impl Tcp {
         acc.add(&pseudo_header(src, dst, seg_len));
         acc.add_message(&msg);
         if acc.finish() != 0 {
-            ctx.trace_note("bad checksum");
-            return Ok(());
+            return reject("bad checksum");
         }
         let hdr_bytes = ctx.pop_header(&mut msg, TCP_HDR_LEN)?;
         let hdr = TcpHeader::decode(&hdr_bytes)?;

@@ -3,10 +3,10 @@
 //!
 //! [`CheckCore`] mirrors the synchronization events the simulator performs —
 //! process spawns, semaphore P/V, wakes, crashes — into per-process vector
-//! clocks and a resource-holding table, entirely behind the simulator's
-//! `check_on` flag (the same zero-overhead-when-disabled discipline as
-//! xtrace: a plain bool guards every hook, which otherwise takes the
-//! simulator's one lock to reach this state). Four violation classes are
+//! clocks and a resource-holding table. It is one of the simulator's
+//! observers, reached through the same guard as xtrace: one relaxed load of
+//! the observer mask and a branch per probe site, and the simulator's one
+//! lock only for a probe some observer hears. Four violation classes are
 //! detected:
 //!
 //! * **Double wait** — a process P's a semaphore it already holds a unit
@@ -28,7 +28,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use crate::sim::Time;
+use crate::sim::{Probe, Time};
 
 /// A vector clock: logical-process id → last observed tick of that
 /// process. Sparse, since most processes never synchronize.
@@ -160,8 +160,8 @@ struct Waiting {
     label: &'static str,
 }
 
-/// The checker state. Part of the simulator's `Engine`, behind its one
-/// lock, and only ever touched when `check_on` is set.
+/// The checker state: one of the simulator's observers, in its engine's
+/// cell, fed by probe only while checking is on.
 #[derive(Default)]
 pub(crate) struct CheckCore {
     /// Mirrors of the scheduler's event counter and clock, updated as each
@@ -219,148 +219,134 @@ impl CheckCore {
         self.lp_host.get(&lp).copied().unwrap_or(usize::MAX)
     }
 
-    /// Called once per popped scheduler event.
-    pub(crate) fn tick_event(&mut self, index: u64, now: Time) {
-        self.event_index = index;
-        self.now = now;
-    }
-
-    /// A process scheduled a Run event (spawn or timer): deposit its clock
-    /// under the event's seq so the new process inherits it.
-    pub(crate) fn on_spawn(&mut self, lp: u64, seq: u64) {
-        let snap = self.snapshot(lp);
-        self.spawn_deposit.insert(seq, snap);
-    }
-
-    /// A Run event started a fresh process.
-    pub(crate) fn on_lp_start(&mut self, lp: u64, host: usize, seq: u64) {
-        self.lp_host.insert(lp, host);
-        self.tick(lp);
-        if let Some(dep) = self.spawn_deposit.remove(&seq) {
-            self.join_from(lp, dep);
-        }
-    }
-
-    /// The process's host crashed (its pending wakes were purged).
-    pub(crate) fn on_lp_killed(&mut self, lp: u64) {
-        self.crashed.insert(lp);
-        self.waiting.remove(&lp);
-    }
-
-    /// A Wake event found no blocked waiter.
-    pub(crate) fn on_stale_wake(&mut self, lp: u64) {
-        if self.crashed.contains(&lp) {
-            return; // the crash purge races a late V; expected
-        }
-        self.violations.push(Violation {
-            kind: ViolationKind::LostWakeup,
-            lp,
-            host: self.host_of(lp),
-            sema: None,
-            cycle: Vec::new(),
-            event_index: self.event_index,
-            time: self.now,
-            detail: format!(
-                "wake delivered to lp{lp}, which is not blocked: the signal \
-                 raced its consumer and is lost"
-            ),
-        });
-    }
-
-    /// Non-blocking acquire (count was positive).
-    pub(crate) fn on_acquire(&mut self, lp: u64, sema: u64, label: &'static str, host: usize) {
-        self.lp_host.entry(lp).or_insert(host);
-        self.sema_label.insert(sema, label);
-        self.tick(lp);
-        if let Some(dep) = self.sema_deposit.get(&sema).cloned() {
-            self.join_from(lp, dep);
-        }
-        *self.held.entry((lp, sema)).or_insert(0) += 1;
-    }
-
-    /// The process is about to block on `sema`.
-    pub(crate) fn on_wait_begin(&mut self, lp: u64, sema: u64, label: &'static str, host: usize) {
-        self.lp_host.entry(lp).or_insert(host);
-        self.sema_label.insert(sema, label);
-        self.tick(lp);
-        if !self.signal_style.contains(&sema)
-            && self.held.get(&(lp, sema)).copied().unwrap_or(0) > 0
-        {
-            self.violations.push(Violation {
-                kind: ViolationKind::DoubleWait,
-                lp,
-                host,
-                sema: Some(label),
-                cycle: Vec::new(),
-                event_index: self.event_index,
-                time: self.now,
-                detail: format!(
-                    "lp{lp} blocks on semaphore '{label}' while already holding a \
-                     unit of it: nothing else can V it first (recursive acquire)"
-                ),
-            });
-        }
-        self.waiting.insert(lp, Waiting { sema, label });
-    }
-
-    /// The blocked process resumed; `acquired` is false on timeout.
-    pub(crate) fn on_wait_end(&mut self, lp: u64, sema: u64, acquired: bool) {
-        self.waiting.remove(&lp);
-        self.tick(lp);
-        if acquired {
-            if let Some(dep) = self.sema_deposit.get(&sema).cloned() {
-                self.join_from(lp, dep);
+    /// Mirrors one probe into the clocks and tables.
+    pub(crate) fn observe(&mut self, p: Probe) {
+        match p {
+            Probe::Event(index, t) => {
+                self.event_index = index;
+                self.now = t;
             }
-            *self.held.entry((lp, sema)).or_insert(0) += 1;
-        }
-    }
-
-    /// A V: the releaser's clock is deposited on the semaphore; a directly
-    /// woken waiter is checked for host affinity.
-    pub(crate) fn on_release(
-        &mut self,
-        lp: Option<u64>,
-        sema: u64,
-        label: &'static str,
-        host: usize,
-        woken: Option<u64>,
-    ) {
-        self.sema_label.insert(sema, label);
-        match lp {
-            Some(lp) => {
+            // A process scheduled a Run event (spawn or timer): its clock is
+            // deposited under the event's seq for the new process to inherit.
+            Probe::Spawn(Some(lp), seq) => {
                 let snap = self.snapshot(lp);
-                self.sema_deposit.insert(sema, snap);
-                let h = self.held.entry((lp, sema)).or_insert(0);
-                if *h == 0 {
-                    // A V from a non-holder: this is a signal, not an
-                    // unlock — holding-based checks no longer apply.
-                    self.signal_style.insert(sema);
-                } else {
-                    *h -= 1;
+                self.spawn_deposit.insert(seq, snap);
+            }
+            Probe::Start(lp, host, seq, ..) => {
+                self.lp_host.insert(lp, host.0);
+                self.tick(lp);
+                if let Some(dep) = self.spawn_deposit.remove(&seq) {
+                    self.join_from(lp, dep);
                 }
             }
-            None => {
-                self.signal_style.insert(sema);
+            // The scheduler performed the wait; it closes out as the process
+            // resumes, with a unit unless it timed out.
+            Probe::Resume(lp, .., Some((sema, acquired))) => {
+                self.waiting.remove(&lp);
+                self.tick(lp);
+                if acquired {
+                    if let Some(dep) = self.sema_deposit.get(&sema).cloned() {
+                        self.join_from(lp, dep);
+                    }
+                    *self.held.entry((lp, sema)).or_insert(0) += 1;
+                }
             }
-        }
-        if let Some(w) = woken {
-            let waiter_host = self.host_of(w);
-            if waiter_host != usize::MAX && waiter_host != host {
+            // A wake nothing waits for is lost, unless its process was
+            // killed: a late V racing the crash purge is expected.
+            Probe::StaleWake(lp) if !self.crashed.contains(&lp) => {
                 self.violations.push(Violation {
-                    kind: ViolationKind::CrossHostSignal,
-                    lp: w,
-                    host: waiter_host,
-                    sema: Some(label),
+                    kind: ViolationKind::LostWakeup,
+                    lp,
+                    host: self.host_of(lp),
+                    sema: None,
                     cycle: Vec::new(),
                     event_index: self.event_index,
                     time: self.now,
                     detail: format!(
-                        "semaphore '{label}' V'd from host{host} wakes lp{w} on \
-                         host{waiter_host}: cross-host shared-memory signalling \
-                         that real machines cannot perform"
+                        "wake delivered to lp{lp}, which is not blocked: the signal \
+                         raced its consumer and is lost"
                     ),
                 });
             }
+            Probe::Kill(lp) => {
+                self.crashed.insert(lp);
+                self.waiting.remove(&lp);
+            }
+            Probe::Acquire(Some(lp), host, sema, label) => {
+                self.lp_host.entry(lp).or_insert(host.0);
+                self.sema_label.insert(sema, label);
+                self.tick(lp);
+                if let Some(dep) = self.sema_deposit.get(&sema).cloned() {
+                    self.join_from(lp, dep);
+                }
+                *self.held.entry((lp, sema)).or_insert(0) += 1;
+            }
+            Probe::WaitBegin(lp, host, sema, label) => {
+                self.lp_host.entry(lp).or_insert(host.0);
+                self.sema_label.insert(sema, label);
+                self.tick(lp);
+                if !self.signal_style.contains(&sema)
+                    && self.held.get(&(lp, sema)).copied().unwrap_or(0) > 0
+                {
+                    self.violations.push(Violation {
+                        kind: ViolationKind::DoubleWait,
+                        lp,
+                        host: host.0,
+                        sema: Some(label),
+                        cycle: Vec::new(),
+                        event_index: self.event_index,
+                        time: self.now,
+                        detail: format!(
+                            "lp{lp} blocks on semaphore '{label}' while already holding a \
+                             unit of it: nothing else can V it first (recursive acquire)"
+                        ),
+                    });
+                }
+                self.waiting.insert(lp, Waiting { sema, label });
+            }
+            // The releaser's clock is deposited on the semaphore; a directly
+            // woken waiter is checked for host affinity.
+            Probe::Release(lp, host, sema, label, woken) => {
+                self.sema_label.insert(sema, label);
+                match lp {
+                    Some(lp) => {
+                        let snap = self.snapshot(lp);
+                        self.sema_deposit.insert(sema, snap);
+                        let h = self.held.entry((lp, sema)).or_insert(0);
+                        if *h == 0 {
+                            // A V from a non-holder: this is a signal, not an
+                            // unlock — holding-based checks no longer apply.
+                            self.signal_style.insert(sema);
+                        } else {
+                            *h -= 1;
+                        }
+                    }
+                    None => {
+                        self.signal_style.insert(sema);
+                    }
+                }
+                if let Some(w) = woken {
+                    let waiter_host = self.host_of(w);
+                    if waiter_host != usize::MAX && waiter_host != host.0 {
+                        self.violations.push(Violation {
+                            kind: ViolationKind::CrossHostSignal,
+                            lp: w,
+                            host: waiter_host,
+                            sema: Some(label),
+                            cycle: Vec::new(),
+                            event_index: self.event_index,
+                            time: self.now,
+                            detail: format!(
+                                "semaphore '{label}' V'd from host{} wakes lp{w} on \
+                                 host{waiter_host}: cross-host shared-memory signalling \
+                                 that real machines cannot perform",
+                                host.0
+                            ),
+                        });
+                    }
+                }
+            }
+            _ => {}
         }
     }
 
@@ -494,6 +480,19 @@ impl CheckCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::HostId;
+
+    fn acquire(c: &mut CheckCore, lp: u64, sema: u64, label: &'static str, host: usize) {
+        c.observe(Probe::Acquire(Some(lp), HostId(host), sema, label));
+    }
+
+    fn wait_begin(c: &mut CheckCore, lp: u64, sema: u64, label: &'static str, host: usize) {
+        c.observe(Probe::WaitBegin(lp, HostId(host), sema, label));
+    }
+
+    fn release(c: &mut CheckCore, lp: u64, sema: u64, label: &'static str, woken: Option<u64>) {
+        c.observe(Probe::Release(Some(lp), HostId(0), sema, label, woken));
+    }
 
     #[test]
     fn repro_strings_roundtrip() {
@@ -525,10 +524,10 @@ mod tests {
     fn wait_for_cycle_is_detected_and_normalized() {
         let mut c = CheckCore::default();
         // lp0 holds A waits B; lp1 holds B waits A.
-        c.on_acquire(0, 100, "A", 0);
-        c.on_acquire(1, 101, "B", 0);
-        c.on_wait_begin(0, 101, "B", 0);
-        c.on_wait_begin(1, 100, "A", 0);
+        acquire(&mut c, 0, 100, "A", 0);
+        acquire(&mut c, 1, 101, "B", 0);
+        wait_begin(&mut c, 0, 101, "B", 0);
+        wait_begin(&mut c, 1, 100, "A", 0);
         let r = c.report(&[0, 1]);
         let dead: Vec<&Violation> = r
             .violations
@@ -548,7 +547,7 @@ mod tests {
     #[test]
     fn blocked_without_signaler_is_a_lost_wakeup() {
         let mut c = CheckCore::default();
-        c.on_wait_begin(0, 100, "orphan", 0);
+        wait_begin(&mut c, 0, 100, "orphan", 0);
         let r = c.report(&[0]);
         assert_eq!(r.violations.len(), 1);
         assert_eq!(r.violations[0].kind, ViolationKind::LostWakeup);
@@ -558,13 +557,13 @@ mod tests {
     #[test]
     fn double_wait_and_cross_host_fire() {
         let mut c = CheckCore::default();
-        c.on_acquire(0, 100, "pool", 0);
-        c.on_wait_begin(0, 100, "pool", 0);
+        acquire(&mut c, 0, 100, "pool", 0);
+        wait_begin(&mut c, 0, 100, "pool", 0);
         assert_eq!(c.violations.len(), 1);
         assert_eq!(c.violations[0].kind, ViolationKind::DoubleWait);
         // lp1 on host1 is woken by a V from host0.
-        c.on_wait_begin(1, 101, "xhost", 1);
-        c.on_release(Some(2), 101, "xhost", 0, Some(1));
+        wait_begin(&mut c, 1, 101, "xhost", 1);
+        release(&mut c, 2, 101, "xhost", Some(1));
         assert!(c
             .violations
             .iter()
@@ -574,16 +573,16 @@ mod tests {
     #[test]
     fn clocks_join_through_semaphores_and_spawns() {
         let mut c = CheckCore::default();
-        c.on_lp_start(0, 0, 0);
-        c.on_spawn(0, 7);
-        c.on_lp_start(1, 0, 7);
+        c.observe(Probe::Start(0, HostId(0), 0, 0, 0));
+        c.observe(Probe::Spawn(Some(0), 7));
+        c.observe(Probe::Start(1, HostId(0), 7, 0, 0));
         // lp1 inherited lp0's clock through the spawn deposit.
         assert!(c.clocks[&1].contains_key(&0));
         let edges_after_spawn = c.hb_edges;
         assert!(edges_after_spawn >= 1);
         // lp0 V's, lp1 acquires: lp1 joins lp0's newer clock.
-        c.on_release(Some(0), 100, "s", 0, None);
-        c.on_acquire(1, 100, "s", 0);
+        release(&mut c, 0, 100, "s", None);
+        acquire(&mut c, 1, 100, "s", 0);
         assert!(c.hb_edges > edges_after_spawn);
         assert!(c.clocks[&1][&0] >= c.clocks[&0][&0] - 1);
     }

@@ -1058,7 +1058,7 @@ fn check_paths(
     for (root, _) in nodes.iter().filter(|(n, _)| !used.contains(n.as_str())) {
         let mut path: Vec<&str> = Vec::new();
         walk(root, by_name, &mut path, &mut |path| {
-            check_one_path(path, by_name, externals, diags, &mut seen);
+            check_path(path, by_name, externals, diags, &mut seen);
         });
     }
 }
@@ -1099,7 +1099,7 @@ fn line_of(name: &str, by_name: &HashMap<&str, &Node>) -> usize {
     by_name.get(name).map(|n| n.line).unwrap_or(0)
 }
 
-fn check_one_path(
+fn check_path(
     path: &[&str],
     by_name: &HashMap<&str, &Node>,
     externals: &HashMap<String, ProtoContract>,

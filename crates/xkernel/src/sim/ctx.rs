@@ -11,14 +11,14 @@ use crate::journal::JournalRecord;
 use crate::kernel::Kernel;
 use crate::msg::{Message, Popped};
 use crate::proto::ProtoId;
-use crate::trace::{CostBreakdown, Event, EventKind, OpClass, SpanKey};
+use crate::trace::{EventKind, OpClass, SpanKey};
 use crate::vproc;
 
 use super::engine::{
     CrashKill, EngineGuard, EvKind, FuelKill, ProcBody, RunState, RESUME_KILLED, RESUME_NORMAL,
     RESUME_TIMEOUT,
 };
-use super::report::{breakdown_of, bump, HostCell};
+use super::report::{bump, HostCell};
 use super::*;
 
 /// Execution context handed to every protocol operation: identifies the
@@ -133,27 +133,15 @@ impl Ctx {
 
     /// The clock half of a charge that lands: advances the host clock and
     /// the host's fuel tally and attributes the time. The process then owes
-    /// a [`Ctx::fuel_tick`].
-    #[inline]
+    /// a [`Ctx::fuel_tick`]. Forced inline: the probe's (cold) branch would
+    /// otherwise make it a call of its own on every landed charge.
+    #[inline(always)]
     fn charge_clock(&self, class: OpClass, ns: Nanos) {
         let h = self.cell();
         bump(&h.fuel, 1);
         let t = bump(&h.cpu, ns);
-        if self.core.trace_on {
-            self.attribute(class, ns, t);
-        }
-    }
-
-    /// The traced half of a charge: `ns` of `class`, ending at host time
-    /// `t`, goes to the active layer's ledger entry.
-    #[cold]
-    #[inline(never)]
-    fn attribute(&self, class: OpClass, ns: Nanos, t: Time) {
-        self.core
-            .engine
-            .lock()
-            .trace
-            .attribute(self.host.0, self.span_key(), class, ns, t);
+        let charge = || Probe::Charge(self.host, self.span_key(), class, ns, t);
+        self.core.probe(charge);
     }
 
     /// The fuel half of a charge: burns one unit of the running coroutine's
@@ -319,11 +307,8 @@ impl Ctx {
         }
         let mut g = self.core.engine.lock();
         let handle = g.push_event(t, EvKind::Run { host, body });
-        if let (true, Some(lp)) = (self.core.check_on, self.lp) {
-            // Fork edge: deposit the spawner's clock under the new Run
-            // event's seq; the spawned process joins it at start.
-            g.check.on_spawn(lp.id, handle.seq);
-        }
+        let spawn = || Probe::Spawn(self.lp.map(|lp| lp.id), handle.seq);
+        g.observers.probe(&self.core, spawn);
         handle
     }
 
@@ -478,21 +463,13 @@ impl Ctx {
     /// journaling is on. `kind` is one of the `crate::journal::FAULT_*`
     /// tags; `aux` carries the kind-specific detail.
     pub fn journal_fault(&self, lan: u32, index: u64, kind: u8, aux: u64) {
-        if !self.core.journal_on.load(Relaxed) {
-            return;
-        }
-        self.core.engine.lock().journal.push(JournalRecord::Fault {
+        let fault = JournalRecord::Fault {
             lan,
             index,
             kind,
             aux,
-        });
-    }
-
-    /// Whether structured tracing is enabled.
-    #[inline]
-    pub fn trace_enabled(&self) -> bool {
-        self.core.trace_on
+        };
+        self.core.probe(|| Probe::Decision(fault));
     }
 
     /// Records a protocol annotation as a structured [`EventKind::Note`]
@@ -507,27 +484,8 @@ impl Ctx {
     /// Records a structured trace event against the active layer.
     #[inline]
     fn trace_event(&self, kind: EventKind, len: u64) {
-        if self.core.trace_on {
-            self.record_event(kind, len);
-        }
-    }
-
-    /// The traced half of [`Ctx::trace_event`].
-    #[cold]
-    #[inline(never)]
-    fn record_event(&self, kind: EventKind, len: u64) {
-        let t = self.now();
-        let mut g = self.core.engine.lock();
-        let tr = &mut g.trace;
-        let proto = tr.top(self.span_key());
-        tr.record(Event {
-            host: self.host,
-            t,
-            proto,
-            kind,
-            len,
-            ns: 0,
-        });
+        let note = || Probe::Note(self.host, self.span_key(), kind, len);
+        self.core.probe(note);
     }
 
     /// Enters a protocol layer's span: subsequent charges from this
@@ -535,40 +493,13 @@ impl Ctx {
     /// `dyn Session`/`dyn Protocol` wrappers in [`crate::proto`] call this
     /// at every push/demux boundary; protocol code never needs to.
     pub fn enter_layer(&self, proto: ProtoId, kind: EventKind, msg_len: u64) -> LayerSpan {
-        if !self.core.trace_on {
-            return LayerSpan { inner: None };
-        }
-        let t = self.now();
         let key = self.span_key();
-        let mut g = self.core.engine.lock();
-        let tr = &mut g.trace;
-        tr.span_push(key, proto);
-        tr.record(Event {
-            host: self.host,
-            t,
-            proto: Some(proto),
-            kind,
-            len: msg_len,
-            ns: 0,
+        let inner = self.trace_enabled().then(|| {
+            self.core
+                .probe(|| Probe::SpanPush(self.host, key, proto, kind, msg_len));
+            (Arc::clone(&self.core), key)
         });
-        LayerSpan {
-            inner: Some((Arc::clone(&self.core), key)),
-        }
-    }
-
-    /// The per-layer cost ledger accumulated so far (empty unless tracing
-    /// is enabled). Callable mid-run from inside a shepherd process, which
-    /// is race-free in scheduled mode (one process runs at a time).
-    pub fn cost_breakdown(&self) -> CostBreakdown {
-        breakdown_of(&self.core, &self.core.engine.lock().trace)
-    }
-
-    /// Clears the event rings and cost ledger; see [`Sim::trace_clear`].
-    pub fn trace_clear(&self) {
-        if !self.core.trace_on {
-            return;
-        }
-        self.core.engine.lock().trace.clear();
+        LayerSpan { inner }
     }
 }
 
@@ -583,7 +514,7 @@ pub struct LayerSpan {
 impl Drop for LayerSpan {
     fn drop(&mut self) {
         if let Some((core, key)) = self.inner.take() {
-            core.engine.lock().trace.span_pop(key);
+            core.probe(|| Probe::SpanPop(key));
         }
     }
 }

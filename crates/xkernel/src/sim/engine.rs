@@ -8,13 +8,12 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
 use crate::cell::OwnerGuard;
-use crate::check::CheckCore;
 use crate::journal::JournalRecord;
-use crate::trace::{OpClass, SpanKey, TraceCore, EMPTY_STACK};
 use crate::vproc;
 
 use super::ctx::Block;
-use super::report::{breakdown_of, bump, HostCell};
+use super::observe::Observers;
+use super::report::{bump, HostCell};
 use super::sema::Enqueued;
 use super::timeline::{Key, Timeline};
 use super::*;
@@ -242,13 +241,8 @@ pub(super) struct Engine {
     /// kind tag). Maintained unconditionally — three integer ops per
     /// event — so every run has a schedule fingerprint.
     pub(super) sched_hash: u64,
-    /// Structured trace state; touched only when [`SimCore::trace_on`].
-    pub(super) trace: TraceCore,
-    /// Concurrency-checker state; touched only when [`SimCore::check_on`].
-    pub(super) check: CheckCore,
-    /// Recorded nondeterminism-relevant decisions; touched only while
-    /// [`SimCore::journal_on`].
-    pub(super) journal: Vec<JournalRecord>,
+    /// The tracer's, the checker's and the journal's state (`observe.rs`).
+    pub(super) observers: Observers,
 }
 
 impl Engine {
@@ -364,7 +358,7 @@ impl Sim {
             events: g.executed,
             blocked: g.blocked().count(),
             hosts: core.hosts.iter().map(HostCell::stats).collect(),
-            breakdown: breakdown_of(core, &g.trace),
+            breakdown: g.observers.breakdown(core),
             sched_hash: g.sched_hash,
             fuel_used: core.hosts.iter().map(|h| h.fuel.load(Relaxed)).sum(),
             fuel_exhausted: g.fuel_exhausted,
@@ -402,9 +396,7 @@ impl Sim {
         }
         doomed.sort_unstable_by_key(|lp| lp.id);
         for &lp in &doomed {
-            if core.check_on {
-                g.check.on_lp_killed(lp.id);
-            }
+            g.observers.probe(core, || Probe::Kill(lp.id));
             g = reap_lp(core, g, lp);
         }
         doomed.len()
@@ -419,8 +411,6 @@ struct Woken {
     host: HostId,
     body: LpBody,
     reason: WakeReason,
-    /// The semaphore wait this wake concludes, if any (checker id).
-    waited: Option<u64>,
 }
 
 /// What the event loop decided after [`advance`] processed events.
@@ -463,10 +453,7 @@ fn advance(core: &Arc<SimCore>, g: &mut Engine, stop: Time) -> Next {
                 EvKind::Restart { .. } => 4,
             },
         );
-        if core.check_on {
-            let executed = g.executed;
-            g.check.tick_event(executed, t);
-        }
+        g.observers.probe(core, || Probe::Event(g.executed, t));
         match kind {
             EvKind::Run { host, body } => {
                 let h = core.host(host);
@@ -482,11 +469,12 @@ fn advance(core: &Arc<SimCore>, g: &mut Engine, stop: Time) -> Next {
                 }
                 h.down.store(true, Relaxed);
                 bump(&h.crashes, 1);
-                core.journal(g, || JournalRecord::Boot {
+                let boot = JournalRecord::Boot {
                     host: host.0 as u32,
                     kind: 0,
                     t,
-                });
+                };
+                g.observers.probe(core, || Probe::Decision(boot));
                 // In-flight deliveries, timers, and spawned runs on the
                 // host die with it, as do pending wakes for its
                 // processes. Crash/Restart events survive — a scheduled
@@ -496,7 +484,7 @@ fn advance(core: &Arc<SimCore>, g: &mut Engine, stop: Time) -> Next {
                     events,
                     lps,
                     reap,
-                    check,
+                    observers,
                     ..
                 } = &mut *g;
                 let purged = events.remove_where(|k| match k {
@@ -507,28 +495,15 @@ fn advance(core: &Arc<SimCore>, g: &mut Engine, stop: Time) -> Next {
                     _ => false,
                 });
                 timeline.note_dead(purged, events);
-                // Blocked processes on the host are killed: the run loop
-                // reaps them (unwinding coroutines via a filtered panic)
-                // at its next deterministic reap point.
-                for (id, slot, st) in lps.iter_mut() {
-                    if st.host == host && st.state == RunState::Blocked {
+                // Every process on the host dies, its wakes purged; the run
+                // loop reaps the blocked ones (unwinding coroutines via a
+                // filtered panic) at its next deterministic reap point.
+                for (id, slot, st) in lps.iter_mut().filter(|(_, _, st)| st.host == host) {
+                    if st.state == RunState::Blocked {
                         st.state = RunState::Killed;
                         reap.push(LpId { id, slot });
                     }
-                }
-                if core.check_on {
-                    // Every process of the crashed host had its pending
-                    // wakes purged; late signals to them are expected, not
-                    // lost wakeups.
-                    let mut doomed: Vec<u64> = lps
-                        .iter()
-                        .filter(|(_, _, s)| s.host == host)
-                        .map(|(id, _, _)| id)
-                        .collect();
-                    doomed.sort_unstable();
-                    for lp in doomed {
-                        check.on_lp_killed(lp);
-                    }
+                    observers.probe(core, || Probe::Kill(id));
                 }
             }
             EvKind::Restart { host } => {
@@ -540,11 +515,12 @@ fn advance(core: &Arc<SimCore>, g: &mut Engine, stop: Time) -> Next {
                 h.epoch.store(h.epoch.load(Relaxed) + 1, Relaxed);
                 bump(&h.restarts, 1);
                 let jumped = h.arrive(t, 0);
-                core.journal(g, || JournalRecord::Boot {
+                let boot = JournalRecord::Boot {
                     host: host.0 as u32,
                     kind: 1,
                     t,
-                });
+                };
+                g.observers.probe(core, || Probe::Decision(boot));
                 // The kernel reboots as a fresh shepherd process, giving
                 // every protocol its reboot hook.
                 let f: Thunk = Box::new(move |ctx: &Ctx| {
@@ -558,9 +534,7 @@ fn advance(core: &Arc<SimCore>, g: &mut Engine, stop: Time) -> Next {
                 let Some(st) = g.lp_mut(lp).filter(|st| st.state == RunState::Blocked) else {
                     // Process already gone, or not blocked (cancellation
                     // should prevent the latter): a stale wake.
-                    if core.check_on {
-                        g.check.on_stale_wake(lp.id);
-                    }
+                    g.observers.probe(core, || Probe::StaleWake(lp.id));
                     continue;
                 };
                 let host = st.host;
@@ -569,24 +543,19 @@ fn advance(core: &Arc<SimCore>, g: &mut Engine, stop: Time) -> Next {
                     LpBody::Coro(_) => RunState::Running,
                     LpBody::Machine(_) => RunState::Stepping,
                 };
-                let woken = Woken {
+                let acquired = reason == WakeReason::Normal;
+                let wait = st.wait_sema.take().map(|sema| (sema, acquired));
+                g.current = Some(lp);
+                let switch = core.cost.proc_switch;
+                let (idle, now) = core.host(host).arrive(t, switch);
+                g.observers
+                    .probe(core, || Probe::Resume(lp.id, host, idle, switch, now, wait));
+                return Next::Resume(Woken {
                     lp,
                     host,
                     body,
                     reason,
-                    waited: st.wait_sema.take(),
-                };
-                g.current = Some(lp);
-                let switch = core.cost.proc_switch;
-                let (idle, now) = core.host(host).arrive(t, switch);
-                // Both the wait and the resume switch belong to the woken
-                // process's span stack (e.g. CHANNEL blocked for a reply).
-                if core.trace_on {
-                    let key = SpanKey::Lp(lp.id);
-                    g.trace.attribute(host.0, key, OpClass::Idle, idle, now);
-                    g.trace.attribute(host.0, key, OpClass::Switch, switch, now);
-                }
-                return Next::Resume(woken);
+                });
             }
         }
     }
@@ -612,10 +581,11 @@ fn pick_tie(core: &SimCore, g: &mut Engine, first: Key) -> Key {
         .expect("chooser checked present")
         .choose(n)
         .min(n - 1);
-    core.journal(g, || JournalRecord::TiePick {
+    let tie = JournalRecord::TiePick {
         n: n as u32,
         pick: pick as u32,
-    });
+    };
+    g.observers.probe(core, || Probe::Decision(tie));
     let chosen = ties.remove(pick);
     for key in ties {
         g.timeline.push(key);
@@ -635,12 +605,6 @@ fn start_lp(
     (idle, now): (Nanos, Time),
     seq: u64,
 ) -> Task {
-    // The fresh process has no span stack yet; the host sat idle (wire
-    // latency, timer wait) until this event.
-    if core.trace_on && idle > 0 {
-        g.trace
-            .attribute_stack(host.0, EMPTY_STACK, None, OpClass::Idle, idle, now);
-    }
     let id = g.next_lp;
     g.next_lp += 1;
     let slot = g.lps.insert(
@@ -658,11 +622,8 @@ fn start_lp(
     g.peak_live = g.peak_live.max(g.lps.len());
     let lp = LpId { id, slot };
     g.current = Some(lp);
-    if core.check_on {
-        // The new process inherits its spawner's clock via the deposit
-        // keyed by the starting event's seq (if one was made).
-        g.check.on_lp_start(id, host.0, seq);
-    }
+    g.observers
+        .probe(core, || Probe::Start(id, host, seq, idle, now));
     Task { lp, host, body }
 }
 
@@ -789,11 +750,7 @@ fn note_death(core: &SimCore, g: &mut Engine, lp: LpId, p: Box<dyn Any + Send>) 
         // Normal death of a process whose host crashed.
     } else if p.is::<FuelKill>() {
         g.fuel_exhausted += 1;
-        if core.check_on {
-            // Killed mid-protocol: late signals to it are expected, not
-            // lost wakeups.
-            g.check.on_lp_killed(lp.id);
-        }
+        g.observers.probe(core, || Probe::Kill(lp.id));
     } else {
         let text = p
             .downcast_ref::<&str>()
@@ -835,7 +792,7 @@ fn drive_coro<'a>(
 /// already `woken.lp`.
 fn resume_lp<'a>(
     core: &'a Arc<SimCore>,
-    mut g: EngineGuard<'a>,
+    g: EngineGuard<'a>,
     ctx: &mut Ctx,
     woken: Woken,
 ) -> EngineGuard<'a> {
@@ -844,16 +801,7 @@ fn resume_lp<'a>(
         host,
         body,
         reason,
-        waited,
     } = woken;
-    if core.check_on {
-        if let Some(sema_id) = waited {
-            // The scheduler performed the wait; close it out as the
-            // process resumes.
-            g.check
-                .on_wait_end(lp.id, sema_id, reason == WakeReason::Normal);
-        }
-    }
     match body {
         LpBody::Coro(coro) => {
             let token = match reason {
@@ -893,9 +841,7 @@ fn step_machine<'a>(
             let mut g = core.engine.lock();
             g.fuel_exhausted += 1;
             finalize_lp(core, &mut g, lp);
-            if core.check_on {
-                g.check.on_lp_killed(lp.id);
-            }
+            g.observers.probe(core, || Probe::Kill(lp.id));
             return g;
         }
         if c.fuel != u64::MAX {
@@ -931,11 +877,7 @@ fn finalize_lp(core: &SimCore, g: &mut Engine, lp: LpId) {
         g.current = None;
     }
     g.lps.remove(lp.id, lp.slot);
-    if core.trace_on {
-        // The guards unwound with the process; discard its (empty) span
-        // stack so the table doesn't grow with process count.
-        g.trace.drop_key(SpanKey::Lp(lp.id));
-    }
+    g.observers.probe(core, || Probe::Finish(lp.id));
 }
 
 /// Reaps one crash-killed process: a coroutine is resumed so it unwinds via

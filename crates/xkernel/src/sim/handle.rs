@@ -2,21 +2,20 @@
 //! does through the owning [`Sim`] handle (the type itself sits beside the
 //! event loop in `engine.rs`) and [`WeakSim`].
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering::Relaxed};
 use std::sync::Arc;
 
 use crate::cell::OwnerCell;
-use crate::check::{CheckCore, CheckReport, Violation};
+use crate::check::Violation;
 use crate::cost::CostModel;
-use crate::journal::{Journal, JournalRecord, JOURNAL_VERSION};
 use crate::kernel::Kernel;
 use crate::map::AppendTable;
 use crate::msg::HeaderPolicy;
 use crate::rng::{draws_between, splitmix64};
-use crate::trace::{CostBreakdown, Event, EventKind, FoldedLine, TraceCore, DEFAULT_RING_CAP};
 
 use super::engine::{install_crash_hook, Engine, EvKind, Slab, FNV_OFFSET};
-use super::report::{breakdown_of, folded_of, HostCell};
+use super::observe::{mask_for, Observers};
+use super::report::HostCell;
 use super::timeline::Timeline;
 use super::*;
 
@@ -38,18 +37,9 @@ pub struct SimCore {
     /// The scheduler's compound state — and the observers' — in the
     /// simulator's one cell.
     pub(super) engine: OwnerCell<Engine>,
-    /// Plain flag checked before any trace work; when false no hook takes
-    /// the lock for tracing's sake (the zero-overhead-when-disabled
-    /// guarantee).
-    pub(super) trace_on: bool,
-    /// Plain flag checked before any checker work (same guarantee as
-    /// `trace_on`).
-    pub(super) check_on: bool,
-    /// Whether journal recording is on. Toggleable at run time (unlike
-    /// `trace_on`/`check_on`) so recording can be scoped to a window; a
-    /// relaxed load guards every journal touch, so recording costs nothing
-    /// when off.
-    pub(super) journal_on: AtomicBool,
+    /// Which observers are on, one bit each (`observe.rs`): trace and check
+    /// fixed at construction, the journal toggled to scope a recording.
+    pub(super) observing: AtomicU8,
     /// The seed the PRNG stream started from — the configured one, or the
     /// last [`Sim::reseed`]'s — kept for repro strings. A scalar cell too.
     pub(super) seed: AtomicU64,
@@ -69,13 +59,6 @@ impl SimCore {
         let z = splitmix64(&mut s);
         self.rng.store(s, Relaxed);
         z
-    }
-
-    /// Appends `record()` to the journal in `g` if recording is on.
-    pub(super) fn journal(&self, g: &mut Engine, record: impl FnOnce() -> JournalRecord) {
-        if self.journal_on.load(Relaxed) {
-            g.journal.push(record());
-        }
     }
 }
 
@@ -112,13 +95,9 @@ impl Sim {
                     peak_live: 0,
                     chooser: None,
                     sched_hash: FNV_OFFSET,
-                    trace: TraceCore::new(DEFAULT_RING_CAP),
-                    check: CheckCore::default(),
-                    journal: Vec::new(),
+                    observers: Observers::default(),
                 }),
-                trace_on: cfg.trace,
-                check_on: cfg.check,
-                journal_on: AtomicBool::new(false),
+                observing: mask_for(&cfg),
                 seed: AtomicU64::new(cfg.seed),
             }),
         }
@@ -260,60 +239,6 @@ impl Sim {
         self.core.next_u64()
     }
 
-    /// Whether structured tracing is enabled for this simulation.
-    pub fn trace_enabled(&self) -> bool {
-        self.core.trace_on
-    }
-
-    /// All recorded trace events, host-major in arrival order (empty
-    /// unless tracing was enabled). Rings are bounded; old events are
-    /// dropped first.
-    pub fn trace_events(&self) -> Vec<Event> {
-        if !self.core.trace_on {
-            return Vec::new();
-        }
-        self.core.engine.lock().trace.events()
-    }
-
-    /// The protocol-reported annotations among the trace events, with the
-    /// host each was noted on (replaces the old string trace lines).
-    pub fn trace_notes(&self) -> Vec<(HostId, &'static str)> {
-        self.trace_events()
-            .into_iter()
-            .filter_map(|e| match e.kind {
-                EventKind::Note(n) => Some((e.host, n)),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// The per-layer cost ledger accumulated so far (empty unless tracing
-    /// was enabled).
-    pub fn cost_breakdown(&self) -> CostBreakdown {
-        breakdown_of(&self.core, &self.core.engine.lock().trace)
-    }
-
-    /// Flamegraph-compatible folded-stack lines for the ledger accumulated
-    /// so far, deterministically sorted.
-    pub fn folded(&self) -> Vec<FoldedLine> {
-        folded_of(&self.core, &self.core.engine.lock().trace)
-    }
-
-    /// Clears the event rings and the cost ledger (live span stacks
-    /// survive, so in-flight call chains stay attributed). Benchmarks call
-    /// this after warmup to scope the ledger to the measured window.
-    pub fn trace_clear(&self) {
-        if !self.core.trace_on {
-            return;
-        }
-        self.core.engine.lock().trace.clear();
-    }
-
-    /// Whether the concurrency checker is enabled for this simulation.
-    pub fn check_enabled(&self) -> bool {
-        self.core.check_on
-    }
-
     /// The seed the PRNG stream started from (embedded in repro strings).
     pub fn seed(&self) -> u64 {
         self.core.seed.load(Relaxed)
@@ -378,46 +303,10 @@ impl Sim {
         self.core.engine.lock().chooser = Some(chooser);
     }
 
-    /// The checker's findings. Runs the wait-for-graph scan over processes
-    /// still blocked right now, so call it after [`Sim::run_until_idle`]
-    /// (a blocked process mid-run is not yet a deadlock). Returns a
-    /// default (disabled) report when checking is off.
-    pub fn check_report(&self) -> CheckReport {
-        if !self.core.check_on {
-            return CheckReport::default();
-        }
-        let g = self.core.engine.lock();
-        let mut blocked: Vec<u64> = g.blocked().collect();
-        blocked.sort_unstable();
-        g.check.report(&blocked)
-    }
-
     /// The replayable repro string for `v` under this run's seed and
     /// schedule fingerprint (see [`crate::check::parse_repro`]).
     pub fn repro(&self, v: &Violation) -> String {
         v.repro(self.seed(), self.sched_hash())
-    }
-
-    /// Starts journal recording (see [`crate::journal`]), discarding any
-    /// previously recorded decisions. Costs one relaxed atomic load per
-    /// potential decision when off.
-    pub fn journal_enable(&self) {
-        self.core.engine.lock().journal.clear();
-        self.core.journal_on.store(true, Relaxed);
-    }
-
-    /// Stops recording and returns the journal, stamped with this
-    /// simulation's seed and the schedule fingerprint accumulated so far —
-    /// the cross-check a replay must reproduce.
-    pub fn journal_take(&self) -> Journal {
-        self.core.journal_on.store(false, Relaxed);
-        let mut g = self.core.engine.lock();
-        Journal {
-            version: JOURNAL_VERSION,
-            seed: self.seed(),
-            sched_hash: g.sched_hash,
-            records: std::mem::take(&mut g.journal),
-        }
     }
 }
 

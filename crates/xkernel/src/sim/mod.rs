@@ -32,6 +32,7 @@
 mod ctx;
 mod engine;
 mod handle;
+mod observe;
 mod report;
 mod sema;
 mod snapshot;
@@ -43,6 +44,7 @@ pub use crate::vproc::{VProc, VStep};
 pub use ctx::{Ctx, LayerSpan};
 pub use engine::Sim;
 pub use handle::{SimCore, WeakSim};
+pub(crate) use observe::Probe;
 pub use report::{HostStats, RobustEvent, RunReport};
 pub use sema::SharedSema;
 pub use snapshot::SimSnapshot;
@@ -109,14 +111,16 @@ pub struct SimConfig {
     pub cost: CostModel,
     /// Seed for the simulation-wide deterministic PRNG.
     pub seed: u64,
-    /// Whether to record trace events (tests only; costs nothing when off).
+    /// Whether to record trace events and the per-layer cost ledger (tests,
+    /// `benchmark/`'s per-layer run, `xbench xprof`). Fixed at construction;
+    /// off, a probe site costs one relaxed load and a branch.
     pub trace: bool,
     /// Header-buffer policy for messages created via [`Ctx::msg`] — the
     /// paper's buffer-management design point (see [`crate::msg`]).
     pub policy: HeaderPolicy,
     /// Whether to run the concurrency checker (vector-clock happens-before
-    /// tracking plus violation detection; see [`crate::check`]). Costs
-    /// nothing when off, exactly like `trace`.
+    /// tracking plus violation detection; see [`crate::check`]). Fixed at
+    /// construction; on, its cost per call grows with the processes run.
     pub check: bool,
     /// Deterministic fuel budget per virtual process, or `None` for
     /// unlimited. Coroutines pay one unit per charged operation; machines

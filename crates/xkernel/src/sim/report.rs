@@ -1,15 +1,12 @@
-//! What a run reports: [`RunReport`], the per-host counters behind
-//! [`HostStats`], and the trace ledger's breakdown and folded-stack views.
+//! What a run reports: [`RunReport`] and the per-host counters behind
+//! [`HostStats`].
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use crate::kernel::Kernel;
-use crate::proto::ProtoId;
-use crate::trace::{CostBreakdown, CostEntry, FoldedLine, OpClass, TraceCore};
+use crate::trace::CostBreakdown;
 
-use super::handle::kernels_of;
 use super::*;
 
 /// Outcome of [`Sim::run_until_idle`]. Derives `Eq` so chaos tests can
@@ -150,76 +147,5 @@ impl HostCell {
             restarts: self.restarts.load(Relaxed),
             cpu_ns: self.cpu.load(Relaxed),
         }
-    }
-}
-
-/// Builds the sorted per-layer breakdown from the trace ledger, resolving
-/// innermost-layer protocol ids to instance names via the hosts' kernels.
-// clippy.toml bans a std map in the engine; this one aggregates the trace
-// ledger once, after a traced run, and holds no engine state.
-#[allow(clippy::disallowed_methods)]
-pub(super) fn breakdown_of(core: &SimCore, tr: &TraceCore) -> CostBreakdown {
-    if !core.trace_on {
-        return CostBreakdown::default();
-    }
-    let kernels = kernels_of(core);
-    let mut agg: HashMap<(usize, Option<ProtoId>, OpClass), Nanos> = HashMap::new();
-    for (host, frames, class, ns) in tr.rows() {
-        *agg.entry((host, frames.last().copied(), class))
-            .or_insert(0) += ns;
-    }
-    let mut entries: Vec<CostEntry> = agg
-        .into_iter()
-        .map(|((host, top, class), ns)| CostEntry {
-            host: HostId(host),
-            proto: proto_frame_name(&kernels, host, top),
-            class,
-            ns,
-        })
-        .collect();
-    entries.sort();
-    CostBreakdown { entries }
-}
-
-/// Builds the sorted folded-stack lines from the trace ledger.
-pub(super) fn folded_of(core: &SimCore, tr: &TraceCore) -> Vec<FoldedLine> {
-    if !core.trace_on {
-        return Vec::new();
-    }
-    let kernels = kernels_of(core);
-    let mut lines: Vec<FoldedLine> = tr
-        .rows()
-        .into_iter()
-        .map(|(host, frames, class, ns)| {
-            let host_name = kernels
-                .get(host)
-                .map(|k| k.name().to_string())
-                .unwrap_or_else(|| format!("host{host}"));
-            let mut out = Vec::with_capacity(frames.len() + 2);
-            out.push(host_name);
-            for p in frames {
-                out.push(proto_frame_name(&kernels, host, Some(*p)));
-            }
-            out.push(class.as_str().to_string());
-            FoldedLine {
-                host: HostId(host),
-                frames: out,
-                ns,
-            }
-        })
-        .collect();
-    lines.sort();
-    lines
-}
-
-/// The display name for a span frame: the protocol's configured instance
-/// name, or `"(host)"` for the empty stack.
-fn proto_frame_name(kernels: &[Arc<Kernel>], host: usize, proto: Option<ProtoId>) -> String {
-    match proto {
-        None => "(host)".to_string(),
-        Some(p) => kernels
-            .get(host)
-            .and_then(|k| k.name_of(p))
-            .unwrap_or_else(|| format!("p{}", p.0)),
     }
 }

@@ -112,20 +112,16 @@ impl SharedSema {
     /// otherwise queues the process as a waiter. With `timeout`, a queued
     /// waiter also gets the timer that gives up for it. Everything of a P
     /// short of the block itself: the scheduler closes the wait out (the
-    /// checker's wait-end hook) when it resumes the process.
+    /// resume probe) when it resumes the process.
     pub(super) fn wait_begin(&self, ctx: &Ctx, timeout: Option<Nanos>) -> Enqueued {
         ctx.charge_class(OpClass::Sema, ctx.cost().sema_op);
         let mut st = self.0.st.lock();
         if st.count > 0 {
             st.count -= 1;
             drop(st);
-            if let (true, Some(lp)) = (ctx.core.check_on, ctx.lp) {
-                ctx.core
-                    .engine
-                    .lock()
-                    .check
-                    .on_acquire(lp.id, self.0.id, self.0.label, ctx.host.0);
-            }
+            let lp = ctx.lp.map(|lp| lp.id);
+            let acquire = || Probe::Acquire(lp, ctx.host, self.0.id, self.0.label);
+            ctx.core.probe(acquire);
             return Enqueued::Acquired;
         }
         if ctx.mode() == Mode::Inline {
@@ -140,13 +136,8 @@ impl SharedSema {
             seq,
         });
         drop(st);
-        if ctx.core.check_on {
-            ctx.core
-                .engine
-                .lock()
-                .check
-                .on_wait_begin(lp.id, self.0.id, self.0.label, ctx.host.0);
-        }
+        let wait = || Probe::WaitBegin(lp.id, ctx.host, self.0.id, self.0.label);
+        ctx.core.probe(wait);
         if let Some(dt) = timeout {
             let me = self.clone();
             let timer = ctx.schedule_after(dt, move |tctx| {
@@ -188,15 +179,9 @@ impl SharedSema {
             }
             woken
         };
-        if ctx.core.check_on {
-            ctx.core.engine.lock().check.on_release(
-                ctx.lp.map(|l| l.id),
-                self.0.id,
-                self.0.label,
-                ctx.host.0,
-                woken.as_ref().map(|w| w.lp.id),
-            );
-        }
+        let (lp, to) = (ctx.lp.map(|l| l.id), woken.as_ref().map(|w| w.lp.id));
+        let release = || Probe::Release(lp, ctx.host, self.0.id, self.0.label, to);
+        ctx.core.probe(release);
         if let Some(w) = woken {
             ctx.wake(w.lp, WakeReason::Normal, w.timer);
         }

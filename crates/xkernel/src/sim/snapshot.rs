@@ -79,7 +79,7 @@ impl Sim {
             sched_hash: g.sched_hash,
             rng: core.rng.load(Relaxed),
             seed: self.seed(),
-            journal_len: g.journal.len(),
+            journal_len: g.observers.journal_len(),
             hosts: core.hosts.iter().map(HostCell::snap).collect(),
             fuel_exhausted: g.fuel_exhausted,
             peak_live: g.peak_live,
@@ -183,7 +183,7 @@ impl Sim {
                 let ev_slot = g.events.insert(w.seq, kind);
                 g.timeline.push((w.t, w.seq, ev_slot));
             }
-            g.journal.truncate(snap.journal_len);
+            g.observers.journal_truncate(snap.journal_len);
         }
         for (h, sh) in core.hosts.iter().zip(&snap.hosts) {
             h.restore(sh);

@@ -12,11 +12,12 @@
 //!
 //! Design constraints:
 //!
-//! * **Zero overhead when disabled.** Every hook checks a plain `bool` on
-//!   the simulator core first; with tracing off there is no locking, no
-//!   allocation, and no event construction (proven by a counting-allocator
-//!   test). Golden tables are produced with tracing off and must stay bit
-//!   identical.
+//! * **Zero overhead when disabled.** The simulator tells its observers what
+//!   happened through one probe seam (`sim/observe.rs`), whose guard is one
+//!   relaxed load of the observer mask and a branch; with tracing off there
+//!   is no locking, no allocation, and no event construction (proven by a
+//!   counting-allocator test and a cell-entry count). Golden tables are
+//!   produced with tracing off and must stay bit identical.
 //! * **Tracing never moves virtual time.** Attribution observes charges; it
 //!   adds none. Enabling tracing therefore reproduces the exact same run,
 //!   nanosecond for nanosecond — which is what makes the conservation
@@ -27,10 +28,12 @@
 //!   ledger, so the per-host ledger sum equals the host's clock exactly.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use crate::cost::Nanos;
+use crate::kernel::Kernel;
 use crate::proto::ProtoId;
-use crate::sim::{HostId, Time};
+use crate::sim::{HostId, Probe, Time};
 
 /// Default per-host event-ring capacity (old events are dropped first).
 pub const DEFAULT_RING_CAP: usize = 65_536;
@@ -237,7 +240,9 @@ pub(crate) enum SpanKey {
     Host(usize),
 }
 
-/// A span stack and its interned id (cached so charges don't re-hash).
+/// A span stack and its interned id (cached so charges don't re-hash); the
+/// default is the empty stack, whose id is 0.
+#[derive(Default)]
 struct SpanState {
     frames: Vec<ProtoId>,
     id: u32,
@@ -270,11 +275,8 @@ impl Interner {
     }
 }
 
-/// The id of the empty span stack.
-pub(crate) const EMPTY_STACK: u32 = 0;
-
-/// Shared trace state: part of the simulator's `Engine`, behind its one
-/// lock, and only ever touched when `trace_on` is set.
+/// The tracer's state: one of the simulator's observers, in its engine's
+/// cell, fed by probe only while tracing is on.
 pub(crate) struct TraceCore {
     ring_cap: usize,
     rings: Vec<VecDeque<Event>>,
@@ -284,116 +286,111 @@ pub(crate) struct TraceCore {
     ledger: HashMap<(usize, u32, OpClass), Nanos>,
 }
 
-impl TraceCore {
-    pub(crate) fn new(ring_cap: usize) -> TraceCore {
+impl Default for TraceCore {
+    fn default() -> TraceCore {
         TraceCore {
-            ring_cap,
+            ring_cap: DEFAULT_RING_CAP,
             rings: Vec::new(),
             spans: HashMap::new(),
             interner: Interner::new(),
             ledger: HashMap::new(),
         }
     }
+}
 
-    fn ring(&mut self, host: usize) -> &mut VecDeque<Event> {
-        if self.rings.len() <= host {
-            self.rings.resize_with(host + 1, VecDeque::new);
+impl TraceCore {
+    /// Takes one probe: span stacks, the ledger and the event rings. `clock`
+    /// reads a host's CPU clock.
+    pub(crate) fn observe(&mut self, p: Probe, clock: impl Fn(HostId) -> Time) {
+        match p {
+            // A fresh process has no span stack yet, so the host's idle time
+            // (wire latency, timer wait) goes to the empty one.
+            Probe::Start(lp, host, _, idle, now) => {
+                self.attribute(host, SpanKey::Lp(lp), OpClass::Idle, idle, now)
+            }
+            // Both the wait and the resume switch belong to the woken
+            // process's span stack (e.g. CHANNEL blocked for a reply).
+            Probe::Resume(lp, host, idle, switch, now, _) => {
+                self.attribute(host, SpanKey::Lp(lp), OpClass::Idle, idle, now);
+                self.attribute(host, SpanKey::Lp(lp), OpClass::Switch, switch, now);
+            }
+            // The guards unwound with the process: its (empty) span stack
+            // goes, so the table doesn't grow with process count.
+            Probe::Finish(lp) => drop(self.spans.remove(&SpanKey::Lp(lp))),
+            Probe::Charge(host, key, class, ns, t) => self.attribute(host, key, class, ns, t),
+            Probe::SpanPush(host, key, proto, kind, len) => {
+                let st = self.spans.entry(key).or_default();
+                st.frames.push(proto);
+                st.id = self.interner.intern(&st.frames);
+                self.record(host, Some(proto), kind, len, 0, clock(host));
+            }
+            Probe::SpanPop(key) => {
+                if let Some(st) = self.spans.get_mut(&key) {
+                    st.frames.pop();
+                    st.id = self.interner.intern(&st.frames);
+                }
+            }
+            Probe::Note(host, key, kind, len) => {
+                self.record(host, self.top(key).1, kind, len, 0, clock(host))
+            }
+            _ => {}
         }
-        &mut self.rings[host]
-    }
-
-    /// Appends to the host's bounded ring, evicting the oldest event.
-    pub(crate) fn record(&mut self, ev: Event) {
-        let cap = self.ring_cap;
-        let ring = self.ring(ev.host.0);
-        if ring.len() == cap {
-            ring.pop_front();
-        }
-        ring.push_back(ev);
-    }
-
-    /// Enters a layer on `key`'s span stack.
-    pub(crate) fn span_push(&mut self, key: SpanKey, proto: ProtoId) {
-        let st = self.spans.entry(key).or_insert(SpanState {
-            frames: Vec::new(),
-            id: EMPTY_STACK,
-        });
-        st.frames.push(proto);
-        st.id = self.interner.intern(&st.frames);
-    }
-
-    /// Leaves the innermost layer on `key`'s span stack.
-    pub(crate) fn span_pop(&mut self, key: SpanKey) {
-        if let Some(st) = self.spans.get_mut(&key) {
-            st.frames.pop();
-            st.id = self.interner.intern(&st.frames);
-        }
-    }
-
-    /// The innermost active layer on `key`'s span stack.
-    pub(crate) fn top(&self, key: SpanKey) -> Option<ProtoId> {
-        self.spans.get(&key).and_then(|s| s.frames.last().copied())
-    }
-
-    /// Discards a finished process's span stack.
-    pub(crate) fn drop_key(&mut self, key: SpanKey) {
-        self.spans.remove(&key);
     }
 
     /// Attributes `ns` of `class` work to `key`'s current span stack and
     /// records the matching event.
-    pub(crate) fn attribute(
-        &mut self,
-        host: usize,
-        key: SpanKey,
-        class: OpClass,
-        ns: Nanos,
-        t: Time,
-    ) {
+    fn attribute(&mut self, host: HostId, key: SpanKey, class: OpClass, ns: Nanos, t: Time) {
         if ns == 0 {
             return;
         }
-        let (id, proto) = match self.spans.get(&key) {
-            Some(st) => (st.id, st.frames.last().copied()),
-            None => (EMPTY_STACK, None),
-        };
-        self.attribute_stack(host, id, proto, class, ns, t);
-    }
-
-    /// Attributes `ns` to an explicit interned stack (the scheduler uses
-    /// [`EMPTY_STACK`] for idle jumps before a fresh process exists).
-    pub(crate) fn attribute_stack(
-        &mut self,
-        host: usize,
-        stack: u32,
-        proto: Option<ProtoId>,
-        class: OpClass,
-        ns: Nanos,
-        t: Time,
-    ) {
-        if ns == 0 {
-            return;
-        }
-        *self.ledger.entry((host, stack, class)).or_insert(0) += ns;
+        let (stack, proto) = self.top(key);
+        *self.ledger.entry((host.0, stack, class)).or_insert(0) += ns;
         let kind = match class {
             OpClass::Timer => EventKind::Timer,
             OpClass::Sema => EventKind::Sema,
             OpClass::Switch => EventKind::Switch,
             other => EventKind::Charge(other),
         };
-        self.record(Event {
-            host: HostId(host),
+        self.record(host, proto, kind, 0, ns, t);
+    }
+
+    /// `key`'s span stack: its interned id (0, the empty stack, if none) and innermost layer.
+    fn top(&self, key: SpanKey) -> (u32, Option<ProtoId>) {
+        self.spans
+            .get(&key)
+            .map_or((0, None), |st| (st.id, st.frames.last().copied()))
+    }
+
+    /// Appends an event to the host's bounded ring, evicting the oldest.
+    fn record(
+        &mut self,
+        host: HostId,
+        proto: Option<ProtoId>,
+        kind: EventKind,
+        len: u64,
+        ns: Nanos,
+        t: Time,
+    ) {
+        if self.rings.len() <= host.0 {
+            self.rings.resize_with(host.0 + 1, VecDeque::new);
+        }
+        let ring = &mut self.rings[host.0];
+        if ring.len() == self.ring_cap {
+            ring.pop_front();
+        }
+        ring.push_back(Event {
+            host,
             t,
             proto,
             kind,
-            len: 0,
+            len,
             ns,
         });
     }
 
     /// Resolved ledger rows: `(host, span frames outermost-first, class,
     /// ns)`. Unordered; callers sort after name resolution.
-    pub(crate) fn rows(&self) -> Vec<(usize, &[ProtoId], OpClass, Nanos)> {
+    fn rows(&self) -> Vec<(usize, &[ProtoId], OpClass, Nanos)> {
         self.ledger
             .iter()
             .map(|(&(host, stack, class), &ns)| {
@@ -422,22 +419,82 @@ impl TraceCore {
     }
 }
 
+/// Builds the sorted per-layer breakdown from the ledger, resolving
+/// innermost-layer protocol ids to instance names via the hosts' kernels.
+pub(crate) fn breakdown_of(tr: &TraceCore, kernels: &[Arc<Kernel>]) -> CostBreakdown {
+    let mut agg: HashMap<(usize, Option<ProtoId>, OpClass), Nanos> = HashMap::new();
+    for (host, frames, class, ns) in tr.rows() {
+        *agg.entry((host, frames.last().copied(), class))
+            .or_insert(0) += ns;
+    }
+    let mut entries: Vec<CostEntry> = agg
+        .into_iter()
+        .map(|((host, top, class), ns)| CostEntry {
+            host: HostId(host),
+            proto: proto_frame_name(kernels, host, top),
+            class,
+            ns,
+        })
+        .collect();
+    entries.sort();
+    CostBreakdown { entries }
+}
+
+/// Builds the sorted folded-stack lines from the ledger.
+pub(crate) fn folded_of(tr: &TraceCore, kernels: &[Arc<Kernel>]) -> Vec<FoldedLine> {
+    let mut lines: Vec<FoldedLine> = tr
+        .rows()
+        .into_iter()
+        .map(|(host, frames, class, ns)| {
+            let host_name = kernels
+                .get(host)
+                .map(|k| k.name().to_string())
+                .unwrap_or_else(|| format!("host{host}"));
+            let mut out = Vec::with_capacity(frames.len() + 2);
+            out.push(host_name);
+            for p in frames {
+                out.push(proto_frame_name(kernels, host, Some(*p)));
+            }
+            out.push(class.as_str().to_string());
+            FoldedLine {
+                host: HostId(host),
+                frames: out,
+                ns,
+            }
+        })
+        .collect();
+    lines.sort();
+    lines
+}
+
+/// The display name for a span frame: the protocol's configured instance
+/// name, or `"(host)"` for the empty stack.
+fn proto_frame_name(kernels: &[Arc<Kernel>], host: usize, proto: Option<ProtoId>) -> String {
+    match proto {
+        None => "(host)".to_string(),
+        Some(p) => kernels
+            .get(host)
+            .and_then(|k| k.name_of(p))
+            .unwrap_or_else(|| format!("p{}", p.0)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn note(tc: &mut TraceCore, key: SpanKey, t: Time) {
+        tc.observe(Probe::Note(HostId(0), key, EventKind::Push, 0), |_| t);
+    }
+
     #[test]
     fn ring_is_bounded() {
-        let mut tc = TraceCore::new(4);
+        let mut tc = TraceCore {
+            ring_cap: 4,
+            ..TraceCore::default()
+        };
         for i in 0..10 {
-            tc.record(Event {
-                host: HostId(0),
-                t: i,
-                proto: None,
-                kind: EventKind::Push,
-                len: 0,
-                ns: 0,
-            });
+            note(&mut tc, SpanKey::Host(0), i);
         }
         let evs = tc.events();
         assert_eq!(evs.len(), 4, "ring caps at configured size");
@@ -447,14 +504,16 @@ mod tests {
     #[test]
     fn spans_nest_and_attribute() {
         let key = SpanKey::Lp(1);
-        let mut tc = TraceCore::new(16);
-        tc.span_push(key, ProtoId(3));
-        tc.span_push(key, ProtoId(5));
-        assert_eq!(tc.top(key), Some(ProtoId(5)));
-        tc.attribute(0, key, OpClass::Checksum, 100, 42);
-        tc.span_pop(key);
-        assert_eq!(tc.top(key), Some(ProtoId(3)));
-        tc.attribute(0, key, OpClass::Checksum, 11, 43);
+        let mut tc = TraceCore::default();
+        let push = |p| Probe::SpanPush(HostId(0), key, ProtoId(p), EventKind::Push, 0);
+        let charge = |ns, t| Probe::Charge(HostId(0), key, OpClass::Checksum, ns, t);
+        tc.observe(push(3), |_| 0);
+        tc.observe(push(5), |_| 0);
+        tc.observe(charge(100, 42), |_| 0);
+        tc.observe(Probe::SpanPop(key), |_| 0);
+        tc.observe(charge(11, 43), |_| 0);
+        let protos: Vec<_> = tc.events().iter().map(|e| e.proto).collect();
+        assert_eq!(protos, [3, 5, 5, 3].map(|p| Some(ProtoId(p))));
         let rows = tc.rows();
         assert_eq!(rows.len(), 2, "two distinct stacks in the ledger");
         let deep: Nanos = rows
@@ -468,12 +527,20 @@ mod tests {
     #[test]
     fn clear_keeps_live_spans() {
         let key = SpanKey::Lp(7);
-        let mut tc = TraceCore::new(16);
-        tc.span_push(key, ProtoId(1));
-        tc.attribute(0, key, OpClass::Compute, 5, 0);
+        let mut tc = TraceCore::default();
+        tc.observe(
+            Probe::SpanPush(HostId(0), key, ProtoId(1), EventKind::Push, 0),
+            |_| 0,
+        );
+        tc.observe(Probe::Charge(HostId(0), key, OpClass::Compute, 5, 0), |_| 0);
         tc.clear();
         assert!(tc.rows().is_empty(), "ledger cleared");
-        assert_eq!(tc.top(key), Some(ProtoId(1)), "span stack survives");
+        note(&mut tc, key, 1);
+        assert_eq!(
+            tc.events()[0].proto,
+            Some(ProtoId(1)),
+            "span stack survives"
+        );
     }
 
     #[test]

@@ -44,8 +44,9 @@ fn a_warm_inline_sun_rpc_null_call_enters_no_more_cells_than_pinned() {
 /// per-host lock-free cells (DESIGN.md §11): with tracing off, charging a
 /// host, reading a clock, noting a robustness event, reading the boot epoch
 /// and drawing from the PRNG enter no cell at all, the engine's least of all.
-/// A lock taken there would pass every behavioural test and double the
-/// engine's cost.
+/// Nor, with every observer off, do the other probe sites a protocol or the
+/// wire reaches: a trace note, a layer span, a journaled fault. A lock taken
+/// there would pass every behavioural test and double the engine's cost.
 #[test]
 fn the_charging_path_enters_no_cell_with_tracing_off() {
     fn charging_path(ctx: &Ctx) -> u64 {
@@ -56,6 +57,9 @@ fn the_charging_path_enters_no_cell_with_tracing_off() {
             std::hint::black_box((ctx.now(), ctx.event_time(), ctx.boot_epoch()));
             ctx.note(RobustEvent::DuplicateSuppressed);
             std::hint::black_box(ctx.next_u64());
+            ctx.trace_note("off");
+            drop(ctx.enter_layer(ProtoId(0), EventKind::Push, 64));
+            ctx.journal_fault(0, 0, xkernel::journal::FAULT_DROP, 0);
         }
         entries() - before
     }

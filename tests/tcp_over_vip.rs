@@ -6,16 +6,20 @@
 //!
 //! With minimum-frame padding enabled on the wire (as on real Ethernet),
 //! small TCP segments delivered over VIP's raw-Ethernet path carry trailing
-//! pad bytes. Over IP, `total_len` trims them; over raw ETH nothing can,
-//! the checksum fails, and the connection never establishes. The same
-//! padded wire is harmless to every protocol designed with its own length
-//! field (FRAGMENT's `len`, Sprite's `data1_sz`, UDP's `length`).
+//! pad bytes. Over IP, `total_len` trims them; over raw ETH nothing can, and
+//! there is no IP header to name the addresses TCP's checksum covers, so
+//! the checksum rejects every segment (counted in `corrupt_rejected`) and
+//! the connection never establishes. The same padded wire is harmless to
+//! every protocol designed with its own length field (FRAGMENT's `len`,
+//! Sprite's `data1_sz`, UDP's `length`).
 
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
 use inet::tcp::Tcp;
 use inet::with_concrete;
-use simnet::{LanConfig, SimNet};
+use simnet::fault::{FaultDecision, FaultPlan};
+use simnet::{LanConfig, LanId, SimNet};
 use xkernel::prelude::*;
 use xkernel::sim::{Sim, SimConfig};
 
@@ -106,13 +110,61 @@ fn tcp_works_over_ip_despite_frame_padding() {
     let r = sim.run_until_idle();
     assert!(*ok.lock().unwrap());
     assert_eq!(r.blocked, 0);
+    assert_eq!(
+        r.hosts[kernels[1].host().0].corrupt_rejected,
+        0,
+        "IP trims the pad, so no checksum fails"
+    );
+}
+
+#[test]
+fn tcp_counts_a_segment_its_checksum_rejects() {
+    // IP's header checksum does not cover the segment: one flipped payload
+    // byte reaches TCP, whose checksum drops it — counted — and the
+    // retransmission delivers the data.
+    let (sim, net, kernels) = padded_rig("tcp -> ip\n");
+    let flipped = AtomicBool::new(false);
+    net.set_faults(
+        LanId(0), // padded_rig's one LAN
+        FaultPlan {
+            custom: Some(Arc::new(move |_, frame| {
+                match frame.windows(4).position(|w| w == b"data") {
+                    Some(at) if !flipped.swap(true, Relaxed) => FaultDecision::CorruptAt(at),
+                    _ => FaultDecision::Deliver,
+                }
+            })),
+            ..FaultPlan::default()
+        },
+    );
+    let server_ip = IpAddr::new(10, 0, 0, 2);
+    sim.spawn(kernels[1].host(), move |ctx| {
+        with_concrete::<Tcp, _>(&ctx.kernel(), "tcp", |t| {
+            let l = t.listen(80).unwrap();
+            let conn = l.accept(ctx, 5_000_000_000).unwrap();
+            assert_eq!(conn.recv(ctx, 64, 10_000_000_000).unwrap(), b"data");
+        })
+        .unwrap();
+    });
+    sim.spawn(kernels[0].host(), move |ctx| {
+        with_concrete::<Tcp, _>(&ctx.kernel(), "tcp", |t| {
+            t.connect(ctx, server_ip, 80)
+                .unwrap()
+                .send(ctx, b"data")
+                .unwrap();
+        })
+        .unwrap();
+    });
+    let r = sim.run_until_idle();
+    assert_eq!(r.blocked, 0);
+    assert_eq!(r.hosts[kernels[1].host().0].corrupt_rejected, 1);
 }
 
 #[test]
 fn tcp_cannot_establish_over_vip_raw_ethernet() {
     // The paper's finding: over VIP's raw-Ethernet path the padded SYN
-    // fails TCP's checksum (no TCP length field to trim with), so the
-    // handshake never completes.
+    // cannot pass TCP's checksum (no IP header for its pseudo-header, no
+    // TCP length field to trim the pad with), so the handshake never
+    // completes.
     let (sim, _net, kernels) = padded_rig("vip -> ip eth arp\ntcp -> vip\n");
     let server_ip = IpAddr::new(10, 0, 0, 2);
     let outcome: Arc<Mutex<Option<XError>>> = Arc::new(Mutex::new(None));
@@ -139,6 +191,11 @@ fn tcp_cannot_establish_over_vip_raw_ethernet() {
         outcome.lock().unwrap()
     );
     assert_eq!(r.blocked, 0);
+    assert!(
+        r.hosts[kernels[1].host().0].corrupt_rejected >= 1,
+        "the padded SYN's checksum failure is counted: {:?}",
+        r.hosts
+    );
 }
 
 #[test]
