@@ -29,9 +29,10 @@ echo "==> count-gate: what a call costs in counts no host can move"
 # host and build, so one that rises fails here by name. Per stack: context
 # switches and coroutines started per run of warm calls (2n + 4 and 2 — a
 # delivered frame starts nothing), events, fuel and live processes per
-# scheduled null call, allocations per inline null call — in release, as the
-# benchmark builds — and cell entries per inline null call in debug (release
-# builds carry no entry counter). The switch table is printed.
+# scheduled null call, allocations per inline null call — exact, in release,
+# as the benchmark builds; a header built on the heap is two more and fails
+# here — and cell entries per inline null call in debug (release builds carry
+# no entry counter). The switch table is printed.
 cargo test --release -q --test events_per_call --test alloc_per_call -- --test-threads=1 --nocapture
 cargo test -q --test cell_entries
 
@@ -55,12 +56,12 @@ echo "==> source-gate: the spellings no type, lint or test can refuse"
 # codec-, harness-, runner-gate). What they asserted now fails the steps
 # above instead — rustc (unsafe_code = "deny"; the RTO constants private to
 # xrpc::txn; tests/codec_total.rs takes `encode` as `Fn(&H) -> [u8; N]`),
-# crates/clippy.toml's disallowed types and methods (locks, the host's clock, OS
-# threads, std maps and heaps in the engine, backoff_rto outside
-# txn::RtoPolicy), tests/cell_entries.rs (the
-# charging path enters no cell); DESIGN.md §16 has the table, EXPERIMENTS.md
-# the planted violation each refuses. Left here is what would pass all of
-# those.
+# crates/clippy.toml's disallowed types and methods (locks, atomics and
+# sync::Weak, the host's clock, OS threads, std maps and heaps in the engine,
+# backoff_rto outside txn::RtoPolicy), tests/cell_entries.rs (the charging
+# path enters no cell), tests/alloc_per_call.rs's exact pins (a header built
+# on the heap); DESIGN.md §16 has the table, EXPERIMENTS.md the planted
+# violation each refuses. Left here is what would pass all of those.
 #
 # forbid [--but N] PATTERN WHY PATH...: PATTERN (an ERE) is on no line under
 # the PATHs — or on exactly the N lines that legitimately hold it. A PATH that
@@ -102,13 +103,6 @@ forbid 'p_timeout\(' 'a transaction layer waits for its reply outside txn::trans
     crates/core/src/channel.rs crates/core/src/mrpc.rs crates/sunrpc/src/rr.rs
 forbid --but 1 '& 0xffff_ffff\) as u32 \| 1' 'a second boot-id draw (txn::Incarnation has the one)' \
     crates/core/src crates/sunrpc/src
-# A fixed-size header is built in a HdrBuf on the stack (DESIGN.md §15). One
-# on the heap is two allocations a call, which tests/alloc_per_call.rs's
-# pins, two above today's counts on every stack, would let through.
-forbid 'WireWriter::with_capacity\([A-Z_]+_LEN\b' 'a fixed-size header is built on the heap (use HdrBuf)' \
-    crates/*/src
-forbid 'XdrWriter' 'a Sun RPC fixed-field header goes through XdrWriter (use HdrBuf)' \
-    crates/sunrpc/src/rr.rs crates/sunrpc/src/sunselect.rs
 # One way to run a scenario (run_with; run_matrix fans it out), one per-stack
 # dispatch in it, one PRNG step in the workspace (DESIGN.md, "One runner").
 forbid --but 2 'pub fn run_' 'a run_* entry point beside run_with and run_matrix (add a RunOpts field)' \
@@ -200,8 +194,9 @@ bash benchmark/check.sh
 echo "==> hostprof-smoke: the sampler builds and reports on a quick null_inline"
 # tools/hostprof is how a flat host-time profile is taken here (no PMU, no
 # perf): an LD_PRELOAD SIGPROF sampler and a symboliser. It is what found the
-# crate boundary (EXPERIMENTS.md, PR 19); this keeps it building and its
-# report non-empty wherever a C compiler and python3 exist.
+# crate boundary and sized the locked instructions (--atomics; both in
+# EXPERIMENTS.md); this keeps it building and its report non-empty wherever a
+# C compiler and python3 exist.
 if command -v gcc >/dev/null && command -v python3 >/dev/null; then
     HOSTPROF_DIR=$(mktemp -d /tmp/hostprof.XXXXXX)
     XKBENCH="${CARGO_TARGET_DIR:-benchmark/target}/release/xkbench"
@@ -209,7 +204,7 @@ if command -v gcc >/dev/null && command -v python3 >/dev/null; then
     HOSTPROF_OUT="$HOSTPROF_DIR/run.prof" LD_PRELOAD="$HOSTPROF_DIR/hostprof.so" \
         "$XKBENCH" --workload null_inline --quick >/dev/null
     python3 tools/hostprof/report.py "$HOSTPROF_DIR/run.prof" "$XKBENCH" --workload-only \
-        --split-libc >"$HOSTPROF_DIR/report.txt"
+        --split-libc --atomics >"$HOSTPROF_DIR/report.txt"
     grep -qE '^ *[0-9.]+% +[0-9]+ +.*(xkernel|xrpc|inet|simnet)::' "$HOSTPROF_DIR/report.txt" || {
         echo "ci: hostprof-smoke: the report names no workload symbol:" >&2
         cat "$HOSTPROF_DIR/report.txt" >&2
@@ -219,6 +214,13 @@ if command -v gcc >/dev/null && command -v python3 >/dev/null; then
     # has stopped finding libc's exports.
     grep -qE '^ *[0-9.]+% +[0-9]+ +allocator: .*\b(malloc|free)\b' "$HOSTPROF_DIR/report.txt" || {
         echo "ci: hostprof-smoke: --split-libc names no allocator symbol:" >&2
+        cat "$HOSTPROF_DIR/report.txt" >&2
+        exit 1
+    }
+    # --atomics: the objdump pass found the binary's instructions and scored
+    # the samples against them.
+    grep -qE '^atomics: [0-9.]+% of samples \([0-9]+ of [1-9][0-9]*\)' "$HOSTPROF_DIR/report.txt" || {
+        echo "ci: hostprof-smoke: --atomics printed no share:" >&2
         cat "$HOSTPROF_DIR/report.txt" >&2
         exit 1
     }

@@ -2,6 +2,7 @@
 //! versus SunOS 4.0 sockets (5.36 msec), and the §3.1 figure that the IP
 //! layer costs 0.37 msec per RPC round trip.
 
+use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use inet::testbed::two_hosts;
@@ -87,13 +88,13 @@ fn udp_latency(handicapped: bool) -> u64 {
     let sema = SharedSema::new(0);
     let echo_id = tb
         .server
-        .register("udpecho", |me| Ok(Arc::new(UdpEcho { me }) as ProtocolRef))
+        .register("udpecho", |me| Ok(Rc::new(UdpEcho { me }) as ProtocolRef))
         .unwrap();
     let wait_sema = sema.clone();
     let wait_id = tb
         .client
         .register("udpwait", |me| {
-            Ok(Arc::new(UdpWait {
+            Ok(Rc::new(UdpWait {
                 me,
                 sema: wait_sema,
             }) as ProtocolRef)

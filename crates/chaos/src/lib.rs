@@ -33,7 +33,8 @@
 #![warn(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use std::cell::RefCell;
-use std::sync::{Arc, OnceLock};
+use std::rc::Rc;
+use std::sync::OnceLock;
 
 use xkernel::cell::OwnerCell;
 
@@ -101,8 +102,7 @@ fn registry() -> &'static ProtocolRegistry {
 /// directions. Nothing above VIP runs, so retransmission timers stay cold.
 pub fn warm_arp(sim: &Sim, host: HostId, peer: IpAddr) {
     sim.spawn(host, move |ctx| {
-        let k = ctx.kernel();
-        with_concrete::<Arp, _>(&k, "arp", |a| a.resolve(ctx, peer))
+        with_concrete::<Arp, _>(ctx.kernel_ref(), "arp", |a| a.resolve(ctx, peer))
             .expect("arp registered")
             .expect("warm-up resolve on the quiet wire");
     });
@@ -757,7 +757,7 @@ impl Scenario {
     fn spawn_rpc_clients(
         &self,
         tb: &TwoHosts,
-        tally: &Arc<OwnerCell<Tally>>,
+        tally: &Rc<OwnerCell<Tally>>,
         flavor: RpcFlavor,
         lo: u32,
         hi: u32,
@@ -771,18 +771,17 @@ impl Scenario {
             } else {
                 seed.wrapping_add(u64::from(j).wrapping_mul(0x9e37_79b9_7f4a_7c15))
             };
-            let t3 = Arc::clone(tally);
+            let t3 = Rc::clone(tally);
             tb.sim.spawn(tb.client.host(), move |ctx| {
                 for i in lo..hi {
                     let req = chaos_payload(client_seed, u64::from(i));
                     let want = expected_reply(&req);
                     let got = match flavor {
                         RpcFlavor::Paper(def) => {
-                            let k = ctx.kernel();
-                            xrpc::call(ctx, &k, def.entry, server_ip, RPC_PROC, req)
+                            xrpc::call(ctx, ctx.kernel_ref(), def.entry, server_ip, RPC_PROC, req)
                         }
                         RpcFlavor::SunRpc(_) => {
-                            with_concrete::<SunSelect, _>(&ctx.kernel(), "sunselect", |s| {
+                            with_concrete::<SunSelect, _>(ctx.kernel_ref(), "sunselect", |s| {
                                 s.call(ctx, server_ip, SUN_PROG, SUN_VERS, SUN_PROC, req)
                             })
                             .expect("sunselect registered")
@@ -800,16 +799,16 @@ impl Scenario {
     fn spawn_psync_phase(
         &self,
         rig: &Lan,
-        (conv_a, conv_b): (&Arc<psync::Conversation>, &Arc<psync::Conversation>),
-        tally: &Arc<OwnerCell<Tally>>,
+        (conv_a, conv_b): (&Rc<psync::Conversation>, &Rc<psync::Conversation>),
+        tally: &Rc<OwnerCell<Tally>>,
         lo: u32,
         hi: u32,
     ) {
         let seed = self.seed;
 
         // Side A: send a round, await its transform.
-        let conv_a = Arc::clone(conv_a);
-        let ta = Arc::clone(tally);
+        let conv_a = Rc::clone(conv_a);
+        let ta = Rc::clone(tally);
         let ha = rig.kernels[0].host();
         rig.sim.spawn(ha, move |ctx| {
             for i in lo..hi {
@@ -827,8 +826,8 @@ impl Scenario {
         });
 
         // Side B: receive each round, verify, reply in its context.
-        let conv_b = Arc::clone(conv_b);
-        let tb2 = Arc::clone(tally);
+        let conv_b = Rc::clone(conv_b);
+        let tb2 = Rc::clone(tally);
         let hb = rig.kernels[1].host();
         rig.sim.spawn(hb, move |ctx| {
             for _ in lo..hi {
@@ -863,7 +862,7 @@ struct Rig {
     /// on the simulation and its network).
     warm: Template,
     lan: LanId,
-    tally: Arc<OwnerCell<Tally>>,
+    tally: Rc<OwnerCell<Tally>>,
     /// Owns the testbed, so the kernels live as long as the rig.
     spawn_phase: Box<SpawnPhase>,
 }
@@ -881,11 +880,11 @@ fn rpc_setup(flavor: RpcFlavor, cfg: SimConfig, reg: &ProtocolRegistry) -> Rig {
         RpcFlavor::SunRpc(g) => g,
     };
     let tb = two_hosts(cfg, reg, graph).expect("chaos testbed builds");
-    let tally = Arc::new(OwnerCell::new(Tally::default()));
+    let tally = Rc::new(OwnerCell::new(Tally::default()));
 
     // Server: a side-effecting procedure that verifies the request's
     // integrity and replies with its transform.
-    let t2 = Arc::clone(&tally);
+    let t2 = Rc::clone(&tally);
     let handler = move |_ctx: &Ctx, msg: Message| {
         let req = msg.to_vec();
         let mut t = t2.lock();
@@ -915,7 +914,7 @@ fn rpc_setup(flavor: RpcFlavor, cfg: SimConfig, reg: &ProtocolRegistry) -> Rig {
     Rig {
         warm: Template::capture(&tb.sim, &tb.net),
         lan: tb.lan,
-        tally: Arc::clone(&tally),
+        tally: Rc::clone(&tally),
         spawn_phase: Box::new(move |sc, lo, hi| sc.spawn_rpc_clients(&tb, &tally, flavor, lo, hi)),
     }
 }
@@ -937,11 +936,11 @@ fn psync_setup(cfg: SimConfig, reg: &ProtocolRegistry) -> Rig {
     let conv_b = open(1, a_ip);
 
     warm_arp(&rig.sim, rig.kernels[0].host(), b_ip);
-    let tally = Arc::new(OwnerCell::new(Tally::default()));
+    let tally = Rc::new(OwnerCell::new(Tally::default()));
     Rig {
         warm: Template::capture(&rig.sim, &rig.net),
         lan: rig.lan,
-        tally: Arc::clone(&tally),
+        tally: Rc::clone(&tally),
         spawn_phase: Box::new(move |sc, lo, hi| {
             sc.spawn_psync_phase(&rig, (&conv_a, &conv_b), &tally, lo, hi)
         }),

@@ -17,7 +17,7 @@
 //! nothing was ever restored.
 
 use std::any::Any;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use chaos::{full_matrix, pool_stats, run_matrix, ChaosReport, PoolStats, RunOpts, Scenario};
 use inet::testbed::{base_registry, two_hosts};
@@ -205,9 +205,10 @@ impl Protocol for Drawer {
 fn a_boot_time_draw_without_a_reseed_hook_fails_the_first_fork() {
     let mut reg = base_registry();
     xrpc::register_ctors(&mut reg);
-    reg.add("drawer", |a| {
-        Ok(Arc::new(Drawer { me: a.me }) as ProtocolRef)
-    });
+    reg.add(
+        "drawer",
+        |a| Ok(Rc::new(Drawer { me: a.me }) as ProtocolRef),
+    );
     let graph = format!("{}drawer\n", xrpc::stacks::L_RPC_VIP.graph);
     let tb = two_hosts(SimConfig::scheduled().with_seed(1), &reg, &graph).expect("rig builds");
     Template::capture(&tb.sim, &tb.net).fork(2);

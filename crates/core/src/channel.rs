@@ -20,8 +20,8 @@
 //! fragmentation layer is not in the middle of transmitting the message".
 
 use std::any::Any;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::cell::{Cell, OnceCell};
+use std::rc::{Rc, Weak};
 
 use xkernel::cell::OwnerCell;
 
@@ -46,7 +46,7 @@ struct ClientState {
 
 /// A client channel: one outstanding RPC at a time.
 pub struct ChanClientSession {
-    parent: Arc<Channel>,
+    parent: Rc<Channel>,
     chan: u16,
     proto_num: u32,
     peer: IpAddr,
@@ -148,9 +148,7 @@ impl Session for ChanClientSession {
         match op {
             ControlOp::GetPeerHost => Ok(ControlRes::Ip(self.peer)),
             ControlOp::GetMyBootId => Ok(ControlRes::U32(self.parent.boot_id())),
-            ControlOp::GetPeerBootId => Ok(ControlRes::U32(
-                self.parent.peer_boot.load(Ordering::Relaxed),
-            )),
+            ControlOp::GetPeerBootId => Ok(ControlRes::U32(self.parent.peer_boot.get())),
             other => match self.parent.rto.control(other) {
                 Some(res) => Ok(res),
                 None => self.lower.control(ctx, other),
@@ -176,7 +174,7 @@ struct ServerState {
 
 /// A server channel: tracks at-most-once state for one (peer, channel).
 pub struct ChanServerSession {
-    parent: Arc<Channel>,
+    parent: Rc<Channel>,
     chan: u16,
     proto_num: u32,
     st: OwnerCell<ServerState>,
@@ -207,7 +205,7 @@ impl Session for ChanServerSession {
         ctx.push_header(&mut wire, &hdr.encode());
         st.record.answer(seq);
         st.saved_reply = Some(wire.clone());
-        let lls = Arc::clone(&st.lls);
+        let lls = Rc::clone(&st.lls);
         drop(st);
         ctx.charge_layer_call();
         lls.push(ctx, wire)?;
@@ -226,7 +224,7 @@ impl Session for ChanServerSession {
                 Ok(ControlRes::Done)
             }
             other => {
-                let lls = Arc::clone(&self.st.lock().lls);
+                let lls = Rc::clone(&self.st.lock().lls);
                 lls.control(ctx, other)
             }
         }
@@ -242,14 +240,14 @@ pub struct Channel {
     weak_self: Weak<Channel>,
     me: ProtoId,
     lower: ProtoId,
-    lower_name: OnceLock<&'static str>,
+    lower_name: OnceCell<&'static str>,
     ids: Incarnation,
     rto: RtoPolicy,
     // The server incarnation last seen in a reply (0 = none yet).
-    peer_boot: AtomicU32,
+    peer_boot: Cell<u32>,
     enables: EnableMap<u32>,
-    clients: SessionMap<ClientKey, Arc<ChanClientSession>>,
-    servers: SessionMap<ServerKey, Arc<ChanServerSession>>,
+    clients: SessionMap<ClientKey, Rc<ChanClientSession>>,
+    servers: SessionMap<ServerKey, Rc<ChanServerSession>>,
 }
 
 /// Client channels are keyed `(channel, protocol number)`.
@@ -262,22 +260,22 @@ impl Channel {
     /// raw ETH — anything that can move one packet unreliably). `adaptive`
     /// picks the SRTT/RTTVAR retransmission timeout ([`txn::RtoPolicy`]) over
     /// the paper's fixed step function, which then only seeds it.
-    pub fn new(me: ProtoId, lower: ProtoId, adaptive: bool) -> Arc<Channel> {
-        Arc::new_cyclic(|weak_self| Channel {
+    pub fn new(me: ProtoId, lower: ProtoId, adaptive: bool) -> Rc<Channel> {
+        Rc::new_cyclic(|weak_self| Channel {
             weak_self: weak_self.clone(),
             me,
             lower,
-            lower_name: OnceLock::new(),
+            lower_name: OnceCell::new(),
             ids: Incarnation::default(),
             rto: RtoPolicy::new(txn::BASE_TIMEOUT_NS, adaptive),
-            peer_boot: AtomicU32::new(0),
+            peer_boot: Cell::new(0),
             enables: EnableMap::new(),
             clients: SessionMap::new(),
             servers: SessionMap::new(),
         })
     }
 
-    fn self_arc(&self) -> Arc<Channel> {
+    fn self_rc(&self) -> Rc<Channel> {
         self.weak_self.upgrade().expect("channel alive")
     }
 
@@ -321,12 +319,12 @@ impl Channel {
                 .resolve_or_insert_with((pk, hdr.channel, hdr.protocol_num), || {
                     created = true;
                     ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-                    Ok(Arc::new(ChanServerSession {
-                        parent: self.self_arc(),
+                    Ok(Rc::new(ChanServerSession {
+                        parent: self.self_rc(),
                         chan: hdr.channel,
                         proto_num: hdr.protocol_num,
                         st: OwnerCell::new(ServerState {
-                            lls: Arc::clone(lls),
+                            lls: Rc::clone(lls),
                             record: AtMostOnce::new(hdr.boot_id),
                             saved_reply: None,
                         }),
@@ -340,7 +338,7 @@ impl Channel {
                 let parts = ParticipantSet::local(
                     Participant::proto(hdr.protocol_num).with_port(hdr.channel),
                 );
-                let sref: SessionRef = Arc::clone(&sess) as SessionRef;
+                let sref: SessionRef = Rc::clone(&sess) as SessionRef;
                 ctx.kernel_ref()
                     .open_done(ctx, upper, self.me, &sref, &parts)?;
             }
@@ -354,8 +352,8 @@ impl Channel {
         }
         let action = {
             let mut st = sess.st.lock();
-            if !Arc::ptr_eq(&st.lls, lls) {
-                st.lls = Arc::clone(lls);
+            if !Rc::ptr_eq(&st.lls, lls) {
+                st.lls = Rc::clone(lls);
             }
             match st.record.arrive(hdr.boot_id, hdr.sequence_num) {
                 Arrival::InProgress => Action::Ack,
@@ -435,9 +433,9 @@ impl Channel {
         // Peer reincarnation check, *before* taking this client's state
         // lock (the reset below locks the map and then each session; no
         // path may hold a session lock while acquiring the map's).
-        let prev = self.peer_boot.load(Ordering::Relaxed);
+        let prev = self.peer_boot.get();
         if prev != hdr.boot_id {
-            self.peer_boot.store(hdr.boot_id, Ordering::Relaxed);
+            self.peer_boot.set(hdr.boot_id);
         }
         if prev != 0 && prev != hdr.boot_id {
             ctx.trace_note("peer rebooted");
@@ -513,7 +511,7 @@ impl Protocol for Channel {
         // graph wiring (enables, lower binding) persists from build time.
         self.ids.renew(ctx);
         self.drop_sessions();
-        self.peer_boot.store(0, Ordering::Relaxed);
+        self.peer_boot.set(0);
         self.rto.reseed();
         Ok(())
     }
@@ -544,8 +542,8 @@ impl Protocol for Channel {
                 Participant::host(peer),
             );
             let lower = ctx.kernel_ref().open(ctx, self.lower, self.me, &lparts)?;
-            Ok(Arc::new(ChanClientSession {
-                parent: self.self_arc(),
+            Ok(Rc::new(ChanClientSession {
+                parent: self.self_rc(),
                 chan,
                 proto_num,
                 peer,
@@ -617,19 +615,19 @@ impl Protocol for Channel {
                     st.outstanding.is_none(),
                     "channel snapshot with an outstanding request (not quiescent)"
                 );
-                (*k, Arc::clone(c), st.seq)
+                (*k, Rc::clone(c), st.seq)
             })
             .collect();
         let servers = self
             .servers
             .lock()
             .iter()
-            .map(|(k, srv)| (*k, Arc::clone(srv), srv.st.lock().clone()))
+            .map(|(k, srv)| (*k, Rc::clone(srv), srv.st.lock().clone()))
             .collect();
-        Some(Arc::new(ChanSnap {
+        Some(Rc::new(ChanSnap {
             ids: self.ids.snap(),
             rto: self.rto.snap(),
-            peer_boot: self.peer_boot.load(Ordering::Relaxed),
+            peer_boot: self.peer_boot.get(),
             enables: self.enables.snapshot(),
             clients,
             servers,
@@ -640,7 +638,7 @@ impl Protocol for Channel {
         let s = snap_downcast::<ChanSnap>(blob, "channel")?;
         self.ids.restore(s.ids);
         self.rto.restore(&s.rto);
-        self.peer_boot.store(s.peer_boot, Ordering::Relaxed);
+        self.peer_boot.set(s.peer_boot);
         self.enables.restore(&s.enables);
         {
             let mut clients = self.clients.lock();
@@ -649,14 +647,14 @@ impl Protocol for Channel {
                 let mut st = sess.st.lock();
                 st.seq = *seq;
                 st.outstanding = None;
-                clients.insert(*k, Arc::clone(sess));
+                clients.insert(*k, Rc::clone(sess));
             }
         }
         let mut servers = self.servers.lock();
         servers.clear();
         for (k, sess, st) in &s.servers {
             *sess.st.lock() = st.clone();
-            servers.insert(*k, Arc::clone(sess));
+            servers.insert(*k, Rc::clone(sess));
         }
         Ok(())
     }
@@ -671,6 +669,6 @@ struct ChanSnap {
     rto: RtoSnap,
     peer_boot: u32,
     enables: EnableSnapshot,
-    clients: Vec<(ClientKey, Arc<ChanClientSession>, u32)>,
-    servers: Vec<(ServerKey, Arc<ChanServerSession>, ServerState)>,
+    clients: Vec<(ClientKey, Rc<ChanClientSession>, u32)>,
+    servers: Vec<(ServerKey, Rc<ChanServerSession>, ServerState)>,
 }

@@ -18,8 +18,8 @@
 //!   arriving later is a *new* FRAGMENT message with a new sequence number.
 
 use std::any::Any;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::cell::{Cell, OnceCell};
+use std::rc::{Rc, Weak};
 
 use xkernel::cell::OwnerCell;
 
@@ -76,11 +76,11 @@ pub struct FragStats {
 
 #[derive(Default)]
 struct Counters {
-    messages_sent: AtomicU64,
-    fragments_sent: AtomicU64,
-    messages_delivered: AtomicU64,
-    nacks_sent: AtomicU64,
-    nacks_received: AtomicU64,
+    messages_sent: Cell<u64>,
+    fragments_sent: Cell<u64>,
+    messages_delivered: Cell<u64>,
+    nacks_sent: Cell<u64>,
+    nacks_received: Cell<u64>,
 }
 
 struct Saved {
@@ -111,10 +111,10 @@ pub struct Fragment {
     me: ProtoId,
     lower: ProtoId,
     cfg: FragConfig,
-    my_ip: OnceLock<IpAddr>,
-    lower_name: OnceLock<&'static str>,
-    base_frag_size: OnceLock<usize>,
-    next_seq: AtomicU32,
+    my_ip: OnceCell<IpAddr>,
+    lower_name: OnceCell<&'static str>,
+    base_frag_size: OnceCell<usize>,
+    next_seq: Cell<u32>,
     enables: EnableMap<u32>,
     // Retained sent messages, insertion-ordered for LRU eviction.
     send_cache: OwnerCell<Vec<(u32, Saved)>>,
@@ -127,16 +127,16 @@ pub struct Fragment {
 impl Fragment {
     /// Creates FRAGMENT above `lower` (an IP-addressed delivery protocol:
     /// IP, VIP, or VIPADDR).
-    pub fn new(me: ProtoId, lower: ProtoId, cfg: FragConfig) -> Arc<Fragment> {
-        Arc::new_cyclic(|weak_self| Fragment {
+    pub fn new(me: ProtoId, lower: ProtoId, cfg: FragConfig) -> Rc<Fragment> {
+        Rc::new_cyclic(|weak_self| Fragment {
             weak_self: weak_self.clone(),
             me,
             lower,
             cfg,
-            my_ip: OnceLock::new(),
-            lower_name: OnceLock::new(),
-            base_frag_size: OnceLock::new(),
-            next_seq: AtomicU32::new(0),
+            my_ip: OnceCell::new(),
+            lower_name: OnceCell::new(),
+            base_frag_size: OnceCell::new(),
+            next_seq: Cell::new(0),
             enables: EnableMap::new(),
             send_cache: OwnerCell::new(Vec::new()),
             rasm: OwnerCell::new(MixMap::default()),
@@ -146,7 +146,7 @@ impl Fragment {
         })
     }
 
-    fn self_arc(&self) -> Arc<Fragment> {
+    fn self_rc(&self) -> Rc<Fragment> {
         self.weak_self.upgrade().expect("fragment alive")
     }
 
@@ -215,7 +215,7 @@ impl Fragment {
             let mut pkt = frag;
             ctx.push_header(&mut pkt, &hdr.encode());
             ctx.charge_layer_call();
-            self.counters.fragments_sent.fetch_add(1, Ordering::Relaxed);
+            self.counters.fragments_sent.bump();
             lower.push(ctx, pkt)?;
         }
         Ok(())
@@ -241,11 +241,8 @@ impl Fragment {
                 max: (u16::MAX as usize).min(MAX_FRAGS * frag_size),
             });
         }
-        let seq = self
-            .next_seq
-            .fetch_add(1, Ordering::Relaxed)
-            .wrapping_add(1);
-        self.counters.messages_sent.fetch_add(1, Ordering::Relaxed);
+        let seq = self.next_seq.bump();
+        self.counters.messages_sent.bump();
         // Sequence allocation + retained-copy bookkeeping.
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let saved = Saved {
@@ -272,7 +269,7 @@ impl Fragment {
                 cache.drain(..excess);
             }
         }
-        let parent = self.self_arc();
+        let parent = self.self_rc();
         ctx.schedule_after(self.cfg.discard_ns, move |_tctx| {
             parent.send_cache.lock().retain(|(s, _)| *s != seq);
         });
@@ -280,9 +277,7 @@ impl Fragment {
     }
 
     fn deliver_up(&self, ctx: &Ctx, from: IpAddr, proto_num: u32, msg: Message) -> XResult<()> {
-        self.counters
-            .messages_delivered
-            .fetch_add(1, Ordering::Relaxed);
+        self.counters.messages_delivered.bump();
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let upper = *self
             .enables
@@ -292,8 +287,8 @@ impl Fragment {
             .passive
             .resolve_or_insert_with((from.0, proto_num), || {
                 ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-                Ok(Arc::new(FragSession {
-                    parent: self.self_arc(),
+                Ok(Rc::new(FragSession {
+                    parent: self.self_rc(),
                     peer: from,
                     proto_num,
                 }) as SessionRef)
@@ -302,7 +297,7 @@ impl Fragment {
     }
 
     fn arm_gap_timer(&self, ctx: &Ctx, key: (u32, u32)) {
-        let parent = self.self_arc();
+        let parent = self.self_rc();
         ctx.schedule_after(self.cfg.gap_ns, move |tctx| {
             parent.on_gap_timer(tctx, key);
         });
@@ -356,7 +351,7 @@ impl Fragment {
                 let mut pkt = ctx.empty_msg();
                 ctx.push_header(&mut pkt, &hdr.encode());
                 ctx.charge_layer_call();
-                self.counters.nacks_sent.fetch_add(1, Ordering::Relaxed);
+                self.counters.nacks_sent.bump();
                 if lower.push(ctx, pkt).is_err() {
                     ctx.trace_note("nack send failed");
                 }
@@ -426,7 +421,7 @@ impl Fragment {
     }
 
     fn nack_in(&self, ctx: &Ctx, hdr: FragmentHdr) -> XResult<()> {
-        self.counters.nacks_received.fetch_add(1, Ordering::Relaxed);
+        self.counters.nacks_received.bump();
         let seq = hdr.sequence_num;
         let found = {
             let cache = self.send_cache.lock();
@@ -473,11 +468,11 @@ impl Fragment {
     /// Cumulative traffic counters.
     pub fn stats(&self) -> FragStats {
         FragStats {
-            messages_sent: self.counters.messages_sent.load(Ordering::Relaxed),
-            fragments_sent: self.counters.fragments_sent.load(Ordering::Relaxed),
-            messages_delivered: self.counters.messages_delivered.load(Ordering::Relaxed),
-            nacks_sent: self.counters.nacks_sent.load(Ordering::Relaxed),
-            nacks_received: self.counters.nacks_received.load(Ordering::Relaxed),
+            messages_sent: self.counters.messages_sent.get(),
+            fragments_sent: self.counters.fragments_sent.get(),
+            messages_delivered: self.counters.messages_delivered.get(),
+            nacks_sent: self.counters.nacks_sent.get(),
+            nacks_received: self.counters.nacks_received.get(),
         }
     }
 
@@ -489,7 +484,7 @@ impl Fragment {
 
 /// A FRAGMENT session towards one (peer, high-level protocol).
 pub struct FragSession {
-    parent: Arc<Fragment>,
+    parent: Rc<Fragment>,
     peer: IpAddr,
     proto_num: u32,
 }
@@ -589,8 +584,8 @@ impl Protocol for Fragment {
             .and_then(|p| p.host)
             .ok_or_else(|| XError::Config("fragment open needs a peer host".into()))?;
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-        Ok(Arc::new(FragSession {
-            parent: self.self_arc(),
+        Ok(Rc::new(FragSession {
+            parent: self.self_rc(),
             peer,
             proto_num,
         }))
@@ -647,8 +642,8 @@ impl Protocol for Fragment {
             self.send_cache.lock().is_empty() && self.rasm.lock().is_empty(),
             "fragment snapshot with retained/partial messages (not quiescent)"
         );
-        Some(Arc::new(FragSnap {
-            next_seq: self.next_seq.load(Ordering::Relaxed),
+        Some(Rc::new(FragSnap {
+            next_seq: self.next_seq.get(),
             enables: self.enables.snapshot(),
             passive: self.passive.snapshot(),
             lowers: self.lowers.snapshot(),
@@ -660,25 +655,17 @@ impl Protocol for Fragment {
         let s = snap_downcast::<FragSnap>(blob, "fragment")?;
         self.send_cache.lock().clear();
         self.rasm.lock().clear();
-        self.next_seq.store(s.next_seq, Ordering::Relaxed);
+        self.next_seq.set(s.next_seq);
         self.enables.restore(&s.enables);
         self.passive.restore(&s.passive);
         self.lowers.restore(&s.lowers);
-        self.counters
-            .messages_sent
-            .store(s.stats.messages_sent, Ordering::Relaxed);
-        self.counters
-            .fragments_sent
-            .store(s.stats.fragments_sent, Ordering::Relaxed);
+        self.counters.messages_sent.set(s.stats.messages_sent);
+        self.counters.fragments_sent.set(s.stats.fragments_sent);
         self.counters
             .messages_delivered
-            .store(s.stats.messages_delivered, Ordering::Relaxed);
-        self.counters
-            .nacks_sent
-            .store(s.stats.nacks_sent, Ordering::Relaxed);
-        self.counters
-            .nacks_received
-            .store(s.stats.nacks_received, Ordering::Relaxed);
+            .set(s.stats.messages_delivered);
+        self.counters.nacks_sent.set(s.stats.nacks_sent);
+        self.counters.nacks_received.set(s.stats.nacks_received);
         Ok(())
     }
 
@@ -722,7 +709,7 @@ mod tests {
             self.me
         }
         fn open(&self, _c: &Ctx, _u: ProtoId, _p: &ParticipantSet) -> XResult<SessionRef> {
-            Ok(Arc::new(BigMtuSession { opt: self.opt }))
+            Ok(Rc::new(BigMtuSession { opt: self.opt }))
         }
         fn open_enable(&self, _c: &Ctx, _u: ProtoId, _p: &ParticipantSet) -> XResult<()> {
             Ok(())
@@ -771,7 +758,7 @@ mod tests {
         let opt = 8_192;
         let lower = kernel
             .register("vip", |me| {
-                Ok(Arc::new(BigMtuLower { me, opt }) as ProtocolRef)
+                Ok(Rc::new(BigMtuLower { me, opt }) as ProtocolRef)
             })
             .unwrap();
         let frag_id = kernel

@@ -164,7 +164,7 @@ pub fn register_ctors(reg: &mut ProtocolRegistry) {
 /// reply bytes. This is the whole client API: open (cached) + push.
 pub fn call(
     ctx: &Ctx,
-    kernel: &Arc<Kernel>,
+    kernel: &Kernel,
     proto: &str,
     server: IpAddr,
     command: u16,
@@ -186,7 +186,7 @@ pub fn call(
 /// (a `sprite` or `select` instance).
 pub fn serve<F>(kernel: &Arc<Kernel>, proto: &str, command: u16, f: F) -> XResult<()>
 where
-    F: Fn(&Ctx, Message) -> XResult<Message> + Send + Sync + Clone + 'static,
+    F: Fn(&Ctx, Message) -> XResult<Message> + Clone + 'static,
 {
     let p = kernel.get(proto)?;
     if let Some(s) = p.as_any().downcast_ref::<select::Select>() {

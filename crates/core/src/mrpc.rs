@@ -17,8 +17,8 @@
 //! client retransmit only the fragments the server is missing.
 
 use std::any::Any;
-use std::cell::Cell;
-use std::sync::{Arc, OnceLock, Weak};
+use std::cell::{Cell, OnceCell};
+use std::rc::{Rc, Weak};
 
 use xkernel::cell::OwnerCell;
 
@@ -97,7 +97,7 @@ struct MChan {
     st: OwnerCell<MChanState>,
 }
 
-type Pool = txn::Pool<Arc<MChan>>;
+type Pool = txn::Pool<Rc<MChan>>;
 
 /// The lower session towards a peer with the fragment payload it allows.
 type LowerPath = (SessionRef, usize);
@@ -108,7 +108,7 @@ type LowerPath = (SessionRef, usize);
 #[derive(Clone)]
 struct Peer {
     lower: LowerPath,
-    pool: Option<Arc<Pool>>,
+    pool: Option<Rc<Pool>>,
 }
 
 #[derive(Clone)]
@@ -144,29 +144,29 @@ pub struct Mrpc {
     /// performs the same IP→hardware mapping VIP does.
     arp: Option<ProtoId>,
     cfg: MrpcConfig,
-    lower_name: OnceLock<&'static str>,
-    my_ip: OnceLock<IpAddr>,
+    lower_name: OnceCell<&'static str>,
+    my_ip: OnceCell<IpAddr>,
     ids: Incarnation,
     handlers: EnableMap<u16, Handler>,
     peers: SessionMap<u32, Peer>,
-    chans: SessionMap<u16, Arc<MChan>>,
-    servers: SessionMap<(u32, u16), Arc<MServer>>,
+    chans: SessionMap<u16, Rc<MChan>>,
+    servers: SessionMap<(u32, u16), Rc<MServer>>,
     sessions: SessionMap<(u32, u16)>,
-    shepherds: Arc<Shepherds>,
+    shepherds: Rc<Shepherds>,
 }
 
 impl Mrpc {
     /// Creates monolithic Sprite RPC above `lower` (raw ETH, IP, or VIP).
     /// `arp` is required when `lower` is raw ETH.
-    pub fn new(me: ProtoId, lower: ProtoId, arp: Option<ProtoId>, cfg: MrpcConfig) -> Arc<Mrpc> {
-        Arc::new_cyclic(|weak_self| Mrpc {
+    pub fn new(me: ProtoId, lower: ProtoId, arp: Option<ProtoId>, cfg: MrpcConfig) -> Rc<Mrpc> {
+        Rc::new_cyclic(|weak_self| Mrpc {
             weak_self: weak_self.clone(),
             me,
             lower,
             arp,
             cfg,
-            lower_name: OnceLock::new(),
-            my_ip: OnceLock::new(),
+            lower_name: OnceCell::new(),
+            my_ip: OnceCell::new(),
             ids: Incarnation::default(),
             handlers: EnableMap::new(),
             peers: SessionMap::new(),
@@ -182,7 +182,7 @@ impl Mrpc {
         self.shepherds.stats()
     }
 
-    fn self_arc(&self) -> Arc<Mrpc> {
+    fn self_rc(&self) -> Rc<Mrpc> {
         self.weak_self.upgrade().expect("mrpc alive")
     }
 
@@ -206,14 +206,14 @@ impl Mrpc {
         Self::alloc_in(&self.ids, &self.chans.lock())
     }
 
-    fn alloc_in(ids: &Incarnation, chans: &MixMap<u16, Arc<MChan>>) -> u16 {
+    fn alloc_in(ids: &Incarnation, chans: &MixMap<u16, Rc<MChan>>) -> u16 {
         ids.alloc_channel(|cand| chans.contains_key(&cand))
     }
 
     /// Registers the procedure for `command`.
     pub fn serve<F>(&self, command: u16, f: F)
     where
-        F: Fn(&Ctx, Message) -> XResult<Message> + Send + Sync + 'static,
+        F: Fn(&Ctx, Message) -> XResult<Message> + 'static,
     {
         self.handlers.replace(command, Box::new(f));
     }
@@ -255,18 +255,18 @@ impl Mrpc {
 
     /// Builds the fixed client channel set towards `peer` and records it in
     /// the peer's entry, which [`Mrpc::peer_for`] has just bound.
-    fn make_pool(&self, ctx: &Ctx, peer: IpAddr) -> Arc<Pool> {
+    fn make_pool(&self, ctx: &Ctx, peer: IpAddr) -> Rc<Pool> {
         let mut chans = Vec::with_capacity(self.cfg.channels_per_peer);
         {
             // One acquisition numbers and binds the whole set, so no number
             // can be issued twice between the liveness test and the bind.
             let mut table = self.chans.lock();
             for _ in 0..self.cfg.channels_per_peer {
-                let mc = Arc::new(MChan {
+                let mc = Rc::new(MChan {
                     chan: Self::alloc_in(&self.ids, &table),
                     st: OwnerCell::new(MChanState { seq: 0, out: None }),
                 });
-                table.insert(mc.chan, Arc::clone(&mc));
+                table.insert(mc.chan, Rc::clone(&mc));
                 chans.push(mc);
                 ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
             }
@@ -274,7 +274,7 @@ impl Mrpc {
         let pool = Pool::new(chans);
         let mut peers = self.peers.lock();
         let entry = peers.get_mut(&peer.0).expect("peer entry bound");
-        Arc::clone(entry.pool.get_or_insert(pool))
+        Rc::clone(entry.pool.get_or_insert(pool))
     }
 
     /// Sends the fragments of `msg` selected by `mask`.
@@ -342,7 +342,7 @@ impl Mrpc {
     fn call_on_channel(
         &self,
         ctx: &Ctx,
-        chan: &Arc<MChan>,
+        chan: &Rc<MChan>,
         lower: &SessionRef,
         frag_size: usize,
         peer: IpAddr,
@@ -420,9 +420,9 @@ impl Mrpc {
         .map(|(reply, _)| reply)
     }
 
-    fn server_for(&self, hdr: &SpriteHdr) -> Arc<MServer> {
+    fn server_for(&self, hdr: &SpriteHdr) -> Rc<MServer> {
         let fresh = || {
-            Ok(Arc::new(MServer {
+            Ok(Rc::new(MServer {
                 clnt: hdr.clnt_host,
                 chan: hdr.channel,
                 st: OwnerCell::new(ServerState {
@@ -543,8 +543,8 @@ impl Mrpc {
                     // Synchronous dispatch: the historical (and default) path.
                     return self.dispatch(ctx, &server, hdr, body, path);
                 }
-                let me = self.self_arc();
-                let job_server = Arc::clone(&server);
+                let me = self.self_rc();
+                let job_server = Rc::clone(&server);
                 let submitted = self.shepherds.submit(
                     ctx,
                     Box::new(move |jctx| {
@@ -606,7 +606,7 @@ impl Mrpc {
     fn dispatch(
         &self,
         ctx: &Ctx,
-        server: &Arc<MServer>,
+        server: &Rc<MServer>,
         hdr: SpriteHdr,
         body: Message,
         path: Option<LowerPath>,
@@ -714,7 +714,7 @@ impl Mrpc {
 
 /// A client session bound to one (server, procedure).
 pub struct MrpcSession {
-    parent: Arc<Mrpc>,
+    parent: Rc<Mrpc>,
     peer: IpAddr,
     command: u16,
 }
@@ -814,8 +814,8 @@ impl Protocol for Mrpc {
             as u16;
         self.sessions.resolve_or_insert_with((peer.0, command), || {
             ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-            Ok(Arc::new(MrpcSession {
-                parent: self.self_arc(),
+            Ok(Rc::new(MrpcSession {
+                parent: self.self_rc(),
                 peer,
                 command,
             }) as SessionRef)
@@ -878,16 +878,16 @@ impl Protocol for Mrpc {
                     st.out.is_none(),
                     "mrpc snapshot with an outstanding call (not quiescent)"
                 );
-                (*k, Arc::clone(c), st.seq)
+                (*k, Rc::clone(c), st.seq)
             })
             .collect();
         let servers = self
             .servers
             .lock()
             .iter()
-            .map(|(k, srv)| (*k, Arc::clone(srv), srv.st.lock().clone()))
+            .map(|(k, srv)| (*k, Rc::clone(srv), srv.st.lock().clone()))
             .collect();
-        Some(Arc::new(MrpcSnap {
+        Some(Rc::new(MrpcSnap {
             ids: self.ids.snap(),
             peers,
             pools,
@@ -913,7 +913,7 @@ impl Protocol for Mrpc {
                 let mut st = mc.st.lock();
                 st.seq = *seq;
                 st.out = None;
-                chans.insert(*k, Arc::clone(mc));
+                chans.insert(*k, Rc::clone(mc));
             }
         }
         {
@@ -921,7 +921,7 @@ impl Protocol for Mrpc {
             servers.clear();
             for (k, srv, st) in &s.servers {
                 *srv.st.lock() = st.clone();
-                servers.insert(*k, Arc::clone(srv));
+                servers.insert(*k, Rc::clone(srv));
             }
         }
         self.sessions.restore(&s.sessions);
@@ -937,9 +937,9 @@ impl Protocol for Mrpc {
 struct MrpcSnap {
     ids: (u32, u16),
     peers: SessionSnapshot<u32, Peer>,
-    pools: Vec<PoolSnap<Arc<MChan>>>,
-    chans: Vec<(u16, Arc<MChan>, u32)>,
-    servers: Vec<((u32, u16), Arc<MServer>, ServerState)>,
+    pools: Vec<PoolSnap<Rc<MChan>>>,
+    chans: Vec<(u16, Rc<MChan>, u32)>,
+    servers: Vec<((u32, u16), Rc<MServer>, ServerState)>,
     sessions: SessionSnapshot<(u32, u16), SessionRef>,
     shepherds: ShepherdStats,
 }

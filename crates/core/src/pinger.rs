@@ -14,7 +14,8 @@
 //! reply from `push`) or when the echo is demultiplexed back up.
 
 use std::any::Any;
-use std::sync::{Arc, OnceLock};
+use std::cell::OnceCell;
+use std::rc::Rc;
 
 use xkernel::cell::OwnerCell;
 
@@ -31,7 +32,7 @@ pub struct Pinger {
     me: ProtoId,
     lower: ProtoId,
     echo: bool,
-    lower_name: OnceLock<&'static str>,
+    lower_name: OnceCell<&'static str>,
     sessions: SessionMap<u32>,
     inflight: OwnerCell<Inflight>,
 }
@@ -45,7 +46,7 @@ struct Inflight {
 }
 
 /// A parked single round trip: wake signal plus the echoed-bytes slot.
-type EchoWaiter = (SharedSema, Arc<OwnerCell<Option<Vec<u8>>>>);
+type EchoWaiter = (SharedSema, Rc<OwnerCell<Option<Vec<u8>>>>);
 
 /// In-flight callback-driven ping-pong series (see [`Pinger::run_series`]).
 struct Series {
@@ -57,12 +58,12 @@ struct Series {
 
 impl Pinger {
     /// Creates a PINGER above `lower`; `echo` marks the responder side.
-    pub fn new(me: ProtoId, lower: ProtoId, echo: bool) -> Arc<Pinger> {
-        Arc::new(Pinger {
+    pub fn new(me: ProtoId, lower: ProtoId, echo: bool) -> Rc<Pinger> {
+        Rc::new(Pinger {
             me,
             lower,
             echo,
-            lower_name: OnceLock::new(),
+            lower_name: OnceCell::new(),
             sessions: SessionMap::new(),
             inflight: OwnerCell::new(Inflight::default()),
         })
@@ -105,7 +106,7 @@ impl Pinger {
         self.inflight.lock().series = Some(Series {
             remaining: n,
             payload: payload.clone(),
-            sess: Arc::clone(&sess),
+            sess: Rc::clone(&sess),
             done: done.clone(),
         });
         if let Some(_reply) = sess.push(ctx, ctx.msg(payload.clone()))? {
@@ -131,8 +132,8 @@ impl Pinger {
     pub fn rtt(&self, ctx: &Ctx, peer: IpAddr, payload: Vec<u8>) -> XResult<Vec<u8>> {
         let sess = self.session_for(ctx, peer)?;
         let sema = SharedSema::new(0);
-        let slot: Arc<OwnerCell<Option<Vec<u8>>>> = Arc::new(OwnerCell::new(None));
-        self.inflight.lock().waiting = Some((sema.clone(), Arc::clone(&slot)));
+        let slot: Rc<OwnerCell<Option<Vec<u8>>>> = Rc::new(OwnerCell::new(None));
+        self.inflight.lock().waiting = Some((sema.clone(), Rc::clone(&slot)));
         let pushed = sess.push(ctx, ctx.msg(payload))?;
         if let Some(reply) = pushed {
             // Request/reply lower (CHANNEL): the echo came back in-band.
@@ -207,7 +208,7 @@ impl Protocol for Pinger {
                         let st = inflight.series.take().expect("present");
                         Next::SeriesDone(st.done)
                     } else {
-                        Next::Send(Arc::clone(&st.sess), st.payload.clone())
+                        Next::Send(Rc::clone(&st.sess), st.payload.clone())
                     }
                 }
                 None => match &inflight.waiting {
@@ -248,7 +249,7 @@ impl Protocol for Pinger {
             },
             "pinger snapshot with a round trip in flight (not quiescent)"
         );
-        Some(Arc::new(PingerSnap {
+        Some(Rc::new(PingerSnap {
             sessions: self.sessions.snapshot(),
         }))
     }

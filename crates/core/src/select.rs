@@ -16,8 +16,8 @@
 //!   of CHANNEL.
 
 use std::any::Any;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::cell::Cell;
+use std::rc::{Rc, Weak};
 
 use xkernel::map::{EnableSnapshot, SessionSnapshot};
 use xkernel::prelude::*;
@@ -28,7 +28,7 @@ use crate::protnum::rel_proto_num;
 use crate::txn::{Pool, PoolSnap};
 
 /// A server procedure: takes the request body, returns the reply body.
-pub type Handler = Box<dyn Fn(&Ctx, Message) -> XResult<Message> + Send + Sync>;
+pub type Handler = Box<dyn Fn(&Ctx, Message) -> XResult<Message>>;
 
 /// Reply status codes carried in [`SelectHdr::status`].
 pub mod status {
@@ -77,16 +77,16 @@ pub struct Select {
     cfg: SelectConfig,
     handlers: EnableMap<u16, Handler>,
     forward: EnableMap<u16, IpAddr>,
-    pools: SessionMap<u32, Arc<ChanPool>>,
+    pools: SessionMap<u32, Rc<ChanPool>>,
     sessions: SessionMap<(u32, u16)>,
-    passive_opens: AtomicU64,
-    shepherds: Arc<Shepherds>,
+    passive_opens: Cell<u64>,
+    shepherds: Rc<Shepherds>,
 }
 
 impl Select {
     /// Creates SELECT above the CHANNEL protocol `channel`.
-    pub fn new(me: ProtoId, channel: ProtoId, cfg: SelectConfig) -> Arc<Select> {
-        Arc::new_cyclic(|weak_self| Select {
+    pub fn new(me: ProtoId, channel: ProtoId, cfg: SelectConfig) -> Rc<Select> {
+        Rc::new_cyclic(|weak_self| Select {
             weak_self: weak_self.clone(),
             me,
             channel,
@@ -95,7 +95,7 @@ impl Select {
             forward: EnableMap::new(),
             pools: SessionMap::new(),
             sessions: SessionMap::new(),
-            passive_opens: AtomicU64::new(0),
+            passive_opens: Cell::new(0),
             shepherds: Shepherds::new(cfg.shepherds),
         })
     }
@@ -105,14 +105,14 @@ impl Select {
         self.shepherds.stats()
     }
 
-    fn self_arc(&self) -> Arc<Select> {
+    fn self_rc(&self) -> Rc<Select> {
         self.weak_self.upgrade().expect("select alive")
     }
 
     /// Registers the procedure for `command`.
     pub fn serve<F>(&self, command: u16, f: F)
     where
-        F: Fn(&Ctx, Message) -> XResult<Message> + Send + Sync + 'static,
+        F: Fn(&Ctx, Message) -> XResult<Message> + 'static,
     {
         self.handlers.replace(command, Box::new(f));
     }
@@ -132,10 +132,10 @@ impl Select {
     /// How many server channels CHANNEL has passively created on our
     /// behalf (reported through the open-done upcall).
     pub fn passive_opens(&self) -> u64 {
-        self.passive_opens.load(Ordering::Relaxed)
+        self.passive_opens.get()
     }
 
-    fn pool_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<Arc<ChanPool>> {
+    fn pool_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<Rc<ChanPool>> {
         if let Some(p) = self.pools.resolve(&peer.0) {
             return Ok(p);
         }
@@ -147,7 +147,7 @@ impl Select {
             sessions.push(ctx.kernel_ref().open(ctx, self.channel, self.me, &parts)?);
         }
         let pool = Pool::new(sessions);
-        Ok(Arc::clone(self.pools.lock().entry(peer.0).or_insert(pool)))
+        Ok(Rc::clone(self.pools.lock().entry(peer.0).or_insert(pool)))
     }
 
     /// The full client path: allocate a channel (blocking if none free),
@@ -249,7 +249,7 @@ impl Select {
 
 /// A client session bound to one (server, procedure).
 pub struct SelectSession {
-    parent: Arc<Select>,
+    parent: Rc<Select>,
     peer: IpAddr,
     command: u16,
 }
@@ -327,8 +327,8 @@ impl Protocol for Select {
             as u16;
         self.sessions.resolve_or_insert_with((peer.0, command), || {
             ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-            Ok(Arc::new(SelectSession {
-                parent: self.self_arc(),
+            Ok(Rc::new(SelectSession {
+                parent: self.self_rc(),
                 peer,
                 command,
             }) as SessionRef)
@@ -349,7 +349,7 @@ impl Protocol for Select {
         _lls: &SessionRef,
         _parts: &ParticipantSet,
     ) -> XResult<()> {
-        self.passive_opens.fetch_add(1, Ordering::Relaxed);
+        self.passive_opens.bump();
         Ok(())
     }
 
@@ -371,8 +371,8 @@ impl Protocol for Select {
             // Synchronous dispatch: the historical (and default) path.
             return self.execute_request(ctx, lls, hdr.command, msg);
         }
-        let me = self.self_arc();
-        let job_lls = Arc::clone(lls);
+        let me = self.self_rc();
+        let job_lls = Rc::clone(lls);
         let command = hdr.command;
         let submitted = self.shepherds.submit(
             ctx,
@@ -418,11 +418,11 @@ impl Protocol for Select {
             .iter()
             .map(|(peer, p)| (*peer, p.snap()))
             .collect();
-        Some(Arc::new(SelectSnap {
+        Some(Rc::new(SelectSnap {
             forward: self.forward.snapshot(),
             pools,
             sessions: self.sessions.snapshot(),
-            passive_opens: self.passive_opens.load(Ordering::Relaxed),
+            passive_opens: self.passive_opens.get(),
             shepherds: self.shepherds.stats(),
         }))
     }
@@ -438,7 +438,7 @@ impl Protocol for Select {
             }
         }
         self.sessions.restore(&s.sessions);
-        self.passive_opens.store(s.passive_opens, Ordering::Relaxed);
+        self.passive_opens.set(s.passive_opens);
         self.shepherds.restore_stats(s.shepherds);
         Ok(())
     }
@@ -472,8 +472,8 @@ pub struct Rdgram {
 
 impl Rdgram {
     /// Creates RDGRAM above the CHANNEL protocol `channel`.
-    pub fn new(me: ProtoId, channel: ProtoId) -> Arc<Rdgram> {
-        Arc::new_cyclic(|weak_self| Rdgram {
+    pub fn new(me: ProtoId, channel: ProtoId) -> Rc<Rdgram> {
+        Rc::new_cyclic(|weak_self| Rdgram {
             weak_self: weak_self.clone(),
             me,
             channel,
@@ -482,14 +482,14 @@ impl Rdgram {
         })
     }
 
-    fn self_arc(&self) -> Arc<Rdgram> {
+    fn self_rc(&self) -> Rc<Rdgram> {
         self.weak_self.upgrade().expect("rdgram alive")
     }
 }
 
 /// Client session: push = reliably deliver one datagram.
 pub struct RdgramSession {
-    parent: Arc<Rdgram>,
+    parent: Rc<Rdgram>,
     peer: IpAddr,
     chan: SessionRef,
 }
@@ -558,8 +558,8 @@ impl Protocol for Rdgram {
                 Participant::host(peer),
             );
             let chan = ctx.kernel_ref().open(ctx, self.channel, self.me, &cparts)?;
-            Ok(Arc::new(RdgramSession {
-                parent: self.self_arc(),
+            Ok(Rc::new(RdgramSession {
+                parent: self.self_rc(),
                 peer,
                 chan,
             }) as SessionRef)
@@ -585,7 +585,7 @@ impl Protocol for Rdgram {
     }
 
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
-        Some(Arc::new(RdgramSnap {
+        Some(Rc::new(RdgramSnap {
             upper: self.upper.get(),
             sessions: self.sessions.snapshot(),
         }))

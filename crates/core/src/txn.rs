@@ -18,9 +18,9 @@
 //! of charges, PRNG draws, robustness notes and semaphore operations is the
 //! one each protocol had when it carried its own copy (DESIGN.md §14).
 
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use xkernel::cell::OwnerCell;
 
@@ -154,9 +154,9 @@ pub fn awaits_reply(contract: ProtoContract, acquires_pool: bool) -> ProtoContra
 pub struct RtoPolicy {
     seed_ns: Nanos,
     seed_adaptive: bool,
-    base_ns: AtomicU64,
-    adaptive: AtomicBool,
-    max_backoff: AtomicU32,
+    base_ns: Cell<u64>,
+    adaptive: Cell<bool>,
+    max_backoff: Cell<u32>,
     estimator: OwnerCell<RtoEstimator>,
 }
 
@@ -186,9 +186,9 @@ impl RtoPolicy {
         RtoPolicy {
             seed_ns,
             seed_adaptive: adaptive,
-            base_ns: AtomicU64::new(seed_ns),
-            adaptive: AtomicBool::new(adaptive),
-            max_backoff: AtomicU32::new(DEFAULT_MAX_BACKOFF),
+            base_ns: Cell::new(seed_ns),
+            adaptive: Cell::new(adaptive),
+            max_backoff: Cell::new(DEFAULT_MAX_BACKOFF),
             estimator: OwnerCell::new(RtoEstimator::new(MIN_RTO_NS, MAX_RTO_NS)),
         }
     }
@@ -200,10 +200,10 @@ impl RtoPolicy {
     pub fn for_call(&self, extra_ns: Nanos) -> CallRto<'_> {
         CallRto {
             policy: self,
-            fixed: self.base_ns.load(Ordering::Relaxed) + extra_ns,
+            fixed: self.base_ns.get() + extra_ns,
             extra: extra_ns,
-            adaptive: self.adaptive.load(Ordering::Relaxed),
-            max_backoff: self.max_backoff.load(Ordering::Relaxed),
+            adaptive: self.adaptive.get(),
+            max_backoff: self.max_backoff.get(),
         }
     }
 
@@ -225,11 +225,11 @@ impl RtoPolicy {
         match op {
             ControlOp::GetRtt => Some(ControlRes::U64(self.rtt_estimate())),
             ControlOp::SetTimeout(ns) => {
-                self.base_ns.store(*ns, Ordering::Relaxed);
+                self.base_ns.set(*ns);
                 Some(ControlRes::Done)
             }
             ControlOp::SetBackoff(n) => {
-                self.max_backoff.store(*n, Ordering::Relaxed);
+                self.max_backoff.set(*n);
                 Some(ControlRes::Done)
             }
             _ => None,
@@ -246,27 +246,26 @@ impl RtoPolicy {
     /// said, the run-time overrides included — a fresh incarnation must not
     /// inherit policy its configuration never specified.
     pub fn reseed(&self) {
-        self.base_ns.store(self.seed_ns, Ordering::Relaxed);
-        self.adaptive.store(self.seed_adaptive, Ordering::Relaxed);
-        self.max_backoff
-            .store(DEFAULT_MAX_BACKOFF, Ordering::Relaxed);
+        self.base_ns.set(self.seed_ns);
+        self.adaptive.set(self.seed_adaptive);
+        self.max_backoff.set(DEFAULT_MAX_BACKOFF);
         self.forget_rtt();
     }
 
     /// Switches between the adaptive RTO and the fixed timeout at run time
     /// (chaos experiments compare the two).
     pub fn set_adaptive(&self, on: bool) {
-        self.adaptive.store(on, Ordering::Relaxed);
+        self.adaptive.set(on);
     }
 
     /// Whether the adaptive RTO is in effect.
     pub fn adaptive(&self) -> bool {
-        self.adaptive.load(Ordering::Relaxed)
+        self.adaptive.get()
     }
 
     /// The backoff-doubling cap as `SetBackoff` last left it.
     pub fn max_backoff(&self) -> u32 {
-        self.max_backoff.load(Ordering::Relaxed)
+        self.max_backoff.get()
     }
 
     /// Smoothed round-trip estimate (virtual ns; 0 until the first reply).
@@ -277,7 +276,7 @@ impl RtoPolicy {
     /// Captures the knobs and the estimator.
     pub fn snap(&self) -> RtoSnap {
         RtoSnap {
-            base_ns: self.base_ns.load(Ordering::Relaxed),
+            base_ns: self.base_ns.get(),
             adaptive: self.adaptive(),
             max_backoff: self.max_backoff(),
             estimator: self.estimator.lock().clone(),
@@ -286,9 +285,9 @@ impl RtoPolicy {
 
     /// Rewinds to a captured state.
     pub fn restore(&self, s: &RtoSnap) {
-        self.base_ns.store(s.base_ns, Ordering::Relaxed);
-        self.adaptive.store(s.adaptive, Ordering::Relaxed);
-        self.max_backoff.store(s.max_backoff, Ordering::Relaxed);
+        self.base_ns.set(s.base_ns);
+        self.adaptive.set(s.adaptive);
+        self.max_backoff.set(s.max_backoff);
         *self.estimator.lock() = s.estimator.clone();
     }
 }
@@ -418,15 +417,15 @@ pub struct Pool<T> {
 /// A [`Pool`]'s restorable state: the semaphore and the free list, whose
 /// LIFO *order* decides which channel the next call uses.
 pub struct PoolSnap<T> {
-    pool: Arc<Pool<T>>,
+    pool: Rc<Pool<T>>,
     sema: (i64, u64),
     free: Vec<T>,
 }
 
 impl<T: Clone> Pool<T> {
     /// A pool holding `items`, all free.
-    pub fn new(items: Vec<T>) -> Arc<Pool<T>> {
-        Arc::new(Pool {
+    pub fn new(items: Vec<T>) -> Rc<Pool<T>> {
+        Rc::new(Pool {
             size: items.len(),
             sema: SharedSema::new(items.len() as i64),
             free: OwnerCell::new(items),
@@ -451,7 +450,7 @@ impl<T: Clone> Pool<T> {
     }
 
     /// Captures the pool at a quiescent instant.
-    pub fn snap(self: &Arc<Self>) -> PoolSnap<T> {
+    pub fn snap(self: &Rc<Self>) -> PoolSnap<T> {
         let free = self.free.lock().clone();
         debug_assert_eq!(
             free.len(),
@@ -459,7 +458,7 @@ impl<T: Clone> Pool<T> {
             "pool snapshot with channels checked out (not quiescent)"
         );
         PoolSnap {
-            pool: Arc::clone(self),
+            pool: Rc::clone(self),
             sema: self.sema.snap_state(),
             free,
         }
@@ -469,10 +468,10 @@ impl<T: Clone> Pool<T> {
 impl<T: Clone> PoolSnap<T> {
     /// Rewinds the captured pool and hands it back (for the table that
     /// holds it).
-    pub fn restore(&self) -> Arc<Pool<T>> {
+    pub fn restore(&self) -> Rc<Pool<T>> {
         self.pool.sema.restore_state(self.sema);
         *self.pool.free.lock() = self.free.clone();
-        Arc::clone(&self.pool)
+        Rc::clone(&self.pool)
     }
 }
 
@@ -485,19 +484,19 @@ impl<T: Clone> PoolSnap<T> {
 /// 16-bit counter it numbers client channels from, which survives reboots.
 #[derive(Default)]
 pub struct Incarnation {
-    boot: AtomicU32,
-    next_chan: AtomicU16,
+    boot: Cell<u32>,
+    next_chan: Cell<u16>,
 }
 
 impl Incarnation {
     /// This incarnation's boot id (0 before `boot`).
     pub fn boot_id(&self) -> u32 {
-        self.boot.load(Ordering::Relaxed)
+        self.boot.get()
     }
 
     /// Overrides the boot id (tests simulate reincarnation).
     pub fn set_boot_id(&self, id: u32) {
-        self.boot.store(id, Ordering::Relaxed);
+        self.boot.set(id);
     }
 
     /// Draws a fresh, non-zero boot id: `boot`, `reboot` and `reseed` all
@@ -514,8 +513,8 @@ impl Incarnation {
     /// be an id no other allocation path can produce.
     pub fn alloc_channel(&self, live: impl Fn(u16) -> bool) -> u16 {
         for _ in 0..=u16::MAX as u32 {
-            let cand = self.next_chan.load(Ordering::Relaxed).wrapping_add(1);
-            self.next_chan.store(cand, Ordering::Relaxed);
+            let cand = self.next_chan.get().wrapping_add(1);
+            self.next_chan.set(cand);
             if cand != 0 && !live(cand) {
                 return cand;
             }
@@ -527,12 +526,12 @@ impl Incarnation {
 
     /// Captures `(boot id, channel counter)`.
     pub fn snap(&self) -> (u32, u16) {
-        (self.boot_id(), self.next_chan.load(Ordering::Relaxed))
+        (self.boot_id(), self.next_chan.get())
     }
 
     /// Rewinds to a captured state.
     pub fn restore(&self, (boot, next_chan): (u32, u16)) {
         self.set_boot_id(boot);
-        self.next_chan.store(next_chan, Ordering::Relaxed);
+        self.next_chan.set(next_chan);
     }
 }

@@ -249,7 +249,7 @@ fn vip_opens_both_sessions_for_udp_and_routes_by_size() {
         }
     }
     reg.add("recorder", |a| {
-        Ok(Arc::new(Recorder {
+        Ok(std::rc::Rc::new(Recorder {
             me: a.me,
             got: Mutex::new(Vec::new()),
         }) as ProtocolRef)

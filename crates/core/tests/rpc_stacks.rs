@@ -39,7 +39,7 @@ fn rpc_rig(stack: &StackDef, mode: Mode) -> TwoHosts {
 }
 
 /// Runs `f` as a client process and waits for the simulation to drain.
-fn run_client(tb: &TwoHosts, f: impl FnOnce(&Ctx) + Send + 'static) {
+fn run_client(tb: &TwoHosts, f: impl FnOnce(&Ctx) + 'static) {
     match tb.sim.mode() {
         Mode::Inline => f(&tb.sim.ctx(tb.client.host())),
         Mode::Scheduled => {
@@ -324,7 +324,7 @@ fn fragment_gives_up_after_nack_retries_exhausted() {
         let frag = k.lookup("fragment").unwrap();
         let rec = k
             .register("recorder", |me| {
-                Ok(Arc::new(Recorder {
+                Ok(std::rc::Rc::new(Recorder {
                     me,
                     got: Mutex::new(Vec::new()),
                 }) as ProtocolRef)
@@ -493,7 +493,7 @@ impl Protocol for Recorder {
 fn rdgram_delivers_exactly_once_in_order_under_loss() {
     let mut reg = registry();
     reg.add("recorder", |a| {
-        Ok(Arc::new(Recorder {
+        Ok(std::rc::Rc::new(Recorder {
             me: a.me,
             got: Mutex::new(Vec::new()),
         }) as ProtocolRef)

@@ -29,7 +29,7 @@ struct Seen {
 fn exchange(
     cfg: SimConfig,
     max_retries: u32,
-    policy: Option<Arc<RtoPolicy>>,
+    policy: Option<std::rc::Rc<RtoPolicy>>,
     script: Vec<Poll<u32>>,
     fail_send_at: Option<u32>,
 ) -> (Seen, xkernel::sim::HostStats) {
@@ -136,7 +136,7 @@ fn inline_mode_treats_a_rearm_as_the_timeout_and_gives_up_at_once() {
 
 #[test]
 fn the_prng_is_drawn_once_per_retransmission_and_never_on_a_clean_call() {
-    let adaptive = || Some(Arc::new(RtoPolicy::new(1_000_000, true)));
+    let adaptive = || Some(std::rc::Rc::new(RtoPolicy::new(1_000_000, true)));
     // Clean: the first poll finds the reply.
     let (clean, stats) = exchange(
         SimConfig::scheduled(),
@@ -164,7 +164,7 @@ fn the_prng_is_drawn_once_per_retransmission_and_never_on_a_clean_call() {
     assert_eq!((stats.timeouts_fired, stats.retransmits), (3, 3));
     assert_eq!(retried.releases, 0, "success never runs release");
     // The fixed scheme never draws, however often it retransmits.
-    let fixed = Some(Arc::new(RtoPolicy::new(1_000_000, false)));
+    let fixed = Some(std::rc::Rc::new(RtoPolicy::new(1_000_000, false)));
     let script = vec![Poll::Timeout, Poll::Timeout, Poll::Done(9)];
     let (fixed, _) = exchange(SimConfig::scheduled(), 8, fixed, script, None);
     assert_eq!(fixed.outcome, Some(Ok((9, 2))));

@@ -14,7 +14,8 @@
 //! VIP-speaking hosts) so remote peers do not pay the probe on every open.
 
 use std::any::Any;
-use std::sync::{Arc, OnceLock};
+use std::cell::OnceCell;
+use std::rc::Rc;
 
 use xkernel::cell::OwnerCell;
 
@@ -156,8 +157,8 @@ pub struct Arp {
     me: ProtoId,
     eth: ProtoId,
     my_ip: IpAddr,
-    my_eth: OnceLock<EthAddr>,
-    bcast: OnceLock<SessionRef>,
+    my_eth: OnceCell<EthAddr>,
+    bcast: OnceCell<SessionRef>,
     cache: OwnerCell<ArpCache>,
     waiters: OwnerCell<MixMap<IpAddr, Vec<SharedSema>>>,
 }
@@ -165,13 +166,13 @@ pub struct Arp {
 impl Arp {
     /// Creates an ARP protocol above `eth`, answering for `my_ip`, with a
     /// translation table bounded to `capacity` entries (LRU replacement).
-    pub fn new(me: ProtoId, eth: ProtoId, my_ip: IpAddr, capacity: usize) -> Arc<Arp> {
-        Arc::new(Arp {
+    pub fn new(me: ProtoId, eth: ProtoId, my_ip: IpAddr, capacity: usize) -> Rc<Arp> {
+        Rc::new(Arp {
             me,
             eth,
             my_ip,
-            my_eth: OnceLock::new(),
-            bcast: OnceLock::new(),
+            my_eth: OnceCell::new(),
+            bcast: OnceCell::new(),
             cache: OwnerCell::new(ArpCache::new(capacity)),
             waiters: OwnerCell::new(MixMap::default()),
         })
@@ -341,7 +342,7 @@ impl Protocol for Arp {
             self.waiters.lock().is_empty(),
             "arp snapshot with parked resolvers (not quiescent)"
         );
-        Some(Arc::new(self.cache.lock().clone()))
+        Some(Rc::new(self.cache.lock().clone()))
     }
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {

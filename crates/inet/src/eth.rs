@@ -8,7 +8,8 @@
 //! own.
 
 use std::any::Any;
-use std::sync::{Arc, OnceLock};
+use std::cell::OnceCell;
+use std::rc::Rc;
 
 use xkernel::map::{EnableSnapshot, SessionSnapshot};
 use xkernel::prelude::*;
@@ -66,8 +67,8 @@ impl EthHdr {
 pub struct Eth {
     me: ProtoId,
     nic: ProtoId,
-    my_eth: OnceLock<EthAddr>,
-    nic_sess: OnceLock<SessionRef>,
+    my_eth: OnceCell<EthAddr>,
+    nic_sess: OnceCell<SessionRef>,
     enables: EnableMap<u16>,
     // Cached sessions for the upward path, keyed (peer, type): the paper's
     // "cache open sessions" efficiency rule.
@@ -76,12 +77,12 @@ pub struct Eth {
 
 impl Eth {
     /// Creates an ETH protocol above NIC `nic`.
-    pub fn new(me: ProtoId, nic: ProtoId) -> Arc<Eth> {
-        Arc::new(Eth {
+    pub fn new(me: ProtoId, nic: ProtoId) -> Rc<Eth> {
+        Rc::new(Eth {
             me,
             nic,
-            my_eth: OnceLock::new(),
-            nic_sess: OnceLock::new(),
+            my_eth: OnceCell::new(),
+            nic_sess: OnceCell::new(),
             enables: EnableMap::new(),
             passive: SessionMap::new(),
         })
@@ -107,12 +108,12 @@ impl Eth {
     }
 
     fn make_session(&self, dst: EthAddr, ty: u16) -> XResult<SessionRef> {
-        Ok(Arc::new(EthSession {
+        Ok(Rc::new(EthSession {
             proto: self.me,
             dst,
             src: self.my_eth(),
             ty,
-            nic: Arc::clone(self.nic_session()?),
+            nic: Rc::clone(self.nic_session()?),
         }))
     }
 }
@@ -244,7 +245,7 @@ impl Protocol for Eth {
     // The passive-session cache is state, not wiring: a warm entry skips a
     // SessionCreate charge, so restore must rewind it for bit-identity.
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
-        Some(Arc::new(EthSnap {
+        Some(Rc::new(EthSnap {
             enables: self.enables.snapshot(),
             passive: self.passive.snapshot(),
         }))

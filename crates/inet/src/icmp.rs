@@ -3,8 +3,8 @@
 //! only depends on the *semantics* of IP).
 
 use std::any::Any;
-use std::sync::atomic::{AtomicU16, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use xkernel::cell::OwnerCell;
 
@@ -22,13 +22,13 @@ const TYPE_ECHO_REQUEST: u8 = 8;
 pub const PING_TIMEOUT_NS: u64 = 1_000_000_000;
 
 /// A parked ping: wake signal plus the slot the echoed payload lands in.
-type EchoWaiter = (SharedSema, Arc<OwnerCell<Option<Vec<u8>>>>);
+type EchoWaiter = (SharedSema, Rc<OwnerCell<Option<Vec<u8>>>>);
 
 /// The ICMP protocol object.
 pub struct Icmp {
     me: ProtoId,
     lower: ProtoId,
-    next_seq: AtomicU16,
+    next_seq: Cell<u16>,
     /// Parked pingers keyed by `(peer, id, seq)`. The id must be part of
     /// the key: two concurrent pingers that happen to reuse a sequence
     /// number toward the same peer are distinct conversations, and keying
@@ -90,21 +90,18 @@ impl IcmpHdr {
 
 impl Icmp {
     /// Creates ICMP above `lower`.
-    pub fn new(me: ProtoId, lower: ProtoId) -> Arc<Icmp> {
-        Arc::new(Icmp {
+    pub fn new(me: ProtoId, lower: ProtoId) -> Rc<Icmp> {
+        Rc::new(Icmp {
             me,
             lower,
-            next_seq: AtomicU16::new(0),
+            next_seq: Cell::new(0),
             waiting: SessionMap::new(),
         })
     }
 
     /// Pings `dst` with `len` payload bytes; returns the echoed payload.
     pub fn ping(&self, ctx: &Ctx, dst: IpAddr, len: usize) -> XResult<Vec<u8>> {
-        let seq = self
-            .next_seq
-            .fetch_add(1, Ordering::Relaxed)
-            .wrapping_add(1);
+        let seq = self.next_seq.bump();
         self.ping_with(ctx, dst, len, 1, seq)
     }
 
@@ -121,9 +118,9 @@ impl Icmp {
     ) -> XResult<Vec<u8>> {
         let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
         let sema = SharedSema::new(0);
-        let slot: Arc<OwnerCell<Option<Vec<u8>>>> = Arc::new(OwnerCell::new(None));
+        let slot: Rc<OwnerCell<Option<Vec<u8>>>> = Rc::new(OwnerCell::new(None));
         self.waiting
-            .bind((dst.0, id, seq), (sema.clone(), Arc::clone(&slot)));
+            .bind((dst.0, id, seq), (sema.clone(), Rc::clone(&slot)));
 
         let parts = ParticipantSet::pair(
             Participant::proto(u32::from(ip_proto::ICMP)),
@@ -215,13 +212,13 @@ impl Protocol for Icmp {
             self.waiting.is_empty(),
             "icmp snapshot with parked pingers (not quiescent)"
         );
-        Some(Arc::new(self.next_seq.load(Ordering::Relaxed)))
+        Some(Rc::new(self.next_seq.get()))
     }
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<u16>(blob, "icmp")?;
         self.waiting.clear();
-        self.next_seq.store(*s, Ordering::Relaxed);
+        self.next_seq.set(*s);
         Ok(())
     }
 

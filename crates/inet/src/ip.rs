@@ -8,9 +8,9 @@
 //! 0.37 msec per round trip on the paper's hardware — motivates VIP.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::rc::{Rc, Weak};
 
 use xkernel::cell::OwnerCell;
 
@@ -175,7 +175,7 @@ pub struct Ip {
     /// Static routes keyed `(net, mask)`: configuration, read lock-free on
     /// every send.
     routes: EnableMap<(u32, u32), Route>,
-    next_id: AtomicU16,
+    next_id: Cell<u16>,
     enables: EnableMap<u8>,
     passive: SessionMap<(IpAddr, u8)>,
     eth_cache: SessionMap<(usize, EthAddr)>,
@@ -200,24 +200,24 @@ pub struct IpStats {
 
 #[derive(Default)]
 struct IpStatsInner {
-    forwarded: AtomicU64,
-    fragments_sent: AtomicU64,
-    fragments_received: AtomicU64,
-    reassembled: AtomicU64,
-    reassembly_timeouts: AtomicU64,
+    forwarded: Cell<u64>,
+    fragments_sent: Cell<u64>,
+    fragments_received: Cell<u64>,
+    reassembled: Cell<u64>,
+    reassembly_timeouts: Cell<u64>,
 }
 
 impl Ip {
     /// Creates an IP protocol with the given interfaces; `forward` makes
     /// this host a router. Connected routes are installed automatically.
-    pub fn new(me: ProtoId, ifaces: Vec<Iface>, forward: bool) -> Arc<Ip> {
-        let ip = Arc::new_cyclic(|weak_self| Ip {
+    pub fn new(me: ProtoId, ifaces: Vec<Iface>, forward: bool) -> Rc<Ip> {
+        let ip = Rc::new_cyclic(|weak_self| Ip {
             weak_self: weak_self.clone(),
             me,
             ifaces,
             forward,
             routes: EnableMap::new(),
-            next_id: AtomicU16::new(1),
+            next_id: Cell::new(1),
             enables: EnableMap::new(),
             passive: SessionMap::new(),
             eth_cache: SessionMap::new(),
@@ -238,11 +238,11 @@ impl Ip {
     /// Counter snapshot (forwarding, fragmentation, reassembly).
     pub fn stats(&self) -> IpStats {
         IpStats {
-            forwarded: self.stats.forwarded.load(Ordering::Relaxed),
-            fragments_sent: self.stats.fragments_sent.load(Ordering::Relaxed),
-            fragments_received: self.stats.fragments_received.load(Ordering::Relaxed),
-            reassembled: self.stats.reassembled.load(Ordering::Relaxed),
-            reassembly_timeouts: self.stats.reassembly_timeouts.load(Ordering::Relaxed),
+            forwarded: self.stats.forwarded.get(),
+            fragments_sent: self.stats.fragments_sent.get(),
+            fragments_received: self.stats.fragments_received.get(),
+            reassembled: self.stats.reassembled.get(),
+            reassembly_timeouts: self.stats.reassembly_timeouts.get(),
         }
     }
 
@@ -316,7 +316,7 @@ impl Ip {
             hdr.total_len = (take + IP_HDR_LEN) as u16;
             if hdr.more_frags || hdr.frag_off != 0 {
                 // This wire piece is part of a fragmented datagram.
-                self.stats.fragments_sent.fetch_add(1, Ordering::Relaxed);
+                self.stats.fragments_sent.bump();
             }
             let bytes = hdr.encode();
             ctx.charge_class(
@@ -348,9 +348,9 @@ impl Ip {
             .passive
             .resolve_or_insert_with((hdr.src, hdr.proto), || {
                 ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-                Ok(Arc::new(IpSession {
+                Ok(Rc::new(IpSession {
                     proto_id: self.me,
-                    parent: self.self_arc(),
+                    parent: self.self_rc(),
                     dst: hdr.src,
                     proto: hdr.proto,
                 }) as SessionRef)
@@ -358,7 +358,7 @@ impl Ip {
         ctx.kernel_ref().demux_to(ctx, upper, &sess, msg)
     }
 
-    fn self_arc(&self) -> Arc<Ip> {
+    fn self_rc(&self) -> Rc<Ip> {
         self.weak_self.upgrade().expect("ip protocol alive")
     }
 
@@ -367,19 +367,14 @@ impl Ip {
     #[allow(clippy::disallowed_methods)]
     fn reassemble(&self, ctx: &Ctx, hdr: IpHeader, msg: Message) -> XResult<()> {
         let key = (hdr.src.0, hdr.id, hdr.proto);
-        self.stats
-            .fragments_received
-            .fetch_add(1, Ordering::Relaxed);
+        self.stats.fragments_received.bump();
         let fresh = !self.reasm.lock().contains_key(&key);
         if fresh {
             // Arm the give-up timer: incomplete datagrams are discarded.
-            let parent = self.self_arc();
+            let parent = self.self_rc();
             ctx.schedule_after(REASSEMBLY_TIMEOUT_NS, move |tctx| {
                 if parent.reasm.lock().remove(&key).is_some() {
-                    parent
-                        .stats
-                        .reassembly_timeouts
-                        .fetch_add(1, Ordering::Relaxed);
+                    parent.stats.reassembly_timeouts.bump();
                     tctx.trace_note("reassembly timed out");
                 }
             });
@@ -413,7 +408,7 @@ impl Ip {
             }
             Some(parts) => {
                 let whole = Message::concat(parts.into_values());
-                self.stats.reassembled.fetch_add(1, Ordering::Relaxed);
+                self.stats.reassembled.bump();
                 ctx.charge_class(OpClass::Copy, whole.len() as u64 * ctx.cost().copy_byte / 8);
                 self.deliver_up(ctx, &hdr, whole)
             }
@@ -424,7 +419,7 @@ impl Ip {
 /// An IP session towards one (destination, protocol) pair.
 pub struct IpSession {
     proto_id: ProtoId,
-    parent: Arc<Ip>,
+    parent: Rc<Ip>,
     dst: IpAddr,
     proto: u8,
 }
@@ -435,11 +430,7 @@ impl Session for IpSession {
     }
 
     fn push(&self, ctx: &Ctx, msg: Message) -> XResult<Option<Message>> {
-        let id = self
-            .parent
-            .next_id
-            .fetch_add(1, Ordering::Relaxed)
-            .wrapping_add(1);
+        let id = self.parent.next_id.bump();
         let hdr = IpHeader {
             total_len: 0,
             id,
@@ -521,9 +512,9 @@ impl Protocol for Ip {
             .and_then(|p| p.host)
             .ok_or_else(|| XError::Config("ip open needs a peer host".into()))?;
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-        Ok(Arc::new(IpSession {
+        Ok(Rc::new(IpSession {
             proto_id: self.me,
-            parent: self.self_arc(),
+            parent: self.self_rc(),
             dst,
             proto,
         }))
@@ -570,7 +561,7 @@ impl Protocol for Ip {
                 }
                 let mut fwd = hdr;
                 fwd.ttl -= 1;
-                self.stats.forwarded.fetch_add(1, Ordering::Relaxed);
+                self.stats.forwarded.bump();
                 return self.send_datagram(ctx, fwd, msg);
             }
             ctx.trace_note("not mine");
@@ -603,9 +594,9 @@ impl Protocol for Ip {
             self.reasm.lock().is_empty(),
             "ip snapshot with partial reassemblies (not quiescent)"
         );
-        Some(Arc::new(IpSnap {
+        Some(Rc::new(IpSnap {
             routes: self.routes.snapshot(),
-            next_id: self.next_id.load(Ordering::Relaxed),
+            next_id: self.next_id.get(),
             enables: self.enables.snapshot(),
             passive: self.passive.snapshot(),
             eth_cache: self.eth_cache.snapshot(),
@@ -617,25 +608,19 @@ impl Protocol for Ip {
         let s = snap_downcast::<IpSnap>(blob, "ip")?;
         self.reasm.lock().clear();
         self.routes.restore(&s.routes);
-        self.next_id.store(s.next_id, Ordering::Relaxed);
+        self.next_id.set(s.next_id);
         self.enables.restore(&s.enables);
         self.passive.restore(&s.passive);
         self.eth_cache.restore(&s.eth_cache);
-        self.stats
-            .forwarded
-            .store(s.stats.forwarded, Ordering::Relaxed);
-        self.stats
-            .fragments_sent
-            .store(s.stats.fragments_sent, Ordering::Relaxed);
+        self.stats.forwarded.set(s.stats.forwarded);
+        self.stats.fragments_sent.set(s.stats.fragments_sent);
         self.stats
             .fragments_received
-            .store(s.stats.fragments_received, Ordering::Relaxed);
-        self.stats
-            .reassembled
-            .store(s.stats.reassembled, Ordering::Relaxed);
+            .set(s.stats.fragments_received);
+        self.stats.reassembled.set(s.stats.reassembled);
         self.stats
             .reassembly_timeouts
-            .store(s.stats.reassembly_timeouts, Ordering::Relaxed);
+            .set(s.stats.reassembly_timeouts);
         Ok(())
     }
 

@@ -21,9 +21,9 @@
 //! every one, and the connection is never established — the negative result.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU16, Ordering};
-use std::sync::{Arc, Weak};
+use std::rc::{Rc, Weak};
 
 use xkernel::cell::OwnerCell;
 
@@ -45,7 +45,7 @@ pub const TCP_MAX_RETRIES: u32 = 8;
 pub const TCP_CONNECT_TIMEOUT_NS: u64 = 2_000_000_000;
 
 /// A listener's pending-connection queue and its wake signal.
-type AcceptQueue = (SharedSema, Arc<OwnerCell<VecDeque<Arc<TcpConn>>>>);
+type AcceptQueue = (SharedSema, Rc<OwnerCell<VecDeque<Rc<TcpConn>>>>);
 
 const FLAG_FIN: u8 = 0x01;
 const FLAG_SYN: u8 = 0x02;
@@ -158,7 +158,7 @@ struct ConnState {
 
 /// One TCP connection endpoint.
 pub struct TcpConn {
-    parent: Arc<Tcp>,
+    parent: Rc<Tcp>,
     local_port: Port,
     peer: IpAddr,
     peer_port: Port,
@@ -174,7 +174,7 @@ impl TcpConn {
     }
 
     fn send_segment(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &Ctx,
         flags: u8,
         seq: u32,
@@ -223,17 +223,17 @@ impl TcpConn {
         Ok(())
     }
 
-    fn arm_retransmit(self: &Arc<Self>, ctx: &Ctx) {
+    fn arm_retransmit(self: &Rc<Self>, ctx: &Ctx) {
         let mut st = self.st.lock();
         if st.retransmit_timer.is_some() || st.inflight.is_empty() {
             return;
         }
-        let me = Arc::clone(self);
+        let me = Rc::clone(self);
         let h = ctx.schedule_after(TCP_RTO_NS, move |tctx| me.on_retransmit(tctx));
         st.retransmit_timer = Some(h);
     }
 
-    fn on_retransmit(self: Arc<Self>, ctx: &Ctx) {
+    fn on_retransmit(self: Rc<Self>, ctx: &Ctx) {
         let item = {
             let mut st = self.st.lock();
             st.retransmit_timer = None;
@@ -286,7 +286,7 @@ impl TcpConn {
 
     /// Sends application bytes (segmenting as needed). Blocks only for
     /// window space indirectly via retransmission; errors if closed.
-    pub fn send(self: &Arc<Self>, ctx: &Ctx, data: &[u8]) -> XResult<()> {
+    pub fn send(self: &Rc<Self>, ctx: &Ctx, data: &[u8]) -> XResult<()> {
         {
             let st = self.st.lock();
             if st.state != State::Established {
@@ -307,7 +307,7 @@ impl TcpConn {
 
     /// Receives up to `n` bytes, blocking (with `timeout_ns`) until at least
     /// one byte, FIN, or error. Returns an empty vector on orderly EOF.
-    pub fn recv(self: &Arc<Self>, ctx: &Ctx, n: usize, timeout_ns: u64) -> XResult<Vec<u8>> {
+    pub fn recv(self: &Rc<Self>, ctx: &Ctx, n: usize, timeout_ns: u64) -> XResult<Vec<u8>> {
         loop {
             {
                 let mut st = self.st.lock();
@@ -333,7 +333,7 @@ impl TcpConn {
     }
 
     /// Closes the connection (sends FIN; simplified teardown).
-    pub fn close(self: &Arc<Self>, ctx: &Ctx) -> XResult<()> {
+    pub fn close(self: &Rc<Self>, ctx: &Ctx) -> XResult<()> {
         let seq = {
             let mut st = self.st.lock();
             if st.state != State::Established {
@@ -365,26 +365,26 @@ pub struct Tcp {
     weak_self: Weak<Tcp>,
     me: ProtoId,
     lower: ProtoId,
-    conns: SessionMap<(Port, u32, Port), Arc<TcpConn>>,
+    conns: SessionMap<(Port, u32, Port), Rc<TcpConn>>,
     listeners: SessionMap<Port, AcceptQueue>,
-    next_port: AtomicU16,
+    next_port: Cell<u16>,
 }
 
 impl Tcp {
     /// Creates TCP above `lower` (meant to be IP; see the module docs for
     /// what happens over anything else).
-    pub fn new(me: ProtoId, lower: ProtoId) -> Arc<Tcp> {
-        Arc::new_cyclic(|weak_self| Tcp {
+    pub fn new(me: ProtoId, lower: ProtoId) -> Rc<Tcp> {
+        Rc::new_cyclic(|weak_self| Tcp {
             weak_self: weak_self.clone(),
             me,
             lower,
             conns: SessionMap::new(),
             listeners: SessionMap::new(),
-            next_port: AtomicU16::new(40_000),
+            next_port: Cell::new(40_000),
         })
     }
 
-    fn self_arc(&self) -> Arc<Tcp> {
+    fn self_rc(&self) -> Rc<Tcp> {
         self.weak_self.upgrade().expect("tcp alive")
     }
 
@@ -400,10 +400,10 @@ impl Tcp {
         lower: SessionRef,
         state: State,
         iss: u32,
-    ) -> Arc<TcpConn> {
+    ) -> Rc<TcpConn> {
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-        let conn = Arc::new(TcpConn {
-            parent: self.self_arc(),
+        let conn = Rc::new(TcpConn {
+            parent: self.self_rc(),
             local_port,
             peer,
             peer_port,
@@ -423,13 +423,13 @@ impl Tcp {
             established: SharedSema::new(0),
             readable: SharedSema::new(0),
         });
-        self.conns.bind(conn.key(), Arc::clone(&conn));
+        self.conns.bind(conn.key(), Rc::clone(&conn));
         conn
     }
 
     /// Actively opens a connection; blocks until established or timeout.
-    pub fn connect(&self, ctx: &Ctx, peer: IpAddr, peer_port: Port) -> XResult<Arc<TcpConn>> {
-        let local_port = self.next_port.fetch_add(1, Ordering::Relaxed) + 1;
+    pub fn connect(&self, ctx: &Ctx, peer: IpAddr, peer_port: Port) -> XResult<Rc<TcpConn>> {
+        let local_port = self.next_port.bump();
         let lparts = ParticipantSet::pair(
             Participant::proto(u32::from(ip_proto::TCP)),
             Participant::host(peer),
@@ -456,10 +456,8 @@ impl Tcp {
     /// Passively opens `port`; returned handle accepts connections.
     pub fn listen(&self, port: Port) -> XResult<TcpListener> {
         let sema = SharedSema::new(0);
-        let queue: Arc<OwnerCell<VecDeque<Arc<TcpConn>>>> =
-            Arc::new(OwnerCell::new(VecDeque::new()));
-        self.listeners
-            .bind(port, (sema.clone(), Arc::clone(&queue)));
+        let queue: Rc<OwnerCell<VecDeque<Rc<TcpConn>>>> = Rc::new(OwnerCell::new(VecDeque::new()));
+        self.listeners.bind(port, (sema.clone(), Rc::clone(&queue)));
         Ok(TcpListener { sema, queue })
     }
 
@@ -509,7 +507,7 @@ impl Tcp {
                     hdr.dst_port,
                     src,
                     hdr.src_port,
-                    Arc::clone(lls),
+                    Rc::clone(lls),
                     State::SynReceived,
                     iss,
                 );
@@ -530,7 +528,7 @@ impl Tcp {
     fn established_in(
         &self,
         ctx: &Ctx,
-        conn: &Arc<TcpConn>,
+        conn: &Rc<TcpConn>,
         hdr: TcpHeader,
         payload: Vec<u8>,
     ) -> XResult<()> {
@@ -596,13 +594,13 @@ impl Tcp {
 /// Accept handle returned by [`Tcp::listen`].
 pub struct TcpListener {
     sema: SharedSema,
-    queue: Arc<OwnerCell<VecDeque<Arc<TcpConn>>>>,
+    queue: Rc<OwnerCell<VecDeque<Rc<TcpConn>>>>,
 }
 
 impl TcpListener {
     /// Accepts the next connection, waiting until the handshake's SYN has
     /// arrived.
-    pub fn accept(&self, ctx: &Ctx, timeout_ns: u64) -> XResult<Arc<TcpConn>> {
+    pub fn accept(&self, ctx: &Ctx, timeout_ns: u64) -> XResult<Rc<TcpConn>> {
         if self.sema.p_timeout(ctx, timeout_ns) {
             if let Some(c) = self.queue.lock().pop_front() {
                 return Ok(c);
@@ -652,7 +650,7 @@ impl Protocol for Tcp {
             .port
             .ok_or_else(|| XError::Config("tcp open needs a peer port".into()))?;
         let conn = self.connect(ctx, peer, port)?;
-        Ok(Arc::new(TcpConnSession { conn }))
+        Ok(Rc::new(TcpConnSession { conn }))
     }
 
     fn open_enable(&self, _ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<()> {
@@ -683,7 +681,7 @@ impl Protocol for Tcp {
 
 /// Uniform-interface wrapper for a [`TcpConn`].
 struct TcpConnSession {
-    conn: Arc<TcpConn>,
+    conn: Rc<TcpConn>,
 }
 
 impl Session for TcpConnSession {

@@ -13,8 +13,8 @@
 //!   sunrpc/psync crates compose it normally.
 
 use std::any::Any;
-use std::sync::atomic::{AtomicU16, Ordering};
-use std::sync::{Arc, Weak};
+use std::cell::Cell;
+use std::rc::{Rc, Weak};
 
 use xkernel::map::{EnableSnapshot, SessionSnapshot};
 use xkernel::prelude::*;
@@ -35,24 +35,24 @@ pub struct Udp {
     // Active sessions keyed (local port, peer ip, peer port); passive
     // sessions created by demux are cached here too.
     sessions: SessionMap<(Port, u32, Port)>,
-    next_ephemeral: AtomicU16,
+    next_ephemeral: Cell<u16>,
 }
 
 impl Udp {
     /// Creates UDP above `lower` (IP, or any protocol with the same
     /// host-addressed unreliable-delivery semantics).
-    pub fn new(me: ProtoId, lower: ProtoId) -> Arc<Udp> {
-        Arc::new_cyclic(|weak_self| Udp {
+    pub fn new(me: ProtoId, lower: ProtoId) -> Rc<Udp> {
+        Rc::new_cyclic(|weak_self| Udp {
             weak_self: weak_self.clone(),
             me,
             lower,
             enables: EnableMap::new(),
             sessions: SessionMap::new(),
-            next_ephemeral: AtomicU16::new(49_152),
+            next_ephemeral: Cell::new(49_152),
         })
     }
 
-    fn self_arc(&self) -> Arc<Udp> {
+    fn self_rc(&self) -> Rc<Udp> {
         self.weak_self.upgrade().expect("udp protocol alive")
     }
 
@@ -82,9 +82,9 @@ impl Udp {
     pub fn ephemeral_port(&self) -> Port {
         let sessions = self.sessions.lock();
         for _ in 0..16_384u32 {
-            let cand = self.next_ephemeral.load(Ordering::Relaxed);
+            let cand = self.next_ephemeral.get();
             self.next_ephemeral
-                .store(cand.checked_add(1).unwrap_or(49_152), Ordering::Relaxed);
+                .set(cand.checked_add(1).unwrap_or(49_152));
             let live = sessions.keys().any(|&(local, _, _)| local == cand)
                 || self.enables.resolve(&cand).is_some();
             if !live {
@@ -142,7 +142,7 @@ impl UdpHdr {
 /// A UDP session for one (local port, peer host, peer port) triple.
 pub struct UdpSession {
     proto_id: ProtoId,
-    parent: Arc<Udp>,
+    parent: Rc<Udp>,
     local_port: Port,
     peer: IpAddr,
     peer_port: Port,
@@ -265,9 +265,9 @@ impl Protocol for Udp {
                 Participant::host(rip),
             );
             let lower = ctx.kernel_ref().open(ctx, self.lower, self.me, &lparts)?;
-            Ok(Arc::new(UdpSession {
+            Ok(Rc::new(UdpSession {
                 proto_id: self.me,
-                parent: self.self_arc(),
+                parent: self.self_rc(),
                 local_port: local,
                 peer: rip,
                 peer_port: rport,
@@ -347,13 +347,13 @@ impl Protocol for Udp {
             .sessions
             .resolve_or_insert_with((dst_port, peer.0, src_port), || {
                 ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-                Ok(Arc::new(UdpSession {
+                Ok(Rc::new(UdpSession {
                     proto_id: self.me,
-                    parent: self.self_arc(),
+                    parent: self.self_rc(),
                     local_port: dst_port,
                     peer,
                     peer_port: src_port,
-                    lower: Arc::clone(lls),
+                    lower: Rc::clone(lls),
                 }) as SessionRef)
             })?;
         ctx.kernel_ref().demux_to(ctx, upper, &sess, msg)
@@ -373,10 +373,10 @@ impl Protocol for Udp {
     }
 
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
-        Some(Arc::new(UdpSnap {
+        Some(Rc::new(UdpSnap {
             enables: self.enables.snapshot(),
             sessions: self.sessions.snapshot(),
-            next_ephemeral: self.next_ephemeral.load(Ordering::Relaxed),
+            next_ephemeral: self.next_ephemeral.get(),
         }))
     }
 
@@ -384,8 +384,7 @@ impl Protocol for Udp {
         let s = snap_downcast::<UdpSnap>(blob, "udp")?;
         self.enables.restore(&s.enables);
         self.sessions.restore(&s.sessions);
-        self.next_ephemeral
-            .store(s.next_ephemeral, Ordering::Relaxed);
+        self.next_ephemeral.set(s.next_ephemeral);
         Ok(())
     }
 

@@ -3,6 +3,7 @@
 //! TCP stream transport.
 
 use std::any::Any;
+use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use inet::arp::Arp;
@@ -21,8 +22,8 @@ struct Recorder {
 }
 
 impl Recorder {
-    fn new(me: ProtoId) -> Arc<Recorder> {
-        Arc::new(Recorder {
+    fn new(me: ProtoId) -> Rc<Recorder> {
+        Rc::new(Recorder {
             me,
             got: Mutex::new(Vec::new()),
         })

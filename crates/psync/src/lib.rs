@@ -26,8 +26,9 @@
 #![warn(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use std::any::Any;
+use std::cell::OnceCell;
 use std::collections::{HashSet, VecDeque};
-use std::sync::{Arc, OnceLock, Weak};
+use std::rc::{Rc, Weak};
 
 use xkernel::cell::OwnerCell;
 
@@ -64,7 +65,7 @@ struct ConvState {
 /// One end of a conversation: send into the context graph, receive in
 /// partial order.
 pub struct Conversation {
-    parent: Arc<Psync>,
+    parent: Rc<Psync>,
     id: u32,
     peers: Vec<IpAddr>,
     st: OwnerCell<ConvState>,
@@ -172,27 +173,27 @@ pub struct Psync {
     weak_self: Weak<Psync>,
     me: ProtoId,
     lower: ProtoId,
-    lower_name: OnceLock<&'static str>,
-    my_ip: OnceLock<IpAddr>,
-    convs: SessionMap<u32, Arc<Conversation>>,
+    lower_name: OnceCell<&'static str>,
+    my_ip: OnceCell<IpAddr>,
+    convs: SessionMap<u32, Rc<Conversation>>,
     lowers: SessionMap<u32>,
 }
 
 impl Psync {
     /// Creates Psync above `lower` (FRAGMENT, VIP, or IP).
-    pub fn new(me: ProtoId, lower: ProtoId) -> Arc<Psync> {
-        Arc::new_cyclic(|weak_self| Psync {
+    pub fn new(me: ProtoId, lower: ProtoId) -> Rc<Psync> {
+        Rc::new_cyclic(|weak_self| Psync {
             weak_self: weak_self.clone(),
             me,
             lower,
-            lower_name: OnceLock::new(),
-            my_ip: OnceLock::new(),
+            lower_name: OnceCell::new(),
+            my_ip: OnceCell::new(),
             convs: SessionMap::new(),
             lowers: SessionMap::new(),
         })
     }
 
-    fn self_arc(&self) -> Arc<Psync> {
+    fn self_rc(&self) -> Rc<Psync> {
         self.weak_self.upgrade().expect("psync alive")
     }
 
@@ -213,10 +214,10 @@ impl Psync {
 
     /// Opens (or joins) conversation `id` with the given other
     /// participants. Every participant must open the same id.
-    pub fn open_conv(&self, _ctx: &Ctx, id: u32, peers: Vec<IpAddr>) -> Arc<Conversation> {
+    pub fn open_conv(&self, _ctx: &Ctx, id: u32, peers: Vec<IpAddr>) -> Rc<Conversation> {
         let fresh = || {
-            Ok(Arc::new(Conversation {
-                parent: self.self_arc(),
+            Ok(Rc::new(Conversation {
+                parent: self.self_rc(),
                 id,
                 peers,
                 st: OwnerCell::new(ConvState {
@@ -332,12 +333,12 @@ impl Protocol for Psync {
             .iter()
             .map(|(id, c)| ConvSnap {
                 id: *id,
-                conv: Arc::clone(c),
+                conv: Rc::clone(c),
                 st: c.st.lock().clone(),
                 avail: c.avail.snap_state(),
             })
             .collect();
-        Some(Arc::new(PsyncSnap {
+        Some(Rc::new(PsyncSnap {
             convs,
             lowers: self.lowers.snapshot(),
         }))
@@ -351,7 +352,7 @@ impl Protocol for Psync {
             for cs in &s.convs {
                 *cs.conv.st.lock() = cs.st.clone();
                 cs.conv.avail.restore_state(cs.avail);
-                convs.insert(cs.id, Arc::clone(&cs.conv));
+                convs.insert(cs.id, Rc::clone(&cs.conv));
             }
         }
         self.lowers.restore(&s.lowers);
@@ -365,7 +366,7 @@ impl Protocol for Psync {
 
 struct ConvSnap {
     id: u32,
-    conv: Arc<Conversation>,
+    conv: Rc<Conversation>,
     st: ConvState,
     avail: (i64, u64),
 }

@@ -2,6 +2,7 @@
 //! suppression, and — the paper's point — reuse of FRAGMENT for large
 //! conversation messages.
 
+use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use inet::testbed::{base_registry, lan_hosts, Lan};
@@ -21,7 +22,7 @@ fn registry() -> ProtocolRegistry {
     reg
 }
 
-fn conv_of(rig: &Lan, host: usize, id: u32, peers: Vec<IpAddr>) -> Arc<Conversation> {
+fn conv_of(rig: &Lan, host: usize, id: u32, peers: Vec<IpAddr>) -> Rc<Conversation> {
     let ctx = rig.sim.ctx(rig.kernels[host].host());
     with_concrete::<Psync, _>(&rig.kernels[host], "psync", |p| {
         p.open_conv(&ctx, id, peers)
@@ -42,7 +43,7 @@ fn two_party_exchange_with_context() {
     let conv_a = conv_of(&rig, 0, 1, vec![b_ip]);
     let conv_b = conv_of(&rig, 1, 1, vec![a_ip]);
 
-    let ca = Arc::clone(&conv_a);
+    let ca = Rc::clone(&conv_a);
     let h0 = rig.kernels[0].host();
     rig.sim.spawn(h0, move |ctx| {
         let m1 = ca.send(ctx, b"question".to_vec()).unwrap();
@@ -51,7 +52,7 @@ fn two_party_exchange_with_context() {
         assert_eq!(reply.data, b"answer");
         assert_eq!(reply.deps, vec![m1], "reply sent in the question's context");
     });
-    let cb = Arc::clone(&conv_b);
+    let cb = Rc::clone(&conv_b);
     let h1 = rig.kernels[1].host();
     rig.sim.spawn(h1, move |ctx| {
         let q = cb.receive(ctx, RECV_TIMEOUT).unwrap();
@@ -98,17 +99,17 @@ fn partial_order_survives_reordering() {
 
     let delivered: Arc<Mutex<Vec<Vec<u8>>>> = Arc::new(Mutex::new(Vec::new()));
 
-    let ca = Arc::clone(&conv_a);
+    let ca = Rc::clone(&conv_a);
     rig.sim.spawn(rig.kernels[0].host(), move |ctx| {
         ca.send(ctx, b"m1".to_vec()).unwrap();
     });
-    let cb = Arc::clone(&conv_b);
+    let cb = Rc::clone(&conv_b);
     rig.sim.spawn(rig.kernels[1].host(), move |ctx| {
         let m1 = cb.receive(ctx, RECV_TIMEOUT).unwrap();
         assert_eq!(m1.data, b"m1");
         cb.send(ctx, b"m2".to_vec()).unwrap();
     });
-    let cc = Arc::clone(&conv_c);
+    let cc = Rc::clone(&conv_c);
     let d2 = Arc::clone(&delivered);
     rig.sim.spawn(rig.kernels[2].host(), move |ctx| {
         let first = cc.receive(ctx, RECV_TIMEOUT).unwrap();
@@ -158,16 +159,16 @@ fn message_blocks_until_context_arrives() {
         },
     );
 
-    let ca = Arc::clone(&conv_a);
+    let ca = Rc::clone(&conv_a);
     rig.sim.spawn(rig.kernels[0].host(), move |ctx| {
         ca.send(ctx, b"m1".to_vec()).unwrap();
     });
-    let cb = Arc::clone(&conv_b);
+    let cb = Rc::clone(&conv_b);
     rig.sim.spawn(rig.kernels[1].host(), move |ctx| {
         cb.receive(ctx, RECV_TIMEOUT).unwrap();
         cb.send(ctx, b"m2".to_vec()).unwrap();
     });
-    let cc = Arc::clone(&conv_c);
+    let cc = Rc::clone(&conv_c);
     rig.sim.spawn(rig.kernels[2].host(), move |ctx| {
         // m2 arrives but must never be delivered without m1.
         let r = cc.receive(ctx, 500_000_000);
@@ -198,13 +199,13 @@ fn large_messages_reuse_fragment() {
     let conv_b = conv_of(&rig, 1, 2, vec![a_ip]);
     let big: Vec<u8> = (0..12_000).map(|i| (i % 251) as u8).collect();
     let payload = big.clone();
-    let ca = Arc::clone(&conv_a);
+    let ca = Rc::clone(&conv_a);
     rig.sim.spawn(rig.kernels[0].host(), move |ctx| {
         ca.send(ctx, payload).unwrap();
     });
     let got: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
     let g2 = Arc::clone(&got);
-    let cb = Arc::clone(&conv_b);
+    let cb = Rc::clone(&conv_b);
     rig.sim.spawn(rig.kernels[1].host(), move |ctx| {
         *g2.lock().unwrap() = cb.receive(ctx, RECV_TIMEOUT).unwrap().data;
     });
@@ -234,7 +235,7 @@ fn oversized_message_without_fragment_is_rejected() {
     let conv_a = conv_of(&rig, 0, 3, vec![b_ip]);
     let err: Arc<Mutex<Option<XError>>> = Arc::new(Mutex::new(None));
     let e2 = Arc::clone(&err);
-    let ca = Arc::clone(&conv_a);
+    let ca = Rc::clone(&conv_a);
     rig.sim.spawn(rig.kernels[0].host(), move |ctx| {
         *e2.lock().unwrap() = ca.send(ctx, vec![0u8; 12_000]).err();
     });
@@ -261,7 +262,7 @@ fn duplicates_are_suppressed() {
     let (a_ip, b_ip) = (rig.ip_of(0), rig.ip_of(1));
     let conv_a = conv_of(&rig, 0, 4, vec![b_ip]);
     let conv_b = conv_of(&rig, 1, 4, vec![a_ip]);
-    let ca = Arc::clone(&conv_a);
+    let ca = Rc::clone(&conv_a);
     rig.sim.spawn(rig.kernels[0].host(), move |ctx| {
         for i in 0..5u8 {
             ca.send(ctx, vec![i]).unwrap();
@@ -269,7 +270,7 @@ fn duplicates_are_suppressed() {
     });
     let seen: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
     let s2 = Arc::clone(&seen);
-    let cb = Arc::clone(&conv_b);
+    let cb = Rc::clone(&conv_b);
     rig.sim.spawn(rig.kernels[1].host(), move |ctx| {
         for _ in 0..5 {
             s2.lock()

@@ -26,7 +26,8 @@ mod template;
 
 pub use template::Template;
 
-use std::sync::{Arc, Weak};
+use std::rc::{Rc, Weak};
+use std::sync::Arc;
 
 use xkernel::cell::OwnerCell;
 
@@ -196,7 +197,7 @@ struct NetInner {
 /// The simulated network: LAN segments plus host attachments.
 #[derive(Clone)]
 pub struct SimNet {
-    inner: Arc<NetInner>,
+    inner: Rc<NetInner>,
 }
 
 impl SimNet {
@@ -205,7 +206,7 @@ impl SimNet {
     /// the two can be dropped in either order.
     pub fn new(_sim: &Sim) -> SimNet {
         SimNet {
-            inner: Arc::new(NetInner {
+            inner: Rc::new(NetInner {
                 lans: OwnerCell::new(Vec::new()),
             }),
         }
@@ -325,11 +326,11 @@ impl SimNet {
     ) -> XResult<ProtoId> {
         let net = self.clone();
         let host = kernel.host();
-        let mut created: Option<Arc<Nic>> = None;
+        let mut created: Option<Rc<Nic>> = None;
         let id = kernel.register(name, |me| {
-            let nic = Arc::new(Nic {
+            let nic = Rc::new(Nic {
                 me,
-                sess: Arc::new(NicSession {
+                sess: Rc::new(NicSession {
                     proto: me,
                     net: net.clone(),
                     lan,
@@ -341,14 +342,14 @@ impl SimNet {
                 eth,
                 upper: UpperCell::new(),
             });
-            created = Some(Arc::clone(&nic));
+            created = Some(Rc::clone(&nic));
             Ok(nic as ProtocolRef)
         })?;
         let nic = created.expect("constructor ran");
         self.inner.lans.lock()[lan.0].attached.push(Attachment {
             host,
             eth,
-            nic: Arc::downgrade(&nic),
+            nic: Rc::downgrade(&nic),
         });
         Ok(id)
     }
@@ -503,7 +504,7 @@ impl SimNet {
             .receivers(src, dst)
             .filter_map(|a| Some((a.host, a.nic.upgrade()?)));
         let first = listening.next();
-        let others: Vec<(HostId, Arc<Nic>)> = listening.collect();
+        let others: Vec<(HostId, Rc<Nic>)> = listening.collect();
         let receivers = || first.iter().chain(&others);
         if first.is_some() {
             l.stats.delivered += copies as u64;
@@ -511,7 +512,7 @@ impl SimNet {
 
         // One frame, possibly many deliveries. With real fan-out (broadcast
         // or duplication) the payload's front buffer is frozen into an
-        // Arc-shared segment first, so per-receiver clones bump a refcount
+        // Rc-shared segment first, so per-receiver clones bump a refcount
         // instead of copying header bytes. The single-delivery common case
         // skips the freeze and *moves* the message — zero copies either way.
         let mut pending = Some(payload);
@@ -549,7 +550,7 @@ impl SimNet {
                 for copy in 0..copies {
                     let at = arrival + copy as u64 * tx;
                     for (host, nic) in receivers() {
-                        let nic = Arc::clone(nic);
+                        let nic = Rc::clone(nic);
                         let m = next_copy();
                         ctx.schedule_run_at(
                             at,
@@ -648,7 +649,7 @@ impl Protocol for Nic {
     fn open(&self, _ctx: &Ctx, upper: ProtoId, _parts: &ParticipantSet) -> XResult<SessionRef> {
         // A NIC has exactly one user (the ETH protocol); opening binds it.
         self.upper.set(Some(upper));
-        Ok(Arc::clone(&self.sess))
+        Ok(Rc::clone(&self.sess))
     }
 
     fn open_enable(&self, _ctx: &Ctx, upper: ProtoId, _parts: &ParticipantSet) -> XResult<()> {
@@ -689,7 +690,7 @@ mod tests {
     }
 
     /// Hosts in the order frames reached them, segment-wide.
-    type Arrivals = Arc<OwnerCell<Vec<HostId>>>;
+    type Arrivals = Rc<OwnerCell<Vec<HostId>>>;
 
     /// Signs a segment-wide arrival log with its host.
     struct Signer {
@@ -766,7 +767,7 @@ mod tests {
                 .unwrap();
             let rec_id = k
                 .register("rec", |me| {
-                    Ok(Arc::new(Recorder {
+                    Ok(Rc::new(Recorder {
                         me,
                         got: OwnerCell::new(Vec::new()),
                     }) as ProtocolRef)
@@ -979,7 +980,7 @@ mod tests {
                 .unwrap();
             let rec_id = k
                 .register("rec", |me| {
-                    Ok(Arc::new(Recorder {
+                    Ok(Rc::new(Recorder {
                         me,
                         got: OwnerCell::new(Vec::new()),
                     }) as ProtocolRef)
@@ -1114,18 +1115,19 @@ mod tests {
         let sim = Sim::new(SimConfig::scheduled().with_cost(CostModel::zero()));
         let net = SimNet::new(&sim);
         let lan = net.add_lan(LanConfig::default());
-        let log: Arrivals = Arc::new(OwnerCell::new(Vec::new()));
+        let log: Arrivals = Rc::new(OwnerCell::new(Vec::new()));
         // Host 20 answers to host 9's address too.
         let eth_of = |i: usize| EthAddr::from_index(if i == 20 { 91 } else { 100 - i as u16 });
         let mut nics = Vec::new();
         for i in 0..HOSTS {
             let k = Kernel::new(&sim, &format!("h{i}"));
             let nic_id = net.attach(&k, lan, "nic0", eth_of(i)).unwrap();
-            let log = Arc::clone(&log);
+            let log = Rc::clone(&log);
             let up = k
-                .register("signer", |me| {
-                    Ok(Arc::new(Signer { me, log }) as ProtocolRef)
-                })
+                .register(
+                    "signer",
+                    |me| Ok(Rc::new(Signer { me, log }) as ProtocolRef),
+                )
                 .unwrap();
             let ctx = sim.ctx(k.host());
             nics.push(k.open(&ctx, nic_id, up, &ParticipantSet::new()).unwrap());

@@ -13,8 +13,9 @@
 //! [`AuthNone`] and [`AuthUnix`] are provided.
 
 use std::any::Any;
+use std::cell::OnceCell;
 use std::collections::HashSet;
-use std::sync::{Arc, OnceLock};
+use std::rc::Rc;
 
 use xkernel::prelude::*;
 
@@ -22,7 +23,7 @@ use crate::xdr::{XdrReader, XdrWriter};
 use xrpc::protnum::rel_proto_num;
 
 /// An authentication flavor: how credentials are produced and checked.
-pub trait CredScheme: Send + Sync {
+pub trait CredScheme {
     /// The RFC 1057 flavor number (0 = none, 1 = unix).
     fn flavor(&self) -> u32;
     /// Protocol name (keys the protocol-number table).
@@ -130,8 +131,8 @@ fn pop_auth(ctx: &Ctx, msg: &mut Message) -> XResult<(u32, Vec<u8>)> {
 pub struct AuthLayer {
     me: ProtoId,
     lower: ProtoId,
-    scheme: Arc<dyn CredScheme>,
-    lower_name: OnceLock<&'static str>,
+    scheme: Rc<dyn CredScheme>,
+    lower_name: OnceCell<&'static str>,
     upper: UpperCell,
     // Server-side wrappers keyed by the identity of the session they wrap.
     sessions: SessionMap<usize>,
@@ -139,19 +140,19 @@ pub struct AuthLayer {
 
 impl AuthLayer {
     /// Creates an authentication layer above `lower` using `scheme`.
-    pub fn new(me: ProtoId, lower: ProtoId, scheme: Arc<dyn CredScheme>) -> Arc<AuthLayer> {
-        Arc::new(AuthLayer {
+    pub fn new(me: ProtoId, lower: ProtoId, scheme: Rc<dyn CredScheme>) -> Rc<AuthLayer> {
+        Rc::new(AuthLayer {
             me,
             lower,
             scheme,
-            lower_name: OnceLock::new(),
+            lower_name: OnceCell::new(),
             upper: UpperCell::new(),
             sessions: SessionMap::new(),
         })
     }
 
     /// The scheme in use (tests).
-    pub fn scheme(&self) -> &Arc<dyn CredScheme> {
+    pub fn scheme(&self) -> &Rc<dyn CredScheme> {
         &self.scheme
     }
 }
@@ -160,7 +161,7 @@ impl AuthLayer {
 /// replies.
 struct AuthClientSession {
     proto: ProtoId,
-    scheme: Arc<dyn CredScheme>,
+    scheme: Rc<dyn CredScheme>,
     lower: SessionRef,
 }
 
@@ -202,7 +203,7 @@ impl Session for AuthClientSession {
 /// Server session wrapper: stamps replies with the verifier.
 struct AuthServerSession {
     proto: ProtoId,
-    scheme: Arc<dyn CredScheme>,
+    scheme: Rc<dyn CredScheme>,
     lls: SessionRef,
 }
 
@@ -267,9 +268,9 @@ impl Protocol for AuthLayer {
         );
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
         let lower = ctx.kernel_ref().open(ctx, self.lower, self.me, &lparts)?;
-        Ok(Arc::new(AuthClientSession {
+        Ok(Rc::new(AuthClientSession {
             proto: self.me,
-            scheme: Arc::clone(&self.scheme),
+            scheme: Rc::clone(&self.scheme),
             lower,
         }))
     }
@@ -306,23 +307,23 @@ impl Protocol for AuthLayer {
             .get()
             .ok_or_else(|| XError::NoEnable("auth layer has no upper".into()))?;
         // Wrap the reply path so the verifier is added (cached per lls).
-        let key = Arc::as_ptr(lls) as *const () as usize;
+        let key = Rc::as_ptr(lls) as *const () as usize;
         let sess = {
             let mut cache = self.sessions.lock();
             match cache.get(&key) {
-                Some(s) => Arc::clone(s),
+                Some(s) => Rc::clone(s),
                 None => {
-                    let s: SessionRef = Arc::new(AuthServerSession {
+                    let s: SessionRef = Rc::new(AuthServerSession {
                         proto: self.me,
-                        scheme: Arc::clone(&self.scheme),
-                        lls: Arc::clone(lls),
+                        scheme: Rc::clone(&self.scheme),
+                        lls: Rc::clone(lls),
                     });
                     // Per-request server sessions (REQUEST_REPLY) would grow
                     // this cache unboundedly; cap it.
                     if cache.len() > 64 {
                         cache.clear();
                     }
-                    cache.insert(key, Arc::clone(&s));
+                    cache.insert(key, Rc::clone(&s));
                     s
                 }
             }

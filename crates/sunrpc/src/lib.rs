@@ -36,7 +36,7 @@ pub mod rr;
 pub mod sunselect;
 pub mod xdr;
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use xkernel::graph::{GraphArgs, ProtocolRegistry};
 use xkernel::prelude::*;
@@ -67,7 +67,7 @@ pub fn register_ctors(reg: &mut ProtocolRegistry) {
         Ok(rr::RequestReply::new(a.me, a.down(0)?, shepherds) as ProtocolRef)
     });
     reg.add("auth_none", |a: &GraphArgs<'_>| {
-        Ok(auth::AuthLayer::new(a.me, a.down(0)?, Arc::new(auth::AuthNone)) as ProtocolRef)
+        Ok(auth::AuthLayer::new(a.me, a.down(0)?, Rc::new(auth::AuthNone)) as ProtocolRef)
     });
     reg.add("auth_unix", |a: &GraphArgs<'_>| {
         let allowed = match a.params.get("allow") {
@@ -92,7 +92,7 @@ pub fn register_ctors(reg: &mut ProtocolRegistry) {
                 .unwrap_or_else(|| "xkernel".to_string()),
             allowed_uids: allowed,
         };
-        Ok(auth::AuthLayer::new(a.me, a.down(0)?, Arc::new(scheme)) as ProtocolRef)
+        Ok(auth::AuthLayer::new(a.me, a.down(0)?, Rc::new(scheme)) as ProtocolRef)
     });
     reg.add("sunselect", |a: &GraphArgs<'_>| {
         Ok(sunselect::SunSelect::new(a.me, a.down(0)?) as ProtocolRef)

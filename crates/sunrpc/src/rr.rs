@@ -14,8 +14,8 @@
 //! Header (XDR): xid, message type (0 = call, 1 = reply), protocol number.
 
 use std::any::Any;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::cell::{Cell, OnceCell};
+use std::rc::{Rc, Weak};
 
 use xkernel::cell::OwnerCell;
 
@@ -84,14 +84,14 @@ pub struct RequestReply {
     weak_self: Weak<RequestReply>,
     me: ProtoId,
     lower: ProtoId,
-    lower_name: OnceLock<&'static str>,
-    next_xid: AtomicU32,
+    lower_name: OnceCell<&'static str>,
+    next_xid: Cell<u32>,
     rto: RtoPolicy,
     enables: EnableMap<u32>,
     outstanding: OwnerCell<MixMap<u32, Out>>,
     sessions: SessionMap<(u32, u32)>,
     lowers: SessionMap<u32>,
-    shepherds: Arc<Shepherds>,
+    shepherds: Rc<Shepherds>,
 }
 
 impl RequestReply {
@@ -100,13 +100,13 @@ impl RequestReply {
     /// dispatch synchronous). REQUEST_REPLY is zero-or-more, so both
     /// overload policies behave as a drop: the client's retransmission
     /// machinery recovers.
-    pub fn new(me: ProtoId, lower: ProtoId, shepherds: ShepherdConfig) -> Arc<RequestReply> {
-        Arc::new_cyclic(|weak_self| RequestReply {
+    pub fn new(me: ProtoId, lower: ProtoId, shepherds: ShepherdConfig) -> Rc<RequestReply> {
+        Rc::new_cyclic(|weak_self| RequestReply {
             weak_self: weak_self.clone(),
             me,
             lower,
-            lower_name: OnceLock::new(),
-            next_xid: AtomicU32::new(0),
+            lower_name: OnceCell::new(),
+            next_xid: Cell::new(0),
             rto: RtoPolicy::new(TIMEOUT_NS, true),
             enables: EnableMap::new(),
             outstanding: OwnerCell::new(MixMap::default()),
@@ -116,7 +116,7 @@ impl RequestReply {
         })
     }
 
-    fn self_arc(&self) -> Arc<RequestReply> {
+    fn self_rc(&self) -> Rc<RequestReply> {
         self.weak_self.upgrade().expect("request_reply alive")
     }
 
@@ -165,10 +165,7 @@ impl RequestReply {
     /// timeout. Zero-or-more: no duplicate suppression anywhere.
     fn transact(&self, ctx: &Ctx, peer: IpAddr, proto_num: u32, msg: Message) -> XResult<Message> {
         let lower = self.lower_for(ctx, peer)?;
-        let xid = self
-            .next_xid
-            .fetch_add(1, Ordering::Relaxed)
-            .wrapping_add(1);
+        let xid = self.next_xid.bump();
         let sema = SharedSema::new(0);
         self.outstanding.lock().insert(
             xid,
@@ -219,7 +216,7 @@ impl RequestReply {
 /// A client session towards one (peer, high-level protocol); stateless, so
 /// concurrent pushes are fine (each gets its own xid).
 pub struct RrClientSession {
-    parent: Arc<RequestReply>,
+    parent: Rc<RequestReply>,
     peer: IpAddr,
     proto_num: u32,
 }
@@ -256,7 +253,7 @@ impl Session for RrClientSession {
 /// A per-request server session: pushing into it sends the reply for the
 /// request it was created for.
 pub struct RrServerSession {
-    parent: Arc<RequestReply>,
+    parent: Rc<RequestReply>,
     xid: u32,
     proto_num: u32,
     lls: SessionRef,
@@ -338,8 +335,8 @@ impl Protocol for RequestReply {
         self.sessions
             .resolve_or_insert_with((peer.0, proto_num), || {
                 ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-                Ok(Arc::new(RrClientSession {
-                    parent: self.self_arc(),
+                Ok(Rc::new(RrClientSession {
+                    parent: self.self_rc(),
                     peer,
                     proto_num,
                 }) as SessionRef)
@@ -369,11 +366,11 @@ impl Protocol for RequestReply {
                     .resolve(&proto_num)
                     .ok_or_else(|| XError::NoEnable(format!("request_reply proto {proto_num}")))?;
                 ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-                let sess: SessionRef = Arc::new(RrServerSession {
-                    parent: self.self_arc(),
+                let sess: SessionRef = Rc::new(RrServerSession {
+                    parent: self.self_rc(),
                     xid,
                     proto_num,
-                    lls: Arc::clone(lls),
+                    lls: Rc::clone(lls),
                 });
                 if !self.shepherds.pooled(ctx) {
                     // Synchronous dispatch: the historical (and default) path.
@@ -437,8 +434,8 @@ impl Protocol for RequestReply {
             self.outstanding.lock().is_empty(),
             "request_reply snapshot with an outstanding transaction (not quiescent)"
         );
-        Some(Arc::new(RrSnap {
-            next_xid: self.next_xid.load(Ordering::Relaxed),
+        Some(Rc::new(RrSnap {
+            next_xid: self.next_xid.get(),
             rto: self.rto.snap(),
             enables: self.enables.snapshot(),
             sessions: self.sessions.snapshot(),
@@ -449,7 +446,7 @@ impl Protocol for RequestReply {
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<RrSnap>(blob, "request_reply")?;
-        self.next_xid.store(s.next_xid, Ordering::Relaxed);
+        self.next_xid.set(s.next_xid);
         self.rto.restore(&s.rto);
         self.outstanding.lock().clear();
         self.enables.restore(&s.enables);

@@ -7,7 +7,8 @@
 //! layers in between. This is the paper's "mix and match RPCs".
 
 use std::any::Any;
-use std::sync::{Arc, OnceLock, Weak};
+use std::cell::OnceCell;
+use std::rc::{Rc, Weak};
 
 use xkernel::map::SessionSnapshot;
 use xkernel::prelude::*;
@@ -71,7 +72,7 @@ pub struct SunSelect {
     weak_self: Weak<SunSelect>,
     me: ProtoId,
     lower: ProtoId,
-    lower_name: OnceLock<&'static str>,
+    lower_name: OnceCell<&'static str>,
     handlers: EnableMap<(u32, u32, u32), Handler>,
     lowers: SessionMap<u32>,
 }
@@ -79,25 +80,25 @@ pub struct SunSelect {
 impl SunSelect {
     /// Creates SUN_SELECT above `lower` (a transaction layer, possibly with
     /// auth layers in between).
-    pub fn new(me: ProtoId, lower: ProtoId) -> Arc<SunSelect> {
-        Arc::new_cyclic(|weak_self| SunSelect {
+    pub fn new(me: ProtoId, lower: ProtoId) -> Rc<SunSelect> {
+        Rc::new_cyclic(|weak_self| SunSelect {
             weak_self: weak_self.clone(),
             me,
             lower,
-            lower_name: OnceLock::new(),
+            lower_name: OnceCell::new(),
             handlers: EnableMap::new(),
             lowers: SessionMap::new(),
         })
     }
 
-    fn self_arc(&self) -> Arc<SunSelect> {
+    fn self_rc(&self) -> Rc<SunSelect> {
         self.weak_self.upgrade().expect("sunselect alive")
     }
 
     /// Registers the procedure for (prog, vers, proc).
     pub fn serve<F>(&self, prog: u32, vers: u32, proc: u32, f: F)
     where
-        F: Fn(&Ctx, Message) -> XResult<Message> + Send + Sync + 'static,
+        F: Fn(&Ctx, Message) -> XResult<Message> + 'static,
     {
         self.handlers.replace((prog, vers, proc), Box::new(f));
     }
@@ -156,7 +157,7 @@ impl SunSelect {
 
 /// A client session bound to one (peer, prog, vers, proc).
 pub struct SunSelectSession {
-    parent: Arc<SunSelect>,
+    parent: Rc<SunSelect>,
     peer: IpAddr,
     prog: u32,
     vers: u32,
@@ -244,8 +245,8 @@ impl Protocol for SunSelect {
             .and_then(|p| p.host)
             .ok_or_else(|| XError::Config("sunselect open needs a peer host".into()))?;
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-        Ok(Arc::new(SunSelectSession {
-            parent: self.self_arc(),
+        Ok(Rc::new(SunSelectSession {
+            parent: self.self_rc(),
             peer,
             prog: packed >> 16,
             vers: (packed >> 8) & 0xff,
@@ -301,7 +302,7 @@ impl Protocol for SunSelect {
     // Handlers are config, not state; only the lower-session cache matters
     // for replay (a warm cache skips SessionCreate charges below).
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
-        Some(Arc::new(SunSelectSnap {
+        Some(Rc::new(SunSelectSnap {
             lowers: self.lowers.snapshot(),
         }))
     }

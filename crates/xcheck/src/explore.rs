@@ -11,7 +11,7 @@
 //! the exact run that recorded it, which is also how xcheck repro strings
 //! replay: same seed, same decisions, same `sched_hash`.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use xkernel::cell::OwnerCell;
 use xkernel::rng::splitmix64;
@@ -32,12 +32,12 @@ pub struct Recording {
 pub struct ReplayChooser {
     prefix: Vec<usize>,
     depth: usize,
-    rec: Arc<OwnerCell<Recording>>,
+    rec: Rc<OwnerCell<Recording>>,
 }
 
 impl ReplayChooser {
     /// A chooser replaying `prefix`, recording into `rec`.
-    pub fn new(prefix: Vec<usize>, rec: Arc<OwnerCell<Recording>>) -> ReplayChooser {
+    pub fn new(prefix: Vec<usize>, rec: Rc<OwnerCell<Recording>>) -> ReplayChooser {
         ReplayChooser {
             prefix,
             depth: 0,
@@ -83,8 +83,8 @@ pub fn explore<T>(limit: usize, mut run: impl FnMut(Box<ReplayChooser>) -> T) ->
     let mut prefix: Vec<usize> = Vec::new();
     let mut outcomes = Vec::new();
     loop {
-        let rec = Arc::new(OwnerCell::new(Recording::default()));
-        let chooser = Box::new(ReplayChooser::new(prefix.clone(), Arc::clone(&rec)));
+        let rec = Rc::new(OwnerCell::new(Recording::default()));
+        let chooser = Box::new(ReplayChooser::new(prefix.clone(), Rc::clone(&rec)));
         outcomes.push(run(chooser));
         let r = rec.lock();
         // Deepest decision with an untaken branch; bump it and rerun.

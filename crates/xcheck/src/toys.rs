@@ -18,8 +18,8 @@
 //!   signal the checker flags as `CrossHostSignal`.
 
 use std::any::Any;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use xkernel::check::{CheckReport, Violation, ViolationKind};
 use xkernel::graph::{GraphArgs, ProtocolRegistry};
@@ -78,31 +78,31 @@ pub fn run_handshake(seed: u64, chooser: Option<Box<dyn ScheduleChooser>>) -> To
     }
     let a = SharedSema::labeled(0, "A");
     let b = SharedSema::labeled(0, "B");
-    let done = Arc::new(AtomicUsize::new(0));
+    let done = Rc::new(Cell::new(0));
     {
-        let (a, done) = (a.clone(), Arc::clone(&done));
+        let (a, done) = (a.clone(), Rc::clone(&done));
         sim.spawn(host, move |ctx| {
             a.v(ctx);
-            done.fetch_add(1, Ordering::SeqCst);
+            done.set(done.get() + 1);
         });
     }
     {
-        let (a, b, done) = (a.clone(), b.clone(), Arc::clone(&done));
+        let (a, b, done) = (a.clone(), b.clone(), Rc::clone(&done));
         sim.spawn(host, move |ctx| {
             a.p(ctx);
             b.v(ctx);
-            done.fetch_add(1, Ordering::SeqCst);
+            done.set(done.get() + 1);
         });
     }
     {
-        let (b, done) = (b.clone(), Arc::clone(&done));
+        let (b, done) = (b.clone(), Rc::clone(&done));
         sim.spawn(host, move |ctx| {
             b.p(ctx);
-            done.fetch_add(1, Ordering::SeqCst);
+            done.set(done.get() + 1);
         });
     }
     let run = sim.run_until_idle();
-    outcome(&sim, run, done.load(Ordering::SeqCst))
+    outcome(&sim, run, done.get())
 }
 
 /// Runs the cross-host toy: a process on host 1 V's the semaphore a
@@ -116,26 +116,26 @@ pub fn run_crosshost(seed: u64, chooser: Option<Box<dyn ScheduleChooser>>) -> To
         sim.set_chooser(ch);
     }
     let shared = SharedSema::labeled(0, "shared");
-    let done = Arc::new(AtomicUsize::new(0));
+    let done = Rc::new(Cell::new(0));
     {
-        let (s, done) = (shared.clone(), Arc::clone(&done));
+        let (s, done) = (shared.clone(), Rc::clone(&done));
         sim.spawn(k0.host(), move |ctx| {
             s.p(ctx);
-            done.fetch_add(1, Ordering::SeqCst);
+            done.set(done.get() + 1);
         });
     }
     {
-        let (s, done) = (shared.clone(), Arc::clone(&done));
+        let (s, done) = (shared.clone(), Rc::clone(&done));
         sim.spawn(k1.host(), move |ctx| {
             // Give the waiter time to block, so the V crosses hosts as a
             // wake rather than a count increment on every schedule.
             ctx.sleep(DL_SLEEP_NS);
             s.v(ctx);
-            done.fetch_add(1, Ordering::SeqCst);
+            done.set(done.get() + 1);
         });
     }
     let run = sim.run_until_idle();
-    outcome(&sim, run, done.load(Ordering::SeqCst))
+    outcome(&sim, run, done.get())
 }
 
 /// Runs the deadlock toy graph (built unchecked — the linter rejects it
@@ -168,7 +168,7 @@ pub fn deadlock_cycles(out: &ToyOutcome) -> Vec<&Violation> {
 /// `dl_ba`) into `reg`, so graph specs and the lint suite can name them.
 pub fn register_ctors(reg: &mut ProtocolRegistry) {
     reg.add("dl_ab", |g: &GraphArgs<'_>| {
-        Ok(Arc::new(DlAb {
+        Ok(Rc::new(DlAb {
             me: g.me,
             sem_a: SharedSema::labeled(1, "dl.sem_a"),
             sem_b: SharedSema::labeled(1, "dl.sem_b"),
@@ -181,7 +181,7 @@ pub fn register_ctors(reg: &mut ProtocolRegistry) {
             .as_any()
             .downcast_ref::<DlAb>()
             .ok_or(XError::Unsupported("dl_ba must sit directly over dl_ab"))?;
-        Ok(Arc::new(DlBa {
+        Ok(Rc::new(DlBa {
             me: g.me,
             sem_a: ab.sem_a.clone(),
             sem_b: ab.sem_b.clone(),
@@ -223,7 +223,7 @@ pub struct DlBa {
     sem_b: SharedSema,
 }
 
-fn deadlock_process(first: SharedSema, second: SharedSema) -> impl FnOnce(&Ctx) + Send + 'static {
+fn deadlock_process(first: SharedSema, second: SharedSema) -> impl FnOnce(&Ctx) + 'static {
     move |ctx: &Ctx| {
         first.p(ctx);
         // Hold the first semaphore across a sleep so the peer process is

@@ -4,7 +4,7 @@
 //! [`CheckCore`] mirrors the synchronization events the simulator performs —
 //! process spawns, semaphore P/V, wakes, crashes — into per-process vector
 //! clocks and a resource-holding table. It is one of the simulator's
-//! observers, reached through the same guard as xtrace: one relaxed load of
+//! observers, reached through the same guard as xtrace: one load of
 //! the observer mask and a branch per probe site, and the simulator's one
 //! lock only for a probe some observer hears. Four violation classes are
 //! detected:

@@ -11,9 +11,8 @@
 //! procedure call to pass a message from a high-level protocol to a
 //! low-level protocol, and vice versa".
 
-use std::sync::{Arc, OnceLock};
-
-use crate::cell::OwnerCell;
+use std::cell::OnceCell;
+use std::sync::Arc;
 
 use crate::addr::ParticipantSet;
 use crate::error::{XError, XResult};
@@ -25,18 +24,16 @@ use crate::sim::{Ctx, HostId, Sim};
 /// A host's kernel: protocol registry plus identity.
 pub struct Kernel {
     name: String,
-    host: OnceLock<HostId>,
+    host: OnceCell<HostId>,
     /// Slot `i` is `ProtoId(i)`: appended (named) by `reserve`, its protocol
     /// filled by `install`. Append-only, so crossings and by-name
-    /// resolution read it without a lock.
+    /// resolution read it with no guard.
     protocols: AppendTable<Slot>,
-    /// Serializes reservations.
-    reserving: OwnerCell<()>,
 }
 
 struct Slot {
     name: String,
-    proto: OnceLock<ProtocolRef>,
+    proto: OnceCell<ProtocolRef>,
 }
 
 impl Kernel {
@@ -45,9 +42,8 @@ impl Kernel {
     pub fn new(sim: &Sim, name: &str) -> Arc<Kernel> {
         let k = Arc::new(Kernel {
             name: name.to_string(),
-            host: OnceLock::new(),
+            host: OnceCell::new(),
             protocols: AppendTable::new(),
-            reserving: OwnerCell::new(()),
         });
         let host = sim.add_kernel(&k);
         k.host.set(host).expect("host id set exactly once");
@@ -68,7 +64,6 @@ impl Kernel {
     /// Reserves a protocol id under `name` so the protocol can be
     /// constructed knowing its own capability, then installed.
     pub fn reserve(&self, name: &str) -> XResult<ProtoId> {
-        let _g = self.reserving.lock();
         if self.protocols.iter().any(|slot| slot.name == name) {
             return Err(XError::Config(format!(
                 "protocol '{name}' already configured on {}",
@@ -77,7 +72,7 @@ impl Kernel {
         }
         Ok(ProtoId(self.protocols.push(Slot {
             name: name.to_string(),
-            proto: OnceLock::new(),
+            proto: OnceCell::new(),
         })))
     }
 
@@ -110,7 +105,7 @@ impl Kernel {
     }
 
     /// Resolves a configured protocol name to its id: a scan of the
-    /// append-only table — no lock, no hashing.
+    /// append-only table — no guard, no hashing.
     pub fn lookup(&self, name: &str) -> XResult<ProtoId> {
         self.protocols
             .iter()
@@ -258,6 +253,7 @@ impl std::fmt::Debug for Kernel {
 /// Re-exported for implementors: everything a protocol module usually needs.
 pub mod prelude {
     pub use crate::addr::{EthAddr, IpAddr, Participant, ParticipantSet, Port};
+    pub use crate::cell::Counter;
     pub use crate::error::{XError, XResult};
     pub use crate::kernel::Kernel;
     pub use crate::map::{EnableMap, SessionMap, UpperCell};

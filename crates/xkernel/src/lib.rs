@@ -38,12 +38,51 @@
 //! // `inet` and `xrpc` crates for the protocol suite itself.
 //! assert_eq!(kernel.name(), "host-a");
 //! ```
+//!
+//! ## One thread by type
+//!
+//! One OS thread drives a simulation, and the types say so: what lives
+//! inside one holds `Rc`, `Cell` and [`cell::OwnerCell`], so rustc refuses
+//! to move a session, a message or a semaphore to another thread.
+//!
+//! ```compile_fail,E0277
+//! fn elsewhere(s: xkernel::proto::SessionRef) {
+//!     std::thread::spawn(move || drop(s));
+//! }
+//! ```
+//!
+//! ```compile_fail,E0277
+//! let m = xkernel::msg::Message::from_user(vec![1, 2, 3]);
+//! std::thread::spawn(move || drop(m));
+//! ```
+//!
+//! ```compile_fail,E0277
+//! let s = xkernel::sim::SharedSema::new(1);
+//! std::thread::spawn(move || drop(s));
+//! ```
+//!
+//! Two handles stay `Send`, a `Sim` and an `Arc<Kernel>`, under the
+//! one-driver contract written beside [`sim::Sim`]: a simulation moves
+//! between threads whole, at a real synchronisation point.
+//!
+//! ```
+//! use xkernel::prelude::*;
+//! use xkernel::sim::{Sim, SimConfig};
+//!
+//! let sim = Sim::new(SimConfig::inline_mode());
+//! let kernel = Kernel::new(&sim, "host-a");
+//! let moved = std::thread::spawn(move || {
+//!     assert_eq!(kernel.name(), "host-a");
+//!     (sim, kernel)
+//! });
+//! let (sim, kernel) = moved.join().unwrap();
+//! assert_eq!(sim.kernel_of(kernel.host()).name(), "host-a");
+//! ```
 
 #![warn(missing_docs)]
 #![warn(clippy::disallowed_types)]
 
 pub mod addr;
-#[allow(unsafe_code)]
 pub mod cell;
 pub mod check;
 pub mod cost;

@@ -28,28 +28,27 @@
 //! [`SessionMap::lock`] guard may build a session and charge for it, but must
 //! not cross.
 
+use std::cell::{Cell, OnceCell};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{MutexGuard, OnceLock, PoisonError};
 
 use crate::cell::{OwnerCell, OwnerGuard};
 use crate::error::XResult;
 use crate::proto::{ProtoId, SessionRef};
 
-/// An append-only table read without a lock: a slot is written once, when it
-/// is appended, so a reader needs only the acquire load a [`OnceLock`]
-/// performs. The simulator's host registry and each kernel's protocol
-/// registry are built at configuration time and read on every layer crossing;
-/// this is what keeps those reads off any lock.
+/// An append-only table whose slots never move: a slot is written once, when
+/// it is appended, so a reader may hold a plain `&T` into it while the table
+/// grows. The simulator's host registry and each kernel's protocol registry
+/// are built at configuration time and read on every layer crossing; this
+/// is what keeps those reads to a load and a bounds check, with no guard.
 ///
 /// Slots live in chunks that double in size (8, 16, 32, …) so the table
-/// grows without moving an element a reader may be looking at. Appending is
-/// not synchronized against itself: callers serialize appends (under a lock
-/// they already hold).
+/// grows without moving an element a reader may be looking at.
 pub(crate) struct AppendTable<T> {
-    chunks: [OnceLock<Box<[OnceLock<T>]>>; CHUNKS],
-    len: AtomicUsize,
+    chunks: [OnceCell<Box<[OnceCell<T>]>>; CHUNKS],
+    len: Cell<usize>,
 }
 
 /// Chunk `k` holds `8 << k` slots; 28 chunks hold 8 · (2²⁸ − 1).
@@ -67,31 +66,27 @@ fn locate(i: usize) -> (usize, usize) {
 impl<T> AppendTable<T> {
     pub(crate) fn new() -> AppendTable<T> {
         AppendTable {
-            chunks: [const { OnceLock::new() }; CHUNKS],
-            len: AtomicUsize::new(0),
+            chunks: [const { OnceCell::new() }; CHUNKS],
+            len: Cell::new(0),
         }
     }
 
     /// Slots appended so far.
     #[inline]
     pub(crate) fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
+        self.len.get()
     }
 
     /// Appends `value`; returns its index.
     pub(crate) fn push(&self, value: T) -> usize {
-        let i = self.len.load(Ordering::Relaxed);
+        let i = self.len.get();
         let (chunk, offset) = locate(i);
         let slots = self.chunks[chunk].get_or_init(|| {
             let slots = 1usize << (chunk as u32 + FIRST_CHUNK_BITS);
-            (0..slots).map(|_| OnceLock::new()).collect()
+            (0..slots).map(|_| OnceCell::new()).collect()
         });
-        assert!(
-            slots[offset].set(value).is_ok(),
-            "append raced another append"
-        );
-        // Publishes the filled slot: `len` never covers an empty one.
-        self.len.store(i + 1, Ordering::Release);
+        assert!(slots[offset].set(value).is_ok(), "slot {i} appended twice");
+        self.len.set(i + 1);
         i
     }
 
@@ -110,10 +105,10 @@ impl<T> AppendTable<T> {
     pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
         self.chunks
             .iter()
-            .map_while(OnceLock::get)
+            .map_while(OnceCell::get)
             .flat_map(|chunk| chunk.iter())
             .take(self.len())
-            .filter_map(OnceLock::get)
+            .filter_map(OnceCell::get)
     }
 }
 
@@ -127,7 +122,7 @@ struct Enable<K, V> {
     /// Cleared by `unbind_if`, a rebind to another value, or a `restore` to a
     /// snapshot taken before the entry existed. Entry contents are published
     /// by the `OnceLock` link that leads here; the flag orders nothing else.
-    live: AtomicBool,
+    live: LiveFlag,
     next: Link<K, V>,
 }
 
@@ -155,6 +150,11 @@ pub struct EnableMap<K, V = ProtoId> {
 // clippy.toml bans the type; this is where two OS threads meet.
 #[allow(clippy::disallowed_types)]
 type WriterLock = std::sync::Mutex<()>;
+
+/// An entry's live flag: atomic for the same reason [`WriterLock`] is real,
+/// the registry memo that two OS threads read.
+#[allow(clippy::disallowed_types)]
+type LiveFlag = std::sync::atomic::AtomicBool;
 
 /// Which entries of an [`EnableMap`] were live when
 /// [`EnableMap::snapshot`] ran. Valid only for the map it came from.
@@ -247,7 +247,7 @@ impl<K: Eq, V> EnableMap<K, V> {
             Box::new(Enable {
                 key,
                 value,
-                live: AtomicBool::new(true),
+                live: LiveFlag::new(true),
                 next: OnceLock::new(),
             })
         });
@@ -316,10 +316,10 @@ impl<K: Eq, V: PartialEq> EnableMap<K, V> {
 }
 
 /// The enable side of a layer with a single user — a NIC, a shim, AUTH,
-/// RDGRAM: the one protocol above, or none yet. One atomic word, read on
-/// every demux with no lock.
+/// RDGRAM: the one protocol above, or none yet. One word, read on every
+/// demux with no guard.
 #[derive(Default)]
-pub struct UpperCell(AtomicUsize);
+pub struct UpperCell(Cell<usize>);
 
 impl UpperCell {
     /// No upper yet.
@@ -331,13 +331,12 @@ impl UpperCell {
     #[inline]
     pub fn get(&self) -> Option<ProtoId> {
         // Stored off by one so that zero means none.
-        self.0.load(Ordering::Acquire).checked_sub(1).map(ProtoId)
+        self.0.get().checked_sub(1).map(ProtoId)
     }
 
     /// Sets (or, with `None`, clears) the protocol above.
     pub fn set(&self, upper: Option<ProtoId>) {
-        self.0
-            .store(upper.map_or(0, |p| p.0 + 1), Ordering::Release);
+        self.0.set(upper.map_or(0, |p| p.0 + 1));
     }
 }
 
@@ -413,7 +412,7 @@ pub struct SessionMap<K, V = SessionRef> {
 }
 
 /// The contents of a [`SessionMap`] when [`SessionMap::snapshot`] ran.
-/// Values are clones, so `Arc`-held sessions keep their identity through a
+/// Values are clones, so `Rc`-held sessions keep their identity through a
 /// snapshot and restore.
 pub type SessionSnapshot<K, V> = MixMap<K, V>;
 
@@ -513,7 +512,7 @@ impl<K: Hash + Eq + Clone, V: Clone> SessionMap<K, V> {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     use super::*;
 
@@ -624,27 +623,27 @@ mod tests {
 
     #[test]
     fn session_resolve_bind_unbind() {
-        let m: SessionMap<(u32, u16), Arc<u32>> = SessionMap::new();
+        let m: SessionMap<(u32, u16), Rc<u32>> = SessionMap::new();
         assert!(m.resolve(&(1, 2)).is_none());
-        let a = Arc::new(7);
-        assert!(m.bind((1, 2), Arc::clone(&a)).is_none());
-        assert!(Arc::ptr_eq(&m.resolve(&(1, 2)).unwrap(), &a));
+        let a = Rc::new(7);
+        assert!(m.bind((1, 2), Rc::clone(&a)).is_none());
+        assert!(Rc::ptr_eq(&m.resolve(&(1, 2)).unwrap(), &a));
         assert_eq!(m.len(), 1);
-        assert!(Arc::ptr_eq(&m.unbind(&(1, 2)).unwrap(), &a));
+        assert!(Rc::ptr_eq(&m.unbind(&(1, 2)).unwrap(), &a));
         assert!(m.resolve(&(1, 2)).is_none());
         assert!(m.is_empty());
         // The table released its clone.
-        assert_eq!(Arc::strong_count(&a), 1);
+        assert_eq!(Rc::strong_count(&a), 1);
     }
 
     #[test]
     fn session_rebind_replaces() {
-        let m: SessionMap<u32, Arc<u32>> = SessionMap::new();
-        m.bind(1, Arc::new(10));
+        let m: SessionMap<u32, Rc<u32>> = SessionMap::new();
+        m.bind(1, Rc::new(10));
         assert_eq!(*m.resolve(&1).unwrap(), 10);
-        assert_eq!(*m.bind(1, Arc::new(11)).unwrap(), 10);
+        assert_eq!(*m.bind(1, Rc::new(11)).unwrap(), 10);
         assert_eq!(*m.resolve(&1).unwrap(), 11);
-        m.lock().insert(1, Arc::new(12));
+        m.lock().insert(1, Rc::new(12));
         assert_eq!(*m.resolve(&1).unwrap(), 12);
         m.clear();
         assert!(m.resolve(&1).is_none());
@@ -652,13 +651,13 @@ mod tests {
 
     #[test]
     fn session_resolve_or_insert_runs_make_once() {
-        let m: SessionMap<u32, Arc<u32>> = SessionMap::new();
+        let m: SessionMap<u32, Rc<u32>> = SessionMap::new();
         let mut made = 0;
         for _ in 0..3 {
             let v = m
                 .resolve_or_insert_with(5, || {
                     made += 1;
-                    Ok(Arc::new(50))
+                    Ok(Rc::new(50))
                 })
                 .unwrap();
             assert_eq!(*v, 50);
@@ -671,20 +670,20 @@ mod tests {
     }
 
     #[test]
-    fn session_snapshot_keeps_arc_identity() {
-        let m: SessionMap<u32, Arc<u32>> = SessionMap::new();
-        let a = Arc::new(1);
-        m.bind(1, Arc::clone(&a));
+    fn session_snapshot_keeps_rc_identity() {
+        let m: SessionMap<u32, Rc<u32>> = SessionMap::new();
+        let a = Rc::new(1);
+        m.bind(1, Rc::clone(&a));
         let snap = m.snapshot();
         assert_eq!(snap.len(), 1);
         assert!(!snap.is_empty());
-        m.bind(2, Arc::new(2));
+        m.bind(2, Rc::new(2));
         assert_eq!(*m.resolve(&2).unwrap(), 2);
         m.unbind(&1);
         m.restore(&snap);
         assert!(m.resolve(&2).is_none());
-        assert!(Arc::ptr_eq(&m.resolve(&1).unwrap(), &a));
-        assert!(snap.iter().all(|(k, v)| *k == 1 && Arc::ptr_eq(v, &a)));
+        assert!(Rc::ptr_eq(&m.resolve(&1).unwrap(), &a));
+        assert!(snap.iter().all(|(k, v)| *k == 1 && Rc::ptr_eq(v, &a)));
     }
 
     #[test]

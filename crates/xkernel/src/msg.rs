@@ -17,7 +17,7 @@
 
 use std::borrow::Cow;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::error::{XError, XResult};
 
@@ -54,7 +54,7 @@ impl Default for HeaderPolicy {
 /// A shared, immutable slice of payload bytes.
 #[derive(Clone, Debug)]
 struct Segment {
-    data: Arc<Vec<u8>>,
+    data: Rc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -63,7 +63,7 @@ impl Segment {
     fn from_vec(v: Vec<u8>) -> Segment {
         let end = v.len();
         Segment {
-            data: Arc::new(v),
+            data: Rc::new(v),
             start: 0,
             end,
         }
@@ -248,7 +248,7 @@ impl Message {
     /// that subsequent `clone`s share every byte instead of copying the
     /// front. One copy of the valid front bytes happens here (never the
     /// unused headroom); after that, fan-out paths that deliver the same
-    /// frame to many receivers are pure `Arc` bumps.
+    /// frame to many receivers are pure `Rc` bumps.
     pub fn share(&mut self) {
         self.freeze();
     }
@@ -341,14 +341,14 @@ impl Message {
                     let s = seg.start;
                     seg.start += n;
                     let seg_done = seg.len() == 0;
-                    let data = Arc::clone(&seg.data);
+                    let data = Rc::clone(&seg.data);
                     if seg_done {
                         self.rope.remove(0);
                     }
                     // The popped bytes live at absolute offset `s` in the
                     // segment's backing buffer. If the segment survives we
                     // can borrow straight from it; if it was fully consumed
-                    // (and removed) we copy out of the Arc we cloned.
+                    // (and removed) we copy out of the Rc we cloned.
                     if !seg_done {
                         let seg = self.rope.first().expect("segment retained");
                         return Ok(Popped::Borrowed(&seg.data[s..s + n]));

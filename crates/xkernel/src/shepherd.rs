@@ -17,11 +17,11 @@
 //! semaphores: a worker is spawned per burst and exits when the queue
 //! drains, which keeps `run_until_idle().blocked == 0` invariants intact.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
-use crate::cell::OwnerCell;
+use crate::cell::{Counter, OwnerCell};
 
 use crate::error::XResult;
 use crate::graph::GraphArgs;
@@ -29,7 +29,7 @@ use crate::sim::{Ctx, Mode};
 use crate::trace::OpClass;
 
 /// A deferred unit of server work (one request's dispatch + reply).
-pub type Job = Box<dyn FnOnce(&Ctx) + Send + 'static>;
+pub type Job = Box<dyn FnOnce(&Ctx) + 'static>;
 
 /// What to do with a request that finds both the pool and the queue full.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,41 +112,41 @@ struct PoolState {
 pub struct Shepherds {
     cfg: ShepherdConfig,
     st: OwnerCell<PoolState>,
-    submitted: AtomicU64,
-    executed: AtomicU64,
-    dropped: AtomicU64,
-    rejected: AtomicU64,
-    peak_queue: AtomicU64,
-    peak_workers: AtomicU64,
+    submitted: Cell<u64>,
+    executed: Cell<u64>,
+    dropped: Cell<u64>,
+    rejected: Cell<u64>,
+    peak_queue: Cell<u64>,
+    peak_workers: Cell<u64>,
 }
 
 impl Shepherds {
     /// Creates a pool with the given shape.
-    pub fn new(cfg: ShepherdConfig) -> Arc<Shepherds> {
-        Arc::new(Shepherds {
+    pub fn new(cfg: ShepherdConfig) -> Rc<Shepherds> {
+        Rc::new(Shepherds {
             cfg,
             st: OwnerCell::new(PoolState {
                 active: 0,
                 queue: VecDeque::new(),
             }),
-            submitted: AtomicU64::new(0),
-            executed: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            peak_queue: AtomicU64::new(0),
-            peak_workers: AtomicU64::new(0),
+            submitted: Cell::new(0),
+            executed: Cell::new(0),
+            dropped: Cell::new(0),
+            rejected: Cell::new(0),
+            peak_queue: Cell::new(0),
+            peak_workers: Cell::new(0),
         })
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> ShepherdStats {
         ShepherdStats {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            executed: self.executed.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            peak_queue: self.peak_queue.load(Ordering::Relaxed),
-            peak_workers: self.peak_workers.load(Ordering::Relaxed),
+            submitted: self.submitted.get(),
+            executed: self.executed.get(),
+            dropped: self.dropped.get(),
+            rejected: self.rejected.get(),
+            peak_queue: self.peak_queue.get(),
+            peak_workers: self.peak_workers.get(),
         }
     }
 
@@ -164,12 +164,12 @@ impl Shepherds {
             st.active = 0;
             st.queue.clear();
         }
-        self.submitted.store(s.submitted, Ordering::Relaxed);
-        self.executed.store(s.executed, Ordering::Relaxed);
-        self.dropped.store(s.dropped, Ordering::Relaxed);
-        self.rejected.store(s.rejected, Ordering::Relaxed);
-        self.peak_queue.store(s.peak_queue, Ordering::Relaxed);
-        self.peak_workers.store(s.peak_workers, Ordering::Relaxed);
+        self.submitted.set(s.submitted);
+        self.executed.set(s.executed);
+        self.dropped.set(s.dropped);
+        self.rejected.set(s.rejected);
+        self.peak_queue.set(s.peak_queue);
+        self.peak_workers.set(s.peak_workers);
     }
 
     /// Whether requests go through the pool at all. False for a
@@ -187,41 +187,39 @@ impl Shepherds {
     /// overload policy. On [`Submitted::Overloaded`] the caller owns the
     /// protocol response (the job has already been counted
     /// dropped/rejected).
-    pub fn submit(self: &Arc<Shepherds>, ctx: &Ctx, job: Job) -> Submitted {
+    pub fn submit(self: &Rc<Shepherds>, ctx: &Ctx, job: Job) -> Submitted {
         debug_assert!(self.pooled(ctx), "submit on a disabled shepherd pool");
-        self.submitted.fetch_add(1, Ordering::Relaxed);
+        self.submitted.bump();
         let mut st = self.st.lock();
         if st.active < self.cfg.workers {
             st.active += 1;
-            self.peak_workers
-                .fetch_max(st.active as u64, Ordering::Relaxed);
+            raise(&self.peak_workers, st.active as u64);
             drop(st);
             // Interrupt-side handoff to a shepherd process.
             ctx.charge_class(OpClass::Dispatch, ctx.cost().dispatch);
-            let pool = Arc::clone(self);
+            let pool = Rc::clone(self);
             ctx.spawn_on(ctx.host(), move |wctx| pool.worker(wctx, job));
             Submitted::Accepted
         } else if st.queue.len() < self.cfg.pending {
             st.queue.push_back(job);
-            self.peak_queue
-                .fetch_max(st.queue.len() as u64, Ordering::Relaxed);
+            raise(&self.peak_queue, st.queue.len() as u64);
             drop(st);
             ctx.charge_class(OpClass::Dispatch, ctx.cost().dispatch);
             Submitted::Accepted
         } else {
             drop(st);
             match self.cfg.policy {
-                Overload::Drop => self.dropped.fetch_add(1, Ordering::Relaxed),
-                Overload::Reject => self.rejected.fetch_add(1, Ordering::Relaxed),
+                Overload::Drop => self.dropped.bump(),
+                Overload::Reject => self.rejected.bump(),
             };
             Submitted::Overloaded(self.cfg.policy)
         }
     }
 
-    fn worker(self: Arc<Shepherds>, ctx: &Ctx, first: Job) {
+    fn worker(self: Rc<Shepherds>, ctx: &Ctx, first: Job) {
         let mut job = first;
         loop {
-            self.executed.fetch_add(1, Ordering::Relaxed);
+            self.executed.bump();
             job(ctx);
             let next = {
                 let mut st = self.st.lock();
@@ -243,4 +241,9 @@ impl Shepherds {
             }
         }
     }
+}
+
+/// `mark = max(mark, v)`.
+fn raise(mark: &Cell<u64>, v: u64) {
+    mark.set(mark.get().max(v));
 }

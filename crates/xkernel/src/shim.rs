@@ -11,7 +11,7 @@
 //!   no bytes.
 
 use std::any::Any;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::addr::ParticipantSet;
 use crate::cost::Handicap;
@@ -36,8 +36,8 @@ pub struct NullLayer {
 
 impl NullLayer {
     /// Creates a null layer above `down`.
-    pub fn new(me: ProtoId, down: ProtoId) -> Arc<NullLayer> {
-        Arc::new(NullLayer {
+    pub fn new(me: ProtoId, down: ProtoId) -> Rc<NullLayer> {
+        Rc::new(NullLayer {
             me,
             name: "null",
             down,
@@ -118,7 +118,7 @@ impl Protocol for NullLayer {
         let num = Self::num_of(parts)?;
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
         let lower = ctx.kernel_ref().open(ctx, self.down, self.me, parts)?;
-        Ok(Arc::new(NullSession {
+        Ok(Rc::new(NullSession {
             proto: self.me,
             num,
             lower,
@@ -145,10 +145,10 @@ impl Protocol for NullLayer {
         // Reuse (or passively create) the session replies travel down on —
         // the paper's "cache open sessions at all levels" rule.
         let sess = self.passive.resolve_or_insert_with(num, || {
-            let s: SessionRef = Arc::new(NullSession {
+            let s: SessionRef = Rc::new(NullSession {
                 proto: self.me,
                 num,
-                lower: Arc::clone(lls),
+                lower: Rc::clone(lls),
             });
             ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
             Ok(s)
@@ -201,7 +201,7 @@ fn charge_msg(handicap: &Handicap, ctx: &Ctx, len: usize) {
 
 impl HandicapLayer {
     /// Creates a handicap layer above `down` charging `handicap`.
-    pub fn new(me: ProtoId, down: ProtoId, handicap: Handicap) -> Arc<HandicapLayer> {
+    pub fn new(me: ProtoId, down: ProtoId, handicap: Handicap) -> Rc<HandicapLayer> {
         HandicapLayer::with_name(me, down, handicap, "handicap")
     }
 
@@ -212,8 +212,8 @@ impl HandicapLayer {
         down: ProtoId,
         handicap: Handicap,
         name: &'static str,
-    ) -> Arc<HandicapLayer> {
-        Arc::new(HandicapLayer {
+    ) -> Rc<HandicapLayer> {
+        Rc::new(HandicapLayer {
             me,
             down,
             name,
@@ -270,7 +270,7 @@ impl Protocol for HandicapLayer {
     fn open(&self, ctx: &Ctx, upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
         self.upper.set(Some(upper));
         let lower = ctx.kernel_ref().open(ctx, self.down, self.me, parts)?;
-        Ok(Arc::new(HandicapSession {
+        Ok(Rc::new(HandicapSession {
             proto: self.me,
             handicap: self.handicap,
             lower,
@@ -287,12 +287,12 @@ impl Protocol for HandicapLayer {
             .upper
             .get()
             .ok_or_else(|| XError::NoEnable("handicap layer has no upper".into()))?;
-        let key = Arc::as_ptr(lls) as *const () as usize;
+        let key = Rc::as_ptr(lls) as *const () as usize;
         let sess = self.wrapped.resolve_or_insert_with(key, || {
-            Ok(Arc::new(HandicapSession {
+            Ok(Rc::new(HandicapSession {
                 proto: self.me,
                 handicap: self.handicap,
-                lower: Arc::clone(lls),
+                lower: Rc::clone(lls),
             }) as SessionRef)
         })?;
         ctx.kernel_ref().demux_to(ctx, upper, &sess, msg)

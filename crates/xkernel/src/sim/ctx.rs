@@ -2,7 +2,7 @@
 //! charging, timers, spawning and the blocking primitives.
 
 use std::panic::panic_any;
-use std::sync::atomic::Ordering::Relaxed;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::cost::CostModel;
@@ -26,7 +26,7 @@ use super::*;
 /// provides time, charging, timers, and spawning.
 #[derive(Clone)]
 pub struct Ctx {
-    pub(super) core: Arc<SimCore>,
+    pub(super) core: Rc<SimCore>,
     pub(super) host: HostId,
     pub(super) lp: Option<LpId>,
 }
@@ -81,7 +81,7 @@ impl Ctx {
     /// continue the call chain on the destination kernel).
     pub fn with_host(&self, host: HostId) -> Ctx {
         Ctx {
-            core: Arc::clone(&self.core),
+            core: Rc::clone(&self.core),
             host,
             lp: self.lp,
         }
@@ -93,7 +93,7 @@ impl Ctx {
         if self.core.mode == Mode::Inline {
             return 0;
         }
-        self.cell().cpu.load(Relaxed)
+        self.cell().cpu.get()
     }
 
     /// Charges `ns` of virtual CPU time to this host as unclassified
@@ -186,7 +186,7 @@ impl Ctx {
         self.core
             .hosts
             .get(self.host.0)
-            .map_or(0, |h| h.epoch.load(Relaxed))
+            .map_or(0, |h| h.epoch.get())
     }
 
     /// Charges the cost of crossing one protocol layer. The kernel's demux
@@ -243,7 +243,7 @@ impl Ctx {
     }
 
     /// Spawns a shepherd process on `host` at the current time.
-    pub fn spawn_on(&self, host: HostId, f: impl FnOnce(&Ctx) + Send + 'static) {
+    pub fn spawn_on(&self, host: HostId, f: impl FnOnce(&Ctx) + 'static) {
         match self.core.mode {
             Mode::Inline => {
                 let ctx = self.with_host(host);
@@ -260,12 +260,12 @@ impl Ctx {
     /// clock when inside a process, else the global event clock.
     #[inline]
     pub fn event_time(&self) -> Time {
-        let cpu = self.cell().cpu.load(Relaxed);
+        let cpu = self.cell().cpu.get();
         if self.lp.is_some() {
             // Inside a process the host clock alone decides.
             cpu
         } else {
-            cpu.max(self.core.now.load(Relaxed))
+            cpu.max(self.core.now.get())
         }
     }
 
@@ -295,12 +295,7 @@ impl Ctx {
             Mode::Scheduled,
             "absolute scheduling requires virtual time"
         );
-        if self
-            .core
-            .hosts
-            .get(host.0)
-            .is_some_and(|h| h.down.load(Relaxed))
-        {
+        if self.core.hosts.get(host.0).is_some_and(|h| h.down.get()) {
             // A crashed host arms no timers and accepts no deliveries; the
             // work is silently dropped, exactly as its in-flight state was.
             return TimerHandle::NONE;
@@ -316,7 +311,7 @@ impl Ctx {
     /// process on this host. In inline mode timers never fire and the
     /// returned handle is inert — protocols must therefore bound any state
     /// they would otherwise rely on a timer to reclaim.
-    pub fn schedule_after(&self, dt: Nanos, f: impl FnOnce(&Ctx) + Send + 'static) -> TimerHandle {
+    pub fn schedule_after(&self, dt: Nanos, f: impl FnOnce(&Ctx) + 'static) -> TimerHandle {
         if self.core.mode == Mode::Inline {
             return TimerHandle::NONE;
         }
@@ -497,7 +492,7 @@ impl Ctx {
         let inner = self.trace_enabled().then(|| {
             self.core
                 .probe(|| Probe::SpanPush(self.host, key, proto, kind, msg_len));
-            (Arc::clone(&self.core), key)
+            (Rc::clone(&self.core), key)
         });
         LayerSpan { inner }
     }
@@ -508,7 +503,7 @@ impl Ctx {
 /// stacks stay balanced under [`Sim::crash_at`]). Inert when tracing is
 /// off — no allocation, no locking.
 pub struct LayerSpan {
-    inner: Option<(Arc<SimCore>, SpanKey)>,
+    inner: Option<(Rc<SimCore>, SpanKey)>,
 }
 
 impl Drop for LayerSpan {

@@ -4,11 +4,12 @@
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering::Relaxed;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::cell::OwnerGuard;
 use crate::journal::JournalRecord;
+use crate::kernel::Kernel;
 use crate::vproc;
 
 use super::ctx::Block;
@@ -283,16 +284,53 @@ impl Engine {
 /// `resume_lp` it calls once per event (DESIGN.md §16).
 #[derive(Clone)]
 pub struct Sim {
-    pub(super) core: Arc<SimCore>,
+    pub(super) core: Rc<SimCore>,
 }
 
-/// `Sim` handles cross threads — `xkernel::par` workers hand finished
-/// simulations back, a quiescent rig can be moved whole: every shared field
-/// is an atomic cell or sits in an `OwnerCell`, under the one-driver
-/// contract [`crate::cell`] states.
+// The one-driver contract.
+//
+// Everything inside a simulation is single-threaded by type: its core, the
+// protocols and sessions of its kernels, its messages and semaphores hold
+// `Rc`, `Cell` and `RefCell`, so rustc refuses to move any of them to
+// another thread or to share one. Two handles are exempt, because
+// `benchmark/` moves them into a `Send` closure (its `run_client`) and pins
+// their types: `Sim` is `Send`, and `Kernel` is `Send + Sync` so that
+// `Arc<Kernel>` is `Send`. What they promise in place of rustc:
+//
+// **One OS thread drives a simulation at a time, and a simulation changes
+// threads only whole and only through a real synchronisation point** — a
+// `std::thread::scope` spawn or join, a channel, a real mutex. Whole means
+// that every handle reaching it (`Sim`, `Ctx`, `Arc<Kernel>`, a session, a
+// message) moves with it, or is left untouched until it is back.
+//
+// Under the contract the non-atomic reference counts and cells behind these
+// handles are touched by one thread at a time, and the synchronisation point
+// orders one driver's writes before the next one's reads. Broken, it is a
+// data race on them. The workspace honours it by building a simulation on
+// the thread that runs it (`par` workers, `xload` sweeps, the thread-local
+// chaos rig pool) or by moving a quiescent one whole
+// (`tests/sim_lifetime.rs`).
+//
+// SAFETY: `core`, the one field, is an `Rc<SimCore>`; its count and all
+// the core reaches (cells, `Rc` handles, suspended coroutines) are touched by
+// one thread at a time under the contract above.
+#[allow(unsafe_code)]
+unsafe impl Send for Sim {}
+// SAFETY: `name` is `Send`; `host` (a `OnceCell`) and `protocols` (slots of
+// `Rc<dyn Protocol>`, and through them every session and table) are touched
+// by one thread at a time under the contract above.
+#[allow(unsafe_code)]
+unsafe impl Send for Kernel {}
+// SAFETY: a `&Kernel` reaches the same three fields, and under the contract
+// above no two threads use one except on either side of a synchronisation
+// point.
+#[allow(unsafe_code)]
+unsafe impl Sync for Kernel {}
+
 const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Sim>();
+    const fn assert_send<T: Send>() {}
+    assert_send::<Sim>();
+    assert_send::<Arc<Kernel>>();
 };
 
 impl Sim {
@@ -354,13 +392,13 @@ impl Sim {
                 Some(LpBody::Coro(driver));
         };
         let report = RunReport {
-            ended_at: core.now.load(Relaxed),
+            ended_at: core.now.get(),
             events: g.executed,
             blocked: g.blocked().count(),
             hosts: core.hosts.iter().map(HostCell::stats).collect(),
             breakdown: g.observers.breakdown(core),
             sched_hash: g.sched_hash,
-            fuel_used: core.hosts.iter().map(|h| h.fuel.load(Relaxed)).sum(),
+            fuel_used: core.hosts.iter().map(|h| h.fuel.get()).sum(),
             fuel_exhausted: g.fuel_exhausted,
             peak_live: g.peak_live,
         };
@@ -429,7 +467,7 @@ enum Next {
 /// and processes them until a process claims the run token or the queue
 /// drains (or passes `stop`). Must be called with the token free
 /// (`current == None`).
-fn advance(core: &Arc<SimCore>, g: &mut Engine, stop: Time) -> Next {
+fn advance(core: &Rc<SimCore>, g: &mut Engine, stop: Time) -> Next {
     loop {
         // The next live event at or before the pause point. Nothing is taken
         // past it, so pausing never consumes exploration decisions.
@@ -441,7 +479,7 @@ fn advance(core: &Arc<SimCore>, g: &mut Engine, stop: Time) -> Next {
         } else {
             pick_tie(core, g, first)
         };
-        core.now.store(t, Relaxed);
+        core.now.set(t);
         g.executed += 1;
         let kind = g.events.remove(seq, slot).expect("event checked present");
         g.sched_hash = fnv_fold(
@@ -457,17 +495,17 @@ fn advance(core: &Arc<SimCore>, g: &mut Engine, stop: Time) -> Next {
         match kind {
             EvKind::Run { host, body } => {
                 let h = core.host(host);
-                if h.down.load(Relaxed) {
+                if h.down.get() {
                     continue; // Scheduled before the crash; dies with it.
                 }
                 return Next::Task(start_lp(core, g, host, body, h.arrive(t, 0), seq));
             }
             EvKind::Crash { host } => {
                 let h = core.host(host);
-                if h.down.load(Relaxed) {
+                if h.down.get() {
                     continue; // Already down.
                 }
-                h.down.store(true, Relaxed);
+                h.down.set(true);
                 bump(&h.crashes, 1);
                 let boot = JournalRecord::Boot {
                     host: host.0 as u32,
@@ -508,11 +546,11 @@ fn advance(core: &Arc<SimCore>, g: &mut Engine, stop: Time) -> Next {
             }
             EvKind::Restart { host } => {
                 let h = core.host(host);
-                if !h.down.load(Relaxed) {
+                if !h.down.get() {
                     continue; // Not down; nothing to restart.
                 }
-                h.down.store(false, Relaxed);
-                h.epoch.store(h.epoch.load(Relaxed) + 1, Relaxed);
+                h.down.set(false);
+                h.epoch.set(h.epoch.get() + 1);
                 bump(&h.restarts, 1);
                 let jumped = h.arrive(t, 0);
                 let boot = JournalRecord::Boot {
@@ -659,7 +697,7 @@ pub(super) type EngineGuard<'a> = OwnerGuard<'a, Engine>;
 /// `ctx` is the context whatever runs on this stack runs under — thunks and
 /// machine steps, one at a time — re-aimed at each.
 fn drive(mut ctx: Ctx) {
-    let core = &Arc::clone(&ctx.core);
+    let core = &Rc::clone(&ctx.core);
     let mut g = core.engine.lock();
     let stop = g.stop;
     loop {
@@ -706,7 +744,7 @@ fn drive(mut ctx: Ctx) {
 /// retires the process as it would any other. Otherwise the process ends
 /// here, and the lock comes back re-acquired.
 fn call_thunk<'a>(
-    core: &'a Arc<SimCore>,
+    core: &'a Rc<SimCore>,
     mut g: EngineGuard<'a>,
     ctx: &mut Ctx,
     lp: LpId,
@@ -764,7 +802,7 @@ fn note_death(core: &SimCore, g: &mut Engine, lp: LpId, p: Box<dyn Any + Send>) 
 /// Resumes a process on the stack it owns, handing it `token`, and parks or
 /// retires it afterwards.
 fn drive_coro<'a>(
-    core: &'a Arc<SimCore>,
+    core: &'a Rc<SimCore>,
     g: EngineGuard<'a>,
     lp: LpId,
     mut coro: vproc::Coro,
@@ -791,7 +829,7 @@ fn drive_coro<'a>(
 /// Resumes a blocked process the scheduler just woke. The run token is
 /// already `woken.lp`.
 fn resume_lp<'a>(
-    core: &'a Arc<SimCore>,
+    core: &'a Rc<SimCore>,
     g: EngineGuard<'a>,
     ctx: &mut Ctx,
     woken: Woken,
@@ -823,7 +861,7 @@ fn resume_lp<'a>(
 /// machine borrows `ctx` (re-aimed at it here) only while it runs, so a
 /// parked machine holds no reference to the simulation.
 fn step_machine<'a>(
-    core: &'a Arc<SimCore>,
+    core: &'a Rc<SimCore>,
     ctx: &mut Ctx,
     lp: LpId,
     host: HostId,
@@ -883,7 +921,7 @@ fn finalize_lp(core: &SimCore, g: &mut Engine, lp: LpId) {
 /// Reaps one crash-killed process: a coroutine is resumed so it unwinds via
 /// [`CrashKill`] (running its drop guards), a machine is simply dropped.
 /// Called with the run token free.
-fn reap_lp<'a>(core: &'a Arc<SimCore>, mut g: EngineGuard<'a>, lp: LpId) -> EngineGuard<'a> {
+fn reap_lp<'a>(core: &'a Rc<SimCore>, mut g: EngineGuard<'a>, lp: LpId) -> EngineGuard<'a> {
     let body = match g.lp_mut(lp) {
         Some(st) if st.state == RunState::Killed => st.body.take(),
         // Already gone (e.g. reaped via an earlier crash); nothing to do.

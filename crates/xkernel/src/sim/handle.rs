@@ -2,7 +2,8 @@
 //! does through the owning [`Sim`] handle (the type itself sits beside the
 //! event loop in `engine.rs`) and [`WeakSim`].
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering::Relaxed};
+use std::cell::Cell;
+use std::rc::{Rc, Weak};
 use std::sync::Arc;
 
 use crate::cell::OwnerCell;
@@ -26,23 +27,22 @@ pub struct SimCore {
     pub(super) policy: HeaderPolicy,
     /// Per-process fuel budget, from [`SimConfig::fuel`].
     pub(super) fuel_limit: Option<u64>,
-    /// Global virtual time: the time of the last processed event. A scalar
-    /// cell like those of [`HostCell`].
-    pub(super) now: AtomicU64,
-    /// The SplitMix64 state word of the simulation PRNG; a scalar cell too.
-    pub(super) rng: AtomicU64,
+    /// Global virtual time: the time of the last processed event.
+    pub(super) now: Cell<u64>,
+    /// The SplitMix64 state word of the simulation PRNG.
+    pub(super) rng: Cell<u64>,
     /// Hosts in [`HostId`] order; appended to by [`Sim::add_kernel`] and
-    /// read without a lock.
+    /// read with no guard.
     pub(super) hosts: AppendTable<HostCell>,
     /// The scheduler's compound state — and the observers' — in the
     /// simulator's one cell.
     pub(super) engine: OwnerCell<Engine>,
     /// Which observers are on, one bit each (`observe.rs`): trace and check
     /// fixed at construction, the journal toggled to scope a recording.
-    pub(super) observing: AtomicU8,
+    pub(super) observing: Cell<u8>,
     /// The seed the PRNG stream started from — the configured one, or the
-    /// last [`Sim::reseed`]'s — kept for repro strings. A scalar cell too.
-    pub(super) seed: AtomicU64,
+    /// last [`Sim::reseed`]'s — kept for repro strings.
+    pub(super) seed: Cell<u64>,
 }
 
 impl SimCore {
@@ -55,9 +55,9 @@ impl SimCore {
 
     /// Next value from the simulation-wide deterministic PRNG (SplitMix64).
     pub(super) fn next_u64(&self) -> u64 {
-        let mut s = self.rng.load(Relaxed);
+        let mut s = self.rng.get();
         let z = splitmix64(&mut s);
-        self.rng.store(s, Relaxed);
+        self.rng.set(s);
         z
     }
 }
@@ -71,13 +71,13 @@ impl Sim {
             install_crash_hook();
         }
         Sim {
-            core: Arc::new(SimCore {
+            core: Rc::new(SimCore {
                 mode: cfg.mode,
                 cost: cfg.cost,
                 policy: cfg.policy,
                 fuel_limit: cfg.fuel,
-                now: AtomicU64::new(0),
-                rng: AtomicU64::new(cfg.seed | 1),
+                now: Cell::new(0),
+                rng: Cell::new(cfg.seed | 1),
                 hosts: AppendTable::new(),
                 engine: OwnerCell::new(Engine {
                     seq: 0,
@@ -98,7 +98,7 @@ impl Sim {
                     observers: Observers::default(),
                 }),
                 observing: mask_for(&cfg),
-                seed: AtomicU64::new(cfg.seed),
+                seed: Cell::new(cfg.seed),
             }),
         }
     }
@@ -115,8 +115,6 @@ impl Sim {
 
     /// Registers a kernel, allocating its host id. Called by `Kernel::new`.
     pub(crate) fn add_kernel(&self, k: &Arc<Kernel>) -> HostId {
-        // The engine lock serializes registrations; readers need none.
-        let _g = self.core.engine.lock();
         HostId(self.core.hosts.push(HostCell::new(Arc::clone(k))))
     }
 
@@ -133,7 +131,7 @@ impl Sim {
     /// A handle that does not keep the simulation alive (see [`WeakSim`]).
     pub fn downgrade(&self) -> WeakSim {
         WeakSim {
-            core: Arc::downgrade(&self.core),
+            core: Rc::downgrade(&self.core),
         }
     }
 
@@ -142,7 +140,7 @@ impl Sim {
     /// blocking from it panics.
     pub fn ctx(&self, host: HostId) -> Ctx {
         Ctx {
-            core: Arc::clone(&self.core),
+            core: Rc::clone(&self.core),
             host,
             lp: None,
         }
@@ -151,7 +149,7 @@ impl Sim {
     /// Spawns a shepherd process on `host`. In scheduled mode it is queued
     /// at the current virtual time and run by [`Sim::run_until_idle`]; in
     /// inline mode it executes immediately on the calling thread.
-    pub fn spawn(&self, host: HostId, f: impl FnOnce(&Ctx) + Send + 'static) {
+    pub fn spawn(&self, host: HostId, f: impl FnOnce(&Ctx) + 'static) {
         self.ctx(host).spawn_on(host, f);
     }
 
@@ -208,12 +206,12 @@ impl Sim {
 
     /// How many times `host` has restarted (0 until its first restart).
     pub fn boot_epoch(&self, host: HostId) -> u32 {
-        self.core.host(host).epoch.load(Relaxed)
+        self.core.host(host).epoch.get()
     }
 
     /// Whether `host` is currently crashed.
     pub fn is_down(&self, host: HostId) -> bool {
-        self.core.host(host).down.load(Relaxed)
+        self.core.host(host).down.get()
     }
 
     /// Spawns a stackless [`VProc`] machine as a shepherd process on
@@ -226,12 +224,12 @@ impl Sim {
 
     /// Virtual CPU time of `host`.
     pub fn now_of(&self, host: HostId) -> Time {
-        self.core.host(host).cpu.load(Relaxed)
+        self.core.host(host).cpu.get()
     }
 
     /// Global virtual time (time of the last processed event).
     pub fn virtual_now(&self) -> Time {
-        self.core.now.load(Relaxed)
+        self.core.now.get()
     }
 
     /// Next value from the simulation-wide deterministic PRNG (SplitMix64).
@@ -241,7 +239,7 @@ impl Sim {
 
     /// The seed the PRNG stream started from (embedded in repro strings).
     pub fn seed(&self) -> u64 {
-        self.core.seed.load(Relaxed)
+        self.core.seed.get()
     }
 
     /// Turns a rig built under one seed into the rig `seed` would have
@@ -264,14 +262,14 @@ impl Sim {
     /// under `seed`.
     pub fn reseed(&self, seed: u64) -> u64 {
         let core = &self.core;
-        let made = draws_between(core.seed.load(Relaxed) | 1, core.rng.load(Relaxed));
-        core.seed.store(seed, Relaxed);
-        core.rng.store(seed | 1, Relaxed);
+        let made = draws_between(core.seed.get() | 1, core.rng.get());
+        core.seed.set(seed);
+        core.rng.set(seed | 1);
         for h in core.hosts.iter() {
             let ctx = self.ctx(h.kernel.host());
             h.kernel.protocols().for_each(|p| p.reseed(&ctx));
         }
-        let redone = draws_between(seed | 1, core.rng.load(Relaxed));
+        let redone = draws_between(seed | 1, core.rng.get());
         assert!(
             redone == made,
             "Sim::reseed: this simulation had made {made} PRNG draw(s) but its \
@@ -314,7 +312,7 @@ impl Sim {
 /// only while some `Sim`, [`Ctx`] or suspended process still does.
 #[derive(Clone)]
 pub struct WeakSim {
-    core: std::sync::Weak<SimCore>,
+    core: Weak<SimCore>,
 }
 
 impl WeakSim {

@@ -113,7 +113,7 @@ pub struct SimConfig {
     pub seed: u64,
     /// Whether to record trace events and the per-layer cost ledger (tests,
     /// `benchmark/`'s per-layer run, `xbench xprof`). Fixed at construction;
-    /// off, a probe site costs one relaxed load and a branch.
+    /// off, a probe site costs one load and a branch.
     pub trace: bool,
     /// Header-buffer policy for messages created via [`Ctx::msg`] — the
     /// paper's buffer-management design point (see [`crate::msg`]).
@@ -194,7 +194,7 @@ impl SimConfig {
 }
 
 /// A boxed shepherd-process body.
-pub type Thunk = Box<dyn FnOnce(&Ctx) + Send + 'static>;
+pub type Thunk = Box<dyn FnOnce(&Ctx) + 'static>;
 
 /// A scheduling-decision oracle for xcheck's bounded schedule exploration.
 ///
@@ -204,7 +204,7 @@ pub type Thunk = Box<dyn FnOnce(&Ctx) + Send + 'static>;
 /// the chooser is handed the number of tied live events (in insertion
 /// order) and picks which runs first. Enumerating chooser decisions
 /// enumerates schedules; see `crates/xcheck`.
-pub trait ScheduleChooser: Send {
+pub trait ScheduleChooser {
     /// Picks which of `n` (≥ 2) same-time events to process next; returns
     /// an index in `0..n` (out-of-range values are clamped).
     fn choose(&mut self, n: usize) -> usize;

@@ -1,11 +1,11 @@
 //! The observer seam: what the engine tells an observer ([`Probe`]), the
 //! observers it tells ([`Observers`]: the tracer, the checker, the journal)
 //! and what [`Sim`] and [`Ctx`] read back from them. A probe site is one call:
-//! an inlined guard (one relaxed load of [`SimCore::observing`] and a branch)
+//! an inlined guard (one load of [`SimCore::observing`] and a branch)
 //! in front of one out-of-line dispatch. No other module of `sim` names an
 //! observer's state; a new consumer is one more arm here.
 
-use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
+use std::cell::Cell;
 
 use crate::check::{CheckCore, CheckReport};
 use crate::journal::{Journal, JournalRecord, JOURNAL_VERSION};
@@ -78,15 +78,15 @@ impl Probe {
 
 /// The [`SimCore::observing`] mask a simulation starts with: trace and check
 /// as configured, for good; the journal off until [`Sim::journal_enable`].
-pub(super) fn mask_for(cfg: &SimConfig) -> AtomicU8 {
-    AtomicU8::new((if cfg.trace { TRACE } else { 0 }) | (if cfg.check { CHECK } else { 0 }))
+pub(super) fn mask_for(cfg: &SimConfig) -> Cell<u8> {
+    Cell::new((if cfg.trace { TRACE } else { 0 }) | (if cfg.check { CHECK } else { 0 }))
 }
 
 impl SimCore {
-    /// Whether an observer among `bits` is on: one relaxed load and a test.
+    /// Whether an observer among `bits` is on: one load and a test.
     #[inline]
     fn observing(&self, bits: u8) -> bool {
-        self.observing.load(Relaxed) & bits != 0
+        self.observing.get() & bits != 0
     }
 
     /// Tells the observers what `p` builds, from code not holding the engine:
@@ -108,8 +108,8 @@ impl SimCore {
     /// Turns journal recording on or off; trace and check stay as built.
     fn set_journaling(&self, on: bool) {
         let bit = if on { JOURNAL } else { 0 };
-        let rest = self.observing.load(Relaxed) & !JOURNAL;
-        self.observing.store(rest | bit, Relaxed);
+        let rest = self.observing.get() & !JOURNAL;
+        self.observing.set(rest | bit);
     }
 }
 
@@ -136,11 +136,10 @@ impl Observers {
     #[cold]
     #[inline(never)]
     fn dispatch(&mut self, core: &SimCore, p: Probe) {
-        let on = core.observing.load(Relaxed) & p.audience();
+        let on = core.observing.get() & p.audience();
         if on & TRACE != 0 {
             // Inline mode charges nothing, so its clocks stay at 0.
-            self.trace
-                .observe(p, |host| core.host(host).cpu.load(Relaxed));
+            self.trace.observe(p, |host| core.host(host).cpu.get());
         }
         if on & CHECK != 0 {
             self.check.observe(p);
@@ -225,8 +224,8 @@ impl Sim {
     }
 
     /// Starts journal recording (see [`crate::journal`]), discarding any
-    /// previously recorded decisions. Costs one relaxed atomic load per
-    /// potential decision when off.
+    /// previously recorded decisions. Costs one load per potential decision
+    /// when off.
     pub fn journal_enable(&self) {
         self.core.engine.lock().observers.journal.clear();
         self.core.set_journaling(true);

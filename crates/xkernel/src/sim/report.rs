@@ -1,7 +1,7 @@
 //! What a run reports: [`RunReport`] and the per-host counters behind
 //! [`HostStats`].
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering::Relaxed};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use crate::kernel::Kernel;
@@ -79,34 +79,29 @@ pub enum RobustEvent {
 }
 
 /// One host's kernel, clock and counters. Every field but the kernel is a
-/// scalar cell read and written with relaxed atomic loads and stores (never
-/// a read-modify-write): only the thread driving the simulation touches
-/// them, and a simulation changes threads only through a real
-/// synchronisation point, which orders one driver's writes before the
-/// next's reads (the contract [`crate::cell`] states). That keeps the
-/// charging path ([`Ctx::charge_class`], [`Ctx::now`], [`Ctx::note`]) free
-/// of any guard while [`Sim`] stays `Send + Sync`.
+/// plain [`Cell`], so the charging path ([`Ctx::charge_class`],
+/// [`Ctx::now`], [`Ctx::note`]) is loads and stores with no guard.
 pub(super) struct HostCell {
     pub(super) kernel: Arc<Kernel>,
-    pub(super) cpu: AtomicU64,
+    pub(super) cpu: Cell<u64>,
     /// Fuel charged on this host: one unit per charged operation plus one
     /// per machine resume ([`RunReport::fuel_used`] is the sum).
-    pub(super) fuel: AtomicU64,
-    pub(super) down: AtomicBool,
-    pub(super) epoch: AtomicU32,
-    pub(super) retransmits: AtomicU64,
-    pub(super) duplicates_suppressed: AtomicU64,
-    pub(super) corrupt_rejected: AtomicU64,
-    pub(super) timeouts_fired: AtomicU64,
-    pub(super) crashes: AtomicU64,
-    pub(super) restarts: AtomicU64,
+    pub(super) fuel: Cell<u64>,
+    pub(super) down: Cell<bool>,
+    pub(super) epoch: Cell<u32>,
+    pub(super) retransmits: Cell<u64>,
+    pub(super) duplicates_suppressed: Cell<u64>,
+    pub(super) corrupt_rejected: Cell<u64>,
+    pub(super) timeouts_fired: Cell<u64>,
+    pub(super) crashes: Cell<u64>,
+    pub(super) restarts: Cell<u64>,
 }
 
-/// `cell += by` for a cell only the driving thread writes.
+/// `cell += by`; the new value.
 #[inline]
-pub(super) fn bump(cell: &AtomicU64, by: u64) -> u64 {
-    let v = cell.load(Relaxed) + by;
-    cell.store(v, Relaxed);
+pub(super) fn bump(cell: &Cell<u64>, by: u64) -> u64 {
+    let v = cell.get() + by;
+    cell.set(v);
     v
 }
 
@@ -114,16 +109,16 @@ impl HostCell {
     pub(super) fn new(kernel: Arc<Kernel>) -> HostCell {
         HostCell {
             kernel,
-            cpu: AtomicU64::new(0),
-            fuel: AtomicU64::new(0),
-            down: AtomicBool::new(false),
-            epoch: AtomicU32::new(0),
-            retransmits: AtomicU64::new(0),
-            duplicates_suppressed: AtomicU64::new(0),
-            corrupt_rejected: AtomicU64::new(0),
-            timeouts_fired: AtomicU64::new(0),
-            crashes: AtomicU64::new(0),
-            restarts: AtomicU64::new(0),
+            cpu: Cell::new(0),
+            fuel: Cell::new(0),
+            down: Cell::new(false),
+            epoch: Cell::new(0),
+            retransmits: Cell::new(0),
+            duplicates_suppressed: Cell::new(0),
+            corrupt_rejected: Cell::new(0),
+            timeouts_fired: Cell::new(0),
+            crashes: Cell::new(0),
+            restarts: Cell::new(0),
         }
     }
 
@@ -131,21 +126,21 @@ impl HostCell {
     /// idle gap (if `t` is ahead of it) and then pays `extra`. Returns the
     /// idle time skipped and the new clock.
     pub(super) fn arrive(&self, t: Time, extra: Nanos) -> (Nanos, Time) {
-        let cpu = self.cpu.load(Relaxed);
+        let cpu = self.cpu.get();
         let now = cpu.max(t) + extra;
-        self.cpu.store(now, Relaxed);
+        self.cpu.set(now);
         (t.saturating_sub(cpu), now)
     }
 
     pub(super) fn stats(&self) -> HostStats {
         HostStats {
-            retransmits: self.retransmits.load(Relaxed),
-            duplicates_suppressed: self.duplicates_suppressed.load(Relaxed),
-            corrupt_rejected: self.corrupt_rejected.load(Relaxed),
-            timeouts_fired: self.timeouts_fired.load(Relaxed),
-            crashes: self.crashes.load(Relaxed),
-            restarts: self.restarts.load(Relaxed),
-            cpu_ns: self.cpu.load(Relaxed),
+            retransmits: self.retransmits.get(),
+            duplicates_suppressed: self.duplicates_suppressed.get(),
+            corrupt_rejected: self.corrupt_rejected.get(),
+            timeouts_fired: self.timeouts_fired.get(),
+            crashes: self.crashes.get(),
+            restarts: self.restarts.get(),
+            cpu_ns: self.cpu.get(),
         }
     }
 }

@@ -1,8 +1,9 @@
 //! [`SharedSema`], the counting semaphore shepherd processes block on.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
+use std::rc::Rc;
+use std::sync::atomic::Ordering::Relaxed;
 
 use crate::cell::OwnerCell;
 use crate::trace::OpClass;
@@ -42,9 +43,33 @@ struct Sema {
     label: &'static str,
 }
 
-/// Source of [`Sema::id`] values; process-wide so distinct simulations
-/// never alias.
-static NEXT_SEMA_ID: AtomicU64 = AtomicU64::new(0);
+/// Ids a thread draws from one block before it takes another.
+const ID_BLOCK: u64 = 1 << 32;
+
+/// The next unused id block, process-wide: a thread takes one the first
+/// time it makes a semaphore (and again in the unlikely case it uses all
+/// 2³² of a block), so ids are unique across threads — and across a rig
+/// moved between them — while drawing one is a plain add.
+// The per-thread id base: the one place threads meet in `sim`.
+#[allow(clippy::disallowed_types)]
+static NEXT_ID_BLOCK: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
+
+thread_local! {
+    /// The next [`Sema::id`] this thread hands out; 0 until it has a block.
+    static NEXT_SEMA_ID: Cell<u64> = const { Cell::new(0) };
+}
+
+/// A fresh [`Sema::id`], unique in the process.
+fn next_sema_id() -> u64 {
+    NEXT_SEMA_ID.with(|next| {
+        let mut id = next.get();
+        if id % ID_BLOCK == 0 {
+            id = NEXT_ID_BLOCK.fetch_add(1, Relaxed) * ID_BLOCK;
+        }
+        next.set(id + 1);
+        id
+    })
+}
 
 /// A counting semaphore integrated with the simulator: P blocks the shepherd
 /// process in scheduled mode; in inline mode P on a zero count is a
@@ -53,7 +78,7 @@ static NEXT_SEMA_ID: AtomicU64 = AtomicU64::new(0);
 /// timeout outcome is the truthful one). Clones share the one semaphore,
 /// which is how a timed wait hands it to its timeout closure.
 #[derive(Clone)]
-pub struct SharedSema(Arc<Sema>);
+pub struct SharedSema(Rc<Sema>);
 
 impl SharedSema {
     /// A semaphore with the given initial count.
@@ -64,13 +89,13 @@ impl SharedSema {
     /// A semaphore with the given initial count and a label that xcheck
     /// violation reports (deadlock cycles, double waits) will carry.
     pub fn labeled(initial: i64, label: &'static str) -> SharedSema {
-        SharedSema(Arc::new(Sema {
+        SharedSema(Rc::new(Sema {
             st: OwnerCell::new(SemaState {
                 count: initial,
                 waiters: VecDeque::new(),
                 next_seq: 0,
             }),
-            id: NEXT_SEMA_ID.fetch_add(1, Relaxed),
+            id: next_sema_id(),
             label,
         }))
     }

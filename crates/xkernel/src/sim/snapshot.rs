@@ -1,7 +1,5 @@
 //! Snapshot and restore of a quiescent simulation.
 
-use std::sync::atomic::Ordering::Relaxed;
-
 use crate::error::{XError, XResult};
 use crate::proto::SnapBlob;
 
@@ -72,12 +70,12 @@ impl Sim {
             .collect();
         machines.sort_unstable_by_key(|sm| sm.lp);
         let mut snap = SimSnapshot {
-            now: core.now.load(Relaxed),
+            now: core.now.get(),
             seq: g.seq,
             next_lp: g.next_lp,
             executed: g.executed,
             sched_hash: g.sched_hash,
-            rng: core.rng.load(Relaxed),
+            rng: core.rng.get(),
             seed: self.seed(),
             journal_len: g.observers.journal_len(),
             hosts: core.hosts.iter().map(HostCell::snap).collect(),
@@ -135,7 +133,7 @@ impl Sim {
         {
             let mut g = core.engine.lock();
             require_quiescent(&g)?;
-            core.now.store(snap.now, Relaxed);
+            core.now.set(snap.now);
             g.seq = snap.seq;
             g.next_lp = snap.next_lp;
             g.executed = snap.executed;
@@ -188,8 +186,8 @@ impl Sim {
         for (h, sh) in core.hosts.iter().zip(&snap.hosts) {
             h.restore(sh);
         }
-        core.rng.store(snap.rng, Relaxed);
-        core.seed.store(snap.seed, Relaxed);
+        core.rng.set(snap.rng);
+        core.seed.set(snap.seed);
         let kernels = kernels_of(core);
         if kernels.len() != snap.protos.len() {
             return Err(XError::Config(
@@ -275,26 +273,25 @@ struct SnapHost {
 impl HostCell {
     fn snap(&self) -> SnapHost {
         SnapHost {
-            down: self.down.load(Relaxed),
-            epoch: self.epoch.load(Relaxed),
-            fuel: self.fuel.load(Relaxed),
+            down: self.down.get(),
+            epoch: self.epoch.get(),
+            fuel: self.fuel.get(),
             stats: self.stats(),
         }
     }
 
     fn restore(&self, snap: &SnapHost) {
         let s = &snap.stats;
-        self.cpu.store(s.cpu_ns, Relaxed);
-        self.fuel.store(snap.fuel, Relaxed);
-        self.down.store(snap.down, Relaxed);
-        self.epoch.store(snap.epoch, Relaxed);
-        self.retransmits.store(s.retransmits, Relaxed);
-        self.duplicates_suppressed
-            .store(s.duplicates_suppressed, Relaxed);
-        self.corrupt_rejected.store(s.corrupt_rejected, Relaxed);
-        self.timeouts_fired.store(s.timeouts_fired, Relaxed);
-        self.crashes.store(s.crashes, Relaxed);
-        self.restarts.store(s.restarts, Relaxed);
+        self.cpu.set(s.cpu_ns);
+        self.fuel.set(snap.fuel);
+        self.down.set(snap.down);
+        self.epoch.set(snap.epoch);
+        self.retransmits.set(s.retransmits);
+        self.duplicates_suppressed.set(s.duplicates_suppressed);
+        self.corrupt_rejected.set(s.corrupt_rejected);
+        self.timeouts_fired.set(s.timeouts_fired);
+        self.crashes.set(s.crashes);
+        self.restarts.set(s.restarts);
     }
 }
 

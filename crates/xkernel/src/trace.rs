@@ -14,7 +14,7 @@
 //!
 //! * **Zero overhead when disabled.** The simulator tells its observers what
 //!   happened through one probe seam (`sim/observe.rs`), whose guard is one
-//!   relaxed load of the observer mask and a branch; with tracing off there
+//!   load of the observer mask and a branch; with tracing off there
 //!   is no locking, no allocation, and no event construction (proven by a
 //!   counting-allocator test and a cell-entry count). Golden tables are
 //!   produced with tracing off and must stay bit identical.

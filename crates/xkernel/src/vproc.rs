@@ -104,10 +104,6 @@ struct Stack {
     len: usize,
 }
 
-// SAFETY: the mapping is plain anonymous memory; whichever thread holds the
-// Stack may use or unmap it.
-unsafe impl Send for Stack {}
-
 impl Stack {
     /// Maps a stack with `usable` bytes (rounded up to whole pages) plus one
     /// guard page.
@@ -304,7 +300,7 @@ struct CoroInner {
 /// The context comes beside the body, not captured in it, so that a body
 /// with nothing to capture — the run loop is a plain function — is a box of
 /// no bytes and starting a coroutine allocates nothing.
-pub type Body = Box<dyn FnOnce(Ctx) + Send + 'static>;
+pub type Body = Box<dyn FnOnce(Ctx) + 'static>;
 
 /// Upper bound on a thread's idle coroutines (each a 512 KiB stack plus
 /// guard page). Beyond this, retired coroutines are unmapped, not kept.
@@ -376,10 +372,6 @@ extern "C" fn xk_vproc_entry_rust(inner: *mut CoroInner) -> ! {
 pub struct Coro {
     inner: Box<CoroInner>,
 }
-
-// SAFETY: a suspended coroutine is inert memory (its own stack plus the
-// boxed state); the simulator resumes it on at most one thread at a time.
-unsafe impl Send for Coro {}
 
 impl Coro {
     /// Crafts a coroutine that will run `body(ctx)` with an unlimited fuel
@@ -581,7 +573,7 @@ pub enum VStep {
 /// [`crate::sim::Sim::snapshot`]/[`crate::sim::Sim::restore`] by forking its
 /// state. Machines that return `None` (the default) simply make snapshots
 /// at instants where they are alive an error, exactly like coroutines.
-pub trait VProc: Send {
+pub trait VProc {
     /// Runs from the previous blocking point to the next. `why` reports how
     /// the previous [`VStep`] concluded ([`crate::sim::WakeReason::Normal`]
     /// on first entry, after sleeps, and after semaphore grants;
@@ -603,12 +595,11 @@ pub trait VProc: Send {
 mod tests {
     use super::*;
     use crate::sim::{HostId, Sim, SimConfig};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     /// A coroutine running `f`, which first sets itself a budget of `fuel`,
     /// under a context nothing here looks at.
-    fn coro(f: impl FnOnce() + Send + 'static, fuel: u64) -> Coro {
+    fn coro(f: impl FnOnce() + 'static, fuel: u64) -> Coro {
         let ctx = Sim::new(SimConfig::inline_mode()).ctx(HostId(0));
         let body = move |_| {
             set_fuel(fuel);
@@ -625,24 +616,24 @@ mod tests {
 
     #[test]
     fn coroutine_runs_yields_and_resumes() {
-        let log = Arc::new(AtomicU64::new(0));
-        let l2 = Arc::clone(&log);
+        let log = Rc::new(Cell::new(0));
+        let l2 = Rc::clone(&log);
         let mut c = coro(
             move || {
-                l2.store(1, Ordering::SeqCst);
+                l2.set(1);
                 assert_eq!(yield_now(), 7, "a yield returns its resume's token");
-                l2.store(2, Ordering::SeqCst);
+                l2.set(2);
                 assert_eq!(yield_now(), 9);
-                l2.store(3, Ordering::SeqCst);
+                l2.set(3);
             },
             u64::MAX,
         );
         assert!(!c.resume(0));
-        assert_eq!(log.load(Ordering::SeqCst), 1);
+        assert_eq!(log.get(), 1);
         assert!(!c.resume(7));
-        assert_eq!(log.load(Ordering::SeqCst), 2);
+        assert_eq!(log.get(), 2);
         assert!(c.resume(9));
-        assert_eq!(log.load(Ordering::SeqCst), 3);
+        assert_eq!(log.get(), 3);
         retire_clean(c);
     }
 
@@ -687,20 +678,20 @@ mod tests {
     #[test]
     fn fuel_ticks_only_on_a_coroutine_and_exhausts_once() {
         assert!(!fuel_tick(), "no coroutine running: no tick");
-        let hits = Arc::new(AtomicU64::new(0));
-        let h2 = Arc::clone(&hits);
+        let hits = Rc::new(Cell::new(0));
+        let h2 = Rc::clone(&hits);
         let mut c = coro(
             move || {
                 for _ in 0..5 {
                     if fuel_tick() {
-                        h2.fetch_add(1, Ordering::SeqCst);
+                        h2.set(h2.get() + 1);
                     }
                 }
             },
             3,
         );
         assert!(c.resume(0));
-        assert_eq!(hits.load(Ordering::SeqCst), 1, "exhaustion fires once");
+        assert_eq!(hits.get(), 1, "exhaustion fires once");
     }
 
     #[test]

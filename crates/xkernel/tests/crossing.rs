@@ -6,6 +6,7 @@
 //! either. The same file pins the lock-free by-name table.
 
 use std::any::Any;
+use std::rc::{self, Rc};
 use std::sync::{Arc, Mutex, Weak};
 
 use xkernel::graph::{GraphArgs, ProtocolRegistry};
@@ -17,7 +18,7 @@ use xkernel::sim::{Sim, SimConfig};
 type Reading = (usize, usize);
 
 struct Probe {
-    this: Weak<Probe>,
+    this: rc::Weak<Probe>,
     me: ProtoId,
     kernel: Weak<Kernel>,
     down: Option<ProtoId>,
@@ -37,7 +38,7 @@ impl Probe {
 }
 
 struct ProbeSession {
-    parent: Arc<Probe>,
+    parent: Rc<Probe>,
     lower: Option<SessionRef>,
 }
 
@@ -82,7 +83,7 @@ impl Protocol for Probe {
             Some(down) => Some(ctx.kernel_ref().open(ctx, down, self.me, parts)?),
             None => None,
         };
-        Ok(Arc::new(ProbeSession {
+        Ok(Rc::new(ProbeSession {
             parent: self.this.upgrade().expect("probe alive"),
             lower,
         }))
@@ -113,17 +114,15 @@ struct Rig {
     sim: Sim,
     kernel: Arc<Kernel>,
     ids: Vec<ProtoId>,
-    probes: Vec<Arc<Probe>>,
+    probes: Vec<ProtocolRef>,
 }
 
 fn rig(cfg: SimConfig) -> Rig {
     let sim = Sim::new(cfg);
     let kernel = Kernel::new(&sim, "host");
-    let probes: Arc<Mutex<Vec<Arc<Probe>>>> = Arc::default();
-    let made = Arc::clone(&probes);
     let mut reg = ProtocolRegistry::new();
-    reg.add("probe", move |a: &GraphArgs<'_>| {
-        let probe = Arc::new_cyclic(|this| Probe {
+    reg.add("probe", |a: &GraphArgs<'_>| {
+        let probe = Rc::new_cyclic(|this| Probe {
             this: this.clone(),
             me: a.me,
             kernel: Arc::downgrade(a.kernel),
@@ -131,14 +130,15 @@ fn rig(cfg: SimConfig) -> Rig {
             up: UpperCell::new(),
             seen: Mutex::new(Vec::new()),
         });
-        made.lock().unwrap().push(Arc::clone(&probe));
         Ok(probe as ProtocolRef)
     });
     let ids = reg
         .build_unchecked(&sim, &kernel, SPEC)
         .expect("graph builds");
-    drop(reg); // The constructor closure held a handle on `probes`.
-    let probes = std::mem::take(&mut *probes.lock().unwrap());
+    let probes = ids
+        .iter()
+        .map(|&id| Rc::clone(kernel.proto_ref(id).expect("installed")))
+        .collect();
     Rig {
         sim,
         kernel,
@@ -161,7 +161,7 @@ fn crossings_hold_no_clone(cfg: SimConfig) {
     let at_rest: Vec<Reading> = rig
         .probes
         .iter()
-        .map(|p| (Arc::strong_count(&rig.kernel), Arc::strong_count(p)))
+        .map(|p| (Arc::strong_count(&rig.kernel), Rc::strong_count(p)))
         .collect();
 
     // Upward: three crossings through `Kernel::demux_to`.
@@ -173,7 +173,11 @@ fn crossings_hold_no_clone(cfg: SimConfig) {
         .expect("push chain runs");
 
     for ((probe, rest), name) in rig.probes.iter().zip(&at_rest).zip(NAMES) {
-        let seen = probe.take();
+        let seen = probe
+            .as_any()
+            .downcast_ref::<Probe>()
+            .expect("a probe")
+            .take();
         assert_eq!(seen.len(), 2, "{name}: one demux and one push");
         for reading in seen {
             assert_eq!(
@@ -188,7 +192,7 @@ fn crossings_hold_no_clone(cfg: SimConfig) {
     assert!(Arc::ptr_eq(&ctx.kernel(), &rig.kernel));
     assert!(std::ptr::eq(ctx.kernel_ref(), &*rig.kernel));
     let cloned = rig.kernel.get("top").expect("installed");
-    assert!(Arc::ptr_eq(
+    assert!(Rc::ptr_eq(
         &cloned,
         rig.kernel.proto_ref(top).expect("installed")
     ));

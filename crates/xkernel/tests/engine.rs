@@ -2,6 +2,7 @@
 //! implementation, and a crash reaps any number of parked processes in id
 //! order in time linear in their number.
 
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -34,8 +35,8 @@ struct Shared {
 }
 
 impl Shared {
-    fn new() -> Arc<Shared> {
-        Arc::new(Shared {
+    fn new() -> Rc<Shared> {
+        Rc::new(Shared {
             ping: SharedSema::labeled(0, "ping"),
             pong: SharedSema::labeled(0, "pong"),
             never: SharedSema::labeled(0, "never"),
@@ -50,7 +51,7 @@ fn nap(i: u64) -> u64 {
     100_000 + 7_919 * i
 }
 
-fn spawn_coroutines(sim: &Sim, a: HostId, b: HostId, sh: &Arc<Shared>) {
+fn spawn_coroutines(sim: &Sim, a: HostId, b: HostId, sh: &Rc<Shared>) {
     for i in 0..SLEEPERS {
         sim.spawn(if i % 2 == 0 { a } else { b }, move |ctx| {
             for _ in 0..NAPS {
@@ -58,27 +59,27 @@ fn spawn_coroutines(sim: &Sim, a: HostId, b: HostId, sh: &Arc<Shared>) {
             }
         });
     }
-    let s = Arc::clone(sh);
+    let s = Rc::clone(sh);
     sim.spawn(a, move |ctx| {
         for _ in 0..ROUNDS {
             s.ping.v(ctx);
             s.pong.p(ctx);
         }
     });
-    let s = Arc::clone(sh);
+    let s = Rc::clone(sh);
     sim.spawn(a, move |ctx| {
         for _ in 0..ROUNDS {
             s.ping.p(ctx);
             s.pong.v(ctx);
         }
     });
-    let s = Arc::clone(sh);
+    let s = Rc::clone(sh);
     sim.spawn(b, move |ctx| {
         let timed_out = s.never.p_timeout(ctx, PATIENCE);
         let granted = s.soon.p_timeout(ctx, PATIENCE);
         s.outcomes.lock().unwrap().extend([timed_out, granted]);
     });
-    let s = Arc::clone(sh);
+    let s = Rc::clone(sh);
     sim.spawn(b, move |ctx| {
         ctx.sleep(PATIENCE + PATIENCE / 3);
         s.soon.v(ctx);
@@ -86,7 +87,7 @@ fn spawn_coroutines(sim: &Sim, a: HostId, b: HostId, sh: &Arc<Shared>) {
 }
 
 struct Sleeper {
-    sh: Arc<Shared>,
+    sh: Rc<Shared>,
     left: u32,
     period: u64,
 }
@@ -105,7 +106,7 @@ impl VProc for Sleeper {
 /// `for ROUNDS { first.v(); second.p() }` when `leads`, else
 /// `for ROUNDS { first.p(); second.v() }`.
 struct PingPong {
-    sh: Arc<Shared>,
+    sh: Rc<Shared>,
     leads: bool,
     left: u32,
     waiting: bool,
@@ -139,7 +140,7 @@ impl VProc for PingPong {
 }
 
 struct TimedWaiter {
-    sh: Arc<Shared>,
+    sh: Rc<Shared>,
     step: u8,
 }
 
@@ -167,7 +168,7 @@ impl VProc for TimedWaiter {
 }
 
 struct LateSignal {
-    sh: Arc<Shared>,
+    sh: Rc<Shared>,
     slept: bool,
 }
 
@@ -183,10 +184,10 @@ impl VProc for LateSignal {
     }
 }
 
-fn spawn_machines(sim: &Sim, a: HostId, b: HostId, sh: &Arc<Shared>) {
+fn spawn_machines(sim: &Sim, a: HostId, b: HostId, sh: &Rc<Shared>) {
     for i in 0..SLEEPERS {
         let m = Sleeper {
-            sh: Arc::clone(sh),
+            sh: Rc::clone(sh),
             left: NAPS,
             period: nap(i),
         };
@@ -196,14 +197,14 @@ fn spawn_machines(sim: &Sim, a: HostId, b: HostId, sh: &Arc<Shared>) {
     // a host (the checker flags a cross-host V).
     for leads in [true, false] {
         let m = PingPong {
-            sh: Arc::clone(sh),
+            sh: Rc::clone(sh),
             leads,
             left: ROUNDS,
             waiting: false,
         };
         sim.spawn_vproc(a, Box::new(m));
     }
-    let (sh1, sh2) = (Arc::clone(sh), Arc::clone(sh));
+    let (sh1, sh2) = (Rc::clone(sh), Rc::clone(sh));
     sim.spawn_vproc(b, Box::new(TimedWaiter { sh: sh1, step: 0 }));
     let m = LateSignal {
         sh: sh2,
@@ -219,7 +220,7 @@ struct Outcome {
     hb_edges: u64,
 }
 
-fn run(cfg: SimConfig, spawn: fn(&Sim, HostId, HostId, &Arc<Shared>)) -> Outcome {
+fn run(cfg: SimConfig, spawn: fn(&Sim, HostId, HostId, &Rc<Shared>)) -> Outcome {
     let sim = Sim::new(cfg);
     let a = Kernel::new(&sim, "a").host();
     let b = Kernel::new(&sim, "b").host();

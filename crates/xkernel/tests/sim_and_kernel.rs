@@ -2,6 +2,7 @@
 //! and shim layers.
 
 use std::any::Any;
+use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use xkernel::cost::CostModel;
@@ -22,8 +23,8 @@ struct Loopback {
 }
 
 impl Loopback {
-    fn new(me: ProtoId) -> Arc<Loopback> {
-        Arc::new(Loopback {
+    fn new(me: ProtoId) -> Rc<Loopback> {
+        Rc::new(Loopback {
             me,
             enables: Mutex::new(Vec::new()),
         })
@@ -45,7 +46,7 @@ impl Session for LoopSession {
         ctx.push_header(&mut msg, &self.num.to_be_bytes());
         let kernel = ctx.kernel();
         let proto = kernel.proto_ref(self.proto)?;
-        let me: SessionRef = Arc::new(LoopSession {
+        let me: SessionRef = Rc::new(LoopSession {
             proto: self.proto,
             num: self.num,
         });
@@ -79,7 +80,7 @@ impl Protocol for Loopback {
             .local_part()
             .and_then(|p| p.proto_num)
             .ok_or_else(|| XError::Config("loopback open needs proto num".into()))?;
-        Ok(Arc::new(LoopSession {
+        Ok(Rc::new(LoopSession {
             proto: self.me,
             num,
         }))
@@ -122,8 +123,8 @@ struct Sink {
 }
 
 impl Sink {
-    fn new(me: ProtoId) -> Arc<Sink> {
-        Arc::new(Sink {
+    fn new(me: ProtoId) -> Rc<Sink> {
+        Rc::new(Sink {
             me,
             got: Mutex::new(Vec::new()),
             sema: SharedSema::new(0),
@@ -644,11 +645,11 @@ fn restart_bumps_epoch_and_runs_reboot_hooks() {
     let sim = Sim::new(SimConfig::scheduled().with_cost(CostModel::zero()));
     let k = Kernel::new(&sim, "h");
     let id = k.reserve("reboot_probe").unwrap();
-    let probe = Arc::new(RebootProbe {
+    let probe = Rc::new(RebootProbe {
         me: id,
         reboots: Mutex::new(0),
     });
-    k.install(id, Arc::clone(&probe) as ProtocolRef).unwrap();
+    k.install(id, Rc::clone(&probe) as ProtocolRef).unwrap();
     sim.crash_at(100, HostId(0));
     sim.restart_at(200, HostId(0));
     sim.run_until_idle();

@@ -15,6 +15,7 @@
 //! [`LoadReport`] of integers deriving `Eq`, so determinism across seeds,
 //! repeats, and parallel fan-out is a single assert.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use xkernel::cell::OwnerCell;
@@ -200,12 +201,12 @@ impl LoadSpec {
         rig: &LoadRig,
         clients: u32,
         think_ns: u64,
-    ) -> Vec<Arc<OwnerCell<Shard>>> {
+    ) -> Vec<Rc<OwnerCell<Shard>>> {
         let n_hosts = rig.clients.len();
         let mut shards = Vec::with_capacity(clients as usize);
         for j in 0..clients as usize {
-            let shard = Arc::new(OwnerCell::new(Shard::default()));
-            shards.push(Arc::clone(&shard));
+            let shard = Rc::new(OwnerCell::new(Shard::default()));
+            shards.push(Rc::clone(&shard));
             let host = rig.clients[j % n_hosts].host();
             let stack = self.stack;
             let (server_ip, payload, duration) = (rig.server_ip, self.payload, self.duration_ns);
@@ -239,11 +240,11 @@ impl LoadSpec {
     /// against the shared host clock would quietly turn the loop closed).
     /// A call process only exists from its arrival until its reply, so
     /// in-flight calls, not total arrivals, bound the engine's footprint.
-    fn spawn_open(&self, rig: &LoadRig, rate_cps: u64) -> Vec<Arc<OwnerCell<Shard>>> {
+    fn spawn_open(&self, rig: &LoadRig, rate_cps: u64) -> Vec<Rc<OwnerCell<Shard>>> {
         let n_hosts = rig.clients.len();
         let offsets = poisson_offsets(self.seed, rate_cps, self.duration_ns);
-        let shards: Vec<Arc<OwnerCell<Shard>>> = (0..n_hosts)
-            .map(|_| Arc::new(OwnerCell::new(Shard::default())))
+        let shards: Vec<Rc<OwnerCell<Shard>>> = (0..n_hosts)
+            .map(|_| Rc::new(OwnerCell::new(Shard::default())))
             .collect();
         // One common window start: no host may sit in its past.
         let base = rig
@@ -254,7 +255,7 @@ impl LoadSpec {
             .expect("at least one client host");
         for (i, &offset) in offsets.iter().enumerate() {
             let h = i % n_hosts;
-            let shard = Arc::clone(&shards[h]);
+            let shard = Rc::clone(&shards[h]);
             let host = rig.clients[h].host();
             let stack = self.stack;
             let (server_ip, payload) = (rig.server_ip, self.payload);
@@ -349,10 +350,9 @@ pub(crate) fn do_call(
     let body = vec![0xa5u8; payload];
     match stack {
         LoadStack::Paper(def) => {
-            let k = ctx.kernel();
-            xrpc::call(ctx, &k, def.entry, server_ip, ECHO_PROC, body)
+            xrpc::call(ctx, ctx.kernel_ref(), def.entry, server_ip, ECHO_PROC, body)
         }
-        LoadStack::SunRpcUdp => with_concrete::<SunSelect, _>(&ctx.kernel(), "sunselect", |s| {
+        LoadStack::SunRpcUdp => with_concrete::<SunSelect, _>(ctx.kernel_ref(), "sunselect", |s| {
             s.call(ctx, server_ip, SUN_PROG, SUN_VERS, SUN_PROC, body)
         })
         .expect("sunselect registered"),

@@ -34,7 +34,7 @@
 //! the shared segment) and the in-flight population — i.e. the number of
 //! live stacks — stays O(1). Virtual seconds are free; host stacks are not.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use xkernel::cell::OwnerCell;
 
@@ -116,8 +116,8 @@ impl MClientSpec {
         warm(&rig, &self.stack);
 
         let n_hosts = rig.clients.len();
-        let shards: Vec<Arc<OwnerCell<Shard>>> = (0..n_hosts)
-            .map(|_| Arc::new(OwnerCell::new(Shard::default())))
+        let shards: Vec<Rc<OwnerCell<Shard>>> = (0..n_hosts)
+            .map(|_| Rc::new(OwnerCell::new(Shard::default())))
             .collect();
         // Spawning the population is itself work: every machine's first
         // suspension charges a process switch to its host's CPU clock, so
@@ -143,7 +143,7 @@ impl MClientSpec {
                 stack: self.stack,
                 server_ip: rig.server_ip,
                 payload: self.payload,
-                shard: Arc::clone(&shards[h]),
+                shard: Rc::clone(&shards[h]),
                 done: SharedSema::labeled(0, "mclient.done"),
             };
             rig.sim.spawn_vproc(rig.clients[h].host(), Box::new(client));
@@ -228,7 +228,7 @@ struct Client {
     stack: LoadStack,
     server_ip: IpAddr,
     payload: usize,
-    shard: Arc<OwnerCell<Shard>>,
+    shard: Rc<OwnerCell<Shard>>,
     done: SharedSema,
 }
 
@@ -247,7 +247,7 @@ impl VProc for Client {
                 // calls own stacks.
                 let stack = self.stack;
                 let (server_ip, payload) = (self.server_ip, self.payload);
-                let shard = Arc::clone(&self.shard);
+                let shard = Rc::clone(&self.shard);
                 let done = self.done.clone();
                 ctx.spawn_on(ctx.host(), move |cctx| {
                     let t0 = cctx.now();

@@ -8,6 +8,7 @@
 //! cargo run --example psync_chat
 //! ```
 
+use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use inet::with_concrete;
@@ -68,7 +69,7 @@ fn main() -> XResult<()> {
 
     // Alice opens the conversation — with an 8 kB attachment so FRAGMENT
     // has something to do.
-    let c = Arc::clone(&convs[0]);
+    let c = Rc::clone(&convs[0]);
     sim.spawn(kernels[0].host(), move |ctx| {
         let mut opening = b"shall we reproduce a 1989 paper? [attachment: ".to_vec();
         opening.extend(vec![0u8; 8_000]);
@@ -76,7 +77,7 @@ fn main() -> XResult<()> {
         c.send(ctx, opening).unwrap();
     });
     // Bob replies in Alice's context.
-    let c = Arc::clone(&convs[1]);
+    let c = Rc::clone(&convs[1]);
     let t = Arc::clone(&transcript);
     sim.spawn(kernels[1].host(), move |ctx| {
         let m = c.receive(ctx, 5_000_000_000).unwrap();
@@ -91,7 +92,7 @@ fn main() -> XResult<()> {
         ));
     });
     // Carol sees everything in context order, then closes the thread.
-    let c = Arc::clone(&convs[2]);
+    let c = Rc::clone(&convs[2]);
     let t = Arc::clone(&transcript);
     sim.spawn(kernels[2].host(), move |ctx| {
         let m1 = c.receive(ctx, 5_000_000_000).unwrap();

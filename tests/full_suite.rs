@@ -5,6 +5,7 @@
 //! protocol pieces can be reused", through real demultiplexing on
 //! FRAGMENT's protocol-number field, under a lossy wire.
 
+use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use inet::testbed::{base_registry, two_hosts};
@@ -109,14 +110,14 @@ fn every_stack_coexists_and_shares_fragment() {
     });
     // Client 4: a Psync exchange, also over the shared FRAGMENT.
     let r = Arc::clone(&results);
-    let cc = Arc::clone(&conv_client);
+    let cc = Rc::clone(&conv_client);
     tb.sim.spawn(tb.client.host(), move |ctx| {
         cc.send(ctx, vec![0xEE; 5_000]).unwrap();
         let reply = cc.receive(ctx, 10_000_000_000).unwrap();
         assert_eq!(reply.data, b"ack".to_vec());
         r.lock().unwrap().push("psync".into());
     });
-    let cs = Arc::clone(&conv_server);
+    let cs = Rc::clone(&conv_server);
     tb.sim.spawn(tb.server.host(), move |ctx| {
         let m = cs.receive(ctx, 10_000_000_000).unwrap();
         assert_eq!(m.data.len(), 5_000);

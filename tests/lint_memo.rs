@@ -223,7 +223,7 @@ fn kernels_whose_nic0_contracts_differ_get_different_verdicts_for_one_spec() {
     let (_sim, real) = blank_host();
     let odd_sim = Sim::new(SimConfig::inline_mode());
     let odd = Kernel::new(&odd_sim, "host0");
-    odd.register("nic0", |id| Ok(Arc::new(OddNic(id)) as ProtocolRef))
+    odd.register("nic0", |id| Ok(std::rc::Rc::new(OddNic(id)) as ProtocolRef))
         .unwrap();
 
     // Either order: neither kernel is answered with the other's verdict.

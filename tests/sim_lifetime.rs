@@ -15,15 +15,17 @@
 
 mod common;
 
+use std::rc::{Rc, Weak};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use chaos::{full_matrix, pool_stats, RunOpts, Scenario};
 use common::live_bytes;
 use inet::testbed::{base_registry, two_hosts, TwoHosts};
+use xkernel::addr::IpAddr;
 use xkernel::graph::ProtocolRegistry;
 use xkernel::prelude::Protocol;
-use xkernel::sim::{HostId, RunReport, SharedSema, SimConfig};
+use xkernel::sim::{HostId, RunReport, SharedSema, Sim, SimConfig};
 use xrpc::procs::NULL_PROC;
 use xrpc::stacks::L_RPC_VIP;
 
@@ -66,25 +68,28 @@ fn dropping_every_handle_frees_the_simulation() {
     );
 }
 
-/// Spawns a client making `calls` null calls on `tb` and runs it to idle.
-fn null_calls(tb: &TwoHosts, calls: u64) -> RunReport {
-    let server = tb.server_ip;
-    tb.sim.spawn(tb.client.host(), move |ctx| {
+/// Spawns a client on `client` making `calls` null calls to `server` and
+/// runs the simulation to idle.
+fn null_calls(sim: &Sim, client: HostId, server: IpAddr, calls: u64) -> RunReport {
+    sim.spawn(client, move |ctx| {
         let k = ctx.kernel();
         for _ in 0..calls {
             let reply = xrpc::call(ctx, &k, L_RPC_VIP.entry, server, NULL_PROC, Vec::new());
             assert_eq!(reply.unwrap(), Vec::<u8>::new());
         }
     });
-    tb.sim.run_until_idle()
+    sim.run_until_idle()
 }
 
-/// `Sim: Send`, exercised: a rig is built and warmed here, moved whole into
-/// a scoped thread while quiescent, driven there, handed back through the
-/// join and dropped here. One thread drives it at a time and each hand-off
-/// is a real synchronisation point — the contract its owner cells state
-/// (`xkernel::cell`) — so the run is the one it would have been in place,
-/// event for event, and no cell trips its entry assertion on the way.
+/// `Sim: Send` and `Arc<Kernel>: Send`, exercised: a rig is built and
+/// warmed here; while it is quiescent its `Send` handles — the simulation,
+/// both kernels, the server's address — move into a scoped thread, drive it
+/// there and come back through the join, and the rig is dropped here. The
+/// network handle stays behind, untouched meanwhile. One thread drives the
+/// rig at a time and each hand-off is a real synchronisation point — the
+/// contract written beside `Sim`'s `Send` impl — so the run is the one it
+/// would have been in place, event for event, and no cell trips its entry
+/// check on the way.
 #[test]
 fn a_quiescent_rig_moved_to_another_thread_runs_as_it_would_in_place() {
     let reg = registry();
@@ -92,23 +97,34 @@ fn a_quiescent_rig_moved_to_another_thread_runs_as_it_would_in_place() {
         let cfg = SimConfig::scheduled().with_seed(0x5e4d);
         let tb = two_hosts(cfg, &reg, L_RPC_VIP.graph).expect("testbed builds");
         xrpc::procs::register_standard(&tb.server, L_RPC_VIP.entry).unwrap();
-        assert_eq!(null_calls(&tb, 2).blocked, 0);
+        let warm = null_calls(&tb.sim, tb.client.host(), tb.server_ip, 2);
+        assert_eq!(warm.blocked, 0);
         tb
     };
 
-    let in_place = null_calls(&warmed(), 5);
+    let in_place = {
+        let tb = warmed();
+        null_calls(&tb.sim, tb.client.host(), tb.server_ip, 5)
+    };
 
-    let tb = warmed();
-    let (tb, moved) = std::thread::scope(|s| {
+    let TwoHosts {
+        sim,
+        net,
+        client,
+        server,
+        server_ip,
+        ..
+    } = warmed();
+    let (sim, client, server, moved) = std::thread::scope(|s| {
         s.spawn(move || {
-            let report = null_calls(&tb, 5);
-            (tb, report)
+            let report = null_calls(&sim, client.host(), server_ip, 5);
+            (sim, client, server, report)
         })
         .join()
         .expect("the moved simulation ran")
     });
-    let weak = tb.sim.downgrade();
-    drop(tb);
+    let weak = sim.downgrade();
+    drop((sim, net, client, server));
     assert!(weak.upgrade().is_none(), "freed on the spawning thread");
 
     assert_eq!(in_place.blocked, 0);
@@ -168,7 +184,7 @@ fn a_dropped_scenario_frees_every_protocol_on_both_kernels() {
                     .zip(k.protocol_slots())
                     .map(move |(name, p)| {
                         let p = p.expect("every reserved slot was installed");
-                        (format!("{on}/{name}"), Arc::downgrade(&p))
+                        (format!("{on}/{name}"), Rc::downgrade(&p))
                     })
             })
             .collect();

@@ -2,6 +2,7 @@
 """Symbolise a hostprof profile: percent of samples by symbol.
 
     report.py <profile> <binary> [--top N] [--workload-only] [--split-libc]
+              [--atomics]
 
 Addresses are mapped back through the profile's /proc/self/maps lines to the
 binary's own (`nm -C -n --defined-only`) symbols; samples in other mappings
@@ -19,6 +20,14 @@ the allocator's unexported `_int_malloc`, `_int_free`, `malloc_consolidate` —
 the `mem*` routines, and the rest. The `mem*` routines are reached through
 IFUNCs whose targets are not exported either; this process runs the same libc
 on the same CPU, so it asks its own copy where each one resolved to.
+
+--atomics reports the share of samples whose *preceding* instruction in the
+binary is `lock`-prefixed or an `xchg` with a memory operand (implicitly
+locked), by symbol. A sampled PC is the next instruction to run, and a locked
+read-modify-write is slow enough that the sample lands just after it, so this
+is what reference counts and atomic counters cost. It reads the binary's
+instructions with `objdump -d`; the share is of the same total as the table
+above (so --workload-only excludes the probe here too).
 """
 import argparse
 import bisect
@@ -77,6 +86,47 @@ def split_libc(offsets, path, total, top):
           "whatever libc exports before it (here timer_settime): likely allocator too.")
 
 
+INSN = re.compile(r"^\s*([0-9a-f]+):\s+(\S.*)$")
+
+
+def locked_after(binary):
+    """(sorted instruction addresses, the set of those right after a locked one)."""
+    dump = subprocess.run(["objdump", "-d", "--no-show-raw-insn", binary],
+                          check=True, capture_output=True, text=True).stdout
+    addrs, after, prev_locked = [], set(), False
+    for line in dump.splitlines():
+        m = INSN.match(line)
+        if not m:
+            continue
+        addr, text = int(m.group(1), 16), m.group(2)
+        if prev_locked:
+            after.add(addr)
+        addrs.append(addr)
+        op, _, operands = text.partition(" ")
+        prev_locked = op == "lock" or (op.startswith("xchg") and "(" in operands)
+    return addrs, after
+
+
+def report_atomics(offsets, binary, syms, total, workload_only, top):
+    """The samples that landed right after a locked instruction, by symbol."""
+    addrs, after = locked_after(binary)
+    sym_addrs = [a for a, _ in syms]
+    hits = collections.Counter()
+    for off in offsets:
+        i = bisect.bisect_right(addrs, off) - 1
+        if i < 0 or addrs[i] not in after:
+            continue
+        j = bisect.bisect_right(sym_addrs, off) - 1
+        hits[syms[j][1] if j >= 0 else "[before first symbol]"] += 1
+    if workload_only:
+        hits = collections.Counter({s: n for s, n in hits.items() if not PROBE.search(s)})
+    n = sum(hits.values())
+    share = 100 * n / total if total else 0.0
+    print(f"\natomics: {share:.2f}% of samples ({n} of {total}) follow a locked instruction")
+    for sym, k in hits.most_common(top):
+        print(f"{100 * k / total:6.2f}%  {k:6d}  {sym}")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("profile")
@@ -84,6 +134,7 @@ def main():
     ap.add_argument("--top", type=int, default=30)
     ap.add_argument("--workload-only", action="store_true")
     ap.add_argument("--split-libc", action="store_true")
+    ap.add_argument("--atomics", action="store_true")
     args = ap.parse_args()
 
     maps, samples = [], []
@@ -109,11 +160,13 @@ def main():
 
     counts = collections.Counter()
     libc = collections.defaultdict(list)  # path -> offsets of the samples in it
+    own = []  # offsets of the samples in the binary
     for pc in samples:
         path = next((p for lo, hi, p in maps if lo <= pc < hi), "[unmapped]")
         if os.path.basename(path).startswith("libc.so"):
             libc[path].append(pc - min(lo for lo, _, p in maps if p == path))
         if path == binary:
+            own.append(pc - base)
             i = bisect.bisect_right(addrs, pc - base) - 1
             counts[syms[i][1] if i >= 0 else "[before first symbol]"] += 1
         else:
@@ -128,6 +181,8 @@ def main():
     if args.split_libc:
         for path, offsets in libc.items():
             split_libc(offsets, path, total, top=6)
+    if args.atomics:
+        report_atomics(own, binary, syms, total, args.workload_only, args.top)
 
 
 if __name__ == "__main__":
