@@ -381,8 +381,8 @@ pub struct RunOpts {
     /// [`xkernel::sim::HostStats::cpu_ns`]. Tracing observes charges but
     /// never adds any.
     pub trace: bool,
-    /// The xcheck concurrency checker: vector-clock happens-before
-    /// tracking and deadlock / lost-wakeup detection, read back through
+    /// The xcheck concurrency checker: double-wait, deadlock, lost-wakeup
+    /// and cross-host-signal detection, read back through
     /// [`Sim::check_report`] on the outcome's `sim`. The checker only
     /// observes.
     pub check: bool,

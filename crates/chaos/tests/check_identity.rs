@@ -1,21 +1,11 @@
-//! The dynamic checker only observes: a scenario run with checking
-//! enabled produces a report **bit-identical** (`Eq`) to the plain run —
-//! same virtual end time, same counters, same schedule fingerprint — on
-//! representative stacks under fault-free and faulty profiles, and the
-//! checker finds no violations on any of them.
+//! The dynamic checker only observes: every scenario of the whole chaos
+//! matrix run with checking enabled produces a report **bit-identical**
+//! (`Eq`) to the plain run — same virtual end time, same counters, same
+//! schedule fingerprint — and the checker finds no violations on any of
+//! them.
 
-use chaos::{Profile, RunOpts, RunOutcome, Scenario, StackKind};
+use chaos::{RunOpts, RunOutcome, Scenario, StackKind};
 use xkernel::check::CheckReport;
-
-fn scenario(stack: StackKind, profile: Profile) -> Scenario {
-    Scenario {
-        stack,
-        profile,
-        seed: 11,
-        calls: 4,
-        population: 1,
-    }
-}
 
 /// `sc` under the checker: the outcome, what the checker found, and one
 /// replayable repro string per violation.
@@ -31,30 +21,19 @@ fn under_checker(sc: &Scenario) -> (RunOutcome, CheckReport, Vec<String>) {
 
 #[test]
 fn checked_runs_are_bit_identical_to_plain_runs() {
-    for (stack, profile) in [
-        (
-            StackKind::Paper(xrpc::stacks::L_RPC_VIP),
-            Profile::FaultFree,
-        ),
-        (StackKind::Paper(xrpc::stacks::L_RPC_VIP), Profile::Lossy),
-        (StackKind::SunRpcChannel, Profile::Bursty),
-        (StackKind::Psync, Profile::FaultFree),
-    ] {
-        let sc = scenario(stack, profile);
+    let matrix = chaos::full_matrix(11, 5, 8);
+    assert_eq!(matrix.len(), 215, "every stack × profile cell, five seeds");
+    for sc in &matrix {
         let plain = sc.run();
-        let (verified, check, repros) = under_checker(&sc);
+        let (verified, check, repros) = under_checker(sc);
         assert_eq!(
             plain, verified.report,
-            "{stack:?}/{profile:?}: checking must be a pure observer"
+            "{sc:?}: checking must be a pure observer"
         );
         assert!(check.enabled && check.lps > 0, "checker actually ran");
-        assert!(
-            check.violations.is_empty(),
-            "{stack:?}/{profile:?}: {:?}",
-            repros
-        );
+        assert!(check.violations.is_empty(), "{sc:?}: {repros:?}");
         let invariant_failures = sc.invariant_failures(&verified.report);
-        assert!(invariant_failures.is_empty(), "{:?}", invariant_failures);
+        assert!(invariant_failures.is_empty(), "{invariant_failures:?}");
     }
 }
 
@@ -65,7 +44,7 @@ fn checked_runs_are_bit_identical_to_plain_runs() {
 fn repeated_calls_do_not_false_positive_on_reply_semaphores() {
     let sc = Scenario {
         stack: StackKind::Paper(xrpc::stacks::L_RPC_VIP),
-        profile: Profile::FaultFree,
+        profile: chaos::Profile::FaultFree,
         seed: 3,
         calls: 8,
         population: 2,
@@ -76,5 +55,9 @@ fn repeated_calls_do_not_false_positive_on_reply_semaphores() {
         "reply semaphores are P'd repeatedly by design: {:?}",
         repros
     );
-    assert!(check.hb_edges > 0, "cross-process joins observed");
+    assert_eq!(
+        (check.lps, check.semas),
+        (69, 18),
+        "processes and semaphores seen"
+    );
 }

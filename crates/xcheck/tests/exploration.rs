@@ -50,7 +50,11 @@ fn handshake_explores_every_interleaving_and_all_pass() {
             "clean toy, violations on some schedule: {:?}",
             out.check.violations
         );
-        assert!(out.check.hb_edges > 0, "V->P joins must be observed");
+        assert_eq!(
+            (out.check.lps, out.check.semas),
+            (3, 2),
+            "the checker saw every process and semaphore"
+        );
         hashes.insert(out.sched_hash);
     }
     assert_eq!(

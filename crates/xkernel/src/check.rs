@@ -1,13 +1,15 @@
-//! xcheck's dynamic half: vector-clock happens-before tracking and
-//! violation detection for the shepherd-process machinery.
+//! xcheck's dynamic half: violation detection for the shepherd-process
+//! machinery.
 //!
 //! [`CheckCore`] mirrors the synchronization events the simulator performs —
-//! process spawns, semaphore P/V, wakes, crashes — into per-process vector
-//! clocks and a resource-holding table. It is one of the simulator's
-//! observers, reached through the same guard as xtrace: one load of
-//! the observer mask and a branch per probe site, and the simulator's one
-//! lock only for a probe some observer hears. Four violation classes are
-//! detected:
+//! process starts and exits, semaphore P/V, wakes, crashes — into a holding
+//! table (the units each live process holds) and a wait table (the
+//! semaphore each blocked process waits on). A process's entry goes when it
+//! exits, so the cost of a probe does not grow with the run. It is one of
+//! the simulator's observers, reached through the same guard as xtrace: one
+//! load of the observer mask and a branch per probe site, and the
+//! simulator's one lock only for a probe some observer hears. Four
+//! violation classes are detected:
 //!
 //! * **Double wait** — a process P's a semaphore it already holds a unit
 //!   of: with a binary count that is self-deadlock.
@@ -28,11 +30,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use crate::sim::{Probe, Time};
-
-/// A vector clock: logical-process id → last observed tick of that
-/// process. Sparse, since most processes never synchronize.
-pub type VClock = HashMap<u64, u64>;
+use crate::sim::{HostId, Probe, Time};
 
 /// The class of a detected concurrency violation.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -143,10 +141,7 @@ pub struct CheckReport {
     /// Every violation detected, in detection order (deadlock/lost-wakeup
     /// scans of still-blocked processes run at report time and come last).
     pub violations: Vec<Violation>,
-    /// Happens-before edges recorded (clock joins through semaphores and
-    /// spawns): evidence the tracking was live.
-    pub hb_edges: u64,
-    /// Logical processes that were tracked.
+    /// Logical processes started while the checker watched.
     pub lps: usize,
     /// Distinct semaphores that participated in a P or V.
     pub semas: usize,
@@ -160,6 +155,15 @@ struct Waiting {
     label: &'static str,
 }
 
+/// What the checker knows of one live process.
+struct Proc {
+    host: usize,
+    /// One semaphore id per unit held of a lock-style semaphore.
+    held: Vec<u64>,
+    /// The semaphore it is blocked on, if any.
+    waiting: Option<Waiting>,
+}
+
 /// The checker state: one of the simulator's observers, in its engine's
 /// cell, fed by probe only while checking is on.
 #[derive(Default)]
@@ -168,92 +172,84 @@ pub(crate) struct CheckCore {
     /// event is popped, so violations can cite their position.
     event_index: u64,
     now: Time,
-    /// Per-process vector clocks.
-    clocks: HashMap<u64, VClock>,
-    /// Clock deposited at the last V of each semaphore; joined by the
-    /// acquirer (the semaphore happens-before edge).
-    sema_deposit: HashMap<u64, VClock>,
-    /// Clock deposited by a spawner, keyed by the spawned Run event's seq;
-    /// consumed when the new process starts (the fork edge).
-    spawn_deposit: HashMap<u64, VClock>,
-    /// Units currently held: (lp, sema) → count.
-    held: HashMap<(u64, u64), u64>,
-    /// Blocked processes and the semaphore each waits on.
-    waiting: HashMap<u64, Waiting>,
+    /// Live processes, each dropped as it finishes.
+    procs: HashMap<u64, Proc>,
+    /// Holding lists of finished processes, reused so a warm run allocates
+    /// nothing.
+    spare: Vec<Vec<u64>>,
+    /// Processes started.
+    started: usize,
     /// Semaphore id → label, for reporting.
     sema_label: HashMap<u64, &'static str>,
-    /// lp → host.
-    lp_host: HashMap<u64, usize>,
-    /// Processes whose host crashed: their purged wakes are not lost
-    /// wakeups.
-    crashed: HashSet<u64>,
+    /// Killed processes and their hosts, kept past their exit: a late wake
+    /// to one is not a lost wakeup, and a V still reaching one is checked
+    /// against its host.
+    crashed: HashMap<u64, usize>,
     /// Semaphores proven signal-style: some V came from a process holding
     /// no unit (a reply/condition semaphore, not a mutex). Holding-based
     /// checks (double wait, wait-for-graph holders) only apply to
     /// lock-style semaphores, where P and V pair within one process.
     signal_style: HashSet<u64>,
-    hb_edges: u64,
     violations: Vec<Violation>,
 }
 
 impl CheckCore {
-    fn tick(&mut self, lp: u64) {
-        *self.clocks.entry(lp).or_default().entry(lp).or_insert(0) += 1;
+    /// `lp`'s entry, made on first sight on `host`.
+    fn proc(&mut self, lp: u64, host: HostId) -> &mut Proc {
+        let spare = &mut self.spare;
+        self.procs.entry(lp).or_insert_with(|| Proc {
+            host: host.0,
+            held: spare.pop().unwrap_or_default(),
+            waiting: None,
+        })
     }
 
-    fn join_from(&mut self, lp: u64, src: VClock) {
-        let dst = self.clocks.entry(lp).or_default();
-        for (k, v) in src {
-            let e = dst.entry(k).or_insert(0);
-            *e = (*e).max(v);
+    /// `lp` takes a unit of `sema`: only a lock-style unit is worth keeping.
+    fn take_unit(&mut self, lp: u64, host: HostId, sema: u64) {
+        if !self.signal_style.contains(&sema) {
+            self.proc(lp, host).held.push(sema);
         }
-        self.hb_edges += 1;
-    }
-
-    fn snapshot(&mut self, lp: u64) -> VClock {
-        self.tick(lp);
-        self.clocks.get(&lp).cloned().unwrap_or_default()
     }
 
     fn host_of(&self, lp: u64) -> usize {
-        self.lp_host.get(&lp).copied().unwrap_or(usize::MAX)
+        match self.procs.get(&lp) {
+            Some(p) => p.host,
+            None => self.crashed.get(&lp).copied().unwrap_or(usize::MAX),
+        }
     }
 
-    /// Mirrors one probe into the clocks and tables.
+    fn waiting(&self, lp: u64) -> Option<&Waiting> {
+        self.procs.get(&lp)?.waiting.as_ref()
+    }
+
+    /// Mirrors one probe into the tables.
     pub(crate) fn observe(&mut self, p: Probe) {
         match p {
             Probe::Event(index, t) => {
                 self.event_index = index;
                 self.now = t;
             }
-            // A process scheduled a Run event (spawn or timer): its clock is
-            // deposited under the event's seq for the new process to inherit.
-            Probe::Spawn(Some(lp), seq) => {
-                let snap = self.snapshot(lp);
-                self.spawn_deposit.insert(seq, snap);
+            Probe::Start(lp, host, ..) => {
+                self.started += 1;
+                self.proc(lp, host);
             }
-            Probe::Start(lp, host, seq, ..) => {
-                self.lp_host.insert(lp, host.0);
-                self.tick(lp);
-                if let Some(dep) = self.spawn_deposit.remove(&seq) {
-                    self.join_from(lp, dep);
+            Probe::Finish(lp) => {
+                if let Some(mut p) = self.procs.remove(&lp) {
+                    p.held.clear();
+                    self.spare.push(p.held);
                 }
             }
             // The scheduler performed the wait; it closes out as the process
             // resumes, with a unit unless it timed out.
-            Probe::Resume(lp, .., Some((sema, acquired))) => {
-                self.waiting.remove(&lp);
-                self.tick(lp);
+            Probe::Resume(lp, host, .., Some((sema, acquired))) => {
+                self.proc(lp, host).waiting = None;
                 if acquired {
-                    if let Some(dep) = self.sema_deposit.get(&sema).cloned() {
-                        self.join_from(lp, dep);
-                    }
-                    *self.held.entry((lp, sema)).or_insert(0) += 1;
+                    self.take_unit(lp, host, sema);
                 }
             }
             // A wake nothing waits for is lost, unless its process was
             // killed: a late V racing the crash purge is expected.
-            Probe::StaleWake(lp) if !self.crashed.contains(&lp) => {
+            Probe::StaleWake(lp) if !self.crashed.contains_key(&lp) => {
                 self.violations.push(Violation {
                     kind: ViolationKind::LostWakeup,
                     lp,
@@ -269,25 +265,22 @@ impl CheckCore {
                 });
             }
             Probe::Kill(lp) => {
-                self.crashed.insert(lp);
-                self.waiting.remove(&lp);
+                self.crashed.insert(lp, self.host_of(lp));
+                if let Some(p) = self.procs.get_mut(&lp) {
+                    p.waiting = None;
+                }
             }
             Probe::Acquire(Some(lp), host, sema, label) => {
-                self.lp_host.entry(lp).or_insert(host.0);
                 self.sema_label.insert(sema, label);
-                self.tick(lp);
-                if let Some(dep) = self.sema_deposit.get(&sema).cloned() {
-                    self.join_from(lp, dep);
-                }
-                *self.held.entry((lp, sema)).or_insert(0) += 1;
+                self.take_unit(lp, host, sema);
             }
             Probe::WaitBegin(lp, host, sema, label) => {
-                self.lp_host.entry(lp).or_insert(host.0);
                 self.sema_label.insert(sema, label);
-                self.tick(lp);
-                if !self.signal_style.contains(&sema)
-                    && self.held.get(&(lp, sema)).copied().unwrap_or(0) > 0
-                {
+                let lock_style = !self.signal_style.contains(&sema);
+                let p = self.proc(lp, host);
+                p.waiting = Some(Waiting { sema, label });
+                let double = lock_style && p.held.contains(&sema);
+                if double {
                     self.violations.push(Violation {
                         kind: ViolationKind::DoubleWait,
                         lp,
@@ -302,28 +295,18 @@ impl CheckCore {
                         ),
                     });
                 }
-                self.waiting.insert(lp, Waiting { sema, label });
             }
-            // The releaser's clock is deposited on the semaphore; a directly
-            // woken waiter is checked for host affinity.
+            // A V from a non-holder is a signal, not an unlock: holding-based
+            // checks no longer apply to its semaphore. A directly woken
+            // waiter is checked for host affinity.
             Probe::Release(lp, host, sema, label, woken) => {
                 self.sema_label.insert(sema, label);
-                match lp {
-                    Some(lp) => {
-                        let snap = self.snapshot(lp);
-                        self.sema_deposit.insert(sema, snap);
-                        let h = self.held.entry((lp, sema)).or_insert(0);
-                        if *h == 0 {
-                            // A V from a non-holder: this is a signal, not an
-                            // unlock — holding-based checks no longer apply.
-                            self.signal_style.insert(sema);
-                        } else {
-                            *h -= 1;
-                        }
-                    }
-                    None => {
-                        self.signal_style.insert(sema);
-                    }
+                let unit = lp.and_then(|lp| self.procs.get_mut(&lp)).and_then(|p| {
+                    let i = p.held.iter().position(|&s| s == sema)?;
+                    Some(p.held.swap_remove(i))
+                });
+                if unit.is_none() {
+                    self.signal_style.insert(sema);
                 }
                 if let Some(w) = woken {
                     let waiter_host = self.host_of(w);
@@ -360,13 +343,16 @@ impl CheckCore {
         // sema's "holders" are just past waiters), sorted for
         // deterministic cycle enumeration.
         let mut holders: HashMap<u64, Vec<u64>> = HashMap::new();
-        for (&(lp, sema), &n) in &self.held {
-            if n > 0 && !self.signal_style.contains(&sema) {
-                holders.entry(sema).or_default().push(lp);
+        for (&lp, p) in &self.procs {
+            for &sema in &p.held {
+                if !self.signal_style.contains(&sema) {
+                    holders.entry(sema).or_default().push(lp);
+                }
             }
         }
         for hs in holders.values_mut() {
             hs.sort_unstable();
+            hs.dedup();
         }
         let mut in_cycle: HashSet<u64> = HashSet::new();
         let mut reported: HashSet<Vec<u64>> = HashSet::new();
@@ -383,7 +369,7 @@ impl CheckCore {
         }
         for &lp in blocked {
             if !in_cycle.contains(&lp) {
-                let w = self.waiting.get(&lp);
+                let w = self.waiting(lp);
                 violations.push(Violation {
                     kind: ViolationKind::LostWakeup,
                     lp,
@@ -406,8 +392,7 @@ impl CheckCore {
         CheckReport {
             enabled: true,
             violations,
-            hb_edges: self.hb_edges,
-            lps: self.clocks.len(),
+            lps: self.started,
             semas: self.sema_label.len(),
         }
     }
@@ -442,7 +427,7 @@ impl CheckCore {
             let mut cycle: Vec<String> = Vec::new();
             let mut prose: Vec<String> = Vec::new();
             for (i, &p) in normalized.iter().enumerate() {
-                let w = self.waiting.get(&p).expect("cycle member is blocked");
+                let w = self.waiting(p).expect("cycle member is blocked");
                 cycle.push(format!("lp{p}"));
                 cycle.push(w.label.to_string());
                 let next = normalized[(i + 1) % normalized.len()];
@@ -454,7 +439,7 @@ impl CheckCore {
                 kind: ViolationKind::DeadlockCycle,
                 lp: head,
                 host: self.host_of(head),
-                sema: self.waiting.get(&head).map(|w| w.label),
+                sema: self.waiting(head).map(|w| w.label),
                 cycle,
                 event_index: self.event_index,
                 time: self.now,
@@ -462,7 +447,7 @@ impl CheckCore {
             });
             return;
         }
-        let Some(w) = self.waiting.get(&lp) else {
+        let Some(w) = self.waiting(lp) else {
             return; // not blocked on anything tracked: chain ends
         };
         path.push(lp);
@@ -480,7 +465,6 @@ impl CheckCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::HostId;
 
     fn acquire(c: &mut CheckCore, lp: u64, sema: u64, label: &'static str, host: usize) {
         c.observe(Probe::Acquire(Some(lp), HostId(host), sema, label));
@@ -571,19 +555,31 @@ mod tests {
     }
 
     #[test]
-    fn clocks_join_through_semaphores_and_spawns() {
+    fn exited_processes_leave_nothing_behind() {
         let mut c = CheckCore::default();
-        c.observe(Probe::Start(0, HostId(0), 0, 0, 0));
-        c.observe(Probe::Spawn(Some(0), 7));
-        c.observe(Probe::Start(1, HostId(0), 7, 0, 0));
-        // lp1 inherited lp0's clock through the spawn deposit.
-        assert!(c.clocks[&1].contains_key(&0));
-        let edges_after_spawn = c.hb_edges;
-        assert!(edges_after_spawn >= 1);
-        // lp0 V's, lp1 acquires: lp1 joins lp0's newer clock.
-        release(&mut c, 0, 100, "s", None);
-        acquire(&mut c, 1, 100, "s", 0);
-        assert!(c.hb_edges > edges_after_spawn);
-        assert!(c.clocks[&1][&0] >= c.clocks[&0][&0] - 1);
+        for lp in 0..100 {
+            c.observe(Probe::Start(lp, HostId(0), 0, 0));
+            acquire(&mut c, lp, 100, "s", 0);
+            release(&mut c, lp, 100, "s", None);
+            acquire(&mut c, lp, 101, "kept", 0);
+            c.observe(Probe::Finish(lp));
+        }
+        assert!(c.procs.is_empty(), "{} entries left", c.procs.len());
+        assert_eq!(c.spare.len(), 1, "one holding list, reused");
+        // A killed process's late wake is expected, not lost, after it exits.
+        c.observe(Probe::Start(100, HostId(1), 0, 0));
+        wait_begin(&mut c, 100, 102, "w", 1);
+        c.observe(Probe::Kill(100));
+        c.observe(Probe::Finish(100));
+        c.observe(Probe::StaleWake(100));
+        assert!(c.procs.is_empty());
+        let r = c.report(&[]);
+        assert!(r.violations.is_empty(), "{:?}", r.violations);
+        assert_eq!((r.lps, r.semas), (101, 3));
+        // A V still reaching it from another host is checked against the
+        // host it ran on.
+        c.observe(Probe::Release(None, HostId(0), 102, "w", Some(100)));
+        assert_eq!(c.violations[0].kind, ViolationKind::CrossHostSignal);
+        assert_eq!(c.violations[0].host, 1);
     }
 }

@@ -300,11 +300,10 @@ impl Ctx {
             // work is silently dropped, exactly as its in-flight state was.
             return TimerHandle::NONE;
         }
-        let mut g = self.core.engine.lock();
-        let handle = g.push_event(t, EvKind::Run { host, body });
-        let spawn = || Probe::Spawn(self.lp.map(|lp| lp.id), handle.seq);
-        g.observers.probe(&self.core, spawn);
-        handle
+        self.core
+            .engine
+            .lock()
+            .push_event(t, EvKind::Run { host, body })
     }
 
     /// Arms a timer: after `dt` of virtual time, `f` runs as a new shepherd

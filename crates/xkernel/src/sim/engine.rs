@@ -498,7 +498,7 @@ fn advance(core: &Rc<SimCore>, g: &mut Engine, stop: Time) -> Next {
                 if h.down.get() {
                     continue; // Scheduled before the crash; dies with it.
                 }
-                return Next::Task(start_lp(core, g, host, body, h.arrive(t, 0), seq));
+                return Next::Task(start_lp(core, g, host, body, h.arrive(t, 0)));
             }
             EvKind::Crash { host } => {
                 let h = core.host(host);
@@ -566,7 +566,7 @@ fn advance(core: &Rc<SimCore>, g: &mut Engine, stop: Time) -> Next {
                         panic!("reboot failed on host {}: {e}", ctx.host().0);
                     }
                 });
-                return Next::Task(start_lp(core, g, host, ProcBody::Thunk(f), jumped, seq));
+                return Next::Task(start_lp(core, g, host, ProcBody::Thunk(f), jumped));
             }
             EvKind::Wake { lp, reason } => {
                 let Some(st) = g.lp_mut(lp).filter(|st| st.state == RunState::Blocked) else {
@@ -633,15 +633,14 @@ fn pick_tie(core: &SimCore, g: &mut Engine, first: Key) -> Key {
 
 /// Registers a fresh logical process on `host` (ids allocated in event
 /// order, which determinism depends on) and claims the run token for it.
-/// `jumped` is what [`HostCell::arrive`] reported for the event (`seq`)
-/// that starts it.
+/// `jumped` is what [`HostCell::arrive`] reported for the event that
+/// starts it.
 fn start_lp(
     core: &SimCore,
     g: &mut Engine,
     host: HostId,
     body: ProcBody,
     (idle, now): (Nanos, Time),
-    seq: u64,
 ) -> Task {
     let id = g.next_lp;
     g.next_lp += 1;
@@ -661,7 +660,7 @@ fn start_lp(
     let lp = LpId { id, slot };
     g.current = Some(lp);
     g.observers
-        .probe(core, || Probe::Start(id, host, seq, idle, now));
+        .probe(core, || Probe::Start(id, host, idle, now));
     Task { lp, host, body }
 }
 
@@ -878,8 +877,10 @@ fn step_machine<'a>(
         if c.fuel == 0 {
             let mut g = core.engine.lock();
             g.fuel_exhausted += 1;
-            finalize_lp(core, &mut g, lp);
+            // Kill before Finish, as everywhere: the checker files a killed
+            // process's host while it still knows it.
             g.observers.probe(core, || Probe::Kill(lp.id));
+            finalize_lp(core, &mut g, lp);
             return g;
         }
         if c.fuel != u64::MAX {

@@ -118,9 +118,9 @@ pub struct SimConfig {
     /// Header-buffer policy for messages created via [`Ctx::msg`] — the
     /// paper's buffer-management design point (see [`crate::msg`]).
     pub policy: HeaderPolicy,
-    /// Whether to run the concurrency checker (vector-clock happens-before
-    /// tracking plus violation detection; see [`crate::check`]). Fixed at
-    /// construction; on, its cost per call grows with the processes run.
+    /// Whether to run the concurrency checker (a holding table and a
+    /// wait-for graph over live processes; see [`crate::check`]). Fixed at
+    /// construction; on, its cost per call stays flat however long the run.
     pub check: bool,
     /// Deterministic fuel budget per virtual process, or `None` for
     /// unlimited. Coroutines pay one unit per charged operation; machines

@@ -25,10 +25,8 @@ use super::*;
 pub(crate) enum Probe {
     /// `(index, t)`: the scheduler popped its `index`th event, due at `t`.
     Event(u64, Time),
-    /// `(lp, seq)`: Run event `seq` was filed, by process `lp` if any (the fork edge).
-    Spawn(Option<u64>, u64),
-    /// `(lp, host, seq, idle, now)`: Run event `seq` started `lp`; `host`'s clock jumped `idle`.
-    Start(u64, HostId, u64, Nanos, Time),
+    /// `(lp, host, idle, now)`: a Run event started `lp`; `host`'s clock jumped `idle`.
+    Start(u64, HostId, Nanos, Time),
     /// `(lp, host, idle, switch, now, wait)`: blocked `lp` resumed after `idle`, paying `switch`;
     /// `wait` is the semaphore wait it concludes and whether it took a unit (not on timeout).
     Resume(u64, HostId, Nanos, Nanos, Time, Option<(u64, bool)>),
@@ -67,9 +65,9 @@ impl Probe {
     fn audience(&self) -> u8 {
         use Probe::*;
         match self {
-            Start(..) | Resume(..) => TRACE | CHECK,
-            Finish(_) | Charge(..) | SpanPush(..) | SpanPop(_) | Note(..) => TRACE,
-            Event(..) | Spawn(..) | StaleWake(_) | Kill(_) => CHECK,
+            Start(..) | Resume(..) | Finish(_) => TRACE | CHECK,
+            Charge(..) | SpanPush(..) | SpanPop(_) | Note(..) => TRACE,
+            Event(..) | StaleWake(_) | Kill(_) => CHECK,
             Acquire(..) | WaitBegin(..) | Release(..) => CHECK,
             Decision(_) => JOURNAL,
         }

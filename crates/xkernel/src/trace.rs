@@ -305,7 +305,7 @@ impl TraceCore {
         match p {
             // A fresh process has no span stack yet, so the host's idle time
             // (wire latency, timer wait) goes to the empty one.
-            Probe::Start(lp, host, _, idle, now) => {
+            Probe::Start(lp, host, idle, now) => {
                 self.attribute(host, SpanKey::Lp(lp), OpClass::Idle, idle, now)
             }
             // Both the wait and the resume switch belong to the woken

@@ -7,6 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use xkernel::check::CheckReport;
 use xkernel::prelude::*;
 use xkernel::sim::{RunReport, Sim, SimConfig, VProc, VStep, WakeReason};
 
@@ -217,7 +218,7 @@ struct Outcome {
     report: RunReport,
     outcomes: Vec<bool>,
     resumes: u64,
-    hb_edges: u64,
+    check: CheckReport,
 }
 
 fn run(cfg: SimConfig, spawn: fn(&Sim, HostId, HostId, &Rc<Shared>)) -> Outcome {
@@ -236,7 +237,7 @@ fn run(cfg: SimConfig, spawn: fn(&Sim, HostId, HostId, &Rc<Shared>)) -> Outcome 
         report,
         outcomes,
         resumes: sh.resumes.load(Ordering::Relaxed),
-        hb_edges: check.hb_edges,
+        check,
     }
 }
 
@@ -274,7 +275,7 @@ fn coroutines_and_machines_make_the_same_run() {
             coro.report,
             "{name}"
         );
-        assert_eq!(mach.hb_edges, coro.hb_edges, "{name}");
+        assert_eq!(mach.check, coro.check, "{name}");
         assert!(coro.report.events > 2 * u64::from(ROUNDS));
     }
 }
