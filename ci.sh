@@ -29,10 +29,12 @@ echo "==> count-gate: what a call costs in counts no host can move"
 # host and build, so one that rises fails here by name. Per stack: context
 # switches and coroutines started per run of warm calls (2n + 4 and 2 — a
 # delivered frame starts nothing), events, fuel and live processes per
-# scheduled null call, allocations per inline null call — exact, in release,
-# as the benchmark builds; a header built on the heap is two more and fails
-# here — and cell entries per inline null call in debug (release builds carry
-# no entry counter). The switch table is printed.
+# scheduled null call, allocations per inline null call and per scheduled
+# 16 KiB call on M_RPC-VIP and L_RPC-VIP — exact, in release, as the benchmark
+# builds; a header built on the heap is two more, a header buffer taken per
+# fragment twelve, and either fails here — and cell entries per inline null
+# call in debug (release builds carry no entry counter). The switch table is
+# printed.
 cargo test --release -q --test events_per_call --test alloc_per_call -- --test-threads=1 --nocapture
 cargo test -q --test cell_entries
 

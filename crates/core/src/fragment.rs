@@ -177,7 +177,7 @@ impl Fragment {
     /// Splits `msg` (zero-copy) into its fragments under `frag_size`.
     fn split(msg: &Message, frag_size: usize) -> Vec<Message> {
         let mut rest = msg.clone();
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(msg.len().max(1).div_ceil(frag_size));
         while rest.len() > frag_size {
             let tail = rest
                 .split_off(frag_size)
@@ -410,7 +410,9 @@ impl Fragment {
         };
         match complete {
             Some((proto, parts)) => {
-                let mut whole = Message::concat(parts.into_iter().flatten());
+                // Every part is here; `map`, unlike `flatten`, tells
+                // `concat` how many, so the rope is sized once.
+                let mut whole = Message::concat(parts.into_iter().map(Option::unwrap_or_default));
                 // Only the final fragment can carry pad bytes, and they sit
                 // at the very end of the reassembled message.
                 whole.truncate(usize::from(hdr.len));

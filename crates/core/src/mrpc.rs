@@ -65,7 +65,7 @@ fn full_mask(n: u16) -> u16 {
 /// Splits a message into `frag_size` pieces (zero-copy).
 fn split(msg: &Message, frag_size: usize) -> Vec<Message> {
     let mut rest = msg.clone();
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(msg.len().max(1).div_ceil(frag_size));
     while rest.len() > frag_size {
         let tail = rest.split_off(frag_size).expect("in-range split");
         out.push(std::mem::replace(&mut rest, tail));
@@ -495,7 +495,7 @@ impl Mrpc {
                     let parts = std::mem::take(&mut st.req_parts);
                     st.dispatched = true;
                     Action::Dispatch(
-                        Message::concat(parts.into_iter().flatten()),
+                        Message::concat(parts.into_iter().map(Option::unwrap_or_default)),
                         st.reply_path.clone(),
                     )
                 } else if dup || hdr.flags & flags::PLEASE_ACK != 0 {
@@ -703,7 +703,9 @@ impl Mrpc {
         }
         if out.reply_mask == full_mask(out.reply_num) && out.done.is_none() {
             let parts = std::mem::take(&mut out.reply_frags);
-            out.done = Some(Message::concat(parts.into_iter().flatten()));
+            out.done = Some(Message::concat(
+                parts.into_iter().map(Option::unwrap_or_default),
+            ));
             let sema = out.sema.clone();
             drop(st);
             sema.v(ctx);

@@ -77,7 +77,8 @@ impl CredScheme for AuthUnix {
         "auth_unix"
     }
     fn make_cred(&self, _ctx: &Ctx) -> Vec<u8> {
-        let mut w = XdrWriter::new();
+        // Four words around the machine name, and its length word.
+        let mut w = XdrWriter::with_capacity(20 + self.machine.len().next_multiple_of(4));
         w.u32(0) // Stamp.
             .string(&self.machine)
             .u32(self.uid)
@@ -105,7 +106,7 @@ impl CredScheme for AuthUnix {
 }
 
 fn encode_auth(flavor: u32, body: &[u8]) -> Vec<u8> {
-    let mut w = XdrWriter::new();
+    let mut w = XdrWriter::with_capacity(8 + body.len().next_multiple_of(4));
     w.u32(flavor).opaque(body);
     w.finish()
 }
@@ -113,7 +114,8 @@ fn encode_auth(flavor: u32, body: &[u8]) -> Vec<u8> {
 /// Reads (flavor, body, total encoded length) from the front of `msg`
 /// without consuming it, then pops exactly that much.
 fn pop_auth(ctx: &Ctx, msg: &mut Message) -> XResult<(u32, Vec<u8>)> {
-    let head = msg.peek(8.min(msg.len()))?;
+    let mut head = [0; 8];
+    msg.peek_into(&mut head)?;
     let mut r = XdrReader::new(&head);
     let flavor = r.u32()?;
     let len = r.u32()? as usize;
@@ -396,6 +398,7 @@ mod tests {
         for n in 0..9 {
             let v = encode_auth(1, &vec![7u8; n]);
             assert_eq!(v.len() % 4, 0);
+            assert_eq!(v.capacity(), v.len(), "sized up front, never grown");
         }
     }
 }

@@ -18,6 +18,14 @@ impl XdrWriter {
         XdrWriter::default()
     }
 
+    /// A fresh writer with room for `len` bytes, for an encoding whose size
+    /// is known up front.
+    pub(crate) fn with_capacity(len: usize) -> XdrWriter {
+        XdrWriter {
+            buf: Vec::with_capacity(len),
+        }
+    }
+
     /// Encodes a `u32`.
     pub fn u32(&mut self, v: u32) -> &mut Self {
         self.buf.extend_from_slice(&v.to_be_bytes());

@@ -14,8 +14,20 @@
 //!    The payload is a rope of reference-counted segments, so cloning a
 //!    message for retransmission, fragmenting it, and reassembling fragments
 //!    are all (nearly) copy-free.
+//!
+//! The host recycles the header buffer too. A front buffer of
+//! [`DEFAULT_HEADROOM`] bytes — what every message, clone and fragment
+//! header takes — comes from a per-thread pool and goes back to it on drop,
+//! up to 256 buffers (32 KiB); any other size is a plain heap block. A
+//! recycled buffer keeps its last owner's bytes below `start`, and nothing
+//! reads them: a push writes the bytes it makes valid, and a clone copies
+//! only the valid ones. [`PushStats::allocated`] still reports the modelled
+//! x-kernel allocation, not the host's, so virtual time does not see the
+//! pool.
 
 use std::borrow::Cow;
+use std::cell::RefCell;
+use std::fmt;
 use std::ops::Deref;
 use std::rc::Rc;
 
@@ -80,14 +92,41 @@ impl Segment {
     }
 }
 
-/// The owned front buffer; valid bytes are `buf[start..]`.
-#[derive(Clone, Debug, Default)]
+/// The most [`DEFAULT_HEADROOM`]-byte front buffers a thread keeps for
+/// reuse: 32 KiB.
+const POOL_CAP: usize = 256;
+
+thread_local! {
+    /// This thread's dropped [`DEFAULT_HEADROOM`]-byte front buffers, for its
+    /// next message, clone or fragment header to take in place of a zeroed
+    /// heap block. A `Message` is `!Send`, so a buffer is dropped on the
+    /// thread whose simulation used it.
+    static POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The owned front buffer; valid bytes are `buf[start..]`. The bytes below
+/// `start` are never read: a recycled buffer holds its last owner's there.
+#[derive(Default)]
 struct FrontBuf {
     buf: Vec<u8>,
     start: usize,
 }
 
 impl FrontBuf {
+    /// `room` bytes with none of them valid yet: the pool's buffer when
+    /// `room` is its size class and it has one, else a fresh one.
+    fn with_room(room: usize) -> FrontBuf {
+        let pooled = if room == DEFAULT_HEADROOM {
+            POOL.try_with(|p| p.borrow_mut().pop()).ok().flatten()
+        } else {
+            None
+        };
+        FrontBuf {
+            buf: pooled.unwrap_or_else(|| vec![0; room]),
+            start: room,
+        }
+    }
+
     #[inline]
     fn len(&self) -> usize {
         self.buf.len() - self.start
@@ -96,6 +135,37 @@ impl FrontBuf {
     #[inline]
     fn bytes(&self) -> &[u8] {
         &self.buf[self.start..]
+    }
+}
+
+impl Clone for FrontBuf {
+    /// Copies the valid bytes only, into a buffer of the same size.
+    fn clone(&self) -> FrontBuf {
+        let mut front = FrontBuf::with_room(self.buf.len());
+        front.start = self.start;
+        front.buf[self.start..].copy_from_slice(self.bytes());
+        front
+    }
+}
+
+impl Drop for FrontBuf {
+    fn drop(&mut self) {
+        if self.buf.len() == DEFAULT_HEADROOM {
+            let buf = std::mem::take(&mut self.buf);
+            // On `Err` the thread's pool is already destroyed.
+            let _ = POOL.try_with(|p| {
+                let mut p = p.borrow_mut();
+                if p.len() < POOL_CAP {
+                    p.push(buf);
+                }
+            });
+        }
+    }
+}
+
+impl fmt::Debug for FrontBuf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.bytes()).finish()
     }
 }
 
@@ -171,10 +241,7 @@ impl Message {
     /// pure pointer adjustments from the first header on.
     pub fn empty_with(policy: HeaderPolicy) -> Message {
         let front = match policy {
-            HeaderPolicy::Headroom { headroom } => FrontBuf {
-                buf: vec![0u8; headroom],
-                start: headroom,
-            },
+            HeaderPolicy::Headroom { headroom } => FrontBuf::with_room(headroom),
             HeaderPolicy::AllocPerHeader => FrontBuf::default(),
         };
         Message {
@@ -293,11 +360,10 @@ impl Message {
         self.front = match self.policy {
             HeaderPolicy::Headroom { headroom } => {
                 // Reserve a fresh front buffer with headroom.
-                let room = headroom.max(header.len());
-                let mut buf = vec![0u8; room];
-                let start = room - header.len();
-                buf[start..].copy_from_slice(header);
-                FrontBuf { buf, start }
+                let mut front = FrontBuf::with_room(headroom.max(header.len()));
+                front.start -= header.len();
+                front.buf[front.start..].copy_from_slice(header);
+                front
             }
             // Legacy scheme: one allocation per header.
             HeaderPolicy::AllocPerHeader => FrontBuf {
@@ -487,13 +553,15 @@ impl Message {
         self.rope.append(&mut other.rope);
     }
 
-    /// Concatenates messages in order into one message.
+    /// Concatenates messages in order into one message. The rope is sized
+    /// once, from the iterator's lower bound (a fragment is one segment).
     pub fn concat<I: IntoIterator<Item = Message>>(parts: I) -> Message {
         let mut it = parts.into_iter();
         let mut first = match it.next() {
             Some(m) => m,
             None => return Message::empty(),
         };
+        first.rope.reserve(it.size_hint().0);
         for m in it {
             first.append(m);
         }
@@ -808,5 +876,189 @@ mod tests {
         assert!(s.allocated, "exhausted headroom grows a new front buffer");
         assert!(!m.push_header(&[3u8; 4]).allocated);
         assert_eq!(m.len(), 4 + 8 + 4 + 4);
+    }
+
+    #[test]
+    fn concat_of_one_part_keeps_its_headroom() {
+        // A one-fragment reassembly is the fragment itself: a reply pushed
+        // onto it (an echo) adjusts a pointer, as it did before `concat`
+        // sized its rope.
+        let mut m = Message::concat([Message::from_user(payload(8))]);
+        assert!(!m.push_header(b"HDR").allocated);
+        // Twelve fragments: one reservation of twelve, not 4 → 8 → 16.
+        let mut m = Message::concat((0..12).map(|_| Message::from_user(payload(8))));
+        assert_eq!(m.rope.capacity(), 12, "sized once");
+        assert!(
+            m.push_header(b"HDR").allocated,
+            "more parts freeze the front"
+        );
+    }
+
+    #[test]
+    fn a_recycled_buffer_shows_none_of_its_last_owners_bytes() {
+        let mut old = Message::empty();
+        old.push_header(&[0xee; DEFAULT_HEADROOM]);
+        let recycled = old.front.buf.as_ptr();
+        drop(old);
+        let mut m = Message::from_user(payload(3));
+        assert_eq!(m.front.buf.as_ptr(), recycled, "the pool hands it back");
+        assert!(!m.push_header(b"NEW").allocated);
+        let want = [&b"NEW"[..], &payload(3)].concat();
+        assert_eq!(m.to_vec(), want);
+        assert_eq!(m.peek(5).unwrap(), want[..5]);
+        assert_eq!(m.clone().to_vec(), want);
+        assert!(!format!("{m:?}").contains("238"), "0xee shows in {m:?}");
+        assert_eq!(&*m.pop_header(3).unwrap(), b"NEW");
+        assert_eq!(m.to_vec(), payload(3));
+    }
+
+    mod recycling {
+        use super::*;
+        use proptest::prelude::*;
+
+        #[derive(Clone, Debug)]
+        enum Op {
+            FromUser { len: usize, fill: u8, policy: u8 },
+            Empty,
+            Push { at: usize, len: usize, fill: u8 },
+            Pop { at: usize, n: usize },
+            Split { at: usize, off: usize },
+            Clone { at: usize },
+            Append { at: usize, other: usize },
+            Concat { n: usize },
+            Drop { at: usize },
+        }
+
+        /// Messages held at once: enough to interleave owners, few enough
+        /// that drops hand buffers back between most steps.
+        const HELD: usize = 8;
+
+        fn ops() -> impl Strategy<Value = Vec<Op>> {
+            let at = || 0usize..HELD;
+            proptest::collection::vec(
+                prop_oneof![
+                    (0usize..300, any::<u8>(), 0u8..3)
+                        .prop_map(|(len, fill, policy)| Op::FromUser { len, fill, policy }),
+                    (0u8..1).prop_map(|_| Op::Empty),
+                    // Past the headroom now and then: a new front buffer.
+                    (at(), 0usize..140, any::<u8>()).prop_map(|(at, len, fill)| Op::Push {
+                        at,
+                        len,
+                        fill
+                    }),
+                    // Header-sized: the common case, many to a buffer.
+                    (at(), 0usize..24, any::<u8>()).prop_map(|(at, len, fill)| Op::Push {
+                        at,
+                        len,
+                        fill
+                    }),
+                    (at(), 0usize..400).prop_map(|(at, n)| Op::Pop { at, n }),
+                    (at(), 0usize..400).prop_map(|(at, off)| Op::Split { at, off }),
+                    at().prop_map(|at| Op::Clone { at }),
+                    (at(), at()).prop_map(|(at, other)| Op::Append { at, other }),
+                    (1usize..4).prop_map(|n| Op::Concat { n }),
+                    at().prop_map(|at| Op::Drop { at }),
+                ],
+                1..200,
+            )
+        }
+
+        fn policy(p: u8) -> HeaderPolicy {
+            match p {
+                0 => HeaderPolicy::default(),
+                1 => HeaderPolicy::Headroom { headroom: 8 },
+                _ => HeaderPolicy::AllocPerHeader,
+            }
+        }
+
+        /// Runs `ops` against messages and a `Vec<u8>` model of each,
+        /// comparing every message byte for byte after every step.
+        fn run(ops: Vec<Op>) {
+            let mut held: Vec<(Message, Vec<u8>)> = Vec::new();
+            for op in ops {
+                if held.is_empty() {
+                    held.push((Message::empty(), Vec::new()));
+                }
+                if held.len() >= HELD {
+                    held.swap_remove(0);
+                }
+                match op {
+                    Op::FromUser {
+                        len,
+                        fill,
+                        policy: p,
+                    } => {
+                        let data: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+                        held.push((Message::from_user_with(policy(p), data.clone()), data));
+                    }
+                    Op::Empty => held.push((Message::empty(), Vec::new())),
+                    Op::Push { at, len, fill } => {
+                        let i = at % held.len();
+                        let (m, want) = &mut held[i];
+                        let header = vec![fill; len];
+                        m.push_header(&header);
+                        want.splice(0..0, header);
+                    }
+                    Op::Pop { at, n } => {
+                        let i = at % held.len();
+                        let (m, want) = &mut held[i];
+                        if n > want.len() {
+                            assert!(m.peek(n).is_err());
+                            assert!(m.pop_header(n).is_err());
+                        } else {
+                            assert_eq!(m.peek(n).unwrap(), want[..n]);
+                            assert_eq!(&*m.pop_header(n).unwrap(), &want[..n]);
+                            want.drain(..n);
+                        }
+                    }
+                    Op::Split { at, off } => {
+                        let i = at % held.len();
+                        let (m, want) = &mut held[i];
+                        let off = off % (want.len() + 1);
+                        let tail = m.split_off(off).unwrap();
+                        let tail_want = want.split_off(off);
+                        held.push((tail, tail_want));
+                    }
+                    Op::Clone { at } => {
+                        let i = at % held.len();
+                        let copy = held[i].clone();
+                        held.push(copy);
+                    }
+                    Op::Append { at, other } => {
+                        let j = other % held.len();
+                        let (m, more) = held.swap_remove(j);
+                        if held.is_empty() {
+                            held.push((m, more));
+                        } else {
+                            let i = at % held.len();
+                            let (into, want) = &mut held[i];
+                            into.append(m);
+                            want.extend(more);
+                        }
+                    }
+                    Op::Concat { n } => {
+                        let parts = held.split_off(held.len() - n.min(held.len()));
+                        let want = parts.iter().flat_map(|(_, w)| w.clone()).collect();
+                        let m = Message::concat(parts.into_iter().map(|(m, _)| m));
+                        held.push((m, want));
+                    }
+                    Op::Drop { at } => {
+                        let i = at % held.len();
+                        drop(held.swap_remove(i));
+                    }
+                }
+                for (m, want) in &held {
+                    assert_eq!(m.len(), want.len());
+                    assert_eq!(&m.to_vec(), want);
+                }
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn a_recycled_buffer_never_shows_a_stale_byte(ops in ops()) {
+                run(ops);
+            }
+        }
     }
 }

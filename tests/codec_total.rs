@@ -1,6 +1,9 @@
 //! Every fixed-size header, in one table: its layout pinned byte for byte
 //! (the appendix's field order, network byte order), its codec a round trip,
-//! and its decoder total over short input.
+//! and its decoder total over short input. Then the XDR reads and the
+//! AUTH_UNIX credential check, whose length fields the input chooses: total
+//! over truncations, lengths around and far beyond the bytes there are, and
+//! padding that is cut or not zero.
 
 use std::fmt::Debug;
 
@@ -10,8 +13,10 @@ use inet::icmp::IcmpHdr;
 use inet::ip::IpHeader;
 use inet::tcp::TcpHeader;
 use inet::udp::UdpHdr;
+use sunrpc::auth::{AuthUnix, CredScheme};
 use sunrpc::rr::RrHdr;
 use sunrpc::sunselect::SunSelHdr;
+use sunrpc::xdr::{XdrReader, XdrWriter};
 use xkernel::prelude::*;
 use xrpc::hdr::{ChannelHdr, FragmentHdr, SelectHdr, SpriteHdr};
 
@@ -228,4 +233,105 @@ fn every_fixed_size_header_is_pinned_and_its_decoder_total() {
         SunSelHdr::encode,
         SunSelHdr::decode,
     );
+}
+
+/// `Ok`, or `Err(Malformed)`: anything else from a decoder fed bad bytes —
+/// a panic included — fails the test.
+fn total<T: Debug>(what: &str, got: XResult<T>) -> Option<T> {
+    match got {
+        Ok(v) => Some(v),
+        Err(XError::Malformed(_)) => None,
+        Err(other) => panic!("{what}: {other:?}"),
+    }
+}
+
+/// Each XDR read this workspace makes, on `bytes`.
+fn xdr_reads(what: &str, bytes: &[u8]) {
+    total(what, XdrReader::new(bytes).u32());
+    total(what, XdrReader::new(bytes).opaque());
+    total(what, XdrReader::new(bytes).string());
+}
+
+/// A length word, then `body`: what `XdrReader::opaque` and `string` read.
+fn length_prefixed(len: u32, body: &[u8]) -> Vec<u8> {
+    [&len.to_be_bytes()[..], body].concat()
+}
+
+#[test]
+fn xdr_reads_and_auth_unix_credentials_are_total() {
+    let server = AuthUnix {
+        uid: 0,
+        gid: 0,
+        machine: "srv".into(),
+        allowed_uids: None,
+    };
+    let mut w = XdrWriter::new();
+    w.u32(7)
+        .string("sun3")
+        .u32(1000)
+        .u32(20)
+        .u32(2)
+        .u32(5)
+        .u32(6);
+    let cred = w.finish();
+    assert!(server.verify_cred(&cred).is_ok());
+
+    // Every truncation of a valid credential. None is a shorter credential:
+    // the gid count promises two words that only the whole one has.
+    for k in 0..cred.len() {
+        assert!(
+            total("truncated cred", server.verify_cred(&cred[..k])).is_none(),
+            "{k} of {} bytes accepted",
+            cred.len()
+        );
+        xdr_reads("truncated cred", &cred[..k]);
+    }
+
+    // Opaque lengths 0–8 against bodies of 0–8 bytes: exactly the padded
+    // length decodes, with the data it names.
+    for len in 0..=8u32 {
+        for have in 0..=12usize {
+            let body: Vec<u8> = (0..have as u8).collect();
+            let bytes = length_prefixed(len, &body);
+            xdr_reads("opaque", &bytes);
+            let got = total("opaque", XdrReader::new(&bytes).opaque());
+            let padded = (len as usize).next_multiple_of(4);
+            assert_eq!(got.is_some(), have >= padded, "len {len}, {have} bytes");
+            if let Some(data) = got {
+                assert_eq!(data, &body[..len as usize]);
+            }
+        }
+    }
+
+    // A length one off the body, both ways, and the largest there is — in
+    // the XDR reads and in the credential's machine name.
+    let name = b"sun3";
+    for len in [3, 5, u32::MAX, u32::MAX - 1, 1 << 31] {
+        xdr_reads("length", &length_prefixed(len, name));
+        let mut bad = cred.clone();
+        bad[4..8].copy_from_slice(&len.to_be_bytes());
+        total("cred name length", server.verify_cred(&bad));
+    }
+
+    // Odd padding: a three-byte name whose pad byte is not zero. The reader
+    // skips pad bytes without looking (RFC 1014 has the sender write zeros),
+    // and a credential cut inside its padding is short.
+    let mut w = XdrWriter::new();
+    w.u32(7).string("sun").u32(1000).u32(20).u32(0);
+    let mut odd = w.finish();
+    odd[11] = 0xff;
+    assert_eq!(XdrReader::new(&odd[4..]).string().unwrap(), "sun");
+    assert!(total("odd padding", server.verify_cred(&odd)).is_some());
+    assert!(total("cut padding", XdrReader::new(&odd[4..11]).opaque()).is_none());
+
+    // A gid count far beyond the bytes that follow.
+    let mut many = cred.clone();
+    let at = many.len() - 12;
+    many[at..at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+    assert!(total("gid count", server.verify_cred(&many)).is_none());
+
+    // A name that is not UTF-8.
+    let mut latin = cred.clone();
+    latin[8] = 0xff;
+    assert!(total("non-utf-8 name", server.verify_cred(&latin)).is_none());
 }

@@ -173,14 +173,34 @@ fn calls_in_one_run(
     run(n)
 }
 
-/// `n` warm calls of `size` bytes (none: the null call; else to the sink
-/// procedure) from one client process on `stack`, in one scheduled run.
+/// One call of `size` bytes (none: the null call; else to the sink
+/// procedure) from `client` on `stack`.
+fn sized_call(ctx: &Ctx, client: &Arc<Kernel>, stack: StackDef, server: IpAddr, size: usize) {
+    let proc = if size == 0 { NULL_PROC } else { SINK_PROC };
+    let reply = xrpc::call(ctx, client, stack.entry, server, proc, vec![7; size]);
+    assert_eq!(reply.expect("call completes"), Vec::<u8>::new());
+}
+
+/// `n` warm calls of `size` bytes from one client process on `stack`, in
+/// one scheduled run.
 pub fn paper_scheduled_calls(stack: StackDef, n: u64, size: usize) -> Switched {
     let tb = paper_testbed(SimConfig::scheduled(), stack);
-    let proc = if size == 0 { NULL_PROC } else { SINK_PROC };
     calls_in_one_run(&tb, n, move |ctx, client, server| {
-        let reply = xrpc::call(ctx, client, stack.entry, server, proc, vec![7; size]);
-        assert_eq!(reply.expect("call completes"), Vec::<u8>::new());
+        sized_call(ctx, client, stack, server, size)
+    })
+}
+
+/// `counter`'s movement over one warm call of `size` bytes on `stack` under
+/// the event scheduler: a shepherd process spawned and run to quiescence,
+/// the third of three.
+pub fn paper_scheduled_sized_call(stack: StackDef, size: usize, counter: fn() -> u64) -> u64 {
+    let tb = paper_testbed(SimConfig::scheduled(), stack);
+    let server = tb.server_ip;
+    third_call(counter, || {
+        tb.sim.spawn(tb.client.host(), move |ctx| {
+            sized_call(ctx, &ctx.kernel(), stack, server, size)
+        });
+        assert_eq!(tb.sim.run_until_idle().blocked, 0);
     })
 }
 
