@@ -105,6 +105,11 @@ forbid 'p_timeout\(' 'a transaction layer waits for its reply outside txn::trans
     crates/core/src/channel.rs crates/core/src/mrpc.rs crates/sunrpc/src/rr.rs
 forbid --but 1 '& 0xffff_ffff\) as u32 \| 1' 'a second boot-id draw (txn::Incarnation has the one)' \
     crates/core/src crates/sunrpc/src
+# FRAGMENT and M_RPC split, mask and reassemble through xrpc::frags alone
+# (DESIGN.md §14): a malformed fragment header is refused and counted there.
+forbid 'trailing_zeros|fn split|fn full_mask' \
+    'a private copy of the fragment-mask core (xrpc::frags has the one)' \
+    crates/core/src/fragment.rs crates/core/src/mrpc.rs
 # One way to run a scenario (run_with; run_matrix fans it out), one per-stack
 # dispatch in it, one PRNG step in the workspace (DESIGN.md, "One runner").
 forbid --but 2 'pub fn run_' 'a run_* entry point beside run_with and run_matrix (add a RunOpts field)' \

@@ -5,8 +5,9 @@
 //! protocols", e.g. Psync and the Sun RPC recomposition):
 //!
 //! * Each message pushed through FRAGMENT gets a unique sequence number, is
-//!   split into ≤16 fragments (one bit each in the 16-bit `frag_mask`), and
-//!   is transmitted with a copy retained by the sender.
+//!   split into ≤16 fragments (one bit each in the 16-bit `frag_mask`,
+//!   [`crate::frags`]), and is transmitted with a copy retained by the
+//!   sender.
 //! * **Unreliable**: messages may arrive out of order, duplicated, or not at
 //!   all; the receiver *never* sends a positive acknowledgement. That
 //!   choice — made precisely so Psync could reuse the layer — is the
@@ -27,37 +28,20 @@ use xkernel::map::{EnableSnapshot, MixMap, SessionSnapshot};
 use xkernel::prelude::*;
 use xkernel::sim::Nanos;
 
+use crate::frags::{self, Place, Slot, Took, MAX_FRAGS};
 use crate::hdr::{frag_type, FragmentHdr, FRAGMENT_HDR_LEN};
 use crate::protnum::rel_proto_num;
 
-/// Maximum fragments per message (one bit each in `frag_mask`).
-pub const MAX_FRAGS: usize = 16;
-
-/// Tuning knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct FragConfig {
-    /// How long the sender retains a transmitted message for NACK service.
-    pub discard_ns: Nanos,
-    /// Receiver gap timer: how long after the most recent fragment before
-    /// concluding some are missing.
-    pub gap_ns: Nanos,
-    /// How many NACKs to send before giving up on an incomplete message.
-    pub nack_retries: u32,
-    /// Bound on retained messages (protects inline mode, where discard
-    /// timers never fire).
-    pub cache_cap: usize,
-}
-
-impl Default for FragConfig {
-    fn default() -> FragConfig {
-        FragConfig {
-            discard_ns: 500_000_000,
-            gap_ns: 10_000_000,
-            nack_retries: 4,
-            cache_cap: 64,
-        }
-    }
-}
+/// How long the sender retains a transmitted message for NACK service.
+const DISCARD_NS: Nanos = 500_000_000;
+/// Receiver gap timer: how long after the most recent fragment before
+/// concluding some are missing.
+const GAP_NS: Nanos = 10_000_000;
+/// How many NACKs to send before giving up on an incomplete message.
+const NACK_RETRIES: u32 = 4;
+/// Bound on retained messages (protects inline mode, where discard timers
+/// never fire).
+const CACHE_CAP: usize = 64;
 
 /// Cumulative traffic counters (tests and benchmarks).
 #[derive(Clone, Copy, Debug, Default)]
@@ -74,15 +58,7 @@ pub struct FragStats {
     pub nacks_received: u64,
 }
 
-#[derive(Default)]
-struct Counters {
-    messages_sent: Cell<u64>,
-    fragments_sent: Cell<u64>,
-    messages_delivered: Cell<u64>,
-    nacks_sent: Cell<u64>,
-    nacks_received: Cell<u64>,
-}
-
+#[derive(Clone)]
 struct Saved {
     msg: Message,
     dst: IpAddr,
@@ -92,11 +68,12 @@ struct Saved {
 }
 
 struct Rasm {
-    num_frags: u16,
-    have_mask: u16,
+    slot: Slot,
     proto_num: u32,
+    /// The message's length, from the fragment that opened the slot: the
+    /// reassembled message is cut to it (only the last fragment can carry
+    /// link-level padding, at the very end).
     total_len: u16,
-    parts: Vec<Option<Message>>,
     nacks_left: u32,
     timer_armed: bool,
     /// When the most recent fragment arrived: a gap is only declared after
@@ -110,7 +87,6 @@ pub struct Fragment {
     weak_self: Weak<Fragment>,
     me: ProtoId,
     lower: ProtoId,
-    cfg: FragConfig,
     my_ip: OnceCell<IpAddr>,
     lower_name: OnceCell<&'static str>,
     base_frag_size: OnceCell<usize>,
@@ -121,18 +97,17 @@ pub struct Fragment {
     rasm: OwnerCell<MixMap<(u32, u32), Rasm>>,
     passive: SessionMap<(u32, u32)>,
     lowers: SessionMap<u32, (SessionRef, usize)>,
-    counters: Counters,
+    stats: Cell<FragStats>,
 }
 
 impl Fragment {
     /// Creates FRAGMENT above `lower` (an IP-addressed delivery protocol:
     /// IP, VIP, or VIPADDR).
-    pub fn new(me: ProtoId, lower: ProtoId, cfg: FragConfig) -> Rc<Fragment> {
+    pub fn new(me: ProtoId, lower: ProtoId) -> Rc<Fragment> {
         Rc::new_cyclic(|weak_self| Fragment {
             weak_self: weak_self.clone(),
             me,
             lower,
-            cfg,
             my_ip: OnceCell::new(),
             lower_name: OnceCell::new(),
             base_frag_size: OnceCell::new(),
@@ -142,8 +117,15 @@ impl Fragment {
             rasm: OwnerCell::new(MixMap::default()),
             passive: SessionMap::new(),
             lowers: SessionMap::new(),
-            counters: Counters::default(),
+            stats: Cell::default(),
         })
+    }
+
+    /// Adds one to the counter `field` picks.
+    fn tally(&self, field: fn(&mut FragStats) -> &mut u64) {
+        let mut stats = self.stats.get();
+        *field(&mut stats) += 1;
+        self.stats.set(stats);
     }
 
     fn self_rc(&self) -> Rc<Fragment> {
@@ -174,20 +156,6 @@ impl Fragment {
         })
     }
 
-    /// Splits `msg` (zero-copy) into its fragments under `frag_size`.
-    fn split(msg: &Message, frag_size: usize) -> Vec<Message> {
-        let mut rest = msg.clone();
-        let mut out = Vec::with_capacity(msg.len().max(1).div_ceil(frag_size));
-        while rest.len() > frag_size {
-            let tail = rest
-                .split_off(frag_size)
-                .expect("split within checked length");
-            out.push(std::mem::replace(&mut rest, tail));
-        }
-        out.push(rest);
-        out
-    }
-
     /// Transmits the fragments of `saved` selected by `mask`.
     fn transmit(
         &self,
@@ -197,11 +165,7 @@ impl Fragment {
         seq: u32,
         mask: u16,
     ) -> XResult<()> {
-        let frags = Self::split(&saved.msg, saved.frag_size);
-        for (i, frag) in frags.into_iter().enumerate() {
-            if mask & (1 << i) == 0 {
-                continue;
-            }
+        for (_, bit, frag) in frags::selected(&saved.msg, saved.frag_size, mask) {
             let hdr = FragmentHdr {
                 typ: frag_type::DATA,
                 clnt_host: self.my_ip(),
@@ -209,13 +173,13 @@ impl Fragment {
                 protocol_num: saved.proto_num,
                 sequence_num: seq,
                 num_frags: saved.num_frags,
-                frag_mask: 1 << i,
+                frag_mask: bit,
                 len: saved.msg.len() as u16,
             };
             let mut pkt = frag;
             ctx.push_header(&mut pkt, &hdr.encode());
             ctx.charge_layer_call();
-            self.counters.fragments_sent.bump();
+            self.tally(|s| &mut s.fragments_sent);
             lower.push(ctx, pkt)?;
         }
         Ok(())
@@ -224,60 +188,38 @@ impl Fragment {
     /// Sends `msg` to `peer` on behalf of high-level protocol `proto_num`.
     fn send(&self, ctx: &Ctx, peer: IpAddr, proto_num: u32, msg: Message) -> XResult<()> {
         let (lower, frag_size) = self.lower_for(ctx, peer)?;
-        let num_frags = msg.len().max(1).div_ceil(frag_size);
-        if num_frags > MAX_FRAGS {
-            return Err(XError::TooBig {
-                size: msg.len(),
-                max: MAX_FRAGS * frag_size,
-            });
-        }
-        // The wire header carries the total length in a u16; over a lower
-        // layer with a huge MTU, 16 fragments can exceed 65535 bytes and the
-        // `as u16` encode would silently truncate, corrupting reassembly on
-        // the far side. Refuse such messages up front.
-        if msg.len() > u16::MAX as usize {
-            return Err(XError::TooBig {
-                size: msg.len(),
-                max: (u16::MAX as usize).min(MAX_FRAGS * frag_size),
-            });
-        }
+        let num_frags = frags::count(msg.len(), frag_size)?;
         let seq = self.next_seq.bump();
-        self.counters.messages_sent.bump();
+        self.tally(|s| &mut s.messages_sent);
         // Sequence allocation + retained-copy bookkeeping.
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let saved = Saved {
             msg,
             dst: peer,
             proto_num,
-            num_frags: num_frags as u16,
+            num_frags,
             frag_size,
         };
-        let full_mask = if num_frags == 16 {
-            u16::MAX
-        } else {
-            (1u16 << num_frags) - 1
-        };
-        self.transmit(ctx, &lower, &saved, seq, full_mask)?;
+        self.transmit(ctx, &lower, &saved, seq, frags::full_mask(num_frags))?;
 
         // Retain a copy for NACK service, bounded and timed.
         {
             let mut cache = self.send_cache.lock();
             cache.push((seq, saved));
-            let cap = self.cfg.cache_cap;
-            if cache.len() > cap {
-                let excess = cache.len() - cap;
+            if cache.len() > CACHE_CAP {
+                let excess = cache.len() - CACHE_CAP;
                 cache.drain(..excess);
             }
         }
         let parent = self.self_rc();
-        ctx.schedule_after(self.cfg.discard_ns, move |_tctx| {
+        ctx.schedule_after(DISCARD_NS, move |_tctx| {
             parent.send_cache.lock().retain(|(s, _)| *s != seq);
         });
         Ok(())
     }
 
     fn deliver_up(&self, ctx: &Ctx, from: IpAddr, proto_num: u32, msg: Message) -> XResult<()> {
-        self.counters.messages_delivered.bump();
+        self.tally(|s| &mut s.messages_delivered);
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let upper = *self
             .enables
@@ -298,7 +240,7 @@ impl Fragment {
 
     fn arm_gap_timer(&self, ctx: &Ctx, key: (u32, u32)) {
         let parent = self.self_rc();
-        ctx.schedule_after(self.cfg.gap_ns, move |tctx| {
+        ctx.schedule_after(GAP_NS, move |tctx| {
             parent.on_gap_timer(tctx, key);
         });
     }
@@ -311,19 +253,10 @@ impl Fragment {
             };
             ent.timer_armed = false;
             // Fragments still flowing: not a gap, just a long message.
-            if ctx.now().saturating_sub(ent.last_arrival) < self.cfg.gap_ns {
+            if ctx.now().saturating_sub(ent.last_arrival) < GAP_NS {
                 ent.timer_armed = true;
                 drop(rasm);
                 self.arm_gap_timer(ctx, key);
-                return;
-            }
-            let full = if ent.num_frags as usize == 16 {
-                u16::MAX
-            } else {
-                (1u16 << ent.num_frags) - 1
-            };
-            let missing = full & !ent.have_mask;
-            if missing == 0 {
                 return;
             }
             if ent.nacks_left == 0 {
@@ -333,149 +266,96 @@ impl Fragment {
             }
             ent.nacks_left -= 1;
             ent.timer_armed = true;
-            Some((ent.proto_num, ent.num_frags, missing, ent.total_len))
-        };
-        if let Some((proto_num, num_frags, missing, len)) = nack {
-            let from = IpAddr(key.0);
-            let hdr = FragmentHdr {
+            // An open slot is never complete: `data_in` removes it then.
+            FragmentHdr {
                 typ: frag_type::NACK,
-                clnt_host: from,
+                clnt_host: IpAddr(key.0),
                 srvr_host: self.my_ip(),
-                protocol_num: proto_num,
+                protocol_num: ent.proto_num,
                 sequence_num: key.1,
-                num_frags,
-                frag_mask: missing,
-                len,
-            };
-            if let Ok((lower, _)) = self.lower_for(ctx, from) {
-                let mut pkt = ctx.empty_msg();
-                ctx.push_header(&mut pkt, &hdr.encode());
-                ctx.charge_layer_call();
-                self.counters.nacks_sent.bump();
-                if lower.push(ctx, pkt).is_err() {
-                    ctx.trace_note("nack send failed");
-                }
+                num_frags: ent.slot.num(),
+                frag_mask: ent.slot.missing(),
+                len: ent.total_len,
             }
-            self.arm_gap_timer(ctx, key);
+        };
+        if let Ok((lower, _)) = self.lower_for(ctx, nack.clnt_host) {
+            let mut pkt = ctx.empty_msg();
+            ctx.push_header(&mut pkt, &nack.encode());
+            ctx.charge_layer_call();
+            self.tally(|s| &mut s.nacks_sent);
+            if lower.push(ctx, pkt).is_err() {
+                ctx.trace_note("nack send failed");
+            }
         }
+        self.arm_gap_timer(ctx, key);
     }
 
     fn data_in(&self, ctx: &Ctx, hdr: FragmentHdr, mut msg: Message) -> XResult<()> {
+        let Some(at) = Place::check(ctx, hdr.num_frags, hdr.frag_mask) else {
+            return Ok(());
+        };
         // Single-fragment fast path: no state, no timers. Trim any
         // link-level padding with the header's total-length field.
-        if hdr.num_frags <= 1 {
+        if hdr.num_frags == 1 {
             msg.truncate(usize::from(hdr.len));
             return self.deliver_up(ctx, hdr.clnt_host, hdr.protocol_num, msg);
         }
         let key = (hdr.clnt_host.0, hdr.sequence_num);
-        let complete = {
+        let (proto, whole) = {
             let mut rasm = self.rasm.lock();
             let ent = rasm.entry(key).or_insert_with(|| Rasm {
-                num_frags: hdr.num_frags,
-                have_mask: 0,
+                slot: Slot::new(at),
                 proto_num: hdr.protocol_num,
                 total_len: hdr.len,
-                parts: (0..hdr.num_frags).map(|_| None).collect(),
-                nacks_left: self.cfg.nack_retries,
+                nacks_left: NACK_RETRIES,
                 timer_armed: false,
                 last_arrival: 0,
             });
+            if ent.slot.take(ctx, at, msg) == Took::Rejected {
+                return Ok(());
+            }
             ent.last_arrival = ctx.now();
-            let idx = hdr.frag_mask.trailing_zeros() as usize;
-            if idx >= ent.parts.len() {
-                return Ok(()); // Corrupt index; drop.
-            }
-            if ent.parts[idx].is_none() {
-                ent.parts[idx] = Some(msg);
-                ent.have_mask |= 1 << idx;
-            }
-            let full = if ent.num_frags as usize == 16 {
-                u16::MAX
-            } else {
-                (1u16 << ent.num_frags) - 1
-            };
-            if ent.have_mask == full {
-                let parts = std::mem::take(&mut ent.parts);
-                let proto = ent.proto_num;
-                rasm.remove(&key);
-                Some((proto, parts))
-            } else {
+            if !ent.slot.complete() {
                 if !ent.timer_armed {
                     ent.timer_armed = true;
                     drop(rasm);
                     self.arm_gap_timer(ctx, key);
                 }
-                None
+                return Ok(());
             }
+            let mut whole = ent.slot.assemble();
+            whole.truncate(usize::from(ent.total_len));
+            let proto = ent.proto_num;
+            rasm.remove(&key);
+            (proto, whole)
         };
-        match complete {
-            Some((proto, parts)) => {
-                // Every part is here; `map`, unlike `flatten`, tells
-                // `concat` how many, so the rope is sized once.
-                let mut whole = Message::concat(parts.into_iter().map(Option::unwrap_or_default));
-                // Only the final fragment can carry pad bytes, and they sit
-                // at the very end of the reassembled message.
-                whole.truncate(usize::from(hdr.len));
-                self.deliver_up(ctx, hdr.clnt_host, proto, whole)
-            }
-            None => Ok(()),
-        }
+        self.deliver_up(ctx, hdr.clnt_host, proto, whole)
     }
 
     fn nack_in(&self, ctx: &Ctx, hdr: FragmentHdr) -> XResult<()> {
-        self.counters.nacks_received.bump();
+        self.tally(|s| &mut s.nacks_received);
         let seq = hdr.sequence_num;
-        let found = {
-            let cache = self.send_cache.lock();
-            cache.iter().any(|(s, _)| *s == seq)
-        };
-        if !found {
+        // A copy, so the cache lock is not held across the pushes.
+        let saved = self
+            .send_cache
+            .lock()
+            .iter()
+            .find(|(s, _)| *s == seq)
+            .map(|(_, saved)| saved.clone());
+        let Some(saved) = saved else {
             // Already discarded: the higher-level protocol's own timeout
             // will resend the whole message under a new sequence number.
             ctx.trace_note("nack for discarded seq");
             return Ok(());
-        }
-        // Retransmit the missing fragments from the retained copy.
-        let (dst, mask) = {
-            let cache = self.send_cache.lock();
-            let (_, saved) = cache
-                .iter()
-                .find(|(s, _)| *s == seq)
-                .expect("checked above");
-            (saved.dst, hdr.frag_mask)
         };
-        let (lower, _) = self.lower_for(ctx, dst)?;
-        let cache = self.send_cache.lock();
-        if let Some((_, saved)) = cache.iter().find(|(s, _)| *s == seq) {
-            // Rebuild fragment list and send the requested ones. We must not
-            // hold the cache lock across pushes — clone the needed state.
-            let saved_copy = Saved {
-                msg: saved.msg.clone(),
-                dst: saved.dst,
-                proto_num: saved.proto_num,
-                num_frags: saved.num_frags,
-                frag_size: saved.frag_size,
-            };
-            drop(cache);
-            self.transmit(ctx, &lower, &saved_copy, seq, mask)?;
-        }
-        Ok(())
-    }
-
-    /// Observable state for tests: retained send-cache size.
-    pub fn retained(&self) -> usize {
-        self.send_cache.lock().len()
+        // Retransmit the missing fragments from the retained copy.
+        let (lower, _) = self.lower_for(ctx, saved.dst)?;
+        self.transmit(ctx, &lower, &saved, seq, hdr.frag_mask)
     }
 
     /// Cumulative traffic counters.
     pub fn stats(&self) -> FragStats {
-        FragStats {
-            messages_sent: self.counters.messages_sent.get(),
-            fragments_sent: self.counters.fragments_sent.get(),
-            messages_delivered: self.counters.messages_delivered.get(),
-            nacks_sent: self.counters.nacks_sent.get(),
-            nacks_received: self.counters.nacks_received.get(),
-        }
+        self.stats.get()
     }
 
     /// Observable state for tests: open reassembly buffers.
@@ -661,13 +541,7 @@ impl Protocol for Fragment {
         self.enables.restore(&s.enables);
         self.passive.restore(&s.passive);
         self.lowers.restore(&s.lowers);
-        self.counters.messages_sent.set(s.stats.messages_sent);
-        self.counters.fragments_sent.set(s.stats.fragments_sent);
-        self.counters
-            .messages_delivered
-            .set(s.stats.messages_delivered);
-        self.counters.nacks_sent.set(s.stats.nacks_sent);
-        self.counters.nacks_received.set(s.stats.nacks_received);
+        self.stats.set(s.stats);
         Ok(())
     }
 
@@ -764,9 +638,7 @@ mod tests {
             })
             .unwrap();
         let frag_id = kernel
-            .register("fragment", |me| {
-                Ok(Fragment::new(me, lower, FragConfig::default()) as ProtocolRef)
-            })
+            .register("fragment", |me| Ok(Fragment::new(me, lower) as ProtocolRef))
             .unwrap();
         let ctx = sim.ctx(kernel.host());
         let frag = kernel.proto_ref(frag_id).unwrap();

@@ -77,6 +77,7 @@
 pub mod channel;
 pub mod contracts;
 pub mod fragment;
+pub mod frags;
 pub mod hdr;
 pub mod mrpc;
 pub mod pinger;
@@ -125,10 +126,7 @@ pub fn register_ctors(reg: &mut ProtocolRegistry) {
         Ok(mrpc::Mrpc::new(a.me, a.down(0)?, a.down.get(1).copied(), cfg) as ProtocolRef)
     });
     reg.add("fragment", |a: &GraphArgs<'_>| {
-        Ok(
-            fragment::Fragment::new(a.me, a.down(0)?, fragment::FragConfig::default())
-                as ProtocolRef,
-        )
+        Ok(fragment::Fragment::new(a.me, a.down(0)?) as ProtocolRef)
     });
     reg.add("channel", |a: &GraphArgs<'_>| {
         let adaptive = a.param_u64("adaptive", 1)? != 0;

@@ -13,8 +13,10 @@
 //! previous reply, explicit ACKs (carrying the received-fragment mask) are
 //! only elicited by retransmissions, and boot ids guard at-most-once across
 //! reincarnations. Requests and replies up to 16 fragments are fragmented
-//! and re-assembled inside this one protocol; an ACK's `frag_mask` lets the
-//! client retransmit only the fragments the server is missing.
+//! and re-assembled inside this one protocol, with the split, masks and
+//! reassembly slot it shares with FRAGMENT ([`crate::frags`]); an ACK's
+//! `frag_mask` lets the client retransmit only the fragments the server is
+//! missing.
 
 use std::any::Any;
 use std::cell::{Cell, OnceCell};
@@ -26,13 +28,11 @@ use xkernel::map::{MixMap, SessionSnapshot};
 use xkernel::prelude::*;
 use xkernel::shepherd::{Overload, ShepherdConfig, ShepherdStats, Shepherds, Submitted};
 
+use crate::frags::{self, Place, Slot, Took, MAX_FRAGS};
 use crate::hdr::{flags, SpriteHdr, SPRITE_HDR_LEN};
 use crate::protnum::rel_proto_num;
 use crate::select::Handler;
 use crate::txn::{self, Arrival, AtMostOnce, Incarnation, Poll, PoolSnap};
-
-/// Maximum fragments per message (16-bit mask).
-pub const MAX_FRAGS: usize = 16;
 
 /// Configuration. The retransmission timer is the paper's step function,
 /// fixed: [`txn::BASE_TIMEOUT_NS`] plus [`txn::frag_allowance`], and
@@ -54,32 +54,11 @@ impl Default for MrpcConfig {
     }
 }
 
-fn full_mask(n: u16) -> u16 {
-    if n as usize >= 16 {
-        u16::MAX
-    } else {
-        (1u16 << n) - 1
-    }
-}
-
-/// Splits a message into `frag_size` pieces (zero-copy).
-fn split(msg: &Message, frag_size: usize) -> Vec<Message> {
-    let mut rest = msg.clone();
-    let mut out = Vec::with_capacity(msg.len().max(1).div_ceil(frag_size));
-    while rest.len() > frag_size {
-        let tail = rest.split_off(frag_size).expect("in-range split");
-        out.push(std::mem::replace(&mut rest, tail));
-    }
-    out.push(rest);
-    out
-}
-
 struct Outstanding {
     seq: u32,
     sema: SharedSema,
-    reply_frags: Vec<Option<Message>>,
-    reply_mask: u16,
-    reply_num: u16,
+    // Opened by the reply's first fragment to arrive.
+    reply: Option<Slot>,
     done: Option<Message>,
     // Server-acknowledged request fragments (from an explicit ACK).
     server_has: u16,
@@ -117,9 +96,8 @@ struct ServerState {
     // The in-progress request was handed to a shepherd (its fragments have
     // been consumed); retransmissions must be ACKed, not re-assembled.
     dispatched: bool,
-    req_num: u16,
-    req_mask: u16,
-    req_parts: Vec<Option<Message>>,
+    // The request `record` has in progress, as it arrives.
+    req: Option<Slot>,
     // The wire fragments of the reply to `record`'s answered request.
     saved_reply: Vec<Message>,
     // The path replies take, cached from the peer table on first use so a
@@ -288,13 +266,9 @@ impl Mrpc {
         msg: &Message,
         mask: u16,
     ) -> XResult<()> {
-        let frags = split(msg, frag_size);
-        for (i, frag) in frags.into_iter().enumerate() {
-            if mask & (1 << i) == 0 {
-                continue;
-            }
+        for (i, bit, frag) in frags::selected(msg, frag_size, mask) {
             let mut hdr = *base;
-            hdr.frag_mask = 1 << i;
+            hdr.frag_mask = bit;
             // The dual data-size/offset fields carry this packet's payload
             // extent, which is what lets Sprite RPC trim link-level padding
             // (the appendix notes the layered version doesn't need them).
@@ -312,29 +286,14 @@ impl Mrpc {
     fn call(&self, ctx: &Ctx, peer: IpAddr, command: u16, args: Message) -> XResult<Message> {
         let entry = self.peer_for(ctx, peer)?;
         let (lower, frag_size) = entry.lower;
-        let num_frags = args.len().max(1).div_ceil(frag_size);
-        if num_frags > MAX_FRAGS {
-            return Err(XError::TooBig {
-                size: args.len(),
-                max: MAX_FRAGS * frag_size,
-            });
-        }
+        let num_frags = frags::count(args.len(), frag_size)?;
         let pool = match entry.pool {
             Some(pool) => pool,
             None => self.make_pool(ctx, peer),
         };
         // Blocks when all channels are in use.
         pool.with(ctx, |chan| {
-            self.call_on_channel(
-                ctx,
-                chan,
-                &lower,
-                frag_size,
-                peer,
-                command,
-                args,
-                num_frags as u16,
-            )
+            self.call_on_channel(ctx, chan, &lower, frag_size, peer, command, args, num_frags)
         })
     }
 
@@ -358,9 +317,7 @@ impl Mrpc {
             st.out = Some(Outstanding {
                 seq: st.seq,
                 sema: sema.clone(),
-                reply_frags: Vec::new(),
-                reply_mask: 0,
-                reply_num: 0,
+                reply: None,
                 done: None,
                 server_has: 0,
                 acked: false,
@@ -386,7 +343,7 @@ impl Mrpc {
         };
         let timeout = txn::BASE_TIMEOUT_NS + txn::frag_allowance(usize::from(num_frags));
         // Narrowed by an explicit ACK to the fragments the server lacks.
-        let send_mask = Cell::new(full_mask(num_frags));
+        let send_mask = Cell::new(frags::full_mask(num_frags));
         txn::transact(
             ctx,
             &sema,
@@ -406,7 +363,7 @@ impl Mrpc {
                     st.out = None;
                     Poll::Done(reply)
                 } else if std::mem::take(&mut out.acked) {
-                    send_mask.set(full_mask(num_frags) & !out.server_has);
+                    send_mask.set(frags::full_mask(num_frags) & !out.server_has);
                     Poll::Rearm
                 } else {
                     // Timed out, or a NACK woke us to retry at once.
@@ -428,9 +385,7 @@ impl Mrpc {
                 st: OwnerCell::new(ServerState {
                     record: AtMostOnce::new(hdr.boot_id),
                     dispatched: false,
-                    req_num: 0,
-                    req_mask: 0,
-                    req_parts: Vec::new(),
+                    req: None,
                     saved_reply: Vec::new(),
                     reply_path: None,
                 }),
@@ -442,6 +397,9 @@ impl Mrpc {
     }
 
     fn request_in(&self, ctx: &Ctx, hdr: SpriteHdr, msg: Message) -> XResult<()> {
+        let Some(at) = Place::check(ctx, hdr.num_frags, hdr.frag_mask) else {
+            return Ok(());
+        };
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let server = self.server_for(&hdr);
 
@@ -461,7 +419,7 @@ impl Mrpc {
                 // fragment of a multi-fragment request would trigger its own
                 // full reply resend (a retransmission storm).
                 ctx.note(RobustEvent::DuplicateSuppressed);
-                if hdr.frag_mask & 1 != 0 {
+                if at.is_first() {
                     Action::ResendReply(st.saved_reply.clone())
                 } else {
                     Action::None
@@ -469,39 +427,34 @@ impl Mrpc {
             } else if arrival == Arrival::Old {
                 ctx.note(RobustEvent::DuplicateSuppressed);
                 Action::None // Ancient duplicate.
-            } else if arrival == Arrival::InProgress && st.dispatched {
-                // Retransmission while a shepherd is (or is queued to be)
-                // executing this request: the fragments are consumed, so
-                // just tell the client we have them all.
-                ctx.note(RobustEvent::DuplicateSuppressed);
-                Action::Ack(full_mask(st.req_num))
             } else {
                 if arrival == Arrival::New {
                     // Implicitly acknowledges the saved reply; start a
                     // fresh reassembly.
                     st.dispatched = false;
                     st.saved_reply.clear();
-                    st.req_num = hdr.num_frags;
-                    st.req_mask = 0;
-                    st.req_parts = (0..hdr.num_frags).map(|_| None).collect();
+                    st.req = None;
                 }
-                let idx = hdr.frag_mask.trailing_zeros() as usize;
-                let dup = idx < st.req_parts.len() && st.req_parts[idx].is_some();
-                if idx < st.req_parts.len() && !dup {
-                    st.req_parts[idx] = Some(msg);
-                    st.req_mask |= 1 << idx;
-                }
-                if st.req_mask == full_mask(st.req_num) {
-                    let parts = std::mem::take(&mut st.req_parts);
+                // `InProgress` left the record as it was, so a fragment
+                // the slot rejects has changed nothing.
+                let st = &mut *st;
+                let req = st.req.get_or_insert_with(|| Slot::new(at));
+                let took = req.take(ctx, at, msg);
+                if took == Took::Rejected {
+                    Action::None
+                } else if st.dispatched {
+                    // Retransmission while a shepherd is (or is queued to
+                    // be) executing this request: the fragments are
+                    // consumed, so just tell the client we have them all.
+                    ctx.note(RobustEvent::DuplicateSuppressed);
+                    Action::Ack(req.have())
+                } else if req.complete() {
                     st.dispatched = true;
-                    Action::Dispatch(
-                        Message::concat(parts.into_iter().map(Option::unwrap_or_default)),
-                        st.reply_path.clone(),
-                    )
-                } else if dup || hdr.flags & flags::PLEASE_ACK != 0 {
+                    Action::Dispatch(req.assemble(), st.reply_path.clone())
+                } else if took == Took::Duplicate || hdr.flags & flags::PLEASE_ACK != 0 {
                     // Retransmission while incomplete: tell the client what
                     // we have so it can resend just the missing fragments.
-                    Action::Ack(st.req_mask)
+                    Action::Ack(req.have())
                 } else {
                     Action::None
                 }
@@ -562,9 +515,7 @@ impl Mrpc {
                             let mut st = server.st.lock();
                             st.record.abort();
                             st.dispatched = false;
-                            st.req_num = 0;
-                            st.req_mask = 0;
-                            st.req_parts = Vec::new();
+                            st.req = None;
                         }
                         match policy {
                             Overload::Drop => Ok(()),
@@ -627,7 +578,12 @@ impl Mrpc {
                 path
             }
         };
-        let num = reply_body.len().max(1).div_ceil(frag_size) as u16;
+        // A reply too big to fragment answers empty, as a failed procedure
+        // does.
+        let (reply_body, num) = match frags::count(reply_body.len(), frag_size) {
+            Ok(num) => (reply_body, num),
+            Err(_) => (ctx.empty_msg(), 1),
+        };
         let rhdr = SpriteHdr {
             flags: flags::REPLY,
             clnt_host: server.clnt,
@@ -642,9 +598,9 @@ impl Mrpc {
         };
         // Build, save, then send the wire fragments.
         let mut wire_frags = Vec::new();
-        for (i, frag) in split(&reply_body, frag_size).into_iter().enumerate() {
+        for (i, bit, frag) in frags::selected(&reply_body, frag_size, frags::full_mask(num)) {
             let mut h = rhdr;
-            h.frag_mask = 1 << i;
+            h.frag_mask = bit;
             h.data1_sz = frag.len() as u16;
             h.data1_offset = (i * frag_size) as u16;
             let mut pkt = frag;
@@ -664,6 +620,16 @@ impl Mrpc {
     }
 
     fn reply_in(&self, ctx: &Ctx, hdr: SpriteHdr, msg: Message) -> XResult<()> {
+        // An ACK's or NACK's mask names many fragments, or none; a REPLY
+        // carries one, and a malformed one stops here.
+        let at = if hdr.flags & flags::REPLY != 0 {
+            let Some(at) = Place::check(ctx, hdr.num_frags, hdr.frag_mask) else {
+                return Ok(());
+            };
+            Some(at)
+        } else {
+            None
+        };
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let Some(chan) = self.chans.resolve(&hdr.channel) else {
             return Ok(());
@@ -691,21 +657,12 @@ impl Mrpc {
             sema.v(ctx);
             return Ok(());
         }
-        // Reply fragment.
-        if out.reply_frags.is_empty() {
-            out.reply_num = hdr.num_frags;
-            out.reply_frags = (0..hdr.num_frags).map(|_| None).collect();
-        }
-        let idx = hdr.frag_mask.trailing_zeros() as usize;
-        if idx < out.reply_frags.len() && out.reply_frags[idx].is_none() {
-            out.reply_frags[idx] = Some(msg);
-            out.reply_mask |= 1 << idx;
-        }
-        if out.reply_mask == full_mask(out.reply_num) && out.done.is_none() {
-            let parts = std::mem::take(&mut out.reply_frags);
-            out.done = Some(Message::concat(
-                parts.into_iter().map(Option::unwrap_or_default),
-            ));
+        let Some(at) = at else {
+            return Ok(()); // Neither a reply nor an acknowledgement.
+        };
+        let reply = out.reply.get_or_insert_with(|| Slot::new(at));
+        if reply.take(ctx, at, msg) == Took::Added && reply.complete() {
+            out.done = Some(reply.assemble());
             let sema = out.sema.clone();
             drop(st);
             sema.v(ctx);

@@ -1,0 +1,160 @@
+//! A malformed fragment header is rejected and counted, not trusted.
+//!
+//! FRAGMENT DATA frames and Sprite REQUEST/REPLY frames with a `num_frags`
+//! of 0, 17 or 65535, a zero mask, a mask of two bits, a bit at or past
+//! `num_frags`, and a second fragment whose `num_frags` disagrees with its
+//! message's first, are handed to the booted protocol's `demux` as the layer
+//! below would. None may panic, each is one `CorruptRejected` on the host,
+//! none leaves a reassembly open, and the next well-formed call completes.
+
+use std::any::Any;
+
+use inet::testbed::{base_registry, two_hosts, TwoHosts};
+use inet::with_concrete;
+use xkernel::prelude::*;
+use xkernel::sim::SimConfig;
+use xrpc::fragment::Fragment;
+use xrpc::hdr::{flags, frag_type, FragmentHdr, SpriteHdr};
+use xrpc::procs::NULL_PROC;
+use xrpc::stacks::{StackDef, L_RPC_VIP, M_RPC_VIP};
+
+/// `(num_frags, frag_mask)` pairs no sender produces.
+const MALFORMED: [(u16, u16); 7] = [
+    (0, 1),
+    (17, 1),
+    (u16::MAX, 1),
+    (4, 0),
+    (4, 0b101),
+    (4, 1 << 4),
+    (4, 1 << 15),
+];
+
+/// The lower session `demux` is handed; neither protocol reads it.
+struct Below;
+
+impl Session for Below {
+    fn protocol_id(&self) -> ProtoId {
+        ProtoId(0)
+    }
+    fn push(&self, _ctx: &Ctx, _msg: Message) -> XResult<Option<Message>> {
+        Ok(None)
+    }
+    fn control(&self, _ctx: &Ctx, _op: &ControlOp) -> XResult<ControlRes> {
+        Err(XError::Unsupported("test lower session"))
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
+fn rig(stack: &StackDef) -> TwoHosts {
+    let mut reg = base_registry();
+    xrpc::register_ctors(&mut reg);
+    let tb = two_hosts(SimConfig::inline_mode(), &reg, stack.graph).expect("testbed builds");
+    xrpc::procs::register_standard(&tb.server, stack.entry).expect("procedures register");
+    tb
+}
+
+/// Hands `frame` to `proto`'s demux on `kernel`; what it returns is beside
+/// the point (a frame nobody enabled may be an error), only that it returns.
+fn inject(tb: &TwoHosts, kernel: &Kernel, proto: &str, frame: Vec<u8>) {
+    let ctx = tb.sim.ctx(kernel.host());
+    let lls: SessionRef = std::rc::Rc::new(Below);
+    let p = kernel.get(proto).expect("protocol built");
+    let _ = p.demux(&ctx, &lls, Message::from_wire(frame));
+}
+
+fn rejected(tb: &TwoHosts, kernel: &Kernel) -> u64 {
+    tb.sim.host_stats(kernel.host()).corrupt_rejected
+}
+
+fn completes_a_null_call(tb: &TwoHosts, entry: &str) {
+    let ctx = tb.sim.ctx(tb.client.host());
+    let reply = xrpc::call(&ctx, &tb.client, entry, tb.server_ip, NULL_PROC, Vec::new());
+    assert_eq!(reply.expect("the next call completes"), Vec::<u8>::new());
+}
+
+fn fragment_frame(tb: &TwoHosts, seq: u32, num_frags: u16, frag_mask: u16) -> Vec<u8> {
+    let hdr = FragmentHdr {
+        typ: frag_type::DATA,
+        clnt_host: tb.client_ip,
+        srvr_host: tb.server_ip,
+        // No protocol above FRAGMENT has this number.
+        protocol_num: 0xdead,
+        sequence_num: seq,
+        num_frags,
+        frag_mask,
+        len: 8,
+    };
+    let mut frame = hdr.encode().to_vec();
+    frame.extend_from_slice(&[0xa5; 4]);
+    frame
+}
+
+#[test]
+fn fragment_rejects_and_counts_every_malformed_data_header() {
+    let tb = rig(&L_RPC_VIP);
+    let server = &tb.server;
+    let before = rejected(&tb, server);
+    for (seq, (num, mask)) in (100..).zip(MALFORMED) {
+        inject(&tb, server, "fragment", fragment_frame(&tb, seq, num, mask));
+    }
+    // The middle frame's message has three fragments, not two.
+    for (num, mask) in [(2, 1), (3, 2), (2, 2)] {
+        inject(&tb, server, "fragment", fragment_frame(&tb, 200, num, mask));
+    }
+    assert_eq!(rejected(&tb, server) - before, MALFORMED.len() as u64 + 1);
+    let open = with_concrete::<Fragment, _>(server, "fragment", |f| f.reassembling()).unwrap();
+    assert_eq!(open, 0, "no malformed frame leaves a reassembly open");
+    completes_a_null_call(&tb, L_RPC_VIP.entry);
+}
+
+fn sprite_frame(tb: &TwoHosts, kind: u16, channel: u16, num_frags: u16, frag_mask: u16) -> Vec<u8> {
+    let hdr = SpriteHdr {
+        flags: kind,
+        clnt_host: tb.client_ip,
+        srvr_host: tb.server_ip,
+        channel,
+        sequence_num: 1,
+        num_frags,
+        frag_mask,
+        command: NULL_PROC,
+        boot_id: 7,
+        data1_sz: 4,
+        ..SpriteHdr::default()
+    };
+    let mut frame = hdr.encode().to_vec();
+    frame.extend_from_slice(&[0x5a; 4]);
+    frame
+}
+
+#[test]
+fn sprite_rejects_and_counts_every_malformed_request_and_reply_header() {
+    let tb = rig(&M_RPC_VIP);
+    let (client, server) = (&tb.client, &tb.server);
+    let before = (rejected(&tb, client), rejected(&tb, server));
+    for (channel, (num, mask)) in (900..).zip(MALFORMED) {
+        let request = sprite_frame(&tb, flags::REQUEST, channel, num, mask);
+        inject(&tb, server, "mrpc", request);
+        inject(
+            &tb,
+            client,
+            "mrpc",
+            sprite_frame(&tb, flags::REPLY, channel, num, mask),
+        );
+    }
+    // The middle fragment's request has three fragments, not two; the two
+    // that agree make a request, which runs, and its reply finds no call.
+    for (num, mask) in [(2, 1), (3, 2), (2, 2)] {
+        inject(
+            &tb,
+            server,
+            "mrpc",
+            sprite_frame(&tb, flags::REQUEST, 999, num, mask),
+        );
+    }
+    let n = MALFORMED.len() as u64;
+    assert_eq!(rejected(&tb, client) - before.0, n, "REPLY frames");
+    assert_eq!(rejected(&tb, server) - before.1, n + 1, "REQUEST frames");
+    completes_a_null_call(&tb, M_RPC_VIP.entry);
+}

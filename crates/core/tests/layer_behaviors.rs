@@ -347,6 +347,27 @@ fn messages_beyond_sixteen_fragments_are_rejected_cleanly() {
     );
 }
 
+/// M_RPC's reply has no caller to return `TooBig` to: a procedure whose
+/// reply needs more than 16 fragments answers empty, as a failed one does.
+#[test]
+fn a_sprite_reply_beyond_sixteen_fragments_answers_empty() {
+    let tb = rig(M_RPC_VIP.graph);
+    xrpc::serve(&tb.server, "mrpc", 9, |ctx, _msg| {
+        Ok(ctx.msg(vec![0u8; 64_000]))
+    })
+    .unwrap();
+    let server_ip = tb.server_ip;
+    let reply: Arc<Mutex<Option<XResult<Vec<u8>>>>> = Arc::new(Mutex::new(None));
+    let r2 = Arc::clone(&reply);
+    tb.sim.spawn(tb.client.host(), move |ctx| {
+        let k = ctx.kernel();
+        *r2.lock().unwrap() = Some(xrpc::call(ctx, &k, "mrpc", server_ip, 9, Vec::new()));
+    });
+    assert_eq!(tb.sim.run_until_idle().blocked, 0);
+    let got = reply.lock().unwrap().take().expect("the call returned");
+    assert_eq!(got.expect("the call completes"), Vec::<u8>::new());
+}
+
 // ---------------------------------------------------------------------------
 // The passive-open trio: open_enable at boot, demux-time session creation,
 // open_done upcall to the high-level protocol.
