@@ -32,10 +32,12 @@ echo "==> count-gate: what a call costs in counts no host can move"
 # scheduled null call, allocations per inline null call and per scheduled
 # 16 KiB call on M_RPC-VIP and L_RPC-VIP — exact, in release, as the benchmark
 # builds; a header built on the heap is two more, a header buffer taken per
-# fragment twelve, and either fails here — and cell entries per inline null
-# call in debug (release builds carry no entry counter). The switch table is
-# printed.
-cargo test --release -q --test events_per_call --test alloc_per_call -- --test-threads=1 --nocapture
+# fragment twelve, and either fails here — live heap bytes per process parked
+# on a semaphore and per sleeping one (a waiter queue allocated per semaphore
+# is 192 more), and cell entries per inline null call in debug (release builds
+# carry no entry counter). The switch table and the bytes are printed.
+cargo test --release -q --test events_per_call --test alloc_per_call --test parked_bytes -- \
+    --test-threads=1 --nocapture
 cargo test -q --test cell_entries
 
 echo "==> lifetime-gate: a dropped rig frees everything"

@@ -119,12 +119,13 @@ pub fn warm_arp(sim: &Sim, host: HostId, peer: IpAddr) {
 /// detects a corrupt frame surfacing as data.
 pub fn body_from_tag(tag: u64, len: usize) -> Vec<u8> {
     let len = len.max(8);
-    let mut v = tag.to_be_bytes().to_vec();
+    let mut v = Vec::with_capacity(len);
+    v.extend_from_slice(&tag.to_be_bytes());
     let mut s = tag;
     while v.len() < len {
-        v.extend_from_slice(&splitmix64(&mut s).to_be_bytes());
+        let word = splitmix64(&mut s).to_be_bytes();
+        v.extend_from_slice(&word[..word.len().min(len - v.len())]);
     }
-    v.truncate(len);
     v
 }
 
@@ -136,13 +137,15 @@ pub fn chaos_payload(seed: u64, call: u64) -> Vec<u8> {
     body_from_tag(tag, len)
 }
 
-/// True when `data` is an intact chaos payload (no byte was flipped).
+/// True when `data` is an intact chaos payload (no byte was flipped): every
+/// byte after the tag is compared, in place, with the stream the tag seeds.
 pub fn payload_is_intact(data: &[u8]) -> bool {
-    if data.len() < 8 {
+    let Some((tag, rest)) = data.split_first_chunk::<8>() else {
         return false;
-    }
-    let tag = u64::from_be_bytes(data[..8].try_into().expect("8 bytes"));
-    data == body_from_tag(tag, data.len()).as_slice()
+    };
+    let mut s = u64::from_be_bytes(*tag);
+    rest.chunks(8)
+        .all(|chunk| *chunk == splitmix64(&mut s).to_be_bytes()[..chunk.len()])
 }
 
 /// The server's transform of a request — distinct from the request, so an
@@ -1087,6 +1090,31 @@ mod tests {
             let mut bad = p.clone();
             bad[p.len() / 2] ^= 0x20;
             assert!(!payload_is_intact(&bad), "flip must be detectable");
+        }
+    }
+
+    /// The body is the tag and then whole splitmix64 words cut at `len`,
+    /// whatever the length; the check reads every byte of it.
+    #[test]
+    fn bodies_are_the_tagged_stream_and_every_byte_is_checked() {
+        for tag in [0, 1, 0xdead_beef, u64::MAX] {
+            for len in 0..=41 {
+                let mut want = tag.to_be_bytes().to_vec();
+                let mut s = tag;
+                while want.len() < len {
+                    want.extend_from_slice(&splitmix64(&mut s).to_be_bytes());
+                }
+                want.truncate(len.max(8));
+                let body = body_from_tag(tag, len);
+                assert_eq!(body, want, "tag {tag:#x}, len {len}");
+                assert!(payload_is_intact(&body));
+                for i in 0..body.len() {
+                    let mut bad = body.clone();
+                    bad[i] ^= 1;
+                    assert!(!payload_is_intact(&bad) || i < 8, "flip at {i} of {len}");
+                }
+                assert!(!payload_is_intact(&body[..body.len().min(7)]));
+            }
         }
     }
 

@@ -1,6 +1,7 @@
 //! [`Ctx`]: what a protocol operation sees of the simulator — the clock,
 //! charging, timers, spawning and the blocking primitives.
 
+use std::num::NonZeroU64;
 use std::panic::panic_any;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -28,6 +29,12 @@ use super::*;
 pub struct Ctx {
     pub(super) core: Rc<SimCore>,
     pub(super) host: HostId,
+    /// `host`'s cell, resolved when the context is made or re-aimed, so a
+    /// charge, a clock read or a kernel borrow is a load through it and not
+    /// a host-table lookup. `None` while `host` has no kernel registered
+    /// (the driver of a simulation with no host yet); [`Ctx::cell`] then
+    /// looks it up.
+    pub(super) cell: Option<Rc<HostCell>>,
     pub(super) lp: Option<LpId>,
 }
 
@@ -73,18 +80,30 @@ impl Ctx {
 
     /// This context's host cell.
     #[inline]
-    fn cell(&self) -> &HostCell {
-        self.core.host(self.host)
+    pub(super) fn cell(&self) -> &HostCell {
+        match &self.cell {
+            Some(cell) => cell,
+            None => self.core.host(self.host),
+        }
     }
 
     /// This context re-bound to another host (used by the inline network to
     /// continue the call chain on the destination kernel).
+    #[inline]
     pub fn with_host(&self, host: HostId) -> Ctx {
         Ctx {
             core: Rc::clone(&self.core),
             host,
+            cell: self.core.hosts.get(host.0).cloned(),
             lp: self.lp,
         }
+    }
+
+    /// Points this context at `host`, resolving its cell.
+    #[inline]
+    pub(super) fn aim(&mut self, host: HostId) {
+        self.host = host;
+        self.cell = self.core.hosts.get(host.0).cloned();
     }
 
     /// Current virtual time of this host's CPU (0 in inline mode).
@@ -421,18 +440,18 @@ impl Ctx {
 
     /// Schedules a wake for a blocked process at this context's current
     /// time, first cancelling (and paying for) the timeout timer `cancel`
-    /// that would otherwise wake it. Used by [`Sema`]; stale wakes are
-    /// prevented by that cancellation, and ignored defensively by the
-    /// scheduler.
-    pub(super) fn wake(&self, lp: LpId, reason: WakeReason, cancel: Option<TimerHandle>) {
-        let cancel = cancel.filter(|h| *h != TimerHandle::NONE);
-        if cancel.is_some() {
+    /// that would otherwise wake it, unless that is [`TimerHandle::NONE`].
+    /// Used by [`Sema`]; stale wakes are prevented by that cancellation, and
+    /// ignored defensively by the scheduler.
+    pub(super) fn wake(&self, lp: LpId, reason: WakeReason, cancel: TimerHandle) {
+        let cancels = cancel != TimerHandle::NONE;
+        if cancels {
             self.charge_class(OpClass::Timer, self.core.cost.timer_op);
         }
         let t = self.event_time();
         let mut g = self.core.engine.lock();
-        if let Some(h) = cancel {
-            g.cancel(h);
+        if cancels {
+            g.cancel(cancel);
         }
         g.push_event(t, EvKind::Wake { lp, reason });
     }
@@ -518,5 +537,5 @@ impl Drop for LayerSpan {
 #[derive(Clone, Copy)]
 pub(super) enum Block {
     Sleep(Nanos),
-    Sema(u64),
+    Sema(NonZeroU64),
 }

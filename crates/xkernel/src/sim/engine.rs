@@ -3,6 +3,7 @@
 //! event lives here, in one module.
 
 use std::any::Any;
+use std::num::NonZeroU64;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -14,7 +15,7 @@ use crate::vproc;
 
 use super::ctx::Block;
 use super::observe::Observers;
-use super::report::{bump, HostCell};
+use super::report::bump;
 use super::sema::Enqueued;
 use super::timeline::{Key, Timeline};
 use super::*;
@@ -85,15 +86,34 @@ pub(super) const RESUME_TIMEOUT: u64 = 1;
 pub(super) const RESUME_KILLED: u64 = 2;
 
 pub(super) struct LpState {
-    pub(super) host: HostId,
+    /// [`HostId`]'s index, narrowed (a simulation has far fewer than 2³²
+    /// hosts): with `wait_sema`'s niche it keeps a process-table slot at 56
+    /// bytes. Read it through [`LpState::host`].
+    host: u32,
     pub(super) state: RunState,
     /// The suspended continuation; `None` while the process is running or
     /// before its first step.
     pub(super) body: Option<LpBody>,
     /// The checker id of the semaphore a blocked process is waiting on
     /// (`None` for timer blocks); the scheduler closes the wait out when it
-    /// resumes the process.
-    pub(super) wait_sema: Option<u64>,
+    /// resumes the process. Never 0, so the `Option` is one word.
+    pub(super) wait_sema: Option<NonZeroU64>,
+}
+
+impl LpState {
+    /// A process on `host` in `state`, waiting on no semaphore.
+    pub(super) fn new(host: HostId, state: RunState, body: Option<LpBody>) -> LpState {
+        LpState {
+            host: u32::try_from(host.0).expect("host ids fit in 32 bits"),
+            state,
+            body,
+            wait_sema: None,
+        }
+    }
+
+    pub(super) fn host(&self) -> HostId {
+        HostId(self.host as usize)
+    }
 }
 
 struct Task {
@@ -395,7 +415,7 @@ impl Sim {
             ended_at: core.now.get(),
             events: g.executed,
             blocked: g.blocked().count(),
-            hosts: core.hosts.iter().map(HostCell::stats).collect(),
+            hosts: core.hosts.iter().map(|h| h.stats()).collect(),
             breakdown: g.observers.breakdown(core),
             sched_hash: g.sched_hash,
             fuel_used: core.hosts.iter().map(|h| h.fuel.get()).sum(),
@@ -528,7 +548,7 @@ fn advance(core: &Rc<SimCore>, g: &mut Engine, stop: Time) -> Next {
                 let purged = events.remove_where(|k| match k {
                     EvKind::Run { host: h, .. } => *h == host,
                     EvKind::Wake { lp, .. } => {
-                        lps.get(lp.id, lp.slot).is_some_and(|s| s.host == host)
+                        lps.get(lp.id, lp.slot).is_some_and(|s| s.host() == host)
                     }
                     _ => false,
                 });
@@ -536,7 +556,7 @@ fn advance(core: &Rc<SimCore>, g: &mut Engine, stop: Time) -> Next {
                 // Every process on the host dies, its wakes purged; the run
                 // loop reaps the blocked ones (unwinding coroutines via a
                 // filtered panic) at its next deterministic reap point.
-                for (id, slot, st) in lps.iter_mut().filter(|(_, _, st)| st.host == host) {
+                for (id, slot, st) in lps.iter_mut().filter(|(_, _, st)| st.host() == host) {
                     if st.state == RunState::Blocked {
                         st.state = RunState::Killed;
                         reap.push(LpId { id, slot });
@@ -575,14 +595,14 @@ fn advance(core: &Rc<SimCore>, g: &mut Engine, stop: Time) -> Next {
                     g.observers.probe(core, || Probe::StaleWake(lp.id));
                     continue;
                 };
-                let host = st.host;
+                let host = st.host();
                 let body = st.body.take().expect("blocked process has a continuation");
                 st.state = match body {
                     LpBody::Coro(_) => RunState::Running,
                     LpBody::Machine(_) => RunState::Stepping,
                 };
                 let acquired = reason == WakeReason::Normal;
-                let wait = st.wait_sema.take().map(|sema| (sema, acquired));
+                let wait = st.wait_sema.take().map(|sema| (sema.get(), acquired));
                 g.current = Some(lp);
                 let switch = core.cost.proc_switch;
                 let (idle, now) = core.host(host).arrive(t, switch);
@@ -644,18 +664,11 @@ fn start_lp(
 ) -> Task {
     let id = g.next_lp;
     g.next_lp += 1;
-    let slot = g.lps.insert(
-        id,
-        LpState {
-            host,
-            state: match body {
-                ProcBody::Thunk(_) => RunState::Running,
-                ProcBody::Machine(_) => RunState::Stepping,
-            },
-            body: None,
-            wait_sema: None,
-        },
-    );
+    let state = match body {
+        ProcBody::Thunk(_) => RunState::Running,
+        ProcBody::Machine(_) => RunState::Stepping,
+    };
+    let slot = g.lps.insert(id, LpState::new(host, state, None));
     g.peak_live = g.peak_live.max(g.lps.len());
     let lp = LpId { id, slot };
     g.current = Some(lp);
@@ -752,7 +765,7 @@ fn call_thunk<'a>(
 ) -> Option<EngineGuard<'a>> {
     g.on_driver = Some(lp);
     drop(g);
-    ctx.host = host;
+    ctx.aim(host);
     ctx.lp = Some(lp);
     let ctx = &*ctx;
     if let Some(fuel) = core.fuel_limit {
@@ -867,10 +880,10 @@ fn step_machine<'a>(
     mut c: Machine,
     mut reason: WakeReason,
 ) -> EngineGuard<'a> {
-    ctx.host = host;
+    ctx.aim(host);
     ctx.lp = Some(lp);
     let ctx = &*ctx;
-    let host = core.host(host);
+    let host = ctx.cell();
     loop {
         // Machines pay one fuel unit per resume; exhaustion kills the
         // process at this deterministic point, like a coroutine's FuelKill.

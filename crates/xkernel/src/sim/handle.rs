@@ -32,8 +32,8 @@ pub struct SimCore {
     /// The SplitMix64 state word of the simulation PRNG.
     pub(super) rng: Cell<u64>,
     /// Hosts in [`HostId`] order; appended to by [`Sim::add_kernel`] and
-    /// read with no guard.
-    pub(super) hosts: AppendTable<HostCell>,
+    /// read with no guard. Each is shared with the contexts aimed at it.
+    pub(super) hosts: AppendTable<Rc<HostCell>>,
     /// The scheduler's compound state — and the observers' — in the
     /// simulator's one cell.
     pub(super) engine: OwnerCell<Engine>,
@@ -47,7 +47,7 @@ pub struct SimCore {
 
 impl SimCore {
     #[inline]
-    pub(super) fn host(&self, host: HostId) -> &HostCell {
+    pub(super) fn host(&self, host: HostId) -> &Rc<HostCell> {
         self.hosts
             .get(host.0)
             .expect("host id belongs to no registered kernel")
@@ -115,7 +115,8 @@ impl Sim {
 
     /// Registers a kernel, allocating its host id. Called by `Kernel::new`.
     pub(crate) fn add_kernel(&self, k: &Arc<Kernel>) -> HostId {
-        HostId(self.core.hosts.push(HostCell::new(Arc::clone(k))))
+        let cell = Rc::new(HostCell::new(Arc::clone(k)));
+        HostId(self.core.hosts.push(cell))
     }
 
     /// The kernel running on `host`.
@@ -142,6 +143,7 @@ impl Sim {
         Ctx {
             core: Rc::clone(&self.core),
             host,
+            cell: self.core.hosts.get(host.0).cloned(),
             lp: None,
         }
     }

@@ -2,6 +2,7 @@
 
 use std::cell::Cell;
 use std::collections::VecDeque;
+use std::num::NonZeroU64;
 use std::rc::Rc;
 use std::sync::atomic::Ordering::Relaxed;
 
@@ -22,23 +23,82 @@ pub(super) enum Enqueued {
     Queued,
 }
 
+/// A process parked on a semaphore, with the timer that gives up for it
+/// ([`TimerHandle::NONE`] for an untimed wait).
 struct Waiter {
     lp: LpId,
-    timer: Option<TimerHandle>,
+    timer: TimerHandle,
     seq: u64,
+}
+
+/// A semaphore's waiters, oldest first. The oldest is held in the semaphore
+/// itself and only a second spills into `rest`, so a semaphore that never
+/// has two processes waiting at once — a call's reply semaphore, a resident
+/// client's `done` — never allocates for its waiters.
+#[derive(Default)]
+struct Waiters {
+    /// The oldest waiter; `None` only when `rest` is empty too.
+    head: Option<Waiter>,
+    rest: VecDeque<Waiter>,
+}
+
+impl Waiters {
+    fn is_empty(&self) -> bool {
+        self.head.is_none()
+    }
+
+    fn push_back(&mut self, w: Waiter) {
+        match self.head {
+            None => self.head = Some(w),
+            Some(_) => self.rest.push_back(w),
+        }
+    }
+
+    /// Takes the oldest waiter; the next moves up.
+    fn pop_front(&mut self) -> Option<Waiter> {
+        let first = self.head.take()?;
+        self.head = self.rest.pop_front();
+        Some(first)
+    }
+
+    /// The waiter filed as `seq`, wherever it stands.
+    fn find_mut(&mut self, seq: u64) -> Option<&mut Waiter> {
+        self.head
+            .iter_mut()
+            .chain(&mut self.rest)
+            .find(|w| w.seq == seq)
+    }
+
+    /// Removes the waiter filed as `seq`, wherever it stands (those behind
+    /// it move up); whether it was there.
+    fn remove(&mut self, seq: u64) -> bool {
+        if self.head.as_ref().is_some_and(|w| w.seq == seq) {
+            self.pop_front();
+            return true;
+        }
+        let pos = self.rest.iter().position(|w| w.seq == seq);
+        pos.and_then(|pos| self.rest.remove(pos)).is_some()
+    }
+
+    fn clear(&mut self) {
+        self.head = None;
+        self.rest.clear();
+    }
 }
 
 struct SemaState {
     count: i64,
-    waiters: VecDeque<Waiter>,
+    waiters: Waiters,
     next_seq: u64,
 }
 
 /// What a [`SharedSema`]'s clones share.
 struct Sema {
     st: OwnerCell<SemaState>,
-    /// Globally unique identity for the checker's holding/wait-for maps.
-    id: u64,
+    /// Globally unique identity for the checker's holding/wait-for maps;
+    /// never 0 (ids start at [`ID_BLOCK`]), so the process table holds an
+    /// `Option` of one in a word.
+    id: NonZeroU64,
     /// Human-readable label for violation reports.
     label: &'static str,
 }
@@ -60,14 +120,14 @@ thread_local! {
 }
 
 /// A fresh [`Sema::id`], unique in the process.
-fn next_sema_id() -> u64 {
+fn next_sema_id() -> NonZeroU64 {
     NEXT_SEMA_ID.with(|next| {
         let mut id = next.get();
         if id % ID_BLOCK == 0 {
             id = NEXT_ID_BLOCK.fetch_add(1, Relaxed) * ID_BLOCK;
         }
         next.set(id + 1);
-        id
+        NonZeroU64::new(id).expect("id blocks start at 1")
     })
 }
 
@@ -92,7 +152,7 @@ impl SharedSema {
         SharedSema(Rc::new(Sema {
             st: OwnerCell::new(SemaState {
                 count: initial,
-                waiters: VecDeque::new(),
+                waiters: Waiters::default(),
                 next_seq: 0,
             }),
             id: next_sema_id(),
@@ -101,7 +161,7 @@ impl SharedSema {
     }
 
     /// The identity [`Block::Sema`] and the checker know this semaphore by.
-    pub(super) fn id(&self) -> u64 {
+    pub(super) fn id(&self) -> NonZeroU64 {
         self.0.id
     }
 
@@ -145,7 +205,7 @@ impl SharedSema {
             st.count -= 1;
             drop(st);
             let lp = ctx.lp.map(|lp| lp.id);
-            let acquire = || Probe::Acquire(lp, ctx.host, self.0.id, self.0.label);
+            let acquire = || Probe::Acquire(lp, ctx.host, self.0.id.get(), self.0.label);
             ctx.core.probe(acquire);
             return Enqueued::Acquired;
         }
@@ -157,25 +217,22 @@ impl SharedSema {
         st.next_seq += 1;
         st.waiters.push_back(Waiter {
             lp,
-            timer: None,
+            timer: TimerHandle::NONE,
             seq,
         });
         drop(st);
-        let wait = || Probe::WaitBegin(lp.id, ctx.host, self.0.id, self.0.label);
+        let wait = || Probe::WaitBegin(lp.id, ctx.host, self.0.id.get(), self.0.label);
         ctx.core.probe(wait);
         if let Some(dt) = timeout {
             let me = self.clone();
             let timer = ctx.schedule_after(dt, move |tctx| {
-                let mut st = me.0.st.lock();
-                if let Some(pos) = st.waiters.iter().position(|w| w.seq == seq) {
-                    st.waiters.remove(pos);
-                    drop(st);
-                    tctx.wake(lp, WakeReason::Timeout, None);
+                let removed = me.0.st.lock().waiters.remove(seq);
+                if removed {
+                    tctx.wake(lp, WakeReason::Timeout, TimerHandle::NONE);
                 }
             });
-            let mut st = self.0.st.lock();
-            if let Some(w) = st.waiters.iter_mut().find(|w| w.seq == seq) {
-                w.timer = Some(timer);
+            if let Some(w) = self.0.st.lock().waiters.find_mut(seq) {
+                w.timer = timer;
             }
         }
         Enqueued::Queued
@@ -205,7 +262,7 @@ impl SharedSema {
             woken
         };
         let (lp, to) = (ctx.lp.map(|l| l.id), woken.as_ref().map(|w| w.lp.id));
-        let release = || Probe::Release(lp, ctx.host, self.0.id, self.0.label, to);
+        let release = || Probe::Release(lp, ctx.host, self.0.id.get(), self.0.label, to);
         ctx.core.probe(release);
         if let Some(w) = woken {
             ctx.wake(w.lp, WakeReason::Normal, w.timer);

@@ -60,7 +60,7 @@ impl Sim {
                 };
                 SnapMachine {
                     lp: id,
-                    host: st.host,
+                    host: st.host(),
                     fuel: c.fuel,
                     m: c.m
                         .fork()
@@ -78,7 +78,7 @@ impl Sim {
             rng: core.rng.get(),
             seed: self.seed(),
             journal_len: g.observers.journal_len(),
-            hosts: core.hosts.iter().map(HostCell::snap).collect(),
+            hosts: core.hosts.iter().map(|h| h.snap()).collect(),
             fuel_exhausted: g.fuel_exhausted,
             peak_live: g.peak_live,
             wakes,
@@ -158,15 +158,8 @@ impl Sim {
                     XError::Config("snapshotted machine refused to fork on restore".into())
                 })?;
                 let body = LpBody::Machine(Machine { m, fuel: sm.fuel });
-                slots.push(g.lps.insert(
-                    sm.lp,
-                    LpState {
-                        host: sm.host,
-                        state: RunState::Blocked,
-                        body: Some(body),
-                        wait_sema: None,
-                    },
-                ));
+                let st = LpState::new(sm.host, RunState::Blocked, Some(body));
+                slots.push(g.lps.insert(sm.lp, st));
             }
             for w in &snap.wakes {
                 // A stale wake's process is gone; any slot misses for it.

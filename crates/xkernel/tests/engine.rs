@@ -1,6 +1,7 @@
 //! The scheduler's own contracts: both process flavors block through one
-//! implementation, and a crash reaps any number of parked processes in id
-//! order in time linear in their number.
+//! implementation, a semaphore grants in FIFO order whatever times out of
+//! its queue, and a crash reaps any number of parked processes in id order
+//! in time linear in their number.
 
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -278,6 +279,187 @@ fn coroutines_and_machines_make_the_same_run() {
         assert_eq!(mach.check, coro.check, "{name}");
         assert!(coro.report.events > 2 * u64::from(ROUNDS));
     }
+}
+
+// ---------------------------------------------------------------------------
+// Wake order: one semaphore, many waiters, against a queue model.
+// ---------------------------------------------------------------------------
+
+/// One scripted instant. Each sits at its own offset inside a 10 ms slot —
+/// an arrival at 0, a deadline at 2.5 ms, a V at 5 ms — so no two coincide
+/// and the few hundred microseconds a block, wake or timer costs never
+/// reorder them.
+#[derive(Clone, Copy, Debug)]
+enum Act {
+    /// Waiter `i` Ps, with `Some(timeout)` or without.
+    Arrive(usize, Option<u64>),
+    /// Waiter `i`'s timeout is due (if it is still queued).
+    Deadline(usize),
+    V,
+}
+
+const SLOT: u64 = 10_000_000;
+
+/// The script: arrivals, their deadlines and V's over `slots` slots, drawn
+/// from `seed`; every deadline in a slot of its own.
+fn wake_script(seed: u64, slots: u64) -> Vec<(u64, Act)> {
+    let mut s = seed;
+    let mut acts = Vec::new();
+    let mut deadline_slots = std::collections::HashSet::new();
+    let mut waiters = 0;
+    for k in 0..slots {
+        let r = xkernel::rng::splitmix64(&mut s);
+        if r.is_multiple_of(2) {
+            let i = waiters;
+            waiters += 1;
+            let timeout = if r.is_multiple_of(3) {
+                None
+            } else {
+                // A deadline slot no other waiter has.
+                let mut d = 1 + (r >> 8) % 8;
+                while !deadline_slots.insert(k + d) {
+                    d += 1;
+                }
+                Some(d * SLOT + SLOT / 4)
+            };
+            acts.push((k * SLOT, Act::Arrive(i, timeout)));
+            if let Some(dt) = timeout {
+                acts.push((k * SLOT + dt, Act::Deadline(i)));
+            }
+        }
+        if (r >> 32) % 20 < 9 {
+            acts.push((k * SLOT + SLOT / 2, Act::V));
+        }
+    }
+    acts.sort_by_key(|&(t, _)| t);
+    acts
+}
+
+/// What a FIFO queue of waiters says happens: each waiter's outcome
+/// (granted or timed out) in the order they occur, the waiters left queued,
+/// and how many timeouts removed the head with others behind it and how
+/// many removed one from further back.
+fn wake_model(acts: &[(u64, Act)]) -> (Vec<(usize, bool)>, usize, u32, u32) {
+    let mut queue = std::collections::VecDeque::new();
+    let mut count = 0u32;
+    let (mut out, mut head_outs, mut back_outs) = (Vec::new(), 0, 0);
+    for &(_, act) in acts {
+        match act {
+            Act::Arrive(i, _) if count > 0 => {
+                count -= 1;
+                out.push((i, true));
+            }
+            Act::Arrive(i, _) => queue.push_back(i),
+            Act::V => match queue.pop_front() {
+                Some(i) => out.push((i, true)),
+                None => count += 1,
+            },
+            Act::Deadline(i) => {
+                if let Some(pos) = queue.iter().position(|&w| w == i) {
+                    queue.remove(pos);
+                    out.push((i, false));
+                    if pos > 0 {
+                        back_outs += 1;
+                    } else if !queue.is_empty() {
+                        head_outs += 1;
+                    }
+                }
+            }
+        }
+    }
+    (out, queue.len(), head_outs, back_outs)
+}
+
+type WakeLog = Rc<std::cell::RefCell<Vec<(usize, bool)>>>;
+
+/// A waiter written as a machine: one `VStep::Wait`, then it logs why it
+/// was resumed.
+struct MachineWaiter {
+    i: usize,
+    sema: SharedSema,
+    timeout: Option<u64>,
+    log: WakeLog,
+    waited: bool,
+}
+
+impl VProc for MachineWaiter {
+    fn resume(&mut self, _ctx: &Ctx, why: WakeReason) -> VStep {
+        if self.waited {
+            self.log
+                .borrow_mut()
+                .push((self.i, why == WakeReason::Normal));
+            return VStep::Done;
+        }
+        self.waited = true;
+        VStep::Wait {
+            sema: self.sema.clone(),
+            timeout: self.timeout,
+        }
+    }
+}
+
+/// Runs the script on one host: a conductor process sleeps to each instant
+/// and starts a waiter there (a coroutine for even `i`, a machine for odd)
+/// or signals the semaphore; deadlines fire by themselves.
+fn wake_run(acts: Vec<(u64, Act)>) -> (RunReport, Vec<(usize, bool)>) {
+    let sim = Sim::new(SimConfig::scheduled().with_seed(29));
+    let host = Kernel::new(&sim, "a").host();
+    let sema = SharedSema::labeled(0, "contended");
+    let log = WakeLog::default();
+    let (s, l) = (sema.clone(), Rc::clone(&log));
+    sim.spawn(host, move |ctx| {
+        for (t, act) in acts {
+            ctx.sleep(t.saturating_sub(ctx.now()));
+            match act {
+                Act::Arrive(i, timeout) if i % 2 == 0 => {
+                    let (s, l) = (s.clone(), Rc::clone(&l));
+                    ctx.spawn_on(host, move |ctx| {
+                        let granted = match timeout {
+                            Some(dt) => s.p_timeout(ctx, dt),
+                            None => {
+                                s.p(ctx);
+                                true
+                            }
+                        };
+                        l.borrow_mut().push((i, granted));
+                    });
+                }
+                Act::Arrive(i, timeout) => {
+                    let m = MachineWaiter {
+                        i,
+                        sema: s.clone(),
+                        timeout,
+                        log: Rc::clone(&l),
+                        waited: false,
+                    };
+                    ctx.spawn_vproc_on(host, Box::new(m));
+                }
+                Act::V => s.v(ctx),
+                Act::Deadline(_) => {}
+            }
+        }
+    });
+    let report = sim.run_until_idle();
+    sim.kill_suspended();
+    let log = log.borrow().clone();
+    (report, log)
+}
+
+/// Waiters P one semaphore, some with a timeout and some without, while V's
+/// come in between: every grant goes to the longest waiter, and a timeout
+/// takes its own waiter out from wherever it stands — the head included,
+/// with others queued behind it — and the rest move up. The schedule is the
+/// one the semaphore made when every waiter sat in one heap-allocated queue.
+#[test]
+fn wake_order_is_fifo_and_a_timeout_leaves_from_any_position() {
+    let acts = wake_script(30, 400);
+    let (want, left, head_outs, back_outs) = wake_model(&acts);
+    assert!(head_outs >= 3 && back_outs >= 3, "{head_outs} {back_outs}");
+    assert!(want.len() > 100);
+    let (report, got) = wake_run(acts);
+    assert_eq!(got, want);
+    assert_eq!(report.blocked, left);
+    assert_eq!(report.sched_hash, 2_027_608_277_263_815_532);
 }
 
 // ---------------------------------------------------------------------------

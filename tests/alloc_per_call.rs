@@ -48,7 +48,7 @@ fn a_warm_inline_sun_rpc_null_call_allocates_no_more_than_pinned() {
 /// per-fragment allocation would show, eleven times over.
 #[test]
 fn a_warm_scheduled_16k_call_allocates_exactly_pinned() {
-    for (stack, pinned) in [(M_RPC_VIP, 41), (L_RPC_VIP, 47)] {
+    for (stack, pinned) in [(M_RPC_VIP, 40), (L_RPC_VIP, 46)] {
         let n = paper_scheduled_sized_call(stack, 16 * 1024, allocs);
         assert_eq!(
             n, pinned,

@@ -7,11 +7,15 @@
 Addresses are mapped back through the profile's /proc/self/maps lines to the
 binary's own (`nm -C -n --defined-only`) symbols; samples in other mappings
 are counted under the mapping's name. --workload-only drops the benchmark's
-speed probe, about 30 % of any xkbench run and none of the workload:
-`xkbench::probe::run` and the `HashMap::insert` it calls 800,000 times a
-probe (nm prints every instantiation under one name; the workloads' tables
-insert once per session, not per call). It cannot drop the `libc` samples the
-probe causes: a flat profile does not say who called `malloc`.
+speed probe, about 30 % of any xkbench run and none of the workload: the
+`xkbench::probe::*` symbols, and every function whose direct references in
+the binary's code (calls, tail jumps, address loads; `objdump -d`) all come
+from dropped symbols — the `HashMap::insert` the probe calls 800,000 times a
+probe, the SipHash `BuildHasher::hash_one` behind it. This works by address,
+so an instantiation the workload shares keeps its samples even though nm
+prints every instantiation under one name; a function reached only through a
+vtable has no direct reference and is kept. It cannot drop the `libc` samples
+the probe causes: a flat profile does not say who called `malloc`.
 
 --split-libc breaks the `[libc.so.6]` line down by the nearest symbol libc
 exports (`nm -D`; its own symbol table is stripped) into the allocator —
@@ -37,7 +41,7 @@ import os
 import re
 import subprocess
 
-PROBE = re.compile(r"xkbench::probe::|^hashbrown::map::HashMap<K,V,S,A>::insert$")
+PROBE = re.compile(r"xkbench::probe::")
 ALLOCATOR = re.compile(
     r"^(__default_morecore|(__libc_)?(malloc|free|realloc|calloc|memalign)|cfree|aligned_alloc"
     r"|p?valloc|posix_memalign|malloc_(trim|usable_size|stats|info)|mallinfo2?|mallopt)$")
@@ -87,18 +91,22 @@ def split_libc(offsets, path, total, top):
 
 
 INSN = re.compile(r"^\s*([0-9a-f]+):\s+(\S.*)$")
+# A direct target: `call 3c4f0 <sym>`, `jmp ...`, or `lea ..., %rdi  # 3c4f0 <sym>`.
+TARGET = re.compile(r"(?:^\S+\s+|# )([0-9a-f]+) <")
 
 
-def locked_after(binary):
-    """(sorted instruction addresses, the set of those right after a locked one)."""
+def disassemble(binary):
+    """[(address, instruction text)] of the binary's code, in address order."""
     dump = subprocess.run(["objdump", "-d", "--no-show-raw-insn", binary],
                           check=True, capture_output=True, text=True).stdout
+    return [(int(m.group(1), 16), m.group(2))
+            for m in map(INSN.match, dump.splitlines()) if m]
+
+
+def locked_after(insns):
+    """(sorted instruction addresses, the set of those right after a locked one)."""
     addrs, after, prev_locked = [], set(), False
-    for line in dump.splitlines():
-        m = INSN.match(line)
-        if not m:
-            continue
-        addr, text = int(m.group(1), 16), m.group(2)
+    for addr, text in insns:
         if prev_locked:
             after.add(addr)
         addrs.append(addr)
@@ -107,9 +115,32 @@ def locked_after(binary):
     return addrs, after
 
 
-def report_atomics(offsets, binary, syms, total, workload_only, top):
+def probe_only(insns, syms):
+    """Start addresses of the probe's symbols and of every function whose
+    direct references all lie in those, to a fixed point."""
+    starts = [a for a, _ in syms]
+    entries = set(starts)
+    callers = collections.defaultdict(set)  # function start -> referencing starts
+    for addr, text in insns:
+        m = TARGET.search(text)
+        target = int(m.group(1), 16) if m else None
+        if target not in entries:
+            continue
+        caller = starts[bisect.bisect_right(starts, addr) - 1]
+        if caller != target:
+            callers[target].add(caller)
+    dropped = {a for a, name in syms if PROBE.search(name)}
+    grew = True
+    while grew:
+        more = {t for t, c in callers.items() if t not in dropped and c <= dropped}
+        dropped |= more
+        grew = bool(more)
+    return dropped
+
+
+def report_atomics(offsets, insns, syms, total, dropped, top):
     """The samples that landed right after a locked instruction, by symbol."""
-    addrs, after = locked_after(binary)
+    addrs, after = locked_after(insns)
     sym_addrs = [a for a, _ in syms]
     hits = collections.Counter()
     for off in offsets:
@@ -117,9 +148,9 @@ def report_atomics(offsets, binary, syms, total, workload_only, top):
         if i < 0 or addrs[i] not in after:
             continue
         j = bisect.bisect_right(sym_addrs, off) - 1
+        if j >= 0 and syms[j][0] in dropped:
+            continue
         hits[syms[j][1] if j >= 0 else "[before first symbol]"] += 1
-    if workload_only:
-        hits = collections.Counter({s: n for s, n in hits.items() if not PROBE.search(s)})
     n = sum(hits.values())
     share = 100 * n / total if total else 0.0
     print(f"\natomics: {share:.2f}% of samples ({n} of {total}) follow a locked instruction")
@@ -157,6 +188,8 @@ def main():
             (l.split(" ", 2) for l in nm.splitlines() if l.count(" ") >= 2)
             if kind in "tTwW"]
     addrs = [a for a, _ in syms]
+    insns = disassemble(binary) if args.workload_only or args.atomics else []
+    dropped = probe_only(insns, syms) if args.workload_only else set()
 
     counts = collections.Counter()
     libc = collections.defaultdict(list)  # path -> offsets of the samples in it
@@ -168,11 +201,11 @@ def main():
         if path == binary:
             own.append(pc - base)
             i = bisect.bisect_right(addrs, pc - base) - 1
+            if i >= 0 and syms[i][0] in dropped:
+                continue
             counts[syms[i][1] if i >= 0 else "[before first symbol]"] += 1
         else:
             counts["[" + os.path.basename(path) + "]"] += 1
-    if args.workload_only:
-        counts = collections.Counter({s: n for s, n in counts.items() if not PROBE.search(s)})
 
     total = sum(counts.values())
     print(f"{total} samples ({len(samples)} taken), {len(counts)} symbols")
@@ -182,7 +215,7 @@ def main():
         for path, offsets in libc.items():
             split_libc(offsets, path, total, top=6)
     if args.atomics:
-        report_atomics(own, binary, syms, total, args.workload_only, args.top)
+        report_atomics(own, insns, syms, total, dropped, args.top)
 
 
 if __name__ == "__main__":
