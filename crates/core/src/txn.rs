@@ -418,7 +418,7 @@ pub struct Pool<T> {
 /// LIFO *order* decides which channel the next call uses.
 pub struct PoolSnap<T> {
     pool: Rc<Pool<T>>,
-    sema: (i64, u64),
+    sema: i64,
     free: Vec<T>,
 }
 

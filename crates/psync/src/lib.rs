@@ -368,7 +368,7 @@ struct ConvSnap {
     id: u32,
     conv: Rc<Conversation>,
     st: ConvState,
-    avail: (i64, u64),
+    avail: i64,
 }
 
 struct PsyncSnap {

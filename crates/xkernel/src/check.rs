@@ -239,12 +239,12 @@ impl CheckCore {
                     self.spare.push(p.held);
                 }
             }
-            // The scheduler performed the wait; it closes out as the process
-            // resumes, with a unit unless it timed out.
-            Probe::Resume(lp, host, .., Some((sema, acquired))) => {
-                self.proc(lp, host).waiting = None;
-                if acquired {
-                    self.take_unit(lp, host, sema);
+            // The scheduler performed the wait this process began; it closes
+            // out as the process resumes, with a unit unless it timed out.
+            Probe::Resume(lp, host, .., took) => {
+                let waited = self.procs.get_mut(&lp).and_then(|p| p.waiting.take());
+                if let (Some(w), true) = (waited, took) {
+                    self.take_unit(lp, host, w.sema);
                 }
             }
             // A wake nothing waits for is lost, unless its process was
@@ -552,6 +552,31 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.kind == ViolationKind::CrossHostSignal && v.lp == 1));
+    }
+
+    #[test]
+    fn a_wait_closes_out_on_the_checkers_own_record() {
+        let mut c = CheckCore::default();
+        let resume = |c: &mut CheckCore, lp, took| {
+            c.observe(Probe::Resume(lp, HostId(0), 0, 0, 0, took));
+        };
+        // A wait that ends in a wake took a unit of the semaphore it began
+        // on: waiting there again is a double wait.
+        c.observe(Probe::Start(0, HostId(0), 0, 0));
+        wait_begin(&mut c, 0, 100, "m", 0);
+        resume(&mut c, 0, true);
+        assert!(c.waiting(0).is_none());
+        wait_begin(&mut c, 0, 100, "m", 0);
+        assert_eq!(c.violations.len(), 1);
+        assert_eq!(c.violations[0].kind, ViolationKind::DoubleWait);
+        // One that timed out took nothing, and a sleeper's wake closes
+        // nothing out.
+        c.observe(Probe::Start(1, HostId(0), 0, 0));
+        wait_begin(&mut c, 1, 101, "t", 0);
+        resume(&mut c, 1, false);
+        resume(&mut c, 1, true);
+        wait_begin(&mut c, 1, 101, "t", 0);
+        assert_eq!(c.violations.len(), 1, "{:?}", c.violations);
     }
 
     #[test]

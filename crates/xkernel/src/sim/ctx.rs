@@ -1,7 +1,6 @@
 //! [`Ctx`]: what a protocol operation sees of the simulator — the clock,
 //! charging, timers, spawning and the blocking primitives.
 
-use std::num::NonZeroU64;
 use std::panic::panic_any;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -322,7 +321,7 @@ impl Ctx {
         self.core
             .engine
             .lock()
-            .push_event(t, EvKind::Run { host, body })
+            .push_event(t, EvKind::run(host, body))
     }
 
     /// Arms a timer: after `dt` of virtual time, `f` runs as a new shepherd
@@ -412,9 +411,9 @@ impl Ctx {
     ) -> (EngineGuard<'a>, bool) {
         // A sleep's wake is stamped from the host clock *before* the
         // switch charge lands.
-        let (wake_at, wait_sema) = match how {
-            Block::Sleep(dt) => (Some(self.event_time() + dt), None),
-            Block::Sema(id) => (None, Some(id)),
+        let wake_at = match how {
+            Block::Sleep(dt) => Some(self.event_time() + dt),
+            Block::Sema => None,
         };
         let charged = self.charges(core.cost.proc_switch);
         if charged {
@@ -433,7 +432,7 @@ impl Ctx {
              park and blocks by returning a VStep"
         );
         st.state = RunState::Blocked;
-        st.wait_sema = wait_sema;
+        st.on_sema = wake_at.is_none();
         g.current = None;
         (g, charged)
     }
@@ -533,9 +532,9 @@ impl Drop for LayerSpan {
 }
 
 /// How a process blocks (see [`Ctx::block`]): for a stretch of virtual
-/// time, or on the semaphore with the given checker id.
+/// time, or on a semaphore it is already queued on.
 #[derive(Clone, Copy)]
 pub(super) enum Block {
     Sleep(Nanos),
-    Sema(NonZeroU64),
+    Sema,
 }

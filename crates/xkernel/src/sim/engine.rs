@@ -3,7 +3,6 @@
 //! event lives here, in one module.
 
 use std::any::Any;
-use std::num::NonZeroU64;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -37,24 +36,49 @@ pub(super) enum ProcBody {
     Machine(Box<dyn VProc>),
 }
 
-/// A machine and its remaining fuel (`u64::MAX` = unlimited; coroutines
-/// carry their budget inside the coroutine instead).
-pub(super) struct Machine {
-    pub(super) m: Box<dyn VProc>,
-    pub(super) fuel: u64,
+/// The fuel a fresh machine gets under `limit`, in resumes (`u32::MAX` =
+/// unlimited; coroutines carry their budget inside the coroutine instead).
+/// A budget of `u32::MAX` resumes or more is more than any run gives one
+/// machine and counts as unlimited: a `u64` would cost every process-table
+/// slot a word.
+fn machine_fuel(limit: Option<u64>) -> u32 {
+    limit.map_or(u32::MAX, |f| u32::try_from(f).unwrap_or(u32::MAX))
 }
 
-/// The suspended form of a blocked process.
+/// The suspended form of a blocked process: a coroutine, or a machine and
+/// its remaining fuel (see [`machine_fuel`]) — the tag sits beside `fuel`,
+/// so an `Option<LpBody>` is three words.
 pub(super) enum LpBody {
     Coro(vproc::Coro),
-    Machine(Machine),
+    Machine { m: Box<dyn VProc>, fuel: u32 },
 }
 
+/// A pending event. A fresh process's body sits in the event itself, as a
+/// thunk or a machine, beside its host's index narrowed as in [`LpState`],
+/// so that an event is three words and its table slot four.
 pub(super) enum EvKind {
-    Run { host: HostId, body: ProcBody },
+    Thunk { host: u32, f: Thunk },
+    Machine { host: u32, m: Box<dyn VProc> },
     Wake { lp: LpId, reason: WakeReason },
     Crash { host: HostId },
     Restart { host: HostId },
+}
+
+impl EvKind {
+    /// The event that starts `body` on `host`.
+    pub(super) fn run(host: HostId, body: ProcBody) -> EvKind {
+        let host = narrow(host);
+        match body {
+            ProcBody::Thunk(f) => EvKind::Thunk { host, f },
+            ProcBody::Machine(m) => EvKind::Machine { host, m },
+        }
+    }
+}
+
+/// A [`HostId`]'s index in a `u32` (a simulation has far fewer than 2³²
+/// hosts).
+fn narrow(host: HostId) -> u32 {
+    u32::try_from(host.0).expect("host ids fit in 32 bits")
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -85,29 +109,38 @@ pub(super) const RESUME_NORMAL: u64 = 0;
 pub(super) const RESUME_TIMEOUT: u64 = 1;
 pub(super) const RESUME_KILLED: u64 = 2;
 
+/// A process-table entry: one word for the host, the state and what a
+/// blocked process waits for, three for the continuation. The checker keeps
+/// which semaphore a process waits on (it heard the wait begin), so the
+/// table does not.
 pub(super) struct LpState {
-    /// [`HostId`]'s index, narrowed (a simulation has far fewer than 2³²
-    /// hosts): with `wait_sema`'s niche it keeps a process-table slot at 56
-    /// bytes. Read it through [`LpState::host`].
+    /// [`HostId`]'s index, narrowed; read it through [`LpState::host`].
     host: u32,
     pub(super) state: RunState,
+    /// Whether a blocked process waits on a semaphore (else on a timer):
+    /// such a wait is not snapshot material.
+    pub(super) on_sema: bool,
     /// The suspended continuation; `None` while the process is running or
     /// before its first step.
     pub(super) body: Option<LpBody>,
-    /// The checker id of the semaphore a blocked process is waiting on
-    /// (`None` for timer blocks); the scheduler closes the wait out when it
-    /// resumes the process. Never 0, so the `Option` is one word.
-    pub(super) wait_sema: Option<NonZeroU64>,
 }
 
+/// What a live process costs the process table and a pending event the
+/// event table (each slot is the entry and its id): DESIGN.md §11's table
+/// and `tests/parked_bytes.rs` count on these.
+const _: () = {
+    assert!(std::mem::size_of::<(u64, Option<LpState>)>() == 40);
+    assert!(std::mem::size_of::<(u64, Option<EvKind>)>() == 32);
+};
+
 impl LpState {
-    /// A process on `host` in `state`, waiting on no semaphore.
+    /// A process on `host` in `state`, waiting on nothing.
     pub(super) fn new(host: HostId, state: RunState, body: Option<LpBody>) -> LpState {
         LpState {
-            host: u32::try_from(host.0).expect("host ids fit in 32 bits"),
+            host: narrow(host),
             state,
+            on_sema: false,
             body,
-            wait_sema: None,
         }
     }
 
@@ -505,21 +538,16 @@ fn advance(core: &Rc<SimCore>, g: &mut Engine, stop: Time) -> Next {
         g.sched_hash = fnv_fold(
             fnv_fold(fnv_fold(g.sched_hash, t), seq),
             match &kind {
-                EvKind::Run { .. } => 1,
+                EvKind::Thunk { .. } | EvKind::Machine { .. } => 1,
                 EvKind::Wake { .. } => 2,
                 EvKind::Crash { .. } => 3,
                 EvKind::Restart { .. } => 4,
             },
         );
         g.observers.probe(core, || Probe::Event(g.executed, t));
-        match kind {
-            EvKind::Run { host, body } => {
-                let h = core.host(host);
-                if h.down.get() {
-                    continue; // Scheduled before the crash; dies with it.
-                }
-                return Next::Task(start_lp(core, g, host, body, h.arrive(t, 0)));
-            }
+        let (host, body) = match kind {
+            EvKind::Thunk { host, f } => (host, ProcBody::Thunk(f)),
+            EvKind::Machine { host, m } => (host, ProcBody::Machine(m)),
             EvKind::Crash { host } => {
                 let h = core.host(host);
                 if h.down.get() {
@@ -546,7 +574,9 @@ fn advance(core: &Rc<SimCore>, g: &mut Engine, stop: Time) -> Next {
                     ..
                 } = &mut *g;
                 let purged = events.remove_where(|k| match k {
-                    EvKind::Run { host: h, .. } => *h == host,
+                    EvKind::Thunk { host: h, .. } | EvKind::Machine { host: h, .. } => {
+                        *h == narrow(host)
+                    }
                     EvKind::Wake { lp, .. } => {
                         lps.get(lp.id, lp.slot).is_some_and(|s| s.host() == host)
                     }
@@ -563,6 +593,7 @@ fn advance(core: &Rc<SimCore>, g: &mut Engine, stop: Time) -> Next {
                     }
                     observers.probe(core, || Probe::Kill(id));
                 }
+                continue;
             }
             EvKind::Restart { host } => {
                 let h = core.host(host);
@@ -599,15 +630,14 @@ fn advance(core: &Rc<SimCore>, g: &mut Engine, stop: Time) -> Next {
                 let body = st.body.take().expect("blocked process has a continuation");
                 st.state = match body {
                     LpBody::Coro(_) => RunState::Running,
-                    LpBody::Machine(_) => RunState::Stepping,
+                    LpBody::Machine { .. } => RunState::Stepping,
                 };
-                let acquired = reason == WakeReason::Normal;
-                let wait = st.wait_sema.take().map(|sema| (sema.get(), acquired));
+                let took = reason == WakeReason::Normal;
                 g.current = Some(lp);
                 let switch = core.cost.proc_switch;
                 let (idle, now) = core.host(host).arrive(t, switch);
                 g.observers
-                    .probe(core, || Probe::Resume(lp.id, host, idle, switch, now, wait));
+                    .probe(core, || Probe::Resume(lp.id, host, idle, switch, now, took));
                 return Next::Resume(Woken {
                     lp,
                     host,
@@ -615,7 +645,13 @@ fn advance(core: &Rc<SimCore>, g: &mut Engine, stop: Time) -> Next {
                     reason,
                 });
             }
+        };
+        let host = HostId(host as usize);
+        let h = core.host(host);
+        if h.down.get() {
+            continue; // Scheduled before the crash; dies with it.
         }
+        return Next::Task(start_lp(core, g, host, body, h.arrive(t, 0)));
     }
 }
 
@@ -733,9 +769,8 @@ fn drive(mut ctx: Ctx) {
                 },
                 ProcBody::Machine(m) => {
                     drop(g);
-                    let fuel = core.fuel_limit.unwrap_or(u64::MAX);
-                    let c = Machine { m, fuel };
-                    step_machine(core, &mut ctx, lp, host, c, WakeReason::Normal)
+                    let fuel = machine_fuel(core.fuel_limit);
+                    step_machine(core, &mut ctx, lp, host, m, fuel, WakeReason::Normal)
                 }
             },
             Next::Resume(woken) => resume_lp(core, g, &mut ctx, woken),
@@ -860,9 +895,9 @@ fn resume_lp<'a>(
             };
             drive_coro(core, g, lp, coro, token)
         }
-        LpBody::Machine(c) => {
+        LpBody::Machine { m, fuel } => {
             drop(g);
-            step_machine(core, ctx, lp, host, c, reason)
+            step_machine(core, ctx, lp, host, m, fuel, reason)
         }
     }
 }
@@ -877,7 +912,8 @@ fn step_machine<'a>(
     ctx: &mut Ctx,
     lp: LpId,
     host: HostId,
-    mut c: Machine,
+    mut m: Box<dyn VProc>,
+    mut fuel: u32,
     mut reason: WakeReason,
 ) -> EngineGuard<'a> {
     ctx.aim(host);
@@ -887,7 +923,7 @@ fn step_machine<'a>(
     loop {
         // Machines pay one fuel unit per resume; exhaustion kills the
         // process at this deterministic point, like a coroutine's FuelKill.
-        if c.fuel == 0 {
+        if fuel == 0 {
             let mut g = core.engine.lock();
             g.fuel_exhausted += 1;
             // Kill before Finish, as everywhere: the checker files a killed
@@ -896,11 +932,11 @@ fn step_machine<'a>(
             finalize_lp(core, &mut g, lp);
             return g;
         }
-        if c.fuel != u64::MAX {
-            c.fuel -= 1;
+        if fuel != u32::MAX {
+            fuel -= 1;
         }
         bump(&host.fuel, 1);
-        let how = match c.m.resume(ctx, reason) {
+        let how = match m.resume(ctx, reason) {
             VStep::Done => {
                 let mut g = core.engine.lock();
                 finalize_lp(core, &mut g, lp);
@@ -913,11 +949,11 @@ fn step_machine<'a>(
                     reason = WakeReason::Normal;
                     continue;
                 }
-                Block::Sema(sema.id())
+                Block::Sema
             }
         };
         let (mut g, _) = ctx.block(core, lp, RunState::Stepping, how);
-        g.lp_mut(lp).expect("machine process registered").body = Some(LpBody::Machine(c));
+        g.lp_mut(lp).expect("machine process registered").body = Some(LpBody::Machine { m, fuel });
         return g;
     }
 }
@@ -945,7 +981,7 @@ fn reap_lp<'a>(core: &'a Rc<SimCore>, mut g: EngineGuard<'a>, lp: LpId) -> Engin
         // The resumed `Ctx::block_current` sees the kill token and unwinds
         // with CrashKill; the coroutine finishes, so drive_coro retires it.
         Some(LpBody::Coro(coro)) => drive_coro(core, g, lp, coro, RESUME_KILLED),
-        Some(LpBody::Machine(_)) | None => {
+        Some(LpBody::Machine { .. }) | None => {
             finalize_lp(core, &mut g, lp);
             g
         }

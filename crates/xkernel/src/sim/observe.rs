@@ -27,9 +27,9 @@ pub(crate) enum Probe {
     Event(u64, Time),
     /// `(lp, host, idle, now)`: a Run event started `lp`; `host`'s clock jumped `idle`.
     Start(u64, HostId, Nanos, Time),
-    /// `(lp, host, idle, switch, now, wait)`: blocked `lp` resumed after `idle`, paying `switch`;
-    /// `wait` is the semaphore wait it concludes and whether it took a unit (not on timeout).
-    Resume(u64, HostId, Nanos, Nanos, Time, Option<(u64, bool)>),
+    /// `(lp, host, idle, switch, now, took)`: blocked `lp` resumed after `idle`, paying `switch`;
+    /// `took` says it was woken, not timed out: a semaphore wait it concludes took a unit.
+    Resume(u64, HostId, Nanos, Nanos, Time, bool),
     /// `(lp)`: a wake found `lp` gone or not blocked.
     StaleWake(u64),
     /// `(lp)`: `lp` was killed (crash, fuel, discard): late signals to it are expected.

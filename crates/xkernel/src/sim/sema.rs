@@ -2,7 +2,6 @@
 
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::num::NonZeroU64;
 use std::rc::Rc;
 use std::sync::atomic::Ordering::Relaxed;
 
@@ -24,84 +23,135 @@ pub(super) enum Enqueued {
 }
 
 /// A process parked on a semaphore, with the timer that gives up for it
-/// ([`TimerHandle::NONE`] for an untimed wait).
+/// ([`TimerHandle::NONE`] for an untimed wait). A process waits on one
+/// semaphore at a time and its id is never reused, so the id also names the
+/// wait. The two handles are held as their parts: three words, where two
+/// padded handles take four.
+#[derive(Clone, Copy)]
 struct Waiter {
-    lp: LpId,
-    timer: TimerHandle,
-    seq: u64,
+    lp: u64,
+    timer: u64,
+    lp_slot: u32,
+    timer_slot: u32,
+}
+
+impl Waiter {
+    /// No waiter: no process has the id `u64::MAX`.
+    const NONE: Waiter = Waiter {
+        lp: u64::MAX,
+        timer: u64::MAX,
+        lp_slot: u32::MAX,
+        timer_slot: u32::MAX,
+    };
+
+    /// `lp`, waiting untimed.
+    fn new(lp: LpId) -> Waiter {
+        Waiter {
+            lp: lp.id,
+            lp_slot: lp.slot,
+            ..Waiter::NONE
+        }
+    }
+
+    fn lp(&self) -> LpId {
+        LpId {
+            id: self.lp,
+            slot: self.lp_slot,
+        }
+    }
+
+    fn timer(&self) -> TimerHandle {
+        TimerHandle {
+            seq: self.timer,
+            slot: self.timer_slot,
+        }
+    }
 }
 
 /// A semaphore's waiters, oldest first. The oldest is held in the semaphore
-/// itself and only a second spills into `rest`, so a semaphore that never
-/// has two processes waiting at once — a call's reply semaphore, a resident
-/// client's `done` — never allocates for its waiters.
-#[derive(Default)]
+/// itself and only a second spills into `rest`, a queue boxed the first time
+/// one does. A semaphore that never has two processes waiting at once — a
+/// call's reply semaphore, a resident client's `done` — so never allocates
+/// for its waiters and carries one word for the queue it never needs.
 struct Waiters {
-    /// The oldest waiter; `None` only when `rest` is empty too.
-    head: Option<Waiter>,
-    rest: VecDeque<Waiter>,
+    /// The oldest waiter; [`Waiter::NONE`] only when `rest` is empty too.
+    head: Waiter,
+    // Boxed on purpose: one word where the queue is four, and the queue is
+    // needed only by a semaphore with two waiters at once.
+    #[allow(clippy::box_collection)]
+    rest: Option<Box<VecDeque<Waiter>>>,
 }
 
 impl Waiters {
+    const EMPTY: Waiters = Waiters {
+        head: Waiter::NONE,
+        rest: None,
+    };
+
     fn is_empty(&self) -> bool {
-        self.head.is_none()
+        self.head.lp == Waiter::NONE.lp
     }
 
     fn push_back(&mut self, w: Waiter) {
-        match self.head {
-            None => self.head = Some(w),
-            Some(_) => self.rest.push_back(w),
+        if self.is_empty() {
+            self.head = w;
+        } else {
+            self.rest.get_or_insert_with(Box::default).push_back(w);
         }
     }
 
     /// Takes the oldest waiter; the next moves up.
     fn pop_front(&mut self) -> Option<Waiter> {
-        let first = self.head.take()?;
-        self.head = self.rest.pop_front();
-        Some(first)
+        if self.is_empty() {
+            return None;
+        }
+        let next = self.rest.as_mut().and_then(|rest| rest.pop_front());
+        Some(std::mem::replace(
+            &mut self.head,
+            next.unwrap_or(Waiter::NONE),
+        ))
     }
 
-    /// The waiter filed as `seq`, wherever it stands.
-    fn find_mut(&mut self, seq: u64) -> Option<&mut Waiter> {
-        self.head
-            .iter_mut()
-            .chain(&mut self.rest)
-            .find(|w| w.seq == seq)
+    /// Process `lp`'s waiter, wherever it stands.
+    fn find_mut(&mut self, lp: u64) -> Option<&mut Waiter> {
+        let rest = self.rest.iter_mut().flat_map(|rest| rest.iter_mut());
+        std::iter::once(&mut self.head)
+            .chain(rest)
+            .find(|w| w.lp == lp)
     }
 
-    /// Removes the waiter filed as `seq`, wherever it stands (those behind
-    /// it move up); whether it was there.
-    fn remove(&mut self, seq: u64) -> bool {
-        if self.head.as_ref().is_some_and(|w| w.seq == seq) {
+    /// Removes process `lp`'s waiter, wherever it stands (those behind it
+    /// move up); whether it was there.
+    fn remove(&mut self, lp: u64) -> bool {
+        if self.head.lp == lp {
             self.pop_front();
             return true;
         }
-        let pos = self.rest.iter().position(|w| w.seq == seq);
-        pos.and_then(|pos| self.rest.remove(pos)).is_some()
-    }
-
-    fn clear(&mut self) {
-        self.head = None;
-        self.rest.clear();
+        let Some(rest) = self.rest.as_mut() else {
+            return false;
+        };
+        let pos = rest.iter().position(|w| w.lp == lp);
+        pos.and_then(|pos| rest.remove(pos)).is_some()
     }
 }
 
 struct SemaState {
     count: i64,
     waiters: Waiters,
-    next_seq: u64,
 }
 
 /// What a [`SharedSema`]'s clones share.
 struct Sema {
     st: OwnerCell<SemaState>,
-    /// Globally unique identity for the checker's holding/wait-for maps;
-    /// never 0 (ids start at [`ID_BLOCK`]), so the process table holds an
-    /// `Option` of one in a word.
-    id: NonZeroU64,
+    /// Globally unique identity for the checker's holding/wait-for maps.
+    id: u64,
     /// Human-readable label for violation reports.
     label: &'static str,
 }
+
+/// What a semaphore costs: its `Rc` adds two counts, 88 B in all
+/// (DESIGN.md §11's table; `tests/parked_bytes.rs` counts on it).
+const _: () = assert!(std::mem::size_of::<Sema>() == 72);
 
 /// Ids a thread draws from one block before it takes another.
 const ID_BLOCK: u64 = 1 << 32;
@@ -120,14 +170,14 @@ thread_local! {
 }
 
 /// A fresh [`Sema::id`], unique in the process.
-fn next_sema_id() -> NonZeroU64 {
+fn next_sema_id() -> u64 {
     NEXT_SEMA_ID.with(|next| {
         let mut id = next.get();
         if id % ID_BLOCK == 0 {
             id = NEXT_ID_BLOCK.fetch_add(1, Relaxed) * ID_BLOCK;
         }
         next.set(id + 1);
-        NonZeroU64::new(id).expect("id blocks start at 1")
+        id
     })
 }
 
@@ -152,17 +202,11 @@ impl SharedSema {
         SharedSema(Rc::new(Sema {
             st: OwnerCell::new(SemaState {
                 count: initial,
-                waiters: Waiters::default(),
-                next_seq: 0,
+                waiters: Waiters::EMPTY,
             }),
             id: next_sema_id(),
             label,
         }))
-    }
-
-    /// The identity [`Block::Sema`] and the checker know this semaphore by.
-    pub(super) fn id(&self) -> NonZeroU64 {
-        self.0.id
     }
 
     /// Current count (tests/introspection).
@@ -170,25 +214,24 @@ impl SharedSema {
         self.0.st.lock().count
     }
 
-    /// Captures `(count, next_seq)` for a whole-sim snapshot. Legal only at
-    /// a quiescent instant — no process can be parked on the semaphore
-    /// then, so losing the (empty) waiter queue is sound.
-    pub fn snap_state(&self) -> (i64, u64) {
+    /// Captures the count for a whole-sim snapshot: all the state a
+    /// semaphore has at a quiescent instant, when no process can be parked
+    /// on it, so losing the (empty) waiter queue is sound.
+    pub fn snap_state(&self) -> i64 {
         let st = self.0.st.lock();
         debug_assert!(
             st.waiters.is_empty(),
             "sema snapshot with waiters parked (not quiescent)"
         );
-        (st.count, st.next_seq)
+        st.count
     }
 
     /// Restores state captured by [`SharedSema::snap_state`]. Same
     /// quiescence requirement; any stray waiters are dropped.
-    pub fn restore_state(&self, (count, next_seq): (i64, u64)) {
+    pub fn restore_state(&self, count: i64) {
         let mut st = self.0.st.lock();
-        st.waiters.clear();
+        st.waiters = Waiters::EMPTY;
         st.count = count;
-        st.next_seq = next_seq;
     }
 
     /// The front half of every P — [`SharedSema::p`],
@@ -205,7 +248,7 @@ impl SharedSema {
             st.count -= 1;
             drop(st);
             let lp = ctx.lp.map(|lp| lp.id);
-            let acquire = || Probe::Acquire(lp, ctx.host, self.0.id.get(), self.0.label);
+            let acquire = || Probe::Acquire(lp, ctx.host, self.0.id, self.0.label);
             ctx.core.probe(acquire);
             return Enqueued::Acquired;
         }
@@ -213,26 +256,20 @@ impl SharedSema {
             return Enqueued::Inline;
         }
         let lp = ctx.lp.expect("P outside a shepherd process");
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        st.waiters.push_back(Waiter {
-            lp,
-            timer: TimerHandle::NONE,
-            seq,
-        });
+        st.waiters.push_back(Waiter::new(lp));
         drop(st);
-        let wait = || Probe::WaitBegin(lp.id, ctx.host, self.0.id.get(), self.0.label);
+        let wait = || Probe::WaitBegin(lp.id, ctx.host, self.0.id, self.0.label);
         ctx.core.probe(wait);
         if let Some(dt) = timeout {
             let me = self.clone();
             let timer = ctx.schedule_after(dt, move |tctx| {
-                let removed = me.0.st.lock().waiters.remove(seq);
+                let removed = me.0.st.lock().waiters.remove(lp.id);
                 if removed {
                     tctx.wake(lp, WakeReason::Timeout, TimerHandle::NONE);
                 }
             });
-            if let Some(w) = self.0.st.lock().waiters.find_mut(seq) {
-                w.timer = timer;
+            if let Some(w) = self.0.st.lock().waiters.find_mut(lp.id) {
+                (w.timer, w.timer_slot) = (timer.seq, timer.slot);
             }
         }
         Enqueued::Queued
@@ -244,7 +281,7 @@ impl SharedSema {
             Enqueued::Acquired => {}
             Enqueued::Inline => panic!("SharedSema::p would block in inline mode"),
             Enqueued::Queued => {
-                let reason = ctx.block_current(Block::Sema(self.0.id));
+                let reason = ctx.block_current(Block::Sema);
                 debug_assert_eq!(reason, WakeReason::Normal, "untimed P woke by timeout");
             }
         }
@@ -261,11 +298,11 @@ impl SharedSema {
             }
             woken
         };
-        let (lp, to) = (ctx.lp.map(|l| l.id), woken.as_ref().map(|w| w.lp.id));
-        let release = || Probe::Release(lp, ctx.host, self.0.id.get(), self.0.label, to);
+        let (lp, to) = (ctx.lp.map(|l| l.id), woken.map(|w| w.lp));
+        let release = || Probe::Release(lp, ctx.host, self.0.id, self.0.label, to);
         ctx.core.probe(release);
         if let Some(w) = woken {
-            ctx.wake(w.lp, WakeReason::Normal, w.timer);
+            ctx.wake(w.lp(), WakeReason::Normal, w.timer());
         }
     }
 
@@ -275,10 +312,7 @@ impl SharedSema {
             Enqueued::Acquired => true,
             Enqueued::Inline => false,
             Enqueued::Queued => {
-                matches!(
-                    ctx.block_current(Block::Sema(self.0.id)),
-                    WakeReason::Normal
-                )
+                matches!(ctx.block_current(Block::Sema), WakeReason::Normal)
             }
         }
     }

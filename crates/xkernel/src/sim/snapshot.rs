@@ -3,7 +3,7 @@
 use crate::error::{XError, XResult};
 use crate::proto::SnapBlob;
 
-use super::engine::{Engine, EvKind, LpBody, LpState, Machine, RunState};
+use super::engine::{Engine, EvKind, LpBody, LpState, RunState};
 use super::handle::kernels_of;
 use super::report::HostCell;
 use super::*;
@@ -55,16 +55,14 @@ impl Sim {
             .lps
             .iter()
             .map(|(id, _, st)| {
-                let Some(LpBody::Machine(c)) = &st.body else {
+                let Some(LpBody::Machine { m, fuel }) = &st.body else {
                     unreachable!("eligibility admits only machine continuations");
                 };
                 SnapMachine {
                     lp: id,
                     host: st.host(),
-                    fuel: c.fuel,
-                    m: c.m
-                        .fork()
-                        .expect("eligibility admits only forkable machines"),
+                    fuel: *fuel,
+                    m: m.fork().expect("eligibility admits only forkable machines"),
                 }
             })
             .collect();
@@ -157,7 +155,7 @@ impl Sim {
                 let m = sm.m.fork().ok_or_else(|| {
                     XError::Config("snapshotted machine refused to fork on restore".into())
                 })?;
-                let body = LpBody::Machine(Machine { m, fuel: sm.fuel });
+                let body = LpBody::Machine { m, fuel: sm.fuel };
                 let st = LpState::new(sm.host, RunState::Blocked, Some(body));
                 slots.push(g.lps.insert(sm.lp, st));
             }
@@ -222,8 +220,8 @@ fn require_quiescent(g: &Engine) -> XResult<()> {
             .all(|(_, _, e)| matches!(e, EvKind::Wake { .. }))
         && g.lps.iter().all(|(_, _, st)| {
             st.state == RunState::Blocked
-                && st.wait_sema.is_none()
-                && matches!(&st.body, Some(LpBody::Machine(c)) if c.m.fork().is_some())
+                && !st.on_sema
+                && matches!(&st.body, Some(LpBody::Machine { m, .. }) if m.fork().is_some())
         });
     if eligible {
         Ok(())
@@ -251,7 +249,7 @@ struct SnapWake {
 struct SnapMachine {
     lp: u64,
     host: HostId,
-    fuel: u64,
+    fuel: u32,
     m: Box<dyn VProc>,
 }
 

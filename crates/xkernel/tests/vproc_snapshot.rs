@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex};
 
 use xkernel::cost::CostModel;
 use xkernel::prelude::*;
-use xkernel::sim::{Sim, SimConfig, Time, VProc, VStep, WakeReason};
+use xkernel::sim::{SharedSema, Sim, SimConfig, Time, VProc, VStep, WakeReason};
 
 /// A machine that logs the virtual time of each tick. `fork` clones the
 /// whole continuation — tick counter, period, and the shared log handle.
@@ -121,6 +121,66 @@ fn coroutines_are_not_snapshot_eligible() {
         "a parked coroutine must block the snapshot"
     );
     sim.run_until_idle();
+}
+
+/// Waits on a semaphore once, then ends. Forkable, so only where it waits
+/// can keep it out of a snapshot.
+#[derive(Clone)]
+struct Awaiting {
+    sema: SharedSema,
+    waited: bool,
+}
+
+impl VProc for Awaiting {
+    fn resume(&mut self, _ctx: &Ctx, _why: WakeReason) -> VStep {
+        if self.waited {
+            return VStep::Done;
+        }
+        self.waited = true;
+        VStep::Wait {
+            sema: self.sema.clone(),
+            timeout: None,
+        }
+    }
+
+    fn fork(&self) -> Option<Box<dyn VProc>> {
+        Some(Box::new(self.clone()))
+    }
+}
+
+#[test]
+fn a_machine_parked_on_a_semaphore_is_not_snapshot_eligible() {
+    // A forkable machine is pure data, but a semaphore's waiters do not
+    // round-trip: snapshot refuses while one waits there, and takes the
+    // same population once the wait is over.
+    let sim = Sim::new(SimConfig::scheduled().with_cost(CostModel::zero()));
+    let _k = Kernel::new(&sim, "h");
+    let sema = SharedSema::new(0);
+    let waiter = Awaiting {
+        sema: sema.clone(),
+        waited: false,
+    };
+    sim.spawn_vproc(HostId(0), Box::new(waiter));
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let ticker = Ticker {
+        left: 3,
+        period: 1_000,
+        log,
+        id: 0,
+    };
+    sim.spawn_vproc(HostId(0), Box::new(ticker));
+    assert_eq!(sim.run_until_time(500).blocked, 2);
+    assert!(
+        !sim.is_quiescent(),
+        "a machine parked on a semaphore must block the snapshot"
+    );
+    sim.spawn(HostId(0), move |ctx| sema.v(ctx));
+    assert_eq!(sim.run_until_time(1_500).blocked, 1);
+    assert!(
+        sim.is_quiescent(),
+        "a sleeping machine alone is snapshot material"
+    );
+    assert_eq!(sim.run_until_idle().blocked, 0);
 }
 
 #[test]

@@ -74,9 +74,9 @@ fn assert_pinned(what: &str, grown: i64, pinned: i64) {
     assert_eq!(grown, pinned, "{what}: {per:.1} B a process");
 }
 
-/// 263.0 B a process: the 16 B machine, its 144 B semaphore with the waiter
+/// 183.0 B a process: the 16 B machine, its 88 B semaphore with the waiter
 /// held inline (a semaphore that allocated a queue for its first waiter
-/// would add 192), a 56 B process-table slot, the spawn's 40 B event slot
+/// would add 192), a 40 B process-table slot, the spawn's 32 B event slot
 /// and 7.0 B of the tables' spare capacity.
 #[test]
 fn a_machine_parked_on_its_own_semaphore_costs_exactly_pinned() {
@@ -86,14 +86,14 @@ fn a_machine_parked_on_its_own_semaphore_costs_exactly_pinned() {
             woken: false,
         })
     });
-    assert_pinned("parked on a semaphore", grown, 2_154_888);
+    assert_pinned("parked on a semaphore", grown, 1_499_528);
 }
 
-/// 145.9 B a process: the 8 B machine, a 56 B process-table slot, its
-/// wake's 40 B event slot and 24 B timeline key, and 17.9 B of the tables'
+/// 121.9 B a process: the 8 B machine, a 40 B process-table slot, its
+/// wake's 32 B event slot and 24 B timeline key, and 17.9 B of the tables'
 /// spare capacity.
 #[test]
 fn a_sleeping_machine_costs_exactly_pinned() {
     let grown = parked_bytes(|i| Box::new(Asleep(i)));
-    assert_pinned("asleep", grown, 1_194_904);
+    assert_pinned("asleep", grown, 998_296);
 }
