@@ -33,11 +33,17 @@ echo "==> count-gate: what a call costs in counts no host can move"
 # 16 KiB call on M_RPC-VIP and L_RPC-VIP — exact, in release, as the benchmark
 # builds; a header built on the heap is two more, a header buffer taken per
 # fragment twelve, and either fails here — live heap bytes per process parked
-# on a semaphore and per sleeping one (a waiter queue allocated per semaphore
-# is 192 more), and cell entries per inline null call in debug (release builds
-# carry no entry counter). The switch table and the bytes are printed.
+# on a semaphore and per sleeping one (a waiter is 16 B, held in the
+# semaphore; a waiter queue allocated per semaphore is 192 more; a parked
+# machine's start and wake keys name its process slot, so it holds no event
+# slot), and cell entries per inline null call in debug (release builds carry
+# no entry counter). The switch table and the bytes are printed. Beside the
+# bytes, the schedule of slots a crash frees and fresh machines take over,
+# pinned exactly: a key that reached a slot's next tenant would show there.
 cargo test --release -q --test events_per_call --test alloc_per_call --test parked_bytes -- \
     --test-threads=1 --nocapture
+cargo test --release -q -p xkernel --test engine -- --exact \
+    a_crash_frees_slots_that_fresh_processes_take_without_meeting_old_keys
 cargo test -q --test cell_entries
 
 echo "==> lifetime-gate: a dropped rig frees everything"

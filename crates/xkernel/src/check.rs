@@ -271,10 +271,11 @@ impl CheckCore {
                 }
             }
             Probe::Acquire(Some(lp), host, sema, label) => {
-                self.sema_label.insert(sema, label);
+                self.sema_label.insert(sema, label.as_str());
                 self.take_unit(lp, host, sema);
             }
             Probe::WaitBegin(lp, host, sema, label) => {
+                let label = label.as_str();
                 self.sema_label.insert(sema, label);
                 let lock_style = !self.signal_style.contains(&sema);
                 let p = self.proc(lp, host);
@@ -300,6 +301,7 @@ impl CheckCore {
             // checks no longer apply to its semaphore. A directly woken
             // waiter is checked for host affinity.
             Probe::Release(lp, host, sema, label, woken) => {
+                let label = label.as_str();
                 self.sema_label.insert(sema, label);
                 let unit = lp.and_then(|lp| self.procs.get_mut(&lp)).and_then(|p| {
                     let i = p.held.iter().position(|&s| s == sema)?;
@@ -465,16 +467,23 @@ impl CheckCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::Label;
 
     fn acquire(c: &mut CheckCore, lp: u64, sema: u64, label: &'static str, host: usize) {
-        c.observe(Probe::Acquire(Some(lp), HostId(host), sema, label));
+        c.observe(Probe::Acquire(
+            Some(lp),
+            HostId(host),
+            sema,
+            Label::of(label),
+        ));
     }
 
     fn wait_begin(c: &mut CheckCore, lp: u64, sema: u64, label: &'static str, host: usize) {
-        c.observe(Probe::WaitBegin(lp, HostId(host), sema, label));
+        c.observe(Probe::WaitBegin(lp, HostId(host), sema, Label::of(label)));
     }
 
     fn release(c: &mut CheckCore, lp: u64, sema: u64, label: &'static str, woken: Option<u64>) {
+        let label = Label::of(label);
         c.observe(Probe::Release(Some(lp), HostId(0), sema, label, woken));
     }
 
@@ -603,7 +612,13 @@ mod tests {
         assert_eq!((r.lps, r.semas), (101, 3));
         // A V still reaching it from another host is checked against the
         // host it ran on.
-        c.observe(Probe::Release(None, HostId(0), 102, "w", Some(100)));
+        c.observe(Probe::Release(
+            None,
+            HostId(0),
+            102,
+            Label::of("w"),
+            Some(100),
+        ));
         assert_eq!(c.violations[0].kind, ViolationKind::CrossHostSignal);
         assert_eq!(c.violations[0].host, 1);
     }

@@ -44,12 +44,11 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, PoisonError};
 
 use crate::error::{XError, XResult};
 use crate::kernel::Kernel;
 use crate::lint::{self, Diagnostic, LintOptions, ProtoContract};
-use crate::map::EnableMap;
 use crate::proto::{ProtoId, ProtocolRef};
 use crate::sim::Sim;
 
@@ -132,6 +131,68 @@ struct LintKey {
 /// without end pays time for it, never memory.
 const LINT_MEMO_CAP: usize = 1024;
 
+/// The verdicts a registry has proved, shared by every thread that builds
+/// kernels from it ([`crate::par`] workers do): an append-only chain that a
+/// lookup walks with no lock, so a kept verdict is lent out for as long as
+/// the registry lives, and a mutex that only a thread keeping a new verdict
+/// takes.
+#[derive(Default)]
+struct LintMemo {
+    head: OnceLock<Box<Kept>>,
+    writer: MemoLock,
+}
+
+/// Where two OS threads meet in `graph`: clippy.toml bans the type.
+#[allow(clippy::disallowed_types)]
+type MemoLock = std::sync::Mutex<()>;
+
+/// One verdict, and the link to the next, set once when that is kept.
+struct Kept {
+    key: LintKey,
+    diags: Vec<Diagnostic>,
+    next: OnceLock<Box<Kept>>,
+}
+
+impl LintMemo {
+    fn entries(&self) -> impl Iterator<Item = &Kept> {
+        std::iter::successors(self.head.get(), |e| e.next.get()).map(|e| &**e)
+    }
+
+    /// The verdict kept for `spec` over `externals`.
+    fn find(
+        &self,
+        spec: &str,
+        externals: &HashMap<String, ProtoContract>,
+    ) -> Option<&[Diagnostic]> {
+        let kept = self
+            .entries()
+            .find(|e| e.key.spec == spec && &e.key.externals == externals)?;
+        Some(&kept.diags)
+    }
+
+    /// Keeps `diags` under `key`, unless the memo is full: then they are
+    /// handed back. Of two threads that both missed and linted, the second
+    /// finds the first's verdict and drops its own.
+    fn keep(&self, key: LintKey, diags: Vec<Diagnostic>) -> Cow<'_, [Diagnostic]> {
+        let _w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(kept) = self.entries().find(|e| e.key == key) {
+            return Cow::Borrowed(&kept.diags);
+        }
+        if self.entries().count() >= LINT_MEMO_CAP {
+            return Cow::Owned(diags);
+        }
+        let tail = self.entries().last().map_or(&self.head, |e| &e.next);
+        let kept = tail.get_or_init(|| {
+            Box::new(Kept {
+                key,
+                diags,
+                next: OnceLock::new(),
+            })
+        });
+        Cow::Borrowed(&kept.diags)
+    }
+}
+
 /// Maps constructor names to constructors; shared by all kernels in a test
 /// or benchmark so every host is configured from the same vocabulary.
 #[derive(Default)]
@@ -142,7 +203,7 @@ pub struct ProtocolRegistry {
     /// Verdicts already proved against `ctors` and `contracts`; emptied by
     /// whatever changes either. Read with no lock, so kernels configured on
     /// different threads share one registry without queueing on it.
-    lint_memo: EnableMap<LintKey, Vec<Diagnostic>>,
+    lint_memo: LintMemo,
 }
 
 impl ProtocolRegistry {
@@ -159,7 +220,7 @@ impl ProtocolRegistry {
     {
         let prev = self.ctors.insert(name.to_string(), Box::new(ctor));
         assert!(prev.is_none(), "duplicate constructor '{name}'");
-        self.lint_memo = EnableMap::new();
+        self.lint_memo = LintMemo::default();
         self
     }
 
@@ -167,7 +228,7 @@ impl ProtocolRegistry {
     /// Constructors without a contract are treated as opaque (unchecked).
     pub fn add_contract(&mut self, contract: ProtoContract) -> &mut Self {
         self.contracts.insert(contract.name.clone(), contract);
-        self.lint_memo = EnableMap::new();
+        self.lint_memo = LintMemo::default();
         self
     }
 
@@ -209,21 +270,15 @@ impl ProtocolRegistry {
                 externals.insert(name, p.contract());
             }
         }
-        if let Some(kept) = self
-            .lint_memo
-            .find(|k| k.spec == spec && k.externals == externals)
-        {
+        if let Some(kept) = self.lint_memo.find(spec, &externals) {
             return Cow::Borrowed(kept);
         }
         let diags = self.lint(spec, &externals, &LintOptions::default());
-        if self.lint_memo.iter().count() >= LINT_MEMO_CAP {
-            return Cow::Owned(diags);
-        }
         let key = LintKey {
             spec: spec.to_string(),
             externals,
         };
-        Cow::Borrowed(self.lint_memo.resolve_or_bind(key, diags))
+        self.lint_memo.keep(key, diags)
     }
 
     /// Builds the protocols described by `spec` into `kernel`, bottom-up,

@@ -31,8 +31,6 @@
 use std::cell::{Cell, OnceCell};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::Ordering;
-use std::sync::{MutexGuard, OnceLock, PoisonError};
 
 use crate::cell::{OwnerCell, OwnerGuard};
 use crate::error::XResult;
@@ -120,41 +118,27 @@ struct Enable<K, V> {
     key: K,
     value: V,
     /// Cleared by `unbind_if`, a rebind to another value, or a `restore` to a
-    /// snapshot taken before the entry existed. Entry contents are published
-    /// by the `OnceLock` link that leads here; the flag orders nothing else.
-    live: LiveFlag,
+    /// snapshot taken before the entry existed.
+    live: Cell<bool>,
     next: Link<K, V>,
 }
 
 /// The link to the next entry, set once when that entry is appended.
-type Link<K, V> = OnceLock<Box<Enable<K, V>>>;
+type Link<K, V> = OnceCell<Box<Enable<K, V>>>;
 
-/// A configure-time `key → value` table read on every demux with no lock:
+/// A configure-time `key → value` table read on every demux with no guard:
 /// which protocol (or handler) takes messages carrying `key`. The default
 /// value type is the [`ProtoId`] an `open_enable` binds.
 ///
 /// Entries form an append-only chain and are never removed, only marked
 /// dead, so a reader holds a plain `&V` for as long as it holds the table —
-/// a handler can be *called* through that borrow with nothing locked. A
-/// lookup walks the chain; the tables this is for hold a handful of entries,
-/// and an empty one is three words. Writers (`bind`, `replace`, `unbind_if`, `restore`)
-/// serialize on an internal mutex that readers never touch — a real one,
-/// not an [`OwnerCell`]: the process-wide registry's lint memo is an
-/// `EnableMap` that [`crate::par`] workers write from several OS threads.
+/// a handler can be *called* through that borrow while the table is written
+/// (a handler may enable or disable). A lookup walks the chain; the tables
+/// this is for hold a handful of entries, and an empty one is one word.
+/// Single-threaded by type, like every in-simulation table.
 pub struct EnableMap<K, V = ProtoId> {
     head: Link<K, V>,
-    writer: WriterLock,
 }
-
-/// The one real mutex in an in-simulation module (see [`EnableMap`]).
-// clippy.toml bans the type; this is where two OS threads meet.
-#[allow(clippy::disallowed_types)]
-type WriterLock = std::sync::Mutex<()>;
-
-/// An entry's live flag: atomic for the same reason [`WriterLock`] is real,
-/// the registry memo that two OS threads read.
-#[allow(clippy::disallowed_types)]
-type LiveFlag = std::sync::atomic::AtomicBool;
 
 /// Which entries of an [`EnableMap`] were live when
 /// [`EnableMap::snapshot`] ran. Valid only for the map it came from.
@@ -166,8 +150,7 @@ pub struct EnableSnapshot {
 impl<K, V> Default for EnableMap<K, V> {
     fn default() -> Self {
         EnableMap {
-            head: OnceLock::new(),
-            writer: WriterLock::new(()),
+            head: OnceCell::new(),
         }
     }
 }
@@ -178,22 +161,16 @@ impl<K: Eq, V> EnableMap<K, V> {
         Self::default()
     }
 
-    /// Serializes writers. The unit inside cannot be left half-updated, so
-    /// a poisoned lock (a writer's key comparison panicked) is still good.
-    fn write_lock(&self) -> MutexGuard<'_, ()> {
-        self.writer.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Every entry, live or dead, oldest first.
     fn entries(&self) -> impl Iterator<Item = &Enable<K, V>> {
         std::iter::successors(self.head.get(), |e| e.next.get()).map(|e| &**e)
     }
 
     fn live_entries(&self) -> impl Iterator<Item = &Enable<K, V>> {
-        self.entries().filter(|e| e.live.load(Ordering::Acquire))
+        self.entries().filter(|e| e.live.get())
     }
 
-    /// The value bound to `key`. No lock, no reference count.
+    /// The value bound to `key`. No guard, no reference count.
     #[inline]
     pub fn resolve(&self, key: &K) -> Option<&V> {
         self.find(|k| k == key)
@@ -222,38 +199,35 @@ impl<K: Eq, V> EnableMap<K, V> {
     /// chain that every lookup walks. Registering procedures while a graph
     /// is set up is what this is for; calling it per message leaks.
     pub fn replace(&self, key: K, value: V) {
-        let _w = self.write_lock();
-        self.append_locked(key, value);
+        self.append(key, value);
     }
 
     /// The value bound to `key`, which is `value` if there was none: a
-    /// compute-once cache. Of two threads that both missed and computed,
-    /// the second finds the first's entry and drops its own, so the table
-    /// holds one entry per key however the misses race.
+    /// compute-once cache.
     pub fn resolve_or_bind(&self, key: K, value: V) -> &V {
-        let _w = self.write_lock();
         match self.resolve(&key) {
             Some(bound) => bound,
-            None => self.append_locked(key, value),
+            None => self.append(key, value),
         }
     }
 
     /// Appends a live entry, then retires the older live entries for its
-    /// key — in that order, so a concurrent reader never finds the key
-    /// unbound in between. Returns the value where it now lives.
-    fn append_locked(&self, key: K, value: V) -> &V {
+    /// key — in that order, so a reader the key's comparison calls back
+    /// never finds the key unbound in between. Returns the value where it
+    /// now lives.
+    fn append(&self, key: K, value: V) -> &V {
         let tail = self.entries().last().map_or(&self.head, |e| &e.next);
         let new = tail.get_or_init(|| {
             Box::new(Enable {
                 key,
                 value,
-                live: LiveFlag::new(true),
-                next: OnceLock::new(),
+                live: Cell::new(true),
+                next: OnceCell::new(),
             })
         });
         for e in self.entries().take_while(|e| !std::ptr::eq(*e, &**new)) {
             if e.key == new.key {
-                e.live.store(false, Ordering::Release);
+                e.live.set(false);
             }
         }
         &new.value
@@ -262,10 +236,9 @@ impl<K: Eq, V> EnableMap<K, V> {
     /// Unbinds `key` if it is bound to a value `pred` accepts; whether it
     /// did. (`open_disable` revokes only the caller's own enable.)
     pub fn unbind_if(&self, key: &K, pred: impl FnOnce(&V) -> bool) -> bool {
-        let _w = self.write_lock();
         match self.live_entries().find(|e| e.key == *key) {
             Some(e) if pred(&e.value) => {
-                e.live.store(false, Ordering::Release);
+                e.live.set(false);
                 true
             }
             _ => false,
@@ -274,22 +247,16 @@ impl<K: Eq, V> EnableMap<K, V> {
 
     /// Records which entries are live now.
     pub fn snapshot(&self) -> EnableSnapshot {
-        let _w = self.write_lock();
         EnableSnapshot {
-            live: self
-                .entries()
-                .map(|e| e.live.load(Ordering::Acquire))
-                .collect(),
+            live: self.entries().map(|e| e.live.get()).collect(),
         }
     }
 
     /// Makes exactly the entries live that were when `snap` was taken (of
     /// this same map): later bindings die, later unbindings are undone.
     pub fn restore(&self, snap: &EnableSnapshot) {
-        let _w = self.write_lock();
         for (i, e) in self.entries().enumerate() {
-            let live = snap.live.get(i).copied().unwrap_or(false);
-            e.live.store(live, Ordering::Release);
+            e.live.set(snap.live.get(i).copied().unwrap_or(false));
         }
     }
 }
@@ -299,17 +266,16 @@ impl<K: Eq, V: PartialEq> EnableMap<K, V> {
     /// is revived rather than duplicated, so re-enabling the same pair —
     /// every boot, every open of a one-user layer — never grows the table.
     pub fn bind(&self, key: K, value: V) {
-        let _w = self.write_lock();
         let same = self.entries().find(|e| e.key == key && e.value == value);
         let Some(revived) = same else {
-            self.append_locked(key, value);
+            self.append(key, value);
             return;
         };
         // Revive first, retire second: the key is never unbound in between.
-        revived.live.store(true, Ordering::Release);
+        revived.live.set(true);
         for e in self.entries() {
             if !std::ptr::eq(e, revived) && e.key == key {
-                e.live.store(false, Ordering::Release);
+                e.live.set(false);
             }
         }
     }

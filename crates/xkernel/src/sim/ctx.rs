@@ -15,8 +15,8 @@ use crate::trace::{EventKind, OpClass, SpanKey};
 use crate::vproc;
 
 use super::engine::{
-    CrashKill, EngineGuard, EvKind, FuelKill, ProcBody, RunState, RESUME_KILLED, RESUME_NORMAL,
-    RESUME_TIMEOUT,
+    machine_fuel, narrow, CrashKill, EngineGuard, EvKind, FuelKill, RunState, NO_TIMER,
+    RESUME_KILLED, RESUME_NORMAL, RESUME_TIMEOUT,
 };
 use super::report::{bump, HostCell};
 use super::*;
@@ -296,32 +296,37 @@ impl Ctx {
             Mode::Scheduled,
             "virtual-process machines require scheduled mode"
         );
-        let t = self.event_time();
-        self.schedule_proc_at(t, host, ProcBody::Machine(m));
+        if self.accepts(host) {
+            let t = self.event_time();
+            let fuel = machine_fuel(self.core.fuel_limit);
+            self.core.engine.lock().spawn_machine(t, host, m, fuel);
+        }
     }
 
     /// Schedules `f` to run as a new shepherd process on `host` at absolute
     /// virtual time `t`. Scheduled mode only (inline callers use
     /// [`Ctx::spawn_on`]).
     pub fn schedule_run_at(&self, t: Time, host: HostId, f: Thunk) -> TimerHandle {
-        self.schedule_proc_at(t, host, ProcBody::Thunk(f))
-    }
-
-    fn schedule_proc_at(&self, t: Time, host: HostId, body: ProcBody) -> TimerHandle {
         assert_eq!(
             self.core.mode,
             Mode::Scheduled,
             "absolute scheduling requires virtual time"
         );
-        if self.core.hosts.get(host.0).is_some_and(|h| h.down.get()) {
-            // A crashed host arms no timers and accepts no deliveries; the
-            // work is silently dropped, exactly as its in-flight state was.
+        if !self.accepts(host) {
             return TimerHandle::NONE;
         }
+        let host = narrow(host);
         self.core
             .engine
             .lock()
-            .push_event(t, EvKind::run(host, body))
+            .push_event(t, EvKind::Thunk { host, f })
+    }
+
+    /// Whether `host` takes new work. A crashed host arms no timers and
+    /// accepts no deliveries; the work is silently dropped, exactly as its
+    /// in-flight state was.
+    fn accepts(&self, host: HostId) -> bool {
+        !self.core.hosts.get(host.0).is_some_and(|h| h.down.get())
     }
 
     /// Arms a timer: after `dt` of virtual time, `f` runs as a new shepherd
@@ -335,6 +340,21 @@ impl Ctx {
         self.charge_class(OpClass::Timer, self.core.cost.timer_op);
         let t = self.event_time() + dt;
         self.schedule_run_at(t, self.host, Box::new(f))
+    }
+
+    /// Arms the timer a timed P of process `lp` gives up by — `f`, after
+    /// `dt`, as a new shepherd process on this host, as
+    /// [`Ctx::schedule_after`] would — and records it in `lp`'s slot, under
+    /// the same acquisition of the scheduler lock. Returns the timer's
+    /// event-table slot, or [`NO_TIMER`] if this host armed none.
+    pub(super) fn arm_timeout(&self, lp: LpId, dt: Nanos, f: impl FnOnce(&Ctx) + 'static) -> u32 {
+        self.charge_class(OpClass::Timer, self.core.cost.timer_op);
+        if !self.accepts(self.host) {
+            return NO_TIMER;
+        }
+        let t = self.event_time() + dt;
+        let mut g = self.core.engine.lock();
+        g.arm_timeout(t, self.host, lp, Box::new(f))
     }
 
     /// Cancels a timer. Harmless if it already fired or is inert.
@@ -421,8 +441,7 @@ impl Ctx {
         }
         let mut g = core.engine.lock();
         if let Some(t) = wake_at {
-            let reason = WakeReason::Normal;
-            g.push_event(t, EvKind::Wake { lp, reason });
+            g.wake_at(t, lp, WakeReason::Normal);
         }
         let st = g.lp_mut(lp).expect("current process registered");
         assert!(
@@ -438,21 +457,17 @@ impl Ctx {
     }
 
     /// Schedules a wake for a blocked process at this context's current
-    /// time, first cancelling (and paying for) the timeout timer `cancel`
-    /// that would otherwise wake it, unless that is [`TimerHandle::NONE`].
-    /// Used by [`Sema`]; stale wakes are prevented by that cancellation, and
+    /// time. A V passes the event-table slot of the timer the waiter's timed
+    /// P armed ([`NO_TIMER`] if untimed): that timer is cancelled and paid
+    /// for first, whether or not the process is still there. Used by
+    /// [`SharedSema`]; stale wakes are prevented by that cancellation, and
     /// ignored defensively by the scheduler.
-    pub(super) fn wake(&self, lp: LpId, reason: WakeReason, cancel: TimerHandle) {
-        let cancels = cancel != TimerHandle::NONE;
-        if cancels {
+    pub(super) fn wake(&self, lp: LpId, reason: WakeReason, timer: u32) {
+        if timer != NO_TIMER {
             self.charge_class(OpClass::Timer, self.core.cost.timer_op);
         }
         let t = self.event_time();
-        let mut g = self.core.engine.lock();
-        if cancels {
-            g.cancel(cancel);
-        }
-        g.push_event(t, EvKind::Wake { lp, reason });
+        self.core.engine.lock().wake(t, lp, reason, timer);
     }
 
     /// Suspends the current process for `dt` of virtual time. No-op in

@@ -16,7 +16,7 @@ use super::ctx::Block;
 use super::observe::Observers;
 use super::report::bump;
 use super::sema::Enqueued;
-use super::timeline::{Key, Timeline};
+use super::timeline::{Filed, Key, Timeline};
 use super::*;
 
 /// FNV-1a offset basis / prime, folding one u64 at a time.
@@ -29,11 +29,11 @@ fn fnv_fold(h: u64, x: u64) -> u64 {
 
 /// The body a fresh process starts from: a thunk (called on the driver's
 /// stack, which it keeps if it blocks — so it may block anywhere) or a
-/// stackless [`VProc`] machine (stepped on the driver's stack, blocks by
-/// returning [`VStep`]s).
+/// stackless [`VProc`] machine and its fuel (see [`machine_fuel`]; stepped on
+/// the driver's stack, blocks by returning [`VStep`]s).
 pub(super) enum ProcBody {
     Thunk(Thunk),
-    Machine(Box<dyn VProc>),
+    Machine(Box<dyn VProc>, u32),
 }
 
 /// The fuel a fresh machine gets under `limit`, in resumes (`u32::MAX` =
@@ -41,48 +41,57 @@ pub(super) enum ProcBody {
 /// A budget of `u32::MAX` resumes or more is more than any run gives one
 /// machine and counts as unlimited: a `u64` would cost every process-table
 /// slot a word.
-fn machine_fuel(limit: Option<u64>) -> u32 {
+pub(super) fn machine_fuel(limit: Option<u64>) -> u32 {
     limit.map_or(u32::MAX, |f| u32::try_from(f).unwrap_or(u32::MAX))
 }
 
 /// The suspended form of a blocked process: a coroutine, or a machine and
 /// its remaining fuel (see [`machine_fuel`]) — the tag sits beside `fuel`,
-/// so an `Option<LpBody>` is three words.
+/// so an `Option<LpBody>` is three words. A machine spawned but not yet
+/// started waits in this form too.
 pub(super) enum LpBody {
     Coro(vproc::Coro),
     Machine { m: Box<dyn VProc>, fuel: u32 },
 }
 
-/// A pending event. A fresh process's body sits in the event itself, as a
-/// thunk or a machine, beside its host's index narrowed as in [`LpState`],
-/// so that an event is three words and its table slot four.
+/// A pending event of the event table: a free-standing thunk (a timer, a
+/// delivery, a spawned thunk) beside its host's index narrowed as in
+/// [`LpState`], a crash or a restart — or the wake of a process that was
+/// already gone when it was filed, which the scheduler pops as a stale wake.
+/// A machine's start and a live process's wake are not here: their keys
+/// name the process's own table slot ([`PROC_KEY`]). Three words, a table
+/// slot four.
 pub(super) enum EvKind {
     Thunk { host: u32, f: Thunk },
-    Machine { host: u32, m: Box<dyn VProc> },
     Wake { lp: LpId, reason: WakeReason },
     Crash { host: HostId },
     Restart { host: HostId },
 }
 
-impl EvKind {
-    /// The event that starts `body` on `host`.
-    pub(super) fn run(host: HostId, body: ProcBody) -> EvKind {
-        let host = narrow(host);
-        match body {
-            ProcBody::Thunk(f) => EvKind::Thunk { host, f },
-            ProcBody::Machine(m) => EvKind::Machine { host, m },
-        }
-    }
-}
+/// The bit of a timeline key's slot that says the key names a process-table
+/// slot — a spawned machine's start, or a process's wake — and not an
+/// event-table one. A process slot holds the seq of the one key that may
+/// reach it (the timeline asks through [`Tables`]), so a key that outlived
+/// its purpose misses, however the slot has been reused since.
+pub(super) const PROC_KEY: u32 = 1 << 31;
+
+/// A waiter's timer slot when its wait is untimed.
+pub(super) const NO_TIMER: u32 = u32::MAX;
+
+/// A process slot's key when none is pending (no event has this seq).
+const NO_KEY: u64 = u64::MAX;
 
 /// A [`HostId`]'s index in a `u32` (a simulation has far fewer than 2³²
 /// hosts).
-fn narrow(host: HostId) -> u32 {
+pub(super) fn narrow(host: HostId) -> u32 {
     u32::try_from(host.0).expect("host ids fit in 32 bits")
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(super) enum RunState {
+    /// A machine spawned whose start is still due: not a process yet. It
+    /// has no id, and it counts as live only once it starts.
+    Spawned,
     /// A thunk's body, on a stack it can keep: it may block anywhere.
     Running,
     /// A machine's step, on a stack that is not its own: it blocks by
@@ -93,6 +102,21 @@ pub(super) enum RunState {
     /// it (unwinding its coroutine via [`CrashKill`]) at the next
     /// deterministic reap point.
     Killed,
+    /// The process has ended, but its slot still holds a key — a wake filed
+    /// before it died, or the timer of a wait a V may yet cancel — so the
+    /// slot is not reused until that key is spent.
+    Gone,
+}
+
+/// What the key in a process's slot stands for.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(super) enum Pending {
+    Nothing,
+    /// A timeline key that starts the spawned machine, or wakes the blocked
+    /// process for this reason.
+    Wake(WakeReason),
+    /// The seq of the timer a timed P armed; its key is the event table's.
+    Timer,
 }
 
 /// Panic payload used to unwind a shepherd coroutine whose host crashed.
@@ -109,10 +133,10 @@ pub(super) const RESUME_NORMAL: u64 = 0;
 pub(super) const RESUME_TIMEOUT: u64 = 1;
 pub(super) const RESUME_KILLED: u64 = 2;
 
-/// A process-table entry: one word for the host, the state and what a
-/// blocked process waits for, three for the continuation. The checker keeps
-/// which semaphore a process waits on (it heard the wait begin), so the
-/// table does not.
+/// A process-table entry: one word for the host, the state, what a blocked
+/// process waits for and what its slot's key stands for, three for the
+/// continuation. The checker keeps which semaphore a process waits on (it
+/// heard the wait begin), so the table does not.
 pub(super) struct LpState {
     /// [`HostId`]'s index, narrowed; read it through [`LpState::host`].
     host: u32,
@@ -120,16 +144,27 @@ pub(super) struct LpState {
     /// Whether a blocked process waits on a semaphore (else on a timer):
     /// such a wait is not snapshot material.
     pub(super) on_sema: bool,
-    /// The suspended continuation; `None` while the process is running or
-    /// before its first step.
+    pending: Pending,
+    /// The suspended continuation; `None` while the process is running.
     pub(super) body: Option<LpBody>,
 }
 
+/// A process-table slot: its tenant's id (the generation an [`LpId`] is
+/// checked against), the seq of the one key that may still reach the slot
+/// (what `st.pending` says it is), and the tenant.
+struct LpSlot {
+    /// [`LpId::id`]; `u64::MAX` (no process's) until a spawned machine
+    /// starts.
+    id: u64,
+    key: u64,
+    st: Option<LpState>,
+}
+
 /// What a live process costs the process table and a pending event the
-/// event table (each slot is the entry and its id): DESIGN.md §11's table
-/// and `tests/parked_bytes.rs` count on these.
+/// event table: DESIGN.md §11's table and `tests/parked_bytes.rs` count on
+/// these.
 const _: () = {
-    assert!(std::mem::size_of::<(u64, Option<LpState>)>() == 40);
+    assert!(std::mem::size_of::<LpSlot>() == 48);
     assert!(std::mem::size_of::<(u64, Option<EvKind>)>() == 32);
 };
 
@@ -140,12 +175,272 @@ impl LpState {
             host: narrow(host),
             state,
             on_sema: false,
+            pending: Pending::Nothing,
             body,
         }
     }
 
     pub(super) fn host(&self) -> HostId {
         HostId(self.host as usize)
+    }
+
+    /// Whether this is a process: started, and not yet ended.
+    fn is_process(&self) -> bool {
+        !matches!(self.state, RunState::Spawned | RunState::Gone)
+    }
+}
+
+/// The process table. A slot holds a started process, a machine spawned but
+/// not yet started, or the key an ended process left behind (see
+/// [`RunState::Gone`]); freed slots are reused last-in first-out, which keeps
+/// the table as dense as its population.
+pub(super) struct Procs {
+    slots: Vec<LpSlot>,
+    free: Vec<u32>,
+    /// Processes in the table (started, not ended).
+    live: usize,
+}
+
+impl Procs {
+    pub(super) fn new() -> Procs {
+        Procs {
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+        }
+    }
+
+    /// Processes in the table: machines not yet started and the keys of
+    /// ended processes do not count.
+    pub(super) fn len(&self) -> usize {
+        self.live
+    }
+
+    /// Files `st` under `id` in a free slot; returns the slot.
+    #[inline]
+    pub(super) fn insert(&mut self, id: u64, st: LpState) -> u32 {
+        if st.is_process() {
+            self.live += 1;
+        }
+        let entry = LpSlot {
+            id,
+            key: NO_KEY,
+            st: Some(st),
+        };
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = entry;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len())
+                    .ok()
+                    .filter(|&s| s < PROC_KEY)
+                    .expect("process table outgrew 2³¹ slots");
+                self.slots.push(entry);
+                slot
+            }
+        }
+    }
+
+    /// Makes the machine spawned in `slot` process `id`, stepping; returns
+    /// its machine and fuel.
+    fn start_machine(&mut self, slot: u32, id: u64) -> (Box<dyn VProc>, u32) {
+        let s = &mut self.slots[slot as usize];
+        let st = s.st.as_mut().expect("spawned machine present");
+        debug_assert_eq!(st.state, RunState::Spawned);
+        st.state = RunState::Stepping;
+        s.id = id;
+        self.live += 1;
+        match st.body.take() {
+            Some(LpBody::Machine { m, fuel }) => (m, fuel),
+            _ => unreachable!("a spawned slot holds a machine"),
+        }
+    }
+
+    /// The slot `lp` names, if `lp` is its tenant: a process, or one that
+    /// has ended but left a key.
+    fn entry(&self, lp: LpId) -> Option<&LpState> {
+        match self.slots.get(lp.slot as usize) {
+            Some(s) if s.id == lp.id => s.st.as_ref(),
+            _ => None,
+        }
+    }
+
+    /// Process `lp`, if it is in the table.
+    pub(super) fn get_mut(&mut self, lp: LpId) -> Option<&mut LpState> {
+        match self.slots.get_mut(lp.slot as usize) {
+            Some(s) if s.id == lp.id => s.st.as_mut().filter(|st| st.is_process()),
+            _ => None,
+        }
+    }
+
+    /// Records that `slot`'s key is now `seq`, standing for `pending`.
+    fn file(&mut self, slot: u32, seq: u64, pending: Pending) {
+        let s = &mut self.slots[slot as usize];
+        s.key = seq;
+        s.st.as_mut().expect("a key names an occupied slot").pending = pending;
+    }
+
+    /// Spends the key just popped for `slot`: what it was due for. An ended
+    /// process's slot is free from here on.
+    fn spend(&mut self, slot: u32) -> Due {
+        let s = &mut self.slots[slot as usize];
+        s.key = NO_KEY;
+        let st = s.st.as_mut().expect("a live key names an occupied slot");
+        let Pending::Wake(reason) = std::mem::replace(&mut st.pending, Pending::Nothing) else {
+            unreachable!("a timeline key names a slot only for a start or a wake");
+        };
+        let lp = LpId { id: s.id, slot };
+        match st.state {
+            RunState::Spawned => Due::Start(slot),
+            RunState::Gone => {
+                self.release(slot);
+                Due::Wake(lp, reason)
+            }
+            _ => Due::Wake(lp, reason),
+        }
+    }
+
+    /// Empties `slot` for reuse.
+    #[inline]
+    fn release(&mut self, slot: u32) {
+        let s = &mut self.slots[slot as usize];
+        s.key = NO_KEY;
+        s.st = None;
+        self.free.push(slot);
+    }
+
+    /// Takes process `lp` out of the table. Its slot is free at once unless
+    /// a key may still reach it: then it waits, ended, for that key.
+    #[inline]
+    fn remove(&mut self, lp: LpId) {
+        let Some(st) = self.get_mut(lp) else {
+            return;
+        };
+        let keyed = st.pending != Pending::Nothing;
+        if keyed {
+            st.state = RunState::Gone;
+            st.body = None;
+        }
+        self.live -= 1;
+        if !keyed {
+            self.release(lp.slot);
+        }
+    }
+
+    /// A crash of `host`: the keys of its spawned machines and of its
+    /// processes' wakes die (the spawned machines with them), and so does
+    /// any slot's timer among `timers`, the sorted seqs of the thunks the
+    /// crash took from the event table. Returns how many timeline keys that
+    /// killed. An ended process's wake is not its host's any more and stays
+    /// due, as does a live process's timer armed on another host.
+    fn purge(&mut self, host: HostId, timers: &[u64]) -> usize {
+        let host = narrow(host);
+        let mut dead = 0;
+        for slot in 0..self.slots.len() {
+            let s = &mut self.slots[slot];
+            let Some(st) = s.st.as_mut() else {
+                continue;
+            };
+            let gone = match st.pending {
+                Pending::Timer if timers.binary_search(&s.key).is_ok() => {
+                    st.state == RunState::Gone
+                }
+                Pending::Wake(_) if st.host == host && st.state != RunState::Gone => {
+                    dead += 1;
+                    st.state == RunState::Spawned
+                }
+                _ => continue,
+            };
+            s.key = NO_KEY;
+            st.pending = Pending::Nothing;
+            if gone {
+                self.release(slot as u32);
+            }
+        }
+        dead
+    }
+
+    /// Processes and spawned machines as `(id, slot, state)`, in slot order.
+    pub(super) fn iter(&self) -> impl Iterator<Item = (u64, u32, &LpState)> {
+        (0u32..).zip(&self.slots).filter_map(|(slot, s)| {
+            let st = s.st.as_ref().filter(|st| st.state != RunState::Gone)?;
+            Some((s.id, slot, st))
+        })
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = (u64, u32, &mut LpState)> {
+        (0u32..).zip(&mut self.slots).filter_map(|(slot, s)| {
+            let st = s.st.as_mut().filter(|st| st.state != RunState::Gone)?;
+            Some((s.id, slot, st))
+        })
+    }
+
+    /// The tenant id and reason of the wake `seq` in `slot`, if that is the
+    /// slot's live key.
+    pub(super) fn wake_in(&self, seq: u64, slot: u32) -> Option<(u64, WakeReason)> {
+        let s = self.slots.get(slot as usize).filter(|s| s.key == seq)?;
+        match s.st.as_ref()?.pending {
+            Pending::Wake(reason) => Some((s.id, reason)),
+            _ => None,
+        }
+    }
+
+    /// Timeline keys naming a slot.
+    pub(super) fn keys(&self) -> usize {
+        self.slots
+            .iter()
+            .filter(|s| {
+                s.st.as_ref()
+                    .is_some_and(|st| matches!(st.pending, Pending::Wake(_)))
+            })
+            .count()
+    }
+
+    pub(super) fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+        self.live = 0;
+    }
+}
+
+/// What a popped key was due for.
+enum Due {
+    Event(EvKind),
+    /// The start of the machine spawned in this process slot.
+    Start(u32),
+    /// A wake for this process: it may have ended or been killed since.
+    Wake(LpId, WakeReason),
+}
+
+impl Due {
+    /// The kind tag [`Engine::sched_hash`] folds.
+    fn tag(&self) -> u64 {
+        match self {
+            Due::Event(EvKind::Thunk { .. }) | Due::Start(_) => 1,
+            Due::Event(EvKind::Wake { .. }) | Due::Wake(..) => 2,
+            Due::Event(EvKind::Crash { .. }) => 3,
+            Due::Event(EvKind::Restart { .. }) => 4,
+        }
+    }
+}
+
+/// The two tables a timeline key can name, as the timeline tests a key.
+pub(super) struct Tables<'a> {
+    pub(super) events: &'a Slab<EvKind>,
+    pub(super) lps: &'a Procs,
+}
+
+impl Filed for Tables<'_> {
+    #[inline]
+    fn files(&self, seq: u64, slot: u32) -> bool {
+        if slot & PROC_KEY == 0 {
+            self.events.files(seq, slot)
+        } else {
+            let entry = self.lps.slots.get((slot & !PROC_KEY) as usize);
+            entry.is_some_and(|s| s.key == seq)
+        }
     }
 }
 
@@ -187,7 +482,11 @@ impl<T> Slab<T> {
                 slot
             }
             None => {
-                let slot = u32::try_from(self.slots.len()).expect("slab outgrew u32 slots");
+                // The top bit of a timeline key's slot is [`PROC_KEY`].
+                let slot = u32::try_from(self.slots.len())
+                    .ok()
+                    .filter(|&s| s < PROC_KEY)
+                    .expect("slab outgrew 2³¹ slots");
                 self.slots.push((id, Some(value)));
                 slot
             }
@@ -197,13 +496,6 @@ impl<T> Slab<T> {
     pub(super) fn get(&self, id: u64, slot: u32) -> Option<&T> {
         match self.slots.get(slot as usize) {
             Some((i, v)) if *i == id => v.as_ref(),
-            _ => None,
-        }
-    }
-
-    fn get_mut(&mut self, id: u64, slot: u32) -> Option<&mut T> {
-        match self.slots.get_mut(slot as usize) {
-            Some((i, v)) if *i == id => v.as_mut(),
             _ => None,
         }
     }
@@ -226,17 +518,12 @@ impl<T> Slab<T> {
             .filter_map(|(slot, (id, v))| v.as_ref().map(|v| (*id, slot, v)))
     }
 
-    fn iter_mut(&mut self) -> impl Iterator<Item = (u64, u32, &mut T)> {
-        (0u32..)
-            .zip(&mut self.slots)
-            .filter_map(|(slot, (id, v))| v.as_mut().map(|v| (*id, slot, v)))
-    }
-
-    /// Removes every entry `dead` selects; returns how many that was.
-    fn remove_where(&mut self, mut dead: impl FnMut(&T) -> bool) -> usize {
+    /// Removes every entry `dead` selects (it is told each entry's id);
+    /// returns how many that was.
+    fn remove_where(&mut self, mut dead: impl FnMut(u64, &T) -> bool) -> usize {
         let before = self.live;
-        for (slot, (_, v)) in (0u32..).zip(&mut self.slots) {
-            if v.as_ref().is_some_and(&mut dead) {
+        for (slot, (id, v)) in (0u32..).zip(&mut self.slots) {
+            if v.as_ref().is_some_and(|v| dead(*id, v)) {
                 *v = None;
                 self.live -= 1;
                 self.free.push(slot);
@@ -249,6 +536,13 @@ impl<T> Slab<T> {
         self.slots.clear();
         self.free.clear();
         self.live = 0;
+    }
+}
+
+impl<T> Filed for Slab<T> {
+    #[inline]
+    fn files(&self, seq: u64, slot: u32) -> bool {
+        self.get(seq, slot).is_some()
     }
 }
 
@@ -266,8 +560,9 @@ pub(super) struct Engine {
     pub(super) timeline: Timeline,
     /// Pending event bodies, addressed by `(seq, slot)`.
     pub(super) events: Slab<EvKind>,
-    /// Live processes, addressed by [`LpId`].
-    pub(super) lps: Slab<LpState>,
+    /// Live processes, addressed by [`LpId`], with the machines spawned and
+    /// not yet started and the keys they are due by.
+    pub(super) lps: Procs,
     pub(super) next_lp: u64,
     pub(super) current: Option<LpId>,
     /// The process whose thunk is a call on the running driver's stack, for
@@ -302,22 +597,121 @@ pub(super) struct Engine {
 impl Engine {
     /// Files `kind` at time `t`; the returned handle cancels it.
     pub(super) fn push_event(&mut self, t: Time, kind: EvKind) -> TimerHandle {
-        let seq = self.seq;
-        self.seq += 1;
+        let seq = self.next_seq();
         let slot = self.events.insert(seq, kind);
         self.timeline.push((t, seq, slot));
         TimerHandle { seq, slot }
     }
 
+    fn next_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    /// Files the key `(t, seq)` for process-table `slot`, standing for
+    /// `pending` (a restore files a restored machine's wake under its old
+    /// seq).
+    pub(super) fn file_key(&mut self, t: Time, seq: u64, slot: u32, pending: Pending) {
+        self.lps.file(slot, seq, pending);
+        self.timeline.push((t, seq, slot | PROC_KEY));
+    }
+
+    /// Spawns machine `m` with `fuel` on `host`, to start at `t`.
+    pub(super) fn spawn_machine(&mut self, t: Time, host: HostId, m: Box<dyn VProc>, fuel: u32) {
+        let body = Some(LpBody::Machine { m, fuel });
+        let st = LpState::new(host, RunState::Spawned, body);
+        let slot = self.lps.insert(u64::MAX, st);
+        let seq = self.next_seq();
+        self.file_key(t, seq, slot, Pending::Wake(WakeReason::Normal));
+    }
+
+    /// Files the wake of process `lp` at `t`.
+    pub(super) fn wake_at(&mut self, t: Time, lp: LpId, reason: WakeReason) {
+        let seq = self.next_seq();
+        self.file_key(t, seq, lp.slot, Pending::Wake(reason));
+    }
+
+    /// Arms `f` at `t` on `host` as the timer process `lp`'s timed P gives
+    /// up by, recording it in `lp`'s slot; returns the timer's event-table
+    /// slot.
+    pub(super) fn arm_timeout(&mut self, t: Time, host: HostId, lp: LpId, f: Thunk) -> u32 {
+        let h = self.push_event(
+            t,
+            EvKind::Thunk {
+                host: narrow(host),
+                f,
+            },
+        );
+        self.lps.file(lp.slot, h.seq, Pending::Timer);
+        h.slot
+    }
+
+    /// A wake for process `lp` at `t`, by a V (cancelling the timer in event
+    /// slot `timer` its timed wait armed, unless that is [`NO_TIMER`]) or by
+    /// its timeout. A process that has ended gets a free-standing wake,
+    /// which the scheduler will find stale; a slot it left waiting on the
+    /// timer is free once the timer is spent.
+    pub(super) fn wake(&mut self, t: Time, lp: LpId, reason: WakeReason, timer: u32) {
+        let (live, timed) = self.lps.entry(lp).map_or((false, false), |st| {
+            (st.is_process(), st.pending == Pending::Timer)
+        });
+        if timed {
+            if timer != NO_TIMER {
+                let seq = self.lps.slots[lp.slot as usize].key;
+                self.cancel(TimerHandle { seq, slot: timer });
+            }
+            if !live {
+                self.lps.release(lp.slot);
+            }
+        }
+        if live {
+            self.wake_at(t, lp, reason);
+        } else {
+            self.push_event(t, EvKind::Wake { lp, reason });
+        }
+    }
+
     /// Cancels the event `h` was returned for, if it is still pending.
     pub(super) fn cancel(&mut self, h: TimerHandle) {
         if self.events.remove(h.seq, h.slot).is_some() {
-            self.timeline.note_dead(1, &self.events);
+            self.note_dead(1);
+        }
+    }
+
+    /// Tells the timeline that `n` of its keys died without being popped.
+    fn note_dead(&mut self, n: usize) {
+        let tables = Tables {
+            events: &self.events,
+            lps: &self.lps,
+        };
+        self.timeline.note_dead(n, &tables);
+    }
+
+    /// The earliest live key due at or before `stop`.
+    fn pop_through(&mut self, stop: Time) -> Option<Key> {
+        let tables = Tables {
+            events: &self.events,
+            lps: &self.lps,
+        };
+        self.timeline.pop_through(stop, &tables)
+    }
+
+    /// Takes what the popped key `(seq, slot)` was due for out of its table.
+    fn take(&mut self, seq: u64, slot: u32) -> Due {
+        if slot & PROC_KEY == 0 {
+            Due::Event(
+                self.events
+                    .remove(seq, slot)
+                    .expect("event checked present"),
+            )
+        } else {
+            self.lps.spend(slot & !PROC_KEY)
         }
     }
 
     pub(super) fn lp_mut(&mut self, lp: LpId) -> Option<&mut LpState> {
-        self.lps.get_mut(lp.id, lp.slot)
+        self.lps.get_mut(lp)
     }
 
     /// Ids of the processes currently blocked, in table order.
@@ -524,7 +918,7 @@ fn advance(core: &Rc<SimCore>, g: &mut Engine, stop: Time) -> Next {
     loop {
         // The next live event at or before the pause point. Nothing is taken
         // past it, so pausing never consumes exploration decisions.
-        let Some(first) = g.timeline.pop_through(stop, &g.events) else {
+        let Some(first) = g.pop_through(stop) else {
             return Next::Drained;
         };
         let (t, seq, slot) = if g.chooser.is_none() {
@@ -534,20 +928,55 @@ fn advance(core: &Rc<SimCore>, g: &mut Engine, stop: Time) -> Next {
         };
         core.now.set(t);
         g.executed += 1;
-        let kind = g.events.remove(seq, slot).expect("event checked present");
-        g.sched_hash = fnv_fold(
-            fnv_fold(fnv_fold(g.sched_hash, t), seq),
-            match &kind {
-                EvKind::Thunk { .. } | EvKind::Machine { .. } => 1,
-                EvKind::Wake { .. } => 2,
-                EvKind::Crash { .. } => 3,
-                EvKind::Restart { .. } => 4,
-            },
-        );
+        let due = g.take(seq, slot);
+        g.sched_hash = fnv_fold(fnv_fold(fnv_fold(g.sched_hash, t), seq), due.tag());
         g.observers.probe(core, || Probe::Event(g.executed, t));
-        let (host, body) = match kind {
-            EvKind::Thunk { host, f } => (host, ProcBody::Thunk(f)),
-            EvKind::Machine { host, m } => (host, ProcBody::Machine(m)),
+        let kind = match due {
+            Due::Event(kind) => kind,
+            Due::Start(slot) => {
+                let st = g.lps.slots[slot as usize].st.as_ref();
+                let host = st.expect("spawned machine present").host();
+                let h = core.host(host);
+                if h.down.get() {
+                    g.lps.release(slot);
+                    continue; // Spawned before the crash; dies with it.
+                }
+                let jumped = h.arrive(t, 0);
+                return Next::Task(start_lp(core, g, host, Fresh::Spawned(slot), jumped));
+            }
+            Due::Wake(lp, reason) => {
+                let Some(st) = g.lp_mut(lp).filter(|st| st.state == RunState::Blocked) else {
+                    // Process gone or killed since: a stale wake.
+                    g.observers.probe(core, || Probe::StaleWake(lp.id));
+                    continue;
+                };
+                let host = st.host();
+                let body = st.body.take().expect("blocked process has a continuation");
+                st.state = match body {
+                    LpBody::Coro(_) => RunState::Running,
+                    LpBody::Machine { .. } => RunState::Stepping,
+                };
+                let took = reason == WakeReason::Normal;
+                g.current = Some(lp);
+                let switch = core.cost.proc_switch;
+                let (idle, now) = core.host(host).arrive(t, switch);
+                g.observers
+                    .probe(core, || Probe::Resume(lp.id, host, idle, switch, now, took));
+                return Next::Resume(Woken {
+                    lp,
+                    host,
+                    body,
+                    reason,
+                });
+            }
+        };
+        let (host, f) = match kind {
+            EvKind::Thunk { host, f } => (HostId(host as usize), f),
+            EvKind::Wake { lp, .. } => {
+                // Filed after its process had gone.
+                g.observers.probe(core, || Probe::StaleWake(lp.id));
+                continue;
+            }
             EvKind::Crash { host } => {
                 let h = core.host(host);
                 if h.down.get() {
@@ -573,16 +1002,17 @@ fn advance(core: &Rc<SimCore>, g: &mut Engine, stop: Time) -> Next {
                     observers,
                     ..
                 } = &mut *g;
-                let purged = events.remove_where(|k| match k {
-                    EvKind::Thunk { host: h, .. } | EvKind::Machine { host: h, .. } => {
-                        *h == narrow(host)
+                let mut thunks = Vec::new();
+                let purged = events.remove_where(|seq, k| {
+                    let dies = matches!(k, EvKind::Thunk { host: h, .. } if *h == narrow(host));
+                    if dies {
+                        thunks.push(seq);
                     }
-                    EvKind::Wake { lp, .. } => {
-                        lps.get(lp.id, lp.slot).is_some_and(|s| s.host() == host)
-                    }
-                    _ => false,
+                    dies
                 });
-                timeline.note_dead(purged, events);
+                thunks.sort_unstable();
+                let purged = purged + lps.purge(host, &thunks);
+                timeline.note_dead(purged, &Tables { events, lps });
                 // Every process on the host dies, its wakes purged; the run
                 // loop reaps the blocked ones (unwinding coroutines via a
                 // filtered panic) at its next deterministic reap point.
@@ -617,41 +1047,14 @@ fn advance(core: &Rc<SimCore>, g: &mut Engine, stop: Time) -> Next {
                         panic!("reboot failed on host {}: {e}", ctx.host().0);
                     }
                 });
-                return Next::Task(start_lp(core, g, host, ProcBody::Thunk(f), jumped));
-            }
-            EvKind::Wake { lp, reason } => {
-                let Some(st) = g.lp_mut(lp).filter(|st| st.state == RunState::Blocked) else {
-                    // Process already gone, or not blocked (cancellation
-                    // should prevent the latter): a stale wake.
-                    g.observers.probe(core, || Probe::StaleWake(lp.id));
-                    continue;
-                };
-                let host = st.host();
-                let body = st.body.take().expect("blocked process has a continuation");
-                st.state = match body {
-                    LpBody::Coro(_) => RunState::Running,
-                    LpBody::Machine { .. } => RunState::Stepping,
-                };
-                let took = reason == WakeReason::Normal;
-                g.current = Some(lp);
-                let switch = core.cost.proc_switch;
-                let (idle, now) = core.host(host).arrive(t, switch);
-                g.observers
-                    .probe(core, || Probe::Resume(lp.id, host, idle, switch, now, took));
-                return Next::Resume(Woken {
-                    lp,
-                    host,
-                    body,
-                    reason,
-                });
+                return Next::Task(start_lp(core, g, host, Fresh::Thunk(f), jumped));
             }
         };
-        let host = HostId(host as usize);
         let h = core.host(host);
         if h.down.get() {
             continue; // Scheduled before the crash; dies with it.
         }
-        return Next::Task(start_lp(core, g, host, body, h.arrive(t, 0)));
+        return Next::Task(start_lp(core, g, host, Fresh::Thunk(f), h.arrive(t, 0)));
     }
 }
 
@@ -662,7 +1065,7 @@ fn pick_tie(core: &SimCore, g: &mut Engine, first: Key) -> Key {
     let mut ties = vec![first];
     // `first` was the earliest key, so whatever is due through its time is
     // tied with it.
-    while let Some(tied) = g.timeline.pop_through(first.0, &g.events) {
+    while let Some(tied) = g.pop_through(first.0) {
         ties.push(tied);
     }
     let n = ties.len();
@@ -687,6 +1090,13 @@ fn pick_tie(core: &SimCore, g: &mut Engine, first: Key) -> Key {
     chosen
 }
 
+/// What [`start_lp`] starts: a thunk, or the machine spawned in a process
+/// slot.
+enum Fresh {
+    Thunk(Thunk),
+    Spawned(u32),
+}
+
 /// Registers a fresh logical process on `host` (ids allocated in event
 /// order, which determinism depends on) and claims the run token for it.
 /// `jumped` is what [`HostCell::arrive`] reported for the event that
@@ -695,16 +1105,21 @@ fn start_lp(
     core: &SimCore,
     g: &mut Engine,
     host: HostId,
-    body: ProcBody,
+    fresh: Fresh,
     (idle, now): (Nanos, Time),
 ) -> Task {
     let id = g.next_lp;
     g.next_lp += 1;
-    let state = match body {
-        ProcBody::Thunk(_) => RunState::Running,
-        ProcBody::Machine(_) => RunState::Stepping,
+    let (slot, body) = match fresh {
+        Fresh::Thunk(f) => {
+            let st = LpState::new(host, RunState::Running, None);
+            (g.lps.insert(id, st), ProcBody::Thunk(f))
+        }
+        Fresh::Spawned(slot) => {
+            let (m, fuel) = g.lps.start_machine(slot, id);
+            (slot, ProcBody::Machine(m, fuel))
+        }
     };
-    let slot = g.lps.insert(id, LpState::new(host, state, None));
     g.peak_live = g.peak_live.max(g.lps.len());
     let lp = LpId { id, slot };
     g.current = Some(lp);
@@ -767,9 +1182,8 @@ fn drive(mut ctx: Ctx) {
                     Some(g) => g,
                     None => return,
                 },
-                ProcBody::Machine(m) => {
+                ProcBody::Machine(m, fuel) => {
                     drop(g);
-                    let fuel = machine_fuel(core.fuel_limit);
                     step_machine(core, &mut ctx, lp, host, m, fuel, WakeReason::Normal)
                 }
             },
@@ -964,7 +1378,7 @@ fn finalize_lp(core: &SimCore, g: &mut Engine, lp: LpId) {
     if g.current == Some(lp) {
         g.current = None;
     }
-    g.lps.remove(lp.id, lp.slot);
+    g.lps.remove(lp);
     g.observers.probe(core, || Probe::Finish(lp.id));
 }
 

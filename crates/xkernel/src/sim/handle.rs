@@ -14,7 +14,7 @@ use crate::map::AppendTable;
 use crate::msg::HeaderPolicy;
 use crate::rng::{draws_between, splitmix64};
 
-use super::engine::{install_crash_hook, Engine, EvKind, Slab, FNV_OFFSET};
+use super::engine::{install_crash_hook, Engine, EvKind, Procs, Slab, FNV_OFFSET};
 use super::observe::{mask_for, Observers};
 use super::report::HostCell;
 use super::timeline::Timeline;
@@ -83,7 +83,7 @@ impl Sim {
                     seq: 0,
                     timeline: Timeline::new(),
                     events: Slab::new(),
-                    lps: Slab::new(),
+                    lps: Procs::new(),
                     next_lp: 0,
                     current: None,
                     on_driver: None,
@@ -287,13 +287,14 @@ impl Sim {
         self.core.engine.lock().sched_hash
     }
 
-    /// Keys the timeline holds and events pending, for the test that the
+    /// Keys the timeline holds and events pending (in the event table, and
+    /// the starts and wakes due in process slots), for the test that the
     /// first stays within twice the second plus a constant however many
     /// timers are cancelled.
     #[doc(hidden)]
     pub fn timeline_load(&self) -> (usize, usize) {
         let g = self.core.engine.lock();
-        (g.timeline.len(), g.events.len())
+        (g.timeline.len(), g.events.len() + g.lps.keys())
     }
 
     /// Installs a scheduling oracle: every same-time event tie becomes a

@@ -37,11 +37,11 @@ pub(crate) enum Probe {
     /// `(lp)`: `lp` left the process table.
     Finish(u64),
     /// `(lp, host, sema, label)`: a P took a free unit.
-    Acquire(Option<u64>, HostId, u64, &'static str),
+    Acquire(Option<u64>, HostId, u64, Label),
     /// `(lp, host, sema, label)`: `lp` queued on `sema` and is about to block.
-    WaitBegin(u64, HostId, u64, &'static str),
+    WaitBegin(u64, HostId, u64, Label),
     /// `(lp, host, sema, label, woken)`: a V, handing the unit to `woken` if one waited.
-    Release(Option<u64>, HostId, u64, &'static str, Option<u64>),
+    Release(Option<u64>, HostId, u64, Label, Option<u64>),
     /// `(host, key, class, ns, t)`: `ns` of `class` landed on `key`'s span stack.
     Charge(HostId, SpanKey, OpClass, Nanos, Time),
     /// `(host, key, proto, kind, len)`: a `kind` crossing of `len` bytes entered `proto`.

@@ -1,14 +1,13 @@
 //! [`SharedSema`], the counting semaphore shepherd processes block on.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
-use std::sync::atomic::Ordering::Relaxed;
 
-use crate::cell::OwnerCell;
 use crate::trace::OpClass;
 
 use super::ctx::Block;
+use super::engine::NO_TIMER;
 use super::*;
 
 /// What the front half of a P found (see [`SharedSema::wait_begin`]).
@@ -22,36 +21,26 @@ pub(super) enum Enqueued {
     Queued,
 }
 
-/// A process parked on a semaphore, with the timer that gives up for it
-/// ([`TimerHandle::NONE`] for an untimed wait). A process waits on one
-/// semaphore at a time and its id is never reused, so the id also names the
-/// wait. The two handles are held as their parts: three words, where two
-/// padded handles take four.
+/// A process parked on a semaphore: its address and, for a timed wait, the
+/// event-table slot of the timer that gives up for it ([`NO_TIMER`] for an
+/// untimed one). The timer's seq is the key the process's own table slot
+/// holds, so the waiter carries only the half a V cannot find there once the
+/// process is gone. A process waits on one semaphore at a time and its id is
+/// never reused, so the id also names the wait. Two words.
 #[derive(Clone, Copy)]
 struct Waiter {
     lp: u64,
-    timer: u64,
     lp_slot: u32,
-    timer_slot: u32,
+    timer: u32,
 }
 
 impl Waiter {
     /// No waiter: no process has the id `u64::MAX`.
     const NONE: Waiter = Waiter {
         lp: u64::MAX,
-        timer: u64::MAX,
         lp_slot: u32::MAX,
-        timer_slot: u32::MAX,
+        timer: NO_TIMER,
     };
-
-    /// `lp`, waiting untimed.
-    fn new(lp: LpId) -> Waiter {
-        Waiter {
-            lp: lp.id,
-            lp_slot: lp.slot,
-            ..Waiter::NONE
-        }
-    }
 
     fn lp(&self) -> LpId {
         LpId {
@@ -59,126 +48,206 @@ impl Waiter {
             slot: self.lp_slot,
         }
     }
-
-    fn timer(&self) -> TimerHandle {
-        TimerHandle {
-            seq: self.timer,
-            slot: self.timer_slot,
-        }
-    }
 }
 
-/// A semaphore's waiters, oldest first. The oldest is held in the semaphore
-/// itself and only a second spills into `rest`, a queue boxed the first time
-/// one does. A semaphore that never has two processes waiting at once — a
-/// call's reply semaphore, a resident client's `done` — so never allocates
-/// for its waiters and carries one word for the queue it never needs.
-struct Waiters {
+/// What a [`SharedSema`]'s clones share: the count and the waiters, oldest
+/// first. The oldest waiter is held in the semaphore itself and only a
+/// second spills into `rest`, a queue boxed the first time one does. A
+/// semaphore that never has two processes waiting at once — a call's reply
+/// semaphore, a resident client's `done` — so never allocates for its
+/// waiters and carries one word for the queue it never needs. Every field is
+/// a plain cell: no operation calls out while it holds one, so there is no
+/// borrow to track.
+struct Sema {
+    count: Cell<i64>,
     /// The oldest waiter; [`Waiter::NONE`] only when `rest` is empty too.
-    head: Waiter,
+    head: Cell<Waiter>,
     // Boxed on purpose: one word where the queue is four, and the queue is
     // needed only by a semaphore with two waiters at once.
     #[allow(clippy::box_collection)]
-    rest: Option<Box<VecDeque<Waiter>>>,
+    rest: Cell<Option<Box<VecDeque<Waiter>>>>,
+    /// Globally unique identity for the checker's holding/wait-for maps,
+    /// with the semaphore's [`Label`] in its low [`LABEL_BITS`].
+    id: u64,
 }
 
-impl Waiters {
-    const EMPTY: Waiters = Waiters {
-        head: Waiter::NONE,
-        rest: None,
-    };
+/// What a semaphore costs: its `Rc` adds two counts, 56 B in all, a 64-B
+/// allocator chunk (DESIGN.md §11's table; `tests/parked_bytes.rs` counts
+/// on it).
+const _: () = {
+    assert!(std::mem::size_of::<Sema>() == 40);
+    assert!(std::mem::size_of::<Waiter>() == 16);
+};
 
+impl Sema {
     fn is_empty(&self) -> bool {
-        self.head.lp == Waiter::NONE.lp
+        self.head.get().lp == Waiter::NONE.lp
     }
 
-    fn push_back(&mut self, w: Waiter) {
+    fn push_back(&self, w: Waiter) {
         if self.is_empty() {
-            self.head = w;
+            self.head.set(w);
         } else {
-            self.rest.get_or_insert_with(Box::default).push_back(w);
+            let mut rest = self.rest.take().unwrap_or_default();
+            rest.push_back(w);
+            self.rest.set(Some(rest));
         }
     }
 
     /// Takes the oldest waiter; the next moves up.
-    fn pop_front(&mut self) -> Option<Waiter> {
+    fn pop_front(&self) -> Option<Waiter> {
         if self.is_empty() {
             return None;
         }
-        let next = self.rest.as_mut().and_then(|rest| rest.pop_front());
-        Some(std::mem::replace(
-            &mut self.head,
-            next.unwrap_or(Waiter::NONE),
-        ))
+        let mut rest = self.rest.take();
+        let next = rest.as_mut().and_then(|rest| rest.pop_front());
+        self.rest.set(rest);
+        Some(self.head.replace(next.unwrap_or(Waiter::NONE)))
     }
 
-    /// Process `lp`'s waiter, wherever it stands.
-    fn find_mut(&mut self, lp: u64) -> Option<&mut Waiter> {
-        let rest = self.rest.iter_mut().flat_map(|rest| rest.iter_mut());
-        std::iter::once(&mut self.head)
-            .chain(rest)
+    /// Gives process `lp`'s waiter, wherever it stands, the timer in event
+    /// slot `timer`.
+    fn set_timer(&self, lp: u64, timer: u32) {
+        let mut head = self.head.get();
+        if head.lp == lp {
+            head.timer = timer;
+            self.head.set(head);
+            return;
+        }
+        let mut rest = self.rest.take();
+        if let Some(w) = rest
+            .iter_mut()
+            .flat_map(|r| r.iter_mut())
             .find(|w| w.lp == lp)
+        {
+            w.timer = timer;
+        }
+        self.rest.set(rest);
     }
 
     /// Removes process `lp`'s waiter, wherever it stands (those behind it
     /// move up); whether it was there.
-    fn remove(&mut self, lp: u64) -> bool {
-        if self.head.lp == lp {
+    fn remove(&self, lp: u64) -> bool {
+        if self.head.get().lp == lp {
             self.pop_front();
             return true;
         }
-        let Some(rest) = self.rest.as_mut() else {
-            return false;
-        };
-        let pos = rest.iter().position(|w| w.lp == lp);
-        pos.and_then(|pos| rest.remove(pos)).is_some()
+        let mut rest = self.rest.take();
+        let pos = rest
+            .as_ref()
+            .and_then(|r| r.iter().position(|w| w.lp == lp));
+        let removed = pos.and_then(|pos| rest.as_mut()?.remove(pos)).is_some();
+        self.rest.set(rest);
+        removed
+    }
+
+    fn label(&self) -> Label {
+        Label((self.id & LABEL_MASK) as u16)
     }
 }
 
-struct SemaState {
-    count: i64,
-    waiters: Waiters,
+/// Bits of [`Sema::id`] that hold the label.
+const LABEL_BITS: u32 = 16;
+const LABEL_MASK: u64 = (1 << LABEL_BITS) - 1;
+
+/// A semaphore's label, interned: an index into the process-wide list of
+/// every label a semaphore has been given (0 is `"sema"`, the default), so
+/// that it packs into the semaphore's id word. Resolved only where a report
+/// names it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct Label(u16);
+
+impl Label {
+    /// The label [`SharedSema::new`] gives.
+    const DEFAULT: Label = Label(0);
+
+    /// `text`'s index, assigned the first time any thread interns it.
+    pub(crate) fn of(text: &'static str) -> Label {
+        if text == "sema" {
+            return Label::DEFAULT;
+        }
+        let seen = |labels: &[&'static str]| labels.iter().position(|&l| l == text);
+        let known = LABELS.with(|mine| seen(&mine.borrow()));
+        let i = known.unwrap_or_else(|| {
+            let mut reg = registry();
+            let i = seen(&reg.labels).unwrap_or_else(|| {
+                reg.labels.push(text);
+                reg.labels.len() - 1
+            });
+            LABELS.with(|mine| mine.borrow_mut().clone_from(&reg.labels));
+            i
+        });
+        Label(u16::try_from(i + 1).expect("at most 65,535 distinct semaphore labels"))
+    }
+
+    /// The text this label stands for.
+    pub(crate) fn as_str(self) -> &'static str {
+        let Some(i) = usize::from(self.0).checked_sub(1) else {
+            return "sema";
+        };
+        LABELS.with(|mine| {
+            if mine.borrow().len() <= i {
+                mine.borrow_mut().clone_from(&registry().labels);
+            }
+            mine.borrow()[i]
+        })
+    }
 }
 
-/// What a [`SharedSema`]'s clones share.
-struct Sema {
-    st: OwnerCell<SemaState>,
-    /// Globally unique identity for the checker's holding/wait-for maps.
-    id: u64,
-    /// Human-readable label for violation reports.
-    label: &'static str,
+/// Where the threads that make semaphores meet: the next unused block of
+/// ids, and every label given so far (by [`Label`] index, less one).
+struct Registry {
+    next_block: u64,
+    labels: Vec<&'static str>,
 }
 
-/// What a semaphore costs: its `Rc` adds two counts, 88 B in all
-/// (DESIGN.md §11's table; `tests/parked_bytes.rs` counts on it).
-const _: () = assert!(std::mem::size_of::<Sema>() == 72);
+// The one place threads meet in `sim`: a rig built on one thread may be
+// driven on another, so an id or a label index must mean the same on both.
+// Each thread takes it once per block of ids and once per label it has not
+// seen; the operations on a semaphore never do.
+#[allow(clippy::disallowed_types)]
+static REGISTRY: std::sync::Mutex<Registry> = std::sync::Mutex::new(Registry {
+    next_block: 1,
+    labels: Vec::new(),
+});
+
+/// The registry, whatever a panic elsewhere left it as: every update is a
+/// single push or add.
+#[allow(clippy::disallowed_types)]
+fn registry() -> std::sync::MutexGuard<'static, Registry> {
+    REGISTRY
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Ids a thread draws from one block before it takes another.
-const ID_BLOCK: u64 = 1 << 32;
-
-/// The next unused id block, process-wide: a thread takes one the first
-/// time it makes a semaphore (and again in the unlikely case it uses all
-/// 2³² of a block), so ids are unique across threads — and across a rig
-/// moved between them — while drawing one is a plain add.
-// The per-thread id base: the one place threads meet in `sim`.
-#[allow(clippy::disallowed_types)]
-static NEXT_ID_BLOCK: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
+const ID_BLOCK: u64 = 1 << 24;
 
 thread_local! {
-    /// The next [`Sema::id`] this thread hands out; 0 until it has a block.
+    /// The next id this thread hands out; 0 until it has a block.
     static NEXT_SEMA_ID: Cell<u64> = const { Cell::new(0) };
+    /// This thread's copy of [`Registry::labels`], refreshed when it meets
+    /// a label (or an index) it does not have.
+    static LABELS: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A fresh [`Sema::id`], unique in the process.
-fn next_sema_id() -> u64 {
-    NEXT_SEMA_ID.with(|next| {
+/// A fresh semaphore id, unique in the process, with `label` packed in: a
+/// thread takes a block of ids the first time it makes a semaphore (and
+/// again in the unlikely case it uses all 2²⁴ of a block), so ids are unique
+/// across threads — and across a rig moved between them — while drawing one
+/// is a plain add.
+fn next_sema_id(label: Label) -> u64 {
+    let id = NEXT_SEMA_ID.with(|next| {
         let mut id = next.get();
         if id % ID_BLOCK == 0 {
-            id = NEXT_ID_BLOCK.fetch_add(1, Relaxed) * ID_BLOCK;
+            let mut reg = registry();
+            id = reg.next_block * ID_BLOCK;
+            reg.next_block += 1;
         }
         next.set(id + 1);
         id
-    })
+    });
+    id << LABEL_BITS | u64::from(label.0)
 }
 
 /// A counting semaphore integrated with the simulator: P blocks the shepherd
@@ -193,45 +262,46 @@ pub struct SharedSema(Rc<Sema>);
 impl SharedSema {
     /// A semaphore with the given initial count.
     pub fn new(initial: i64) -> SharedSema {
-        SharedSema::labeled(initial, "sema")
+        SharedSema::with_label(initial, Label::DEFAULT)
     }
 
     /// A semaphore with the given initial count and a label that xcheck
     /// violation reports (deadlock cycles, double waits) will carry.
     pub fn labeled(initial: i64, label: &'static str) -> SharedSema {
+        SharedSema::with_label(initial, Label::of(label))
+    }
+
+    fn with_label(initial: i64, label: Label) -> SharedSema {
         SharedSema(Rc::new(Sema {
-            st: OwnerCell::new(SemaState {
-                count: initial,
-                waiters: Waiters::EMPTY,
-            }),
-            id: next_sema_id(),
-            label,
+            count: Cell::new(initial),
+            head: Cell::new(Waiter::NONE),
+            rest: Cell::new(None),
+            id: next_sema_id(label),
         }))
     }
 
     /// Current count (tests/introspection).
     pub fn count(&self) -> i64 {
-        self.0.st.lock().count
+        self.0.count.get()
     }
 
     /// Captures the count for a whole-sim snapshot: all the state a
     /// semaphore has at a quiescent instant, when no process can be parked
     /// on it, so losing the (empty) waiter queue is sound.
     pub fn snap_state(&self) -> i64 {
-        let st = self.0.st.lock();
         debug_assert!(
-            st.waiters.is_empty(),
+            self.0.is_empty(),
             "sema snapshot with waiters parked (not quiescent)"
         );
-        st.count
+        self.0.count.get()
     }
 
     /// Restores state captured by [`SharedSema::snap_state`]. Same
     /// quiescence requirement; any stray waiters are dropped.
     pub fn restore_state(&self, count: i64) {
-        let mut st = self.0.st.lock();
-        st.waiters = Waiters::EMPTY;
-        st.count = count;
+        self.0.head.set(Waiter::NONE);
+        self.0.rest.set(None);
+        self.0.count.set(count);
     }
 
     /// The front half of every P — [`SharedSema::p`],
@@ -243,12 +313,11 @@ impl SharedSema {
     /// resume probe) when it resumes the process.
     pub(super) fn wait_begin(&self, ctx: &Ctx, timeout: Option<Nanos>) -> Enqueued {
         ctx.charge_class(OpClass::Sema, ctx.cost().sema_op);
-        let mut st = self.0.st.lock();
-        if st.count > 0 {
-            st.count -= 1;
-            drop(st);
+        let sema = &self.0;
+        if sema.count.get() > 0 {
+            sema.count.set(sema.count.get() - 1);
             let lp = ctx.lp.map(|lp| lp.id);
-            let acquire = || Probe::Acquire(lp, ctx.host, self.0.id, self.0.label);
+            let acquire = || Probe::Acquire(lp, ctx.host, sema.id, sema.label());
             ctx.core.probe(acquire);
             return Enqueued::Acquired;
         }
@@ -256,21 +325,21 @@ impl SharedSema {
             return Enqueued::Inline;
         }
         let lp = ctx.lp.expect("P outside a shepherd process");
-        st.waiters.push_back(Waiter::new(lp));
-        drop(st);
-        let wait = || Probe::WaitBegin(lp.id, ctx.host, self.0.id, self.0.label);
+        sema.push_back(Waiter {
+            lp: lp.id,
+            lp_slot: lp.slot,
+            timer: NO_TIMER,
+        });
+        let wait = || Probe::WaitBegin(lp.id, ctx.host, sema.id, sema.label());
         ctx.core.probe(wait);
         if let Some(dt) = timeout {
             let me = self.clone();
-            let timer = ctx.schedule_after(dt, move |tctx| {
-                let removed = me.0.st.lock().waiters.remove(lp.id);
-                if removed {
-                    tctx.wake(lp, WakeReason::Timeout, TimerHandle::NONE);
+            let timer = ctx.arm_timeout(lp, dt, move |tctx| {
+                if me.0.remove(lp.id) {
+                    tctx.wake(lp, WakeReason::Timeout, NO_TIMER);
                 }
             });
-            if let Some(w) = self.0.st.lock().waiters.find_mut(lp.id) {
-                (w.timer, w.timer_slot) = (timer.seq, timer.slot);
-            }
+            sema.set_timer(lp.id, timer);
         }
         Enqueued::Queued
     }
@@ -290,19 +359,16 @@ impl SharedSema {
     /// V: release one unit, waking the longest-waiting process if any.
     pub fn v(&self, ctx: &Ctx) {
         ctx.charge_class(OpClass::Sema, ctx.cost().sema_op);
-        let woken = {
-            let mut st = self.0.st.lock();
-            let woken = st.waiters.pop_front();
-            if woken.is_none() {
-                st.count += 1;
-            }
-            woken
-        };
+        let sema = &self.0;
+        let woken = sema.pop_front();
+        if woken.is_none() {
+            sema.count.set(sema.count.get() + 1);
+        }
         let (lp, to) = (ctx.lp.map(|l| l.id), woken.map(|w| w.lp));
-        let release = || Probe::Release(lp, ctx.host, self.0.id, self.0.label, to);
+        let release = || Probe::Release(lp, ctx.host, sema.id, sema.label(), to);
         ctx.core.probe(release);
         if let Some(w) = woken {
-            ctx.wake(w.lp(), WakeReason::Normal, w.timer());
+            ctx.wake(w.lp(), WakeReason::Normal, w.timer);
         }
     }
 

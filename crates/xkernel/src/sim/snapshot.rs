@@ -3,7 +3,7 @@
 use crate::error::{XError, XResult};
 use crate::proto::SnapBlob;
 
-use super::engine::{Engine, EvKind, LpBody, LpState, RunState};
+use super::engine::{Engine, EvKind, LpBody, LpState, Pending, RunState, PROC_KEY};
 use super::handle::kernels_of;
 use super::report::HostCell;
 use super::*;
@@ -32,22 +32,25 @@ impl Sim {
         let core = &self.core;
         let g = core.engine.lock();
         require_quiescent(&g)?;
-        // Every pending event is a Wake (eligibility above); capture each
-        // with the time its timeline key carries, sorted by seq so restore
+        // Every pending key is a wake (eligibility above): a parked
+        // machine's, in its slot, or a free-standing one. Capture each with
+        // the time its timeline key carries, sorted by seq so restore
         // rebuilds the identical queue. Stale wakes (their process already
         // gone) are captured too: the scheduler still processes — and
         // hashes — them.
         let mut wakes: Vec<SnapWake> = g
             .timeline
             .iter()
-            .filter_map(|&(t, seq, slot)| match g.events.get(seq, slot) {
-                Some(&EvKind::Wake { lp, reason }) => Some(SnapWake {
-                    t,
-                    seq,
-                    lp: lp.id,
-                    reason,
-                }),
-                _ => None,
+            .filter_map(|&(t, seq, slot)| {
+                let (lp, reason) = if slot & PROC_KEY != 0 {
+                    g.lps.wake_in(seq, slot & !PROC_KEY)?
+                } else {
+                    match g.events.get(seq, slot)? {
+                        &EvKind::Wake { lp, reason } => (lp.id, reason),
+                        _ => return None,
+                    }
+                };
+                Some(SnapWake { t, seq, lp, reason })
             })
             .collect();
         wakes.sort_unstable_by_key(|w| w.seq);
@@ -160,17 +163,21 @@ impl Sim {
                 slots.push(g.lps.insert(sm.lp, st));
             }
             for w in &snap.wakes {
-                // A stale wake's process is gone; any slot misses for it.
-                let slot = snap
-                    .machines
-                    .binary_search_by_key(&w.lp, |sm| sm.lp)
-                    .map_or(u32::MAX, |i| slots[i]);
-                let kind = EvKind::Wake {
-                    lp: LpId { id: w.lp, slot },
-                    reason: w.reason,
-                };
-                let ev_slot = g.events.insert(w.seq, kind);
-                g.timeline.push((w.t, w.seq, ev_slot));
+                // A stale wake's process is gone: it is filed free-standing.
+                match snap.machines.binary_search_by_key(&w.lp, |sm| sm.lp) {
+                    Ok(i) => g.file_key(w.t, w.seq, slots[i], Pending::Wake(w.reason)),
+                    Err(_) => {
+                        let kind = EvKind::Wake {
+                            lp: LpId {
+                                id: w.lp,
+                                slot: u32::MAX,
+                            },
+                            reason: w.reason,
+                        };
+                        let ev_slot = g.events.insert(w.seq, kind);
+                        g.timeline.push((w.t, w.seq, ev_slot));
+                    }
+                }
             }
             g.observers.journal_truncate(snap.journal_len);
         }
@@ -208,10 +215,10 @@ impl Sim {
 
 /// Errors unless the simulator is quiescent: fully drained, or paused with
 /// only forkable machine continuations suspended on timers (every pending
-/// event a Wake). Anything else — a running process, a suspended
+/// event a wake). Anything else — a running process, a suspended
 /// *coroutine* (opaque stack), a machine parked on a semaphore (waiter
-/// queues don't round-trip), an unforkable machine, a pending
-/// Run/Crash/Restart — is not snapshot material.
+/// queues don't round-trip), an unforkable machine, a machine spawned but
+/// not started, a pending thunk/crash/restart — is not snapshot material.
 fn require_quiescent(g: &Engine) -> XResult<()> {
     let eligible = g.current.is_none()
         && g.reap.is_empty()

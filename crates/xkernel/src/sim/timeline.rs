@@ -30,12 +30,17 @@ use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use super::engine::Slab;
 use super::Time;
 
+/// The table a key's event lives in, as the timeline sees it: a key is live
+/// while its table still files an event under the key's `(seq, slot)`.
+pub(super) trait Filed {
+    fn files(&self, seq: u64, slot: u32) -> bool;
+}
+
 /// A queued event's position in the timeline: `(time, seq, slot)`. `seq`
-/// breaks time ties in insertion order; `slot` is where the event's body
-/// sits in the event table.
+/// breaks time ties in insertion order; `slot` is where the event sits — in
+/// the event table, or (with its top bit set) the process table.
 pub(super) type Key = (Time, u64, u32);
 
 /// One bucket per bit of [`Time`].
@@ -146,7 +151,7 @@ impl Timeline {
     /// keys met on the way are dropped. `events` is the table the keys'
     /// `(seq, slot)` address.
     #[inline]
-    pub(super) fn pop_through<T>(&mut self, stop: Time, events: &Slab<T>) -> Option<Key> {
+    pub(super) fn pop_through(&mut self, stop: Time, events: &impl Filed) -> Option<Key> {
         loop {
             let Some(&Reverse(key)) = self.due.peek() else {
                 if self.refill(events) {
@@ -154,7 +159,7 @@ impl Timeline {
                 }
                 return None;
             };
-            let live = events.get(key.1, key.2).is_some();
+            let live = events.files(key.1, key.2);
             if live && key.0 > stop {
                 return None;
             }
@@ -176,7 +181,7 @@ impl Timeline {
     /// With `due` empty, deals the lowest occupied bucket's live keys
     /// downward and moves `last` to the earliest of them, which puts at
     /// least that key in `due`. Returns false when nothing live is left.
-    fn refill<T>(&mut self, events: &Slab<T>) -> bool {
+    fn refill(&mut self, events: &impl Filed) -> bool {
         while self.occupied != 0 {
             let i = self.occupied.trailing_zeros() as usize;
             self.occupied &= self.occupied - 1;
@@ -184,14 +189,20 @@ impl Timeline {
             let mut bucket = std::mem::take(&mut self.buckets[i]);
             let held = bucket.len();
             let mut first = Time::MAX;
-            bucket.retain(|&(t, seq, slot)| {
-                let live = events.get(seq, slot).is_some();
-                if live {
-                    first = first.min(t);
+            // `retain`, written out: almost every pop refills a bucket of a
+            // few keys, and a `retain` the compiler leaves out of line costs
+            // a call each time.
+            let mut kept = 0;
+            for j in 0..held {
+                let key = bucket[j];
+                if events.files(key.1, key.2) {
+                    first = first.min(key.0);
+                    bucket[kept] = key;
+                    kept += 1;
                 }
-                live
-            });
-            let dropped = held - bucket.len();
+            }
+            bucket.truncate(kept);
+            let dropped = held - kept;
             self.len -= dropped;
             self.dead -= dropped;
             if bucket.is_empty() {
@@ -239,14 +250,14 @@ impl Timeline {
     /// Records that `n` events whose keys are still held have left `events`
     /// (every removal but the one that follows a pop must be reported, or
     /// the count of dead keys drifts).
-    pub(super) fn note_dead<T>(&mut self, n: usize, events: &Slab<T>) {
+    pub(super) fn note_dead(&mut self, n: usize, events: &impl Filed) {
         self.dead += n;
         self.bound_dead(events);
     }
 
     /// Keeps the dead keys within [`DEAD_FLOOR`] of the live ones.
     #[inline]
-    fn bound_dead<T>(&mut self, events: &Slab<T>) {
+    fn bound_dead(&mut self, events: &impl Filed) {
         if self.dead > self.len - self.dead + DEAD_FLOOR {
             self.compact(events);
         }
@@ -255,8 +266,8 @@ impl Timeline {
     /// Drops every dead key where it sits. Pop order cannot change: `due`
     /// re-forms over the same total order and buckets have none.
     #[cold]
-    fn compact<T>(&mut self, events: &Slab<T>) {
-        let live = |&(_, seq, slot): &Key| events.get(seq, slot).is_some();
+    fn compact(&mut self, events: &impl Filed) {
+        let live = |&(_, seq, slot): &Key| events.files(seq, slot);
         self.due.retain(|Reverse(key)| live(key));
         self.len = self.due.len();
         for (i, b) in self.buckets.iter_mut().enumerate() {
@@ -328,6 +339,7 @@ fn spare_bucket_set(mut set: Vec<Vec<Key>>) {
 mod tests {
     use proptest::prelude::*;
 
+    use super::super::engine::Slab;
     use super::*;
 
     /// The timeline beside the queue it replaced, over one event table.

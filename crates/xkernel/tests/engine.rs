@@ -993,3 +993,235 @@ fn handover_run_until_time_from_inside_a_process_panics_by_name() {
     });
     sim.run_until_idle();
 }
+
+// ---------------------------------------------------------------------------
+// A crash frees slots; their next tenants see none of the old keys.
+// ---------------------------------------------------------------------------
+
+/// When the doomed host crashes, restarts, its slots are refilled and the
+/// dead waiters' semaphores signalled: milliseconds apart, far more than
+/// the few the hosts' processes keep their CPUs busy for.
+const CRASH: u64 = 20_000_000;
+const RESTART: u64 = 25_000_000;
+const REFILL: u64 = 30_000_000;
+const SIGNAL: u64 = 80_000_000;
+/// How long the doomed host's sleepers sleep: their wakes, purged by the
+/// crash, would fall due while the refilled slots' tenants sleep. Past
+/// 2²⁵ ns, unlike everything up to the refill, so the timeline holds the
+/// purged keys unexamined until the slots have their new tenants.
+const DOOMED_NAP: u64 = 50_000_000;
+/// How long a refilled slot's tenant sleeps (plus a microsecond per
+/// machine): past every purged wake.
+const FRESH_NAP: u64 = 60_000_000;
+const FRESH: u64 = 40;
+
+/// Who did what when: `(who, what, at)`.
+type Diary = Rc<std::cell::RefCell<Vec<(u64, &'static str, u64)>>>;
+
+/// Sleeps once, or waits once on `sema`, and writes in the diary if it is
+/// ever resumed after that.
+struct Doomed {
+    who: u64,
+    sema: Option<(SharedSema, Option<u64>)>,
+    diary: Diary,
+    parked: bool,
+}
+
+impl VProc for Doomed {
+    fn resume(&mut self, ctx: &Ctx, _why: WakeReason) -> VStep {
+        if self.parked {
+            self.diary
+                .borrow_mut()
+                .push((self.who, "resumed", ctx.now()));
+            return VStep::Done;
+        }
+        self.parked = true;
+        match self.sema.clone() {
+            Some((sema, timeout)) => VStep::Wait { sema, timeout },
+            None => VStep::Sleep(DOOMED_NAP + self.who),
+        }
+    }
+}
+
+/// A refilled slot's tenant: notes its start, sleeps `nap`, notes its
+/// wake.
+struct Fresh {
+    who: u64,
+    nap: u64,
+    diary: Diary,
+    started: bool,
+}
+
+impl VProc for Fresh {
+    fn resume(&mut self, ctx: &Ctx, _why: WakeReason) -> VStep {
+        let what = if self.started { "woke" } else { "started" };
+        self.diary.borrow_mut().push((self.who, what, ctx.now()));
+        if self.started {
+            return VStep::Done;
+        }
+        self.started = true;
+        VStep::Sleep(self.nap)
+    }
+}
+
+/// The run: on the doomed host, coroutine and machine sleepers, untimed and
+/// timed waiters of both kinds, two coroutines whose timed waits armed
+/// their timers on the steady host, a waiter signalled (from a third host,
+/// whose clock is well ahead) between the crash and its reaping, and
+/// machines spawned to start just after the crash.
+/// The crash kills or purges all of them; after the restart forty fresh
+/// machines take the freed slots, and then every dead waiter's semaphore is
+/// signalled on the restarted host.
+fn crash_and_refill() -> (RunReport, CheckReport, Vec<(u64, &'static str, u64)>) {
+    let sim = Sim::new(SimConfig::scheduled().with_seed(33).with_check());
+    let doomed = Kernel::new(&sim, "doomed").host();
+    let steady = Kernel::new(&sim, "steady").host();
+    let ahead = Kernel::new(&sim, "ahead").host();
+    let diary = Diary::default();
+    let mut dead: Vec<SharedSema> = Vec::new();
+    let note = |who: u64, d: &Diary, ctx: &Ctx| d.borrow_mut().push((who, "resumed", ctx.now()));
+    for who in 0..4 {
+        let d = Rc::clone(&diary);
+        sim.spawn(doomed, move |ctx| {
+            ctx.sleep(DOOMED_NAP + who);
+            note(who, &d, ctx);
+        });
+    }
+    for who in 10..14 {
+        let (s, d) = (SharedSema::labeled(0, "dead.p"), Rc::clone(&diary));
+        dead.push(s.clone());
+        sim.spawn(doomed, move |ctx| {
+            s.p(ctx);
+            note(who, &d, ctx);
+        });
+    }
+    for who in 20..24 {
+        let (s, d) = (SharedSema::labeled(0, "dead.p_timeout"), Rc::clone(&diary));
+        dead.push(s.clone());
+        sim.spawn(doomed, move |ctx| {
+            s.p_timeout(ctx, 2 * CRASH);
+            note(who, &d, ctx);
+        });
+    }
+    // Their timers sit on the steady host, which does not crash: one is
+    // signalled before it fires, one fires first.
+    for (who, timeout) in [(30, 2 * SIGNAL), (31, REFILL)] {
+        let (s, d) = (SharedSema::labeled(0, "dead.elsewhere"), Rc::clone(&diary));
+        dead.push(s.clone());
+        sim.spawn(doomed, move |ctx| {
+            s.p_timeout(&ctx.with_host(steady), timeout);
+            note(who, &d, ctx);
+        });
+    }
+    let late = SharedSema::labeled(0, "late");
+    {
+        let (s, d) = (late.clone(), Rc::clone(&diary));
+        sim.spawn(doomed, move |ctx| {
+            s.p(ctx);
+            note(40, &d, ctx);
+        });
+    }
+    // Its wake is due after the refill: the slot stays its until then.
+    sim.spawn(ahead, move |ctx| {
+        ctx.sleep(CRASH);
+        ctx.charge(REFILL);
+        late.v(ctx);
+    });
+    for who in 50..62 {
+        let sema = match who % 3 {
+            0 => None,
+            1 => Some((SharedSema::labeled(0, "dead.wait"), None)),
+            _ => Some((SharedSema::labeled(0, "dead.wait_timeout"), Some(2 * CRASH))),
+        };
+        dead.extend(sema.iter().map(|(s, _)| s.clone()));
+        let diary = Rc::clone(&diary);
+        let m = Doomed {
+            who,
+            sema,
+            diary,
+            parked: false,
+        };
+        sim.spawn_vproc(doomed, Box::new(m));
+    }
+    sim.crash_at(CRASH, doomed);
+    sim.restart_at(RESTART, doomed);
+    let d = Rc::clone(&diary);
+    sim.spawn(steady, move |ctx| {
+        // Machines whose start falls after the crash: its purge drops them.
+        ctx.sleep(CRASH - 100_000);
+        ctx.charge(200_000);
+        for who in 70..74 {
+            let m = Fresh {
+                who,
+                nap: 1,
+                diary: Rc::clone(&d),
+                started: false,
+            };
+            ctx.spawn_vproc_on(doomed, Box::new(m));
+        }
+        ctx.sleep(REFILL - ctx.now());
+        for who in 100..100 + FRESH {
+            let m = Fresh {
+                who,
+                nap: FRESH_NAP + 1_000 * (who - 100),
+                diary: Rc::clone(&d),
+                started: false,
+            };
+            ctx.spawn_vproc_on(doomed, Box::new(m));
+        }
+        // On the doomed host itself, so that no V crosses a host.
+        ctx.sleep(SIGNAL - ctx.now());
+        ctx.spawn_on(doomed, move |ctx| {
+            for s in &dead {
+                s.v(ctx);
+            }
+        });
+    });
+    let report = sim.run_until_idle();
+    let check = sim.check_report();
+    let diary = diary.borrow().clone();
+    (report, check, diary)
+}
+
+/// A crash frees the slots of everything its host held — sleepers, waiters
+/// timed and untimed, coroutines and machines, machines not yet started —
+/// except those a key still names (a wake filed between the crash and the
+/// reaping, a timer armed on another host), and fresh machines take them
+/// over. None of the dead's keys reaches a new tenant: every fresh machine
+/// starts once and wakes once, exactly when its own sleep ends, and no dead
+/// process resumes. Signalling the dead waiters afterwards wakes nobody. The
+/// schedule, the end time and the checker's whole report are the ones the
+/// engine made when every wake and start was an event of its own.
+#[test]
+fn a_crash_frees_slots_that_fresh_processes_take_without_meeting_old_keys() {
+    let (report, check, diary) = crash_and_refill();
+    assert!(
+        diary.iter().all(|&(who, _, _)| who >= 100),
+        "a dead process ran: {diary:?}"
+    );
+    for who in 100..100 + FRESH {
+        let mine: Vec<_> = diary.iter().filter(|e| e.0 == who).collect();
+        let [(_, "started", start), (_, "woke", woke)] = mine[..] else {
+            panic!("machine {who} started and woke once each: {mine:?}");
+        };
+        let due = start + FRESH_NAP + 1_000 * (who - 100);
+        assert!(*woke >= due, "machine {who} woke at {woke}, before {due}");
+    }
+    assert_eq!(report.blocked, 0);
+    assert_eq!(report.hosts[0].crashes, 1);
+    assert_eq!(report.hosts[0].restarts, 1);
+    // Pinned from the engine that filed every start and wake as an event
+    // of its own.
+    assert_eq!(report.sched_hash, 4_914_112_504_425_303_200);
+    assert_eq!(report.ended_at, 100_439_000);
+    assert_eq!(report.events, 136);
+    assert_eq!(report.peak_live, 42);
+    assert_eq!(
+        format!("{check:?}"),
+        "CheckReport { enabled: true, violations: [Violation { kind: CrossHostSignal, \
+         lp: 14, host: 0, sema: Some(\"late\"), cycle: [], event_index: 31, \
+         time: 20000000, detail: \"semaphore 'late' V'd from host2 wakes lp14 on host0: \
+         cross-host shared-memory signalling that real machines cannot perform\" }], \
+         lps: 72, semas: 19 }"
+    );
+}

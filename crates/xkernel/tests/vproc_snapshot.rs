@@ -184,6 +184,42 @@ fn a_machine_parked_on_a_semaphore_is_not_snapshot_eligible() {
 }
 
 #[test]
+fn a_spawned_machine_not_yet_started_is_not_snapshot_eligible() {
+    // A spawned machine waits in a process-table slot for its start, but
+    // it is no process yet and has no continuation to fork: snapshot
+    // refuses it, also when it was spawned at a pause, and takes the same
+    // machine once it has started and parked on a timer.
+    let sim = Sim::new(SimConfig::scheduled().with_cost(CostModel::zero()));
+    let _k = Kernel::new(&sim, "h");
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let ticker = |id| Ticker {
+        left: 3,
+        period: 1_000,
+        log: Arc::clone(&log),
+        id,
+    };
+    sim.spawn_vproc(HostId(0), Box::new(ticker(0)));
+    assert!(
+        !sim.is_quiescent() && sim.snapshot().is_err(),
+        "a machine not yet started must block the snapshot"
+    );
+    assert_eq!(sim.run_until_time(500).blocked, 1);
+    assert!(
+        sim.is_quiescent(),
+        "a sleeping machine is snapshot material"
+    );
+    sim.spawn_vproc(HostId(0), Box::new(ticker(1)));
+    assert!(
+        !sim.is_quiescent() && sim.snapshot().is_err(),
+        "a machine spawned at a pause has not started"
+    );
+    assert_eq!(sim.run_until_time(500).blocked, 2);
+    assert!(sim.snapshot().is_ok());
+    assert_eq!(sim.run_until_idle().blocked, 0);
+    assert_eq!(log.lock().unwrap().len(), 6);
+}
+
+#[test]
 fn snapshot_can_fork_a_paused_population_twice() {
     // Restore is not single-shot: the same snapshot replays its tail
     // repeatedly, landing on the same report each time (the fork/bisect

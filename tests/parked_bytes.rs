@@ -7,8 +7,8 @@
 //!
 //! The figure is everything the population grew the heap by, divided by its
 //! size: the machine's box, its semaphore, the waiter, the process-table
-//! slot, the event slot and timeline key of a sleeper's wake, and the share
-//! of any table's spare capacity. DESIGN.md §11, "What a parked process
+//! slot (which also holds the key of a sleeper's wake), the timeline key,
+//! and the share of any table's spare capacity. DESIGN.md §11, "What a parked process
 //! costs", has the component table.
 
 mod common;
@@ -74,10 +74,10 @@ fn assert_pinned(what: &str, grown: i64, pinned: i64) {
     assert_eq!(grown, pinned, "{what}: {per:.1} B a process");
 }
 
-/// 183.0 B a process: the 16 B machine, its 88 B semaphore with the waiter
+/// 123.0 B a process: the 16 B machine, its 56 B semaphore with the waiter
 /// held inline (a semaphore that allocated a queue for its first waiter
-/// would add 192), a 40 B process-table slot, the spawn's 32 B event slot
-/// and 7.0 B of the tables' spare capacity.
+/// would add 192), a 48 B process-table slot that also held the spawn's
+/// key, and 3.0 B of the timeline's kept capacity.
 #[test]
 fn a_machine_parked_on_its_own_semaphore_costs_exactly_pinned() {
     let grown = parked_bytes(|_| {
@@ -86,14 +86,14 @@ fn a_machine_parked_on_its_own_semaphore_costs_exactly_pinned() {
             woken: false,
         })
     });
-    assert_pinned("parked on a semaphore", grown, 1_499_528);
+    assert_pinned("parked on a semaphore", grown, 1_008_008);
 }
 
-/// 121.9 B a process: the 8 B machine, a 40 B process-table slot, its
-/// wake's 32 B event slot and 24 B timeline key, and 17.9 B of the tables'
-/// spare capacity.
+/// 97.9 B a process: the 8 B machine, a 48 B process-table slot that holds
+/// its wake's key, the 24 B timeline key, and 17.9 B of the tables' spare
+/// capacity.
 #[test]
 fn a_sleeping_machine_costs_exactly_pinned() {
     let grown = parked_bytes(|i| Box::new(Asleep(i)));
-    assert_pinned("asleep", grown, 998_296);
+    assert_pinned("asleep", grown, 801_672);
 }
