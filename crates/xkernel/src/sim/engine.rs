@@ -689,6 +689,7 @@ impl Engine {
     }
 
     /// The earliest live key due at or before `stop`.
+    #[inline]
     fn pop_through(&mut self, stop: Time) -> Option<Key> {
         let tables = Tables {
             events: &self.events,

@@ -287,14 +287,20 @@ impl Sim {
         self.core.engine.lock().sched_hash
     }
 
-    /// Keys the timeline holds and events pending (in the event table, and
-    /// the starts and wakes due in process slots), for the test that the
-    /// first stays within twice the second plus a constant however many
-    /// timers are cancelled.
+    /// Keys the timeline holds, events pending (in the event table, and the
+    /// starts and wakes due in process slots) and the timeline's blocks in
+    /// use, for the test that the first stays within twice the second plus
+    /// a constant however many timers are cancelled, and the third within
+    /// the 32-key blocks the first fills plus one part-filled or kept block
+    /// a bucket and two for the due run.
     #[doc(hidden)]
-    pub fn timeline_load(&self) -> (usize, usize) {
+    pub fn timeline_load(&self) -> (usize, usize, usize) {
         let g = self.core.engine.lock();
-        (g.timeline.len(), g.events.len() + g.lps.keys())
+        (
+            g.timeline.len(),
+            g.events.len() + g.lps.keys(),
+            g.timeline.blocks_in_use(),
+        )
     }
 
     /// Installs a scheduling oracle: every same-time event tie becomes a

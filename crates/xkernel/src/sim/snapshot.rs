@@ -105,10 +105,11 @@ impl Sim {
         self.core.mode == Mode::Scheduled && require_quiescent(&self.core.engine.lock()).is_ok()
     }
 
-    /// Lets a drained simulation lend the scheduler's scratch space (the
-    /// timeline's bucket set, 24 KiB) to the thread's next simulation until
-    /// its own next event is filed — for rigs kept at rest in numbers, a
-    /// pool of templates. Does nothing while an event is pending.
+    /// Lends every timeline block that holds no key (768 B of keys each:
+    /// the free ones, those empty buckets keep, and the due run's once it
+    /// is empty) to a bounded thread-local list, which the thread's next simulation to need a block
+    /// takes from before it allocates — for rigs kept at rest in numbers, a
+    /// pool of templates. A pending event keeps its block.
     pub fn park(&self) {
         self.core.engine.lock().timeline.park();
     }

@@ -636,8 +636,10 @@ fn a_paused_run_under_a_chooser_is_the_same_run() {
 /// says its horizon is near: here a 1,000 s timer per microsecond, a
 /// million times over. Dead keys are dropped when a refill meets them, which
 /// for these it never does, so the timeline compacts itself: it never holds
-/// more than twice the live events plus a constant. The schedule is the
-/// one the tombstone-skipping binary heap produced.
+/// more than twice the live events plus a constant, and never more 32-key
+/// blocks than those keys fill plus one part-filled or kept block a bucket
+/// and two for the run. The schedule is the one the tombstone-skipping binary heap
+/// produced.
 #[test]
 fn a_million_cancelled_far_timers_leave_the_timeline_bounded() {
     const ROUNDS: u64 = 1_000_000;
@@ -651,15 +653,21 @@ fn a_million_cancelled_far_timers_leave_the_timeline_bounded() {
             let h = ctx.schedule_after(1_000_000_000_000, |_| panic!("cancelled"));
             ctx.cancel_timer(h);
             ctx.sleep(1_000);
-            let (held, live) = sim.timeline_load();
+            let (held, live, blocks) = sim.timeline_load();
             assert!(held <= 2 * live + 64, "{held} keys for {live} events");
+            assert!(
+                blocks <= held.div_ceil(32) + 66,
+                "{blocks} blocks for {held} keys"
+            );
             w.fetch_max(held as u64, Ordering::Relaxed);
         }
     });
     let report = sim.run_until_idle();
     assert_eq!(report.blocked, 0);
     assert_eq!(report.events, ROUNDS + 1);
-    assert_eq!(sim.timeline_load(), (0, 0));
+    let (held, live, blocks) = sim.timeline_load();
+    assert_eq!((held, live), (0, 0));
+    assert!(blocks <= 66, "{blocks} blocks for no keys");
     assert!(worst.load(Ordering::Relaxed) >= 64, "compaction is lazy");
     assert_eq!(report.sched_hash, 17_518_434_058_027_017_092);
 }
@@ -893,7 +901,8 @@ fn handover_a_panic_is_reported_once_with_its_text_before_or_after_blocking() {
         assert_eq!(said.matches(text).count(), 1);
         // The loop itself finished: the bystander ran out its sleep and
         // nothing is left over.
-        assert_eq!(sim.timeline_load(), (0, 0));
+        let (held, live, _) = sim.timeline_load();
+        assert_eq!((held, live), (0, 0));
         assert!(sim.is_quiescent());
     }
 }

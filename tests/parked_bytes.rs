@@ -7,9 +7,9 @@
 //!
 //! The figure is everything the population grew the heap by, divided by its
 //! size: the machine's box, its semaphore, the waiter, the process-table
-//! slot (which also holds the key of a sleeper's wake), the timeline key,
-//! and the share of any table's spare capacity. DESIGN.md §11, "What a parked process
-//! costs", has the component table.
+//! slot (which also holds the key of a sleeper's wake), the timeline key
+//! in its block, and the share of any table's spare capacity. DESIGN.md
+//! §11, "What a parked process costs", has the component table.
 
 mod common;
 
@@ -74,10 +74,12 @@ fn assert_pinned(what: &str, grown: i64, pinned: i64) {
     assert_eq!(grown, pinned, "{what}: {per:.1} B a process");
 }
 
-/// 123.0 B a process: the 16 B machine, its 56 B semaphore with the waiter
+/// 121.9 B a process: the 16 B machine, its 56 B semaphore with the waiter
 /// held inline (a semaphore that allocated a queue for its first waiter
 /// would add 192), a 48 B process-table slot that also held the spawn's
-/// key, and 3.0 B of the timeline's kept capacity.
+/// key, and 1.9 B of what the timeline keeps once the spawn keys are
+/// popped: 17 free 776 B blocks and the run's deque of block addresses. A
+/// timeline that kept every block its spawn keys had filled would add about 24.
 #[test]
 fn a_machine_parked_on_its_own_semaphore_costs_exactly_pinned() {
     let grown = parked_bytes(|_| {
@@ -86,14 +88,15 @@ fn a_machine_parked_on_its_own_semaphore_costs_exactly_pinned() {
             woken: false,
         })
     });
-    assert_pinned("parked on a semaphore", grown, 1_008_008);
+    assert_pinned("parked on a semaphore", grown, 998_672);
 }
 
-/// 97.9 B a process: the 8 B machine, a 48 B process-table slot that holds
-/// its wake's key, the 24 B timeline key, and 17.9 B of the tables' spare
-/// capacity.
+/// 81.2 B a process: the 8 B machine, a 48 B process-table slot that holds
+/// its wake's key, the 24 B timeline key with its 0.25 B share of the 8 B
+/// link in its 32-key block, and 1.0 B of part-filled and free blocks and
+/// the run's deque of block addresses.
 #[test]
 fn a_sleeping_machine_costs_exactly_pinned() {
     let grown = parked_bytes(|i| Box::new(Asleep(i)));
-    assert_pinned("asleep", grown, 801_672);
+    assert_pinned("asleep", grown, 665_280);
 }
