@@ -42,9 +42,11 @@ echo "==> count-gate: what a call costs in counts no host can move"
 # bytes, the timeline's block bound — a resident population never holds more
 # blocks than its keys fill plus one a bucket and two — and the schedule of
 # slots a crash frees and fresh machines take over, pinned exactly: a key
-# that reached a slot's next tenant would show there.
-cargo test --release -q --test events_per_call --test alloc_per_call --test parked_bytes -- \
-    --test-threads=1 --nocapture
+# that reached a slot's next tenant would show there. A refused frame is
+# counted once, at the layer that refused it, and allocates nothing once its
+# row exists (tests/rejects.rs on every stack and PSYNC; alloc_per_call.rs).
+cargo test --release -q --test events_per_call --test alloc_per_call --test rejects \
+    --test parked_bytes -- --test-threads=1 --nocapture
 cargo test --release -q -p xkernel --lib -- --exact \
     sim::timeline::tests::a_resident_population_holds_the_blocks_its_keys_fill
 cargo test --release -q -p xkernel --test engine -- --exact \
@@ -119,7 +121,8 @@ forbid 'p_timeout\(' 'a transaction layer waits for its reply outside txn::trans
 forbid --but 1 '& 0xffff_ffff\) as u32 \| 1' 'a second boot-id draw (txn::Incarnation has the one)' \
     crates/core/src crates/sunrpc/src
 # FRAGMENT and M_RPC split, mask and reassemble through xrpc::frags alone
-# (DESIGN.md §14): a malformed fragment header is refused and counted there.
+# (DESIGN.md §14): xrpc::frags refuses a malformed fragment header, and the
+# demux seam counts the refusal.
 forbid 'trailing_zeros|fn split|fn full_mask' \
     'a private copy of the fragment-mask core (xrpc::frags has the one)' \
     crates/core/src/fragment.rs crates/core/src/mrpc.rs

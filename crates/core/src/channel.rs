@@ -427,8 +427,7 @@ impl Channel {
     fn reply_or_ack_in(&self, ctx: &Ctx, hdr: ChannelHdr, msg: Message) -> XResult<()> {
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let Some(client) = self.clients.resolve(&(hdr.channel, hdr.protocol_num)) else {
-            ctx.trace_note("reply for unknown channel");
-            return Ok(());
+            return Err(Reject::Stale("reply for unknown channel").into());
         };
         // Peer reincarnation check, *before* taking this client's state
         // lock (the reset below locks the map and then each session; no

@@ -28,7 +28,7 @@ use xkernel::map::{EnableSnapshot, MixMap, SessionSnapshot};
 use xkernel::prelude::*;
 use xkernel::sim::Nanos;
 
-use crate::frags::{self, Place, Slot, Took, MAX_FRAGS};
+use crate::frags::{self, Place, Slot, MAX_FRAGS};
 use crate::hdr::{frag_type, FragmentHdr, FRAGMENT_HDR_LEN};
 use crate::protnum::rel_proto_num;
 
@@ -224,7 +224,7 @@ impl Fragment {
         let upper = *self
             .enables
             .resolve(&proto_num)
-            .ok_or_else(|| XError::NoEnable(format!("fragment proto {proto_num}")))?;
+            .ok_or(Reject::NoEnable("fragment protocol number"))?;
         let sess = self
             .passive
             .resolve_or_insert_with((from.0, proto_num), || {
@@ -291,9 +291,7 @@ impl Fragment {
     }
 
     fn data_in(&self, ctx: &Ctx, hdr: FragmentHdr, mut msg: Message) -> XResult<()> {
-        let Some(at) = Place::check(ctx, hdr.num_frags, hdr.frag_mask) else {
-            return Ok(());
-        };
+        let at = Place::check(hdr.num_frags, hdr.frag_mask)?;
         // Single-fragment fast path: no state, no timers. Trim any
         // link-level padding with the header's total-length field.
         if hdr.num_frags == 1 {
@@ -311,9 +309,7 @@ impl Fragment {
                 timer_armed: false,
                 last_arrival: 0,
             });
-            if ent.slot.take(ctx, at, msg) == Took::Rejected {
-                return Ok(());
-            }
+            ent.slot.take(at, msg)?;
             ent.last_arrival = ctx.now();
             if !ent.slot.complete() {
                 if !ent.timer_armed {
@@ -489,10 +485,7 @@ impl Protocol for Fragment {
         match hdr.typ {
             frag_type::DATA => self.data_in(ctx, hdr, msg),
             frag_type::NACK => self.nack_in(ctx, hdr),
-            _ => {
-                ctx.trace_note("unknown fragment type");
-                Ok(())
-            }
+            _ => Err(Reject::Corrupt("unknown fragment type").into()),
         }
     }
 

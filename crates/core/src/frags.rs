@@ -6,10 +6,11 @@
 //!
 //! A data fragment whose `num_frags` is 0 or past [`MAX_FRAGS`], whose mask
 //! is not exactly one bit below `num_frags`, or whose `num_frags` its open
-//! slot disagrees with, is refused here and noted once as
-//! [`RobustEvent::CorruptRejected`]. ACK and NACK masks name many fragments
-//! and are the protocols' own. Nothing here charges: the push loops, whose
-//! order of charges the virtual clock sees, stay in each protocol.
+//! slot disagrees with, is refused here as a [`Reject::Corrupt`], which the
+//! protocol's demux returns and its seam counts. ACK and NACK masks name
+//! many fragments and are the protocols' own. Nothing here charges: the push
+//! loops, whose order of charges the virtual clock sees, stay in each
+//! protocol.
 
 use xkernel::prelude::*;
 
@@ -67,16 +68,15 @@ pub struct Place {
 
 impl Place {
     /// Checks a data fragment's `num_frags` and `frag_mask`; a malformed pair
-    /// is noted as `CorruptRejected` and comes back `None`.
-    pub fn check(ctx: &Ctx, num_frags: u16, frag_mask: u16) -> Option<Place> {
+    /// is refused.
+    pub fn check(num_frags: u16, frag_mask: u16) -> Result<Place, Reject> {
         let ok = (1..=MAX_FRAGS as u16).contains(&num_frags)
             && frag_mask.is_power_of_two()
             && frag_mask & !full_mask(num_frags) == 0;
         if !ok {
-            ctx.note(RobustEvent::CorruptRejected);
-            return None;
+            return Err(Reject::Corrupt("fragment place"));
         }
-        Some(Place {
+        Ok(Place {
             num: num_frags,
             bit: frag_mask,
         })
@@ -86,17 +86,6 @@ impl Place {
     pub fn is_first(self) -> bool {
         self.bit == 1
     }
-}
-
-/// What [`Slot::take`] did with a fragment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Took {
-    /// A fragment the slot lacked.
-    Added,
-    /// One it already had (or had already handed on).
-    Duplicate,
-    /// One from a message of another size: noted as `CorruptRejected`.
-    Rejected,
 }
 
 /// One message being reassembled: a hole per fragment and the mask of those
@@ -118,19 +107,19 @@ impl Slot {
         }
     }
 
-    /// Files `frag` at `at`, unless the slot has it already or `at` names a
-    /// message of another size.
-    pub fn take(&mut self, ctx: &Ctx, at: Place, frag: Message) -> Took {
+    /// Files `frag` at `at` and says whether the slot lacked it (a
+    /// duplicate is not filed again); refuses it if `at` names a message of
+    /// another size.
+    pub fn take(&mut self, at: Place, frag: Message) -> Result<bool, Reject> {
         if at.num != self.num {
-            ctx.note(RobustEvent::CorruptRejected);
-            return Took::Rejected;
+            return Err(Reject::Corrupt("fragment of another message size"));
         }
         if self.have & at.bit != 0 {
-            return Took::Duplicate;
+            return Ok(false);
         }
         self.parts[at.bit.trailing_zeros() as usize] = Some(frag);
         self.have |= at.bit;
-        Took::Added
+        Ok(true)
     }
 
     /// How many fragments the message has.
@@ -154,7 +143,7 @@ impl Slot {
     }
 
     /// Hands back the message, its fragments in index order. The slot keeps
-    /// its masks, so a late copy of any fragment is a `Duplicate`.
+    /// its masks, so a late copy of any fragment is a duplicate.
     pub fn assemble(&mut self) -> Message {
         debug_assert!(self.complete(), "assembling an incomplete message");
         // Every part is here; `map`, unlike `flatten`, tells `concat` how
@@ -170,7 +159,6 @@ impl Slot {
 #[cfg(test)]
 mod tests {
     use proptest::prelude::*;
-    use xkernel::sim::{Sim, SimConfig};
 
     use super::*;
 
@@ -185,27 +173,22 @@ mod tests {
             num in 1u16..17,
             arrivals in proptest::collection::vec((0u16..16, 0u16..17), 1..80),
         ) {
-            let sim = Sim::new(SimConfig::inline_mode());
-            let kernel = Kernel::new(&sim, "h");
-            let ctx = sim.ctx(kernel.host());
             let piece = |i: u16| vec![i as u8; usize::from(i) + 1];
-            let mut slot = Slot::new(Place::check(&ctx, num, 1).unwrap());
+            let mut slot = Slot::new(Place::check(num, 1).unwrap());
             let mut model: Vec<Option<Vec<u8>>> = vec![None; usize::from(num)];
-            let mut rejects = 0;
             for (i, other) in arrivals {
                 let i = i % num;
                 // One arrival in four claims a message of another size.
                 let claimed = if other % 4 == 0 { 1 + other % 16 } else { num };
-                let at = Place::check(&ctx, claimed, 1 << (i % claimed)).unwrap();
-                let took = slot.take(&ctx, at, Message::from_user(piece(i % claimed)));
+                let at = Place::check(claimed, 1 << (i % claimed)).unwrap();
+                let took = slot.take(at, Message::from_user(piece(i % claimed)));
                 let want = if claimed != num {
-                    rejects += 1;
-                    Took::Rejected
+                    Err(Reject::Corrupt("fragment of another message size"))
                 } else if model[usize::from(i)].is_some() {
-                    Took::Duplicate
+                    Ok(false)
                 } else {
                     model[usize::from(i)] = Some(piece(i));
-                    Took::Added
+                    Ok(true)
                 };
                 prop_assert_eq!(took, want);
                 let have = model
@@ -216,12 +199,11 @@ mod tests {
                 prop_assert_eq!(slot.have(), have);
                 prop_assert_eq!(slot.missing(), full_mask(num) & !have);
             }
-            prop_assert_eq!(sim.host_stats(kernel.host()).corrupt_rejected, rejects);
             if slot.complete() {
                 let whole: Vec<u8> = model.into_iter().flatten().flatten().collect();
                 prop_assert_eq!(slot.assemble().to_vec(), whole);
-                let again = Place::check(&ctx, num, 1).unwrap();
-                prop_assert_eq!(slot.take(&ctx, again, Message::empty()), Took::Duplicate);
+                let again = Place::check(num, 1).unwrap();
+                prop_assert_eq!(slot.take(again, Message::empty()), Ok(false));
             }
         }
     }

@@ -28,7 +28,7 @@ use xkernel::map::{MixMap, SessionSnapshot};
 use xkernel::prelude::*;
 use xkernel::shepherd::{Overload, ShepherdConfig, ShepherdStats, Shepherds, Submitted};
 
-use crate::frags::{self, Place, Slot, Took, MAX_FRAGS};
+use crate::frags::{self, Place, Slot, MAX_FRAGS};
 use crate::hdr::{flags, SpriteHdr, SPRITE_HDR_LEN};
 use crate::protnum::rel_proto_num;
 use crate::select::Handler;
@@ -397,9 +397,7 @@ impl Mrpc {
     }
 
     fn request_in(&self, ctx: &Ctx, hdr: SpriteHdr, msg: Message) -> XResult<()> {
-        let Some(at) = Place::check(ctx, hdr.num_frags, hdr.frag_mask) else {
-            return Ok(());
-        };
+        let at = Place::check(hdr.num_frags, hdr.frag_mask)?;
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let server = self.server_for(&hdr);
 
@@ -439,10 +437,8 @@ impl Mrpc {
                 // the slot rejects has changed nothing.
                 let st = &mut *st;
                 let req = st.req.get_or_insert_with(|| Slot::new(at));
-                let took = req.take(ctx, at, msg);
-                if took == Took::Rejected {
-                    Action::None
-                } else if st.dispatched {
+                let added = req.take(at, msg)?;
+                if st.dispatched {
                     // Retransmission while a shepherd is (or is queued to
                     // be) executing this request: the fragments are
                     // consumed, so just tell the client we have them all.
@@ -451,7 +447,7 @@ impl Mrpc {
                 } else if req.complete() {
                     st.dispatched = true;
                     Action::Dispatch(req.assemble(), st.reply_path.clone())
-                } else if took == Took::Duplicate || hdr.flags & flags::PLEASE_ACK != 0 {
+                } else if !added || hdr.flags & flags::PLEASE_ACK != 0 {
                     // Retransmission while incomplete: tell the client what
                     // we have so it can resend just the missing fragments.
                     Action::Ack(req.have())
@@ -623,10 +619,7 @@ impl Mrpc {
         // An ACK's or NACK's mask names many fragments, or none; a REPLY
         // carries one, and a malformed one stops here.
         let at = if hdr.flags & flags::REPLY != 0 {
-            let Some(at) = Place::check(ctx, hdr.num_frags, hdr.frag_mask) else {
-                return Ok(());
-            };
-            Some(at)
+            Some(Place::check(hdr.num_frags, hdr.frag_mask)?)
         } else {
             None
         };
@@ -661,7 +654,7 @@ impl Mrpc {
             return Ok(()); // Neither a reply nor an acknowledgement.
         };
         let reply = out.reply.get_or_insert_with(|| Slot::new(at));
-        if reply.take(ctx, at, msg) == Took::Added && reply.complete() {
+        if reply.take(at, msg)? && reply.complete() {
             out.done = Some(reply.assemble());
             let sema = out.sema.clone();
             drop(st);

@@ -364,8 +364,7 @@ impl Protocol for Select {
         let hdr = SelectHdr::decode(&bytes)?;
         drop(bytes);
         if hdr.typ != TYP_REQUEST {
-            ctx.trace_note("unexpected type");
-            return Ok(());
+            return Err(Reject::Corrupt("unexpected select type").into());
         }
         if !self.shepherds.pooled(ctx) {
             // Synchronous dispatch: the historical (and default) path.
@@ -577,7 +576,7 @@ impl Protocol for Rdgram {
         let upper = self
             .upper
             .get()
-            .ok_or_else(|| XError::NoEnable("rdgram has no upper".into()))?;
+            .ok_or(Reject::NoEnable("rdgram has no upper"))?;
         ctx.kernel_ref().demux_to(ctx, upper, lls, msg)?;
         ctx.charge_layer_call();
         lls.push(ctx, ctx.empty_msg())?;

@@ -4,8 +4,9 @@
 //! of 0, 17 or 65535, a zero mask, a mask of two bits, a bit at or past
 //! `num_frags`, and a second fragment whose `num_frags` disagrees with its
 //! message's first, are handed to the booted protocol's `demux` as the layer
-//! below would. None may panic, each is one `CorruptRejected` on the host,
-//! none leaves a reassembly open, and the next well-formed call completes.
+//! below would. None may panic, each is one refusal counted at FRAGMENT or
+//! M_RPC (the `sprite` layer) on its host, none leaves a reassembly open, and
+//! the next well-formed call completes.
 
 use std::any::Any;
 
@@ -68,6 +69,12 @@ fn rejected(tb: &TwoHosts, kernel: &Kernel) -> u64 {
     tb.sim.host_stats(kernel.host()).corrupt_rejected
 }
 
+/// Every refusal so far: (host, layer, reason, frames).
+fn rows(tb: &TwoHosts) -> Vec<(HostId, &'static str, Reject, u64)> {
+    let rows = tb.sim.rejects().into_iter();
+    rows.map(|r| (r.host, r.layer, r.why, r.count)).collect()
+}
+
 fn completes_a_null_call(tb: &TwoHosts, entry: &str) {
     let ctx = tb.sim.ctx(tb.client.host());
     let reply = xrpc::call(&ctx, &tb.client, entry, tb.server_ip, NULL_PROC, Vec::new());
@@ -103,10 +110,32 @@ fn fragment_rejects_and_counts_every_malformed_data_header() {
     for (num, mask) in [(2, 1), (3, 2), (2, 2)] {
         inject(&tb, server, "fragment", fragment_frame(&tb, 200, num, mask));
     }
-    assert_eq!(rejected(&tb, server) - before, MALFORMED.len() as u64 + 1);
+    let n = MALFORMED.len() as u64;
+    assert_eq!(rejected(&tb, server) - before, n + 1);
     let open = with_concrete::<Fragment, _>(server, "fragment", |f| f.reassembling()).unwrap();
     assert_eq!(open, 0, "no malformed frame leaves a reassembly open");
     completes_a_null_call(&tb, L_RPC_VIP.entry);
+    let host = server.host();
+    assert_eq!(
+        rows(&tb),
+        [
+            (
+                host,
+                "fragment",
+                Reject::Corrupt("fragment of another message size"),
+                1
+            ),
+            (host, "fragment", Reject::Corrupt("fragment place"), n),
+            // The two fragments that agree make a message for a protocol
+            // number nothing above FRAGMENT enabled.
+            (
+                host,
+                "fragment",
+                Reject::NoEnable("fragment protocol number"),
+                1
+            ),
+        ]
+    );
 }
 
 fn sprite_frame(tb: &TwoHosts, kind: u16, channel: u16, num_frags: u16, frag_mask: u16) -> Vec<u8> {
@@ -157,4 +186,18 @@ fn sprite_rejects_and_counts_every_malformed_request_and_reply_header() {
     assert_eq!(rejected(&tb, client) - before.0, n, "REPLY frames");
     assert_eq!(rejected(&tb, server) - before.1, n + 1, "REQUEST frames");
     completes_a_null_call(&tb, M_RPC_VIP.entry);
+    let (c, s) = (client.host(), server.host());
+    assert_eq!(
+        rows(&tb),
+        [
+            (c, "sprite", Reject::Corrupt("fragment place"), n),
+            (
+                s,
+                "sprite",
+                Reject::Corrupt("fragment of another message size"),
+                1
+            ),
+            (s, "sprite", Reject::Corrupt("fragment place"), n),
+        ]
+    );
 }

@@ -223,7 +223,7 @@ impl Protocol for Eth {
         let upper = *self
             .enables
             .resolve(&ty)
-            .ok_or_else(|| XError::NoEnable(format!("eth type {ty:#06x}")))?;
+            .ok_or(Reject::NoEnable("eth type"))?;
         let sess = self.passive.resolve_or_insert_with((src, ty), || {
             ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
             self.make_session(src, ty)

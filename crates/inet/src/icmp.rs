@@ -172,16 +172,9 @@ impl Protocol for Icmp {
 
     fn demux(&self, ctx: &Ctx, lls: &SessionRef, mut msg: Message) -> XResult<()> {
         let total = msg.len();
-        if total < ICMP_HDR_LEN {
-            ctx.note(RobustEvent::CorruptRejected);
-            ctx.trace_note("short packet");
-            return Ok(());
-        }
         let all = msg.peek(total)?;
         if internet_checksum(&[&all]) != 0 {
-            ctx.note(RobustEvent::CorruptRejected);
-            ctx.trace_note("bad checksum");
-            return Ok(());
+            return Err(Reject::Corrupt("icmp checksum").into());
         }
         ctx.charge_class(OpClass::Checksum, total as u64 * ctx.cost().checksum_byte);
         let IcmpHdr { ty, id, seq } = IcmpHdr::decode(&ctx.pop_header(&mut msg, ICMP_HDR_LEN)?)?;

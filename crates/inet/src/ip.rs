@@ -96,11 +96,11 @@ impl IpHeader {
     pub fn decode(bytes: &[u8]) -> XResult<IpHeader> {
         let mut r = HdrReader::<IP_HDR_LEN>::new(bytes, "ip")?;
         if internet_checksum(&[r.array()]) != 0 {
-            return Err(XError::Malformed("ip header checksum".into()));
+            return Err(Reject::Corrupt("ip header checksum").into());
         }
         let vihl = r.u8();
         if vihl != 0x45 {
-            return Err(XError::Malformed(format!("ip version/ihl {vihl:#04x}")));
+            return Err(Reject::Corrupt("ip version/ihl").into());
         }
         let _tos = r.u8();
         let total_len = r.u16();
@@ -343,7 +343,7 @@ impl Ip {
         let upper = *self
             .enables
             .resolve(&hdr.proto)
-            .ok_or_else(|| XError::NoEnable(format!("ip proto {}", hdr.proto)))?;
+            .ok_or(Reject::NoEnable("ip protocol"))?;
         let sess = self
             .passive
             .resolve_or_insert_with((hdr.src, hdr.proto), || {
@@ -536,15 +536,7 @@ impl Protocol for Ip {
             OpClass::Checksum,
             IP_HDR_LEN as u64 * ctx.cost().checksum_byte,
         );
-        let hdr = match IpHeader::decode(&bytes) {
-            Ok(h) => h,
-            Err(_) => {
-                drop(bytes);
-                ctx.note(RobustEvent::CorruptRejected);
-                ctx.trace_note("dropped bad header");
-                return Ok(());
-            }
-        };
+        let hdr = IpHeader::decode(&bytes)?;
         drop(bytes);
         // Local-delivery / forwarding / fragment classification.
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
@@ -556,16 +548,14 @@ impl Protocol for Ip {
         if !self.is_mine(hdr.dst) {
             if self.forward {
                 if hdr.ttl <= 1 {
-                    ctx.trace_note("ttl expired");
-                    return Ok(());
+                    return Err(Reject::Stale("ttl expired").into());
                 }
                 let mut fwd = hdr;
                 fwd.ttl -= 1;
                 self.stats.forwarded.bump();
                 return self.send_datagram(ctx, fwd, msg);
             }
-            ctx.trace_note("not mine");
-            return Ok(());
+            return Err(Reject::NoEnable("not mine").into());
         }
         if hdr.more_frags || hdr.frag_off != 0 {
             return self.reassemble(ctx, hdr, msg);

@@ -462,16 +462,11 @@ impl Tcp {
     }
 
     fn segment_in(&self, ctx: &Ctx, lls: &SessionRef, mut msg: Message) -> XResult<()> {
-        let reject = |why| {
-            ctx.note(RobustEvent::CorruptRejected);
-            ctx.trace_note(why);
-            Ok(())
-        };
         // The checksum covers a pseudo-header of both IP addresses, so below a
         // layer with no IP header to name them (VIP's raw-Ethernet path) none passes.
         let ip = |op| lls.control(ctx, op).and_then(|r| r.ip());
         let (Ok(src), Ok(dst)) = (ip(&ControlOp::GetPeerHost), ip(&ControlOp::GetMyHost)) else {
-            return reject("no ip pseudo-header");
+            return Err(Reject::Corrupt("no ip pseudo-header").into());
         };
         // No TCP length field: the segment is exactly what the lower layer
         // delivered (IP's total_len already trimmed link padding; a lower
@@ -483,7 +478,7 @@ impl Tcp {
         acc.add(&pseudo_header(src, dst, seg_len));
         acc.add_message(&msg);
         if acc.finish() != 0 {
-            return reject("bad checksum");
+            return Err(Reject::Corrupt("tcp checksum").into());
         }
         let hdr_bytes = ctx.pop_header(&mut msg, TCP_HDR_LEN)?;
         let hdr = TcpHeader::decode(&hdr_bytes)?;
@@ -498,8 +493,7 @@ impl Tcp {
                 // New passive connection.
                 let listener = self.listeners.resolve(&hdr.dst_port);
                 let Some((sema, queue)) = listener else {
-                    ctx.trace_note("no listener");
-                    return Ok(());
+                    return Err(Reject::NoEnable("no listener").into());
                 };
                 let iss = (ctx.next_u64() & 0xffff) as u32;
                 let conn = self.make_conn(

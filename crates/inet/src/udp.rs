@@ -295,9 +295,7 @@ impl Protocol for Udp {
         } = hdr;
         let payload_len = usize::from(length).saturating_sub(UDP_HDR_LEN);
         if msg.len() < payload_len {
-            ctx.note(RobustEvent::CorruptRejected);
-            ctx.trace_note("truncated datagram dropped");
-            return Ok(());
+            return Err(Reject::Corrupt("truncated datagram").into());
         }
         msg.truncate(payload_len);
         // Checksum verification cost, charged whether or not the sender
@@ -324,9 +322,7 @@ impl Protocol for Udp {
                 // back the bytes that arrived.
                 let sum = udp_checksum(src, dst, length, &hdr.encode(), &msg);
                 if sum != 0 && sum != 0xffff {
-                    ctx.note(RobustEvent::CorruptRejected);
-                    ctx.trace_note("checksum mismatch: dropped");
-                    return Ok(());
+                    return Err(Reject::Corrupt("udp checksum").into());
                 }
             }
         }
@@ -335,7 +331,7 @@ impl Protocol for Udp {
         let upper = *self
             .enables
             .resolve(&dst_port)
-            .ok_or_else(|| XError::NoEnable(format!("udp port {dst_port}")))?;
+            .ok_or(Reject::NoEnable("udp port"))?;
         // Over VIP's raw-Ethernet path the lower session has no internet
         // address for the peer; key the session on the unspecified address
         // (replies still work — the lls is addressed back to the sender).

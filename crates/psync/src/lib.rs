@@ -286,31 +286,28 @@ impl Protocol for Psync {
         let ndeps = r.u16()? as usize;
         drop(fixed);
         let deps_bytes = ctx.pop_header(&mut msg, ndeps * 8)?;
+        ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
+        // The conversation first: a frame for none is refused unparsed.
+        let c = self
+            .convs
+            .resolve(&conv)
+            .ok_or(Reject::NoEnable("no such conversation"))?;
         let mut r = WireReader::new(&deps_bytes, "psync deps");
         let mut deps = Vec::with_capacity(ndeps);
         for _ in 0..ndeps {
             deps.push((r.u32()?, r.u32()?));
         }
         drop(deps_bytes);
-        ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
-        match self.convs.resolve(&conv) {
-            Some(c) => {
-                c.message_in(
-                    ctx,
-                    PsyncMsg {
-                        id: (sender.0, counter),
-                        deps,
-                        from: sender,
-                        data: msg.to_vec(),
-                    },
-                );
-                Ok(())
-            }
-            None => {
-                ctx.trace_note("no such conversation");
-                Ok(())
-            }
-        }
+        c.message_in(
+            ctx,
+            PsyncMsg {
+                id: (sender.0, counter),
+                deps,
+                from: sender,
+                data: msg.to_vec(),
+            },
+        );
+        Ok(())
     }
 
     fn control(&self, _ctx: &Ctx, op: &ControlOp) -> XResult<ControlRes> {

@@ -338,7 +338,6 @@ impl SimNet {
                 }),
                 net,
                 lan,
-                host,
                 eth,
                 upper: UpperCell::new(),
             });
@@ -557,9 +556,9 @@ impl SimNet {
                             *host,
                             Box::new(move |rctx: &Ctx| {
                                 rctx.charge_class(OpClass::Dispatch, rctx.cost().dispatch);
-                                if nic.deliver_up(rctx, m).is_err() {
-                                    rctx.trace_note("drop on deliver");
-                                }
+                                // A layer's refusal was counted at its demux
+                                // seam; no other error has a caller here.
+                                let _ = nic.deliver_up(rctx, m);
                             }),
                         );
                     }
@@ -575,7 +574,6 @@ pub struct Nic {
     me: ProtoId,
     net: SimNet,
     lan: LanId,
-    host: HostId,
     eth: EthAddr,
     /// The NIC's one session, built with it: what `open` hands out and what
     /// every frame is delivered up on.
@@ -591,9 +589,10 @@ impl Nic {
     }
 
     fn deliver_up(&self, ctx: &Ctx, msg: Message) -> XResult<()> {
-        let upper = self.upper.get().ok_or_else(|| {
-            XError::NoEnable(format!("nic on host {:?} has no upper protocol", self.host))
-        })?;
+        let upper = self
+            .upper
+            .get()
+            .ok_or(XError::Unsupported("frame at a nic with no upper protocol"))?;
         ctx.kernel_ref().demux_to(ctx, upper, &self.sess, msg)
     }
 }

@@ -51,7 +51,7 @@ impl CredScheme for AuthNone {
         if body.is_empty() {
             Ok(())
         } else {
-            Err(XError::Malformed("auth_none with non-empty body".into()))
+            Err(Reject::Corrupt("auth_none with non-empty body").into())
         }
     }
 }
@@ -294,20 +294,18 @@ impl Protocol for AuthLayer {
     fn demux(&self, ctx: &Ctx, lls: &SessionRef, mut msg: Message) -> XResult<()> {
         let (flavor, body) = pop_auth(ctx, &mut msg)?;
         if flavor != self.scheme.flavor() {
-            ctx.trace_note("auth flavor rejected");
-            return Ok(());
+            return Err(Reject::Denied("auth flavor").into());
         }
         if self.scheme.verify_cred(&body).is_err() {
             // Denied requests are dropped; the client's transaction layer
             // will time out (a denied-reply path would also fit here).
-            ctx.trace_note("credential rejected");
-            return Ok(());
+            return Err(Reject::Denied("credential").into());
         }
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let upper = self
             .upper
             .get()
-            .ok_or_else(|| XError::NoEnable("auth layer has no upper".into()))?;
+            .ok_or(Reject::NoEnable("auth layer has no upper"))?;
         // Wrap the reply path so the verifier is added (cached per lls).
         let key = Rc::as_ptr(lls) as *const () as usize;
         let sess = {

@@ -364,7 +364,7 @@ impl Protocol for RequestReply {
                 let upper = *self
                     .enables
                     .resolve(&proto_num)
-                    .ok_or_else(|| XError::NoEnable(format!("request_reply proto {proto_num}")))?;
+                    .ok_or(Reject::NoEnable("request_reply protocol number"))?;
                 ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
                 let sess: SessionRef = Rc::new(RrServerSession {
                     parent: self.self_rc(),
@@ -406,10 +406,7 @@ impl Protocol for RequestReply {
                 // duplicate — zero-or-more semantics, just drop it.
                 Ok(())
             }
-            _ => {
-                ctx.trace_note("unknown mtype");
-                Ok(())
-            }
+            _ => Err(Reject::Corrupt("unknown request_reply mtype").into()),
         }
     }
 

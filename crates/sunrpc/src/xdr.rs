@@ -98,7 +98,7 @@ impl<'a> XdrReader<'a> {
             .pos
             .checked_add(n)
             .filter(|e| *e <= self.buf.len())
-            .ok_or_else(|| XError::Malformed(format!("xdr: truncated at {}", self.pos)))?;
+            .ok_or(Reject::Corrupt("xdr: truncated"))?;
         let s = &self.buf[self.pos..end];
         self.pos = end;
         Ok(s)
@@ -127,7 +127,7 @@ impl<'a> XdrReader<'a> {
         match self.u32()? {
             0 => Ok(false),
             1 => Ok(true),
-            other => Err(XError::Malformed(format!("xdr: bool value {other}"))),
+            _ => Err(Reject::Corrupt("xdr: bool out of range").into()),
         }
     }
 
@@ -135,7 +135,7 @@ impl<'a> XdrReader<'a> {
     pub fn opaque(&mut self) -> XResult<&'a [u8]> {
         let len = self.u32()? as usize;
         if len > self.buf.len() {
-            return Err(XError::Malformed(format!("xdr: opaque of {len} bytes")));
+            return Err(Reject::Corrupt("xdr: opaque too long").into());
         }
         let data = self.take(len)?;
         let pad = (4 - len % 4) % 4;
@@ -147,7 +147,7 @@ impl<'a> XdrReader<'a> {
     pub fn string(&mut self) -> XResult<String> {
         let data = self.opaque()?;
         String::from_utf8(data.to_vec())
-            .map_err(|_| XError::Malformed("xdr: string is not utf-8".into()))
+            .map_err(|_| Reject::Corrupt("xdr: string is not utf-8").into())
     }
 
     /// Bytes consumed so far.

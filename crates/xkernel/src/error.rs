@@ -14,14 +14,12 @@ pub type XResult<T> = Result<T, XError>;
 pub enum XError {
     /// An `open` could not find or reach the requested peer.
     Unreachable(String),
-    /// No enable (passive open) matched an incoming message; the message is
-    /// dropped, mirroring `xDemux` failure in the x-kernel.
-    NoEnable(String),
+    /// A layer refused an incoming frame; its demux seam counts it and
+    /// returns `Ok` ([`crate::proto::TracedProtocol`]).
+    Reject(Reject),
     /// A blocking operation exceeded its timeout (e.g. an RPC whose server
     /// never answered).
     Timeout(String),
-    /// A header failed to decode; carries a human-readable reason.
-    Malformed(String),
     /// The peer answered with an RPC-level error status.
     Remote(String),
     /// An operation was invoked on an object that does not support it
@@ -48,9 +46,8 @@ impl fmt::Display for XError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             XError::Unreachable(s) => write!(f, "unreachable: {s}"),
-            XError::NoEnable(s) => write!(f, "no enable matches: {s}"),
+            XError::Reject(r) => write!(f, "refused: {r:?}"),
             XError::Timeout(s) => write!(f, "timed out: {s}"),
-            XError::Malformed(s) => write!(f, "malformed message: {s}"),
             XError::Remote(s) => write!(f, "remote error: {s}"),
             XError::Unsupported(s) => write!(f, "unsupported operation: {s}"),
             XError::TooBig { size, max } => {
@@ -75,6 +72,36 @@ impl fmt::Display for XError {
 
 impl std::error::Error for XError {}
 
+/// Why a layer refused a frame: `xDemux` failure in the x-kernel. The reason
+/// is static text, so a refused frame allocates nothing.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub enum Reject {
+    /// Bytes no correct sender writes (a short header, a bad checksum).
+    Corrupt(&'static str),
+    /// A well-formed frame that no enable (passive open) matches.
+    NoEnable(&'static str),
+    /// A well-formed frame for state this host does not hold (any more).
+    Stale(&'static str),
+    /// A well-formed frame an access check refused.
+    Denied(&'static str),
+}
+
+impl Reject {
+    /// The reason's text, which the seam writes as the trace note.
+    pub fn why(self) -> &'static str {
+        match self {
+            Reject::Corrupt(s) | Reject::NoEnable(s) | Reject::Stale(s) | Reject::Denied(s) => s,
+        }
+    }
+}
+
+impl From<Reject> for XError {
+    #[inline]
+    fn from(r: Reject) -> XError {
+        XError::Reject(r)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,5 +116,9 @@ mod tests {
             .to_string()
             .contains("rpc 3"));
         assert!(XError::Closed.to_string().contains("closed"));
+        assert_eq!(
+            XError::from(Reject::Stale("old reply")).to_string(),
+            "refused: Stale(\"old reply\")"
+        );
     }
 }

@@ -254,7 +254,7 @@ impl std::fmt::Debug for Kernel {
 pub mod prelude {
     pub use crate::addr::{EthAddr, IpAddr, Participant, ParticipantSet, Port};
     pub use crate::cell::Counter;
-    pub use crate::error::{XError, XResult};
+    pub use crate::error::{Reject, XError, XResult};
     pub use crate::kernel::Kernel;
     pub use crate::map::{EnableMap, SessionMap, UpperCell};
     pub use crate::msg::Message;

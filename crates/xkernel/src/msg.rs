@@ -31,7 +31,7 @@ use std::fmt;
 use std::ops::Deref;
 use std::rc::Rc;
 
-use crate::error::{XError, XResult};
+use crate::error::{Reject, XError, XResult};
 
 /// Default headroom reserved in front of user data for headers.
 ///
@@ -425,9 +425,8 @@ impl Message {
         }
         // Slow path: spans front + one or more segments, if there are that
         // many bytes at all — the one case that needs the total.
-        let len = self.len();
-        if n > len {
-            return Err(too_short("pop", n, len));
+        if n > self.len() {
+            return Err(Reject::Corrupt("header past the end of the message").into());
         }
         let mut out = Vec::with_capacity(n);
         let take_front = self.front.len().min(n);
@@ -469,11 +468,8 @@ impl Message {
 
     fn check_peek(&self, n: usize) -> XResult<()> {
         // The front alone may settle it, without a walk over the rope.
-        if n > self.front.len() {
-            let len = self.len();
-            if n > len {
-                return Err(too_short("peek", n, len));
-            }
+        if n > self.front.len() && n > self.len() {
+            return Err(Reject::Corrupt("peek past the end of the message").into());
         }
         Ok(())
     }
@@ -504,9 +500,7 @@ impl Message {
     pub fn split_off(&mut self, at: usize) -> XResult<Message> {
         let total = self.len();
         if at > total {
-            return Err(XError::Malformed(format!(
-                "split at {at} beyond length {total}"
-            )));
+            return Err(XError::Unsupported("split past the end of a message"));
         }
         self.freeze();
         let mut tail = Message::empty_with(self.policy);
@@ -589,12 +583,6 @@ impl Message {
             Cow::Owned(self.to_vec())
         }
     }
-}
-
-#[cold]
-#[inline(never)]
-fn too_short(op: &str, n: usize, len: usize) -> XError {
-    XError::Malformed(format!("{op} of {n} bytes from a {len}-byte message"))
 }
 
 impl Default for Message {

@@ -115,8 +115,6 @@ pub enum ControlRes {
     U32(u32),
     /// A 64-bit value.
     U64(u64),
-    /// A truth value.
-    Bool(bool),
     /// An internet address.
     Ip(IpAddr),
     /// A hardware address.
@@ -132,7 +130,7 @@ impl ControlRes {
     pub fn size(&self) -> XResult<usize> {
         match self {
             ControlRes::Size(n) => Ok(*n),
-            other => Err(XError::Malformed(format!("expected Size, got {other:?}"))),
+            _ => Err(WRONG_RESULT),
         }
     }
 
@@ -140,15 +138,7 @@ impl ControlRes {
     pub fn u32(&self) -> XResult<u32> {
         match self {
             ControlRes::U32(v) => Ok(*v),
-            other => Err(XError::Malformed(format!("expected U32, got {other:?}"))),
-        }
-    }
-
-    /// Extracts a `u64`, or errors.
-    pub fn u64(&self) -> XResult<u64> {
-        match self {
-            ControlRes::U64(v) => Ok(*v),
-            other => Err(XError::Malformed(format!("expected U64, got {other:?}"))),
+            _ => Err(WRONG_RESULT),
         }
     }
 
@@ -156,7 +146,7 @@ impl ControlRes {
     pub fn ip(&self) -> XResult<IpAddr> {
         match self {
             ControlRes::Ip(v) => Ok(*v),
-            other => Err(XError::Malformed(format!("expected Ip, got {other:?}"))),
+            _ => Err(WRONG_RESULT),
         }
     }
 
@@ -164,18 +154,14 @@ impl ControlRes {
     pub fn eth(&self) -> XResult<EthAddr> {
         match self {
             ControlRes::Eth(v) => Ok(*v),
-            other => Err(XError::Malformed(format!("expected Eth, got {other:?}"))),
-        }
-    }
-
-    /// Extracts a bool, or errors.
-    pub fn bool(&self) -> XResult<bool> {
-        match self {
-            ControlRes::Bool(v) => Ok(*v),
-            other => Err(XError::Malformed(format!("expected Bool, got {other:?}"))),
+            _ => Err(WRONG_RESULT),
         }
     }
 }
+
+/// What an accessor of a [`ControlRes`] of another variant returns: a
+/// caller's bug, not anything a frame can cause.
+const WRONG_RESULT: XError = XError::Unsupported("control result of another type");
 
 /// A protocol object: creates sessions and demultiplexes incoming messages.
 pub trait Protocol {
@@ -350,7 +336,9 @@ impl TracedSession for SessionRef {
 /// Span-entering wrapper for [`Protocol`] handles; the upward counterpart
 /// of [`TracedSession`] (see there for the resolution trick).
 pub trait TracedProtocol {
-    /// [`Protocol::demux`], entering the protocol's span.
+    /// [`Protocol::demux`], entering the protocol's span. Every upward
+    /// crossing passes here, so this is where a refusal ([`XError::Reject`])
+    /// is counted, once, against the refusing protocol; it returns `Ok`.
     fn demux(&self, ctx: &Ctx, lls: &SessionRef, msg: Message) -> XResult<()>;
 }
 
@@ -358,7 +346,13 @@ impl TracedProtocol for ProtocolRef {
     #[inline]
     fn demux(&self, ctx: &Ctx, lls: &SessionRef, msg: Message) -> XResult<()> {
         let _span = span(ctx, EventKind::Demux, || self.id(), &msg);
-        Protocol::demux(&**self, ctx, lls, msg)
+        match Protocol::demux(&**self, ctx, lls, msg) {
+            Err(XError::Reject(why)) => {
+                ctx.refused(self.id(), why);
+                Ok(())
+            }
+            done => done,
+        }
     }
 }
 
@@ -400,7 +394,6 @@ mod tests {
     fn control_res_accessors() {
         assert_eq!(ControlRes::Size(9).size().unwrap(), 9);
         assert!(ControlRes::Done.size().is_err());
-        assert!(ControlRes::Bool(true).bool().unwrap());
         assert_eq!(
             ControlRes::Ip(IpAddr::new(1, 2, 3, 4)).ip().unwrap(),
             IpAddr::new(1, 2, 3, 4)
@@ -409,7 +402,7 @@ mod tests {
             ControlRes::Eth(EthAddr::from_index(3)).eth().unwrap(),
             EthAddr::from_index(3)
         );
-        assert_eq!(ControlRes::U64(7).u64().unwrap(), 7);
-        assert!(ControlRes::U32(7).u64().is_err());
+        assert_eq!(ControlRes::U32(7).u32().unwrap(), 7);
+        assert_eq!(ControlRes::U32(7).ip(), Err(WRONG_RESULT));
     }
 }

@@ -15,7 +15,7 @@ use std::rc::Rc;
 
 use crate::addr::ParticipantSet;
 use crate::cost::Handicap;
-use crate::error::{XError, XResult};
+use crate::error::{Reject, XError, XResult};
 use crate::map::{EnableMap, SessionMap, UpperCell};
 use crate::msg::Message;
 use crate::proto::{ControlOp, ControlRes, ProtoId, Protocol, Session, SessionRef, TracedSession};
@@ -141,7 +141,7 @@ impl Protocol for NullLayer {
         let upper = *self
             .enables
             .resolve(&num)
-            .ok_or_else(|| XError::NoEnable(format!("null layer num {num}")))?;
+            .ok_or(Reject::NoEnable("null layer number"))?;
         // Reuse (or passively create) the session replies travel down on —
         // the paper's "cache open sessions at all levels" rule.
         let sess = self.passive.resolve_or_insert_with(num, || {
@@ -286,7 +286,7 @@ impl Protocol for HandicapLayer {
         let upper = self
             .upper
             .get()
-            .ok_or_else(|| XError::NoEnable("handicap layer has no upper".into()))?;
+            .ok_or(Reject::NoEnable("handicap layer has no upper"))?;
         let key = Rc::as_ptr(lls) as *const () as usize;
         let sess = self.wrapped.resolve_or_insert_with(key, || {
             Ok(Rc::new(HandicapSession {

@@ -6,7 +6,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::cost::CostModel;
-use crate::error::XResult;
+use crate::error::{Reject, XResult};
 use crate::journal::JournalRecord;
 use crate::kernel::Kernel;
 use crate::msg::{Message, Popped};
@@ -192,10 +192,23 @@ impl Ctx {
         let tally = match ev {
             RobustEvent::Retransmit => &h.retransmits,
             RobustEvent::DuplicateSuppressed => &h.duplicates_suppressed,
-            RobustEvent::CorruptRejected => &h.corrupt_rejected,
             RobustEvent::TimeoutFired => &h.timeouts_fired,
         };
         bump(tally, 1);
+    }
+
+    /// Counts a frame `proto` refused in its host's row for `(proto, why)`
+    /// and notes the reason in the trace: the demux seam's half of a
+    /// [`Reject`] (see [`crate::proto::TracedProtocol`]).
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn refused(&self, proto: ProtoId, why: Reject) {
+        self.trace_note(why.why());
+        let mut rows = self.cell().rejects.lock();
+        match rows.iter_mut().find(|r| (r.0, r.1) == (proto, why)) {
+            Some(row) => row.2 += 1,
+            None => rows.push((proto, why, 1)),
+        }
     }
 
     /// This host's boot incarnation: 0 at first boot, bumped on every

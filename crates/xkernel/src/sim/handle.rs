@@ -206,6 +206,26 @@ impl Sim {
         self.core.host(host).stats()
     }
 
+    /// Every frame a layer refused so far, one row per (host, protocol,
+    /// reason) that refused any, sorted.
+    pub fn rejects(&self) -> Vec<RejectRow> {
+        let mut rows = Vec::new();
+        for (i, h) in self.core.hosts.iter().enumerate() {
+            for &(proto, why, count) in h.rejects.lock().iter() {
+                let layer = h.kernel.proto_ref(proto).map_or("?", |p| p.name());
+                rows.push(RejectRow {
+                    host: HostId(i),
+                    proto,
+                    layer,
+                    why,
+                    count,
+                });
+            }
+        }
+        rows.sort_unstable();
+        rows
+    }
+
     /// How many times `host` has restarted (0 until its first restart).
     pub fn boot_epoch(&self, host: HostId) -> u32 {
         self.core.host(host).epoch.get()

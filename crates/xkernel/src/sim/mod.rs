@@ -45,7 +45,7 @@ pub use ctx::{Ctx, LayerSpan};
 pub use engine::Sim;
 pub use handle::{SimCore, WeakSim};
 pub(crate) use observe::Probe;
-pub use report::{HostStats, RobustEvent, RunReport};
+pub use report::{HostStats, RejectRow, RobustEvent, RunReport};
 pub(crate) use sema::Label;
 pub use sema::SharedSema;
 pub use snapshot::SimSnapshot;

@@ -4,7 +4,10 @@
 use std::cell::Cell;
 use std::sync::Arc;
 
+use crate::cell::OwnerCell;
+use crate::error::Reject;
 use crate::kernel::Kernel;
+use crate::proto::ProtoId;
 use crate::trace::CostBreakdown;
 
 use super::*;
@@ -42,8 +45,9 @@ pub struct RunReport {
 }
 
 /// Per-host robustness counters accumulated during a run. Protocols report
-/// the first four via [`Ctx::note`]; the crash/restart machinery maintains
-/// the rest.
+/// retransmits, suppressed duplicates and timeouts via [`Ctx::note`]; the
+/// demux seam counts refusals (see [`Sim::rejects`]); the crash/restart
+/// machinery maintains the rest.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HostStats {
     /// Request retransmissions sent by this host's protocols.
@@ -51,7 +55,8 @@ pub struct HostStats {
     /// Duplicate requests this host suppressed (ack/resend/drop instead of
     /// re-executing).
     pub duplicates_suppressed: u64,
-    /// Corrupt frames a checksum on this host rejected.
+    /// Frames this host's layers refused as corrupt: the sum of its
+    /// [`Reject::Corrupt`] rows in [`Sim::rejects`].
     pub corrupt_rejected: u64,
     /// Retransmission timeouts that fired on this host.
     pub timeouts_fired: u64,
@@ -72,15 +77,29 @@ pub enum RobustEvent {
     Retransmit,
     /// A duplicate request was suppressed instead of re-executed.
     DuplicateSuppressed,
-    /// A corrupt frame was rejected by a checksum.
-    CorruptRejected,
     /// A retransmission timeout fired.
     TimeoutFired,
 }
 
-/// One host's kernel, clock and counters. Every field but the kernel is a
-/// plain [`Cell`], so the charging path ([`Ctx::charge_class`],
-/// [`Ctx::now`], [`Ctx::note`]) is loads and stores with no guard.
+/// One row of [`Sim::rejects`]: the frames one layer on one host refused
+/// for one reason.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct RejectRow {
+    /// The refusing host.
+    pub host: HostId,
+    /// The refusing protocol.
+    pub proto: ProtoId,
+    /// That protocol's name.
+    pub layer: &'static str,
+    /// Why.
+    pub why: Reject,
+    /// Frames refused.
+    pub count: u64,
+}
+
+/// One host's kernel, clock and counters. The charging path
+/// ([`Ctx::charge_class`], [`Ctx::now`], [`Ctx::note`]) reads plain
+/// [`Cell`]s: loads and stores with no guard.
 pub(super) struct HostCell {
     pub(super) kernel: Arc<Kernel>,
     pub(super) cpu: Cell<u64>,
@@ -91,10 +110,12 @@ pub(super) struct HostCell {
     pub(super) epoch: Cell<u32>,
     pub(super) retransmits: Cell<u64>,
     pub(super) duplicates_suppressed: Cell<u64>,
-    pub(super) corrupt_rejected: Cell<u64>,
     pub(super) timeouts_fired: Cell<u64>,
     pub(super) crashes: Cell<u64>,
     pub(super) restarts: Cell<u64>,
+    /// `(protocol, reason, frames)` refused at the demux seam; a row exists
+    /// from its first refusal on, so the next allocates nothing.
+    pub(super) rejects: OwnerCell<Vec<(ProtoId, Reject, u64)>>,
 }
 
 /// `cell += by`; the new value.
@@ -115,10 +136,10 @@ impl HostCell {
             epoch: Cell::new(0),
             retransmits: Cell::new(0),
             duplicates_suppressed: Cell::new(0),
-            corrupt_rejected: Cell::new(0),
             timeouts_fired: Cell::new(0),
             crashes: Cell::new(0),
             restarts: Cell::new(0),
+            rejects: OwnerCell::new(Vec::new()),
         }
     }
 
@@ -136,7 +157,13 @@ impl HostCell {
         HostStats {
             retransmits: self.retransmits.get(),
             duplicates_suppressed: self.duplicates_suppressed.get(),
-            corrupt_rejected: self.corrupt_rejected.get(),
+            corrupt_rejected: self
+                .rejects
+                .lock()
+                .iter()
+                .filter(|r| matches!(r.1, Reject::Corrupt(_)))
+                .map(|r| r.2)
+                .sum(),
             timeouts_fired: self.timeouts_fired.get(),
             crashes: self.crashes.get(),
             restarts: self.restarts.get(),

@@ -1,7 +1,7 @@
 //! Snapshot and restore of a quiescent simulation.
 
-use crate::error::{XError, XResult};
-use crate::proto::SnapBlob;
+use crate::error::{Reject, XError, XResult};
+use crate::proto::{ProtoId, SnapBlob};
 
 use super::engine::{Engine, EvKind, LpBody, LpState, Pending, RunState, PROC_KEY};
 use super::handle::kernels_of;
@@ -261,12 +261,14 @@ struct SnapMachine {
     m: Box<dyn VProc>,
 }
 
-/// One host's scalars captured in a snapshot (`stats.cpu_ns` is its clock).
+/// One host's scalars and refusal rows captured in a snapshot
+/// (`stats.cpu_ns` is its clock).
 struct SnapHost {
     down: bool,
     epoch: u32,
     fuel: u64,
     stats: HostStats,
+    rejects: Vec<(ProtoId, Reject, u64)>,
 }
 
 impl HostCell {
@@ -276,6 +278,7 @@ impl HostCell {
             epoch: self.epoch.get(),
             fuel: self.fuel.get(),
             stats: self.stats(),
+            rejects: self.rejects.lock().clone(),
         }
     }
 
@@ -287,7 +290,7 @@ impl HostCell {
         self.epoch.set(snap.epoch);
         self.retransmits.set(s.retransmits);
         self.duplicates_suppressed.set(s.duplicates_suppressed);
-        self.corrupt_rejected.set(s.corrupt_rejected);
+        self.rejects.lock().clone_from(&snap.rejects);
         self.timeouts_fired.set(s.timeouts_fired);
         self.crashes.set(s.crashes);
         self.restarts.set(s.restarts);

@@ -7,14 +7,14 @@
 //! through a [`HdrReader`], which checks the length once. [`WireWriter`] and
 //! [`WireReader`] are for what has no fixed size (PSYNC's dependency list):
 //! the writer appends to a heap buffer, the reader consumes a byte slice and
-//! reports truncation as [`XError::Malformed`] instead of panicking.
+//! reports truncation as a [`Reject::Corrupt`] instead of panicking.
 //!
 //! Every method here is a leaf that another crate calls once per header
-//! field, so each carries `#[inline]` and builds its error out of line (see
-//! DESIGN.md, "What crosses a crate").
+//! field, so each carries `#[inline]` (see DESIGN.md, "What crosses a
+//! crate"); its error is a constant.
 
 use crate::addr::{EthAddr, IpAddr};
-use crate::error::{XError, XResult};
+use crate::error::{Reject, XResult};
 use crate::msg::Message;
 
 /// Builds an `N`-byte header on the stack in network byte order: the array,
@@ -108,14 +108,13 @@ pub struct HdrReader<'a, const N: usize> {
 }
 
 impl<'a, const N: usize> HdrReader<'a, N> {
-    /// A reader over the first `N` bytes of `bytes`, or
-    /// [`XError::Malformed`] if there are fewer; `what` names the header for
-    /// the error text.
+    /// A reader over the first `N` bytes of `bytes`, or a
+    /// [`Reject::Corrupt`] naming the header (`what`) if there are fewer.
     #[inline]
     pub fn new(bytes: &'a [u8], what: &'static str) -> XResult<Self> {
         match bytes.first_chunk::<N>() {
             Some(buf) => Ok(HdrReader { buf, pos: 0 }),
-            None => Err(short_header(what, bytes.len(), N)),
+            None => Err(Reject::Corrupt(what).into()),
         }
     }
 
@@ -162,12 +161,6 @@ impl<'a, const N: usize> HdrReader<'a, N> {
     pub fn eth(&mut self) -> EthAddr {
         EthAddr(self.take())
     }
-}
-
-#[cold]
-#[inline(never)]
-fn short_header(what: &'static str, have: usize, need: usize) -> XError {
-    XError::Malformed(format!("{what}: {have} bytes of a {need}-byte header"))
 }
 
 /// Serializes variable-length data in network byte order.
@@ -272,19 +265,8 @@ impl<'a> WireReader<'a> {
                 self.pos += n;
                 Ok(s)
             }
-            None => Err(self.truncated()),
+            None => Err(Reject::Corrupt(self.what).into()),
         }
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn truncated(&self) -> XError {
-        XError::Malformed(format!(
-            "{}: truncated at offset {} of {}",
-            self.what,
-            self.pos,
-            self.buf.len()
-        ))
     }
 
     /// Reads a `u8`.
@@ -435,6 +417,7 @@ impl ChecksumAcc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::XError;
 
     #[test]
     fn writer_reader_roundtrip() {
@@ -487,7 +470,7 @@ mod tests {
     fn fixed_size_reader_rejects_every_short_input() {
         for k in 0..20 {
             match HdrReader::<20>::new(&[0u8; 20][..k], "short") {
-                Err(XError::Malformed(s)) => assert!(s.contains("short"), "{s}"),
+                Err(XError::Reject(Reject::Corrupt("short"))) => {}
                 other => panic!("{k} bytes: {other:?}"),
             }
         }
@@ -503,11 +486,10 @@ mod tests {
     fn reader_reports_truncation() {
         let mut r = WireReader::new(&[1, 2], "short");
         assert_eq!(r.u8().unwrap(), 1);
-        let err = r.u32().unwrap_err();
-        match err {
-            XError::Malformed(s) => assert!(s.contains("short")),
-            other => panic!("unexpected error {other:?}"),
-        }
+        assert_eq!(
+            r.u32().unwrap_err(),
+            XError::Reject(Reject::Corrupt("short"))
+        );
     }
 
     #[test]

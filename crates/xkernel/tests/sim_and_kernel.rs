@@ -9,7 +9,7 @@ use xkernel::cost::CostModel;
 use xkernel::graph::ProtocolRegistry;
 use xkernel::prelude::*;
 use xkernel::shim::{NullLayer, NULL_HDR_LEN};
-use xkernel::sim::{Mode, Sim, SimConfig};
+use xkernel::sim::{Mode, RejectRow, Sim, SimConfig};
 
 // ---------------------------------------------------------------------------
 // Test protocols: a loopback "wire" and a recording sink.
@@ -106,7 +106,7 @@ impl Protocol for Loopback {
             .iter()
             .find(|(n, _)| *n == num)
             .map(|(_, u)| *u)
-            .ok_or_else(|| XError::NoEnable(format!("loopback num {num}")))?;
+            .ok_or(Reject::NoEnable("loopback number"))?;
         ctx.kernel().demux_to(ctx, upper, lls, msg)
     }
 
@@ -685,15 +685,25 @@ fn down_host_silently_drops_scheduled_work() {
 fn robustness_counters_accumulate_per_host() {
     let sim = Sim::new(SimConfig::scheduled().with_cost(CostModel::zero()));
     let _a = Kernel::new(&sim, "a");
-    let _b = Kernel::new(&sim, "b");
+    let b = Kernel::new(&sim, "b");
+    let lo = b
+        .register("loop", |me| Ok(Loopback::new(me) as ProtocolRef))
+        .unwrap();
     sim.spawn(HostId(0), |ctx| {
         ctx.note(RobustEvent::Retransmit);
         ctx.note(RobustEvent::Retransmit);
         ctx.note(RobustEvent::TimeoutFired);
     });
-    sim.spawn(HostId(1), |ctx| {
+    sim.spawn(HostId(1), move |ctx| {
         ctx.note(RobustEvent::DuplicateSuppressed);
-        ctx.note(RobustEvent::CorruptRejected);
+        // Two bytes of a four-byte header: the loopback refuses the frame
+        // and its demux seam counts it.
+        let k = ctx.kernel();
+        let lls = k
+            .open(ctx, lo, lo, &ParticipantSet::local(Participant::proto(1)))
+            .unwrap();
+        k.demux_to(ctx, lo, &lls, Message::from_wire(vec![0; 2]))
+            .unwrap();
     });
     let r = sim.run_until_idle();
     assert_eq!(r.hosts[0].retransmits, 2);
@@ -701,4 +711,14 @@ fn robustness_counters_accumulate_per_host() {
     assert_eq!(r.hosts[0].duplicates_suppressed, 0);
     assert_eq!(r.hosts[1].duplicates_suppressed, 1);
     assert_eq!(r.hosts[1].corrupt_rejected, 1);
+    assert_eq!(
+        sim.rejects(),
+        [RejectRow {
+            host: HostId(1),
+            proto: lo,
+            layer: "loopback",
+            why: Reject::Corrupt("header past the end of the message"),
+            count: 1,
+        }]
+    );
 }

@@ -18,7 +18,8 @@ mod common;
 
 use common::allocs;
 use common::null_call::{
-    paper_null_call, paper_scheduled_sized_call, sun_rpc_null_call, PAPER_STACKS,
+    paper_null_call, paper_scheduled_sized_call, sun_rpc_null_call, sun_rpc_refused_datagram,
+    PAPER_STACKS,
 };
 use xrpc::stacks::{L_RPC_VIP, M_RPC_VIP};
 
@@ -56,4 +57,15 @@ fn a_warm_scheduled_16k_call_allocates_exactly_pinned() {
             stack.name
         );
     }
+}
+
+/// A frame a layer refuses costs nothing once its row exists: the reason is
+/// static text and the count a bump in that row.
+#[test]
+fn a_refused_frame_at_a_warm_host_allocates_nothing() {
+    let n = sun_rpc_refused_datagram(allocs);
+    assert_eq!(
+        n, 0,
+        "a datagram to an unbound UDP port made {n} allocations"
+    );
 }

@@ -21,8 +21,8 @@ use xkernel::prelude::*;
 use xrpc::hdr::{ChannelHdr, FragmentHdr, SelectHdr, SpriteHdr};
 
 /// `hdr` encodes to exactly `wire`; `wire` (with or without bytes after it)
-/// decodes to `hdr`; and every proper prefix of `wire` is `Malformed`, not a
-/// panic.
+/// decodes to `hdr`; and every proper prefix of `wire` is refused as corrupt,
+/// not a panic.
 fn pinned<H: PartialEq + Debug, const N: usize>(
     name: &str,
     hdr: H,
@@ -37,7 +37,7 @@ fn pinned<H: PartialEq + Debug, const N: usize>(
     assert_eq!(decode(&padded).unwrap(), hdr, "{name}: trailing bytes");
     for k in 0..N {
         match decode(&wire[..k]) {
-            Err(XError::Malformed(_)) => {}
+            Err(XError::Reject(Reject::Corrupt(_))) => {}
             other => panic!("{name}: {k} of {N} bytes decoded to {other:?}"),
         }
     }
@@ -235,12 +235,12 @@ fn every_fixed_size_header_is_pinned_and_its_decoder_total() {
     );
 }
 
-/// `Ok`, or `Err(Malformed)`: anything else from a decoder fed bad bytes —
+/// `Ok`, or refused as corrupt: anything else from a decoder fed bad bytes —
 /// a panic included — fails the test.
 fn total<T: Debug>(what: &str, got: XResult<T>) -> Option<T> {
     match got {
         Ok(v) => Some(v),
-        Err(XError::Malformed(_)) => None,
+        Err(XError::Reject(Reject::Corrupt(_))) => None,
         Err(other) => panic!("{what}: {other:?}"),
     }
 }

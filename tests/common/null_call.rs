@@ -6,12 +6,17 @@
 
 use std::sync::Arc;
 
+use inet::eth::{eth_type, EthHdr};
+use inet::ip::{ip_proto, IpHeader};
 use inet::testbed::{base_registry, two_hosts, TwoHosts};
+use inet::udp::UdpHdr;
 use inet::with_concrete;
 use sunrpc::sunselect::SunSelect;
-use xkernel::addr::IpAddr;
+use xkernel::addr::{EthAddr, IpAddr, Participant, ParticipantSet};
 use xkernel::graph::ProtocolRegistry;
 use xkernel::kernel::Kernel;
+use xkernel::msg::Message;
+use xkernel::proto::TracedSession;
 use xkernel::sim::{Ctx, SimConfig};
 use xrpc::procs::{NULL_PROC, SINK_PROC};
 use xrpc::stacks::{StackDef, L_RPC_VIP, L_RPC_VIPSIZE, M_RPC_ETH, M_RPC_IP, M_RPC_VIP};
@@ -208,4 +213,60 @@ pub fn paper_scheduled_sized_call(stack: StackDef, size: usize, counter: fn() ->
 /// scheduled run.
 pub fn sun_rpc_scheduled_calls(n: u64) -> Switched {
     calls_in_one_run(&sun_testbed(SimConfig::scheduled()), n, sun_call)
+}
+
+/// `counter`'s movement over a frame refused at a warm SUNRPC-UDP server: a
+/// UDP datagram to a port nothing enabled, put on the wire at the client's
+/// device after an identical one made its refusal's row.
+pub fn sun_rpc_refused_datagram(counter: fn() -> u64) -> u64 {
+    let tb = sun_testbed(SimConfig::inline_mode());
+    let ctx = tb.sim.ctx(tb.client.host());
+    sun_call(&ctx, &tb.client, tb.server_ip);
+    let (nic, eth) = (
+        tb.client.lookup("nic0").unwrap(),
+        tb.client.lookup("eth").unwrap(),
+    );
+    let device = tb
+        .client
+        .open(
+            &ctx,
+            nic,
+            eth,
+            &ParticipantSet::local(Participant::default()),
+        )
+        .unwrap();
+    let udp = UdpHdr {
+        src_port: 111,
+        dst_port: 0x7777,
+        length: 12,
+        checksum: 0,
+    };
+    let ip = IpHeader {
+        total_len: 32,
+        id: 1,
+        more_frags: false,
+        frag_off: 0,
+        ttl: 32,
+        proto: ip_proto::UDP,
+        src: tb.client_ip,
+        dst: tb.server_ip,
+    };
+    let eth = EthHdr {
+        dst: EthAddr::from_index(2),
+        src: EthAddr::from_index(1),
+        ty: eth_type::IP,
+    };
+    // Four payload bytes: a header that ended the frame would be copied out
+    // of it, as any would.
+    let frame = [&eth.encode()[..], &ip.encode(), &udp.encode(), &[0; 4]].concat();
+    let refuse = || {
+        let msg = Message::from_wire(frame.clone());
+        let before = counter();
+        device
+            .push(&ctx, msg)
+            .expect("a refusal never reaches the sender");
+        counter() - before
+    };
+    refuse();
+    refuse()
 }

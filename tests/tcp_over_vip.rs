@@ -191,9 +191,10 @@ fn tcp_cannot_establish_over_vip_raw_ethernet() {
         outcome.lock().unwrap()
     );
     assert_eq!(r.blocked, 0);
-    assert!(
-        r.hosts[kernels[1].host().0].corrupt_rejected >= 1,
-        "the padded SYN's checksum failure is counted: {:?}",
+    assert_eq!(
+        r.hosts[kernels[1].host().0].corrupt_rejected,
+        9,
+        "each padded SYN's checksum failure is counted: {:?}",
         r.hosts
     );
 }
