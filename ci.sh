@@ -134,6 +134,14 @@ forbid --but 1 'match self\.stack' "a second per-stack dispatch (the rig's spawn
     crates/chaos/src/lib.rs
 forbid --but 1 '0xbf58_476d_1ce4_e5b9' 'a private copy of the splitmix64 step (xkernel::rng has the one)' \
     crates/*/src
+# A fixed-size header is one xkernel::wire_header! table (DESIGN.md §15). The
+# seven hand-written lines are the named exceptions: IP's and ICMP's encode
+# and decode and TCP's three (with its pseudo-header), whose constant,
+# checksum and packed-bit fields the table does not carry.
+# shellcheck disable=SC2046
+forbid --but 7 'HdrReader::<|HdrBuf::new\(\)' \
+    'a header codec written by hand (declare it with xkernel::wire_header!)' \
+    $(find crates/*/src src tests examples -name '*.rs' ! -path crates/xkernel/src/wire.rs)
 
 echo "==> load-smoke: xbench xload --quick"
 # Rate sweep over all six stacks (open loop), a closed-loop point, and the

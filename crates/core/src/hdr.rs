@@ -26,169 +26,75 @@ pub mod flags {
     pub const NACK: u16 = 0x0010;
 }
 
-/// The monolithic Sprite RPC header (`sprite_hdr` in the appendix).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub struct SpriteHdr {
-    /// Message kind bits (see [`flags`]).
-    pub flags: u16,
-    /// Client host address.
-    pub clnt_host: IpAddr,
-    /// Server host address.
-    pub srvr_host: IpAddr,
-    /// Channel index.
-    pub channel: u16,
-    /// Server process hint (kept for layout fidelity; we dispatch on
-    /// `command`).
-    pub srvr_process: u16,
-    /// RPC sequence number (at-most-once identity).
-    pub sequence_num: u32,
-    /// Number of fragments in this message.
-    pub num_frags: u16,
-    /// Bitmask of which fragment(s) this packet carries — or, with
-    /// [`flags::NACK`]/[`flags::ACK`], which fragments were received.
-    pub frag_mask: u16,
-    /// Procedure id.
-    pub command: u16,
-    /// Sender's boot incarnation.
-    pub boot_id: u32,
-    /// First data area size.
-    pub data1_sz: u16,
-    /// Second data area size (unused by the layered version; see appendix
-    /// note).
-    pub data2_sz: u16,
-    /// First data area offset.
-    pub data1_offset: u16,
-    /// Second data area offset.
-    pub data2_offset: u16,
-}
-
-/// Encoded size of [`SpriteHdr`].
-pub const SPRITE_HDR_LEN: usize = 36;
-
-impl SpriteHdr {
-    /// Encodes to network byte order.
-    pub fn encode(&self) -> [u8; SPRITE_HDR_LEN] {
-        HdrBuf::new()
-            .u16(self.flags)
-            .ip(self.clnt_host)
-            .ip(self.srvr_host)
-            .u16(self.channel)
-            .u16(self.srvr_process)
-            .u32(self.sequence_num)
-            .u16(self.num_frags)
-            .u16(self.frag_mask)
-            .u16(self.command)
-            .u32(self.boot_id)
-            .u16(self.data1_sz)
-            .u16(self.data2_sz)
-            .u16(self.data1_offset)
-            .u16(self.data2_offset)
-            .finish()
-    }
-
-    /// Decodes from network byte order.
-    pub fn decode(bytes: &[u8]) -> XResult<SpriteHdr> {
-        let mut r = HdrReader::<SPRITE_HDR_LEN>::new(bytes, "sprite_hdr")?;
-        Ok(SpriteHdr {
-            flags: r.u16(),
-            clnt_host: r.ip(),
-            srvr_host: r.ip(),
-            channel: r.u16(),
-            srvr_process: r.u16(),
-            sequence_num: r.u32(),
-            num_frags: r.u16(),
-            frag_mask: r.u16(),
-            command: r.u16(),
-            boot_id: r.u32(),
-            data1_sz: r.u16(),
-            data2_sz: r.u16(),
-            data1_offset: r.u16(),
-            data2_offset: r.u16(),
-        })
+wire_header! {
+    /// The monolithic Sprite RPC header (`sprite_hdr` in the appendix).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+    pub struct SpriteHdr: SPRITE_HDR_LEN, "sprite_hdr" {
+        /// Message kind bits (see [`flags`]).
+        pub flags: u16,
+        /// Client host address.
+        pub clnt_host: IpAddr,
+        /// Server host address.
+        pub srvr_host: IpAddr,
+        /// Channel index.
+        pub channel: u16,
+        /// Server process hint (kept for layout fidelity; we dispatch on
+        /// `command`).
+        pub srvr_process: u16,
+        /// RPC sequence number (at-most-once identity).
+        pub sequence_num: u32,
+        /// Number of fragments in this message.
+        pub num_frags: u16,
+        /// Bitmask of which fragment(s) this packet carries — or, with
+        /// [`flags::NACK`]/[`flags::ACK`], which fragments were received.
+        pub frag_mask: u16,
+        /// Procedure id.
+        pub command: u16,
+        /// Sender's boot incarnation.
+        pub boot_id: u32,
+        /// First data area size.
+        pub data1_sz: u16,
+        /// Second data area size (unused by the layered version; see appendix
+        /// note).
+        pub data2_sz: u16,
+        /// First data area offset.
+        pub data1_offset: u16,
+        /// Second data area offset.
+        pub data2_offset: u16,
     }
 }
 
-/// The SELECT layer header (`select_hdr`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub struct SelectHdr {
-    /// Request (0) or reply (1).
-    pub typ: u8,
-    /// Procedure id.
-    pub command: u16,
-    /// Reply status: 0 ok, non-zero server-side error code.
-    pub status: u8,
-}
-
-/// Encoded size of [`SelectHdr`].
-pub const SELECT_HDR_LEN: usize = 4;
-
-impl SelectHdr {
-    /// Encodes to network byte order.
-    pub fn encode(&self) -> [u8; SELECT_HDR_LEN] {
-        HdrBuf::new()
-            .u8(self.typ)
-            .u16(self.command)
-            .u8(self.status)
-            .finish()
-    }
-
-    /// Decodes from network byte order.
-    pub fn decode(bytes: &[u8]) -> XResult<SelectHdr> {
-        let mut r = HdrReader::<SELECT_HDR_LEN>::new(bytes, "select_hdr")?;
-        Ok(SelectHdr {
-            typ: r.u8(),
-            command: r.u16(),
-            status: r.u8(),
-        })
+wire_header! {
+    /// The SELECT layer header (`select_hdr`).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+    pub struct SelectHdr: SELECT_HDR_LEN, "select_hdr" {
+        /// Request (0) or reply (1).
+        pub typ: u8,
+        /// Procedure id.
+        pub command: u16,
+        /// Reply status: 0 ok, non-zero server-side error code.
+        pub status: u8,
     }
 }
 
-/// The CHANNEL layer header (`channel_hdr`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub struct ChannelHdr {
-    /// Message kind bits (see [`flags`]).
-    pub flags: u16,
-    /// Channel index (client-scoped; unique per client kernel).
-    pub channel: u16,
-    /// The high-level protocol this channel serves — present because
-    /// CHANNEL, as an independent protocol, "must have its own protocol
-    /// number (type) field".
-    pub protocol_num: u32,
-    /// Request sequence number (at-most-once identity).
-    pub sequence_num: u32,
-    /// Server-reported error code (0 = ok).
-    pub error: u16,
-    /// Sender's boot incarnation.
-    pub boot_id: u32,
-}
-
-/// Encoded size of [`ChannelHdr`].
-pub const CHANNEL_HDR_LEN: usize = 18;
-
-impl ChannelHdr {
-    /// Encodes to network byte order.
-    pub fn encode(&self) -> [u8; CHANNEL_HDR_LEN] {
-        HdrBuf::new()
-            .u16(self.flags)
-            .u16(self.channel)
-            .u32(self.protocol_num)
-            .u32(self.sequence_num)
-            .u16(self.error)
-            .u32(self.boot_id)
-            .finish()
-    }
-
-    /// Decodes from network byte order.
-    pub fn decode(bytes: &[u8]) -> XResult<ChannelHdr> {
-        let mut r = HdrReader::<CHANNEL_HDR_LEN>::new(bytes, "channel_hdr")?;
-        Ok(ChannelHdr {
-            flags: r.u16(),
-            channel: r.u16(),
-            protocol_num: r.u32(),
-            sequence_num: r.u32(),
-            error: r.u16(),
-            boot_id: r.u32(),
-        })
+wire_header! {
+    /// The CHANNEL layer header (`channel_hdr`).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+    pub struct ChannelHdr: CHANNEL_HDR_LEN, "channel_hdr" {
+        /// Message kind bits (see [`flags`]).
+        pub flags: u16,
+        /// Channel index (client-scoped; unique per client kernel).
+        pub channel: u16,
+        /// The high-level protocol this channel serves — present because
+        /// CHANNEL, as an independent protocol, "must have its own protocol
+        /// number (type) field".
+        pub protocol_num: u32,
+        /// Request sequence number (at-most-once identity).
+        pub sequence_num: u32,
+        /// Server-reported error code (0 = ok).
+        pub error: u16,
+        /// Sender's boot incarnation.
+        pub boot_id: u32,
     }
 }
 
@@ -200,58 +106,26 @@ pub mod frag_type {
     pub const NACK: u8 = 2;
 }
 
-/// The FRAGMENT layer header (`fragment_hdr`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub struct FragmentHdr {
-    /// Packet kind (see [`frag_type`]).
-    pub typ: u8,
-    /// Sending host of the original message.
-    pub clnt_host: IpAddr,
-    /// Receiving host of the original message.
-    pub srvr_host: IpAddr,
-    /// The high-level protocol the message belongs to.
-    pub protocol_num: u32,
-    /// FRAGMENT-level message sequence number (unique per sender).
-    pub sequence_num: u32,
-    /// Total fragments in the message.
-    pub num_frags: u16,
-    /// Bit i set = this packet carries (or, for NACK, requests) fragment i.
-    pub frag_mask: u16,
-    /// Total message length in bytes.
-    pub len: u16,
-}
-
-/// Encoded size of [`FragmentHdr`].
-pub const FRAGMENT_HDR_LEN: usize = 23;
-
-impl FragmentHdr {
-    /// Encodes to network byte order.
-    pub fn encode(&self) -> [u8; FRAGMENT_HDR_LEN] {
-        HdrBuf::new()
-            .u8(self.typ)
-            .ip(self.clnt_host)
-            .ip(self.srvr_host)
-            .u32(self.protocol_num)
-            .u32(self.sequence_num)
-            .u16(self.num_frags)
-            .u16(self.frag_mask)
-            .u16(self.len)
-            .finish()
-    }
-
-    /// Decodes from network byte order.
-    pub fn decode(bytes: &[u8]) -> XResult<FragmentHdr> {
-        let mut r = HdrReader::<FRAGMENT_HDR_LEN>::new(bytes, "fragment_hdr")?;
-        Ok(FragmentHdr {
-            typ: r.u8(),
-            clnt_host: r.ip(),
-            srvr_host: r.ip(),
-            protocol_num: r.u32(),
-            sequence_num: r.u32(),
-            num_frags: r.u16(),
-            frag_mask: r.u16(),
-            len: r.u16(),
-        })
+wire_header! {
+    /// The FRAGMENT layer header (`fragment_hdr`).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+    pub struct FragmentHdr: FRAGMENT_HDR_LEN, "fragment_hdr" {
+        /// Packet kind (see [`frag_type`]).
+        pub typ: u8,
+        /// Sending host of the original message.
+        pub clnt_host: IpAddr,
+        /// Receiving host of the original message.
+        pub srvr_host: IpAddr,
+        /// The high-level protocol the message belongs to.
+        pub protocol_num: u32,
+        /// FRAGMENT-level message sequence number (unique per sender).
+        pub sequence_num: u32,
+        /// Total fragments in the message.
+        pub num_frags: u16,
+        /// Bit i set = this packet carries (or, for NACK, requests) fragment i.
+        pub frag_mask: u16,
+        /// Total message length in bytes.
+        pub len: u16,
     }
 }
 
@@ -259,40 +133,57 @@ impl FragmentHdr {
 mod tests {
     use super::*;
 
-    /// The paper's syntactic-equivalence claim, checked structurally: every
-    /// monolithic field appears in some layer's header, the layered union
-    /// adds only protocol-number fields (one per reusable layer) and the
-    /// SELECT type/status bytes, and duplicates only sequence numbers (and
-    /// the flags carried by both CHANNEL and FRAGMENT's type byte).
+    /// The paper's syntactic-equivalence claim, checked structurally from
+    /// the headers' own field lists: every monolithic field the layered
+    /// version keeps is carried by some layer's header, the layered union
+    /// adds only a protocol number per reusable layer, the SELECT
+    /// type/status bytes, FRAGMENT's type byte and CHANNEL's error field,
+    /// and it duplicates only the sequence number (and those two shared
+    /// fields).
     #[test]
     fn layered_headers_cover_the_monolithic_header() {
-        // Monolithic fields → the layer that carries them.
-        let coverage = [
-            ("flags", "channel"),
-            ("clnt_host", "fragment"),
-            ("srvr_host", "fragment"),
-            ("channel", "channel"),
-            ("sequence_num", "channel+fragment (duplicated)"),
-            ("num_frags", "fragment"),
-            ("frag_mask", "fragment"),
-            ("command", "select"),
-            ("boot_id", "channel"),
-            ("data1_sz", "fragment.len"),
-            // data2_sz / offsets: the appendix notes layered RPC does not
-            // need the dual data areas at all.
+        let layers = [
+            ("select", SelectHdr::FIELDS),
+            ("channel", ChannelHdr::FIELDS),
+            ("fragment", FragmentHdr::FIELDS),
         ];
-        assert_eq!(coverage.len(), 10);
-        // Size accounting: union of layered headers ≈ monolithic + the
-        // per-layer protocol numbers and the duplicated sequence number,
-        // partly offset by dropping the dual data-area fields the appendix
-        // notes are unnecessary.
+        let carriers = |field: &str| -> Vec<&str> {
+            let field = if field == "data1_sz" { "len" } else { field };
+            layers
+                .iter()
+                .filter(|(_, fields)| fields.contains(&field))
+                .map(|(layer, _)| *layer)
+                .collect()
+        };
+        // FRAGMENT's `len` is `data1_sz` renamed; the process hint and the
+        // second data area are what the appendix notes the layered version
+        // does not need.
+        let dropped = ["srvr_process", "data2_sz", "data1_offset", "data2_offset"];
+        for field in SpriteHdr::FIELDS {
+            assert_eq!(
+                carriers(field).is_empty(),
+                dropped.contains(field),
+                "{field}: {:?}",
+                carriers(field)
+            );
+        }
+        assert_eq!(carriers("sequence_num"), ["channel", "fragment"]);
+        assert_eq!(carriers("protocol_num"), ["channel", "fragment"]);
+        assert_eq!(carriers("typ"), ["select", "fragment"]);
+
+        let mut added: Vec<&str> = layers
+            .iter()
+            .flat_map(|(_, fields)| fields.iter().copied())
+            .filter(|f| *f != "len" && !SpriteHdr::FIELDS.contains(f))
+            .collect();
+        added.sort_unstable();
+        added.dedup();
+        assert_eq!(added, ["error", "protocol_num", "status", "typ"]);
+
+        // Size accounting: +8 two protocol-number fields, +4 duplicated
+        // sequence number, +3 per-layer type/status framing, +2 error field,
+        // -8 dropped process-hint, data2 and offset fields = +9 bytes.
         let layered = SELECT_HDR_LEN + CHANNEL_HDR_LEN + FRAGMENT_HDR_LEN;
-        assert_eq!(layered, 45);
-        assert_eq!(SPRITE_HDR_LEN, 36);
-        let extra = layered as i64 - SPRITE_HDR_LEN as i64;
-        // +8 two protocol-number fields, +4 duplicated sequence number,
-        // +3 per-layer type/status framing, +2 error field, -8 dropped
-        // data2/offset fields = +9 bytes.
-        assert_eq!(extra, 9);
+        assert_eq!((layered, SPRITE_HDR_LEN), (45, 36));
     }
 }

@@ -26,7 +26,7 @@ use xkernel::cell::OwnerCell;
 
 use xkernel::map::{MixMap, SessionSnapshot};
 use xkernel::prelude::*;
-use xkernel::shepherd::{Overload, ShepherdConfig, ShepherdStats, Shepherds, Submitted};
+use xkernel::shepherd::{Overload, ShepherdConfig, ShepherdStats, Shepherds};
 
 use crate::frags::{self, Place, Slot, MAX_FRAGS};
 use crate::hdr::{flags, SpriteHdr, SPRITE_HDR_LEN};
@@ -488,23 +488,12 @@ impl Mrpc {
                 Ok(())
             }
             Action::Dispatch(body, path) => {
-                if !self.shepherds.pooled(ctx) {
-                    // Synchronous dispatch: the historical (and default) path.
-                    return self.dispatch(ctx, &server, hdr, body, path);
-                }
                 let me = self.self_rc();
                 let job_server = Rc::clone(&server);
-                let submitted = self.shepherds.submit(
-                    ctx,
-                    Box::new(move |jctx| {
-                        if me.dispatch(jctx, &job_server, hdr, body, path).is_err() {
-                            jctx.trace_note("shepherd dispatch failed");
-                        }
-                    }),
-                );
-                match submitted {
-                    Submitted::Accepted => Ok(()),
-                    Submitted::Overloaded(policy) => {
+                let work = move |jctx: &Ctx| me.dispatch(jctx, &job_server, hdr, body, path);
+                match self.shepherds.dispatch(ctx, work)? {
+                    None => Ok(()),
+                    Some(policy) => {
                         // Roll the channel back so the client's retransmission
                         // is treated as a fresh request.
                         {

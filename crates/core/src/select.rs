@@ -21,7 +21,7 @@ use std::rc::{Rc, Weak};
 
 use xkernel::map::{EnableSnapshot, SessionSnapshot};
 use xkernel::prelude::*;
-use xkernel::shepherd::{Overload, ShepherdConfig, ShepherdStats, Shepherds, Submitted};
+use xkernel::shepherd::{Overload, ShepherdConfig, ShepherdStats, Shepherds};
 
 use crate::hdr::{SelectHdr, SELECT_HDR_LEN};
 use crate::protnum::rel_proto_num;
@@ -216,8 +216,7 @@ impl Select {
             None => self.reply_via(ctx, lls, command, status::NO_SUCH_PROC, Message::empty()),
             Some(h) => match h(ctx, msg) {
                 Ok(body) => self.reply_via(ctx, lls, command, status::OK, body),
-                Err(e) => {
-                    let _ = &e;
+                Err(_) => {
                     ctx.trace_note("procedure failed");
                     self.reply_via(ctx, lls, command, status::PROC_ERROR, ctx.empty_msg())
                 }
@@ -366,28 +365,17 @@ impl Protocol for Select {
         if hdr.typ != TYP_REQUEST {
             return Err(Reject::Corrupt("unexpected select type").into());
         }
-        if !self.shepherds.pooled(ctx) {
-            // Synchronous dispatch: the historical (and default) path.
-            return self.execute_request(ctx, lls, hdr.command, msg);
-        }
         let me = self.self_rc();
         let job_lls = Rc::clone(lls);
         let command = hdr.command;
-        let submitted = self.shepherds.submit(
-            ctx,
-            Box::new(move |jctx| {
-                if me.execute_request(jctx, &job_lls, command, msg).is_err() {
-                    jctx.trace_note("shepherd dispatch failed");
-                }
-            }),
-        );
-        match submitted {
-            Submitted::Accepted => Ok(()),
-            Submitted::Overloaded(Overload::Reject) => {
+        let work = move |jctx: &Ctx| me.execute_request(jctx, &job_lls, command, msg);
+        match self.shepherds.dispatch(ctx, work)? {
+            None => Ok(()),
+            Some(Overload::Reject) => {
                 // Tell the client explicitly so it can back off.
                 self.reply_via(ctx, lls, command, status::BUSY, ctx.empty_msg())
             }
-            Submitted::Overloaded(Overload::Drop) => {
+            Some(Overload::Drop) => {
                 // Clear CHANNEL's in-progress slot so the client's
                 // retransmission is redelivered instead of merely ACKed.
                 let _ = lls.control(ctx, &ControlOp::Custom("chan_abort", vec![]));

@@ -24,51 +24,24 @@ use xkernel::prelude::*;
 
 use crate::eth::eth_type;
 
-/// ARP packet length: op(2) + sender ip(4) + sender eth(6) + target ip(4) +
-/// target eth(6).
-pub const ARP_PKT_LEN: usize = 22;
-
 const OP_REQUEST: u16 = 1;
 const OP_REPLY: u16 = 2;
 
-/// An ARP packet (this suite's compact layout: no hardware/protocol type
-/// and length fields, since only IP over Ethernet is ever resolved).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ArpPkt {
-    /// Request (1) or reply (2).
-    pub op: u16,
-    /// Sender's internet address.
-    pub sip: IpAddr,
-    /// Sender's hardware address.
-    pub seth: EthAddr,
-    /// Target's internet address.
-    pub tip: IpAddr,
-    /// Target's hardware address (broadcast in a request).
-    pub teth: EthAddr,
-}
-
-impl ArpPkt {
-    /// Encodes to network byte order.
-    pub fn encode(&self) -> [u8; ARP_PKT_LEN] {
-        HdrBuf::new()
-            .u16(self.op)
-            .ip(self.sip)
-            .eth(self.seth)
-            .ip(self.tip)
-            .eth(self.teth)
-            .finish()
-    }
-
-    /// Decodes from network byte order.
-    pub fn decode(bytes: &[u8]) -> XResult<ArpPkt> {
-        let mut r = HdrReader::<ARP_PKT_LEN>::new(bytes, "arp")?;
-        Ok(ArpPkt {
-            op: r.u16(),
-            sip: r.ip(),
-            seth: r.eth(),
-            tip: r.ip(),
-            teth: r.eth(),
-        })
+wire_header! {
+    /// An ARP packet (this suite's compact layout: no hardware/protocol type
+    /// and length fields, since only IP over Ethernet is ever resolved).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct ArpPkt: ARP_PKT_LEN, "arp" {
+        /// Request (1) or reply (2).
+        pub op: u16,
+        /// Sender's internet address.
+        pub sip: IpAddr,
+        /// Sender's hardware address.
+        pub seth: EthAddr,
+        /// Target's internet address.
+        pub tip: IpAddr,
+        /// Target's hardware address (broadcast in a request).
+        pub teth: EthAddr,
     }
 }
 

@@ -14,8 +14,6 @@ use std::rc::Rc;
 use xkernel::map::{EnableSnapshot, SessionSnapshot};
 use xkernel::prelude::*;
 
-/// Ethernet header length.
-pub const ETH_HDR_LEN: usize = 14;
 /// Ethernet payload MTU.
 pub const ETH_MTU: usize = 1500;
 
@@ -31,35 +29,16 @@ pub mod eth_type {
     pub const SPRITE_RPC: u16 = 0x3e00;
 }
 
-/// The Ethernet II header.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EthHdr {
-    /// Destination hardware address.
-    pub dst: EthAddr,
-    /// Source hardware address.
-    pub src: EthAddr,
-    /// Type of the payload (see [`eth_type`]).
-    pub ty: u16,
-}
-
-impl EthHdr {
-    /// Encodes to network byte order.
-    pub fn encode(&self) -> [u8; ETH_HDR_LEN] {
-        HdrBuf::new()
-            .eth(self.dst)
-            .eth(self.src)
-            .u16(self.ty)
-            .finish()
-    }
-
-    /// Decodes from network byte order.
-    pub fn decode(bytes: &[u8]) -> XResult<EthHdr> {
-        let mut r = HdrReader::<ETH_HDR_LEN>::new(bytes, "eth")?;
-        Ok(EthHdr {
-            dst: r.eth(),
-            src: r.eth(),
-            ty: r.u16(),
-        })
+wire_header! {
+    /// The Ethernet II header.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct EthHdr: ETH_HDR_LEN, "eth" {
+        /// Destination hardware address.
+        pub dst: EthAddr,
+        /// Source hardware address.
+        pub src: EthAddr,
+        /// Type of the payload (see [`eth_type`]).
+        pub ty: u16,
     }
 }
 

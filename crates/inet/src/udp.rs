@@ -21,8 +21,6 @@ use xkernel::prelude::*;
 
 use crate::ip::ip_proto;
 
-/// UDP header length.
-pub const UDP_HDR_LEN: usize = 8;
 /// Largest UDP payload (IP max payload minus our header).
 pub const UDP_MAX_PAYLOAD: usize = 65_515 - UDP_HDR_LEN;
 
@@ -103,39 +101,18 @@ impl Udp {
     }
 }
 
-/// The UDP header.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct UdpHdr {
-    /// Sender's port.
-    pub src_port: Port,
-    /// Receiver's port.
-    pub dst_port: Port,
-    /// Header plus payload length.
-    pub length: u16,
-    /// Checksum over pseudo-header, header and payload; 0 = not computed.
-    pub checksum: u16,
-}
-
-impl UdpHdr {
-    /// Encodes to network byte order.
-    pub fn encode(&self) -> [u8; UDP_HDR_LEN] {
-        HdrBuf::new()
-            .u16(self.src_port)
-            .u16(self.dst_port)
-            .u16(self.length)
-            .u16(self.checksum)
-            .finish()
-    }
-
-    /// Decodes from network byte order.
-    pub fn decode(bytes: &[u8]) -> XResult<UdpHdr> {
-        let mut r = HdrReader::<UDP_HDR_LEN>::new(bytes, "udp")?;
-        Ok(UdpHdr {
-            src_port: r.u16(),
-            dst_port: r.u16(),
-            length: r.u16(),
-            checksum: r.u16(),
-        })
+wire_header! {
+    /// The UDP header.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct UdpHdr: UDP_HDR_LEN, "udp" {
+        /// Sender's port.
+        pub src_port: Port,
+        /// Receiver's port.
+        pub dst_port: Port,
+        /// Header plus payload length.
+        pub length: u16,
+        /// Checksum over pseudo-header, header and payload; 0 = not computed.
+        pub checksum: u16,
     }
 }
 

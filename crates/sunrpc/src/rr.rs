@@ -21,14 +21,11 @@ use xkernel::cell::OwnerCell;
 
 use xkernel::map::{EnableSnapshot, MixMap, SessionSnapshot};
 use xkernel::prelude::*;
-use xkernel::shepherd::{ShepherdConfig, ShepherdStats, Shepherds, Submitted};
+use xkernel::shepherd::{ShepherdConfig, ShepherdStats, Shepherds};
 use xkernel::sim::Nanos;
 
 use xrpc::protnum::rel_proto_num;
 use xrpc::txn::{self, Poll, RtoPolicy, RtoSnap};
-
-/// Encoded header length.
-pub const RR_HDR_LEN: usize = 12;
 
 const MSG_CALL: u32 = 0;
 const MSG_REPLY: u32 = 1;
@@ -42,35 +39,16 @@ pub const TIMEOUT_NS: Nanos = 150_000_000;
 /// Retransmissions before a call gives up.
 pub const MAX_RETRIES: u32 = 6;
 
-/// The REQUEST_REPLY header: three XDR unsigned integers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RrHdr {
-    /// Transaction id, echoed by the reply.
-    pub xid: u32,
-    /// Call (0) or reply (1).
-    pub mtype: u32,
-    /// The protocol above that the message belongs to.
-    pub proto_num: u32,
-}
-
-impl RrHdr {
-    /// Encodes as XDR (big-endian words).
-    pub fn encode(&self) -> [u8; RR_HDR_LEN] {
-        HdrBuf::new()
-            .u32(self.xid)
-            .u32(self.mtype)
-            .u32(self.proto_num)
-            .finish()
-    }
-
-    /// Decodes from XDR.
-    pub fn decode(bytes: &[u8]) -> XResult<RrHdr> {
-        let mut r = HdrReader::<RR_HDR_LEN>::new(bytes, "request_reply")?;
-        Ok(RrHdr {
-            xid: r.u32(),
-            mtype: r.u32(),
-            proto_num: r.u32(),
-        })
+wire_header! {
+    /// The REQUEST_REPLY header: three XDR unsigned integers.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct RrHdr: RR_HDR_LEN, "request_reply" {
+        /// Transaction id, echoed by the reply.
+        pub xid: u32,
+        /// Call (0) or reply (1).
+        pub mtype: u32,
+        /// The protocol above that the message belongs to.
+        pub proto_num: u32,
     }
 }
 
@@ -372,25 +350,11 @@ impl Protocol for RequestReply {
                     proto_num,
                     lls: Rc::clone(lls),
                 });
-                if !self.shepherds.pooled(ctx) {
-                    // Synchronous dispatch: the historical (and default) path.
-                    return ctx.kernel_ref().demux_to(ctx, upper, &sess, msg);
-                }
-                let submitted = self.shepherds.submit(
-                    ctx,
-                    Box::new(move |jctx| {
-                        if jctx.kernel_ref().demux_to(jctx, upper, &sess, msg).is_err() {
-                            jctx.trace_note("shepherd dispatch failed");
-                        }
-                    }),
-                );
-                match submitted {
-                    Submitted::Accepted => Ok(()),
-                    // Zero-or-more semantics: an overloaded call is simply
-                    // not executed; the client retransmits under the same
-                    // xid, so at-most-once is the caller's concern, not ours.
-                    Submitted::Overloaded(_) => Ok(()),
-                }
+                let work = move |jctx: &Ctx| jctx.kernel_ref().demux_to(jctx, upper, &sess, msg);
+                // Zero-or-more semantics: an overloaded call is simply not
+                // executed; the client retransmits under the same xid, so
+                // at-most-once is the caller's concern, not ours.
+                self.shepherds.dispatch(ctx, work).map(drop)
             }
             MSG_REPLY => {
                 let mut out = self.outstanding.lock();

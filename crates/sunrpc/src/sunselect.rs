@@ -16,9 +16,6 @@ use xkernel::prelude::*;
 use xrpc::protnum::rel_proto_num;
 use xrpc::select::Handler;
 
-/// Encoded header: prog, vers, proc, status.
-pub const SUNSEL_HDR_LEN: usize = 16;
-
 /// Reply status values.
 pub mod status {
     /// Success.
@@ -31,39 +28,18 @@ pub mod status {
     pub const PROC_ERROR: u32 = 3;
 }
 
-/// The SUN_SELECT header: four XDR unsigned integers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SunSelHdr {
-    /// Program number.
-    pub prog: u32,
-    /// Program version.
-    pub vers: u32,
-    /// Procedure within the program.
-    pub proc: u32,
-    /// Reply status (see [`status`]); [`status::OK`] in a call.
-    pub status: u32,
-}
-
-impl SunSelHdr {
-    /// Encodes as XDR (big-endian words).
-    pub fn encode(&self) -> [u8; SUNSEL_HDR_LEN] {
-        HdrBuf::new()
-            .u32(self.prog)
-            .u32(self.vers)
-            .u32(self.proc)
-            .u32(self.status)
-            .finish()
-    }
-
-    /// Decodes from XDR.
-    pub fn decode(bytes: &[u8]) -> XResult<SunSelHdr> {
-        let mut r = HdrReader::<SUNSEL_HDR_LEN>::new(bytes, "sun_select")?;
-        Ok(SunSelHdr {
-            prog: r.u32(),
-            vers: r.u32(),
-            proc: r.u32(),
-            status: r.u32(),
-        })
+wire_header! {
+    /// The SUN_SELECT header: four XDR unsigned integers.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct SunSelHdr: SUNSEL_HDR_LEN, "sun_select" {
+        /// Program number.
+        pub prog: u32,
+        /// Program version.
+        pub vers: u32,
+        /// Procedure within the program.
+        pub proc: u32,
+        /// Reply status (see [`status`]); [`status::OK`] in a call.
+        pub status: u32,
     }
 }
 

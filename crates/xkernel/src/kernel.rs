@@ -267,4 +267,5 @@ pub mod prelude {
     pub use crate::wire::{
         internet_checksum, ChecksumAcc, HdrBuf, HdrReader, WireReader, WireWriter,
     };
+    pub use crate::wire_header;
 }

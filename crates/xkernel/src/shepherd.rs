@@ -10,12 +10,12 @@
 //! overload policy applies ([`Overload::Drop`] or [`Overload::Reject`]).
 //!
 //! With `workers == 0` (the default), and in inline mode, which has no
-//! scheduler, [`Shepherds::pooled`] is false and the protocol runs the
-//! request in the delivering process without coming here — bit-identical to
-//! the historical behaviour, so existing latency goldens are unperturbed
-//! and the counters stay zero. Pools never park processes on
-//! semaphores: a worker is spawned per burst and exits when the queue
-//! drains, which keeps `run_until_idle().blocked == 0` invariants intact.
+//! scheduler, [`Shepherds::dispatch`] runs the request in the delivering
+//! process — bit-identical to the historical behaviour, so existing latency
+//! goldens are unperturbed and the counters stay zero. Pools never park
+//! processes on semaphores: a worker is spawned per burst and exits when the
+//! queue drains, which keeps `run_until_idle().blocked == 0` invariants
+//! intact.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -29,7 +29,7 @@ use crate::sim::{Ctx, Mode};
 use crate::trace::OpClass;
 
 /// A deferred unit of server work (one request's dispatch + reply).
-pub type Job = Box<dyn FnOnce(&Ctx) + 'static>;
+type Job = Box<dyn FnOnce(&Ctx) + 'static>;
 
 /// What to do with a request that finds both the pool and the queue full.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,15 +92,6 @@ pub struct ShepherdStats {
     pub peak_queue: u64,
     /// High-water mark of concurrently active workers.
     pub peak_workers: u64,
-}
-
-/// Outcome of [`Shepherds::submit`].
-#[derive(Debug)]
-pub enum Submitted {
-    /// The job was handed to (or queued for) a worker process.
-    Accepted,
-    /// Pool and queue were full; the caller must apply this policy.
-    Overloaded(Overload),
 }
 
 struct PoolState {
@@ -172,23 +163,37 @@ impl Shepherds {
         self.peak_workers.set(s.peak_workers);
     }
 
-    /// Whether requests go through the pool at all. False for a
-    /// synchronous configuration (`workers == 0`) and in inline mode, which
-    /// has no scheduler to run a worker: the protocol then executes the
-    /// request in the delivering process, unboxed and with its error
-    /// returned, and never calls [`Shepherds::submit`] — the one place that
-    /// decision is made.
-    pub fn pooled(&self, ctx: &Ctx) -> bool {
-        self.cfg.workers != 0 && ctx.mode() != Mode::Inline
+    /// Runs one request's server work — the one place that decides how.
+    /// Without a pool (`workers == 0`, or inline mode, which has no
+    /// scheduler to run a worker) `work` runs in the delivering process,
+    /// unboxed, and its error is returned. With one, `work` is boxed and
+    /// handed to a worker, queued, or refused per the overload policy; a
+    /// job's error then has no caller to reach, so it becomes the trace note
+    /// `"shepherd dispatch failed"`. `Some(policy)` means the pool and queue
+    /// were full: the job is gone (counted dropped or rejected) and the
+    /// caller owns the protocol's response.
+    #[inline]
+    pub fn dispatch(
+        self: &Rc<Shepherds>,
+        ctx: &Ctx,
+        work: impl FnOnce(&Ctx) -> XResult<()> + 'static,
+    ) -> XResult<Option<Overload>> {
+        if self.cfg.workers == 0 || ctx.mode() == Mode::Inline {
+            return work(ctx).map(|()| None);
+        }
+        Ok(self.submit(
+            ctx,
+            Box::new(move |jctx| {
+                if work(jctx).is_err() {
+                    jctx.trace_note("shepherd dispatch failed");
+                }
+            }),
+        ))
     }
 
-    /// Offers `job` to the pool (callers check [`Shepherds::pooled`]
-    /// first): it is dispatched to a worker, queued, or refused per the
-    /// overload policy. On [`Submitted::Overloaded`] the caller owns the
-    /// protocol response (the job has already been counted
-    /// dropped/rejected).
-    pub fn submit(self: &Rc<Shepherds>, ctx: &Ctx, job: Job) -> Submitted {
-        debug_assert!(self.pooled(ctx), "submit on a disabled shepherd pool");
+    /// Hands `job` to a worker or the queue (`None`), or refuses it per the
+    /// overload policy (`Some`).
+    fn submit(self: &Rc<Shepherds>, ctx: &Ctx, job: Job) -> Option<Overload> {
         self.submitted.bump();
         let mut st = self.st.lock();
         if st.active < self.cfg.workers {
@@ -199,20 +204,20 @@ impl Shepherds {
             ctx.charge_class(OpClass::Dispatch, ctx.cost().dispatch);
             let pool = Rc::clone(self);
             ctx.spawn_on(ctx.host(), move |wctx| pool.worker(wctx, job));
-            Submitted::Accepted
+            None
         } else if st.queue.len() < self.cfg.pending {
             st.queue.push_back(job);
             raise(&self.peak_queue, st.queue.len() as u64);
             drop(st);
             ctx.charge_class(OpClass::Dispatch, ctx.cost().dispatch);
-            Submitted::Accepted
+            None
         } else {
             drop(st);
             match self.cfg.policy {
                 Overload::Drop => self.dropped.bump(),
                 Overload::Reject => self.rejected.bump(),
             };
-            Submitted::Overloaded(self.cfg.policy)
+            Some(self.cfg.policy)
         }
     }
 

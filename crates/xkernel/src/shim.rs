@@ -22,8 +22,16 @@ use crate::proto::{ControlOp, ControlRes, ProtoId, Protocol, Session, SessionRef
 use crate::sim::Ctx;
 use crate::trace::OpClass;
 
-/// Header length of the null layer: 16-bit protocol number + 16-bit pad.
-pub const NULL_HDR_LEN: usize = 4;
+crate::wire_header! {
+    /// The null layer's header: a 16-bit protocol number and a 16-bit pad.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct NullHdr: NULL_HDR_LEN, "null" {
+        /// The number the layer above enabled.
+        pub num: u16,
+        /// Zero on the wire; ignored on receipt.
+        pub pad: u16,
+    }
+}
 
 /// A do-nothing protocol layer with a real header and demux map.
 pub struct NullLayer {
@@ -67,8 +75,11 @@ impl Session for NullSession {
     }
 
     fn push(&self, ctx: &Ctx, mut msg: Message) -> XResult<Option<Message>> {
-        let hdr = [(self.num >> 8) as u8, (self.num & 0xff) as u8, 0, 0];
-        ctx.push_header(&mut msg, &hdr);
+        let hdr = NullHdr {
+            num: self.num,
+            pad: 0,
+        };
+        ctx.push_header(&mut msg, &hdr.encode());
         ctx.charge_layer_call();
         match self.lower.push(ctx, msg)? {
             None => Ok(None),
@@ -134,9 +145,7 @@ impl Protocol for NullLayer {
     }
 
     fn demux(&self, ctx: &Ctx, lls: &SessionRef, mut msg: Message) -> XResult<()> {
-        let hdr = ctx.pop_header(&mut msg, NULL_HDR_LEN)?;
-        let num = u16::from_be_bytes([hdr[0], hdr[1]]);
-        drop(hdr);
+        let num = NullHdr::decode(&ctx.pop_header(&mut msg, NULL_HDR_LEN)?)?.num;
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let upper = *self
             .enables

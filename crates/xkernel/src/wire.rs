@@ -4,10 +4,13 @@
 //! the paper's appendix, in network byte order. A fixed-size header is built
 //! in a [`HdrBuf`] — an array on the stack, the host's counterpart of the
 //! paper's "simply adjusts a pointer for each new header" — and read back
-//! through a [`HdrReader`], which checks the length once. [`WireWriter`] and
-//! [`WireReader`] are for what has no fixed size (PSYNC's dependency list):
-//! the writer appends to a heap buffer, the reader consumes a byte slice and
-//! reports truncation as a [`Reject::Corrupt`] instead of panicking.
+//! through a [`HdrReader`], which checks the length once. A header whose
+//! every bit is a field is declared once, with
+//! [`wire_header!`](crate::wire_header), which writes both from its field
+//! list. [`WireWriter`] and [`WireReader`] are for what has no fixed size
+//! (PSYNC's dependency list): the writer appends to a heap buffer, the reader
+//! consumes a byte slice and reports truncation as a [`Reject::Corrupt`]
+//! instead of panicking.
 //!
 //! Every method here is a leaf that another crate calls once per header
 //! field, so each carries `#[inline]` (see DESIGN.md, "What crosses a
@@ -79,14 +82,6 @@ impl<const N: usize> HdrBuf<N> {
     #[inline]
     pub fn eth(&mut self, v: EthAddr) -> &mut Self {
         self.put(v.0)
-    }
-
-    /// Appends raw bytes.
-    #[inline]
-    pub fn bytes(&mut self, v: &[u8]) -> &mut Self {
-        self.buf[self.pos..self.pos + v.len()].copy_from_slice(v);
-        self.pos += v.len();
-        self
     }
 
     /// The encoded header, which must be complete.
@@ -161,6 +156,107 @@ impl<'a, const N: usize> HdrReader<'a, N> {
     pub fn eth(&mut self) -> EthAddr {
         EthAddr(self.take())
     }
+}
+
+/// A type a [`wire_header!`](crate::wire_header) field can have: its width
+/// on the wire, and how [`HdrBuf`] writes it and [`HdrReader`] reads it back.
+pub trait Field: Copy {
+    /// Encoded width in bytes.
+    const WIDTH: usize;
+    /// Appends `self` to `buf`.
+    fn put<const N: usize>(self, buf: &mut HdrBuf<N>);
+    /// Reads one value from `r`.
+    fn get<const N: usize>(r: &mut HdrReader<'_, N>) -> Self;
+}
+
+macro_rules! field {
+    ($($ty:ty => $width:literal, $method:ident;)*) => {$(
+        impl Field for $ty {
+            const WIDTH: usize = $width;
+            #[inline]
+            fn put<const N: usize>(self, buf: &mut HdrBuf<N>) {
+                buf.$method(self);
+            }
+            #[inline]
+            fn get<const N: usize>(r: &mut HdrReader<'_, N>) -> Self {
+                r.$method()
+            }
+        }
+    )*};
+}
+
+field! {
+    u8 => 1, u8;
+    u16 => 2, u16;
+    u32 => 4, u32;
+    IpAddr => 4, ip;
+    EthAddr => 6, eth;
+}
+
+/// A fixed-size header written once, as its struct: the fields in wire
+/// order, each a [`Field`]. From that one list come the struct, the length
+/// constant (the sum of the field widths), `encode` over a [`HdrBuf`],
+/// `decode` over a [`HdrReader`] that refuses short input as
+/// [`Reject::Corrupt`] naming the header, and `FIELDS`, the field names in
+/// wire order.
+///
+/// ```
+/// use xkernel::prelude::*;
+///
+/// wire_header! {
+///     /// Docs and derives pass through.
+///     #[derive(Debug, PartialEq)]
+///     pub struct Toy: TOY_LEN, "toy" {
+///         /// A port.
+///         pub port: u16,
+///         /// A host.
+///         pub host: IpAddr,
+///     }
+/// }
+///
+/// let toy = Toy { port: 7, host: IpAddr::new(10, 0, 0, 1) };
+/// assert_eq!(TOY_LEN, 6);
+/// assert_eq!(Toy::FIELDS, ["port", "host"]);
+/// assert_eq!(toy.encode(), [0, 7, 10, 0, 0, 1]);
+/// assert_eq!(Toy::decode(&toy.encode()), Ok(toy));
+/// assert!(Toy::decode(&[0, 7]).is_err());
+/// ```
+#[macro_export]
+macro_rules! wire_header {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident: $len:ident, $what:literal {
+            $($(#[$fmeta:meta])* $fvis:vis $field:ident: $ty:ty,)*
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: $ty,)*
+        }
+
+        #[doc = concat!("Encoded size of [`", stringify!($name), "`].")]
+        $vis const $len: usize = 0 $(+ <$ty as $crate::wire::Field>::WIDTH)*;
+
+        impl $name {
+            /// The field names, in wire order.
+            pub const FIELDS: &'static [&'static str] = &[$(stringify!($field)),*];
+
+            /// Encodes to network byte order.
+            pub fn encode(&self) -> [u8; $len] {
+                let mut buf = $crate::wire::HdrBuf::<$len>::new();
+                $($crate::wire::Field::put(self.$field, &mut buf);)*
+                buf.finish()
+            }
+
+            /// Decodes from network byte order.
+            pub fn decode(bytes: &[u8]) -> $crate::error::XResult<$name> {
+                let mut r = $crate::wire::HdrReader::<$len>::new(bytes, $what)?;
+                Ok($name {
+                    $($field: $crate::wire::Field::get(&mut r),)*
+                })
+            }
+        }
+    };
 }
 
 /// Serializes variable-length data in network byte order.
@@ -449,7 +545,8 @@ mod tests {
             .u32(0xdead_beef)
             .ip(IpAddr::new(1, 2, 3, 4))
             .eth(EthAddr::from_index(5))
-            .bytes(&[9, 9, 9])
+            .u8(9)
+            .u16(0x0909)
             .finish();
         assert_eq!(hdr[..3], [7, 0xbe, 0xef]);
 

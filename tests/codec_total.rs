@@ -18,6 +18,7 @@ use sunrpc::rr::RrHdr;
 use sunrpc::sunselect::SunSelHdr;
 use sunrpc::xdr::{XdrReader, XdrWriter};
 use xkernel::prelude::*;
+use xkernel::shim::NullHdr;
 use xrpc::hdr::{ChannelHdr, FragmentHdr, SelectHdr, SpriteHdr};
 
 /// `hdr` encodes to exactly `wire`; `wire` (with or without bytes after it)
@@ -232,6 +233,16 @@ fn every_fixed_size_header_is_pinned_and_its_decoder_total() {
         [0, 0x01, 0x86, 0xa3, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 3],
         SunSelHdr::encode,
         SunSelHdr::decode,
+    );
+    pinned(
+        "null",
+        NullHdr {
+            num: 0x0102,
+            pad: 0,
+        },
+        [1, 2, 0, 0],
+        NullHdr::encode,
+        NullHdr::decode,
     );
 }
 
