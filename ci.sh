@@ -142,6 +142,12 @@ forbid --but 1 '0xbf58_476d_1ce4_e5b9' 'a private copy of the splitmix64 step (x
 forbid --but 7 'HdrReader::<|HdrBuf::new\(\)' \
     'a header codec written by hand (declare it with xkernel::wire_header!)' \
     $(find crates/*/src src tests examples -name '*.rs' ! -path crates/xkernel/src/wire.rs)
+# What a simulation recycles is its own (DESIGN.md §15): header buffers in its
+# core, timeline blocks in its timeline, semaphore ids from its counter. The
+# two thread-locals left are the current simulation's pointer (msg.rs) and
+# the label cache in front of the process-wide label registry (sim/sema.rs).
+forbid --but 2 'thread_local!' 'memory a simulation recycles kept per thread (keep it in SimCore)' \
+    crates/xkernel/src/msg.rs crates/xkernel/src/sim
 
 echo "==> load-smoke: xbench xload --quick"
 # Rate sweep over all six stacks (open loop), a closed-loop point, and the

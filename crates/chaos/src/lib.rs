@@ -992,9 +992,6 @@ pub fn pool_stats() -> PoolStats {
 fn check_in(stack: &'static str, rig: Rig, report: &ChaosReport) {
     let sim = rig.warm.sim();
     if report.run.blocked == 0 && sim.is_quiescent() {
-        // At rest a rig needs no timeline blocks: it lends the empty ones
-        // to the thread, and whichever rig runs next takes them back.
-        sim.park();
         POOL.with_borrow_mut(|p| p.rigs.push((stack, rig)));
     } else {
         sim.kill_suspended();

@@ -749,7 +749,10 @@ pub struct Sim {
 // threads only whole and only through a real synchronisation point** — a
 // `std::thread::scope` spawn or join, a channel, a real mutex. Whole means
 // that every handle reaching it (`Sim`, `Ctx`, `Arc<Kernel>`, a session, a
-// message) moves with it, or is left untouched until it is back.
+// message) moves with it, or is left untouched until it is back. The thread
+// it leaves keeps one such handle, a weak one: its current simulation's
+// header buffers (`msg.rs`), which it touches only to make a message or
+// another simulation's context, so it does neither meanwhile.
 //
 // Under the contract the non-atomic reference counts and cells behind these
 // handles are touched by one thread at a time, and the synchronisation point

@@ -11,7 +11,7 @@ use crate::check::Violation;
 use crate::cost::CostModel;
 use crate::kernel::Kernel;
 use crate::map::AppendTable;
-use crate::msg::HeaderPolicy;
+use crate::msg::{HeaderBufs, HeaderPolicy};
 use crate::rng::{draws_between, splitmix64};
 
 use super::engine::{install_crash_hook, Engine, EvKind, Procs, Slab, FNV_OFFSET};
@@ -43,6 +43,12 @@ pub struct SimCore {
     /// The seed the PRNG stream started from — the configured one, or the
     /// last [`Sim::reseed`]'s — kept for repro strings.
     pub(super) seed: Cell<u64>,
+    /// The spare header buffers this simulation's messages take and give
+    /// back while it is current on its thread (see [`Sim::ctx`]).
+    pub(super) header_bufs: Rc<HeaderBufs>,
+    /// Semaphore ids drawn so far: the checker's names for the semaphores
+    /// its probes have met (`sema.rs`).
+    pub(super) semas: Cell<u64>,
 }
 
 impl SimCore {
@@ -99,6 +105,8 @@ impl Sim {
                 }),
                 observing: mask_for(&cfg),
                 seed: Cell::new(cfg.seed),
+                header_bufs: Rc::default(),
+                semas: Cell::new(0),
             }),
         }
     }
@@ -138,8 +146,11 @@ impl Sim {
 
     /// A context bound to `host` but to no logical process. Suitable for
     /// setup (graph building, enables) and for everything in inline mode;
-    /// blocking from it panics.
+    /// blocking from it panics. Makes this simulation the thread's current
+    /// one, whose spare header buffers the thread's new messages take (a
+    /// run's driver is made here too).
     pub fn ctx(&self, host: HostId) -> Ctx {
+        HeaderBufs::make_current(&self.core.header_bufs);
         Ctx {
             core: Rc::clone(&self.core),
             host,

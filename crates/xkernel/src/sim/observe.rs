@@ -97,6 +97,16 @@ impl SimCore {
         }
     }
 
+    /// [`SimCore::probe`] for a probe naming a semaphore, whose id only the
+    /// checker reads and is drawn the first time one is named: `id` runs
+    /// behind the guard only, and the variant is built with a placeholder.
+    #[inline]
+    pub(super) fn probe_sema(&self, id: impl FnOnce() -> u64, p: impl Fn(u64) -> Probe) {
+        if self.observing(p(0).audience()) {
+            self.probe_entering(p(id()));
+        }
+    }
+
     #[cold]
     #[inline(never)]
     fn probe_entering(&self, p: Probe) {

@@ -66,9 +66,11 @@ struct Sema {
     // needed only by a semaphore with two waiters at once.
     #[allow(clippy::box_collection)]
     rest: Cell<Option<Box<VecDeque<Waiter>>>>,
-    /// Globally unique identity for the checker's holding/wait-for maps,
-    /// with the semaphore's [`Label`] in its low [`LABEL_BITS`].
-    id: u64,
+    /// The semaphore's [`Label`] in the low [`LABEL_BITS`] and, above them,
+    /// its id in its simulation: the checker's key for its holding and
+    /// wait-for maps, drawn the first time a probe the checker hears names
+    /// the semaphore (0 until then; see [`Sema::id`]).
+    id: Cell<u64>,
 }
 
 /// What a semaphore costs: its `Rc` adds two counts, 56 B in all, a 64-B
@@ -142,7 +144,21 @@ impl Sema {
     }
 
     fn label(&self) -> Label {
-        Label((self.id & LABEL_MASK) as u16)
+        Label((self.id.get() & LABEL_MASK) as u16)
+    }
+
+    /// This semaphore's id, label included, drawn from `core`'s counter the
+    /// first time it is asked for. Only the checker reads it, so only a
+    /// heard probe asks ([`SimCore::probe_sema`]), and an unchecked run
+    /// draws none.
+    fn id(&self, core: &SimCore) -> u64 {
+        let mut id = self.id.get();
+        if id >> LABEL_BITS == 0 {
+            core.semas.set(core.semas.get() + 1);
+            id |= core.semas.get() << LABEL_BITS;
+            self.id.set(id);
+        }
+        id
     }
 }
 
@@ -170,11 +186,11 @@ impl Label {
         let known = LABELS.with(|mine| seen(&mine.borrow()));
         let i = known.unwrap_or_else(|| {
             let mut reg = registry();
-            let i = seen(&reg.labels).unwrap_or_else(|| {
-                reg.labels.push(text);
-                reg.labels.len() - 1
+            let i = seen(&reg).unwrap_or_else(|| {
+                reg.push(text);
+                reg.len() - 1
             });
-            LABELS.with(|mine| mine.borrow_mut().clone_from(&reg.labels));
+            LABELS.with(|mine| mine.borrow_mut().clone_from(&reg));
             i
         });
         Label(u16::try_from(i + 1).expect("at most 65,535 distinct semaphore labels"))
@@ -187,67 +203,33 @@ impl Label {
         };
         LABELS.with(|mine| {
             if mine.borrow().len() <= i {
-                mine.borrow_mut().clone_from(&registry().labels);
+                mine.borrow_mut().clone_from(&registry());
             }
             mine.borrow()[i]
         })
     }
 }
 
-/// Where the threads that make semaphores meet: the next unused block of
-/// ids, and every label given so far (by [`Label`] index, less one).
-struct Registry {
-    next_block: u64,
-    labels: Vec<&'static str>,
-}
-
-// The one place threads meet in `sim`: a rig built on one thread may be
-// driven on another, so an id or a label index must mean the same on both.
-// Each thread takes it once per block of ids and once per label it has not
-// seen; the operations on a semaphore never do.
+// Every label given so far, by [`Label`] index less one: the one place
+// threads meet in `sim`. A rig built on one thread may be driven on another,
+// so a label index must mean the same text on both. A thread takes it once
+// per label it has not seen; the operations on a semaphore never do.
 #[allow(clippy::disallowed_types)]
-static REGISTRY: std::sync::Mutex<Registry> = std::sync::Mutex::new(Registry {
-    next_block: 1,
-    labels: Vec::new(),
-});
+static REGISTRY: std::sync::Mutex<Vec<&'static str>> = std::sync::Mutex::new(Vec::new());
 
 /// The registry, whatever a panic elsewhere left it as: every update is a
-/// single push or add.
+/// single push.
 #[allow(clippy::disallowed_types)]
-fn registry() -> std::sync::MutexGuard<'static, Registry> {
+fn registry() -> std::sync::MutexGuard<'static, Vec<&'static str>> {
     REGISTRY
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Ids a thread draws from one block before it takes another.
-const ID_BLOCK: u64 = 1 << 24;
-
 thread_local! {
-    /// The next id this thread hands out; 0 until it has a block.
-    static NEXT_SEMA_ID: Cell<u64> = const { Cell::new(0) };
-    /// This thread's copy of [`Registry::labels`], refreshed when it meets
+    /// This thread's copy of the registry's labels, refreshed when it meets
     /// a label (or an index) it does not have.
     static LABELS: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
-}
-
-/// A fresh semaphore id, unique in the process, with `label` packed in: a
-/// thread takes a block of ids the first time it makes a semaphore (and
-/// again in the unlikely case it uses all 2²⁴ of a block), so ids are unique
-/// across threads — and across a rig moved between them — while drawing one
-/// is a plain add.
-fn next_sema_id(label: Label) -> u64 {
-    let id = NEXT_SEMA_ID.with(|next| {
-        let mut id = next.get();
-        if id % ID_BLOCK == 0 {
-            let mut reg = registry();
-            id = reg.next_block * ID_BLOCK;
-            reg.next_block += 1;
-        }
-        next.set(id + 1);
-        id
-    });
-    id << LABEL_BITS | u64::from(label.0)
 }
 
 /// A counting semaphore integrated with the simulator: P blocks the shepherd
@@ -276,7 +258,7 @@ impl SharedSema {
             count: Cell::new(initial),
             head: Cell::new(Waiter::NONE),
             rest: Cell::new(None),
-            id: next_sema_id(label),
+            id: Cell::new(u64::from(label.0)),
         }))
     }
 
@@ -317,8 +299,8 @@ impl SharedSema {
         if sema.count.get() > 0 {
             sema.count.set(sema.count.get() - 1);
             let lp = ctx.lp.map(|lp| lp.id);
-            let acquire = || Probe::Acquire(lp, ctx.host, sema.id, sema.label());
-            ctx.core.probe(acquire);
+            let acquire = |id| Probe::Acquire(lp, ctx.host, id, sema.label());
+            ctx.core.probe_sema(|| sema.id(&ctx.core), acquire);
             return Enqueued::Acquired;
         }
         if ctx.mode() == Mode::Inline {
@@ -330,8 +312,8 @@ impl SharedSema {
             lp_slot: lp.slot,
             timer: NO_TIMER,
         });
-        let wait = || Probe::WaitBegin(lp.id, ctx.host, sema.id, sema.label());
-        ctx.core.probe(wait);
+        let wait = |id| Probe::WaitBegin(lp.id, ctx.host, id, sema.label());
+        ctx.core.probe_sema(|| sema.id(&ctx.core), wait);
         if let Some(dt) = timeout {
             let me = self.clone();
             let timer = ctx.arm_timeout(lp, dt, move |tctx| {
@@ -365,8 +347,8 @@ impl SharedSema {
             sema.count.set(sema.count.get() + 1);
         }
         let (lp, to) = (ctx.lp.map(|l| l.id), woken.map(|w| w.lp));
-        let release = || Probe::Release(lp, ctx.host, sema.id, sema.label(), to);
-        ctx.core.probe(release);
+        let release = |id| Probe::Release(lp, ctx.host, id, sema.label(), to);
+        ctx.core.probe_sema(|| sema.id(&ctx.core), release);
         if let Some(w) = woken {
             ctx.wake(w.lp(), WakeReason::Normal, w.timer);
         }

@@ -105,15 +105,6 @@ impl Sim {
         self.core.mode == Mode::Scheduled && require_quiescent(&self.core.engine.lock()).is_ok()
     }
 
-    /// Lends every timeline block that holds no key (768 B of keys each:
-    /// the free ones, those empty buckets keep, and the due run's once it
-    /// is empty) to a bounded thread-local list, which the thread's next simulation to need a block
-    /// takes from before it allocates — for rigs kept at rest in numbers, a
-    /// pool of templates. A pending event keeps its block.
-    pub fn park(&self) {
-        self.core.engine.lock().timeline.park();
-    }
-
     /// Rewinds this simulator to `snap` (which [`Sim::snapshot`] captured
     /// from the *same* simulator). Requires quiescence, exactly like
     /// snapshotting. Scheduler scalars, PRNG, host clocks, and every

@@ -40,7 +40,6 @@
 //! to the workload's timer horizons (here microseconds to a thousand
 //! seconds in one run); the radix heap has no parameter.
 
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -66,20 +65,8 @@ const BLOCK: usize = 32;
 /// Free blocks a timeline keeps for the next bucket or run that needs one.
 const SPARE: usize = 16;
 
-/// Free blocks a thread keeps from its parked and dropped timelines.
-const LENT: usize = 64;
-
 /// Dead keys tolerated beyond the number of live ones.
 const DEAD_FLOOR: usize = 64;
-
-thread_local! {
-    /// Free blocks of this thread's parked and dropped timelines, which the
-    /// next timeline to need a block takes before it calls the allocator
-    /// (the way `vproc` keeps coroutine stacks): a rig kept at rest holds
-    /// none, and the next one's first keys allocate nothing. Bounded: at
-    /// most [`LENT`] blocks, 48 KiB a thread.
-    static LENT_BLOCKS: RefCell<Stack> = const { RefCell::new(Stack::EMPTY) };
-}
 
 /// Room for [`BLOCK`] keys. A bucket's blocks and free ones are chained
 /// through `next`, which sits on the first key's cache line; the run's are
@@ -338,8 +325,8 @@ impl Timeline {
         self.has_block |= 1 << i;
     }
 
-    /// A free block: a spare, the one the highest empty bucket keeps, one a
-    /// parked or dropped timeline lent this thread, or a new one.
+    /// A free block: a spare, the one the highest empty bucket keeps, or a
+    /// new one.
     #[inline]
     fn take_block(&mut self) -> Box<Block> {
         match self.spare.pop() {
@@ -364,15 +351,9 @@ impl Timeline {
     #[cold]
     fn new_block(&mut self) -> Box<Block> {
         self.blocks += 1;
-        let lent = LENT_BLOCKS
-            .try_with(|l| l.borrow_mut().pop())
-            .ok()
-            .flatten();
-        lent.unwrap_or_else(|| {
-            Box::new(Block {
-                next: None,
-                keys: [(0, 0, 0); BLOCK],
-            })
+        Box::new(Block {
+            next: None,
+            keys: [(0, 0, 0); BLOCK],
         })
     }
 
@@ -609,41 +590,6 @@ impl Timeline {
         self.last = 0;
         self.len = 0;
         self.dead = 0;
-    }
-
-    /// Lends every block that holds no key — the free ones, those empty
-    /// buckets keep, and the run's once it is empty — to the thread's list,
-    /// for a simulation kept at rest; the next timeline to need a block
-    /// takes one back, this one included.
-    pub(super) fn park(&mut self) {
-        let mut idle = std::mem::replace(&mut self.spare, Stack::EMPTY);
-        while self.has_block & !self.occupied != 0 {
-            idle.push(self.steal_block());
-        }
-        if self.run.len == 0 {
-            if let Some(b) = self.run.front.take() {
-                idle.push(b);
-            }
-        }
-        self.blocks -= idle.n;
-        // On `Err` the thread's list is already destroyed; what it has no
-        // room for goes back to the allocator with `idle`.
-        let _ = LENT_BLOCKS.try_with(|l| {
-            let mut l = l.borrow_mut();
-            while l.n < LENT {
-                match idle.pop() {
-                    Some(b) => l.push(b),
-                    None => break,
-                }
-            }
-        });
-    }
-}
-
-impl Drop for Timeline {
-    fn drop(&mut self) {
-        self.clear();
-        self.park();
     }
 }
 
@@ -945,26 +891,37 @@ mod tests {
         );
     }
 
-    /// A parked timeline lends every block that holds no key to its thread,
-    /// and the next timeline takes them before it allocates.
+    /// Every block a timeline counts is one it holds — filled, kept by an
+    /// empty bucket or the run, or spare — whether it is full, drained or
+    /// cleared, so dropping it frees them all: it lends none elsewhere.
     #[test]
-    fn a_parked_timeline_lends_its_free_blocks_to_the_next() {
-        let lent = || LENT_BLOCKS.with(|l| l.borrow().n);
+    fn a_dropped_timeline_frees_every_block_it_counts() {
+        fn held(t: &Timeline) -> usize {
+            let chain = |top: &Option<Box<Block>>| {
+                std::iter::successors(top.as_deref(), |b| b.next.as_deref()).count()
+            };
+            let buckets: usize = t.buckets.iter().map(|b| chain(&b.top)).sum();
+            chain(&t.spare.top) + t.run.blocks() + buckets
+        }
         let mut p = Pair::new();
         for i in 0..1_000 {
             p.push(i * 1_000);
         }
+        assert_eq!(held(&p.timeline), p.timeline.blocks);
+        for _ in 0..500 {
+            p.pop_through(Time::MAX);
+        }
+        assert_eq!(held(&p.timeline), p.timeline.blocks);
         p.drain();
-        let before = lent();
-        let idle = p.timeline.blocks;
-        assert!(idle > 0);
-        p.timeline.park();
-        assert_eq!(p.timeline.blocks, 0);
-        assert_eq!(lent(), (before + idle).min(LENT));
-        let mut next = Pair::new();
-        next.push(5);
-        assert_eq!(lent(), (before + idle).min(LENT) - 1);
-        next.drain();
+        assert!(p.timeline.blocks > 0, "a drained timeline keeps some");
+        assert_eq!(held(&p.timeline), p.timeline.blocks);
+        p.push(p.now + 5);
+        p.clear();
+        assert_eq!(held(&p.timeline), p.timeline.blocks);
+        assert!(
+            p.timeline.blocks <= SPARE + 1,
+            "clear keeps spares and the run's"
+        );
     }
 
     /// A population spread over many blocks and buckets on three horizons,

@@ -8,8 +8,10 @@
 //! release alike — so it is pinned exactly, where host time cannot be. What
 //! is left is payload and message buffers, session handles and reply slots;
 //! no fixed-size header is among them since the codecs went to the stack,
-//! and no header buffer since they come from `msg`'s per-thread pool
-//! (DESIGN.md, "What crosses a crate", has the before/after tables). A layer
+//! and no header buffer since they come from the simulation's own spare list
+//! (DESIGN.md, "What crosses a crate", has the before/after tables). What a
+//! simulation recycles is its own, so a count does not depend on what ran
+//! earlier on its thread, and a first call is pinned against that. A layer
 //! that starts building a header, a key or a scratch list on the heap fails
 //! here before any benchmark could see it; one that stops allocating fails
 //! too, and moves its pin down.
@@ -18,9 +20,11 @@ mod common;
 
 use common::allocs;
 use common::null_call::{
-    paper_null_call, paper_scheduled_sized_call, sun_rpc_null_call, sun_rpc_refused_datagram,
-    PAPER_STACKS,
+    paper_null_call, paper_scheduled_first_call, paper_scheduled_sized_call, sun_rpc_null_call,
+    sun_rpc_refused_datagram, PAPER_STACKS,
 };
+use xkernel::kernel::Kernel;
+use xkernel::sim::{SharedSema, Sim, SimConfig};
 use xrpc::stacks::{L_RPC_VIP, M_RPC_VIP};
 
 #[test]
@@ -57,6 +61,47 @@ fn a_warm_scheduled_16k_call_allocates_exactly_pinned() {
             stack.name
         );
     }
+}
+
+/// A count does not depend on what ran earlier on its thread: a fresh rig's
+/// first scheduled 16 KiB M_RPC-VIP call allocates as often on a new thread
+/// as on one where another rig made 100 such calls and was dropped. Header
+/// buffers and timeline blocks are the simulation's own and go with it.
+/// Coroutine stacks are the one pool kept per thread, a host resource, so
+/// both threads first fill theirs alike, from a simulation that makes no
+/// message.
+#[test]
+fn a_fresh_rigs_first_call_allocates_the_same_whatever_its_thread_ran_before() {
+    let first_call = |history: usize| {
+        std::thread::spawn(move || {
+            warm_coroutines(16);
+            paper_scheduled_first_call(M_RPC_VIP, 16 * 1024, history, allocs)
+        })
+        .join()
+        .expect("the call completes")
+    };
+    // Once on a thread of its own first, so that nothing lazily set up once
+    // a process lands in one of the two counts.
+    first_call(0);
+    let (clean, after) = (first_call(0), first_call(100));
+    assert_eq!(
+        clean, after,
+        "first call: {clean} allocations on a clean thread, {after} after 100 calls on a dropped rig"
+    );
+}
+
+/// Leaves `n` coroutines in this thread's pool: `n` processes parked on a
+/// semaphore at once, then let go.
+fn warm_coroutines(n: usize) {
+    let sim = Sim::new(SimConfig::scheduled());
+    let host = Kernel::new(&sim, "warm").host();
+    let gate = SharedSema::new(0);
+    for _ in 0..n {
+        let gate = gate.clone();
+        sim.spawn(host, move |ctx| gate.p(ctx));
+    }
+    sim.spawn(host, move |ctx| (0..n).for_each(|_| gate.v(ctx)));
+    assert_eq!(sim.run_until_idle().blocked, 0);
 }
 
 /// A frame a layer refuses costs nothing once its row exists: the reason is

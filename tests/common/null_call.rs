@@ -195,18 +195,41 @@ pub fn paper_scheduled_calls(stack: StackDef, n: u64, size: usize) -> Switched {
     })
 }
 
+/// One call of `size` bytes on `tb`'s `stack` under the event scheduler: a
+/// shepherd process spawned and run to quiescence.
+fn scheduled_sized_call(tb: &TwoHosts, stack: StackDef, size: usize) {
+    let server = tb.server_ip;
+    tb.sim.spawn(tb.client.host(), move |ctx| {
+        sized_call(ctx, &ctx.kernel(), stack, server, size)
+    });
+    assert_eq!(tb.sim.run_until_idle().blocked, 0);
+}
+
 /// `counter`'s movement over one warm call of `size` bytes on `stack` under
-/// the event scheduler: a shepherd process spawned and run to quiescence,
-/// the third of three.
+/// the event scheduler, the third of three.
 pub fn paper_scheduled_sized_call(stack: StackDef, size: usize, counter: fn() -> u64) -> u64 {
     let tb = paper_testbed(SimConfig::scheduled(), stack);
-    let server = tb.server_ip;
-    third_call(counter, || {
-        tb.sim.spawn(tb.client.host(), move |ctx| {
-            sized_call(ctx, &ctx.kernel(), stack, server, size)
-        });
-        assert_eq!(tb.sim.run_until_idle().blocked, 0);
-    })
+    third_call(counter, || scheduled_sized_call(&tb, stack, size))
+}
+
+/// `counter`'s movement over the first call of `size` bytes on a fresh
+/// `stack` testbed under the event scheduler, after `history` calls on
+/// another testbed, dropped before this one is built.
+pub fn paper_scheduled_first_call(
+    stack: StackDef,
+    size: usize,
+    history: usize,
+    counter: fn() -> u64,
+) -> u64 {
+    let earlier = paper_testbed(SimConfig::scheduled(), stack);
+    for _ in 0..history {
+        scheduled_sized_call(&earlier, stack, size);
+    }
+    drop(earlier);
+    let tb = paper_testbed(SimConfig::scheduled(), stack);
+    let before = counter();
+    scheduled_sized_call(&tb, stack, size);
+    counter() - before
 }
 
 /// `n` warm null calls from one client process on SUNRPC-UDP, in one
