@@ -18,8 +18,18 @@
 //! * The sender discards its copy on a timer; a higher-level retransmission
 //!   arriving later is a *new* FRAGMENT message with a new sequence number.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
+
 use std::any::Any;
 use std::cell::{Cell, OnceCell};
+use std::cmp::Ordering;
+use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
 use xkernel::cell::OwnerCell;
@@ -39,8 +49,10 @@ const DISCARD_NS: Nanos = 500_000_000;
 const GAP_NS: Nanos = 10_000_000;
 /// How many NACKs to send before giving up on an incomplete message.
 const NACK_RETRIES: u32 = 4;
-/// Bound on retained messages (protects inline mode, where discard timers
-/// never fire).
+/// Bound on retained messages. In inline mode, where discard timers never
+/// fire, it is the only bound; under load in scheduled mode it binds before
+/// [`DISCARD_NS`] does: a server sending ~480 replies a virtual second serves
+/// NACKs for its last 64 (~130 ms), not for 500 ms.
 const CACHE_CAP: usize = 64;
 
 /// Cumulative traffic counters (tests and benchmarks).
@@ -92,8 +104,7 @@ pub struct Fragment {
     base_frag_size: OnceCell<usize>,
     next_seq: Cell<u32>,
     enables: EnableMap<u32>,
-    // Retained sent messages, insertion-ordered for LRU eviction.
-    send_cache: OwnerCell<Vec<(u32, Saved)>>,
+    send_cache: OwnerCell<SendCache<Saved>>,
     rasm: OwnerCell<MixMap<(u32, u32), Rasm>>,
     passive: SessionMap<(u32, u32)>,
     lowers: SessionMap<u32, (SessionRef, usize)>,
@@ -113,7 +124,7 @@ impl Fragment {
             base_frag_size: OnceCell::new(),
             next_seq: Cell::new(0),
             enables: EnableMap::new(),
-            send_cache: OwnerCell::new(Vec::new()),
+            send_cache: OwnerCell::new(VecDeque::new()),
             rasm: OwnerCell::new(MixMap::default()),
             passive: SessionMap::new(),
             lowers: SessionMap::new(),
@@ -128,16 +139,19 @@ impl Fragment {
         self.stats.set(stats);
     }
 
+    // `new` builds the only `Rc` and `&self` borrows through it, so it is
+    // alive while any method runs.
+    #[allow(clippy::expect_used)]
     fn self_rc(&self) -> Rc<Fragment> {
         self.weak_self.upgrade().expect("fragment alive")
     }
 
-    fn my_ip(&self) -> IpAddr {
-        *self.my_ip.get().expect("fragment booted")
+    fn my_ip(&self) -> XResult<IpAddr> {
+        self.my_ip.get().copied().ok_or_else(unbooted)
     }
 
     fn my_rel_num(&self) -> XResult<u32> {
-        rel_proto_num(self.lower_name.get().expect("fragment booted"), "fragment")
+        rel_proto_num(self.lower_name.get().ok_or_else(unbooted)?, "fragment")
     }
 
     /// The lower session (and its fragment payload size) towards `peer`.
@@ -165,10 +179,11 @@ impl Fragment {
         seq: u32,
         mask: u16,
     ) -> XResult<()> {
+        let my_ip = self.my_ip()?;
         for (_, bit, frag) in frags::selected(&saved.msg, saved.frag_size, mask) {
             let hdr = FragmentHdr {
                 typ: frag_type::DATA,
-                clnt_host: self.my_ip(),
+                clnt_host: my_ip,
                 srvr_host: saved.dst,
                 protocol_num: saved.proto_num,
                 sequence_num: seq,
@@ -203,17 +218,10 @@ impl Fragment {
         self.transmit(ctx, &lower, &saved, seq, frags::full_mask(num_frags))?;
 
         // Retain a copy for NACK service, bounded and timed.
-        {
-            let mut cache = self.send_cache.lock();
-            cache.push((seq, saved));
-            if cache.len() > CACHE_CAP {
-                let excess = cache.len() - CACHE_CAP;
-                cache.drain(..excess);
-            }
-        }
+        retain(&mut self.send_cache.lock(), seq, saved);
         let parent = self.self_rc();
         ctx.schedule_after(DISCARD_NS, move |_tctx| {
-            parent.send_cache.lock().retain(|(s, _)| *s != seq);
+            discard(&mut parent.send_cache.lock(), seq);
         });
         Ok(())
     }
@@ -246,6 +254,9 @@ impl Fragment {
     }
 
     fn on_gap_timer(&self, ctx: &Ctx, key: (u32, u32)) {
+        let Ok(my_ip) = self.my_ip() else {
+            return; // A reassembly only opens on a booted host.
+        };
         let nack = {
             let mut rasm = self.rasm.lock();
             let Some(ent) = rasm.get_mut(&key) else {
@@ -270,7 +281,7 @@ impl Fragment {
             FragmentHdr {
                 typ: frag_type::NACK,
                 clnt_host: IpAddr(key.0),
-                srvr_host: self.my_ip(),
+                srvr_host: my_ip,
                 protocol_num: ent.proto_num,
                 sequence_num: key.1,
                 num_frags: ent.slot.num(),
@@ -332,12 +343,11 @@ impl Fragment {
         self.tally(|s| &mut s.nacks_received);
         let seq = hdr.sequence_num;
         // A copy, so the cache lock is not held across the pushes.
-        let saved = self
-            .send_cache
-            .lock()
-            .iter()
-            .find(|(s, _)| *s == seq)
-            .map(|(_, saved)| saved.clone());
+        let saved = {
+            let cache = self.send_cache.lock();
+            let at = cached(&cache, seq).and_then(|at| cache.get(at));
+            at.map(|(_, saved)| saved.clone())
+        };
         let Some(saved) = saved else {
             // Already discarded: the higher-level protocol's own timeout
             // will resend the whole message under a new sequence number.
@@ -357,6 +367,65 @@ impl Fragment {
     /// Observable state for tests: open reassembly buffers.
     pub fn reassembling(&self) -> usize {
         self.rasm.lock().len()
+    }
+
+    /// Observable state for tests: messages retained for NACK service.
+    pub fn retained(&self) -> usize {
+        self.send_cache.lock().len()
+    }
+}
+
+fn unbooted() -> XError {
+    XError::Config("fragment not booted".into())
+}
+
+/// Retained messages in send order: sequence numbers rise (wrapping) from
+/// front to back. The cap evicts the front, and one host's discard timers,
+/// which share [`DISCARD_NS`], fire in the same order, so each finds its
+/// entry at the front or already evicted.
+type SendCache<T> = VecDeque<(u32, T)>;
+
+/// Whether `s` was sent before, with or after `seq`: their wrapping
+/// difference read as signed, which holds while a cache's sequence numbers
+/// span less than 2^31.
+fn send_order(s: u32, seq: u32) -> Ordering {
+    (s.wrapping_sub(seq) as i32).cmp(&0)
+}
+
+/// Where `seq` sits in `cache`, if it is still retained. Older than the
+/// front is gone; past it, a binary search in send order finds every
+/// retained `seq`, and only an `s == seq` can answer.
+fn cached<T>(cache: &SendCache<T>, seq: u32) -> Option<usize> {
+    let (front, _) = cache.front()?;
+    match send_order(seq, *front) {
+        Ordering::Less => None,
+        Ordering::Equal => Some(0),
+        Ordering::Greater => cache.binary_search_by(|(s, _)| send_order(*s, seq)).ok(),
+    }
+}
+
+/// Retains `saved` under `seq`, the newest, evicting the oldest past
+/// [`CACHE_CAP`]. A send is retained after its transmit, and no transmit
+/// re-enters its own FRAGMENT's `send` (the assertion holds across the test
+/// suite); a copy filed out of order would only go unfound by lookups.
+fn retain<T>(cache: &mut SendCache<T>, seq: u32, saved: T) {
+    debug_assert!(
+        cache
+            .back()
+            .is_none_or(|(s, _)| send_order(*s, seq).is_lt()),
+        "FRAGMENT retains its messages in send order"
+    );
+    cache.push_back((seq, saved));
+    if cache.len() > CACHE_CAP {
+        cache.pop_front();
+    }
+}
+
+/// Drops `seq`'s copy when its discard timer fires; one already evicted or
+/// cleared is gone.
+fn discard<T>(cache: &mut SendCache<T>, seq: u32) {
+    if let Some(at) = cached(cache, seq) {
+        cache.remove(at);
     }
 }
 
@@ -392,7 +461,7 @@ impl Session for FragSession {
                 Ok(ControlRes::Size(size.max(&1).div_ceil(frag_size)))
             }
             ControlOp::GetPeerHost => Ok(ControlRes::Ip(self.peer)),
-            ControlOp::GetMyHost => Ok(ControlRes::Ip(self.parent.my_ip())),
+            ControlOp::GetMyHost => self.parent.my_ip().map(ControlRes::Ip),
             _ => Err(XError::Unsupported("fragment session control")),
         }
     }
@@ -501,7 +570,7 @@ impl Protocol for Fragment {
             // Asked by VIP: FRAGMENT never pushes more than one lower packet
             // at a time (it has its own fragmentation).
             ControlOp::GetMaxMsgSize => Ok(ControlRes::Size(frag_size + FRAGMENT_HDR_LEN)),
-            ControlOp::GetMyHost => Ok(ControlRes::Ip(self.my_ip())),
+            ControlOp::GetMyHost => self.my_ip().map(ControlRes::Ip),
             _ => {
                 let _ = ctx;
                 Err(XError::Unsupported("fragment control"))
@@ -556,8 +625,68 @@ struct FragSnap {
 mod tests {
     use std::any::Any;
 
+    use proptest::prelude::*;
+
     use super::*;
     use xkernel::sim::{Sim, SimConfig};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// The send-order queue against the `Vec` it replaced (push, drain
+        /// past the cap, `retain` on a discard, `find` on a NACK): sends
+        /// one at a time and in bursts past [`CACHE_CAP`], discards of
+        /// retained, evicted and never-sent seqs in any order, NACK
+        /// lookups, reboot clears, and sequence numbers that wrap past
+        /// `u32::MAX`. After every step both hold the same seqs in the same
+        /// order, and every lookup finds the same copy.
+        #[test]
+        fn the_send_queue_retains_what_the_vec_model_does(
+            start in 0u32..300,
+            ops in proptest::collection::vec((0u8..10, 0u32..90), 1..150),
+        ) {
+            let mut next_seq = u32::MAX - start;
+            let mut queue: SendCache<u64> = VecDeque::new();
+            let mut model: Vec<(u32, u64)> = Vec::new();
+            for (step, (op, arg)) in (0u64..).zip(ops) {
+                let seq = next_seq.wrapping_sub(arg);
+                let sends = match op {
+                    0..=3 => 1,
+                    4 => arg % 70 + 1,
+                    _ => 0,
+                };
+                for i in 0..u64::from(sends) {
+                    // The copy names the step it was sent in, so a lookup
+                    // that found another entry would show.
+                    let copy = step << 8 | i;
+                    retain(&mut queue, next_seq, copy);
+                    model.push((next_seq, copy));
+                    if model.len() > CACHE_CAP {
+                        let excess = model.len() - CACHE_CAP;
+                        model.drain(..excess);
+                    }
+                    next_seq = next_seq.wrapping_add(1);
+                }
+                match op {
+                    5 | 6 => {
+                        discard(&mut queue, seq);
+                        model.retain(|(s, _)| *s != seq);
+                    }
+                    7 | 8 => {
+                        let found = cached(&queue, seq).map(|at| queue[at].1);
+                        let want = model.iter().find(|(s, _)| *s == seq).map(|e| e.1);
+                        prop_assert_eq!(found, want);
+                    }
+                    9 => {
+                        queue.clear();
+                        model.clear();
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(queue.iter().copied().collect::<Vec<_>>(), model.clone());
+            }
+        }
+    }
 
     /// A stand-in lower layer masquerading as VIP with an oversized MTU, so
     /// 16 fragments can span more than 65535 bytes.

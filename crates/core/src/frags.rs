@@ -12,6 +12,14 @@
 //! loops, whose order of charges the virtual clock sees, stay in each
 //! protocol.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
+
 use xkernel::prelude::*;
 
 /// Most fragments one message takes: one bit each in the 16-bit mask.
@@ -45,6 +53,8 @@ pub fn selected(
     let mut rest = msg.clone();
     let mut pieces = Vec::with_capacity(msg.len().max(1).div_ceil(frag_size));
     while rest.len() > frag_size {
+        // The loop's guard puts `frag_size` within `rest`.
+        #[allow(clippy::expect_used)]
         let tail = rest.split_off(frag_size).expect("split within length");
         pieces.push(std::mem::replace(&mut rest, tail));
     }
@@ -117,7 +127,11 @@ impl Slot {
         if self.have & at.bit != 0 {
             return Ok(false);
         }
-        self.parts[at.bit.trailing_zeros() as usize] = Some(frag);
+        // `Place::check` put the bit below `num`, which sized `parts`.
+        let Some(part) = self.parts.get_mut(at.bit.trailing_zeros() as usize) else {
+            return Err(Reject::Corrupt("fragment place"));
+        };
+        *part = Some(frag);
         self.have |= at.bit;
         Ok(true)
     }

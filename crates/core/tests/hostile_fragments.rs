@@ -7,6 +7,12 @@
 //! below would. None may panic, each is one refusal counted at FRAGMENT or
 //! M_RPC (the `sprite` layer) on its host, none leaves a reassembly open, and
 //! the next well-formed call completes.
+//!
+//! A FRAGMENT NACK is served from the retained copy alone. One that names a
+//! message never sent, evicted by the cache cap or discarded by its timer,
+//! no fragment, or fragments the message does not have, resends only the
+//! named fragments that exist; none panics, none changes what is retained,
+//! and the next call completes.
 
 use std::any::Any;
 
@@ -14,9 +20,9 @@ use inet::testbed::{base_registry, two_hosts, TwoHosts};
 use inet::with_concrete;
 use xkernel::prelude::*;
 use xkernel::sim::SimConfig;
-use xrpc::fragment::Fragment;
+use xrpc::fragment::{FragStats, Fragment};
 use xrpc::hdr::{flags, frag_type, FragmentHdr, SpriteHdr};
-use xrpc::procs::NULL_PROC;
+use xrpc::procs::{NULL_PROC, SINK_PROC};
 use xrpc::stacks::{StackDef, L_RPC_VIP, M_RPC_VIP};
 
 /// `(num_frags, frag_mask)` pairs no sender produces.
@@ -49,9 +55,13 @@ impl Session for Below {
 }
 
 fn rig(stack: &StackDef) -> TwoHosts {
+    rig_in(SimConfig::inline_mode(), stack)
+}
+
+fn rig_in(cfg: SimConfig, stack: &StackDef) -> TwoHosts {
     let mut reg = base_registry();
     xrpc::register_ctors(&mut reg);
-    let tb = two_hosts(SimConfig::inline_mode(), &reg, stack.graph).expect("testbed builds");
+    let tb = two_hosts(cfg, &reg, stack.graph).expect("testbed builds");
     xrpc::procs::register_standard(&tb.server, stack.entry).expect("procedures register");
     tb
 }
@@ -200,4 +210,119 @@ fn sprite_rejects_and_counts_every_malformed_request_and_reply_header() {
             (s, "sprite", Reject::Corrupt("fragment place"), n),
         ]
     );
+}
+
+/// What FRAGMENT on `kernel` has sent, and how many messages it retains.
+fn fragment_state(kernel: &Kernel) -> (FragStats, usize) {
+    with_concrete::<Fragment, _>(kernel, "fragment", |f| (f.stats(), f.retained()))
+        .expect("a FRAGMENT stack")
+}
+
+/// A NACK from the server for fragments `frag_mask` of the client's message
+/// `seq`.
+fn nack_frame(tb: &TwoHosts, seq: u32, num_frags: u16, frag_mask: u16) -> Vec<u8> {
+    let hdr = FragmentHdr {
+        typ: frag_type::NACK,
+        clnt_host: tb.client_ip,
+        srvr_host: tb.server_ip,
+        protocol_num: 0xdead,
+        sequence_num: seq,
+        num_frags,
+        frag_mask,
+        len: 0,
+    };
+    hdr.encode().to_vec()
+}
+
+/// Injects a NACK at the client and says how many fragments it resent; the
+/// client retains what it did before, and its next call completes.
+fn nack_resends(tb: &TwoHosts, seq: u32, num_frags: u16, frag_mask: u16) -> u64 {
+    let (before, retained) = fragment_state(&tb.client);
+    inject(
+        tb,
+        &tb.client,
+        "fragment",
+        nack_frame(tb, seq, num_frags, frag_mask),
+    );
+    let (after, still) = fragment_state(&tb.client);
+    assert_eq!(after.nacks_received, before.nacks_received + 1);
+    assert_eq!(still, retained, "a NACK changes nothing retained");
+    completes_a_null_call(tb, L_RPC_VIP.entry);
+    after.fragments_sent - before.fragments_sent
+}
+
+#[test]
+fn fragment_resends_only_the_retained_fragments_a_nack_names() {
+    let tb = rig(&L_RPC_VIP);
+    let ctx = tb.sim.ctx(tb.client.host());
+    let before = fragment_state(&tb.client).0;
+    let big = vec![0x3c; 4000];
+    let sink = xrpc::call(
+        &ctx,
+        &tb.client,
+        L_RPC_VIP.entry,
+        tb.server_ip,
+        SINK_PROC,
+        big,
+    );
+    assert_eq!(
+        sink.expect("the 4,000-byte call completes"),
+        Vec::<u8>::new()
+    );
+    let (sent, retained) = fragment_state(&tb.client);
+    // The first message is sequence number 1: the request just sent is the
+    // last.
+    let seq = u32::try_from(sent.messages_sent).expect("few messages");
+    let pieces = sent.fragments_sent - before.fragments_sent;
+    assert!(pieces > 1, "the request spans {pieces} fragments");
+    let num = u16::try_from(pieces).expect("at most 16");
+    let all = (1u16 << num) - 1;
+    assert_eq!(retained, usize::try_from(sent.messages_sent).expect("few"));
+
+    assert_eq!(nack_resends(&tb, seq + 1000, num, all), 0, "never sent");
+    assert_eq!(nack_resends(&tb, seq, num, 0), 0, "mask 0");
+    assert_eq!(nack_resends(&tb, seq, num, !all), 0, "bits past the last");
+    assert_eq!(nack_resends(&tb, seq, 16, u16::MAX), pieces, "every bit");
+    assert_eq!(nack_resends(&tb, seq, num, 0b10), 1, "the second fragment");
+
+    // 65 messages later the cap has evicted it.
+    for _ in 0..65 {
+        completes_a_null_call(&tb, L_RPC_VIP.entry);
+    }
+    assert_eq!(fragment_state(&tb.client).1, 64);
+    assert_eq!(nack_resends(&tb, seq, num, all), 0, "evicted");
+    assert!(rows(&tb).is_empty(), "a NACK is never a refusal");
+}
+
+#[test]
+fn a_nack_after_the_discard_timer_fired_resends_nothing() {
+    let tb = rig_in(SimConfig::scheduled(), &L_RPC_VIP);
+    let server_ip = tb.server_ip;
+    let call = move |ctx: &Ctx| {
+        let k = ctx.kernel();
+        let reply = xrpc::call(ctx, &k, L_RPC_VIP.entry, server_ip, NULL_PROC, Vec::new());
+        assert_eq!(reply.expect("the call completes"), Vec::<u8>::new());
+    };
+    tb.sim.spawn(tb.client.host(), call);
+    // The call takes a few virtual ms; its request's discard timer fires at
+    // 500.
+    assert_eq!(tb.sim.run_until_time(100_000_000).blocked, 0);
+    let (sent, retained) = fragment_state(&tb.client);
+    assert_eq!(retained, 1);
+    let seq = u32::try_from(sent.messages_sent).expect("few messages");
+    let resent = |tb: &TwoHosts| {
+        let before = fragment_state(&tb.client).0;
+        inject(tb, &tb.client, "fragment", nack_frame(tb, seq, 1, 1));
+        tb.sim.run_until_time(200_000_000);
+        let after = fragment_state(&tb.client).0;
+        assert_eq!(after.nacks_received, before.nacks_received + 1);
+        after.fragments_sent - before.fragments_sent
+    };
+    assert_eq!(resent(&tb), 1, "retained: resent");
+    tb.sim.run_until_idle();
+    assert_eq!(fragment_state(&tb.client).1, 0, "every timer has fired");
+    assert_eq!(resent(&tb), 0, "discarded: nothing to resend");
+    assert_eq!(fragment_state(&tb.client).1, 0);
+    tb.sim.spawn(tb.client.host(), call);
+    assert_eq!(tb.sim.run_until_idle().blocked, 0);
 }

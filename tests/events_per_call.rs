@@ -20,6 +20,8 @@ use common::null_call::{
 
 #[test]
 fn a_warm_scheduled_null_call_is_the_pinned_events_and_fuel() {
+    // L_RPC-VIP's 6 events are the other stacks' 4 plus FRAGMENT's two
+    // discard timers, one for the request and one for the reply.
     let pinned = [(4, 37, 2), (4, 61, 2), (4, 41, 2), (6, 68, 2), (4, 49, 2)];
     for (stack, (events, fuel, peak_live)) in PAPER_STACKS.into_iter().zip(pinned) {
         assert_eq!(
