@@ -148,6 +148,15 @@ forbid --but 7 'HdrReader::<|HdrBuf::new\(\)' \
 # the label cache in front of the process-wide label registry (sim/sema.rs).
 forbid --but 2 'thread_local!' 'memory a simulation recycles kept per thread (keep it in SimCore)' \
     crates/xkernel/src/msg.rs crates/xkernel/src/sim
+# A lint finding is built in one place, under the id of the RULES row whose
+# check made it (xkernel::lint's Findings::report).
+forbid --but 1 '(^|[^[:alnum:]_ ]) *Diagnostic \{' \
+    'a lint diagnostic built by hand (report it through lint::Findings::report)' \
+    crates/*/src crates/*/tests src tests examples
+# Protocol and Session have Any as a supertrait: a downcast upcasts the
+# trait object (`let any: &dyn Any = &*p;`).
+forbid 'fn as_any' 'an as_any downcast hook (upcast the trait object to &dyn Any)' \
+    crates/*/src crates/*/tests src tests examples
 
 echo "==> load-smoke: xbench xload --quick"
 # Rate sweep over all six stacks (open loop), a closed-loop point, and the

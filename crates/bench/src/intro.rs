@@ -54,9 +54,6 @@ fn udp_latency(handicapped: bool) -> u64 {
             lls.push(ctx, msg)?;
             Ok(())
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
     }
     // Client: waiter protocol that Vs a semaphore per echo received.
     struct UdpWait {
@@ -79,9 +76,6 @@ fn udp_latency(handicapped: bool) -> u64 {
         fn demux(&self, ctx: &Ctx, _lls: &SessionRef, _msg: Message) -> XResult<()> {
             self.sema.v(ctx);
             Ok(())
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
         }
     }
 

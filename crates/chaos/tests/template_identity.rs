@@ -16,7 +16,6 @@
 //! before templates existed, when every scenario built its own rig and
 //! nothing was ever restored.
 
-use std::any::Any;
 use std::rc::Rc;
 
 use chaos::{full_matrix, pool_stats, run_matrix, ChaosReport, PoolStats, RunOpts, Scenario};
@@ -190,10 +189,6 @@ impl Protocol for Drawer {
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
         ctx.next_u64();
         Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

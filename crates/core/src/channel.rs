@@ -19,7 +19,6 @@
 //! below (`GetFragCount`) and waits "long enough to be sure that the
 //! fragmentation layer is not in the middle of transmitting the message".
 
-use std::any::Any;
 use std::cell::{Cell, OnceCell};
 use std::rc::{Rc, Weak};
 
@@ -155,10 +154,6 @@ impl Session for ChanClientSession {
             },
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 #[derive(Clone)]
@@ -228,10 +223,6 @@ impl Session for ChanServerSession {
                 lls.control(ctx, other)
             }
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -656,10 +647,6 @@ impl Protocol for Channel {
             servers.insert(*k, Rc::clone(sess));
         }
         Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

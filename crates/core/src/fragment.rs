@@ -26,13 +26,12 @@
     clippy::indexing_slicing
 )]
 
-use std::any::Any;
 use std::cell::{Cell, OnceCell};
 use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
-use xkernel::cell::OwnerCell;
+use xkernel::cell::{tally, OwnerCell};
 
 use xkernel::map::{EnableSnapshot, MixMap, SessionSnapshot};
 use xkernel::prelude::*;
@@ -132,13 +131,6 @@ impl Fragment {
         })
     }
 
-    /// Adds one to the counter `field` picks.
-    fn tally(&self, field: fn(&mut FragStats) -> &mut u64) {
-        let mut stats = self.stats.get();
-        *field(&mut stats) += 1;
-        self.stats.set(stats);
-    }
-
     // `new` builds the only `Rc` and `&self` borrows through it, so it is
     // alive while any method runs.
     #[allow(clippy::expect_used)]
@@ -194,7 +186,7 @@ impl Fragment {
             let mut pkt = frag;
             ctx.push_header(&mut pkt, &hdr.encode());
             ctx.charge_layer_call();
-            self.tally(|s| &mut s.fragments_sent);
+            tally(&self.stats, |s| s.fragments_sent += 1);
             lower.push(ctx, pkt)?;
         }
         Ok(())
@@ -205,7 +197,7 @@ impl Fragment {
         let (lower, frag_size) = self.lower_for(ctx, peer)?;
         let num_frags = frags::count(msg.len(), frag_size)?;
         let seq = self.next_seq.bump();
-        self.tally(|s| &mut s.messages_sent);
+        tally(&self.stats, |s| s.messages_sent += 1);
         // Sequence allocation + retained-copy bookkeeping.
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let saved = Saved {
@@ -227,7 +219,7 @@ impl Fragment {
     }
 
     fn deliver_up(&self, ctx: &Ctx, from: IpAddr, proto_num: u32, msg: Message) -> XResult<()> {
-        self.tally(|s| &mut s.messages_delivered);
+        tally(&self.stats, |s| s.messages_delivered += 1);
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let upper = *self
             .enables
@@ -293,7 +285,7 @@ impl Fragment {
             let mut pkt = ctx.empty_msg();
             ctx.push_header(&mut pkt, &nack.encode());
             ctx.charge_layer_call();
-            self.tally(|s| &mut s.nacks_sent);
+            tally(&self.stats, |s| s.nacks_sent += 1);
             if lower.push(ctx, pkt).is_err() {
                 ctx.trace_note("nack send failed");
             }
@@ -340,7 +332,7 @@ impl Fragment {
     }
 
     fn nack_in(&self, ctx: &Ctx, hdr: FragmentHdr) -> XResult<()> {
-        self.tally(|s| &mut s.nacks_received);
+        tally(&self.stats, |s| s.nacks_received += 1);
         let seq = hdr.sequence_num;
         // A copy, so the cache lock is not held across the pushes.
         let saved = {
@@ -354,6 +346,13 @@ impl Fragment {
             ctx.trace_note("nack for discarded seq");
             return Ok(());
         };
+        // Only the message's receiver asks for its fragments, and it names
+        // the message as its fragments did.
+        if (hdr.srvr_host, hdr.protocol_num, hdr.num_frags)
+            != (saved.dst, saved.proto_num, saved.num_frags)
+        {
+            return Err(Reject::Denied("nack does not match its message").into());
+        }
         // Retransmit the missing fragments from the retained copy.
         let (lower, _) = self.lower_for(ctx, saved.dst)?;
         self.transmit(ctx, &lower, &saved, seq, hdr.frag_mask)
@@ -464,10 +463,6 @@ impl Session for FragSession {
             ControlOp::GetMyHost => self.parent.my_ip().map(ControlRes::Ip),
             _ => Err(XError::Unsupported("fragment session control")),
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -606,10 +601,6 @@ impl Protocol for Fragment {
         self.stats.set(s.stats);
         Ok(())
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 #[derive(Clone)]
@@ -623,8 +614,6 @@ struct FragSnap {
 
 #[cfg(test)]
 mod tests {
-    use std::any::Any;
-
     use proptest::prelude::*;
 
     use super::*;
@@ -722,9 +711,6 @@ mod tests {
                 _ => Err(XError::Unsupported("big-mtu lower control")),
             }
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
     }
 
     impl Session for BigMtuSession {
@@ -739,9 +725,6 @@ mod tests {
                 ControlOp::GetOptPacket => Ok(ControlRes::Size(self.opt)),
                 _ => Err(XError::Unsupported("big-mtu session control")),
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
         }
     }
 

@@ -88,6 +88,7 @@ pub mod stacks;
 pub mod txn;
 pub mod vip;
 
+use std::any::Any;
 use std::sync::Arc;
 
 use xkernel::graph::{GraphArgs, ProtocolRegistry};
@@ -187,11 +188,12 @@ where
     F: Fn(&Ctx, Message) -> XResult<Message> + Clone + 'static,
 {
     let p = kernel.get(proto)?;
-    if let Some(s) = p.as_any().downcast_ref::<select::Select>() {
+    let p: &dyn Any = &*p;
+    if let Some(s) = p.downcast_ref::<select::Select>() {
         s.serve(command, f);
         return Ok(());
     }
-    if let Some(m) = p.as_any().downcast_ref::<mrpc::Mrpc>() {
+    if let Some(m) = p.downcast_ref::<mrpc::Mrpc>() {
         m.serve(command, f);
         return Ok(());
     }

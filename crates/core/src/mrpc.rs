@@ -18,7 +18,6 @@
 //! `frag_mask` lets the client retransmit only the fragments the server is
 //! missing.
 
-use std::any::Any;
 use std::cell::{Cell, OnceCell};
 use std::rc::{Rc, Weak};
 
@@ -681,10 +680,6 @@ impl Session for MrpcSession {
             _ => Err(XError::Unsupported("mrpc session control")),
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 impl Protocol for Mrpc {
@@ -868,10 +863,6 @@ impl Protocol for Mrpc {
         self.sessions.restore(&s.sessions);
         self.shepherds.restore_stats(s.shepherds);
         Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

@@ -13,7 +13,6 @@
 //! [`Pinger::rtt`] completes either synchronously (CHANNEL returns the
 //! reply from `push`) or when the echo is demultiplexed back up.
 
-use std::any::Any;
 use std::cell::OnceCell;
 use std::rc::Rc;
 
@@ -259,10 +258,6 @@ impl Protocol for Pinger {
         *self.inflight.lock() = Inflight::default();
         self.sessions.restore(&s.sessions);
         Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

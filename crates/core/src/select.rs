@@ -15,7 +15,6 @@
 //! * [`Rdgram`], the "trivial to build" reliable datagram protocol on top
 //!   of CHANNEL.
 
-use std::any::Any;
 use std::cell::Cell;
 use std::rc::{Rc, Weak};
 
@@ -276,10 +275,6 @@ impl Session for SelectSession {
             }
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 impl Protocol for Select {
@@ -429,10 +424,6 @@ impl Protocol for Select {
         self.shepherds.restore_stats(s.shepherds);
         Ok(())
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 struct SelectSnap {
@@ -498,10 +489,6 @@ impl Session for RdgramSession {
             ControlOp::GetPeerHost => Ok(ControlRes::Ip(self.peer)),
             other => self.chan.control(ctx, other),
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -583,10 +570,6 @@ impl Protocol for Rdgram {
         self.upper.set(s.upper);
         self.sessions.restore(&s.sessions);
         Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

@@ -26,7 +26,6 @@
 //! type space (the paper's observation that the mapping is possible because
 //! 256 ≪ 65,536): `eth_type::VIP_BASE + p`.
 
-use std::any::Any;
 use std::rc::Rc;
 
 use xkernel::prelude::*;
@@ -153,10 +152,6 @@ impl Session for VipSession {
             _ => Err(XError::Unsupported("vip session control")),
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 impl Protocol for Vip {
@@ -250,10 +245,6 @@ impl Protocol for Vip {
             _ => Err(XError::Unsupported("vip control")),
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -333,10 +324,6 @@ impl Protocol for VipAddr {
             _ => Err(XError::Unsupported("vipaddr control")),
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -401,10 +388,6 @@ impl Session for VipSizeSession {
             }
             other => self.direct.control(ctx, other),
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -474,10 +457,6 @@ impl Protocol for VipSize {
             ControlOp::GetMaxPacket => ctx.kernel_ref().control(ctx, self.fragment, op),
             _ => Err(XError::Unsupported("vipsize control")),
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

@@ -244,9 +244,6 @@ fn vip_opens_both_sessions_for_udp_and_routes_by_size() {
             self.got.lock().unwrap().push(msg.len());
             Ok(())
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
     }
     reg.add("recorder", |a| {
         Ok(std::rc::Rc::new(Recorder {

@@ -484,9 +484,6 @@ impl Protocol for Recorder {
         self.got.lock().unwrap().push(msg.to_vec());
         Ok(())
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 #[test]

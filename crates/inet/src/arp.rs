@@ -13,7 +13,6 @@
 //! Negative results are cached (like the paper's suggested table of
 //! VIP-speaking hosts) so remote peers do not pay the probe on every open.
 
-use std::any::Any;
 use std::cell::OnceCell;
 use std::rc::Rc;
 
@@ -323,9 +322,5 @@ impl Protocol for Arp {
         self.waiters.lock().clear();
         *self.cache.lock() = s.clone();
         Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }

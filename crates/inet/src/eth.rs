@@ -7,7 +7,6 @@
 //! it, and RPC protocols configured directly over ETH claim types of their
 //! own.
 
-use std::any::Any;
 use std::cell::OnceCell;
 use std::rc::Rc;
 
@@ -137,10 +136,6 @@ impl Session for EthSession {
             other => self.nic.control(ctx, other),
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 impl Protocol for Eth {
@@ -235,10 +230,6 @@ impl Protocol for Eth {
         self.enables.restore(&s.enables);
         self.passive.restore(&s.passive);
         Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

@@ -2,7 +2,6 @@
 //! layer (including VIP, which is itself a nice demonstration that ICMP
 //! only depends on the *semantics* of IP).
 
-use std::any::Any;
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -213,10 +212,6 @@ impl Protocol for Icmp {
         self.waiting.clear();
         self.next_seq.set(*s);
         Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

@@ -7,12 +7,11 @@
 //! protocol demultiplexing. This is the layer whose fixed per-packet cost —
 //! 0.37 msec per round trip on the paper's hardware — motivates VIP.
 
-use std::any::Any;
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::rc::{Rc, Weak};
 
-use xkernel::cell::OwnerCell;
+use xkernel::cell::{tally, OwnerCell};
 
 use xkernel::map::{EnableSnapshot, MixMap, SessionSnapshot};
 use xkernel::prelude::*;
@@ -180,7 +179,7 @@ pub struct Ip {
     passive: SessionMap<(IpAddr, u8)>,
     eth_cache: SessionMap<(usize, EthAddr)>,
     reasm: OwnerCell<MixMap<(u32, u16, u8), Reassembly>>,
-    stats: IpStatsInner,
+    stats: Cell<IpStats>,
 }
 
 /// Monotonic IP-layer counters (a snapshot; see [`Ip::stats`]).
@@ -198,15 +197,6 @@ pub struct IpStats {
     pub reassembly_timeouts: u64,
 }
 
-#[derive(Default)]
-struct IpStatsInner {
-    forwarded: Cell<u64>,
-    fragments_sent: Cell<u64>,
-    fragments_received: Cell<u64>,
-    reassembled: Cell<u64>,
-    reassembly_timeouts: Cell<u64>,
-}
-
 impl Ip {
     /// Creates an IP protocol with the given interfaces; `forward` makes
     /// this host a router. Connected routes are installed automatically.
@@ -222,7 +212,7 @@ impl Ip {
             passive: SessionMap::new(),
             eth_cache: SessionMap::new(),
             reasm: OwnerCell::new(MixMap::default()),
-            stats: IpStatsInner::default(),
+            stats: Cell::default(),
         });
         for (i, f) in ip.ifaces.iter().enumerate() {
             ip.add_route(Route {
@@ -237,13 +227,7 @@ impl Ip {
 
     /// Counter snapshot (forwarding, fragmentation, reassembly).
     pub fn stats(&self) -> IpStats {
-        IpStats {
-            forwarded: self.stats.forwarded.get(),
-            fragments_sent: self.stats.fragments_sent.get(),
-            fragments_received: self.stats.fragments_received.get(),
-            reassembled: self.stats.reassembled.get(),
-            reassembly_timeouts: self.stats.reassembly_timeouts.get(),
-        }
+        self.stats.get()
     }
 
     /// Adds a static route (e.g. a default route through a gateway).
@@ -316,7 +300,7 @@ impl Ip {
             hdr.total_len = (take + IP_HDR_LEN) as u16;
             if hdr.more_frags || hdr.frag_off != 0 {
                 // This wire piece is part of a fragmented datagram.
-                self.stats.fragments_sent.bump();
+                tally(&self.stats, |s| s.fragments_sent += 1);
             }
             let bytes = hdr.encode();
             ctx.charge_class(
@@ -367,14 +351,14 @@ impl Ip {
     #[allow(clippy::disallowed_methods)]
     fn reassemble(&self, ctx: &Ctx, hdr: IpHeader, msg: Message) -> XResult<()> {
         let key = (hdr.src.0, hdr.id, hdr.proto);
-        self.stats.fragments_received.bump();
+        tally(&self.stats, |s| s.fragments_received += 1);
         let fresh = !self.reasm.lock().contains_key(&key);
         if fresh {
             // Arm the give-up timer: incomplete datagrams are discarded.
             let parent = self.self_rc();
             ctx.schedule_after(REASSEMBLY_TIMEOUT_NS, move |tctx| {
                 if parent.reasm.lock().remove(&key).is_some() {
-                    parent.stats.reassembly_timeouts.bump();
+                    tally(&parent.stats, |s| s.reassembly_timeouts += 1);
                     tctx.trace_note("reassembly timed out");
                 }
             });
@@ -408,7 +392,7 @@ impl Ip {
             }
             Some(parts) => {
                 let whole = Message::concat(parts.into_values());
-                self.stats.reassembled.bump();
+                tally(&self.stats, |s| s.reassembled += 1);
                 ctx.charge_class(OpClass::Copy, whole.len() as u64 * ctx.cost().copy_byte / 8);
                 self.deliver_up(ctx, &hdr, whole)
             }
@@ -459,10 +443,6 @@ impl Session for IpSession {
             ControlOp::GetMyProto => Ok(ControlRes::U32(u32::from(self.proto))),
             _ => Err(XError::Unsupported("ip session control")),
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -552,7 +532,7 @@ impl Protocol for Ip {
                 }
                 let mut fwd = hdr;
                 fwd.ttl -= 1;
-                self.stats.forwarded.bump();
+                tally(&self.stats, |s| s.forwarded += 1);
                 return self.send_datagram(ctx, fwd, msg);
             }
             return Err(Reject::NoEnable("not mine").into());
@@ -602,20 +582,8 @@ impl Protocol for Ip {
         self.enables.restore(&s.enables);
         self.passive.restore(&s.passive);
         self.eth_cache.restore(&s.eth_cache);
-        self.stats.forwarded.set(s.stats.forwarded);
-        self.stats.fragments_sent.set(s.stats.fragments_sent);
-        self.stats
-            .fragments_received
-            .set(s.stats.fragments_received);
-        self.stats.reassembled.set(s.stats.reassembled);
-        self.stats
-            .reassembly_timeouts
-            .set(s.stats.reassembly_timeouts);
+        self.stats.set(s.stats);
         Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

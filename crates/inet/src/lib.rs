@@ -29,6 +29,7 @@ pub mod tcp;
 pub mod testbed;
 pub mod udp;
 
+use std::any::Any;
 use xkernel::graph::{GraphArgs, ProtocolRegistry};
 use xkernel::prelude::*;
 
@@ -129,8 +130,8 @@ pub fn register_ctors(reg: &mut ProtocolRegistry) {
         for (i, pair) in a.down.chunks(2).enumerate() {
             let (eth_id, arp_id) = (pair[0], pair[1]);
             let arp_proto = a.kernel.proto_ref(arp_id)?;
+            let arp_proto: &dyn Any = &**arp_proto;
             let arp_ref = arp_proto
-                .as_any()
                 .downcast_ref::<arp::Arp>()
                 .ok_or_else(|| XError::Config("ip's resolver must be arp".into()))?;
             ifaces.push(ip::Iface {
@@ -180,8 +181,8 @@ pub fn standard_graph(nic: &str, ip_addr: &str) -> String {
 /// Runs `f` with a typed view of a registered protocol.
 pub fn with_concrete<T: 'static, R>(k: &Kernel, name: &str, f: impl FnOnce(&T) -> R) -> XResult<R> {
     let p = k.get(name)?;
+    let p: &dyn Any = &*p;
     let t = p
-        .as_any()
         .downcast_ref::<T>()
         .ok_or_else(|| XError::Config(format!("protocol '{name}' has unexpected type")))?;
     Ok(f(t))

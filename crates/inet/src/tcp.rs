@@ -20,7 +20,6 @@
 //! `pad_frames`), segments carry pad bytes: the checksum rejects (and counts)
 //! every one, and the connection is never established — the negative result.
 
-use std::any::Any;
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::{Rc, Weak};
@@ -667,10 +666,6 @@ impl Protocol for Tcp {
             _ => Err(XError::Unsupported("tcp control")),
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// Uniform-interface wrapper for a [`TcpConn`].
@@ -702,10 +697,6 @@ impl Session for TcpConnSession {
 
     fn close(&self, ctx: &Ctx) -> XResult<()> {
         self.conn.close(ctx)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

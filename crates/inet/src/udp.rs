@@ -12,7 +12,6 @@
 //!   protocol that can carry the full port space (IP or VIP), and the
 //!   sunrpc/psync crates compose it normally.
 
-use std::any::Any;
 use std::cell::Cell;
 use std::rc::{Rc, Weak};
 
@@ -204,10 +203,6 @@ impl Session for UdpSession {
             .unbind(&(self.local_port, self.peer.0, self.peer_port));
         Ok(())
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 impl Protocol for Udp {
@@ -359,10 +354,6 @@ impl Protocol for Udp {
         self.sessions.restore(&s.sessions);
         self.next_ephemeral.set(s.next_ephemeral);
         Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

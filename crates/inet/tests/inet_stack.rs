@@ -2,7 +2,6 @@
 //! IP fragmentation/reassembly, routing through a forwarder, ICMP, and the
 //! TCP stream transport.
 
-use std::any::Any;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
@@ -46,9 +45,6 @@ impl Protocol for Recorder {
     fn demux(&self, _ctx: &Ctx, _lls: &SessionRef, msg: Message) -> XResult<()> {
         self.got.lock().unwrap().push(msg.to_vec());
         Ok(())
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

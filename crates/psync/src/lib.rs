@@ -25,7 +25,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::disallowed_types, clippy::disallowed_methods)]
 
-use std::any::Any;
 use std::cell::OnceCell;
 use std::collections::{HashSet, VecDeque};
 use std::rc::{Rc, Weak};
@@ -354,10 +353,6 @@ impl Protocol for Psync {
         }
         self.lowers.restore(&s.lowers);
         Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

@@ -626,10 +626,6 @@ impl Session for NicSession {
             }
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 impl Protocol for Nic {
@@ -668,10 +664,6 @@ impl Protocol for Nic {
             ControlOp::GetMyEth => Ok(ControlRes::Eth(self.eth)),
             _ => Err(XError::Unsupported("nic control")),
         }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -714,9 +706,6 @@ mod tests {
             self.log.lock().push(ctx.host());
             Ok(())
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
     }
 
     impl Protocol for Recorder {
@@ -735,9 +724,6 @@ mod tests {
         fn demux(&self, _ctx: &Ctx, _lls: &SessionRef, msg: Message) -> XResult<()> {
             self.got.lock().push(msg.to_vec());
             Ok(())
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
         }
     }
 
@@ -795,15 +781,10 @@ mod tests {
     }
 
     fn received(rig: &Rig, host: usize) -> Vec<Vec<u8>> {
-        rig.kernels[host]
-            .get("rec")
-            .unwrap()
-            .as_any()
-            .downcast_ref::<Recorder>()
-            .unwrap()
-            .got
-            .lock()
-            .clone()
+        let rec = rig.kernels[host].get("rec").unwrap();
+        let rec: &dyn Any = &*rec;
+        let got = rec.downcast_ref::<Recorder>().unwrap().got.lock().clone();
+        got
     }
 
     #[test]
@@ -996,15 +977,9 @@ mod tests {
         let mut v = EthAddr::from_index(2).0.to_vec();
         v.extend_from_slice(b"short");
         nics[0].push(&ctx, Message::from_wire(v)).unwrap();
-        let got = kernels[1]
-            .get("rec")
-            .unwrap()
-            .as_any()
-            .downcast_ref::<Recorder>()
-            .unwrap()
-            .got
-            .lock()
-            .clone();
+        let rec = kernels[1].get("rec").unwrap();
+        let rec: &dyn Any = &*rec;
+        let got = rec.downcast_ref::<Recorder>().unwrap().got.lock().clone();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].len(), 64, "frame padded to min_frame");
         assert_eq!(&got[0][6..11], b"short");

@@ -12,7 +12,6 @@
 //! verifier the client checks. Schemes plug in through [`CredScheme`]:
 //! [`AuthNone`] and [`AuthUnix`] are provided.
 
-use std::any::Any;
 use std::cell::OnceCell;
 use std::collections::HashSet;
 use std::rc::Rc;
@@ -196,10 +195,6 @@ impl Session for AuthClientSession {
     fn control(&self, ctx: &Ctx, op: &ControlOp) -> XResult<ControlRes> {
         self.lower.control(ctx, op)
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// Server session wrapper: stamps replies with the verifier.
@@ -223,10 +218,6 @@ impl Session for AuthServerSession {
 
     fn control(&self, ctx: &Ctx, op: &ControlOp) -> XResult<ControlRes> {
         self.lls.control(ctx, op)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -336,10 +327,6 @@ impl Protocol for AuthLayer {
             ControlOp::GetMaxMsgSize => Ok(ControlRes::Size(1500)),
             other => ctx.kernel_ref().control(ctx, self.lower, other),
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

@@ -13,7 +13,6 @@
 //!
 //! Header (XDR): xid, message type (0 = call, 1 = reply), protocol number.
 
-use std::any::Any;
 use std::cell::{Cell, OnceCell};
 use std::rc::{Rc, Weak};
 
@@ -222,10 +221,6 @@ impl Session for RrClientSession {
             },
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// A per-request server session: pushing into it sends the reply for the
@@ -257,10 +252,6 @@ impl Session for RrServerSession {
 
     fn control(&self, ctx: &Ctx, op: &ControlOp) -> XResult<ControlRes> {
         self.lls.control(ctx, op)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -415,10 +406,6 @@ impl Protocol for RequestReply {
         self.lowers.restore(&s.lowers);
         self.shepherds.restore_stats(s.shepherds);
         Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

@@ -6,7 +6,6 @@
 //! for an at-most-once Sun RPC — and with any stack of authentication
 //! layers in between. This is the paper's "mix and match RPCs".
 
-use std::any::Any;
 use std::cell::OnceCell;
 use std::rc::{Rc, Weak};
 
@@ -164,10 +163,6 @@ impl Session for SunSelectSession {
             _ => Err(XError::Unsupported("sunselect session control")),
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 impl Protocol for SunSelect {
@@ -287,10 +282,6 @@ impl Protocol for SunSelect {
         let s = snap_downcast::<SunSelectSnap>(blob, "sunselect")?;
         self.lowers.restore(&s.lowers);
         Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

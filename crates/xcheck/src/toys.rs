@@ -177,8 +177,8 @@ pub fn register_ctors(reg: &mut ProtocolRegistry) {
     reg.add_contract(dl_ab_contract());
     reg.add("dl_ba", |g: &GraphArgs<'_>| {
         let below = g.kernel.proto_ref(g.down(0)?)?;
+        let below: &dyn Any = &**below;
         let ab = below
-            .as_any()
             .downcast_ref::<DlAb>()
             .ok_or(XError::Unsupported("dl_ba must sit directly over dl_ab"))?;
         Ok(Rc::new(DlBa {
@@ -267,10 +267,6 @@ impl Protocol for DlAb {
     fn contract(&self) -> ProtoContract {
         dl_ab_contract()
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 impl Protocol for DlBa {
@@ -302,9 +298,5 @@ impl Protocol for DlBa {
 
     fn contract(&self) -> ProtoContract {
         dl_ba_contract()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }

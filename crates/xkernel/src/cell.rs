@@ -100,6 +100,16 @@ macro_rules! counter {
 
 counter!(u16, u32, u64);
 
+/// Updates a protocol's counters, kept whole in one [`Cell`] so that a
+/// snapshot is one `get` and a restore one `set`:
+/// `tally(&self.stats, |s| s.sent += 1)`.
+#[inline]
+pub fn tally<S: Copy>(stats: &Cell<S>, update: impl FnOnce(&mut S)) {
+    let mut s = stats.get();
+    update(&mut s);
+    stats.set(s);
+}
+
 #[cold]
 #[inline(never)]
 fn already_entered() -> ! {

@@ -10,24 +10,8 @@
 //!
 //! ## Rule catalogue
 //!
-//! | id    | severity | checks |
-//! |-------|----------|--------|
-//! | XK001 | Error    | spec line fails to parse |
-//! | XK002 | Error    | unknown constructor name |
-//! | XK003 | Error    | lower reference to an unknown or later-defined instance (bottom-up / cycle-free wiring) |
-//! | XK004 | Error    | duplicate instance name |
-//! | XK005 | Error/Warning | lower-capability arity: required slots missing (Error), extra dangling capabilities (Warning) |
-//! | XK006 | Error    | address-kind mismatch across an edge (e.g. an Internet-consumer wired to a Hardware producer) |
-//! | XK007 | Error    | a protocol requiring stable participant addresses sits above an identity-virtualizing protocol (the Section 5 TCP-over-VIP rule) |
-//! | XK008 | Error/Warning | header budget: un-refragmentable headers exceed the wire MTU (Error); total path headers exceed the message headroom so pushes fall back to allocation (Warning) |
-//! | XK009 | Error/Warning | constructor-param schema: missing required key or non-numeric value (Error), unknown key (Warning) |
-//! | XK010 | Error/Warning | semaphore discipline: a layer blocks a shepherd on a reply with no demux-time signaler (Error); two reply-waiting layers nested on one path (Warning) |
-//! | XK011 | Error    | a layer blocks on a reply semaphore without declaring that error paths release its transaction slot (`clears_slot_on_error`) — the slot-leak class PR 2 fixed by hand |
-//! | XK012 | Error    | a demux-signalled reply wait whose lower subtree never reaches a device: nothing can ever arrive to run the signaler |
-//! | XK013 | Error    | blocking-point declarations incomplete: the semaphore contract (or a device-kind lower slot) implies blocking ops the contract does not declare; declarations mirror the trace ledger's `Sema`/`Timer`/`Device` op-classes |
-//! | XK014 | Warning  | excess blocking-point declaration: `Wire` declared but no device-kind lower slot exists |
-//! | XK015 | Error    | conflicting lock-acquisition orders across the spec's contracts (the Sched/Hosts split discipline): the merged order relation has a cycle |
-//! | XK016 | Error    | a crash-restartable (`crashable`) protocol without a reboot hook: survivors would wake into stale conversation state |
+//! [`RULES`] is the catalogue: one row per rule, holding its id, what it
+//! finds, whether `xk-lint --xcheck` reports it, and its check.
 //!
 //! ## Suppression
 //!
@@ -38,10 +22,10 @@
 //! # xk-lint: allow=XK008,XK010
 //! ```
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 
-use crate::graph::{parse_line, ParsedLine};
+use crate::graph::parse_line;
 use crate::msg::DEFAULT_HEADROOM;
 
 /// The wire MTU the header-budget rule (XK008) checks against. Mirrors
@@ -49,52 +33,55 @@ use crate::msg::DEFAULT_HEADROOM;
 /// on any protocol crate.
 pub const WIRE_MTU: usize = 1500;
 
-/// Rule identifiers, one per check.
-pub mod rules {
-    /// Spec line fails to parse.
-    pub const PARSE: &str = "XK001";
-    /// Unknown constructor name.
-    pub const UNKNOWN_CTOR: &str = "XK002";
-    /// Lower reference to an unknown or later-defined instance.
-    pub const UNKNOWN_LOWER: &str = "XK003";
-    /// Duplicate instance name.
-    pub const DUPLICATE_INSTANCE: &str = "XK004";
-    /// Wrong number of lower capabilities.
-    pub const LOWER_ARITY: &str = "XK005";
-    /// Address-kind mismatch across an edge.
-    pub const ADDR_KIND: &str = "XK006";
-    /// Stable-participant protocol above an identity virtualizer (§5).
-    pub const STABLE_OVER_VIRTUAL: &str = "XK007";
-    /// Header budget versus MTU / headroom.
-    pub const HEADER_BUDGET: &str = "XK008";
-    /// Constructor-param schema violation.
-    pub const PARAM_SCHEMA: &str = "XK009";
-    /// Shepherd semaphore-discipline violation.
-    pub const SEMA_DISCIPLINE: &str = "XK010";
-    /// Reply wait without a declared error-path slot release.
-    pub const WAIT_HOLDING_SLOT: &str = "XK011";
-    /// Demux-signalled wait with no device under it to drive the signaler.
-    pub const SIGNAL_PATH: &str = "XK012";
-    /// Blocking-point declarations missing ops the contract implies.
-    pub const BLOCK_DECL: &str = "XK013";
-    /// Blocking-point declaration with no justification in the contract.
-    pub const BLOCK_DECL_EXCESS: &str = "XK014";
-    /// Conflicting lock-acquisition orders across the spec.
-    pub const LOCK_ORDER: &str = "XK015";
-    /// Crashable protocol without a reboot hook.
-    pub const REBOOT_HOOKS: &str = "XK016";
-
-    /// The concurrency-verifier subset (`xk-lint --xcheck`): XK010–XK016.
-    pub const XCHECK: [&str; 7] = [
-        SEMA_DISCIPLINE,
-        WAIT_HOLDING_SLOT,
-        SIGNAL_PATH,
-        BLOCK_DECL,
-        BLOCK_DECL_EXCESS,
-        LOCK_ORDER,
-        REBOOT_HOOKS,
-    ];
+/// One lint rule: a row of [`RULES`].
+pub struct Rule {
+    /// The id each of the rule's diagnostics carries, e.g. `"XK007"`.
+    pub id: &'static str,
+    /// What the rule finds: an error, unless it says warning.
+    pub summary: &'static str,
+    /// Whether the rule is in the concurrency-verifier subset, the only
+    /// rules `xk-lint --xcheck` reports.
+    pub xcheck: bool,
+    check: fn(&Spec<'_>, &mut Findings),
 }
+
+/// The rule catalogue, in id order. [`lint_spec`] runs every row a spec
+/// does not allow.
+#[rustfmt::skip]
+pub static RULES: [Rule; 16] = [
+    Rule { id: "XK001", xcheck: false, check: unparsable,
+        summary: "a spec line fails to parse" },
+    Rule { id: "XK002", xcheck: false, check: unknown_ctors,
+        summary: "unknown constructor name" },
+    Rule { id: "XK003", xcheck: false, check: undefined_lowers,
+        summary: "a lower no earlier line defines (wiring is bottom-up, so cycle-free)" },
+    Rule { id: "XK004", xcheck: false, check: duplicates,
+        summary: "duplicate instance name" },
+    Rule { id: "XK005", xcheck: false, check: arity,
+        summary: "required lower slots missing, or extra lowers dangling (warning)" },
+    Rule { id: "XK006", xcheck: false, check: edge_kinds,
+        summary: "a lower produces an address kind its slot does not take (`udp -> eth`)" },
+    Rule { id: "XK007", xcheck: false, check: stable_over_virtual,
+        summary: "a stable-participant protocol over an identity virtualizer (§5: TCP/VIP)" },
+    Rule { id: "XK008", xcheck: false, check: header_budget,
+        summary: "headers below any fragmenter fill the MTU; or exceed headroom (warning)" },
+    Rule { id: "XK009", xcheck: false, check: params,
+        summary: "a constructor param missing or not numeric; or unknown (warning)" },
+    Rule { id: "XK010", xcheck: true, check: sema_discipline,
+        summary: "a reply wait demux never signals; or nested reply waits (warning)" },
+    Rule { id: "XK011", xcheck: true, check: slot_discipline,
+        summary: "a reply wait not declared to free its slot on error (`clears_slot_on_error`)" },
+    Rule { id: "XK012", xcheck: true, check: signal_path,
+        summary: "a demux-signalled reply wait with no device below it to run the signaler" },
+    Rule { id: "XK013", xcheck: true, check: undeclared_blocking,
+        summary: "blocking points the contract implies but `blocks()` omits" },
+    Rule { id: "XK014", xcheck: true, check: excess_blocking,
+        summary: "a `Wire` blocking point with no device-kind lower slot (warning)" },
+    Rule { id: "XK015", xcheck: true, check: lock_order,
+        summary: "conflicting lock-acquisition orders across the spec (the merged order cycles)" },
+    Rule { id: "XK016", xcheck: true, check: reboot_hooks,
+        summary: "a `crashable` protocol without a reboot hook" },
+];
 
 /// The kind of address a protocol speaks at its upper interface.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -430,7 +417,7 @@ impl fmt::Display for Severity {
 /// One linter finding.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Diagnostic {
-    /// Rule id, e.g. `"XK007"` (see [`rules`]).
+    /// Rule id, e.g. `"XK007"` (see [`RULES`]).
     pub rule: &'static str,
     /// Severity.
     pub severity: Severity,
@@ -461,13 +448,125 @@ pub struct LintOptions {
     pub allow: BTreeSet<String>,
 }
 
-/// A resolved graph node during analysis.
+/// A spec line that names an instance.
 struct Node {
     line: usize,
+    name: String,
     ctor: String,
+    /// Whether `ctor` is in the constructor vocabulary.
+    known: bool,
     contract: ProtoContract,
     lowers: Vec<String>,
-    params: HashMap<String, String>,
+    /// Sorted, so unknown keys are reported in one order on every run.
+    params: BTreeMap<String, String>,
+}
+
+/// A spec as the rules read it, built once per lint.
+struct Spec<'a> {
+    /// Lines that do not parse: line number, text, and why.
+    unparsed: &'a [(usize, &'a str, String)],
+    /// The lines that do, in spec order.
+    nodes: &'a [Node],
+    /// Each instance name's node; the last line wins for a duplicated name.
+    by_name: HashMap<&'a str, &'a Node>,
+    externals: &'a HashMap<String, ProtoContract>,
+    /// Every path from an instance nothing sits above down to one with no
+    /// lowers (or to a cycle's edge).
+    paths: Vec<Vec<&'a str>>,
+}
+
+impl<'a> Spec<'a> {
+    /// Nodes whose contract describes them; the rest are opaque and checked
+    /// by no contract rule.
+    fn described(&self) -> impl Iterator<Item = &'a Node> {
+        self.nodes
+            .iter()
+            .filter(|n| n.contract.produces != Produce::Opaque)
+    }
+
+    fn contract(&self, name: &str) -> Option<&'a ProtoContract> {
+        self.by_name
+            .get(name)
+            .map(|n| &n.contract)
+            .or_else(|| self.externals.get(name))
+    }
+
+    /// The spec line defining `name`; 0 for an external.
+    fn line(&self, name: &str) -> usize {
+        self.by_name.get(name).map(|n| n.line).unwrap_or(0)
+    }
+
+    /// Resolves the address kind `instance` produces, following pass-through
+    /// chains. `None` for opaque or unresolvable producers.
+    fn produced_kind(&self, instance: &str) -> Option<AddrKind> {
+        let mut cur = instance;
+        // Bottom-up wiring guarantees termination, but guard anyway.
+        for _ in 0..64 {
+            match self.contract(cur)?.produces {
+                Produce::Kind(k) => return Some(k),
+                Produce::Opaque => return None,
+                Produce::Same => cur = self.by_name.get(cur)?.lowers.first()?.as_str(),
+            }
+        }
+        None
+    }
+}
+
+fn walk<'a>(
+    name: &'a str,
+    by_name: &HashMap<&str, &'a Node>,
+    path: &mut Vec<&'a str>,
+    paths: &mut Vec<Vec<&'a str>>,
+) {
+    if path.contains(&name) {
+        return; // cycles are reported as XK003; avoid infinite recursion
+    }
+    path.push(name);
+    match by_name.get(name) {
+        Some(node) if !node.lowers.is_empty() => {
+            for lower in &node.lowers {
+                walk(lower, by_name, path, paths);
+            }
+        }
+        _ => paths.push(path.clone()),
+    }
+    path.pop();
+}
+
+/// One rule's findings on one spec, each carrying the rule's id.
+struct Findings {
+    rule: &'static str,
+    found: Vec<Diagnostic>,
+}
+
+impl Findings {
+    /// The one place a [`Diagnostic`] is built.
+    fn report(
+        &mut self,
+        severity: Severity,
+        (line, instance): (usize, &str),
+        message: String,
+        hint: impl Into<String>,
+    ) {
+        self.found.push(Diagnostic {
+            rule: self.rule,
+            severity,
+            line,
+            instance: instance.to_string(),
+            message,
+            hint: hint.into(),
+        });
+    }
+
+    /// Keeps the first of each repeated finding: a path rule meets the same
+    /// layers on every path through them.
+    fn distinct(&mut self) {
+        for d in std::mem::take(&mut self.found) {
+            if !self.found.contains(&d) {
+                self.found.push(d);
+            }
+        }
+    }
 }
 
 /// Lints `spec` against `contracts` (keyed by constructor name).
@@ -485,13 +584,10 @@ pub fn lint_spec(
     externals: &HashMap<String, ProtoContract>,
     opts: &LintOptions,
 ) -> Vec<Diagnostic> {
-    let mut diags: Vec<Diagnostic> = Vec::new();
     let mut allow = opts.allow.clone();
-    let mut nodes: Vec<(String, Node)> = Vec::new();
-    let mut defined: HashSet<String> = externals.keys().cloned().collect();
-
+    let mut unparsed = Vec::new();
+    let mut nodes = Vec::new();
     for (idx, raw) in spec.lines().enumerate() {
-        let lineno = idx + 1;
         if let Some(list) = raw
             .trim()
             .strip_prefix('#')
@@ -507,106 +603,48 @@ pub fn lint_spec(
         if line.is_empty() {
             continue;
         }
-        let ParsedLine {
-            instance,
-            ctor,
-            params,
-            down,
-        } = match parse_line(line) {
-            Ok(p) => p,
-            Err(e) => {
-                diags.push(Diagnostic {
-                    rule: rules::PARSE,
-                    severity: Severity::Error,
-                    line: lineno,
-                    instance: line.to_string(),
-                    message: format!("cannot parse spec line: {e}"),
-                    hint: "expected 'instance[: ctor] [key=value ...] [-> lower ...]'".into(),
-                });
-                continue;
-            }
+        match parse_line(line) {
+            Err(e) => unparsed.push((idx + 1, line, e)),
+            Ok(p) => nodes.push(Node {
+                line: idx + 1,
+                known: known_ctor(&p.ctor),
+                contract: contracts
+                    .get(&p.ctor)
+                    .cloned()
+                    .unwrap_or_else(|| ProtoContract::opaque(&p.ctor)),
+                name: p.instance,
+                ctor: p.ctor,
+                lowers: p.down,
+                params: p.params.into_iter().collect(),
+            }),
+        }
+    }
+
+    let by_name: HashMap<&str, &Node> = nodes.iter().map(|n| (n.name.as_str(), n)).collect();
+    let used: HashSet<&str> = nodes
+        .iter()
+        .flat_map(|n| n.lowers.iter().map(String::as_str))
+        .collect();
+    let mut paths = Vec::new();
+    for root in nodes.iter().filter(|n| !used.contains(n.name.as_str())) {
+        walk(&root.name, &by_name, &mut Vec::new(), &mut paths);
+    }
+    let ctx = Spec {
+        unparsed: &unparsed,
+        nodes: &nodes,
+        by_name,
+        externals,
+        paths,
+    };
+    let mut diags = Vec::new();
+    for rule in RULES.iter().filter(|r| !allow.contains(r.id)) {
+        let mut findings = Findings {
+            rule: rule.id,
+            found: Vec::new(),
         };
-        if !known_ctor(&ctor) {
-            diags.push(Diagnostic {
-                rule: rules::UNKNOWN_CTOR,
-                severity: Severity::Error,
-                line: lineno,
-                instance: instance.clone(),
-                message: format!("unknown constructor '{ctor}'"),
-                hint: "register the constructor, or fix the spelling".into(),
-            });
-        }
-        if !defined.insert(instance.clone()) {
-            diags.push(Diagnostic {
-                rule: rules::DUPLICATE_INSTANCE,
-                severity: Severity::Error,
-                line: lineno,
-                instance: instance.clone(),
-                message: "duplicate instance name".into(),
-                hint: "give the second instance a distinct name ('eth1: eth')".into(),
-            });
-        }
-        for l in &down {
-            if !defined.contains(l) {
-                diags.push(Diagnostic {
-                    rule: rules::UNKNOWN_LOWER,
-                    severity: Severity::Error,
-                    line: lineno,
-                    instance: instance.clone(),
-                    message: format!(
-                        "lower '{l}' is not defined on an earlier line (the graph is \
-                         configured bottom-up, so this also rejects cycles)"
-                    ),
-                    hint: format!("move the line defining '{l}' above this one"),
-                });
-            }
-        }
-        let contract = contracts
-            .get(&ctor)
-            .cloned()
-            .unwrap_or_else(|| ProtoContract::opaque(&ctor));
-        nodes.push((
-            instance.clone(),
-            Node {
-                line: lineno,
-                ctor,
-                contract,
-                lowers: down,
-                params,
-            },
-        ));
+        (rule.check)(&ctx, &mut findings);
+        diags.append(&mut findings.found);
     }
-
-    let by_name: HashMap<&str, &Node> = nodes.iter().map(|(n, node)| (n.as_str(), node)).collect();
-
-    for (name, node) in &nodes {
-        check_arity(name, node, &mut diags);
-        check_edge_kinds(name, node, &by_name, externals, &mut diags);
-        check_params(name, node, &mut diags);
-        if node.contract.sema.awaits_reply && !node.contract.sema.wakes_from_demux {
-            diags.push(Diagnostic {
-                rule: rules::SEMA_DISCIPLINE,
-                severity: Severity::Error,
-                line: node.line,
-                instance: name.clone(),
-                message: format!(
-                    "'{}' blocks a shepherd on a reply semaphore but its demux never \
-                     signals it: every push deadlocks until the timeout",
-                    node.ctor
-                ),
-                hint: "V the reply semaphore from demux, or stop blocking in push".into(),
-            });
-        }
-        check_slot_discipline(name, node, &mut diags);
-        check_block_decls(name, node, &mut diags);
-        check_reboot_hooks(name, node, &mut diags);
-        check_signal_path(name, node, &by_name, externals, &mut diags);
-    }
-
-    check_lock_order(&nodes, &mut diags);
-    check_paths(&nodes, &by_name, externals, &mut diags);
-
-    diags.retain(|d| !allow.contains(d.rule));
     diags.sort_by_key(|d| (d.line, d.rule, d.instance.clone()));
     diags.dedup();
     diags
@@ -617,171 +655,318 @@ pub fn has_errors(diags: &[Diagnostic]) -> bool {
     diags.iter().any(|d| d.severity == Severity::Error)
 }
 
-fn check_arity(name: &str, node: &Node, diags: &mut Vec<Diagnostic>) {
-    let c = &node.contract;
-    if c.produces == Produce::Opaque {
-        return;
-    }
-    let required = c.lowers.len();
-    let given = node.lowers.len();
-    if given < required {
-        diags.push(Diagnostic {
-            rule: rules::LOWER_ARITY,
-            severity: Severity::Error,
-            line: node.line,
-            instance: name.to_string(),
-            message: format!(
-                "'{}' requires {required} lower protocol(s), got {given}",
-                node.ctor
-            ),
-            hint: format!("list {required} lower(s) after '->'"),
-        });
-        return;
-    }
-    let extra = given - required;
-    if let Some(group) = &c.repeat {
-        if !extra.is_multiple_of(group.len()) {
-            diags.push(Diagnostic {
-                rule: rules::LOWER_ARITY,
-                severity: Severity::Error,
-                line: node.line,
-                instance: name.to_string(),
-                message: format!(
-                    "'{}' takes lowers in groups of {}, got {given}",
-                    node.ctor,
-                    group.len()
-                ),
-                hint: "complete the last group (e.g. every eth needs its arp)".into(),
-            });
-        }
-    } else if extra > c.optional.len() {
-        let used = required + c.optional.len();
-        diags.push(Diagnostic {
-            rule: rules::LOWER_ARITY,
-            severity: Severity::Warning,
-            line: node.line,
-            instance: name.to_string(),
-            message: format!(
-                "'{}' uses at most {used} lower(s); capabilities {:?} are dangling (never opened)",
-                node.ctor,
-                &node.lowers[used..]
-            ),
-            hint: "drop the unused lower(s) — dead capabilities hide wiring mistakes".into(),
-        });
+fn unparsable(s: &Spec<'_>, f: &mut Findings) {
+    for (line, text, why) in s.unparsed {
+        f.report(
+            Severity::Error,
+            (*line, text),
+            format!("cannot parse spec line: {why}"),
+            "expected 'instance[: ctor] [key=value ...] [-> lower ...]'",
+        );
     }
 }
 
-/// Resolves the address kind `instance` produces, following pass-through
-/// chains. `None` for opaque or unresolvable producers.
-fn produced_kind(
-    instance: &str,
-    by_name: &HashMap<&str, &Node>,
-    externals: &HashMap<String, ProtoContract>,
-) -> Option<AddrKind> {
-    let mut cur = instance.to_string();
-    // Bottom-up wiring guarantees termination, but guard anyway.
-    for _ in 0..64 {
-        let produces = match by_name.get(cur.as_str()) {
-            Some(node) => node.contract.produces,
-            None => externals.get(&cur)?.produces,
-        };
-        match produces {
-            Produce::Kind(k) => return Some(k),
-            Produce::Opaque => return None,
-            Produce::Same => {
-                cur = by_name.get(cur.as_str())?.lowers.first()?.clone();
+fn unknown_ctors(s: &Spec<'_>, f: &mut Findings) {
+    for node in s.nodes.iter().filter(|n| !n.known) {
+        f.report(
+            Severity::Error,
+            (node.line, &node.name),
+            format!("unknown constructor '{}'", node.ctor),
+            "register the constructor, or fix the spelling",
+        );
+    }
+}
+
+fn undefined_lowers(s: &Spec<'_>, f: &mut Findings) {
+    let mut defined: HashSet<&str> = s.externals.keys().map(String::as_str).collect();
+    for node in s.nodes {
+        defined.insert(&node.name);
+        for l in node.lowers.iter().filter(|l| !defined.contains(l.as_str())) {
+            f.report(
+                Severity::Error,
+                (node.line, &node.name),
+                format!(
+                    "lower '{l}' is not defined on an earlier line (the graph is \
+                     configured bottom-up, so this also rejects cycles)"
+                ),
+                format!("move the line defining '{l}' above this one"),
+            );
+        }
+    }
+}
+
+fn duplicates(s: &Spec<'_>, f: &mut Findings) {
+    let mut defined: HashSet<&str> = s.externals.keys().map(String::as_str).collect();
+    for node in s.nodes.iter().filter(|n| !defined.insert(&n.name)) {
+        f.report(
+            Severity::Error,
+            (node.line, &node.name),
+            "duplicate instance name".into(),
+            "give the second instance a distinct name ('eth1: eth')",
+        );
+    }
+}
+
+fn arity(s: &Spec<'_>, f: &mut Findings) {
+    for node in s.described() {
+        let c = &node.contract;
+        let (required, given) = (c.lowers.len(), node.lowers.len());
+        let ctor = &node.ctor;
+        if given < required {
+            f.report(
+                Severity::Error,
+                (node.line, &node.name),
+                format!("'{ctor}' requires {required} lower protocol(s), got {given}"),
+                format!("list {required} lower(s) after '->'"),
+            );
+            continue;
+        }
+        let extra = given - required;
+        if let Some(group) = c.repeat.as_ref().map(Vec::len) {
+            if !extra.is_multiple_of(group) {
+                f.report(
+                    Severity::Error,
+                    (node.line, &node.name),
+                    format!("'{ctor}' takes lowers in groups of {group}, got {given}"),
+                    "complete the last group (e.g. every eth needs its arp)",
+                );
+            }
+        } else if extra > c.optional.len() {
+            let used = required + c.optional.len();
+            f.report(
+                Severity::Warning,
+                (node.line, &node.name),
+                format!(
+                    "'{ctor}' uses at most {used} lower(s); capabilities {:?} are dangling \
+                     (never opened)",
+                    &node.lowers[used..]
+                ),
+                "drop the unused lower(s) — dead capabilities hide wiring mistakes",
+            );
+        }
+    }
+}
+
+fn edge_kinds(s: &Spec<'_>, f: &mut Findings) {
+    for node in s.described() {
+        let c = &node.contract;
+        // The slot each given lower lands in: the required ones, then the
+        // repeating group over and over, or else the optional ones.
+        let slots = c.lowers.iter().chain(c.repeat.iter().flatten().cycle());
+        let slots = slots.chain(&c.optional);
+        for (i, (lower, slot)) in node.lowers.iter().zip(slots).enumerate() {
+            if let Some(kind) = s.produced_kind(lower).filter(|k| !slot.accepts(*k)) {
+                let want: Vec<String> = slot.kinds.iter().map(AddrKind::to_string).collect();
+                let want = want.join("|");
+                f.report(
+                    Severity::Error,
+                    (node.line, &node.name),
+                    format!(
+                        "lower slot {i} of '{}' expects a {want} producer, but '{lower}' \
+                         produces {kind} addresses",
+                        node.ctor
+                    ),
+                    format!("wire slot {i} to a protocol producing {want} addresses"),
+                );
             }
         }
     }
-    None
 }
 
-fn check_edge_kinds(
-    name: &str,
-    node: &Node,
-    by_name: &HashMap<&str, &Node>,
-    externals: &HashMap<String, ProtoContract>,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let c = &node.contract;
-    if c.produces == Produce::Opaque {
-        return;
-    }
-    // Lay out the slot each given lower lands in: required, then repeating
-    // groups or optionals.
-    let mut slots: Vec<&LowerSlot> = c.lowers.iter().collect();
-    let extra = node.lowers.len().saturating_sub(c.lowers.len());
-    if let Some(group) = &c.repeat {
-        for i in 0..extra {
-            slots.push(&group[i % group.len()]);
+fn stable_over_virtual(s: &Spec<'_>, f: &mut Findings) {
+    for path in &s.paths {
+        for (i, upper) in path.iter().enumerate() {
+            let stable = s.contract(upper).filter(|c| c.requires_stable_participants);
+            let Some(uc) = stable else { continue };
+            for lower in &path[i + 1..] {
+                if s.contract(lower).is_some_and(|c| c.virtualizes_identity) {
+                    f.report(
+                        Severity::Error,
+                        (s.line(upper), upper),
+                        format!(
+                            "'{}' requires stable participant addresses but is layered \
+                             above '{lower}', which virtualizes participant identity — the \
+                             Section 5 rule: TCP's pseudo-header checksum binds the address \
+                             VIP rewrites",
+                            uc.name
+                        ),
+                        "compose the stable-participant protocol directly over ip, or use \
+                         an RPC protocol that does not bake addresses into its wire format",
+                    );
+                }
+            }
         }
-    } else {
-        slots.extend(c.optional.iter().take(extra));
     }
-    for (i, lower) in node.lowers.iter().enumerate() {
-        let Some(slot) = slots.get(i) else { break };
-        let Some(kind) = produced_kind(lower, by_name, externals) else {
+    f.distinct();
+}
+
+/// Headers below the lowest re-fragmenting layer reach the wire as-is; they
+/// must leave payload room within the MTU.
+fn header_budget(s: &Spec<'_>, f: &mut Findings) {
+    let hdr = |name: &&str| s.contract(name).map(|c| c.max_header_bytes).unwrap_or(0);
+    for path in &s.paths {
+        let total: usize = path.iter().map(hdr).sum();
+        let frag = path
+            .iter()
+            .rposition(|n| s.contract(n).is_some_and(|c| c.fragments));
+        let wire_burden: usize = path[frag.unwrap_or(0)..].iter().map(hdr).sum();
+        let top = path[0];
+        if wire_burden >= WIRE_MTU {
+            f.report(
+                Severity::Error,
+                (s.line(top), top),
+                format!(
+                    "headers below the last fragmenting layer total {wire_burden} bytes, \
+                     >= the {WIRE_MTU}-byte wire MTU: no payload can ever be delivered"
+                ),
+                "insert a fragment layer above the header-heavy protocols, or shrink headers",
+            );
+        } else if total > DEFAULT_HEADROOM {
+            f.report(
+                Severity::Warning,
+                (s.line(top), top),
+                format!(
+                    "path headers total {total} bytes, exceeding the {DEFAULT_HEADROOM}-byte \
+                     pre-allocated headroom: push_header falls back to per-header allocation"
+                ),
+                "raise the message headroom or trim the stack (the paper's §5 buffer result)",
+            );
+        }
+    }
+    f.distinct();
+}
+
+fn params(s: &Spec<'_>, f: &mut Findings) {
+    for node in s.described() {
+        let c = &node.contract;
+        for spec in &c.params {
+            match node.params.get(&spec.key) {
+                None if spec.required => f.report(
+                    Severity::Error,
+                    (node.line, &node.name),
+                    format!("'{}' requires param {}=", node.ctor, spec.key),
+                    format!("add {}=<value> to the line", spec.key),
+                ),
+                Some(v) if spec.numeric && v.parse::<u64>().is_err() => f.report(
+                    Severity::Error,
+                    (node.line, &node.name),
+                    format!("param {}={v} is not a number", spec.key),
+                    format!("{} takes an unsigned integer", spec.key),
+                ),
+                _ => {}
+            }
+        }
+        for key in node.params.keys() {
+            if !c.params.iter().any(|p| &p.key == key) {
+                f.report(
+                    Severity::Warning,
+                    (node.line, &node.name),
+                    format!("'{}' does not take param '{key}' (ignored)", node.ctor),
+                    "remove the parameter or fix its spelling",
+                );
+            }
+        }
+    }
+}
+
+/// In nested reply waits the upper layer's shepherd holds its reply semaphore
+/// while the lower layer's timeout machinery runs: channel exhaustion cascades.
+fn sema_discipline(s: &Spec<'_>, f: &mut Findings) {
+    let unsignalled = |n: &&Node| n.contract.sema.awaits_reply && !n.contract.sema.wakes_from_demux;
+    for node in s.nodes.iter().filter(unsignalled) {
+        f.report(
+            Severity::Error,
+            (node.line, &node.name),
+            format!(
+                "'{}' blocks a shepherd on a reply semaphore but its demux never \
+                 signals it: every push deadlocks until the timeout",
+                node.ctor
+            ),
+            "V the reply semaphore from demux, or stop blocking in push",
+        );
+    }
+    let waits = |n: &&str| s.contract(n).is_some_and(|c| c.sema.awaits_reply);
+    for path in &s.paths {
+        let awaiters: Vec<&str> = path.iter().copied().filter(waits).collect();
+        if let [top_waiter, below @ ..] = &awaiters[..] {
+            if below.is_empty() {
+                continue;
+            }
+            f.report(
+                Severity::Warning,
+                (s.line(top_waiter), top_waiter),
+                format!(
+                    "nested shepherd waits: '{top_waiter}' blocks on a reply while {below:?} \
+                     also block below it; a lower-layer timeout pins the upper semaphore and \
+                     can exhaust the channel pool"
+                ),
+                "let exactly one layer in a stack own the request/reply wait",
+            );
+        }
+    }
+    f.distinct();
+}
+
+/// A reply wait holds a transaction slot (a channel, an outstanding-call
+/// entry); unless the contract records the audited guarantee that every error
+/// path releases it, the wait is assumed to leak it.
+fn slot_discipline(s: &Spec<'_>, f: &mut Findings) {
+    let leaky = |n: &&Node| n.contract.sema.awaits_reply && !n.contract.clears_slot_on_error;
+    for node in s.nodes.iter().filter(leaky) {
+        f.report(
+            Severity::Error,
+            (node.line, &node.name),
+            format!(
+                "'{}' blocks on a reply semaphore while holding its transaction slot, \
+                 and does not declare that error paths release the slot: a timeout or \
+                 push failure leaks the channel",
+                node.ctor
+            ),
+            "audit every error path out of the wait, then declare \
+             clears_slot_on_error() on the contract",
+        );
+    }
+}
+
+/// Only an arriving frame wakes a demux-signalled wait, so a device must be
+/// reachable below it. An unknown or opaque contract below makes the check
+/// inconclusive, and silent.
+fn signal_path(s: &Spec<'_>, f: &mut Findings) {
+    for node in s.nodes {
+        let c = &node.contract;
+        if !(c.sema.awaits_reply && c.sema.wakes_from_demux) {
             continue;
-        };
-        if !slot.accepts(kind) {
-            let want = slot
-                .kinds
-                .iter()
-                .map(AddrKind::to_string)
-                .collect::<Vec<_>>()
-                .join("|");
-            diags.push(Diagnostic {
-                rule: rules::ADDR_KIND,
-                severity: Severity::Error,
-                line: node.line,
-                instance: name.to_string(),
-                message: format!(
-                    "lower slot {i} of '{}' expects a {want} producer, but '{lower}' \
-                     produces {kind} addresses",
+        }
+        let mut stack: Vec<&str> = node.lowers.iter().map(String::as_str).collect();
+        let mut visited: HashSet<&str> = HashSet::new();
+        let mut inconclusive = stack.is_empty();
+        let mut reaches_device = false;
+        while let Some(cur) = stack.pop() {
+            if !visited.insert(cur) {
+                continue;
+            }
+            match s.contract(cur).map(|c| c.produces) {
+                None | Some(Produce::Opaque) => inconclusive = true,
+                Some(Produce::Kind(AddrKind::Device)) => reaches_device = true,
+                _ => {}
+            }
+            if let Some(n) = s.by_name.get(cur) {
+                stack.extend(n.lowers.iter().map(String::as_str));
+            }
+        }
+        if !reaches_device && !inconclusive {
+            f.report(
+                Severity::Error,
+                (node.line, &node.name),
+                format!(
+                    "'{}' parks shepherds on a demux-signalled reply semaphore, but no \
+                     device is reachable below it: no frame can ever arrive to run the \
+                     signaler, so every wait expires",
                     node.ctor
                 ),
-                hint: format!("wire slot {i} to a protocol producing {want} addresses"),
-            });
-        }
-    }
-}
-
-fn check_params(name: &str, node: &Node, diags: &mut Vec<Diagnostic>) {
-    let c = &node.contract;
-    if c.produces == Produce::Opaque {
-        return;
-    }
-    for spec in &c.params {
-        match node.params.get(&spec.key) {
-            None if spec.required => diags.push(Diagnostic {
-                rule: rules::PARAM_SCHEMA,
-                severity: Severity::Error,
-                line: node.line,
-                instance: name.to_string(),
-                message: format!("'{}' requires param {}=", node.ctor, spec.key),
-                hint: format!("add {}=<value> to the line", spec.key),
-            }),
-            Some(v) if spec.numeric && v.parse::<u64>().is_err() => diags.push(Diagnostic {
-                rule: rules::PARAM_SCHEMA,
-                severity: Severity::Error,
-                line: node.line,
-                instance: name.to_string(),
-                message: format!("param {}={v} is not a number", spec.key),
-                hint: format!("{} takes an unsigned integer", spec.key),
-            }),
-            _ => {}
-        }
-    }
-    for key in node.params.keys() {
-        if !c.params.iter().any(|p| &p.key == key) {
-            diags.push(Diagnostic {
-                rule: rules::PARAM_SCHEMA,
-                severity: Severity::Warning,
-                line: node.line,
-                instance: name.to_string(),
-                message: format!("'{}' does not take param '{key}' (ignored)", node.ctor),
-                hint: "remove the parameter or fix its spelling".into(),
-            });
+                "wire the stack down to a device protocol (nic), or stop blocking \
+                 on demux-signalled semaphores",
+            );
         }
     }
 }
@@ -796,435 +981,148 @@ fn has_device_slot(c: &ProtoContract) -> bool {
         .any(|s| s.kinds.contains(&AddrKind::Device))
 }
 
-/// XK011: a layer that parks a shepherd on a reply semaphore holds a
-/// transaction slot (a channel, an outstanding-call entry) for the duration
-/// of the wait. Unless the contract records the audited guarantee that
-/// every error path releases that slot, the wait is assumed to leak it —
-/// the bug class PR 2 found by hand in `channel.rs`.
-fn check_slot_discipline(name: &str, node: &Node, diags: &mut Vec<Diagnostic>) {
-    let c = &node.contract;
-    if c.sema.awaits_reply && !c.clears_slot_on_error {
-        diags.push(Diagnostic {
-            rule: rules::WAIT_HOLDING_SLOT,
-            severity: Severity::Error,
-            line: node.line,
-            instance: name.to_string(),
-            message: format!(
-                "'{}' blocks on a reply semaphore while holding its transaction slot, \
-                 and does not declare that error paths release the slot: a timeout or \
-                 push failure leaks the channel",
-                node.ctor
-            ),
-            hint: "audit every error path out of the wait, then declare \
-                   clears_slot_on_error() on the contract"
-                .into(),
-        });
+/// A reply wait blocks on a semaphore with a timeout timer armed; a pool
+/// acquire blocks on a semaphore; a device-kind lower slot means the layer
+/// waits on wire occupancy. Each declared point mirrors a trace-ledger
+/// op-class, so the dynamic checker can trust the declaration.
+fn undeclared_blocking(s: &Spec<'_>, f: &mut Findings) {
+    for node in s.described() {
+        let c = &node.contract;
+        let (waits, pools) = (c.sema.awaits_reply, c.sema.acquires_pool);
+        let implied = [
+            (BlockPoint::Sema, waits || pools),
+            (BlockPoint::Timer, waits),
+            (BlockPoint::Wire, has_device_slot(c)),
+        ];
+        let missing: Vec<BlockPoint> = implied
+            .into_iter()
+            .filter_map(|(p, implied)| (implied && !c.blocking.contains(&p)).then_some(p))
+            .collect();
+        if !missing.is_empty() {
+            let classes: Vec<&str> = missing.iter().map(|p| p.op_class_name()).collect();
+            f.report(
+                Severity::Error,
+                (node.line, &node.name),
+                format!(
+                    "'{}' blocks shepherds on undeclared operations: contract implies \
+                     {missing:?} (trace op-classes {classes:?}) but blocks() omits them",
+                    node.ctor
+                ),
+                "declare every blocking op with .blocks(&[...]) so the ledger's \
+                 op-classes can be cross-checked against the contract",
+            );
+        }
     }
 }
 
-/// XK013 (Error) / XK014 (Warning): blocking-point declarations versus what
-/// the rest of the contract implies. A reply wait blocks on a semaphore
-/// with a timeout timer armed; a pool acquire blocks on a semaphore; a
-/// device-kind lower slot means the layer waits on wire occupancy. Each
-/// declared point mirrors a trace-ledger op-class, so the declaration is
-/// what the dynamic checker (and a future cooperative scheduler) can trust.
-fn check_block_decls(name: &str, node: &Node, diags: &mut Vec<Diagnostic>) {
-    let c = &node.contract;
-    if c.produces == Produce::Opaque {
-        return;
-    }
-    let declared = |p: BlockPoint| c.blocking.contains(&p);
-    let mut missing: Vec<BlockPoint> = Vec::new();
-    if (c.sema.awaits_reply || c.sema.acquires_pool) && !declared(BlockPoint::Sema) {
-        missing.push(BlockPoint::Sema);
-    }
-    if c.sema.awaits_reply && !declared(BlockPoint::Timer) {
-        missing.push(BlockPoint::Timer);
-    }
-    if has_device_slot(c) && !declared(BlockPoint::Wire) {
-        missing.push(BlockPoint::Wire);
-    }
-    if !missing.is_empty() {
-        let classes: Vec<&str> = missing.iter().map(|p| p.op_class_name()).collect();
-        diags.push(Diagnostic {
-            rule: rules::BLOCK_DECL,
-            severity: Severity::Error,
-            line: node.line,
-            instance: name.to_string(),
-            message: format!(
-                "'{}' blocks shepherds on undeclared operations: contract implies \
-                 {missing:?} (trace op-classes {classes:?}) but blocks() omits them",
-                node.ctor
-            ),
-            hint: "declare every blocking op with .blocks(&[...]) so the ledger's \
-                   op-classes can be cross-checked against the contract"
-                .into(),
-        });
-    }
-    if declared(BlockPoint::Wire) && !has_device_slot(c) {
-        diags.push(Diagnostic {
-            rule: rules::BLOCK_DECL_EXCESS,
-            severity: Severity::Warning,
-            line: node.line,
-            instance: name.to_string(),
-            message: format!(
+fn excess_blocking(s: &Spec<'_>, f: &mut Findings) {
+    let excess = |n: &&Node| {
+        n.contract.blocking.contains(&BlockPoint::Wire) && !has_device_slot(&n.contract)
+    };
+    for node in s.described().filter(excess) {
+        f.report(
+            Severity::Warning,
+            (node.line, &node.name),
+            format!(
                 "'{}' declares a wire blocking point but has no device-kind lower \
                  slot: nothing in this layer can wait on the NIC",
                 node.ctor
             ),
-            hint: "drop BlockPoint::Wire from blocks(), or add the device lower".into(),
-        });
+            "drop BlockPoint::Wire from blocks(), or add the device lower",
+        );
     }
 }
 
-/// XK016: a protocol marked crash-restartable must implement the `reboot`
-/// hook, or its survivors wake into conversation state from a dead epoch.
-fn check_reboot_hooks(name: &str, node: &Node, diags: &mut Vec<Diagnostic>) {
-    let c = &node.contract;
-    if c.crashable && !c.has_reboot {
-        diags.push(Diagnostic {
-            rule: rules::REBOOT_HOOKS,
-            severity: Severity::Error,
-            line: node.line,
-            instance: name.to_string(),
-            message: format!(
+fn reboot_hooks(s: &Spec<'_>, f: &mut Findings) {
+    for node in s
+        .nodes
+        .iter()
+        .filter(|n| n.contract.crashable && !n.contract.has_reboot)
+    {
+        f.report(
+            Severity::Error,
+            (node.line, &node.name),
+            format!(
                 "'{}' is declared crashable but has no reboot hook: after a host \
                  restart its sessions keep pre-crash sequence/channel state",
                 node.ctor
             ),
-            hint: "implement Protocol::reboot (and declare .reboots()), or drop \
-                   .crashable() if the protocol is never crash-tested"
-                .into(),
-        });
+            "implement Protocol::reboot (and declare .reboots()), or drop \
+             .crashable() if the protocol is never crash-tested",
+        );
     }
 }
 
-/// XK012: a layer whose reply waits are signalled from demux can only ever
-/// be woken by an arriving frame, which means a device must be reachable
-/// somewhere beneath it. If the transitive lower closure never reaches a
-/// device-kind producer, the signaler can never fire and every wait times
-/// out. (Opaque contracts in the closure make the check inconclusive and
-/// suppress it.)
-fn check_signal_path(
-    name: &str,
-    node: &Node,
-    by_name: &HashMap<&str, &Node>,
-    externals: &HashMap<String, ProtoContract>,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let c = &node.contract;
-    if !(c.sema.awaits_reply && c.sema.wakes_from_demux) {
-        return;
-    }
-    let mut stack: Vec<&str> = node.lowers.iter().map(String::as_str).collect();
-    let mut visited: HashSet<&str> = HashSet::new();
-    let mut inconclusive = stack.is_empty();
-    let mut reaches_device = false;
-    while let Some(cur) = stack.pop() {
-        if !visited.insert(cur) {
-            continue;
-        }
-        match contract_of(cur, by_name, externals) {
-            None => inconclusive = true, // unknown lower: XK003 already fired
-            Some(lc) => match lc.produces {
-                Produce::Opaque => inconclusive = true,
-                Produce::Kind(AddrKind::Device) => reaches_device = true,
-                _ => {}
-            },
-        }
-        if let Some(n) = by_name.get(cur) {
-            stack.extend(n.lowers.iter().map(String::as_str));
-        }
-    }
-    if !reaches_device && !inconclusive {
-        diags.push(Diagnostic {
-            rule: rules::SIGNAL_PATH,
-            severity: Severity::Error,
-            line: node.line,
-            instance: name.to_string(),
-            message: format!(
-                "'{}' parks shepherds on a demux-signalled reply semaphore, but no \
-                 device is reachable below it: no frame can ever arrive to run the \
-                 signaler, so every wait expires",
-                node.ctor
-            ),
-            hint: "wire the stack down to a device protocol (nic), or stop blocking \
-                   on demux-signalled semaphores"
-                .into(),
-        });
-    }
-}
-
-/// XK015: merges every contract's declared lock-acquisition order into one
-/// relation and rejects cycles. Two protocols in one kernel that take the
-/// same locks in opposite orders deadlock under the right interleaving —
-/// exactly the Sched-before-Hosts discipline the simulator documents, enforced
-/// declaratively.
-fn check_lock_order(nodes: &[(String, Node)], diags: &mut Vec<Diagnostic>) {
+/// Merges every contract's declared lock-acquisition order into one
+/// relation and rejects cycles: two protocols in one kernel that take the
+/// same locks in opposite orders deadlock under the right interleaving (the
+/// Sched-before-Hosts discipline the simulator documents, held declaratively).
+fn lock_order(s: &Spec<'_>, f: &mut Findings) {
     // edge (a -> b): a is acquired before b, attributed to the declaring
     // node (last declaration wins; any one is enough for the message).
-    let mut edges: HashMap<&str, BTreeSet<&str>> = HashMap::new();
+    let mut edges: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
     let mut declared_by: HashMap<(&str, &str), (usize, &str)> = HashMap::new();
-    for (name, node) in nodes {
+    for node in s.nodes {
         for w in node.contract.lock_order.windows(2) {
             let (a, b) = (w[0].as_str(), w[1].as_str());
             edges.entry(a).or_default().insert(b);
-            declared_by.insert((a, b), (node.line, name.as_str()));
+            declared_by.insert((a, b), (node.line, node.name.as_str()));
         }
     }
-    // Iterative coloring DFS over sorted roots for deterministic output.
-    let mut locks: Vec<&str> = edges.keys().copied().collect();
-    locks.sort_unstable();
-    let mut done: HashSet<&str> = HashSet::new();
-    for root in locks {
-        if done.contains(root) {
-            continue;
-        }
-        let mut path: Vec<&str> = Vec::new();
-        let mut on_path: HashSet<&str> = HashSet::new();
-        // (lock, next-successor-index) frames.
-        let mut frames: Vec<(&str, usize)> = vec![(root, 0)];
-        while let Some((lock, idx)) = frames.pop() {
-            if idx == 0 {
-                path.push(lock);
-                on_path.insert(lock);
-            }
-            let succs: Vec<&str> = edges
-                .get(lock)
-                .map(|s| s.iter().copied().collect())
-                .unwrap_or_default();
-            if let Some(&next) = succs.get(idx) {
-                frames.push((lock, idx + 1));
-                if on_path.contains(next) {
-                    // Cycle: slice of `path` from `next` onward, closed.
-                    let start = path.iter().position(|l| *l == next).unwrap();
-                    let mut cycle: Vec<&str> = path[start..].to_vec();
-                    cycle.push(next);
-                    // Anchor the diagnostic at the latest-declared edge.
-                    let (line, inst) = cycle
-                        .windows(2)
-                        .filter_map(|w| declared_by.get(&(w[0], w[1])))
-                        .max()
-                        .copied()
-                        .unwrap_or((0, ""));
-                    let order = cycle.join(" -> ");
-                    let holders: BTreeSet<&str> = cycle
-                        .windows(2)
-                        .filter_map(|w| declared_by.get(&(w[0], w[1])))
-                        .map(|(_, n)| *n)
-                        .collect();
-                    diags.push(Diagnostic {
-                        rule: rules::LOCK_ORDER,
-                        severity: Severity::Error,
-                        line,
-                        instance: inst.to_string(),
-                        message: format!(
-                            "conflicting lock-acquisition orders: {order} (declared \
-                             across {holders:?}) — two shepherds taking these locks \
-                             concurrently deadlock"
-                        ),
-                        hint: "pick one global order for the named locks and declare \
-                               it identically in every contract"
-                            .into(),
-                    });
-                    return; // one cycle report per spec is enough
-                }
-                if !done.contains(next) {
-                    frames.push((next, 0));
-                }
-            } else {
-                path.pop();
-                on_path.remove(lock);
-                done.insert(lock);
-            }
-        }
-    }
-}
-
-/// Path-sensitive checks: XK007 (stable-over-virtual), XK008 (header
-/// budget), XK010 (nested shepherd waits). Walks every root-to-leaf path;
-/// graphs are a handful of nodes, so enumeration is cheap.
-fn check_paths(
-    nodes: &[(String, Node)],
-    by_name: &HashMap<&str, &Node>,
-    externals: &HashMap<String, ProtoContract>,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let used: HashSet<&str> = nodes
-        .iter()
-        .flat_map(|(_, n)| n.lowers.iter().map(String::as_str))
+    // Roots in sorted order, for deterministic output; one cycle is enough.
+    let mut done = HashSet::new();
+    let Some(cycle) = edges
+        .keys()
+        .find_map(|root| find_cycle(root, &edges, &mut Vec::new(), &mut done))
+    else {
+        return;
+    };
+    let declared: Vec<(usize, &str)> = cycle
+        .windows(2)
+        .filter_map(|w| declared_by.get(&(w[0], w[1])).copied())
         .collect();
-    let mut seen: HashSet<(usize, &'static str, String, String)> = HashSet::new();
-    for (root, _) in nodes.iter().filter(|(n, _)| !used.contains(n.as_str())) {
-        let mut path: Vec<&str> = Vec::new();
-        walk(root, by_name, &mut path, &mut |path| {
-            check_path(path, by_name, externals, diags, &mut seen);
-        });
-    }
+    // Anchor the diagnostic at the latest-declared edge.
+    let at = declared.iter().max().copied().unwrap_or((0, ""));
+    let holders: BTreeSet<&str> = declared.iter().map(|(_, n)| *n).collect();
+    f.report(
+        Severity::Error,
+        at,
+        format!(
+            "conflicting lock-acquisition orders: {} (declared across {holders:?}) — two \
+             shepherds taking these locks concurrently deadlock",
+            cycle.join(" -> ")
+        ),
+        "pick one global order for the named locks and declare it identically in every \
+         contract",
+    );
 }
 
-fn walk<'a>(
-    name: &'a str,
-    by_name: &HashMap<&str, &'a Node>,
+/// The first cycle a depth-first walk from `lock` meets, closed (its first
+/// lock repeated last). `done` holds the locks whose every successor has
+/// been walked.
+fn find_cycle<'a>(
+    lock: &'a str,
+    edges: &BTreeMap<&'a str, BTreeSet<&'a str>>,
     path: &mut Vec<&'a str>,
-    visit: &mut impl FnMut(&[&str]),
-) {
-    if path.contains(&name) {
-        return; // cycles are reported as XK003; avoid infinite recursion
+    done: &mut HashSet<&'a str>,
+) -> Option<Vec<&'a str>> {
+    if done.contains(lock) {
+        return None;
     }
-    path.push(name);
-    match by_name.get(name) {
-        Some(node) if !node.lowers.is_empty() => {
-            for lower in &node.lowers {
-                walk(lower, by_name, path, visit);
-            }
+    path.push(lock);
+    for &next in edges.get(lock).into_iter().flatten() {
+        if let Some(start) = path.iter().position(|l| *l == next) {
+            let mut cycle = path[start..].to_vec();
+            cycle.push(next);
+            return Some(cycle);
         }
-        _ => visit(path),
+        if let Some(cycle) = find_cycle(next, edges, path, done) {
+            return Some(cycle);
+        }
     }
     path.pop();
-}
-
-fn contract_of<'a>(
-    name: &str,
-    by_name: &'a HashMap<&str, &Node>,
-    externals: &'a HashMap<String, ProtoContract>,
-) -> Option<&'a ProtoContract> {
-    by_name
-        .get(name)
-        .map(|n| &n.contract)
-        .or_else(|| externals.get(name))
-}
-
-fn line_of(name: &str, by_name: &HashMap<&str, &Node>) -> usize {
-    by_name.get(name).map(|n| n.line).unwrap_or(0)
-}
-
-fn check_path(
-    path: &[&str],
-    by_name: &HashMap<&str, &Node>,
-    externals: &HashMap<String, ProtoContract>,
-    diags: &mut Vec<Diagnostic>,
-    seen: &mut HashSet<(usize, &'static str, String, String)>,
-) {
-    let mut push = |rule: &'static str,
-                    severity: Severity,
-                    line: usize,
-                    instance: &str,
-                    message: String,
-                    hint: &str,
-                    diags: &mut Vec<Diagnostic>| {
-        if seen.insert((line, rule, instance.to_string(), message.clone())) {
-            diags.push(Diagnostic {
-                rule,
-                severity,
-                line,
-                instance: instance.to_string(),
-                message,
-                hint: hint.into(),
-            });
-        }
-    };
-
-    // XK007: a stable-participant protocol above an identity virtualizer.
-    for (i, upper) in path.iter().enumerate() {
-        let Some(uc) = contract_of(upper, by_name, externals) else {
-            continue;
-        };
-        if !uc.requires_stable_participants {
-            continue;
-        }
-        for lower in &path[i + 1..] {
-            let Some(lc) = contract_of(lower, by_name, externals) else {
-                continue;
-            };
-            if lc.virtualizes_identity {
-                push(
-                    rules::STABLE_OVER_VIRTUAL,
-                    Severity::Error,
-                    line_of(upper, by_name),
-                    upper,
-                    format!(
-                        "'{}' requires stable participant addresses but is layered above \
-                         '{lower}', which virtualizes participant identity — the Section 5 \
-                         rule: TCP's pseudo-header checksum binds the address VIP rewrites",
-                        uc.name
-                    ),
-                    "compose the stable-participant protocol directly over ip, or use an \
-                     RPC protocol that does not bake addresses into its wire format",
-                    diags,
-                );
-            }
-        }
-    }
-
-    // XK008: header budget. Headers below the lowest re-fragmenting layer
-    // reach the wire as-is; they must leave payload room within the MTU.
-    let hdr = |name: &str| {
-        contract_of(name, by_name, externals)
-            .map(|c| c.max_header_bytes)
-            .unwrap_or(0)
-    };
-    let total: usize = path.iter().map(|n| hdr(n)).sum();
-    let lowest_frag = path
-        .iter()
-        .rposition(|n| contract_of(n, by_name, externals).is_some_and(|c| c.fragments));
-    let wire_burden: usize = match lowest_frag {
-        Some(i) => path[i..].iter().map(|n| hdr(n)).sum(),
-        None => total,
-    };
-    let top = path[0];
-    if wire_burden >= WIRE_MTU {
-        push(
-            rules::HEADER_BUDGET,
-            Severity::Error,
-            line_of(top, by_name),
-            top,
-            format!(
-                "headers below the last fragmenting layer total {wire_burden} bytes, \
-                 >= the {WIRE_MTU}-byte wire MTU: no payload can ever be delivered"
-            ),
-            "insert a fragment layer above the header-heavy protocols, or shrink headers",
-            diags,
-        );
-    } else if total > DEFAULT_HEADROOM {
-        push(
-            rules::HEADER_BUDGET,
-            Severity::Warning,
-            line_of(top, by_name),
-            top,
-            format!(
-                "path headers total {total} bytes, exceeding the {DEFAULT_HEADROOM}-byte \
-                 pre-allocated headroom: push_header falls back to per-header allocation"
-            ),
-            "raise the message headroom or trim the stack (the paper's §5 buffer result)",
-            diags,
-        );
-    }
-
-    // XK010 (warning half): nested reply-waiting layers on one path. The
-    // upper layer's shepherd holds its reply semaphore while the lower
-    // layer's timeout machinery runs — channel exhaustion cascades.
-    let awaiters: Vec<&&str> = path
-        .iter()
-        .filter(|n| contract_of(n, by_name, externals).is_some_and(|c| c.sema.awaits_reply))
-        .collect();
-    if awaiters.len() >= 2 {
-        let top_waiter = awaiters[0];
-        let below: Vec<&str> = awaiters[1..].iter().map(|n| **n).collect();
-        push(
-            rules::SEMA_DISCIPLINE,
-            Severity::Warning,
-            line_of(top_waiter, by_name),
-            top_waiter,
-            format!(
-                "nested shepherd waits: '{top_waiter}' blocks on a reply while {below:?} \
-                 also block below it; a lower-layer timeout pins the upper semaphore and \
-                 can exhaust the channel pool"
-            ),
-            "let exactly one layer in a stack own the request/reply wait",
-            diags,
-        );
-    }
+    done.insert(lock);
+    None
 }
 
 #[cfg(test)]
@@ -1328,21 +1226,15 @@ mod tests {
     #[test]
     fn parse_and_unknown_ctor() {
         let d = run("a: b c d=1\nmystery -> nic0\n");
-        assert!(d.iter().any(|d| d.rule == rules::PARSE && d.line == 1));
-        assert!(d
-            .iter()
-            .any(|d| d.rule == rules::UNKNOWN_CTOR && d.line == 2));
+        assert!(d.iter().any(|d| d.rule == "XK001" && d.line == 1));
+        assert!(d.iter().any(|d| d.rule == "XK002" && d.line == 2));
     }
 
     #[test]
     fn forward_reference_and_duplicate() {
         let d = run("net -> wire\nwire -> nic0\nwire -> nic0\n");
-        assert!(d
-            .iter()
-            .any(|d| d.rule == rules::UNKNOWN_LOWER && d.line == 1));
-        assert!(d
-            .iter()
-            .any(|d| d.rule == rules::DUPLICATE_INSTANCE && d.line == 3));
+        assert!(d.iter().any(|d| d.rule == "XK003" && d.line == 1));
+        assert!(d.iter().any(|d| d.rule == "XK004" && d.line == 3));
     }
 
     #[test]
@@ -1350,35 +1242,29 @@ mod tests {
         let d = run("wire -> nic0\nnet\n");
         assert!(d
             .iter()
-            .any(|d| d.rule == rules::LOWER_ARITY && d.severity == Severity::Error));
+            .any(|d| d.rule == "XK005" && d.severity == Severity::Error));
         let d = run("wire -> nic0\nnet -> wire wire\n");
         assert!(d
             .iter()
-            .any(|d| d.rule == rules::LOWER_ARITY && d.severity == Severity::Warning));
+            .any(|d| d.rule == "XK005" && d.severity == Severity::Warning));
     }
 
     #[test]
     fn kind_mismatch_detected_through_passthrough() {
         // net expects a hardware producer; pass relays nic0's device kind.
         let d = run("pass -> nic0\nnet -> pass\n");
-        assert!(
-            d.iter().any(|d| d.rule == rules::ADDR_KIND && d.line == 2),
-            "{d:?}"
-        );
+        assert!(d.iter().any(|d| d.rule == "XK006" && d.line == 2), "{d:?}");
     }
 
     #[test]
     fn stable_over_virtualizer_is_an_error() {
         let d = run("wire -> nic0\nnet -> wire\nvirt -> net\nstream -> virt\n");
-        let hit = d
-            .iter()
-            .find(|d| d.rule == rules::STABLE_OVER_VIRTUAL)
-            .expect("XK007 fires");
+        let hit = d.iter().find(|d| d.rule == "XK007").expect("XK007 fires");
         assert_eq!(hit.severity, Severity::Error);
         assert!(hit.message.contains("virtualizes participant identity"));
         // Directly over net it is fine.
         let d = run("wire -> nic0\nnet -> wire\nstream -> net\n");
-        assert!(!d.iter().any(|d| d.rule == rules::STABLE_OVER_VIRTUAL));
+        assert!(!d.iter().any(|d| d.rule == "XK007"));
     }
 
     #[test]
@@ -1394,7 +1280,7 @@ mod tests {
         let d = run(&spec);
         assert!(d
             .iter()
-            .any(|d| d.rule == rules::HEADER_BUDGET && d.severity == Severity::Warning));
+            .any(|d| d.rule == "XK008" && d.severity == Severity::Warning));
         assert!(!d.iter().any(|d| d.severity == Severity::Error), "{d:?}");
 
         // 400 pass layers below any fragmenter: 1600 bytes of wire headers.
@@ -1407,7 +1293,7 @@ mod tests {
         let d = run(&spec);
         assert!(d
             .iter()
-            .any(|d| d.rule == rules::HEADER_BUDGET && d.severity == Severity::Error));
+            .any(|d| d.rule == "XK008" && d.severity == Severity::Error));
     }
 
     #[test]
@@ -1415,11 +1301,11 @@ mod tests {
         let d = run("wire -> nic0\nnet -> wire\nrpc channels=many -> net\n");
         assert!(d
             .iter()
-            .any(|d| d.rule == rules::PARAM_SCHEMA && d.severity == Severity::Error));
+            .any(|d| d.rule == "XK009" && d.severity == Severity::Error));
         let d = run("wire -> nic0\nnet -> wire\nrpc bogus=1 -> net\n");
         assert!(d
             .iter()
-            .any(|d| d.rule == rules::PARAM_SCHEMA && d.severity == Severity::Warning));
+            .any(|d| d.rule == "XK009" && d.severity == Severity::Warning));
     }
 
     #[test]
@@ -1428,14 +1314,14 @@ mod tests {
         let d = run("wire -> nic0\nnet -> wire\nstuck -> net\n");
         let hit = d
             .iter()
-            .find(|d| d.rule == rules::SEMA_DISCIPLINE && d.severity == Severity::Error)
+            .find(|d| d.rule == "XK010" && d.severity == Severity::Error)
             .expect("XK010 error fires");
         assert!(hit.message.contains("deadlock"));
         // rpc over stream: two reply-waiting layers nested.
         let d = run("wire -> nic0\nnet -> wire\nstream -> net\nrpc -> stream\n");
         assert!(d
             .iter()
-            .any(|d| d.rule == rules::SEMA_DISCIPLINE && d.severity == Severity::Warning));
+            .any(|d| d.rule == "XK010" && d.severity == Severity::Warning));
     }
 
     #[test]
@@ -1445,7 +1331,7 @@ mod tests {
         let d = lint_spec(spec, ctors(&v), &v, &ext(), &LintOptions::default());
         assert!(d.is_empty(), "{d:?}");
         let mut opts = LintOptions::default();
-        opts.allow.insert(rules::ADDR_KIND.to_string());
+        opts.allow.insert("XK006".to_string());
         let d = lint_spec("pass -> nic0\nnet -> pass\n", ctors(&v), &v, &ext(), &opts);
         assert!(d.is_empty(), "{d:?}");
     }
@@ -1465,16 +1351,13 @@ mod tests {
             &ext(),
             &LintOptions::default(),
         );
-        let hit = d
-            .iter()
-            .find(|d| d.rule == rules::WAIT_HOLDING_SLOT)
-            .expect("XK011 fires");
+        let hit = d.iter().find(|d| d.rule == "XK011").expect("XK011 fires");
         assert_eq!(hit.severity, Severity::Error);
         assert_eq!(hit.instance, "leaky");
         assert!(hit.message.contains("transaction slot"), "{}", hit.message);
         // The audited vocabulary is clean.
         let d = run("wire -> nic0\nnet -> wire\nstream -> net\n");
-        assert!(!d.iter().any(|d| d.rule == rules::WAIT_HOLDING_SLOT));
+        assert!(!d.iter().any(|d| d.rule == "XK011"));
     }
 
     #[test]
@@ -1482,15 +1365,12 @@ mod tests {
         // stream's reply semaphore is V'd from demux, but float bottoms out
         // without ever reaching a device: the signaler can never run.
         let d = run("float\nstream -> float\n");
-        let hit = d
-            .iter()
-            .find(|d| d.rule == rules::SIGNAL_PATH)
-            .expect("XK012 fires");
+        let hit = d.iter().find(|d| d.rule == "XK012").expect("XK012 fires");
         assert_eq!(hit.severity, Severity::Error);
         assert_eq!(hit.instance, "stream");
         // With a real wire underneath, the same layer is clean.
         let d = run("wire -> nic0\nnet -> wire\nstream -> net\n");
-        assert!(!d.iter().any(|d| d.rule == rules::SIGNAL_PATH), "{d:?}");
+        assert!(!d.iter().any(|d| d.rule == "XK012"), "{d:?}");
     }
 
     #[test]
@@ -1507,10 +1387,7 @@ mod tests {
             &ext(),
             &LintOptions::default(),
         );
-        let hit = d
-            .iter()
-            .find(|d| d.rule == rules::BLOCK_DECL)
-            .expect("XK013 fires");
+        let hit = d.iter().find(|d| d.rule == "XK013").expect("XK013 fires");
         assert_eq!(hit.severity, Severity::Error);
         assert_eq!(hit.instance, "undeclared");
         assert!(hit.message.contains("Sema"), "{}", hit.message);
@@ -1531,10 +1408,7 @@ mod tests {
             &ext(),
             &LintOptions::default(),
         );
-        let hit = d
-            .iter()
-            .find(|d| d.rule == rules::BLOCK_DECL_EXCESS)
-            .expect("XK014 fires");
+        let hit = d.iter().find(|d| d.rule == "XK014").expect("XK014 fires");
         assert_eq!(hit.severity, Severity::Warning);
         assert_eq!(hit.instance, "wired");
     }
@@ -1542,10 +1416,7 @@ mod tests {
     #[test]
     fn xk015_conflicting_lock_orders_are_a_cycle() {
         let d = run("wire -> nic0\nnet -> wire\nlocka -> net\nlockb -> net\n");
-        let hit = d
-            .iter()
-            .find(|d| d.rule == rules::LOCK_ORDER)
-            .expect("XK015 fires");
+        let hit = d.iter().find(|d| d.rule == "XK015").expect("XK015 fires");
         assert_eq!(hit.severity, Severity::Error);
         assert!(
             hit.message.contains("L1") && hit.message.contains("L2"),
@@ -1559,21 +1430,18 @@ mod tests {
         );
         // One consistent order across the spec is clean.
         let d = run("wire -> nic0\nnet -> wire\nlocka -> net\nla2: locka -> net\n");
-        assert!(!d.iter().any(|d| d.rule == rules::LOCK_ORDER), "{d:?}");
+        assert!(!d.iter().any(|d| d.rule == "XK015"), "{d:?}");
     }
 
     #[test]
     fn xk016_crashable_without_reboot_hook() {
         let d = run("wire -> nic0\nnet -> wire\nfragile -> net\n");
-        let hit = d
-            .iter()
-            .find(|d| d.rule == rules::REBOOT_HOOKS)
-            .expect("XK016 fires");
+        let hit = d.iter().find(|d| d.rule == "XK016").expect("XK016 fires");
         assert_eq!(hit.severity, Severity::Error);
         assert_eq!(hit.instance, "fragile");
         // rpc declares both crashable and reboots: clean.
         let d = run("wire -> nic0\nnet -> wire\nrpc -> net\n");
-        assert!(!d.iter().any(|d| d.rule == rules::REBOOT_HOOKS), "{d:?}");
+        assert!(!d.iter().any(|d| d.rule == "XK016"), "{d:?}");
     }
 
     #[test]
@@ -1596,11 +1464,7 @@ mod tests {
     #[test]
     fn diagnostics_render_with_rule_and_hint() {
         let d = run("wire -> nic0\nnet -> wire\nvirt -> net\nstream -> virt\n");
-        let msg = d
-            .iter()
-            .find(|d| d.rule == rules::STABLE_OVER_VIRTUAL)
-            .unwrap()
-            .to_string();
+        let msg = d.iter().find(|d| d.rule == "XK007").unwrap().to_string();
         assert!(msg.contains("XK007") && msg.contains("hint:"), "{msg}");
     }
 }

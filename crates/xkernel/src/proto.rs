@@ -164,7 +164,7 @@ impl ControlRes {
 const WRONG_RESULT: XError = XError::Unsupported("control result of another type");
 
 /// A protocol object: creates sessions and demultiplexes incoming messages.
-pub trait Protocol {
+pub trait Protocol: Any {
     /// Short protocol name, e.g. `"ip"`.
     fn name(&self) -> &'static str;
 
@@ -283,10 +283,6 @@ pub trait Protocol {
     fn contract(&self) -> crate::lint::ProtoContract {
         crate::lint::ProtoContract::opaque(self.name())
     }
-
-    /// Downcast support (e.g. registering server procedures on a concrete
-    /// SELECT protocol held behind `Rc<dyn Protocol>`).
-    fn as_any(&self) -> &dyn Any;
 }
 
 /// Span-entering wrapper for [`Session`] handles.
@@ -357,7 +353,7 @@ impl TracedProtocol for ProtocolRef {
 }
 
 /// A session object: one end-point of a network connection.
-pub trait Session {
+pub trait Session: Any {
     /// The protocol this session belongs to.
     fn protocol_id(&self) -> ProtoId;
 
@@ -381,9 +377,6 @@ pub trait Session {
     fn close(&self, _ctx: &Ctx) -> XResult<()> {
         Ok(())
     }
-
-    /// Downcast support.
-    fn as_any(&self) -> &dyn Any;
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use crate::cell::{Counter, OwnerCell};
+use crate::cell::{tally, OwnerCell};
 
 use crate::error::XResult;
 use crate::graph::GraphArgs;
@@ -103,12 +103,7 @@ struct PoolState {
 pub struct Shepherds {
     cfg: ShepherdConfig,
     st: OwnerCell<PoolState>,
-    submitted: Cell<u64>,
-    executed: Cell<u64>,
-    dropped: Cell<u64>,
-    rejected: Cell<u64>,
-    peak_queue: Cell<u64>,
-    peak_workers: Cell<u64>,
+    stats: Cell<ShepherdStats>,
 }
 
 impl Shepherds {
@@ -120,25 +115,13 @@ impl Shepherds {
                 active: 0,
                 queue: VecDeque::new(),
             }),
-            submitted: Cell::new(0),
-            executed: Cell::new(0),
-            dropped: Cell::new(0),
-            rejected: Cell::new(0),
-            peak_queue: Cell::new(0),
-            peak_workers: Cell::new(0),
+            stats: Cell::default(),
         })
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> ShepherdStats {
-        ShepherdStats {
-            submitted: self.submitted.get(),
-            executed: self.executed.get(),
-            dropped: self.dropped.get(),
-            rejected: self.rejected.get(),
-            peak_queue: self.peak_queue.get(),
-            peak_workers: self.peak_workers.get(),
-        }
+        self.stats.get()
     }
 
     /// Overwrites the counters with `s` — whole-sim snapshot restore
@@ -155,12 +138,7 @@ impl Shepherds {
             st.active = 0;
             st.queue.clear();
         }
-        self.submitted.set(s.submitted);
-        self.executed.set(s.executed);
-        self.dropped.set(s.dropped);
-        self.rejected.set(s.rejected);
-        self.peak_queue.set(s.peak_queue);
-        self.peak_workers.set(s.peak_workers);
+        self.stats.set(s);
     }
 
     /// Runs one request's server work — the one place that decides how.
@@ -194,11 +172,12 @@ impl Shepherds {
     /// Hands `job` to a worker or the queue (`None`), or refuses it per the
     /// overload policy (`Some`).
     fn submit(self: &Rc<Shepherds>, ctx: &Ctx, job: Job) -> Option<Overload> {
-        self.submitted.bump();
+        tally(&self.stats, |s| s.submitted += 1);
         let mut st = self.st.lock();
         if st.active < self.cfg.workers {
             st.active += 1;
-            raise(&self.peak_workers, st.active as u64);
+            let active = st.active as u64;
+            tally(&self.stats, |s| s.peak_workers = s.peak_workers.max(active));
             drop(st);
             // Interrupt-side handoff to a shepherd process.
             ctx.charge_class(OpClass::Dispatch, ctx.cost().dispatch);
@@ -207,16 +186,17 @@ impl Shepherds {
             None
         } else if st.queue.len() < self.cfg.pending {
             st.queue.push_back(job);
-            raise(&self.peak_queue, st.queue.len() as u64);
+            let queued = st.queue.len() as u64;
+            tally(&self.stats, |s| s.peak_queue = s.peak_queue.max(queued));
             drop(st);
             ctx.charge_class(OpClass::Dispatch, ctx.cost().dispatch);
             None
         } else {
             drop(st);
-            match self.cfg.policy {
-                Overload::Drop => self.dropped.bump(),
-                Overload::Reject => self.rejected.bump(),
-            };
+            tally(&self.stats, |s| match self.cfg.policy {
+                Overload::Drop => s.dropped += 1,
+                Overload::Reject => s.rejected += 1,
+            });
             Some(self.cfg.policy)
         }
     }
@@ -224,7 +204,7 @@ impl Shepherds {
     fn worker(self: Rc<Shepherds>, ctx: &Ctx, first: Job) {
         let mut job = first;
         loop {
-            self.executed.bump();
+            tally(&self.stats, |s| s.executed += 1);
             job(ctx);
             let next = {
                 let mut st = self.st.lock();
@@ -246,9 +226,4 @@ impl Shepherds {
             }
         }
     }
-}
-
-/// `mark = max(mark, v)`.
-fn raise(mark: &Cell<u64>, v: u64) {
-    mark.set(mark.get().max(v));
 }

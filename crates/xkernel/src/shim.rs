@@ -10,7 +10,6 @@
 //!   SunOS socket stack). See `DESIGN.md` §1; it adds no header and changes
 //!   no bytes.
 
-use std::any::Any;
 use std::rc::Rc;
 
 use crate::addr::ParticipantSet;
@@ -102,10 +101,6 @@ impl Session for NullSession {
             other => self.lower.control(ctx, other),
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 impl Protocol for NullLayer {
@@ -173,10 +168,6 @@ impl Protocol for NullLayer {
             }
             other => ctx.kernel_ref().control(ctx, self.down, other),
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -253,10 +244,6 @@ impl Session for HandicapSession {
     fn control(&self, ctx: &Ctx, op: &ControlOp) -> XResult<ControlRes> {
         self.lower.control(ctx, op)
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 impl Protocol for HandicapLayer {
@@ -309,10 +296,6 @@ impl Protocol for HandicapLayer {
 
     fn control(&self, ctx: &Ctx, op: &ControlOp) -> XResult<ControlRes> {
         ctx.kernel_ref().control(ctx, self.down, op)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

@@ -54,10 +54,6 @@ impl Session for ProbeSession {
             None => Ok(None),
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 impl Protocol for Probe {
@@ -100,10 +96,6 @@ impl Protocol for Probe {
             Some(upper) => ctx.kernel_ref().demux_to(ctx, upper, lls, msg),
             None => Ok(()),
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -173,11 +165,8 @@ fn crossings_hold_no_clone(cfg: SimConfig) {
         .expect("push chain runs");
 
     for ((probe, rest), name) in rig.probes.iter().zip(&at_rest).zip(NAMES) {
-        let seen = probe
-            .as_any()
-            .downcast_ref::<Probe>()
-            .expect("a probe")
-            .take();
+        let probe: &dyn Any = &**probe;
+        let seen = probe.downcast_ref::<Probe>().expect("a probe").take();
         assert_eq!(seen.len(), 2, "{name}: one demux and one push");
         for reading in seen {
             assert_eq!(

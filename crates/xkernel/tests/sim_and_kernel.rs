@@ -60,10 +60,6 @@ impl Session for LoopSession {
             _ => Err(XError::Unsupported("loopback session control")),
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 impl Protocol for Loopback {
@@ -109,10 +105,6 @@ impl Protocol for Loopback {
             .ok_or(Reject::NoEnable("loopback number"))?;
         ctx.kernel().demux_to(ctx, upper, lls, msg)
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// Top protocol that records everything demuxed into it.
@@ -153,10 +145,6 @@ impl Protocol for Sink {
         self.got.lock().unwrap().push(msg.to_vec());
         self.sema.v(ctx);
         Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -417,7 +405,8 @@ fn run_stack(mode: Mode) -> Vec<Vec<u8>> {
     }
 
     let sink = sim.kernel_of(HostId(0)).get("sink").unwrap();
-    let sink = sink.as_any().downcast_ref::<Sink>().unwrap();
+    let sink: &dyn Any = &*sink;
+    let sink = sink.downcast_ref::<Sink>().unwrap();
     let got = sink.got.lock().unwrap().clone();
     got
 }
@@ -613,10 +602,6 @@ impl Protocol for RebootProbe {
     fn reboot(&self, _ctx: &Ctx) -> XResult<()> {
         *self.reboots.lock().unwrap() += 1;
         Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

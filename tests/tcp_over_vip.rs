@@ -75,7 +75,7 @@ fn tcp_over_vip_is_rejected_statically() {
     };
     let hit = diags
         .iter()
-        .find(|d| d.rule == xkernel::lint::rules::STABLE_OVER_VIRTUAL)
+        .find(|d| d.rule == "XK007")
         .expect("XK007 cites the stable-participant rule");
     assert_eq!(hit.severity, xkernel::lint::Severity::Error);
     assert_eq!(hit.instance, "tcp");
