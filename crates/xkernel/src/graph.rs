@@ -29,9 +29,9 @@
 //! [`crate::lint`] pass over the spec before constructing anything, using
 //! the [`crate::lint::ProtoContract`]s registered alongside each
 //! constructor ([`ProtocolRegistry::add_contract`]). Error-level findings
-//! reject the build with [`XError::Lint`]; see `crate::lint` for the rule
-//! catalogue (XK001–XK010) and the `# xk-lint: allow=` suppression
-//! directive. [`ProtocolRegistry::build_unchecked`] skips the pass for
+//! reject the build with [`XError::Lint`]; see [`crate::lint::RULES`] for
+//! the rule catalogue and `crate::lint` for the `# xk-lint: allow=`
+//! suppression directive. [`ProtocolRegistry::build_unchecked`] skips the pass for
 //! specs that are deliberately ill-formed (e.g. reproducing the paper's
 //! TCP-over-VIP failure at run time), and [`ProtocolRegistry::set_lint_mode`]
 //! downgrades enforcement registry-wide.
