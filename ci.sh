@@ -153,6 +153,12 @@ forbid --but 2 'thread_local!' 'memory a simulation recycles kept per thread (ke
 forbid --but 1 '(^|[^[:alnum:]_ ]) *Diagnostic \{' \
     'a lint diagnostic built by hand (report it through lint::Findings::report)' \
     crates/*/src crates/*/tests src tests examples
+# No contract declares a lock order over the engine's "sched" and "hosts"
+# locks: neither has existed since in-simulation state became Rc/Cell
+# (DESIGN.md §11), so XK015 would check an order nothing acquires.
+forbid 'KERNEL_LOCKS|\.locks\(.*"(sched|hosts)"' \
+    'a lock order naming the engine locks that no longer exist (declare only locks the code takes)' \
+    crates/*/src
 # Protocol and Session have Any as a supertrait: a downcast upcasts the
 # trait object (`let any: &dyn Any = &*p;`).
 forbid 'fn as_any' 'an as_any downcast hook (upcast the trait object to &dyn Any)' \

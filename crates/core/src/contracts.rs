@@ -7,13 +7,6 @@ use xkernel::lint::{AddrKind, BlockPoint, ProtoContract, SemaContract};
 use crate::hdr::{CHANNEL_HDR_LEN, FRAGMENT_HDR_LEN, SELECT_HDR_LEN, SPRITE_HDR_LEN};
 use crate::txn::awaits_reply;
 
-/// The lock-acquisition order every blocking layer observes inside the
-/// kernel: the scheduler lock strictly before the per-host state lock
-/// (the simulator documents sched -> hosts -> trace; trace is a leaf no
-/// protocol touches directly). XK015 rejects any contract set that merges
-/// into a cycle with this.
-const KERNEL_LOCKS: [&str; 2] = ["sched", "hosts"];
-
 /// Monolithic Sprite RPC: delivery over internet or raw-hardware
 /// addressing (ARP as an optional trailing resolver capability);
 /// fragments internally; takes a channel from its pool, then blocks
@@ -29,10 +22,7 @@ pub fn sprite() -> ProtoContract {
         .param("shepherds", false, true)
         .param("pending", false, true)
         .param("policy", false, false);
-    awaits_reply(c, true)
-        .locks(&KERNEL_LOCKS)
-        .crashable()
-        .reboots()
+    awaits_reply(c, true).crashable().reboots()
 }
 
 /// FRAGMENT: cuts oversized messages to the lower layer's packet size.
@@ -55,10 +45,7 @@ pub fn channel() -> ProtoContract {
         .header(CHANNEL_HDR_LEN)
         .demux_key_bits(32)
         .param("adaptive", false, true);
-    awaits_reply(c, false)
-        .locks(&KERNEL_LOCKS)
-        .crashable()
-        .reboots()
+    awaits_reply(c, false).crashable().reboots()
 }
 
 /// SELECT: procedure selection + channel allocation. Its semaphore is a
@@ -79,7 +66,6 @@ pub fn select() -> ProtoContract {
             wakes_from_demux: false,
         })
         .blocks(&[BlockPoint::Sema])
-        .locks(&KERNEL_LOCKS)
         .crashable()
         .reboots()
 }

@@ -82,6 +82,5 @@ pub fn tcp() -> ProtoContract {
             wakes_from_demux: true,
         })
         .blocks(&[BlockPoint::Sema, BlockPoint::Timer])
-        .locks(&["sched", "hosts"])
         .clears_slot_on_error() // connect failure frees the port binding
 }

@@ -384,7 +384,6 @@ pub fn psync_contract() -> xkernel::lint::ProtoContract {
             wakes_from_demux: true,
         })
         .blocks(&[BlockPoint::Sema, BlockPoint::Timer])
-        .locks(&["sched", "hosts"])
         .clears_slot_on_error() // receive timeout abandons the waiter entry
 }
 

@@ -15,10 +15,7 @@ pub fn request_reply() -> ProtoContract {
         .param("shepherds", false, true)
         .param("pending", false, true)
         .param("policy", false, false);
-    awaits_reply(c, false)
-        .locks(&["sched", "hosts"])
-        .crashable()
-        .reboots()
+    awaits_reply(c, false).crashable().reboots()
 }
 
 /// The composable auth layers (`auth_none`, `auth_unix`): an XDR
