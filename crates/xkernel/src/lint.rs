@@ -558,8 +558,9 @@ impl Findings {
         });
     }
 
-    /// Keeps the first of each repeated finding: a path rule meets the same
-    /// layers on every path through them.
+    /// Keeps the first of each repeated finding, wherever it falls: a path
+    /// rule meets the same layers on every path through them, and a line
+    /// may name one undefined lower twice. The one dedup of a lint run.
     fn distinct(&mut self) {
         for d in std::mem::take(&mut self.found) {
             if !self.found.contains(&d) {
@@ -643,10 +644,10 @@ pub fn lint_spec(
             found: Vec::new(),
         };
         (rule.check)(&ctx, &mut findings);
+        findings.distinct();
         diags.append(&mut findings.found);
     }
     diags.sort_by_key(|d| (d.line, d.rule, d.instance.clone()));
-    diags.dedup();
     diags
 }
 
@@ -797,7 +798,6 @@ fn stable_over_virtual(s: &Spec<'_>, f: &mut Findings) {
             }
         }
     }
-    f.distinct();
 }
 
 /// Headers below the lowest re-fragmenting layer reach the wire as-is; they
@@ -833,7 +833,6 @@ fn header_budget(s: &Spec<'_>, f: &mut Findings) {
             );
         }
     }
-    f.distinct();
 }
 
 fn params(s: &Spec<'_>, f: &mut Findings) {
@@ -904,7 +903,6 @@ fn sema_discipline(s: &Spec<'_>, f: &mut Findings) {
             );
         }
     }
-    f.distinct();
 }
 
 /// A reply wait holds a transaction slot (a channel, an outstanding-call

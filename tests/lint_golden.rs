@@ -99,6 +99,17 @@ fn cases() -> Vec<Case> {
                 "line 1: warning XK005 [fan] 'null' uses at most 1 lower(s); capabilities [\"x\"] are dangling (never opened) (hint: drop the unused lower(s) — dead capabilities hide wiring mistakes)",
             ],
         ),
+        // Named twice with another between: still one finding each.
+        case(
+            "xk003_forward_reference_breaks_bottom_up_wiring",
+            "XK003",
+            "a: null -> x y x\n",
+            &[
+                "line 1: error XK003 [a] lower 'x' is not defined on an earlier line (the graph is configured bottom-up, so this also rejects cycles) (hint: move the line defining 'x' above this one)",
+                "line 1: error XK003 [a] lower 'y' is not defined on an earlier line (the graph is configured bottom-up, so this also rejects cycles) (hint: move the line defining 'y' above this one)",
+                "line 1: warning XK005 [a] 'null' uses at most 1 lower(s); capabilities [\"y\", \"x\"] are dangling (never opened) (hint: drop the unused lower(s) — dead capabilities hide wiring mistakes)",
+            ],
+        ),
         case(
             "xk004_duplicate_instance",
             "XK004",
