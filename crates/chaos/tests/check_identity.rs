@@ -57,7 +57,7 @@ fn repeated_calls_do_not_false_positive_on_reply_semaphores() {
     );
     assert_eq!(
         (check.lps, check.semas),
-        (69, 18),
+        (37, 18),
         "processes and semaphores seen"
     );
 }

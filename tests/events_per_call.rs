@@ -20,9 +20,10 @@ use common::null_call::{
 
 #[test]
 fn a_warm_scheduled_null_call_is_the_pinned_events_and_fuel() {
-    // L_RPC-VIP's 6 events are the other stacks' 4 plus FRAGMENT's two
-    // discard timers, one for the request and one for the reply.
-    let pinned = [(4, 37, 2), (4, 61, 2), (4, 41, 2), (6, 68, 2), (4, 49, 2)];
+    // L_RPC-VIP's 4 events are the other stacks' 4: FRAGMENT's copy of the
+    // request and of the reply expires by its age, and files no discard
+    // timer (its `timer_op` is still charged, so fuel counts both).
+    let pinned = [(4, 37, 2), (4, 61, 2), (4, 41, 2), (4, 68, 2), (4, 49, 2)];
     for (stack, (events, fuel, peak_live)) in PAPER_STACKS.into_iter().zip(pinned) {
         assert_eq!(
             paper_scheduled_null_call(stack),
