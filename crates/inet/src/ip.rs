@@ -370,11 +370,29 @@ impl Ip {
                 total_payload: None,
                 have: 0,
             });
-            if !hdr.more_frags {
-                ent.total_payload = Some(usize::from(hdr.frag_off) * 8 + msg.len());
+            // A fragment must land on bytes nothing holds (an exact duplicate
+            // is absorbed) and end within the datagram; a last one must end
+            // past every held byte. (A known total is a held part's end.)
+            let at = |off: &u16| usize::from(*off) * 8;
+            let end = |(off, m): (&u16, &Message)| at(off) + m.len();
+            let (lo, hi) = (at(&hdr.frag_off), at(&hdr.frag_off) + msg.len());
+            let above = ent.parts.range(hdr.frag_off..).next();
+            let below = ent.parts.range(..hdr.frag_off).next_back();
+            let duplicate = above.is_some_and(|(o, m)| *o == hdr.frag_off && m.len() == msg.len());
+            let overlaps = below.is_some_and(|p| end(p) > lo)
+                || above.is_some_and(|(o, _)| at(o) < hi || *o == hdr.frag_off);
+            let past_total = ent.total_payload.is_some_and(|t| hi > t);
+            let short_last =
+                !hdr.more_frags && ent.parts.last_key_value().is_some_and(|p| end(p) > hi);
+            if past_total || short_last || (overlaps && !duplicate) {
+                return Err(Reject::Corrupt("ip fragment overlap").into());
             }
-            if ent.parts.insert(hdr.frag_off, msg.clone()).is_none() {
+            if !duplicate {
+                ent.parts.insert(hdr.frag_off, msg.clone());
                 ent.have += msg.len();
+            }
+            if !hdr.more_frags {
+                ent.total_payload = Some(hi);
             }
             match ent.total_payload {
                 Some(t) if ent.have >= t => {
@@ -386,10 +404,7 @@ impl Ip {
             }
         };
         match complete {
-            None => {
-                // First fragment arms the give-up timer.
-                Ok(())
-            }
+            None => Ok(()),
             Some(parts) => {
                 let whole = Message::concat(parts.into_values());
                 tally(&self.stats, |s| s.reassembled += 1);

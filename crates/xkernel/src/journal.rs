@@ -5,10 +5,11 @@
 //! shape a run's schedule and are worth persisting so a run can be replayed,
 //! audited, or bisected long after the process that produced it is gone:
 //!
-//! * **Event-heap tie picks** — when a [`crate::sim::ScheduleChooser`] is
-//!   installed, every same-time tie becomes a forced choice; the journal
-//!   records each pick so [`Journal::chooser`] can replay the exact
-//!   interleaving without the original chooser.
+//! * **Event-heap tie picks** — while the journal records, every same-time
+//!   tie is a forced choice: a [`crate::sim::ScheduleChooser`] picks if one
+//!   is installed, the first tied event otherwise. The journal records each
+//!   pick so [`Journal::chooser`] can replay the exact interleaving without
+//!   the original chooser.
 //! * **Fault draws** — the realized outcome of every injected network fault
 //!   (drop, duplicate, corrupt, delay), recorded by simnet as packets meet
 //!   the fault schedule. This is the timeline the chaos bisect driver walks.
@@ -269,10 +270,11 @@ impl Journal {
     }
 
     /// A [`ScheduleChooser`] that replays this journal's tie picks in
-    /// order. Once the picks are exhausted (or if the recording run had no
-    /// chooser installed) it picks index 0, which is exactly the plain
-    /// insertion-order tie-break — so replaying a chooser-free journal is a
-    /// no-op, and replaying an explored schedule reproduces it.
+    /// order. A recording run files a pick for every tie, chooser or not (0,
+    /// the plain insertion-order tie-break, without one), so a replay that
+    /// journals too re-records the same stream: replaying a chooser-free
+    /// journal changes no schedule, and replaying an explored schedule
+    /// reproduces it. Once the picks are exhausted it picks index 0.
     pub fn chooser(&self) -> JournalChooser {
         JournalChooser {
             picks: self.tie_picks().into(),

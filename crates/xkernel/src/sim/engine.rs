@@ -925,7 +925,7 @@ fn advance(core: &Rc<SimCore>, g: &mut Engine, stop: Time) -> Next {
         let Some(first) = g.pop_through(stop) else {
             return Next::Drained;
         };
-        let (t, seq, slot) = if g.chooser.is_none() {
+        let (t, seq, slot) = if g.chooser.is_none() && !core.journaling() {
             first
         } else {
             pick_tie(core, g, first)
@@ -1062,26 +1062,22 @@ fn advance(core: &Rc<SimCore>, g: &mut Engine, stop: Time) -> Next {
     }
 }
 
-/// A chooser is installed, so same-time ties are forced-choice points: takes
-/// every live event tied with `first` (they surface seq-ascending), lets the
-/// chooser pick, and puts the rest back.
+/// A chooser is installed or the journal records, so same-time ties are
+/// forced-choice points: takes every live event tied with `first` (they
+/// surface seq-ascending), lets the chooser pick (with none, the first, as a
+/// plain run does), and puts the rest back.
 fn pick_tie(core: &SimCore, g: &mut Engine, first: Key) -> Key {
-    let mut ties = vec![first];
     // `first` was the earliest key, so whatever is due through its time is
     // tied with it.
+    let Some(second) = g.pop_through(first.0) else {
+        return first;
+    };
+    let mut ties = vec![first, second];
     while let Some(tied) = g.pop_through(first.0) {
         ties.push(tied);
     }
     let n = ties.len();
-    if n == 1 {
-        return first;
-    }
-    let pick = g
-        .chooser
-        .as_mut()
-        .expect("chooser checked present")
-        .choose(n)
-        .min(n - 1);
+    let pick = g.chooser.as_mut().map_or(0, |c| c.choose(n).min(n - 1));
     let tie = JournalRecord::TiePick {
         n: n as u32,
         pick: pick as u32,

@@ -87,6 +87,12 @@ impl SimCore {
         self.observing.get() & bits != 0
     }
 
+    /// Whether the journal records: a journaled run files every tie pick.
+    #[inline]
+    pub(super) fn journaling(&self) -> bool {
+        self.observing(JOURNAL)
+    }
+
     /// Tells the observers what `p` builds, from code not holding the engine:
     /// `p` runs for its variant (a constant) and again only behind the guard,
     /// so a probe no observer hears builds nothing and enters no cell.

@@ -443,8 +443,8 @@ const PROG: u32 = 100_003;
 const VERS: u32 = 2;
 const PROC: u32 = 1;
 
-#[test]
-fn sun_rpc_udp_refuses_at_udp_request_reply_and_auth() {
+/// SUNRPC-UDP with a counting null procedure.
+fn sun_rpc_udp_rig() -> Rig {
     let executed = Rc::new(Cell::new(0));
     let exchange = Box::new(|lan: &Lan| {
         let ctx = lan.sim.ctx(lan.kernels[0].host());
@@ -462,6 +462,12 @@ fn sun_rpc_udp_refuses_at_udp_request_reply_and_auth() {
         });
     })
     .unwrap();
+    rig
+}
+
+#[test]
+fn sun_rpc_udp_refuses_at_udp_request_reply_and_auth() {
+    let rig = sun_rpc_udp_rig();
     let req = rig.warm_request();
     // UDP payload: REQUEST_REPLY's 12 bytes, AUTH_UNIX's 32, SUN_SELECT's 16.
     // A frame that passes AUTH leaves a reply-path wrapper in its cache, as
@@ -511,6 +517,59 @@ fn sun_rpc_udp_refuses_at_udp_request_reply_and_auth() {
             )
         },
     ]);
+}
+
+/// IP reassembles a datagram only from fragments that tile it. A fragment
+/// that overlaps held bytes, ends past the datagram's last byte, or is a last
+/// fragment ending before held bytes is refused at `ip`; an exact duplicate
+/// is absorbed; and the pieces that fit complete the datagram.
+#[test]
+fn ip_refuses_fragments_that_do_not_tile_their_datagram() {
+    let rig = sun_rpc_udp_rig();
+    let req = rig.warm_request();
+    assert_eq!(req.len(), IP + 68, "a 68-byte IP payload");
+    let data = [&req[IP..], &[0; 16]].concat();
+    // Bytes [lo, hi) of the request's IP payload, as a fragment of a datagram
+    // with an id of its own.
+    let piece = |lo: usize, hi: usize, more: bool| {
+        let mut f = req[..IP].to_vec();
+        f[ETH + 2..ETH + 4].copy_from_slice(&((20 + hi - lo) as u16).to_be_bytes());
+        f[ETH + 4..ETH + 6].copy_from_slice(&0x7777u16.to_be_bytes());
+        let ff = (lo / 8) as u16 | if more { 0x2000 } else { 0 };
+        f[ETH + 6..ETH + 8].copy_from_slice(&ff.to_be_bytes());
+        f.extend_from_slice(&data[lo..hi]);
+        ip_summed(f)
+    };
+    let server = rig.lan.kernels[1].host();
+    let at_ip = || {
+        let rows = rig.lan.sim.rejects().into_iter();
+        rows.filter(move |r| (r.host, r.layer) == (server, "ip"))
+    };
+    let refused = || at_ip().map(|r| r.count).sum::<u64>();
+    for (what, frame, refuse, execute) in [
+        ("[0, 16)", piece(0, 16, true), false, false),
+        ("[0, 16) again", piece(0, 16, true), false, false),
+        ("[8, 24), over held bytes", piece(8, 24, true), true, false),
+        ("[32, 48)", piece(32, 48, true), false, false),
+        ("[24, 40), overlapping", piece(24, 40, true), true, false),
+        ("[16, 24) as the last", piece(16, 24, false), true, false),
+        ("[48, 68), the last", piece(48, 68, false), false, false),
+        ("[72, 80), past the last", piece(72, 80, true), true, false),
+        ("[16, 32), the hole", piece(16, 32, true), false, true),
+    ] {
+        let (was_refused, was_executed) = (refused(), rig.executed.get());
+        rig.inject(&frame);
+        assert_eq!(
+            (refused() - was_refused, rig.executed.get() - was_executed),
+            (u64::from(refuse), u64::from(execute)),
+            "{what}: (refused at ip, executed)"
+        );
+    }
+    assert!(
+        at_ip().all(|r| discriminant(&r.why) == discriminant(&CORRUPT)),
+        "refused as corrupt"
+    );
+    rig.exchange();
 }
 
 #[test]
