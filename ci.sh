@@ -5,6 +5,41 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# loc [REV]: product lines per crate and in total, counted as ROADMAP.md
+# counts them — each tracked crates/*/src file up to its first #[cfg(test)] —
+# in the work tree, or at REV. `./ci.sh loc [REV]` runs this step alone; a
+# change's net is the difference between `./ci.sh loc HEAD~1` and
+# `./ci.sh loc`.
+loc() {
+    local rev=${1:-} f crate n total=0
+    local count='/#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n + 0 }'
+    local -A per=()
+    while IFS= read -r f; do
+        crate=${f#crates/}
+        crate=${crate%%/*}
+        if [ -n "$rev" ]; then
+            n=$(git show "$rev:$f" | awk "$count")
+        else
+            n=$(awk "$count" "$f")
+        fi
+        per[$crate]=$((${per[$crate]:-0} + n))
+        total=$((total + n))
+    done < <(if [ -n "$rev" ]; then git ls-tree -r --name-only "$rev" -- crates; else git ls-files -- crates; fi |
+        grep -E '^crates/[^/]+/src/.*\.rs$')
+    for crate in $(printf '%s\n' "${!per[@]}" | sort); do
+        printf 'loc: %-8s %6d\n' "$crate" "${per[$crate]}"
+    done
+    printf 'loc: %-8s %6d\n' total "$total"
+}
+if [ "${1:-}" = loc ]; then
+    shift
+    loc "$@"
+    exit 0
+fi
+
+echo "==> loc: product lines per crate (ROADMAP.md's count)"
+loc
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -168,6 +203,13 @@ forbid --but 1 '(^|[^[:alnum:]_ ]) *Diagnostic \{' \
 # (DESIGN.md §11), so XK015 would check an order nothing acquires.
 forbid 'KERNEL_LOCKS|\.locks\(.*"(sched|hosts)"' \
     'a lock order naming the engine locks that no longer exist (declare only locks the code takes)' \
+    crates/*/src
+# A protocol kind is stated once, at registration (DESIGN.md §13): its
+# contract goes to ProtocolRegistry::add with its constructor and its kernel
+# slot keeps it; a protocol's number over its lower is read from the kinds
+# there (xrpc::protnum::num_over), not from a name copied at boot.
+forbid 'add_contract|lower_name' \
+    'a protocol kind stated twice (pass the contract to ProtocolRegistry::add; number through protnum::num_over)' \
     crates/*/src
 # Protocol and Session have Any as a supertrait: a downcast upcasts the
 # trait object (`let any: &dyn Any = &*p;`).

@@ -38,9 +38,6 @@ fn udp_latency(handicapped: bool) -> u64 {
         me: ProtoId,
     }
     impl Protocol for UdpEcho {
-        fn name(&self) -> &'static str {
-            "udpecho"
-        }
         fn id(&self) -> ProtoId {
             self.me
         }
@@ -61,9 +58,6 @@ fn udp_latency(handicapped: bool) -> u64 {
         sema: SharedSema,
     }
     impl Protocol for UdpWait {
-        fn name(&self) -> &'static str {
-            "udpwait"
-        }
         fn id(&self) -> ProtoId {
             self.me
         }
@@ -82,12 +76,14 @@ fn udp_latency(handicapped: bool) -> u64 {
     let sema = SharedSema::new(0);
     let echo_id = tb
         .server
-        .register("udpecho", |me| Ok(Rc::new(UdpEcho { me }) as ProtocolRef))
+        .register("udpecho", ProtoContract::opaque("udpecho"), |me| {
+            Ok(Rc::new(UdpEcho { me }) as ProtocolRef)
+        })
         .unwrap();
     let wait_sema = sema.clone();
     let wait_id = tb
         .client
-        .register("udpwait", |me| {
+        .register("udpwait", ProtoContract::opaque("udpwait"), |me| {
             Ok(Rc::new(UdpWait {
                 me,
                 sema: wait_sema,

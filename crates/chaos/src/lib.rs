@@ -61,17 +61,6 @@ pub const CALL_GAP_NS: u64 = 12_000_000;
 /// a lossless profile must deliver within this bound).
 pub const PSYNC_RECV_TIMEOUT_NS: u64 = 3_000_000_000;
 
-/// Classic Sun RPC: SUN_SELECT / AUTH_UNIX / REQUEST_REPLY / UDP.
-pub const SUNRPC_UDP_GRAPH: &str = "request_reply -> udp\n\
-     auth: auth_unix uid=1000 machine=sun3 allow=1000 -> request_reply\n\
-     sunselect -> auth\n";
-
-/// The §5 mix: SUN_SELECT over CHANNEL–FRAGMENT–VIP.
-pub const SUNRPC_CHANNEL_GRAPH: &str = "vip -> ip eth arp\n\
-     fragment -> vip\n\
-     channel -> fragment\n\
-     sunselect -> channel\n";
-
 const SUN_PROG: u32 = 100_099;
 const SUN_VERS: u32 = 1;
 const SUN_PROC: u32 = 7;
@@ -544,9 +533,9 @@ impl Scenario {
         cfg.fuel = opts.fuel;
         match self.stack {
             StackKind::Paper(def) => rpc_setup(RpcFlavor::Paper(def), cfg, reg),
-            StackKind::SunRpcUdp => rpc_setup(RpcFlavor::SunRpc(SUNRPC_UDP_GRAPH), cfg, reg),
+            StackKind::SunRpcUdp => rpc_setup(RpcFlavor::SunRpc(sunrpc::UDP_GRAPH), cfg, reg),
             StackKind::SunRpcChannel => {
-                rpc_setup(RpcFlavor::SunRpc(SUNRPC_CHANNEL_GRAPH), cfg, reg)
+                rpc_setup(RpcFlavor::SunRpc(sunrpc::CHANNEL_GRAPH), cfg, reg)
             }
             StackKind::Psync => psync_setup(cfg, reg),
         }

@@ -92,7 +92,7 @@ fn request_reply_rto_state_re_cold_seeds_on_reboot() {
     let tb = two_hosts(
         SimConfig::scheduled().with_seed(0xc01e),
         &reg,
-        chaos::SUNRPC_UDP_GRAPH,
+        sunrpc::UDP_GRAPH,
     )
     .expect("testbed builds");
     with_concrete::<SunSelect, _>(&tb.server, "sunselect", |s| {

@@ -52,7 +52,7 @@ const ROWS: [Row; 3] = [
     },
     Row {
         name: "SUNRPC-UDP (REQUEST_REPLY)",
-        graph: chaos::SUNRPC_UDP_GRAPH,
+        graph: sunrpc::UDP_GRAPH,
         max_retries: sunrpc::rr::MAX_RETRIES,
         serve: |k| {
             with_concrete::<SunSelect, _>(k, "sunselect", |s| {

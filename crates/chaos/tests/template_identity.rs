@@ -57,10 +57,6 @@ struct Drawer {
 }
 
 impl Protocol for Drawer {
-    fn name(&self) -> &'static str {
-        "drawer"
-    }
-
     fn id(&self) -> ProtoId {
         self.me
     }
@@ -91,10 +87,9 @@ impl Protocol for Drawer {
 fn a_boot_time_draw_without_a_reseed_hook_fails_the_first_fork() {
     let mut reg = base_registry();
     xrpc::register_ctors(&mut reg);
-    reg.add(
-        "drawer",
-        |a| Ok(Rc::new(Drawer { me: a.me }) as ProtocolRef),
-    );
+    reg.add(ProtoContract::opaque("drawer"), |a| {
+        Ok(Rc::new(Drawer { me: a.me }) as ProtocolRef)
+    });
     let graph = format!("{}drawer\n", xrpc::stacks::L_RPC_VIP.graph);
     let tb = two_hosts(SimConfig::scheduled().with_seed(1), &reg, &graph).expect("rig builds");
     Template::capture(&tb.sim, &tb.net).fork(2);

@@ -19,7 +19,7 @@
 //! below (`GetFragCount`) and waits "long enough to be sure that the
 //! fragmentation layer is not in the middle of transmitting the message".
 
-use std::cell::{Cell, OnceCell};
+use std::cell::Cell;
 use std::rc::{Rc, Weak};
 
 use xkernel::cell::OwnerCell;
@@ -28,7 +28,7 @@ use xkernel::map::EnableSnapshot;
 use xkernel::prelude::*;
 
 use crate::hdr::{flags, ChannelHdr, CHANNEL_HDR_LEN};
-use crate::protnum::{peer_key, rel_proto_num, PeerKey};
+use crate::protnum::{num_over, peer_key, PeerKey};
 use crate::txn::{self, Arrival, AtMostOnce, Incarnation, Poll, RtoPolicy, RtoSnap};
 
 struct Outstanding {
@@ -112,6 +112,9 @@ impl Session for ChanClientSession {
                 ctx.charge_layer_call();
                 self.lower.push(ctx, wire).map(drop)
             },
+            // `push` sets `outstanding` before the exchange and only the
+            // release below clears it.
+            #[allow(clippy::expect_used)]
             || {
                 let mut st = self.st.lock();
                 let out = st
@@ -231,7 +234,6 @@ pub struct Channel {
     weak_self: Weak<Channel>,
     me: ProtoId,
     lower: ProtoId,
-    lower_name: OnceCell<&'static str>,
     ids: Incarnation,
     rto: RtoPolicy,
     // The server incarnation last seen in a reply (0 = none yet).
@@ -256,7 +258,6 @@ impl Channel {
             weak_self: weak_self.clone(),
             me,
             lower,
-            lower_name: OnceCell::new(),
             ids: Incarnation::default(),
             rto: RtoPolicy::new(txn::BASE_TIMEOUT_NS, adaptive),
             peer_boot: Cell::new(0),
@@ -266,6 +267,9 @@ impl Channel {
         })
     }
 
+    // `new` builds the only `Rc` and `&self` borrows through it, so it is
+    // alive while any method runs.
+    #[allow(clippy::expect_used)]
     fn self_rc(&self) -> Rc<Channel> {
         self.weak_self.upgrade().expect("channel alive")
     }
@@ -341,6 +345,9 @@ impl Channel {
             ResendReply(Message),
             Drop,
         }
+        // `ChanServerSession::push` records a request answered and saves its
+        // reply under one acquisition of `st`.
+        #[allow(clippy::expect_used)]
         let action = {
             let mut st = sess.st.lock();
             if !Rc::ptr_eq(&st.lls, lls) {
@@ -468,27 +475,15 @@ impl Channel {
 }
 
 impl Protocol for Channel {
-    fn contract(&self) -> xkernel::lint::ProtoContract {
-        crate::contracts::channel()
-    }
-
-    fn name(&self) -> &'static str {
-        "channel"
-    }
-
     fn id(&self) -> ProtoId {
         self.me
     }
 
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
         let kernel = ctx.kernel_ref();
-        let lower = kernel.proto_ref(self.lower)?;
-        self.lower_name
-            .set(lower.name())
-            .map_err(|_| XError::Config("channel double boot".into()))?;
         self.ids.renew(ctx);
         let parts =
-            ParticipantSet::local(Participant::proto(rel_proto_num(lower.name(), "channel")?));
+            ParticipantSet::local(Participant::proto(num_over(kernel, self.me, self.lower)?));
         kernel.open_enable(ctx, self.lower, self.me, &parts)
     }
 
@@ -526,9 +521,8 @@ impl Protocol for Channel {
         };
         let session = self.clients.resolve_or_open((chan, proto_num), || {
             ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-            let lname = self.lower_name.get().expect("channel booted");
             let lparts = ParticipantSet::pair(
-                Participant::proto(rel_proto_num(lname, "channel")?),
+                Participant::proto(num_over(ctx.kernel_ref(), self.me, self.lower)?),
                 Participant::host(peer),
             );
             let lower = ctx.kernel_ref().open(ctx, self.lower, self.me, &lparts)?;

@@ -70,11 +70,10 @@ pub fn select() -> ProtoContract {
         .reboots()
 }
 
-/// RDGRAM: reliable datagrams over CHANNEL.
+/// RDGRAM: reliable datagrams over CHANNEL. It pushes no header of its own.
 pub fn rdgram() -> ProtoContract {
     ProtoContract::new("rdgram", AddrKind::Rpc)
         .lower(&[AddrKind::Rpc])
-        .header(SELECT_HDR_LEN)
         .demux_key_bits(16)
 }
 
@@ -106,10 +105,10 @@ pub fn vipsize() -> ProtoContract {
 
 /// Pinger: the Table III harness. Its echo wait lives in the application
 /// call `rtt`, not in `push` on the data path, so it declares no shepherd
-/// semaphore behavior and nests cleanly over CHANNEL.
+/// semaphore behavior and nests cleanly over CHANNEL. An echo is its
+/// payload alone: PINGER pushes no header.
 pub fn pinger() -> ProtoContract {
     ProtoContract::new("pinger", AddrKind::Rpc)
         .lower(&[AddrKind::Internet, AddrKind::Rpc, AddrKind::Transport])
-        .header(8)
         .param("echo", false, true)
 }

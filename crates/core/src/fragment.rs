@@ -20,14 +20,6 @@
 //!   the timer's cost at the send). A higher-level retransmission arriving
 //!   later is a *new* FRAGMENT message with a new sequence number.
 
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::indexing_slicing
-)]
-
 use std::cell::{Cell, OnceCell};
 use std::cmp::Ordering;
 use std::collections::VecDeque;
@@ -41,7 +33,7 @@ use xkernel::sim::{Nanos, Time};
 
 use crate::frags::{self, Place, Slot, MAX_FRAGS};
 use crate::hdr::{frag_type, FragmentHdr, FRAGMENT_HDR_LEN};
-use crate::protnum::rel_proto_num;
+use crate::protnum::num_over;
 
 /// How long the sender retains a transmitted message for NACK service.
 const DISCARD_NS: Nanos = 500_000_000;
@@ -101,7 +93,8 @@ pub struct Fragment {
     me: ProtoId,
     lower: ProtoId,
     my_ip: OnceCell<IpAddr>,
-    lower_name: OnceCell<&'static str>,
+    /// The number FRAGMENT demultiplexes on over `lower`, resolved at boot.
+    my_num: OnceCell<u32>,
     base_frag_size: OnceCell<usize>,
     next_seq: Cell<u32>,
     enables: EnableMap<u32>,
@@ -121,7 +114,7 @@ impl Fragment {
             me,
             lower,
             my_ip: OnceCell::new(),
-            lower_name: OnceCell::new(),
+            my_num: OnceCell::new(),
             base_frag_size: OnceCell::new(),
             next_seq: Cell::new(0),
             enables: EnableMap::new(),
@@ -145,7 +138,7 @@ impl Fragment {
     }
 
     fn my_rel_num(&self) -> XResult<u32> {
-        rel_proto_num(self.lower_name.get().ok_or_else(unbooted)?, "fragment")
+        self.my_num.get().copied().ok_or_else(unbooted)
     }
 
     /// The lower session (and its fragment payload size) towards `peer`.
@@ -470,14 +463,6 @@ impl Session for FragSession {
 }
 
 impl Protocol for Fragment {
-    fn contract(&self) -> xkernel::lint::ProtoContract {
-        crate::contracts::fragment()
-    }
-
-    fn name(&self) -> &'static str {
-        "fragment"
-    }
-
     fn id(&self) -> ProtoId {
         self.me
     }
@@ -485,8 +470,8 @@ impl Protocol for Fragment {
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
         let kernel = ctx.kernel_ref();
         let lower = kernel.proto_ref(self.lower)?;
-        self.lower_name
-            .set(lower.name())
+        self.my_num
+            .set(num_over(kernel, self.me, self.lower)?)
             .map_err(|_| XError::Config("fragment double boot".into()))?;
         let my_ip = lower.control(ctx, &ControlOp::GetMyHost)?.ip()?;
         self.my_ip
@@ -701,9 +686,6 @@ mod tests {
     }
 
     impl Protocol for BigMtuLower {
-        fn name(&self) -> &'static str {
-            "vip"
-        }
         fn id(&self) -> ProtoId {
             self.me
         }
@@ -750,12 +732,14 @@ mod tests {
         let kernel = Kernel::new(&sim, "host-a");
         let opt = 8_192;
         let lower = kernel
-            .register("vip", |me| {
+            .register("vip", ProtoContract::opaque("vip"), |me| {
                 Ok(Rc::new(BigMtuLower { me, opt }) as ProtocolRef)
             })
             .unwrap();
         let frag_id = kernel
-            .register("fragment", |me| Ok(Fragment::new(me, lower) as ProtocolRef))
+            .register("fragment", crate::contracts::fragment(), |me| {
+                Ok(Fragment::new(me, lower) as ProtocolRef)
+            })
             .unwrap();
         let ctx = sim.ctx(kernel.host());
         let frag = kernel.proto_ref(frag_id).unwrap();

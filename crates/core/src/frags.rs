@@ -12,14 +12,6 @@
 //! loops, whose order of charges the virtual clock sees, stay in each
 //! protocol.
 
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::indexing_slicing
-)]
-
 use xkernel::prelude::*;
 
 /// Most fragments one message takes: one bit each in the 16-bit mask.

@@ -73,6 +73,17 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::disallowed_types, clippy::disallowed_methods)]
+// A frame or a peer cannot panic the protocols (ROADMAP 13): a refused frame
+// is a `Reject`, a caller's mistake an error, and each remaining panic site
+// an `#[allow]` naming its invariant. Test modules are exempt through
+// `crates/clippy.toml`'s `allow-*-in-tests`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
 
 pub mod channel;
 pub mod contracts;
@@ -108,16 +119,7 @@ use xkernel::shepherd::ShepherdConfig;
 /// * `vipsize -> <fragment> <direct>` — per-push FRAGMENT bypass
 /// * `pinger [echo=1] -> <lower>` — the Table III measurement harness
 pub fn register_ctors(reg: &mut ProtocolRegistry) {
-    reg.add_contract(contracts::sprite());
-    reg.add_contract(contracts::fragment());
-    reg.add_contract(contracts::channel());
-    reg.add_contract(contracts::select());
-    reg.add_contract(contracts::rdgram());
-    reg.add_contract(contracts::vip());
-    reg.add_contract(contracts::vipaddr());
-    reg.add_contract(contracts::vipsize());
-    reg.add_contract(contracts::pinger());
-    reg.add("sprite", |a: &GraphArgs<'_>| {
+    reg.add(contracts::sprite(), |a: &GraphArgs<'_>| {
         let cfg = mrpc::MrpcConfig {
             channels_per_peer: a.param_u64("channels", 8)? as usize,
             shepherds: ShepherdConfig::from_args(a)?,
@@ -126,33 +128,33 @@ pub fn register_ctors(reg: &mut ProtocolRegistry) {
         // raw ETH).
         Ok(mrpc::Mrpc::new(a.me, a.down(0)?, a.down.get(1).copied(), cfg) as ProtocolRef)
     });
-    reg.add("fragment", |a: &GraphArgs<'_>| {
+    reg.add(contracts::fragment(), |a: &GraphArgs<'_>| {
         Ok(fragment::Fragment::new(a.me, a.down(0)?) as ProtocolRef)
     });
-    reg.add("channel", |a: &GraphArgs<'_>| {
+    reg.add(contracts::channel(), |a: &GraphArgs<'_>| {
         let adaptive = a.param_u64("adaptive", 1)? != 0;
         Ok(channel::Channel::new(a.me, a.down(0)?, adaptive) as ProtocolRef)
     });
-    reg.add("select", |a: &GraphArgs<'_>| {
+    reg.add(contracts::select(), |a: &GraphArgs<'_>| {
         let cfg = select::SelectConfig {
             channels_per_peer: a.param_u64("channels", 8)? as usize,
             shepherds: ShepherdConfig::from_args(a)?,
         };
         Ok(select::Select::new(a.me, a.down(0)?, cfg) as ProtocolRef)
     });
-    reg.add("rdgram", |a: &GraphArgs<'_>| {
+    reg.add(contracts::rdgram(), |a: &GraphArgs<'_>| {
         Ok(select::Rdgram::new(a.me, a.down(0)?) as ProtocolRef)
     });
-    reg.add("vip", |a: &GraphArgs<'_>| {
+    reg.add(contracts::vip(), |a: &GraphArgs<'_>| {
         Ok(vip::Vip::new(a.me, a.down(0)?, a.down(1)?, a.down(2)?) as ProtocolRef)
     });
-    reg.add("vipaddr", |a: &GraphArgs<'_>| {
+    reg.add(contracts::vipaddr(), |a: &GraphArgs<'_>| {
         Ok(vip::VipAddr::new(a.me, a.down(0)?, a.down(1)?, a.down(2)?) as ProtocolRef)
     });
-    reg.add("vipsize", |a: &GraphArgs<'_>| {
+    reg.add(contracts::vipsize(), |a: &GraphArgs<'_>| {
         Ok(vip::VipSize::new(a.me, a.down(0)?, a.down(1)?) as ProtocolRef)
     });
-    reg.add("pinger", |a: &GraphArgs<'_>| {
+    reg.add(contracts::pinger(), |a: &GraphArgs<'_>| {
         let echo = a.param_u64("echo", 0)? != 0;
         Ok(pinger::Pinger::new(a.me, a.down(0)?, echo) as ProtocolRef)
     });

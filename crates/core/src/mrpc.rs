@@ -29,7 +29,7 @@ use xkernel::shepherd::{Overload, ShepherdConfig, ShepherdStats, Shepherds};
 
 use crate::frags::{self, Place, Slot, MAX_FRAGS};
 use crate::hdr::{flags, SpriteHdr, SPRITE_HDR_LEN};
-use crate::protnum::rel_proto_num;
+use crate::protnum::num_over;
 use crate::select::Handler;
 use crate::txn::{self, Arrival, AtMostOnce, Incarnation, Poll, PoolSnap};
 
@@ -121,7 +121,6 @@ pub struct Mrpc {
     /// performs the same IP→hardware mapping VIP does.
     arp: Option<ProtoId>,
     cfg: MrpcConfig,
-    lower_name: OnceCell<&'static str>,
     my_ip: OnceCell<IpAddr>,
     ids: Incarnation,
     handlers: EnableMap<u16, Handler>,
@@ -142,7 +141,6 @@ impl Mrpc {
             lower,
             arp,
             cfg,
-            lower_name: OnceCell::new(),
             my_ip: OnceCell::new(),
             ids: Incarnation::default(),
             handlers: EnableMap::new(),
@@ -159,12 +157,18 @@ impl Mrpc {
         self.shepherds.stats()
     }
 
+    // `new` builds the only `Rc` and `&self` borrows through it, so it is
+    // alive while any method runs.
+    #[allow(clippy::expect_used)]
     fn self_rc(&self) -> Rc<Mrpc> {
         self.weak_self.upgrade().expect("mrpc alive")
     }
 
-    fn my_ip(&self) -> IpAddr {
-        *self.my_ip.get().expect("mrpc booted")
+    fn my_ip(&self) -> XResult<IpAddr> {
+        self.my_ip
+            .get()
+            .copied()
+            .ok_or_else(|| XError::Config("sprite used before boot".into()))
     }
 
     /// This kernel's boot incarnation.
@@ -198,23 +202,20 @@ impl Mrpc {
     /// The table entry for `peer`, opening its lower session on first use.
     fn peer_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<Peer> {
         self.peers.resolve_or_open(peer.0, || {
-            let lname = self.lower_name.get().expect("mrpc booted");
+            let kernel = ctx.kernel_ref();
             let mut remote = Participant::host(peer);
-            if *lname == "eth" {
+            if kernel.space_of(self.lower)? == "eth" {
                 // Raw Ethernet below: map the peer's internet address to
                 // its hardware address, exactly as VIP does.
                 let arp = self.arp.ok_or_else(|| {
                     XError::Config("sprite over raw eth needs an arp capability".into())
                 })?;
-                let hw = ctx
-                    .kernel_ref()
-                    .control(ctx, arp, &ControlOp::Resolve(peer))?
-                    .eth()?;
+                let hw = kernel.control(ctx, arp, &ControlOp::Resolve(peer))?.eth()?;
                 remote = remote.with_eth(hw);
             }
-            let parts =
-                ParticipantSet::pair(Participant::proto(rel_proto_num(lname, "sprite")?), remote);
-            let sess = ctx.kernel_ref().open(ctx, self.lower, self.me, &parts)?;
+            let num = num_over(kernel, self.me, self.lower)?;
+            let parts = ParticipantSet::pair(Participant::proto(num), remote);
+            let sess = kernel.open(ctx, self.lower, self.me, &parts)?;
             let opt = sess
                 .control(ctx, &ControlOp::GetOptPacket)
                 .and_then(|r| r.size())
@@ -232,7 +233,7 @@ impl Mrpc {
 
     /// Builds the fixed client channel set towards `peer` and records it in
     /// the peer's entry, which [`Mrpc::peer_for`] has just bound.
-    fn make_pool(&self, ctx: &Ctx, peer: IpAddr) -> Rc<Pool> {
+    fn make_pool(&self, ctx: &Ctx, peer: IpAddr) -> XResult<Rc<Pool>> {
         let mut chans = Vec::with_capacity(self.cfg.channels_per_peer);
         {
             // One acquisition numbers and binds the whole set, so no number
@@ -250,8 +251,10 @@ impl Mrpc {
         }
         let pool = Pool::new(chans);
         let mut peers = self.peers.lock();
-        let entry = peers.get_mut(&peer.0).expect("peer entry bound");
-        Rc::clone(entry.pool.get_or_insert(pool))
+        let entry = peers
+            .get_mut(&peer.0)
+            .ok_or_else(|| XError::Config(format!("sprite: no peer entry for {peer}")))?;
+        Ok(Rc::clone(entry.pool.get_or_insert(pool)))
     }
 
     /// Sends the fragments of `msg` selected by `mask`.
@@ -288,7 +291,7 @@ impl Mrpc {
         let num_frags = frags::count(args.len(), frag_size)?;
         let pool = match entry.pool {
             Some(pool) => pool,
-            None => self.make_pool(ctx, peer),
+            None => self.make_pool(ctx, peer)?,
         };
         // Blocks when all channels are in use.
         pool.with(ctx, |chan| {
@@ -326,7 +329,7 @@ impl Mrpc {
 
         let mut hdr = SpriteHdr {
             flags: flags::REQUEST,
-            clnt_host: self.my_ip(),
+            clnt_host: self.my_ip()?,
             srvr_host: peer,
             channel: chan.chan,
             srvr_process: 0,
@@ -355,6 +358,9 @@ impl Mrpc {
                 }
                 self.send_frags(ctx, lower, frag_size, &hdr, &args, send_mask.get())
             },
+            // `call_on_channel` sets `out` before the exchange and only the
+            // release below clears it.
+            #[allow(clippy::expect_used)]
             || {
                 let mut st = chan.st.lock();
                 let out = st.out.as_mut().expect("outstanding until cleared");
@@ -376,7 +382,7 @@ impl Mrpc {
         .map(|(reply, _)| reply)
     }
 
-    fn server_for(&self, hdr: &SpriteHdr) -> Rc<MServer> {
+    fn server_for(&self, hdr: &SpriteHdr) -> XResult<Rc<MServer>> {
         let fresh = || {
             Ok(Rc::new(MServer {
                 clnt: hdr.clnt_host,
@@ -392,13 +398,12 @@ impl Mrpc {
         };
         self.servers
             .resolve_or_insert_with((hdr.clnt_host.0, hdr.channel), fresh)
-            .expect("constructor is infallible")
     }
 
     fn request_in(&self, ctx: &Ctx, hdr: SpriteHdr, msg: Message) -> XResult<()> {
         let at = Place::check(hdr.num_frags, hdr.frag_mask)?;
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
-        let server = self.server_for(&hdr);
+        let server = self.server_for(&hdr)?;
 
         enum Action {
             None,
@@ -463,7 +468,7 @@ impl Mrpc {
                 let ack = SpriteHdr {
                     flags: flags::ACK,
                     clnt_host: hdr.clnt_host,
-                    srvr_host: self.my_ip(),
+                    srvr_host: self.my_ip()?,
                     channel: hdr.channel,
                     sequence_num: hdr.sequence_num,
                     num_frags: hdr.num_frags,
@@ -519,7 +524,7 @@ impl Mrpc {
         let nack = SpriteHdr {
             flags: flags::NACK,
             clnt_host: hdr.clnt_host,
-            srvr_host: self.my_ip(),
+            srvr_host: self.my_ip()?,
             channel: hdr.channel,
             sequence_num: hdr.sequence_num,
             num_frags: 0,
@@ -571,7 +576,7 @@ impl Mrpc {
         let rhdr = SpriteHdr {
             flags: flags::REPLY,
             clnt_host: server.clnt,
-            srvr_host: self.my_ip(),
+            srvr_host: self.my_ip()?,
             channel: server.chan,
             sequence_num: hdr.sequence_num,
             num_frags: num,
@@ -683,14 +688,6 @@ impl Session for MrpcSession {
 }
 
 impl Protocol for Mrpc {
-    fn contract(&self) -> xkernel::lint::ProtoContract {
-        crate::contracts::sprite()
-    }
-
-    fn name(&self) -> &'static str {
-        "sprite"
-    }
-
     fn id(&self) -> ProtoId {
         self.me
     }
@@ -698,9 +695,6 @@ impl Protocol for Mrpc {
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
         let kernel = ctx.kernel_ref();
         let lower = kernel.proto_ref(self.lower)?;
-        self.lower_name
-            .set(lower.name())
-            .map_err(|_| XError::Config("mrpc double boot".into()))?;
         self.ids.renew(ctx);
         // Our host identity: from the lower protocol if it speaks internet
         // addresses, else from ARP (the raw-Ethernet configuration).
@@ -715,7 +709,7 @@ impl Protocol for Mrpc {
             })?;
         let _ = self.my_ip.set(my_ip);
         let parts =
-            ParticipantSet::local(Participant::proto(rel_proto_num(lower.name(), "sprite")?));
+            ParticipantSet::local(Participant::proto(num_over(kernel, self.me, self.lower)?));
         kernel.open_enable(ctx, self.lower, self.me, &parts)
     }
 

@@ -13,7 +13,6 @@
 //! [`Pinger::rtt`] completes either synchronously (CHANNEL returns the
 //! reply from `push`) or when the echo is demultiplexed back up.
 
-use std::cell::OnceCell;
 use std::rc::Rc;
 
 use xkernel::cell::OwnerCell;
@@ -21,7 +20,7 @@ use xkernel::cell::OwnerCell;
 use xkernel::map::SessionSnapshot;
 use xkernel::prelude::*;
 
-use crate::protnum::rel_proto_num;
+use crate::protnum::num_over;
 
 /// How long to wait for an echo before failing.
 pub const PING_TIMEOUT_NS: u64 = 5_000_000_000;
@@ -31,7 +30,6 @@ pub struct Pinger {
     me: ProtoId,
     lower: ProtoId,
     echo: bool,
-    lower_name: OnceCell<&'static str>,
     sessions: SessionMap<u32>,
     inflight: OwnerCell<Inflight>,
 }
@@ -62,7 +60,6 @@ impl Pinger {
             me,
             lower,
             echo,
-            lower_name: OnceCell::new(),
             sessions: SessionMap::new(),
             inflight: OwnerCell::new(Inflight::default()),
         })
@@ -70,9 +67,8 @@ impl Pinger {
 
     fn session_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<SessionRef> {
         self.sessions.resolve_or_open(peer.0, || {
-            let lname = self.lower_name.get().expect("pinger booted");
             let parts = ParticipantSet::pair(
-                Participant::proto(rel_proto_num(lname, "pinger")?),
+                Participant::proto(num_over(ctx.kernel_ref(), self.me, self.lower)?),
                 Participant::host(peer),
             );
             ctx.kernel_ref().open(ctx, self.lower, self.me, &parts)
@@ -150,26 +146,14 @@ impl Pinger {
 }
 
 impl Protocol for Pinger {
-    fn contract(&self) -> xkernel::lint::ProtoContract {
-        crate::contracts::pinger()
-    }
-
-    fn name(&self) -> &'static str {
-        "pinger"
-    }
-
     fn id(&self) -> ProtoId {
         self.me
     }
 
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
         let kernel = ctx.kernel_ref();
-        let lower = kernel.proto_ref(self.lower)?;
-        self.lower_name
-            .set(lower.name())
-            .map_err(|_| XError::Config("pinger double boot".into()))?;
         let parts =
-            ParticipantSet::local(Participant::proto(rel_proto_num(lower.name(), "pinger")?));
+            ParticipantSet::local(Participant::proto(num_over(kernel, self.me, self.lower)?));
         kernel.open_enable(ctx, self.lower, self.me, &parts)
     }
 
@@ -200,14 +184,15 @@ impl Protocol for Pinger {
         let next = {
             let mut inflight = self.inflight.lock();
             // Callback-driven series: fire the next send from this shepherd.
-            match inflight.series.as_mut() {
-                Some(st) => {
+            match inflight.series.take() {
+                Some(mut st) => {
                     st.remaining -= 1;
                     if st.remaining == 0 {
-                        let st = inflight.series.take().expect("present");
                         Next::SeriesDone(st.done)
                     } else {
-                        Next::Send(Rc::clone(&st.sess), st.payload.clone())
+                        let next = Next::Send(Rc::clone(&st.sess), st.payload.clone());
+                        inflight.series = Some(st);
+                        next
                     }
                 }
                 None => match &inflight.waiting {

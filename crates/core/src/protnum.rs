@@ -19,11 +19,18 @@ use xkernel::prelude::*;
 use inet::eth::eth_type;
 use inet::ip::ip_proto;
 
+/// The number protocol `me` of `kernel` demultiplexes on over its lower
+/// `lower`: [`rel_proto_num`] of the two kinds the kernel holds, a
+/// pass-through lower read as the layer it presents ([`Kernel::space_of`]).
+pub fn num_over(kernel: &Kernel, me: ProtoId, lower: ProtoId) -> XResult<u32> {
+    rel_proto_num(kernel.space_of(lower)?, kernel.kind_of(me)?)
+}
+
 /// Relative protocol number of `me` when configured directly above `lower`.
 ///
-/// `lower` is the *name* of the protocol below (from [`Protocol::name`]).
-/// Virtual protocols (vip/vipaddr/vipsize) present IP's protocol-number
-/// space, mapping into Ethernet's type space internally.
+/// Both are kinds (constructor names, [`Kernel::kind_of`]). Virtual
+/// protocols (vip/vipaddr/vipsize) present IP's protocol-number space,
+/// mapping into Ethernet's type space internally.
 pub fn rel_proto_num(lower: &str, me: &str) -> XResult<u32> {
     let n = match (lower, me) {
         ("eth", "ip") => u32::from(eth_type::IP),
@@ -54,7 +61,6 @@ pub fn rel_proto_num(lower: &str, me: &str) -> XResult<u32> {
         // CHANNEL's and REQUEST_REPLY's users get transaction-layer numbers
         // (the two layers are substitutable, so they share a number space).
         ("channel" | "request_reply", "select") => 1,
-        ("channel" | "request_reply", "fselect") => 1, // Wire-compatible with select.
         ("channel" | "request_reply", "rdgram") => 2,
         ("channel" | "request_reply", "sunselect") => 3,
         ("channel" | "request_reply", "auth_none") => 4,
@@ -125,11 +131,6 @@ mod tests {
     #[test]
     fn channel_users_have_numbers() {
         assert_eq!(rel_proto_num("channel", "select").unwrap(), 1);
-        assert_eq!(
-            rel_proto_num("channel", "select").unwrap(),
-            rel_proto_num("channel", "fselect").unwrap(),
-            "forwarding select is wire-compatible"
-        );
         assert_ne!(
             rel_proto_num("channel", "select").unwrap(),
             rel_proto_num("channel", "rdgram").unwrap()

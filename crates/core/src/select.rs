@@ -23,7 +23,7 @@ use xkernel::prelude::*;
 use xkernel::shepherd::{Overload, ShepherdConfig, ShepherdStats, Shepherds};
 
 use crate::hdr::{SelectHdr, SELECT_HDR_LEN};
-use crate::protnum::rel_proto_num;
+use crate::protnum::num_over;
 use crate::txn::{Pool, PoolSnap};
 
 /// A server procedure: takes the request body, returns the reply body.
@@ -104,6 +104,9 @@ impl Select {
         self.shepherds.stats()
     }
 
+    // `new` builds the only `Rc` and `&self` borrows through it, so it is
+    // alive while any method runs.
+    #[allow(clippy::expect_used)]
     fn self_rc(&self) -> Rc<Select> {
         self.weak_self.upgrade().expect("select alive")
     }
@@ -139,7 +142,7 @@ impl Select {
             return Ok(p);
         }
         // Open the fixed channel set outside the pools lock.
-        let my_num = rel_proto_num("channel", "select")?;
+        let my_num = num_over(ctx.kernel_ref(), self.me, self.channel)?;
         let mut sessions = Vec::with_capacity(self.cfg.channels_per_peer);
         for _ in 0..self.cfg.channels_per_peer {
             let parts = ParticipantSet::pair(Participant::proto(my_num), Participant::host(peer));
@@ -278,22 +281,15 @@ impl Session for SelectSession {
 }
 
 impl Protocol for Select {
-    fn contract(&self) -> xkernel::lint::ProtoContract {
-        crate::contracts::select()
-    }
-
-    fn name(&self) -> &'static str {
-        "select"
-    }
-
     fn id(&self) -> ProtoId {
         self.me
     }
 
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
-        let parts = ParticipantSet::local(Participant::proto(rel_proto_num("channel", "select")?));
-        ctx.kernel_ref()
-            .open_enable(ctx, self.channel, self.me, &parts)
+        let kernel = ctx.kernel_ref();
+        let parts =
+            ParticipantSet::local(Participant::proto(num_over(kernel, self.me, self.channel)?));
+        kernel.open_enable(ctx, self.channel, self.me, &parts)
     }
 
     fn reboot(&self, _ctx: &Ctx) -> XResult<()> {
@@ -460,6 +456,9 @@ impl Rdgram {
         })
     }
 
+    // `new` builds the only `Rc` and `&self` borrows through it, so it is
+    // alive while any method runs.
+    #[allow(clippy::expect_used)]
     fn self_rc(&self) -> Rc<Rdgram> {
         self.weak_self.upgrade().expect("rdgram alive")
     }
@@ -493,22 +492,15 @@ impl Session for RdgramSession {
 }
 
 impl Protocol for Rdgram {
-    fn contract(&self) -> xkernel::lint::ProtoContract {
-        crate::contracts::rdgram()
-    }
-
-    fn name(&self) -> &'static str {
-        "rdgram"
-    }
-
     fn id(&self) -> ProtoId {
         self.me
     }
 
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
-        let parts = ParticipantSet::local(Participant::proto(rel_proto_num("channel", "rdgram")?));
-        ctx.kernel_ref()
-            .open_enable(ctx, self.channel, self.me, &parts)
+        let kernel = ctx.kernel_ref();
+        let parts =
+            ParticipantSet::local(Participant::proto(num_over(kernel, self.me, self.channel)?));
+        kernel.open_enable(ctx, self.channel, self.me, &parts)
     }
 
     fn reboot(&self, _ctx: &Ctx) -> XResult<()> {
@@ -528,7 +520,7 @@ impl Protocol for Rdgram {
         self.sessions.resolve_or_open(peer.0, || {
             ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
             let cparts = ParticipantSet::pair(
-                Participant::proto(rel_proto_num("channel", "rdgram")?),
+                Participant::proto(num_over(ctx.kernel_ref(), self.me, self.channel)?),
                 Participant::host(peer),
             );
             let chan = ctx.kernel_ref().open(ctx, self.channel, self.me, &cparts)?;

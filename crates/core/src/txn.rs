@@ -434,7 +434,10 @@ impl<T: Clone> Pool<T> {
 
     /// Takes a channel (blocking while none is free), runs `call` on it and
     /// puts it back, whatever `call` returned.
-    #[inline] // As `transact`: one call site per instantiation.
+    #[inline]
+    // As `transact`: one call site per instantiation.
+    // The semaphore counts the free items: past `p` one is there to pop.
+    #[allow(clippy::expect_used)]
     pub fn with<R>(&self, ctx: &Ctx, call: impl FnOnce(&T) -> R) -> R {
         self.sema.p(ctx);
         let item = self.free.lock().pop().expect("semaphore-guarded pool");
@@ -511,6 +514,8 @@ impl Incarnation {
     /// alias two conversations onto one at-most-once state machine. 0 is
     /// never issued — fresh counters start above it, so a post-wrap 0 would
     /// be an id no other allocation path can produce.
+    // Pools are bounded far below 2^16 channels, so a free number exists.
+    #[allow(clippy::panic)]
     pub fn alloc_channel(&self, live: impl Fn(u16) -> bool) -> u16 {
         for _ in 0..=u16::MAX as u32 {
             let cand = self.next_chan.get().wrapping_add(1);

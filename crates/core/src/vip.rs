@@ -155,14 +155,6 @@ impl Session for VipSession {
 }
 
 impl Protocol for Vip {
-    fn contract(&self) -> xkernel::lint::ProtoContract {
-        crate::contracts::vip()
-    }
-
-    fn name(&self) -> &'static str {
-        "vip"
-    }
-
     fn id(&self) -> ProtoId {
         self.me
     }
@@ -268,14 +260,6 @@ impl VipAddr {
 }
 
 impl Protocol for VipAddr {
-    fn contract(&self) -> xkernel::lint::ProtoContract {
-        crate::contracts::vipaddr()
-    }
-
-    fn name(&self) -> &'static str {
-        "vipaddr"
-    }
-
     fn id(&self) -> ProtoId {
         self.me
     }
@@ -392,14 +376,6 @@ impl Session for VipSizeSession {
 }
 
 impl Protocol for VipSize {
-    fn contract(&self) -> xkernel::lint::ProtoContract {
-        crate::contracts::vipsize()
-    }
-
-    fn name(&self) -> &'static str {
-        "vipsize"
-    }
-
     fn id(&self) -> ProtoId {
         self.me
     }

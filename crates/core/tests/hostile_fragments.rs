@@ -81,7 +81,7 @@ fn rejected(tb: &TwoHosts, kernel: &Kernel) -> u64 {
 }
 
 /// Every refusal so far: (host, layer, reason, frames).
-fn rows(tb: &TwoHosts) -> Vec<(HostId, &'static str, Reject, u64)> {
+fn rows(tb: &TwoHosts) -> Vec<(HostId, &str, Reject, u64)> {
     let rows = tb.sim.rejects().into_iter();
     rows.map(|r| (r.host, r.layer, r.why, r.count)).collect()
 }

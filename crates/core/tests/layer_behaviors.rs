@@ -228,9 +228,6 @@ fn vip_opens_both_sessions_for_udp_and_routes_by_size() {
         got: Mutex<Vec<usize>>,
     }
     impl Protocol for Recorder {
-        fn name(&self) -> &'static str {
-            "recorder"
-        }
         fn id(&self) -> ProtoId {
             self.me
         }
@@ -245,7 +242,7 @@ fn vip_opens_both_sessions_for_udp_and_routes_by_size() {
             Ok(())
         }
     }
-    reg.add("recorder", |a| {
+    reg.add(ProtoContract::opaque("recorder"), |a| {
         Ok(std::rc::Rc::new(Recorder {
             me: a.me,
             got: Mutex::new(Vec::new()),

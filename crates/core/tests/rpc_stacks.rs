@@ -323,7 +323,7 @@ fn fragment_gives_up_after_nack_retries_exhausted() {
         let ctx = tb.sim.ctx(k.host());
         let frag = k.lookup("fragment").unwrap();
         let rec = k
-            .register("recorder", |me| {
+            .register("recorder", ProtoContract::opaque("recorder"), |me| {
                 Ok(std::rc::Rc::new(Recorder {
                     me,
                     got: Mutex::new(Vec::new()),
@@ -468,9 +468,6 @@ struct Recorder {
 }
 
 impl Protocol for Recorder {
-    fn name(&self) -> &'static str {
-        "recorder"
-    }
     fn id(&self) -> ProtoId {
         self.me
     }
@@ -489,7 +486,7 @@ impl Protocol for Recorder {
 #[test]
 fn rdgram_delivers_exactly_once_in_order_under_loss() {
     let mut reg = registry();
-    reg.add("recorder", |a| {
+    reg.add(ProtoContract::opaque("recorder"), |a| {
         Ok(std::rc::Rc::new(Recorder {
             me: a.me,
             got: Mutex::new(Vec::new()),

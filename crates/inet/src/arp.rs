@@ -232,14 +232,6 @@ impl Arp {
 }
 
 impl Protocol for Arp {
-    fn contract(&self) -> xkernel::lint::ProtoContract {
-        crate::contracts::arp()
-    }
-
-    fn name(&self) -> &'static str {
-        "arp"
-    }
-
     fn id(&self) -> ProtoId {
         self.me
     }

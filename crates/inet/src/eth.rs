@@ -139,14 +139,6 @@ impl Session for EthSession {
 }
 
 impl Protocol for Eth {
-    fn contract(&self) -> xkernel::lint::ProtoContract {
-        crate::contracts::eth()
-    }
-
-    fn name(&self) -> &'static str {
-        "eth"
-    }
-
     fn id(&self) -> ProtoId {
         self.me
     }

@@ -143,14 +143,6 @@ impl Icmp {
 }
 
 impl Protocol for Icmp {
-    fn contract(&self) -> xkernel::lint::ProtoContract {
-        crate::contracts::icmp()
-    }
-
-    fn name(&self) -> &'static str {
-        "icmp"
-    }
-
     fn id(&self) -> ProtoId {
         self.me
     }

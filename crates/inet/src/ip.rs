@@ -462,14 +462,6 @@ impl Session for IpSession {
 }
 
 impl Protocol for Ip {
-    fn contract(&self) -> xkernel::lint::ProtoContract {
-        crate::contracts::ip()
-    }
-
-    fn name(&self) -> &'static str {
-        "ip"
-    }
-
     fn id(&self) -> ProtoId {
         self.me
     }

@@ -72,21 +72,15 @@ pub fn parse_mask(s: &str) -> XResult<u32> {
 /// * `icmp -> <ip-like>`
 /// * `tcp -> ip`
 pub fn register_ctors(reg: &mut ProtocolRegistry) {
-    reg.add_contract(contracts::eth());
-    reg.add_contract(contracts::arp());
-    reg.add_contract(contracts::ip());
-    reg.add_contract(contracts::udp());
-    reg.add_contract(contracts::icmp());
-    reg.add_contract(contracts::tcp());
-    reg.add("eth", |a: &GraphArgs<'_>| {
+    reg.add(contracts::eth(), |a: &GraphArgs<'_>| {
         Ok(eth::Eth::new(a.me, a.down(0)?) as ProtocolRef)
     });
-    reg.add("arp", |a: &GraphArgs<'_>| {
+    reg.add(contracts::arp(), |a: &GraphArgs<'_>| {
         let ip = parse_ip(a.param("ip")?)?;
         let cache = a.param_u64("cache", arp::ARP_DEFAULT_CACHE as u64)? as usize;
         Ok(arp::Arp::new(a.me, a.down(0)?, ip, cache) as ProtocolRef)
     });
-    reg.add("ip", |a: &GraphArgs<'_>| {
+    reg.add(contracts::ip(), |a: &GraphArgs<'_>| {
         if a.down.is_empty() || !a.down.len().is_multiple_of(2) {
             return Err(XError::Config(
                 "ip needs (eth, arp) pairs as lower protocols".into(),
@@ -155,13 +149,13 @@ pub fn register_ctors(reg: &mut ProtocolRegistry) {
         }
         Ok(proto as ProtocolRef)
     });
-    reg.add("udp", |a: &GraphArgs<'_>| {
+    reg.add(contracts::udp(), |a: &GraphArgs<'_>| {
         Ok(udp::Udp::new(a.me, a.down(0)?) as ProtocolRef)
     });
-    reg.add("icmp", |a: &GraphArgs<'_>| {
+    reg.add(contracts::icmp(), |a: &GraphArgs<'_>| {
         Ok(icmp::Icmp::new(a.me, a.down(0)?) as ProtocolRef)
     });
-    reg.add("tcp", |a: &GraphArgs<'_>| {
+    reg.add(contracts::tcp(), |a: &GraphArgs<'_>| {
         Ok(tcp::Tcp::new(a.me, a.down(0)?) as ProtocolRef)
     });
 }

@@ -607,14 +607,6 @@ impl TcpListener {
 }
 
 impl Protocol for Tcp {
-    fn contract(&self) -> xkernel::lint::ProtoContract {
-        crate::contracts::tcp()
-    }
-
-    fn name(&self) -> &'static str {
-        "tcp"
-    }
-
     fn id(&self) -> ProtoId {
         self.me
     }

@@ -206,14 +206,6 @@ impl Session for UdpSession {
 }
 
 impl Protocol for Udp {
-    fn contract(&self) -> xkernel::lint::ProtoContract {
-        crate::contracts::udp()
-    }
-
-    fn name(&self) -> &'static str {
-        "udp"
-    }
-
     fn id(&self) -> ProtoId {
         self.me
     }

@@ -30,9 +30,6 @@ impl Recorder {
 }
 
 impl Protocol for Recorder {
-    fn name(&self) -> &'static str {
-        "recorder"
-    }
     fn id(&self) -> ProtoId {
         self.me
     }
@@ -50,7 +47,9 @@ impl Protocol for Recorder {
 
 fn registry() -> xkernel::graph::ProtocolRegistry {
     let mut reg = base_registry();
-    reg.add("recorder", |a| Ok(Recorder::new(a.me) as ProtocolRef));
+    reg.add(ProtoContract::opaque("recorder"), |a| {
+        Ok(Recorder::new(a.me) as ProtocolRef)
+    });
     reg
 }
 
@@ -377,7 +376,9 @@ fn ping_fails_cleanly_when_host_absent() {
 
 fn tcp_rig() -> TwoHosts {
     let mut reg = base_registry();
-    reg.add("recorder", |a| Ok(Recorder::new(a.me) as ProtocolRef));
+    reg.add(ProtoContract::opaque("recorder"), |a| {
+        Ok(Recorder::new(a.me) as ProtocolRef)
+    });
     two_hosts(SimConfig::scheduled(), &reg, "tcp -> ip\n").expect("testbed builds")
 }
 

@@ -34,7 +34,7 @@ use xkernel::cell::OwnerCell;
 use xkernel::graph::{GraphArgs, ProtocolRegistry};
 use xkernel::map::SessionSnapshot;
 use xkernel::prelude::*;
-use xrpc::protnum::rel_proto_num;
+use xrpc::protnum::num_over;
 
 /// A message identity: (sender address, sender-local counter).
 pub type MsgId = (u32, u32);
@@ -172,7 +172,6 @@ pub struct Psync {
     weak_self: Weak<Psync>,
     me: ProtoId,
     lower: ProtoId,
-    lower_name: OnceCell<&'static str>,
     my_ip: OnceCell<IpAddr>,
     convs: SessionMap<u32, Rc<Conversation>>,
     lowers: SessionMap<u32>,
@@ -185,7 +184,6 @@ impl Psync {
             weak_self: weak_self.clone(),
             me,
             lower,
-            lower_name: OnceCell::new(),
             my_ip: OnceCell::new(),
             convs: SessionMap::new(),
             lowers: SessionMap::new(),
@@ -202,9 +200,8 @@ impl Psync {
 
     fn lower_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<SessionRef> {
         self.lowers.resolve_or_open(peer.0, || {
-            let lname = self.lower_name.get().expect("psync booted");
             let parts = ParticipantSet::pair(
-                Participant::proto(rel_proto_num(lname, "psync")?),
+                Participant::proto(num_over(ctx.kernel_ref(), self.me, self.lower)?),
                 Participant::host(peer),
             );
             ctx.kernel_ref().open(ctx, self.lower, self.me, &parts)
@@ -236,14 +233,6 @@ impl Psync {
 }
 
 impl Protocol for Psync {
-    fn contract(&self) -> xkernel::lint::ProtoContract {
-        psync_contract()
-    }
-
-    fn name(&self) -> &'static str {
-        "psync"
-    }
-
     fn id(&self) -> ProtoId {
         self.me
     }
@@ -251,15 +240,12 @@ impl Protocol for Psync {
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
         let kernel = ctx.kernel_ref();
         let lower = kernel.proto_ref(self.lower)?;
-        self.lower_name
-            .set(lower.name())
-            .map_err(|_| XError::Config("psync double boot".into()))?;
         let my_ip = lower.control(ctx, &ControlOp::GetMyHost)?.ip()?;
         self.my_ip
             .set(my_ip)
             .map_err(|_| XError::Config("psync double boot".into()))?;
         let parts =
-            ParticipantSet::local(Participant::proto(rel_proto_num(lower.name(), "psync")?));
+            ParticipantSet::local(Participant::proto(num_over(kernel, self.me, self.lower)?));
         kernel.open_enable(ctx, self.lower, self.me, &parts)
     }
 
@@ -389,8 +375,7 @@ pub fn psync_contract() -> xkernel::lint::ProtoContract {
 
 /// Registers `psync -> <fragment|vip|ip>` into the graph vocabulary.
 pub fn register_ctors(reg: &mut ProtocolRegistry) {
-    reg.add_contract(psync_contract());
-    reg.add("psync", |a: &GraphArgs<'_>| {
+    reg.add(psync_contract(), |a: &GraphArgs<'_>| {
         Ok(Psync::new(a.me, a.down(0)?) as ProtocolRef)
     });
 }

@@ -32,6 +32,7 @@ use std::sync::Arc;
 use xkernel::cell::OwnerCell;
 
 use fault::{FaultDecision, FaultPlan, FaultSchedule};
+use xkernel::lint::AddrKind;
 use xkernel::prelude::*;
 use xkernel::sim::{Mode, Time};
 
@@ -327,7 +328,8 @@ impl SimNet {
         let net = self.clone();
         let host = kernel.host();
         let mut created: Option<Rc<Nic>> = None;
-        let id = kernel.register(name, |me| {
+        let contract = ProtoContract::new("nic", AddrKind::Device);
+        let id = kernel.register(name, contract, |me| {
             let nic = Rc::new(Nic {
                 me,
                 sess: Rc::new(NicSession {
@@ -629,14 +631,6 @@ impl Session for NicSession {
 }
 
 impl Protocol for Nic {
-    fn name(&self) -> &'static str {
-        "nic"
-    }
-
-    fn contract(&self) -> xkernel::lint::ProtoContract {
-        xkernel::lint::ProtoContract::new("nic", xkernel::lint::AddrKind::Device)
-    }
-
     fn id(&self) -> ProtoId {
         self.me
     }
@@ -690,9 +684,6 @@ mod tests {
     }
 
     impl Protocol for Signer {
-        fn name(&self) -> &'static str {
-            "signer"
-        }
         fn id(&self) -> ProtoId {
             self.me
         }
@@ -709,9 +700,6 @@ mod tests {
     }
 
     impl Protocol for Recorder {
-        fn name(&self) -> &'static str {
-            "recorder"
-        }
         fn id(&self) -> ProtoId {
             self.me
         }
@@ -751,7 +739,7 @@ mod tests {
                 .attach(&k, lan, "nic0", EthAddr::from_index(i as u16 + 1))
                 .unwrap();
             let rec_id = k
-                .register("rec", |me| {
+                .register("rec", ProtoContract::opaque("recorder"), |me| {
                     Ok(Rc::new(Recorder {
                         me,
                         got: OwnerCell::new(Vec::new()),
@@ -959,7 +947,7 @@ mod tests {
                 .attach(&k, lan, "nic0", EthAddr::from_index(i + 1))
                 .unwrap();
             let rec_id = k
-                .register("rec", |me| {
+                .register("rec", ProtoContract::opaque("recorder"), |me| {
                     Ok(Rc::new(Recorder {
                         me,
                         got: OwnerCell::new(Vec::new()),
@@ -1098,10 +1086,9 @@ mod tests {
             let nic_id = net.attach(&k, lan, "nic0", eth_of(i)).unwrap();
             let log = Rc::clone(&log);
             let up = k
-                .register(
-                    "signer",
-                    |me| Ok(Rc::new(Signer { me, log }) as ProtocolRef),
-                )
+                .register("signer", ProtoContract::opaque("signer"), |me| {
+                    Ok(Rc::new(Signer { me, log }) as ProtocolRef)
+                })
                 .unwrap();
             let ctx = sim.ctx(k.host());
             nics.push(k.open(&ctx, nic_id, up, &ParticipantSet::new()).unwrap());

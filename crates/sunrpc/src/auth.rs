@@ -12,21 +12,18 @@
 //! verifier the client checks. Schemes plug in through [`CredScheme`]:
 //! [`AuthNone`] and [`AuthUnix`] are provided.
 
-use std::cell::OnceCell;
 use std::collections::HashSet;
 use std::rc::Rc;
 
 use xkernel::prelude::*;
 
 use crate::xdr::{XdrReader, XdrWriter};
-use xrpc::protnum::rel_proto_num;
+use xrpc::protnum::num_over;
 
 /// An authentication flavor: how credentials are produced and checked.
 pub trait CredScheme {
     /// The RFC 1057 flavor number (0 = none, 1 = unix).
     fn flavor(&self) -> u32;
-    /// Protocol name (keys the protocol-number table).
-    fn name(&self) -> &'static str;
     /// Produces this host's credential body.
     fn make_cred(&self, ctx: &Ctx) -> Vec<u8>;
     /// Verifies a peer's credential body; an error drops the request.
@@ -39,9 +36,6 @@ pub struct AuthNone;
 impl CredScheme for AuthNone {
     fn flavor(&self) -> u32 {
         0
-    }
-    fn name(&self) -> &'static str {
-        "auth_none"
     }
     fn make_cred(&self, _ctx: &Ctx) -> Vec<u8> {
         Vec::new()
@@ -71,9 +65,6 @@ pub struct AuthUnix {
 impl CredScheme for AuthUnix {
     fn flavor(&self) -> u32 {
         1
-    }
-    fn name(&self) -> &'static str {
-        "auth_unix"
     }
     fn make_cred(&self, _ctx: &Ctx) -> Vec<u8> {
         // Four words around the machine name, and its length word.
@@ -133,7 +124,6 @@ pub struct AuthLayer {
     me: ProtoId,
     lower: ProtoId,
     scheme: Rc<dyn CredScheme>,
-    lower_name: OnceCell<&'static str>,
     upper: UpperCell,
     // Server-side wrappers keyed by the identity of the session they wrap.
     sessions: SessionMap<usize>,
@@ -146,7 +136,6 @@ impl AuthLayer {
             me,
             lower,
             scheme,
-            lower_name: OnceCell::new(),
             upper: UpperCell::new(),
             sessions: SessionMap::new(),
         })
@@ -222,24 +211,8 @@ impl Session for AuthServerSession {
 }
 
 impl Protocol for AuthLayer {
-    fn contract(&self) -> xkernel::lint::ProtoContract {
-        crate::contracts::auth(self.scheme.name())
-    }
-
-    fn name(&self) -> &'static str {
-        self.scheme.name()
-    }
-
     fn id(&self) -> ProtoId {
         self.me
-    }
-
-    fn boot(&self, ctx: &Ctx) -> XResult<()> {
-        let lower = ctx.kernel_ref().proto_ref(self.lower)?;
-        // The lower protocol is fixed at configuration: a repeated boot
-        // finds the same name.
-        let _ = self.lower_name.set(lower.name());
-        Ok(())
     }
 
     fn drop_sessions(&self) {
@@ -251,12 +224,8 @@ impl Protocol for AuthLayer {
             .remote_part()
             .and_then(|p| p.host)
             .ok_or_else(|| XError::Config("auth open needs a peer host".into()))?;
-        let lname = self
-            .lower_name
-            .get()
-            .ok_or_else(|| XError::Config("auth layer used before boot".into()))?;
         let lparts = ParticipantSet::pair(
-            Participant::proto(rel_proto_num(lname, self.scheme.name())?),
+            Participant::proto(num_over(ctx.kernel_ref(), self.me, self.lower)?),
             Participant::host(peer),
         );
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
@@ -270,16 +239,10 @@ impl Protocol for AuthLayer {
 
     fn open_enable(&self, ctx: &Ctx, upper: ProtoId, _parts: &ParticipantSet) -> XResult<()> {
         self.upper.set(Some(upper));
-        let lname = self
-            .lower_name
-            .get()
-            .ok_or_else(|| XError::Config("auth layer used before boot".into()))?;
-        let parts = ParticipantSet::local(Participant::proto(rel_proto_num(
-            lname,
-            self.scheme.name(),
-        )?));
-        ctx.kernel_ref()
-            .open_enable(ctx, self.lower, self.me, &parts)
+        let kernel = ctx.kernel_ref();
+        let parts =
+            ParticipantSet::local(Participant::proto(num_over(kernel, self.me, self.lower)?));
+        kernel.open_enable(ctx, self.lower, self.me, &parts)
     }
 
     fn demux(&self, ctx: &Ctx, lls: &SessionRef, mut msg: Message) -> XResult<()> {

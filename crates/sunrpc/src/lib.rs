@@ -41,6 +41,17 @@ use std::rc::Rc;
 use xkernel::graph::{GraphArgs, ProtocolRegistry};
 use xkernel::prelude::*;
 
+/// Classic Sun RPC: SUN_SELECT / AUTH_UNIX / REQUEST_REPLY / UDP.
+pub const UDP_GRAPH: &str = "request_reply -> udp\n\
+     auth: auth_unix uid=1000 machine=sun3 allow=1000 -> request_reply\n\
+     sunselect -> auth\n";
+
+/// The §5 mix: SUN_SELECT over CHANNEL–FRAGMENT–VIP.
+pub const CHANNEL_GRAPH: &str = "vip -> ip eth arp\n\
+     fragment -> vip\n\
+     channel -> fragment\n\
+     sunselect -> channel\n";
+
 /// A registry holding the inet, Sprite RPC and Sun RPC vocabularies — every
 /// stack the paper measures. The one place the three are put together:
 /// harnesses that need more (Psync, the shim layers) add to this one.
@@ -58,18 +69,14 @@ pub fn registry() -> ProtocolRegistry {
 /// * `auth_unix uid=N gid=N machine=NAME [allow=UID,UID,...] -> <transaction layer>`
 /// * `sunselect -> <transaction or auth layer>`
 pub fn register_ctors(reg: &mut ProtocolRegistry) {
-    reg.add_contract(contracts::request_reply());
-    reg.add_contract(contracts::auth("auth_none"));
-    reg.add_contract(contracts::auth("auth_unix"));
-    reg.add_contract(contracts::sunselect());
-    reg.add("request_reply", |a: &GraphArgs<'_>| {
+    reg.add(contracts::request_reply(), |a: &GraphArgs<'_>| {
         let shepherds = xkernel::shepherd::ShepherdConfig::from_args(a)?;
         Ok(rr::RequestReply::new(a.me, a.down(0)?, shepherds) as ProtocolRef)
     });
-    reg.add("auth_none", |a: &GraphArgs<'_>| {
+    reg.add(contracts::auth("auth_none"), |a: &GraphArgs<'_>| {
         Ok(auth::AuthLayer::new(a.me, a.down(0)?, Rc::new(auth::AuthNone)) as ProtocolRef)
     });
-    reg.add("auth_unix", |a: &GraphArgs<'_>| {
+    reg.add(contracts::auth("auth_unix"), |a: &GraphArgs<'_>| {
         let allowed = match a.params.get("allow") {
             None => None,
             Some(list) => Some(
@@ -94,7 +101,7 @@ pub fn register_ctors(reg: &mut ProtocolRegistry) {
         };
         Ok(auth::AuthLayer::new(a.me, a.down(0)?, Rc::new(scheme)) as ProtocolRef)
     });
-    reg.add("sunselect", |a: &GraphArgs<'_>| {
+    reg.add(contracts::sunselect(), |a: &GraphArgs<'_>| {
         Ok(sunselect::SunSelect::new(a.me, a.down(0)?) as ProtocolRef)
     });
 }

@@ -13,7 +13,7 @@
 //!
 //! Header (XDR): xid, message type (0 = call, 1 = reply), protocol number.
 
-use std::cell::{Cell, OnceCell};
+use std::cell::Cell;
 use std::rc::{Rc, Weak};
 
 use xkernel::cell::OwnerCell;
@@ -23,7 +23,7 @@ use xkernel::prelude::*;
 use xkernel::shepherd::{ShepherdConfig, ShepherdStats, Shepherds};
 use xkernel::sim::Nanos;
 
-use xrpc::protnum::rel_proto_num;
+use xrpc::protnum::num_over;
 use xrpc::txn::{self, Poll, RtoPolicy, RtoSnap};
 
 const MSG_CALL: u32 = 0;
@@ -61,7 +61,6 @@ pub struct RequestReply {
     weak_self: Weak<RequestReply>,
     me: ProtoId,
     lower: ProtoId,
-    lower_name: OnceCell<&'static str>,
     next_xid: Cell<u32>,
     rto: RtoPolicy,
     enables: EnableMap<u32>,
@@ -82,7 +81,6 @@ impl RequestReply {
             weak_self: weak_self.clone(),
             me,
             lower,
-            lower_name: OnceCell::new(),
             next_xid: Cell::new(0),
             rto: RtoPolicy::new(TIMEOUT_NS, true),
             enables: EnableMap::new(),
@@ -115,16 +113,15 @@ impl RequestReply {
         self.outstanding.lock().len()
     }
 
-    fn lower_parts(&self, peer: Option<IpAddr>) -> XResult<ParticipantSet> {
-        let lname = self.lower_name.get().expect("request_reply booted");
-        if *lname == "udp" {
+    fn lower_parts(&self, kernel: &Kernel, peer: Option<IpAddr>) -> XResult<ParticipantSet> {
+        if kernel.space_of(self.lower)? == "udp" {
             let local = Participant::default().with_port(RR_UDP_PORT);
             return Ok(match peer {
                 None => ParticipantSet::local(local),
                 Some(p) => ParticipantSet::pair(local, Participant::host_port(p, RR_UDP_PORT)),
             });
         }
-        let local = Participant::proto(rel_proto_num(lname, "request_reply")?);
+        let local = Participant::proto(num_over(kernel, self.me, self.lower)?);
         Ok(match peer {
             None => ParticipantSet::local(local),
             Some(p) => ParticipantSet::pair(local, Participant::host(p)),
@@ -133,8 +130,9 @@ impl RequestReply {
 
     fn lower_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<SessionRef> {
         self.lowers.resolve_or_open(peer.0, || {
-            let parts = self.lower_parts(Some(peer))?;
-            ctx.kernel_ref().open(ctx, self.lower, self.me, &parts)
+            let kernel = ctx.kernel_ref();
+            let parts = self.lower_parts(kernel, Some(peer))?;
+            kernel.open(ctx, self.lower, self.me, &parts)
         })
     }
 
@@ -256,25 +254,13 @@ impl Session for RrServerSession {
 }
 
 impl Protocol for RequestReply {
-    fn contract(&self) -> xkernel::lint::ProtoContract {
-        crate::contracts::request_reply()
-    }
-
-    fn name(&self) -> &'static str {
-        "request_reply"
-    }
-
     fn id(&self) -> ProtoId {
         self.me
     }
 
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
         let kernel = ctx.kernel_ref();
-        let lower = kernel.proto_ref(self.lower)?;
-        self.lower_name
-            .set(lower.name())
-            .map_err(|_| XError::Config("request_reply double boot".into()))?;
-        let parts = self.lower_parts(None)?;
+        let parts = self.lower_parts(kernel, None)?;
         kernel.open_enable(ctx, self.lower, self.me, &parts)
     }
 

@@ -6,13 +6,12 @@
 //! for an at-most-once Sun RPC — and with any stack of authentication
 //! layers in between. This is the paper's "mix and match RPCs".
 
-use std::cell::OnceCell;
 use std::rc::{Rc, Weak};
 
 use xkernel::map::SessionSnapshot;
 use xkernel::prelude::*;
 
-use xrpc::protnum::rel_proto_num;
+use xrpc::protnum::num_over;
 use xrpc::select::Handler;
 
 /// Reply status values.
@@ -47,7 +46,6 @@ pub struct SunSelect {
     weak_self: Weak<SunSelect>,
     me: ProtoId,
     lower: ProtoId,
-    lower_name: OnceCell<&'static str>,
     handlers: EnableMap<(u32, u32, u32), Handler>,
     lowers: SessionMap<u32>,
 }
@@ -60,7 +58,6 @@ impl SunSelect {
             weak_self: weak_self.clone(),
             me,
             lower,
-            lower_name: OnceCell::new(),
             handlers: EnableMap::new(),
             lowers: SessionMap::new(),
         })
@@ -80,12 +77,8 @@ impl SunSelect {
 
     fn lower_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<SessionRef> {
         self.lowers.resolve_or_open(peer.0, || {
-            let lname = self
-                .lower_name
-                .get()
-                .ok_or_else(|| XError::Config("sunselect used before boot".into()))?;
             let parts = ParticipantSet::pair(
-                Participant::proto(rel_proto_num(lname, "sunselect")?),
+                Participant::proto(num_over(ctx.kernel_ref(), self.me, self.lower)?),
                 Participant::host(peer),
             );
             ctx.kernel_ref().open(ctx, self.lower, self.me, &parts)
@@ -166,28 +159,14 @@ impl Session for SunSelectSession {
 }
 
 impl Protocol for SunSelect {
-    fn contract(&self) -> xkernel::lint::ProtoContract {
-        crate::contracts::sunselect()
-    }
-
-    fn name(&self) -> &'static str {
-        "sunselect"
-    }
-
     fn id(&self) -> ProtoId {
         self.me
     }
 
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
         let kernel = ctx.kernel_ref();
-        let lower = kernel.proto_ref(self.lower)?;
-        // The lower protocol is fixed at configuration: a repeated boot
-        // finds the same name.
-        let _ = self.lower_name.set(lower.name());
-        let parts = ParticipantSet::local(Participant::proto(rel_proto_num(
-            lower.name(),
-            "sunselect",
-        )?));
+        let parts =
+            ParticipantSet::local(Participant::proto(num_over(kernel, self.me, self.lower)?));
         kernel.open_enable(ctx, self.lower, self.me, &parts)
     }
 

@@ -167,15 +167,14 @@ pub fn deadlock_cycles(out: &ToyOutcome) -> Vec<&Violation> {
 /// Registers the deadlock-toy constructors and contracts (`dl_ab`,
 /// `dl_ba`) into `reg`, so graph specs and the lint suite can name them.
 pub fn register_ctors(reg: &mut ProtocolRegistry) {
-    reg.add("dl_ab", |g: &GraphArgs<'_>| {
+    reg.add(dl_ab_contract(), |g: &GraphArgs<'_>| {
         Ok(Rc::new(DlAb {
             me: g.me,
             sem_a: SharedSema::labeled(1, "dl.sem_a"),
             sem_b: SharedSema::labeled(1, "dl.sem_b"),
         }) as ProtocolRef)
     });
-    reg.add_contract(dl_ab_contract());
-    reg.add("dl_ba", |g: &GraphArgs<'_>| {
+    reg.add(dl_ba_contract(), |g: &GraphArgs<'_>| {
         let below = g.kernel.proto_ref(g.down(0)?)?;
         let below: &dyn Any = &**below;
         let ab = below
@@ -187,7 +186,6 @@ pub fn register_ctors(reg: &mut ProtocolRegistry) {
             sem_b: ab.sem_b.clone(),
         }) as ProtocolRef)
     });
-    reg.add_contract(dl_ba_contract());
 }
 
 /// Contract for `dl_ab`: declares lock order `dl.sem_a` before
@@ -238,10 +236,6 @@ fn deadlock_process(first: SharedSema, second: SharedSema) -> impl FnOnce(&Ctx) 
 }
 
 impl Protocol for DlAb {
-    fn name(&self) -> &'static str {
-        "dl_ab"
-    }
-
     fn id(&self) -> ProtoId {
         self.me
     }
@@ -263,17 +257,9 @@ impl Protocol for DlAb {
         ctx.spawn_on(ctx.host(), f);
         Ok(())
     }
-
-    fn contract(&self) -> ProtoContract {
-        dl_ab_contract()
-    }
 }
 
 impl Protocol for DlBa {
-    fn name(&self) -> &'static str {
-        "dl_ba"
-    }
-
     fn id(&self) -> ProtoId {
         self.me
     }
@@ -294,9 +280,5 @@ impl Protocol for DlBa {
         let f = deadlock_process(self.sem_b.clone(), self.sem_a.clone());
         ctx.spawn_on(ctx.host(), f);
         Ok(())
-    }
-
-    fn contract(&self) -> ProtoContract {
-        dl_ba_contract()
     }
 }

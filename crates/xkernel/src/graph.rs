@@ -27,8 +27,8 @@
 //! Composition is a configuration-time decision, so composition *errors*
 //! are configuration-time errors: [`ProtocolRegistry::build`] runs the
 //! [`crate::lint`] pass over the spec before constructing anything, using
-//! the [`crate::lint::ProtoContract`]s registered alongside each
-//! constructor ([`ProtocolRegistry::add_contract`]). Error-level findings
+//! the [`crate::lint::ProtoContract`] each constructor is registered with
+//! ([`ProtocolRegistry::add`]). Error-level findings
 //! reject the build with [`XError::Lint`]; see [`crate::lint::RULES`] for
 //! the rule catalogue and `crate::lint` for the `# xk-lint: allow=`
 //! suppression directive. [`ProtocolRegistry::build_unchecked`] skips the pass for
@@ -193,16 +193,22 @@ impl LintMemo {
     }
 }
 
-/// Maps constructor names to constructors; shared by all kernels in a test
+/// One protocol kind: its contract, whose `name` is the constructor name,
+/// and its constructor.
+struct Kind {
+    contract: Arc<ProtoContract>,
+    ctor: Ctor,
+}
+
+/// Maps constructor names to protocol kinds; shared by all kernels in a test
 /// or benchmark so every host is configured from the same vocabulary.
 #[derive(Default)]
 pub struct ProtocolRegistry {
-    ctors: HashMap<String, Ctor>,
-    contracts: HashMap<String, ProtoContract>,
+    kinds: HashMap<String, Kind>,
     lint_mode: LintMode,
-    /// Verdicts already proved against `ctors` and `contracts`; emptied by
-    /// whatever changes either. Read with no lock, so kernels configured on
-    /// different threads share one registry without queueing on it.
+    /// Verdicts already proved against `kinds`; emptied by whatever changes
+    /// it. Read with no lock, so kernels configured on different threads
+    /// share one registry without queueing on it.
     lint_memo: LintMemo,
 }
 
@@ -212,29 +218,32 @@ impl ProtocolRegistry {
         ProtocolRegistry::default()
     }
 
-    /// Registers a constructor under `name`. Panics on duplicates — that is
-    /// always a programming error in test/bench setup code.
-    pub fn add<F>(&mut self, name: &str, ctor: F) -> &mut Self
+    /// Registers a protocol kind: `ctor` builds it, `contract` describes it
+    /// to the linter, and `contract.name` is the constructor name. A kind the
+    /// linter does not check passes [`ProtoContract::opaque`]. Panics on
+    /// duplicates — that is always a programming error in test/bench setup
+    /// code.
+    pub fn add<F>(&mut self, contract: ProtoContract, ctor: F) -> &mut Self
     where
         F: Fn(&GraphArgs<'_>) -> XResult<ProtocolRef> + Send + Sync + 'static,
     {
-        let prev = self.ctors.insert(name.to_string(), Box::new(ctor));
-        assert!(prev.is_none(), "duplicate constructor '{name}'");
-        self.lint_memo = LintMemo::default();
-        self
-    }
-
-    /// Registers the lint contract for the constructor of the same name.
-    /// Constructors without a contract are treated as opaque (unchecked).
-    pub fn add_contract(&mut self, contract: ProtoContract) -> &mut Self {
-        self.contracts.insert(contract.name.clone(), contract);
+        let name = contract.name.clone();
+        assert!(
+            !self.kinds.contains_key(&name),
+            "duplicate constructor '{name}'"
+        );
+        let kind = Kind {
+            contract: Arc::new(contract),
+            ctor: Box::new(ctor),
+        };
+        self.kinds.insert(name, kind);
         self.lint_memo = LintMemo::default();
         self
     }
 
     /// The registered contract for `ctor`, if any.
     pub fn contract(&self, ctor: &str) -> Option<&ProtoContract> {
-        self.contracts.get(ctor)
+        self.kinds.get(ctor).map(|k| &*k.contract)
     }
 
     /// Sets how [`ProtocolRegistry::build`] reacts to linter findings.
@@ -252,24 +261,21 @@ impl ProtocolRegistry {
         externals: &HashMap<String, ProtoContract>,
         opts: &LintOptions,
     ) -> Vec<Diagnostic> {
-        let known = |ctor: &str| self.ctors.contains_key(ctor);
-        lint::lint_spec(spec, known, &self.contracts, externals, opts)
+        lint::lint_spec(spec, |ctor| self.contract(ctor), externals, opts)
     }
 
     /// Lints `spec` in the context of `kernel` — every protocol already
-    /// registered there (NICs, earlier builds) counts as an external whose
-    /// contract comes from [`crate::proto::Protocol::contract`].
+    /// installed there (NICs, earlier builds) counts as an external whose
+    /// contract is the one its slot holds ([`Kernel::contract_of`]).
     ///
     /// The pass runs once per configuration: the verdict, clean or not, is
     /// kept under the spec text and the externals and handed back, borrowed,
     /// to every later call that matches both in full.
     pub fn lint_for_kernel(&self, kernel: &Arc<Kernel>, spec: &str) -> Cow<'_, [Diagnostic]> {
-        let mut externals = HashMap::new();
-        for name in kernel.protocol_names() {
-            if let Ok(p) = kernel.get(&name) {
-                externals.insert(name, p.contract());
-            }
-        }
+        let externals: HashMap<String, ProtoContract> = kernel
+            .contracts()
+            .map(|(name, contract)| (name.to_string(), contract.clone()))
+            .collect();
         if let Some(kept) = self.lint_memo.find(spec, &externals) {
             return Cow::Borrowed(kept);
         }
@@ -325,14 +331,15 @@ impl ProtocolRegistry {
                 .iter()
                 .map(|n| kernel.lookup(n))
                 .collect::<XResult<Vec<_>>>()?;
-            let ctor = self.ctors.get(&parsed.ctor).ok_or_else(|| {
+            let kind = self.kinds.get(&parsed.ctor).ok_or_else(|| {
                 XError::Config(format!(
                     "graph line {}: unknown constructor '{}'",
                     lineno + 1,
                     parsed.ctor
                 ))
             })?;
-            let me = kernel.reserve(&parsed.instance)?;
+            let contract = Arc::clone(&kind.contract);
+            let me = kernel.reserve_over(&parsed.instance, contract, down.first().copied())?;
             let args = GraphArgs {
                 sim,
                 kernel,
@@ -341,7 +348,7 @@ impl ProtocolRegistry {
                 down,
                 params: parsed.params,
             };
-            let proto = ctor(&args)?;
+            let proto = (kind.ctor)(&args)?;
             kernel.install(me, proto)?;
             built.push(me);
         }

@@ -16,6 +16,7 @@ use std::sync::Arc;
 
 use crate::addr::ParticipantSet;
 use crate::error::{XError, XResult};
+use crate::lint::{Produce, ProtoContract};
 use crate::map::AppendTable;
 use crate::msg::Message;
 use crate::proto::{ControlOp, ControlRes, ProtoId, ProtocolRef, SessionRef, TracedProtocol};
@@ -25,14 +26,20 @@ use crate::sim::{Ctx, HostId, Sim};
 pub struct Kernel {
     name: String,
     host: OnceCell<HostId>,
-    /// Slot `i` is `ProtoId(i)`: appended (named) by `reserve`, its protocol
-    /// filled by `install`. Append-only, so crossings and by-name
-    /// resolution read it with no guard.
+    /// Slot `i` is `ProtoId(i)`: appended (named, with the contract of its
+    /// kind) by `reserve`, its protocol filled by `install`. Append-only, so
+    /// crossings and by-name resolution read it with no guard.
     protocols: AppendTable<Slot>,
 }
 
 struct Slot {
     name: String,
+    /// What the slot holds: its kind is `contract.name`.
+    contract: Arc<ProtoContract>,
+    /// The slot whose kind names the protocol-number space this one
+    /// presents: itself, or for a pass-through layer built over a lower,
+    /// that lower's.
+    space: ProtoId,
     proto: OnceCell<ProtocolRef>,
 }
 
@@ -61,17 +68,36 @@ impl Kernel {
         &self.name
     }
 
-    /// Reserves a protocol id under `name` so the protocol can be
-    /// constructed knowing its own capability, then installed.
-    pub fn reserve(&self, name: &str) -> XResult<ProtoId> {
+    /// Reserves a protocol id under `name` for a protocol of the kind
+    /// `contract` describes, so the protocol can be constructed knowing its
+    /// own capability, then installed.
+    pub fn reserve(&self, name: &str, contract: impl Into<Arc<ProtoContract>>) -> XResult<ProtoId> {
+        self.reserve_over(name, contract.into(), None)
+    }
+
+    /// [`Kernel::reserve`] for a protocol configured over `lower`: a
+    /// pass-through kind presents `lower`'s protocol-number space.
+    pub(crate) fn reserve_over(
+        &self,
+        name: &str,
+        contract: Arc<ProtoContract>,
+        lower: Option<ProtoId>,
+    ) -> XResult<ProtoId> {
         if self.protocols.iter().any(|slot| slot.name == name) {
             return Err(XError::Config(format!(
                 "protocol '{name}' already configured on {}",
                 self.name
             )));
         }
+        let id = ProtoId(self.protocols.len());
+        let space = match lower.and_then(|l| self.protocols.get(l.0)) {
+            Some(below) if contract.produces == Produce::Same => below.space,
+            _ => id,
+        };
         Ok(ProtoId(self.protocols.push(Slot {
             name: name.to_string(),
+            contract,
+            space,
             proto: OnceCell::new(),
         })))
     }
@@ -88,11 +114,11 @@ impl Kernel {
     }
 
     /// Convenience: reserve + construct + install in one step.
-    pub fn register<F>(&self, name: &str, ctor: F) -> XResult<ProtoId>
+    pub fn register<F>(&self, name: &str, contract: ProtoContract, ctor: F) -> XResult<ProtoId>
     where
         F: FnOnce(ProtoId) -> XResult<ProtocolRef>,
     {
-        let id = self.reserve(name)?;
+        let id = self.reserve(name, contract)?;
         let proto = ctor(id)?;
         self.install(id, proto)?;
         Ok(id)
@@ -102,6 +128,29 @@ impl Kernel {
     /// [`Kernel::lookup`]); used by the trace layer to label span frames.
     pub fn name_of(&self, id: ProtoId) -> Option<String> {
         self.protocols.get(id.0).map(|slot| slot.name.clone())
+    }
+
+    /// The contract of the protocol in slot `id`, installed or reserved.
+    pub fn contract_of(&self, id: ProtoId) -> XResult<&ProtoContract> {
+        match self.protocols.get(id.0) {
+            Some(slot) => Ok(&slot.contract),
+            None => Err(not_installed(id)),
+        }
+    }
+
+    /// The kind (constructor name) of the protocol in slot `id`.
+    pub fn kind_of(&self, id: ProtoId) -> XResult<&str> {
+        self.contract_of(id).map(|c| c.name.as_str())
+    }
+
+    /// The kind whose protocol-number space the protocol in slot `id`
+    /// presents to the layers above it: its own, or, for a pass-through
+    /// layer (`null`, `handicap`), that of the layer beneath it.
+    pub fn space_of(&self, id: ProtoId) -> XResult<&str> {
+        match self.protocols.get(id.0) {
+            Some(slot) => self.kind_of(slot.space),
+            None => Err(not_installed(id)),
+        }
     }
 
     /// Resolves a configured protocol name to its id: a scan of the
@@ -143,6 +192,14 @@ impl Kernel {
     /// `reboot` and `reseed` all run in.
     pub(crate) fn protocols(&self) -> impl Iterator<Item = &ProtocolRef> {
         self.protocols.iter().filter_map(|slot| slot.proto.get())
+    }
+
+    /// Every installed protocol's instance name and contract, in id order.
+    pub(crate) fn contracts(&self) -> impl Iterator<Item = (&str, &ProtoContract)> {
+        self.protocols
+            .iter()
+            .filter(|slot| slot.proto.get().is_some())
+            .map(|slot| (slot.name.as_str(), &*slot.contract))
     }
 
     /// Every protocol slot in id order (with holes where ids were reserved
@@ -256,6 +313,7 @@ pub mod prelude {
     pub use crate::cell::Counter;
     pub use crate::error::{Reject, XError, XResult};
     pub use crate::kernel::Kernel;
+    pub use crate::lint::ProtoContract;
     pub use crate::map::{EnableMap, SessionMap, UpperCell};
     pub use crate::msg::Message;
     pub use crate::proto::{

@@ -570,18 +570,16 @@ impl Findings {
     }
 }
 
-/// Lints `spec` against `contracts` (keyed by constructor name).
+/// Lints `spec` against the vocabulary `contract_of` answers from.
 ///
-/// * `known_ctor`: whether a name is in the constructor vocabulary; names
-///   outside it raise XK002. Constructors without a contract are treated as
-///   [`ProtoContract::opaque`].
+/// * `contract_of`: the contract of a constructor name, or `None` for a
+///   name outside the vocabulary (XK002).
 /// * `externals`: instances that exist before the spec is built (device
 ///   protocols such as `nic0`, or instances from an earlier `build` call on
 ///   the same kernel), with the contract describing what they produce.
-pub fn lint_spec(
+pub fn lint_spec<'c>(
     spec: &str,
-    known_ctor: impl Fn(&str) -> bool,
-    contracts: &HashMap<String, ProtoContract>,
+    contract_of: impl Fn(&str) -> Option<&'c ProtoContract>,
     externals: &HashMap<String, ProtoContract>,
     opts: &LintOptions,
 ) -> Vec<Diagnostic> {
@@ -608,9 +606,8 @@ pub fn lint_spec(
             Err(e) => unparsed.push((idx + 1, line, e)),
             Ok(p) => nodes.push(Node {
                 line: idx + 1,
-                known: known_ctor(&p.ctor),
-                contract: contracts
-                    .get(&p.ctor)
+                known: contract_of(&p.ctor).is_some(),
+                contract: contract_of(&p.ctor)
                     .cloned()
                     .unwrap_or_else(|| ProtoContract::opaque(&p.ctor)),
                 name: p.instance,
@@ -1127,8 +1124,10 @@ fn find_cycle<'a>(
 mod tests {
     use super::*;
 
-    fn ctors(contracts: &HashMap<String, ProtoContract>) -> impl Fn(&str) -> bool + '_ {
-        |ctor| contracts.contains_key(ctor)
+    fn ctors<'c>(
+        contracts: &'c HashMap<String, ProtoContract>,
+    ) -> impl Fn(&str) -> Option<&'c ProtoContract> {
+        |ctor| contracts.get(ctor)
     }
 
     /// A miniature vocabulary mirroring the real stack's shape.
@@ -1211,8 +1210,7 @@ mod tests {
 
     fn run(spec: &str) -> Vec<Diagnostic> {
         let v = vocab();
-        let known = ctors(&v);
-        lint_spec(spec, known, &v, &ext(), &LintOptions::default())
+        lint_spec(spec, ctors(&v), &ext(), &LintOptions::default())
     }
 
     #[test]
@@ -1326,11 +1324,11 @@ mod tests {
     fn suppression_via_directive_and_options() {
         let spec = "# xk-lint: allow=XK006\npass -> nic0\nnet -> pass\n";
         let v = vocab();
-        let d = lint_spec(spec, ctors(&v), &v, &ext(), &LintOptions::default());
+        let d = lint_spec(spec, ctors(&v), &ext(), &LintOptions::default());
         assert!(d.is_empty(), "{d:?}");
         let mut opts = LintOptions::default();
         opts.allow.insert("XK006".to_string());
-        let d = lint_spec("pass -> nic0\nnet -> pass\n", ctors(&v), &v, &ext(), &opts);
+        let d = lint_spec("pass -> nic0\nnet -> pass\n", ctors(&v), &ext(), &opts);
         assert!(d.is_empty(), "{d:?}");
     }
 
@@ -1345,7 +1343,6 @@ mod tests {
         let d = lint_spec(
             "wire -> nic0\nnet -> wire\nleaky -> net\n",
             ctors(&v),
-            &v,
             &ext(),
             &LintOptions::default(),
         );
@@ -1381,7 +1378,6 @@ mod tests {
         let d = lint_spec(
             "wire -> nic0\nnet -> wire\nundeclared -> net\n",
             ctors(&v),
-            &v,
             &ext(),
             &LintOptions::default(),
         );
@@ -1402,7 +1398,6 @@ mod tests {
         let d = lint_spec(
             "wire -> nic0\nwired -> wire\n",
             ctors(&v),
-            &v,
             &ext(),
             &LintOptions::default(),
         );

@@ -164,10 +164,11 @@ impl ControlRes {
 const WRONG_RESULT: XError = XError::Unsupported("control result of another type");
 
 /// A protocol object: creates sessions and demultiplexes incoming messages.
+///
+/// What kind of protocol an object is — its constructor name and lint
+/// contract — is not asked of the object: its kernel slot holds it
+/// ([`crate::kernel::Kernel::kind_of`], [`crate::kernel::Kernel::contract_of`]).
 pub trait Protocol: Any {
-    /// Short protocol name, e.g. `"ip"`.
-    fn name(&self) -> &'static str;
-
     /// This protocol's id within its kernel.
     fn id(&self) -> ProtoId;
 
@@ -272,16 +273,6 @@ pub trait Protocol: Any {
     /// charge, or schedule. Errors if the blob is not this protocol's.
     fn restore_snap(&self, _ctx: &Ctx, _blob: &SnapBlob) -> XResult<()> {
         Ok(())
-    }
-
-    /// The declarative composition contract this protocol contributes to
-    /// the static graph linter ([`crate::lint`]): address kinds consumed
-    /// and produced, header budget, identity preservation, lower-layer
-    /// slots, and semaphore discipline. The default is an opaque contract
-    /// the linter does not check; protocols override it so composition
-    /// errors are caught before the simulator runs.
-    fn contract(&self) -> crate::lint::ProtoContract {
-        crate::lint::ProtoContract::opaque(self.name())
     }
 }
 

@@ -35,7 +35,6 @@ crate::wire_header! {
 /// A do-nothing protocol layer with a real header and demux map.
 pub struct NullLayer {
     me: ProtoId,
-    name: &'static str,
     down: ProtoId,
     enables: EnableMap<u16>,
     passive: SessionMap<u16>,
@@ -46,7 +45,6 @@ impl NullLayer {
     pub fn new(me: ProtoId, down: ProtoId) -> Rc<NullLayer> {
         Rc::new(NullLayer {
             me,
-            name: "null",
             down,
             enables: EnableMap::new(),
             passive: SessionMap::new(),
@@ -104,16 +102,8 @@ impl Session for NullSession {
 }
 
 impl Protocol for NullLayer {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
     fn id(&self) -> ProtoId {
         self.me
-    }
-
-    fn contract(&self) -> crate::lint::ProtoContract {
-        null_contract()
     }
 
     fn drop_sessions(&self) {
@@ -175,11 +165,6 @@ impl Protocol for NullLayer {
 pub struct HandicapLayer {
     me: ProtoId,
     down: ProtoId,
-    /// The name this layer reports. Defaults to `"handicap"`; a masquerade
-    /// name (e.g. `"eth"`) lets upper protocols treat the handicapped stack
-    /// exactly as they would the real one (protocol-number tables key on
-    /// the lower protocol's name).
-    name: &'static str,
     handicap: Handicap,
     upper: UpperCell,
     // Wrapped lower sessions for the upward path, keyed by the identity of
@@ -202,21 +187,9 @@ fn charge_msg(handicap: &Handicap, ctx: &Ctx, len: usize) {
 impl HandicapLayer {
     /// Creates a handicap layer above `down` charging `handicap`.
     pub fn new(me: ProtoId, down: ProtoId, handicap: Handicap) -> Rc<HandicapLayer> {
-        HandicapLayer::with_name(me, down, handicap, "handicap")
-    }
-
-    /// Like [`HandicapLayer::new`] but reporting `name` from
-    /// [`Protocol::name`].
-    pub fn with_name(
-        me: ProtoId,
-        down: ProtoId,
-        handicap: Handicap,
-        name: &'static str,
-    ) -> Rc<HandicapLayer> {
         Rc::new(HandicapLayer {
             me,
             down,
-            name,
             handicap,
             upper: UpperCell::new(),
             wrapped: SessionMap::new(),
@@ -247,14 +220,6 @@ impl Session for HandicapSession {
 }
 
 impl Protocol for HandicapLayer {
-    fn contract(&self) -> crate::lint::ProtoContract {
-        handicap_contract()
-    }
-
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
     fn id(&self) -> ProtoId {
         self.me
     }
@@ -320,32 +285,29 @@ pub fn handicap_contract() -> crate::lint::ProtoContract {
 /// Registers the shim constructors and their lint contracts:
 ///
 /// * `null -> <lower>` — a trivial complete layer (scaling ablation)
-/// * `handicap [as=<name>] [switches=N] [copy256=N] [fixed_ns=N] -> <lower>`
-///   — modelled-environment overhead layer
+/// * `handicap [as=<kind>] [switches=N] [copy256=N] [fixed_ns=N] -> <lower>`
+///   — modelled-environment overhead layer. Being a pass-through, it
+///   presents its lower's protocol-number space
+///   ([`crate::kernel::Kernel::space_of`]), so upper protocols treat the
+///   handicapped stack exactly as they would the real one; `as` names that
+///   space and is refused when it does not.
 pub fn register_ctors(reg: &mut crate::graph::ProtocolRegistry) {
-    reg.add_contract(null_contract());
-    reg.add_contract(handicap_contract());
-    reg.add("null", |a: &crate::graph::GraphArgs<'_>| {
+    reg.add(null_contract(), |a: &crate::graph::GraphArgs<'_>| {
         Ok(NullLayer::new(a.me, a.down(0)?) as crate::proto::ProtocolRef)
     });
-    reg.add("handicap", |a: &crate::graph::GraphArgs<'_>| {
+    reg.add(handicap_contract(), |a: &crate::graph::GraphArgs<'_>| {
         let handicap = Handicap {
             extra_switches_per_msg: a.param_u64("switches", 0)? as u32,
             extra_copy_256ths: a.param_u64("copy256", 0)? as u32,
             per_rtt_fixed: a.param_u64("fixed_ns", 0)?,
         };
-        // Masquerade names must be 'static; intern the handful used.
-        let name: &'static str = match a.params.get("as").map(String::as_str) {
-            None => "handicap",
-            Some("eth") => "eth",
-            Some("ip") => "ip",
-            Some("vip") => "vip",
-            Some(other) => {
-                return Err(XError::Config(format!(
-                    "handicap cannot masquerade as '{other}'"
-                )))
-            }
-        };
-        Ok(HandicapLayer::with_name(a.me, a.down(0)?, handicap, name) as crate::proto::ProtocolRef)
+        let down = a.down(0)?;
+        let space = a.kernel.space_of(down)?;
+        if let Some(kind) = a.params.get("as").filter(|kind| *kind != space) {
+            return Err(XError::Config(format!(
+                "handicap as={kind} sits over a '{space}'"
+            )));
+        }
+        Ok(HandicapLayer::new(a.me, down, handicap) as crate::proto::ProtocolRef)
     });
 }

@@ -219,11 +219,11 @@ impl Sim {
 
     /// Every frame a layer refused so far, one row per (host, protocol,
     /// reason) that refused any, sorted.
-    pub fn rejects(&self) -> Vec<RejectRow> {
+    pub fn rejects(&self) -> Vec<RejectRow<'_>> {
         let mut rows = Vec::new();
         for (i, h) in self.core.hosts.iter().enumerate() {
             for &(proto, why, count) in h.rejects.lock().iter() {
-                let layer = h.kernel.proto_ref(proto).map_or("?", |p| p.name());
+                let layer = h.kernel.kind_of(proto).unwrap_or("?");
                 rows.push(RejectRow {
                     host: HostId(i),
                     proto,

@@ -84,13 +84,13 @@ pub enum RobustEvent {
 /// One row of [`Sim::rejects`]: the frames one layer on one host refused
 /// for one reason.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct RejectRow {
+pub struct RejectRow<'k> {
     /// The refusing host.
     pub host: HostId,
     /// The refusing protocol.
     pub proto: ProtoId,
-    /// That protocol's name.
-    pub layer: &'static str,
+    /// That protocol's kind ([`crate::kernel::Kernel::kind_of`]).
+    pub layer: &'k str,
     /// Why.
     pub why: Reject,
     /// Frames refused.

@@ -57,10 +57,6 @@ impl Session for ProbeSession {
 }
 
 impl Protocol for Probe {
-    fn name(&self) -> &'static str {
-        "probe"
-    }
-
     fn id(&self) -> ProtoId {
         self.me
     }
@@ -113,7 +109,7 @@ fn rig(cfg: SimConfig) -> Rig {
     let sim = Sim::new(cfg);
     let kernel = Kernel::new(&sim, "host");
     let mut reg = ProtocolRegistry::new();
-    reg.add("probe", |a: &GraphArgs<'_>| {
+    reg.add(ProtoContract::opaque("probe"), |a: &GraphArgs<'_>| {
         let probe = Rc::new_cyclic(|this| Probe {
             this: this.clone(),
             me: a.me,
@@ -211,9 +207,15 @@ fn lookup_resolves_every_configured_name_without_a_lock() {
     assert!(matches!(err, XError::Config(_)), "got {err:?}");
     assert!(rig.kernel.name_of(ProtoId(NAMES.len())).is_none());
     // A name is reserved once.
-    assert!(rig.kernel.reserve("mid").is_err());
+    assert!(rig
+        .kernel
+        .reserve("mid", ProtoContract::opaque("probe"))
+        .is_err());
     // A reserved, not yet installed name resolves; its protocol does not.
-    let late = rig.kernel.reserve("late").expect("fresh name");
+    let late = rig
+        .kernel
+        .reserve("late", ProtoContract::opaque("probe"))
+        .expect("fresh name");
     assert_eq!(rig.kernel.lookup("late").expect("reserved"), late);
     assert!(rig.kernel.proto_ref(late).is_err());
 }

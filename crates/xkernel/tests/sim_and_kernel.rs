@@ -63,10 +63,6 @@ impl Session for LoopSession {
 }
 
 impl Protocol for Loopback {
-    fn name(&self) -> &'static str {
-        "loopback"
-    }
-
     fn id(&self) -> ProtoId {
         self.me
     }
@@ -125,10 +121,6 @@ impl Sink {
 }
 
 impl Protocol for Sink {
-    fn name(&self) -> &'static str {
-        "sink"
-    }
-
     fn id(&self) -> ProtoId {
         self.me
     }
@@ -358,11 +350,15 @@ fn inline_sema_nonblocking_paths() {
 
 fn registry() -> ProtocolRegistry {
     let mut reg = ProtocolRegistry::new();
-    reg.add("loopback", |a| Ok(Loopback::new(a.me) as ProtocolRef));
-    reg.add("null", |a| {
+    reg.add(ProtoContract::opaque("loopback"), |a| {
+        Ok(Loopback::new(a.me) as ProtocolRef)
+    });
+    reg.add(ProtoContract::opaque("null"), |a| {
         Ok(NullLayer::new(a.me, a.down(0)?) as ProtocolRef)
     });
-    reg.add("sink", |a| Ok(Sink::new(a.me) as ProtocolRef));
+    reg.add(ProtoContract::opaque("sink"), |a| {
+        Ok(Sink::new(a.me) as ProtocolRef)
+    });
     reg
 }
 
@@ -484,8 +480,14 @@ fn null_layer_propagates_max_packet_minus_header() {
 fn kernel_registry_error_paths() {
     let sim = Sim::new(SimConfig::inline_mode());
     let k = Kernel::new(&sim, "h");
-    let id = k.reserve("loop").unwrap();
-    assert!(k.reserve("loop").is_err(), "duplicate names rejected");
+    let id = k
+        .reserve("loop", ProtoContract::opaque("loopback"))
+        .unwrap();
+    assert!(
+        k.reserve("loop", ProtoContract::opaque("loopback"))
+            .is_err(),
+        "duplicate names rejected"
+    );
     assert!(
         k.proto_ref(id).is_err(),
         "reserved-but-uninstalled ids are not usable"
@@ -510,7 +512,9 @@ fn demux_to_missing_protocol_is_a_config_error() {
     let sim = Sim::new(SimConfig::inline_mode());
     let k = Kernel::new(&sim, "h");
     let id = k
-        .register("loop", |me| Ok(Loopback::new(me) as ProtocolRef))
+        .register("loop", ProtoContract::opaque("loopback"), |me| {
+            Ok(Loopback::new(me) as ProtocolRef)
+        })
         .unwrap();
     let ctx = sim.ctx(k.host());
     let sess = k
@@ -579,10 +583,6 @@ struct RebootProbe {
 }
 
 impl Protocol for RebootProbe {
-    fn name(&self) -> &'static str {
-        "reboot_probe"
-    }
-
     fn id(&self) -> ProtoId {
         self.me
     }
@@ -629,7 +629,9 @@ fn crash_kills_blocked_processes_and_pending_timers() {
 fn restart_bumps_epoch_and_runs_reboot_hooks() {
     let sim = Sim::new(SimConfig::scheduled().with_cost(CostModel::zero()));
     let k = Kernel::new(&sim, "h");
-    let id = k.reserve("reboot_probe").unwrap();
+    let id = k
+        .reserve("reboot_probe", ProtoContract::opaque("reboot_probe"))
+        .unwrap();
     let probe = Rc::new(RebootProbe {
         me: id,
         reboots: Mutex::new(0),
@@ -672,7 +674,9 @@ fn robustness_counters_accumulate_per_host() {
     let _a = Kernel::new(&sim, "a");
     let b = Kernel::new(&sim, "b");
     let lo = b
-        .register("loop", |me| Ok(Loopback::new(me) as ProtocolRef))
+        .register("loop", ProtoContract::opaque("loopback"), |me| {
+            Ok(Loopback::new(me) as ProtocolRef)
+        })
         .unwrap();
     sim.spawn(HostId(0), |ctx| {
         ctx.note(RobustEvent::Retransmit);

@@ -26,9 +26,7 @@ pub const SUN_PROC: u32 = 3;
 
 /// The Sun RPC stack's graph lines (same composition the chaos harness
 /// drives): REQUEST_REPLY over UDP, AUTH_UNIX, SUN_SELECT on top.
-pub const SUN_GRAPH: &str = "request_reply -> udp\n\
-     auth: auth_unix uid=1000 machine=sun3 allow=1000 -> request_reply\n\
-     sunselect -> auth\n";
+pub use sunrpc::UDP_GRAPH as SUN_GRAPH;
 
 /// A stack the load engine can drive: one of the paper's five RPC
 /// configurations, or classic Sun RPC over UDP.

@@ -50,7 +50,7 @@ const PROC: u32 = 1;
 
 /// A two-host SUNRPC-UDP testbed with the null procedure served.
 fn sun_testbed(cfg: SimConfig) -> TwoHosts {
-    let tb = two_hosts(cfg, &registry(), chaos::SUNRPC_UDP_GRAPH).expect("testbed builds");
+    let tb = two_hosts(cfg, &registry(), sunrpc::UDP_GRAPH).expect("testbed builds");
     with_concrete::<SunSelect, _>(&tb.server, "sunselect", |s| {
         s.serve(PROG, VERS, PROC, |ctx, _msg| Ok(ctx.empty_msg()));
     })

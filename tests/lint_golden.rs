@@ -396,9 +396,7 @@ fn cases() -> Vec<Case> {
 fn registry(extra: &[ProtoContract]) -> ProtocolRegistry {
     let mut reg = full_registry();
     for c in extra {
-        let name = c.name.clone();
-        reg.add_contract(c.clone());
-        reg.add(&name, |_a: &GraphArgs<'_>| {
+        reg.add(c.clone(), |_a: &GraphArgs<'_>| {
             Err(XError::Config("lint-only constructor".into()))
         });
     }

@@ -5,8 +5,8 @@
 //! kernel already holds — so the registry keeps it, and a second build of the
 //! same configuration runs no lint pass. Nothing is skipped: a kept *error*
 //! rejects the second build exactly as the first, anything that could change
-//! a verdict (a constructor or contract added, a different `nic0` under the
-//! same spec text) misses, and `WarnOnly` still reports on every build.
+//! a verdict (a protocol kind added, a different `nic0` under the same spec
+//! text) misses, and `WarnOnly` still reports on every build.
 //!
 //! "Runs no lint pass" is counted from here, in heap allocations: the pass
 //! makes hundreds (node tables, cloned contracts, path sets), a kept verdict
@@ -147,13 +147,14 @@ fn a_failing_spec_fails_again_from_the_memo() {
     }
 }
 
-/// `thing` over a NIC: clean while `thing` is opaque, XK006 once a contract
-/// says it wants a hardware address below it.
+/// `thing` over a NIC, with `later` beside it once `later` is registered:
+/// clean while `thing` is opaque and `later` is unknown (XK002), XK006 once
+/// `later` arrives with a contract that wants a hardware address below it.
 const THING_SPEC: &str = "thing -> nic0\n";
 
 fn thing_registry() -> ProtocolRegistry {
     let mut reg = ProtocolRegistry::new();
-    reg.add("thing", |a| {
+    reg.add(ProtoContract::opaque("thing"), |a| {
         Ok(xkernel::shim::NullLayer::new(a.me, a.down(0)?) as ProtocolRef)
     });
     reg
@@ -166,35 +167,27 @@ fn a_contract_or_constructor_added_after_a_build_invalidates() {
     assert!(reg.lint_for_kernel(&k, THING_SPEC).is_empty());
     assert!(reg.lint_for_kernel(&k, THING_SPEC).is_empty(), "and kept");
 
-    reg.add_contract(ProtoContract::new("thing", AddrKind::Internet).lower(&[AddrKind::Hardware]));
-    let now = reg.lint_for_kernel(&k, THING_SPEC).into_owned();
-    assert!(
-        now.iter().any(|d| d.rule == "XK006"),
-        "the contract is checked, not the verdict from before it: {now:?}"
-    );
-
     let later = "thing -> nic0\nlater -> nic0\n";
     let before = reg.lint_for_kernel(&k, later).into_owned();
     assert!(before.iter().any(|d| d.rule == "XK002"));
-    reg.add("later", |a| {
+    let contract = ProtoContract::new("later", AddrKind::Internet).lower(&[AddrKind::Hardware]);
+    reg.add(contract, |a| {
         Ok(xkernel::shim::NullLayer::new(a.me, a.down(0)?) as ProtocolRef)
     });
     let after = reg.lint_for_kernel(&k, later).into_owned();
     assert!(!after.iter().any(|d| d.rule == "XK002"));
+    assert!(
+        after.iter().any(|d| d.rule == "XK006"),
+        "the contract is checked, not the verdict from before it: {after:?}"
+    );
 }
 
 /// Something registered as `nic0` that is not a device.
 struct OddNic(ProtoId);
 
 impl Protocol for OddNic {
-    fn name(&self) -> &'static str {
-        "oddnic"
-    }
     fn id(&self) -> ProtoId {
         self.0
-    }
-    fn contract(&self) -> ProtoContract {
-        ProtoContract::new("oddnic", AddrKind::Rpc)
     }
     fn open(&self, _: &Ctx, _: ProtoId, _: &ParticipantSet) -> XResult<SessionRef> {
         Err(XError::Unsupported("oddnic open"))
@@ -214,8 +207,11 @@ fn kernels_whose_nic0_contracts_differ_get_different_verdicts_for_one_spec() {
     let (_sim, real) = blank_host();
     let odd_sim = Sim::new(SimConfig::inline_mode());
     let odd = Kernel::new(&odd_sim, "host0");
-    odd.register("nic0", |id| Ok(std::rc::Rc::new(OddNic(id)) as ProtocolRef))
-        .unwrap();
+    let contract = ProtoContract::new("oddnic", AddrKind::Rpc);
+    odd.register("nic0", contract, |id| {
+        Ok(std::rc::Rc::new(OddNic(id)) as ProtocolRef)
+    })
+    .unwrap();
 
     // Either order: neither kernel is answered with the other's verdict.
     for _ in 0..2 {

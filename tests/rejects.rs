@@ -454,7 +454,7 @@ fn sun_rpc_udp_rig() -> Rig {
         .unwrap();
         assert_eq!(reply.expect("the call completes"), Vec::<u8>::new());
     });
-    let rig = Rig::new(chaos::SUNRPC_UDP_GRAPH, exchange, Rc::clone(&executed));
+    let rig = Rig::new(sunrpc::UDP_GRAPH, exchange, Rc::clone(&executed));
     with_concrete::<SunSelect, _>(&rig.lan.kernels[1], "sunselect", |s| {
         s.serve(PROG, VERS, PROC, move |ctx, _| {
             executed.set(executed.get() + 1);
