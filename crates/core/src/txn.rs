@@ -434,10 +434,9 @@ impl<T: Clone> Pool<T> {
 
     /// Takes a channel (blocking while none is free), runs `call` on it and
     /// puts it back, whatever `call` returned.
-    #[inline]
-    // As `transact`: one call site per instantiation.
     // The semaphore counts the free items: past `p` one is there to pop.
     #[allow(clippy::expect_used)]
+    #[inline] // As `transact`: one call site per instantiation.
     pub fn with<R>(&self, ctx: &Ctx, call: impl FnOnce(&T) -> R) -> R {
         self.sema.p(ctx);
         let item = self.free.lock().pop().expect("semaphore-guarded pool");

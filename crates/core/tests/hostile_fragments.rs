@@ -219,9 +219,12 @@ fn fragment_state(kernel: &Kernel) -> (FragStats, usize) {
         .expect("a FRAGMENT stack")
 }
 
-/// The protocol number FRAGMENT carries for L_RPC-VIP's CHANNEL.
-fn channel_num() -> u32 {
-    xrpc::protnum::rel_proto_num("fragment", "channel").expect("CHANNEL's number")
+/// The protocol number FRAGMENT carries for L_RPC-VIP's CHANNEL on `tb`'s
+/// client.
+fn channel_num(tb: &TwoHosts) -> u32 {
+    let k = &tb.client;
+    let (chan, frag) = (k.lookup("channel").unwrap(), k.lookup("fragment").unwrap());
+    xrpc::protnum::num_over(k, chan, frag).expect("CHANNEL's number")
 }
 
 /// A NACK from the server for fragments `frag_mask` of the client's
@@ -291,7 +294,7 @@ fn fragment_resends_only_the_retained_fragments_a_nack_names() {
     let all = (1u16 << num) - 1;
     assert_eq!(retained, usize::try_from(sent.messages_sent).expect("few"));
 
-    let proto = channel_num();
+    let proto = channel_num(&tb);
     assert_eq!(
         nack_resends(&tb, proto, seq + 1000, num, all),
         0,
@@ -390,7 +393,7 @@ fn a_nack_resends_until_its_copy_is_discard_ns_old() {
     tb.sim.spawn(tb.client.host(), call);
     assert_eq!(tb.sim.run_until_idle().blocked, 0);
     // The next request is the client's second message.
-    let nack = nack_frame(&tb, channel_num(), 2, 1, 1);
+    let nack = nack_frame(&tb, channel_num(&tb), 2, 1, 1);
     let resent = Rc::new(Cell::new((u64::MAX, u64::MAX)));
     let out = Rc::clone(&resent);
     tb.sim.spawn(tb.client.host(), move |ctx| {
@@ -429,10 +432,10 @@ fn in_inline_mode_only_the_cap_retires_a_copy() {
     assert_eq!(tb.sim.ctx(tb.client.host()).event_time(), 0);
     assert_eq!(fragment_state(&tb.client).1, 64);
     assert_eq!(
-        nack_resends(&tb, channel_num(), 1, 1, 1),
+        nack_resends(&tb, channel_num(&tb), 1, 1, 1),
         1,
         "the first of 64"
     );
     // `nack_resends` made one more call: the first message is evicted.
-    assert_eq!(nack_resends(&tb, channel_num(), 1, 1, 1), 0, "evicted");
+    assert_eq!(nack_resends(&tb, channel_num(&tb), 1, 1, 1), 0, "evicted");
 }

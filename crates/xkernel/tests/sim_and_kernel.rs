@@ -472,6 +472,33 @@ fn null_layer_propagates_max_packet_minus_header() {
     assert_eq!(max.size().unwrap(), 1500 - NULL_HDR_LEN);
 }
 
+/// A slot keeps its kind; a pass-through layer presents the number space of
+/// the layer beneath it, through any depth of them, and `handicap`'s `as=`
+/// must name that space.
+#[test]
+fn a_pass_through_layer_presents_its_lowers_number_space() {
+    let sim = Sim::new(SimConfig::inline_mode());
+    let k = Kernel::new(&sim, "h");
+    let mut reg = ProtocolRegistry::new();
+    xkernel::shim::register_ctors(&mut reg);
+    reg.add(ProtoContract::opaque("loopback"), |a| {
+        Ok(Loopback::new(a.me) as ProtocolRef)
+    });
+    let spec = "lo: loopback\nn0: null -> lo\nh: handicap as=loopback -> n0\n";
+    reg.build_unchecked(&sim, &k, spec).unwrap();
+    let id = |name: &str| k.lookup(name).unwrap();
+    assert_eq!(k.kind_of(id("n0")).unwrap(), "null");
+    assert_eq!(k.kind_of(id("h")).unwrap(), "handicap");
+    for name in ["lo", "n0", "h"] {
+        assert_eq!(k.space_of(id(name)).unwrap(), "loopback", "{name}");
+    }
+    let err = reg.build_unchecked(&sim, &k, "bad: handicap as=eth -> h\n");
+    assert!(
+        matches!(&err, Err(XError::Config(m)) if m.contains("as=eth")),
+        "{err:?}"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Kernel registry error paths.
 // ---------------------------------------------------------------------------

@@ -147,9 +147,9 @@ fn a_failing_spec_fails_again_from_the_memo() {
     }
 }
 
-/// `thing` over a NIC, with `later` beside it once `later` is registered:
-/// clean while `thing` is opaque and `later` is unknown (XK002), XK006 once
-/// `later` arrives with a contract that wants a hardware address below it.
+/// `thing` over a NIC: clean, `thing` being opaque. Beside it, `later` is
+/// XK002 until it is registered, then XK006, its contract wanting a
+/// hardware address below it.
 const THING_SPEC: &str = "thing -> nic0\n";
 
 fn thing_registry() -> ProtocolRegistry {
