@@ -25,7 +25,7 @@ fn udp_latency(handicapped: bool) -> u64 {
         SimConfig::scheduled(),
         &reg,
         if handicapped {
-            "hcap: handicap as=ip switches=4 copy256=512 fixed_ns=900000 -> ip\n\
+            "hcap: handicap switches=4 copy256=512 fixed_ns=900000 -> ip\n\
              udps: udp -> hcap\n"
         } else {
             ""

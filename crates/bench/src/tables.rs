@@ -19,7 +19,7 @@ use crate::{
 /// callback per round trip.
 pub const N_RPC: StackDef = StackDef {
     name: "N_RPC (modelled)",
-    graph: "hcap: handicap as=eth switches=1 copy256=256 fixed_ns=200000 -> eth\n\
+    graph: "hcap: handicap switches=1 copy256=256 fixed_ns=200000 -> eth\n\
             mrpc: sprite -> hcap arp\n",
     entry: "mrpc",
 };

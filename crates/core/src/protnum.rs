@@ -20,7 +20,7 @@ use inet::eth::eth_type;
 use inet::ip::ip_proto;
 
 /// The number protocol `me` of `kernel` demultiplexes on over its lower
-/// `lower`: [`rel_proto_num`] of the two kinds the kernel holds, a
+/// `lower`: `rel_proto_num` of the two kinds the kernel holds, a
 /// pass-through lower read as the layer it presents ([`Kernel::space_of`]).
 pub fn num_over(kernel: &Kernel, me: ProtoId, lower: ProtoId) -> XResult<u32> {
     rel_proto_num(kernel.space_of(lower)?, kernel.kind_of(me)?)
@@ -31,7 +31,7 @@ pub fn num_over(kernel: &Kernel, me: ProtoId, lower: ProtoId) -> XResult<u32> {
 /// Both are kinds (constructor names, [`Kernel::kind_of`]). Virtual
 /// protocols (vip/vipaddr/vipsize) present IP's protocol-number space,
 /// mapping into Ethernet's type space internally.
-pub fn rel_proto_num(lower: &str, me: &str) -> XResult<u32> {
+fn rel_proto_num(lower: &str, me: &str) -> XResult<u32> {
     let n = match (lower, me) {
         ("eth", "ip") => u32::from(eth_type::IP),
         ("eth", "arp") => u32::from(eth_type::ARP),

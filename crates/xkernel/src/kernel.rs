@@ -71,8 +71,8 @@ impl Kernel {
     /// Reserves a protocol id under `name` for a protocol of the kind
     /// `contract` describes, so the protocol can be constructed knowing its
     /// own capability, then installed.
-    pub fn reserve(&self, name: &str, contract: impl Into<Arc<ProtoContract>>) -> XResult<ProtoId> {
-        self.reserve_over(name, contract.into(), None)
+    pub fn reserve(&self, name: &str, contract: ProtoContract) -> XResult<ProtoId> {
+        self.reserve_over(name, Arc::new(contract), None)
     }
 
     /// [`Kernel::reserve`] for a protocol configured over `lower`: a

@@ -276,7 +276,6 @@ pub fn null_contract() -> crate::lint::ProtoContract {
 /// the wire, only modelled cost).
 pub fn handicap_contract() -> crate::lint::ProtoContract {
     crate::lint::ProtoContract::passthrough("handicap")
-        .param("as", false, false)
         .param("switches", false, true)
         .param("copy256", false, true)
         .param("fixed_ns", false, true)
@@ -285,12 +284,11 @@ pub fn handicap_contract() -> crate::lint::ProtoContract {
 /// Registers the shim constructors and their lint contracts:
 ///
 /// * `null -> <lower>` — a trivial complete layer (scaling ablation)
-/// * `handicap [as=<kind>] [switches=N] [copy256=N] [fixed_ns=N] -> <lower>`
+/// * `handicap [switches=N] [copy256=N] [fixed_ns=N] -> <lower>`
 ///   — modelled-environment overhead layer. Being a pass-through, it
 ///   presents its lower's protocol-number space
 ///   ([`crate::kernel::Kernel::space_of`]), so upper protocols treat the
-///   handicapped stack exactly as they would the real one; `as` names that
-///   space and is refused when it does not.
+///   handicapped stack exactly as they would the real one.
 pub fn register_ctors(reg: &mut crate::graph::ProtocolRegistry) {
     reg.add(null_contract(), |a: &crate::graph::GraphArgs<'_>| {
         Ok(NullLayer::new(a.me, a.down(0)?) as crate::proto::ProtocolRef)
@@ -301,13 +299,6 @@ pub fn register_ctors(reg: &mut crate::graph::ProtocolRegistry) {
             extra_copy_256ths: a.param_u64("copy256", 0)? as u32,
             per_rtt_fixed: a.param_u64("fixed_ns", 0)?,
         };
-        let down = a.down(0)?;
-        let space = a.kernel.space_of(down)?;
-        if let Some(kind) = a.params.get("as").filter(|kind| *kind != space) {
-            return Err(XError::Config(format!(
-                "handicap as={kind} sits over a '{space}'"
-            )));
-        }
-        Ok(HandicapLayer::new(a.me, down, handicap) as crate::proto::ProtocolRef)
+        Ok(HandicapLayer::new(a.me, a.down(0)?, handicap) as crate::proto::ProtocolRef)
     });
 }

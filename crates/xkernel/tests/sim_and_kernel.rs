@@ -473,8 +473,7 @@ fn null_layer_propagates_max_packet_minus_header() {
 }
 
 /// A slot keeps its kind; a pass-through layer presents the number space of
-/// the layer beneath it, through any depth of them, and `handicap`'s `as=`
-/// must name that space.
+/// the layer beneath it, through any depth of them.
 #[test]
 fn a_pass_through_layer_presents_its_lowers_number_space() {
     let sim = Sim::new(SimConfig::inline_mode());
@@ -484,7 +483,7 @@ fn a_pass_through_layer_presents_its_lowers_number_space() {
     reg.add(ProtoContract::opaque("loopback"), |a| {
         Ok(Loopback::new(a.me) as ProtocolRef)
     });
-    let spec = "lo: loopback\nn0: null -> lo\nh: handicap as=loopback -> n0\n";
+    let spec = "lo: loopback\nn0: null -> lo\nh: handicap -> n0\n";
     reg.build_unchecked(&sim, &k, spec).unwrap();
     let id = |name: &str| k.lookup(name).unwrap();
     assert_eq!(k.kind_of(id("n0")).unwrap(), "null");
@@ -492,11 +491,6 @@ fn a_pass_through_layer_presents_its_lowers_number_space() {
     for name in ["lo", "n0", "h"] {
         assert_eq!(k.space_of(id(name)).unwrap(), "loopback", "{name}");
     }
-    let err = reg.build_unchecked(&sim, &k, "bad: handicap as=eth -> h\n");
-    assert!(
-        matches!(&err, Err(XError::Config(m)) if m.contains("as=eth")),
-        "{err:?}"
-    );
 }
 
 // ---------------------------------------------------------------------------

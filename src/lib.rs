@@ -72,14 +72,14 @@ pub fn builtin_specs() -> Vec<(String, String)> {
     specs.push((
         "N_RPC (handicap-eth)".to_string(),
         format!(
-            "{base}hcap: handicap as=eth switches=1 copy256=256 fixed_ns=200000 -> eth\n\
+            "{base}hcap: handicap switches=1 copy256=256 fixed_ns=200000 -> eth\n\
              mrpc: sprite -> hcap arp\n"
         ),
     ));
     specs.push((
         "SunOS-UDP (handicap-ip)".to_string(),
         format!(
-            "{base}hcap: handicap as=ip switches=4 copy256=512 fixed_ns=900000 -> ip\n\
+            "{base}hcap: handicap switches=4 copy256=512 fixed_ns=900000 -> ip\n\
              udps: udp -> hcap\n"
         ),
     ));
