@@ -65,10 +65,12 @@ echo "==> count-gate: what a call costs in counts no host can move"
 # switches and coroutines started per run of warm calls (2n + 4 and 2 — a
 # delivered frame starts nothing), events, fuel and live processes per
 # scheduled null call, allocations per inline null call and per scheduled
-# 16 KiB call on M_RPC-VIP and L_RPC-VIP — exact, in release, as the benchmark
-# builds; a header built on the heap is two more, a header buffer taken per
-# fragment twelve, and either fails here — live heap bytes per process parked
-# on a semaphore and per sleeping one (a waiter is 16 B, held in the
+# 16 KiB call on M_RPC-VIP and L_RPC-VIP and 8 KiB call on SUNRPC-UDP — exact,
+# in release, as the benchmark builds; a header built on the heap is two more,
+# anything taken per frame (a header buffer, a rope list, a boxed delivery)
+# eleven or more, and either fails here, as does an 8 KiB call that allocates
+# less than a 16 KiB one on M_RPC-VIP (the 1/8/16 KiB rows are printed) — live
+# heap bytes per process parked on a semaphore and per sleeping one (a waiter is 16 B, held in the
 # semaphore; a waiter queue allocated per semaphore is 192 more; a parked
 # machine's start and wake keys name its process slot, so it holds no event
 # slot; a timeline key lives in a 32-key block, which a drained bucket hands

@@ -33,6 +33,7 @@
 #![warn(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use std::cell::RefCell;
+use std::hash::BuildHasherDefault;
 use std::rc::Rc;
 use std::sync::OnceLock;
 
@@ -46,6 +47,7 @@ use simnet::{FaultEvent, LanId, LanStats, Template};
 use sunrpc::sunselect::SunSelect;
 use xkernel::graph::ProtocolRegistry;
 use xkernel::journal::Journal;
+use xkernel::map::MixHasher;
 use xkernel::prelude::*;
 pub use xkernel::rng::splitmix64;
 use xkernel::sim::{RunReport, ScheduleChooser, SimConfig};
@@ -452,12 +454,23 @@ struct Tally {
     executed: u32,
     garbage: u32,
     /// Tags of intact request payloads the procedure has executed, for
-    /// per-call duplicate detection.
-    seen: std::collections::HashSet<u64>,
+    /// per-call duplicate detection. Only whether a tag was new is read, so
+    /// the set's order (and its hasher) cannot reach a report.
+    seen: std::collections::HashSet<u64, BuildHasherDefault<MixHasher>>,
     duplicate_execs: u32,
 }
 
 impl Tally {
+    /// Zeroes every count for the next scenario, keeping the set's room.
+    fn reset(&mut self) {
+        let mut seen = std::mem::take(&mut self.seen);
+        seen.clear();
+        *self = Tally {
+            seen,
+            ..Tally::default()
+        };
+    }
+
     /// Files one client call's outcome against the reply it wanted.
     fn call_returned(&mut self, got: XResult<Vec<u8>>, want: &[u8]) {
         match got {
@@ -583,7 +596,7 @@ impl Scenario {
 
         rig.warm.fork(self.seed);
         POOL.with_borrow_mut(|p| p.stats.forked += 1);
-        *rig.tally.lock() = Tally::default();
+        rig.tally.lock().reset();
 
         let sched = self.profile.schedule(
             self.seed,

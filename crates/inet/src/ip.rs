@@ -388,8 +388,8 @@ impl Ip {
                 return Err(Reject::Corrupt("ip fragment overlap").into());
             }
             if !duplicate {
-                ent.parts.insert(hdr.frag_off, msg.clone());
                 ent.have += msg.len();
+                ent.parts.insert(hdr.frag_off, msg);
             }
             if !hdr.more_frags {
                 ent.total_payload = Some(hi);

@@ -34,7 +34,7 @@ use xkernel::cell::OwnerCell;
 use fault::{FaultDecision, FaultPlan, FaultSchedule};
 use xkernel::lint::AddrKind;
 use xkernel::prelude::*;
-use xkernel::sim::{Mode, Time};
+use xkernel::sim::{Mode, Receiver, Time};
 
 /// Identifies one LAN segment within a [`SimNet`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -551,18 +551,8 @@ impl SimNet {
                 for copy in 0..copies {
                     let at = arrival + copy as u64 * tx;
                     for (host, nic) in receivers() {
-                        let nic = Rc::clone(nic);
-                        let m = next_copy();
-                        ctx.schedule_run_at(
-                            at,
-                            *host,
-                            Box::new(move |rctx: &Ctx| {
-                                rctx.charge_class(OpClass::Dispatch, rctx.cost().dispatch);
-                                // A layer's refusal was counted at its demux
-                                // seam; no other error has a caller here.
-                                let _ = nic.deliver_up(rctx, m);
-                            }),
-                        );
+                        let rx = Rc::clone(nic) as Rc<dyn Receiver>;
+                        ctx.deliver_at(at, *host, rx, next_copy());
                     }
                 }
             }
@@ -596,6 +586,17 @@ impl Nic {
             .get()
             .ok_or(XError::Unsupported("frame at a nic with no upper protocol"))?;
         ctx.kernel_ref().demux_to(ctx, upper, &self.sess, msg)
+    }
+}
+
+/// A scheduled frame's arrival: the process the wire files for it pays the
+/// dispatch and hands the frame up.
+impl Receiver for Nic {
+    fn receive(&self, ctx: &Ctx, msg: Message) {
+        ctx.charge_class(OpClass::Dispatch, ctx.cost().dispatch);
+        // A layer's refusal was counted at its demux seam; no other error
+        // has a caller here.
+        let _ = self.deliver_up(ctx, msg);
     }
 }
 

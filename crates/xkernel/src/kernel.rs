@@ -205,11 +205,8 @@ impl Kernel {
     /// Every protocol slot in id order (with holes where ids were reserved
     /// but never installed). The snapshot machinery aligns per-protocol
     /// state blobs to these slots; see [`crate::sim::Sim::snapshot`].
-    pub fn protocol_slots(&self) -> Vec<Option<ProtocolRef>> {
-        self.protocols
-            .iter()
-            .map(|slot| slot.proto.get().cloned())
-            .collect()
+    pub fn protocol_slots(&self) -> impl Iterator<Item = Option<&ProtocolRef>> {
+        self.protocols.iter().map(|slot| slot.proto.get())
     }
 
     /// Names of all configured protocols, in configuration order.

@@ -13,7 +13,10 @@
 //! 2. **Layers can retain references to pieces of the same message.**
 //!    The payload is a rope of reference-counted segments, so cloning a
 //!    message for retransmission, fragmenting it, and reassembling fragments
-//!    are all (nearly) copy-free.
+//!    are all (nearly) copy-free. The rope holds its first segment in place
+//!    and only a second spills into a vector, so a fragment, a clone of a
+//!    one-segment message and a user payload allocate no list; what a
+//!    message costs the host per frame is then its front buffer alone.
 //!
 //! The host recycles the header buffer too, per simulation. A front buffer
 //! of [`DEFAULT_HEADROOM`] bytes — what every message, clone and fragment
@@ -65,17 +68,18 @@ impl Default for HeaderPolicy {
     }
 }
 
-/// A shared, immutable slice of payload bytes.
+/// A shared, immutable slice of payload bytes. The bounds are `u32`s (a
+/// segment is under 4 GiB), so a segment is two words.
 #[derive(Clone, Debug)]
 struct Segment {
     data: Rc<Vec<u8>>,
-    start: usize,
-    end: usize,
+    start: u32,
+    end: u32,
 }
 
 impl Segment {
     fn from_vec(v: Vec<u8>) -> Segment {
-        let end = v.len();
+        let end = u32::try_from(v.len()).expect("a message segment is under 4 GiB");
         Segment {
             data: Rc::new(v),
             start: 0,
@@ -85,12 +89,124 @@ impl Segment {
 
     #[inline]
     fn len(&self) -> usize {
-        self.end - self.start
+        (self.end - self.start) as usize
     }
 
     #[inline]
     fn bytes(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        &self.data[self.start as usize..self.end as usize]
+    }
+}
+
+/// The payload rope: its segments in order, the first held in place and
+/// the rest in a vector, so that a rope of one segment — a fragment, a
+/// clone of a one-segment message, a user payload — allocates no list.
+/// `first` is `None` only when `rest` is empty too.
+#[derive(Default)]
+struct Rope {
+    first: Option<Segment>,
+    rest: Vec<Segment>,
+}
+
+impl Rope {
+    /// Segments in the rope.
+    #[inline]
+    fn len(&self) -> usize {
+        usize::from(self.first.is_some()) + self.rest.len()
+    }
+
+    /// Bytes in the rope.
+    #[inline]
+    fn byte_len(&self) -> usize {
+        let first = self.first.as_ref().map_or(0, Segment::len);
+        first + self.rest.iter().map(Segment::len).sum::<usize>()
+    }
+
+    #[inline]
+    fn iter(&self) -> impl Iterator<Item = &Segment> {
+        self.first.iter().chain(&self.rest)
+    }
+
+    fn last_mut(&mut self) -> Option<&mut Segment> {
+        match self.rest.last_mut() {
+            Some(seg) => Some(seg),
+            None => self.first.as_mut(),
+        }
+    }
+
+    /// Takes the first segment; the next moves up.
+    fn pop_front(&mut self) -> Option<Segment> {
+        let first = self.first.take();
+        if !self.rest.is_empty() {
+            self.first = Some(self.rest.remove(0));
+        }
+        first
+    }
+
+    fn push_front(&mut self, seg: Segment) {
+        if let Some(old) = self.first.replace(seg) {
+            self.rest.insert(0, old);
+        }
+    }
+
+    fn push(&mut self, seg: Segment) {
+        if self.first.is_none() {
+            self.first = Some(seg);
+        } else {
+            self.rest.push(seg);
+        }
+    }
+
+    /// Moves every segment of `other` to the end of this rope.
+    fn append(&mut self, other: &mut Rope) {
+        if let Some(seg) = other.first.take() {
+            self.push(seg);
+            self.rest.append(&mut other.rest);
+        }
+    }
+
+    /// Room for `n` more segments behind the first.
+    fn reserve(&mut self, n: usize) {
+        self.rest.reserve(n);
+    }
+
+    /// Cuts the rope before segment `at`, returning segments `at..`.
+    fn split_off(&mut self, at: usize) -> Rope {
+        if at == 0 {
+            return std::mem::take(self);
+        }
+        if at > self.rest.len() {
+            // Nothing past `at`: a fragment's split, every time.
+            return Rope::default();
+        }
+        let mut tail = self.rest.drain(at - 1..);
+        let first = tail.next();
+        Rope {
+            first,
+            rest: tail.collect(),
+        }
+    }
+}
+
+impl Clone for Rope {
+    #[inline]
+    fn clone(&self) -> Rope {
+        // Most ropes have no `rest`: no call into `Vec::clone` for them.
+        let rest = if self.rest.is_empty() {
+            Vec::new()
+        } else {
+            self.rest.clone()
+        };
+        Rope {
+            first: self.first.clone(),
+            rest,
+        }
+    }
+}
+
+impl fmt::Debug for Rope {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -136,47 +252,100 @@ impl HeaderBufs {
     }
 }
 
+/// A [`HeaderPolicy`] in a `u32`: the headroom, or [`Policy::PER_HEADER`].
+/// It rides in the front buffer's spare word, so a `Message` stays 72 B.
+#[derive(Clone, Copy)]
+struct Policy(u32);
+
+impl Policy {
+    /// [`HeaderPolicy::AllocPerHeader`].
+    const PER_HEADER: u32 = u32::MAX;
+
+    fn of(policy: HeaderPolicy) -> Policy {
+        match policy {
+            HeaderPolicy::Headroom { headroom } => Policy(
+                u32::try_from(headroom)
+                    .ok()
+                    .filter(|&h| h != Policy::PER_HEADER)
+                    .expect("headroom under 4 GiB"),
+            ),
+            HeaderPolicy::AllocPerHeader => Policy(Policy::PER_HEADER),
+        }
+    }
+
+    /// The headroom a fresh front buffer reserves, if the policy reserves.
+    #[inline]
+    fn headroom(self) -> Option<usize> {
+        (self.0 != Policy::PER_HEADER).then_some(self.0 as usize)
+    }
+
+    fn get(self) -> HeaderPolicy {
+        match self.headroom() {
+            Some(headroom) => HeaderPolicy::Headroom { headroom },
+            None => HeaderPolicy::AllocPerHeader,
+        }
+    }
+}
+
 /// The owned front buffer; valid bytes are `buf[start..]`. The bytes below
 /// `start` are never read: a recycled buffer holds its last owner's there.
-/// `home` is the list the buffer came from and goes back to. A boxed slice
-/// is a word shorter than a `Vec`, so with the handle a `Message` is 72 B.
-#[derive(Default)]
+/// `home` is the list the buffer came from and goes back to, and `policy`
+/// the message's, which says how the next front buffer is made. A boxed
+/// slice is a word shorter than a `Vec` and `start` a `u32`, so with the
+/// handle a front buffer is four words.
 struct FrontBuf {
     buf: Box<[u8]>,
-    start: usize,
+    start: u32,
+    policy: Policy,
     home: Option<Rc<HeaderBufs>>,
 }
 
 impl FrontBuf {
+    /// No buffer at all: the next push under `policy` makes one.
+    fn none(policy: Policy) -> FrontBuf {
+        FrontBuf {
+            buf: Box::default(),
+            start: 0,
+            policy,
+            home: None,
+        }
+    }
+
     /// `room` bytes with none of them valid yet: from the current
     /// simulation's list when `room` is its size class, else a fresh block.
-    fn with_room(room: usize) -> FrontBuf {
+    fn with_room(room: usize, policy: Policy) -> FrontBuf {
         let home = if room == DEFAULT_HEADROOM {
             HeaderBufs::current()
         } else {
             None
         };
-        FrontBuf::from_home(room, home)
+        FrontBuf::from_home(room, policy, home)
     }
 
     /// `room` bytes from `home`'s list if it has one spare, else fresh.
-    fn from_home(room: usize, home: Option<Rc<HeaderBufs>>) -> FrontBuf {
+    fn from_home(room: usize, policy: Policy, home: Option<Rc<HeaderBufs>>) -> FrontBuf {
         let spare = home.as_ref().and_then(|h| h.0.borrow_mut().pop());
         FrontBuf {
             buf: spare.unwrap_or_else(|| vec![0; room].into_boxed_slice()),
-            start: room,
+            start: u32::try_from(room).expect("a front buffer is under 4 GiB"),
+            policy,
             home,
         }
     }
 
     #[inline]
+    fn start(&self) -> usize {
+        self.start as usize
+    }
+
+    #[inline]
     fn len(&self) -> usize {
-        self.buf.len() - self.start
+        self.buf.len() - self.start()
     }
 
     #[inline]
     fn bytes(&self) -> &[u8] {
-        &self.buf[self.start..]
+        &self.buf[self.start()..]
     }
 }
 
@@ -184,9 +353,9 @@ impl Clone for FrontBuf {
     /// Copies the valid bytes only, into a buffer of the same size from the
     /// same list.
     fn clone(&self) -> FrontBuf {
-        let mut front = FrontBuf::from_home(self.buf.len(), self.home.clone());
+        let mut front = FrontBuf::from_home(self.buf.len(), self.policy, self.home.clone());
         front.start = self.start;
-        front.buf[self.start..].copy_from_slice(self.bytes());
+        front.buf[self.start()..].copy_from_slice(self.bytes());
         front
     }
 }
@@ -256,11 +425,10 @@ impl Popped<'_> {
 }
 
 /// An x-kernel message: header stack + shared payload rope.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct Message {
-    policy: HeaderPolicy,
     front: FrontBuf,
-    rope: Vec<Segment>,
+    rope: Rope,
 }
 
 impl Message {
@@ -276,14 +444,14 @@ impl Message {
     /// buffer that is large enough to hold all the headers" — so pushes are
     /// pure pointer adjustments from the first header on.
     pub fn empty_with(policy: HeaderPolicy) -> Message {
-        let front = match policy {
-            HeaderPolicy::Headroom { headroom } => FrontBuf::with_room(headroom),
-            HeaderPolicy::AllocPerHeader => FrontBuf::default(),
+        let policy = Policy::of(policy);
+        let front = match policy.headroom() {
+            Some(headroom) => FrontBuf::with_room(headroom, policy),
+            None => FrontBuf::none(policy),
         };
         Message {
-            policy,
             front,
-            rope: Vec::new(),
+            rope: Rope::default(),
         }
     }
 
@@ -310,13 +478,13 @@ impl Message {
     /// The allocation policy this message was created with.
     #[inline]
     pub fn policy(&self) -> HeaderPolicy {
-        self.policy
+        self.front.policy.get()
     }
 
     /// Total length in bytes (headers already pushed + payload).
     #[inline]
     pub fn len(&self) -> usize {
-        self.front.len() + self.rope.iter().map(Segment::len).sum::<usize>()
+        self.front.len() + self.rope.byte_len()
     }
 
     /// True if the message carries no bytes.
@@ -340,11 +508,11 @@ impl Message {
         if self.front.len() > 0 {
             f(self.front.bytes());
         }
-        for seg in &self.rope {
+        self.rope.iter().for_each(|seg| {
             if seg.len() > 0 {
                 f(seg.bytes());
             }
-        }
+        });
     }
 
     /// Converts the owned front buffer into a reference-counted segment so
@@ -359,9 +527,9 @@ impl Message {
     fn demote_front(&mut self) {
         if self.front.len() > 0 {
             let seg = Segment::from_vec(self.front.bytes().to_vec());
-            self.rope.insert(0, seg);
+            self.rope.push_front(seg);
         }
-        self.front = FrontBuf::default();
+        self.front = FrontBuf::none(self.front.policy);
     }
 
     /// Prepends `header` to the message, returning what the operation cost.
@@ -372,12 +540,13 @@ impl Message {
     /// time, deliberately reproducing the slow legacy scheme.
     #[inline]
     pub fn push_header(&mut self, header: &[u8]) -> PushStats {
-        let reserved = matches!(self.policy, HeaderPolicy::Headroom { .. });
-        if reserved && self.front.start >= header.len() {
+        let reserved = self.front.policy.headroom().is_some();
+        let start = self.front.start();
+        if reserved && start >= header.len() {
             // Fast path: space is already reserved.
-            let new_start = self.front.start - header.len();
-            self.front.buf[new_start..self.front.start].copy_from_slice(header);
-            self.front.start = new_start;
+            let new_start = start - header.len();
+            self.front.buf[new_start..start].copy_from_slice(header);
+            self.front.start = new_start as u32;
             return PushStats {
                 allocated: false,
                 copied: header.len(),
@@ -393,18 +562,21 @@ impl Message {
         // Any existing front bytes are demoted into the rope first.
         let demoted = self.front.len();
         self.demote_front();
-        self.front = match self.policy {
-            HeaderPolicy::Headroom { headroom } => {
+        let policy = self.front.policy;
+        self.front = match policy.headroom() {
+            Some(headroom) => {
                 // Reserve a fresh front buffer with headroom.
-                let mut front = FrontBuf::with_room(headroom.max(header.len()));
-                front.start -= header.len();
-                front.buf[front.start..].copy_from_slice(header);
+                let mut front = FrontBuf::with_room(headroom.max(header.len()), policy);
+                front.start -= header.len() as u32;
+                let start = front.start();
+                front.buf[start..].copy_from_slice(header);
                 front
             }
             // Legacy scheme: one allocation per header.
-            HeaderPolicy::AllocPerHeader => FrontBuf {
+            None => FrontBuf {
                 buf: header.into(),
                 start: 0,
+                policy,
                 home: None,
             },
         };
@@ -423,8 +595,8 @@ impl Message {
         // A header that sits in the front buffer — any header this host
         // pushed — pops without a look at the rope.
         if self.front.len() >= n {
-            let s = self.front.start;
-            self.front.start += n;
+            let s = self.front.start();
+            self.front.start += n as u32;
             return Ok(Popped::Borrowed(&self.front.buf[s..s + n]));
         }
         self.pop_header_rope(n)
@@ -436,24 +608,24 @@ impl Message {
     fn pop_header_rope(&mut self, n: usize) -> XResult<Popped<'_>> {
         if self.front.len() == 0 {
             // Drop empty leading segments.
-            while self.rope.first().is_some_and(|s| s.len() == 0) {
-                self.rope.remove(0);
+            while self.rope.first.as_ref().is_some_and(|s| s.len() == 0) {
+                self.rope.pop_front();
             }
-            if let Some(seg) = self.rope.first_mut() {
+            if let Some(seg) = self.rope.first.as_mut() {
                 if seg.len() >= n {
-                    let s = seg.start;
-                    seg.start += n;
+                    let s = seg.start as usize;
+                    seg.start += n as u32;
                     let seg_done = seg.len() == 0;
                     let data = Rc::clone(&seg.data);
                     if seg_done {
-                        self.rope.remove(0);
+                        self.rope.pop_front();
                     }
                     // The popped bytes live at absolute offset `s` in the
                     // segment's backing buffer. If the segment survives we
                     // can borrow straight from it; if it was fully consumed
                     // (and removed) we copy out of the Rc we cloned.
                     if !seg_done {
-                        let seg = self.rope.first().expect("segment retained");
+                        let seg = self.rope.first.as_ref().expect("segment retained");
                         return Ok(Popped::Borrowed(&seg.data[s..s + n]));
                     }
                     return Ok(Popped::Owned(data[s..s + n].to_vec()));
@@ -468,19 +640,20 @@ impl Message {
         let mut out = Vec::with_capacity(n);
         let take_front = self.front.len().min(n);
         out.extend_from_slice(&self.front.bytes()[..take_front]);
-        self.front.start += take_front;
+        self.front.start += take_front as u32;
         let mut need = n - take_front;
         while need > 0 {
             let seg = self
                 .rope
-                .first_mut()
+                .first
+                .as_mut()
                 .expect("length checked above; segments must cover pop");
             let take = seg.len().min(need);
             out.extend_from_slice(&seg.bytes()[..take]);
-            seg.start += take;
+            seg.start += take as u32;
             need -= take;
             if seg.len() == 0 {
-                self.rope.remove(0);
+                self.rope.pop_front();
             }
         }
         Ok(Popped::Owned(out))
@@ -540,31 +713,31 @@ impl Message {
             return Err(XError::Unsupported("split past the end of a message"));
         }
         self.freeze();
-        let mut tail = Message::empty_with(self.policy);
+        let mut tail = Message::empty_with(self.policy());
+        // The first segment that ends past `at`, and `at`'s offset in it.
         let mut seen = 0usize;
-        let mut idx = 0usize;
-        while idx < self.rope.len() {
-            let seg_len = self.rope[idx].len();
-            if seen + seg_len <= at {
-                seen += seg_len;
-                idx += 1;
-                continue;
+        let straddles = self.rope.iter().position(|seg| {
+            let past = seen + seg.len() > at;
+            if !past {
+                seen += seg.len();
             }
-            // This segment straddles (or begins at) the split point.
-            let within = at - seen;
-            if within == 0 {
-                tail.rope.extend(self.rope.drain(idx..));
-            } else {
-                let seg = &mut self.rope[idx];
-                let mut right = seg.clone();
-                right.start = seg.start + within;
-                seg.end = seg.start + within;
-                tail.rope.push(right);
-                tail.rope.extend(self.rope.drain(idx + 1..));
-            }
+            past
+        });
+        let Some(idx) = straddles else {
+            // at == total: tail is empty.
             return Ok(tail);
+        };
+        let within = (at - seen) as u32;
+        if within == 0 {
+            tail.rope = self.rope.split_off(idx);
+        } else {
+            tail.rope = self.rope.split_off(idx + 1);
+            let seg = self.rope.last_mut().expect("the straddling segment");
+            let mut right = seg.clone();
+            right.start = seg.start + within;
+            seg.end = right.start;
+            tail.rope.push_front(right);
         }
-        // at == total: tail is empty.
         Ok(tail)
     }
 
@@ -603,22 +776,32 @@ impl Message {
     pub fn to_vec(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.len());
         out.extend_from_slice(self.front.bytes());
-        for seg in &self.rope {
-            out.extend_from_slice(seg.bytes());
-        }
+        self.rope
+            .iter()
+            .for_each(|seg| out.extend_from_slice(seg.bytes()));
         out
     }
 
     /// A contiguous view: borrowed when the message is a single segment,
     /// copied otherwise.
     pub fn contiguous(&self) -> Cow<'_, [u8]> {
-        if self.rope.is_empty() {
-            Cow::Borrowed(self.front.bytes())
-        } else if self.front.len() == 0 && self.rope.len() == 1 {
-            Cow::Borrowed(self.rope[0].bytes())
-        } else {
-            Cow::Owned(self.to_vec())
+        match &self.rope.first {
+            None => Cow::Borrowed(self.front.bytes()),
+            Some(seg) if self.front.len() == 0 && self.rope.rest.is_empty() => {
+                Cow::Borrowed(seg.bytes())
+            }
+            _ => Cow::Owned(self.to_vec()),
         }
+    }
+}
+
+impl fmt::Debug for Message {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Message")
+            .field("policy", &self.policy())
+            .field("front", &self.front)
+            .field("rope", &self.rope)
+            .finish()
     }
 }
 
@@ -910,9 +1093,10 @@ mod tests {
         // sized its rope.
         let mut m = Message::concat([Message::from_user(payload(8))]);
         assert!(!m.push_header(b"HDR").allocated);
-        // Twelve fragments: one reservation of twelve, not 4 → 8 → 16.
+        // Twelve fragments: the first in place and one reservation of
+        // eleven behind it, not 4 → 8 → 16.
         let mut m = Message::concat((0..12).map(|_| Message::from_user(payload(8))));
-        assert_eq!(m.rope.capacity(), 12, "sized once");
+        assert_eq!(m.rope.rest.capacity(), 11, "sized once");
         assert!(
             m.push_header(b"HDR").allocated,
             "more parts freeze the front"

@@ -15,7 +15,7 @@ use crate::trace::{EventKind, OpClass, SpanKey};
 use crate::vproc;
 
 use super::engine::{
-    machine_fuel, narrow, CrashKill, EngineGuard, EvKind, FuelKill, RunState, NO_TIMER,
+    machine_fuel, narrow, CrashKill, EngineGuard, EvKind, FuelKill, Job, RunState, NO_TIMER,
     RESUME_KILLED, RESUME_NORMAL, RESUME_TIMEOUT,
 };
 use super::report::{bump, HostCell};
@@ -320,6 +320,26 @@ impl Ctx {
     /// virtual time `t`. Scheduled mode only (inline callers use
     /// [`Ctx::spawn_on`]).
     pub fn schedule_run_at(&self, t: Time, host: HostId, f: Thunk) -> TimerHandle {
+        self.file_job(t, host, Job::Body(f))
+    }
+
+    /// Files the delivery of `msg` to `rx` on `host` at absolute virtual
+    /// time `t`: a new shepherd process there calls [`Receiver::receive`],
+    /// as [`Ctx::schedule_run_at`] would run a body. Scheduled mode only.
+    #[inline]
+    pub fn deliver_at(
+        &self,
+        t: Time,
+        host: HostId,
+        rx: Rc<dyn Receiver>,
+        msg: Message,
+    ) -> TimerHandle {
+        self.file_job(t, host, Job::Deliver(rx, msg))
+    }
+
+    /// Files `job` to start a process on `host` at `t`.
+    #[inline]
+    fn file_job(&self, t: Time, host: HostId, job: Job) -> TimerHandle {
         assert_eq!(
             self.core.mode,
             Mode::Scheduled,
@@ -332,7 +352,7 @@ impl Ctx {
         self.core
             .engine
             .lock()
-            .push_event(t, EvKind::Thunk { host, f })
+            .push_event(t, EvKind::Job { host, job })
     }
 
     /// Whether `host` takes new work. A crashed host arms no timers and
@@ -355,19 +375,19 @@ impl Ctx {
         self.schedule_run_at(t, self.host, Box::new(f))
     }
 
-    /// Arms the timer a timed P of process `lp` gives up by — `f`, after
-    /// `dt`, as a new shepherd process on this host, as
+    /// Arms the timer a timed P of process `lp` on `sema` gives up by —
+    /// after `dt`, as a new shepherd process on this host, as
     /// [`Ctx::schedule_after`] would — and records it in `lp`'s slot, under
     /// the same acquisition of the scheduler lock. Returns the timer's
     /// event-table slot, or [`NO_TIMER`] if this host armed none.
-    pub(super) fn arm_timeout(&self, lp: LpId, dt: Nanos, f: impl FnOnce(&Ctx) + 'static) -> u32 {
+    pub(super) fn arm_timeout(&self, lp: LpId, dt: Nanos, sema: SharedSema) -> u32 {
         self.charge_class(OpClass::Timer, self.core.cost.timer_op);
         if !self.accepts(self.host) {
             return NO_TIMER;
         }
         let t = self.event_time() + dt;
         let mut g = self.core.engine.lock();
-        g.arm_timeout(t, self.host, lp, Box::new(f))
+        g.arm_timeout(t, self.host, lp, sema)
     }
 
     /// Cancels a timer. Harmless if it already fired or is inert.

@@ -10,6 +10,7 @@ use std::sync::Arc;
 use crate::cell::OwnerGuard;
 use crate::journal::JournalRecord;
 use crate::kernel::Kernel;
+use crate::msg::Message;
 use crate::vproc;
 
 use super::ctx::Block;
@@ -27,12 +28,33 @@ fn fnv_fold(h: u64, x: u64) -> u64 {
     (h ^ x).wrapping_mul(FNV_PRIME)
 }
 
-/// The body a fresh process starts from: a thunk (called on the driver's
+/// What a fresh shepherd process runs when it is not a machine: a boxed
+/// body (a protocol's timer, a spawn, a restart's reboot), a frame's
+/// delivery to its receiver, or a timed P's give-up (the semaphore and the
+/// waiting process). The last two are what the wire and every timed wait
+/// file, so they box nothing; each starts a process exactly as a body does.
+pub(super) enum Job {
+    Body(Thunk),
+    Deliver(Rc<dyn Receiver>, Message),
+    GiveUp(SharedSema, LpId),
+}
+
+impl Job {
+    fn run(self, ctx: &Ctx) {
+        match self {
+            Job::Body(f) => f(ctx),
+            Job::Deliver(rx, msg) => rx.receive(ctx, msg),
+            Job::GiveUp(sema, lp) => sema.give_up(ctx, lp),
+        }
+    }
+}
+
+/// The body a fresh process starts from: a job (called on the driver's
 /// stack, which it keeps if it blocks — so it may block anywhere) or a
 /// stackless [`VProc`] machine and its fuel (see [`machine_fuel`]; stepped on
 /// the driver's stack, blocks by returning [`VStep`]s).
 pub(super) enum ProcBody {
-    Thunk(Thunk),
+    Job(Job),
     Machine(Box<dyn VProc>, u32),
 }
 
@@ -54,15 +76,16 @@ pub(super) enum LpBody {
     Machine { m: Box<dyn VProc>, fuel: u32 },
 }
 
-/// A pending event of the event table: a free-standing thunk (a timer, a
-/// delivery, a spawned thunk) beside its host's index narrowed as in
-/// [`LpState`], a crash or a restart — or the wake of a process that was
-/// already gone when it was filed, which the scheduler pops as a stale wake.
-/// A machine's start and a live process's wake are not here: their keys
-/// name the process's own table slot ([`PROC_KEY`]). Three words, a table
-/// slot four.
+/// A pending event of the event table: a free-standing job (a timer, a
+/// delivery, a timed P's give-up, a spawned thunk) beside its host's index
+/// narrowed as in [`LpState`], a crash or a restart — or the wake of a
+/// process that was already gone when it was filed, which the scheduler pops
+/// as a stale wake. A machine's start and a live process's wake are not
+/// here: their keys name the process's own table slot ([`PROC_KEY`]). A
+/// delivery carries its frame, so a table slot is a `Message` and four
+/// words.
 pub(super) enum EvKind {
-    Thunk { host: u32, f: Thunk },
+    Job { host: u32, job: Job },
     Wake { lp: LpId, reason: WakeReason },
     Crash { host: HostId },
     Restart { host: HostId },
@@ -92,7 +115,7 @@ pub(super) enum RunState {
     /// A machine spawned whose start is still due: not a process yet. It
     /// has no id, and it counts as live only once it starts.
     Spawned,
-    /// A thunk's body, on a stack it can keep: it may block anywhere.
+    /// A job, on a stack it can keep: it may block anywhere.
     Running,
     /// A machine's step, on a stack that is not its own: it blocks by
     /// returning, and a blocking primitive called from it is refused.
@@ -160,12 +183,13 @@ struct LpSlot {
     st: Option<LpState>,
 }
 
-/// What a live process costs the process table and a pending event the
-/// event table: DESIGN.md §11's table and `tests/parked_bytes.rs` count on
-/// these.
+/// What a live process costs the process table, a pending event the event
+/// table and a message wherever it is held: DESIGN.md §11's and §15's
+/// tables and `tests/parked_bytes.rs` count on these.
 const _: () = {
     assert!(std::mem::size_of::<LpSlot>() == 48);
-    assert!(std::mem::size_of::<(u64, Option<EvKind>)>() == 32);
+    assert!(std::mem::size_of::<(u64, Option<EvKind>)>() == 104);
+    assert!(std::mem::size_of::<Message>() == 72);
 };
 
 impl LpState {
@@ -331,7 +355,7 @@ impl Procs {
 
     /// A crash of `host`: the keys of its spawned machines and of its
     /// processes' wakes die (the spawned machines with them), and so does
-    /// any slot's timer among `timers`, the sorted seqs of the thunks the
+    /// any slot's timer among `timers`, the sorted seqs of the jobs the
     /// crash took from the event table. Returns how many timeline keys that
     /// killed. An ended process's wake is not its host's any more and stays
     /// due, as does a live process's timer armed on another host.
@@ -418,7 +442,7 @@ impl Due {
     /// The kind tag [`Engine::sched_hash`] folds.
     fn tag(&self) -> u64 {
         match self {
-            Due::Event(EvKind::Thunk { .. }) | Due::Start(_) => 1,
+            Due::Event(EvKind::Job { .. }) | Due::Start(_) => 1,
             Due::Event(EvKind::Wake { .. }) | Due::Wake(..) => 2,
             Due::Event(EvKind::Crash { .. }) => 3,
             Due::Event(EvKind::Restart { .. }) => 4,
@@ -565,10 +589,10 @@ pub(super) struct Engine {
     pub(super) lps: Procs,
     pub(super) next_lp: u64,
     pub(super) current: Option<LpId>,
-    /// The process whose thunk is a call on the running driver's stack, for
+    /// The process whose job is a call on the running driver's stack, for
     /// as long as that is where it is: [`Sim::run_until_time`] takes it
     /// when the body blocks and the stack becomes the process's own, so a
-    /// [`call_thunk`] that finds something else here when its call returns
+    /// [`call_job`] that finds something else here when its call returns
     /// knows it is no longer the driver.
     pub(super) on_driver: Option<LpId>,
     /// Where the run in progress pauses ([`Sim::run_until_time`] records
@@ -632,15 +656,15 @@ impl Engine {
         self.file_key(t, seq, lp.slot, Pending::Wake(reason));
     }
 
-    /// Arms `f` at `t` on `host` as the timer process `lp`'s timed P gives
-    /// up by, recording it in `lp`'s slot; returns the timer's event-table
+    /// Arms the give-up of process `lp`'s timed P on `sema` at `t` on
+    /// `host`, recording it in `lp`'s slot; returns the timer's event-table
     /// slot.
-    pub(super) fn arm_timeout(&mut self, t: Time, host: HostId, lp: LpId, f: Thunk) -> u32 {
+    pub(super) fn arm_timeout(&mut self, t: Time, host: HostId, lp: LpId, sema: SharedSema) -> u32 {
         let h = self.push_event(
             t,
-            EvKind::Thunk {
+            EvKind::Job {
                 host: narrow(host),
-                f,
+                job: Job::GiveUp(sema, lp),
             },
         );
         self.lps.file(lp.slot, h.seq, Pending::Timer);
@@ -974,8 +998,8 @@ fn advance(core: &Rc<SimCore>, g: &mut Engine, stop: Time) -> Next {
                 });
             }
         };
-        let (host, f) = match kind {
-            EvKind::Thunk { host, f } => (HostId(host as usize), f),
+        let (host, job) = match kind {
+            EvKind::Job { host, job } => (HostId(host as usize), job),
             EvKind::Wake { lp, .. } => {
                 // Filed after its process had gone.
                 g.observers.probe(core, || Probe::StaleWake(lp.id));
@@ -1006,16 +1030,16 @@ fn advance(core: &Rc<SimCore>, g: &mut Engine, stop: Time) -> Next {
                     observers,
                     ..
                 } = &mut *g;
-                let mut thunks = Vec::new();
+                let mut jobs = Vec::new();
                 let purged = events.remove_where(|seq, k| {
-                    let dies = matches!(k, EvKind::Thunk { host: h, .. } if *h == narrow(host));
+                    let dies = matches!(k, EvKind::Job { host: h, .. } if *h == narrow(host));
                     if dies {
-                        thunks.push(seq);
+                        jobs.push(seq);
                     }
                     dies
                 });
-                thunks.sort_unstable();
-                let purged = purged + lps.purge(host, &thunks);
+                jobs.sort_unstable();
+                let purged = purged + lps.purge(host, &jobs);
                 timeline.note_dead(purged, &Tables { events, lps });
                 // Every process on the host dies, its wakes purged; the run
                 // loop reaps the blocked ones (unwinding coroutines via a
@@ -1051,14 +1075,14 @@ fn advance(core: &Rc<SimCore>, g: &mut Engine, stop: Time) -> Next {
                         panic!("reboot failed on host {}: {e}", ctx.host().0);
                     }
                 });
-                return Next::Task(start_lp(core, g, host, Fresh::Thunk(f), jumped));
+                return Next::Task(start_lp(core, g, host, Fresh::Job(Job::Body(f)), jumped));
             }
         };
         let h = core.host(host);
         if h.down.get() {
             continue; // Scheduled before the crash; dies with it.
         }
-        return Next::Task(start_lp(core, g, host, Fresh::Thunk(f), h.arrive(t, 0)));
+        return Next::Task(start_lp(core, g, host, Fresh::Job(job), h.arrive(t, 0)));
     }
 }
 
@@ -1090,10 +1114,10 @@ fn pick_tie(core: &SimCore, g: &mut Engine, first: Key) -> Key {
     chosen
 }
 
-/// What [`start_lp`] starts: a thunk, or the machine spawned in a process
+/// What [`start_lp`] starts: a job, or the machine spawned in a process
 /// slot.
 enum Fresh {
-    Thunk(Thunk),
+    Job(Job),
     Spawned(u32),
 }
 
@@ -1101,6 +1125,7 @@ enum Fresh {
 /// order, which determinism depends on) and claims the run token for it.
 /// `jumped` is what [`HostCell::arrive`] reported for the event that
 /// starts it.
+#[inline]
 fn start_lp(
     core: &SimCore,
     g: &mut Engine,
@@ -1111,9 +1136,9 @@ fn start_lp(
     let id = g.next_lp;
     g.next_lp += 1;
     let (slot, body) = match fresh {
-        Fresh::Thunk(f) => {
+        Fresh::Job(job) => {
             let st = LpState::new(host, RunState::Running, None);
-            (g.lps.insert(id, st), ProcBody::Thunk(f))
+            (g.lps.insert(id, st), ProcBody::Job(job))
         }
         Fresh::Spawned(slot) => {
             let (m, fuel) = g.lps.start_machine(slot, id);
@@ -1151,13 +1176,13 @@ pub(super) type EngineGuard<'a> = OwnerGuard<'a, Engine>;
 
 /// The run loop, and the body of every coroutine the simulator starts:
 /// reaps, advances, and runs what [`advance`] hands it until nothing is due
-/// through [`Engine::stop`]. A fresh thunk is a plain call on this stack
-/// ([`call_thunk`]) and a machine a step on it; a process that already owns
+/// through [`Engine::stop`]. A fresh job is a plain call on this stack
+/// ([`call_job`]) and a machine a step on it; a process that already owns
 /// a stack is resumed on that one, nested ([`drive_coro`]). Returns — so the
 /// coroutine finishes — when the queue has drained, or when this stack has
 /// become a process's own and that process's body has ended.
 ///
-/// `ctx` is the context whatever runs on this stack runs under — thunks and
+/// `ctx` is the context whatever runs on this stack runs under — jobs and
 /// machine steps, one at a time — re-aimed at each.
 fn drive(mut ctx: Ctx) {
     let core = &Rc::clone(&ctx.core);
@@ -1178,7 +1203,7 @@ fn drive(mut ctx: Ctx) {
         }
         g = match advance(core, &mut g, stop) {
             Next::Task(Task { lp, host, body }) => match body {
-                ProcBody::Thunk(f) => match call_thunk(core, g, &mut ctx, lp, host, f) {
+                ProcBody::Job(job) => match call_job(core, g, &mut ctx, lp, host, job) {
                     Some(g) => g,
                     None => return,
                 },
@@ -1194,7 +1219,7 @@ fn drive(mut ctx: Ctx) {
     }
 }
 
-/// Runs a fresh process's thunk as a plain call on this — the driver's —
+/// Runs a fresh process's job as a plain call on this — the driver's —
 /// stack, under the driver's context (re-aimed at it here, as
 /// [`step_machine`] does) and the per-process fuel budget. The run token is
 /// already `lp`. If the body blocks, [`Ctx::block_current`]
@@ -1204,13 +1229,13 @@ fn drive(mut ctx: Ctx) {
 /// re-raised) so the coroutine finishes and that driver's [`drive_coro`]
 /// retires the process as it would any other. Otherwise the process ends
 /// here, and the lock comes back re-acquired.
-fn call_thunk<'a>(
+fn call_job<'a>(
     core: &'a Rc<SimCore>,
     mut g: EngineGuard<'a>,
     ctx: &mut Ctx,
     lp: LpId,
     host: HostId,
-    f: Thunk,
+    job: Job,
 ) -> Option<EngineGuard<'a>> {
     g.on_driver = Some(lp);
     drop(g);
@@ -1220,7 +1245,7 @@ fn call_thunk<'a>(
     if let Some(fuel) = core.fuel_limit {
         vproc::set_fuel(fuel);
     }
-    let died = catch_unwind(AssertUnwindSafe(|| f(ctx))).err();
+    let died = catch_unwind(AssertUnwindSafe(|| job.run(ctx))).err();
     let mut g = core.engine.lock();
     if g.on_driver != Some(lp) {
         drop(g);
@@ -1242,7 +1267,7 @@ fn call_thunk<'a>(
     Some(g)
 }
 
-/// Files how a thunk ended when it did not return: a crash's or a fuel
+/// Files how a job ended when it did not return: a crash's or a fuel
 /// budget's kill is a normal death, anything else a panic to report.
 fn note_death(core: &SimCore, g: &mut Engine, lp: LpId, p: Box<dyn Any + Send>) {
     if p.is::<CrashKill>() {

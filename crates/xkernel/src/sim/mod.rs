@@ -51,7 +51,7 @@ pub use sema::SharedSema;
 pub use snapshot::SimSnapshot;
 
 use crate::cost::CostModel;
-use crate::msg::HeaderPolicy;
+use crate::msg::{HeaderPolicy, Message};
 
 /// Virtual time, in nanoseconds since simulation start.
 pub type Time = u64;
@@ -196,6 +196,17 @@ impl SimConfig {
 
 /// A boxed shepherd-process body.
 pub type Thunk = Box<dyn FnOnce(&Ctx) + 'static>;
+
+/// What a frame filed with [`Ctx::deliver_at`] is handed to: a device that
+/// passes what arrives up its host's stack. The delivery runs as a fresh
+/// shepherd process on the receiving host, as a [`Thunk`] would, but the
+/// event holds the receiver and the frame themselves, so filing one boxes
+/// nothing.
+pub trait Receiver {
+    /// Takes `msg`, arrived at this receiver's host, in the process `ctx`
+    /// runs.
+    fn receive(&self, ctx: &Ctx, msg: Message);
+}
 
 /// A scheduling-decision oracle for xcheck's bounded schedule exploration.
 ///

@@ -237,7 +237,7 @@ thread_local! {
 /// programming error for plain [`SharedSema::p`] and a clean `false` for
 /// [`SharedSema::p_timeout`] (the awaited event can never arrive inline, so the
 /// timeout outcome is the truthful one). Clones share the one semaphore,
-/// which is how a timed wait hands it to its timeout closure.
+/// which is how a timed wait hands it to its give-up.
 #[derive(Clone)]
 pub struct SharedSema(Rc<Sema>);
 
@@ -315,15 +315,18 @@ impl SharedSema {
         let wait = |id| Probe::WaitBegin(lp.id, ctx.host, id, sema.label());
         ctx.core.probe_sema(|| sema.id(&ctx.core), wait);
         if let Some(dt) = timeout {
-            let me = self.clone();
-            let timer = ctx.arm_timeout(lp, dt, move |tctx| {
-                if me.0.remove(lp.id) {
-                    tctx.wake(lp, WakeReason::Timeout, NO_TIMER);
-                }
-            });
+            let timer = ctx.arm_timeout(lp, dt, self.clone());
             sema.set_timer(lp.id, timer);
         }
         Enqueued::Queued
+    }
+
+    /// The timer of process `lp`'s timed wait has fired, in the process
+    /// `ctx` runs: if `lp` still waits here, it gives up.
+    pub(super) fn give_up(&self, ctx: &Ctx, lp: LpId) {
+        if self.0.remove(lp.id) {
+            ctx.wake(lp, WakeReason::Timeout, NO_TIMER);
+        }
     }
 
     /// P: acquire one unit, blocking until available.

@@ -91,8 +91,7 @@ impl Sim {
             let ctx = self.ctx(k.host());
             snap.protos.push(
                 k.protocol_slots()
-                    .iter()
-                    .map(|slot| slot.as_ref().and_then(|p| p.snap(&ctx)))
+                    .map(|slot| slot.and_then(|p| p.snap(&ctx)))
                     .collect(),
             );
         }
@@ -178,24 +177,26 @@ impl Sim {
         }
         core.rng.set(snap.rng);
         core.seed.set(snap.seed);
-        let kernels = kernels_of(core);
-        if kernels.len() != snap.protos.len() {
+        if core.hosts.len() != snap.protos.len() {
             return Err(XError::Config(
                 "snapshot is from a different rig (kernel count mismatch)".into(),
             ));
         }
-        for (k, blobs) in kernels.iter().zip(&snap.protos) {
+        // Walked in place, not collected: a chaos run restores a rig once a
+        // scenario.
+        for (h, blobs) in core.hosts.iter().zip(&snap.protos) {
+            let k = &h.kernel;
             let ctx = self.ctx(k.host());
-            let slots = k.protocol_slots();
-            if slots.len() != blobs.len() {
+            let slots = k.protocol_slots().count();
+            if slots != blobs.len() {
                 return Err(XError::Config(format!(
                     "snapshot is from a different rig ({} protocol slots vs {} on {})",
                     blobs.len(),
-                    slots.len(),
+                    slots,
                     k.name()
                 )));
             }
-            for (slot, blob) in slots.iter().zip(blobs) {
+            for (slot, blob) in k.protocol_slots().zip(blobs) {
                 if let (Some(p), Some(b)) = (slot, blob) {
                     p.restore_snap(&ctx, b)?;
                 }

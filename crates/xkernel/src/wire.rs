@@ -480,13 +480,22 @@ impl ChecksumAcc {
                 }
             }
         }
-        let mut i = 0;
-        while i + 1 < data.len() {
-            self.sum += u64::from(u16::from_be_bytes([data[i], data[i + 1]]));
-            i += 2;
+        // Eight bytes a step, as two big-endian 32-bit halves: each half is
+        // two 16-bit words, and 2¹⁶ ≡ 1 in the ones'-complement sum, so the
+        // fold in `finish` gives what a word-by-word sum would.
+        let mut words = data.chunks_exact(8);
+        for word in &mut words {
+            let mut be = [0; 8];
+            be.copy_from_slice(word);
+            let word = u64::from_be_bytes(be);
+            self.sum += (word >> 32) + (word & 0xffff_ffff);
         }
-        if i < data.len() {
-            self.pending = Some(data[i]);
+        let mut pairs = words.remainder().chunks_exact(2);
+        for pair in &mut pairs {
+            self.sum += u64::from(u16::from_be_bytes([pair[0], pair[1]]));
+        }
+        if let [last] = pairs.remainder() {
+            self.pending = Some(*last);
         }
     }
 
@@ -514,6 +523,7 @@ impl ChecksumAcc {
 mod tests {
     use super::*;
     use crate::error::XError;
+    use proptest::prelude::*;
 
     #[test]
     fn writer_reader_roundtrip() {
@@ -637,6 +647,26 @@ mod tests {
                 let (l, r) = data.split_at(at);
                 assert_eq!(acc_over_chunks(&[l, r]), whole, "split at {at} of {total}");
             }
+        }
+    }
+
+    proptest! {
+        /// Random bytes cut at random points, odd ones included: the
+        /// accumulator, fed the pieces, gives the contiguous checksum.
+        #[test]
+        fn acc_matches_contiguous_over_random_cuts(
+            data in proptest::collection::vec(any::<u8>(), 0..600),
+            cuts in proptest::collection::vec(0usize..600, 0..6),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
+            cuts.sort_unstable();
+            let mut acc = ChecksumAcc::new();
+            let mut from = 0;
+            for at in cuts.into_iter().chain([data.len()]) {
+                acc.add(&data[from..at]);
+                from = at;
+            }
+            prop_assert_eq!(acc.finish(), internet_checksum(&[&data]));
         }
     }
 

@@ -129,8 +129,9 @@ fn a_sleep_and_its_wake_up_allocate_nothing() {
     );
 }
 
-/// A frame the wire delivers is a `schedule_run_at` body, and the run loop
-/// calls it on the stack it is itself on: 2,000 of them in one run start no
+/// A frame the wire delivers starts a fresh process, as a `schedule_run_at`
+/// body does (here the bodies stand in for frames), and the run loop calls
+/// it on the stack it is itself on: 2,000 of them in one run start no
 /// coroutine and switch nowhere. What a run does cost is its own driver —
 /// one coroutine from the idle list, in and out once, and not one
 /// allocation: the loop is a plain function, so the box it is started from

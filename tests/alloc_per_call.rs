@@ -1,7 +1,8 @@
 //! How many heap allocations a warm call makes, per stack: the inline null
-//! call on all six stacks, and the scheduled 16 KiB call on the two stacks
+//! call on all six stacks, the scheduled 16 KiB call on the two stacks
 //! whose bulk path splits, fragments and reassembles (M_RPC-VIP and
-//! L_RPC-VIP).
+//! L_RPC-VIP), and the scheduled 8 KiB call on SUNRPC-UDP, which IP
+//! fragments and reassembles.
 //!
 //! Like the cell entries beside it (`tests/cell_entries.rs`) the count is
 //! exact — the same call allocates the same blocks on every run, debug and
@@ -21,7 +22,7 @@ mod common;
 use common::allocs;
 use common::null_call::{
     paper_null_call, paper_scheduled_first_call, paper_scheduled_sized_call, sun_rpc_null_call,
-    sun_rpc_refused_datagram, PAPER_STACKS,
+    sun_rpc_refused_datagram, sun_rpc_scheduled_sized_call, PAPER_STACKS,
 };
 use xkernel::kernel::Kernel;
 use xkernel::sim::{SharedSema, Sim, SimConfig};
@@ -49,11 +50,12 @@ fn a_warm_inline_sun_rpc_null_call_allocates_no_more_than_pinned() {
 }
 
 /// A 16 KiB call is eleven fragments each way on both stacks: the splitter's
-/// list, each fragment's header and the reassembler's rope are where a
-/// per-fragment allocation would show, eleven times over.
+/// list, each fragment's header and rope, each frame's delivery and the
+/// reassembler's rope are where a per-fragment allocation would show,
+/// eleven times over.
 #[test]
 fn a_warm_scheduled_16k_call_allocates_exactly_pinned() {
-    for (stack, pinned) in [(M_RPC_VIP, 40), (L_RPC_VIP, 46)] {
+    for (stack, pinned) in [(M_RPC_VIP, 13), (L_RPC_VIP, 18)] {
         let n = paper_scheduled_sized_call(stack, 16 * 1024, allocs);
         assert_eq!(
             n, pinned,
@@ -61,6 +63,46 @@ fn a_warm_scheduled_16k_call_allocates_exactly_pinned() {
             stack.name
         );
     }
+}
+
+/// An 8 KiB SUNRPC-UDP call is six IP fragments: each is a frame the wire
+/// delivers and a part IP's reassembly holds.
+#[test]
+fn a_warm_scheduled_sun_rpc_8k_call_allocates_exactly_pinned() {
+    let n = sun_rpc_scheduled_sized_call(8 * 1024, allocs);
+    assert_eq!(
+        n, 19,
+        "SUNRPC-UDP: {n} allocations per warm scheduled 8 KiB call, pinned at 19"
+    );
+}
+
+/// A fragment costs no allocation: on M_RPC-VIP an 8 KiB call and a 16 KiB
+/// call, six and eleven fragments each way, allocate alike. On L_RPC-VIP
+/// the 16 KiB call makes one more, FRAGMENT's gap timer armed again for the
+/// longer message, and no more. Prints allocations per warm scheduled call
+/// of 1, 8 and 16 KiB, SUNRPC-UDP's too.
+#[test]
+fn a_fragment_costs_no_allocation() {
+    println!("stack            1 KiB  8 KiB  16 KiB");
+    let row = |name: &str, call: &dyn Fn(usize) -> u64| {
+        let [one, eight, sixteen] = [1, 8, 16].map(|kb| call(kb * 1024));
+        println!("{name:<16} {one:>5} {eight:>6} {sixteen:>7}");
+        (eight, sixteen)
+    };
+    for (stack, timers) in [(M_RPC_VIP, 0), (L_RPC_VIP, 1)] {
+        let (small, large) = row(stack.name, &|size| {
+            paper_scheduled_sized_call(stack, size, allocs)
+        });
+        assert_eq!(
+            large,
+            small + timers,
+            "{}: 8 KiB made {small} allocations and 16 KiB {large}",
+            stack.name
+        );
+    }
+    row("SUNRPC-UDP", &|size| {
+        sun_rpc_scheduled_sized_call(size, allocs)
+    });
 }
 
 /// A count does not depend on what ran earlier on its thread: a fresh rig's

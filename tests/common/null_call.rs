@@ -60,11 +60,17 @@ fn sun_testbed(cfg: SimConfig) -> TwoHosts {
 
 /// One null call from `client` on SUNRPC-UDP.
 fn sun_call(ctx: &Ctx, client: &Arc<Kernel>, server: IpAddr) {
+    sun_sized_call(ctx, client, server, 0);
+}
+
+/// One call with `size` bytes of arguments from `client` on SUNRPC-UDP (the
+/// served procedure ignores them and replies with nothing).
+fn sun_sized_call(ctx: &Ctx, client: &Arc<Kernel>, server: IpAddr, size: usize) {
     let reply = with_concrete::<SunSelect, _>(client, "sunselect", |s| {
-        s.call(ctx, server, PROG, VERS, PROC, Vec::new())
+        s.call(ctx, server, PROG, VERS, PROC, vec![7; size])
     })
     .expect("sunselect registered");
-    assert_eq!(reply.expect("null call completes"), Vec::<u8>::new());
+    assert_eq!(reply.expect("call completes"), Vec::<u8>::new());
 }
 
 /// How far `counter` moves over the third of three identical calls: the
@@ -230,6 +236,19 @@ pub fn paper_scheduled_first_call(
     let before = counter();
     scheduled_sized_call(&tb, stack, size);
     counter() - before
+}
+
+/// `counter`'s movement over one warm call of `size` bytes on SUNRPC-UDP
+/// under the event scheduler, the third of three.
+pub fn sun_rpc_scheduled_sized_call(size: usize, counter: fn() -> u64) -> u64 {
+    let tb = sun_testbed(SimConfig::scheduled());
+    let server = tb.server_ip;
+    third_call(counter, || {
+        tb.sim.spawn(tb.client.host(), move |ctx| {
+            sun_sized_call(ctx, &ctx.kernel(), server, size)
+        });
+        assert_eq!(tb.sim.run_until_idle().blocked, 0);
+    })
 }
 
 /// `n` warm null calls from one client process on SUNRPC-UDP, in one

@@ -184,7 +184,7 @@ fn a_dropped_scenario_frees_every_protocol_on_both_kernels() {
                     .zip(k.protocol_slots())
                     .map(move |(name, p)| {
                         let p = p.expect("every reserved slot was installed");
-                        (format!("{on}/{name}"), Rc::downgrade(&p))
+                        (format!("{on}/{name}"), Rc::downgrade(p))
                     })
             })
             .collect();
