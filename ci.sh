@@ -102,9 +102,9 @@ cargo test --release -q -p chaos --test run_paths -- --exact \
 
 echo "==> lifetime-gate: a dropped rig frees everything"
 # Protocols and the sessions they cache hold each other; a dropped kernel
-# has every protocol empty its tables (Protocol::drop_sessions, DESIGN.md
-# §13). A new table that its protocol forgets to list there would pass every
-# behavioural test and leak a few kB per discarded rig, so the two lifetime
+# empties every table a protocol declares as sessions or scratch
+# (Protocol::keeps, DESIGN.md §13). A table declared as something else would
+# pass every behavioural test and leak a few kB per discarded rig, so the two lifetime
 # tests are a named gate at full size, and a 5,000-scenario matrix run alone
 # in its process must stay under a fixed peak-RSS ceiling (it stood at
 # ≈ 38 MB when FRAGMENT, CHANNEL and SELECT outlived their rigs; ≈ 4 MB now).
@@ -217,6 +217,12 @@ forbid 'add_contract|lower_name' \
 # trait object (`let any: &dyn Any = &*p;`).
 forbid 'fn as_any' 'an as_any downcast hook (upcast the trait object to &dyn Any)' \
     crates/*/src crates/*/tests src tests examples
+# A protocol states what it keeps once, in Protocol::keeps (DESIGN.md §10):
+# snapshot, restore, reboot and a dropped kernel walk that one declaration,
+# and how a field rewinds is its type's Rewind impl, not a per-protocol copy.
+forbid 'fn snap\(|fn restore_snap\(|fn drop_sessions\(|snap_downcast|SnapBlob' \
+    'a second list of what a protocol keeps (declare it in Protocol::keeps)' \
+    crates/*/src
 
 echo "==> load-smoke: xbench xload --quick"
 # Rate sweep over all six stacks (open loop), a closed-loop point, and the

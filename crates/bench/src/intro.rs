@@ -41,6 +41,7 @@ fn udp_latency(handicapped: bool) -> u64 {
         fn id(&self) -> ProtoId {
             self.me
         }
+        fn keeps(&self, _k: &mut Keep<'_>) {}
         fn open(&self, _c: &Ctx, _u: ProtoId, _p: &ParticipantSet) -> XResult<SessionRef> {
             Err(XError::Unsupported("echo"))
         }
@@ -61,6 +62,7 @@ fn udp_latency(handicapped: bool) -> u64 {
         fn id(&self) -> ProtoId {
             self.me
         }
+        fn keeps(&self, _k: &mut Keep<'_>) {}
         fn open(&self, _c: &Ctx, _u: ProtoId, _p: &ParticipantSet) -> XResult<SessionRef> {
             Err(XError::Unsupported("wait"))
         }

@@ -60,6 +60,7 @@ impl Protocol for Drawer {
     fn id(&self) -> ProtoId {
         self.me
     }
+    fn keeps(&self, _k: &mut Keep<'_>) {}
 
     fn open(&self, _ctx: &Ctx, _u: ProtoId, _p: &ParticipantSet) -> XResult<SessionRef> {
         Err(XError::Unsupported("drawer opens nothing"))

@@ -23,13 +23,12 @@ use std::cell::Cell;
 use std::rc::{Rc, Weak};
 
 use xkernel::cell::OwnerCell;
-
-use xkernel::map::EnableSnapshot;
+use xkernel::keep::Rewind;
 use xkernel::prelude::*;
 
 use crate::hdr::{flags, ChannelHdr, CHANNEL_HDR_LEN};
 use crate::protnum::{num_over, peer_key, PeerKey};
-use crate::txn::{self, Arrival, AtMostOnce, Incarnation, Poll, RtoPolicy, RtoSnap};
+use crate::txn::{self, Arrival, AtMostOnce, Incarnation, Poll, RtoPolicy};
 
 struct Outstanding {
     seq: u32,
@@ -159,8 +158,28 @@ impl Session for ChanClientSession {
     }
 }
 
+/// A client channel keeps its sequence counter. It is exclusively held
+/// during a call, so nothing is outstanding at a quiescent instant.
+impl Rewind for ChanClientSession {
+    type Saved = u32;
+    fn save(&self) -> u32 {
+        let st = self.st.lock();
+        debug_assert!(
+            st.outstanding.is_none(),
+            "channel snapshot with an outstanding request (not quiescent)"
+        );
+        st.seq
+    }
+    fn rewind(&self, seq: &u32) {
+        let mut st = self.st.lock();
+        st.seq = *seq;
+        st.outstanding = None;
+    }
+}
+
+/// A server channel's state: what its [`Rewind`] saves (opaque).
 #[derive(Clone)]
-struct ServerState {
+pub struct ServerState {
     // The lower session replies travel down on; refreshed on each request
     // so replies follow the path the latest request arrived by.
     lls: SessionRef,
@@ -226,6 +245,18 @@ impl Session for ChanServerSession {
                 lls.control(ctx, other)
             }
         }
+    }
+}
+
+/// A server channel keeps its at-most-once record, its saved reply and the
+/// path replies take.
+impl Rewind for ChanServerSession {
+    type Saved = ServerState;
+    fn save(&self) -> ServerState {
+        self.st.save()
+    }
+    fn rewind(&self, st: &ServerState) {
+        self.st.rewind(st);
     }
 }
 
@@ -492,18 +523,20 @@ impl Protocol for Channel {
     }
 
     fn reboot(&self, ctx: &Ctx) -> XResult<()> {
-        // Fresh incarnation: a new boot id and no surviving channels; the
-        // graph wiring (enables, lower binding) persists from build time.
+        // Fresh incarnation: a new boot id, no peer seen, a cold RTO.
         self.ids.renew(ctx);
-        self.drop_sessions();
         self.peer_boot.set(0);
         self.rto.reseed();
         Ok(())
     }
 
-    fn drop_sessions(&self) {
-        self.clients.clear();
-        self.servers.clear();
+    fn keeps(&self, k: &mut Keep<'_>) {
+        k.config(&self.enables);
+        k.sessions(&self.clients);
+        k.sessions(&self.servers);
+        k.values(&self.ids);
+        k.values(&self.rto);
+        k.values(&self.peer_boot);
     }
 
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
@@ -584,71 +617,4 @@ impl Protocol for Channel {
                 .ok_or(XError::Unsupported("channel control")),
         }
     }
-
-    // Sessions are captured *with* their mutable state: a client channel's
-    // sequence counter and a server channel's at-most-once record (last
-    // seq, saved reply) both advance during a run and must rewind with it.
-    fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
-        let clients = self
-            .clients
-            .lock()
-            .iter()
-            .map(|(k, c)| {
-                let st = c.st.lock();
-                debug_assert!(
-                    st.outstanding.is_none(),
-                    "channel snapshot with an outstanding request (not quiescent)"
-                );
-                (*k, Rc::clone(c), st.seq)
-            })
-            .collect();
-        let servers = self
-            .servers
-            .lock()
-            .iter()
-            .map(|(k, srv)| (*k, Rc::clone(srv), srv.st.lock().clone()))
-            .collect();
-        Some(Rc::new(ChanSnap {
-            ids: self.ids.snap(),
-            rto: self.rto.snap(),
-            peer_boot: self.peer_boot.get(),
-            enables: self.enables.snapshot(),
-            clients,
-            servers,
-        }))
-    }
-
-    fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
-        let s = snap_downcast::<ChanSnap>(blob, "channel")?;
-        self.ids.restore(s.ids);
-        self.rto.restore(&s.rto);
-        self.peer_boot.set(s.peer_boot);
-        self.enables.restore(&s.enables);
-        {
-            let mut clients = self.clients.lock();
-            clients.clear();
-            for (k, sess, seq) in &s.clients {
-                let mut st = sess.st.lock();
-                st.seq = *seq;
-                st.outstanding = None;
-                clients.insert(*k, Rc::clone(sess));
-            }
-        }
-        let mut servers = self.servers.lock();
-        servers.clear();
-        for (k, sess, st) in &s.servers {
-            *sess.st.lock() = st.clone();
-            servers.insert(*k, Rc::clone(sess));
-        }
-        Ok(())
-    }
-}
-
-struct ChanSnap {
-    ids: (u32, u16),
-    rto: RtoSnap,
-    peer_boot: u32,
-    enables: EnableSnapshot,
-    clients: Vec<(ClientKey, Rc<ChanClientSession>, u32)>,
-    servers: Vec<(ServerKey, Rc<ChanServerSession>, ServerState)>,
 }

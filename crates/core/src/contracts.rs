@@ -17,7 +17,6 @@ pub fn sprite() -> ProtoContract {
         .optional_lower(&[AddrKind::Resolver])
         .header(SPRITE_HDR_LEN)
         .fragments()
-        .demux_key_bits(32) // channel + sequence
         .param("channels", false, true)
         .param("shepherds", false, true)
         .param("pending", false, true)
@@ -32,7 +31,6 @@ pub fn fragment() -> ProtoContract {
         .lower(&[AddrKind::Internet])
         .header(FRAGMENT_HDR_LEN)
         .fragments()
-        .demux_key_bits(32)
         .crashable()
         .reboots()
 }
@@ -43,7 +41,6 @@ pub fn channel() -> ProtoContract {
     let c = ProtoContract::new("channel", AddrKind::Rpc)
         .lower(&[AddrKind::Internet])
         .header(CHANNEL_HDR_LEN)
-        .demux_key_bits(32)
         .param("adaptive", false, true);
     awaits_reply(c, false).crashable().reboots()
 }
@@ -55,7 +52,6 @@ pub fn select() -> ProtoContract {
     ProtoContract::new("select", AddrKind::Rpc)
         .lower(&[AddrKind::Rpc])
         .header(SELECT_HDR_LEN)
-        .demux_key_bits(16)
         .param("channels", false, true)
         .param("shepherds", false, true)
         .param("pending", false, true)
@@ -72,9 +68,7 @@ pub fn select() -> ProtoContract {
 
 /// RDGRAM: reliable datagrams over CHANNEL. It pushes no header of its own.
 pub fn rdgram() -> ProtoContract {
-    ProtoContract::new("rdgram", AddrKind::Rpc)
-        .lower(&[AddrKind::Rpc])
-        .demux_key_bits(16)
+    ProtoContract::new("rdgram", AddrKind::Rpc).lower(&[AddrKind::Rpc])
 }
 
 /// VIP: virtualizes the participant address — picks ETH or IP per peer at

@@ -27,7 +27,7 @@ use std::rc::{Rc, Weak};
 
 use xkernel::cell::{tally, OwnerCell};
 
-use xkernel::map::{EnableSnapshot, MixMap, SessionSnapshot};
+use xkernel::map::MixMap;
 use xkernel::prelude::*;
 use xkernel::sim::{Nanos, Time};
 
@@ -487,21 +487,19 @@ impl Protocol for Fragment {
         kernel.open_enable(ctx, self.lower, self.me, &parts)
     }
 
-    fn reboot(&self, _ctx: &Ctx) -> XResult<()> {
-        // `next_seq` is deliberately kept — reusing message ids could
-        // collide with stale partials on peers.
-        self.drop_sessions();
-        Ok(())
-    }
-
-    fn drop_sessions(&self) {
-        // All volatile state: the send cache (peers must not NACK-recover
-        // messages from the previous incarnation), partial reassemblies,
-        // and cached sessions.
-        self.send_cache.lock().clear();
-        self.rasm.lock().clear();
-        self.passive.clear();
-        self.lowers.clear();
+    // `next_seq` is a value, kept across reboot: reusing message ids could
+    // collide with stale partials on peers. Retained copies are scratch —
+    // peers must not NACK-recover a previous incarnation's messages, and at
+    // a quiescent instant no NACK can name one (partial reassemblies are
+    // timer-reclaimed, so none is open).
+    fn keeps(&self, k: &mut Keep<'_>) {
+        k.config(&self.enables);
+        k.sessions(&self.passive);
+        k.sessions(&self.lowers);
+        k.values(&self.next_seq);
+        k.values(&self.stats);
+        k.scratch(&self.send_cache);
+        k.scratch(&self.rasm);
     }
 
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
@@ -560,46 +558,6 @@ impl Protocol for Fragment {
             }
         }
     }
-
-    // Partial reassemblies are timer-reclaimed and thus empty at any
-    // quiescent instant. Retained copies may outlive it, but with no
-    // reassembly open and no frame in flight no NACK can name one, so a
-    // snapshot leaves them out. What persists is the sequence counter,
-    // enables, session caches, and traffic counters.
-    fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
-        debug_assert!(
-            self.rasm.lock().is_empty(),
-            "fragment snapshot with partial messages (not quiescent)"
-        );
-        Some(Rc::new(FragSnap {
-            next_seq: self.next_seq.get(),
-            enables: self.enables.snapshot(),
-            passive: self.passive.snapshot(),
-            lowers: self.lowers.snapshot(),
-            stats: self.stats(),
-        }))
-    }
-
-    fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
-        let s = snap_downcast::<FragSnap>(blob, "fragment")?;
-        self.send_cache.lock().clear();
-        self.rasm.lock().clear();
-        self.next_seq.set(s.next_seq);
-        self.enables.restore(&s.enables);
-        self.passive.restore(&s.passive);
-        self.lowers.restore(&s.lowers);
-        self.stats.set(s.stats);
-        Ok(())
-    }
-}
-
-#[derive(Clone)]
-struct FragSnap {
-    next_seq: u32,
-    enables: EnableSnapshot,
-    passive: SessionSnapshot<(u32, u32), SessionRef>,
-    lowers: SessionSnapshot<u32, (SessionRef, usize)>,
-    stats: FragStats,
 }
 
 #[cfg(test)]
@@ -689,6 +647,7 @@ mod tests {
         fn id(&self) -> ProtoId {
             self.me
         }
+        fn keeps(&self, _k: &mut Keep<'_>) {}
         fn open(&self, _c: &Ctx, _u: ProtoId, _p: &ParticipantSet) -> XResult<SessionRef> {
             Ok(Rc::new(BigMtuSession { opt: self.opt }))
         }

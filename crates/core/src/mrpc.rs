@@ -23,7 +23,8 @@ use std::rc::{Rc, Weak};
 
 use xkernel::cell::OwnerCell;
 
-use xkernel::map::{MixMap, SessionSnapshot};
+use xkernel::keep::Rewind;
+use xkernel::map::MixMap;
 use xkernel::prelude::*;
 use xkernel::shepherd::{Overload, ShepherdConfig, ShepherdStats, Shepherds};
 
@@ -31,7 +32,7 @@ use crate::frags::{self, Place, Slot, MAX_FRAGS};
 use crate::hdr::{flags, SpriteHdr, SPRITE_HDR_LEN};
 use crate::protnum::num_over;
 use crate::select::Handler;
-use crate::txn::{self, Arrival, AtMostOnce, Incarnation, Poll, PoolSnap};
+use crate::txn::{self, Arrival, AtMostOnce, Incarnation, Poll};
 
 /// Configuration. The retransmission timer is the paper's step function,
 /// fixed: [`txn::BASE_TIMEOUT_NS`] plus [`txn::frag_allowance`], and
@@ -75,6 +76,25 @@ struct MChan {
     st: OwnerCell<MChanState>,
 }
 
+/// A client channel keeps its sequence counter. It is exclusively held
+/// during a call, so no call is outstanding at a quiescent instant.
+impl Rewind for MChan {
+    type Saved = u32;
+    fn save(&self) -> u32 {
+        let st = self.st.lock();
+        debug_assert!(
+            st.out.is_none(),
+            "mrpc snapshot with an outstanding call (not quiescent)"
+        );
+        st.seq
+    }
+    fn rewind(&self, seq: &u32) {
+        let mut st = self.st.lock();
+        st.seq = *seq;
+        st.out = None;
+    }
+}
+
 type Pool = txn::Pool<Rc<MChan>>;
 
 /// The lower session towards a peer with the fragment payload it allows.
@@ -87,6 +107,17 @@ type LowerPath = (SessionRef, usize);
 struct Peer {
     lower: LowerPath,
     pool: Option<Rc<Pool>>,
+}
+
+/// A peer entry rewinds its client channel pool, if it has one.
+impl Rewind for Peer {
+    type Saved = Option<<Pool as Rewind>::Saved>;
+    fn save(&self) -> Self::Saved {
+        self.pool.save()
+    }
+    fn rewind(&self, saved: &Self::Saved) {
+        self.pool.rewind(saved);
+    }
 }
 
 #[derive(Clone)]
@@ -109,6 +140,19 @@ struct MServer {
     clnt: IpAddr,
     chan: u16,
     st: OwnerCell<ServerState>,
+}
+
+/// A server channel keeps its whole state: the at-most-once record, the
+/// saved reply and any partial request reassembly (which, unlike
+/// FRAGMENT's, has no reclaim timer and so can outlive quiescence).
+impl Rewind for MServer {
+    type Saved = ServerState;
+    fn save(&self) -> ServerState {
+        self.st.save()
+    }
+    fn rewind(&self, st: &ServerState) {
+        self.st.rewind(st);
+    }
 }
 
 /// The monolithic Sprite RPC protocol object.
@@ -718,18 +762,20 @@ impl Protocol for Mrpc {
     }
 
     fn reboot(&self, ctx: &Ctx) -> XResult<()> {
-        // Fresh incarnation: new boot id, all channel/session state gone.
-        // Registered procedures and graph wiring survive.
+        // Fresh incarnation: a new boot id.
         self.ids.renew(ctx);
-        self.drop_sessions();
         Ok(())
     }
 
-    fn drop_sessions(&self) {
-        self.peers.clear();
-        self.chans.clear();
-        self.servers.clear();
-        self.sessions.clear();
+    // The pools are reached through the peer entries.
+    fn keeps(&self, k: &mut Keep<'_>) {
+        k.config(&self.handlers);
+        k.sessions(&self.peers);
+        k.sessions(&self.chans);
+        k.sessions(&self.servers);
+        k.sessions(&self.sessions);
+        k.values(&self.ids);
+        k.values(&self.shepherds);
     }
 
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
@@ -785,87 +831,4 @@ impl Protocol for Mrpc {
             }
         }
     }
-
-    // Client channels are exclusively held during a call, so `out` is None
-    // at quiescence and only each channel's sequence counter is captured.
-    // Server channels keep durable at-most-once state — including partial
-    // request reassemblies, which (unlike FRAGMENT's) have no reclaim timer
-    // — so the whole ServerState is cloned.
-    fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
-        let peers = self.peers.snapshot();
-        let pools = peers
-            .values()
-            .filter_map(|p| p.pool.as_ref())
-            .map(Pool::snap)
-            .collect();
-        let chans = self
-            .chans
-            .lock()
-            .iter()
-            .map(|(k, c)| {
-                let st = c.st.lock();
-                debug_assert!(
-                    st.out.is_none(),
-                    "mrpc snapshot with an outstanding call (not quiescent)"
-                );
-                (*k, Rc::clone(c), st.seq)
-            })
-            .collect();
-        let servers = self
-            .servers
-            .lock()
-            .iter()
-            .map(|(k, srv)| (*k, Rc::clone(srv), srv.st.lock().clone()))
-            .collect();
-        Some(Rc::new(MrpcSnap {
-            ids: self.ids.snap(),
-            peers,
-            pools,
-            chans,
-            servers,
-            sessions: self.sessions.snapshot(),
-            shepherds: self.shepherds.stats(),
-        }))
-    }
-
-    fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
-        let s = snap_downcast::<MrpcSnap>(blob, "sprite")?;
-        self.ids.restore(s.ids);
-        // The pools themselves are reached through the peer entries.
-        self.peers.restore(&s.peers);
-        for ps in &s.pools {
-            ps.restore();
-        }
-        {
-            let mut chans = self.chans.lock();
-            chans.clear();
-            for (k, mc, seq) in &s.chans {
-                let mut st = mc.st.lock();
-                st.seq = *seq;
-                st.out = None;
-                chans.insert(*k, Rc::clone(mc));
-            }
-        }
-        {
-            let mut servers = self.servers.lock();
-            servers.clear();
-            for (k, srv, st) in &s.servers {
-                *srv.st.lock() = st.clone();
-                servers.insert(*k, Rc::clone(srv));
-            }
-        }
-        self.sessions.restore(&s.sessions);
-        self.shepherds.restore_stats(s.shepherds);
-        Ok(())
-    }
-}
-
-struct MrpcSnap {
-    ids: (u32, u16),
-    peers: SessionSnapshot<u32, Peer>,
-    pools: Vec<PoolSnap<Rc<MChan>>>,
-    chans: Vec<(u16, Rc<MChan>, u32)>,
-    servers: Vec<((u32, u16), Rc<MServer>, ServerState)>,
-    sessions: SessionSnapshot<(u32, u16), SessionRef>,
-    shepherds: ShepherdStats,
 }

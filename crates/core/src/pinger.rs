@@ -17,7 +17,6 @@ use std::rc::Rc;
 
 use xkernel::cell::OwnerCell;
 
-use xkernel::map::SessionSnapshot;
 use xkernel::prelude::*;
 
 use crate::protnum::num_over;
@@ -157,8 +156,9 @@ impl Protocol for Pinger {
         kernel.open_enable(ctx, self.lower, self.me, &parts)
     }
 
-    fn drop_sessions(&self) {
-        self.sessions.clear();
+    fn keeps(&self, k: &mut Keep<'_>) {
+        k.sessions(&self.sessions);
+        k.scratch(&self.inflight);
     }
 
     fn open(&self, _ctx: &Ctx, _u: ProtoId, _p: &ParticipantSet) -> XResult<SessionRef> {
@@ -224,28 +224,4 @@ impl Protocol for Pinger {
             _ => Err(XError::Unsupported("pinger control")),
         }
     }
-
-    fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
-        debug_assert!(
-            {
-                let inflight = self.inflight.lock();
-                inflight.waiting.is_none() && inflight.series.is_none()
-            },
-            "pinger snapshot with a round trip in flight (not quiescent)"
-        );
-        Some(Rc::new(PingerSnap {
-            sessions: self.sessions.snapshot(),
-        }))
-    }
-
-    fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
-        let s = snap_downcast::<PingerSnap>(blob, "pinger")?;
-        *self.inflight.lock() = Inflight::default();
-        self.sessions.restore(&s.sessions);
-        Ok(())
-    }
-}
-
-struct PingerSnap {
-    sessions: SessionSnapshot<u32, SessionRef>,
 }

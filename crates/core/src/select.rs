@@ -18,13 +18,12 @@
 use std::cell::Cell;
 use std::rc::{Rc, Weak};
 
-use xkernel::map::{EnableSnapshot, SessionSnapshot};
 use xkernel::prelude::*;
 use xkernel::shepherd::{Overload, ShepherdConfig, ShepherdStats, Shepherds};
 
 use crate::hdr::{SelectHdr, SELECT_HDR_LEN};
 use crate::protnum::num_over;
-use crate::txn::{Pool, PoolSnap};
+use crate::txn::Pool;
 
 /// A server procedure: takes the request body, returns the reply body.
 pub type Handler = Box<dyn Fn(&Ctx, Message) -> XResult<Message>>;
@@ -292,17 +291,17 @@ impl Protocol for Select {
         kernel.open_enable(ctx, self.channel, self.me, &parts)
     }
 
-    fn reboot(&self, _ctx: &Ctx) -> XResult<()> {
-        // Channel pools and cached sessions referenced the old CHANNEL
-        // incarnation; drop them so fresh ones are opened on demand.
-        // Registered procedures and forwarding policy survive.
-        self.drop_sessions();
-        Ok(())
-    }
-
-    fn drop_sessions(&self) {
-        self.pools.clear();
-        self.sessions.clear();
+    // The channel pools rewind with their free lists (whose LIFO order
+    // decides which channel the next call uses); at a reboot they go, with
+    // the cached sessions, because they referenced the old CHANNEL
+    // incarnation. Registered procedures and forwarding policy survive.
+    fn keeps(&self, k: &mut Keep<'_>) {
+        k.config(&self.handlers);
+        k.config(&self.forward);
+        k.sessions(&self.pools);
+        k.sessions(&self.sessions);
+        k.values(&self.passive_opens);
+        k.values(&self.shepherds);
     }
 
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
@@ -385,49 +384,6 @@ impl Protocol for Select {
             }
         }
     }
-
-    // Handlers are registration-time configuration; what must rewind is the
-    // channel pools (the free list's LIFO *order* decides which channel the
-    // next call uses), the session cache, and the counters.
-    fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
-        let pools = self
-            .pools
-            .lock()
-            .iter()
-            .map(|(peer, p)| (*peer, p.snap()))
-            .collect();
-        Some(Rc::new(SelectSnap {
-            forward: self.forward.snapshot(),
-            pools,
-            sessions: self.sessions.snapshot(),
-            passive_opens: self.passive_opens.get(),
-            shepherds: self.shepherds.stats(),
-        }))
-    }
-
-    fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
-        let s = snap_downcast::<SelectSnap>(blob, "select")?;
-        self.forward.restore(&s.forward);
-        {
-            let mut pools = self.pools.lock();
-            pools.clear();
-            for (peer, ps) in &s.pools {
-                pools.insert(*peer, ps.restore());
-            }
-        }
-        self.sessions.restore(&s.sessions);
-        self.passive_opens.set(s.passive_opens);
-        self.shepherds.restore_stats(s.shepherds);
-        Ok(())
-    }
-}
-
-struct SelectSnap {
-    forward: EnableSnapshot,
-    pools: Vec<(u32, PoolSnap<SessionRef>)>,
-    sessions: SessionSnapshot<(u32, u16), SessionRef>,
-    passive_opens: u64,
-    shepherds: ShepherdStats,
 }
 
 // ---------------------------------------------------------------------------
@@ -503,13 +459,9 @@ impl Protocol for Rdgram {
         kernel.open_enable(ctx, self.channel, self.me, &parts)
     }
 
-    fn reboot(&self, _ctx: &Ctx) -> XResult<()> {
-        self.drop_sessions();
-        Ok(())
-    }
-
-    fn drop_sessions(&self) {
-        self.sessions.clear();
+    fn keeps(&self, k: &mut Keep<'_>) {
+        k.config(&self.upper);
+        k.sessions(&self.sessions);
     }
 
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
@@ -549,23 +501,4 @@ impl Protocol for Rdgram {
         lls.push(ctx, ctx.empty_msg())?;
         Ok(())
     }
-
-    fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
-        Some(Rc::new(RdgramSnap {
-            upper: self.upper.get(),
-            sessions: self.sessions.snapshot(),
-        }))
-    }
-
-    fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
-        let s = snap_downcast::<RdgramSnap>(blob, "rdgram")?;
-        self.upper.set(s.upper);
-        self.sessions.restore(&s.sessions);
-        Ok(())
-    }
-}
-
-struct RdgramSnap {
-    upper: Option<ProtoId>,
-    sessions: SessionSnapshot<u32, SessionRef>,
 }

@@ -23,6 +23,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use xkernel::cell::OwnerCell;
+use xkernel::keep::Rewind;
 
 use xkernel::lint::{BlockPoint, ProtoContract, SemaContract};
 use xkernel::prelude::*;
@@ -170,15 +171,6 @@ pub struct CallRto<'a> {
     max_backoff: u32,
 }
 
-/// An [`RtoPolicy`]'s restorable state.
-#[derive(Clone)]
-pub struct RtoSnap {
-    base_ns: Nanos,
-    adaptive: bool,
-    max_backoff: u32,
-    estimator: RtoEstimator,
-}
-
 impl RtoPolicy {
     /// A cold policy: every attempt waits `seed_ns` until a reply has been
     /// timed, and for ever if `adaptive` is false (the paper's scheme).
@@ -272,23 +264,25 @@ impl RtoPolicy {
     pub fn rtt_estimate(&self) -> u64 {
         self.estimator.lock().srtt().unwrap_or(0)
     }
+}
 
-    /// Captures the knobs and the estimator.
-    pub fn snap(&self) -> RtoSnap {
-        RtoSnap {
-            base_ns: self.base_ns.get(),
-            adaptive: self.adaptive(),
-            max_backoff: self.max_backoff(),
-            estimator: self.estimator.lock().clone(),
-        }
+/// What a policy keeps: the run-time knobs and the estimator (the
+/// configured seed is build-time and never changes).
+impl Rewind for RtoPolicy {
+    type Saved = (Nanos, bool, u32, RtoEstimator);
+    fn save(&self) -> Self::Saved {
+        (
+            self.base_ns.get(),
+            self.adaptive(),
+            self.max_backoff(),
+            self.estimator.save(),
+        )
     }
-
-    /// Rewinds to a captured state.
-    pub fn restore(&self, s: &RtoSnap) {
-        self.base_ns.set(s.base_ns);
-        self.adaptive.set(s.adaptive);
-        self.max_backoff.set(s.max_backoff);
-        *self.estimator.lock() = s.estimator.clone();
+    fn rewind(&self, (base_ns, adaptive, max_backoff, estimator): &Self::Saved) {
+        self.base_ns.set(*base_ns);
+        self.adaptive.set(*adaptive);
+        self.max_backoff.set(*max_backoff);
+        self.estimator.rewind(estimator);
     }
 }
 
@@ -414,14 +408,6 @@ pub struct Pool<T> {
     free: OwnerCell<Vec<T>>,
 }
 
-/// A [`Pool`]'s restorable state: the semaphore and the free list, whose
-/// LIFO *order* decides which channel the next call uses.
-pub struct PoolSnap<T> {
-    pool: Rc<Pool<T>>,
-    sema: i64,
-    free: Vec<T>,
-}
-
 impl<T: Clone> Pool<T> {
     /// A pool holding `items`, all free.
     pub fn new(items: Vec<T>) -> Rc<Pool<T>> {
@@ -450,30 +436,24 @@ impl<T: Clone> Pool<T> {
     pub fn free_len(&self) -> usize {
         self.free.lock().len()
     }
+}
 
-    /// Captures the pool at a quiescent instant.
-    pub fn snap(self: &Rc<Self>) -> PoolSnap<T> {
-        let free = self.free.lock().clone();
+/// What a pool keeps: the semaphore's count and the free list, whose LIFO
+/// *order* decides which channel the next call uses. Saved at a quiescent
+/// instant, when every channel is back.
+impl<T: Clone + 'static> Rewind for Pool<T> {
+    type Saved = (i64, Vec<T>);
+    fn save(&self) -> Self::Saved {
         debug_assert_eq!(
-            free.len(),
+            self.free_len(),
             self.size,
             "pool snapshot with channels checked out (not quiescent)"
         );
-        PoolSnap {
-            pool: Rc::clone(self),
-            sema: self.sema.snap_state(),
-            free,
-        }
+        (self.sema.save(), self.free.save())
     }
-}
-
-impl<T: Clone> PoolSnap<T> {
-    /// Rewinds the captured pool and hands it back (for the table that
-    /// holds it).
-    pub fn restore(&self) -> Rc<Pool<T>> {
-        self.pool.sema.restore_state(self.sema);
-        *self.pool.free.lock() = self.free.clone();
-        Rc::clone(&self.pool)
+    fn rewind(&self, (sema, free): &Self::Saved) {
+        self.sema.rewind(sema);
+        self.free.rewind(free);
     }
 }
 
@@ -527,14 +507,15 @@ impl Incarnation {
         // for bounded pools, but never hand out an aliased id silently.
         panic!("channel namespace exhausted");
     }
+}
 
-    /// Captures `(boot id, channel counter)`.
-    pub fn snap(&self) -> (u32, u16) {
+/// An incarnation keeps its boot id and its channel counter.
+impl Rewind for Incarnation {
+    type Saved = (u32, u16);
+    fn save(&self) -> (u32, u16) {
         (self.boot_id(), self.next_chan.get())
     }
-
-    /// Rewinds to a captured state.
-    pub fn restore(&self, (boot, next_chan): (u32, u16)) {
+    fn rewind(&self, &(boot, next_chan): &(u32, u16)) {
         self.set_boot_id(boot);
         self.next_chan.set(next_chan);
     }

@@ -158,6 +158,8 @@ impl Protocol for Vip {
     fn id(&self) -> ProtoId {
         self.me
     }
+    // Stateless: its sessions are built per open and held by the opener.
+    fn keeps(&self, _k: &mut Keep<'_>) {}
 
     fn open(&self, ctx: &Ctx, upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
         let p = proto_of(parts, "vip open")?;
@@ -263,6 +265,8 @@ impl Protocol for VipAddr {
     fn id(&self) -> ProtoId {
         self.me
     }
+    // Stateless: its sessions are built per open and held by the opener.
+    fn keeps(&self, _k: &mut Keep<'_>) {}
 
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
         let p = proto_of(parts, "vipaddr open")?;
@@ -379,6 +383,8 @@ impl Protocol for VipSize {
     fn id(&self) -> ProtoId {
         self.me
     }
+    // Stateless: its sessions are built per open and held by the opener.
+    fn keeps(&self, _k: &mut Keep<'_>) {}
 
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
         let p = proto_of(parts, "vipsize open")?;

@@ -231,6 +231,7 @@ fn vip_opens_both_sessions_for_udp_and_routes_by_size() {
         fn id(&self) -> ProtoId {
             self.me
         }
+        fn keeps(&self, _k: &mut Keep<'_>) {}
         fn open(&self, _c: &Ctx, _u: ProtoId, _p: &ParticipantSet) -> XResult<SessionRef> {
             Err(XError::Unsupported("recorder"))
         }

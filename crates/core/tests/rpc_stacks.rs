@@ -471,6 +471,7 @@ impl Protocol for Recorder {
     fn id(&self) -> ProtoId {
         self.me
     }
+    fn keeps(&self, _k: &mut Keep<'_>) {}
     fn open(&self, _c: &Ctx, _u: ProtoId, _p: &ParticipantSet) -> XResult<SessionRef> {
         Err(XError::Unsupported("recorder"))
     }

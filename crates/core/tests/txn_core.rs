@@ -5,6 +5,7 @@
 use std::cell::{Cell, RefCell};
 use std::sync::{Arc, Mutex};
 
+use xkernel::keep::Rewind;
 use xkernel::prelude::*;
 use xkernel::sim::{Sim, SimConfig};
 use xrpc::txn::{self, Arrival, AtMostOnce, Incarnation, Poll, RtoPolicy};
@@ -215,13 +216,13 @@ fn karns_rule_and_the_knobs_live_in_the_policy() {
     assert!(p.control(&ControlOp::SetBackoff(2)).is_some());
     assert!(p.control(&ControlOp::GetMaxPacket).is_none());
     p.set_adaptive(false);
-    let snap = p.snap();
+    let snap = p.save();
     p.reseed();
     assert_eq!(
         (p.rtt_estimate(), p.max_backoff(), p.adaptive()),
         (0, txn::DEFAULT_MAX_BACKOFF, true)
     );
-    p.restore(&snap);
+    p.rewind(&snap);
     assert_eq!(
         (p.rtt_estimate(), p.max_backoff(), p.adaptive()),
         (5_000_000, 2, false)
@@ -259,8 +260,8 @@ fn channel_numbers_skip_zero_and_live_numbers_across_wraps() {
         let c = ids.alloc_channel(live);
         assert!(c != 0 && !live(c), "issued {c}");
     }
-    let (boot, next) = ids.snap();
+    let saved = ids.save();
     let a = ids.alloc_channel(live);
-    ids.restore((boot, next));
+    ids.rewind(&saved);
     assert_eq!(ids.alloc_channel(live), a, "the counter rewinds");
 }

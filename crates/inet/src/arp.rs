@@ -236,6 +236,12 @@ impl Protocol for Arp {
         self.me
     }
 
+    // The translation table survives a reboot; parked resolvers do not.
+    fn keeps(&self, k: &mut Keep<'_>) {
+        k.values(&self.cache);
+        k.scratch(&self.waiters);
+    }
+
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
         let kernel = ctx.kernel_ref();
         let parts = ParticipantSet::local(Participant::proto(u32::from(eth_type::ARP)));
@@ -299,20 +305,5 @@ impl Protocol for Arp {
             }
             _ => Err(XError::Unsupported("arp control")),
         }
-    }
-
-    fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
-        debug_assert!(
-            self.waiters.lock().is_empty(),
-            "arp snapshot with parked resolvers (not quiescent)"
-        );
-        Some(Rc::new(self.cache.lock().clone()))
-    }
-
-    fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
-        let s = snap_downcast::<ArpCache>(blob, "arp")?;
-        self.waiters.lock().clear();
-        *self.cache.lock() = s.clone();
-        Ok(())
     }
 }

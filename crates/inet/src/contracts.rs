@@ -18,7 +18,6 @@ pub fn eth() -> ProtoContract {
     ProtoContract::new("eth", AddrKind::Hardware)
         .lower(&[AddrKind::Device])
         .header(ETH_HDR_LEN)
-        .demux_key_bits(16) // ethertype
         .blocks(&[BlockPoint::Wire])
 }
 
@@ -40,7 +39,6 @@ pub fn ip() -> ProtoContract {
         .repeating(&[&[AddrKind::Hardware], &[AddrKind::Resolver]])
         .header(IP_HDR_LEN)
         .fragments()
-        .demux_key_bits(8) // protocol number
         .param("forward", false, true)
         .param("mask", false, false)
         .param("gw", false, false)
@@ -54,7 +52,6 @@ pub fn udp() -> ProtoContract {
     ProtoContract::new("udp", AddrKind::Transport)
         .lower(&[AddrKind::Internet])
         .header(UDP_HDR_LEN)
-        .demux_key_bits(32) // src+dst port
 }
 
 /// ICMP: echo service over IP.
@@ -62,7 +59,6 @@ pub fn icmp() -> ProtoContract {
     ProtoContract::new("icmp", AddrKind::Transport)
         .lower(&[AddrKind::Internet])
         .header(ICMP_HDR_LEN)
-        .demux_key_bits(16) // ident
 }
 
 /// TCP: byte streams whose pseudo-header checksum bakes in the participant
@@ -75,7 +71,6 @@ pub fn tcp() -> ProtoContract {
         .header(TCP_HDR_LEN)
         .fragments() // MSS segmentation
         .requires_stable_participants()
-        .demux_key_bits(32)
         .sema(SemaContract {
             acquires_pool: false,
             awaits_reply: true,

@@ -10,7 +10,6 @@
 use std::cell::OnceCell;
 use std::rc::Rc;
 
-use xkernel::map::{EnableSnapshot, SessionSnapshot};
 use xkernel::prelude::*;
 
 /// Ethernet payload MTU.
@@ -143,6 +142,11 @@ impl Protocol for Eth {
         self.me
     }
 
+    fn keeps(&self, k: &mut Keep<'_>) {
+        k.config(&self.enables);
+        k.sessions(&self.passive);
+    }
+
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
         let kernel = ctx.kernel_ref();
         let sess = kernel.open(ctx, self.nic, self.me, &ParticipantSet::new())?;
@@ -155,10 +159,6 @@ impl Protocol for Eth {
             .map_err(|_| XError::Config("eth double boot".into()))?;
         kernel.open_enable(ctx, self.nic, self.me, &ParticipantSet::new())?;
         Ok(())
-    }
-
-    fn drop_sessions(&self) {
-        self.passive.clear();
     }
 
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
@@ -207,28 +207,6 @@ impl Protocol for Eth {
             }
         }
     }
-
-    // The passive-session cache is state, not wiring: a warm entry skips a
-    // SessionCreate charge, so restore must rewind it for bit-identity.
-    fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
-        Some(Rc::new(EthSnap {
-            enables: self.enables.snapshot(),
-            passive: self.passive.snapshot(),
-        }))
-    }
-
-    fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
-        let s = snap_downcast::<EthSnap>(blob, "eth")?;
-        self.enables.restore(&s.enables);
-        self.passive.restore(&s.passive);
-        Ok(())
-    }
-}
-
-#[derive(Clone)]
-struct EthSnap {
-    enables: EnableSnapshot,
-    passive: SessionSnapshot<(EthAddr, u16), SessionRef>,
 }
 
 #[cfg(test)]

@@ -147,6 +147,11 @@ impl Protocol for Icmp {
         self.me
     }
 
+    fn keeps(&self, k: &mut Keep<'_>) {
+        k.values(&self.next_seq);
+        k.scratch(&self.waiting);
+    }
+
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
         let parts = ParticipantSet::local(Participant::proto(u32::from(ip_proto::ICMP)));
         ctx.kernel_ref()
@@ -189,21 +194,6 @@ impl Protocol for Icmp {
             }
             _ => Ok(()),
         }
-    }
-
-    fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
-        debug_assert!(
-            self.waiting.is_empty(),
-            "icmp snapshot with parked pingers (not quiescent)"
-        );
-        Some(Rc::new(self.next_seq.get()))
-    }
-
-    fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
-        let s = snap_downcast::<u16>(blob, "icmp")?;
-        self.waiting.clear();
-        self.next_seq.set(*s);
-        Ok(())
     }
 }
 

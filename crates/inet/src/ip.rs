@@ -13,7 +13,7 @@ use std::rc::{Rc, Weak};
 
 use xkernel::cell::{tally, OwnerCell};
 
-use xkernel::map::{EnableSnapshot, MixMap, SessionSnapshot};
+use xkernel::map::MixMap;
 use xkernel::prelude::*;
 
 use crate::eth::eth_type;
@@ -466,6 +466,18 @@ impl Protocol for Ip {
         self.me
     }
 
+    // Interfaces are build-time; the datagram id counter and the counters
+    // are values; partial reassemblies are timer-reclaimed scratch.
+    fn keeps(&self, k: &mut Keep<'_>) {
+        k.config(&self.routes);
+        k.config(&self.enables);
+        k.sessions(&self.passive);
+        k.sessions(&self.eth_cache);
+        k.values(&self.next_id);
+        k.values(&self.stats);
+        k.scratch(&self.reasm);
+    }
+
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
         let kernel = ctx.kernel_ref();
         for f in &self.ifaces {
@@ -473,19 +485,6 @@ impl Protocol for Ip {
             kernel.open_enable(ctx, f.eth, self.me, &parts)?;
         }
         Ok(())
-    }
-
-    fn reboot(&self, _ctx: &Ctx) -> XResult<()> {
-        // Partial reassemblies and cached sessions do not survive a crash;
-        // interfaces, routes, and enables are configuration.
-        self.drop_sessions();
-        Ok(())
-    }
-
-    fn drop_sessions(&self) {
-        self.reasm.lock().clear();
-        self.passive.clear();
-        self.eth_cache.clear();
     }
 
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
@@ -561,45 +560,4 @@ impl Protocol for Ip {
             }
         }
     }
-
-    // Partial reassemblies are timer-guarded and thus empty at any
-    // quiescent instant; everything else — routes, the datagram id
-    // counter, session caches (they gate SessionCreate charges), and
-    // counters — is captured.
-    fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
-        debug_assert!(
-            self.reasm.lock().is_empty(),
-            "ip snapshot with partial reassemblies (not quiescent)"
-        );
-        Some(Rc::new(IpSnap {
-            routes: self.routes.snapshot(),
-            next_id: self.next_id.get(),
-            enables: self.enables.snapshot(),
-            passive: self.passive.snapshot(),
-            eth_cache: self.eth_cache.snapshot(),
-            stats: self.stats(),
-        }))
-    }
-
-    fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
-        let s = snap_downcast::<IpSnap>(blob, "ip")?;
-        self.reasm.lock().clear();
-        self.routes.restore(&s.routes);
-        self.next_id.set(s.next_id);
-        self.enables.restore(&s.enables);
-        self.passive.restore(&s.passive);
-        self.eth_cache.restore(&s.eth_cache);
-        self.stats.set(s.stats);
-        Ok(())
-    }
-}
-
-#[derive(Clone)]
-struct IpSnap {
-    routes: EnableSnapshot,
-    next_id: u16,
-    enables: EnableSnapshot,
-    passive: SessionSnapshot<(IpAddr, u8), SessionRef>,
-    eth_cache: SessionSnapshot<(usize, EthAddr), SessionRef>,
-    stats: IpStats,
 }

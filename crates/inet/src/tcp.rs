@@ -25,6 +25,7 @@ use std::collections::{HashMap, VecDeque};
 use std::rc::{Rc, Weak};
 
 use xkernel::cell::OwnerCell;
+use xkernel::keep::Rewind;
 
 use xkernel::prelude::*;
 
@@ -132,6 +133,7 @@ enum State {
     Closed,
 }
 
+#[derive(Clone)]
 struct SendItem {
     seq: u32,
     flags: u8,
@@ -139,7 +141,9 @@ struct SendItem {
     retries: u32,
 }
 
-struct ConnState {
+/// A connection's state: what its [`Rewind`] saves (opaque).
+#[derive(Clone)]
+pub struct ConnState {
     state: State,
     snd_nxt: u32,
     snd_una: u32,
@@ -165,6 +169,24 @@ pub struct TcpConn {
     st: OwnerCell<ConnState>,
     established: SharedSema,
     readable: SharedSema,
+}
+
+/// A connection keeps its state and the counts of its two semaphores (no
+/// retransmission timer is armed at a quiescent instant).
+impl Rewind for TcpConn {
+    type Saved = (ConnState, i64, i64);
+    fn save(&self) -> Self::Saved {
+        (
+            self.st.save(),
+            self.established.save(),
+            self.readable.save(),
+        )
+    }
+    fn rewind(&self, (st, established, readable): &Self::Saved) {
+        self.st.rewind(st);
+        self.established.rewind(established);
+        self.readable.rewind(readable);
+    }
 }
 
 impl TcpConn {
@@ -611,15 +633,16 @@ impl Protocol for Tcp {
         self.me
     }
 
+    fn keeps(&self, k: &mut Keep<'_>) {
+        k.sessions(&self.conns);
+        k.sessions(&self.listeners);
+        k.values(&self.next_port);
+    }
+
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
         let parts = ParticipantSet::local(Participant::proto(u32::from(ip_proto::TCP)));
         ctx.kernel_ref()
             .open_enable(ctx, self.lower, self.me, &parts)
-    }
-
-    fn drop_sessions(&self) {
-        self.conns.clear();
-        self.listeners.clear();
     }
 
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {

@@ -15,7 +15,6 @@
 use std::cell::Cell;
 use std::rc::{Rc, Weak};
 
-use xkernel::map::{EnableSnapshot, SessionSnapshot};
 use xkernel::prelude::*;
 
 use crate::ip::ip_proto;
@@ -210,14 +209,16 @@ impl Protocol for Udp {
         self.me
     }
 
+    fn keeps(&self, k: &mut Keep<'_>) {
+        k.config(&self.enables);
+        k.sessions(&self.sessions);
+        k.values(&self.next_ephemeral);
+    }
+
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
         let parts = ParticipantSet::local(Participant::proto(u32::from(ip_proto::UDP)));
         ctx.kernel_ref()
             .open_enable(ctx, self.lower, self.me, &parts)
-    }
-
-    fn drop_sessions(&self) {
-        self.sessions.clear();
     }
 
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
@@ -331,27 +332,4 @@ impl Protocol for Udp {
             }
         }
     }
-
-    fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
-        Some(Rc::new(UdpSnap {
-            enables: self.enables.snapshot(),
-            sessions: self.sessions.snapshot(),
-            next_ephemeral: self.next_ephemeral.get(),
-        }))
-    }
-
-    fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
-        let s = snap_downcast::<UdpSnap>(blob, "udp")?;
-        self.enables.restore(&s.enables);
-        self.sessions.restore(&s.sessions);
-        self.next_ephemeral.set(s.next_ephemeral);
-        Ok(())
-    }
-}
-
-#[derive(Clone)]
-struct UdpSnap {
-    enables: EnableSnapshot,
-    sessions: SessionSnapshot<(Port, u32, Port), SessionRef>,
-    next_ephemeral: Port,
 }

@@ -32,7 +32,7 @@ use std::rc::{Rc, Weak};
 use xkernel::cell::OwnerCell;
 
 use xkernel::graph::{GraphArgs, ProtocolRegistry};
-use xkernel::map::SessionSnapshot;
+use xkernel::keep::Rewind;
 use xkernel::prelude::*;
 use xrpc::protnum::num_over;
 
@@ -52,8 +52,9 @@ pub struct PsyncMsg {
     pub data: Vec<u8>,
 }
 
+/// A conversation's state: what its [`Rewind`] saves (opaque).
 #[derive(Clone)]
-struct ConvState {
+pub struct ConvState {
     next_local: u32,
     delivered: HashSet<MsgId>,
     leaves: Vec<MsgId>,
@@ -69,6 +70,20 @@ pub struct Conversation {
     peers: Vec<IpAddr>,
     st: OwnerCell<ConvState>,
     avail: SharedSema,
+}
+
+/// A conversation keeps its context graph, the inbox the application may
+/// not have drained, and the availability semaphore's count (positive at a
+/// quiescent instant when there is a backlog).
+impl Rewind for Conversation {
+    type Saved = (ConvState, i64);
+    fn save(&self) -> Self::Saved {
+        (self.st.save(), self.avail.save())
+    }
+    fn rewind(&self, (st, avail): &Self::Saved) {
+        self.st.rewind(st);
+        self.avail.rewind(avail);
+    }
 }
 
 impl Conversation {
@@ -237,6 +252,11 @@ impl Protocol for Psync {
         self.me
     }
 
+    fn keeps(&self, k: &mut Keep<'_>) {
+        k.sessions(&self.convs);
+        k.sessions(&self.lowers);
+    }
+
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
         let kernel = ctx.kernel_ref();
         let lower = kernel.proto_ref(self.lower)?;
@@ -247,11 +267,6 @@ impl Protocol for Psync {
         let parts =
             ParticipantSet::local(Participant::proto(num_over(kernel, self.me, self.lower)?));
         kernel.open_enable(ctx, self.lower, self.me, &parts)
-    }
-
-    fn drop_sessions(&self) {
-        self.convs.clear();
-        self.lowers.clear();
     }
 
     fn open(&self, _ctx: &Ctx, _u: ProtoId, _p: &ParticipantSet) -> XResult<SessionRef> {
@@ -303,55 +318,6 @@ impl Protocol for Psync {
             _ => Err(XError::Unsupported("psync control")),
         }
     }
-
-    // Conversations carry durable state: the context graph, an inbox the
-    // application may not have drained, and the availability semaphore's
-    // count (which may be positive at quiescence with a backlog — no
-    // assertion that it is zero).
-    fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
-        let convs = self
-            .convs
-            .lock()
-            .iter()
-            .map(|(id, c)| ConvSnap {
-                id: *id,
-                conv: Rc::clone(c),
-                st: c.st.lock().clone(),
-                avail: c.avail.snap_state(),
-            })
-            .collect();
-        Some(Rc::new(PsyncSnap {
-            convs,
-            lowers: self.lowers.snapshot(),
-        }))
-    }
-
-    fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
-        let s = snap_downcast::<PsyncSnap>(blob, "psync")?;
-        {
-            let mut convs = self.convs.lock();
-            convs.clear();
-            for cs in &s.convs {
-                *cs.conv.st.lock() = cs.st.clone();
-                cs.conv.avail.restore_state(cs.avail);
-                convs.insert(cs.id, Rc::clone(&cs.conv));
-            }
-        }
-        self.lowers.restore(&s.lowers);
-        Ok(())
-    }
-}
-
-struct ConvSnap {
-    id: u32,
-    conv: Rc<Conversation>,
-    st: ConvState,
-    avail: i64,
-}
-
-struct PsyncSnap {
-    convs: Vec<ConvSnap>,
-    lowers: SessionSnapshot<u32, SessionRef>,
 }
 
 /// Lint contract for Psync: conversation IPC over an internet-like
@@ -363,7 +329,6 @@ pub fn psync_contract() -> xkernel::lint::ProtoContract {
     ProtoContract::new("psync", AddrKind::Rpc)
         .lower(&[AddrKind::Internet])
         .header(64)
-        .demux_key_bits(32)
         .sema(SemaContract {
             acquires_pool: false,
             awaits_reply: true,

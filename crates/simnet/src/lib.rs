@@ -636,6 +636,10 @@ impl Protocol for Nic {
         self.me
     }
 
+    fn keeps(&self, k: &mut Keep<'_>) {
+        k.config(&self.upper);
+    }
+
     fn open(&self, _ctx: &Ctx, upper: ProtoId, _parts: &ParticipantSet) -> XResult<SessionRef> {
         // A NIC has exactly one user (the ETH protocol); opening binds it.
         self.upper.set(Some(upper));
@@ -688,6 +692,7 @@ mod tests {
         fn id(&self) -> ProtoId {
             self.me
         }
+        fn keeps(&self, _k: &mut Keep<'_>) {}
         fn open(&self, _c: &Ctx, _u: ProtoId, _p: &ParticipantSet) -> XResult<SessionRef> {
             Err(XError::Unsupported("signer"))
         }
@@ -704,6 +709,7 @@ mod tests {
         fn id(&self) -> ProtoId {
             self.me
         }
+        fn keeps(&self, _k: &mut Keep<'_>) {}
         fn open(&self, _c: &Ctx, _u: ProtoId, _p: &ParticipantSet) -> XResult<SessionRef> {
             Err(XError::Unsupported("recorder"))
         }

@@ -125,8 +125,6 @@ pub struct AuthLayer {
     lower: ProtoId,
     scheme: Rc<dyn CredScheme>,
     upper: UpperCell,
-    // Server-side wrappers keyed by the identity of the session they wrap.
-    sessions: SessionMap<usize>,
 }
 
 impl AuthLayer {
@@ -137,7 +135,6 @@ impl AuthLayer {
             lower,
             scheme,
             upper: UpperCell::new(),
-            sessions: SessionMap::new(),
         })
     }
 
@@ -215,8 +212,8 @@ impl Protocol for AuthLayer {
         self.me
     }
 
-    fn drop_sessions(&self) {
-        self.sessions.clear();
+    fn keeps(&self, k: &mut Keep<'_>) {
+        k.config(&self.upper);
     }
 
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
@@ -260,28 +257,14 @@ impl Protocol for AuthLayer {
             .upper
             .get()
             .ok_or(Reject::NoEnable("auth layer has no upper"))?;
-        // Wrap the reply path so the verifier is added (cached per lls).
-        let key = Rc::as_ptr(lls) as *const () as usize;
-        let sess = {
-            let mut cache = self.sessions.lock();
-            match cache.get(&key) {
-                Some(s) => Rc::clone(s),
-                None => {
-                    let s: SessionRef = Rc::new(AuthServerSession {
-                        proto: self.me,
-                        scheme: Rc::clone(&self.scheme),
-                        lls: Rc::clone(lls),
-                    });
-                    // Per-request server sessions (REQUEST_REPLY) would grow
-                    // this cache unboundedly; cap it.
-                    if cache.len() > 64 {
-                        cache.clear();
-                    }
-                    cache.insert(key, Rc::clone(&s));
-                    s
-                }
-            }
-        };
+        // Wrap the reply path so the verifier is added. Per request, not
+        // cached: the transaction layer below passes up a fresh server
+        // session with every request, so a cache keyed by it never hits.
+        let sess: SessionRef = Rc::new(AuthServerSession {
+            proto: self.me,
+            scheme: Rc::clone(&self.scheme),
+            lls: Rc::clone(lls),
+        });
         ctx.kernel_ref().demux_to(ctx, upper, &sess, msg)
     }
 

@@ -11,7 +11,6 @@ pub fn request_reply() -> ProtoContract {
     let c = ProtoContract::new("request_reply", AddrKind::Rpc)
         .lower(&[AddrKind::Transport, AddrKind::Internet])
         .header(RR_HDR_LEN)
-        .demux_key_bits(32) // xid
         .param("shepherds", false, true)
         .param("pending", false, true)
         .param("policy", false, false);
@@ -42,7 +41,6 @@ pub fn sunselect() -> ProtoContract {
     ProtoContract::new("sunselect", AddrKind::Rpc)
         .lower(&[AddrKind::Rpc])
         .header(SUNSEL_HDR_LEN)
-        .demux_key_bits(32)
         .crashable()
         .reboots()
 }

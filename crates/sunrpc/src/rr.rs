@@ -18,13 +18,13 @@ use std::rc::{Rc, Weak};
 
 use xkernel::cell::OwnerCell;
 
-use xkernel::map::{EnableSnapshot, MixMap, SessionSnapshot};
+use xkernel::map::MixMap;
 use xkernel::prelude::*;
 use xkernel::shepherd::{ShepherdConfig, ShepherdStats, Shepherds};
 use xkernel::sim::Nanos;
 
 use xrpc::protnum::num_over;
-use xrpc::txn::{self, Poll, RtoPolicy, RtoSnap};
+use xrpc::txn::{self, Poll, RtoPolicy};
 
 const MSG_CALL: u32 = 0;
 const MSG_REPLY: u32 = 1;
@@ -265,17 +265,19 @@ impl Protocol for RequestReply {
     }
 
     fn reboot(&self, _ctx: &Ctx) -> XResult<()> {
-        // Stateless semantics make this easy: forget in-flight transactions
-        // and cached sessions; xid counter and enables survive.
-        self.drop_sessions();
+        // A cold RTO; the xid counter survives.
         self.rto.reseed();
         Ok(())
     }
 
-    fn drop_sessions(&self) {
-        self.outstanding.lock().clear();
-        self.sessions.clear();
-        self.lowers.clear();
+    fn keeps(&self, k: &mut Keep<'_>) {
+        k.config(&self.enables);
+        k.sessions(&self.sessions);
+        k.sessions(&self.lowers);
+        k.values(&self.next_xid);
+        k.values(&self.rto);
+        k.values(&self.shepherds);
+        k.scratch(&self.outstanding);
     }
 
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
@@ -366,40 +368,4 @@ impl Protocol for RequestReply {
                 .ok_or(XError::Unsupported("request_reply control")),
         }
     }
-
-    fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
-        debug_assert!(
-            self.outstanding.lock().is_empty(),
-            "request_reply snapshot with an outstanding transaction (not quiescent)"
-        );
-        Some(Rc::new(RrSnap {
-            next_xid: self.next_xid.get(),
-            rto: self.rto.snap(),
-            enables: self.enables.snapshot(),
-            sessions: self.sessions.snapshot(),
-            lowers: self.lowers.snapshot(),
-            shepherds: self.shepherds.stats(),
-        }))
-    }
-
-    fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
-        let s = snap_downcast::<RrSnap>(blob, "request_reply")?;
-        self.next_xid.set(s.next_xid);
-        self.rto.restore(&s.rto);
-        self.outstanding.lock().clear();
-        self.enables.restore(&s.enables);
-        self.sessions.restore(&s.sessions);
-        self.lowers.restore(&s.lowers);
-        self.shepherds.restore_stats(s.shepherds);
-        Ok(())
-    }
-}
-
-struct RrSnap {
-    next_xid: u32,
-    rto: RtoSnap,
-    enables: EnableSnapshot,
-    sessions: SessionSnapshot<(u32, u32), SessionRef>,
-    lowers: SessionSnapshot<u32, SessionRef>,
-    shepherds: ShepherdStats,
 }

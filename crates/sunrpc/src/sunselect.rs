@@ -8,7 +8,6 @@
 
 use std::rc::{Rc, Weak};
 
-use xkernel::map::SessionSnapshot;
 use xkernel::prelude::*;
 
 use xrpc::protnum::num_over;
@@ -163,22 +162,18 @@ impl Protocol for SunSelect {
         self.me
     }
 
+    // Cached lower sessions reference the transaction layer below and go at
+    // a reboot; registered programs survive.
+    fn keeps(&self, k: &mut Keep<'_>) {
+        k.config(&self.handlers);
+        k.sessions(&self.lowers);
+    }
+
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
         let kernel = ctx.kernel_ref();
         let parts =
             ParticipantSet::local(Participant::proto(num_over(kernel, self.me, self.lower)?));
         kernel.open_enable(ctx, self.lower, self.me, &parts)
-    }
-
-    fn reboot(&self, _ctx: &Ctx) -> XResult<()> {
-        // Cached lower sessions referenced the previous incarnation's
-        // transaction layer; registered programs survive.
-        self.drop_sessions();
-        Ok(())
-    }
-
-    fn drop_sessions(&self) {
-        self.lowers.clear();
     }
 
     /// Uniform-interface open: the (prog, vers, proc) triple is packed into
@@ -248,22 +243,4 @@ impl Protocol for SunSelect {
             _ => Err(XError::Unsupported("sunselect control")),
         }
     }
-
-    // Handlers are config, not state; only the lower-session cache matters
-    // for replay (a warm cache skips SessionCreate charges below).
-    fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
-        Some(Rc::new(SunSelectSnap {
-            lowers: self.lowers.snapshot(),
-        }))
-    }
-
-    fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
-        let s = snap_downcast::<SunSelectSnap>(blob, "sunselect")?;
-        self.lowers.restore(&s.lowers);
-        Ok(())
-    }
-}
-
-struct SunSelectSnap {
-    lowers: SessionSnapshot<u32, SessionRef>,
 }

@@ -240,6 +240,11 @@ impl Protocol for DlAb {
         self.me
     }
 
+    fn keeps(&self, k: &mut Keep<'_>) {
+        k.values(&self.sem_a);
+        k.values(&self.sem_b);
+    }
+
     fn open(&self, _ctx: &Ctx, _upper: ProtoId, _parts: &ParticipantSet) -> XResult<SessionRef> {
         Err(XError::Unsupported("deadlock toy has no sessions"))
     }
@@ -263,6 +268,8 @@ impl Protocol for DlBa {
     fn id(&self) -> ProtoId {
         self.me
     }
+    // The semaphore pair is DlAb's, which declares it.
+    fn keeps(&self, _k: &mut Keep<'_>) {}
 
     fn open(&self, _ctx: &Ctx, _upper: ProtoId, _parts: &ParticipantSet) -> XResult<SessionRef> {
         Err(XError::Unsupported("deadlock toy has no sessions"))

@@ -348,8 +348,12 @@ impl ProtocolRegistry {
                 down,
                 params: parsed.params,
             };
-            let proto = (kind.ctor)(&args)?;
-            kernel.install(me, proto)?;
+            // A line whose protocol cannot be built leaves its name free for
+            // a corrected line.
+            if let Err(e) = (kind.ctor)(&args).and_then(|proto| kernel.install(me, proto)) {
+                kernel.abandon(me);
+                return Err(e);
+            }
             built.push(me);
         }
         let ctx = sim.ctx(kernel.host());

@@ -11,11 +11,12 @@
 //! procedure call to pass a message from a high-level protocol to a
 //! low-level protocol, and vice versa".
 
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::sync::Arc;
 
 use crate::addr::ParticipantSet;
 use crate::error::{XError, XResult};
+use crate::keep::Keep;
 use crate::lint::{Produce, ProtoContract};
 use crate::map::AppendTable;
 use crate::msg::Message;
@@ -41,6 +42,15 @@ struct Slot {
     /// that lower's.
     space: ProtoId,
     proto: OnceCell<ProtocolRef>,
+    /// Set when the protocol for this slot could not be built: the slot
+    /// stays (the table is append-only) but no longer holds its name.
+    abandoned: Cell<bool>,
+}
+
+impl Slot {
+    fn is(&self, name: &str) -> bool {
+        self.name == name && !self.abandoned.get()
+    }
 }
 
 impl Kernel {
@@ -83,7 +93,7 @@ impl Kernel {
         contract: Arc<ProtoContract>,
         lower: Option<ProtoId>,
     ) -> XResult<ProtoId> {
-        if self.protocols.iter().any(|slot| slot.name == name) {
+        if self.protocols.iter().any(|slot| slot.is(name)) {
             return Err(XError::Config(format!(
                 "protocol '{name}' already configured on {}",
                 self.name
@@ -99,7 +109,16 @@ impl Kernel {
             contract,
             space,
             proto: OnceCell::new(),
+            abandoned: Cell::new(false),
         })))
+    }
+
+    /// Gives up a reserved slot whose protocol could not be built, so its
+    /// name can be configured again. An installed slot is not given up.
+    pub(crate) fn abandon(&self, id: ProtoId) {
+        if let Some(slot) = self.protocols.get(id.0) {
+            slot.abandoned.set(slot.proto.get().is_none());
+        }
     }
 
     /// Installs a constructed protocol into its reserved slot.
@@ -119,9 +138,11 @@ impl Kernel {
         F: FnOnce(ProtoId) -> XResult<ProtocolRef>,
     {
         let id = self.reserve(name, contract)?;
-        let proto = ctor(id)?;
-        self.install(id, proto)?;
-        Ok(id)
+        let built = ctor(id).and_then(|proto| self.install(id, proto));
+        if built.is_err() {
+            self.abandon(id);
+        }
+        built.map(|()| id)
     }
 
     /// The configured instance name behind a protocol id (the reverse of
@@ -158,7 +179,7 @@ impl Kernel {
     pub fn lookup(&self, name: &str) -> XResult<ProtoId> {
         self.protocols
             .iter()
-            .position(|slot| slot.name == name)
+            .position(|slot| slot.is(name))
             .map(ProtoId)
             .ok_or_else(|| XError::Config(format!("no protocol '{name}' on {}", self.name)))
     }
@@ -180,12 +201,20 @@ impl Kernel {
         self.proto_ref(self.lookup(name)?).cloned()
     }
 
-    /// Runs every installed protocol's [`crate::proto::Protocol::reboot`]
-    /// hook in id order — the same bottom-up order the initial boot used.
-    /// Invoked by the simulator after [`Sim::restart`] brings the host
-    /// back up.
+    /// Empties every installed protocol's sessions and scratch (what its
+    /// [`crate::proto::Protocol::keeps`] declares of those kinds), then runs
+    /// each one's [`crate::proto::Protocol::reboot`] hook in id order — the
+    /// same bottom-up order the initial boot used. Invoked by the simulator
+    /// after [`Sim::restart`] brings the host back up.
     pub fn reboot_protocols(&self, ctx: &Ctx) -> XResult<()> {
+        self.keep_walk(&mut Keep::clear());
         self.protocols().try_for_each(|p| p.reboot(ctx))
+    }
+
+    /// Walks every installed protocol's declaration of what it keeps, in id
+    /// order.
+    pub(crate) fn keep_walk(&self, k: &mut Keep<'_>) {
+        self.protocols().for_each(|p| p.keeps(k));
     }
 
     /// Every installed protocol in id order — the bottom-up order `boot`,
@@ -203,8 +232,9 @@ impl Kernel {
     }
 
     /// Every protocol slot in id order (with holes where ids were reserved
-    /// but never installed). The snapshot machinery aligns per-protocol
-    /// state blobs to these slots; see [`crate::sim::Sim::snapshot`].
+    /// but never installed). A snapshot records how many there are, so a
+    /// restore refuses a rig of another shape; see
+    /// [`crate::sim::Sim::snapshot`].
     pub fn protocol_slots(&self) -> impl Iterator<Item = Option<&ProtocolRef>> {
         self.protocols.iter().map(|slot| slot.proto.get())
     }
@@ -213,6 +243,7 @@ impl Kernel {
     pub fn protocol_names(&self) -> Vec<String> {
         self.protocols
             .iter()
+            .filter(|slot| !slot.abandoned.get())
             .map(|slot| slot.name.clone())
             .collect()
     }
@@ -286,11 +317,12 @@ fn not_installed(id: ProtoId) -> XError {
 }
 
 /// A discarded kernel frees its protocol graph. Protocols and their cached
-/// sessions hold each other (see [`crate::proto::Protocol::drop_sessions`]),
-/// so without this every rig a process ever built would stay resident.
+/// sessions hold each other, so the kernel empties every protocol's declared
+/// sessions and scratch ([`crate::proto::Protocol::keeps`]); without this
+/// every rig a process ever built would stay resident.
 impl Drop for Kernel {
     fn drop(&mut self) {
-        self.protocols().for_each(|p| p.drop_sessions());
+        self.keep_walk(&mut Keep::clear());
     }
 }
 
@@ -309,13 +341,14 @@ pub mod prelude {
     pub use crate::addr::{EthAddr, IpAddr, Participant, ParticipantSet, Port};
     pub use crate::cell::Counter;
     pub use crate::error::{Reject, XError, XResult};
+    pub use crate::keep::Keep;
     pub use crate::kernel::Kernel;
     pub use crate::lint::ProtoContract;
     pub use crate::map::{EnableMap, SessionMap, UpperCell};
     pub use crate::msg::Message;
     pub use crate::proto::{
-        snap_downcast, ControlOp, ControlRes, ProtoId, Protocol, ProtocolRef, Session, SessionRef,
-        SnapBlob, TracedProtocol, TracedSession,
+        ControlOp, ControlRes, ProtoId, Protocol, ProtocolRef, Session, SessionRef, TracedProtocol,
+        TracedSession,
     };
     pub use crate::sim::{Ctx, HostId, HostStats, Mode, RobustEvent, SharedSema, Sim, TimerHandle};
     pub use crate::trace::{CostBreakdown, CostEntry, Event, EventKind, FoldedLine, OpClass};

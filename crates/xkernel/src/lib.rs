@@ -90,6 +90,7 @@ pub mod error;
 pub mod graph;
 pub mod journal;
 pub mod json;
+pub mod keep;
 pub mod kernel;
 pub mod lint;
 pub mod map;

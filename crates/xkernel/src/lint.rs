@@ -219,8 +219,6 @@ pub struct ProtoContract {
     /// it was opened with (TCP's pseudo-header) and therefore cannot sit
     /// above a virtualizer.
     pub requires_stable_participants: bool,
-    /// Bits of demux key the layer consumes from its header.
-    pub demux_key_bits: u32,
     /// Required lower-capability slots, in order.
     pub lowers: Vec<LowerSlot>,
     /// When set, additional lowers must arrive in repeating groups of these
@@ -257,7 +255,6 @@ impl ProtoContract {
             fragments: false,
             virtualizes_identity: false,
             requires_stable_participants: false,
-            demux_key_bits: 0,
             lowers: Vec::new(),
             repeat: None,
             optional: Vec::new(),
@@ -308,12 +305,6 @@ impl ProtoContract {
     /// Marks the layer as requiring stable participant addresses (TCP).
     pub fn requires_stable_participants(mut self) -> ProtoContract {
         self.requires_stable_participants = true;
-        self
-    }
-
-    /// Sets the demux key width in bits.
-    pub fn demux_key_bits(mut self, bits: u32) -> ProtoContract {
-        self.demux_key_bits = bits;
         self
     }
 

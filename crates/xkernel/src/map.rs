@@ -14,9 +14,10 @@
 //!   is one entry, and the keys (small integers and tuples of them) go through
 //!   an integer-mix hasher instead of SipHash.
 //!
-//! Both own their `snapshot`/`restore`, so a protocol's `snap` no longer
-//! clones maps by hand. A layer with a single user keeps its one upper in an
-//! [`UpperCell`] instead of a table.
+//! Each says how it rewinds ([`Rewind`]) and a session table how it empties
+//! ([`Clear`]), so a protocol's [`crate::proto::Protocol::keeps`] names the
+//! table and nothing more. A layer with a single user keeps its one upper in
+//! an [`UpperCell`] instead of a table.
 //!
 //! **The one rule:** a table guard is never held across a layer crossing — a
 //! `push`, a `demux_to`, an `open`. In inline mode the whole round trip runs
@@ -34,6 +35,7 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use crate::cell::{OwnerCell, OwnerGuard};
 use crate::error::XResult;
+use crate::keep::{Clear, Rewind};
 use crate::proto::{ProtoId, SessionRef};
 
 /// An append-only table whose slots never move: a slot is written once, when
@@ -117,8 +119,8 @@ impl<T> AppendTable<T> {
 struct Enable<K, V> {
     key: K,
     value: V,
-    /// Cleared by `unbind_if`, a rebind to another value, or a `restore` to a
-    /// snapshot taken before the entry existed.
+    /// Cleared by `unbind_if`, a rebind to another value, or a rewind to a
+    /// save made before the entry existed.
     live: Cell<bool>,
     next: Link<K, V>,
 }
@@ -138,13 +140,6 @@ type Link<K, V> = OnceCell<Box<Enable<K, V>>>;
 /// Single-threaded by type, like every in-simulation table.
 pub struct EnableMap<K, V = ProtoId> {
     head: Link<K, V>,
-}
-
-/// Which entries of an [`EnableMap`] were live when
-/// [`EnableMap::snapshot`] ran. Valid only for the map it came from.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct EnableSnapshot {
-    live: Vec<bool>,
 }
 
 impl<K, V> Default for EnableMap<K, V> {
@@ -244,19 +239,18 @@ impl<K: Eq, V> EnableMap<K, V> {
             _ => false,
         }
     }
+}
 
-    /// Records which entries are live now.
-    pub fn snapshot(&self) -> EnableSnapshot {
-        EnableSnapshot {
-            live: self.entries().map(|e| e.live.get()).collect(),
-        }
+/// Saves which entries are live; a rewind makes exactly those live again:
+/// later bindings die, later unbindings are undone.
+impl<K: Eq, V> Rewind for EnableMap<K, V> {
+    type Saved = Vec<bool>;
+    fn save(&self) -> Vec<bool> {
+        self.entries().map(|e| e.live.get()).collect()
     }
-
-    /// Makes exactly the entries live that were when `snap` was taken (of
-    /// this same map): later bindings die, later unbindings are undone.
-    pub fn restore(&self, snap: &EnableSnapshot) {
+    fn rewind(&self, live: &Vec<bool>) {
         for (i, e) in self.entries().enumerate() {
-            e.live.set(snap.live.get(i).copied().unwrap_or(false));
+            e.live.set(live.get(i).copied().unwrap_or(false));
         }
     }
 }
@@ -303,6 +297,16 @@ impl UpperCell {
     /// Sets (or, with `None`, clears) the protocol above.
     pub fn set(&self, upper: Option<ProtoId>) {
         self.0.set(upper.map_or(0, |p| p.0 + 1));
+    }
+}
+
+impl Rewind for UpperCell {
+    type Saved = usize;
+    fn save(&self) -> usize {
+        self.0.get()
+    }
+    fn rewind(&self, saved: &usize) {
+        self.0.set(*saved);
     }
 }
 
@@ -365,7 +369,7 @@ pub type MixMap<K, V> = HashMap<K, V, BuildHasherDefault<MixHasher>>;
 /// The default value type is a [`SessionRef`]. Per-key bookkeeping that is
 /// only ever updated in place (reassembly buffers, outstanding transactions,
 /// parked resolvers) is a plain `OwnerCell<MixMap<..>>`: it needs none of the
-/// whole-operation methods and no snapshot.
+/// whole-operation methods, and a protocol declares it scratch.
 ///
 /// The whole-operation methods ([`SessionMap::resolve`],
 /// [`SessionMap::resolve_or_insert_with`], [`SessionMap::bind`],
@@ -376,11 +380,6 @@ pub type MixMap<K, V> = HashMap<K, V, BuildHasherDefault<MixHasher>>;
 pub struct SessionMap<K, V = SessionRef> {
     inner: OwnerCell<MixMap<K, V>>,
 }
-
-/// The contents of a [`SessionMap`] when [`SessionMap::snapshot`] ran.
-/// Values are clones, so `Rc`-held sessions keep their identity through a
-/// snapshot and restore.
-pub type SessionSnapshot<K, V> = MixMap<K, V>;
 
 impl<K, V> Default for SessionMap<K, V> {
     fn default() -> Self {
@@ -411,11 +410,6 @@ impl<K: Hash + Eq, V> SessionMap<K, V> {
     /// Unbinds `key`; returns what it was bound to.
     pub fn unbind(&self, key: &K) -> Option<V> {
         self.lock().remove(key)
-    }
-
-    /// Removes every entry.
-    pub fn clear(&self) {
-        self.lock().clear();
     }
 
     /// Number of entries.
@@ -464,15 +458,34 @@ impl<K: Hash + Eq, V: Clone> SessionMap<K, V> {
     }
 }
 
-impl<K: Hash + Eq + Clone, V: Clone> SessionMap<K, V> {
-    /// Clones the table's contents.
-    pub fn snapshot(&self) -> SessionSnapshot<K, V> {
-        self.lock().clone()
+/// Saves the table's contents as clones — an `Rc`-held session keeps its
+/// identity — and what each value's own [`Rewind`] saves, in the table's
+/// order. A rewind puts the table back as it was, layout and all (a
+/// `clone_from`, which reuses the allocation when it can), then rewinds the
+/// state behind each value.
+impl<K, V> Rewind for SessionMap<K, V>
+where
+    K: Hash + Eq + Clone + 'static,
+    V: Rewind + Clone + 'static,
+{
+    type Saved = (MixMap<K, V>, Vec<V::Saved>);
+    fn save(&self) -> Self::Saved {
+        let table = self.lock().clone();
+        let behind = table.values().map(Rewind::save).collect();
+        (table, behind)
     }
+    fn rewind(&self, (table, behind): &Self::Saved) {
+        self.lock().clone_from(table);
+        for (v, s) in table.values().zip(behind) {
+            v.rewind(s);
+        }
+    }
+}
 
-    /// Replaces the table's contents with `snap`'s.
-    pub fn restore(&self, snap: &SessionSnapshot<K, V>) {
-        *self.lock() = snap.clone();
+/// Removes every entry.
+impl<K, V> Clear for SessionMap<K, V> {
+    fn clear(&self) {
+        self.inner.lock().clear();
     }
 }
 
@@ -539,11 +552,11 @@ mod tests {
         let m: EnableMap<u8> = EnableMap::new();
         m.bind(6, ProtoId(1));
         m.bind(17, ProtoId(2));
-        let snap = m.snapshot();
+        let snap = m.save();
         m.unbind_if(&6, |_| true);
         m.bind(17, ProtoId(5));
         m.bind(1, ProtoId(7));
-        m.restore(&snap);
+        m.rewind(&snap);
         let mut live: Vec<_> = m.iter().map(|(k, v)| (*k, *v)).collect();
         live.sort();
         assert_eq!(live, vec![(6, ProtoId(1)), (17, ProtoId(2))]);
@@ -640,16 +653,15 @@ mod tests {
         let m: SessionMap<u32, Rc<u32>> = SessionMap::new();
         let a = Rc::new(1);
         m.bind(1, Rc::clone(&a));
-        let snap = m.snapshot();
-        assert_eq!(snap.len(), 1);
-        assert!(!snap.is_empty());
+        let snap = m.save();
+        assert_eq!(snap.0.len(), 1);
         m.bind(2, Rc::new(2));
         assert_eq!(*m.resolve(&2).unwrap(), 2);
         m.unbind(&1);
-        m.restore(&snap);
+        m.rewind(&snap);
         assert!(m.resolve(&2).is_none());
         assert!(Rc::ptr_eq(&m.resolve(&1).unwrap(), &a));
-        assert!(snap.iter().all(|(k, v)| *k == 1 && Rc::ptr_eq(v, &a)));
+        assert!(snap.0.iter().all(|(k, v)| *k == 1 && Rc::ptr_eq(v, &a)));
     }
 
     #[test]

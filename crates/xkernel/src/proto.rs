@@ -20,6 +20,7 @@ use std::rc::Rc;
 
 use crate::addr::{EthAddr, IpAddr, ParticipantSet, Port};
 use crate::error::{XError, XResult};
+use crate::keep::Keep;
 use crate::msg::Message;
 use crate::sim::{Ctx, LayerSpan};
 use crate::trace::EventKind;
@@ -37,20 +38,6 @@ pub type SessionRef = Rc<dyn Session>;
 
 /// Shared handle to a protocol object.
 pub type ProtocolRef = Rc<dyn Protocol>;
-
-/// Opaque, protocol-private snapshot state: what [`Protocol::snap`]
-/// captures and [`Protocol::restore_snap`] consumes. Each protocol
-/// downcasts to its own concrete type; the snapshot machinery only
-/// transports the blobs.
-pub type SnapBlob = Rc<dyn Any>;
-
-/// Downcasts a snapshot blob to the concrete type `T` the protocol stored,
-/// failing with a labeled error when handed some other protocol's blob
-/// (slot misalignment: restoring onto a differently configured graph).
-pub fn snap_downcast<'a, T: 'static>(blob: &'a SnapBlob, who: &'static str) -> XResult<&'a T> {
-    blob.downcast_ref::<T>()
-        .ok_or_else(|| XError::Config(format!("{who}: snapshot blob type mismatch")))
-}
 
 /// The out-of-band query/command set supported by `control`.
 ///
@@ -168,6 +155,8 @@ const WRONG_RESULT: XError = XError::Unsupported("control result of another type
 /// What kind of protocol an object is — its constructor name and lint
 /// contract — is not asked of the object: its kernel slot holds it
 /// ([`crate::kernel::Kernel::kind_of`], [`crate::kernel::Kernel::contract_of`]).
+/// What state it keeps is asked, once, of [`Protocol::keeps`]: snapshot,
+/// restore, reboot and a dropped kernel all walk that one declaration.
 pub trait Protocol: Any {
     /// This protocol's id within its kernel.
     fn id(&self) -> ProtoId;
@@ -230,50 +219,32 @@ pub trait Protocol: Any {
     /// protocol whose `boot` draws nothing.
     fn reseed(&self, _ctx: &Ctx) {}
 
-    /// Re-initialization after a host crash ([`crate::sim::Sim::restart`]):
-    /// the protocol discards volatile state (open sessions, partial
-    /// reassemblies, in-flight exchanges) and picks a fresh boot
-    /// incarnation where it keeps one, while configuration installed at
-    /// build time (handlers, enables, graph wiring) survives. Called
-    /// bottom-up like [`Protocol::boot`]. Must not block. The default — do
-    /// nothing — suits stateless protocols.
+    /// Re-initialization after a host crash ([`crate::sim::Sim::restart`]),
+    /// called bottom-up like [`Protocol::boot`] once the kernel has emptied
+    /// every protocol's sessions and scratch ([`Protocol::keeps`]): what is
+    /// left is a protocol's own work, such as drawing a fresh boot
+    /// incarnation or reseeding a retransmission timer. Configuration and
+    /// values survive unless this says otherwise. Must not block. The
+    /// default — nothing more — suits every protocol whose volatile state is
+    /// all in its declared sessions and scratch.
     fn reboot(&self, _ctx: &Ctx) -> XResult<()> {
         Ok(())
     }
 
-    /// Lets go of every session and every piece of per-peer state this
-    /// protocol caches. A cached session holds its protocol (its `parent`,
-    /// strongly: upgrading a `Weak` on every push would be a check and a
-    /// count on the path a call takes), so table and session keep
-    /// each other alive until the table is emptied. A [`Kernel`]'s `Drop`
-    /// runs this on every protocol — it is what frees a discarded rig — and
-    /// a protocol's [`Protocol::reboot`] calls it too, so the list of tables
-    /// is written once. No `Ctx`: when a kernel drops there is no simulator
-    /// left to charge. Must not block or cross a layer. The default — do
-    /// nothing — suits protocols that cache no session.
+    /// Declares, once, every field that holds state, by kind — one call on
+    /// `k` per field ([`Keep::config`], [`Keep::sessions`],
+    /// [`Keep::values`], [`Keep::scratch`]). [`crate::sim::Sim::snapshot`]
+    /// and [`crate::sim::Sim::restore`] walk it to save and rewind the
+    /// protocol in place, a restart walks it to empty sessions and scratch
+    /// before [`Protocol::reboot`], and a dropped [`Kernel`] walks it to let
+    /// go of every cached session (a session holds its protocol strongly).
+    /// Build-time wiring that never changes (ids, addresses learnt at boot)
+    /// is not state and is not declared. There is no default: a protocol
+    /// with nothing to keep says so with an empty body. See
+    /// [`crate::keep`].
     ///
     /// [`Kernel`]: crate::kernel::Kernel
-    fn drop_sessions(&self) {}
-
-    /// Captures this protocol's mutable state for a whole-sim snapshot
-    /// (see [`crate::sim::Sim::snapshot`]). Called only at a quiescent
-    /// instant — no shepherd process exists, no timer is armed — so
-    /// timer-reclaimed state (partial reassemblies, in-flight exchanges)
-    /// is empty by construction and a protocol captures exactly its
-    /// durable maps, counters, and estimator state. Must not block,
-    /// charge, or schedule. The default `None` suits protocols whose only
-    /// state is build-time configuration.
-    fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
-        None
-    }
-
-    /// Restores state captured by [`Protocol::snap`] on the *same*
-    /// protocol instance (snapshot/restore rewinds a rig in place; it does
-    /// not rebuild one). Same quiescence requirement; must not block,
-    /// charge, or schedule. Errors if the blob is not this protocol's.
-    fn restore_snap(&self, _ctx: &Ctx, _blob: &SnapBlob) -> XResult<()> {
-        Ok(())
-    }
+    fn keeps(&self, k: &mut Keep<'_>);
 }
 
 /// Span-entering wrapper for [`Session`] handles.

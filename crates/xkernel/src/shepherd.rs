@@ -25,6 +25,7 @@ use crate::cell::{tally, OwnerCell};
 
 use crate::error::XResult;
 use crate::graph::GraphArgs;
+use crate::keep::Rewind;
 use crate::sim::{Ctx, Mode};
 use crate::trace::OpClass;
 
@@ -124,23 +125,6 @@ impl Shepherds {
         self.stats.get()
     }
 
-    /// Overwrites the counters with `s` — whole-sim snapshot restore
-    /// (capture is [`Shepherds::stats`]). Legal only at a quiescent
-    /// instant, when no worker is active and the queue is empty; stray
-    /// queued jobs are dropped.
-    pub fn restore_stats(&self, s: ShepherdStats) {
-        {
-            let mut st = self.st.lock();
-            debug_assert!(
-                st.active == 0 && st.queue.is_empty(),
-                "shepherd pool snapshot restore mid-burst (not quiescent)"
-            );
-            st.active = 0;
-            st.queue.clear();
-        }
-        self.stats.set(s);
-    }
-
     /// Runs one request's server work — the one place that decides how.
     /// Without a pool (`workers == 0`, or inline mode, which has no
     /// scheduler to run a worker) `work` runs in the delivering process,
@@ -225,5 +209,26 @@ impl Shepherds {
                 None => return,
             }
         }
+    }
+}
+
+/// What a pool keeps is its counters: at a quiescent instant no worker is
+/// active and the queue is empty, and a rewind drops any stray queued job.
+impl Rewind for Shepherds {
+    type Saved = ShepherdStats;
+    fn save(&self) -> ShepherdStats {
+        self.stats()
+    }
+    fn rewind(&self, stats: &ShepherdStats) {
+        {
+            let mut st = self.st.lock();
+            debug_assert!(
+                st.active == 0 && st.queue.is_empty(),
+                "shepherd pool rewound mid-burst (not quiescent)"
+            );
+            st.active = 0;
+            st.queue.clear();
+        }
+        self.stats.set(*stats);
     }
 }

@@ -15,6 +15,7 @@ use std::rc::Rc;
 use crate::addr::ParticipantSet;
 use crate::cost::Handicap;
 use crate::error::{Reject, XError, XResult};
+use crate::keep::Keep;
 use crate::map::{EnableMap, SessionMap, UpperCell};
 use crate::msg::Message;
 use crate::proto::{ControlOp, ControlRes, ProtoId, Protocol, Session, SessionRef, TracedSession};
@@ -37,7 +38,11 @@ pub struct NullLayer {
     me: ProtoId,
     down: ProtoId,
     enables: EnableMap<u16>,
-    passive: SessionMap<u16>,
+    // Sessions for the upward path, keyed by number and by the identity of
+    // the lower session the message came up on: replies go back down the
+    // session their request arrived by (two callers over CHANNEL arrive on
+    // two server channels).
+    passive: SessionMap<(u16, usize)>,
 }
 
 impl NullLayer {
@@ -106,8 +111,9 @@ impl Protocol for NullLayer {
         self.me
     }
 
-    fn drop_sessions(&self) {
-        self.passive.clear();
+    fn keeps(&self, k: &mut Keep<'_>) {
+        k.config(&self.enables);
+        k.sessions(&self.passive);
     }
 
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
@@ -138,7 +144,8 @@ impl Protocol for NullLayer {
             .ok_or(Reject::NoEnable("null layer number"))?;
         // Reuse (or passively create) the session replies travel down on —
         // the paper's "cache open sessions at all levels" rule.
-        let sess = self.passive.resolve_or_insert_with(num, || {
+        let key = (num, Rc::as_ptr(lls) as *const () as usize);
+        let sess = self.passive.resolve_or_insert_with(key, || {
             let s: SessionRef = Rc::new(NullSession {
                 proto: self.me,
                 num,
@@ -224,8 +231,9 @@ impl Protocol for HandicapLayer {
         self.me
     }
 
-    fn drop_sessions(&self) {
-        self.wrapped.clear();
+    fn keeps(&self, k: &mut Keep<'_>) {
+        k.config(&self.upper);
+        k.sessions(&self.wrapped);
     }
 
     fn open(&self, ctx: &Ctx, upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
@@ -267,9 +275,7 @@ impl Protocol for HandicapLayer {
 /// Lint contract for the `null` layer: a pass-through pushing its 4-byte
 /// header, transparent to addressing.
 pub fn null_contract() -> crate::lint::ProtoContract {
-    crate::lint::ProtoContract::passthrough("null")
-        .header(NULL_HDR_LEN)
-        .demux_key_bits(16)
+    crate::lint::ProtoContract::passthrough("null").header(NULL_HDR_LEN)
 }
 
 /// Lint contract for the `handicap` layer: pure pass-through (no header on

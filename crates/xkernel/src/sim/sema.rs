@@ -4,6 +4,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
+use crate::keep::Rewind;
 use crate::trace::OpClass;
 
 use super::ctx::Block;
@@ -267,25 +268,6 @@ impl SharedSema {
         self.0.count.get()
     }
 
-    /// Captures the count for a whole-sim snapshot: all the state a
-    /// semaphore has at a quiescent instant, when no process can be parked
-    /// on it, so losing the (empty) waiter queue is sound.
-    pub fn snap_state(&self) -> i64 {
-        debug_assert!(
-            self.0.is_empty(),
-            "sema snapshot with waiters parked (not quiescent)"
-        );
-        self.0.count.get()
-    }
-
-    /// Restores state captured by [`SharedSema::snap_state`]. Same
-    /// quiescence requirement; any stray waiters are dropped.
-    pub fn restore_state(&self, count: i64) {
-        self.0.head.set(Waiter::NONE);
-        self.0.rest.set(None);
-        self.0.count.set(count);
-    }
-
     /// The front half of every P — [`SharedSema::p`],
     /// [`SharedSema::p_timeout`] and a machine's [`VStep::Wait`] alike:
     /// pays the semaphore operation, takes a unit if one is free, and
@@ -366,5 +348,24 @@ impl SharedSema {
                 matches!(ctx.block_current(Block::Sema), WakeReason::Normal)
             }
         }
+    }
+}
+
+/// A semaphore's state at a quiescent instant is its count: no process can
+/// be parked on it then, so losing the (empty) waiter queue is sound, and a
+/// rewind drops any stray waiters.
+impl Rewind for SharedSema {
+    type Saved = i64;
+    fn save(&self) -> i64 {
+        debug_assert!(
+            self.0.is_empty(),
+            "sema snapshot with waiters parked (not quiescent)"
+        );
+        self.0.count.get()
+    }
+    fn rewind(&self, count: &i64) {
+        self.0.head.set(Waiter::NONE);
+        self.0.rest.set(None);
+        self.0.count.set(*count);
     }
 }

@@ -1,7 +1,10 @@
 //! Snapshot and restore of a quiescent simulation.
 
+use std::any::Any;
+
 use crate::error::{Reject, XError, XResult};
-use crate::proto::{ProtoId, SnapBlob};
+use crate::keep::Keep;
+use crate::proto::ProtoId;
 
 use super::engine::{Engine, EvKind, LpBody, LpState, Pending, RunState, PROC_KEY};
 use super::handle::kernels_of;
@@ -13,7 +16,8 @@ impl Sim {
     /// scheduler scalars (virtual clock, event/process id counters, the
     /// `sched_hash` fingerprint), the PRNG position and seed, per-host clocks,
     /// crash/boot state and robustness counters, and every protocol's
-    /// private state via [`crate::proto::Protocol::snap`]. Quiescent means
+    /// configuration, sessions and values as its
+    /// [`crate::proto::Protocol::keeps`] declares them. Quiescent means
     /// either [`Sim::run_until_idle`] has drained — no pending events, no
     /// live processes — or the run is paused (see [`Sim::run_until_time`])
     /// with every live process a *forkable* [`VProc`] machine suspended at
@@ -79,7 +83,7 @@ impl Sim {
             rng: core.rng.get(),
             seed: self.seed(),
             journal_len: g.observers.journal_len(),
-            hosts: core.hosts.iter().map(|h| h.snap()).collect(),
+            hosts: core.hosts.iter().map(|h| h.save()).collect(),
             fuel_exhausted: g.fuel_exhausted,
             peak_live: g.peak_live,
             wakes,
@@ -88,12 +92,12 @@ impl Sim {
         };
         drop(g);
         for k in kernels_of(core) {
-            let ctx = self.ctx(k.host());
-            snap.protos.push(
-                k.protocol_slots()
-                    .map(|slot| slot.and_then(|p| p.snap(&ctx)))
-                    .collect(),
-            );
+            let mut saved = Vec::new();
+            k.keep_walk(&mut Keep::save(&mut saved));
+            snap.protos.push(SnapKernel {
+                slots: k.protocol_slots().count(),
+                saved,
+            });
         }
         Ok(snap)
     }
@@ -107,7 +111,8 @@ impl Sim {
     /// Rewinds this simulator to `snap` (which [`Sim::snapshot`] captured
     /// from the *same* simulator). Requires quiescence, exactly like
     /// snapshotting. Scheduler scalars, PRNG, host clocks, and every
-    /// protocol's private state are overwritten in place; the journal is
+    /// protocol's declared state are overwritten in place (its scratch is
+    /// emptied); the journal is
     /// truncated to its capture-time length so a resumed recording matches
     /// an uninterrupted one.
     pub fn restore(&self, snap: &SimSnapshot) -> XResult<()> {
@@ -184,22 +189,24 @@ impl Sim {
         }
         // Walked in place, not collected: a chaos run restores a rig once a
         // scenario.
-        for (h, blobs) in core.hosts.iter().zip(&snap.protos) {
+        for (h, sk) in core.hosts.iter().zip(&snap.protos) {
             let k = &h.kernel;
-            let ctx = self.ctx(k.host());
             let slots = k.protocol_slots().count();
-            if slots != blobs.len() {
+            if slots != sk.slots {
                 return Err(XError::Config(format!(
                     "snapshot is from a different rig ({} protocol slots vs {} on {})",
-                    blobs.len(),
+                    sk.slots,
                     slots,
                     k.name()
                 )));
             }
-            for (slot, blob) in k.protocol_slots().zip(blobs) {
-                if let (Some(p), Some(b)) = (slot, blob) {
-                    p.restore_snap(&ctx, b)?;
-                }
+            let mut keep = Keep::restore(&sk.saved);
+            k.keep_walk(&mut keep);
+            if !keep.matched() {
+                return Err(XError::Config(format!(
+                    "snapshot is from a different rig (protocol state on {} does not match)",
+                    k.name()
+                )));
             }
         }
         Ok(())
@@ -264,7 +271,7 @@ struct SnapHost {
 }
 
 impl HostCell {
-    fn snap(&self) -> SnapHost {
+    fn save(&self) -> SnapHost {
         SnapHost {
             down: self.down.get(),
             epoch: self.epoch.get(),
@@ -289,10 +296,17 @@ impl HostCell {
     }
 }
 
+/// One kernel's protocol state in a snapshot: what a save walk over its
+/// protocols' declarations left, in declaration order.
+struct SnapKernel {
+    slots: usize,
+    saved: Vec<Box<dyn Any>>,
+}
+
 /// An opaque whole-sim snapshot; see [`Sim::snapshot`]. Holds the scheduler
 /// scalars, PRNG position, per-host state, any suspended machine
-/// continuations with their pending wakes, and one
-/// [`crate::proto::SnapBlob`] per protocol slot per host.
+/// continuations with their pending wakes, and each kernel's protocol state
+/// ([`crate::keep`]).
 pub struct SimSnapshot {
     now: Time,
     seq: u64,
@@ -308,7 +322,7 @@ pub struct SimSnapshot {
     peak_live: usize,
     wakes: Vec<SnapWake>,
     machines: Vec<SnapMachine>,
-    protos: Vec<Vec<Option<SnapBlob>>>,
+    protos: Vec<SnapKernel>,
 }
 
 impl SimSnapshot {

@@ -60,6 +60,7 @@ impl Protocol for Probe {
     fn id(&self) -> ProtoId {
         self.me
     }
+    fn keeps(&self, _k: &mut Keep<'_>) {}
 
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
         match self.down {

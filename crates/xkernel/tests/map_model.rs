@@ -1,14 +1,15 @@
 //! `xkernel::map` against a `std::collections::HashMap` reference model:
 //! random bind / unbind / resolve / resolve-or-insert / snapshot / restore
 //! sequences must leave the table and the model agreeing after every step,
-//! and `Arc` identity of cached sessions must survive a snapshot and restore
+//! and `Rc` identity of cached sessions must survive a snapshot and restore
 //! (the whole-sim session-cache capture relies on it).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use proptest::prelude::*;
 
+use xkernel::keep::{Clear, Rewind};
 use xkernel::map::{EnableMap, SessionMap};
 use xkernel::prelude::*;
 
@@ -49,13 +50,13 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
 }
 
 /// Every key agrees, value and identity.
-fn assert_same(map: &SessionMap<u8, Arc<u32>>, model: &HashMap<u8, Arc<u32>>) {
+fn assert_same(map: &SessionMap<u8, Rc<u32>>, model: &HashMap<u8, Rc<u32>>) {
     assert_eq!(map.len(), model.len());
     for k in 0..6u8 {
         match (map.resolve(&k), model.get(&k)) {
             (None, None) => {}
             (Some(got), Some(want)) => {
-                assert!(Arc::ptr_eq(&got, want), "key {k}: a different session")
+                assert!(Rc::ptr_eq(&got, want), "key {k}: a different session")
             }
             (got, want) => panic!("key {k}: table has {got:?}, model has {want:?}"),
         }
@@ -67,14 +68,14 @@ proptest! {
 
     #[test]
     fn session_map_matches_the_reference(ops in ops()) {
-        let map: SessionMap<u8, Arc<u32>> = SessionMap::new();
-        let mut model: HashMap<u8, Arc<u32>> = HashMap::new();
-        let mut saved = (map.snapshot(), model.clone());
+        let map: SessionMap<u8, Rc<u32>> = SessionMap::new();
+        let mut model: HashMap<u8, Rc<u32>> = HashMap::new();
+        let mut saved = (map.save(), model.clone());
         for op in ops {
             match op {
                 Op::Bind(k, v) => {
-                    let v = Arc::new(v);
-                    let was = map.bind(k, Arc::clone(&v));
+                    let v = Rc::new(v);
+                    let was = map.bind(k, Rc::clone(&v));
                     prop_assert_eq!(was.map(|a| *a), model.insert(k, v).map(|a| *a));
                 }
                 Op::Unbind(k) => {
@@ -89,28 +90,28 @@ proptest! {
                     let got = map
                         .resolve_or_insert_with(k, || {
                             ran = true;
-                            Ok(Arc::new(v))
+                            Ok(Rc::new(v))
                         })
                         .unwrap();
                     // The constructor runs exactly when the key was unbound.
                     prop_assert_eq!(ran, !model.contains_key(&k));
-                    let want = model.entry(k).or_insert_with(|| Arc::clone(&got));
-                    prop_assert!(Arc::ptr_eq(&got, want));
+                    let want = model.entry(k).or_insert_with(|| Rc::clone(&got));
+                    prop_assert!(Rc::ptr_eq(&got, want));
                 }
                 Op::GuardInsert(k, v) => {
-                    let v = Arc::new(v);
-                    map.lock().insert(k, Arc::clone(&v));
+                    let v = Rc::new(v);
+                    map.lock().insert(k, Rc::clone(&v));
                     model.insert(k, v);
                 }
                 Op::Clear => {
                     map.clear();
                     model.clear();
                 }
-                Op::Snapshot => saved = (map.snapshot(), model.clone()),
+                Op::Snapshot => saved = (map.save(), model.clone()),
                 Op::Restore => {
-                    map.restore(&saved.0);
+                    map.rewind(&saved.0);
                     model = saved.1.clone();
-                    prop_assert_eq!(saved.0.len(), model.len());
+                    prop_assert_eq!(saved.0.0.len(), model.len());
                 }
             }
             assert_same(&map, &model);
@@ -121,7 +122,7 @@ proptest! {
     fn enable_map_matches_the_reference(ops in ops()) {
         let map: EnableMap<u8> = EnableMap::new();
         let mut model: HashMap<u8, ProtoId> = HashMap::new();
-        let mut saved = (map.snapshot(), model.clone());
+        let mut saved = (map.save(), model.clone());
         for op in ops {
             match op {
                 Op::Bind(k, v) | Op::ResolveOrInsert(k, v) | Op::GuardInsert(k, v) => {
@@ -145,9 +146,9 @@ proptest! {
                         model.remove(&0);
                     }
                 }
-                Op::Snapshot => saved = (map.snapshot(), model.clone()),
+                Op::Snapshot => saved = (map.save(), model.clone()),
                 Op::Restore => {
-                    map.restore(&saved.0);
+                    map.rewind(&saved.0);
                     model = saved.1.clone();
                 }
             }

@@ -66,6 +66,7 @@ impl Protocol for Loopback {
     fn id(&self) -> ProtoId {
         self.me
     }
+    fn keeps(&self, _k: &mut Keep<'_>) {}
 
     fn open(&self, _ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
         let num = parts
@@ -124,6 +125,7 @@ impl Protocol for Sink {
     fn id(&self) -> ProtoId {
         self.me
     }
+    fn keeps(&self, _k: &mut Keep<'_>) {}
 
     fn open(&self, _ctx: &Ctx, _u: ProtoId, _p: &ParticipantSet) -> XResult<SessionRef> {
         Err(XError::Unsupported("sink is demux-only"))
@@ -493,6 +495,34 @@ fn a_pass_through_layer_presents_its_lowers_number_space() {
     }
 }
 
+/// A line whose constructor fails leaves its name free: the corrected line
+/// builds on the same kernel, and the name resolves to what it built.
+#[test]
+fn a_failed_constructor_leaves_its_name_free() {
+    let sim = Sim::new(SimConfig::inline_mode());
+    let k = Kernel::new(&sim, "h");
+    let mut reg = ProtocolRegistry::new();
+    xkernel::shim::register_ctors(&mut reg);
+    reg.add(ProtoContract::opaque("loopback"), |a| {
+        Ok(Loopback::new(a.me) as ProtocolRef)
+    });
+    reg.build_unchecked(&sim, &k, "lo: loopback\n").unwrap();
+    assert!(reg
+        .build_unchecked(&sim, &k, "bad: handicap switches=x -> lo\n")
+        .is_err());
+    assert!(k.lookup("bad").is_err(), "nothing was built under the name");
+    let built = reg
+        .build_unchecked(&sim, &k, "bad: handicap switches=1 -> lo\n")
+        .unwrap();
+    assert_eq!(k.lookup("bad").unwrap(), built[0]);
+    assert_eq!(k.kind_of(built[0]).unwrap(), "handicap");
+    assert!(k.proto_ref(built[0]).is_ok());
+    assert_eq!(
+        k.protocol_names(),
+        vec!["lo".to_string(), "bad".to_string()]
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Kernel registry error paths.
 // ---------------------------------------------------------------------------
@@ -607,6 +637,7 @@ impl Protocol for RebootProbe {
     fn id(&self) -> ProtoId {
         self.me
     }
+    fn keeps(&self, _k: &mut Keep<'_>) {}
 
     fn open(&self, _ctx: &Ctx, _upper: ProtoId, _parts: &ParticipantSet) -> XResult<SessionRef> {
         Err(XError::Unsupported("probe open"))

@@ -35,8 +35,8 @@ fn a_warm_inline_null_call_enters_no_more_cells_than_pinned() {
 fn a_warm_inline_sun_rpc_null_call_enters_no_more_cells_than_pinned() {
     let n = sun_rpc_null_call(entries);
     assert!(
-        (1..=22).contains(&n),
-        "SUNRPC-UDP: {n} cell entries per warm null call, pinned at 22"
+        (1..=19).contains(&n),
+        "SUNRPC-UDP: {n} cell entries per warm null call, pinned at 19"
     );
 }
 

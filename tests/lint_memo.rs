@@ -189,6 +189,7 @@ impl Protocol for OddNic {
     fn id(&self) -> ProtoId {
         self.0
     }
+    fn keeps(&self, _k: &mut Keep<'_>) {}
     fn open(&self, _: &Ctx, _: ProtoId, _: &ParticipantSet) -> XResult<SessionRef> {
         Err(XError::Unsupported("oddnic open"))
     }

@@ -9,8 +9,9 @@
 //! died at `vm.max_map_count` after ≈ 16,000 of them.
 //!
 //! Below the kernels the same holds for the protocol graph: a protocol and
-//! the sessions it caches hold each other, and a dropped kernel has every
-//! protocol let go of its tables (`Protocol::drop_sessions`). Before that
+//! the sessions it caches hold each other, and a dropped kernel empties every
+//! table a protocol declares as sessions or scratch (`Protocol::keeps`).
+//! Before that
 //! FRAGMENT, CHANNEL, SELECT and M_RPC outlived every rig, ≈ 7 kB a scenario.
 
 mod common;
