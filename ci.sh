@@ -74,21 +74,22 @@ echo "==> count-gate: what a call costs in counts no host can move"
 # semaphore; a waiter queue allocated per semaphore is 192 more; a parked
 # machine's start and wake keys name its process slot, so it holds no event
 # slot; a timeline key lives in a 32-key block, which a drained bucket hands
-# on), and cell entries per inline null call in debug (release builds carry
-# no entry counter). The switch table and the bytes are printed. Beside the
-# bytes, the timeline's block bound — a resident population never holds more
-# blocks than its keys fill plus one a bucket and two — and the schedule of
-# slots a crash frees and fresh machines take over, pinned exactly: a key
-# that reached a slot's next tenant would show there. A refused frame is
-# counted once, at the layer that refused it, and allocates nothing once its
-# row exists (tests/rejects.rs on every stack and PSYNC; alloc_per_call.rs).
+# on), and cell entries per inline null call in debug, exact (release builds
+# carry no entry counter). The switch table, the bytes and the cell entries
+# are printed. Beside the bytes, the timeline's block bound — a resident
+# population never holds more blocks than its keys fill plus one a bucket and
+# two — and the schedule of slots a crash frees and fresh machines take
+# over, pinned exactly: a key that reached a slot's next tenant would show
+# there. A refused frame is counted once, at the layer that refused it, and
+# allocates nothing once its row exists (tests/rejects.rs on every stack and
+# PSYNC; alloc_per_call.rs).
 cargo test --release -q --test events_per_call --test alloc_per_call --test rejects \
     --test parked_bytes -- --test-threads=1 --nocapture
 cargo test --release -q -p xkernel --lib -- --exact \
     sim::timeline::tests::a_resident_population_holds_the_blocks_its_keys_fill
 cargo test --release -q -p xkernel --test engine -- --exact \
     a_crash_frees_slots_that_fresh_processes_take_without_meeting_old_keys
-cargo test -q --test cell_entries
+cargo test -q --test cell_entries -- --test-threads=1 --nocapture
 
 echo "==> matrix-gate: every way of running a scenario gives the same report"
 # crates/chaos/tests/run_paths.rs runs each chaos scenario (the 5,375-cell

@@ -6,8 +6,9 @@
 //!
 //! * Each message pushed through FRAGMENT gets a unique sequence number, is
 //!   split into ≤16 fragments (one bit each in the 16-bit `frag_mask`,
-//!   [`crate::frags`]), and is transmitted with a copy retained by the
-//!   sender.
+//!   [`crate::frags`]), and is transmitted. The sender retains a copy only
+//!   of a message of more than one fragment: one that fits a single
+//!   fragment has no gap a receiver could NACK, so it goes out as it is.
 //! * **Unreliable**: messages may arrive out of order, duplicated, or not at
 //!   all; the receiver *never* sends a positive acknowledgement. That
 //!   choice — made precisely so Psync could reuse the layer — is the
@@ -42,10 +43,12 @@ const DISCARD_NS: Nanos = 500_000_000;
 const GAP_NS: Nanos = 10_000_000;
 /// How many NACKs to send before giving up on an incomplete message.
 const NACK_RETRIES: u32 = 4;
-/// Bound on retained messages. In inline mode, whose clock stays at 0 so no
-/// copy ever expires, it is the only bound; under load in scheduled mode it
-/// binds before [`DISCARD_NS`] does: a server sending ~480 replies a virtual
-/// second serves NACKs for its last 64 (~130 ms), not for 500 ms.
+/// Bound on retained messages, of more than one fragment each: a server's
+/// one-fragment replies (every null call's) take no place in it. In inline
+/// mode, whose clock stays at 0 so no copy ever expires, it is the only
+/// bound; under load in scheduled mode it can bind before [`DISCARD_NS`]
+/// does: a server sending ~480 multi-fragment replies a virtual second
+/// serves NACKs for its last 64 (~130 ms), not for 500 ms.
 const CACHE_CAP: usize = 64;
 
 /// Cumulative traffic counters (tests and benchmarks).
@@ -63,12 +66,12 @@ pub struct FragStats {
     pub nacks_received: u64,
 }
 
+/// A message of more than one fragment, retained for NACK service.
 #[derive(Clone)]
 struct Saved {
     msg: Message,
-    dst: IpAddr,
-    proto_num: u32,
-    num_frags: u16,
+    /// The DATA header its fragments go out under, each with its own bit.
+    hdr: FragmentHdr,
     frag_size: usize,
 }
 
@@ -157,32 +160,31 @@ impl Fragment {
         })
     }
 
-    /// Transmits the fragments of `saved` selected by `mask`.
-    fn transmit(
+    /// Puts one data fragment on the wire: `frag` under `hdr`, which names
+    /// it by `bit`.
+    fn push_frag(
         &self,
         ctx: &Ctx,
         lower: &SessionRef,
-        saved: &Saved,
-        seq: u32,
-        mask: u16,
+        hdr: &FragmentHdr,
+        bit: u16,
+        mut frag: Message,
     ) -> XResult<()> {
-        let my_ip = self.my_ip()?;
+        let hdr = FragmentHdr {
+            frag_mask: bit,
+            ..*hdr
+        };
+        ctx.push_header(&mut frag, &hdr.encode());
+        ctx.charge_layer_call();
+        tally(&self.stats, |s| s.fragments_sent += 1);
+        lower.push(ctx, frag)?;
+        Ok(())
+    }
+
+    /// Transmits the fragments of `saved` selected by `mask`.
+    fn transmit(&self, ctx: &Ctx, lower: &SessionRef, saved: &Saved, mask: u16) -> XResult<()> {
         for (_, bit, frag) in frags::selected(&saved.msg, saved.frag_size, mask) {
-            let hdr = FragmentHdr {
-                typ: frag_type::DATA,
-                clnt_host: my_ip,
-                srvr_host: saved.dst,
-                protocol_num: saved.proto_num,
-                sequence_num: seq,
-                num_frags: saved.num_frags,
-                frag_mask: bit,
-                len: saved.msg.len() as u16,
-            };
-            let mut pkt = frag;
-            ctx.push_header(&mut pkt, &hdr.encode());
-            ctx.charge_layer_call();
-            tally(&self.stats, |s| s.fragments_sent += 1);
-            lower.push(ctx, pkt)?;
+            self.push_frag(ctx, lower, &saved.hdr, bit, frag)?;
         }
         Ok(())
     }
@@ -195,19 +197,33 @@ impl Fragment {
         tally(&self.stats, |s| s.messages_sent += 1);
         // Sequence allocation + retained-copy bookkeeping.
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
-        let saved = Saved {
-            msg,
-            dst: peer,
-            proto_num,
+        let hdr = FragmentHdr {
+            typ: frag_type::DATA,
+            clnt_host: self.my_ip()?,
+            srvr_host: peer,
+            protocol_num: proto_num,
+            sequence_num: seq,
             num_frags,
-            frag_size,
+            frag_mask: 0,
+            len: msg.len() as u16,
         };
-        self.transmit(ctx, &lower, &saved, seq, frags::full_mask(num_frags))?;
-
-        // Retain a copy for NACK service, bounded and timed: it expires by
-        // its age, and the modelled host pays for the discard timer it stands
-        // for here, where the timer was armed.
-        retain(&mut self.send_cache.lock(), seq, ctx.event_time(), saved);
+        if num_frags == 1 {
+            // No receiver NACKs a message of one fragment (it has no gap):
+            // the message goes out as it is, and no copy is kept.
+            self.push_frag(ctx, &lower, &hdr, 1, msg)?;
+        } else {
+            let saved = Saved {
+                msg,
+                hdr,
+                frag_size,
+            };
+            self.transmit(ctx, &lower, &saved, frags::full_mask(num_frags))?;
+            // Retain a copy for NACK service, bounded and timed: it expires
+            // by its age.
+            retain(&mut self.send_cache.lock(), seq, ctx.event_time(), saved);
+        }
+        // The modelled host pays for the discard timer the copy stands for
+        // here, where the timer was armed, whether or not a copy is kept.
         ctx.charge_class(OpClass::Timer, ctx.cost().timer_op);
         Ok(())
     }
@@ -343,14 +359,15 @@ impl Fragment {
         };
         // Only the message's receiver asks for its fragments, and it names
         // the message as its fragments did.
+        let sent = &saved.hdr;
         if (hdr.srvr_host, hdr.protocol_num, hdr.num_frags)
-            != (saved.dst, saved.proto_num, saved.num_frags)
+            != (sent.srvr_host, sent.protocol_num, sent.num_frags)
         {
             return Err(Reject::Denied("nack does not match its message").into());
         }
         // Retransmit the missing fragments from the retained copy.
-        let (lower, _) = self.lower_for(ctx, saved.dst)?;
-        self.transmit(ctx, &lower, &saved, seq, hdr.frag_mask)
+        let (lower, _) = self.lower_for(ctx, sent.srvr_host)?;
+        self.transmit(ctx, &lower, &saved, hdr.frag_mask)
     }
 
     /// Cumulative traffic counters.

@@ -36,28 +36,25 @@ pub fn count(len: usize, frag_size: usize) -> XResult<u16> {
 
 /// The pieces of `msg` (which [`count`] accepted) under `frag_size` that
 /// `mask` selects, in order, each as `(index, its bit, bytes)`. Zero-copy:
-/// a piece is a view of `msg`'s segments.
+/// a piece is a view of `msg`'s segments, cut from one clone as the caller
+/// asks for it, and nothing past the highest bit `mask` names is cut.
 pub fn selected(
     msg: &Message,
     frag_size: usize,
     mask: u16,
 ) -> impl Iterator<Item = (usize, u16, Message)> {
-    let mut rest = msg.clone();
-    let mut pieces = Vec::with_capacity(msg.len().max(1).div_ceil(frag_size));
-    while rest.len() > frag_size {
-        // The loop's guard puts `frag_size` within `rest`.
-        #[allow(clippy::expect_used)]
-        let tail = rest.split_off(frag_size).expect("split within length");
-        pieces.push(std::mem::replace(&mut rest, tail));
-    }
-    pieces.push(rest);
-    pieces
-        .into_iter()
-        .enumerate()
-        .filter_map(move |(i, piece)| {
-            let bit = 1u16 << i;
-            (mask & bit != 0).then_some((i, bit, piece))
+    let upto = (u16::BITS - mask.leading_zeros()) as usize;
+    let mut rest = Some(msg.clone());
+    (0..upto)
+        .map_while(move |i| {
+            let mut piece = rest.take()?;
+            if piece.len() > frag_size {
+                // Within `piece`'s length, so the split cannot fail.
+                rest = piece.split_off(frag_size).ok();
+            }
+            Some((i, 1u16 << i, piece))
         })
+        .filter(move |(_, bit, _)| mask & bit != 0)
 }
 
 /// A data fragment's place in its message: `num` in `1..=MAX_FRAGS`, and one
@@ -170,6 +167,36 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The pieces against a model that cuts every piece first and keeps
+        /// the masked ones: the same indices, bits and bytes, for any length
+        /// `count` accepts and any mask, bits past the last piece included.
+        #[test]
+        fn selected_yields_the_masked_pieces_of_a_vec_model(
+            len in 0usize..2_000,
+            frag_size in 1usize..300,
+            mask in 0u32..0x1_0000,
+        ) {
+            let mask = mask as u16;
+            // At most sixteen pieces, as `count` accepts.
+            let len = len % (MAX_FRAGS * frag_size + 1);
+            let bytes: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let got: Vec<_> = selected(&Message::from_user(bytes.clone()), frag_size, mask)
+                .map(|(i, bit, piece)| (i, bit, piece.to_vec()))
+                .collect();
+            let pieces: Vec<&[u8]> = if len == 0 {
+                vec![&[]]
+            } else {
+                bytes.chunks(frag_size).collect()
+            };
+            let want: Vec<_> = pieces
+                .into_iter()
+                .enumerate()
+                .filter(|(i, _)| mask & 1 << i != 0)
+                .map(|(i, piece)| (i, 1u16 << i, piece.to_vec()))
+                .collect();
+            prop_assert_eq!(got, want);
+        }
 
         /// The slot against a `Vec` model: fragments in any order, with
         /// duplicates and fragments of a message of another size, come out

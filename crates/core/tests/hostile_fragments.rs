@@ -8,13 +8,14 @@
 //! M_RPC (the `sprite` layer) on its host, none leaves a reassembly open, and
 //! the next well-formed call completes.
 //!
-//! A FRAGMENT NACK is served from the retained copy alone. One that names a
-//! message never sent, evicted by the cache cap or expired (a copy is kept
-//! for 500 ms after its send), no fragment, or fragments the message does
-//! not have, resends only the named fragments that exist. One whose sender,
-//! protocol number or fragment count is not its retained message's is
-//! refused and counted, and resends nothing. None panics, none changes what is retained, and the next call
-//! completes.
+//! A FRAGMENT NACK is served from the retained copy alone, and a copy is
+//! kept only of a message of more than one fragment. One that names a
+//! message never sent, of one fragment, evicted by the cache cap or expired
+//! (a copy is kept for 500 ms after its send), no fragment, or fragments the
+//! message does not have, resends only the named fragments that exist. One
+//! whose sender, protocol number or fragment count is not its retained
+//! message's is refused and counted, and resends nothing. None panics, none
+//! changes what is retained, and the next call completes.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -90,6 +91,33 @@ fn completes_a_null_call(tb: &TwoHosts, entry: &str) {
     let ctx = tb.sim.ctx(tb.client.host());
     let reply = xrpc::call(&ctx, &tb.client, entry, tb.server_ip, NULL_PROC, Vec::new());
     assert_eq!(reply.expect("the next call completes"), Vec::<u8>::new());
+}
+
+/// The bytes of a request that takes more than one fragment, so the client
+/// retains a copy of it.
+const BIG: usize = 4000;
+
+/// A 4,000-byte `SINK_PROC` call on L_RPC-VIP that completes; says how many
+/// fragments its request took.
+fn completes_a_sink_call(tb: &TwoHosts) -> u16 {
+    let before = fragment_state(&tb.client).0.fragments_sent;
+    let ctx = tb.sim.ctx(tb.client.host());
+    let big = vec![0x3c; BIG];
+    let reply = xrpc::call(
+        &ctx,
+        &tb.client,
+        L_RPC_VIP.entry,
+        tb.server_ip,
+        SINK_PROC,
+        big,
+    );
+    assert_eq!(
+        reply.expect("the 4,000-byte call completes"),
+        Vec::<u8>::new()
+    );
+    let pieces = fragment_state(&tb.client).0.fragments_sent - before;
+    assert!(pieces > 1, "the request spans {pieces} fragments");
+    u16::try_from(pieces).expect("at most 16")
 }
 
 fn fragment_frame(tb: &TwoHosts, seq: u32, num_frags: u16, frag_mask: u16) -> Vec<u8> {
@@ -269,30 +297,14 @@ fn nack_resends(tb: &TwoHosts, protocol_num: u32, seq: u32, num_frags: u16, frag
 #[test]
 fn fragment_resends_only_the_retained_fragments_a_nack_names() {
     let tb = rig(&L_RPC_VIP);
-    let ctx = tb.sim.ctx(tb.client.host());
-    let before = fragment_state(&tb.client).0;
-    let big = vec![0x3c; 4000];
-    let sink = xrpc::call(
-        &ctx,
-        &tb.client,
-        L_RPC_VIP.entry,
-        tb.server_ip,
-        SINK_PROC,
-        big,
-    );
-    assert_eq!(
-        sink.expect("the 4,000-byte call completes"),
-        Vec::<u8>::new()
-    );
+    let num = completes_a_sink_call(&tb);
+    let pieces = u64::from(num);
     let (sent, retained) = fragment_state(&tb.client);
     // The first message is sequence number 1: the request just sent is the
-    // last.
+    // last, and the only one of more than one fragment.
     let seq = u32::try_from(sent.messages_sent).expect("few messages");
-    let pieces = sent.fragments_sent - before.fragments_sent;
-    assert!(pieces > 1, "the request spans {pieces} fragments");
-    let num = u16::try_from(pieces).expect("at most 16");
     let all = (1u16 << num) - 1;
-    assert_eq!(retained, usize::try_from(sent.messages_sent).expect("few"));
+    assert_eq!(retained, 1);
 
     let proto = channel_num(&tb);
     assert_eq!(
@@ -352,9 +364,10 @@ fn fragment_resends_only_the_retained_fragments_a_nack_names() {
     assert_eq!(resent, 0, "another host");
     assert_eq!(rows(&tb), refused(3));
 
-    // 65 messages later the cap has evicted it: no copy, nothing to check.
-    for _ in 0..65 {
-        completes_a_null_call(&tb, L_RPC_VIP.entry);
+    // 64 retained messages later the cap has evicted it: no copy, nothing
+    // to check.
+    for _ in 0..64 {
+        completes_a_sink_call(&tb);
     }
     assert_eq!(fragment_state(&tb.client).1, 64);
     assert_eq!(nack_resends(&tb, 0xdead, seq, num, all), 0, "evicted");
@@ -385,15 +398,19 @@ fn a_nack_resends_until_its_copy_is_discard_ns_old() {
     let cfg = SimConfig::scheduled().with_cost(CostModel::zero());
     let tb = rig_in(cfg, &L_RPC_VIP);
     let server_ip = tb.server_ip;
+    // Requests of more than one fragment, which the client retains.
     let call = move |ctx: &Ctx| {
         let k = ctx.kernel();
-        let reply = xrpc::call(ctx, &k, L_RPC_VIP.entry, server_ip, NULL_PROC, Vec::new());
+        let big = vec![0x3c; BIG];
+        let reply = xrpc::call(ctx, &k, L_RPC_VIP.entry, server_ip, SINK_PROC, big);
         assert_eq!(reply.expect("the call completes"), Vec::<u8>::new());
     };
     tb.sim.spawn(tb.client.host(), call);
     assert_eq!(tb.sim.run_until_idle().blocked, 0);
+    let num = u16::try_from(fragment_state(&tb.client).0.fragments_sent).expect("at most 16");
+    assert!(num > 1, "the request spans {num} fragments");
     // The next request is the client's second message.
-    let nack = nack_frame(&tb, channel_num(&tb), 2, 1, 1);
+    let nack = nack_frame(&tb, channel_num(&tb), 2, num, 1);
     let resent = Rc::new(Cell::new((u64::MAX, u64::MAX)));
     let out = Rc::clone(&resent);
     tb.sim.spawn(tb.client.host(), move |ctx| {
@@ -426,16 +443,40 @@ fn a_nack_resends_until_its_copy_is_discard_ns_old() {
 #[test]
 fn in_inline_mode_only_the_cap_retires_a_copy() {
     let tb = rig(&L_RPC_VIP);
-    for _ in 0..64 {
-        completes_a_null_call(&tb, L_RPC_VIP.entry);
+    let num = completes_a_sink_call(&tb);
+    for _ in 1..64 {
+        completes_a_sink_call(&tb);
     }
     assert_eq!(tb.sim.ctx(tb.client.host()).event_time(), 0);
     assert_eq!(fragment_state(&tb.client).1, 64);
     assert_eq!(
-        nack_resends(&tb, channel_num(&tb), 1, 1, 1),
+        nack_resends(&tb, channel_num(&tb), 1, num, 1),
         1,
         "the first of 64"
     );
-    // `nack_resends` made one more call: the first message is evicted.
-    assert_eq!(nack_resends(&tb, channel_num(&tb), 1, 1, 1), 0, "evicted");
+    // One more retained message evicts the first.
+    completes_a_sink_call(&tb);
+    assert_eq!(nack_resends(&tb, channel_num(&tb), 1, num, 1), 0, "evicted");
+}
+
+/// A message of one fragment has no gap a receiver could NACK, so neither
+/// side keeps a copy of it: after 100 null calls nothing is retained, and a
+/// forged NACK naming the last request's one fragment draws nothing back,
+/// is no refusal, and leaves the next call completing.
+#[test]
+fn a_one_fragment_message_is_neither_copied_nor_retained() {
+    let tb = rig(&L_RPC_VIP);
+    for _ in 0..100 {
+        completes_a_null_call(&tb, L_RPC_VIP.entry);
+    }
+    let (sent, retained) = fragment_state(&tb.client);
+    assert_eq!(retained, 0, "the client retains no request");
+    assert_eq!(
+        fragment_state(&tb.server).1,
+        0,
+        "the server retains no reply"
+    );
+    let seq = u32::try_from(sent.messages_sent).expect("few messages");
+    assert_eq!(nack_resends(&tb, channel_num(&tb), seq, 1, 1), 0);
+    assert!(rows(&tb).is_empty(), "a NACK for no copy is no refusal");
 }

@@ -32,6 +32,7 @@ use std::sync::Arc;
 
 use crate::cost::Nanos;
 use crate::kernel::Kernel;
+use crate::map::MixMap;
 use crate::proto::ProtoId;
 use crate::sim::{HostId, Probe, Time};
 
@@ -250,13 +251,13 @@ struct SpanState {
 
 /// Interns span stacks so the ledger keys on a small integer.
 struct Interner {
-    ids: HashMap<Vec<ProtoId>, u32>,
+    ids: MixMap<Vec<ProtoId>, u32>,
     rev: Vec<Vec<ProtoId>>,
 }
 
 impl Interner {
     fn new() -> Interner {
-        let mut ids = HashMap::new();
+        let mut ids = MixMap::default();
         ids.insert(Vec::new(), 0);
         Interner {
             ids,
@@ -280,10 +281,10 @@ impl Interner {
 pub(crate) struct TraceCore {
     ring_cap: usize,
     rings: Vec<VecDeque<Event>>,
-    spans: HashMap<SpanKey, SpanState>,
+    spans: MixMap<SpanKey, SpanState>,
     interner: Interner,
     /// `(host, interned stack id, class) -> ns`.
-    ledger: HashMap<(usize, u32, OpClass), Nanos>,
+    ledger: MixMap<(usize, u32, OpClass), Nanos>,
 }
 
 impl Default for TraceCore {
@@ -291,9 +292,9 @@ impl Default for TraceCore {
         TraceCore {
             ring_cap: DEFAULT_RING_CAP,
             rings: Vec::new(),
-            spans: HashMap::new(),
+            spans: MixMap::default(),
             interner: Interner::new(),
-            ledger: HashMap::new(),
+            ledger: MixMap::default(),
         }
     }
 }

@@ -30,7 +30,7 @@ use xrpc::stacks::{L_RPC_VIP, M_RPC_VIP};
 
 #[test]
 fn a_warm_inline_null_call_allocates_no_more_than_pinned() {
-    for (stack, pinned) in PAPER_STACKS.into_iter().zip([8, 8, 8, 6, 2]) {
+    for (stack, pinned) in PAPER_STACKS.into_iter().zip([6, 6, 6, 2, 2]) {
         let n = paper_null_call(stack, allocs);
         assert_eq!(
             n, pinned,
@@ -49,13 +49,12 @@ fn a_warm_inline_sun_rpc_null_call_allocates_no_more_than_pinned() {
     );
 }
 
-/// A 16 KiB call is eleven fragments each way on both stacks: the splitter's
-/// list, each fragment's header and rope, each frame's delivery and the
-/// reassembler's rope are where a per-fragment allocation would show,
-/// eleven times over.
+/// A 16 KiB call is eleven fragments each way on both stacks: each
+/// fragment's header and rope, each frame's delivery and the reassembler's
+/// rope are where a per-fragment allocation would show, eleven times over.
 #[test]
 fn a_warm_scheduled_16k_call_allocates_exactly_pinned() {
-    for (stack, pinned) in [(M_RPC_VIP, 13), (L_RPC_VIP, 18)] {
+    for (stack, pinned) in [(M_RPC_VIP, 11), (L_RPC_VIP, 15)] {
         let n = paper_scheduled_sized_call(stack, 16 * 1024, allocs);
         assert_eq!(
             n, pinned,

@@ -3,10 +3,11 @@
 //! Every entry is a load and two stores now, not two read-modify-writes, but
 //! it is still work on the one path every workload shares, and it is exact:
 //! the same call enters the same cells in the same order on every run. The
-//! counts below are what DESIGN.md §12's per-protocol table adds up to; a
-//! protocol that starts entering a table twice where once would do fails
-//! here before any benchmark could see it. Debug builds only — release
-//! builds carry no counter.
+//! counts below are what DESIGN.md §12's per-protocol table adds up to, and
+//! they are pinned exactly, one row printed a stack: a protocol that starts
+//! entering a table twice where once would do fails here before any
+//! benchmark could see it, and one that stops entering a table fails too and
+//! moves its pin down. Debug builds only — release builds carry no counter.
 #![cfg(debug_assertions)]
 
 mod common;
@@ -21,10 +22,12 @@ use xkernel::sim::SimConfig;
 
 #[test]
 fn a_warm_inline_null_call_enters_no_more_cells_than_pinned() {
-    for (stack, pinned) in PAPER_STACKS.into_iter().zip([19, 25, 19, 28, 21]) {
+    println!("stack            cell entries");
+    for (stack, pinned) in PAPER_STACKS.into_iter().zip([15, 21, 15, 22, 17]) {
         let n = paper_null_call(stack, entries);
-        assert!(
-            (1..=pinned).contains(&n),
+        println!("{:<16} {n:>12}", stack.name);
+        assert_eq!(
+            n, pinned,
             "{}: {n} cell entries per warm null call, pinned at {pinned}",
             stack.name
         );
@@ -34,8 +37,9 @@ fn a_warm_inline_null_call_enters_no_more_cells_than_pinned() {
 #[test]
 fn a_warm_inline_sun_rpc_null_call_enters_no_more_cells_than_pinned() {
     let n = sun_rpc_null_call(entries);
-    assert!(
-        (1..=19).contains(&n),
+    println!("SUNRPC-UDP       {n:>12}");
+    assert_eq!(
+        n, 19,
         "SUNRPC-UDP: {n} cell entries per warm null call, pinned at 19"
     );
 }
