@@ -224,6 +224,22 @@ forbid 'fn as_any' 'an as_any downcast hook (upcast the trait object to &dyn Any
 forbid 'fn snap\(|fn restore_snap\(|fn drop_sessions\(|snap_downcast|SnapBlob' \
     'a second list of what a protocol keeps (declare it in Protocol::keeps)' \
     crates/*/src
+# Whether a protocol survives a restart is structural: the kernel empties
+# what Protocol::keeps declares as sessions and scratch before any reboot
+# hook runs, so no contract flag restates it.
+forbid '\.crashable\(|\.reboots\(|has_reboot' \
+    'a hand-written restart flag on a contract (Protocol::keeps says what a restart empties)' \
+    crates/*/src
+# A server's reply is kept once, by the at-most-once record that answered
+# it (xrpc::txn::AtMostOnce, DESIGN.md §14).
+forbid 'saved_reply' \
+    'a reply kept beside the at-most-once record (file it with AtMostOnce::answer)' \
+    crates/core/src
+# A run's tie picks are recorded once, by its journal: xcheck explores and
+# replays through JournalChooser and the journal's TiePick records.
+forbid 'ReplayChooser|struct Recording' \
+    'a second record of the tie picks a run made (read them from its journal)' \
+    crates/xcheck/src src
 
 echo "==> load-smoke: xbench xload --quick"
 # Rate sweep over all six stacks (open loop), a closed-loop point, and the

@@ -23,8 +23,7 @@
 //! - **observers**: all sixteen subsets of trace, check, journal and fault
 //!   recording, on one row of each stack family;
 //! - **1 worker**: `run_matrix` over every chaos row on one thread (the
-//!   passes above run on two), asserting each row's invariants where they
-//!   hold.
+//!   passes above run on two), asserting each row's invariants.
 //!
 //! A cell compares whole reports by `Eq`: the output, `fuel_used` and
 //! `sched_hash` (x07's replay rule, SNIPPETS.md). A cell that differs names
@@ -84,22 +83,10 @@ fn is_family(sc: &Scenario) -> bool {
     sc.seed == SEED_BASES[0] && FAMILIES.contains(&(sc.stack.name(), sc.profile))
 }
 
-/// Why a population on SUNRPC-CHANNEL is not held to its invariants.
-const CHANNEL_POPULATIONS: &str = "SUNRPC-CHANNEL refuses a second caller on a channel \
-    with a call outstanding, so a population fails calls even fault-free (CHANGES.md)";
-
-/// Whether the scenario's invariants hold for it.
-fn held(sc: &Scenario) -> bool {
-    sc.population <= 1 || sc.stack.name() != "SUNRPC-CHANNEL"
-}
-
-/// `r` held to the scenario's invariants, where they hold.
-fn invariants(sc: &Scenario, r: &ChaosReport) -> Option<Cell> {
-    if !held(sc) {
-        return None;
-    }
+/// `r` held to the scenario's invariants.
+fn invariants(sc: &Scenario, r: &ChaosReport) -> Cell {
     let failures = sc.invariant_failures(r);
-    Some(ensure(failures.is_empty(), || failures.join("; ")))
+    ensure(failures.is_empty(), || failures.join("; "))
 }
 
 /// The plain run's options, as `set` changes them.
@@ -275,10 +262,7 @@ fn fresh_and_fork(table: &mut Table, rows: &[Scenario]) -> Vec<(ChaosReport, Cha
             ran("fresh", || {
                 ensure(untraced, || "an untraced run filled the ledger".into())
             }),
-            match invariants(sc, &fresh) {
-                Some(held) => Mark::Ran("invariants", held),
-                None => Mark::Na("invariants", CHANNEL_POPULATIONS),
-            },
+            ran("invariants", || invariants(sc, &fresh)),
             ran("fork", || same(&fresh, &a).and(same(&a, &b))),
         ];
         (marks, (fresh, a))
@@ -335,7 +319,7 @@ fn other_paths(table: &mut Table, rows: &[Scenario], fresh: &[ChaosReport]) {
             let split = run(opts(|o| o.snapshot_at = Some(sc.calls / 2)));
             let split = split.replayed.expect("snapshot_at was set");
             ensure(split.snapshot_at > 0, || "snapshot at t=0".into())?;
-            invariants(sc, &split.first).unwrap_or(Ok(()))?;
+            invariants(sc, &split.first)?;
             same(&split.first, &split.replayed)
         }));
         if !is_family(sc) {
@@ -373,16 +357,6 @@ fn other_paths(table: &mut Table, rows: &[Scenario], fresh: &[ChaosReport]) {
         }));
         (marks, ())
     });
-}
-
-/// The 1 worker column's runs: `run_matrix` over every chaos row on one
-/// thread. `checked` asserts each row's invariants as it completes, so the
-/// SUNRPC-CHANNEL populations, last in the list, run unchecked.
-fn one_worker(rows: &[Scenario]) -> Vec<ChaosReport> {
-    let checked = rows.iter().filter(|sc| held(sc)).count();
-    let mut reports = run_matrix(rows[..checked].to_vec(), 1, true);
-    reports.extend(run_matrix(rows[checked..].to_vec(), 1, false));
-    reports
 }
 
 /// The load rows: a drop-policy pool of one under open-loop pressure sheds
@@ -464,7 +438,9 @@ fn every_run_path_reports_what_a_fresh_rig_reports() {
     // The one-thread runs and the pin checks are serial: they run beside
     // the two-thread passes.
     std::thread::scope(|s| {
-        let one = s.spawn(|| (one_worker(&rows), loads()));
+        // The 1 worker column: every chaos row on one thread, each held to
+        // its invariants as it completes.
+        let one = s.spawn(|| (run_matrix(rows.clone(), 1, true), loads()));
         let (fresh, forks): (Vec<_>, Vec<_>) =
             fresh_and_fork(&mut table, &rows).into_iter().unzip();
         let pins = s.spawn(move || {
@@ -476,7 +452,7 @@ fn every_run_path_reports_what_a_fresh_rig_reports() {
                 "template_populations.txt",
                 populations,
                 pins,
-                0x7fc5_1fe7_94bb_2b6b,
+                0xc4bb_8bbc_4514_98e0,
             );
         });
         other_paths(&mut table, &rows, &fresh);

@@ -165,8 +165,8 @@ fn a_failed_lower_push_releases_the_slot_and_the_channel_is_reusable() {
             row.name
         );
         // Same peer, so the same pool and (LIFO) the same channel: a slot
-        // still outstanding would turn this into "already has an
-        // outstanding request" instead of the lower layer's error again.
+        // still outstanding would leave this call waiting for the channel
+        // instead of returning the lower layer's error again.
         let (second, after) = on_client(&tb, move |ctx| call(ctx, nobody, vec![2; 16]));
         assert_eq!(
             format!("{:?}", second.expect_err("still nobody there")),

@@ -20,9 +20,10 @@
 //! fragmentation layer is not in the middle of transmitting the message".
 
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
-use xkernel::cell::OwnerCell;
+use xkernel::cell::{OwnerCell, OwnerGuard};
 use xkernel::keep::Rewind;
 use xkernel::prelude::*;
 
@@ -40,9 +41,25 @@ struct Outstanding {
 struct ClientState {
     seq: u32,
     outstanding: Option<Outstanding>,
+    // Callers waiting for the request outstanding to finish, each parked on
+    // a semaphore of its own, first come first served.
+    waiting: VecDeque<SharedSema>,
 }
 
-/// A client channel: one outstanding RPC at a time.
+/// Frees the channel `st` guards and, once `st` is released, wakes the
+/// caller that has waited longest for it, if any.
+fn hand_over(ctx: &Ctx, mut st: OwnerGuard<'_, ClientState>) {
+    st.outstanding = None;
+    let next = st.waiting.pop_front();
+    drop(st);
+    if let Some(next) = next {
+        next.v(ctx);
+    }
+}
+
+/// A client channel: one outstanding RPC at a time. A second caller waits
+/// until the first is done; a caller that finds it free touches no
+/// semaphore for it.
 pub struct ChanClientSession {
     parent: Rc<Channel>,
     chan: u16,
@@ -61,11 +78,18 @@ impl Session for ChanClientSession {
         let sent_at = ctx.now();
         let (seq, sema) = {
             let mut st = self.st.lock();
-            if st.outstanding.is_some() {
-                return Err(XError::Config(format!(
-                    "channel {} already has an outstanding request",
-                    self.chan
-                )));
+            while st.outstanding.is_some() {
+                if ctx.mode() == Mode::Inline {
+                    return Err(XError::Config(format!(
+                        "channel {} already has an outstanding request",
+                        self.chan
+                    )));
+                }
+                let turn = SharedSema::new(0);
+                st.waiting.push_back(turn.clone());
+                drop(st);
+                turn.p(ctx);
+                st = self.st.lock();
             }
             st.seq = st.seq.wrapping_add(1);
             let sema = SharedSema::new(0);
@@ -121,7 +145,7 @@ impl Session for ChanClientSession {
                     .as_mut()
                     .expect("outstanding present until we clear it");
                 if let Some(reply) = out.reply.take() {
-                    st.outstanding = None;
+                    hand_over(ctx, st);
                     Poll::Done(reply)
                 } else if std::mem::take(&mut out.acked) {
                     Poll::Rearm
@@ -129,7 +153,7 @@ impl Session for ChanClientSession {
                     Poll::Timeout
                 }
             },
-            || self.st.lock().outstanding = None,
+            || hand_over(ctx, self.st.lock()),
         )?;
         match reply {
             Ok(reply) => {
@@ -158,8 +182,8 @@ impl Session for ChanClientSession {
     }
 }
 
-/// A client channel keeps its sequence counter. It is exclusively held
-/// during a call, so nothing is outstanding at a quiescent instant.
+/// A client channel keeps its sequence counter. At a quiescent instant
+/// nothing is outstanding and no caller waits.
 impl Rewind for ChanClientSession {
     type Saved = u32;
     fn save(&self) -> u32 {
@@ -174,6 +198,7 @@ impl Rewind for ChanClientSession {
         let mut st = self.st.lock();
         st.seq = *seq;
         st.outstanding = None;
+        st.waiting.clear();
     }
 }
 
@@ -183,10 +208,8 @@ pub struct ServerState {
     // The lower session replies travel down on; refreshed on each request
     // so replies follow the path the latest request arrived by.
     lls: SessionRef,
-    record: AtMostOnce,
-    // The encoded reply to `record`'s answered request, kept until the next
-    // request on this channel implicitly acknowledges it.
-    saved_reply: Option<Message>,
+    // The encoded reply to the request answered last rides in the record.
+    record: AtMostOnce<Message>,
 }
 
 /// A server channel: tracks at-most-once state for one (peer, channel).
@@ -220,8 +243,7 @@ impl Session for ChanServerSession {
         };
         let mut wire = msg;
         ctx.push_header(&mut wire, &hdr.encode());
-        st.record.answer(seq);
-        st.saved_reply = Some(wire.clone());
+        st.record.answer(seq, wire.clone());
         let lls = Rc::clone(&st.lls);
         drop(st);
         ctx.charge_layer_call();
@@ -248,8 +270,8 @@ impl Session for ChanServerSession {
     }
 }
 
-/// A server channel keeps its at-most-once record, its saved reply and the
-/// path replies take.
+/// A server channel keeps its at-most-once record, the saved reply with it,
+/// and the path replies take.
 impl Rewind for ChanServerSession {
     type Saved = ServerState;
     fn save(&self) -> ServerState {
@@ -352,7 +374,6 @@ impl Channel {
                         st: OwnerCell::new(ServerState {
                             lls: Rc::clone(lls),
                             record: AtMostOnce::new(hdr.boot_id),
-                            saved_reply: None,
                         }),
                     }))
                 })?;
@@ -376,9 +397,6 @@ impl Channel {
             ResendReply(Message),
             Drop,
         }
-        // `ChanServerSession::push` records a request answered and saves its
-        // reply under one acquisition of `st`.
-        #[allow(clippy::expect_used)]
         let action = {
             let mut st = sess.st.lock();
             if !Rc::ptr_eq(&st.lls, lls) {
@@ -386,14 +404,9 @@ impl Channel {
             }
             match st.record.arrive(hdr.boot_id, hdr.sequence_num) {
                 Arrival::InProgress => Action::Ack,
-                Arrival::Answered => {
-                    Action::ResendReply(st.saved_reply.clone().expect("saved with the answer"))
-                }
+                Arrival::Answered(reply) => Action::ResendReply(reply.clone()),
                 Arrival::Old => Action::Drop,
-                Arrival::New => {
-                    st.saved_reply = None;
-                    Action::Deliver
-                }
+                Arrival::New => Action::Deliver,
             }
         };
 
@@ -568,6 +581,7 @@ impl Protocol for Channel {
                 st: OwnerCell::new(ClientState {
                     seq: 0,
                     outstanding: None,
+                    waiting: VecDeque::new(),
                 }),
             }))
         })?;

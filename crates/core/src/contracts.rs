@@ -21,18 +21,15 @@ pub fn sprite() -> ProtoContract {
         .param("shepherds", false, true)
         .param("pending", false, true)
         .param("policy", false, false);
-    awaits_reply(c, true).crashable().reboots()
+    awaits_reply(c, true)
 }
 
 /// FRAGMENT: cuts oversized messages to the lower layer's packet size.
-/// Holds reassembly state that must be dropped on reboot.
 pub fn fragment() -> ProtoContract {
     ProtoContract::new("fragment", AddrKind::Internet)
         .lower(&[AddrKind::Internet])
         .header(FRAGMENT_HDR_LEN)
         .fragments()
-        .crashable()
-        .reboots()
 }
 
 /// CHANNEL: at-most-once request/reply; the layer that owns the blocking
@@ -42,7 +39,7 @@ pub fn channel() -> ProtoContract {
         .lower(&[AddrKind::Internet])
         .header(CHANNEL_HDR_LEN)
         .param("adaptive", false, true);
-    awaits_reply(c, false).crashable().reboots()
+    awaits_reply(c, false)
 }
 
 /// SELECT: procedure selection + channel allocation. Its semaphore is a
@@ -62,8 +59,6 @@ pub fn select() -> ProtoContract {
             wakes_from_demux: false,
         })
         .blocks(&[BlockPoint::Sema])
-        .crashable()
-        .reboots()
 }
 
 /// RDGRAM: reliable datagrams over CHANNEL. It pushes no header of its own.

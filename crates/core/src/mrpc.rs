@@ -122,14 +122,14 @@ impl Rewind for Peer {
 
 #[derive(Clone)]
 struct ServerState {
-    record: AtMostOnce,
+    // The wire frames of the reply to the request answered last ride in the
+    // record.
+    record: AtMostOnce<Rc<[Message]>>,
     // The in-progress request was handed to a shepherd (its fragments have
     // been consumed); retransmissions must be ACKed, not re-assembled.
     dispatched: bool,
     // The request `record` has in progress, as it arrives.
     req: Option<Slot>,
-    // The wire fragments of the reply to `record`'s answered request.
-    saved_reply: Vec<Message>,
     // The path replies take, cached from the peer table on first use so a
     // warm request costs the server one table lookup, not two. Lives in the
     // restorable state: it rewinds (and dies at reboot) with the table.
@@ -142,8 +142,8 @@ struct MServer {
     st: OwnerCell<ServerState>,
 }
 
-/// A server channel keeps its whole state: the at-most-once record, the
-/// saved reply and any partial request reassembly (which, unlike
+/// A server channel keeps its whole state: the at-most-once record with
+/// the saved reply, and any partial request reassembly (which, unlike
 /// FRAGMENT's, has no reclaim timer and so can outlive quiescence).
 impl Rewind for MServer {
     type Saved = ServerState;
@@ -435,7 +435,6 @@ impl Mrpc {
                     record: AtMostOnce::new(hdr.boot_id),
                     dispatched: false,
                     req: None,
-                    saved_reply: Vec::new(),
                     reply_path: None,
                 }),
             }))
@@ -452,55 +451,54 @@ impl Mrpc {
         enum Action {
             None,
             Ack(u16),
-            ResendReply(Vec<Message>),
+            ResendReply(Rc<[Message]>),
             Dispatch(Message, Option<LowerPath>),
         }
         let action = {
             let mut st = server.st.lock();
-            let arrival = st.record.arrive(hdr.boot_id, hdr.sequence_num);
-            if arrival == Arrival::Answered {
+            let st = &mut *st;
+            match st.record.arrive(hdr.boot_id, hdr.sequence_num) {
                 // Client retransmission of an already-answered request.
                 // Resend the saved reply — but only for the *first* fragment
                 // of the retransmitted request, else every late duplicate
                 // fragment of a multi-fragment request would trigger its own
                 // full reply resend (a retransmission storm).
-                ctx.note(RobustEvent::DuplicateSuppressed);
-                if at.is_first() {
-                    Action::ResendReply(st.saved_reply.clone())
-                } else {
-                    Action::None
-                }
-            } else if arrival == Arrival::Old {
-                ctx.note(RobustEvent::DuplicateSuppressed);
-                Action::None // Ancient duplicate.
-            } else {
-                if arrival == Arrival::New {
-                    // Implicitly acknowledges the saved reply; start a
-                    // fresh reassembly.
-                    st.dispatched = false;
-                    st.saved_reply.clear();
-                    st.req = None;
-                }
-                // `InProgress` left the record as it was, so a fragment
-                // the slot rejects has changed nothing.
-                let st = &mut *st;
-                let req = st.req.get_or_insert_with(|| Slot::new(at));
-                let added = req.take(at, msg)?;
-                if st.dispatched {
-                    // Retransmission while a shepherd is (or is queued to
-                    // be) executing this request: the fragments are
-                    // consumed, so just tell the client we have them all.
+                Arrival::Answered(frames) if at.is_first() => {
                     ctx.note(RobustEvent::DuplicateSuppressed);
-                    Action::Ack(req.have())
-                } else if req.complete() {
-                    st.dispatched = true;
-                    Action::Dispatch(req.assemble(), st.reply_path.clone())
-                } else if !added || hdr.flags & flags::PLEASE_ACK != 0 {
-                    // Retransmission while incomplete: tell the client what
-                    // we have so it can resend just the missing fragments.
-                    Action::Ack(req.have())
-                } else {
+                    Action::ResendReply(Rc::clone(frames))
+                }
+                // Or an ancient duplicate.
+                Arrival::Answered(_) | Arrival::Old => {
+                    ctx.note(RobustEvent::DuplicateSuppressed);
                     Action::None
+                }
+                arrival => {
+                    if matches!(arrival, Arrival::New) {
+                        // The saved reply is acknowledged and gone; start a
+                        // fresh reassembly.
+                        st.dispatched = false;
+                        st.req = None;
+                    }
+                    // `InProgress` left the record as it was, so a fragment
+                    // the slot rejects has changed nothing.
+                    let req = st.req.get_or_insert_with(|| Slot::new(at));
+                    let added = req.take(at, msg)?;
+                    if st.dispatched {
+                        // Retransmission while a shepherd is (or is queued to
+                        // be) executing this request: the fragments are
+                        // consumed, so just tell the client we have them all.
+                        ctx.note(RobustEvent::DuplicateSuppressed);
+                        Action::Ack(req.have())
+                    } else if req.complete() {
+                        st.dispatched = true;
+                        Action::Dispatch(req.assemble(), st.reply_path.clone())
+                    } else if !added || hdr.flags & flags::PLEASE_ACK != 0 {
+                        // Retransmission while incomplete: tell the client what
+                        // we have so it can resend just the missing fragments.
+                        Action::Ack(req.have())
+                    } else {
+                        Action::None
+                    }
                 }
             }
         };
@@ -527,13 +525,9 @@ impl Mrpc {
                 lower.push(ctx, pkt)?;
                 Ok(())
             }
-            Action::ResendReply(frags) => {
+            Action::ResendReply(frames) => {
                 let (lower, _) = self.lower_for(ctx, hdr.clnt_host)?;
-                for f in frags {
-                    ctx.charge_layer_call();
-                    lower.push(ctx, f)?;
-                }
-                Ok(())
+                send_frames(ctx, &frames, &lower)
             }
             Action::Dispatch(body, path) => {
                 let me = self.self_rc();
@@ -629,8 +623,9 @@ impl Mrpc {
             boot_id: self.boot_id(),
             ..SpriteHdr::default()
         };
-        // Build, save, then send the wire fragments.
-        let mut wire_frags = Vec::new();
+        // Every frame is encoded before the first goes down (DESIGN.md
+        // §14) and filed with the answer, which keeps them for a resend.
+        let mut frames = Vec::with_capacity(usize::from(num));
         for (i, bit, frag) in frags::selected(&reply_body, frag_size, frags::full_mask(num)) {
             let mut h = rhdr;
             h.frag_mask = bit;
@@ -638,18 +633,12 @@ impl Mrpc {
             h.data1_offset = (i * frag_size) as u16;
             let mut pkt = frag;
             ctx.push_header(&mut pkt, &h.encode());
-            wire_frags.push(pkt);
+            frames.push(pkt);
         }
-        {
-            let mut st = server.st.lock();
-            st.record.answer(hdr.sequence_num);
-            st.saved_reply = wire_frags.clone();
-        }
-        for f in wire_frags {
-            ctx.charge_layer_call();
-            lower.push(ctx, f)?;
-        }
-        Ok(())
+        let frames: Rc<[Message]> = frames.into();
+        let answer = Rc::clone(&frames);
+        server.st.lock().record.answer(hdr.sequence_num, answer);
+        send_frames(ctx, &frames, &lower)
     }
 
     fn reply_in(&self, ctx: &Ctx, hdr: SpriteHdr, msg: Message) -> XResult<()> {
@@ -699,6 +688,16 @@ impl Mrpc {
         }
         Ok(())
     }
+}
+
+/// Sends a reply's wire frames down `lower`, each a clone, so the record
+/// that keeps them can resend them.
+fn send_frames(ctx: &Ctx, frames: &[Message], lower: &SessionRef) -> XResult<()> {
+    for frame in frames {
+        ctx.charge_layer_call();
+        lower.push(ctx, frame.clone())?;
+    }
+    Ok(())
 }
 
 /// A client session bound to one (server, procedure).

@@ -314,36 +314,34 @@ impl CallRto<'_> {
 
 /// What a server channel remembers between requests so that none executes
 /// twice: the client incarnation it is talking to, the last sequence number
-/// it answered, the one it is working on, and the one whose reply it still
-/// holds (the holder keeps the reply itself beside this record, under the
-/// same lock, and drops it when [`AtMostOnce::arrive`] says `New`).
+/// it answered, the one it is working on, and the reply to the one answered
+/// last, kept until the client's next request acknowledges it.
 #[derive(Clone, Debug)]
-pub struct AtMostOnce {
+pub struct AtMostOnce<R> {
     peer_boot: u32,
     last_seq: u32,
     in_progress: Option<u32>,
-    answered: Option<u32>,
+    answered: Option<(u32, R)>,
 }
 
 /// How an arriving request relates to what the channel has seen.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Arrival {
+#[derive(Debug, PartialEq, Eq)]
+pub enum Arrival<'a, R> {
     /// A retransmission of the request being worked on: acknowledge it
     /// explicitly so the client stops resending.
     InProgress,
-    /// A retransmission of the last request answered: resend the saved
-    /// reply.
-    Answered,
+    /// A retransmission of the last request answered: resend this reply.
+    Answered(&'a R),
     /// Older than the last answered request: drop it.
     Old,
     /// A new request — recorded as in progress; it implicitly acknowledges
-    /// the saved reply, which the holder may now discard.
+    /// the saved reply, which is dropped.
     New,
 }
 
-impl AtMostOnce {
+impl<R> AtMostOnce<R> {
     /// The record of a channel first heard from under `peer_boot`.
-    pub fn new(peer_boot: u32) -> AtMostOnce {
+    pub fn new(peer_boot: u32) -> AtMostOnce<R> {
         AtMostOnce {
             peer_boot,
             last_seq: 0,
@@ -354,23 +352,26 @@ impl AtMostOnce {
 
     /// Classifies request `seq` from client incarnation `peer_boot`. A new
     /// boot id means the client reincarnated: its sequence numbers start
-    /// over, so the record does too and the request is `New`. The first
-    /// two cases exclude each other and `Old` (`answer` clears what `New`
-    /// set), so one order of tests serves every caller.
-    pub fn arrive(&mut self, peer_boot: u32, seq: u32) -> Arrival {
+    /// over, so the record does too (its saved reply with it) and the
+    /// request is `New`. The first two cases exclude each other and `Old`
+    /// (`answer` clears what `New` set), so one order of tests serves every
+    /// caller.
+    pub fn arrive(&mut self, peer_boot: u32, seq: u32) -> Arrival<'_, R> {
         if peer_boot != self.peer_boot {
             *self = AtMostOnce::new(peer_boot);
         }
         if self.in_progress == Some(seq) {
-            Arrival::InProgress
-        } else if self.answered == Some(seq) {
-            Arrival::Answered
-        } else if seq <= self.last_seq && self.last_seq != 0 {
-            Arrival::Old
-        } else {
+            return Arrival::InProgress;
+        }
+        let answered = matches!(self.answered, Some((a, _)) if a == seq);
+        if !answered && (seq > self.last_seq || self.last_seq == 0) {
             self.answered = None;
             self.in_progress = Some(seq);
-            Arrival::New
+            return Arrival::New;
+        }
+        match &self.answered {
+            Some((a, reply)) if *a == seq => Arrival::Answered(reply),
+            _ => Arrival::Old,
         }
     }
 
@@ -379,12 +380,12 @@ impl AtMostOnce {
         self.in_progress
     }
 
-    /// The reply to `seq` is built and saved: nothing is in progress, and a
-    /// retransmission of `seq` is from now on `Answered`.
-    pub fn answer(&mut self, seq: u32) {
+    /// `reply` answers `seq`: nothing is in progress, and a retransmission
+    /// of `seq` is from now on `Answered` with it.
+    pub fn answer(&mut self, seq: u32, reply: R) {
         self.in_progress = None;
         self.last_seq = seq;
-        self.answered = Some(seq);
+        self.answered = Some((seq, reply));
     }
 
     /// The request in progress will not be answered (no such service, or an

@@ -235,9 +235,14 @@ fn at_most_once_classifies_every_arrival() {
     assert_eq!(r.arrive(0xb007, 1), Arrival::New);
     assert_eq!(r.in_progress(), Some(1));
     assert_eq!(r.arrive(0xb007, 1), Arrival::InProgress);
-    r.answer(1);
+    r.answer(1, "reply 1");
     assert_eq!(r.in_progress(), None);
-    assert_eq!(r.arrive(0xb007, 1), Arrival::Answered);
+    assert_eq!(
+        r.arrive(0xb007, 1),
+        Arrival::Answered(&"reply 1"),
+        "the reply that was answered, again on every retransmission"
+    );
+    assert_eq!(r.arrive(0xb007, 1), Arrival::Answered(&"reply 1"));
     assert_eq!(r.arrive(0xb007, 2), Arrival::New, "acknowledges reply 1");
     assert_eq!(r.arrive(0xb007, 1), Arrival::Old, "reply 1 is gone");
     r.abort();
@@ -246,9 +251,14 @@ fn at_most_once_classifies_every_arrival() {
         Arrival::New,
         "a shed request comes again"
     );
-    r.answer(2);
-    // A new client incarnation starts its sequence numbers over.
+    r.answer(2, "reply 2");
+    assert_eq!(r.arrive(0xb007, 2), Arrival::Answered(&"reply 2"));
+    // A new client incarnation starts its sequence numbers over, and its
+    // predecessor's reply goes with the record.
+    assert_eq!(r.arrive(0xb008, 2), Arrival::New);
     assert_eq!(r.arrive(0xb008, 1), Arrival::New);
+    r.answer(1, "reply 1 again");
+    assert_eq!(r.arrive(0xb008, 1), Arrival::Answered(&"reply 1 again"));
     assert_eq!(r.arrive(0xb008, 2), Arrival::New);
 }
 

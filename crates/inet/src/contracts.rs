@@ -43,8 +43,6 @@ pub fn ip() -> ProtoContract {
         .param("mask", false, false)
         .param("gw", false, false)
         .param("mtu", false, false)
-        .crashable()
-        .reboots() // drops reassembly state
 }
 
 /// UDP: port addressing over anything internet-like.

@@ -14,7 +14,7 @@ pub fn request_reply() -> ProtoContract {
         .param("shepherds", false, true)
         .param("pending", false, true)
         .param("policy", false, false);
-    awaits_reply(c, false).crashable().reboots()
+    awaits_reply(c, false)
 }
 
 /// The composable auth layers (`auth_none`, `auth_unix`): an XDR
@@ -41,6 +41,4 @@ pub fn sunselect() -> ProtoContract {
     ProtoContract::new("sunselect", AddrKind::Rpc)
         .lower(&[AddrKind::Rpc])
         .header(SUNSEL_HDR_LEN)
-        .crashable()
-        .reboots()
 }

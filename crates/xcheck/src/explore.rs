@@ -2,59 +2,26 @@
 //! decisions, and seeded random walks for spaces too large to enumerate.
 //!
 //! A [`xkernel::sim::ScheduleChooser`] turns every same-time event tie
-//! into a decision point. [`ReplayChooser`] replays a fixed decision
-//! prefix and then takes branch 0, recording the branch factor it saw at
-//! every point; [`explore`] drives it depth-first — after each run it
-//! rewinds to the deepest decision with an untaken branch and re-runs
-//! with that branch forced. Because the simulator is deterministic given
-//! its seed and the chooser's decisions, replaying a prefix reproduces
-//! the exact run that recorded it, which is also how xcheck repro strings
-//! replay: same seed, same decisions, same `sched_hash`.
+//! into a decision point, and a run that journals records each one as a
+//! `TiePick { n, pick }` ([`xkernel::journal`]). [`explore`] runs every
+//! schedule under a [`JournalChooser`] that replays the schedule's decision
+//! prefix and then takes branch 0, and reads the branch factors back from
+//! the run's journal — after each run it rewinds to the deepest decision
+//! with an untaken branch and re-runs with that branch forced. Because the
+//! simulator is deterministic given its seed and the chooser's decisions,
+//! replaying a prefix reproduces the exact run that recorded it, which is
+//! also how xcheck repro strings and journals replay: same seed, same
+//! decisions, same `sched_hash`.
 
-use std::rc::Rc;
-
-use xkernel::cell::OwnerCell;
+use xkernel::journal::{Journal, JournalChooser, JournalRecord};
 use xkernel::rng::splitmix64;
 use xkernel::sim::ScheduleChooser;
 
-/// What one run's chooser saw and did: the branch taken and the branch
-/// factor (number of tied events) at each forced-choice point, in order.
-#[derive(Default, Clone, Debug)]
-pub struct Recording {
-    /// Branch taken at each decision point.
-    pub choices: Vec<usize>,
-    /// Number of alternatives at each decision point.
-    pub branches: Vec<usize>,
-}
-
-/// A chooser that replays `prefix` and then always takes branch 0,
-/// recording every decision into a shared [`Recording`].
-pub struct ReplayChooser {
-    prefix: Vec<usize>,
-    depth: usize,
-    rec: Rc<OwnerCell<Recording>>,
-}
-
-impl ReplayChooser {
-    /// A chooser replaying `prefix`, recording into `rec`.
-    pub fn new(prefix: Vec<usize>, rec: Rc<OwnerCell<Recording>>) -> ReplayChooser {
-        ReplayChooser {
-            prefix,
-            depth: 0,
-            rec,
-        }
-    }
-}
-
-impl ScheduleChooser for ReplayChooser {
-    fn choose(&mut self, n: usize) -> usize {
-        let pick = self.prefix.get(self.depth).copied().unwrap_or(0).min(n - 1);
-        self.depth += 1;
-        let mut r = self.rec.lock();
-        r.choices.push(pick);
-        r.branches.push(n);
-        pick
-    }
+/// What one run of [`explore`] returns: its result, carrying the journal
+/// the run recorded.
+pub trait Journaled {
+    /// The run's journal, whose tie picks say which branches remain.
+    fn journal(&self) -> &Journal;
 }
 
 /// The result of [`explore`]: one outcome per schedule visited, and
@@ -75,42 +42,39 @@ impl<T> Exploration<T> {
 }
 
 /// Exhaustively enumerates schedules depth-first, calling `run` once per
-/// schedule with a fresh [`ReplayChooser`] (the caller installs it on a
-/// fresh simulator and runs the scenario to completion). Stops after
-/// `limit` schedules, marking the exploration incomplete if decisions
+/// schedule with a [`JournalChooser`] for it (the caller installs it on a
+/// fresh simulator, journals, and runs the scenario to completion). Stops
+/// after `limit` schedules, marking the exploration incomplete if decisions
 /// remain.
-pub fn explore<T>(limit: usize, mut run: impl FnMut(Box<ReplayChooser>) -> T) -> Exploration<T> {
-    let mut prefix: Vec<usize> = Vec::new();
+pub fn explore<T: Journaled>(
+    limit: usize,
+    mut run: impl FnMut(Box<JournalChooser>) -> T,
+) -> Exploration<T> {
+    let mut prefix = Vec::new();
     let mut outcomes = Vec::new();
-    loop {
-        let rec = Rc::new(OwnerCell::new(Recording::default()));
-        let chooser = Box::new(ReplayChooser::new(prefix.clone(), Rc::clone(&rec)));
-        outcomes.push(run(chooser));
-        let r = rec.lock();
+    let complete = loop {
+        let outcome = run(Box::new(JournalChooser::new(prefix)));
+        let ties: Vec<(u32, u32)> = outcome
+            .journal()
+            .records
+            .iter()
+            .filter_map(|r| match *r {
+                JournalRecord::TiePick { n, pick } => Some((n, pick)),
+                _ => None,
+            })
+            .collect();
+        outcomes.push(outcome);
         // Deepest decision with an untaken branch; bump it and rerun.
-        let next = (0..r.choices.len())
-            .rev()
-            .find(|&i| r.choices[i] + 1 < r.branches[i]);
-        match next {
-            None => {
-                return Exploration {
-                    outcomes,
-                    complete: true,
-                }
-            }
-            Some(i) => {
-                prefix = r.choices[..=i].to_vec();
-                prefix[i] += 1;
-            }
-        }
-        drop(r);
+        let Some(i) = ties.iter().rposition(|&(n, pick)| pick + 1 < n) else {
+            break true;
+        };
         if outcomes.len() >= limit {
-            return Exploration {
-                outcomes,
-                complete: false,
-            };
+            break false;
         }
-    }
+        prefix = ties[..=i].iter().map(|&(_, pick)| pick).collect();
+        prefix[i] += 1;
+    };
+    Exploration { outcomes, complete }
 }
 
 /// A chooser making seeded pseudo-random decisions (splitmix64): one
@@ -136,6 +100,37 @@ impl ScheduleChooser for WalkChooser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xkernel::journal::JOURNAL_VERSION;
+
+    /// A synthetic run: the picks it made and the journal that records them.
+    struct Leaf(Vec<usize>, Journal);
+
+    impl Journaled for Leaf {
+        fn journal(&self) -> &Journal {
+            &self.1
+        }
+    }
+
+    /// Makes one decision at each of `branches`' ties under `ch`,
+    /// journaling each as a run would.
+    fn leaf(ch: &mut JournalChooser, branches: &[usize]) -> Leaf {
+        let picks: Vec<usize> = branches.iter().map(|&n| ch.choose(n).min(n - 1)).collect();
+        let records = branches
+            .iter()
+            .zip(&picks)
+            .map(|(&n, &pick)| JournalRecord::TiePick {
+                n: n as u32,
+                pick: pick as u32,
+            })
+            .collect();
+        let journal = Journal {
+            version: JOURNAL_VERSION,
+            seed: 0,
+            sched_hash: 0,
+            records,
+        };
+        Leaf(picks, journal)
+    }
 
     /// A synthetic decision tree: each "run" makes `depth` binary choices
     /// and returns them; exploration must visit all 2^depth leaves, each
@@ -143,24 +138,18 @@ mod tests {
     #[test]
     fn dfs_visits_every_leaf_once() {
         let depth = 4;
-        let ex = explore(1 << 12, |mut ch| {
-            let mut leaf = Vec::new();
-            for _ in 0..depth {
-                leaf.push(ch.choose(2));
-            }
-            leaf
-        });
+        let ex = explore(1 << 12, |mut ch| leaf(&mut ch, &[2; 4]));
         assert!(ex.complete);
         assert_eq!(ex.schedules(), 1 << depth);
         let mut seen = std::collections::HashSet::new();
-        for leaf in &ex.outcomes {
-            assert!(seen.insert(leaf.clone()), "leaf visited twice: {leaf:?}");
+        for Leaf(picks, _) in &ex.outcomes {
+            assert!(seen.insert(picks.clone()), "leaf visited twice: {picks:?}");
         }
     }
 
     #[test]
     fn limit_truncates_and_reports_incomplete() {
-        let ex = explore(3, |mut ch| (0..5).map(|_| ch.choose(2)).collect::<Vec<_>>());
+        let ex = explore(3, |mut ch| leaf(&mut ch, &[2; 5]));
         assert!(!ex.complete);
         assert_eq!(ex.schedules(), 3);
     }
@@ -169,7 +158,7 @@ mod tests {
     fn mixed_branch_factors_enumerate_the_product() {
         // 3 * 2 * 2 = 12 leaves, like a 3-process spawn tie followed by
         // two binary ties.
-        let ex = explore(1 << 12, |mut ch| (ch.choose(3), ch.choose(2), ch.choose(2)));
+        let ex = explore(1 << 12, |mut ch| leaf(&mut ch, &[3, 2, 2]));
         assert!(ex.complete);
         assert_eq!(ex.schedules(), 12);
     }

@@ -1,6 +1,6 @@
 //! xcheck — bounded schedule exploration for the x-kernel simulator.
 //!
-//! The static pass (`xkernel::lint`, rules XK011–XK016) checks what a
+//! The static pass (`xkernel::lint`, rules XK011–XK015) checks what a
 //! protocol *declares* about its blocking behaviour; the dynamic checker
 //! (`xkernel::check`) watches one schedule execute. This crate closes
 //! the loop by asking: *which* schedules? Small scenarios are enumerated
@@ -12,8 +12,9 @@
 //! random-walked with seeded [`explore::WalkChooser`]s instead.
 //!
 //! Everything a run reports is replayable: violations carry
-//! `xcheck://seed=…/sched=…/ev=…` repro strings, and the `sched_hash`
-//! fingerprint lets a rerun assert it walked the identical schedule.
+//! `xcheck://seed=…/sched=…/ev=…` repro strings, an explored schedule is
+//! its journal ([`xkernel::journal`]), and the `sched_hash` fingerprint
+//! lets a rerun assert it walked the identical schedule.
 
 #![warn(clippy::disallowed_types, clippy::disallowed_methods)]
 

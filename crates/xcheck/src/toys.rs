@@ -23,9 +23,12 @@ use std::rc::Rc;
 
 use xkernel::check::{CheckReport, Violation, ViolationKind};
 use xkernel::graph::{GraphArgs, ProtocolRegistry};
+use xkernel::journal::Journal;
 use xkernel::lint::{AddrKind, BlockPoint, ProtoContract};
 use xkernel::prelude::*;
 use xkernel::sim::{ScheduleChooser, SimConfig};
+
+use crate::explore::Journaled;
 
 /// How long each deadlock-toy process sleeps between its first and second
 /// acquire — long enough that both processes hold their first semaphore
@@ -51,6 +54,14 @@ pub struct ToyOutcome {
     pub check: CheckReport,
     /// One repro string per violation, same order.
     pub repros: Vec<String>,
+    /// The run's journal: empty unless a chooser steered it.
+    pub journal: Journal,
+}
+
+impl Journaled for ToyOutcome {
+    fn journal(&self) -> &Journal {
+        &self.journal
+    }
 }
 
 fn outcome(sim: &Sim, run: xkernel::sim::RunReport, done: usize) -> ToyOutcome {
@@ -63,6 +74,16 @@ fn outcome(sim: &Sim, run: xkernel::sim::RunReport, done: usize) -> ToyOutcome {
         sched_hash: run.sched_hash,
         check,
         repros,
+        journal: sim.journal_take(),
+    }
+}
+
+/// Installs `chooser`, if any, on `sim` and starts its journal, which then
+/// records every decision the chooser makes.
+fn steer(sim: &Sim, chooser: Option<Box<dyn ScheduleChooser>>) {
+    if let Some(ch) = chooser {
+        sim.set_chooser(ch);
+        sim.journal_enable();
     }
 }
 
@@ -73,9 +94,7 @@ pub fn run_handshake(seed: u64, chooser: Option<Box<dyn ScheduleChooser>>) -> To
     let sim = Sim::new(SimConfig::scheduled().with_seed(seed).with_check());
     let kernel = Kernel::new(&sim, "toy");
     let host = kernel.host();
-    if let Some(ch) = chooser {
-        sim.set_chooser(ch);
-    }
+    steer(&sim, chooser);
     let a = SharedSema::labeled(0, "A");
     let b = SharedSema::labeled(0, "B");
     let done = Rc::new(Cell::new(0));
@@ -112,9 +131,7 @@ pub fn run_crosshost(seed: u64, chooser: Option<Box<dyn ScheduleChooser>>) -> To
     let sim = Sim::new(SimConfig::scheduled().with_seed(seed).with_check());
     let k0 = Kernel::new(&sim, "toy-a");
     let k1 = Kernel::new(&sim, "toy-b");
-    if let Some(ch) = chooser {
-        sim.set_chooser(ch);
-    }
+    steer(&sim, chooser);
     let shared = SharedSema::labeled(0, "shared");
     let done = Rc::new(Cell::new(0));
     {
@@ -148,9 +165,7 @@ pub fn run_deadlock_spec(seed: u64, chooser: Option<Box<dyn ScheduleChooser>>) -
     register_ctors(&mut reg);
     reg.build_unchecked(&sim, &kernel, DEADLOCK_TOY_GRAPH)
         .expect("deadlock toy graph builds");
-    if let Some(ch) = chooser {
-        sim.set_chooser(ch);
-    }
+    steer(&sim, chooser);
     let run = sim.run_until_idle();
     outcome(&sim, run, 0)
 }

@@ -2,15 +2,18 @@
 //! enumeration of the handshake toy (every interleaving visited, chaos
 //! invariants proven on all of them), the deliberately deadlocking toy
 //! (exact cycle, deterministic replayable repro), the cross-host signal
-//! toy, and checker-enabled random walks of a real RPC stack.
+//! toy, and a real RPC stack explored through its journal and random-walked
+//! under the checker.
 
 use std::collections::HashSet;
 
-use chaos::{Profile, Scenario, StackKind};
-use xcheck::explore::{explore, WalkChooser};
+use chaos::{Profile, RunOpts, Scenario, StackKind};
+use xcheck::explore::{explore, Journaled, WalkChooser};
 use xcheck::summary::Summary;
 use xcheck::toys;
 use xkernel::check::{parse_repro, ViolationKind};
+use xkernel::journal::Journal;
+use xkernel::sim::ScheduleChooser;
 
 const SEED: u64 = 42;
 
@@ -173,6 +176,78 @@ fn checked_in_deadlock_spec_matches_the_toy_graph() {
         .map(|l| format!("{l}\n"))
         .collect();
     assert_eq!(body, toys::DEADLOCK_TOY_GRAPH);
+}
+
+/// What one schedule of a real stack showed.
+struct StackRun {
+    sched_hash: u64,
+    completed: u32,
+    invariant_failures: Vec<String>,
+    repros: Vec<String>,
+    journal: Journal,
+}
+
+impl Journaled for StackRun {
+    fn journal(&self) -> &Journal {
+        &self.journal
+    }
+}
+
+/// Runs `sc` under `chooser`, journaled and checked.
+fn stack_run(sc: &Scenario, chooser: Box<dyn ScheduleChooser>) -> StackRun {
+    let out = sc.run_with(RunOpts {
+        journal: true,
+        chooser: Some(chooser),
+        check: true,
+        ..RunOpts::default()
+    });
+    let check = out.sim.check_report();
+    let run = StackRun {
+        sched_hash: out.report.run.sched_hash,
+        completed: out.report.completed,
+        invariant_failures: sc.invariant_failures(&out.report),
+        repros: check.violations.iter().map(|v| out.sim.repro(v)).collect(),
+        journal: out.journal.expect("journaling was on"),
+    };
+    out.sim.kill_suspended();
+    run
+}
+
+/// Two clients calling one server on L_RPC-VIP over a quiet wire, explored
+/// schedule by schedule through the journal: every schedule completes
+/// every call, holds the chaos invariants and is checker-clean, and a
+/// schedule's journal replays it to the same fingerprint.
+#[test]
+fn a_two_client_rpc_stack_explores_through_its_journal() {
+    let sc = Scenario {
+        stack: StackKind::Paper(xrpc::stacks::L_RPC_VIP),
+        profile: Profile::FaultFree,
+        seed: 7,
+        calls: 2,
+        population: 2,
+    };
+    let ex = explore(16, |ch| stack_run(&sc, ch));
+    assert!(ex.schedules() <= 16);
+    let hashes: HashSet<u64> = ex.outcomes.iter().map(|r| r.sched_hash).collect();
+    assert!(
+        hashes.len() > 1,
+        "the exploration took more than one schedule"
+    );
+    for r in &ex.outcomes {
+        let calls = sc.calls * sc.population;
+        assert_eq!(r.completed, calls, "schedule {:#x}", r.sched_hash);
+        assert!(
+            r.invariant_failures.is_empty(),
+            "{:?}",
+            r.invariant_failures
+        );
+        assert!(r.repros.is_empty(), "{:?}", r.repros);
+        assert!(r.journal.matches(r.sched_hash), "stamped with its run");
+    }
+    let last = ex.outcomes.last().expect("one schedule at least");
+    let again = stack_run(&sc, Box::new(last.journal.chooser()));
+    assert_eq!(again.sched_hash, last.sched_hash, "the journal replays");
+    assert_eq!(again.journal.records, last.journal.records);
 }
 
 /// Random walks of a real RPC stack under a lossy profile: the schedule

@@ -276,9 +276,7 @@ impl Journal {
     /// journal changes no schedule, and replaying an explored schedule
     /// reproduces it. Once the picks are exhausted it picks index 0.
     pub fn chooser(&self) -> JournalChooser {
-        JournalChooser {
-            picks: self.tie_picks().into(),
-        }
+        JournalChooser::new(self.tie_picks())
     }
 
     /// Whether `hash` matches the journal's recorded fingerprint — the
@@ -291,6 +289,16 @@ impl Journal {
 /// Replays a journal's tie picks; see [`Journal::chooser`].
 pub struct JournalChooser {
     picks: VecDeque<u32>,
+}
+
+impl JournalChooser {
+    /// A chooser making `picks` at the first ties, in order, and index 0
+    /// at every tie after them.
+    pub fn new(picks: Vec<u32>) -> JournalChooser {
+        JournalChooser {
+            picks: picks.into(),
+        }
+    }
 }
 
 impl ScheduleChooser for JournalChooser {

@@ -239,7 +239,7 @@ impl Rewind for dyn Session {
 /// saves it whole, and there is nothing behind it to rewind.
 macro_rules! plain {
     ($($t:ty),*) => {$(
-        impl Rewind for $t {
+        impl $crate::keep::Rewind for $t {
             type Saved = ();
             fn save(&self) {}
             fn rewind(&self, _: &()) {}
@@ -248,6 +248,7 @@ macro_rules! plain {
 }
 
 plain!(u32, usize);
+pub(crate) use plain;
 
 #[cfg(test)]
 mod tests {

@@ -48,7 +48,7 @@ pub struct Rule {
 /// The rule catalogue, in id order. [`lint_spec`] runs every row a spec
 /// does not allow.
 #[rustfmt::skip]
-pub static RULES: [Rule; 16] = [
+pub static RULES: [Rule; 15] = [
     Rule { id: "XK001", xcheck: false, check: unparsable,
         summary: "a spec line fails to parse" },
     Rule { id: "XK002", xcheck: false, check: unknown_ctors,
@@ -79,8 +79,6 @@ pub static RULES: [Rule; 16] = [
         summary: "a `Wire` blocking point with no device-kind lower slot (warning)" },
     Rule { id: "XK015", xcheck: true, check: lock_order,
         summary: "conflicting lock-acquisition orders across the spec (the merged order cycles)" },
-    Rule { id: "XK016", xcheck: true, check: reboot_hooks,
-        summary: "a `crashable` protocol without a reboot hook" },
 ];
 
 /// The kind of address a protocol speaks at its upper interface.
@@ -235,11 +233,6 @@ pub struct ProtoContract {
     /// Lock-acquisition order this protocol's code observes, outermost
     /// first. Merged across the whole spec and checked for cycles (XK015).
     pub lock_order: Vec<String>,
-    /// `true` if the protocol participates in crash/restart testing and is
-    /// expected to survive a host reboot (XK016).
-    pub crashable: bool,
-    /// `true` if the protocol implements the `reboot` hook (XK016).
-    pub has_reboot: bool,
     /// `true` if every error path out of a blocking reply wait releases the
     /// transaction slot (channel/outstanding-call entry) it holds (XK011).
     pub clears_slot_on_error: bool,
@@ -262,8 +255,6 @@ impl ProtoContract {
             sema: SemaContract::default(),
             blocking: Vec::new(),
             lock_order: Vec::new(),
-            crashable: false,
-            has_reboot: false,
             clears_slot_on_error: false,
         }
     }
@@ -364,18 +355,6 @@ impl ProtoContract {
     /// outermost lock first.
     pub fn locks(mut self, order: &[&str]) -> ProtoContract {
         self.lock_order = order.iter().map(|s| s.to_string()).collect();
-        self
-    }
-
-    /// Marks the protocol as participating in crash/restart testing.
-    pub fn crashable(mut self) -> ProtoContract {
-        self.crashable = true;
-        self
-    }
-
-    /// Records that the protocol implements the `reboot` hook.
-    pub fn reboots(mut self) -> ProtoContract {
-        self.has_reboot = true;
         self
     }
 
@@ -1019,26 +998,6 @@ fn excess_blocking(s: &Spec<'_>, f: &mut Findings) {
     }
 }
 
-fn reboot_hooks(s: &Spec<'_>, f: &mut Findings) {
-    for node in s
-        .nodes
-        .iter()
-        .filter(|n| n.contract.crashable && !n.contract.has_reboot)
-    {
-        f.report(
-            Severity::Error,
-            (node.line, &node.name),
-            format!(
-                "'{}' is declared crashable but has no reboot hook: after a host \
-                 restart its sessions keep pre-crash sequence/channel state",
-                node.ctor
-            ),
-            "implement Protocol::reboot (and declare .reboots()), or drop \
-             .crashable() if the protocol is never crash-tested",
-        );
-    }
-}
-
 /// Merges every contract's declared lock-acquisition order into one
 /// relation and rejects cycles: two protocols in one kernel that take the
 /// same locks in opposite orders deadlock under the right interleaving (the
@@ -1157,9 +1116,7 @@ mod tests {
                     wakes_from_demux: true,
                 })
                 .blocks(&[BlockPoint::Sema, BlockPoint::Timer])
-                .clears_slot_on_error()
-                .crashable()
-                .reboots(),
+                .clears_slot_on_error(),
             ProtoContract::passthrough("pass").header(4),
             ProtoContract::new("stuck", AddrKind::Rpc)
                 .lower(&[])
@@ -1173,10 +1130,6 @@ mod tests {
             // An Internet producer with no lowers: nothing below it can
             // reach a device (XK012's bad case).
             ProtoContract::new("float", AddrKind::Internet),
-            // Crashable but no reboot hook (XK016's bad case).
-            ProtoContract::new("fragile", AddrKind::Rpc)
-                .lower(&[AddrKind::Internet])
-                .crashable(),
             // A pair declaring opposite lock orders (XK015's bad case).
             ProtoContract::new("locka", AddrKind::Rpc)
                 .lower(&[AddrKind::Internet])
@@ -1415,17 +1368,6 @@ mod tests {
         // One consistent order across the spec is clean.
         let d = run("wire -> nic0\nnet -> wire\nlocka -> net\nla2: locka -> net\n");
         assert!(!d.iter().any(|d| d.rule == "XK015"), "{d:?}");
-    }
-
-    #[test]
-    fn xk016_crashable_without_reboot_hook() {
-        let d = run("wire -> nic0\nnet -> wire\nfragile -> net\n");
-        let hit = d.iter().find(|d| d.rule == "XK016").expect("XK016 fires");
-        assert_eq!(hit.severity, Severity::Error);
-        assert_eq!(hit.instance, "fragile");
-        // rpc declares both crashable and reboots: clean.
-        let d = run("wire -> nic0\nnet -> wire\nrpc -> net\n");
-        assert!(!d.iter().any(|d| d.rule == "XK016"), "{d:?}");
     }
 
     #[test]

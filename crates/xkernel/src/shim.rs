@@ -10,12 +10,13 @@
 //!   SunOS socket stack). See `DESIGN.md` §1; it adds no header and changes
 //!   no bytes.
 
+use std::hash::Hash;
 use std::rc::Rc;
 
 use crate::addr::ParticipantSet;
 use crate::cost::Handicap;
 use crate::error::{Reject, XError, XResult};
-use crate::keep::Keep;
+use crate::keep::{plain, Keep};
 use crate::map::{EnableMap, SessionMap, UpperCell};
 use crate::msg::Message;
 use crate::proto::{ControlOp, ControlRes, ProtoId, Protocol, Session, SessionRef, TracedSession};
@@ -33,6 +34,27 @@ crate::wire_header! {
     }
 }
 
+/// A pass-through layer's upward session for `key`, from `table` or built
+/// by `make`. A miss first drops each entry that no one else holds and whose
+/// lower session (`lower_of`) only it holds: nothing can deliver on that
+/// again. So over REQUEST_REPLY, which passes up a new session per request,
+/// the table holds the requests being served, not every one ever served.
+fn upward<K: Hash + Eq, S>(
+    table: &SessionMap<K, Rc<S>>,
+    key: K,
+    lower_of: impl Fn(&S) -> &SessionRef,
+    make: impl FnOnce() -> S,
+) -> Rc<S> {
+    let mut t = table.lock();
+    if let Some(s) = t.get(&key) {
+        return Rc::clone(s);
+    }
+    t.retain(|_, s| Rc::strong_count(s) > 1 || Rc::strong_count(lower_of(s)) > 1);
+    let s = Rc::new(make());
+    t.insert(key, Rc::clone(&s));
+    s
+}
+
 /// A do-nothing protocol layer with a real header and demux map.
 pub struct NullLayer {
     me: ProtoId,
@@ -41,8 +63,8 @@ pub struct NullLayer {
     // Sessions for the upward path, keyed by number and by the identity of
     // the lower session the message came up on: replies go back down the
     // session their request arrived by (two callers over CHANNEL arrive on
-    // two server channels).
-    passive: SessionMap<(u16, usize)>,
+    // two server channels). See [`upward`] for what bounds it.
+    passive: SessionMap<(u16, usize), Rc<NullSession>>,
 }
 
 impl NullLayer {
@@ -54,6 +76,11 @@ impl NullLayer {
             enables: EnableMap::new(),
             passive: SessionMap::new(),
         })
+    }
+
+    /// The upward sessions cached right now.
+    pub fn upward_sessions(&self) -> usize {
+        self.passive.len()
     }
 
     fn num_of(parts: &ParticipantSet) -> XResult<u16> {
@@ -106,6 +133,9 @@ impl Session for NullSession {
     }
 }
 
+// An upward session's fields are fixed when it is made.
+plain!(NullSession, HandicapSession);
+
 impl Protocol for NullLayer {
     fn id(&self) -> ProtoId {
         self.me
@@ -145,16 +175,21 @@ impl Protocol for NullLayer {
         // Reuse (or passively create) the session replies travel down on —
         // the paper's "cache open sessions at all levels" rule.
         let key = (num, Rc::as_ptr(lls) as *const () as usize);
-        let sess = self.passive.resolve_or_insert_with(key, || {
-            let s: SessionRef = Rc::new(NullSession {
-                proto: self.me,
-                num,
-                lower: Rc::clone(lls),
-            });
-            ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-            Ok(s)
-        })?;
-        ctx.kernel_ref().demux_to(ctx, upper, &sess, msg)
+        let sess = upward(
+            &self.passive,
+            key,
+            |s: &NullSession| &s.lower,
+            || {
+                ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
+                NullSession {
+                    proto: self.me,
+                    num,
+                    lower: Rc::clone(lls),
+                }
+            },
+        );
+        ctx.kernel_ref()
+            .demux_to(ctx, upper, &(sess as SessionRef), msg)
     }
 
     fn control(&self, ctx: &Ctx, op: &ControlOp) -> XResult<ControlRes> {
@@ -176,7 +211,8 @@ pub struct HandicapLayer {
     upper: UpperCell,
     // Wrapped lower sessions for the upward path, keyed by the identity of
     // the underlying session, so server-side reply pushes are charged too.
-    wrapped: SessionMap<usize>,
+    // See [`upward`] for what bounds it.
+    wrapped: SessionMap<usize, Rc<HandicapSession>>,
 }
 
 // Charged once per message *sent* (each host pays for the messages it
@@ -201,6 +237,11 @@ impl HandicapLayer {
             upper: UpperCell::new(),
             wrapped: SessionMap::new(),
         })
+    }
+
+    /// The upward sessions cached right now.
+    pub fn upward_sessions(&self) -> usize {
+        self.wrapped.len()
     }
 }
 
@@ -257,14 +298,18 @@ impl Protocol for HandicapLayer {
             .get()
             .ok_or(Reject::NoEnable("handicap layer has no upper"))?;
         let key = Rc::as_ptr(lls) as *const () as usize;
-        let sess = self.wrapped.resolve_or_insert_with(key, || {
-            Ok(Rc::new(HandicapSession {
+        let sess = upward(
+            &self.wrapped,
+            key,
+            |s: &HandicapSession| &s.lower,
+            || HandicapSession {
                 proto: self.me,
                 handicap: self.handicap,
                 lower: Rc::clone(lls),
-            }) as SessionRef)
-        })?;
-        ctx.kernel_ref().demux_to(ctx, upper, &sess, msg)
+            },
+        );
+        ctx.kernel_ref()
+            .demux_to(ctx, upper, &(sess as SessionRef), msg)
     }
 
     fn control(&self, ctx: &Ctx, op: &ControlOp) -> XResult<ControlRes> {

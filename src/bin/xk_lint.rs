@@ -13,8 +13,8 @@
 //!                         hardware, internet, transport, rpc, resolver.
 //!   --allow RULES         comma-separated rule ids to suppress (XK008,...)
 //!   --xcheck              report only the concurrency-verifier rules
-//!                         (XK010-XK016: semaphore discipline, blocking
-//!                         points, lock order, reboot hooks)
+//!                         (XK010-XK015: semaphore discipline, blocking
+//!                         points, lock order)
 //!   --warn-as-error       non-zero exit on warnings too
 //!   --quiet               print errors only
 //!   -                     read a spec from stdin

@@ -377,19 +377,6 @@ fn cases() -> Vec<Case> {
                 "line 2: error XK015 [ba] conflicting lock-acquisition orders: dl.sem_a -> dl.sem_b -> dl.sem_a (declared across {\"ab\", \"ba\"}) — two shepherds taking these locks concurrently deadlock (hint: pick one global order for the named locks and declare it identically in every contract)",
             ],
         ),
-        Case {
-            extra: vec![ProtoContract::new("fragile", AddrKind::Rpc)
-                .lower(&[AddrKind::Internet])
-                .crashable()],
-            ..case(
-                "xk016_crashable_without_reboot_hook",
-                "XK016",
-                format!("{BASE}fragile -> ip\n"),
-                &[
-                "line 4: error XK016 [fragile] 'fragile' is declared crashable but has no reboot hook: after a host restart its sessions keep pre-crash sequence/channel state (hint: implement Protocol::reboot (and declare .reboots()), or drop .crashable() if the protocol is never crash-tested)",
-            ],
-            )
-        },
     ]
 }
 
@@ -456,7 +443,6 @@ rule_tests!(
     xk013_undeclared_blocking_points,
     xk014_excess_wire_declaration,
     xk015_conflicting_lock_orders_via_the_deadlock_toy,
-    xk016_crashable_without_reboot_hook,
 );
 
 #[test]

@@ -11,6 +11,7 @@ use simnet::Template;
 use sunrpc::sunselect::SunSelect;
 use xkernel::graph::ProtocolRegistry;
 use xkernel::prelude::*;
+use xkernel::shim::{HandicapLayer, NullLayer};
 use xkernel::sim::{RunReport, SimConfig};
 use xrpc::procs::{register_standard, ECHO_PROC};
 
@@ -121,5 +122,44 @@ fn a_cold_rig_rewinds_its_pass_through_layers() {
         assert_eq!(first.1.as_deref(), Ok(&b"rewind"[..]), "{graph}");
         cold.rewind();
         assert_eq!(one_call(&tb, sun), first, "{graph}");
+    }
+}
+
+/// Over REQUEST_REPLY, which passes up a fresh server session with every
+/// request, a pass-through layer's upward table holds the sessions of the
+/// requests still being served, not one for every request it ever served.
+#[test]
+fn a_pass_through_table_over_request_reply_stays_bounded() {
+    let reg = registry();
+    for wedge in ["null", "handicap switches=1"] {
+        let graph = format!("request_reply -> udp\nh: {wedge} -> request_reply\nsunselect -> h\n");
+        let tb = two_hosts(SimConfig::scheduled(), &reg, &graph).expect("rig builds");
+        with_concrete::<SunSelect, _>(&tb.server, "sunselect", |s| {
+            s.serve(SUN_PROG, 1, 1, |_ctx, msg| Ok(msg))
+        })
+        .expect("sunselect registered");
+        let answered = Rc::new(RefCell::new(0));
+        let a = Rc::clone(&answered);
+        let server = tb.server_ip;
+        tb.sim.spawn(tb.client.host(), move |ctx| {
+            for call in 0..200u32 {
+                let req = call.to_be_bytes().to_vec();
+                let got = with_concrete::<SunSelect, _>(ctx.kernel_ref(), "sunselect", |s| {
+                    s.call(ctx, server, SUN_PROG, 1, 1, req.clone())
+                })
+                .and_then(|r| r);
+                *a.borrow_mut() += usize::from(got.as_ref() == Ok(&req));
+            }
+        });
+        assert_eq!(tb.sim.run_until_idle().blocked, 0, "{graph}");
+        assert_eq!(*answered.borrow(), 200, "{graph}");
+        let held = |k: &Kernel| match wedge {
+            "null" => with_concrete::<NullLayer, _>(k, "h", |l| l.upward_sessions()),
+            _ => with_concrete::<HandicapLayer, _>(k, "h", |l| l.upward_sessions()),
+        };
+        for kernel in [&tb.client, &tb.server] {
+            let held = held(kernel).expect("the wedge is there");
+            assert!(held <= 2, "{wedge}: {held} upward sessions after 200 calls");
+        }
     }
 }
